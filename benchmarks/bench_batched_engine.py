@@ -202,19 +202,24 @@ def test_lane_refill_occupancy(benchmark):
 
 
 def test_fig7_suite_lane_speedup(benchmark):
-    """The converted fig7 path end to end: ``run_suite_sharded`` batched
-    vs event on the quick SPLASH-2 suite (8 apps x fault-free/faulty).
+    """The converted fig7 path end to end: ``run_suite_sharded`` (lanes)
+    vs the same points one ``run_point`` task each, on the quick
+    SPLASH-2 suite (8 apps x fault-free/faulty).
 
     All 16 points share one structural key, so the batched run steps the
-    whole suite as lanes of a single engine; the event run is the same
-    sweep with ``engine="event"``.  Per-app latencies must match
-    exactly before the timing counts.
+    whole suite as lanes of a single engine.  Per-app latencies must
+    match exactly before the timing counts.
     """
-    from repro.experiments.latency import QUICK_CONFIG, run_suite_sharded
+    from repro.experiments.latency import (
+        QUICK_CONFIG,
+        run_suite_sharded,
+        suite_points,
+    )
+    from repro.experiments.parallel import map_sweep, run_point
 
     t0 = time.perf_counter()
-    event_apps, event_report = run_suite_sharded(
-        "splash2", QUICK_CONFIG, engine="event"
+    event_values, event_report = map_sweep(
+        run_point, [(p,) for p in suite_points("splash2", QUICK_CONFIG)]
     )
     event_s = time.perf_counter() - t0
     points = event_report.points
@@ -223,7 +228,7 @@ def test_fig7_suite_lane_speedup(benchmark):
 
     def suite_run():
         t0 = time.perf_counter()
-        out = run_suite_sharded("splash2", QUICK_CONFIG, engine="batched")
+        out = run_suite_sharded("splash2", QUICK_CONFIG)
         box["s"] = time.perf_counter() - t0
         return out
 
@@ -233,11 +238,11 @@ def test_fig7_suite_lane_speedup(benchmark):
     batched_s = box["s"]
 
     assert batched_report.fallbacks == 0, batched_report.fallback_reasons
-    assert len(batched_apps) == len(event_apps) == 8
-    for b, e in zip(batched_apps, event_apps):
-        assert b.app == e.app
-        assert b.fault_free == e.fault_free, f"{b.app} fault-free diverged"
-        assert b.faulty == e.faulty, f"{b.app} faulty diverged"
+    assert len(batched_apps) == 8 and len(event_values) == 16
+    for i, b in enumerate(batched_apps):
+        ff, fy = event_values[2 * i], event_values[2 * i + 1]
+        assert b.fault_free == ff.avg_network_latency, f"{b.app} fault-free diverged"
+        assert b.faulty == fy.avg_network_latency, f"{b.app} faulty diverged"
 
     speedup = event_s / batched_s
     print(

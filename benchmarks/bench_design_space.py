@@ -9,7 +9,9 @@ from repro.experiments import design_space, mttf_sensitivity
 def test_design_space(benchmark):
     result = run_once(
         benchmark, design_space.run,
-        vc_counts=(2, 4, 8), buffer_depths=(2, 4), measure=1200,
+        design_space.DesignSpaceConfig(
+            vc_counts=(2, 4, 8), buffer_depths=(2, 4), measure=1200
+        ),
     )
     print()
     print(result.format())

@@ -9,8 +9,11 @@ from repro.experiments.latency import QUICK_CONFIG
 
 def test_detection_latency(benchmark):
     result = run_once(
-        benchmark, detection_latency.run, measure_cycles=2000,
-        num_faults=20, seed=4,
+        benchmark, detection_latency.run,
+        detection_latency.DetectionLatencyConfig(
+            measure_cycles=2000, num_faults=20
+        ),
+        seed=4,
     )
     print()
     print(result.format())
@@ -25,8 +28,10 @@ def test_detection_latency(benchmark):
 
 def test_fault_sweep(benchmark):
     result = run_once(
-        benchmark, fault_sweep.run, fault_counts=(0, 8, 16, 32),
-        app="ocean", cfg=QUICK_CONFIG,
+        benchmark, fault_sweep.run,
+        fault_sweep.FaultSweepConfig(
+            fault_counts=(0, 8, 16, 32), app="ocean", latency=QUICK_CONFIG
+        ),
     )
     print()
     print(result.format())

@@ -11,8 +11,11 @@ workload shapes it exists for (see ``docs/performance.md``):
   separate packet bursts; the vectorised traffic lookahead scans whole
   chunks per RNG call instead of stepping each cycle.
 
-Both cases also re-assert bit-identity between the two loop flavours —
-a speedup from diverging behaviour would be a bug, not a win.
+The per-cycle side is the same simulator fed the same traffic with its
+``next_injection`` lookahead hidden, which is the one way ``run()`` still
+steps every cycle.  Both cases also re-assert bit-identity between the
+two loop flavours — a speedup from diverging behaviour would be a bug,
+not a win.
 
 Set ``REPRO_BENCH_JSON=<path>`` to write the per-case wall times and
 speedups as JSON (the CI job uploads it as the
@@ -42,7 +45,21 @@ def _write_json(payload: dict) -> None:
         json.dump(existing, fp, indent=2, sort_keys=True)
 
 
-def _drain_heavy_sim(event_driven: bool) -> NoCSimulator:
+class _NoLookahead:
+    """Traffic wrapper exposing ``generate`` only: ``run()`` cannot skip."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def generate(self, cycle: int):
+        return self._inner.generate(cycle)
+
+
+def _traffic(inner, skip_ahead: bool):
+    return inner if skip_ahead else _NoLookahead(inner)
+
+
+def _drain_heavy_sim(skip_ahead: bool) -> NoCSimulator:
     """Cycle-0 burst, then a 30k-cycle idle measurement window."""
     reset_packet_ids()
     net = NetworkConfig(
@@ -63,12 +80,11 @@ def _drain_heavy_sim(event_driven: bool) -> NoCSimulator:
         SimulationConfig(
             warmup_cycles=0, measure_cycles=30_000, drain_cycles=5000, seed=1
         ),
-        TraceTraffic(burst),
-        event_driven=event_driven,
+        _traffic(TraceTraffic(burst), skip_ahead),
     )
 
 
-def _low_injection_sim(event_driven: bool) -> NoCSimulator:
+def _low_injection_sim(skip_ahead: bool) -> NoCSimulator:
     """Sparse Bernoulli load: quiet gaps dominate the window."""
     reset_packet_ids()
     net = NetworkConfig(width=8, height=8)
@@ -80,17 +96,16 @@ def _low_injection_sim(event_driven: bool) -> NoCSimulator:
             drain_cycles=5000,
             seed=3,
         ),
-        SyntheticTraffic(net, injection_rate=5e-5, rng=3),
-        event_driven=event_driven,
+        _traffic(SyntheticTraffic(net, injection_rate=5e-5, rng=3), skip_ahead),
     )
 
 
-def _best_of(sim_factory, event_driven: bool, rounds: int = 3):
+def _best_of(sim_factory, skip_ahead: bool, rounds: int = 3):
     """Best wall time over ``rounds`` fresh runs, plus the last result."""
     best = float("inf")
     result = None
     for _ in range(rounds):
-        sim = sim_factory(event_driven)
+        sim = sim_factory(skip_ahead)
         t0 = time.perf_counter()
         result = sim.run()
         best = min(best, time.perf_counter() - t0)
@@ -98,7 +113,7 @@ def _best_of(sim_factory, event_driven: bool, rounds: int = 3):
 
 
 def _compare(name: str, sim_factory, benchmark):
-    per_cycle_s, per_cycle = _best_of(sim_factory, event_driven=False)
+    per_cycle_s, per_cycle = _best_of(sim_factory, skip_ahead=False)
     samples = []
 
     def timed():

@@ -19,7 +19,7 @@ import time
 from conftest import run_once, write_bench_json
 from repro.experiments.fault_campaign import CampaignConfig, run
 from repro.experiments.latency import LatencyConfig, suite_traffic
-from repro.experiments.parallel import LanePoint, run_lane_sweep
+from repro.experiments.parallel import LanePoint, map_sweep, run_point
 from repro.faults import RandomFaultSchedule, TimelineSpec
 
 TIMELINES = 4
@@ -33,7 +33,6 @@ CAMPAIGN = CampaignConfig(
     timeline=TimelineSpec(events=4, mean_interval=300.0),
     latency=LATENCY,
     app="lu",
-    engine="event",
 )
 
 
@@ -79,6 +78,11 @@ def _plain_points():
     return points
 
 
+def _run_plain():
+    """Every plain point on the per-point event engine, one task each."""
+    return map_sweep(run_point, [(p,) for p in _plain_points()])
+
+
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
@@ -88,11 +92,9 @@ def _timed(fn):
 def test_campaign_overhead_vs_plain_fault_sweep(benchmark):
     """Timelines + recovery monitoring vs a static sweep, same points."""
     # warm both paths once so neither pays first-import costs
-    run_lane_sweep(_plain_points(), jobs=None, engine="event")
+    _run_plain()
 
-    (_, plain_s) = _timed(
-        lambda: run_lane_sweep(_plain_points(), jobs=None, engine="event")
-    )
+    (_, plain_s) = _timed(_run_plain)
 
     box = {}
 

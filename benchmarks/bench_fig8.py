@@ -16,7 +16,7 @@ from repro.experiments.latency import overall_overhead
 
 def test_fig8_regeneration(benchmark, latency_config):
     t0 = time.perf_counter()
-    result = run_once(benchmark, fig8.run, cfg=latency_config)
+    result = run_once(benchmark, fig8.run, latency_config)
     elapsed = time.perf_counter() - t0
     print()
     print(result.format())

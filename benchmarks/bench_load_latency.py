@@ -15,9 +15,9 @@ def test_load_latency_curves(benchmark):
     result = run_once(
         benchmark,
         load_latency.run,
-        rates=(0.03, 0.09, 0.15),
-        measure=2500,
-        num_faults=24,
+        load_latency.LoadLatencyConfig(
+            rates=(0.03, 0.09, 0.15), measure=2500, num_faults=24
+        ),
     )
     print()
     print(result.format())

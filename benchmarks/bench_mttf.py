@@ -6,7 +6,7 @@ from repro.experiments import mttf
 
 
 def test_mttf_regeneration(benchmark):
-    result = benchmark(mttf.run, mc_samples=50_000)
+    result = benchmark(mttf.run, mttf.MTTFConfig(mc_samples=50_000))
     print()
     print(result.format())
     assert result.row("MTTF baseline").measured == pytest.approx(

@@ -7,7 +7,10 @@ from repro.experiments import network_reliability
 
 
 def test_network_reliability(benchmark):
-    result = run_once(benchmark, network_reliability.run, trials=120)
+    result = run_once(
+        benchmark, network_reliability.run,
+        network_reliability.NetworkReliabilityConfig(trials=120),
+    )
     print()
     print(result.format())
     # the per-router ~6x gain compounds at fabric scale: the first-failure

@@ -6,7 +6,7 @@ from repro.experiments import table3
 
 
 def test_table3_regeneration(benchmark):
-    result = benchmark(table3.run, mc_trials=300)
+    result = benchmark(table3.run, table3.Table3Config(mc_trials=300))
     print()
     print(result.format())
     # the published comparison rows

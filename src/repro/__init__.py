@@ -23,15 +23,11 @@ stays cheap while ``repro.NoCSimulator``, ``repro.run_sweep``,
     result = repro.run_experiment("table3", quick=True)
     with repro.sweep_runtime(out_dir="runs/sweep"):
         ...
-
-Deprecated names keep working through the same lazy hook but emit a
-:class:`DeprecationWarning` and are scheduled for removal in 2.0
-(currently: top-level ``replace`` — use :func:`repro.config.replace`).
 """
 
 from .config import NetworkConfig, RouterConfig, SimulationConfig
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 #: lazily resolved facade: exported name -> (module, attribute)
 _LAZY = {
@@ -68,11 +64,6 @@ _LAZY = {
     "ObservabilityConfig": ("repro.observability", "ObservabilityConfig"),
     "MetricsRegistry": ("repro.observability", "MetricsRegistry"),
     "EventTracer": ("repro.observability", "EventTracer"),
-}
-
-#: deprecated top-level names: name -> (module, attribute, replacement hint)
-_DEPRECATED = {
-    "replace": ("repro.config", "replace", "repro.config.replace"),
 }
 
 __all__ = [
@@ -119,20 +110,8 @@ def __getattr__(name: str):
         value = getattr(importlib.import_module(module), attr)
         globals()[name] = value  # cache: __getattr__ runs once per name
         return value
-    entry = _DEPRECATED.get(name)
-    if entry is not None:
-        import warnings
-
-        module, attr, hint = entry
-        warnings.warn(
-            f"repro.{name} is deprecated and will be removed in 2.0; "
-            f"use {hint} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module), attr)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_DEPRECATED))
+    return sorted(set(globals()) | set(_LAZY))

@@ -11,7 +11,7 @@ from typing import Optional
 from ..reliability.stages import RouterGeometry
 from ..synthesis.area import analyze_area
 from ..synthesis.power import analyze_power
-from .report import ExperimentResult, coerce_geom
+from .report import ExperimentResult
 
 PAPER = {
     "area_correction": 0.28,
@@ -28,17 +28,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`;
-    the old ``run(geom=...)`` keyword still works but is deprecated.
+    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
     The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
     ``resume`` are accepted for API uniformity and ignored.
     """
     del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = coerce_geom("area_power", config, legacy) or RouterGeometry()
+    geom = config or RouterGeometry()
     area = analyze_area(geom)
     power = analyze_power(geom)
     res = ExperimentResult(

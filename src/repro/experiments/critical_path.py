@@ -10,7 +10,7 @@ from typing import Optional
 
 from ..reliability.stages import RouterGeometry
 from ..synthesis.timing import analyze_critical_path
-from .report import ExperimentResult, coerce_geom
+from .report import ExperimentResult
 
 PAPER_OVERHEADS = {"RC": 0.0, "VA": 0.20, "SA": 0.10, "XB": 0.25}
 
@@ -22,17 +22,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`;
-    the old ``run(geom=...)`` keyword still works but is deprecated.
+    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
     The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
     ``resume`` are accepted for API uniformity and ignored.
     """
     del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = coerce_geom("critical_path", config, legacy) or RouterGeometry()
+    geom = config or RouterGeometry()
     rep = analyze_critical_path(geom)
     res = ExperimentResult(
         "critical_path", "Critical-path impact per stage (Section VI-B)"

@@ -14,7 +14,7 @@ performance and cost columns complete the designer's picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
@@ -22,7 +22,7 @@ from ..reliability.spf import analyze_spf
 from ..reliability.stages import RouterGeometry
 from ..synthesis.area import area_overhead
 from ..traffic.generator import SyntheticTraffic
-from .report import ExperimentResult, override_seed, take_legacy
+from .report import ExperimentResult, override_seed
 from .resilient import sweep_runtime
 
 
@@ -35,13 +35,6 @@ class DesignSpaceConfig:
     rate: float = 0.15
     seed: int = 1
     measure: int = 2000
-    #: sweep execution engine.  The grid's points are structurally
-    #: *distinct* (each sizes the router differently), so the batched
-    #: lane engine declines every one-point group and the sweep runs on
-    #: the per-point event engine either way — routing it through
-    #: :func:`repro.experiments.parallel.run_lane_sweep` anyway keeps
-    #: one code path and surfaces the decline reasons in the report.
-    engine: str = "batched"
 
 
 def _grid_traffic(
@@ -58,24 +51,12 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`DesignSpaceConfig`; the old
-    ``run(vc_counts=..., buffer_depths=..., ...)`` keywords still work
-    but are deprecated.  ``out_dir``/``resume`` attach the resilient
-    sweep runtime.
+    ``config`` is a :class:`DesignSpaceConfig`; ``out_dir``/``resume``
+    attach the resilient sweep runtime.
     """
-    if legacy:
-        take_legacy(
-            "design_space", legacy,
-            {"vc_counts", "buffer_depths", "rate", "measure", "engine"},
-        )
-        for key in ("vc_counts", "buffer_depths"):
-            if legacy.get(key) is not None:
-                legacy[key] = tuple(legacy[key])
-        config = replace(config or DesignSpaceConfig(), **legacy)
     config = override_seed(config or DesignSpaceConfig(), seed)
     with sweep_runtime(out_dir=out_dir, resume=resume):
         return _run_experiment(config, jobs)
@@ -93,8 +74,10 @@ def _run_experiment(
         "design_space",
         "VC/buffer provisioning: latency x SPF x area (extension)",
     )
-    # the simulation grid is the expensive part: one engine point per
-    # (VC count, buffer depth); the SPF/area columns stay analytic
+    # the simulation grid is the expensive part: one point per (VC
+    # count, buffer depth), structurally distinct, so the lane sweep
+    # runs each on the per-point event engine and reports why; the
+    # SPF/area columns stay analytic
     grid = [(v, d) for v in vc_counts for d in buffer_depths]
     sim_config = SimulationConfig(
         warmup_cycles=400, measure_cycles=measure, drain_cycles=4000,
@@ -116,9 +99,7 @@ def _run_experiment(
                 label=f"{v}vc-{d}deep",
             )
         )
-    values, sweep_report = run_lane_sweep(
-        points, jobs=jobs, engine=config.engine
-    )
+    values, sweep_report = run_lane_sweep(points, jobs=jobs)
     lat_by_point = dict(zip(grid, (r.avg_network_latency for r in values)))
     points = {}
     for v in vc_counts:

@@ -20,7 +20,7 @@ Two regimes matter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from ..faults.detection import NetworkDetector
 from ..faults.injector import RandomFaultSchedule
 from ..network.simulator import NoCSimulator
 from ..traffic.generator import SyntheticTraffic
-from .report import ExperimentResult, override_seed, take_legacy
+from .report import ExperimentResult, override_seed
 
 
 @dataclass(frozen=True)
@@ -53,24 +53,14 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`DetectionLatencyConfig`; the old
-    ``run(width=..., num_faults=..., ...)`` keywords still work but are
-    deprecated.  The experiment instruments a single simulation, so
-    ``jobs``/``out_dir``/``resume`` are accepted for API uniformity and
-    ignored.
+    ``config`` is a :class:`DetectionLatencyConfig`.  The experiment
+    instruments a single simulation, so ``jobs``/``out_dir``/``resume``
+    are accepted for API uniformity and ignored.
     """
     del jobs, out_dir, resume  # one instrumented simulation: nothing to shard
-    if legacy:
-        take_legacy(
-            "detection_latency", legacy,
-            {"width", "height", "num_faults", "injection_rate",
-             "measure_cycles"},
-        )
-        config = replace(config or DetectionLatencyConfig(), **legacy)
     config = override_seed(config or DetectionLatencyConfig(), seed)
     return _run_experiment(config)
 

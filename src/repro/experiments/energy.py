@@ -16,7 +16,7 @@ from typing import Optional
 from ..synthesis.energy import EnergyModel, energy_of_run
 from ..traffic.apps import app_profile
 from .latency import QUICK_CONFIG, LatencyConfig, run_app
-from .report import ExperimentResult, override_seed, take_legacy
+from .report import ExperimentResult, override_seed
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is an :class:`EnergyConfig`; the old ``run(app=...,
-    cfg=..., model=...)`` keywords still work but are deprecated.  The
-    experiment is a fault-free/faulty pair of serial simulations, so
+    ``config`` is an :class:`EnergyConfig`.  The experiment is a
+    fault-free/faulty pair of serial simulations, so
     ``jobs``/``out_dir``/``resume`` are accepted for API uniformity and
     ignored.
     """
     del jobs, out_dir, resume  # two serial runs: nothing to shard
-    if legacy:
-        take_legacy("energy", legacy, {"app", "cfg", "model"})
-        base = config or EnergyConfig()
-        config = EnergyConfig(
-            app=legacy.get("app", base.app),
-            latency=legacy.get("cfg", base.latency),
-            model=legacy.get("model", base.model),
-        )
     config = config or EnergyConfig()
     return _run_experiment(config, seed)
 

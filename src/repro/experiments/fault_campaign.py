@@ -41,7 +41,7 @@ from ..config import NetworkConfig
 from ..faults.schedule import TimelineSpec, make_schedule
 from ..faults.timeline import CYCLES_PER_HOUR_1GHZ
 from .latency import QUICK_CONFIG, LatencyConfig, suite_traffic
-from .report import ExperimentResult, take_legacy
+from .report import ExperimentResult
 from .resilient import sweep_runtime
 
 try:  # dataclasses.replace via the config helper
@@ -77,10 +77,6 @@ class CampaignConfig:
     #: simulated-hours join: cycles per wall-clock hour of the modelled
     #: silicon (1 GHz by default); only the lifetime report uses it
     cycles_per_hour: float = CYCLES_PER_HOUR_1GHZ
-    #: execution engine for the sweep layer; timeline points always fall
-    #: back to the event engine (``mutates_fabric``), so this only
-    #: affects the fault-free reference points
-    engine: str = "batched"
 
 
 def campaign_schedule(net: NetworkConfig, spec: TimelineSpec):
@@ -101,7 +97,6 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
@@ -109,14 +104,6 @@ def run(
     timeline is checkpointed and a killed campaign resumes bit-identical
     at timeline granularity.
     """
-    if legacy:
-        take_legacy("fault_campaign", legacy, {"timelines", "cfg"})
-        base = config or CampaignConfig()
-        config = replace(
-            base,
-            timelines=legacy.get("timelines", base.timelines),
-            latency=legacy.get("cfg", base.latency),
-        )
     config = config or CampaignConfig()
     cfg = config.latency
     if seed is not None:
@@ -178,9 +165,7 @@ def _run_experiment(
                 )
             )
             placement.append((kind, t))
-    results, sweep_report = run_lane_sweep(
-        points, jobs=jobs, engine=config.engine
-    )
+    results, sweep_report = run_lane_sweep(points, jobs=jobs)
 
     per_kind = {k: _KindAccumulator(k) for k in config.router_kinds}
     for (kind, t), result in zip(placement, results):

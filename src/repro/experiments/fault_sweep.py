@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from ..traffic.apps import app_profile
 from .latency import QUICK_CONFIG, LatencyConfig, suite_schedule, suite_traffic
-from .report import ExperimentResult, take_legacy
+from .report import ExperimentResult
 from .resilient import sweep_runtime
 
 try:  # dataclasses.replace via the config helper
@@ -31,12 +31,6 @@ class FaultSweepConfig:
     fault_counts: Optional[tuple[int, ...]] = None
     app: str = "ocean"
     latency: Optional[LatencyConfig] = None
-    #: sweep execution engine: all fault counts share one structural key
-    #: (same mesh, protected router, XY routing — only the fault
-    #: schedule differs), so ``"batched"`` steps the whole sweep as
-    #: lanes of one NumPy engine; ``"event"`` runs one fabric per point
-    #: (bit-identical, for A/B timing)
-    engine: str = "batched"
 
 
 def run(
@@ -46,33 +40,18 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`FaultSweepConfig`; the old
-    ``run(fault_counts=..., app=..., cfg=...)`` keywords still work but
-    are deprecated.  ``out_dir``/``resume`` attach the resilient runtime.
+    ``config`` is a :class:`FaultSweepConfig`; ``out_dir``/``resume``
+    attach the resilient runtime.
     """
-    if legacy:
-        take_legacy("fault_sweep", legacy, {"fault_counts", "app", "cfg"})
-        base = config or FaultSweepConfig()
-        config = FaultSweepConfig(
-            fault_counts=tuple(legacy["fault_counts"])
-            if legacy.get("fault_counts") is not None
-            else base.fault_counts,
-            app=legacy.get("app", base.app),
-            latency=legacy.get("cfg", base.latency),
-            engine=base.engine,
-        )
     config = config or FaultSweepConfig()
     cfg = config.latency
     if seed is not None:
         cfg = replace(cfg or QUICK_CONFIG, seed=seed)
     with sweep_runtime(out_dir=out_dir, resume=resume):
-        return _run_experiment(
-            config.fault_counts, config.app, cfg, jobs, config.engine
-        )
+        return _run_experiment(config.fault_counts, config.app, cfg, jobs)
 
 
 def _run_experiment(
@@ -80,7 +59,6 @@ def _run_experiment(
     app: str,
     cfg: LatencyConfig | None,
     jobs: Optional[int],
-    engine: str = "batched",
 ) -> ExperimentResult:
     from .parallel import LanePoint, run_lane_sweep
 
@@ -112,7 +90,7 @@ def _run_experiment(
         )
         for n in fault_counts
     ]
-    results, sweep_report = run_lane_sweep(points, jobs=jobs, engine=engine)
+    results, sweep_report = run_lane_sweep(points, jobs=jobs)
 
     base_latency = None
     rows: list[tuple[int, float]] = []

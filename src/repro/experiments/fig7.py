@@ -22,17 +22,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
     ``config`` is a :class:`~repro.experiments.latency.LatencyConfig` or
-    :class:`~repro.experiments.latency.SuiteRunConfig`.  The old
-    ``run(cfg=..., apps=..., jobs=...)`` keywords still work but are
-    deprecated.  ``out_dir``/``resume`` attach the resilient sweep
-    runtime (checkpointed, resumable — see ``docs/resilience.md``).
+    :class:`~repro.experiments.latency.SuiteRunConfig`.
+    ``out_dir``/``resume`` attach the resilient sweep runtime
+    (checkpointed, resumable — see ``docs/resilience.md``).
     """
-    cfg = coerce_suite_config("fig7", config, legacy, seed)
+    cfg = coerce_suite_config(config, seed)
     with sweep_runtime(out_dir=out_dir, resume=resume):
         return suite_experiment(
             "fig7",
@@ -42,5 +40,4 @@ def run(
             cfg=cfg.latency,
             apps=cfg.apps,
             jobs=jobs,
-            engine=cfg.engine,
         )

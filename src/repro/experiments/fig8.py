@@ -22,13 +22,12 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
     See :func:`repro.experiments.fig7.run`; this is the PARSEC suite.
     """
-    cfg = coerce_suite_config("fig8", config, legacy, seed)
+    cfg = coerce_suite_config(config, seed)
     with sweep_runtime(out_dir=out_dir, resume=resume):
         return suite_experiment(
             "fig8",
@@ -38,5 +37,4 @@ def run(
             cfg=cfg.latency,
             apps=cfg.apps,
             jobs=jobs,
-            engine=cfg.engine,
         )

@@ -23,7 +23,7 @@ from ..faults.injector import RandomFaultSchedule
 from ..network import warm
 from ..network.simulator import SimulationResult
 from ..traffic.apps import AppProfile, make_app_traffic, suite_profiles
-from .report import ExperimentResult
+from .report import ExperimentResult, override_seed
 
 
 @dataclass(frozen=True)
@@ -86,32 +86,13 @@ class SuiteRunConfig:
 
     latency: Optional[LatencyConfig] = None
     apps: Optional[tuple[str, ...]] = None
-    #: sweep execution engine: ``"batched"`` steps every (app,
-    #: fault-state) point of the suite as lanes of one NumPy engine —
-    #: they all share the 8x8 protected-router structural key — while
-    #: ``"event"`` keeps one fabric per point (bit-identical, for A/B)
-    engine: str = "batched"
 
 
 def coerce_suite_config(
-    module: str,
     config: "LatencyConfig | SuiteRunConfig | None",
-    legacy: dict,
     seed: Optional[int],
 ) -> SuiteRunConfig:
-    """Normalise a fig7/fig8 ``run()`` config (unified or legacy form)."""
-    from .report import override_seed, take_legacy
-
-    if legacy:
-        take_legacy(module, legacy, {"cfg", "apps"})
-        if config is None:
-            config = legacy.get("cfg")
-        apps = legacy.get("apps")
-        if apps is not None:
-            if isinstance(config, SuiteRunConfig):
-                config = replace(config, apps=tuple(apps))
-            else:
-                config = SuiteRunConfig(latency=config, apps=tuple(apps))
+    """Normalise a fig7/fig8 ``run()`` config (bare latency or suite)."""
     if config is None:
         config = SuiteRunConfig()
     elif isinstance(config, LatencyConfig):
@@ -232,37 +213,15 @@ def run_suite(
     cfg: LatencyConfig | None = None,
     apps: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    engine: str = "batched",
 ) -> list[AppLatency]:
     """All applications of a suite (optionally a named subset)."""
-    results, _ = run_suite_sharded(
-        suite, cfg, apps=apps, jobs=jobs, engine=engine
-    )
+    results, _ = run_suite_sharded(suite, cfg, apps=apps, jobs=jobs)
     return results
 
 
-def run_suite_sharded(
-    suite: str,
-    cfg: LatencyConfig | None = None,
-    apps: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-    engine: str = "batched",
-) -> tuple[list[AppLatency], "SweepReport"]:
-    """Suite sweep through the lane engine: one point per (application,
-    fault-state) pair, reassembled into per-app results.
-
-    Every point shares one structural key (same 8x8 mesh, protected
-    router, XY routing — only traffic and fault schedules differ), so
-    with ``engine="batched"`` the whole suite steps as lanes of a
-    single :class:`repro.network.batched.BatchedLaneEngine` per chunk,
-    refilling retired lanes from the remaining points.  Each point's
-    simulation is fully seeded by its own config (traffic and fault
-    seeds derive from ``cfg.seed``), so any ``jobs``/engine combination
-    is bit-identical to a serial ``engine="event"`` run.
-    """
-    from .parallel import LanePoint, run_lane_sweep
-
-    cfg = cfg or LatencyConfig()
+def _suite_profiles(
+    suite: str, apps: Optional[Sequence[str]]
+) -> tuple[AppProfile, ...]:
     profiles = suite_profiles(suite)
     if apps is not None:
         wanted = set(apps)
@@ -270,10 +229,21 @@ def run_suite_sharded(
         missing = wanted - {p.name for p in profiles}
         if missing:
             raise ValueError(f"unknown apps for {suite}: {sorted(missing)}")
+    return profiles
+
+
+def suite_points(
+    suite: str,
+    cfg: LatencyConfig,
+    apps: Optional[Sequence[str]] = None,
+) -> "list[LanePoint]":
+    """The suite's sweep points: (fault-free, faulty) per application."""
+    from .parallel import LanePoint
+
     net = cfg.network()
     sim_config = cfg.simulation()
     points = []
-    for p in profiles:
+    for p in _suite_profiles(suite, apps):
         for faulty in (False, True):
             points.append(
                 LanePoint(
@@ -291,9 +261,34 @@ def run_suite_sharded(
                     label=f"{p.name}:{'faulty' if faulty else 'fault-free'}",
                 )
             )
-    values, report = run_lane_sweep(points, jobs=jobs, engine=engine)
+    return points
+
+
+def run_suite_sharded(
+    suite: str,
+    cfg: LatencyConfig | None = None,
+    apps: Optional[Sequence[str]] = None,
+    jobs: Optional[int] = None,
+) -> tuple[list[AppLatency], "SweepReport"]:
+    """Suite sweep through the lane engine: one point per (application,
+    fault-state) pair, reassembled into per-app results.
+
+    Every point shares one structural key (same 8x8 mesh, protected
+    router, XY routing — only traffic and fault schedules differ), so
+    the whole suite steps as lanes of a single
+    :class:`repro.network.batched.BatchedLaneEngine` per chunk,
+    refilling retired lanes from the remaining points.  Each point's
+    simulation is fully seeded by its own config (traffic and fault
+    seeds derive from ``cfg.seed``), so any ``jobs`` value is
+    bit-identical to running every point through
+    :func:`repro.experiments.parallel.run_point`.
+    """
+    from .parallel import run_lane_sweep
+
+    cfg = cfg or LatencyConfig()
+    values, report = run_lane_sweep(suite_points(suite, cfg, apps), jobs=jobs)
     results = []
-    for i, p in enumerate(profiles):
+    for i, p in enumerate(_suite_profiles(suite, apps)):
         ff, fy = values[2 * i], values[2 * i + 1]
         for res in (ff, fy):
             if res.blocked:
@@ -328,13 +323,10 @@ def suite_experiment(
     cfg: LatencyConfig | None = None,
     apps: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    engine: str = "batched",
 ) -> ExperimentResult:
     """Shared Figure 7/8 driver producing an :class:`ExperimentResult`."""
     cfg = cfg or LatencyConfig()
-    results, sweep_report = run_suite_sharded(
-        suite, cfg, apps=apps, jobs=jobs, engine=engine
-    )
+    results, sweep_report = run_suite_sharded(suite, cfg, apps=apps, jobs=jobs)
     res = ExperimentResult(experiment, title)
     for r in results:
         res.add(

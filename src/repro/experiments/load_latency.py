@@ -12,13 +12,13 @@ experiment pins down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
 from ..faults.injector import RandomFaultSchedule
 from ..traffic.generator import SyntheticTraffic
-from .report import ExperimentResult, override_seed, take_legacy
+from .report import ExperimentResult, override_seed
 from .resilient import sweep_runtime
 
 
@@ -32,10 +32,6 @@ class LoadLatencyConfig:
     num_faults: int = 48
     seed: int = 1
     measure: int = 3000
-    #: sweep execution engine: ``"batched"`` steps all points sharing the
-    #: structural key as lanes of one NumPy engine (bit-identical to
-    #: ``"event"``, which runs one fabric per point)
-    engine: str = "batched"
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,6 @@ def sweep(
     seed: int = 1,
     measure: int = 3000,
     jobs: Optional[int] = None,
-    engine: str = "batched",
 ) -> list[LoadPoint]:
     """Measure the fault-free and faulty curves over ``rates``.
 
@@ -82,7 +77,7 @@ def sweep(
     """
     points, _ = sweep_sharded(
         rates, width=width, height=height, num_faults=num_faults,
-        seed=seed, measure=measure, jobs=jobs, engine=engine,
+        seed=seed, measure=measure, jobs=jobs,
     )
     return points
 
@@ -95,17 +90,14 @@ def sweep_sharded(
     seed: int = 1,
     measure: int = 3000,
     jobs: Optional[int] = None,
-    engine: str = "batched",
 ) -> tuple[list[LoadPoint], "SweepReport"]:
     """The sweep through the lane engine: 2 points per rate (fault-free,
     faulty), each an independent seeded simulation.
 
     All points share one structural key (same mesh, protected router,
-    XY routing), so with ``engine="batched"`` the whole sweep steps as
-    lanes of a single :class:`repro.network.batched.BatchedLaneEngine`
-    per worker — bit-identical to ``engine="event"`` (one warm-pooled
-    fabric per point), which remains available for configurations the
-    batched path declines and for A/B timing.
+    XY routing), so the whole sweep steps as lanes of a single
+    :class:`repro.network.batched.BatchedLaneEngine` per worker —
+    bit-identical to one warm-pooled fabric per point.
     """
     from .parallel import LanePoint, run_lane_sweep
 
@@ -137,7 +129,7 @@ def sweep_sharded(
                     label=f"rate={rate:.2f}:{'faulty' if faults else 'ff'}",
                 )
             )
-    values, report = run_lane_sweep(points, jobs=jobs, engine=engine)
+    values, report = run_lane_sweep(points, jobs=jobs)
     curve_points = [
         LoadPoint(
             rate,
@@ -156,22 +148,12 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`LoadLatencyConfig`; the old ``run(rates=...,
-    width=..., ...)`` keywords still work but are deprecated.
-    ``out_dir``/``resume`` attach the resilient sweep runtime.
+    ``config`` is a :class:`LoadLatencyConfig`; ``out_dir``/``resume``
+    attach the resilient sweep runtime.
     """
-    if legacy:
-        take_legacy(
-            "load_latency", legacy,
-            {"rates", "width", "height", "num_faults", "measure"},
-        )
-        if "rates" in legacy:
-            legacy["rates"] = tuple(legacy["rates"])
-        config = replace(config or LoadLatencyConfig(), **legacy)
     config = override_seed(config or LoadLatencyConfig(), seed)
     with sweep_runtime(out_dir=out_dir, resume=resume):
         return _run_experiment(config, jobs)
@@ -189,7 +171,6 @@ def _run_experiment(
         seed=config.seed,
         measure=config.measure,
         jobs=jobs,
-        engine=config.engine,
     )
     res = ExperimentResult(
         "load_latency",

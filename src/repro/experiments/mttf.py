@@ -8,12 +8,12 @@ two differ).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..reliability.mttf import analyze_mttf, monte_carlo_mttf
 from ..reliability.stages import RouterGeometry
-from .report import ExperimentResult, override_seed, take_legacy
+from .report import ExperimentResult, override_seed
 
 PAPER_MTTF_BASELINE = 354_358.0
 PAPER_MTTF_PROTECTED = 2_190_696.0
@@ -36,23 +36,18 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
     ``config`` is an :class:`MTTFConfig` (a bare
     :class:`~repro.reliability.stages.RouterGeometry` is accepted for
-    compatibility); the old ``run(geom=..., mc_samples=...)`` keywords
-    still work but are deprecated.  The analysis is closed-form plus a
-    vectorised Monte Carlo, so ``jobs``/``out_dir``/``resume`` are
-    accepted for API uniformity and ignored.
+    compatibility).  The analysis is closed-form plus a vectorised Monte
+    Carlo, so ``jobs``/``out_dir``/``resume`` are accepted for API
+    uniformity and ignored.
     """
     del jobs, out_dir, resume  # no sweep: nothing to parallelise/checkpoint
     if isinstance(config, RouterGeometry):
         config = MTTFConfig(geom=config)
-    if legacy:
-        take_legacy("mttf", legacy, {"geom", "mc_samples"})
-        config = replace(config or MTTFConfig(), **legacy)
     config = override_seed(config or MTTFConfig(), seed)
     return _run_experiment(config)
 

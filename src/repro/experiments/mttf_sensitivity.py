@@ -10,7 +10,7 @@ points, since both FIT totals scale by the same FORC factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..reliability.mttf import mttf_from_fit, mttf_two_component_paper
@@ -20,7 +20,7 @@ from ..reliability.stages import (
     correction_stages,
     total_fit,
 )
-from .report import ExperimentResult, take_legacy
+from .report import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -39,22 +39,14 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is an :class:`MTTFSensitivityConfig`; the old
-    ``run(temps_k=..., vdds=..., geom=...)`` keywords still work but are
-    deprecated.  The sweep is closed-form, so ``jobs``/``seed``/
-    ``out_dir``/``resume`` are accepted for API uniformity and ignored.
+    ``config`` is an :class:`MTTFSensitivityConfig`.  The sweep is
+    closed-form, so ``jobs``/``seed``/ ``out_dir``/``resume`` are
+    accepted for API uniformity and ignored.
     """
     del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    if legacy:
-        take_legacy("mttf_sensitivity", legacy, {"temps_k", "vdds", "geom"})
-        for key in ("temps_k", "vdds"):
-            if legacy.get(key) is not None:
-                legacy[key] = tuple(legacy[key])
-        config = replace(config or MTTFSensitivityConfig(), **legacy)
     config = config or MTTFSensitivityConfig()
     return _run_experiment(config)
 

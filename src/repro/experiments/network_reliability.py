@@ -11,12 +11,12 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..config import NetworkConfig
 from ..reliability.network_level import analyze_network_reliability
-from .report import ExperimentResult, override_seed, take_legacy
+from .report import ExperimentResult, override_seed
 from .resilient import sweep_runtime
 
 
@@ -37,20 +37,12 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`NetworkReliabilityConfig`; the old
-    ``run(trials=..., width=..., height=...)`` keywords still work but
-    are deprecated.  ``out_dir``/``resume`` attach the resilient sweep
-    runtime.
+    ``config`` is a :class:`NetworkReliabilityConfig`.
+    ``out_dir``/``resume`` attach the resilient sweep runtime.
     """
-    if legacy:
-        take_legacy(
-            "network_reliability", legacy, {"trials", "width", "height"}
-        )
-        config = replace(config or NetworkReliabilityConfig(), **legacy)
     config = override_seed(config or NetworkReliabilityConfig(), seed)
     with sweep_runtime(out_dir=out_dir, resume=resume):
         return _run_experiment(config, jobs)

@@ -663,15 +663,14 @@ def _resolve_factory(kind: str, config: NetworkConfig):
     raise ValueError(f"unknown router_kind {kind!r}")
 
 
-def _lane_event_point(
-    point: LanePoint, fallback: bool = False, reason: str = ""
-) -> PointOutcome:
+def run_point(point: LanePoint, reason: str = "") -> PointOutcome:
     """Run one :class:`LanePoint` on the per-point event engine.
 
-    Used both for ``engine="event"`` sweeps and as the per-point
-    fallback when the batched engine declines a group's configuration;
-    ``fallback=True`` marks the outcome and ``reason`` carries the
-    ``supports()`` decline string so shard reports surface *why*.
+    The lower layer of :func:`run_lane_sweep`: what a group the batched
+    engine declines falls back to, one task per point (``reason`` then
+    carries the ``supports()`` decline string, so shard reports surface
+    *why*), and what tests and benches ``map_sweep`` directly when they
+    want the per-point answer.
     """
     schedule = (
         point.make_schedule(*point.schedule_args)
@@ -685,14 +684,13 @@ def _lane_event_point(
         router_factory=_resolve_factory(point.router_kind, point.config),
         fault_schedule=schedule,
         routing_kind=point.routing_kind,
-        engine="event",
     )
     res = sim.run()
     return PointOutcome(
         res,
         cycles=res.cycles,
-        fallbacks=int(fallback),
-        fallback_reasons=(reason,) if fallback and reason else (),
+        fallbacks=int(bool(reason)),
+        fallback_reasons=(reason,) if reason else (),
     )
 
 
@@ -760,40 +758,38 @@ _MIN_LANE_GROUP = 2
 def run_lane_sweep(
     points: "Iterable[LanePoint] | Sequence[LanePoint]",
     jobs: Optional[int] = None,
-    engine: str = "batched",
     lane_width: Optional[int] = None,
 ) -> tuple[list[Any], SweepReport]:
     """Execute lane points; returns (SimulationResults in order, report).
 
-    With ``engine="batched"`` points are grouped by
-    :meth:`LanePoint.structural_key`; each *supported* group (see
-    :func:`repro.network.batched.supports`) is split into contiguous
-    lane chunks — the chunk count is proportional to the group's
-    estimated simulated cycles (warmup + measure + drain per point), so
-    one long-horizon group splits finer instead of straggling a whole
-    shard — and every chunk becomes one task stepping its lanes in a
-    single :class:`BatchedLaneEngine` pass, at most ``lane_width``
-    (default :data:`DEFAULT_LANE_WIDTH`) lanes wide with the remaining
-    points streaming in through lane refill.  Process parallelism and
-    lane batching compose.
+    Points are grouped by :meth:`LanePoint.structural_key`; each
+    *supported* group (see :func:`repro.network.batched.supports`) is
+    split into contiguous lane chunks — the chunk count is proportional
+    to the group's estimated simulated cycles (warmup + measure + drain
+    per point), so one long-horizon group splits finer instead of
+    straggling a whole shard — and every chunk becomes one task stepping
+    its lanes in a single :class:`BatchedLaneEngine` pass, at most
+    ``lane_width`` (default :data:`DEFAULT_LANE_WIDTH`) lanes wide with
+    the remaining points streaming in through lane refill.  Process
+    parallelism and lane batching compose.
 
     Groups the batched engine declines (adaptive routing, tracing
     enabled, oversized VC space, ...) — and groups too small to batch —
-    fall back to one event-engine task per point, counted in
+    fall back to one :func:`run_point` task per point, counted in
     ``ShardReport.fallbacks`` with the decline reason threaded into
-    ``ShardReport.fallback_reasons``.  ``engine="event"`` runs every
-    point per-fabric (no fallbacks recorded — nothing was declined).
+    ``ShardReport.fallback_reasons``.
 
     Execution funnels through :func:`run_sweep`, so a resilient runtime
     (checkpointing, retries, watchdog) applies at chunk granularity:
     resilient sweeps shard *groups of lanes*, exactly like the parallel
-    path.  Results are bit-identical across engines, ``jobs`` and
-    ``lane_width`` values — the batched engine is pinned lane-for-lane
-    against the event engine by the golden differential tests.
+    path.  Results are bit-identical across ``jobs`` and ``lane_width``
+    values and to :func:`run_point` on every point — the batched engine
+    is pinned lane-for-lane against the event engine by the golden
+    differential tests.
     """
+    from ..network.batched import supports as batched_supports
+
     points = list(points)
-    if engine not in ("event", "batched"):
-        raise ValueError(f"unknown engine {engine!r} (try 'event' or 'batched')")
     if not points:
         return [], SweepReport(jobs=0, points=0, wall_time=0.0, shards=())
 
@@ -806,90 +802,78 @@ def run_lane_sweep(
         )
         placements.append((is_chunk, idxs))
 
-    if engine == "event":
-        for i, p in enumerate(points):
-            _add(
-                _lane_event_point, (p,), p.label or f"lane {i}", False, [i]
-            )
-    else:
-        from ..network.batched import supports as batched_supports
+    n_jobs = resolve_jobs(jobs)
+    width = DEFAULT_LANE_WIDTH if lane_width is None else max(1, lane_width)
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(points):
+        groups.setdefault(p.structural_key(), []).append(i)
 
-        n_jobs = resolve_jobs(jobs)
-        width = (
-            DEFAULT_LANE_WIDTH if lane_width is None else max(1, lane_width)
+    # triage: batchable groups vs per-point fallbacks (with the decline
+    # reason recorded for the report / service stats)
+    batchable: list[tuple[list[int], LanePoint]] = []
+    fallback: list[tuple[list[int], str]] = []
+    for idxs in groups.values():
+        rep = points[idxs[0]]
+        # the representative's schedule factory may be None (e.g. a
+        # fault-free reference point sharing the group): judge the
+        # group by its most demanding schedule factory
+        sched_factory = next(
+            (
+                points[j].make_schedule
+                for j in idxs
+                if getattr(points[j].make_schedule, "mutates_fabric", False)
+            ),
+            rep.make_schedule,
         )
-        groups: dict[tuple, list[int]] = {}
-        for i, p in enumerate(points):
-            groups.setdefault(p.structural_key(), []).append(i)
-
-        # triage: batchable groups vs per-point event fallbacks (with
-        # the decline reason recorded for the report / service stats)
-        batchable: list[tuple[list[int], LanePoint]] = []
-        fallback: list[tuple[list[int], str]] = []
-        for idxs in groups.values():
-            rep = points[idxs[0]]
-            # the representative's schedule factory may be None (e.g. a
-            # fault-free reference point sharing the group): judge the
-            # group by its most demanding schedule factory
-            sched_factory = next(
-                (
-                    points[j].make_schedule
-                    for j in idxs
-                    if getattr(
-                        points[j].make_schedule, "mutates_fabric", False
-                    )
-                ),
-                rep.make_schedule,
+        reason = batched_supports(
+            rep.config,
+            _resolve_factory(rep.router_kind, rep.config),
+            rep.routing_kind,
+            schedule_factory=sched_factory,
+        )
+        if reason is None and len(idxs) < _MIN_LANE_GROUP:
+            reason = (
+                f"group of {len(idxs)} structurally-identical point(s)"
+                " (below the lane batching threshold)"
             )
-            reason = batched_supports(
-                rep.config,
-                _resolve_factory(rep.router_kind, rep.config),
-                rep.routing_kind,
-                schedule_factory=sched_factory,
+        if reason is None:
+            batchable.append((idxs, rep))
+        else:
+            fallback.append((idxs, reason))
+
+    # chunk counts balanced by estimated simulated cycles — the horizon
+    # is uniform within a group because sim_config is part of the
+    # structural key
+    def _horizon(p: LanePoint) -> int:
+        sc = p.sim_config
+        return sc.warmup_cycles + sc.measure_cycles + sc.drain_cycles
+
+    total_est = sum(_horizon(rep) * len(idxs) for idxs, rep in batchable)
+    budget = (total_est / n_jobs) if total_est else 1.0
+    for idxs, rep in batchable:
+        est = _horizon(rep) * len(idxs)
+        n_chunks = max(1, min(len(idxs), round(est / budget)))
+        for chunk in _chunk_evenly(idxs, n_chunks):
+            label = (
+                f"{rep.router_kind}/{rep.routing_kind} "
+                f"lanes {chunk[0]}-{chunk[-1]}"
             )
-            if reason is None and len(idxs) < _MIN_LANE_GROUP:
-                reason = (
-                    f"group of {len(idxs)} structurally-identical point(s)"
-                    " (below the lane batching threshold)"
-                )
-            if reason is None:
-                batchable.append((idxs, rep))
-            else:
-                fallback.append((idxs, reason))
-
-        # chunk counts balanced by estimated simulated cycles — the
-        # horizon is uniform within a group because sim_config is part
-        # of the structural key
-        def _horizon(p: LanePoint) -> int:
-            sc = p.sim_config
-            return sc.warmup_cycles + sc.measure_cycles + sc.drain_cycles
-
-        total_est = sum(_horizon(rep) * len(idxs) for idxs, rep in batchable)
-        budget = (total_est / n_jobs) if total_est else 1.0
-        for idxs, rep in batchable:
-            est = _horizon(rep) * len(idxs)
-            n_chunks = max(1, min(len(idxs), round(est / budget)))
-            for chunk in _chunk_evenly(idxs, n_chunks):
-                label = (
-                    f"{rep.router_kind}/{rep.routing_kind} "
-                    f"lanes {chunk[0]}-{chunk[-1]}"
-                )
-                _add(
-                    _lane_batched_chunk,
-                    (tuple(points[j] for j in chunk), width),
-                    label,
-                    True,
-                    chunk,
-                )
-        for idxs, reason in fallback:
-            for j in idxs:
-                _add(
-                    _lane_event_point,
-                    (points[j], True, reason),
-                    points[j].label or f"lane {j} (fallback: {reason})",
-                    False,
-                    [j],
-                )
+            _add(
+                _lane_batched_chunk,
+                (tuple(points[j] for j in chunk), width),
+                label,
+                True,
+                chunk,
+            )
+    for idxs, reason in fallback:
+        for j in idxs:
+            _add(
+                run_point,
+                (points[j], reason),
+                points[j].label or f"lane {j} (fallback: {reason})",
+                False,
+                [j],
+            )
 
     values_raw, report = run_sweep(tasks, jobs=jobs)
 

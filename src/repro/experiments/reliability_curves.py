@@ -10,7 +10,7 @@ protected router stay in service?
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ from ..reliability.stages import (
     correction_stages,
     total_fit,
 )
-from .report import ExperimentResult, take_legacy
+from .report import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -63,24 +63,14 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`ReliabilityCurvesConfig`; the old
-    ``run(geom=..., horizon_hours=..., ...)`` keywords still work but
-    are deprecated.  The curves are closed-form, so ``jobs``/``seed``/
-    ``out_dir``/``resume`` are accepted for API uniformity and ignored.
+    ``config`` is a :class:`ReliabilityCurvesConfig`.  The curves are
+    closed-form, so ``jobs``/``seed``/ ``out_dir``/``resume`` are
+    accepted for API uniformity and ignored.
     """
     del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    if legacy:
-        take_legacy(
-            "reliability_curves", legacy,
-            {"geom", "horizon_hours", "points", "targets"},
-        )
-        if legacy.get("targets") is not None:
-            legacy["targets"] = tuple(legacy["targets"])
-        config = replace(config or ReliabilityCurvesConfig(), **legacy)
     config = config or ReliabilityCurvesConfig()
     return _run_experiment(config)
 

@@ -1,47 +1,16 @@
 """Shared experiment-result container and paper-vs-measured formatting.
 
-Also home to the two helpers every unified experiment entry point uses
-(see ``docs/resilience.md#unified-run-api``): legacy-keyword deprecation
-(:func:`take_legacy`) and the ``seed=`` override (:func:`override_seed`).
-They live here — the one module all experiment modules already import —
-so the entry points need no new import edges.
+Also home to the ``seed=`` override (:func:`override_seed`) of the
+unified experiment entry points (``docs/resilience.md#unified-run-api``)
+— the one module all experiment modules already import.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-
-def take_legacy(module: str, legacy: dict, allowed: "set[str]") -> dict:
-    """Validate and deprecation-warn the old per-module ``run()`` keywords.
-
-    The unified signature is ``run(config, *, jobs=None, seed=None,
-    out_dir=None, resume=None)``; anything else lands in ``**legacy``.
-    Recognised legacy keywords still work (folded into the config by the
-    caller) but emit a :class:`DeprecationWarning`; unknown ones raise
-    ``TypeError`` like any misspelled keyword would.  The legacy spellings
-    are scheduled for removal in 2.0.
-    """
-    unknown = set(legacy) - allowed
-    if unknown:
-        raise TypeError(
-            f"{module}.run() got unexpected keyword argument(s): "
-            f"{sorted(unknown)}"
-        )
-    warnings.warn(
-        f"{module}.run({', '.join(sorted(legacy))}=...) uses the deprecated "
-        f"per-module signature; pass a config object as the first argument "
-        f"instead (unified API: run(config, *, jobs=None, seed=None, "
-        f"out_dir=None, resume=None) — see docs/resilience.md). "
-        f"Legacy keywords will be removed in 2.0.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return legacy
 
 
 def override_seed(config: Any, seed: Optional[int]) -> Any:
@@ -57,20 +26,6 @@ def override_seed(config: Any, seed: Optional[int]) -> Any:
         f.name == "seed" for f in dataclasses.fields(config)
     ):
         return dataclasses.replace(config, seed=seed)
-    return config
-
-
-def coerce_geom(module: str, config: Any, legacy: dict) -> Any:
-    """Normalise the config of the geometry-only analytic experiments.
-
-    These experiments (table1/table2/area_power/critical_path) take a
-    :class:`~repro.reliability.stages.RouterGeometry` as their whole
-    config; the old ``run(geom=...)`` keyword folds into it.
-    """
-    if legacy:
-        take_legacy(module, legacy, {"geom"})
-        if config is None:
-            config = legacy.get("geom")
     return config
 
 

@@ -669,11 +669,17 @@ class _Supervisor:
 
     # ------------------------------------------------------------------
     def _poll_timeout(self) -> float:
-        """Sleep at most to the next backoff release or watchdog deadline."""
+        """Sleep at most to the next backoff release or watchdog deadline.
+
+        Release times only matter while a worker is idle to take the
+        task: with every worker busy, queued tasks are already due and
+        clamping to them would spin on a zero timeout.
+        """
         now = time.monotonic()
         horizon = now + _POLL_S
-        for not_before, _ in self.ready:
-            horizon = min(horizon, max(now, not_before))
+        if not all(w.busy for w in self.workers):
+            for not_before, _ in self.ready:
+                horizon = min(horizon, max(now, not_before))
         if self.policy.timeout_s is not None:
             for w in self.workers:
                 if w.busy:

@@ -24,8 +24,7 @@ Every experiment module exposes the same unified entry point::
     run(config=None, *, jobs=None, seed=None, out_dir=None, resume=None)
 
 and the registry below records how to build each module's quick/default
-config object.  The old per-module keyword signatures still work through
-a ``DeprecationWarning`` shim and will be removed in 2.0.
+config object.
 
 Observability (:mod:`repro.observability`, see ``docs/observability.md``):
 ``--metrics-out metrics.json`` collects the per-router per-stage metrics

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from ..reliability.spf import spf_vs_vc_count
 from ..synthesis.area import area_overhead_vs_vcs
-from .report import ExperimentResult, take_legacy
+from .report import ExperimentResult
 
 PAPER_SPF = {2: 7.0, 4: 11.4}
 
@@ -31,20 +31,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is an :class:`SPFSweepConfig` (a bare VC-count sequence is
-    accepted for compatibility); the old ``run(vc_counts=...)`` keyword
-    still works but is deprecated.  The sweep is analytic, so
+    ``config`` is an :class:`SPFSweepConfig` (a bare VC-count sequence
+    is accepted for compatibility).  The sweep is analytic, so
     ``jobs``/``seed``/``out_dir``/``resume`` are accepted for API
     uniformity and ignored.
     """
     del jobs, seed, out_dir, resume  # analytic: nothing to seed or shard
-    if legacy:
-        take_legacy("spf_sweep", legacy, {"vc_counts"})
-        config = SPFSweepConfig(vc_counts=tuple(legacy["vc_counts"]))
     if config is None:
         config = SPFSweepConfig()
     elif not isinstance(config, SPFSweepConfig):

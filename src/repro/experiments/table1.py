@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..reliability.stages import RouterGeometry, baseline_stages, total_fit
-from .report import ExperimentResult, coerce_geom
+from .report import ExperimentResult
 
 #: Values as printed in the paper's Table I.
 PAPER_TABLE1 = {"RC": 117.0, "VA": 1478.0, "SA": 203.0, "XB": 1024.0}
@@ -37,17 +37,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`;
-    the old ``run(geom=...)`` keyword still works but is deprecated.
+    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
     The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
     ``resume`` are accepted for API uniformity and ignored.
     """
     del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = coerce_geom("table1", config, legacy) or RouterGeometry()
+    geom = config or RouterGeometry()
     stages = baseline_stages(geom)
     res = ExperimentResult(
         "table1", "FIT values of baseline pipeline stages (per 1e9 h)"

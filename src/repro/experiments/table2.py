@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..reliability.stages import RouterGeometry, correction_stages, total_fit
-from .report import ExperimentResult, coerce_geom
+from .report import ExperimentResult
 
 #: Values as printed in the paper's Table II.
 PAPER_TABLE2 = {"RC": 117.0, "VA": 60.0, "SA": 53.0, "XB": 416.0}
@@ -19,17 +19,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`;
-    the old ``run(geom=...)`` keyword still works but is deprecated.
+    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
     The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
     ``resume`` are accepted for API uniformity and ignored.
     """
     del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = coerce_geom("table2", config, legacy) or RouterGeometry()
+    geom = config or RouterGeometry()
     stages = correction_stages(geom)
     res = ExperimentResult(
         "table2", "FIT rates of the correction circuitry (per 1e9 h)"

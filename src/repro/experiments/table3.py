@@ -8,13 +8,13 @@ mean under uniformly random fault placement is lower — both shown).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..comparison.spf_table import build_spf_table, proposed_router_wins
 from ..config import RouterConfig
 from ..reliability.spf import monte_carlo_faults_to_failure
-from .report import ExperimentResult, override_seed, take_legacy
+from .report import ExperimentResult, override_seed
 from .resilient import sweep_runtime
 
 
@@ -41,20 +41,15 @@ def run(
     seed: Optional[int] = None,
     out_dir=None,
     resume=None,
-    **legacy,
 ) -> ExperimentResult:
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
     ``config`` is a :class:`Table3Config` (a bare
-    :class:`~repro.config.RouterConfig` is accepted for compatibility);
-    the old ``run(mc_trials=...)`` keyword still works but is
-    deprecated.  ``out_dir``/``resume`` attach the resilient runtime.
+    :class:`~repro.config.RouterConfig` is accepted for compatibility).
+    ``out_dir``/``resume`` attach the resilient runtime.
     """
     if isinstance(config, RouterConfig):
         config = Table3Config(router=config)
-    if legacy:
-        take_legacy("table3", legacy, {"mc_trials"})
-        config = replace(config or Table3Config(), **legacy)
     config = override_seed(config or Table3Config(), seed)
     with sweep_runtime(out_dir=out_dir, resume=resume):
         return _run_experiment(config, jobs)

@@ -11,11 +11,8 @@ arrival-time-stamped online fault timelines and
 from .detection import DetectionEvent, NetworkDetector, OnlineDetector
 from .injector import (
     ExplicitFaultSchedule,
-    NullFaultInjector,
     NullFaultSchedule,
-    RandomFaultInjector,
     RandomFaultSchedule,
-    ScheduledFaultInjector,
     spawn_lane_injectors,
 )
 from .recovery import RecoveryMonitor, RecoveryRecord
@@ -44,7 +41,6 @@ from .timeline import (
 )
 from .transient import (
     TransientFault,
-    TransientFaultInjector,
     TransientFaultSchedule,
     random_transients,
 )
@@ -58,22 +54,18 @@ __all__ = [
     "FaultTimeline",
     "FaultUnit",
     "NetworkDetector",
-    "NullFaultInjector",
     "NullFaultSchedule",
     "NullSpec",
     "OnlineDetector",
-    "RandomFaultInjector",
     "RandomFaultSchedule",
     "RandomSpec",
     "RecoveryMonitor",
     "RecoveryRecord",
     "RouterFaultState",
-    "ScheduledFaultInjector",
     "ScheduledSpec",
     "TimelineEvent",
     "TimelineSpec",
     "TransientFault",
-    "TransientFaultInjector",
     "TransientFaultSchedule",
     "TransientSpec",
     "enumerate_sites",

@@ -13,13 +13,12 @@ runs (documented per experiment in EXPERIMENTS.md).  A deterministic
 :class:`ExplicitFaultSchedule` supports exact test scenarios.
 
 Every class here implements the :class:`repro.faults.schedule.FaultSchedule`
-protocol (``events_at`` / ``next_cycle`` / ``fingerprint``); the pre-2.0
-``*FaultInjector`` names remain as ``DeprecationWarning`` shims.
+protocol (``events_at`` / ``next_cycle`` / ``fingerprint``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence, cast
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .schedule import (
     schedule_digest,
     site_from_tuple,
     site_token,
-    warn_legacy,
 )
 from .sites import FaultSite, enumerate_sites
 
@@ -53,9 +51,6 @@ class ExplicitFaultSchedule:
         while self._next < len(self._cycles) and self._cycles[self._next] <= cycle:
             yield self._sites[self._next]
             self._next += 1
-
-    #: simulator-facing alias kept so pre-Protocol call sites keep working
-    due = events_at
 
     def next_cycle(self) -> Optional[int]:
         """Cycle of the next pending fault, or ``None`` when exhausted.
@@ -150,7 +145,7 @@ class RandomFaultSchedule(ExplicitFaultSchedule):
         else:
             picked = [pool[int(i)] for i in order[:num_faults]]
         gaps = rng.uniform(0, 2 * mean_interval, size=num_faults)
-        cycles = np.cumsum(gaps).astype(np.int64)
+        cycles: np.ndarray = np.cumsum(gaps).astype(np.int64)
         if first_fault_at is not None and num_faults > 0:
             cycles = cycles - cycles[0] + first_fault_at
         schedule = list(zip((int(c) for c in cycles), picked))
@@ -161,7 +156,7 @@ class RandomFaultSchedule(ExplicitFaultSchedule):
         config: RouterConfig,
         num_routers: int,
         pool: list[FaultSite],
-        order,
+        order: np.ndarray,
         num_faults: int,
     ) -> list[FaultSite]:
         """Greedy draw skipping any site that would fail its router."""
@@ -194,8 +189,6 @@ class NullFaultSchedule:
     def events_at(self, cycle: int) -> Iterator[FaultSite]:
         return iter(())
 
-    due = events_at
-
     def next_cycle(self) -> Optional[int]:
         return None
 
@@ -207,14 +200,24 @@ class NullFaultSchedule:
 # spec builders (make_schedule registry)
 # ----------------------------------------------------------------------
 @register_schedule("scheduled", ScheduledSpec)
-def _build_scheduled(spec: ScheduledSpec, *, config=None, num_routers=None):
+def _build_scheduled(
+    spec: ScheduledSpec,
+    *,
+    config: Optional[RouterConfig] = None,
+    num_routers: Optional[int] = None,
+) -> ExplicitFaultSchedule:
     return ExplicitFaultSchedule(
         (c, site_from_tuple(row)) for c, *row in spec.events
     )
 
 
 @register_schedule("random", RandomSpec)
-def _build_random(spec: RandomSpec, *, config=None, num_routers=None):
+def _build_random(
+    spec: RandomSpec,
+    *,
+    config: Optional[RouterConfig] = None,
+    num_routers: Optional[int] = None,
+) -> RandomFaultSchedule:
     config, num_routers = _require_geometry("random", config, num_routers)
     return RandomFaultSchedule(
         config,
@@ -230,34 +233,13 @@ def _build_random(spec: RandomSpec, *, config=None, num_routers=None):
 
 
 @register_schedule("none", NullSpec)
-def _build_null(spec: NullSpec, *, config=None, num_routers=None):
+def _build_null(
+    spec: NullSpec,
+    *,
+    config: Optional[RouterConfig] = None,
+    num_routers: Optional[int] = None,
+) -> NullFaultSchedule:
     return NullFaultSchedule()
-
-
-# ----------------------------------------------------------------------
-# pre-2.0 constructor shims
-# ----------------------------------------------------------------------
-class ScheduledFaultInjector(ExplicitFaultSchedule):
-    """Deprecated alias of :class:`ExplicitFaultSchedule` (removal: 2.0)."""
-
-    def __init__(self, schedule: Iterable[tuple[int, FaultSite]]) -> None:
-        warn_legacy("ScheduledFaultInjector", "ExplicitFaultSchedule")
-        super().__init__(schedule)
-
-
-class RandomFaultInjector(RandomFaultSchedule):
-    """Deprecated alias of :class:`RandomFaultSchedule` (removal: 2.0)."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        warn_legacy("RandomFaultInjector", "RandomFaultSchedule")
-        super().__init__(*args, **kwargs)
-
-
-class NullFaultInjector(NullFaultSchedule):
-    """Deprecated alias of :class:`NullFaultSchedule` (removal: 2.0)."""
-
-    def __init__(self) -> None:
-        warn_legacy("NullFaultInjector", "NullFaultSchedule")
 
 
 def spawn_lane_injectors(
@@ -267,7 +249,7 @@ def spawn_lane_injectors(
     mean_interval: float,
     num_faults: int,
     rng: np.random.Generator | np.random.SeedSequence | int | None = None,
-    **kwargs,
+    **kwargs: Any,
 ) -> list[RandomFaultSchedule]:
     """One independent random fault schedule per lane of a batched sweep.
 
@@ -279,8 +261,9 @@ def spawn_lane_injectors(
     processes.  ``kwargs`` pass through to :class:`RandomFaultSchedule`
     (``protected``, ``first_fault_at``, ``avoid_failure``, ...).
     """
+    seq: np.random.SeedSequence
     if isinstance(rng, np.random.Generator):
-        seq = rng.bit_generator.seed_seq
+        seq = cast(np.random.SeedSequence, rng.bit_generator.seed_seq)
     elif isinstance(rng, np.random.SeedSequence):
         seq = rng
     else:

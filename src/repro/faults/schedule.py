@@ -1,13 +1,11 @@
 """Unified ``FaultSchedule`` API: protocol, spec dataclasses, registry.
 
-Before this module, "a fault schedule" was implicit duck-typing — the
-simulator called ``due(cycle)`` and probed ``next_cycle`` with
-``getattr``, and each injector class exposed a slightly different
-construction surface.  This module makes the contract explicit:
+One explicit contract for everything that injects faults:
 
 * :class:`FaultSchedule` — a runtime-checkable :class:`typing.Protocol`
-  with the three methods every schedule implements:
-  ``events_at(cycle)`` (the consuming event iterator, formerly ``due``),
+  with the three methods every schedule implements (the simulator calls
+  them directly and rejects objects missing one):
+  ``events_at(cycle)`` (the consuming event iterator),
   ``next_cycle()`` (the event-engine wake lookahead) and
   ``fingerprint()`` (a stable content digest used by the warm-fabric
   pool key and the service cache).
@@ -19,16 +17,11 @@ construction surface.  This module makes the contract explicit:
   cache-key soundly.
 * :func:`make_schedule` — a name-keyed factory registry turning a spec
   (plus the network geometry where needed) into a live schedule object.
-
-The legacy ``*FaultInjector`` constructors remain as thin
-``DeprecationWarning`` shims (removal in 2.0), matching the PR-5 config
-migration pattern.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -267,13 +260,3 @@ def _require_geometry(
             "config= and num_routers= to make_schedule()"
         )
     return config, num_routers
-
-
-def warn_legacy(old: str, new: str) -> None:
-    """One-line ``DeprecationWarning`` for the legacy injector shims."""
-    warnings.warn(
-        f"{old} is deprecated and will be removed in 2.0; use {new} or "
-        "repro.faults.make_schedule(spec)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

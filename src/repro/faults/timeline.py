@@ -9,9 +9,8 @@ flight during reconfiguration.
 A :class:`FaultTimeline` is a full :class:`repro.faults.schedule.FaultSchedule`
 plus the *native heal seam*: it sets ``native_heals = True`` and
 implements ``heals_due(cycle)``, and the simulator heals those sites
-in-loop (no step wrapper, so the event-driven skip-ahead stays enabled —
-``next_cycle()`` reports the earliest pending **event of either kind**,
-so a heal can never be jumped over).  It also sets
+in-loop (``next_cycle()`` reports the earliest pending **event of either
+kind**, so skip-ahead can never jump over a heal).  It also sets
 ``wants_recovery_log = True`` so the simulator installs a
 :class:`repro.faults.recovery.RecoveryMonitor`, and ``mutates_fabric``
 so the batched lane engine declines it (heals need per-object router
@@ -71,13 +70,15 @@ class TimelineEvent:
 class FaultTimeline:
     """A sorted stream of timed fault events with native heals."""
 
-    #: the simulator heals ``heals_due`` sites in-loop (no step wrapper)
+    #: the simulator heals ``heals_due`` sites in-loop
     native_heals: ClassVar[bool] = True
     #: the simulator installs a RecoveryMonitor for this schedule
     wants_recovery_log: ClassVar[bool] = True
     #: the batched lane engine must decline: heals mutate per-object
     #: router fault state mid-run, which the array model cannot express
     mutates_fabric: ClassVar[bool] = True
+    #: ``"<kind>:"`` prefix of :meth:`fingerprint`
+    fingerprint_kind: ClassVar[str] = "timeline"
 
     def __init__(self, events: Iterable[TimelineEvent]) -> None:
         items = sorted(events, key=lambda e: e.cycle)
@@ -119,8 +120,6 @@ class FaultTimeline:
             yield self._events[self._inject_i].site
             self._inject_i += 1
 
-    due = events_at
-
     def next_cycle(self) -> Optional[int]:
         """Earliest pending event of *either* kind (inject or heal).
 
@@ -139,7 +138,7 @@ class FaultTimeline:
     def fingerprint(self) -> str:
         if self._fingerprint is None:
             self._fingerprint = schedule_digest(
-                "timeline",
+                self.fingerprint_kind,
                 (
                     f"{e.cycle}@{site_token(e.site)}"
                     + (f"~{e.duration}" if e.transient else "")

@@ -16,20 +16,14 @@ paper's headline reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
 from ..config import RouterConfig
-from .schedule import (
-    TransientSpec,
-    _require_geometry,
-    register_schedule,
-    schedule_digest,
-    site_token,
-    warn_legacy,
-)
+from .schedule import TransientSpec, _require_geometry, register_schedule
 from .sites import FaultSite, enumerate_sites
+from .timeline import FaultTimeline, TimelineEvent
 
 
 @dataclass(frozen=True)
@@ -51,104 +45,26 @@ class TransientFault:
         return self.cycle + self.duration
 
 
-class TransientFaultSchedule:
+class TransientFaultSchedule(FaultTimeline):
     """Fault schedule that injects *and later heals* each site.
 
-    Satisfies the :class:`repro.faults.schedule.FaultSchedule` protocol
-    for injection; healing requires cooperation, so the simulator-facing
-    integration is :meth:`attach`: it wraps the injector around a
-    simulator and performs heals through the router's ``heal_fault``.
-
-    Simplification: overlapping transients on the *same* site merge (the
-    site heals at the later heal time) — the fault state is boolean.
+    An all-transient :class:`~repro.faults.timeline.FaultTimeline`: the
+    simulator heals through the same native seam (``native_heals``,
+    ``heals_due``, ``next_cycle()`` covering heal cycles), so passing
+    one as ``fault_schedule=`` is all it takes.  Overlapping transients
+    on the *same* site merge (the site heals at the later heal time) —
+    the fault state is boolean.  No recovery log is kept: transients are
+    a robustness study, not a campaign.
     """
 
-    #: heals sites mid-run: batched lane arrays have no heal seam, so
-    #: ``repro.network.batched.supports`` declines factories carrying this
-    mutates_fabric = True
+    wants_recovery_log: ClassVar[bool] = False
+    fingerprint_kind: ClassVar[str] = "transient"
 
     def __init__(self, transients: Iterable[TransientFault]) -> None:
-        items = sorted(transients, key=lambda t: t.cycle)
-        self._inject_q = list(items)
-        self._inject_i = 0
-        # heal events: (cycle, site); kept sorted lazily
-        heals: dict[tuple, int] = {}
-        for t in items:
-            key = (t.site.router, t.site.unit, t.site.port, t.site.vc)
-            heals[key] = max(heals.get(key, 0), t.heal_cycle)
-        self._heals = sorted(
-            ((cycle, key) for key, cycle in heals.items()), key=lambda x: x[0]
+        super().__init__(
+            TimelineEvent(t.cycle, t.site, transient=True, duration=t.duration)
+            for t in transients
         )
-        self._heal_i = 0
-        self._site_by_key = {
-            (t.site.router, t.site.unit, t.site.port, t.site.vc): t.site
-            for t in items
-        }
-        self._fingerprint: Optional[str] = None
-
-    # -- FaultSchedule protocol (injection half) -------------------------
-    def events_at(self, cycle: int) -> Iterator[FaultSite]:
-        while (
-            self._inject_i < len(self._inject_q)
-            and self._inject_q[self._inject_i].cycle <= cycle
-        ):
-            yield self._inject_q[self._inject_i].site
-            self._inject_i += 1
-
-    due = events_at
-
-    def next_cycle(self) -> Optional[int]:
-        """Next pending *injection* cycle (FaultSchedule lookahead).
-
-        Heals are not represented here — they ride on the :meth:`attach`
-        step wrapper, and a wrapped step disables the event-driven
-        skip-ahead entirely, so heals are never jumped over.
-        """
-        if self._inject_i < len(self._inject_q):
-            return self._inject_q[self._inject_i].cycle
-        return None
-
-    def fingerprint(self) -> str:
-        """Content digest over the full (cycle, site, duration) list."""
-        if self._fingerprint is None:
-            self._fingerprint = schedule_digest(
-                "transient",
-                (
-                    f"{t.cycle}@{site_token(t.site)}+{t.duration}"
-                    for t in self._inject_q
-                ),
-            )
-        return self._fingerprint
-
-    # -- healing half ------------------------------------------------------
-    def heals_due(self, cycle: int) -> Iterator[FaultSite]:
-        while self._heal_i < len(self._heals) and self._heals[self._heal_i][0] <= cycle:
-            _, key = self._heals[self._heal_i]
-            yield self._site_by_key[key]
-            self._heal_i += 1
-
-    def attach(self, sim) -> None:
-        """Wrap a simulator's step so heals are applied each cycle."""
-        original = sim._step
-
-        def stepped(cycle: int, inject_traffic: bool) -> None:
-            for site in self.heals_due(cycle):
-                sim.routers[site.router].heal_fault(site)
-            original(cycle, inject_traffic)
-
-        sim._step = stepped
-
-    @property
-    def remaining_injections(self) -> int:
-        return len(self._inject_q) - self._inject_i
-
-
-class TransientFaultInjector(TransientFaultSchedule):
-    """Deprecated alias of :class:`TransientFaultSchedule` (removal: 2.0)."""
-
-    def __init__(self, transients: Iterable[TransientFault]) -> None:
-        warn_legacy("TransientFaultInjector", "TransientFaultSchedule")
-        super().__init__(transients)
 
 
 def random_transients(
@@ -172,7 +88,7 @@ def random_transients(
     for r in range(num_routers):
         pool.extend(enumerate_sites(config, router=r, protected=protected))
     hits = rng.random(cycles) < rate_per_cycle
-    out = []
+    out: list[TransientFault] = []
     for cycle in np.flatnonzero(hits):
         site = pool[int(rng.integers(len(pool)))]
         out.append(TransientFault(int(cycle), site, duration))
@@ -180,7 +96,12 @@ def random_transients(
 
 
 @register_schedule("transient", TransientSpec)
-def _build_transient(spec: TransientSpec, *, config=None, num_routers=None):
+def _build_transient(
+    spec: TransientSpec,
+    *,
+    config: Optional[RouterConfig] = None,
+    num_routers: Optional[int] = None,
+) -> TransientFaultSchedule:
     config, num_routers = _require_geometry("transient", config, num_routers)
     return TransientFaultSchedule(
         random_transients(

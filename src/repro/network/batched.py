@@ -33,9 +33,9 @@ all cycle-dependent state (traffic generation, fault arrival, bypass
 rotation, latency timestamps, inject/drain windows) is computed against
 ``cycle - off[lane]``.  When a lane retires, its result is decoded
 immediately and the next pending structurally-identical point is
-imported into the freed slot — the array form of the router
-``import_state()`` seam: every per-lane array slice returns to its
-power-on value and stale in-flight calendar events are purged.  A
+installed in the freed slot — the array form of a router's power-on
+``reset()``: every per-lane array slice returns to its power-on value
+and stale in-flight calendar events are purged.  A
 1000-point sweep therefore holds dense ``(lanes, ...)`` arrays at the
 configured width for its whole duration; :attr:`lane_occupancy` reports
 the achieved density.
@@ -56,7 +56,7 @@ ejection into latency samples, and fault-site injection.
 Use :func:`supports` to check a configuration before constructing the
 engine; unsupported configurations (adaptive routing, tracing, per-flit
 callbacks, ...) should fall back to the event engine per point —
-``run_lane_sweep(engine="batched")`` does exactly that and records the
+:func:`repro.experiments.parallel.run_lane_sweep` does exactly that and records the
 reason string per fallback point.
 """
 
@@ -388,7 +388,7 @@ class BatchedLaneEngine:
             sched = self.lanes[lane].fault_schedule
             if sched is None:
                 continue
-            for site in sched.due(cycle - self.off[lane]):
+            for site in sched.events_at(cycle - self.off[lane]):
                 if self._inject_site(lane, site):
                     self.faults_injected[lane] += 1
 
@@ -1159,8 +1159,8 @@ class BatchedLaneEngine:
         Every per-lane array slice and scalar returns to its power-on
         value and the old occupant's stale in-flight events are purged
         from the calendar rings, so the refilled lane is bit-identical
-        to the same point run in a fresh fabric — the array form of the
-        router ``import_state()`` seam.
+        to the same point run in a fresh fabric — the array form of a
+        router's power-on ``reset()``.
         """
         rc = self.config.router
         self.st[lane] = _IDLE

@@ -79,12 +79,9 @@ class TrafficSource(Protocol):
         ...
 
 
-# The canonical ``FaultSchedule`` protocol now lives in
-# :mod:`repro.faults.schedule` (``events_at``/``next_cycle``/``fingerprint``)
-# and is re-imported above for the simulator/warm-pool call sites.  The
-# simulator accepts pre-protocol objects too: anything with a consuming
-# ``due(cycle)`` iterator still injects, and ``next_cycle`` stays an
-# optional lookahead (schedules without it disable skip-ahead).  Schedules
+# The ``FaultSchedule`` protocol lives in :mod:`repro.faults.schedule`
+# (``events_at``/``next_cycle``/``fingerprint``, all three mandatory) and
+# is re-imported above for the simulator/warm-pool call sites.  Schedules
 # with ``native_heals = True`` additionally expose ``heals_due(cycle)`` and
 # are healed in-loop (see :class:`repro.faults.timeline.FaultTimeline`);
 # ``wants_recovery_log = True`` makes the simulator install a
@@ -347,8 +344,14 @@ class NoCSimulator:
         on_eject: Optional[Callable] = None,
         observability: Optional[Observability] = None,
         use_reference_stepper: bool = False,
-        event_driven: bool = True,
     ) -> None:
+        if fault_schedule is not None:
+            for method in ("events_at", "next_cycle", "fingerprint"):
+                if not callable(getattr(fault_schedule, method, None)):
+                    raise TypeError(
+                        f"fault_schedule {type(fault_schedule).__name__!r} "
+                        f"is not a FaultSchedule: missing {method}()"
+                    )
         self.config = config
         self.sim_config = sim_config
         self.traffic = traffic
@@ -399,11 +402,6 @@ class NoCSimulator:
         #: one — slow, kept for the golden determinism test (the two must
         #: produce byte-identical stats and traces)
         self.use_reference_stepper = use_reference_stepper
-        #: let :meth:`run` skip fully idle stretches (the event-driven
-        #: loop).  ``False`` forces per-cycle stepping — same results
-        #: (pinned by the golden tests), kept for benchmarking and as an
-        #: escape hatch for step-wrapping instrumentation.
-        self.event_driven = event_driven
         #: nodes whose router / NIC has work this cycle.  Updated by the
         #: ``on_wake`` hooks on idle→busy transitions and pruned in-step;
         #: ``_step`` iterates these (in sorted node order, for determinism)
@@ -453,10 +451,6 @@ class NoCSimulator:
         self.traffic = traffic
         self.fault_schedule = fault_schedule
         self.on_eject = on_eject
-        # drop any instance-level step wrapper a previous run installed
-        # (e.g. TransientFaultSchedule.attach) — a pooled fabric must
-        # never replay stale heals into a new run
-        self.__dict__.pop("_step", None)
         for r in self.routers:
             r.reset()
         self.stats = NetworkStats(keep_samples=self.stats.keep_samples)
@@ -519,10 +513,9 @@ class NoCSimulator:
             return
         advanced = False
         if getattr(schedule, "native_heals", False):
-            # native heal seam (fault timelines): heals apply before
-            # injections, mirroring the transient step-wrapper's order,
-            # but in-loop — ``next_cycle()`` covers heal cycles too, so
-            # the event-driven skip-ahead stays enabled
+            # native heal seam (transients, fault timelines): heals
+            # apply before injections; ``next_cycle()`` covers heal
+            # cycles too, so skip-ahead never jumps over one
             for site in schedule.heals_due(cycle):
                 advanced = True
                 router = self.routers[site.router]
@@ -531,8 +524,7 @@ class NoCSimulator:
                     probe = router.recovery
                     if probe is not None:
                         probe.fault_healed(router, site, cycle)
-        events = getattr(schedule, "events_at", None) or schedule.due
-        for site in events(cycle):
+        for site in schedule.events_at(cycle):
             advanced = True
             router = self.routers[site.router]
             if router.inject_fault(site):
@@ -546,10 +538,9 @@ class NoCSimulator:
 
     def _arm_fault_wake(self) -> None:
         """Schedule the next fault arrival as a calendar wake event."""
-        peek = getattr(self.fault_schedule, "next_cycle", None)
-        if peek is None:
+        if self.fault_schedule is None:
             return
-        nxt = peek()
+        nxt = self.fault_schedule.next_cycle()
         if nxt is not None:
             self.scheduler.schedule_wake(nxt)
 
@@ -737,12 +728,12 @@ class NoCSimulator:
         The loop is event-driven (``docs/performance.md``): whenever the
         fabric is provably idle it jumps ``cycle`` to the earliest future
         wake source instead of stepping through the gap.  Skipping
-        engages only when every wake source is known — the traffic
-        source implements the ``next_injection`` lookahead, the fault
-        schedule (if any) implements ``next_cycle``, and the stepper has
-        not been wrapped by instrumentation that polls per cycle — and
-        never under the reference stepper, so results are bit-identical
-        across all three loop flavours (pinned by the golden tests).
+        engages whenever every wake source is known — the traffic
+        source implements the ``next_injection`` lookahead and the
+        stepper has not been wrapped by instrumentation that polls per
+        cycle — and never under the reference stepper; otherwise the
+        same active-set stepper runs every cycle.  Results are
+        bit-identical either way (pinned by the golden tests).
         """
         sc = self.sim_config
         self.stats.set_window(sc.warmup_cycles, sc.warmup_cycles + sc.measure_cycles)
@@ -754,16 +745,11 @@ class NoCSimulator:
 
         lookahead = getattr(self.traffic, "next_injection", None)
         can_skip = (
-            self.event_driven
-            and not reference
-            # a wrapped stepper (transient heals, online detection) must
-            # be invoked every cycle — it polls outside the event system
+            not reference
+            # a wrapped stepper (online detection) must be invoked every
+            # cycle — it polls outside the event system
             and "_step" not in self.__dict__
             and lookahead is not None
-            and (
-                self.fault_schedule is None
-                or hasattr(self.fault_schedule, "next_cycle")
-            )
         )
         self._arm_fault_wake()
 

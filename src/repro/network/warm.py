@@ -44,9 +44,6 @@ from .simulator import (
 #: pool key -> warm simulator (per process; workers each grow their own)
 _POOL: dict = {}
 
-#: anonymous-schedule serial for keys that must never be reused
-_anon_counter = 0
-
 #: seconds spent building or resetting networks since the last drain
 _setup_seconds = 0.0
 
@@ -61,8 +58,6 @@ def acquire(
     keep_samples: bool = False,
     on_eject: Optional[Callable] = None,
     observability: Optional[Observability] = None,
-    event_driven: bool = True,
-    engine: str = "event",
 ) -> NoCSimulator:
     """A simulator ready to ``run()`` — warm-reset when possible.
 
@@ -71,18 +66,8 @@ def acquire(
     key matches a previous acquire in this process, else constructs (and
     pools) a new one.  Either way the caller must treat the instance as
     borrowed until its ``run()`` returns.
-
-    ``event_driven`` mirrors the constructor flag; it is plain dynamic
-    state (the loop flavour, not the object graph), so a pooled fabric is
-    simply re-flagged rather than keyed on it.
-
-    ``engine`` names the caller's engine kind and is part of the pool
-    key: a worker alternating between per-point event-engine runs and
-    batched-lane fallback points (``repro.network.batched``) must never
-    alias the two pools, even though both hand out ``NoCSimulator``
-    instances today.
     """
-    global _setup_seconds, _anon_counter
+    global _setup_seconds
     factory = router_factory if router_factory is not None else baseline_router_factory(config)
     kind = getattr(factory, "router_kind", None)
     t0 = perf_counter()
@@ -91,22 +76,11 @@ def acquire(
         sim = NoCSimulator(
             config, sim_config, traffic, factory, fault_schedule,
             routing_kind, keep_samples, on_eject, observability,
-            event_driven=event_driven,
         )
         _setup_seconds += perf_counter() - t0
         return sim
-    fingerprint_fn = getattr(fault_schedule, "fingerprint", None)
-    if fault_schedule is None:
-        fp = "none"
-    elif fingerprint_fn is not None:
-        fp = fingerprint_fn()
-    else:
-        # pre-Protocol schedule with no content digest: give it a key that
-        # can never alias a later acquire (the fabric itself still recycles
-        # through the structural-prefix match below)
-        _anon_counter += 1
-        fp = f"anon:{_anon_counter}"
-    structural = (config, kind, routing_kind, keep_samples, engine)
+    fp = "none" if fault_schedule is None else fault_schedule.fingerprint()
+    structural = (config, kind, routing_kind, keep_samples)
     key = structural + (fp,)
     sim = _POOL.get(key)
     if sim is None:
@@ -116,18 +90,15 @@ def acquire(
         if stale is not None:
             sim = _POOL.pop(stale)
             sim.reset(sim_config, traffic, fault_schedule, on_eject, observability)
-            sim.event_driven = event_driven
             _POOL[key] = sim
         else:
             sim = NoCSimulator(
                 config, sim_config, traffic, factory, fault_schedule,
                 routing_kind, keep_samples, on_eject, observability,
-                event_driven=event_driven,
             )
             _POOL[key] = sim
     else:
         sim.reset(sim_config, traffic, fault_schedule, on_eject, observability)
-        sim.event_driven = event_driven
     _setup_seconds += perf_counter() - t0
     return sim
 

@@ -15,19 +15,17 @@ and differ only in the units and the fault-handling hooks.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..config import RouterConfig
 from ..faults.sites import RouterFaultState
 from .allocator import SAGrant, SAUnit, VAUnit
-from .arbiter import Arbiter, MatrixArbiter, RoundRobinArbiter
-from .crossbar import Crossbar, PathPlan
+from .crossbar import Crossbar
 from .flit import Flit
 from .input_port import InputPort
 from .routing import RoutingFunction
-from .vc import VCState, VirtualChannel
+from .vc import VCState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..network.simulator import EventScheduler
@@ -270,207 +268,6 @@ class BaseRouter:
         self._xb_queue.clear()
         self._nonidle = 0
         self.recovery = None
-
-    # ----------------------------------------------------------------------
-    # state export / import (snapshot & rollback substrate)
-    # ----------------------------------------------------------------------
-    @staticmethod
-    def _arbiter_state(arb: Arbiter):
-        if isinstance(arb, RoundRobinArbiter):
-            return arb.priority
-        if isinstance(arb, MatrixArbiter):
-            return list(arb.order)
-        return None
-
-    @staticmethod
-    def _restore_arbiter(arb: Arbiter, state) -> None:
-        if isinstance(arb, RoundRobinArbiter):
-            arb._priority = int(state)
-        elif isinstance(arb, MatrixArbiter):
-            arb._order = list(state)
-
-    @staticmethod
-    def _vc_state(vc: VirtualChannel) -> dict:
-        return {
-            "wire": vc.index,
-            "buffer": [copy.copy(f) for f in vc.buffer],
-            "state": vc.state,
-            "route": vc.route,
-            "out_vc": vc.out_vc,
-            "packet_id": vc.packet_id,
-            "r2": vc.r2,
-            "vf": vc.vf,
-            "borrower_id": vc.borrower_id,
-            "sp": vc.sp,
-            "fsp": vc.fsp,
-            "va_retry": vc.va_retry,
-            "va_excluded": (
-                set(vc.va_excluded) if vc.va_excluded is not None else None
-            ),
-            "stalled_since": vc.stalled_since,
-        }
-
-    @staticmethod
-    def _restore_vc(vc: VirtualChannel, st: dict) -> None:
-        vc.buffer.clear()
-        vc.buffer.extend(copy.copy(f) for f in st["buffer"])
-        vc.state = st["state"]
-        vc.route = st["route"]
-        vc.out_vc = st["out_vc"]
-        vc.packet_id = st["packet_id"]
-        vc.r2 = st["r2"]
-        vc.vf = st["vf"]
-        vc.borrower_id = st["borrower_id"]
-        vc.sp = st["sp"]
-        vc.fsp = st["fsp"]
-        vc.va_retry = st["va_retry"]
-        vc.va_excluded = (
-            set(st["va_excluded"]) if st["va_excluded"] is not None else None
-        )
-        vc.stalled_since = st["stalled_since"]
-
-    def export_state(self) -> dict:
-        """Deep snapshot of all dynamic state, layer by layer.
-
-        The object-graph counterpart of the batched engine's flat arrays:
-        everything that evolves during simulation — VC buffers and state
-        fields (flits copied, so later pipeline mutation cannot leak into
-        the snapshot), the wire→slot indirection, output credits and
-        downstream-VC ownership, every arbiter's rotation state, pending
-        crossbar grants, the fault sets, and the statistics counters — is
-        captured; static wiring (route row, link connectivity, callbacks)
-        is not.  Valid at cycle boundaries (between ``rc_phase`` of one
-        cycle and ``xb_phase`` of the next); restoring the snapshot with
-        :meth:`import_state` resumes the router bit-identically, which is
-        the snapshot/rollback substrate checkpointing builds on.
-        """
-        f = self.faults
-        return {
-            "in_ports": [
-                {
-                    "wire_to_phys": list(ip._wire_to_phys),
-                    "swaps": ip.swaps,
-                    "slots": [self._vc_state(vc) for vc in ip.slots],
-                }
-                for ip in self.in_ports
-            ],
-            "out_ports": [
-                {"credits": list(op.credits), "allocated": list(op.allocated)}
-                for op in self.out_ports
-            ],
-            "va": {
-                "stage1": [
-                    [[self._arbiter_state(a) for a in row] for row in per_slot]
-                    for per_slot in self.va_unit.stage1
-                ],
-                "stage2": [
-                    [self._arbiter_state(a) for a in per_vc]
-                    for per_vc in self.va_unit.stage2
-                ],
-            },
-            "sa": {
-                "stage1": [self._arbiter_state(a) for a in self.sa_unit.stage1],
-                "stage2": [self._arbiter_state(a) for a in self.sa_unit.stage2],
-            },
-            "xb_queue": [
-                {
-                    "in_port": g.in_port,
-                    "slot": self.in_ports[g.in_port].slots.index(g.vc),
-                    "plan": {
-                        "arb_port": g.plan.arb_port,
-                        "mux": g.plan.mux,
-                        "dest": g.plan.dest,
-                        "secondary": g.plan.secondary,
-                    },
-                }
-                for g in self._xb_queue
-            ],
-            "faults": {
-                "rc_primary": set(f.rc_primary),
-                "rc_duplicate": set(f.rc_duplicate),
-                "va1": set(f.va1),
-                "va2": set(f.va2),
-                "sa1": set(f.sa1),
-                "sa1_bypass": set(f.sa1_bypass),
-                "sa2": set(f.sa2),
-                "xb_mux": set(f.xb_mux),
-                "xb_secondary": set(f.xb_secondary),
-                "history": list(f.history),
-            },
-            "stats": {
-                name: getattr(self.stats, name)
-                for name in RouterStats.__dataclass_fields__
-            },
-        }
-
-    def import_state(self, state: dict) -> None:
-        """Restore a :meth:`export_state` snapshot onto this router.
-
-        The router must be structurally identical to the exporter (same
-        :class:`RouterConfig`, same unit classes, same arbiter kind); the
-        snapshot itself is not consumed — the same dict can be imported
-        repeatedly (rollback).  Derived state (idle counters, crossbar
-        path-plan cache, arbiter fault flags) is recomputed rather than
-        copied, so the invariants the pipeline relies on hold by
-        construction after the restore.
-        """
-        # faults first: plan cache and arbiter flags derive from them
-        f = self.faults
-        fs = state["faults"]
-        for name in (
-            "rc_primary", "rc_duplicate", "va1", "va2", "sa1",
-            "sa1_bypass", "sa2", "xb_mux", "xb_secondary",
-        ):
-            target = getattr(f, name)
-            target.clear()
-            target.update(fs[name])
-        f.history = list(fs["history"])
-        self._apply_fault_flags()
-        self.crossbar.notify_fault_change()
-
-        self._nonidle = 0
-        for ip, ips in zip(self.in_ports, state["in_ports"]):
-            # rebuild the physical-slot order: slot k holds the VC whose
-            # wire id the exporter's slot k had
-            by_wire = {vc.index: vc for vc in ip.slots}
-            ip.slots = [by_wire[s["wire"]] for s in ips["slots"]]
-            ip._wire_to_phys = list(ips["wire_to_phys"])
-            ip.swaps = ips["swaps"]
-            nonidle = 0
-            for vc, s in zip(ip.slots, ips["slots"]):
-                self._restore_vc(vc, s)
-                if vc.state != VCState.IDLE:
-                    nonidle += 1
-            ip.nonidle = nonidle
-            self._nonidle += nonidle
-        for op, ops in zip(self.out_ports, state["out_ports"]):
-            op.credits = list(ops["credits"])
-            op.allocated = list(ops["allocated"])
-
-        va = state["va"]
-        for per_slot, per_slot_st in zip(self.va_unit.stage1, va["stage1"]):
-            for row, row_st in zip(per_slot, per_slot_st):
-                for arb, st in zip(row, row_st):
-                    self._restore_arbiter(arb, st)
-        for per_vc, per_vc_st in zip(self.va_unit.stage2, va["stage2"]):
-            for arb, st in zip(per_vc, per_vc_st):
-                self._restore_arbiter(arb, st)
-        sa = state["sa"]
-        for arb, st in zip(self.sa_unit.stage1, sa["stage1"]):
-            self._restore_arbiter(arb, st)
-        for arb, st in zip(self.sa_unit.stage2, sa["stage2"]):
-            self._restore_arbiter(arb, st)
-
-        self._xb_queue = [
-            SAGrant(
-                in_port=g["in_port"],
-                vc=self.in_ports[g["in_port"]].slots[g["slot"]],
-                plan=PathPlan(**g["plan"]),
-            )
-            for g in state["xb_queue"]
-        ]
-        for name, value in state["stats"].items():
-            setattr(self.stats, name, value)
 
     # ----------------------------------------------------------------------
     # busy tracking

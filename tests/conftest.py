@@ -70,6 +70,21 @@ def make_sim(
     )
 
 
+class NoLookahead:
+    """Traffic wrapper exposing ``generate`` only (no ``next_injection``).
+
+    Without the lookahead the simulator cannot prove an idle stretch
+    quiet, so ``run()`` steps the active-set loop every cycle — the
+    ``can_skip=False`` flavour the engine matrices pin to the reference.
+    """
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def generate(self, cycle: int):
+        return self._inner.generate(cycle)
+
+
 class FakeScheduler:
     """Stand-in EventScheduler for single-router unit tests.
 

@@ -5,19 +5,14 @@ identical sweep points as lanes of flat NumPy state arrays must produce,
 for every lane, exactly the result a serial per-lane event-engine run
 produces — cycle counts, drain status, the full latency/throughput
 summary, and the aggregated router counters.  These tests pin that
-contract three ways:
+contract two ways:
 
 * **differential matrix + fuzz** — fixed scenarios spanning mesh shape,
   VC/vnet count, router kind, routing kind, and fault schedules, plus
   seeded randomized draws of the same axes;
 * **sweep-layer seams** — ``run_lane_sweep`` grouping/fallback rules
-  (unsupported configurations fall back per point to the event engine,
-  recorded in the report), chunking invariance across ``jobs``, and the
-  warm-pool ``engine`` key that keeps batched fallback points from
-  aliasing event-engine pools;
-* **router state export/import** — the per-router snapshot hooks the
-  lane engine's import/export seam builds on: round-trip stability and
-  cross-fabric restoration into a freshly built router.
+  (unsupported configurations fall back per point to ``run_point``,
+  recorded in the report) and chunking invariance across ``jobs``.
 """
 
 import numpy as np
@@ -26,12 +21,16 @@ import pytest
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.experiments.load_latency import _make_schedule, _make_traffic
-from repro.experiments.parallel import LanePoint, run_lane_sweep
-from repro.faults.injector import RandomFaultSchedule, spawn_lane_injectors
-from repro.network import warm
+from repro.experiments.parallel import (
+    LanePoint,
+    map_sweep,
+    run_lane_sweep,
+    run_point,
+)
+from repro.faults.injector import spawn_lane_injectors
 from repro.network.batched import LaneSpec, run_lanes, supports
 from repro.network.simulator import NoCSimulator, baseline_router_factory
-from repro.router.flit import Flit, reset_packet_ids
+from repro.router.flit import reset_packet_ids
 from repro.traffic.generator import (
     COHERENCE_MIX,
     SINGLE_FLIT_MIX,
@@ -528,7 +527,10 @@ class TestRunLaneSweep:
             ("xy", "west_first", "xy", "west_first"),
         )
         batched_values, batched_report = run_lane_sweep(points)
-        event_values, event_report = run_lane_sweep(points, engine="event")
+        # the lower layer called directly: nothing declined, no fallbacks
+        event_values, event_report = map_sweep(
+            run_point, [(p,) for p in points]
+        )
 
         assert batched_report.points == len(points)
         assert batched_report.fallbacks == 2
@@ -609,7 +611,7 @@ class TestRunLaneSweep:
             "below the lane batching threshold" in r
             for r in report.fallback_reasons
         )
-        event_values, _ = run_lane_sweep(points, engine="event")
+        event_values, _ = map_sweep(run_point, [(p,) for p in points])
         for a, b in zip(values, event_values):
             assert a.stats.summary() == b.stats.summary()
 
@@ -617,117 +619,6 @@ class TestRunLaneSweep:
         values, report = run_lane_sweep([])
         assert values == []
         assert report.points == 0
-
-    def test_unknown_engine_rejected(self):
-        net = _net(3, 3, 2, 1)
-        points = _lane_points(net, _sim_cfg(), ("xy",))
-        with pytest.raises(ValueError):
-            run_lane_sweep(points, engine="quantum")
-
-
-# ----------------------------------------------------------------------
-# warm pool: engine kind is part of the key
-# ----------------------------------------------------------------------
-class TestWarmPoolEngineKey:
-    def test_engine_kind_never_aliases_pools(self):
-        warm.clear_pool()
-        try:
-            net = _net(3, 3, 2, 1)
-            cfg = _sim_cfg(measure=50)
-
-            def traffic(seed):
-                return SyntheticTraffic(net, injection_rate=0.05, rng=seed)
-
-            factory = baseline_router_factory(net)
-            a = warm.acquire(net, cfg, traffic(1), factory, engine="event")
-            b = warm.acquire(net, cfg, traffic(2), factory, engine="batched")
-            assert a is not b, "engine kinds must not share pooled fabrics"
-            c = warm.acquire(net, cfg, traffic(3), factory, engine="event")
-            assert c is a, "same engine kind should reuse its pool"
-        finally:
-            warm.clear_pool()
-
-
-# ----------------------------------------------------------------------
-# router state export/import hooks
-# ----------------------------------------------------------------------
-def _norm(obj):
-    """JSON-comparable normal form of an exported router state."""
-    if isinstance(obj, Flit):
-        return ["flit"] + [getattr(obj, f) for f in Flit.__slots__]
-    if isinstance(obj, dict):
-        return {k: _norm(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_norm(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(repr(_norm(v)) for v in obj)
-    if hasattr(obj, "describe"):
-        return obj.describe()
-    return obj
-
-
-def _run_faulted_sim(seed=7, rate=0.2):
-    net = _net(4, 4, 4, 2)
-    schedule = RandomFaultSchedule(
-        net.router, net.num_nodes, mean_interval=30, num_faults=10,
-        rng=5, first_fault_at=40, avoid_failure=True,
-    )
-    reset_packet_ids()
-    sim = NoCSimulator(
-        net,
-        _sim_cfg(measure=300, seed=seed),
-        SyntheticTraffic(net, injection_rate=rate, mix=COHERENCE_MIX, rng=seed),
-        router_factory=protected_router_factory(net),
-        fault_schedule=schedule,
-    )
-    sim.run()
-    return sim
-
-
-class TestRouterStateExport:
-    def test_export_import_round_trip(self):
-        """export -> reset -> import -> export must be a fixed point."""
-        sim = _run_faulted_sim()
-        before = [_norm(r.export_state()) for r in sim.routers]
-        for router, state in zip(
-            sim.routers, [r.export_state() for r in sim.routers]
-        ):
-            router.reset()
-            router.import_state(state)
-        after = [_norm(r.export_state()) for r in sim.routers]
-        assert after == before
-        sim.check_invariants()
-
-    def test_cross_fabric_import(self):
-        """A snapshot restores into a freshly built identical fabric."""
-        src = _run_faulted_sim()
-        states = [r.export_state() for r in src.routers]
-
-        net = _net(4, 4, 4, 2)
-        reset_packet_ids()
-        dst = NoCSimulator(
-            net,
-            _sim_cfg(measure=300, seed=7),
-            SyntheticTraffic(
-                net, injection_rate=0.2, mix=COHERENCE_MIX, rng=99
-            ),
-            router_factory=protected_router_factory(net),
-        )
-        for router, state in zip(dst.routers, states):
-            router.import_state(state)
-        dst.check_invariants()
-        restored = [_norm(r.export_state()) for r in dst.routers]
-        assert restored == [_norm(s) for s in states]
-
-    def test_export_captures_faults_and_occupancy(self):
-        """The snapshot must actually carry faults and buffered flits —
-        an all-empty export would round-trip trivially."""
-        sim = _run_faulted_sim()
-        states = [r.export_state() for r in sim.routers]
-        total_faults = sum(
-            len(s["faults"]["history"]) for s in states
-        )
-        assert total_faults == 10
 
 
 # ----------------------------------------------------------------------

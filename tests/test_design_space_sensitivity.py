@@ -9,7 +9,9 @@ class TestDesignSpace:
     @pytest.fixture(scope="class")
     def result(self):
         return design_space.run(
-            vc_counts=(2, 4), buffer_depths=(2, 4), measure=800
+            design_space.DesignSpaceConfig(
+                vc_counts=(2, 4), buffer_depths=(2, 4), measure=800
+            )
         )
 
     def test_shape_claims_hold(self, result):
@@ -53,7 +55,11 @@ class TestMTTFSensitivity:
         )
 
     def test_custom_operating_points(self):
-        res = mttf_sensitivity.run(temps_k=(310.0, 350.0), vdds=(1.0,))
+        res = mttf_sensitivity.run(
+            mttf_sensitivity.MTTFSensitivityConfig(
+                temps_k=(310.0, 350.0), vdds=(1.0,)
+            )
+        )
         assert res.row("MTTF baseline @ 310 K").measured > res.row(
             "MTTF baseline @ 350 K"
         ).measured

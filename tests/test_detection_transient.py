@@ -91,8 +91,8 @@ class TestTransientFault:
     def test_injector_schedules_inject_and_heal(self):
         site = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
         inj = TransientFaultSchedule([TransientFault(5, site, duration=3)])
-        assert list(inj.due(4)) == []
-        assert list(inj.due(5)) == [site]
+        assert list(inj.events_at(4)) == []
+        assert list(inj.events_at(5)) == [site]
         assert list(inj.heals_due(7)) == []
         assert list(inj.heals_due(8)) == [site]
 
@@ -115,12 +115,30 @@ class TestTransientFault:
             net, protected=True, injection_rate=0.08, measure=1200,
             fault_schedule=inj,
         )
-        inj.attach(sim)
         res = sim.run()
         assert not res.blocked and res.drained
         assert res.stats.packets_ejected == res.stats.packets_created
         assert not sim.routers[4].faults.any_faults  # healed
         assert res.router_stats.sa_bypass_grants > 0  # absorbed meanwhile
+
+    def test_spec_built_schedule_ends_with_zero_faulty_routers(self):
+        """``make_schedule(TransientSpec)`` as ``fault_schedule=`` heals
+        natively: every injected site is healthy again at end of run."""
+        from repro.faults import TransientSpec, make_schedule
+
+        net = make_network_config(3, 3)
+        sched = make_schedule(
+            TransientSpec(rate_per_cycle=0.02, cycles=300, duration=20, seed=4),
+            config=net.router,
+            num_routers=net.num_nodes,
+        )
+        sim = make_sim(
+            net, protected=True, injection_rate=0.05, measure=600,
+            fault_schedule=sched,
+        )
+        res = sim.run()
+        assert res.faults_injected > 0
+        assert [r.node for r in sim.routers if r.faults.any_faults] == []
 
     def test_random_transients_deterministic(self):
         a = random_transients(RouterConfig(), 4, 0.01, 1000, rng=3)
@@ -145,7 +163,6 @@ class TestTransientFault:
             net, protected=True, injection_rate=0.06, measure=800,
             drain=6000, fault_schedule=inj, watchdog=5000,
         )
-        inj.attach(sim)
         res = sim.run()
         sim.check_invariants()
         # transients can transiently create a failing combination, but the

@@ -102,7 +102,9 @@ class TestEnergyOfRun:
 
 class TestEnergyExperiment:
     def test_quick_experiment_shape(self):
-        res = energy_exp.run(app="lu", cfg=QUICK_CONFIG)
+        res = energy_exp.run(
+            energy_exp.EnergyConfig(app="lu", latency=QUICK_CONFIG)
+        )
         assert res.row("fault-free energy/flit").measured > 0
         assert res.row("faulty energy/flit").measured >= res.row(
             "fault-free energy/flit"

@@ -1,8 +1,10 @@
 """Event-driven engine: skip-ahead correctness at the fault/active-set seams.
 
-The engine (``NoCSimulator`` with ``event_driven=True``, the default)
-jumps over provably idle stretches.  These tests pin the seams where the
-jump could go wrong:
+``NoCSimulator.run`` jumps over provably idle stretches whenever the
+traffic source offers the ``next_injection`` lookahead, and steps the
+same active-set loop every cycle when it does not (the ``"stepper"``
+column below hides the lookahead behind ``NoLookahead``).  These tests
+pin the seams where the jump could go wrong:
 
 * fault arrivals inside an idle stretch must bound the jump (the wake
   event armed by ``_arm_fault_wake``), not be deferred or dropped;
@@ -14,7 +16,9 @@ jump could go wrong:
   finishes exactly at the deadline cycle;
 * ``faults_injected`` must be identical across all loop flavours for
   schedule edges: faults at cycle 0, on the warmup/measure boundary, and
-  after drain begins.
+  after drain begins;
+* a transient's *heal* inside an idle stretch or mid-drain must land on
+  its exact cycle (``next_cycle()`` covers heals).
 """
 
 import dataclasses
@@ -22,23 +26,30 @@ import math
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
+from conftest import NoLookahead
 from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
+from repro.faults.transient import TransientFault, TransientFaultSchedule
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import Packet, reset_packet_ids
 from repro.traffic.generator import NullTraffic, SyntheticTraffic, TraceTraffic
 
-#: every loop flavour: event-driven, per-cycle active-set, full-scan
+#: every loop flavour: skip-ahead, per-cycle active-set (lookahead
+#: hidden), full-scan reference
 ENGINES = ("event", "stepper", "reference")
 
 PORT_WEST = 1  # matches repro.router.routing port numbering
 
 
-def _engine_kwargs(engine: str) -> dict:
-    return {
-        "use_reference_stepper": engine == "reference",
-        "event_driven": engine == "event",
-    }
+def _sim(engine: str, net, sim_config, traffic, **kwargs) -> NoCSimulator:
+    """``NoCSimulator`` running the named loop flavour."""
+    return NoCSimulator(
+        net,
+        sim_config,
+        NoLookahead(traffic) if engine == "stepper" else traffic,
+        use_reference_stepper=engine == "reference",
+        **kwargs,
+    )
 
 
 def _site(router: int) -> FaultSite:
@@ -91,7 +102,8 @@ class TestFaultWakeInIdleStretch:
     def _run(self, engine: str, monkeypatched_sim=None):
         reset_packet_ids()
         net = NetworkConfig(width=4, height=4)
-        sim = NoCSimulator(
+        sim = _sim(
+            engine,
             net,
             SimulationConfig(
                 warmup_cycles=50,
@@ -102,7 +114,6 @@ class TestFaultWakeInIdleStretch:
             NullTraffic(),
             router_factory=protected_router_factory(net),
             fault_schedule=ExplicitFaultSchedule([(300, _site(5))]),
-            **_engine_kwargs(engine),
         )
         result = sim.run()
         sim.check_invariants()
@@ -140,7 +151,8 @@ class TestFaultIntoIdleRouterMidDrain:
         )
         # inject_until == 1: the burst drains for tens of cycles while
         # router 5 (off the XY path of a 0 -> 15 burst) sits idle
-        sim = NoCSimulator(
+        sim = _sim(
+            engine,
             net,
             SimulationConfig(
                 warmup_cycles=0,
@@ -155,7 +167,6 @@ class TestFaultIntoIdleRouterMidDrain:
                 else baseline_router_factory(net)
             ),
             fault_schedule=ExplicitFaultSchedule([(8, _site(4))]),
-            **_engine_kwargs(engine),
         )
         result = sim.run()
         sim.check_invariants()
@@ -184,7 +195,8 @@ class TestDrainDeadlineBoundary:
     def _run(self, engine: str, drain_cycles: int):
         reset_packet_ids()
         net = NetworkConfig(width=4, height=4)
-        sim = NoCSimulator(
+        sim = _sim(
+            engine,
             net,
             SimulationConfig(
                 warmup_cycles=0,
@@ -193,7 +205,6 @@ class TestDrainDeadlineBoundary:
                 seed=5,
             ),
             TraceTraffic(_burst(net)),
-            **_engine_kwargs(engine),
         )
         result = sim.run()
         sim.check_invariants()
@@ -229,7 +240,8 @@ class TestFaultScheduleEdges:
         obs = None
         if profile:
             obs = Observability(ObservabilityConfig(profile=True))
-        sim = NoCSimulator(
+        sim = _sim(
+            engine,
             net,
             SimulationConfig(
                 warmup_cycles=self.WARMUP,
@@ -243,7 +255,6 @@ class TestFaultScheduleEdges:
                 [(c, _site(3 + i)) for i, c in enumerate(fault_cycles)]
             ),
             observability=obs,
-            **_engine_kwargs(engine),
         )
         result = sim.run()
         sim.check_invariants()
@@ -282,3 +293,69 @@ class TestFaultScheduleEdges:
             [0, self.WARMUP, self.WARMUP + self.MEASURE + 2, 10_000]
         )
         assert n == 3
+
+
+class TestTransientHealEdges:
+    """A transient's *heal* is an event like its landing: every loop
+    flavour must apply it on its exact cycle — inside a fully idle
+    stretch (where only ``next_cycle()`` covering heals stops the jump)
+    and while the fabric is still draining — with identical results and
+    trace streams, and the router must end the run healed."""
+
+    #: west input of router 2: on the XY path of the 0 -> 15 burst
+    SITE = FaultSite(2, FaultUnit.SA1_ARBITER, 4)
+
+    def _run(self, engine: str, transient: TransientFault, **sim_cfg):
+        from repro.observability import Observability, ObservabilityConfig
+
+        reset_packet_ids()
+        net = NetworkConfig(width=4, height=4)
+        sim = _sim(
+            engine,
+            net,
+            SimulationConfig(seed=3, drain_cycles=500, **sim_cfg),
+            TraceTraffic(_burst(net)),
+            router_factory=protected_router_factory(net),
+            fault_schedule=TransientFaultSchedule([transient]),
+            observability=Observability(ObservabilityConfig(trace=True)),
+        )
+        result = sim.run()
+        sim.check_invariants()
+        return sim, result
+
+    def _pin(self, transient: TransientFault, **sim_cfg):
+        results = {}
+        for engine in ENGINES:
+            sim, results[engine] = self._run(engine, transient, **sim_cfg)
+            assert results[engine].faults_injected == 1, engine
+            assert results[engine].drained, engine
+            healed = not sim.routers[transient.site.router].faults.any_faults
+            assert healed, f"{engine}: heal at {transient.heal_cycle} missed"
+        _assert_all_equal(results)
+        ref = results["reference"]
+        for engine, res in results.items():
+            assert res.observability == ref.observability, engine
+        return ref
+
+    def test_heal_inside_idle_stretch(self):
+        # the cycle-0 burst drains within ~100 cycles; the heal at 300
+        # lands in a fabric that has been idle since, and nothing else
+        # is scheduled before the injection window closes at 400
+        ref = self._pin(
+            TransientFault(2, self.SITE, duration=298),
+            warmup_cycles=0,
+            measure_cycles=400,
+        )
+        assert ref.cycles == 400
+        assert ref.router_stats.sa_bypass_grants > 0
+
+    def test_heal_mid_drain(self):
+        # inject_until == 1: the fault lands on the burst's XY path at
+        # cycle 3 and heals at 20, with flits still in flight both times
+        ref = self._pin(
+            TransientFault(3, self.SITE, duration=17),
+            warmup_cycles=0,
+            measure_cycles=1,
+        )
+        assert ref.cycles > 20
+        assert ref.router_stats.sa_bypass_grants > 0

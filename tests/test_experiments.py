@@ -50,14 +50,14 @@ class TestAnalyticExperiments:
         assert res.max_relative_error() < 1e-9
 
     def test_mttf_headline(self):
-        res = mttf.run(mc_samples=20_000)
+        res = mttf.run(mttf.MTTFConfig(mc_samples=20_000))
         assert res.row("MTTF protected (paper Eq.5)").relative_error() < 0.01
         assert res.row("reliability improvement (paper)").measured == pytest.approx(
             6.18, abs=0.05
         )
 
     def test_table3_ordering(self):
-        res = table3.run(mc_trials=100)
+        res = table3.run(table3.Table3Config(mc_trials=100))
         assert res.row("proposed router has highest SPF").measured is True
 
     def test_spf_sweep_shape(self):

@@ -107,13 +107,6 @@ class TestCampaignConfigValidation:
                 CampaignConfig(router_kinds=(), latency=QUICK_LATENCY)
             )
 
-    def test_legacy_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            res = fault_campaign.run(
-                QUICK_CAMPAIGN, timelines=1, jobs=1
-            )
-        assert res.experiment == "fault_campaign"
-
 
 class TestRecoveryDeterminism:
     """A timeline run is a pure function of its spec + traffic seed."""

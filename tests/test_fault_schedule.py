@@ -3,8 +3,8 @@
 Pins the api-redesign contract: the runtime-checkable protocol, the
 frozen spec dataclasses and their ``make_schedule`` registry, stable
 content fingerprints, the JSON side-door used by the service, the
-legacy ``*FaultInjector`` shims, and the warm-pool key regression
-(schedule fingerprints must be part of the pool key).
+simulator's rejection of non-protocol objects, and the warm-pool key
+regression (schedule fingerprints must be part of the pool key).
 """
 
 import dataclasses
@@ -13,14 +13,12 @@ import pytest
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.faults import (
-    ExplicitFaultSchedule,
     FaultSchedule,
     FaultSite,
     FaultTimeline,
     FaultUnit,
     NullFaultSchedule,
     NullSpec,
-    RandomFaultSchedule,
     RandomSpec,
     ScheduledSpec,
     TimelineSpec,
@@ -61,10 +59,22 @@ class TestProtocol:
         for sched in _one_of_each():
             assert isinstance(sched, FaultSchedule), type(sched).__name__
 
-    def test_legacy_due_alias_is_events_at(self):
-        sched = ExplicitFaultSchedule([(5, SITE)])
-        assert list(sched.due(4)) == []
-        assert list(sched.due(5)) == [SITE]
+    def test_simulator_rejects_non_protocol_schedule(self):
+        """The three methods are mandatory: a duck-typed object missing
+        one is refused at construction, naming the method."""
+        from repro.network.simulator import NoCSimulator
+        from repro.traffic.generator import NullTraffic
+
+        class EventsOnly:
+            def events_at(self, cycle):
+                return iter(())
+
+        net = NetworkConfig(width=2, height=2)
+        with pytest.raises(TypeError, match=r"missing next_cycle\(\)"):
+            NoCSimulator(
+                net, SimulationConfig(), NullTraffic(),
+                fault_schedule=EventsOnly(),
+            )
 
     def test_registry_names(self):
         assert set(SCHEDULE_SPECS) == {
@@ -191,39 +201,6 @@ class TestServiceRoundTrip:
         assert out["events"] == 8
 
 
-class TestLegacyShims:
-    def test_constructors_warn_but_work(self):
-        from repro.faults import (
-            NullFaultInjector,
-            RandomFaultInjector,
-            ScheduledFaultInjector,
-            TransientFaultInjector,
-        )
-        from repro.faults.transient import TransientFault
-
-        with pytest.warns(DeprecationWarning, match="ExplicitFaultSchedule"):
-            s = ScheduledFaultInjector([(5, SITE)])
-        assert isinstance(s, ExplicitFaultSchedule)
-        with pytest.warns(DeprecationWarning, match="RandomFaultSchedule"):
-            r = RandomFaultInjector(
-                CFG, 9, mean_interval=50, num_faults=1, rng=0
-            )
-        assert isinstance(r, RandomFaultSchedule)
-        with pytest.warns(DeprecationWarning, match="NullFaultSchedule"):
-            n = NullFaultInjector()
-        assert isinstance(n, NullFaultSchedule)
-        with pytest.warns(DeprecationWarning, match="TransientFaultSchedule"):
-            t = TransientFaultInjector([TransientFault(3, SITE)])
-        assert isinstance(t, TransientFaultSchedule)
-
-    def test_shim_error_paths_still_raise(self):
-        from repro.faults import RandomFaultInjector
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="mean_interval"):
-                RandomFaultInjector(CFG, 9, mean_interval=0, num_faults=1)
-
-
 class TestWarmPoolFingerprintKey:
     """Regression: the schedule fingerprint is part of the pool key."""
 
@@ -262,48 +239,6 @@ class TestWarmPoolFingerprintKey:
             (key_b,) = warm._POOL
             assert key_b[-1] == "none"
             assert key_b != key_a
-        finally:
-            warm.clear_pool()
-
-    def test_unfingerprintable_schedule_key_never_reused(self):
-        from repro.network import warm
-
-        class Opaque:
-            def due(self, cycle):
-                return iter(())
-
-        warm.clear_pool()
-        try:
-            net, sim_cfg, traffic, factory = self._fixture()
-            warm.acquire(net, sim_cfg, traffic(1), factory, Opaque())
-            (key1,) = warm._POOL
-            warm.acquire(net, sim_cfg, traffic(2), factory, Opaque())
-            (key2,) = warm._POOL
-            assert key1 != key2, "anonymous schedules must never alias"
-            assert warm.pool_size() == 1
-        finally:
-            warm.clear_pool()
-
-    def test_stale_transient_step_wrapper_cleared_on_reset(self):
-        """A pooled fabric must not retain a previous schedule's wrapper."""
-        from repro.network import warm
-
-        warm.clear_pool()
-        try:
-            net, sim_cfg, traffic, factory = self._fixture()
-            sched = make_schedule(
-                TransientSpec(rate_per_cycle=0.05, cycles=40, seed=1),
-                config=net.router,
-                num_routers=net.num_nodes,
-            )
-            sim = warm.acquire(net, sim_cfg, traffic(1), factory, sched)
-            sched.attach(sim)
-            assert "_step" in sim.__dict__
-            again = warm.acquire(net, sim_cfg, traffic(2), factory, None)
-            assert again is sim
-            assert "_step" not in sim.__dict__, (
-                "reset must drop the per-instance step wrapper"
-            )
         finally:
             warm.clear_pool()
 

@@ -124,16 +124,16 @@ class TestScheduledInjector:
         s1 = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
         s2 = FaultSite(0, FaultUnit.SA1_ARBITER, 1)
         inj = ExplicitFaultSchedule([(10, s1), (5, s2)])
-        assert list(inj.due(4)) == []
-        assert list(inj.due(5)) == [s2]
-        assert list(inj.due(100)) == [s1]
+        assert list(inj.events_at(4)) == []
+        assert list(inj.events_at(5)) == [s2]
+        assert list(inj.events_at(100)) == [s1]
         assert inj.remaining == 0
 
     def test_multiple_same_cycle(self):
         s1 = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
         s2 = FaultSite(1, FaultUnit.SA1_ARBITER, 0)
         inj = ExplicitFaultSchedule([(5, s1), (5, s2)])
-        assert len(list(inj.due(5))) == 2
+        assert len(list(inj.events_at(5))) == 2
 
 
 class TestRandomInjector:
@@ -210,5 +210,5 @@ class TestRandomInjector:
 class TestNullInjector:
     def test_never_due(self):
         inj = NullFaultSchedule()
-        assert list(inj.due(0)) == []
-        assert list(inj.due(10**9)) == []
+        assert list(inj.events_at(0)) == []
+        assert list(inj.events_at(10**9)) == []

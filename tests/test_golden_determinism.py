@@ -20,6 +20,7 @@ steppers in lockstep (and re-derive the goldens in test_determinism.py).
 
 import dataclasses
 
+from conftest import NoLookahead
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.faults.injector import RandomFaultSchedule
@@ -31,8 +32,13 @@ from repro.traffic.generator import COHERENCE_MIX, SyntheticTraffic
 
 
 #: the three loop flavours under test: the event-driven engine (skip-ahead
-#: on), the per-cycle active-set stepper, and the full-scan reference
+#: on), the per-cycle active-set stepper (traffic lookahead hidden, so
+#: ``run()`` cannot skip), and the full-scan reference
 ENGINES = ("event", "stepper", "reference")
+
+
+def _traffic(engine: str, traffic):
+    return NoLookahead(traffic) if engine == "stepper" else traffic
 
 
 def _run_once(
@@ -68,7 +74,12 @@ def _run_once(
             seed=9,
             watchdog_cycles=4000,
         ),
-        SyntheticTraffic(net, injection_rate=0.08, mix=COHERENCE_MIX, rng=9),
+        _traffic(
+            engine,
+            SyntheticTraffic(
+                net, injection_rate=0.08, mix=COHERENCE_MIX, rng=9
+            ),
+        ),
         router_factory=(
             protected_router_factory(net)
             if protected
@@ -77,7 +88,6 @@ def _run_once(
         fault_schedule=fault_schedule,
         observability=obs,
         use_reference_stepper=(engine == "reference"),
-        event_driven=(engine == "event"),
     )
     result = sim.run()
     return sim, result
@@ -144,11 +154,12 @@ class TestGoldenDeterminism:
                     seed=4,
                     watchdog_cycles=4000,
                 ),
-                SyntheticTraffic(net, injection_rate=0.08, rng=4),
+                _traffic(
+                    engine, SyntheticTraffic(net, injection_rate=0.08, rng=4)
+                ),
                 router_factory=baseline_router_factory(net),
                 routing_kind="west_first",
                 use_reference_stepper=(engine == "reference"),
-                event_driven=(engine == "event"),
             )
             return sim.run()
 

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.experiments import detection_latency, fault_sweep
+from repro.experiments.detection_latency import DetectionLatencyConfig
+from repro.experiments.fault_sweep import FaultSweepConfig
 from repro.experiments.latency import QUICK_CONFIG
 
 
 class TestDetectionLatency:
     def test_accounting_closes(self):
-        res = detection_latency.run(measure_cycles=1200, num_faults=16, seed=2)
+        res = detection_latency.run(
+            DetectionLatencyConfig(measure_cycles=1200, num_faults=16), seed=2
+        )
         injected = res.row("faults injected").measured
         latent_spares = res.row("latent-spare injections (unobservable)").measured
         detected = res.row("observable faults detected").measured
@@ -16,17 +20,25 @@ class TestDetectionLatency:
         assert injected == latent_spares + detected + still_latent
 
     def test_detection_latencies_positive(self):
-        res = detection_latency.run(measure_cycles=1200, num_faults=16, seed=2)
+        res = detection_latency.run(
+            DetectionLatencyConfig(measure_cycles=1200, num_faults=16), seed=2
+        )
         assert res.row("every observed detection after injection").measured is True
         if res.extras["events"]:
             assert res.row("mean detection latency").measured > 0
 
     def test_higher_load_detects_faster(self):
         slow = detection_latency.run(
-            measure_cycles=2500, num_faults=16, injection_rate=0.02, seed=3
+            DetectionLatencyConfig(
+                measure_cycles=2500, num_faults=16, injection_rate=0.02
+            ),
+            seed=3,
         )
         fast = detection_latency.run(
-            measure_cycles=2500, num_faults=16, injection_rate=0.15, seed=3
+            DetectionLatencyConfig(
+                measure_cycles=2500, num_faults=16, injection_rate=0.15
+            ),
+            seed=3,
         )
         # more traffic exercises faulty components sooner (or detects at
         # least as many)
@@ -38,19 +50,27 @@ class TestDetectionLatency:
 
 class TestFaultSweep:
     def test_shape(self):
-        res = fault_sweep.run(fault_counts=(0, 8, 24), app="lu",
-                              cfg=QUICK_CONFIG)
+        res = fault_sweep.run(
+            FaultSweepConfig(
+                fault_counts=(0, 8, 24), app="lu", latency=QUICK_CONFIG
+            )
+        )
         assert res.row("zero faults costs nothing").measured is True
         assert res.row("overhead non-decreasing in fault count").measured is True
         assert "chart" in res.extras
 
     def test_zero_prepended(self):
-        res = fault_sweep.run(fault_counts=(8,), app="lu", cfg=QUICK_CONFIG)
+        res = fault_sweep.run(
+            FaultSweepConfig(fault_counts=(8,), app="lu", latency=QUICK_CONFIG)
+        )
         rows = res.extras["rows"]
         assert rows[0][0] == 0 and rows[1][0] == 8
 
     def test_latencies_positive(self):
-        res = fault_sweep.run(fault_counts=(0, 16), app="fft",
-                              cfg=QUICK_CONFIG)
+        res = fault_sweep.run(
+            FaultSweepConfig(
+                fault_counts=(0, 16), app="fft", latency=QUICK_CONFIG
+            )
+        )
         for n, lat in res.extras["rows"]:
             assert lat > 0

@@ -264,9 +264,11 @@ class TestShardingDeterminism:
         from repro.experiments import fault_sweep
 
         observability.configure(metrics=True)
-        cfg = _small_cfg()
-        serial = fault_sweep.run(fault_counts=(0, 8), cfg=cfg, jobs=1)
-        parallel = fault_sweep.run(fault_counts=(0, 8), cfg=cfg, jobs=4)
+        cfg = fault_sweep.FaultSweepConfig(
+            fault_counts=(0, 8), latency=_small_cfg()
+        )
+        serial = fault_sweep.run(cfg, jobs=1)
+        parallel = fault_sweep.run(cfg, jobs=4)
         m1 = serial.extras["sweep"].observability["metrics"]
         m4 = parallel.extras["sweep"].observability["metrics"]
         assert m1["counters"], "sweep collected no metrics"

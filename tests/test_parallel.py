@@ -137,12 +137,15 @@ class TestSimulationSweepDeterminism:
         from repro.experiments import fault_sweep
         from repro.experiments.latency import LatencyConfig
 
-        cfg = LatencyConfig(
-            width=4, height=4, warmup_cycles=200, measure_cycles=600,
-            drain_cycles=2000, num_faults=8,
+        cfg = fault_sweep.FaultSweepConfig(
+            fault_counts=(0, 8),
+            latency=LatencyConfig(
+                width=4, height=4, warmup_cycles=200, measure_cycles=600,
+                drain_cycles=2000, num_faults=8,
+            ),
         )
-        serial = fault_sweep.run(fault_counts=(0, 8), cfg=cfg)
-        parallel = fault_sweep.run(fault_counts=(0, 8), cfg=cfg, jobs=2)
+        serial = fault_sweep.run(cfg)
+        parallel = fault_sweep.run(cfg, jobs=2)
         assert serial.extras["rows"] == parallel.extras["rows"]
 
 

@@ -83,28 +83,17 @@ class TestFacade:
 
         listed = dir(repro)
         for symbol in ("NoCSimulator", "run_sweep", "sweep_runtime",
-                       "CheckpointStore", "replace"):
+                       "CheckpointStore"):
             assert symbol in listed
-
-    def test_deprecated_replace_warns_but_works(self):
-        import dataclasses
-        import importlib
-
-        import repro
-        from repro.config import RouterConfig, replace as config_replace
-
-        repro = importlib.reload(repro)  # drop any cached attribute
-        with pytest.warns(DeprecationWarning, match="repro.config.replace"):
-            fn = repro.replace
-        assert fn is config_replace
-        cfg = RouterConfig()
-        assert dataclasses.asdict(fn(cfg, num_vcs=8))["num_vcs"] == 8
 
     def test_unknown_attribute_raises(self):
         import repro
 
         with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
             repro.nonsense
+        # the 1.x deprecated alias went with 2.0 (use repro.config.replace)
+        with pytest.raises(AttributeError, match="no attribute 'replace'"):
+            repro.replace
 
     def test_unified_run_signature_everywhere(self):
         """Every experiment module exposes the unified entry point."""
@@ -147,14 +136,13 @@ class TestFacade:
         for method in ("events_at", "next_cycle", "fingerprint"):
             assert hasattr(FaultSchedule, method)
 
-    def test_legacy_keywords_warn_and_unknown_raise(self):
+    def test_legacy_keywords_are_gone(self):
+        """2.0: per-module keywords raise like any misspelled keyword."""
         from repro.experiments import spf_sweep
 
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            res = spf_sweep.run(vc_counts=(2, 4))
-        assert res.experiment == "spf_sweep"
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            spf_sweep.run(vc_count=(2, 4))
+        for legacy in ({"vc_counts": (2, 4)}, {"vc_count": (2, 4)}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                spf_sweep.run(**legacy)
 
 
 def test_public_entry_points_documented():

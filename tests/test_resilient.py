@@ -65,6 +65,11 @@ def _hang(x):
     time.sleep(3600)
 
 
+def _nap(x):
+    time.sleep(0.2)
+    return x
+
+
 def _tasks(fn, n, **kwargs):
     return [
         SweepTask(index=i, fn=fn, args=(i,), kwargs=kwargs, label=f"p{i}")
@@ -119,6 +124,18 @@ class TestRetryAndContainment:
         assert [f.index for f in report.failed] == [2]
         assert "boom on 2" in report.failed[0].error
         assert report.skipped == ()
+
+    def test_supervisor_sleeps_while_every_worker_is_busy(self):
+        """More queued tasks than workers must not busy-spin the parent:
+        already-due queue entries are no reason to poll at timeout 0."""
+        with sweep_runtime(retry=RetryPolicy(max_attempts=1)):
+            cpu0, wall0 = time.process_time(), time.perf_counter()
+            values, _ = run_sweep(_tasks(_nap, 4), jobs=1)
+            cpu = time.process_time() - cpu0
+            wall = time.perf_counter() - wall0
+        assert values == [0, 1, 2, 3]
+        assert wall >= 0.8
+        assert cpu < 0.2 * wall, f"parent burned {cpu:.2f}s CPU in {wall:.2f}s"
 
     def test_hung_point_hits_watchdog(self):
         tasks = _tasks(_square, 3)
@@ -272,37 +289,55 @@ class TestKillMidSweepGolden:
         assert 1 <= resumed["resumed"] <= 10
 
 
-def _fault_sweep_quick(out_dir=None, resume=None, engine="event"):
-    from repro.experiments import fault_sweep
-    from repro.experiments.latency import QUICK_CONFIG
+def _point_sweep_quick(out_dir=None, resume=None):
+    """Two fault_sweep-style points run one task each, so the store
+    holds one checkpoint record per point (lane sweeps checkpoint per
+    *chunk* — see TestLaneChunkResume in tests/test_batched_engine.py)."""
+    from repro.experiments.latency import (
+        QUICK_CONFIG,
+        suite_schedule,
+        suite_traffic,
+    )
+    from repro.experiments.parallel import LanePoint, map_sweep, run_point
 
     cfg = QUICK_CONFIG
-    # engine="event" checkpoints one record per point; the default
-    # batched engine checkpoints per lane *chunk* (see
-    # TestLaneChunkResume in tests/test_batched_engine.py)
-    config = fault_sweep.FaultSweepConfig(
-        fault_counts=(0, 8), latency=cfg, app="lu", engine=engine
-    )
-    return fault_sweep.run(config, out_dir=out_dir, resume=resume)
+    net = cfg.network()
+    points = [
+        LanePoint(
+            config=net,
+            sim_config=cfg.simulation(),
+            make_traffic=suite_traffic,
+            traffic_args=(net, "lu", cfg.seed, cfg.rate_scale),
+            make_schedule=suite_schedule if n else None,
+            schedule_args=(net, cfg.warmup_cycles, n, cfg.seed) if n else (),
+            router_kind="protected",
+            label=f"lu@{n}faults",
+        )
+        for n in (0, 8)
+    ]
+    with sweep_runtime(out_dir=out_dir, resume=resume):
+        return map_sweep(run_point, [(p,) for p in points])
 
 
 class TestSimulationResumeGolden:
     """Resume splices simulation results bit-identically into a real
-    experiment (checkpoint truncated in-process instead of SIGKILL —
-    cheaper than a subprocess, same reload path)."""
+    sweep (checkpoint truncated in-process instead of SIGKILL — cheaper
+    than a subprocess, same reload path)."""
 
     def test_truncated_checkpoint_resume_matches(self, tmp_path):
-        full = _fault_sweep_quick(out_dir=tmp_path / "run")
+        full, _ = _point_sweep_quick(out_dir=tmp_path / "run")
         # drop the last checkpointed point: simulates dying mid-sweep
         jsonl = tmp_path / "run" / "sweep-000.jsonl"
         lines = jsonl.read_text().splitlines()
         assert len(lines) == 2  # one point per fault count (0, 8)
         jsonl.write_text(lines[0] + "\n")
 
-        resumed = _fault_sweep_quick(resume=tmp_path / "run")
-        assert resumed.rows == full.rows
-        assert resumed.extras["rows"] == full.extras["rows"]
-        assert resumed.extras["sweep"].resumed == 1
+        resumed, report = _point_sweep_quick(resume=tmp_path / "run")
+        assert [r.cycles for r in resumed] == [r.cycles for r in full]
+        assert [r.stats.summary() for r in resumed] == [
+            r.stats.summary() for r in full
+        ]
+        assert report.resumed == 1
 
 
 class TestCLI:

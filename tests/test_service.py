@@ -414,6 +414,14 @@ class TestServer:
                         "fault_sweep", {"no_such_field": 1}
                     )
                 assert err.value.status == 400
+                # 2.0: the engine selector is gone, so a request that
+                # still carries it is an unknown field like any other
+                with pytest.raises(ServiceError) as err:
+                    await client.sweep(
+                        "fault_sweep",
+                        {"fault_counts": [0, 2], "engine": "event"},
+                    )
+                assert err.value.status == 400
                 assert await client.result("ab" + "0" * 62) is None
                 catalog = await client.experiments()
                 assert "fault_sweep" in catalog
