@@ -183,7 +183,12 @@ def test_concurrent_identical_requests_compute_once(service, benchmark):
 
 
 def test_streaming_delivers_points(service, benchmark):
-    """A streamed request reports each sweep point before the result."""
+    """A streamed request reports every sweep point before the result.
+
+    One ``point`` event per completed *task*: a batched lane chunk covers
+    several points and says how many in its ``points`` field, so the
+    events are summed, not counted.
+    """
     from repro.service import ServiceClient
 
     client = ServiceClient("127.0.0.1", service)
@@ -201,6 +206,7 @@ def test_streaming_delivers_points(service, benchmark):
         lambda: asyncio.run(streamed()), rounds=1, iterations=1,
         warmup_rounds=0,
     )
-    assert reply["points_streamed"] == len(points) == 4
+    streamed_points = sum(e.get("points", 1) for e in points)
+    assert reply["points_streamed"] == streamed_points == 4
     assert reply["result"]["rows"]
-    _write_json({"service_streamed_points": len(points)})
+    _write_json({"service_streamed_points": streamed_points})

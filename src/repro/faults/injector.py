@@ -33,7 +33,7 @@ from .schedule import (
     site_from_tuple,
     site_token,
 )
-from .sites import FaultSite, enumerate_sites
+from .sites import FaultSite, network_sites
 
 
 class ExplicitFaultSchedule:
@@ -124,14 +124,7 @@ class RandomFaultSchedule(ExplicitFaultSchedule):
         if num_faults < 0:
             raise ValueError("num_faults must be >= 0")
         rng = np.random.default_rng(rng)
-        pool: list[FaultSite] = []
-        for router in range(num_routers):
-            pool.extend(
-                enumerate_sites(
-                    config, router=router, protected=protected,
-                    include_va2=include_va2,
-                )
-            )
+        pool = network_sites(config, num_routers, protected, include_va2)
         if num_faults > len(pool):
             raise ValueError(
                 f"cannot inject {num_faults} distinct faults into "
@@ -155,7 +148,7 @@ class RandomFaultSchedule(ExplicitFaultSchedule):
     def _pick_tolerable(
         config: RouterConfig,
         num_routers: int,
-        pool: list[FaultSite],
+        pool: Sequence[FaultSite],
         order: np.ndarray,
         num_faults: int,
     ) -> list[FaultSite]:

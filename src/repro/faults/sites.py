@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from ..config import RouterConfig
@@ -139,6 +140,24 @@ def enumerate_sites(
         yield FaultSite(router, FaultUnit.XB_MUX, p)
         if protected:
             yield FaultSite(router, FaultUnit.XB_SECONDARY, p)
+
+
+@lru_cache(maxsize=8)
+def network_sites(
+    config: RouterConfig, num_routers: int, protected: bool, include_va2: bool
+) -> tuple[FaultSite, ...]:
+    """Every fault site of a ``num_routers``-router fabric, router-major.
+
+    The pool the random schedules draw from.  Sites and configs are frozen,
+    so the tuple is built once per geometry and shared: a sweep draws one
+    schedule per point over the same few thousand sites.  (No defaults:
+    ``lru_cache`` keys on the arguments as passed.)
+    """
+    return tuple(
+        site
+        for router in range(num_routers)
+        for site in enumerate_sites(config, router, protected, include_va2)
+    )
 
 
 class RouterFaultState:

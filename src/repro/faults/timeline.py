@@ -37,7 +37,7 @@ from .schedule import (
     schedule_digest,
     site_token,
 )
-from .sites import FaultSite, enumerate_sites
+from .sites import FaultSite, network_sites
 
 #: cycles per simulated hour at the canonical 1 GHz clock
 CYCLES_PER_HOUR_1GHZ = 3.6e12
@@ -238,11 +238,7 @@ def random_timeline(
     if not 0 <= transient_fraction <= 1:
         raise ValueError("transient_fraction must be a probability")
     gen = np.random.default_rng(rng)
-    pool: list[FaultSite] = []
-    for router in range(num_routers):
-        pool.extend(
-            enumerate_sites(config, router=router, protected=protected)
-        )
+    pool = network_sites(config, num_routers, protected, True)
     if events > len(pool):
         raise ValueError(
             f"cannot place {events} distinct events over {len(pool)} sites"

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..config import RouterConfig
 from .schedule import TransientSpec, _require_geometry, register_schedule
-from .sites import FaultSite, enumerate_sites
+from .sites import FaultSite, network_sites
 from .timeline import FaultTimeline, TimelineEvent
 
 
@@ -84,9 +84,7 @@ def random_transients(
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     rng = np.random.default_rng(rng)
-    pool: list[FaultSite] = []
-    for r in range(num_routers):
-        pool.extend(enumerate_sites(config, router=r, protected=protected))
+    pool = network_sites(config, num_routers, protected, True)
     hits = rng.random(cycles) < rate_per_cycle
     out: list[TransientFault] = []
     for cycle in np.flatnonzero(hits):

@@ -578,6 +578,11 @@ class NoCSimulator:
         # trace) order then matches the reference full scan exactly.  The
         # four phase loops stay separate — phases of different routers are
         # independent within a cycle, but trace emission order is not.
+        # RC / VA / SA run on a router only while it holds a VC in that
+        # stage (``BaseRouter._in_rc/_in_va/_in_sa``): a skipped call would
+        # have scanned P*V VCs and found nothing — no statistic, arbiter or
+        # trace side effect — so results stay bit-identical to
+        # ``_step_reference``, which runs every phase.
         active = [routers[n] for n in sorted(self._active_routers)]
         for r in active:
             if r._xb_queue:
@@ -587,19 +592,22 @@ class NoCSimulator:
             prof.record("xb", now - t)
             t = now
         for r in active:
-            r.sa_phase(cycle)
+            if r._in_sa:
+                r.sa_phase(cycle)
         if prof is not None:
             now = perf_counter()
             prof.record("sa", now - t)
             t = now
         for r in active:
-            r.va_phase(cycle)
+            if r._in_va:
+                r.va_phase(cycle)
         if prof is not None:
             now = perf_counter()
             prof.record("va", now - t)
             t = now
         for r in active:
-            r.rc_phase(cycle)
+            if r._in_rc:
+                r.rc_phase(cycle)
         # Prune before dispatch: anything dispatch wakes (flit deliveries)
         # re-enters through the on_wake hook.
         discard = self._active_routers.discard

@@ -87,25 +87,10 @@ def functional_failure(
     return False
 
 
-def _reset_dynamic_state(router: ProtectedRouter) -> None:
-    """Clear buffers/pipeline state, keep the fault state."""
-    cfg = router.config
-    for ip in router.in_ports:
-        for vc in ip.slots:
-            vc.buffer.clear()
-            vc._finish_packet()
-        ip.nonidle = 0
-    for op in router.out_ports:
-        op.credits = [cfg.buffer_depth] * cfg.num_vcs
-        op.allocated = [None] * cfg.num_vcs
-    router._xb_queue.clear()
-    router._nonidle = 0
-
-
 def _flow_delivers(
     router: ProtectedRouter, in_port: int, dest: int, max_cycles: int
 ) -> bool:
-    _reset_dynamic_state(router)
+    router.clear_dynamic_state()
     sched = _CollectingScheduler()
     src = 3 if dest != 3 else 5  # any node != dest for packet validity
     pkt = Packet(src=src, dest=dest, size_flits=1)

@@ -177,6 +177,8 @@ class VAUnit:
                     continue
                 vc.out_vc = dvc
                 vc.state = VCState.ACTIVE
+                router._in_va -= 1
+                router._in_sa += 1
                 vc.va_excluded = None
                 out_ports[r].allocated[dvc] = vc.packet_id
                 stats.va_grants += 1
@@ -258,7 +260,6 @@ class SAUnit:
         for p, in_port in enumerate(router.in_ports):
             if in_port.nonidle == 0:
                 continue
-            plans: dict[int, PathPlan] = {}
             candidates = []
             for s, vc in enumerate(in_port.slots):
                 if vc.state is not active or not vc.buffer:
@@ -266,16 +267,15 @@ class SAUnit:
                 r = vc.route
                 if out_ports[r].credits[vc.out_vc] <= 0:
                     continue
-                plan = plan_path(r)
-                if plan is not None:
+                if plan_path(r) is not None:
                     candidates.append(s)
-                    plans[s] = plan
             if not candidates:
                 continue
             winner = self._stage1_winner(p, candidates, cycle)
             if winner is None:
                 continue
-            stage1_winners.append((p, in_port.slots[winner], plans[winner]))
+            vc = in_port.slots[winner]
+            stage1_winners.append((p, vc, plan_path(vc.route)))
 
         # ---- stage 2: resolve per physical arbiter/mux ----
         by_arb: dict[int, list[tuple[int, VirtualChannel, PathPlan]]] = {}

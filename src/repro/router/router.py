@@ -172,6 +172,14 @@ class BaseRouter:
         self._xb_queue: list[SAGrant] = []
         #: count of non-idle VCs, used by the simulator to skip idle routers
         self._nonidle = 0
+        #: stage occupancy: VCs in ``ROUTING`` / ``WAITING_VA`` / ``ACTIVE``.
+        #: The router owns them and moves them at the four stage
+        #: transitions (``receive_flit`` on an idle VC, RC success, the VA
+        #: grant, the tail dequeue in ``xb_phase``); the fast stepper runs
+        #: RC / VA / SA on this router only while the stage holds a VC.
+        self._in_rc = 0
+        self._in_va = 0
+        self._in_sa = 0
         #: idle→busy transition callback; the simulator installs its
         #: active-router-set ``add`` so a router re-enters the schedule the
         #: moment a flit arrives.  ``None`` for standalone routers (tests).
@@ -255,19 +263,31 @@ class BaseRouter:
         self.faults.clear()
         self._apply_fault_flags()
         self.crossbar.reset()
+        self.clear_dynamic_state()
+        for ip in self.in_ports:
+            ip.undo_swaps()
+        self.va_unit.reset()
+        self.sa_unit.reset()
+        self.stats.reset()
+        self.recovery = None
+
+    def clear_dynamic_state(self) -> None:
+        """Drop everything in flight: buffers, credits, allocation, XB queue.
+
+        The one owner of the occupancy counters' zeroing.  Faults, slot
+        swaps, arbiter priorities and statistics are kept, so a probe
+        campaign (``reliability/spf_simulation``) can test flow after flow
+        on one faulted router.
+        """
         depth = self.config.buffer_depth
         for ip in self.in_ports:
-            ip.reset()
+            ip.clear()
         for op in self.out_ports:
             for d in range(op.num_vcs):
                 op.credits[d] = depth
                 op.allocated[d] = None
-        self.va_unit.reset()
-        self.sa_unit.reset()
-        self.stats.reset()
         self._xb_queue.clear()
-        self._nonidle = 0
-        self.recovery = None
+        self._nonidle = self._in_rc = self._in_va = self._in_sa = 0
 
     # ----------------------------------------------------------------------
     # busy tracking
@@ -327,10 +347,15 @@ class BaseRouter:
                     flit=flit.flit_index,
                     secondary=plan.secondary,
                 )
-            if vc.state is idle:
-                self._nonidle -= 1
-                in_ports[grant.in_port].nonidle -= 1
             if flit.is_tail:
+                # the packet left SA; the VC idles or, with the next
+                # packet's head already buffered, re-enters RC
+                self._in_sa -= 1
+                if vc.state is idle:
+                    self._nonidle -= 1
+                    in_ports[grant.in_port].nonidle -= 1
+                else:
+                    self._in_rc += 1
                 # reallocation-on-tail: free the downstream VC for new VA
                 out_ports[dest].allocated[out_vc] = None
             sched.deliver_flit(node, dest, out_vc, flit)
@@ -381,6 +406,8 @@ class BaseRouter:
                 vc.sp = plan.arb_port if plan.secondary else None
                 vc.fsp = plan.secondary
                 vc.state = VCState.WAITING_VA
+                self._in_rc -= 1
+                self._in_va += 1
                 if tracer is not None:
                     tracer.emit(
                         cycle,
@@ -403,6 +430,7 @@ class BaseRouter:
         self.stats.buffer_writes += 1
         if was_idle:
             in_port.nonidle += 1
+            self._in_rc += 1
             self._nonidle += 1
             if self._nonidle == 1 and self.on_wake is not None:
                 self.on_wake(self.node)
@@ -443,6 +471,18 @@ class BaseRouter:
         assert nonidle == self._nonidle, (
             f"router {self.node}: busy count {self._nonidle} != actual {nonidle}"
         )
+        for state, counted in (
+            (VCState.ROUTING, self._in_rc),
+            (VCState.WAITING_VA, self._in_va),
+            (VCState.ACTIVE, self._in_sa),
+        ):
+            actual = sum(
+                1 for ip in self.in_ports for vc in ip.slots if vc.state == state
+            )
+            assert counted == actual, (
+                f"router {self.node}: {state.name} counter {counted} "
+                f"!= actual {actual}"
+            )
         for op in self.out_ports:
             for d in range(cfg.num_vcs):
                 assert 0 <= op.credits[d] <= cfg.buffer_depth

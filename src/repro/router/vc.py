@@ -216,28 +216,6 @@ class VirtualChannel:
         self.vf = False
         self.borrower_id = None
 
-    def snapshot_state(self) -> dict:
-        """State-field snapshot used by the SA-stage-1 VC transfer
-        (Section V-C1 transfers "state fields of VC1 ... into the state
-        fields of VC2")."""
-        return {
-            "state": self.state,
-            "route": self.route,
-            "out_vc": self.out_vc,
-            "packet_id": self.packet_id,
-            "sp": self.sp,
-            "fsp": self.fsp,
-        }
-
-    def adopt_state(self, snap: dict) -> None:
-        """Install a state snapshot taken from another VC of the same port."""
-        self.state = snap["state"]
-        self.route = snap["route"]
-        self.out_vc = snap["out_vc"]
-        self.packet_id = snap["packet_id"]
-        self.sp = snap["sp"]
-        self.fsp = snap["fsp"]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"VC(p{self.port},v{self.index}, {self.state.name}, "

@@ -127,6 +127,58 @@ class TestFingerprints:
         assert a.fingerprint() != b.fingerprint()
 
 
+class TestSharedSitePool:
+    """The random schedules draw from one cached, immutable site pool per
+    geometry (:func:`repro.faults.sites.network_sites`); sharing it must
+    change neither the RNG stream nor any drawn schedule."""
+
+    NET = NetworkConfig(
+        width=8, height=8, router=RouterConfig(num_vcs=4, num_vnets=2)
+    )
+
+    def test_fingerprints_unchanged_by_pool_sharing(self):
+        """Digests recorded on the commit that still rebuilt the pool for
+        every schedule (``enumerate_sites`` per router, per schedule)."""
+        from repro.faults.injector import RandomFaultSchedule
+        from repro.faults.timeline import random_timeline
+        from repro.faults.transient import random_transients
+
+        cfg, n = self.NET.router, self.NET.num_nodes
+        assert RandomFaultSchedule(
+            cfg, n, 40.0, 32, rng=11, avoid_failure=True
+        ).fingerprint() == "scheduled:4aa8811232334a11"
+        assert RandomFaultSchedule(
+            cfg, n, 40.0, 12, rng=11, protected=False, include_va2=False
+        ).fingerprint() == "scheduled:56c77ce5bcfdd04b"
+        assert random_timeline(
+            cfg, n, events=8, mean_interval=100.0, rng=5
+        ).fingerprint() == "timeline:e0ce67aa9a22e7ce"
+        assert TransientFaultSchedule(
+            random_transients(cfg, n, 0.05, 400, duration=3, rng=5)
+        ).fingerprint() == "transient:c394a4d011aaabd5"
+
+    def test_pool_built_once_for_a_sweep_of_schedules(self):
+        from repro.faults.injector import spawn_lane_injectors
+        from repro.faults.sites import enumerate_sites, network_sites
+
+        network_sites.cache_clear()
+        cfg, n = self.NET.router, self.NET.num_nodes
+        lanes = spawn_lane_injectors(
+            cfg, n, lanes=32, mean_interval=40.0, num_faults=8, rng=3,
+            avoid_failure=True,
+        )
+        assert network_sites.cache_info().misses == 1
+        pool = network_sites(cfg, n, True, True)
+        assert list(pool) == [
+            site for r in range(n) for site in enumerate_sites(cfg, router=r)
+        ]
+        by_identity = {id(site) for site in pool}
+        assert all(
+            id(site) in by_identity for lane in lanes for _, site in lane.planned
+        )
+        assert len({lane.fingerprint() for lane in lanes}) == 32
+
+
 class TestJSONSideDoor:
     def test_schedule_spec_coerces_lists(self):
         spec = schedule_spec(

@@ -115,25 +115,6 @@ class TestFTFields:
         vc.enqueue(flits_of(n=1, dest=2)[0])
         assert vc.sp is None and vc.fsp is False
 
-    def test_state_snapshot_roundtrip(self):
-        vc = VirtualChannel(0, 1, 4)
-        for f in flits_of(n=2):
-            vc.enqueue(f)
-        vc.state = VCState.ACTIVE
-        vc.route = 3
-        vc.out_vc = 2
-        vc.sp = 1
-        vc.fsp = True
-        snap = vc.snapshot_state()
-        other = VirtualChannel(0, 2, 4)
-        other.adopt_state(snap)
-        assert other.state == VCState.ACTIVE
-        assert other.route == 3
-        assert other.out_vc == 2
-        assert other.sp == 1
-        assert other.fsp is True
-        assert other.packet_id == vc.packet_id
-
     def test_va_excluded_cleared_between_packets(self):
         vc = VirtualChannel(0, 0, 4)
         vc.enqueue(flits_of(n=1)[0])
