@@ -11,9 +11,10 @@ fault schedules) run once each through
 * the **batched engine** — all 64 lanes stepped together as flat
   ``(lanes, routers, ports, vcs)`` state arrays.
 
-The acceptance floor is a >= 2.5x aggregate points-per-second speedup
-(3x until stage-occupancy gating made the per-point object engine — the
-denominator — about a fifth faster; see the assert message).
+The acceptance floor is a >= 3x aggregate points-per-second speedup
+(2.5x for one PR, after stage-occupancy gating made the per-point object
+engine — the denominator — about a fifth faster; back at 3x now that
+the lanes' NIC boundary is arrays; see the assert message).
 As everywhere else in this suite, the speedup must come from batching,
 not divergence: every lane's result is asserted bit-identical between
 the two engines (cycle counts, drain status, full latency/throughput
@@ -151,14 +152,15 @@ def test_batched_engine_speedup(benchmark):
         }
     )
     # acceptance floor: batching must carry its weight at fleet size
-    assert speedup >= 2.5, (
-        f"batched speedup {speedup:.2f}x < 2.5x.  The floor was 3x while the "
-        "per-point object engine ran every pipeline phase on every busy "
-        "router; stage-occupancy gating (ISSUE 13) cut its 64 runs from "
-        "~25.1 s to ~20.8 s here (medians of 5 alternating runs), so the "
-        "same lanes now read 3.0-3.7x (median 3.5x; parent 3.3-4.0x, median "
-        "3.7x).  2.5x is what a second, 1.3k-line engine must still beat to "
-        "be worth keeping next to the object engine."
+    assert speedup >= 3.0, (
+        f"batched speedup {speedup:.2f}x < 3x.  Stage-occupancy gating "
+        "(ISSUE 13) made the object engine a fifth faster and the floor "
+        "went to 2.5x (lanes read 3.0-3.7x); packet tables at the lane "
+        "boundary (ISSUE 14) took 45 % off the lanes' NIC/traffic/ejection "
+        "share and five runs here read 4.6-5.2x (median 4.9x), although "
+        "the object engine draws its traffic faster too.  3x is what a "
+        "second, 1.2k-line engine must beat to be worth keeping next to "
+        "the object engine."
     )
 
 
@@ -274,6 +276,9 @@ def test_fig7_suite_lane_speedup(benchmark):
         "the ungated object engine; with stage-occupancy gating (ISSUE 13) "
         "five runs of this suite read 1.49-2.03x (median 1.62x; parent "
         "1.31-1.67x, median 1.67x, single-shot spread included), so 1.5x sat "
-        "inside the noise.  Below 1.25x the lane path no longer pays for "
+        "inside the noise.  Packet tables (ISSUE 14) sped both sides of "
+        "this ratio up (the object engine reads the same drawn-ahead "
+        "traffic): five runs read 1.38-1.79x, median 1.56x, so the floor "
+        "stays.  Below 1.25x the lane path no longer pays for "
         "its triage and fallback plumbing on the real fig7 suite."
     )

@@ -20,8 +20,9 @@ priority state, the same credit/event timing: a calendar ring of
 ``cycle % span`` exactly like :class:`EventScheduler`, so multi-cycle
 link and credit latencies land on the same cycle they would serially.
 Each lane's traffic source and fault schedule are the *same Python
-objects* a serial run would use, called once per cycle, so RNG streams
-and fault arrival order are identical by construction.  Finished lanes
+objects* a serial run would use — the source drawn ahead into a table
+with the per-cycle call sequence, the schedule polled once per cycle —
+so RNG streams and fault arrival order are identical by construction.  Finished lanes
 decode back into ordinary :class:`NetworkStats`/:class:`RouterStats`
 objects; ``tests/test_golden_determinism.py`` pins them byte-identical
 to the event engine per lane.
@@ -49,9 +50,21 @@ the event engine's active sets give a single fabric.  Within one cycle
 all same-stage arbiters are independent (each grant touches a distinct
 (router, arbiter) pair — see the allocator docstrings), so a masked
 segment-argmin implements the rotating-priority grant for every group
-at once.  The only scalar remnants are the boundary effects that are
-per-packet, not per-cycle: NIC injection state machines, tail-flit
-ejection into latency samples, and fault-site injection.
+at once.
+
+The NIC boundary is arrays too.  Traffic is open-loop, so when a lane is
+installed its source is compiled (:func:`repro.traffic.generator.compile_table`)
+into a *packet table* — columns for queue-entry and creation cycle, src,
+dest, vnet, size, then injection cycle, ejection cycle and hops — that a
+packet lives in from draw to ejection; its row index is the packet id
+the flit buffers carry.  Rows are stored sorted by ``(src, vnet)`` in
+yield order, so each NIC source queue is a cursor into a contiguous run
+(FIFO order is yield order, "queued" is ``entry cycle <= local cycle``);
+NIC credits, active injections and the vnet round-robin are ``(L, R, ...)``
+arrays stepped in one pass that loops only over the ``num_vnets``
+round-robin offsets; ejection writes table columns; and a lane's
+:class:`NetworkStats` is reduced from its table once, at retirement.
+The one scalar remnant is fault-site injection.
 
 Use :func:`supports` to check a configuration before constructing the
 engine; unsupported configurations (adaptive routing, tracing, per-flit
@@ -74,13 +87,14 @@ from ..faults.sites import FaultUnit
 from ..observability import maybe_create
 from ..router.router import RouterStats
 from ..router.routing import make_routing
+from ..traffic.generator import compile_table
 from .simulator import (
     FaultSchedule,
     RouterFactory,
     SimulationResult,
     TrafficSource,
 )
-from .stats import LatencySample, NetworkStats
+from .stats import NetworkStats
 from .topology import Topology
 
 # VC pipeline states (must match repro.router.vc.VCState integer values)
@@ -89,6 +103,9 @@ _IDLE, _ROUTING, _WAITING_VA, _ACTIVE = 0, 1, 2, 3
 # flit flag bits stored in the buffer arrays
 _F_HEAD = 1
 _F_TAIL = 2
+
+#: queue-entry cycle of an exhausted NIC source queue (never due)
+_NEVER = np.iinfo(np.int32).max
 
 #: RouterStats field -> column index in the per-lane counter matrix
 _RS_IDX: Dict[str, int] = {
@@ -245,66 +262,72 @@ class BatchedLaneEngine:
         routing = make_routing(config, routing_kind)
         self.rtab = np.array(routing.route_table(), dtype=np.int32)
 
+        #: (array, power-on value) of every per-lane state array: allocated
+        #: through ``state`` below, restored slot by slot in ``_install_lane``
+        self._power_on: List[Tuple[np.ndarray, object]] = []
+
+        def state(shape: tuple, value: object, dtype: type) -> np.ndarray:
+            arr = np.empty((L, *shape), dtype=dtype)
+            arr[...] = value
+            self._power_on.append((arr, value))
+            return arr
+
         # --- per-VC state, physical-slot indexed -----------------------
-        shape4 = (L, R, P, V)
-        self.st = np.zeros(shape4, dtype=np.int8)  # VCState
-        self.route = np.full(shape4, -1, dtype=np.int32)
-        self.outvc = np.full(shape4, -1, dtype=np.int32)
-        self.vpid = np.full(shape4, -1, dtype=np.int64)
-        self.excl = np.zeros(shape4, dtype=np.int64)  # va_excluded bitmask
+        shape4 = (R, P, V)
+        self.st = state(shape4, _IDLE, np.int8)  # VCState
+        self.route = state(shape4, -1, np.int32)
+        self.outvc = state(shape4, -1, np.int32)
+        self.vpid = state(shape4, -1, np.int64)
+        self.excl = state(shape4, 0, np.int64)  # va_excluded bitmask
         # wire-id indirection: ``pwire[..., s]`` is the wire id of the VC
         # object in physical slot s; ``wphys`` is the inverse permutation
-        self.pwire = np.broadcast_to(
-            np.arange(V, dtype=np.int32), shape4
-        ).copy()
-        self.wphys = self.pwire.copy()
+        self.pwire = state(shape4, np.arange(V), np.int32)
+        self.wphys = state(shape4, np.arange(V), np.int32)
 
         # flit buffers: ring per VC over per-flit integer fields
-        shape5 = (L, R, P, V, D)
-        self.b_pid = np.full(shape5, -1, dtype=np.int64)
-        self.b_dest = np.full(shape5, -1, dtype=np.int32)
-        self.b_hops = np.zeros(shape5, dtype=np.int32)
-        self.b_flags = np.zeros(shape5, dtype=np.int8)
-        self.b_head = np.zeros(shape4, dtype=np.int32)
-        self.b_cnt = np.zeros(shape4, dtype=np.int32)
+        shape5 = (R, P, V, D)
+        self.b_pid = state(shape5, -1, np.int64)
+        self.b_dest = state(shape5, -1, np.int32)
+        self.b_hops = state(shape5, 0, np.int32)
+        self.b_flags = state(shape5, 0, np.int8)
+        self.b_head = state(shape4, 0, np.int32)
+        self.b_cnt = state(shape4, 0, np.int32)
 
         # output side: credits and downstream-VC ownership
-        self.cred = np.full(shape4, D, dtype=np.int32)
-        self.alloc = np.full(shape4, -1, dtype=np.int64)
+        self.cred = state(shape4, D, np.int32)
+        self.alloc = state(shape4, -1, np.int64)
 
         # round-robin arbiter priority pointers
-        self.va1_prio = np.zeros((L, R, P, V, P), dtype=np.int32)
-        self.va2_prio = np.zeros(shape4, dtype=np.int32)
-        self.sa1_prio = np.zeros((L, R, P), dtype=np.int32)
-        self.sa2_prio = np.zeros((L, R, P), dtype=np.int32)
+        shape3 = (R, P)
+        self.va1_prio = state((R, P, V, P), 0, np.int32)
+        self.va2_prio = state(shape4, 0, np.int32)
+        self.sa1_prio = state(shape3, 0, np.int32)
+        self.sa2_prio = state(shape3, 0, np.int32)
 
         # fault masks, one per protectable unit kind
-        shape3 = (L, R, P)
-        self.f_rc1 = np.zeros(shape3, dtype=bool)
-        self.f_rc2 = np.zeros(shape3, dtype=bool)
-        self.f_va1 = np.zeros(shape4, dtype=bool)
-        self.f_va2 = np.zeros(shape4, dtype=bool)
-        self.f_sa1 = np.zeros(shape3, dtype=bool)
-        self.f_sa1b = np.zeros(shape3, dtype=bool)
-        self.f_sa2 = np.zeros(shape3, dtype=bool)
-        self.f_xbm = np.zeros(shape3, dtype=bool)
-        self.f_xbs = np.zeros(shape3, dtype=bool)
+        self.f_rc1 = state(shape3, False, bool)
+        self.f_rc2 = state(shape3, False, bool)
+        self.f_va1 = state(shape4, False, bool)
+        self.f_va2 = state(shape4, False, bool)
+        self.f_sa1 = state(shape3, False, bool)
+        self.f_sa1b = state(shape3, False, bool)
+        self.f_sa2 = state(shape3, False, bool)
+        self.f_xbm = state(shape3, False, bool)
+        self.f_xbs = state(shape3, False, bool)
         # fast-path flags: phases skip fault branches entirely until the
         # first fault of that kind lands anywhere in the fleet
         self._have_rc = self._have_va1 = self._have_va2 = False
         self._have_sa1 = self._have_excl = False
 
         # crossbar path plans per (lane, router, dest), fault-dependent
-        self.plan_ok = np.ones(shape3, dtype=bool)
-        self.plan_arb = np.broadcast_to(
-            np.arange(P, dtype=np.int32), shape3
-        ).copy()
-        self.plan_sec = np.zeros(shape3, dtype=bool)
+        self.plan_ok = state(shape3, True, bool)
+        self.plan_arb = state(shape3, np.arange(P), np.int32)
+        self.plan_sec = state(shape3, False, bool)
 
         # XB queue: at most one SA grant per input port per cycle
-        self.xq_valid = np.zeros(shape3, dtype=bool)
-        self.xq_slot = np.zeros(shape3, dtype=np.int32)
-        self.xq_dest = np.zeros(shape3, dtype=np.int32)
+        self.xq_valid = state(shape3, False, bool)
+        self.xq_slot = np.zeros((L, R, P), dtype=np.int32)
+        self.xq_dest = np.zeros((L, R, P), dtype=np.int32)
 
         # calendar events in flight, one ring per event kind indexed by
         # ``cycle % span``: flits/ejections are written ``link_latency``
@@ -325,35 +348,46 @@ class BatchedLaneEngine:
             self._ring_nic_credit, self._ring_out_credit,
         )
 
-        # --- scalar per-lane state -------------------------------------
-        self.net_stats = [
-            NetworkStats(keep_samples=keep_samples) for _ in range(L)
-        ]
-        self.rstats = np.zeros((L, len(_RS_IDX)), dtype=np.int64)
-        #: per-lane packet table: pid -> [src, dest, vnet, len, creation,
-        #: injection]; populated at enqueue, popped at tail ejection
-        self.pkt_info: List[Dict[int, list]] = [dict() for _ in range(L)]
-        self.nics = [
-            [_LaneNic(rc) for _ in range(R)] for _ in range(L)
-        ]
-        self.nic_active: List[set] = [set() for _ in range(L)]
-        self.fin = [0] * L  # flits in network, per lane
-        self.lane_queued = [0] * L  # queued/mid-injection packets, per lane
-        self.last_progress = [0] * L
+        # --- the NIC boundary: packet tables and array NIC state --------
+        # one table row per packet of a lane, sorted by (src, vnet) in
+        # yield order; the row index is the packet id in the flit
+        # buffers.  Columns grow together (see ``_install_lane``).
+        self._bind_tables(np.zeros((10, L, 0), dtype=np.int32))
+        self.t_n = np.zeros(L, dtype=np.int64)  # rows in use, per lane
+        # A NIC source queue is a cursor into its (node, vnet) run of the
+        # table: the head packet's row, the cycle it entered the queue
+        # (``_NEVER`` once the run is exhausted) and the index of its
+        # next flit.  A vnet injects one packet at a time and frees its
+        # wire VC on the tail, so the packet always gets the vnet's first
+        # VC and "mid-injection, VC owned" is just ``q_flit > 0``; credits
+        # are kept for that one VC per vnet.
+        shape_q = (R, self.NV)
+        self.q_row = np.zeros((L, *shape_q), dtype=np.intp)
+        self.q_due = state(shape_q, _NEVER, np.int32)
+        self.q_flit = state(shape_q, 0, np.int32)
+        self.nic_cred = state(shape_q, D, np.int32)
+        self.nic_rr = state((R,), 0, np.intp)  # vnet round-robin pointer
+        self._vnets = np.arange(self.NV)
+
+        # --- per-lane counters and clocks ------------------------------
+        self.rstats = state((len(_RS_IDX),), 0, np.int64)
+        self.fin = state((), 0, np.int64)  # flits in network
+        self.flits_ejected = state((), 0, np.int64)
+        #: packets of the lane's table whose tail has not entered the
+        #: fabric yet; past the inject window this is the NIC backlog
+        self.lane_left = np.zeros(L, dtype=np.int64)
+        self.last_progress = np.zeros(L, dtype=np.int64)
         self.faults_injected = [0] * L
-        self.blocked = [False] * L
-        self.drained = [False] * L
-        self.end_cycle = [0] * L
-        self._act = np.ones(L, dtype=bool)
+        self._act = np.zeros(L, dtype=bool)
 
         # --- lane refill / streaming point queue -----------------------
         # lanes run on local clocks: local cycle = global - off[lane];
         # a retiring lane's slot is refilled from ``pending`` and its
         # result decoded immediately, keyed by sweep point index
         self._pending: deque = deque(pending or ())
-        self.off = [0] * L
-        self.lane_point = list(range(L))
-        self._next_point = L
+        self.off = np.zeros(L, dtype=np.int64)
+        self.lane_point = [0] * L
+        self._next_point = 0
         self._results: List[Optional[SimulationResult]] = [None] * (
             L + len(self._pending)
         )
@@ -361,11 +395,7 @@ class BatchedLaneEngine:
         self.active_lane_cycles = 0
         self.total_lane_cycles = 0
 
-        # broadcast index helpers
-        self._lane_ids = np.arange(L)
-        self._any_schedules = any(
-            spec.fault_schedule is not None for spec in self.lanes
-        )
+        self._any_schedules = False
         self._fault_arrays = {
             FaultUnit.RC_PRIMARY: self.f_rc1,
             FaultUnit.RC_DUPLICATE: self.f_rc2,
@@ -388,7 +418,7 @@ class BatchedLaneEngine:
             sched = self.lanes[lane].fault_schedule
             if sched is None:
                 continue
-            for site in sched.events_at(cycle - self.off[lane]):
+            for site in sched.events_at(cycle - int(self.off[lane])):
                 if self._inject_site(lane, site):
                     self.faults_injected[lane] += 1
 
@@ -447,12 +477,12 @@ class BatchedLaneEngine:
     # ------------------------------------------------------------------
     # one vectorised cycle
     # ------------------------------------------------------------------
-    def _step(self, cycle: int) -> None:
+    def _step(self, cycle: int, local: np.ndarray) -> None:
         """One cycle for every active lane — mirrors ``NoCSimulator._step``.
 
-        Traffic injection gates itself per lane on the lane's *local*
-        inject window, so lanes installed mid-run warm up and drain on
-        their own clocks.
+        ``local`` is every lane's own clock (``cycle - off``): packets
+        enter the NIC queues and are stamped against it, so lanes
+        installed mid-run warm up and drain on their own clocks.
         """
         if self._any_schedules:
             self._inject_lane_faults(cycle)
@@ -460,9 +490,8 @@ class BatchedLaneEngine:
         self._sa_phase(cycle)
         self._va_phase()
         self._rc_phase()
-        self._dispatch(cycle)
-        self._generate_traffic(cycle)
-        self._nic_step(cycle)
+        self._dispatch(cycle, local)
+        self._nic_step(local)
 
     @staticmethod
     def _rr_pick(
@@ -858,226 +887,134 @@ class BatchedLaneEngine:
     # ------------------------------------------------------------------
     # event delivery and the NIC boundary
     # ------------------------------------------------------------------
-    def _dispatch(self, cycle: int) -> None:
+    def _live(self, ev: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
+        """An event's entries whose lane is still active."""
+        keep = self._act[ev[0]]
+        return ev if keep.all() else tuple(a[keep] for a in ev)
+
+    def _dispatch(self, cycle: int, local: np.ndarray) -> None:
         """Deliver this slot's events — mirrors ``EventScheduler.dispatch``."""
         s = cycle % self.span
         ev = self._ring_flit[s]
         self._ring_flit[s] = None
         if ev is not None:
-            keep = self._act[ev[0]]
-            if not keep.all():
-                ev = tuple(a[keep] for a in ev)
-            l, node, port, w, pid, dst, hops, flags = ev
+            l, node, port, w, pid, dst, hops, flags = self._live(ev)
             if l.size:
-                phys = self.wphys[l, node, port, w]
-                cnt = self.b_cnt[l, node, port, phys]
-                pos = (self.b_head[l, node, port, phys] + cnt) % self.D
-                self.b_pid[l, node, port, phys, pos] = pid
-                self.b_dest[l, node, port, phys, pos] = dst
-                self.b_hops[l, node, port, phys, pos] = hops
-                self.b_flags[l, node, port, phys, pos] = flags
-                self.b_cnt[l, node, port, phys] = cnt + 1
-                self.rstats[:, _I_BUFW] += np.bincount(l, minlength=self.L)
-                idle = self.st[l, node, port, phys] == _IDLE
-                if idle.any():
-                    il, ino = l[idle], node[idle]
-                    ipo, iph = port[idle], phys[idle]
-                    self.st[il, ino, ipo, iph] = _ROUTING
-                    self.route[il, ino, ipo, iph] = -1
-                    self.outvc[il, ino, ipo, iph] = -1
-                    self.excl[il, ino, ipo, iph] = 0
-                    self.vpid[il, ino, ipo, iph] = pid[idle]
-                for lane in np.unique(l):
-                    self.last_progress[lane] = cycle
+                self._buffer_write(l, node, port, w, pid, dst, hops, flags)
+                self.last_progress[l] = cycle
         ev = self._ring_eject[s]
         self._ring_eject[s] = None
-        oc_l: list = []
-        oc_n: list = []
-        oc_w: list = []
         if ev is not None:
-            act = self._act
-            stats = self.net_stats
-            fin = self.fin
-            lp = self.last_progress
-            pinfo = self.pkt_info
-            off = self.off
-            for lane, node, w, pid, flags, hops in zip(
-                ev[0].tolist(), ev[1].tolist(), ev[2].tolist(),
-                ev[3].tolist(), ev[4].tolist(), ev[5].tolist(),
-            ):
-                if not act[lane]:
-                    continue
-                ns = stats[lane]
-                ns.flits_ejected += 1
-                fin[lane] -= 1
-                lp[lane] = cycle
-                oc_l.append(lane)
-                oc_n.append(node)
-                oc_w.append(w)
-                if flags & _F_TAIL:
-                    info = pinfo[lane].pop(pid)
-                    ns.record_packet(LatencySample(
-                        packet_id=pid,
-                        src=info[0],
-                        dest=info[1],
-                        vnet=info[2],
-                        size_flits=info[3],
-                        creation_cycle=info[4],
-                        injection_cycle=info[5],
-                        ejection_cycle=cycle - off[lane],
-                        hops=hops,
-                    ))
-        if oc_l:
-            self._ring_out_credit[(cycle + self.cred_lat) % self.span] = (
-                np.asarray(oc_l), np.asarray(oc_n), np.asarray(oc_w),
-            )
+            l, node, w, pid, flags, hops = self._live(ev)
+            if l.size:
+                # the NIC sinks the flit at once: credit back, and a tail
+                # completes its packet's table row
+                count = np.bincount(l, minlength=self.L)
+                self.fin -= count
+                self.flits_ejected += count
+                self.last_progress[l] = cycle
+                self._ring_out_credit[(cycle + self.cred_lat) % self.span] = (
+                    l, node, w,
+                )
+                tail = (flags & _F_TAIL) != 0
+                tl, rows = l[tail], pid[tail]
+                self.t_ej[tl, rows] = local[tl]
+                self.t_hops[tl, rows] = hops[tail]
         ev = self._ring_credit[s]
         self._ring_credit[s] = None
         if ev is not None:
-            keep = self._act[ev[0]]
-            if not keep.all():
-                ev = tuple(a[keep] for a in ev)
-            l, node, port, w = ev
+            l, node, port, w = self._live(ev)
             self.cred[l, node, port, w] += 1
         ev = self._ring_nic_credit[s]
         self._ring_nic_credit[s] = None
         if ev is not None:
-            act = self._act
-            nics = self.nics
-            for lane, node, w in zip(
-                ev[0].tolist(), ev[1].tolist(), ev[2].tolist()
-            ):
-                if act[lane]:
-                    nics[lane][node].credits[w] += 1
+            l, node, w = self._live(ev)
+            self.nic_cred[l, node, w // self.VV] += 1
         ev = self._ring_out_credit[s]
         self._ring_out_credit[s] = None
         if ev is not None:
-            keep = self._act[ev[0]]
-            if not keep.all():
-                ev = tuple(a[keep] for a in ev)
-            l, node, w = ev
+            l, node, w = self._live(ev)
             self.cred[l, node, PORT_LOCAL, w] += 1
 
-    def _generate_traffic(self, cycle: int) -> None:
-        iu = self._inject_until
-        for lane in range(self.L):
-            if not self._act[lane]:
-                continue
-            local = cycle - self.off[lane]
-            if local >= iu:
-                continue
-            spec = self.lanes[lane]
-            pkts = list(spec.traffic.generate(local))
-            if not pkts:
-                continue
-            ns = self.net_stats[lane]
-            nics = self.nics[lane]
-            active = self.nic_active[lane]
-            info = self.pkt_info[lane]
-            for pkt in pkts:
-                nic = nics[pkt.src]
-                nic.srcq[pkt.vnet].append(pkt)
-                nic.queued += 1
-                ns.packets_created += 1
-                self.lane_queued[lane] += 1
-                active.add(pkt.src)
-                info[pkt.packet_id] = [
-                    pkt.src, pkt.dest, pkt.vnet, pkt.size_flits,
-                    pkt.creation_cycle, -1,
-                ]
+    def _buffer_write(
+        self,
+        l: np.ndarray,
+        node: np.ndarray,
+        port: "np.ndarray | int",
+        w: np.ndarray,
+        pid: np.ndarray,
+        dest: np.ndarray,
+        hops: "np.ndarray | int",
+        flags: np.ndarray,
+    ) -> np.ndarray:
+        """Append one flit per distinct (lane, node, port, wire VC) target.
 
-    def _nic_step(self, cycle: int) -> None:
-        """Inject up to one flit per NIC — mirrors ``NetworkInterface.step``.
-
-        The per-NIC decision logic is scalar (source queues, credits, vnet
-        round-robin), but the resulting buffer writes are batched into one
-        vectorised scatter: every NIC injects at most one flit per cycle,
-        so the target cells are distinct.
+        Mirrors ``BaseRouter.receive_flit``: an idle slot starts routing
+        its new head.  Serves link deliveries and NIC injections alike
+        (one flit per link, one per NIC per cycle: targets never repeat,
+        so a plain fancy-index scatter is exact).  Returns the flits
+        written per lane.
         """
-        NV, VV = self.NV, self.VV
-        inj: list = []
-        for lane in range(self.L):
-            if not self._act[lane] or not self.nic_active[lane]:
-                continue
-            ns = self.net_stats[lane]
-            info = self.pkt_info[lane]
-            done_nodes = []
-            for node in self.nic_active[lane]:
-                nic = self.nics[lane][node]
-                credits = nic.credits
-                for i in range(NV):
-                    vnet = (nic.rr + i) % NV
-                    ai = nic.active[vnet]
-                    if ai is None:
-                        q = nic.srcq[vnet]
-                        if q:
-                            # NIC-side VC allocation on the local input port
-                            for d in range(vnet * VV, (vnet + 1) * VV):
-                                if nic.alloc[d] is None:
-                                    pkt = q.popleft()
-                                    nic.alloc[d] = pkt.packet_id
-                                    ai = [
-                                        pkt.packet_id, pkt.dest, 0,
-                                        pkt.size_flits, d,
-                                    ]
-                                    nic.active[vnet] = ai
-                                    break
-                    if ai is None:
-                        continue
-                    d = ai[4]
-                    if credits[d] <= 0:
-                        continue
-                    pid, dest, idx, length = ai[0], ai[1], ai[2], ai[3]
-                    flags = (_F_HEAD if idx == 0 else 0) | (
-                        _F_TAIL if idx == length - 1 else 0
-                    )
-                    inj.append((lane, node, d, pid, dest, flags))
-                    credits[d] -= 1
-                    ns.flits_injected += 1
-                    self.fin[lane] += 1
-                    if idx == 0:
-                        ns.packets_injected += 1
-                        info[pid][5] = cycle - self.off[lane]
-                    if idx == length - 1:
-                        nic.alloc[d] = None
-                        nic.active[vnet] = None
-                        nic.queued -= 1
-                        self.lane_queued[lane] -= 1
-                        if nic.queued == 0:
-                            done_nodes.append(node)
-                    else:
-                        ai[2] = idx + 1
-                    nic.rr = (vnet + 1) % NV
-                    break  # local link bandwidth: one flit per cycle
-            for node in done_nodes:
-                self.nic_active[lane].discard(node)
-        if inj:
-            self._scatter_local_flits(inj)
-
-    def _scatter_local_flits(self, inj: list) -> None:
-        """Write this cycle's NIC injections into the local-port buffers.
-
-        One flit per NIC per cycle means the (lane, node, slot) targets
-        are distinct, so a plain fancy-index scatter is exact.
-        """
-        l, node, w, pid, dest, flags = (np.asarray(c) for c in zip(*inj))
-        phys = self.wphys[l, node, PORT_LOCAL, w]
-        cnt = self.b_cnt[l, node, PORT_LOCAL, phys]
-        pos = (self.b_head[l, node, PORT_LOCAL, phys] + cnt) % self.D
-        self.b_pid[l, node, PORT_LOCAL, phys, pos] = pid
-        self.b_dest[l, node, PORT_LOCAL, phys, pos] = dest
-        self.b_hops[l, node, PORT_LOCAL, phys, pos] = 0
-        self.b_flags[l, node, PORT_LOCAL, phys, pos] = flags
-        self.b_cnt[l, node, PORT_LOCAL, phys] = cnt + 1
-        self.rstats[:, _I_BUFW] += np.bincount(l, minlength=self.L)
-        idle = self.st[l, node, PORT_LOCAL, phys] == _IDLE
+        phys = self.wphys[l, node, port, w]
+        cnt = self.b_cnt[l, node, port, phys]
+        pos = (self.b_head[l, node, port, phys] + cnt) % self.D
+        self.b_pid[l, node, port, phys, pos] = pid
+        self.b_dest[l, node, port, phys, pos] = dest
+        self.b_hops[l, node, port, phys, pos] = hops
+        self.b_flags[l, node, port, phys, pos] = flags
+        self.b_cnt[l, node, port, phys] = cnt + 1
+        written = np.bincount(l, minlength=self.L)
+        self.rstats[:, _I_BUFW] += written
+        idle = self.st[l, node, port, phys] == _IDLE
         if idle.any():
             il, ino, iph = l[idle], node[idle], phys[idle]
-            self.st[il, ino, PORT_LOCAL, iph] = _ROUTING
-            self.route[il, ino, PORT_LOCAL, iph] = -1
-            self.outvc[il, ino, PORT_LOCAL, iph] = -1
-            self.excl[il, ino, PORT_LOCAL, iph] = 0
-            self.vpid[il, ino, PORT_LOCAL, iph] = pid[idle]
+            ipo = port if isinstance(port, int) else port[idle]
+            self.st[il, ino, ipo, iph] = _ROUTING
+            self.route[il, ino, ipo, iph] = -1
+            self.outvc[il, ino, ipo, iph] = -1
+            self.excl[il, ino, ipo, iph] = 0
+            self.vpid[il, ino, ipo, iph] = pid[idle]
+        return written
+
+    def _nic_step(self, local: np.ndarray) -> None:
+        """Inject up to one flit per NIC — mirrors ``NetworkInterface.step``.
+
+        A vnet can inject when its queue head has entered the queue and
+        its VC holds a credit; each NIC with such a vnet sends one flit
+        from the first one in round-robin order (the local link is one
+        flit wide) and moves its pointer past it.  The object NIC's
+        packet *start* (VC allocation) has no effect of its own — the VC
+        is always free, the head flit is what gets counted — so a packet
+        simply starts with its head flit.
+        """
+        can = self.q_due <= local[:, None, None]
+        can &= self.nic_cred > 0
+        l, r = np.nonzero(can.any(axis=2))
+        if l.size == 0:
+            return
+        NV = self.NV
+        rr = self.nic_rr[l, r]
+        # first vnet that can inject, scanning from the round-robin pointer
+        order = (rr[:, None] + self._vnets) % NV
+        v = (rr + can[l[:, None], r[:, None], order].argmax(axis=1)) % NV
+        row = self.q_row[l, r, v]
+        flit = self.q_flit[l, r, v]
+        head = flit == 0
+        tail = flit == self.t_size[l, row] - 1
+        self.nic_cred[l, r, v] -= 1
+        self.nic_rr[l, r] = (v + 1) % NV
+        hl = l[head]
+        self.t_inj[hl, row[head]] = local[hl]
+        # a tail moves the cursor on: the next packet of the run, if any
+        self.q_flit[l, r, v] = np.where(tail, 0, flit + 1)
+        tl, tr, tv, trow = l[tail], r[tail], v[tail], row[tail]
+        self.q_row[tl, tr, tv] = trow + 1
+        self.q_due[tl, tr, tv] = self.t_next[tl, trow]
+        self.lane_left -= np.bincount(tl, minlength=self.L)
+        self.fin += self._buffer_write(
+            l, r, PORT_LOCAL, v * self.VV, row, self.t_dest[l, row], 0,
+            head * _F_HEAD + tail * _F_TAIL,
+        )
 
     # ------------------------------------------------------------------
     # run loop: shared cycle counter, independent lane retirement
@@ -1088,42 +1025,42 @@ class BatchedLaneEngine:
         Lanes share the global cycle counter but run on their own local
         clocks: each blocks, drains and retires exactly where its serial
         run would (watchdog trips freeze a lane mid-flight; the drain
-        predicate — no flits in the network, no queued packets — retires
-        it cleanly).  Freed slots are refilled from the pending queue
-        until the whole point stream has run.
+        predicate — no flits in the network, no packets left to inject —
+        retires it cleanly).  Freed slots are refilled from the pending
+        queue until the whole point stream has run.
         """
         sc = self.sim_config
         wd = sc.watchdog_cycles
-        for ns in self.net_stats:
-            ns.set_window(sc.warmup_cycles, sc.warmup_cycles + sc.measure_cycles)
         inject_until = self._inject_until
         horizon = inject_until + sc.drain_cycles
+        for lane, spec in enumerate(self.lanes):
+            self._install_lane(lane, spec, 0)
+        act = self._act
         cycle = 0
         while True:
-            # per-lane retirement scan, in serial check order: watchdog
-            # first (it is evaluated before the loop predicates in
-            # ``NoCSimulator.run``), then the drain predicate / deadline
-            for lane in np.flatnonzero(self._act):
-                lane = int(lane)
-                if (
-                    self.fin[lane] > 0
-                    and cycle - self.last_progress[lane] > wd
-                ):
-                    self.blocked[lane] = True
-                    self._retire(lane, cycle, drained=False)
-                    continue
-                local = cycle - self.off[lane]
-                if local >= inject_until:
-                    done = (
-                        self.fin[lane] == 0 and self.lane_queued[lane] == 0
+            # retirement as array predicates, in serial check order:
+            # watchdog first (it is evaluated before the loop predicates
+            # in ``NoCSimulator.run``), then the drain predicate /
+            # deadline; only lanes that do retire drop to Python
+            local = cycle - self.off
+            stalled = cycle - self.last_progress > wd
+            check = (stalled | (local >= inject_until)) & act
+            if check.any():
+                blocked = check & stalled & (self.fin > 0)
+                over = check & ~blocked & (local >= inject_until)
+                drained = over & (self.fin == 0) & (self.lane_left == 0)
+                for lane in np.flatnonzero(
+                    blocked | drained | (over & (local >= horizon))
+                ).tolist():
+                    self._retire(
+                        lane, cycle, bool(blocked[lane]), bool(drained[lane])
                     )
-                    if done or local >= horizon:
-                        self._retire(lane, cycle, drained=done)
-            if not self._act.any():
-                break
-            self.active_lane_cycles += int(self._act.sum())
+                if not act.any():
+                    break
+                local = cycle - self.off
+            self.active_lane_cycles += int(np.count_nonzero(act))
             self.total_lane_cycles += self.L
-            self._step(cycle)
+            self._step(cycle, local)
             cycle += 1
         return cast(List[SimulationResult], list(self._results))
 
@@ -1134,79 +1071,104 @@ class BatchedLaneEngine:
             return 1.0
         return self.active_lane_cycles / self.total_lane_cycles
 
-    def _retire(self, lane: int, cycle: int, drained: bool) -> None:
-        """Decode one finished lane's result, then refill its slot."""
-        local = cycle - self.off[lane]
-        self.end_cycle[lane] = local
-        self.drained[lane] = drained
+    def _retire(self, lane: int, cycle: int, blocked: bool, drained: bool) -> None:
+        """Reduce one finished lane's table to its result, refill its slot."""
+        local = cycle - int(self.off[lane])
         self._act[lane] = False
+        self.q_due[lane] = _NEVER  # nothing left to inject from this slot
+        n = int(self.t_n[lane])
+        stats = NetworkStats(keep_samples=self.keep_samples)
+        sc = self.sim_config
+        stats.set_window(sc.warmup_cycles, sc.warmup_cycles + sc.measure_cycles)
+        ejected = int(self.flits_ejected[lane])
+        stats.flits_ejected = ejected
+        stats.flits_injected = ejected + int(self.fin[lane])
+        # the source was drawn ahead; it *created* what a per-cycle run
+        # would have asked for by the cycle the lane stopped at
+        stats.packets_created = int(
+            np.count_nonzero(self.t_cycle[lane, :n] < local)
+        )
+        stats.packets_injected = int(np.count_nonzero(self.t_inj[lane, :n] >= 0))
+        ej = self.t_ej[lane, :n]
+        done = np.flatnonzero(ej >= 0)
+        # ejection order: by cycle, then by node (a node sinks one flit
+        # per cycle and the XB phase visits routers in node order)
+        dest = self.t_dest[lane, :n]
+        done = done[np.lexsort((dest[done], ej[done]))]
+        stats.record_packets([done] + [  # a sample's id is its table row
+            column[lane, done] for column in (
+                self.t_src, self.t_dest, self.t_vnet, self.t_size,
+                self.t_creation, self.t_inj, self.t_ej, self.t_hops,
+            )
+        ])
         self._results[self.lane_point[lane]] = SimulationResult(
-            stats=self.net_stats[lane],
+            stats=stats,
             cycles=local,
-            blocked=self.blocked[lane],
+            blocked=blocked,
             drained=drained,
-            router_stats=RouterStats(
-                *(int(v) for v in self.rstats[lane])
-            ),
+            router_stats=RouterStats(*self.rstats[lane].tolist()),
             faults_injected=self.faults_injected[lane],
         )
         if self._pending:
-            self._install_lane(lane, self._pending.popleft(), cycle)
+            spec = self._pending.popleft()
+            self.lanes[lane] = spec
+            self._install_lane(lane, spec, cycle)
+
+    def _bind_tables(self, tables: np.ndarray) -> None:
+        """Name the columns of the ``(column, lane, row)`` table block."""
+        (
+            self.t_cycle, self.t_creation, self.t_src, self.t_dest, self.t_vnet,
+            self.t_size, self.t_next, self.t_inj, self.t_ej, self.t_hops,
+        ) = self._tables = tables
 
     def _install_lane(self, lane: int, spec: LaneSpec, cycle: int) -> None:
-        """Import the next pending point into a freed lane slot.
+        """Start a point in a lane slot, on a local clock of 0 at ``cycle``.
 
-        Every per-lane array slice and scalar returns to its power-on
-        value and the old occupant's stale in-flight events are purged
-        from the calendar rings, so the refilled lane is bit-identical
-        to the same point run in a fresh fabric — the array form of a
-        router's power-on ``reset()``.
+        Every per-lane array slice returns to its power-on value and the
+        old occupant's stale in-flight events are purged from the
+        calendar rings, so a refilled lane is bit-identical to the same
+        point run in a fresh fabric — the array form of a router's
+        power-on ``reset()``.  The point's traffic source is compiled to
+        the lane's packet table for its whole inject window.
         """
-        rc = self.config.router
-        self.st[lane] = _IDLE
-        self.route[lane] = -1
-        self.outvc[lane] = -1
-        self.vpid[lane] = -1
-        self.excl[lane] = 0
-        self.pwire[lane] = np.arange(self.V, dtype=np.int32)
-        self.wphys[lane] = np.arange(self.V, dtype=np.int32)
-        self.b_pid[lane] = -1
-        self.b_dest[lane] = -1
-        self.b_hops[lane] = 0
-        self.b_flags[lane] = 0
-        self.b_head[lane] = 0
-        self.b_cnt[lane] = 0
-        self.cred[lane] = self.D
-        self.alloc[lane] = -1
-        self.va1_prio[lane] = 0
-        self.va2_prio[lane] = 0
-        self.sa1_prio[lane] = 0
-        self.sa2_prio[lane] = 0
-        for arr in self._fault_arrays.values():
-            arr[lane] = False
-        self.plan_ok[lane] = True
-        self.plan_arb[lane] = np.arange(self.P, dtype=np.int32)
-        self.plan_sec[lane] = False
-        self.xq_valid[lane] = False
+        for arr, value in self._power_on:
+            arr[lane] = value
         self._purge_lane_events(lane)
 
-        ns = NetworkStats(keep_samples=self.keep_samples)
-        sc = self.sim_config
-        ns.set_window(sc.warmup_cycles, sc.warmup_cycles + sc.measure_cycles)
-        self.net_stats[lane] = ns
-        self.rstats[lane] = 0
-        self.pkt_info[lane] = {}
-        self.nics[lane] = [_LaneNic(rc) for _ in range(self.R)]
-        self.nic_active[lane] = set()
-        self.fin[lane] = 0
-        self.lane_queued[lane] = 0
+        table = compile_table(spec.traffic, self._inject_until, self.config)
+        n = len(table)
+        if n > self._tables.shape[2]:
+            # some headroom: points of one sweep differ by tens of per cent
+            grown = np.zeros((len(self._tables), self.L, n + n // 4), dtype=np.int32)
+            grown[:, :, : self._tables.shape[2]] = self._tables
+            self._bind_tables(grown)
+        # rows sorted by (src, vnet), yield order within: every NIC
+        # source queue is one contiguous run
+        queue = table.src * self.NV + table.vnet
+        order = np.argsort(queue, kind="stable")
+        for column, values in (
+            (self.t_cycle, table.cycle), (self.t_creation, table.creation),
+            (self.t_src, table.src), (self.t_dest, table.dest),
+            (self.t_vnet, table.vnet), (self.t_size, table.size),
+        ):
+            column[lane, :n] = values[order]
+        self.t_inj[lane, :n] = -1
+        self.t_ej[lane, :n] = -1
+        self.t_n[lane] = n
+        # per (node, vnet) run: its first row, and in ``t_next`` the queue
+        # entry cycle of each row's successor (none after the last)
+        run = np.bincount(queue, minlength=self.R * self.NV)
+        last = np.cumsum(run) - 1
+        head = last - run + 1
+        self.t_next[lane, :n][:-1] = self.t_cycle[lane, 1:n]
+        self.t_next[lane, last[run > 0]] = _NEVER
+        self.q_row[lane] = head.reshape(self.R, self.NV)
+        self.q_due[lane].flat[run > 0] = self.t_cycle[lane, head[run > 0]]
+
+        self.lane_left[lane] = n
         self.last_progress[lane] = cycle
         self.faults_injected[lane] = 0
-        self.blocked[lane] = False
-        self.drained[lane] = False
-        self.end_cycle[lane] = 0
         self.off[lane] = cycle
-        self.lanes[lane] = spec
         self.lane_point[lane] = self._next_point
         self._next_point += 1
         if spec.fault_schedule is not None:
@@ -1250,27 +1212,3 @@ def run_lanes(
         config, sim_config, lanes[:w], router_factory, routing_kind,
         keep_samples=keep_samples, pending=lanes[w:],
     ).run()
-
-
-class _LaneNic:
-    """Scalar NIC state machine of one (lane, node) — plain Python lists.
-
-    The NIC boundary is inherently per-packet (source queues, one-flit-
-    per-cycle injection, per-vnet round-robin), so it stays scalar; lists
-    beat NumPy scalar indexing by an order of magnitude here.
-    """
-
-    __slots__ = (
-        "credits", "alloc", "active", "rr", "queued", "srcq",
-    )
-
-    def __init__(self, rc) -> None:
-        self.credits = [rc.buffer_depth] * rc.num_vcs
-        self.alloc: list = [None] * rc.num_vcs
-        #: per-vnet active injection: [pid, dest, next_idx, length,
-        #: wire_vc] or None
-        self.active: list = [None] * rc.num_vnets
-        self.rr = 0
-        self.queued = 0
-        #: per-vnet FIFO of queued Packets
-        self.srcq: list = [deque() for _ in range(rc.num_vnets)]

@@ -16,7 +16,7 @@ Latency definitions (standard, GARNET-compatible):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,6 +123,39 @@ class NetworkStats:
         acc[1] += sample.network_latency
         if self.keep_samples:
             self.samples.append(sample)
+
+    def record_packets(self, columns: Sequence[np.ndarray]) -> None:
+        """``record_packet`` for whole columns, rows in ejection order.
+
+        ``columns`` holds one array per :class:`LatencySample` field, in
+        field order.  The lane engine keeps packets as table columns and
+        reduces a finished lane here in one pass; every aggregate ends up
+        exactly what per-packet recording in row order would have left.
+        """
+        creation = columns[5]
+        self.packets_ejected += len(creation)
+        if self.measure_start is not None:
+            measured = (creation >= self.measure_start) & (creation < self.measure_end)
+            columns = [c[measured] for c in columns]
+        _, _, _, vnet, _, creation, injection, ejection, hops = columns
+        if len(vnet) == 0:
+            return
+        latency = ejection - injection
+        self.measured_packets += len(latency)
+        self._net_latency_sum += int(latency.sum())
+        self._total_latency_sum += int((ejection - creation).sum())
+        self._hops_sum += int(hops.sum())
+        self._net_latency_max = max(self._net_latency_max, int(latency.max()))
+        self.latency_hist.observe_many(latency)
+        for v in dict.fromkeys(vnet.tolist()):  # first-ejection order
+            of_vnet = latency[vnet == v]
+            acc = self._vnet_acc.setdefault(v, [0, 0])
+            acc[0] += len(of_vnet)
+            acc[1] += int(of_vnet.sum())
+        if self.keep_samples:
+            self.samples.extend(
+                LatencySample(*row) for row in zip(*(c.tolist() for c in columns))
+            )
 
     # ------------------------------------------------------------------
     @property

@@ -27,6 +27,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "DEFAULT_EDGES",
     "Histogram",
@@ -71,6 +73,14 @@ class Histogram:
         self.counts[bisect_left(self.edges, value)] += 1
         self.count += 1
         self.total += value
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """``observe`` every element of an integer array, in one pass."""
+        buckets = np.searchsorted(self.edges, values, side="left")
+        per_bucket = np.bincount(buckets, minlength=len(self.counts)).tolist()
+        self.counts = [a + b for a, b in zip(self.counts, per_bucket)]
+        self.count += len(values)
+        self.total += float(values.sum())
 
     @property
     def mean(self) -> float:

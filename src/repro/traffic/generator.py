@@ -1,16 +1,24 @@
 """Traffic sources: temporal injection processes on top of spatial patterns.
 
-The generator is vectorised with NumPy per the hpc-parallel guides: one RNG
-call decides which of the N nodes inject, rather than N Python-level draws
-— and the per-cycle Bernoulli draws are additionally *chunked*: quiet
-stretches prefetch a ``(chunk, n_nodes)`` matrix in one call and consume
-it row by row.  ``Generator.random`` fills C-order arrays row-major from
-the same bitstream as successive per-cycle calls, so the consumed stream
-is identical to per-cycle draws; a cycle that does start packets rewinds
-the bit generator and re-draws exactly the consumed rows, leaving the
-stream positioned precisely where the per-cycle code would be before the
-destination/class draws.  Chunking is therefore invisible in the results
-(pinned by ``tests/test_traffic.py``) — it only amortises call overhead.
+Traffic here is open-loop — what a source emits never depends on fabric
+state — so packets are *drawn ahead* of whoever reads them, into a
+:class:`PacketTable` of column arrays, instead of one ``Packet`` object
+per call.  :meth:`SyntheticTraffic._draw` is the one routine that calls
+the NumPy ``Generator``, and it issues exactly the per-cycle call
+sequence a naive implementation would (ON/OFF flip row, start row,
+pattern draws, class draw — pinned against such a reference in
+``tests/test_packet_table.py``), so how far ahead a reader asks never
+shows in the stream.  Quiet stretches are scanned in bulk: a
+``(cycles, n_nodes)`` block is drawn in one call — ``Generator.random``
+fills C-order arrays row-major from the same bitstream as successive
+per-cycle calls — and a cycle that does start packets rewinds the bit
+generator and re-draws exactly the rows up to it, leaving the stream
+where per-cycle code would be before that cycle's destination draws.
+
+Three readers share the table: ``generate(cycle)`` (the object engine,
+one cycle at a time), ``next_injection()`` (its skip-ahead lookahead — a
+peek at the next unread row) and :func:`compile_table` (the lane engine,
+a whole injection window at once).
 
 * :class:`SyntheticTraffic` — Bernoulli (or bursty ON/OFF Markov) injection
   at a given rate in flits/node/cycle, with a configurable packet-size mix
@@ -22,8 +30,9 @@ destination/class draws.  Chunking is therefore invisible in the results
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,14 +41,19 @@ from ..router.flit import Packet
 from .patterns import TrafficPattern, UniformRandom
 from .trace import bucket_by_cycle
 
-#: adaptive chunk growth stops here (cycles of Bernoulli draws per RNG call)
-_MAX_CHUNK_CYCLES = 64
+#: a stretch this many cycles quiet is scanned in bulk from then on (one
+#: RNG call for as many cycles as the streak is long, so blocks double);
+#: shorter streaks mostly end in a rewind, dearer than the calls it saves
+_BULK_AFTER_QUIET = 8
 
-#: rows per RNG call in the ``next_injection`` lookahead scan.  Chunk
-#: partitioning is invisible in the consumed stream (rewind-and-burn on a
-#: hit, full consumption when quiet), so the lookahead may use far larger
-#: chunks than the per-cycle path without affecting results.
-_LOOKAHEAD_CHUNK_CYCLES = 1024
+#: longest bulk scan, in cycles per RNG call
+_MAX_SCAN_CYCLES = 1024
+
+#: how far ``generate`` draws past the cycle it was asked for: amortises
+#: the per-block bookkeeping, wastes little past the injection window, and
+#: is odd so that block draws never fall in step with the stage profiler,
+#: which times every 16th cycle and would book a whole block on each
+_READ_AHEAD_CYCLES = 17
 
 
 @dataclass(frozen=True)
@@ -72,6 +86,81 @@ COHERENCE_MIX = (
 SINGLE_FLIT_MIX = (PacketClass(size_flits=1, vnet=0, weight=1.0),)
 
 
+@dataclass
+class PacketTable:
+    """Packets as parallel column arrays, in the order a source yields them.
+
+    ``cycle`` is the ``generate`` cycle that hands the packet to its NIC;
+    ``creation`` the creation stamp the statistics use.  They are the
+    same array for synthetic traffic and differ only for sources that
+    replay late (a trace catching up) or stamp their own cycles.
+    """
+
+    cycle: np.ndarray
+    src: np.ndarray
+    dest: np.ndarray
+    vnet: np.ndarray
+    size: np.ndarray
+    creation: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    def validate(self, config: NetworkConfig) -> None:
+        """Reject what ``Packet`` and ``NetworkInterface.enqueue`` reject.
+
+        One vectorised pass per compiled table, raising on the first
+        offending packet of each kind.
+        """
+
+        def first(bad: np.ndarray) -> int:
+            return int(np.flatnonzero(bad)[0])
+
+        nodes = config.num_nodes
+        bad = (self.src < 0) | (self.src >= nodes)
+        if bad.any():
+            raise ValueError(
+                f"packet sourced at {self.src[first(bad)]}: no such NIC "
+                f"in a {nodes}-node mesh"
+            )
+        bad = (self.dest < 0) | (self.dest >= nodes)
+        if bad.any():
+            raise ValueError(
+                f"packet destination {self.dest[first(bad)]} outside the "
+                f"{nodes}-node mesh"
+            )
+        if (self.src == self.dest).any():
+            raise ValueError("source and destination must differ")
+        if (self.size < 1).any():
+            raise ValueError("packets contain at least one flit")
+        bad = (self.vnet < 0) | (self.vnet >= config.router.num_vnets)
+        if bad.any():
+            raise ValueError(f"packet vnet {self.vnet[first(bad)]} out of range")
+
+
+def compile_table(source: Any, until: int, config: NetworkConfig) -> PacketTable:
+    """Everything ``source`` emits over cycles ``[0, until)``, validated.
+
+    The lane engine's single traffic boundary.  A source that keeps a
+    table (:meth:`SyntheticTraffic.packet_table`) hands it over as
+    arrays; any other ``TrafficSource`` — a trace, a wrapper, a user
+    class — is packed once through ``generate``.
+    """
+    draw = getattr(source, "packet_table", None)
+    if draw is not None:
+        table: PacketTable = draw(until)
+    else:
+        rows = [
+            (c, p.src, p.dest, p.vnet, p.size_flits, p.creation_cycle)
+            for c in range(until)
+            for p in source.generate(c)
+        ]
+        cols = np.array(rows, dtype=np.int64).reshape(len(rows), 6).T
+        table = PacketTable(*cols)
+    table.validate(config)
+    return table
+
+
 class SyntheticTraffic:
     """Random traffic: spatial pattern x temporal process x packet mix.
 
@@ -83,6 +172,9 @@ class SyntheticTraffic:
     process with the same average rate but bursty arrivals (real
     application traffic — SPLASH-2/PARSEC — is bursty; the app surrogates
     in :mod:`repro.traffic.apps` build on this).
+
+    The source's clock starts at cycle 0 and readers move forward only:
+    a cycle already read, or skipped over, yields nothing.
     """
 
     def __init__(
@@ -109,287 +201,207 @@ class SyntheticTraffic:
         self.burstiness = burstiness
 
         weights = np.array([c.weight for c in self.mix], dtype=float)
-        self._class_prob = weights / weights.sum()
-        self._mean_len = float(
-            sum(c.size_flits * p for c, p in zip(self.mix, self._class_prob))
+        class_prob = weights / weights.sum()
+        mean_len = float(
+            sum(c.size_flits * p for c, p in zip(self.mix, class_prob))
         )
         #: probability a node starts a packet in a cycle
-        self.packet_rate = injection_rate / self._mean_len
+        self.packet_rate = injection_rate / mean_len
         if self.packet_rate > 1.0:
             raise ValueError(
                 f"injection rate {injection_rate} flits/node/cycle exceeds "
-                f"1 packet/node/cycle for mean length {self._mean_len}"
+                f"1 packet/node/cycle for mean length {mean_len}"
             )
+        # the class draw is ``Generator.choice(len(mix), size=k, p=...)``
+        # spelled out (its CDF, searched with k uniforms), minus the
+        # per-call validation of ``p``
+        self._class_cdf = class_prob.cumsum()
+        self._class_cdf /= self._class_cdf[-1]
+        self._class_size = np.array([c.size_flits for c in self.mix])
+        self._class_vnet = np.array([c.vnet for c in self.mix])
         self._nodes = np.asarray(
             nodes if nodes is not None else np.arange(config.num_nodes)
         )
-        self._n = len(self._nodes)
-        # ON/OFF process state: start all-ON for burstiness == 0
-        self._on = np.ones(self._n, dtype=bool)
-        if burstiness > 0.0:
-            # Mean burst length grows with burstiness; duty cycle 50 %,
-            # so the ON-state rate is doubled to preserve the average.
-            self._p_exit = (1.0 - burstiness) * 0.1
-            self._on = self.rng.random(self._n) < 0.5
-        else:
-            self._p_exit = 0.0
-        #: constant per-node start probability (hoisted: the per-cycle
-        #: ``np.full`` allocation was measurable at 10k+ cycles/run)
-        self._flat_rate = np.full(self._n, self.packet_rate)
-        # ---- chunked-draw state (see module docstring) ----
-        #: rows of the Bernoulli matrix one cycle consumes (the bursty
-        #: process draws an extra ON/OFF-flip row per cycle)
-        self._rows_per_cycle = 2 if burstiness > 0.0 else 1
-        self._chunk: Optional[np.ndarray] = None
-        self._chunk_pos = 0
-        self._chunk_state: Optional[dict] = None
-        #: adaptive: cycles prefetched per chunk (1 = plain per-cycle
-        #: draws; doubled over quiet stretches, reset on a packet start)
-        self._chunk_cycles = 1
-        self._quiet_streak = 0
-        # ---- lookahead state (event-driven engine, see next_injection) ----
-        #: starts row drawn ahead by :meth:`next_injection`, waiting for
-        #: the matching ``generate(self._stash_cycle)`` call
-        self._stash: Optional[np.ndarray] = None
-        self._stash_cycle = -1
-        #: cycles below this are proven quiet and their randomness is
-        #: already consumed — ``generate`` must not redraw for them
-        self._skip_until = -1
+        # ON/OFF process: mean burst length grows with burstiness; duty
+        # cycle 50 %, so the ON-state rate is doubled to keep the average
+        self._p_exit = (1.0 - burstiness) * 0.1
+        self._start_prob = (
+            min(2.0 * self.packet_rate, 1.0) if burstiness > 0.0
+            else self.packet_rate
+        )
+        #: per-node ON flags; a bursty source's are its stream's first draw
+        self._on: Optional[np.ndarray] = (
+            None if burstiness > 0.0 else np.ones(len(self._nodes), dtype=bool)
+        )
+        # ---- the table: drawn ahead by _draw, consumed by the readers ----
+        #: cycles below this are drawn
+        self._drawn = 0
+        #: length of the quiet streak ending at ``_drawn`` (see _draw)
+        self._quiet = 0
+        #: drawn, unread packets as (cycle, src, dest, vnet, size) rows
+        self._rows: list[tuple[int, int, int, int, int]] = []
+        self._pos = 0
 
     # ------------------------------------------------------------------
-    @classmethod
-    def spawn_lanes(
-        cls,
-        config: NetworkConfig,
-        injection_rates: Sequence[float],
-        rng: np.random.Generator | np.random.SeedSequence | int | None = None,
-        pattern: Optional[TrafficPattern] = None,
-        mix: Sequence[PacketClass] = SINGLE_FLIT_MIX,
-        burstiness: float = 0.0,
-        nodes: Optional[Sequence[int]] = None,
-    ) -> "list[SyntheticTraffic]":
-        """One traffic source per lane — the lane axis over chunked draws.
+    def _draw(self, until: int) -> PacketTable:
+        """Draw cycles ``[self._drawn, until)``: the only RNG consumer.
 
-        The batched engine (:mod:`repro.network.batched`) steps N
-        sweep-point fabrics at once but must keep each lane's random
-        stream identical to its serial run; vectorising the Bernoulli
-        draws *across* lanes would interleave their bitstreams.  Instead
-        the lane axis lives here: each lane gets its own generator seeded
-        from :meth:`numpy.random.SeedSequence.spawn` (the same derivation
-        sweep points use), and each keeps its own chunked-draw state, so
-        lane ``i``'s consumed stream depends only on the root entropy and
-        ``i`` — not on lane grouping, worker layout, or engine choice.
-        Chunking still amortises RNG-call overhead within each lane
-        exactly as in the serial engine.
-        """
-        if isinstance(rng, np.random.Generator):
-            seq = rng.bit_generator.seed_seq
-        elif isinstance(rng, np.random.SeedSequence):
-            seq = rng
-        else:
-            seq = np.random.SeedSequence(rng)
-        return [
-            cls(
-                config,
-                injection_rate=rate,
-                pattern=pattern,
-                mix=mix,
-                rng=np.random.default_rng(child),
-                burstiness=burstiness,
-                nodes=nodes,
-            )
-            for rate, child in zip(injection_rates, seq.spawn(len(injection_rates)))
-        ]
-
-    # ------------------------------------------------------------------
-    def _effective_rate(self) -> np.ndarray:
-        if self.burstiness == 0.0:
-            return self._flat_rate
-        rate = np.where(self._on, 2.0 * self.packet_rate, 0.0)
-        return np.minimum(rate, 1.0)
-
-    def _advance_onoff(self) -> None:
-        if self.burstiness == 0.0:
-            return
-        flips = self.rng.random(self._n) < self._p_exit
-        self._on = np.where(flips, ~self._on, self._on)
-
-    def _draw_starts(self) -> Optional[np.ndarray]:
-        """Draw one cycle's packet-start decisions; ``None`` when quiet.
-
-        All chunk bookkeeping lives here — prefetch, row consumption,
-        quiet-streak growth, and the rewind-and-burn on a hit — so after
-        a non-``None`` return the bit stream sits exactly where plain
-        per-cycle draws would, ready for the destination/class draws.
-        Shared by :meth:`generate` and the :meth:`next_injection`
-        lookahead, which is what keeps skip-ahead bit-identical.
+        Per cycle, in stream order: the ON/OFF flip row (bursty only), the
+        start row, and — when any node starts — the pattern's destination
+        draws and one uniform per packet for its class.  After
+        ``_BULK_AFTER_QUIET`` quiet cycles in a row the next stretch (as
+        long as the streak so far) is drawn as one block; a block with a
+        start in it is rewound to the saved state and re-drawn up to that
+        cycle (row-major fill makes the redraw bit-identical), so the
+        stream is always exactly where per-cycle draws would leave it and
+        block boundaries — including ``until`` — never show in the packets.
         """
         rng = self.rng
-        n = self._n
-        rpc = self._rows_per_cycle
-        chunk = self._chunk
-        if chunk is not None and self._chunk_pos >= len(chunk):
-            chunk = self._chunk = None
-        if chunk is None and self._chunk_cycles > 1:
-            # prefetch: save the bit-generator state first so a cycle
-            # that starts packets can rewind to the per-cycle position
-            self._chunk_state = rng.bit_generator.state
-            chunk = self._chunk = rng.random((self._chunk_cycles * rpc, n))
-            self._chunk_pos = 0
-        if chunk is None:
-            # chunk length 1: draw per cycle, no rewind bookkeeping
-            self._advance_onoff()
-            starts = rng.random(n) < self._effective_rate()
-        else:
-            pos = self._chunk_pos
-            self._chunk_pos = pos + rpc
-            if rpc == 2:
-                flips = chunk[pos] < self._p_exit
-                self._on = np.where(flips, ~self._on, self._on)
-                starts = chunk[pos + 1] < self._effective_rate()
+        random = rng.random
+        bit_generator = rng.bit_generator
+        destinations = self.pattern.destinations
+        class_cdf = self._class_cdf
+        nodes = self._nodes
+        n = len(nodes)
+        bursty = self.burstiness > 0.0
+        rows_per_cycle = 2 if bursty else 1
+        start_prob = self._start_prob
+        p_exit = self._p_exit
+        on = self._on
+        if on is None:
+            on = random(n) < 0.5
+        quiet = self._quiet
+        hit_cycles: list[int] = []
+        sources: list[np.ndarray] = []
+        dests: list[np.ndarray] = []
+        classes: list[np.ndarray] = []
+
+        c = self._drawn
+        while c < until:
+            if quiet < _BULK_AFTER_QUIET or until - c == 1:
+                if bursty:
+                    on = on ^ (random(n) < p_exit)
+                    starts = (random(n) < start_prob) & on
+                else:
+                    starts = random(n) < start_prob
             else:
-                starts = chunk[pos] < self._flat_rate
-        if not np.any(starts):
-            self._quiet_streak += 1
-            if (
-                self._quiet_streak >= self._chunk_cycles
-                and self._chunk_cycles < _MAX_CHUNK_CYCLES
-            ):
-                self._chunk_cycles *= 2
-            return None
-        if chunk is not None:
-            # Rewind and burn exactly the rows consumed so far: row-major
-            # fill makes the redraw bit-identical to the prefetched rows,
-            # so the stream now sits exactly where per-cycle draws would —
-            # the destination/class draws that follow match the reference.
-            rng.bit_generator.state = self._chunk_state
-            rng.random((self._chunk_pos, n))
-            self._chunk = None
-            self._chunk_cycles = 1
-        self._quiet_streak = 0
-        return starts
+                span = min(quiet, _MAX_SCAN_CYCLES, until - c)
+                state = bit_generator.state
+                block = random((span * rows_per_cycle, n))
+                if bursty:
+                    ons = np.logical_xor.accumulate(block[0::2] < p_exit, axis=0)
+                    ons ^= on
+                    grid = (block[1::2] < start_prob) & ons
+                else:
+                    grid = block < start_prob
+                busy = grid.any(axis=1)
+                first = int(busy.argmax())
+                if busy[first]:
+                    bit_generator.state = state
+                    random(((first + 1) * rows_per_cycle, n))
+                else:
+                    first = span - 1
+                starts = grid[first]
+                if bursty:
+                    on = ons[first]
+                c += first
+                quiet += first
+            started = starts.nonzero()[0]
+            if len(started):
+                src = nodes[started]
+                hit_cycles.append(c)
+                sources.append(src)
+                dests.append(destinations(src, rng))
+                classes.append(class_cdf.searchsorted(random(len(src)), side="right"))
+                quiet = 0
+            else:
+                quiet += 1
+            c += 1
+
+        self._on = on
+        self._quiet = quiet
+        self._drawn = max(until, self._drawn)
+        if not hit_cycles:
+            empty = np.empty(0, dtype=np.int64)
+            return PacketTable(empty, empty, empty, empty, empty, empty)
+        cycle = np.repeat(hit_cycles, [len(s) for s in sources])
+        cls = np.concatenate(classes)
+        return PacketTable(
+            cycle,
+            np.concatenate(sources),
+            np.concatenate(dests),
+            self._class_vnet[cls],
+            self._class_size[cls],
+            cycle,
+        )
+
+    def _extend(self, until: int) -> None:
+        """Draw through ``until`` and append the rows behind the cursor."""
+        t = self._draw(until)
+        fresh = zip(
+            t.cycle.tolist(), t.src.tolist(), t.dest.tolist(),
+            t.vnet.tolist(), t.size.tolist(),
+        )
+        self._rows = self._rows[self._pos:] + list(fresh)
+        self._pos = 0
+
+    def packet_table(self, until: int) -> PacketTable:
+        """Every unread packet created before ``until``, as arrays."""
+        fresh = self._draw(until)
+        held = self._rows[self._pos:]
+        cut = bisect_left(held, until, key=lambda row: row[0])
+        self._rows, self._pos = held[cut:], 0
+        if not cut:
+            return fresh
+        # rows a per-cycle reader drew ahead and never read come first
+        cols = np.array(held[:cut], dtype=np.int64).T
+        old = PacketTable(*cols, cols[0])
+        return PacketTable(
+            *(
+                np.concatenate([getattr(old, f), getattr(fresh, f)])
+                for f in PacketTable.__dataclass_fields__
+            )
+        )
 
     def next_injection(self, cycle: int, horizon: int) -> Optional[int]:
         """Earliest cycle in ``[cycle, horizon)`` that starts a packet.
 
-        Lookahead for the event-driven engine: draws the same per-cycle
-        rows :meth:`generate` would, so the consumed random stream is
-        identical to stepping every cycle.  A hit row is stashed and
-        handed to the matching ``generate`` call; cycles proven quiet
-        become no-ops there (their randomness is already spent).  Returns
-        ``None`` when the whole window is quiet.
+        Lookahead for the event-driven engine: a peek at the next unread
+        table row, drawing further ahead (in growing steps, never past
+        ``horizon``) while the table holds none.  Returns ``None`` when
+        the whole window is quiet.
         """
-        if self._stash is not None:
-            # a previous lookahead already found (and drew) the next hit
-            return self._stash_cycle if self._stash_cycle < horizon else None
-        c = max(cycle, self._skip_until)
-        if self.burstiness == 0.0:
-            return self._next_injection_flat(c, horizon)
-        # bursty: the ON/OFF state evolves row by row, so scan per cycle
-        while c < horizon:
-            starts = self._draw_starts()
-            if starts is not None:
-                self._stash = starts
-                self._stash_cycle = c
-                self._skip_until = c
-                return c
-            c += 1
-        self._skip_until = horizon
-        return None
+        step = _READ_AHEAD_CYCLES
+        while True:
+            rows = self._rows
+            pos = self._pos
+            while pos < len(rows) and rows[pos][0] < cycle:
+                pos += 1
+            self._pos = pos
+            if pos < len(rows):
+                nxt = rows[pos][0]
+                return nxt if nxt < horizon else None
+            if self._drawn >= horizon:
+                return None
+            self._extend(min(horizon, max(cycle, self._drawn) + step))
+            step = min(2 * step, _MAX_SCAN_CYCLES)
 
-    def _next_injection_flat(self, c: int, horizon: int) -> Optional[int]:
-        """Vectorised lookahead for the flat (non-bursty) process.
-
-        Scans whole chunks with one comparison per chunk instead of one
-        ``_draw_starts`` call per cycle.  The stream stays bit-identical
-        by the standard chunk argument: a fully quiet stretch consumes
-        its rows outright, and a hit rewinds to the saved state and burns
-        exactly the consumed rows — so chunk boundaries (including the
-        larger lookahead chunks) never show up in the results.  Rows of a
-        pre-existing chunk beyond ``horizon`` are left unconsumed,
-        exactly as per-cycle stepping would leave them.
-        """
-        rng = self.rng
-        n = self._n
-        rate = self.packet_rate
-        # adaptive prefetch: start from the per-cycle path's learned chunk
-        # size (small right after a hit, so short idle gaps stay cheap)
-        # and escalate per quiet chunk toward the lookahead ceiling
-        prefetch = max(self._chunk_cycles, 1)
-        while c < horizon:
-            chunk = self._chunk
-            if chunk is not None and self._chunk_pos >= len(chunk):
-                chunk = self._chunk = None
-            if chunk is None:
-                count = min(horizon - c, prefetch)
-                prefetch = min(prefetch * 2, _LOOKAHEAD_CHUNK_CYCLES)
-                self._chunk_state = rng.bit_generator.state
-                chunk = self._chunk = rng.random((count, n))
-                self._chunk_pos = 0
-            pos = self._chunk_pos
-            limit = min(len(chunk), pos + (horizon - c))
-            hits = (chunk[pos:limit] < rate).any(axis=1)
-            idx = int(np.argmax(hits)) if hits.any() else -1
-            if idx < 0:
-                # window's share of this chunk is all quiet: consumed
-                quiet = limit - pos
-                self._chunk_pos = limit
-                c += quiet
-                self._quiet_streak += quiet
-                while (
-                    self._quiet_streak >= self._chunk_cycles
-                    and self._chunk_cycles < _MAX_CHUNK_CYCLES
-                ):
-                    self._chunk_cycles *= 2
-                continue
-            hit_pos = pos + idx
-            self._chunk_pos = hit_pos + 1
-            starts = chunk[hit_pos] < self._flat_rate
-            # rewind-and-burn: position the stream exactly where per-cycle
-            # draws through the hit cycle would leave it
-            rng.bit_generator.state = self._chunk_state
-            rng.random((self._chunk_pos, n))
-            self._chunk = None
-            self._chunk_cycles = 1
-            self._quiet_streak = 0
-            self._stash = starts
-            self._stash_cycle = c + idx
-            self._skip_until = c + idx
-            return c + idx
-        self._skip_until = horizon
-        return None
-
-    def generate(self, cycle: int) -> Iterator[Packet]:
+    def generate(self, cycle: int) -> list[Packet]:
         """Packets created at ``cycle`` (TrafficSource protocol)."""
-        if self._stash is not None and cycle == self._stash_cycle:
-            starts = self._stash
-            self._stash = None
-            self._stash_cycle = -1
-            self._skip_until = -1
-        elif cycle < self._skip_until:
-            # next_injection proved this cycle quiet and already consumed
-            # its randomness — redrawing would desync the stream
-            return
-        else:
-            drawn = self._draw_starts()
-            if drawn is None:
-                return
-            starts = drawn
-        rng = self.rng
-        sources = self._nodes[starts]
-        dests = self.pattern.destinations(sources, rng)
-        classes = rng.choice(
-            len(self.mix), size=len(sources), p=self._class_prob
-        )
-        for src, dst, ci in zip(sources, dests, classes):
-            cls = self.mix[int(ci)]
-            yield Packet(
-                src=int(src),
-                dest=int(dst),
-                size_flits=cls.size_flits,
-                vnet=cls.vnet,
-                creation_cycle=cycle,
-            )
+        if cycle >= self._drawn:
+            self._extend(cycle + _READ_AHEAD_CYCLES)
+        rows = self._rows
+        pos = self._pos
+        out = []
+        while pos < len(rows):
+            at, src, dest, vnet, size = rows[pos]
+            if at > cycle:
+                break
+            pos += 1
+            if at == cycle:
+                out.append(Packet(src, dest, size, vnet, cycle))
+        self._pos = pos
+        return out
 
 
 class TraceTraffic:

@@ -31,6 +31,15 @@ class TrafficPattern:
         raise NotImplementedError
 
 
+def _uniform_other(
+    n: int, sources: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """For each source, a uniformly drawn node that is not the source."""
+    dests = rng.integers(0, n - 1, size=len(sources))
+    dests += dests >= sources  # shift so a node never targets itself
+    return dests
+
+
 class UniformRandom(TrafficPattern):
     """Every other node is an equally likely destination."""
 
@@ -40,10 +49,7 @@ class UniformRandom(TrafficPattern):
         n = self.config.num_nodes
         if n < 2:
             raise ValueError("uniform traffic needs at least two nodes")
-        dests = rng.integers(0, n - 1, size=len(sources))
-        # shift so a node never targets itself
-        dests = np.where(dests >= sources, dests + 1, dests)
-        return dests
+        return _uniform_other(n, sources, rng)
 
 
 class _PermutationPattern(TrafficPattern):
@@ -57,12 +63,10 @@ class _PermutationPattern(TrafficPattern):
         dests = self._permute(np.asarray(sources))
         selfed = dests == sources
         if np.any(selfed):
-            n = self.config.num_nodes
-            repl = rng.integers(0, n - 1, size=int(selfed.sum()))
-            src_self = sources[selfed]
-            repl = np.where(repl >= src_self, repl + 1, repl)
             dests = dests.copy()
-            dests[selfed] = repl
+            dests[selfed] = _uniform_other(
+                self.config.num_nodes, sources[selfed], rng
+            )
         return dests
 
 
@@ -170,23 +174,23 @@ class Hotspot(TrafficPattern):
             if not 0 <= hs < config.num_nodes:
                 raise ValueError(f"hotspot {hs} outside the mesh")
         self.fraction = fraction
-        self._uniform = UniformRandom(config)
+        self._hot = np.array(self.hotspots)
 
     def destinations(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        dests = self._uniform.destinations(sources, rng)
-        hot = rng.random(len(sources)) < self.fraction
-        if np.any(hot):
-            hs = rng.choice(self.hotspots, size=int(hot.sum()))
-            dests = dests.copy()
-            dests[hot] = hs
-            # a hotspot node may have drawn itself; redirect those uniformly
-            selfed = dests == sources
-            if np.any(selfed):
-                n = self.config.num_nodes
-                repl = rng.integers(0, n - 1, size=int(selfed.sum()))
-                src_self = sources[selfed]
-                repl = np.where(repl >= src_self, repl + 1, repl)
-                dests[selfed] = repl
+        n = self.config.num_nodes
+        dests = _uniform_other(n, sources, rng)
+        hot = (rng.random(len(sources)) < self.fraction).nonzero()[0]
+        if len(hot):
+            # ``rng.choice(self.hotspots, size=k)`` spelled out: the same
+            # bounded-integer draw, minus its per-call list conversion
+            picks = self._hot[rng.integers(0, len(self._hot), size=len(hot))]
+            dests[hot] = picks
+            # a hotspot node may have drawn itself; redirect those
+            # uniformly (only hot entries can self-target)
+            src_hot = sources[hot]
+            selfed = (picks == src_hot).nonzero()[0]
+            if len(selfed):
+                dests[hot[selfed]] = _uniform_other(n, src_hot[selfed], rng)
         return dests
 
 

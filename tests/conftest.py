@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
@@ -11,6 +12,7 @@ from repro.router.flit import Packet, reset_packet_ids
 from repro.router.router import BaselineRouter
 from repro.router.routing import XYRouting
 from repro.traffic.generator import NullTraffic, SyntheticTraffic
+from repro.traffic.patterns import Hotspot, UniformRandom
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +70,71 @@ def make_sim(
         net, sim_cfg, traffic, router_factory=factory,
         fault_schedule=fault_schedule, **sim_kwargs,
     )
+
+
+# ----------------------------------------------------------------------
+# the naive per-cycle traffic reference
+# ----------------------------------------------------------------------
+def _ref_uniform(n, sources, rng):
+    dests = rng.integers(0, n - 1, size=len(sources))
+    return np.where(dests >= sources, dests + 1, dests)
+
+
+def _ref_destinations(pattern, sources, rng):
+    n = pattern.config.num_nodes
+    if isinstance(pattern, UniformRandom):
+        return _ref_uniform(n, sources, rng)
+    if isinstance(pattern, Hotspot):
+        dests = _ref_uniform(n, sources, rng)
+        hot = rng.random(len(sources)) < pattern.fraction
+        if np.any(hot):
+            dests[hot] = rng.choice(pattern.hotspots, size=int(hot.sum()))
+    else:
+        dests = pattern._permute(sources).copy()
+    selfed = dests == sources
+    if np.any(selfed):
+        dests[selfed] = _ref_uniform(n, sources[selfed], rng)
+    return dests
+
+
+def reference_packets(net, rate, pattern, mix, seed, burstiness, nodes, horizon):
+    """``(cycle, src, dest, vnet, size)`` rows of a naive per-cycle source.
+
+    What ``SyntheticTraffic`` must draw, written out with the plain NumPy
+    calls one cycle at a time (``rng.choice`` for hotspots and packet
+    classes, ``np.where`` shifts).  The production code spells ``choice``
+    out by its definition, so a NumPy release that changes ``choice``
+    fails against this instead of silently forking every seeded result.
+    """
+    rng = np.random.default_rng(seed)
+    weights = np.array([c.weight for c in mix], dtype=float)
+    class_prob = weights / weights.sum()
+    mean_len = float(sum(c.size_flits * p for c, p in zip(mix, class_prob)))
+    packet_rate = rate / mean_len
+    nodes = np.arange(net.num_nodes) if nodes is None else np.asarray(nodes)
+    n = len(nodes)
+    on = np.ones(n, dtype=bool)
+    if burstiness > 0.0:
+        on = rng.random(n) < 0.5
+    out = []
+    for cycle in range(horizon):
+        if burstiness > 0.0:
+            flips = rng.random(n) < (1.0 - burstiness) * 0.1
+            on = np.where(flips, ~on, on)
+            start_prob = np.minimum(np.where(on, 2.0 * packet_rate, 0.0), 1.0)
+        else:
+            start_prob = np.full(n, packet_rate)
+        starts = rng.random(n) < start_prob
+        if not np.any(starts):
+            continue
+        sources = nodes[starts]
+        dests = _ref_destinations(pattern, sources, rng)
+        classes = rng.choice(len(mix), size=len(sources), p=class_prob)
+        out.extend(
+            (cycle, int(s), int(d), mix[int(k)].vnet, mix[int(k)].size_flits)
+            for s, d, k in zip(sources, dests, classes)
+        )
+    return out
 
 
 class NoLookahead:

@@ -16,14 +16,15 @@ from repro.traffic.apps import (
     make_app_traffic,
     suite_profiles,
 )
+from conftest import reference_packets
 from repro.traffic.generator import (
     COHERENCE_MIX,
     SINGLE_FLIT_MIX,
-    _MAX_CHUNK_CYCLES,
     NullTraffic,
     PacketClass,
     SyntheticTraffic,
     TraceTraffic,
+    compile_table,
 )
 from repro.traffic.patterns import (
     BitComplement,
@@ -194,10 +195,44 @@ class TestSyntheticTraffic:
         assert list(NullTraffic().generate(0)) == []
 
 
+class _LoggingRng:
+    """Stands in for a source's ``Generator``: logs every ``random`` shape."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.shapes = []
+
+    def random(self, size=None):
+        self.shapes.append(size)
+        return self._rng.random(size)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def bulk_calls(self):
+        return [s for s in self.shapes if isinstance(s, tuple)]
+
+
+def _reference(net, rate, horizon, mix=SINGLE_FLIT_MIX, seed=0, burstiness=0.0):
+    """The naive per-cycle source's packets, grouped by cycle."""
+    out = {}
+    for cycle, *row in reference_packets(
+        net, rate, UniformRandom(net), mix, seed, burstiness, None, horizon
+    ):
+        out.setdefault(cycle, []).append(tuple(row))
+    return out
+
+
+def _row(p):
+    assert isinstance(p.src, int) and isinstance(p.dest, int)
+    return (p.src, p.dest, p.vnet, p.size_flits)
+
+
 class TestChunkedDraws:
-    """The chunked Bernoulli prefetch must be invisible in the packet
-    stream: same packets, same destinations, same classes as per-cycle
-    draws from the same seed (the reference path is chunk length 1)."""
+    """Bulk scans of quiet stretches must be invisible in the packet
+    stream: same packets, same destinations, same classes as the naive
+    per-cycle source (``conftest.reference_packets``) from the same seed."""
 
     def test_chunked_identical_to_per_cycle(self, net):
         for rate in (0.0, 0.01, 0.05, 0.2):
@@ -206,69 +241,52 @@ class TestChunkedDraws:
                     fast = SyntheticTraffic(
                         net, rate, mix=mix, rng=11, burstiness=burst
                     )
-                    ref = SyntheticTraffic(
-                        net, rate, mix=mix, rng=11, burstiness=burst
-                    )
-                    got, want = [], []
+                    got = {}
                     for c in range(1500):
-                        got.extend(
-                            (p.src, p.dest, p.size_flits, p.vnet)
-                            for p in fast.generate(c)
-                        )
-                        # pin the reference to per-cycle draws
-                        ref._chunk_cycles = 1
-                        ref._quiet_streak = 0
-                        want.extend(
-                            (p.src, p.dest, p.size_flits, p.vnet)
-                            for p in ref.generate(c)
-                        )
+                        pkts = fast.generate(c)
+                        assert all(p.creation_cycle == c for p in pkts)
+                        if pkts:
+                            got[c] = [_row(p) for p in pkts]
+                    want = _reference(net, rate, 1500, mix, 11, burst)
                     assert got == want, (rate, burst, len(mix))
 
     def test_chunk_grows_on_silence_and_resets_on_start(self, net):
         silent = SyntheticTraffic(net, injection_rate=0.0, rng=1)
-        for c in range(10 * _MAX_CHUNK_CYCLES):
-            assert not list(silent.generate(c))
-        assert silent._chunk_cycles == _MAX_CHUNK_CYCLES
+        silent.rng = log = _LoggingRng(silent.rng)
+        for c in range(10_000):
+            assert not silent.generate(c)
+        # doubling blocks up to the table's read-ahead, not 10k calls
+        assert len(log.shapes) < 10_000 // 8
+        assert len(compile_table(silent, 20_000, net)) == 0
+        assert max(rows for rows, _ in log.bulk_calls()) >= 1024
 
         busy = SyntheticTraffic(net, injection_rate=0.02, rng=1)
-        grew = shrank = False
-        for c in range(4000):
-            had = bool(list(busy.generate(c)))
-            if had:
-                assert busy._chunk_cycles == 1  # reset on every start
-                shrank = True
-            elif busy._chunk_cycles > 1:
-                grew = True
-        assert grew and shrank
+        busy.rng = log = _LoggingRng(busy.rng)
+        assert len(compile_table(busy, 4000, net)) > 100
+        assert log.bulk_calls()  # quiet gaps were scanned in bulk ...
+        # ... and every packet start dropped back to per-cycle draws: a
+        # block only ever follows a per-cycle row or another block, never
+        # a start's class draw (one uniform per packet)
+        n = net.num_nodes
+        for before, shape in zip(log.shapes, log.shapes[1:]):
+            if isinstance(shape, tuple):
+                assert before == n or isinstance(before, tuple)
 
     def test_saturated_stream_never_chunks(self, net):
         t = SyntheticTraffic(net, injection_rate=1.0, rng=2)
+        t.rng = log = _LoggingRng(t.rng)
         for c in range(50):
-            assert list(t.generate(c))
-        assert t._chunk_cycles == 1
-        assert t._chunk is None
+            assert len(t.generate(c)) == net.num_nodes
+        assert not log.bulk_calls()
 
 
 class TestNextInjectionLookahead:
     """``next_injection`` (the event-driven engine's skip-ahead hook) must
-    consume the random stream exactly as per-cycle ``generate`` calls
-    would: same hit cycles, same packets, regardless of how lookahead
-    calls and per-cycle steps interleave."""
+    read the same table per-cycle ``generate`` calls read: same hit
+    cycles, same packets, regardless of how lookahead calls and
+    per-cycle steps interleave."""
 
     HORIZON = 1500
-
-    @staticmethod
-    def _per_cycle(traffic, horizon):
-        """Reference drive: generate every cycle."""
-        out = {}
-        for c in range(horizon):
-            pkts = [
-                (p.src, p.dest, p.size_flits, p.vnet, p.creation_cycle)
-                for p in traffic.generate(c)
-            ]
-            if pkts:
-                out[c] = pkts
-        return out
 
     @staticmethod
     def _skipping(traffic, horizon):
@@ -280,10 +298,7 @@ class TestNextInjectionLookahead:
             if nxt is None:
                 break
             assert c <= nxt < horizon
-            pkts = [
-                (p.src, p.dest, p.size_flits, p.vnet, p.creation_cycle)
-                for p in traffic.generate(nxt)
-            ]
+            pkts = [_row(p) for p in traffic.generate(nxt)]
             assert pkts, f"lookahead promised a hit at {nxt}"
             out[nxt] = pkts
             c = nxt + 1
@@ -292,27 +307,24 @@ class TestNextInjectionLookahead:
     def test_flat_lookahead_matches_per_cycle(self, net):
         for rate in (0.0, 0.002, 0.02, 0.2):
             for mix in (SINGLE_FLIT_MIX, COHERENCE_MIX):
-                ref = SyntheticTraffic(net, rate, mix=mix, rng=23)
                 fast = SyntheticTraffic(net, rate, mix=mix, rng=23)
-                want = self._per_cycle(ref, self.HORIZON)
+                want = _reference(net, rate, self.HORIZON, mix, 23)
                 got = self._skipping(fast, self.HORIZON)
                 assert got == want, (rate, len(mix))
 
     def test_bursty_lookahead_matches_per_cycle(self, net):
         for burst in (0.3, 0.8):
-            ref = SyntheticTraffic(net, 0.01, rng=29, burstiness=burst)
             fast = SyntheticTraffic(net, 0.01, rng=29, burstiness=burst)
-            want = self._per_cycle(ref, self.HORIZON)
+            want = _reference(net, 0.01, self.HORIZON, seed=29, burstiness=burst)
             got = self._skipping(fast, self.HORIZON)
             assert got == want, burst
 
     def test_interleaved_lookahead_and_generate(self, net):
         """The engine may clamp a jump short of the promised hit (fault
-        wakes) and then step per-cycle; quiet cycles already drawn by the
-        lookahead must be no-ops, and the stashed hit must land intact."""
-        ref = SyntheticTraffic(net, 0.01, rng=31)
+        wakes) and then step per-cycle; cycles the lookahead found quiet
+        must stay quiet, and the promised packets must land intact."""
         fast = SyntheticTraffic(net, 0.01, rng=31)
-        want = self._per_cycle(ref, self.HORIZON)
+        want = _reference(net, 0.01, self.HORIZON, seed=31)
         got = {}
         c = 0
         while c < self.HORIZON:
@@ -323,17 +335,14 @@ class TestNextInjectionLookahead:
                     assert not list(fast.generate(w))
                 break
             # step per cycle part of the way (as if a wake interrupted),
-            # then let a second lookahead re-confirm the stash
+            # then let a second lookahead re-confirm the hit
             mid = c + (nxt - c) // 2
             for w in range(c, mid):
                 assert not list(fast.generate(w))
             assert fast.next_injection(mid, self.HORIZON) == nxt
             for w in range(mid, nxt):
                 assert not list(fast.generate(w))
-            pkts = [
-                (p.src, p.dest, p.size_flits, p.vnet, p.creation_cycle)
-                for p in fast.generate(nxt)
-            ]
+            pkts = [_row(p) for p in fast.generate(nxt)]
             assert pkts
             got[nxt] = pkts
             c = nxt + 1
