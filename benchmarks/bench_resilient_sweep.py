@@ -1,12 +1,14 @@
-"""Engineering benchmark: resilient sweep engine overhead.
+"""Engineering benchmark: what a resilient runtime costs a sweep.
 
-The resilient engine (:mod:`repro.experiments.resilient`) replaces the
-plain process pool with supervised workers, per-point watchdogs, and an
-append-only checkpoint store.  That machinery must stay cheap: this
-bench runs the same sweep through the plain engine and through the
-resilient engine (checkpointing every point) and asserts the overhead
-is bounded, then re-runs from the completed checkpoint and asserts the
-resume path short-circuits execution entirely.
+Every ``jobs=2`` sweep runs on supervised workers
+(:mod:`repro.experiments.resilient`); a runtime adds the retry policy
+and an append-only checkpoint store on top.  That must stay cheap: this
+bench runs the same sweep on the supervisor bare (no runtime: one
+attempt, nothing stored) and under a runtime that checkpoints every
+point with ``max_attempts=2`` — the one variable is the store and the
+policy — and asserts the overhead is bounded, then re-runs from the
+completed checkpoint and asserts the resume path short-circuits
+execution entirely.
 
 Set ``REPRO_BENCH_JSON=<path>`` to write the measurements as JSON
 (the CI `benchmark-smoke` job publishes them as the
@@ -59,8 +61,8 @@ def _tasks():
 
 
 def test_resilient_engine_overhead(benchmark, tmp_path):
-    """Supervised workers + checkpointing vs the plain pool, jobs=2."""
-    (plain_values, _), plain_s = _timed(lambda: run_sweep(_tasks(), jobs=2))
+    """Supervisor with a checkpoint store + retries vs without, jobs=2."""
+    (bare_values, _), bare_s = _timed(lambda: run_sweep(_tasks(), jobs=2))
 
     def resilient_run():
         with sweep_runtime(out_dir=tmp_path / "run",
@@ -78,21 +80,22 @@ def test_resilient_engine_overhead(benchmark, tmp_path):
     )
     resilient_s = box["s"]
 
-    # same engine contract: bit-identical values, every point checkpointed
-    assert values == plain_values
+    # same executor: bit-identical values, every point checkpointed
+    assert values == bare_values
     assert report.checkpointed == POINTS
     assert report.retries == 0
 
-    ratio = resilient_s / plain_s
+    ratio = resilient_s / bare_s
     print(
-        f"\nresilient sweep ({POINTS} points, jobs=2): plain {plain_s:.2f}s, "
-        f"resilient {resilient_s:.2f}s -> {ratio:.2f}x overhead"
+        f"\nresilient sweep ({POINTS} points, jobs=2): supervisor alone "
+        f"{bare_s:.2f}s, with store + retries {resilient_s:.2f}s "
+        f"-> {ratio:.2f}x overhead"
     )
     _write_json({"resilient_sweep_overhead_x": round(ratio, 2)})
-    # generous bound: supervision + checkpoint appends must not blow up
-    # a sweep of short points (long points amortize it further)
-    assert resilient_s <= plain_s * 3.0 + 2.0, (
-        f"resilient engine overhead out of bounds: {ratio:.2f}x"
+    # generous bound: checkpoint appends must not blow up a sweep of
+    # short points (long points amortize them further)
+    assert resilient_s <= bare_s * 3.0 + 2.0, (
+        f"resilient runtime overhead out of bounds: {ratio:.2f}x"
     )
 
 

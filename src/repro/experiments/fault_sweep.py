@@ -10,18 +10,13 @@ sharing starts interacting with congestion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from ..traffic.apps import app_profile
 from .latency import QUICK_CONFIG, LatencyConfig, suite_schedule, suite_traffic
 from .report import ExperimentResult
 from .resilient import sweep_runtime
-
-try:  # dataclasses.replace via the config helper
-    from ..config import replace
-except ImportError:  # pragma: no cover
-    from dataclasses import replace
 
 
 @dataclass(frozen=True)

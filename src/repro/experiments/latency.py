@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
-from ..core.protected_router import protected_router_factory
 from ..faults.injector import RandomFaultSchedule
-from ..network import warm
 from ..network.simulator import SimulationResult
 from ..traffic.apps import AppProfile, make_app_traffic, suite_profiles
+from .parallel import LanePoint, SweepReport, run_point
 from .report import ExperimentResult, override_seed
 
 
@@ -122,13 +121,9 @@ class AppLatency:
 
 
 def suite_traffic(
-    net: NetworkConfig, app: str, seed: int, rate_scale: float
+    net: NetworkConfig, app: AppProfile | str, seed: int, rate_scale: float
 ):
-    """Traffic factory for one suite point (module-level → picklable).
-
-    Mirrors :func:`run_app`'s traffic construction exactly, so the lane
-    sweep stays bit-identical to the per-point path.
-    """
+    """Traffic factory for one suite point (module-level → picklable)."""
     return make_app_traffic(net, app, rng=seed, rate_scale=rate_scale)
 
 
@@ -138,8 +133,7 @@ def suite_schedule(
     """Fault-schedule factory for one suite point (module-level).
 
     All faults land during warmup so the measurement window sees the
-    steady state — identical construction to :func:`run_app`'s faulty
-    branch (uniform over ``[0, warmup)``, paper-style uniform gaps).
+    steady state (uniform over ``[0, warmup)``, paper-style uniform gaps).
     """
     return RandomFaultSchedule(
         net.router,
@@ -152,39 +146,41 @@ def suite_schedule(
     )
 
 
-def run_app(
-    profile: AppProfile,
+def _suite_point(
     cfg: LatencyConfig,
+    net: NetworkConfig,
+    sim_config: SimulationConfig,
+    app: AppProfile,
     faulty: bool,
-    seed_offset: int = 0,
+) -> LanePoint:
+    """One (application, fault-state) simulation of the suite.
+
+    The single description both paths run — :func:`suite_points` as
+    lanes, :func:`run_app` alone — which is what keeps them bit-identical.
+    ``net`` / ``sim_config`` are ``cfg``'s, built once per suite.
+    """
+    return LanePoint(
+        config=net,
+        sim_config=sim_config,
+        make_traffic=suite_traffic,
+        traffic_args=(net, app, cfg.seed, cfg.rate_scale),
+        make_schedule=suite_schedule if faulty else None,
+        schedule_args=(
+            (net, cfg.warmup_cycles, cfg.num_faults, cfg.seed)
+            if faulty
+            else ()
+        ),
+        router_kind="protected",
+        label=f"{app.name}:{'faulty' if faulty else 'fault-free'}",
+    )
+
+
+def run_app(
+    profile: AppProfile, cfg: LatencyConfig, faulty: bool
 ) -> SimulationResult:
     """One simulation of one application, with or without faults."""
-    net = cfg.network()
-    seed = cfg.seed + seed_offset
-    traffic = make_app_traffic(net, profile, rng=seed, rate_scale=cfg.rate_scale)
-    schedule = None
-    if faulty:
-        # all faults land during warmup so the measurement window sees the
-        # steady state (uniform over [0, warmup), paper-style uniform gaps)
-        schedule = RandomFaultSchedule(
-            net.router,
-            net.num_nodes,
-            mean_interval=max(1.0, cfg.warmup_cycles / (2 * cfg.num_faults)),
-            num_faults=cfg.num_faults,
-            rng=seed + 7919,
-            first_fault_at=0,
-            avoid_failure=True,
-        )
-    # warm pool: fig7/fig8 runs every (app, fault-state) pair on the same
-    # 8x8 structural config, so workers reuse one fabric per process
-    sim = warm.acquire(
-        net,
-        cfg.simulation(),
-        traffic,
-        router_factory=protected_router_factory(net),
-        fault_schedule=schedule,
-    )
-    result = sim.run()
+    point = _suite_point(cfg, cfg.network(), cfg.simulation(), profile, faulty)
+    result = run_point(point).value
     if result.blocked:
         raise RuntimeError(
             f"{profile.name}: network blocked — fault schedule should have "
@@ -236,32 +232,15 @@ def suite_points(
     suite: str,
     cfg: LatencyConfig,
     apps: Optional[Sequence[str]] = None,
-) -> "list[LanePoint]":
+) -> list[LanePoint]:
     """The suite's sweep points: (fault-free, faulty) per application."""
-    from .parallel import LanePoint
-
     net = cfg.network()
     sim_config = cfg.simulation()
-    points = []
-    for p in _suite_profiles(suite, apps):
-        for faulty in (False, True):
-            points.append(
-                LanePoint(
-                    config=net,
-                    sim_config=sim_config,
-                    make_traffic=suite_traffic,
-                    traffic_args=(net, p.name, cfg.seed, cfg.rate_scale),
-                    make_schedule=suite_schedule if faulty else None,
-                    schedule_args=(
-                        (net, cfg.warmup_cycles, cfg.num_faults, cfg.seed)
-                        if faulty
-                        else ()
-                    ),
-                    router_kind="protected",
-                    label=f"{p.name}:{'faulty' if faulty else 'fault-free'}",
-                )
-            )
-    return points
+    return [
+        _suite_point(cfg, net, sim_config, p, faulty)
+        for p in _suite_profiles(suite, apps)
+        for faulty in (False, True)
+    ]
 
 
 def run_suite_sharded(
@@ -269,7 +248,7 @@ def run_suite_sharded(
     cfg: LatencyConfig | None = None,
     apps: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-) -> tuple[list[AppLatency], "SweepReport"]:
+) -> tuple[list[AppLatency], SweepReport]:
     """Suite sweep through the lane engine: one point per (application,
     fault-state) pair, reassembled into per-app results.
 
@@ -283,6 +262,7 @@ def run_suite_sharded(
     bit-identical to running every point through
     :func:`repro.experiments.parallel.run_point`.
     """
+    # looked up per call: the ledger's tracer patches the module attribute
     from .parallel import run_lane_sweep
 
     cfg = cfg or LatencyConfig()

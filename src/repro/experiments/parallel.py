@@ -1,4 +1,4 @@
-"""Deterministic multiprocessing sweep engine (``repro.experiments.parallel``).
+"""Deterministic sweep executor (``repro.experiments.parallel``).
 
 Every sweep-shaped artefact of the reproduction — Figures 7/8 (one
 simulation per app x fault-state), Table III's Monte-Carlo campaign, the
@@ -21,40 +21,48 @@ serial run**:
 Together these two properties make ``jobs=N`` a pure wall-clock knob:
 ``tests/test_parallel.py`` pins serial == parallel equality end-to-end.
 
-Workers are plain :mod:`multiprocessing` pools (fork start method where
-available — cheap on Linux, no re-import per worker).  Each worker runs
-one *shard* (a strided slice of the task list) and reports points
-completed, wall time, and simulated cycles; the per-shard
-:class:`ShardReport` list is surfaced through
-``ExperimentResult.extras["sweep"]`` so the CLI can print a timing
-breakdown after every parallel run.
-
-When a resilient runtime is active
+There is one executor, :func:`run_sweep`, with two execution modes it
+chooses itself.  A sweep asked for one job with no resilient runtime
+active runs **inline**: the tasks execute in this process, in order,
+never pickled.  Everything else runs **supervised**: worker processes
+under the supervisor in :mod:`repro.experiments.resilient`, which notices
+a crashed or hung worker, replaces it, and charges the loss to the one
+point it was running.  With a runtime active
 (:func:`repro.experiments.resilient.sweep_runtime` — installed by the
 unified ``run(..., out_dir=..., resume=...)`` experiment entry points and
 the ``--out-dir``/``--resume``/``--retries``/``--task-timeout`` CLI
-flags), :func:`run_sweep` transparently reroutes to the checkpointed,
-retrying executor in :mod:`repro.experiments.resilient`; results stay
-bit-identical, and exhausted retries surface as
-:class:`PartialSweepError` (carrying a :class:`PartialSweepReport`)
-instead of discarding the completed points.  See ``docs/resilience.md``.
+flags) the supervisor also retries, checkpoints and streams progress,
+and points that stay failed surface as :class:`PartialSweepError`
+(carrying a :class:`PartialSweepReport`); without one every point gets a
+single attempt and failures raise :class:`SweepError`.  See
+``docs/resilience.md``.
+
+Both modes call one :func:`run_task` per point and hand its
+:class:`TaskRow` to one assembly step, which rebuilds values in task
+order, derives the per-slot :class:`ShardReport` list (points, wall
+time, simulated cycles — surfaced through
+``ExperimentResult.extras["sweep"]`` so the CLI can print a timing
+breakdown after every parallel run) and applies the error rule.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from ..config import NetworkConfig, SimulationConfig
 from ..network import warm
-from ..observability import merge_exports
+from ..observability import MetricsRegistry, global_config, merge_exports
+
+if TYPE_CHECKING:
+    from .resilient import SweepRuntime
 
 
 # ----------------------------------------------------------------------
@@ -107,14 +115,14 @@ class PointOutcome:
 
 @dataclass(frozen=True)
 class PointFailure:
-    """An exception captured inside a worker while running one point.
+    """A point that stayed failed: its task raised, or its worker died.
 
-    Failures are *collected*, not swallowed: after every shard finishes,
-    :func:`run_sweep` raises a :class:`SweepError` naming each failed
-    point with its worker-side traceback.  Capturing (rather than letting
-    the exception kill ``pool.map``) guarantees one failing point cannot
-    surface as a silently partial sweep and that the CLI exits non-zero
-    with *every* failure reported, not just the first.
+    Failures are *collected*, not swallowed: after every other point has
+    run, :func:`run_sweep` raises a :class:`SweepError` naming each
+    failed point with its worker-side traceback.  Capturing guarantees
+    one failing point cannot surface as a silently partial sweep and that
+    the CLI exits non-zero with *every* failure reported, not just the
+    first.
     """
 
     index: int
@@ -128,7 +136,7 @@ class PointFailure:
 
 
 class SweepError(RuntimeError):
-    """One or more sweep points raised inside their worker shard."""
+    """One or more sweep points failed (raised, or lost their worker)."""
 
     def __init__(self, failures: Sequence[PointFailure]) -> None:
         self.failures = tuple(failures)
@@ -238,13 +246,11 @@ class SweepReport:
 
     @property
     def fallback_reasons(self) -> Tuple[str, ...]:
-        """Deduplicated fallback reason strings across all shards."""
-        seen: list[str] = []
-        for s in self.shards:
-            for r in s.fallback_reasons:
-                if r not in seen:
-                    seen.append(r)
-        return tuple(seen)
+        """Deduplicated fallback reason strings, in an order no sharding
+        changes."""
+        return tuple(
+            sorted({r for s in self.shards for r in s.fallback_reasons})
+        )
 
     @property
     def worker_time(self) -> float:
@@ -295,8 +301,8 @@ class SweepReport:
 class PartialSweepReport(SweepReport):
     """A sweep that finished *degraded*: some points failed or were skipped.
 
-    Produced only by the resilient runtime
-    (:mod:`repro.experiments.resilient`): completed points are intact (and
+    Produced only under a resilient runtime
+    (:func:`repro.experiments.resilient.sweep_runtime`): completed points are intact (and
     checkpointed when a run directory is attached), ``failed`` lists the
     points whose retries were exhausted, and ``skipped`` the points never
     attempted because the sweep was interrupted.  Carried on
@@ -392,134 +398,103 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 # execution
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _PackedTask:
-    """A task pre-pickled in the parent, unpickled lazily in the worker.
+class TaskRow:
+    """What one attempt at one task produced — the only result record.
 
-    Shipping the task body as opaque bytes moves argument
-    *deserialisation* inside the per-task exception guard: a task whose
-    arguments fail to unpickle in the worker (a classic source of raw
-    pool tracebacks that abort the whole sweep) is reported as a
-    :class:`PointFailure` naming the offending task index, exactly like
-    an exception raised by the task function itself.
+    :func:`run_task` fills it wherever the task runs; the supervisor adds
+    ``attempts`` / ``slot`` / ``timed_out``, the checkpoint store writes
+    and reloads it (``slot=-1`` marks a resumed row), and
+    :func:`run_sweep` assembles values, shard reports and errors from
+    nothing else.  ``error`` is empty exactly when the attempt succeeded.
     """
 
     index: int
-    label: str
-    payload: bytes
+    value: Any = None
+    cycles: int = 0
+    fallbacks: int = 0
+    fallback_reasons: Tuple[str, ...] = ()
+    #: sweep points behind this row (a lane chunk covers several)
+    points: int = 1
+    setup_s: float = 0.0
+    run_s: float = 0.0
+    error: str = ""
+    traceback: str = ""
+    #: executions of this task so far, this one included
+    attempts: int = 1
+    #: worker slot that ran it; 0 inline, -1 spliced from a checkpoint
+    slot: int = 0
+    #: the attempt ended because the watchdog killed its worker
+    timed_out: bool = False
 
+    @property
+    def ok(self) -> bool:
+        return not self.error
 
-def _pack(task: SweepTask) -> "_PackedTask | SweepTask":
-    """Pre-pickle for the parallel path; pass through if unpicklable.
-
-    A task that cannot even be *pickled* here would also have killed
-    ``pool.map``; passing it through lets the pool raise its usual
-    (parent-side, immediate) error for truly unpicklable functions while
-    worker-side unpickle failures stay contained per task.
-    """
-    try:
-        return _PackedTask(task.index, task.label, pickle.dumps(task))
-    except Exception:
-        return task
-
-
-def _execute(
-    task: "SweepTask | _PackedTask",
-) -> tuple[int, Any, int, int, Tuple[str, ...]]:
-    """Run one task; returns (index, value, cycles, fallbacks, reasons).
-
-    Exceptions — including unpickling a :class:`_PackedTask` payload —
-    are captured as :class:`PointFailure` values so the rest of the
-    shard still runs and the parent can report *all* failures.
-    """
-    try:
-        if isinstance(task, _PackedTask):
-            task = pickle.loads(task.payload)
-        out = task.fn(*task.args, **task.kwargs)
-    except Exception as exc:
-        return (
-            task.index,
-            PointFailure(
-                index=task.index,
-                label=task.label,
-                error=f"{type(exc).__name__}: {exc}",
-                traceback=traceback.format_exc(),
-            ),
-            0,
-            0,
-            (),
+    @classmethod
+    def failed(cls, index: int, exc: BaseException) -> "TaskRow":
+        """The row of an attempt that raised (call inside ``except``)."""
+        return cls(
+            index=index,
+            error=f"{type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
         )
-    if isinstance(out, PointOutcome):
-        return (
-            task.index,
-            out.value,
-            int(out.cycles),
-            int(out.fallbacks),
-            tuple(out.fallback_reasons),
-        )
-    cycles = getattr(out, "cycles", 0)
-    return (
-        task.index, out, int(cycles) if isinstance(cycles, int) else 0, 0, ()
-    )
 
 
-def _run_shard(
-    payload: "tuple[int, list[SweepTask | _PackedTask]]"
-) -> tuple[list[tuple[int, Any, int, int, Tuple[str, ...]]], ShardReport]:
-    """Worker entry point: run one shard's tasks serially, in order.
+def run_task(task: SweepTask) -> TaskRow:
+    """Run one task in this process; a raising task becomes a failed row.
 
-    The body outside :func:`_execute` (shard setup such as draining the
-    warm-pool timer, plus report assembly) is guarded too: an exception
-    there is attributed to the first task that had not completed, as a
-    :class:`PointFailure`, instead of surfacing as a raw pool traceback
-    that discards the whole sweep.
+    The single place a task function is called: inline sweeps call it
+    directly, supervised workers call it between unpickling the task and
+    pickling the value.  Setup time is what :mod:`repro.network.warm`
+    accrued while the task ran; everything else is ``run_s``.
     """
-    shard_id, tasks = payload
-    rows: list[tuple[int, Any, int, int, Tuple[str, ...]]] = []
+    warm.drain_setup_seconds()  # discard time accrued before this task
     t0 = time.perf_counter()
     try:
-        warm.drain_setup_seconds()  # discard time accrued before this shard
-        rows.extend(_execute(t) for t in tasks)
-        setup = warm.drain_setup_seconds()
+        out = task.fn(*task.args, **task.kwargs)
     except Exception as exc:
-        offender = tasks[len(rows)] if len(rows) < len(tasks) else tasks[-1]
-        rows.append(
-            (
-                offender.index,
-                PointFailure(
-                    index=offender.index,
-                    label=offender.label,
-                    error=f"shard setup failed: {type(exc).__name__}: {exc}",
-                    traceback=traceback.format_exc(),
-                ),
-                0,
-                0,
-                (),
-            )
-        )
-        setup = 0.0
+        return TaskRow.failed(task.index, exc)
     wall = time.perf_counter() - t0
-    reasons: list[str] = []
-    for _, _, _, _, rs in rows:
-        for r in rs:
-            if r not in reasons:
-                reasons.append(r)
-    report = ShardReport(
-        shard=shard_id,
-        points=len(rows),
-        wall_time=wall,
-        cycles=sum(c for _, _, c, _, _ in rows),
+    setup = warm.drain_setup_seconds()
+    if not isinstance(out, PointOutcome):
+        cycles = getattr(out, "cycles", 0)
+        out = PointOutcome(out, cycles if isinstance(cycles, int) else 0)
+    return TaskRow(
+        index=task.index,
+        value=out.value,
+        cycles=int(out.cycles),
+        fallbacks=int(out.fallbacks),
+        fallback_reasons=tuple(out.fallback_reasons),
+        points=int(out.points),
         setup_s=setup,
         run_s=max(0.0, wall - setup),
-        fallbacks=sum(f for _, _, _, f, _ in rows),
-        fallback_reasons=tuple(reasons),
     )
-    return rows, report
 
 
-def _pool_context() -> mp.context.BaseContext:
-    """Fork where the platform has it (cheap, no re-import); else spawn."""
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
+def _shard_report(
+    slot: int, final: Sequence[TaskRow], retried: Sequence[TaskRow], durable: bool
+) -> ShardReport:
+    """One slot's :class:`ShardReport`, from the rows that slot produced."""
+    done = [r for r in final if r.slot == slot and r.ok]
+    lost = [r for r in retried if r.slot == slot]
+    dead = [r for r in final if r.slot == slot and not r.ok]
+    setup_s = sum(r.setup_s for r in done)
+    run_s = sum(r.run_s for r in done)
+    return ShardReport(
+        shard=slot,
+        points=sum(r.points for r in done),
+        wall_time=setup_s + run_s,
+        cycles=sum(r.cycles for r in done),
+        setup_s=setup_s,
+        run_s=run_s,
+        retries=len(lost),
+        timeouts=sum(r.timed_out for r in lost + dead),
+        checkpointed=len(done) if durable and slot >= 0 else 0,
+        fallbacks=sum(r.fallbacks for r in done),
+        fallback_reasons=tuple(
+            dict.fromkeys(x for r in done for x in r.fallback_reasons)
+        ),
+    )
 
 
 def run_sweep(
@@ -528,66 +503,115 @@ def run_sweep(
 ) -> tuple[list[Any], SweepReport]:
     """Execute all tasks; returns (values in task-index order, report).
 
-    Serial (``jobs`` in {None, 1}) runs in-process; parallel shards the
-    task list round-robin across a process pool.  Because every task is
-    independent and self-seeded, both paths produce identical values.
+    Two execution modes, chosen from what is visible here: **inline**
+    (no runtime active and one job: the tasks run in this process, in
+    order, never pickled) and **supervised** (everything else: worker
+    processes under :mod:`repro.experiments.resilient`'s supervisor, with
+    the active runtime's retry policy / checkpoint store / progress hook,
+    or one attempt and no store when no runtime is active).  Every task
+    is independent and self-seeded, so both produce identical values.
 
-    When a resilient runtime is active
-    (:func:`repro.experiments.resilient.sweep_runtime`), execution is
-    rerouted to the checkpointed/retrying executor — values are
-    bit-identical; only the failure/durability semantics change.
+    A failed point never stops the others from running: afterwards,
+    without a runtime :class:`SweepError` names every failure, with one
+    :class:`PartialSweepError` also carries the completed values.
     """
+    from . import resilient  # it imports this module at load time
+
     tasks = list(tasks)
-    indices = sorted(t.index for t in tasks)
-    if indices != list(range(len(tasks))):
+    if sorted(t.index for t in tasks) != list(range(len(tasks))):
         raise ValueError("task indices must be exactly 0..len(tasks)-1")
-
-    from . import resilient
-
-    if resilient.active_runtime() is not None:
-        return resilient.execute_sweep(tasks, jobs)
-
+    runtime = resilient.active_runtime()
     n_jobs = min(resolve_jobs(jobs), len(tasks)) or 1
 
     t0 = time.perf_counter()
-    if n_jobs <= 1:
-        shard_outputs = [_run_shard((0, tasks))]
+    retried: Sequence[TaskRow] = ()
+    if runtime is None and n_jobs <= 1:
+        rows, slots = {t.index: run_task(t) for t in tasks}, 1
     else:
-        # round-robin sharding interleaves long and short points (e.g.
-        # low-load vs near-saturation simulations) across workers
-        buckets: list[list[SweepTask | _PackedTask]] = [
-            [] for _ in range(n_jobs)
-        ]
-        for i, task in enumerate(tasks):
-            buckets[i % n_jobs].append(_pack(task))
-        ctx = _pool_context()
-        with ctx.Pool(processes=n_jobs) as pool:
-            shard_outputs = pool.map(_run_shard, list(enumerate(buckets)))
+        rows, retried, slots = resilient.supervise(tasks, n_jobs)
     wall = time.perf_counter() - t0
+    return _assemble(tasks, rows, retried, slots, wall, runtime)
 
+
+def _assemble(
+    tasks: Sequence[SweepTask],
+    rows: "dict[int, TaskRow]",
+    retried: Sequence[TaskRow],
+    slots: int,
+    wall: float,
+    runtime: "Optional[SweepRuntime]",
+) -> tuple[list[Any], SweepReport]:
+    """Values, report and the error rule of a sweep, from its rows.
+
+    ``rows`` holds each task's last row (a success, spliced from the
+    checkpoint or fresh, or the attempt that exhausted its retries);
+    ``retried`` the failed attempts that were re-queued.
+    """
+    labels = {t.index: t.label for t in tasks}
+    final = [rows[i] for i in sorted(rows)]
     values: list[Any] = [None] * len(tasks)
-    for rows, _ in shard_outputs:
-        for index, value, _cycles, _fallbacks, _reasons in rows:
-            values[index] = value
-
-    failures = [v for v in values if isinstance(v, PointFailure)]
-    if failures:
+    for row in final:
+        values[row.index] = row.value
+    failures = tuple(
+        PointFailure(
+            index=r.index,
+            label=labels[r.index],
+            error=f"{r.error} [{r.attempts} attempt(s)]",
+            traceback=r.traceback,
+        )
+        for r in final
+        if not r.ok
+    )
+    if failures and runtime is None:
         raise SweepError(failures)
+    # only an interrupted sweep under a runtime leaves a task without a row
+    skipped = tuple(i for i in range(len(tasks)) if i not in rows)
 
+    # point-accurate: a resumed lane chunk covers several points
+    resumed = sum(r.points for r in final if r.slot < 0)
+    durable = runtime is not None and runtime.store is not None
+    shards = tuple(
+        _shard_report(slot, final, retried, durable)
+        for slot in (*range(slots), *([-1] if resumed else []))
+    )
     # fold per-point observability snapshots in task-index order — the
     # order is independent of sharding, so `--jobs N` merges identically
     exports = [
-        (tasks[i].label, getattr(v, "observability", None))
+        (labels[i], getattr(v, "observability", None))
         for i, v in enumerate(values)
     ]
-    report = SweepReport(
-        jobs=n_jobs,
+    observability = merge_exports(exports)
+    # surface runtime counters through the metrics registry when it is on
+    if runtime is not None and global_config().metrics:
+        reg = MetricsRegistry()
+        reg.inc("resilient.points_completed", sum(r.ok for r in final))
+        reg.inc("resilient.points_resumed", resumed)
+        reg.inc("resilient.points_failed", len(failures))
+        reg.inc("resilient.points_skipped", len(skipped))
+        reg.inc("resilient.retries", sum(s.retries for s in shards))
+        reg.inc("resilient.timeouts", sum(s.timeouts for s in shards))
+        reg.inc("resilient.checkpointed", sum(s.checkpointed for s in shards))
+        observability = merge_exports(
+            (exports if observability else [])
+            + [("resilient-runtime", {"metrics": reg.snapshot()})]
+        )
+    fields: dict[str, Any] = dict(
+        jobs=slots,
         points=len(tasks),
         wall_time=wall,
-        shards=tuple(rep for _, rep in shard_outputs),
-        observability=merge_exports(exports),
+        shards=shards,
+        observability=observability,
+        resumed=resumed,
     )
-    return values, report
+    if failures or skipped:
+        report = PartialSweepReport(
+            completed=tuple(r.index for r in final if r.ok),
+            failed=failures,
+            skipped=skipped,
+            **fields,
+        )
+        raise PartialSweepError(report, values)
+    return values, SweepReport(**fields)
 
 
 def map_sweep(

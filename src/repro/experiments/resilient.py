@@ -26,6 +26,15 @@ sweeps in :mod:`repro.experiments.parallel`:
   in task-index order, a resumed run is bit-identical to an
   uninterrupted one (pinned by ``tests/test_resilient.py``).
 
+This module holds the durable store, the runtime context and the
+supervisor.  It is not a second executor:
+:func:`~repro.experiments.parallel.run_sweep` is the only one, and
+:func:`supervise` is its worker-process mode, so a dead worker costs its
+one point (never a hang) whether or not a runtime is active.  What a
+runtime adds is the *policy* — retries, the watchdog, the store, a
+progress hook and the partial-success error; with none active each point
+gets a single attempt (:data:`NO_RETRY`) and nothing is stored.
+
 Activation is context-based so the experiment modules need no plumbing:
 :func:`sweep_runtime` installs the runtime for the current call stack and
 :func:`~repro.experiments.parallel.run_sweep` consults it.  The unified
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 import base64
 import json
+import multiprocessing as mp
 import os
 import pickle
 import threading
@@ -50,6 +60,8 @@ from hashlib import sha256
 from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from .parallel import SweepTask, TaskRow, run_task
 
 __all__ = [
     "CheckpointStore",
@@ -118,7 +130,8 @@ class RetryPolicy:
         return min(self.max_backoff_s, self.backoff_s * self.backoff_factor ** (attempt - 1))
 
 
-#: a policy that reproduces the classic engine's behaviour exactly
+#: one attempt per point, no watchdog: what supervised sweeps run under
+#: when no runtime is active
 NO_RETRY = RetryPolicy(max_attempts=1)
 
 
@@ -147,22 +160,6 @@ def sweep_fingerprint(tasks: Sequence[Any]) -> str:
         for t in tasks
     ]
     return sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class CompletedPoint:
-    """One checkpointed point, as reloaded from the run directory."""
-
-    index: int
-    value: Any
-    cycles: int
-    setup_s: float
-    run_s: float
-    attempts: int
-    fallbacks: int = 0
-    fallback_reasons: Tuple[str, ...] = ()
-    #: sweep points behind this record (lane chunks cover several)
-    points: int = 1
 
 
 class CheckpointStore:
@@ -218,8 +215,8 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def open_sweep(
         self, seq: int, fingerprint: str, points: int
-    ) -> Dict[int, CompletedPoint]:
-        """Register sweep ``seq`` and return its already-completed points.
+    ) -> Dict[int, TaskRow]:
+        """Register sweep ``seq`` and return its already-completed rows.
 
         On a fresh run the sweep is recorded in the manifest and the
         returned dict is empty.  On resume the manifest entry must match
@@ -247,9 +244,9 @@ class CheckpointStore:
             )
         return self._load(seq, points)
 
-    def _load(self, seq: int, points: int) -> Dict[int, CompletedPoint]:
+    def _load(self, seq: int, points: int) -> Dict[int, TaskRow]:
         path = self._sweep_file(seq)
-        done: Dict[int, CompletedPoint] = {}
+        done: Dict[int, TaskRow] = {}
         if not path.exists():
             return done
         with open(path, "rb") as fp:
@@ -263,7 +260,7 @@ class CheckpointStore:
                 index = int(rec["index"])
                 if not 0 <= index < points:
                     continue
-                done[index] = CompletedPoint(
+                done[index] = TaskRow(
                     index=index,
                     value=value,
                     cycles=int(rec.get("cycles", 0)),
@@ -273,39 +270,31 @@ class CheckpointStore:
                     fallbacks=int(rec.get("fallbacks", 0)),
                     fallback_reasons=tuple(rec.get("fallback_reasons", [])),
                     points=int(rec.get("points", 1)),
+                    slot=-1,
                 )
         return done
 
     def append(
-        self,
-        seq: int,
-        *,
-        index: int,
-        label: str,
-        value_bytes: bytes,
-        cycles: int,
-        setup_s: float,
-        run_s: float,
-        attempts: int,
-        fallbacks: int = 0,
-        fallback_reasons: Sequence[str] = (),
-        points: int = 1,
+        self, seq: int, row: TaskRow, label: str, value_bytes: bytes
     ) -> None:
-        """Durably record one completed point (append + flush)."""
+        """Durably record one completed point (append + flush).
+
+        ``value_bytes`` is ``row.value`` as the worker pickled it.
+        """
         fp = self._files.get(seq)
         if fp is None:
             fp = open(self._sweep_file(seq), "a")
             self._files[seq] = fp
         rec = {
-            "index": index,
+            "index": row.index,
             "label": label,
-            "attempts": attempts,
-            "cycles": cycles,
-            "fallbacks": fallbacks,
-            "fallback_reasons": list(fallback_reasons),
-            "points": points,
-            "setup_s": round(setup_s, 6),
-            "run_s": round(run_s, 6),
+            "attempts": row.attempts,
+            "cycles": row.cycles,
+            "fallbacks": row.fallbacks,
+            "fallback_reasons": list(row.fallback_reasons),
+            "points": row.points,
+            "setup_s": round(row.setup_s, 6),
+            "run_s": round(row.run_s, 6),
             "value": base64.b64encode(value_bytes).decode("ascii"),
         }
         fp.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -369,7 +358,7 @@ def _set_active(run: Optional[_ActiveRun]) -> None:
 
 
 #: process default retry policy; ``configure`` (CLI --retries/--task-timeout)
-#: replaces it and forces the resilient executor on for subsequent runs
+#: replaces it and makes every later ``sweep_runtime()`` install a runtime
 _default_policy: RetryPolicy = RetryPolicy()
 _force_resilient: bool = False
 
@@ -479,11 +468,9 @@ def _claim_sequence() -> int:
 # supervised worker processes
 # ----------------------------------------------------------------------
 def _worker_main(conn: connection.Connection) -> None:  # pragma: no cover — child
-    """Worker loop: receive ``(index, payload)``, send a result dict.
+    """Worker loop: receive ``(index, payload)``, send ``(row, value_bytes)``.
 
-    Runs until the supervisor sends ``None`` or the pipe closes.  All
-    exceptions — including unpickling a poisoned task and pickling an
-    unpicklable result — are contained to the offending point.
+    Runs until the supervisor sends ``None`` or the pipe closes.
     """
     while True:
         try:
@@ -492,113 +479,72 @@ def _worker_main(conn: connection.Connection) -> None:  # pragma: no cover — c
             return
         if msg is None:
             return
-        index, payload = msg
         try:
-            conn.send(_run_payload(index, payload))
+            conn.send(_run_pickled(*msg))
         except (BrokenPipeError, OSError):
             return
 
 
-def _run_payload(index: int, payload: bytes) -> dict:
-    """Execute one pickled task; never raises."""
-    import traceback as tb
+def _run_pickled(index: int, payload: bytes) -> Tuple[TaskRow, bytes]:
+    """:func:`run_task` with unpickle / pickle around it; never raises.
 
-    from ..network import warm
-
-    warm.drain_setup_seconds()
-    t0 = time.perf_counter()
+    The value crosses the pipe (and reaches the checkpoint) as its own
+    pickle, so a poisoned task or an unpicklable result is contained to
+    the offending point like an exception inside it.
+    """
     try:
-        task = pickle.loads(payload)
-        out = task.fn(*task.args, **task.kwargs)
-        if type(out).__name__ == "PointOutcome":
-            value, cycles = out.value, int(out.cycles)
-            fallbacks = int(getattr(out, "fallbacks", 0))
-            reasons = list(getattr(out, "fallback_reasons", ()) or ())
-            points = int(getattr(out, "points", 1))
-        else:
-            value = out
-            raw = getattr(out, "cycles", 0)
-            cycles = int(raw) if isinstance(raw, int) else 0
-            fallbacks = 0
-            reasons = []
-            points = 1
-        value_bytes = pickle.dumps(value)
+        row = run_task(pickle.loads(payload))
+        return replace(row, value=None), pickle.dumps(row.value)
     except Exception as exc:
-        return {
-            "index": index,
-            "ok": False,
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": tb.format_exc(),
-        }
-    wall = time.perf_counter() - t0
-    setup = warm.drain_setup_seconds()
-    return {
-        "index": index,
-        "ok": True,
-        "value": value_bytes,
-        "cycles": cycles,
-        "fallbacks": fallbacks,
-        "fallback_reasons": reasons,
-        "points": points,
-        "setup_s": setup,
-        "run_s": max(0.0, wall - setup),
-    }
+        return TaskRow.failed(index, exc), b""
+
+
+def _pool_context() -> mp.context.BaseContext:
+    """Fork where the platform has it (cheap, no re-import); else spawn."""
+    methods = mp.get_all_start_methods()
+    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 class _Worker:
-    """One supervised worker slot (process + pipe + in-flight state)."""
+    """One supervised worker slot (process + pipe + in-flight task)."""
 
-    __slots__ = ("slot", "proc", "conn", "index", "attempt", "started",
-                 "points", "cycles", "setup_s", "run_s", "retries",
-                 "timeouts", "checkpointed", "fallbacks",
-                 "fallback_reasons")
+    __slots__ = ("slot", "ctx", "proc", "conn", "index", "started")
 
-    def __init__(self, slot: int, ctx) -> None:
+    def __init__(self, slot: int, ctx: mp.context.BaseContext) -> None:
         self.slot = slot
-        self.points = 0
-        self.cycles = 0
-        self.setup_s = 0.0
-        self.run_s = 0.0
-        self.retries = 0
-        self.timeouts = 0
-        self.checkpointed = 0
-        self.fallbacks = 0
-        self.fallback_reasons: List[str] = []
-        self.proc = None
-        self.conn = None
-        self.index: Optional[int] = None
-        self.spawn(ctx)
+        self.ctx = ctx
+        self.spawn()
 
-    def spawn(self, ctx) -> None:
-        parent, child = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
+    def spawn(self) -> None:
+        parent, child = self.ctx.Pipe(duplex=True)
+        proc = self.ctx.Process(
             target=_worker_main, args=(child,), daemon=True,
             name=f"resilient-worker-{self.slot}",
         )
         proc.start()
         child.close()
         self.proc, self.conn = proc, parent
-        self.index, self.attempt, self.started = None, 0, 0.0
+        self.index: Optional[int] = None
+        self.started = 0.0
 
     @property
     def busy(self) -> bool:
         return self.index is not None
 
-    def dispatch(self, index: int, attempt: int, payload: bytes) -> None:
+    def dispatch(self, index: int, payload: bytes) -> None:
         self.conn.send((index, payload))
-        self.index, self.attempt = index, attempt
+        self.index = index
         self.started = time.monotonic()
 
-    def discard(self, kill: bool = True) -> None:
+    def discard(self) -> None:
         """Tear the slot down (crashed, hung, or sweep over)."""
         try:
             self.conn.close()
         except OSError:  # pragma: no cover — already gone
             pass
-        if self.proc is not None:
-            if kill and self.proc.is_alive():
-                self.proc.kill()
-            self.proc.join(timeout=5.0)
+        if self.proc.is_alive():
+            self.proc.kill()
+        self.proc.join(timeout=5.0)
 
     def shutdown(self) -> None:
         """Polite end-of-sweep stop (lets the worker exit its loop)."""
@@ -606,7 +552,7 @@ class _Worker:
             self.conn.send(None)
         except (BrokenPipeError, OSError):
             pass
-        self.discard(kill=True)
+        self.discard()
 
 
 #: supervisor poll interval: health checks and backoff wakeups (seconds)
@@ -617,36 +563,41 @@ class _Supervisor:
     """Run a list of tasks across replaceable workers with retries.
 
     The supervisor owns all scheduling state: a ready queue of
-    ``(not_before, attempt, task)`` entries, the busy map implied by the
-    worker slots, and the outcome tables.  One loop iteration = dispatch
-    what is due, wait briefly for results, then health-check every busy
-    worker (crash and watchdog detection).
+    ``(not_before, index)`` entries, the busy map implied by the worker
+    slots, and the outcome rows — ``rows`` holds each task's last word
+    (its success, or the attempt that used up its retries), ``retried``
+    every failed attempt that was re-queued.  One loop iteration =
+    dispatch what is due, wait briefly for results, then health-check
+    every busy worker (crash and watchdog detection).
     """
 
-    def __init__(self, tasks, n_workers: int, policy: RetryPolicy, ctx) -> None:
+    def __init__(
+        self,
+        tasks: Sequence[SweepTask],
+        n_workers: int,
+        policy: RetryPolicy,
+        on_success: Callable[[TaskRow, bytes], None],
+    ) -> None:
         self.policy = policy
-        self.ctx = ctx
-        self.tasks = {t.index: t for t in tasks}
+        self.on_success = on_success
         self.payloads: Dict[int, bytes] = {}
-        self.results: Dict[int, dict] = {}
-        self.failures: Dict[int, dict] = {}
+        self.rows: Dict[int, TaskRow] = {}
+        self.retried: List[TaskRow] = []
         self.attempts: Dict[int, int] = {t.index: 0 for t in tasks}
-        self.ready: List[Tuple[float, int]] = []  # (not_before, index)
-        self.on_success = None  # set by execute_sweep for checkpointing
         for t in tasks:
             try:
                 self.payloads[t.index] = pickle.dumps(t)
             except Exception as exc:
                 # an unpicklable task cannot reach a worker; retrying
                 # cannot help either — fail the point immediately
-                self.failures[t.index] = {
-                    "error": f"unpicklable task: {type(exc).__name__}: {exc}",
-                    "traceback": "",
-                    "attempts": 1,
-                }
-        self.ready = [
-            (0.0, t.index) for t in tasks if t.index not in self.failures
+                self.rows[t.index] = TaskRow(
+                    index=t.index,
+                    error=f"unpicklable task: {type(exc).__name__}: {exc}",
+                )
+        self.ready: List[Tuple[float, int]] = [  # (not_before, index)
+            (0.0, index) for index in self.payloads
         ]
+        ctx = _pool_context()
         self.workers = [
             _Worker(slot, ctx)
             for slot in range(min(n_workers, max(1, len(self.ready))))
@@ -702,7 +653,7 @@ class _Supervisor:
                 return
             _, index = self.ready.pop(slot_i)
             self.attempts[index] += 1
-            w.dispatch(index, self.attempts[index], self.payloads[index])
+            w.dispatch(index, self.payloads[index])
 
     def _collect(self, timeout: float) -> None:
         busy = {w.conn: w for w in self.workers if w.busy}
@@ -713,36 +664,24 @@ class _Supervisor:
         for conn in connection.wait(list(busy), timeout=timeout):
             w = busy[conn]
             try:
-                result = conn.recv()
+                row, value_bytes = conn.recv()
             except (EOFError, OSError):
                 # a dead process is attributed by the health check; a
                 # live worker that closed its pipe is equally lost —
                 # replace it and charge the attempt here
                 if w.proc.is_alive():
-                    index = w.index
-                    self._replace(w)
-                    self._attempt_failed(
-                        w, index, "worker closed its result pipe", ""
-                    )
+                    self._lost(w, "worker closed its result pipe")
                 continue
-            index = w.index
             w.index = None
-            if result["ok"]:
-                w.points += 1
-                w.cycles += result["cycles"]
-                w.fallbacks += result.get("fallbacks", 0)
-                for r in result.get("fallback_reasons", []):
-                    if r not in w.fallback_reasons:
-                        w.fallback_reasons.append(r)
-                w.setup_s += result["setup_s"]
-                w.run_s += result["run_s"]
-                result["attempts"] = self.attempts[index]
-                result["slot"] = w.slot
-                self.results[index] = result
-                if self.on_success is not None:
-                    self.on_success(index, result, w)
+            row = replace(
+                row, attempts=self.attempts[row.index], slot=w.slot
+            )
+            if row.ok:
+                row = replace(row, value=pickle.loads(value_bytes))
+                self.rows[row.index] = row
+                self.on_success(row, value_bytes)
             else:
-                self._attempt_failed(w, index, result["error"], result["traceback"])
+                self._attempt_failed(row)
 
     def _health_check(self) -> None:
         now = time.monotonic()
@@ -750,238 +689,97 @@ class _Supervisor:
             if not w.busy:
                 continue
             if not w.proc.is_alive():
-                index = w.index
-                code = w.proc.exitcode
-                self._replace(w)
-                self._attempt_failed(
-                    w, index,
-                    f"worker crashed (exit code {code})",
-                    "",
-                )
+                self._lost(w, f"worker crashed (exit code {w.proc.exitcode})")
             elif (
                 self.policy.timeout_s is not None
                 and now - w.started > self.policy.timeout_s
             ):
-                index = w.index
-                w.timeouts += 1
-                self._replace(w)
-                self._attempt_failed(
-                    w, index,
+                self._lost(
+                    w,
                     f"point timed out after {self.policy.timeout_s:g}s "
                     "(worker killed and replaced)",
-                    "",
+                    timed_out=True,
                 )
 
-    def _replace(self, w: _Worker) -> None:
-        """Kill a crashed/hung worker's remains and respawn the slot."""
-        w.discard(kill=True)
-        w.spawn(self.ctx)
+    def _lost(self, w: _Worker, error: str, timed_out: bool = False) -> None:
+        """Kill a crashed/hung worker's remains, respawn the slot and
+        charge the attempt to the point it was running."""
+        assert w.index is not None
+        row = TaskRow(
+            index=w.index,
+            error=error,
+            attempts=self.attempts[w.index],
+            slot=w.slot,
+            timed_out=timed_out,
+        )
+        w.discard()
+        w.spawn()
+        self._attempt_failed(row)
 
-    def _attempt_failed(
-        self, w: _Worker, index: int, error: str, tb: str
-    ) -> None:
-        attempt = self.attempts[index]
-        if attempt < self.policy.max_attempts:
-            w.retries += 1
+    def _attempt_failed(self, row: TaskRow) -> None:
+        if row.attempts < self.policy.max_attempts:
+            self.retried.append(row)
             self.ready.append(
-                (time.monotonic() + self.policy.delay(attempt), index)
+                (time.monotonic() + self.policy.delay(row.attempts), row.index)
             )
         else:
-            self.failures[index] = {
-                "error": error, "traceback": tb, "attempts": attempt,
-            }
+            self.rows[row.index] = row
 
 
 # ----------------------------------------------------------------------
-# the resilient run_sweep implementation
+# the supervised mode of run_sweep
 # ----------------------------------------------------------------------
-def execute_sweep(tasks, jobs: Optional[int]):
-    """Entry point used by :func:`repro.experiments.parallel.run_sweep`.
+def supervise(
+    tasks: Sequence[SweepTask], n_jobs: int
+) -> Tuple[Dict[int, TaskRow], List[TaskRow], int]:
+    """Run ``tasks`` on supervised workers for
+    :func:`~repro.experiments.parallel.run_sweep`.
 
-    Returns ``(values, SweepReport)`` like the classic engine; raises
-    :class:`~repro.experiments.parallel.PartialSweepError` when points
-    remain failed after retries (carrying everything that *did* complete)
-    — never a raw worker traceback.
+    Returns ``(rows, retried, slots)``: each task's last row — spliced
+    from the checkpoint, fresh, or the attempt that exhausted its
+    retries; absent only for tasks an interrupt left unattempted — the
+    failed attempts that were re-queued, and the worker-slot count.
+    Under the active runtime its policy, store and progress hook apply;
+    with none active every point gets one attempt and nothing is stored.
     """
-    from ..observability import MetricsRegistry, global_config, merge_exports
-    from .parallel import (
-        PartialSweepError,
-        PartialSweepReport,
-        PointFailure,
-        ShardReport,
-        SweepReport,
-        _pool_context,
-        resolve_jobs,
-    )
-
     active = _get_active()
-    assert active is not None, "execute_sweep requires an active runtime"
-    runtime = active.runtime
-    store, policy = runtime.store, runtime.retry
-    progress = runtime.progress
-    seq = _claim_sequence()
-
-    done: Dict[int, CompletedPoint] = {}
-    if store is not None:
-        done = store.open_sweep(seq, sweep_fingerprint(tasks), len(tasks))
-    todo = [t for t in tasks if t.index not in done]
+    runtime = active.runtime if active else SweepRuntime(retry=NO_RETRY)
+    store, progress = runtime.store, runtime.progress
+    seq = _claim_sequence() if active else 0
     labels = {t.index: t.label for t in tasks}
-    if progress is not None:
-        for index in sorted(done):
+
+    def _report(row: TaskRow) -> None:
+        if progress is not None:
             progress({
                 "sweep": seq,
-                "index": index,
-                "label": labels[index],
-                "attempts": done[index].attempts,
-                "points": done[index].points,
-                "resumed": True,
+                "index": row.index,
+                "label": labels[row.index],
+                "attempts": row.attempts,
+                "points": row.points,
+                "resumed": row.slot < 0,
             })
 
-    t0 = time.perf_counter()
-    sup: Optional[_Supervisor] = None
-    skipped: Tuple[int, ...] = ()
-    if todo:
-        n_workers = min(resolve_jobs(jobs), len(todo)) or 1
-        sup = _Supervisor(todo, n_workers, policy, _pool_context())
+    def _on_success(row: TaskRow, value_bytes: bytes) -> None:
+        if store is not None:
+            store.append(seq, row, labels[row.index], value_bytes)
+        _report(row)
 
-        def _on_point_done(index: int, result: dict, w: _Worker) -> None:
-            if store is not None:
-                store.append(
-                    seq,
-                    index=index,
-                    label=labels[index],
-                    value_bytes=result["value"],
-                    cycles=result["cycles"],
-                    setup_s=result["setup_s"],
-                    run_s=result["run_s"],
-                    attempts=result["attempts"],
-                    fallbacks=result.get("fallbacks", 0),
-                    fallback_reasons=result.get("fallback_reasons", []),
-                    points=result.get("points", 1),
-                )
-                w.checkpointed += 1
-            if progress is not None:
-                progress({
-                    "sweep": seq,
-                    "index": index,
-                    "label": labels[index],
-                    "attempts": result["attempts"],
-                    "points": result.get("points", 1),
-                    "resumed": False,
-                })
-
-        sup.on_success = _on_point_done
-        try:
-            sup.run()
-        except KeyboardInterrupt:
-            # graceful preemption: everything checkpointed so far is
-            # durable; report the rest as skipped instead of vanishing
-            skipped = tuple(
-                sorted(
-                    set(t.index for t in todo)
-                    - set(sup.results)
-                    - set(sup.failures)
-                )
-            )
-    wall = time.perf_counter() - t0
-
-    # ---- reassemble values in task-index order -----------------------
-    values: List[Any] = [None] * len(tasks)
-    failures: List[PointFailure] = []
-    for index, point in done.items():
-        values[index] = point.value
-    if sup is not None:
-        for index, result in sup.results.items():
-            values[index] = pickle.loads(result["value"])
-        for index in sorted(sup.failures):
-            info = sup.failures[index]
-            failures.append(
-                PointFailure(
-                    index=index,
-                    label=labels[index],
-                    error=f"{info['error']} "
-                    f"[{info['attempts']} attempt(s)]",
-                    traceback=info["traceback"],
-                )
-            )
-
-    # ---- shard reports: one per worker slot, plus the resumed points --
-    shards = []
-    if sup is not None:
-        shards = [
-            ShardReport(
-                shard=w.slot,
-                points=w.points,
-                wall_time=wall,
-                cycles=w.cycles,
-                setup_s=w.setup_s,
-                run_s=w.run_s,
-                retries=w.retries,
-                timeouts=w.timeouts,
-                checkpointed=w.checkpointed,
-                fallbacks=w.fallbacks,
-                fallback_reasons=tuple(w.fallback_reasons),
-            )
-            for w in sup.workers
-        ]
-    if done:
-        shards.append(
-            ShardReport(
-                shard=-1,
-                points=sum(p.points for p in done.values()),
-                wall_time=0.0,
-                cycles=sum(p.cycles for p in done.values()),
-                setup_s=sum(p.setup_s for p in done.values()),
-                run_s=sum(p.run_s for p in done.values()),
-                fallbacks=sum(p.fallbacks for p in done.values()),
-                fallback_reasons=tuple(dict.fromkeys(
-                    r
-                    for p in done.values()
-                    for r in p.fallback_reasons
-                )),
-            )
-        )
-
-    completed = tuple(i for i, v in enumerate(values) if v is not None)
-    exports = [
-        (tasks[i].label, getattr(v, "observability", None))
-        for i, v in enumerate(values)
-    ]
-    observability = merge_exports(exports)
-    # surface runtime counters through the metrics registry when it is on
-    if global_config().metrics:
-        reg = MetricsRegistry()
-        reg.inc("resilient.points_completed", len(completed))
-        reg.inc(
-            "resilient.points_resumed",
-            sum(p.points for p in done.values()),
-        )
-        reg.inc("resilient.points_failed", len(failures))
-        reg.inc("resilient.points_skipped", len(skipped))
-        reg.inc("resilient.retries", sum(s.retries for s in shards))
-        reg.inc("resilient.timeouts", sum(s.timeouts for s in shards))
-        reg.inc("resilient.checkpointed", sum(s.checkpointed for s in shards))
-        merged = merge_exports(
-            (exports if observability else [])
-            + [("resilient-runtime", {"metrics": reg.snapshot()})]
-        )
-        observability = merged
-
-    report_kwargs = dict(
-        jobs=len(sup.workers) if sup is not None else 0,
-        points=len(tasks),
-        wall_time=wall,
-        shards=tuple(shards),
-        observability=observability,
-        # point-accurate: a resumed lane chunk covers several points
-        resumed=sum(p.points for p in done.values()),
-    )
-    if failures or skipped:
-        report = PartialSweepReport(
-            completed=completed,
-            failed=tuple(failures),
-            skipped=skipped,
-            **report_kwargs,
-        )
-        raise PartialSweepError(report, values)
-    return values, SweepReport(**report_kwargs)
+    rows: Dict[int, TaskRow] = {}
+    if store is not None:
+        rows = store.open_sweep(seq, sweep_fingerprint(tasks), len(tasks))
+    for index in sorted(rows):
+        _report(rows[index])
+    todo = [t for t in tasks if t.index not in rows]
+    if not todo:
+        return rows, [], 0
+    sup = _Supervisor(todo, min(n_jobs, len(todo)), runtime.retry, _on_success)
+    try:
+        sup.run()
+    except KeyboardInterrupt:
+        # graceful preemption under a runtime: everything checkpointed
+        # so far is durable, and the tasks without a row are reported as
+        # skipped instead of vanishing; with no runtime it propagates
+        if active is None:
+            raise
+    rows.update(sup.rows)
+    return rows, sup.retried, len(sup.workers)

@@ -42,7 +42,6 @@ idle).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Optional, Protocol
@@ -144,7 +143,7 @@ _NUM_EVENT_KINDS = 5
 
 
 class EventScheduler:
-    """Event queue — a calendar ring keyed by delivery cycle, plus wakes.
+    """Event queue — a calendar ring keyed by delivery cycle.
 
     Every link/credit event is scheduled exactly ``link_latency`` or
     ``credit_latency`` cycles ahead, so a fixed ring of
@@ -160,13 +159,6 @@ class EventScheduler:
     old queue's insertion order.  Only ejection has an observable side
     channel (trace events, ``on_eject``), and ejections stay in their own
     ordered list.
-
-    Alongside the short-horizon ring the scheduler carries *wake events*
-    (:meth:`schedule_wake`): bare "step this cycle" marks at arbitrary
-    future cycles, kept in a heap because they are not bounded by the
-    link/credit span.  Wakes carry no payload and are never dispatched —
-    the event-driven loop merely refuses to skip past one, so whatever
-    scheduled it (today: fault arrivals) runs at its exact cycle.
     """
 
     def __init__(self, sim: "NoCSimulator") -> None:
@@ -186,9 +178,6 @@ class EventScheduler:
         self._in_flight = 0
         #: all ring events in flight (flits + credits) — O(1) idle check
         self._pending = 0
-        #: long-horizon wake cycles (heap; duplicates and stale entries
-        #: are tolerated and dropped lazily by :meth:`next_wake`)
-        self._wakes: list[int] = []
         self.cycle = 0
         #: flit-lifecycle tracer, installed by the simulator when enabled
         self.tracer: Optional["EventTracer"] = None
@@ -293,24 +282,6 @@ class EventScheduler:
             self._pending -= len(out_credit_evs)
             out_credit_evs.clear()
         return flits
-
-    # -- wake events (event-driven loop) -----------------------------------
-    def schedule_wake(self, cycle: int) -> None:
-        """Pin ``cycle`` as a cycle the event-driven loop must step.
-
-        Wakes are advisory marks, not dispatched events: stepping every
-        cycle (the reference and active-set loops) trivially honours
-        them, and the skip-ahead loop clamps its jump target to the
-        earliest pending wake.  Duplicates are fine.
-        """
-        heapq.heappush(self._wakes, cycle)
-
-    def next_wake(self, after: int) -> Optional[int]:
-        """Earliest scheduled wake at a cycle > ``after`` (drops stale)."""
-        wakes = self._wakes
-        while wakes and wakes[0] <= after:
-            heapq.heappop(wakes)
-        return wakes[0] if wakes else None
 
     @property
     def pending_events(self) -> int:
@@ -505,19 +476,17 @@ class NoCSimulator:
         a fully idle router re-enters it into the schedule the same cycle
         (it is pruned again after its no-op phases if it stays idle), so
         fault-state changes are never deferred until a flit happens to
-        arrive.  After any injection the next fault arrival is re-armed
-        as a wake event so the skip-ahead loop steps its exact cycle.
+        arrive.  (The skip-ahead loop never jumps over an arrival:
+        :meth:`_skip_idle` clamps to ``next_cycle()``.)
         """
         schedule = self.fault_schedule
         if schedule is None:
             return
-        advanced = False
         if getattr(schedule, "native_heals", False):
             # native heal seam (transients, fault timelines): heals
             # apply before injections; ``next_cycle()`` covers heal
             # cycles too, so skip-ahead never jumps over one
             for site in schedule.heals_due(cycle):
-                advanced = True
                 router = self.routers[site.router]
                 if router.heal_fault(site):
                     router.wake()
@@ -525,7 +494,6 @@ class NoCSimulator:
                     if probe is not None:
                         probe.fault_healed(router, site, cycle)
         for site in schedule.events_at(cycle):
-            advanced = True
             router = self.routers[site.router]
             if router.inject_fault(site):
                 self.faults_injected += 1
@@ -533,16 +501,6 @@ class NoCSimulator:
                 probe = router.recovery
                 if probe is not None:
                     probe.fault_landed(router, site, cycle)
-        if advanced:
-            self._arm_fault_wake()
-
-    def _arm_fault_wake(self) -> None:
-        """Schedule the next fault arrival as a calendar wake event."""
-        if self.fault_schedule is None:
-            return
-        nxt = self.fault_schedule.next_cycle()
-        if nxt is not None:
-            self.scheduler.schedule_wake(nxt)
 
     def _step(self, cycle: int, inject_traffic: bool) -> None:
         """One cycle of the active-set loop (optionally profiled).
@@ -706,10 +664,11 @@ class NoCSimulator:
 
         Only called when the fabric is fully idle — no active routers or
         NICs and no link/credit events in flight — so the only future
-        work can come from traffic injection, scheduled wakes (fault
-        arrivals), or the end of the phase at ``horizon``.  The traffic
-        lookahead consumes the quiet cycles' randomness exactly as
-        per-cycle ``generate`` calls would, so the jump is bit-invisible.
+        work can come from traffic injection, the fault schedule (its
+        ``next_cycle()`` covers arrivals and heals), or the end of the
+        phase at ``horizon``.  The traffic lookahead consumes the quiet
+        cycles' randomness exactly as per-cycle ``generate`` calls would,
+        so the jump is bit-invisible.
         Metrics occupancy samples due inside the gap are still taken:
         sampling only reads component state, which is frozen while idle.
         """
@@ -717,9 +676,10 @@ class NoCSimulator:
         nxt = lookahead(cycle, horizon)
         if nxt is not None and nxt < target:
             target = nxt
-        wake = self.scheduler.next_wake(cycle - 1)
-        if wake is not None and wake < target:
-            target = wake
+        if self.fault_schedule is not None:
+            wake = self.fault_schedule.next_cycle()
+            if wake is not None and wake < target:
+                target = wake
         if target <= cycle:
             return cycle
         obs = self.obs
@@ -759,7 +719,6 @@ class NoCSimulator:
             and "_step" not in self.__dict__
             and lookahead is not None
         )
-        self._arm_fault_wake()
 
         active_routers = self._active_routers
         active_nics = self._active_nics

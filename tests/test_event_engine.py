@@ -6,8 +6,9 @@ same active-set loop every cycle when it does not (the ``"stepper"``
 column below hides the lookahead behind ``NoLookahead``).  These tests
 pin the seams where the jump could go wrong:
 
-* fault arrivals inside an idle stretch must bound the jump (the wake
-  event armed by ``_arm_fault_wake``), not be deferred or dropped;
+* fault arrivals inside an idle stretch must bound the jump
+  (``_skip_idle`` clamps to the schedule's ``next_cycle()``), not be
+  deferred or dropped;
 * a fault landing on an idle router mid-drain must behave exactly as
   under the per-cycle and reference loops (the ``router.wake()`` routing
   of ``_inject_faults``);
@@ -127,11 +128,11 @@ class TestFaultWakeInIdleStretch:
         _assert_all_equal(results)
 
     def test_fault_wake_is_load_bearing(self, monkeypatch):
-        """Disarming the fault wake makes the event engine jump straight
-        over the fault — proving the wake (not catch-up luck) is what
-        keeps the test above honest."""
+        """Blinding the schedule's ``next_cycle`` makes the event engine
+        jump straight over the fault — proving the wake (not catch-up
+        luck) is what keeps the test above honest."""
         monkeypatch.setattr(
-            NoCSimulator, "_arm_fault_wake", lambda self: None
+            ExplicitFaultSchedule, "next_cycle", lambda self: None
         )
         _, broken = self._run("event")
         assert broken.faults_injected == 0

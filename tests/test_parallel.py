@@ -2,9 +2,12 @@
 (:mod:`repro.experiments.parallel`) and the serial == parallel guarantee
 of every sweep-shaped experiment wired into it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.experiments.parallel import (
     PointOutcome,
     SweepTask,
@@ -272,3 +275,165 @@ class TestShardSetupFailures:
         tasks = [SweepTask(index=0, fn=_identity, args=(poison,))]
         values, _ = run_sweep(tasks, jobs=1)
         assert values[0] is poison
+
+
+# ---------------------------------------------------------------------
+# one executor: every mode of run_sweep assembles the same answer
+@dataclasses.dataclass(frozen=True)
+class _Ran:
+    """A result exposing ``cycles`` the way ``SimulationResult`` does."""
+
+    cycles: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _Instrumented:
+    observability: dict
+
+
+def _declined(x):
+    return PointOutcome(
+        x, cycles=7, fallbacks=1,
+        fallback_reasons=("oversized VC space", "adaptive routing"),
+    )
+
+
+def _chunk(n):
+    return PointOutcome(list(range(n)), cycles=10 * n, points=n)
+
+
+def _instrumented(hits):
+    reg = MetricsRegistry()
+    reg.inc("probe.hits", hits)
+    return _Instrumented({"metrics": reg.snapshot()})
+
+
+_MIXED = [
+    (_square, (3,)), (_declined, ("d",)), (_Ran, (11,)), (_chunk, (3,)),
+    (_instrumented, (4,)),
+]
+
+
+@pytest.mark.parametrize(
+    "jobs, durable",
+    [(1, False), (2, False), (1, True), (2, True)],
+    ids=["inline", "supervised", "store-jobs1", "store-jobs2"],
+)
+def test_every_mode_assembles_the_same_sweep(jobs, durable, tmp_path):
+    from repro import observability
+    from repro.experiments import resilient
+
+    tasks = [
+        SweepTask(index=i, fn=fn, args=args, label=f"t{i}")
+        for i, (fn, args) in enumerate(_MIXED)
+    ]
+    observability.configure(metrics=True)  # turns the resilient.* counters on
+    try:
+        with resilient.sweep_runtime(out_dir=tmp_path if durable else None):
+            assert (resilient.active_runtime() is not None) == durable
+            values, report = run_sweep(tasks, jobs=jobs)
+    finally:
+        observability.reset()
+        resilient.reset()
+
+    assert values == [
+        9, "d", _Ran(11), [0, 1, 2], _instrumented(4),
+    ]
+    assert report.points == 5 and report.jobs == jobs
+    assert report.cycles == 7 + 11 + 30
+    assert report.fallbacks == 1
+    assert report.fallback_reasons == ("adaptive routing", "oversized VC space")
+    # shards count the points behind each row: the lane chunk covers three
+    assert sum(s.points for s in report.shards) == 4 + 3
+    assert report.checkpointed == (5 if durable else 0)
+    counters = report.observability["metrics"]["counters"]
+    assert any(k.startswith("resilient.") for k in counters) == durable
+    assert {
+        k: v for k, v in counters.items() if not k.startswith("resilient.")
+    } == {"probe.hits": 4}
+
+
+_CRASH_DRIVER = """\
+import multiprocessing, os, signal, sys, threading, time
+
+from repro.experiments.parallel import (
+    PartialSweepError, SweepError, SweepTask, run_sweep,
+)
+from repro.experiments.resilient import NO_RETRY, sweep_runtime
+
+
+def die_on_2(x):
+    if x == 2:
+        os._exit(9)  # what an OOM kill looks like from the parent
+    return x * x
+
+
+def nap(x, started):
+    open(os.path.join(started, str(x)), "w").close()
+    time.sleep(30)
+
+
+def tasks(fn, *extra):
+    return [
+        SweepTask(index=i, fn=fn, args=(i, *extra), label=f"p{i}")
+        for i in range(4)
+    ]
+
+
+def interrupt_once_running(started):
+    while len(os.listdir(started)) < 2:  # both workers are inside a task
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGINT)
+
+
+try:
+    run_sweep(tasks(die_on_2), jobs=2)
+except SweepError as exc:
+    assert not isinstance(exc, PartialSweepError)
+    (failure,) = exc.failures
+    assert failure.index == 2 and failure.label == "p2", failure
+    assert "worker c" in failure.error and "[1 attempt(s)]" in failure.error
+else:
+    sys.exit("a dead worker did not fail the sweep")
+assert not multiprocessing.active_children()
+
+for runtime in (False, True):
+    started = os.path.join(sys.argv[1], str(runtime))
+    os.mkdir(started)
+    threading.Thread(target=interrupt_once_running, args=(started,)).start()
+    try:
+        with sweep_runtime(retry=NO_RETRY if runtime else None):
+            run_sweep(tasks(nap, started), jobs=2)
+    except KeyboardInterrupt:
+        assert not runtime
+    except PartialSweepError as exc:
+        assert runtime and exc.report.skipped == (0, 1, 2, 3), exc.report
+        assert exc.values == [None] * 4
+    else:
+        sys.exit("the interrupt vanished")
+    assert not multiprocessing.active_children()
+print("ok")
+"""
+
+
+def test_dead_worker_or_interrupt_never_hangs_a_plain_sweep(tmp_path):
+    """``jobs=2`` with no runtime: a worker that dies fails its one point
+    as a ``SweepError`` within seconds, and ``KeyboardInterrupt``
+    propagates (or, under a runtime, becomes ``skipped``) with every
+    worker shut down.  Run in a subprocess under a hard timeout because
+    the process pool this replaced waited forever on the dead worker."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = tmp_path / "driver.py"
+    script.write_text(_CRASH_DRIVER)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], env=env, timeout=30,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
