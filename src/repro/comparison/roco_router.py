@@ -181,7 +181,7 @@ def roco_router_factory(config: NetworkConfig, module_tolerance: int = DEFAULT_M
     def make(node: int, routing: RoutingFunction) -> RoCoRouter:
         return RoCoRouter(node, config.router, routing, module_tolerance)
 
-    # structural-identity marker: lets the warm pool and the lane-sweep
-    # factory registry treat RoCo fabrics as a distinct, poolable kind
+    # marker read by the lane engine (repro.network.batched.supports),
+    # which declines this kind: RoCo has no array model
     make.router_kind = "roco"
     return make

@@ -33,8 +33,8 @@ from ..router.vc import VCState, VirtualChannel
 class ArbiterSharingVAUnit(VAUnit):
     """VA unit with stage-1 arbiter sharing and stage-2 retry."""
 
-    def __init__(self, router, arbiter_kind: str = "round_robin") -> None:
-        super().__init__(router, arbiter_kind)
+    def __init__(self, router) -> None:
+        super().__init__(router)
         #: (port, slot) arbiter sets already lent out this cycle
         self._lent: set[tuple[int, int]] = set()
         #: lenders whose R2/VF/ID fields must be cleared at end of cycle

@@ -44,11 +44,11 @@ class ProtectedRouter(BaseRouter):
     def _make_rc_unit(self) -> RCUnit:
         return DuplicatedRCUnit(self)
 
-    def _make_va_unit(self, arbiter_kind: str) -> ArbiterSharingVAUnit:
-        return ArbiterSharingVAUnit(self, arbiter_kind)
+    def _make_va_unit(self) -> ArbiterSharingVAUnit:
+        return ArbiterSharingVAUnit(self)
 
-    def _make_sa_unit(self, arbiter_kind: str) -> BypassSAUnit:
-        return BypassSAUnit(self, arbiter_kind)
+    def _make_sa_unit(self) -> BypassSAUnit:
+        return BypassSAUnit(self)
 
     # ------------------------------------------------------------------
     @property
@@ -67,6 +67,6 @@ def protected_router_factory(config: NetworkConfig):
     def make(node: int, routing: RoutingFunction) -> ProtectedRouter:
         return ProtectedRouter(node, config.router, routing)
 
-    # marker consumed by the warm-network pool (repro.network.warm)
+    # marker read by the lane engine (repro.network.batched.supports)
     make.router_kind = "protected"  # type: ignore[attr-defined]
     return make

@@ -37,17 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..config import NetworkConfig
+from ..config import NetworkConfig, replace
 from ..faults.schedule import TimelineSpec, make_schedule
 from ..faults.timeline import CYCLES_PER_HOUR_1GHZ
 from .latency import QUICK_CONFIG, LatencyConfig, suite_traffic
 from .report import ExperimentResult
 from .resilient import sweep_runtime
-
-try:  # dataclasses.replace via the config helper
-    from ..config import replace
-except ImportError:  # pragma: no cover
-    from dataclasses import replace
 
 #: hours in a (non-leap) year, for the lifetime join
 HOURS_PER_YEAR = 8760.0

@@ -97,7 +97,7 @@ def sweep_sharded(
     All points share one structural key (same mesh, protected router,
     XY routing), so the whole sweep steps as lanes of a single
     :class:`repro.network.batched.BatchedLaneEngine` per worker —
-    bit-identical to one warm-pooled fabric per point.
+    bit-identical to one ``NoCSimulator`` per point.
     """
     from .parallel import LanePoint, run_lane_sweep
 

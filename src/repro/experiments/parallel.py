@@ -152,19 +152,16 @@ class SweepError(RuntimeError):
 class ShardReport:
     """Progress/timing of one worker shard.
 
-    ``wall_time`` splits into ``setup_s`` — network construction and
-    warm resets, harvested from :mod:`repro.network.warm` — and
-    ``run_s``, everything else (dominated by the cycle loops).  The
-    split is what makes the reset-reuse win visible per sweep: with the
-    warm pool active, ``setup_s`` should be a small fraction of
-    ``run_s`` after the shard's first point.
+    ``wall_time`` splits into ``setup_s`` — network construction,
+    harvested from :mod:`repro.network.warm` — and ``run_s``, everything
+    else (dominated by the cycle loops).
     """
 
     shard: int
     points: int
     wall_time: float
     cycles: int
-    #: seconds spent building / resetting simulators inside this shard
+    #: seconds spent building simulators inside this shard
     setup_s: float = 0.0
     #: seconds spent on everything else (cycle loops, reductions)
     run_s: float = 0.0
@@ -259,7 +256,7 @@ class SweepReport:
 
     @property
     def setup_time(self) -> float:
-        """Summed network construction / warm-reset time across shards."""
+        """Summed network construction time across shards."""
         return sum(s.setup_s for s in self.shards)
 
     @property
@@ -719,7 +716,7 @@ def run_point(point: LanePoint, reason: str = "") -> PointOutcome:
 
 
 def _lane_batched_chunk(
-    points: "tuple[LanePoint, ...]", width: Optional[int] = None
+    points: "tuple[LanePoint, ...]", width: int
 ) -> PointOutcome:
     """Run a chunk of structurally identical points as batched lanes.
 
@@ -740,7 +737,7 @@ def _lane_batched_chunk(
         )
         for p in points
     ]
-    w = len(lanes) if width is None else max(1, min(width, len(lanes)))
+    w = min(width, len(lanes))
     engine = BatchedLaneEngine(
         first.config,
         first.sim_config,
@@ -769,9 +766,9 @@ def _chunk_evenly(indices: Sequence[int], n_chunks: int) -> list[list[int]]:
     return chunks
 
 
-#: default cap on concurrent lane slots per batched chunk — the rest of
-#: a chunk's points stream in through lane refill, so memory stays flat
-#: no matter how many points a chunk carries
+#: cap on concurrent lane slots per batched chunk — the rest of a chunk's
+#: points stream in through lane refill, so memory stays flat no matter
+#: how many points a chunk carries
 DEFAULT_LANE_WIDTH = 32
 
 #: smallest structurally-identical group worth standing up the batched
@@ -782,7 +779,6 @@ _MIN_LANE_GROUP = 2
 def run_lane_sweep(
     points: "Iterable[LanePoint] | Sequence[LanePoint]",
     jobs: Optional[int] = None,
-    lane_width: Optional[int] = None,
 ) -> tuple[list[Any], SweepReport]:
     """Execute lane points; returns (SimulationResults in order, report).
 
@@ -793,9 +789,9 @@ def run_lane_sweep(
     per point), so one long-horizon group splits finer instead of
     straggling a whole shard — and every chunk becomes one task stepping
     its lanes in a single :class:`BatchedLaneEngine` pass, at most
-    ``lane_width`` (default :data:`DEFAULT_LANE_WIDTH`) lanes wide with
-    the remaining points streaming in through lane refill.  Process
-    parallelism and lane batching compose.
+    :data:`DEFAULT_LANE_WIDTH` lanes wide with the remaining points
+    streaming in through lane refill.  Process parallelism and lane
+    batching compose.
 
     Groups the batched engine declines (adaptive routing, tracing
     enabled, oversized VC space, ...) — and groups too small to batch —
@@ -806,8 +802,8 @@ def run_lane_sweep(
     Execution funnels through :func:`run_sweep`, so a resilient runtime
     (checkpointing, retries, watchdog) applies at chunk granularity:
     resilient sweeps shard *groups of lanes*, exactly like the parallel
-    path.  Results are bit-identical across ``jobs`` and ``lane_width``
-    values and to :func:`run_point` on every point — the batched engine
+    path.  Results are bit-identical across ``jobs`` values, across slot
+    widths, and to :func:`run_point` on every point — the batched engine
     is pinned lane-for-lane against the event engine by the golden
     differential tests.
     """
@@ -827,7 +823,6 @@ def run_lane_sweep(
         placements.append((is_chunk, idxs))
 
     n_jobs = resolve_jobs(jobs)
-    width = DEFAULT_LANE_WIDTH if lane_width is None else max(1, lane_width)
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
         groups.setdefault(p.structural_key(), []).append(i)
@@ -884,7 +879,7 @@ def run_lane_sweep(
             )
             _add(
                 _lane_batched_chunk,
-                (tuple(points[j] for j in chunk), width),
+                (tuple(points[j] for j in chunk), DEFAULT_LANE_WIDTH),
                 label,
                 True,
                 chunk,

@@ -53,6 +53,7 @@ from .. import observability
 from ..observability import merge_exports
 from ..observability.report import render_text
 from ..observability.trace import write_chrome_trace
+from ..reliability.stages import RouterGeometry
 from . import (
     area_power,
     critical_path,
@@ -74,7 +75,7 @@ from . import (
     table2,
     table3,
 )
-from .latency import QUICK_CONFIG, LatencyConfig
+from .latency import QUICK_CONFIG, LatencyConfig, SuiteRunConfig
 from .parallel import PartialSweepError
 from .report import ExperimentResult
 
@@ -85,87 +86,91 @@ def _none() -> None:
 
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """Registry entry: the experiment module plus its CLI config recipes.
+    """Registry entry: the experiment module, its config dataclass and
+    its CLI config recipes.
 
-    ``quick_config``/``default_config`` build the config object passed to
-    the module's unified ``run()``; both default to ``None`` (the
-    module's own defaults).  Entries are callable as ``entry(quick,
-    jobs)`` so code that treats the registry as plain
-    ``fn(quick, jobs)`` callables (including tests that monkeypatch
-    entries with such functions) keeps working.
+    ``config_type`` is the frozen dataclass the module's unified ``run()``
+    takes (what :mod:`repro.service.fingerprint` builds JSON requests
+    into); ``quick_config``/``default_config`` build the instance the CLI
+    passes, both defaulting to ``None`` (the module's own defaults).
     """
 
     module: Any
+    config_type: type
     quick_config: Callable[[], Any] = field(default=_none)
     default_config: Callable[[], Any] = field(default=_none)
 
-    def __call__(
-        self,
-        quick: bool,
-        jobs: Optional[int] = None,
-        *,
-        seed: Optional[int] = None,
-        out_dir: Optional[str] = None,
-        resume: Optional[str] = None,
-    ) -> ExperimentResult:
-        config = (self.quick_config if quick else self.default_config)()
-        return self.module.run(
-            config, jobs=jobs, seed=seed, out_dir=out_dir, resume=resume
-        )
+    def cli_config(self, quick: bool) -> Any:
+        """The config the CLI runs with (``None``: the module's defaults)."""
+        return (self.quick_config if quick else self.default_config)()
 
 
-#: registry of all artefacts: name -> entry(quick, jobs).  Experiments
-#: that are not sweep-shaped (single analytic computation) ignore
-#: ``jobs``.  Entries may be replaced with plain ``fn(quick, jobs)``
-#: callables (the pre-unified-API registry shape); ``run_experiment``
-#: still calls those with two positional arguments.
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "table1": ExperimentEntry(table1),
-    "table2": ExperimentEntry(table2),
+#: registry of all artefacts.  Experiments that are not sweep-shaped
+#: (single analytic computation) ignore ``jobs``; the analytic
+#: geometry-only ones take a RouterGeometry as their whole config.
+EXPERIMENTS: dict[str, ExperimentEntry] = {
+    "table1": ExperimentEntry(table1, RouterGeometry),
+    "table2": ExperimentEntry(table2, RouterGeometry),
     "mttf": ExperimentEntry(
-        mttf, quick_config=lambda: mttf.MTTFConfig(mc_samples=20_000)
+        mttf,
+        mttf.MTTFConfig,
+        quick_config=lambda: mttf.MTTFConfig(mc_samples=20_000),
     ),
     "table3": ExperimentEntry(
-        table3, quick_config=lambda: table3.Table3Config(mc_trials=200)
+        table3,
+        table3.Table3Config,
+        quick_config=lambda: table3.Table3Config(mc_trials=200),
     ),
-    "spf_sweep": ExperimentEntry(spf_sweep),
-    "area_power": ExperimentEntry(area_power),
-    "critical_path": ExperimentEntry(critical_path),
-    "fig7": ExperimentEntry(fig7, quick_config=lambda: QUICK_CONFIG),
-    "fig8": ExperimentEntry(fig8, quick_config=lambda: QUICK_CONFIG),
+    "spf_sweep": ExperimentEntry(spf_sweep, spf_sweep.SPFSweepConfig),
+    "area_power": ExperimentEntry(area_power, RouterGeometry),
+    "critical_path": ExperimentEntry(critical_path, RouterGeometry),
+    "fig7": ExperimentEntry(
+        fig7, SuiteRunConfig, quick_config=lambda: QUICK_CONFIG
+    ),
+    "fig8": ExperimentEntry(
+        fig8, SuiteRunConfig, quick_config=lambda: QUICK_CONFIG
+    ),
     # extensions beyond the paper's artefacts
     "load_latency": ExperimentEntry(
         load_latency,
+        load_latency.LoadLatencyConfig,
         quick_config=lambda: load_latency.LoadLatencyConfig(
             rates=(0.04, 0.12), measure=1500
         ),
     ),
     "network_reliability": ExperimentEntry(
         network_reliability,
+        network_reliability.NetworkReliabilityConfig,
         quick_config=lambda: network_reliability.NetworkReliabilityConfig(
             trials=60
         ),
     ),
-    "reliability_curves": ExperimentEntry(reliability_curves),
+    "reliability_curves": ExperimentEntry(
+        reliability_curves, reliability_curves.ReliabilityCurvesConfig
+    ),
     "energy": ExperimentEntry(
         energy,
+        energy.EnergyConfig,
         quick_config=lambda: energy.EnergyConfig(latency=QUICK_CONFIG),
         default_config=lambda: energy.EnergyConfig(latency=LatencyConfig()),
     ),
     "detection_latency": ExperimentEntry(
         detection_latency,
+        detection_latency.DetectionLatencyConfig,
         quick_config=lambda: detection_latency.DetectionLatencyConfig(
             measure_cycles=1500
         ),
     ),
     "fault_sweep": ExperimentEntry(
         fault_sweep,
+        fault_sweep.FaultSweepConfig,
         quick_config=lambda: fault_sweep.FaultSweepConfig(
             fault_counts=(0, 8, 24)
         ),
     ),
     "fault_campaign": ExperimentEntry(
         fault_campaign,
+        fault_campaign.CampaignConfig,
         quick_config=lambda: fault_campaign.CampaignConfig(
             timelines=3,
             router_kinds=("baseline", "protected"),
@@ -176,26 +181,15 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     ),
     "design_space": ExperimentEntry(
         design_space,
+        design_space.DesignSpaceConfig,
         quick_config=lambda: design_space.DesignSpaceConfig(
             vc_counts=(2, 4), buffer_depths=(2, 4), measure=1000
         ),
     ),
-    "mttf_sensitivity": ExperimentEntry(mttf_sensitivity),
+    "mttf_sensitivity": ExperimentEntry(
+        mttf_sensitivity, mttf_sensitivity.MTTFSensitivityConfig
+    ),
 }
-
-#: the experiments for which ``--jobs`` changes execution (sweep-shaped)
-PARALLEL_EXPERIMENTS = frozenset(
-    {
-        "fig7",
-        "fig8",
-        "fault_campaign",
-        "fault_sweep",
-        "load_latency",
-        "design_space",
-        "network_reliability",
-        "table3",
-    }
-)
 
 
 def run_experiment(
@@ -208,15 +202,18 @@ def run_experiment(
     resume: Optional[str] = None,
 ) -> ExperimentResult:
     try:
-        fn = EXPERIMENTS[name]
+        entry = EXPERIMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment {name!r}; available: {sorted(EXPERIMENTS)}"
         ) from None
-    if isinstance(fn, ExperimentEntry):
-        return fn(quick, jobs, seed=seed, out_dir=out_dir, resume=resume)
-    # pre-unified-API registry shape: a plain fn(quick, jobs) callable
-    return fn(quick, jobs)
+    return entry.module.run(
+        entry.cli_config(quick),
+        jobs=jobs,
+        seed=seed,
+        out_dir=out_dir,
+        resume=resume,
+    )
 
 
 def _experiment_dirs(

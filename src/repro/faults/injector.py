@@ -13,7 +13,7 @@ runs (documented per experiment in EXPERIMENTS.md).  A deterministic
 :class:`ExplicitFaultSchedule` supports exact test scenarios.
 
 Every class here implements the :class:`repro.faults.schedule.FaultSchedule`
-protocol (``events_at`` / ``next_cycle`` / ``fingerprint``).
+protocol (``events_at`` / ``next_cycle``).
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from .schedule import (
     ScheduledSpec,
     _require_geometry,
     register_schedule,
-    schedule_digest,
     site_from_tuple,
-    site_token,
 )
 from .sites import FaultSite, network_sites
 
@@ -44,7 +42,6 @@ class ExplicitFaultSchedule:
         self._cycles = [c for c, _ in items]
         self._sites = [s for _, s in items]
         self._next = 0
-        self._fingerprint: Optional[str] = None
 
     def events_at(self, cycle: int) -> Iterator[FaultSite]:
         """Consume and yield the sites due at (or before) ``cycle``."""
@@ -61,22 +58,6 @@ class ExplicitFaultSchedule:
         if self._next < len(self._cycles):
             return self._cycles[self._next]
         return None
-
-    def fingerprint(self) -> str:
-        """Content digest over the *full* planned event list.
-
-        Deliberately independent of consumption state: a partially
-        delivered schedule still names the same computation.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = schedule_digest(
-                "scheduled",
-                (
-                    f"{c}@{site_token(s)}"
-                    for c, s in zip(self._cycles, self._sites)
-                ),
-            )
-        return self._fingerprint
 
     @property
     def remaining(self) -> int:
@@ -184,9 +165,6 @@ class NullFaultSchedule:
 
     def next_cycle(self) -> Optional[int]:
         return None
-
-    def fingerprint(self) -> str:
-        return "none:0"
 
 
 # ----------------------------------------------------------------------

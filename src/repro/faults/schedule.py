@@ -3,12 +3,10 @@
 One explicit contract for everything that injects faults:
 
 * :class:`FaultSchedule` — a runtime-checkable :class:`typing.Protocol`
-  with the three methods every schedule implements (the simulator calls
+  with the two methods every schedule implements (the simulator calls
   them directly and rejects objects missing one):
-  ``events_at(cycle)`` (the consuming event iterator),
-  ``next_cycle()`` (the event-engine wake lookahead) and
-  ``fingerprint()`` (a stable content digest used by the warm-fabric
-  pool key and the service cache).
+  ``events_at(cycle)`` (the consuming event iterator) and
+  ``next_cycle()`` (the event-engine wake lookahead).
 * **Spec dataclasses** — frozen, JSON-shaped descriptions of a schedule
   (:class:`ScheduledSpec`, :class:`RandomSpec`, :class:`TransientSpec`,
   :class:`NullSpec`, and :class:`repro.faults.timeline.TimelineSpec`).
@@ -21,7 +19,6 @@ One explicit contract for everything that injects faults:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -50,10 +47,7 @@ class FaultSchedule(Protocol):
     per stepped cycle.  ``next_cycle()`` returns the cycle of the
     earliest not-yet-delivered event (or ``None`` when exhausted); the
     event-driven engine turns it into a calendar wake so skip-ahead
-    never jumps over a fault arrival.  ``fingerprint()`` is a stable
-    content digest: two schedules with the same fingerprint deliver the
-    same events, which is what lets the warm-fabric pool and the service
-    cache key on it.
+    never jumps over a fault arrival.
 
     Schedules that also *heal* sites mid-run (transient upsets, fault
     timelines) additionally set ``native_heals = True`` and implement
@@ -68,25 +62,12 @@ class FaultSchedule(Protocol):
         """Cycle of the next pending event, or ``None`` when exhausted."""
         ...
 
-    def fingerprint(self) -> str:
-        """Stable content digest (``"<kind>:<hex>"``)."""
-        ...
-
 
 # ----------------------------------------------------------------------
-# fingerprint + site-token helpers shared by the schedule classes
+# site-token helpers shared by the schedule classes and the recovery log
 # ----------------------------------------------------------------------
-def schedule_digest(kind: str, parts: Iterable[str]) -> str:
-    """``"<kind>:<16-hex>"`` digest over an ordered token stream."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.encode())
-        h.update(b"\n")
-    return f"{kind}:{h.hexdigest()[:16]}"
-
-
 def site_token(site: FaultSite) -> str:
-    """Canonical string form of a :class:`FaultSite` (for digests)."""
+    """Canonical string form of a :class:`FaultSite`."""
     return f"{site.router}:{site.unit.value}:{site.port}:{site.vc}"
 
 

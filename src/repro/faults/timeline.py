@@ -34,8 +34,6 @@ from .schedule import (
     TimelineSpec,
     _require_geometry,
     register_schedule,
-    schedule_digest,
-    site_token,
 )
 from .sites import FaultSite, network_sites
 
@@ -77,8 +75,6 @@ class FaultTimeline:
     #: the batched lane engine must decline: heals mutate per-object
     #: router fault state mid-run, which the array model cannot express
     mutates_fabric: ClassVar[bool] = True
-    #: ``"<kind>:"`` prefix of :meth:`fingerprint`
-    fingerprint_kind: ClassVar[str] = "timeline"
 
     def __init__(self, events: Iterable[TimelineEvent]) -> None:
         items = sorted(events, key=lambda e: e.cycle)
@@ -109,7 +105,6 @@ class FaultTimeline:
         )
         self._heal_i = 0
         self._site_by_key = sites
-        self._fingerprint: Optional[str] = None
 
     # -- FaultSchedule protocol ------------------------------------------
     def events_at(self, cycle: int) -> Iterator[FaultSite]:
@@ -134,18 +129,6 @@ class FaultTimeline:
             heal = self._heals[self._heal_i][0]
             nxt = heal if nxt is None else min(nxt, heal)
         return nxt
-
-    def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            self._fingerprint = schedule_digest(
-                self.fingerprint_kind,
-                (
-                    f"{e.cycle}@{site_token(e.site)}"
-                    + (f"~{e.duration}" if e.transient else "")
-                    for e in self._events
-                ),
-            )
-        return self._fingerprint
 
     # -- native heal seam ------------------------------------------------
     def heals_due(self, cycle: int) -> Iterator[FaultSite]:

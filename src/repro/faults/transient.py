@@ -58,7 +58,6 @@ class TransientFaultSchedule(FaultTimeline):
     """
 
     wants_recovery_log: ClassVar[bool] = False
-    fingerprint_kind: ClassVar[str] = "transient"
 
     def __init__(self, transients: Iterable[TransientFault]) -> None:
         super().__init__(

@@ -94,28 +94,6 @@ class NetworkInterface:
         self.tracer: Optional["EventTracer"] = None
 
     # ------------------------------------------------------------------
-    # warm reset
-    # ------------------------------------------------------------------
-    def reset(self, stats: NetworkStats) -> None:
-        """Restore power-on state and rebind the statistics sink.
-
-        The simulator's warm reset installs a fresh :class:`NetworkStats`
-        (so results returned from previous runs stay intact) and every NIC
-        must record into it from then on.
-        """
-        self.stats = stats
-        for q in self.source_queues:
-            q.clear()
-        for d in range(len(self.credits)):
-            self.credits[d] = self.config.buffer_depth
-            self.allocated[d] = None
-        for vnet in range(self._n_vnets):
-            self.active[vnet] = None
-        self._vnet_rr = 0
-        self._queued = 0
-        self._eject_heads.clear()
-
-    # ------------------------------------------------------------------
     # injection side
     # ------------------------------------------------------------------
     def enqueue(self, packet: Packet) -> None:

@@ -79,8 +79,8 @@ class TrafficSource(Protocol):
 
 
 # The ``FaultSchedule`` protocol lives in :mod:`repro.faults.schedule`
-# (``events_at``/``next_cycle``/``fingerprint``, all three mandatory) and
-# is re-imported above for the simulator/warm-pool call sites.  Schedules
+# (``events_at``/``next_cycle``, both mandatory) and is re-imported above
+# for the simulator's call sites.  Schedules
 # with ``native_heals = True`` additionally expose ``heals_due(cycle)`` and
 # are healed in-loop (see :class:`repro.faults.timeline.FaultTimeline`);
 # ``wants_recovery_log = True`` makes the simulator install a
@@ -96,8 +96,8 @@ def baseline_router_factory(config: NetworkConfig) -> RouterFactory:
     def make(node: int, routing: RoutingFunction) -> BaseRouter:
         return BaselineRouter(node, config.router, routing)
 
-    # marker consumed by the warm-network pool (repro.network.warm): two
-    # factories with the same router_kind build interchangeable fabrics
+    # marker read by the lane engine (repro.network.batched.supports) to
+    # pick the array model for this router flavour
     make.router_kind = "baseline"  # type: ignore[attr-defined]
     return make
 
@@ -317,7 +317,7 @@ class NoCSimulator:
         use_reference_stepper: bool = False,
     ) -> None:
         if fault_schedule is not None:
-            for method in ("events_at", "next_cycle", "fingerprint"):
+            for method in ("events_at", "next_cycle"):
                 if not callable(getattr(fault_schedule, method, None)):
                     raise TypeError(
                         f"fault_schedule {type(fault_schedule).__name__!r} "
@@ -392,63 +392,6 @@ class NoCSimulator:
             for r in self.routers:
                 r.route_row = table[r.node]
 
-    # ------------------------------------------------------------------
-    # warm reset (run amortization)
-    # ------------------------------------------------------------------
-    def reset(
-        self,
-        sim_config: SimulationConfig,
-        traffic: TrafficSource,
-        fault_schedule: Optional[FaultSchedule] = None,
-        on_eject: Optional[Callable] = None,
-        observability: Optional[Observability] = None,
-    ) -> None:
-        """Restore pristine state for a new run without rebuilding the fabric.
-
-        After ``reset`` a subsequent :meth:`run` is bit-identical to
-        constructing a fresh ``NoCSimulator`` with the same arguments (the
-        golden determinism tests pin this).  Static structure — topology,
-        routing, route tables, ``connected`` flags, the ``on_wake``
-        wiring — is reused; everything dynamic (VC buffers, credits,
-        arbiter priorities, fault state, calendar ring, stats, caches,
-        active sets) returns to power-on values.
-
-        A *fresh* :class:`NetworkStats` is installed (and rebound into
-        every NIC) so :class:`SimulationResult` objects returned by earlier
-        runs stay valid.  Fault schedules and traffic sources are stateful
-        single-use objects, so new ones must be supplied per run.
-        """
-        self.sim_config = sim_config
-        self.traffic = traffic
-        self.fault_schedule = fault_schedule
-        self.on_eject = on_eject
-        for r in self.routers:
-            r.reset()
-        self.stats = NetworkStats(keep_samples=self.stats.keep_samples)
-        for nic in self.nics:
-            nic.reset(self.stats)
-        # the ring only holds a handful of lists — rebuilding it is cheap
-        # and guarantees a pristine queue (no stale in-flight counter)
-        self.scheduler = EventScheduler(self)
-        self.obs = (
-            observability if observability is not None else maybe_create()
-        )
-        tracer = self.obs.tracer if self.obs is not None else None
-        for r in self.routers:
-            r.tracer = tracer
-        for nic in self.nics:
-            nic.tracer = tracer
-        self.scheduler.tracer = tracer
-        self.flits_in_network = 0
-        self.faults_injected = 0
-        self.recovery_monitor = self._install_recovery(fault_schedule)
-        self.cycle = 0
-        self._last_progress = 0
-        self.blocked = False
-        # in place: the on_wake hooks hold these sets' bound ``add``
-        self._active_routers.clear()
-        self._active_nics.clear()
-
     def _install_recovery(
         self, fault_schedule: Optional[FaultSchedule]
     ) -> Optional[RecoveryMonitor]:
@@ -457,8 +400,6 @@ class NoCSimulator:
         The monitor doubles as every router's ``recovery`` probe, so a
         fault landing (or healing) reaches it through the per-router
         hook without the hot path growing a second dispatch site.
-        ``BaseRouter.reset`` already cleared the probes, so a schedule
-        without a recovery log leaves them ``None``.
         """
         if not getattr(fault_schedule, "wants_recovery_log", False):
             return None

@@ -1,29 +1,11 @@
-"""Warm-network pool: reuse one constructed fabric across many runs.
+"""Timed simulator construction for sweep points.
 
-Building an 8x8 mesh — 64 routers x (20 VCs + 125 VA arbiters + 10 SA
-arbiters + crossbar + route row) plus NICs and topology — costs far more
-than a warm reset that only rewinds dynamic state.  Sweep workers
-therefore keep one simulator per *structural* configuration and
-:meth:`repro.network.simulator.NoCSimulator.reset` it between sweep
-points and Monte-Carlo trials.  The golden determinism tests pin the
-reset path bit-identical to fresh construction, so pooling is purely a
-wall-clock optimization.
-
-The pool is per-process (sweep workers are separate processes, each
-keeps its own warm fabric) and keyed by everything that shapes the
-object graph: the frozen :class:`~repro.config.NetworkConfig`, the
-router flavour (``router_kind`` marker on the factory), the routing
-function kind, the sample-retention flag, and the fault schedule's
-``fingerprint()`` — a pooled fabric is never held under a schedule it is
-no longer running (a structurally matching fabric with a *different*
-schedule fingerprint is recycled through ``reset()`` and re-keyed, so
-the per-process pool stays one fabric per structural configuration).
-Factories without the marker — ad-hoc lambdas in tests — fall back to a
-fresh, uncached build.
-
-Setup wall time (construction *and* resets) accumulates in a
-module-level counter that :mod:`repro.experiments.parallel` drains into
-the per-shard ``setup_s`` / ``run_s`` timing split.
+:func:`acquire` is the ``NoCSimulator(...)`` constructor call with a
+stopwatch around it: every call builds a fresh fabric, and the seconds
+it took accumulate in a module-level counter that
+:mod:`repro.experiments.parallel` drains into the per-task ``setup_s`` /
+``run_s`` timing split.  There is no pool — ``docs/performance.md``
+("Why there is no warm-fabric pool") has the measurement that retired it.
 """
 
 from __future__ import annotations
@@ -38,13 +20,9 @@ from .simulator import (
     NoCSimulator,
     RouterFactory,
     TrafficSource,
-    baseline_router_factory,
 )
 
-#: pool key -> warm simulator (per process; workers each grow their own)
-_POOL: dict = {}
-
-#: seconds spent building or resetting networks since the last drain
+#: seconds spent building networks since the last drain
 _setup_seconds = 0.0
 
 
@@ -59,52 +37,19 @@ def acquire(
     on_eject: Optional[Callable] = None,
     observability: Optional[Observability] = None,
 ) -> NoCSimulator:
-    """A simulator ready to ``run()`` — warm-reset when possible.
-
-    Drop-in for the ``NoCSimulator(...)`` constructor call in sweep
-    loops.  Returns a pooled, freshly reset fabric when the structural
-    key matches a previous acquire in this process, else constructs (and
-    pools) a new one.  Either way the caller must treat the instance as
-    borrowed until its ``run()`` returns.
-    """
+    """A freshly built simulator; construction time accrues to ``setup_s``."""
     global _setup_seconds
-    factory = router_factory if router_factory is not None else baseline_router_factory(config)
-    kind = getattr(factory, "router_kind", None)
     t0 = perf_counter()
-    if kind is None:
-        # unknown factory: no way to prove two builds are interchangeable
-        sim = NoCSimulator(
-            config, sim_config, traffic, factory, fault_schedule,
-            routing_kind, keep_samples, on_eject, observability,
-        )
-        _setup_seconds += perf_counter() - t0
-        return sim
-    fp = "none" if fault_schedule is None else fault_schedule.fingerprint()
-    structural = (config, kind, routing_kind, keep_samples)
-    key = structural + (fp,)
-    sim = _POOL.get(key)
-    if sim is None:
-        # same structure, different schedule: recycle the fabric under the
-        # new fingerprint so the pool never holds it under a stale key
-        stale = next((k for k in _POOL if k[:-1] == structural), None)
-        if stale is not None:
-            sim = _POOL.pop(stale)
-            sim.reset(sim_config, traffic, fault_schedule, on_eject, observability)
-            _POOL[key] = sim
-        else:
-            sim = NoCSimulator(
-                config, sim_config, traffic, factory, fault_schedule,
-                routing_kind, keep_samples, on_eject, observability,
-            )
-            _POOL[key] = sim
-    else:
-        sim.reset(sim_config, traffic, fault_schedule, on_eject, observability)
+    sim = NoCSimulator(
+        config, sim_config, traffic, router_factory, fault_schedule,
+        routing_kind, keep_samples, on_eject, observability,
+    )
     _setup_seconds += perf_counter() - t0
     return sim
 
 
 def drain_setup_seconds() -> float:
-    """Return and zero the accumulated setup time (per-shard harvest)."""
+    """Return and zero the accumulated setup time (per-task harvest)."""
     global _setup_seconds
     t = _setup_seconds
     _setup_seconds = 0.0
@@ -112,10 +57,5 @@ def drain_setup_seconds() -> float:
 
 
 def pool_size() -> int:
-    """Number of warm fabrics currently pooled (diagnostics/tests)."""
-    return len(_POOL)
-
-
-def clear_pool() -> None:
-    """Drop every pooled fabric (test isolation / memory pressure)."""
-    _POOL.clear()
+    """Always 0: the ledger reads it until a ``benchmark`` PR retires ``network.warm.*``."""
+    return 0

@@ -158,8 +158,8 @@ def _trial_counts(
 
     * the routing function, probe-flow list and the router object are
       built once — trials restore pristine state through the router's
-      ``reset()`` fast path (the warm-network reset, pinned equivalent
-      to fresh construction by the golden tests);
+      ``reset()`` (pinned equivalent to a fresh router per trial by the
+      fast == reference case in ``tests/test_spf_simulation.py``);
     * each trial draws the same single ``rng.permutation`` as the
       reference, so the consumed random stream is unchanged;
     * the failure count is found by bisection over the fault-prefix

@@ -5,7 +5,7 @@ baseline crossbar, XY routing, and the 4-stage pipeline driver.
 """
 
 from .allocator import SAGrant, SAUnit, VAGrant, VAUnit
-from .arbiter import Arbiter, MatrixArbiter, RoundRobinArbiter, make_arbiter
+from .arbiter import Arbiter, RoundRobinArbiter
 from .crossbar import Crossbar, PathPlan
 from .flit import Flit, FlitType, Packet, reset_packet_ids
 from .input_port import InputPort
@@ -29,7 +29,6 @@ __all__ = [
     "FlitType",
     "InputPort",
     "LookaheadXYRouting",
-    "MatrixArbiter",
     "OutputPort",
     "Packet",
     "PathPlan",
@@ -46,7 +45,6 @@ __all__ = [
     "WestFirstRouting",
     "XYRouting",
     "YXRouting",
-    "make_arbiter",
     "make_routing",
     "reset_packet_ids",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .arbiter import make_arbiter
+from .arbiter import RoundRobinArbiter
 from .crossbar import PathPlan
 from .vc import VCState, VirtualChannel
 
@@ -58,18 +58,18 @@ class SAGrant:
 class VAUnit:
     """Baseline two-stage separable virtual-channel allocator."""
 
-    def __init__(self, router: "BaseRouter", arbiter_kind: str = "round_robin") -> None:
+    def __init__(self, router: "BaseRouter") -> None:
         self.router = router
         cfg = router.config
         P, V = cfg.num_ports, cfg.num_vcs
         #: stage 1: [input port][physical slot][output port] -> v:1 arbiter
         self.stage1 = [
-            [[make_arbiter(V, arbiter_kind) for _ in range(P)] for _ in range(V)]
+            [[RoundRobinArbiter(V) for _ in range(P)] for _ in range(V)]
             for _ in range(P)
         ]
         #: stage 2: [output port][downstream wire VC] -> pi*v:1 arbiter
         self.stage2 = [
-            [make_arbiter(P * V, arbiter_kind) for _ in range(V)] for _ in range(P)
+            [RoundRobinArbiter(P * V) for _ in range(V)] for _ in range(P)
         ]
         #: precomputed vnet lookups — ``allocate`` runs per waiting VC per
         #: cycle, so the modular arithmetic of ``vnet_of_vc``/``vcs_of_vnet``
@@ -206,14 +206,14 @@ class VAUnit:
 class SAUnit:
     """Baseline two-stage separable switch allocator."""
 
-    def __init__(self, router: "BaseRouter", arbiter_kind: str = "round_robin") -> None:
+    def __init__(self, router: "BaseRouter") -> None:
         self.router = router
         cfg = router.config
         P, V = cfg.num_ports, cfg.num_vcs
         #: stage 1: [input port] -> v:1 arbiter over physical slots
-        self.stage1 = [make_arbiter(V, arbiter_kind) for _ in range(P)]
+        self.stage1 = [RoundRobinArbiter(V) for _ in range(P)]
         #: stage 2: [output/arb port] -> pi:1 arbiter over input ports
-        self.stage2 = [make_arbiter(P, arbiter_kind) for _ in range(P)]
+        self.stage2 = [RoundRobinArbiter(P) for _ in range(P)]
 
     def reset(self) -> None:
         """Restore every arbiter's priority state to power-on defaults."""

@@ -2,17 +2,14 @@
 
 The paper's FIT accounting (Table I) treats the ``v:1`` and ``pi:1`` arbiters
 as the fundamental components of the allocation stages, and its fault model
-marks whole arbiters as faulty.  Two classic implementations are provided:
+marks whole arbiters as faulty.  Every allocator uses
+:class:`RoundRobinArbiter` — rotating priority, the winner gets lowest
+priority next time — because it is starvation-free, which the paper's
+bypass-path discussion (Section V-C1) relies on, and because it is the
+arbiter the lane engine's array kernels reproduce.
 
-* :class:`RoundRobinArbiter` — rotating-priority arbiter; the winner gets
-  lowest priority next time.  This is the default everywhere because it is
-  starvation-free, which the paper's bypass-path discussion (Section V-C1)
-  relies on.
-* :class:`MatrixArbiter` — least-recently-served matrix arbiter, provided
-  for completeness and used by some ablation benches.
-
-Both expose the same interface: ``grant(requests) -> winner | None`` where
-``requests`` is an iterable of requester indices, plus a ``faulty`` flag that
+The interface is ``grant(requests) -> winner | None`` where ``requests``
+is an iterable of requester indices, plus a ``faulty`` flag that
 models a permanent fault (a faulty arbiter never grants — Section V describes
 exactly this failure semantics: the associated flit "would not be allocated
 ... resulting in the flit being blocked").
@@ -20,7 +17,7 @@ exactly this failure semantics: the associated flit "would not be allocated
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 class Arbiter:
@@ -89,51 +86,3 @@ class RoundRobinArbiter(Arbiter):
         if best is not None:
             self._priority = (best + 1) % size
         return best
-
-
-class MatrixArbiter(Arbiter):
-    """Least-recently-served arbiter.
-
-    Keeps a strict priority order (most-recently-served last); grants the
-    highest-priority requester and demotes it to the back.  Exactly
-    equivalent to the classic triangular-matrix hardware implementation.
-    """
-
-    __slots__ = ("_order",)
-
-    def __init__(self, size: int) -> None:
-        super().__init__(size)
-        self._order = list(range(size))
-
-    def reset(self) -> None:
-        self._order = list(range(self.size))
-
-    @property
-    def order(self) -> Sequence[int]:
-        """Current priority order, highest first (read-only view)."""
-        return tuple(self._order)
-
-    def grant(self, requests: Iterable[int]) -> Optional[int]:
-        if self.faulty:
-            return None
-        req = set(requests)
-        if not req:
-            return None
-        for r in req:
-            if r < 0 or r >= self.size:
-                raise ValueError(f"requester {r} out of range 0..{self.size - 1}")
-        for i, cand in enumerate(self._order):
-            if cand in req:
-                # demote winner to least priority
-                self._order.append(self._order.pop(i))
-                return cand
-        return None  # pragma: no cover - unreachable (req non-empty)
-
-
-def make_arbiter(size: int, kind: str = "round_robin") -> Arbiter:
-    """Factory used by the allocators so arbiter flavour is configurable."""
-    if kind == "round_robin":
-        return RoundRobinArbiter(size)
-    if kind == "matrix":
-        return MatrixArbiter(size)
-    raise ValueError(f"unknown arbiter kind {kind!r}")

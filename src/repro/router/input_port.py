@@ -86,7 +86,7 @@ class InputPort:
         )
 
     # ------------------------------------------------------------------
-    # warm reset (driven by ``BaseRouter.clear_dynamic_state`` / ``reset``)
+    # in-place reset (driven by ``BaseRouter.clear_dynamic_state`` / ``reset``)
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Empty every VC and idle the port; slot swaps are kept."""

@@ -151,7 +151,6 @@ class BaseRouter:
         node: int,
         config: RouterConfig,
         routing: RoutingFunction,
-        arbiter_kind: str = "round_robin",
     ) -> None:
         self.node = node
         self.config = config
@@ -165,8 +164,8 @@ class BaseRouter:
 
         self.crossbar = self._make_crossbar()
         self.rc_unit = self._make_rc_unit()
-        self.va_unit = self._make_va_unit(arbiter_kind)
-        self.sa_unit = self._make_sa_unit(arbiter_kind)
+        self.va_unit = self._make_va_unit()
+        self.sa_unit = self._make_sa_unit()
 
         #: SA winners of the previous cycle, traversing the XB this cycle
         self._xb_queue: list[SAGrant] = []
@@ -206,11 +205,11 @@ class BaseRouter:
     def _make_rc_unit(self) -> RCUnit:
         return RCUnit(self)
 
-    def _make_va_unit(self, arbiter_kind: str) -> VAUnit:
-        return VAUnit(self, arbiter_kind)
+    def _make_va_unit(self) -> VAUnit:
+        return VAUnit(self)
 
-    def _make_sa_unit(self, arbiter_kind: str) -> SAUnit:
-        return SAUnit(self, arbiter_kind)
+    def _make_sa_unit(self) -> SAUnit:
+        return SAUnit(self)
 
     # ----------------------------------------------------------------------
     # fault management
@@ -247,13 +246,12 @@ class BaseRouter:
             self.sa_unit.stage2[p].faulty = p in self.faults.sa2
 
     # ----------------------------------------------------------------------
-    # warm reset
+    # in-place reset (per-trial reuse in ``reliability.spf_simulation``)
     # ----------------------------------------------------------------------
     def reset(self) -> None:
         """Restore power-on state without rebuilding any objects.
 
-        The warm-reset fast path (``docs/performance.md``): clears faults
-        (in place — the crossbar and FT units hold the
+        Clears faults (in place — the crossbar and FT units hold the
         :class:`RouterFaultState` by reference), empties every VC, refills
         credits, rewinds arbiter priorities, and zeroes the statistics, so
         the router is bit-identical to a freshly constructed one.  Static

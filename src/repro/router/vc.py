@@ -184,13 +184,12 @@ class VirtualChannel:
             self.state = VCState.IDLE
 
     # ------------------------------------------------------------------
-    # warm reset
+    # in-place reset
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Restore power-on state without reallocating the object.
 
-        Part of the warm-reset fast path (``docs/performance.md``): every
-        field returns to its ``__init__`` value so a reset VC is
+        Every field returns to its ``__init__`` value so a reset VC is
         indistinguishable from a freshly constructed one.
         """
         self.buffer.clear()

@@ -36,23 +36,8 @@ import typing
 from hashlib import sha256
 from typing import Any, Dict, Mapping, Optional
 
-from ..experiments import (
-    design_space,
-    detection_latency,
-    energy,
-    fault_campaign,
-    fault_sweep,
-    latency,
-    load_latency,
-    mttf,
-    mttf_sensitivity,
-    network_reliability,
-    reliability_curves,
-    spf_sweep,
-    table3,
-)
 from ..experiments.report import override_seed
-from ..reliability.stages import RouterGeometry
+from ..experiments.runner import EXPERIMENTS
 
 __all__ = [
     "CONFIG_TYPES",
@@ -70,28 +55,10 @@ class RequestError(ValueError):
     """A request names an unknown experiment / malformed config."""
 
 
-#: experiment name -> its unified-API config dataclass (mirrors
-#: ``repro.experiments.runner.EXPERIMENTS``; the analytic geometry-only
-#: experiments all take a RouterGeometry as their whole config)
+#: experiment name -> its unified-API config dataclass, read off the
+#: experiment registry
 CONFIG_TYPES: Dict[str, type] = {
-    "table1": RouterGeometry,
-    "table2": RouterGeometry,
-    "area_power": RouterGeometry,
-    "critical_path": RouterGeometry,
-    "mttf": mttf.MTTFConfig,
-    "mttf_sensitivity": mttf_sensitivity.MTTFSensitivityConfig,
-    "table3": table3.Table3Config,
-    "spf_sweep": spf_sweep.SPFSweepConfig,
-    "fig7": latency.SuiteRunConfig,
-    "fig8": latency.SuiteRunConfig,
-    "load_latency": load_latency.LoadLatencyConfig,
-    "network_reliability": network_reliability.NetworkReliabilityConfig,
-    "reliability_curves": reliability_curves.ReliabilityCurvesConfig,
-    "energy": energy.EnergyConfig,
-    "detection_latency": detection_latency.DetectionLatencyConfig,
-    "fault_campaign": fault_campaign.CampaignConfig,
-    "fault_sweep": fault_sweep.FaultSweepConfig,
-    "design_space": design_space.DesignSpaceConfig,
+    name: entry.config_type for name, entry in EXPERIMENTS.items()
 }
 
 #: request keys that never affect the computed result (and therefore
@@ -237,15 +204,10 @@ def effective_config(
     ``config: {}`` and an explicitly-spelled all-defaults config hash
     identically: they are the same computation.
     """
-    from ..experiments.runner import EXPERIMENTS, ExperimentEntry
-
     if isinstance(config, Mapping) or config is None:
         config = build_config(name, config)
     if config is None:
-        entry = EXPERIMENTS.get(name)
-        if isinstance(entry, ExperimentEntry):
-            factory = entry.quick_config if quick else entry.default_config
-            config = factory()
+        config = EXPERIMENTS[name].cli_config(quick)
     if config is None:
         config = CONFIG_TYPES[name]()
     folded = override_seed(config, seed)

@@ -39,6 +39,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 from ..experiments.parallel import PartialSweepError
 from ..experiments.resilient import RetryPolicy, sweep_runtime
+from ..experiments.runner import EXPERIMENTS
 from ..observability.metrics import MetricsRegistry
 from .cache import ResultCache, make_entry
 from .fingerprint import (
@@ -462,16 +463,10 @@ class SweepService:
             loop.call_soon_threadsafe(self._publish, fingerprint, event)
 
         def work() -> Any:
-            from ..experiments.runner import EXPERIMENTS
-
-            entry = EXPERIMENTS[name]
-            module = getattr(entry, "module", None)
             with sweep_runtime(retry=self.retry, progress=progress):
-                if module is not None:
-                    return module.run(
-                        config, jobs=jobs, seed=residual_seed
-                    )
-                return entry(False, jobs)  # registry shim (tests)
+                return EXPERIMENTS[name].module.run(
+                    config, jobs=jobs, seed=residual_seed
+                )
 
         try:
             async with self._slots:

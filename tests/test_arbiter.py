@@ -1,14 +1,10 @@
-"""Tests for round-robin and matrix arbiters, including fairness properties."""
+"""Tests for the round-robin arbiter, including fairness properties."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.router.arbiter import (
-    MatrixArbiter,
-    RoundRobinArbiter,
-    make_arbiter,
-)
+from repro.router.arbiter import RoundRobinArbiter
 
 
 class TestRoundRobin:
@@ -61,46 +57,6 @@ class TestRoundRobin:
             RoundRobinArbiter(0)
 
 
-class TestMatrix:
-    def test_least_recently_served_wins(self):
-        arb = MatrixArbiter(3)
-        assert arb.grant([0, 1, 2]) == 0
-        assert arb.grant([0, 1, 2]) == 1
-        assert arb.grant([0, 2]) == 2
-        # 0 was served longest ago among {0}
-        assert arb.grant([0, 1]) == 0
-
-    def test_faulty_never_grants(self):
-        arb = MatrixArbiter(3)
-        arb.faulty = True
-        assert arb.grant([0, 1]) is None
-
-    def test_no_request_no_grant(self):
-        arb = MatrixArbiter(3)
-        assert arb.grant([]) is None
-
-    def test_out_of_range_rejected(self):
-        arb = MatrixArbiter(3)
-        with pytest.raises(ValueError):
-            arb.grant([3])
-
-    def test_reset_restores_order(self):
-        arb = MatrixArbiter(3)
-        arb.grant([2])
-        arb.reset()
-        assert arb.order == (0, 1, 2)
-
-
-class TestFactory:
-    def test_kinds(self):
-        assert isinstance(make_arbiter(4, "round_robin"), RoundRobinArbiter)
-        assert isinstance(make_arbiter(4, "matrix"), MatrixArbiter)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_arbiter(4, "tournament")
-
-
 @st.composite
 def request_sequences(draw):
     size = draw(st.integers(min_value=1, max_value=8))
@@ -119,11 +75,11 @@ def request_sequences(draw):
 
 
 class TestArbiterProperties:
-    @given(request_sequences(), st.sampled_from(["round_robin", "matrix"]))
+    @given(request_sequences())
     @settings(max_examples=60, deadline=None)
-    def test_grant_is_always_a_requester(self, seq, kind):
+    def test_grant_is_always_a_requester(self, seq):
         size, rounds = seq
-        arb = make_arbiter(size, kind)
+        arb = RoundRobinArbiter(size)
         for reqs in rounds:
             g = arb.grant(reqs)
             if reqs:
@@ -134,25 +90,21 @@ class TestArbiterProperties:
     @given(
         st.integers(min_value=2, max_value=8),
         st.integers(min_value=10, max_value=200),
-        st.sampled_from(["round_robin", "matrix"]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_starvation_freedom_under_full_load(self, size, rounds, kind):
+    def test_starvation_freedom_under_full_load(self, size, rounds):
         """With all requesters always active, grants are perfectly fair."""
-        arb = make_arbiter(size, kind)
+        arb = RoundRobinArbiter(size)
         counts = [0] * size
         for _ in range(rounds):
             counts[arb.grant(list(range(size)))] += 1
         assert max(counts) - min(counts) <= 1
 
-    @given(
-        st.integers(min_value=2, max_value=8),
-        st.sampled_from(["round_robin", "matrix"]),
-    )
+    @given(st.integers(min_value=2, max_value=8))
     @settings(max_examples=30, deadline=None)
-    def test_persistent_requester_eventually_wins(self, size, kind):
+    def test_persistent_requester_eventually_wins(self, size):
         """Requester 0 competing against everyone wins within `size` rounds."""
-        arb = make_arbiter(size, kind)
+        arb = RoundRobinArbiter(size)
         for _ in range(size):
             if arb.grant(list(range(size))) == 0:
                 return

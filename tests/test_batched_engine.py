@@ -20,6 +20,7 @@ import pytest
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
+from repro.experiments import parallel
 from repro.experiments.load_latency import _make_schedule, _make_traffic
 from repro.experiments.parallel import (
     LanePoint,
@@ -568,8 +569,8 @@ class TestRunLaneSweep:
             assert a.cycles == b.cycles
             assert a.faults_injected == b.faults_injected
 
-    def test_lane_width_invariance_through_sweep(self):
-        """The streaming queue's slot width is a pure wall-clock knob."""
+    def test_lane_width_invariance_through_sweep(self, monkeypatch):
+        """The streaming queue's slot width never reaches a result."""
         net = _net(4, 4, 4, 2)
         sim_cfg = _sim_cfg(measure=150)
         points = [
@@ -584,7 +585,17 @@ class TestRunLaneSweep:
             for i in range(6)
         ]
         wide_values, _ = run_lane_sweep(points)
-        narrow_values, narrow_report = run_lane_sweep(points, lane_width=2)
+        monkeypatch.setattr(parallel, "DEFAULT_LANE_WIDTH", 2)
+        widths: list[int] = []
+        run_sweep = parallel.run_sweep
+
+        def spy(tasks, **kw):
+            widths.extend(t.args[1] for t in tasks)
+            return run_sweep(tasks, **kw)
+
+        monkeypatch.setattr(parallel, "run_sweep", spy)
+        narrow_values, narrow_report = run_lane_sweep(points)
+        assert widths == [2]  # one chunk of six points, two slots
         assert narrow_report.points == 6
         for i, (a, b) in enumerate(zip(wide_values, narrow_values)):
             assert a.stats.summary() == b.stats.summary(), f"point {i}"
@@ -619,6 +630,69 @@ class TestRunLaneSweep:
         values, report = run_lane_sweep([])
         assert values == []
         assert report.points == 0
+
+    def test_every_fallback_point_builds_and_times_its_own_simulator(
+        self, monkeypatch
+    ):
+        """Nine structurally distinct points (a ``design_space`` grid): no
+        two can share anything, each task's construction time lands in its
+        own ``setup_s``, and the shard's split adds up to its wall time."""
+        nets = [
+            NetworkConfig(
+                width=3, height=3,
+                router=RouterConfig(num_vcs=vcs, num_vnets=2, buffer_depth=depth),
+            )
+            for vcs in (2, 4, 6)
+            for depth in (2, 4, 6)
+        ]
+        points = [
+            LanePoint(
+                config=net,
+                sim_config=_sim_cfg(measure=60),
+                make_traffic=_make_traffic,
+                traffic_args=(net, 0.05, 7),
+                router_kind="protected",
+            )
+            for net in nets
+        ]
+        assert len({p.structural_key() for p in points}) == 9
+        rows = []
+        run_task = parallel.run_task
+
+        def spy(task):
+            rows.append(run_task(task))
+            return rows[-1]
+
+        monkeypatch.setattr(parallel, "run_task", spy)
+        values, report = run_lane_sweep(points, jobs=1)
+        assert report.fallbacks == 9
+        assert len(rows) == 9 and all(r.setup_s > 0.0 for r in rows)
+        for shard in report.shards:
+            assert shard.setup_s + shard.run_s == shard.wall_time
+        assert all(v.stats.packets_ejected > 0 for v in values)
+
+    def test_run_point_leaves_no_simulator_behind(self):
+        """``run_point`` hands back a result, not a fabric: once the result
+        is dropped nothing in the process still holds the simulator."""
+        import gc
+
+        def live_simulators():
+            gc.collect()
+            return {
+                id(o) for o in gc.get_objects() if isinstance(o, NoCSimulator)
+            }
+
+        net = _net(3, 2, 2, 2)
+        point = LanePoint(
+            config=net,
+            sim_config=_sim_cfg(measure=61),
+            make_traffic=_make_traffic,
+            traffic_args=(net, 0.05, 7),
+            router_kind="protected",
+        )
+        before = live_simulators()
+        run_point(point)
+        assert live_simulators() <= before
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ from conftest import NoLookahead
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.faults.injector import RandomFaultSchedule
-from repro.network import warm
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.observability import Observability, ObservabilityConfig
 from repro.router.flit import reset_packet_ids
@@ -407,172 +406,3 @@ class TestProfiledGolden:
 
     def test_profiled_protected_with_faults_bit_identical(self):
         self._assert_profiled_matches(protected=True, with_faults=True)
-
-
-class TestWarmResetEquivalence:
-    """Warm ``NoCSimulator.reset()`` must be indistinguishable from fresh
-    construction — the amortization layer (`repro.network.warm`) rests on
-    this.  Each case runs the *target* configuration twice: on a freshly
-    built fabric, and on a fabric first dirtied by a full run with a
-    different seed and fault schedule, then reset.  Every observable
-    output must match exactly, including runs that inject faults after
-    the reset (reset-then-inject == fresh-build-with-faults)."""
-
-    def _target(self, net, factory, routing_kind, with_faults, sim=None):
-        reset_packet_ids()
-        schedule = None
-        if with_faults:
-            schedule = RandomFaultSchedule(
-                net.router,
-                net.num_nodes,
-                mean_interval=30,
-                num_faults=8,
-                rng=13,
-                first_fault_at=40,
-                avoid_failure=True,
-            )
-        sim_cfg = SimulationConfig(
-            warmup_cycles=50,
-            measure_cycles=300,
-            drain_cycles=2000,
-            seed=6,
-            watchdog_cycles=4000,
-        )
-        traffic = SyntheticTraffic(net, injection_rate=0.08, rng=6)
-        if sim is None:
-            sim = NoCSimulator(
-                net,
-                sim_cfg,
-                traffic,
-                router_factory=factory,
-                fault_schedule=schedule,
-                routing_kind=routing_kind,
-            )
-        else:
-            sim.reset(sim_cfg, traffic, schedule)
-        result = sim.run()
-        return sim, result
-
-    def _assert_reset_equivalent(self, protected, with_faults, routing_kind):
-        net = NetworkConfig(
-            width=4, height=4, router=RouterConfig(num_vcs=4, num_vnets=2)
-        )
-        factory = (
-            protected_router_factory(net)
-            if protected
-            else baseline_router_factory(net)
-        )
-        _, fresh = self._target(net, factory, routing_kind, with_faults)
-
-        # dirty the fabric: an unrelated full run (different seed, its own
-        # fault schedule) leaves buffers, credits, faults and stats behind
-        reset_packet_ids()
-        dirty = NoCSimulator(
-            net,
-            SimulationConfig(
-                warmup_cycles=50,
-                measure_cycles=200,
-                drain_cycles=2000,
-                seed=2,
-                watchdog_cycles=4000,
-            ),
-            SyntheticTraffic(net, injection_rate=0.1, rng=2),
-            router_factory=factory,
-            fault_schedule=RandomFaultSchedule(
-                net.router,
-                net.num_nodes,
-                mean_interval=25,
-                num_faults=6,
-                rng=3,
-                first_fault_at=30,
-                avoid_failure=True,
-            ),
-            routing_kind=routing_kind,
-        )
-        dirty.run()
-
-        _, warm_res = self._target(
-            net, factory, routing_kind, with_faults, sim=dirty
-        )
-
-        assert fresh.cycles == warm_res.cycles
-        assert fresh.blocked == warm_res.blocked
-        assert fresh.drained == warm_res.drained
-        assert fresh.faults_injected == warm_res.faults_injected
-        assert fresh.stats.summary() == warm_res.stats.summary()
-        assert dataclasses.asdict(fresh.router_stats) == dataclasses.asdict(
-            warm_res.router_stats
-        )
-
-    def test_baseline_reset_with_faults(self):
-        self._assert_reset_equivalent(
-            protected=False, with_faults=True, routing_kind="xy"
-        )
-
-    def test_protected_reset_with_faults(self):
-        self._assert_reset_equivalent(
-            protected=True, with_faults=True, routing_kind="xy"
-        )
-
-    def test_adaptive_west_first_reset_with_faults(self):
-        self._assert_reset_equivalent(
-            protected=False, with_faults=True, routing_kind="west_first"
-        )
-
-    def test_warm_pool_reuses_fabric(self):
-        warm.clear_pool()
-        net = NetworkConfig(width=4, height=4)
-        sim_cfg = SimulationConfig(
-            warmup_cycles=10, measure_cycles=50, drain_cycles=500, seed=1
-        )
-
-        def traffic():
-            return SyntheticTraffic(net, injection_rate=0.05, rng=1)
-
-        warm.drain_setup_seconds()
-        a = warm.acquire(net, sim_cfg, traffic())
-        a.run()
-        b = warm.acquire(net, sim_cfg, traffic())
-        assert b is a  # same structural key -> pooled fabric reused
-        assert warm.pool_size() == 1
-        assert warm.drain_setup_seconds() > 0.0
-        assert warm.drain_setup_seconds() == 0.0  # drained
-
-        # an unmarked ad-hoc factory must bypass the pool entirely
-        marked = baseline_router_factory(net)
-
-        def unmarked(node, routing):
-            return marked(node, routing)
-
-        c = warm.acquire(net, sim_cfg, traffic(), router_factory=unmarked)
-        assert c is not a
-        assert warm.pool_size() == 1  # pool unchanged
-        warm.clear_pool()
-        assert warm.pool_size() == 0
-
-    def test_warm_pool_rerun_is_bit_identical(self):
-        """Two pooled runs of the same point == two fresh runs."""
-        warm.clear_pool()
-        net = NetworkConfig(width=4, height=4)
-        sim_cfg = SimulationConfig(
-            warmup_cycles=20, measure_cycles=200, drain_cycles=1000, seed=5
-        )
-
-        def run_warm():
-            reset_packet_ids()
-            sim = warm.acquire(
-                net, sim_cfg, SyntheticTraffic(net, injection_rate=0.08, rng=5)
-            )
-            return sim.run()
-
-        def run_fresh():
-            reset_packet_ids()
-            sim = NoCSimulator(
-                net, sim_cfg, SyntheticTraffic(net, injection_rate=0.08, rng=5)
-            )
-            return sim.run()
-
-        w1, w2, f = run_warm(), run_warm(), run_fresh()
-        assert w1.stats.summary() == f.stats.summary()
-        assert w2.stats.summary() == f.stats.summary()
-        assert w1.cycles == w2.cycles == f.cycles

@@ -214,13 +214,13 @@ class TestWorkerFailures:
     def test_cli_exits_nonzero_on_worker_failure(self, capsys, monkeypatch):
         """Regression: ``python -m repro.experiments`` must not exit 0
         when an experiment raises inside a parallel worker shard."""
-        from repro.experiments import runner
+        from repro.experiments import runner, table1
 
-        def _failing(quick, jobs):
+        def _failing(config=None, *, jobs=None, **_):
             values, _ = map_sweep(_boom_even, [(0,), (1,)], jobs=jobs or 2)
             return values
 
-        monkeypatch.setitem(runner.EXPERIMENTS, "table1", _failing)
+        monkeypatch.setattr(table1, "run", _failing)
         rc = runner.main(["table1", "--jobs", "2"])
         assert rc == 1
         err = capsys.readouterr().err

@@ -133,8 +133,9 @@ class TestFacade:
             assert (
                 sig.parameters[kw].kind is inspect.Parameter.KEYWORD_ONLY
             )
-        for method in ("events_at", "next_cycle", "fingerprint"):
+        for method in ("events_at", "next_cycle"):
             assert hasattr(FaultSchedule, method)
+        assert not hasattr(FaultSchedule, "fingerprint")  # removed in 2.1
 
     def test_legacy_keywords_are_gone(self):
         """2.0: per-module keywords raise like any misspelled keyword."""

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import runner, table1
 from repro.experiments.parallel import (
     PartialSweepError,
     PartialSweepReport,
@@ -342,7 +342,7 @@ class TestSimulationResumeGolden:
 
 class TestCLI:
     def test_partial_sweep_maps_to_exit_3(self, monkeypatch, capsys):
-        def _partial(quick, jobs):
+        def _partial(config=None, **_):
             report = PartialSweepReport(
                 jobs=1, points=2, wall_time=0.0, shards=(),
                 completed=(0,),
@@ -354,7 +354,7 @@ class TestCLI:
             )
             raise PartialSweepError(report, [42, None])
 
-        monkeypatch.setitem(runner.EXPERIMENTS, "table1", _partial)
+        monkeypatch.setattr(table1, "run", _partial)
         rc = runner.main(["table1"])
         assert rc == 3
         err = capsys.readouterr().err
@@ -363,10 +363,10 @@ class TestCLI:
         assert "partially completed" in err
 
     def test_hard_failure_still_exits_1(self, monkeypatch, capsys):
-        def _partial(quick, jobs):
+        def _hard(config=None, **_):
             raise RuntimeError("hard failure")
 
-        monkeypatch.setitem(runner.EXPERIMENTS, "table1", _partial)
+        monkeypatch.setattr(table1, "run", _hard)
         assert runner.main(["table1"]) == 1
 
     def test_out_dir_and_resume_are_mutually_exclusive(self, tmp_path):

@@ -15,8 +15,8 @@ gated stepper to the reference:
   ``python -O``, where the library's own asserts are stripped);
 * a fault landing on a fully idle router wakes it, runs no phase, and is
   pruned the same cycle;
-* counters are zero after ``reset()`` and after the warm pool reuses a
-  simulator abandoned mid-packet.
+* counters are zero after ``BaseRouter.reset()`` on routers abandoned
+  mid-packet.
 """
 
 import dataclasses
@@ -31,7 +31,6 @@ from repro.core.protected_router import protected_router_factory
 from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.faults.timeline import FaultTimeline, TimelineEvent
-from repro.network import warm
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import reset_packet_ids
 from repro.traffic.generator import COHERENCE_MIX, NullTraffic, SyntheticTraffic
@@ -211,29 +210,11 @@ class TestCountersClearOnReset:
         assert all(held), f"no VC in some stage: (nonidle, rc, va, sa)={held}"
 
     def test_reset_zeroes_counters(self):
+        """``BaseRouter.reset()`` (what ``spf_simulation`` reuses a router
+        through) leaves no stage counter behind a VC it emptied."""
         sim = NoCSimulator(NET, SIM_CFG, self._traffic())
         self._abandon_mid_packet(sim)
-        sim.reset(SIM_CFG, self._traffic())
+        for r in sim.routers:
+            r.reset()
+            r.check_invariants()
         assert set(self._counters(sim)) == {(0, 0, 0, 0)}
-        sim.check_invariants()
-
-    def test_warm_reuse_of_abandoned_simulator(self):
-        warm.clear_pool()
-        factory = protected_router_factory(NET)
-        sim = warm.acquire(NET, SIM_CFG, self._traffic(), router_factory=factory)
-        self._abandon_mid_packet(sim)
-        reset_packet_ids()
-        again = warm.acquire(
-            NET, SIM_CFG, self._traffic(), router_factory=factory
-        )
-        assert again is sim
-        assert set(self._counters(sim)) == {(0, 0, 0, 0)}
-        sim.check_invariants()
-        reused = again.run()
-        reset_packet_ids()
-        fresh = NoCSimulator(
-            NET, SIM_CFG, self._traffic(), router_factory=factory
-        ).run()
-        assert reused.stats.summary() == fresh.stats.summary()
-        assert reused.cycles == fresh.cycles
-        warm.clear_pool()
