@@ -11,10 +11,10 @@ fault schedules) run once each through
 * the **batched engine** — all 64 lanes stepped together as flat
   ``(lanes, routers, ports, vcs)`` state arrays.
 
-The acceptance floor is a >= 3x aggregate points-per-second speedup
-(2.5x for one PR, after stage-occupancy gating made the per-point object
-engine — the denominator — about a fifth faster; back at 3x now that
-the lanes' NIC boundary is arrays; see the assert message).
+The acceptance floor is a >= 4.5x aggregate points-per-second speedup
+(3x until the lane kernels were re-addressed through flat ids, ISSUE 17;
+the assert message carries the history and the five-run spread the
+floor sits below).
 As everywhere else in this suite, the speedup must come from batching,
 not divergence: every lane's result is asserted bit-identical between
 the two engines (cycle counts, drain status, full latency/throughput
@@ -152,15 +152,18 @@ def test_batched_engine_speedup(benchmark):
         }
     )
     # acceptance floor: batching must carry its weight at fleet size
-    assert speedup >= 3.0, (
-        f"batched speedup {speedup:.2f}x < 3x.  Stage-occupancy gating "
-        "(ISSUE 13) made the object engine a fifth faster and the floor "
-        "went to 2.5x (lanes read 3.0-3.7x); packet tables at the lane "
-        "boundary (ISSUE 14) took 45 % off the lanes' NIC/traffic/ejection "
-        "share and five runs here read 4.6-5.2x (median 4.9x), although "
-        "the object engine draws its traffic faster too.  3x is what a "
-        "second, 1.2k-line engine must beat to be worth keeping next to "
-        "the object engine."
+    assert speedup >= 4.5, (
+        f"batched speedup {speedup:.2f}x < 4.5x.  History of this floor: "
+        "2.5x after stage-occupancy gating (ISSUE 13) made the object "
+        "engine a fifth faster; 3x after packet tables at the lane "
+        "boundary (ISSUE 14; five runs 4.6-5.2x).  Flat-index lane "
+        "kernels (ISSUE 17: one VC id per requester, flatnonzero, 1-D "
+        "views) halved the lanes' run time: five runs here read 7.42, "
+        "10.04, 8.12, 9.83, 9.83x (median 9.83x; the spread is the object "
+        "engine's single-shot time, 25.5-35.0 s, the lanes read 2.9-3.6 s). "
+        "4.5x is outside that spread by the margin the old floor kept "
+        "(about 0.6 of the slowest run) — below it the flat addressing "
+        "has been lost, whatever the host."
     )
 
 
@@ -271,14 +274,14 @@ def test_fig7_suite_lane_speedup(benchmark):
     # the suite runs real app surrogates (lower injection, deep drains)
     # on a 4x4 quick mesh — smaller win than the 64-lane 8x8 case, but
     # batching must still pay for itself
-    assert speedup >= 1.25, (
-        f"suite speedup {speedup:.2f}x < 1.25x.  The floor was 1.5x against "
-        "the ungated object engine; with stage-occupancy gating (ISSUE 13) "
-        "five runs of this suite read 1.49-2.03x (median 1.62x; parent "
-        "1.31-1.67x, median 1.67x, single-shot spread included), so 1.5x sat "
-        "inside the noise.  Packet tables (ISSUE 14) sped both sides of "
-        "this ratio up (the object engine reads the same drawn-ahead "
-        "traffic): five runs read 1.38-1.79x, median 1.56x, so the floor "
-        "stays.  Below 1.25x the lane path no longer pays for "
-        "its triage and fallback plumbing on the real fig7 suite."
+    assert speedup >= 1.5, (
+        f"suite speedup {speedup:.2f}x < 1.5x.  History of this floor: "
+        "1.5x against the ungated object engine; 1.25x once stage-occupancy "
+        "gating (ISSUE 13) and packet tables (ISSUE 14) sped both sides up "
+        "and five runs read 1.38-1.79x (median 1.56x).  Flat-index lane "
+        "kernels (ISSUE 17) moved only the lane side: five runs here read "
+        "2.27, 2.42, 1.86, 2.30, 2.13x (median 2.27x), so the floor goes "
+        "back to 1.5x, outside that spread.  Below it the lane path no "
+        "longer pays for its triage and fallback plumbing on the real "
+        "fig7 suite."
     )

@@ -43,14 +43,33 @@ the achieved density.
 
 Vectorisation strategy
 ----------------------
-Phases operate on *compressed index arrays* (``np.nonzero`` over the
-relevant state mask) rather than dense tensors — the work per cycle
-scales with the number of busy VCs across all lanes, the same property
-the event engine's active sets give a single fabric.  Within one cycle
-all same-stage arbiters are independent (each grant touches a distinct
-(router, arbiter) pair — see the allocator docstrings), so a masked
-segment-argmin implements the rotating-priority grant for every group
-at once.
+Phases operate on *compressed id arrays* rather than dense tensors — the
+work per cycle scales with the number of busy VCs across all lanes, the
+same property the event engine's active sets give a single fabric.
+Every ``(lane, router, port, slot)`` has one flat id::
+
+    vc   = ((lane * R + router) * P + port) * V + slot
+    port = vc // V      node = vc // (P * V)      lane = vc // (R * P * V)
+
+and the rest is the same algebra: output VC ``(node, o, w)`` is
+``(node * P + o) * V + w``, a buffer cell ``vc * D + pos``, a ``va1_prio``
+row ``(port * V + owner) * P + route``, a NIC queue ``node * NV + vnet``,
+a packet-table row ``lane * cap + row``.  Each state array is allocated
+once and seen two ways: n-d (``self.st``) by the scalar fault paths, lane
+install and retirement, and as a 1-D ``reshape(-1)`` view of the same
+memory (``self.st_``, the trailing underscore) by the seven per-cycle
+kernels, which take one ``np.flatnonzero(mask)`` per phase (C order: the
+order the serial loops visit requesters in) and one index array per
+gather or scatter.  The wiring is two per-lane id tables, ``down_port``
+(output port id -> the input port id its link feeds) and ``up_out_port``
+(input port id -> the output port id feeding it), so a hop or a credit
+return is one gather; a port without a link holds an id past the end of
+every state array, so a flit routed off the mesh raises ``IndexError``
+at its next gather instead of wrapping onto another router.  Within one
+cycle all same-stage arbiters are independent (each grant touches a
+distinct (router, arbiter) pair — see the allocator docstrings), so a
+masked segment-argmin implements the rotating-priority grant for every
+group at once.
 
 The NIC boundary is arrays too.  Traffic is open-loop, so when a lane is
 installed its source is compiled (:func:`repro.traffic.generator.compile_table`)
@@ -61,10 +80,11 @@ the flit buffers carry.  Rows are stored sorted by ``(src, vnet)`` in
 yield order, so each NIC source queue is a cursor into a contiguous run
 (FIFO order is yield order, "queued" is ``entry cycle <= local cycle``);
 NIC credits, active injections and the vnet round-robin are ``(L, R, ...)``
-arrays stepped in one pass that loops only over the ``num_vnets``
-round-robin offsets; ejection writes table columns; and a lane's
-:class:`NetworkStats` is reduced from its table once, at retirement.
-The one scalar remnant is fault-site injection.
+arrays stepped in one loop-free pass (the first vnet that can inject,
+scanning from the round-robin pointer, is one ``argmax``); ejection
+writes table columns; and a lane's :class:`NetworkStats` is reduced from
+its table once, at retirement.  The one scalar remnant is fault-site
+injection.
 
 Use :func:`supports` to check a configuration before constructing the
 engine; unsupported configurations (adaptive routing, tracing, per-flit
@@ -75,16 +95,17 @@ reason string per fallback point.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, cast
 
 import numpy as np
 
-from collections import deque
-
 from ..config import PORT_LOCAL, NetworkConfig, SimulationConfig
 from ..faults.sites import FaultUnit
 from ..observability import maybe_create
+from ..observability.profiler import STAGE_NAMES, StageProfiler
 from ..router.router import RouterStats
 from ..router.routing import make_routing
 from ..traffic.generator import compile_table
@@ -151,7 +172,6 @@ def supports(
     router_factory: Optional[RouterFactory] = None,
     routing_kind: str = "xy",
     *,
-    keep_samples: bool = False,
     on_eject: Optional[Callable] = None,
     observability: object = None,
     schedule_factory: object = None,
@@ -209,9 +229,7 @@ class BatchedLaneEngine:
         keep_samples: bool = False,
         pending: Optional[Iterable[LaneSpec]] = None,
     ) -> None:
-        reason = supports(
-            config, router_factory, routing_kind, keep_samples=keep_samples
-        )
+        reason = supports(config, router_factory, routing_kind)
         if reason is not None:
             raise ValueError(f"batched engine cannot run this config: {reason}")
         if not lanes:
@@ -233,6 +251,8 @@ class BatchedLaneEngine:
         self.NV = rc.num_vnets
         self.VV = rc.vcs_per_vnet
         self.PV = P * V
+        self.RP = R * P  # port ids per lane
+        self.RPV = R * P * V  # VC ids per lane
         self.rot = rc.bypass_rotation_period
         self.link_lat = config.link_latency
         self.cred_lat = config.credit_latency
@@ -243,99 +263,84 @@ class BatchedLaneEngine:
         self._inject_until = (
             sim_config.warmup_cycles + sim_config.measure_cycles
         )
-
-        # --- static wiring (shared by all lanes) -----------------------
-        topo = Topology(config)
-        self.link_dst = np.full((R, P), -1, dtype=np.int32)
-        self.link_dport = np.full((R, P), -1, dtype=np.int32)
-        self.up_node = np.full((R, P), -1, dtype=np.int32)
-        self.up_port = np.full((R, P), -1, dtype=np.int32)
-        for (node, port), (dst, dport) in topo.links.items():
-            self.link_dst[node, port] = dst
-            self.link_dport[node, port] = dport
-        for node in range(R):
-            for port in range(1, P):
-                up = topo.upstream_link[node][port]
-                if up is not None:
-                    self.up_node[node, port] = up[0]
-                    self.up_port[node, port] = up[1]
         routing = make_routing(config, routing_kind)
-        self.rtab = np.array(routing.route_table(), dtype=np.int32)
+        #: output port of ``(node, dest)`` at ``node * R + dest``
+        self.rtab = np.array(routing.route_table(), dtype=np.int32).reshape(-1)
 
         #: (array, power-on value) of every per-lane state array: allocated
         #: through ``state`` below, restored slot by slot in ``_install_lane``
         self._power_on: List[Tuple[np.ndarray, object]] = []
 
-        def state(shape: tuple, value: object, dtype: type) -> np.ndarray:
+        def state(shape: tuple, value: object, dtype: type) -> Tuple[np.ndarray, np.ndarray]:
+            """One allocation, two views: ``(lane, ...)`` and flat."""
             arr = np.empty((L, *shape), dtype=dtype)
             arr[...] = value
             self._power_on.append((arr, value))
-            return arr
+            return arr, arr.reshape(-1)
 
         # --- per-VC state, physical-slot indexed -----------------------
         shape4 = (R, P, V)
-        self.st = state(shape4, _IDLE, np.int8)  # VCState
-        self.route = state(shape4, -1, np.int32)
-        self.outvc = state(shape4, -1, np.int32)
-        self.vpid = state(shape4, -1, np.int64)
-        self.excl = state(shape4, 0, np.int64)  # va_excluded bitmask
+        self.st, self.st_ = state(shape4, _IDLE, np.int8)  # VCState
+        self.route, self.route_ = state(shape4, -1, np.int32)
+        self.outvc, self.outvc_ = state(shape4, -1, np.int32)
+        self.vpid, self.vpid_ = state(shape4, -1, np.int64)
+        self.excl, self.excl_ = state(shape4, 0, np.int64)  # va_excluded bitmask
         # wire-id indirection: ``pwire[..., s]`` is the wire id of the VC
         # object in physical slot s; ``wphys`` is the inverse permutation
-        self.pwire = state(shape4, np.arange(V), np.int32)
-        self.wphys = state(shape4, np.arange(V), np.int32)
+        self.pwire, self.pwire_ = state(shape4, np.arange(V), np.int32)
+        self.wphys, self.wphys_ = state(shape4, np.arange(V), np.int32)
 
         # flit buffers: ring per VC over per-flit integer fields
         shape5 = (R, P, V, D)
-        self.b_pid = state(shape5, -1, np.int64)
-        self.b_dest = state(shape5, -1, np.int32)
-        self.b_hops = state(shape5, 0, np.int32)
-        self.b_flags = state(shape5, 0, np.int8)
-        self.b_head = state(shape4, 0, np.int32)
-        self.b_cnt = state(shape4, 0, np.int32)
+        self.b_pid, self.b_pid_ = state(shape5, -1, np.int64)
+        self.b_dest, self.b_dest_ = state(shape5, -1, np.int32)
+        self.b_hops, self.b_hops_ = state(shape5, 0, np.int32)
+        self.b_flags, self.b_flags_ = state(shape5, 0, np.int8)
+        self.b_head, self.b_head_ = state(shape4, 0, np.int32)
+        self.b_cnt, self.b_cnt_ = state(shape4, 0, np.int32)
 
         # output side: credits and downstream-VC ownership
-        self.cred = state(shape4, D, np.int32)
-        self.alloc = state(shape4, -1, np.int64)
+        self.cred, self.cred_ = state(shape4, D, np.int32)
+        self.alloc, self.alloc_ = state(shape4, -1, np.int64)
 
         # round-robin arbiter priority pointers
         shape3 = (R, P)
-        self.va1_prio = state((R, P, V, P), 0, np.int32)
-        self.va2_prio = state(shape4, 0, np.int32)
-        self.sa1_prio = state(shape3, 0, np.int32)
-        self.sa2_prio = state(shape3, 0, np.int32)
+        self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, np.int32)
+        self.va2_prio, self.va2_prio_ = state(shape4, 0, np.int32)
+        self.sa1_prio, self.sa1_prio_ = state(shape3, 0, np.int32)
+        self.sa2_prio, self.sa2_prio_ = state(shape3, 0, np.int32)
 
         # fault masks, one per protectable unit kind
-        self.f_rc1 = state(shape3, False, bool)
-        self.f_rc2 = state(shape3, False, bool)
-        self.f_va1 = state(shape4, False, bool)
-        self.f_va2 = state(shape4, False, bool)
-        self.f_sa1 = state(shape3, False, bool)
-        self.f_sa1b = state(shape3, False, bool)
-        self.f_sa2 = state(shape3, False, bool)
-        self.f_xbm = state(shape3, False, bool)
-        self.f_xbs = state(shape3, False, bool)
+        self.f_rc1, self.f_rc1_ = state(shape3, False, bool)
+        self.f_rc2, self.f_rc2_ = state(shape3, False, bool)
+        self.f_va1, self.f_va1_ = state(shape4, False, bool)
+        self.f_va2, self.f_va2_ = state(shape4, False, bool)
+        self.f_sa1, self.f_sa1_ = state(shape3, False, bool)
+        self.f_sa1b, _ = state(shape3, False, bool)
+        self.f_sa2, self.f_sa2_ = state(shape3, False, bool)
+        self.f_xbm, _ = state(shape3, False, bool)
+        self.f_xbs, _ = state(shape3, False, bool)
         # fast-path flags: phases skip fault branches entirely until the
         # first fault of that kind lands anywhere in the fleet
-        self._have_rc = self._have_va1 = self._have_va2 = False
-        self._have_sa1 = self._have_excl = False
+        self._have_rc = self._have_va1 = self._have_va2 = self._have_sa1 = False
 
         # crossbar path plans per (lane, router, dest), fault-dependent
-        self.plan_ok = state(shape3, True, bool)
-        self.plan_arb = state(shape3, np.arange(P), np.int32)
-        self.plan_sec = state(shape3, False, bool)
+        self.plan_ok, self.plan_ok_ = state(shape3, True, bool)
+        self.plan_arb, self.plan_arb_ = state(shape3, np.arange(P), np.int32)
+        self.plan_sec, self.plan_sec_ = state(shape3, False, bool)
 
         # XB queue: at most one SA grant per input port per cycle
-        self.xq_valid = state(shape3, False, bool)
-        self.xq_slot = np.zeros((L, R, P), dtype=np.int32)
-        self.xq_dest = np.zeros((L, R, P), dtype=np.int32)
+        self.xq_valid, self.xq_valid_ = state(shape3, False, bool)
+        self.xq_slot, self.xq_slot_ = state(shape3, 0, np.int32)
+        self.xq_dest, self.xq_dest_ = state(shape3, 0, np.int32)
 
         # calendar events in flight, one ring per event kind indexed by
         # ``cycle % span``: flits/ejections are written ``link_latency``
         # slots ahead, credits ``credit_latency`` slots ahead.  Each slot
-        # is a tuple of parallel 1-D arrays or None — within one span
-        # window every (slot, kind) pair is written by at most one cycle
-        # and each phase writes its kind at most once per cycle, so no
-        # same-slot merge is ever needed.
+        # is a tuple of parallel 1-D arrays ``(lane, port id, wire VC,
+        # ...)`` or None — within one span window every (slot, kind) pair
+        # is written by at most one cycle and each phase writes its kind
+        # at most once per cycle, so no same-slot merge is ever needed.
         span = self.span
         _Ring = List[Optional[Tuple[np.ndarray, ...]]]
         self._ring_flit: _Ring = [None] * span
@@ -362,23 +367,45 @@ class BatchedLaneEngine:
         # VC and "mid-injection, VC owned" is just ``q_flit > 0``; credits
         # are kept for that one VC per vnet.
         shape_q = (R, self.NV)
-        self.q_row = np.zeros((L, *shape_q), dtype=np.intp)
-        self.q_due = state(shape_q, _NEVER, np.int32)
-        self.q_flit = state(shape_q, 0, np.int32)
-        self.nic_cred = state(shape_q, D, np.int32)
-        self.nic_rr = state((R,), 0, np.intp)  # vnet round-robin pointer
+        self.q_row, self.q_row_ = state(shape_q, 0, np.intp)
+        self.q_due, self.q_due_ = state(shape_q, _NEVER, np.int32)
+        self.q_flit, self.q_flit_ = state(shape_q, 0, np.int32)
+        self.nic_cred, self.nic_cred_ = state(shape_q, D, np.int32)
+        # vnet round-robin pointer
+        self.nic_rr, self.nic_rr_ = state((R,), 0, np.intp)
         self._vnets = np.arange(self.NV)
+        self._vcs = np.arange(V)
 
         # --- per-lane counters and clocks ------------------------------
-        self.rstats = state((len(_RS_IDX),), 0, np.int64)
-        self.fin = state((), 0, np.int64)  # flits in network
-        self.flits_ejected = state((), 0, np.int64)
+        self.rstats, _ = state((len(_RS_IDX),), 0, np.int64)
+        self.fin, _ = state((), 0, np.int64)  # flits in network
+        self.flits_ejected, _ = state((), 0, np.int64)
         #: packets of the lane's table whose tail has not entered the
         #: fabric yet; past the inject window this is the NIC backlog
         self.lane_left = np.zeros(L, dtype=np.int64)
         self.last_progress = np.zeros(L, dtype=np.int64)
         self.faults_injected = [0] * L
         self._act = np.zeros(L, dtype=bool)
+
+        # --- static wiring, as per-lane tables over port ids ------------
+        #: the id of a missing link: past the end of every state array, so
+        #: following it raises ``IndexError`` in the next gather
+        self.no_link = max(arr.size for arr, _ in self._power_on)
+        topo = Topology(config)
+        lane0 = np.arange(L) * self.RP
+
+        def wiring(dense: list) -> np.ndarray:
+            ids = np.full((L, R, P), self.no_link, dtype=np.intp)
+            for node, row in enumerate(dense):
+                for port, link in enumerate(row):
+                    if link is not None:
+                        ids[:, node, port] = lane0 + link[0] * P + link[1]
+            return ids.reshape(-1)
+
+        #: output port id -> the input port id its link feeds
+        self.down_port = wiring(topo.out_link)
+        #: input port id -> the output port id feeding it (credit return)
+        self.up_out_port = wiring(topo.upstream_link)
 
         # --- lane refill / streaming point queue -----------------------
         # lanes run on local clocks: local cycle = global - off[lane];
@@ -395,7 +422,8 @@ class BatchedLaneEngine:
         self.active_lane_cycles = 0
         self.total_lane_cycles = 0
 
-        self._any_schedules = False
+        #: lane slots whose occupant has a fault schedule to poll
+        self._sched_lanes: List[int] = []
         self._fault_arrays = {
             FaultUnit.RC_PRIMARY: self.f_rc1,
             FaultUnit.RC_DUPLICATE: self.f_rc2,
@@ -408,17 +436,21 @@ class BatchedLaneEngine:
             FaultUnit.XB_SECONDARY: self.f_xbs,
         }
 
+        #: wall time per kernel, sampled every 16th global cycle
+        self.profiler = StageProfiler()
+        #: seconds spent installing / retiring lanes (every call timed)
+        self.install_s = 0.0
+        self.retire_s = 0.0
+
     # ------------------------------------------------------------------
     # fault injection and crossbar path plans
     # ------------------------------------------------------------------
-    def _inject_lane_faults(self, cycle: int) -> None:
-        for lane in range(self.L):
+    def _inject_lane_faults(self, cycle: int, local: np.ndarray) -> None:
+        for lane in self._sched_lanes:
             if not self._act[lane]:
                 continue
             sched = self.lanes[lane].fault_schedule
-            if sched is None:
-                continue
-            for site in sched.events_at(cycle - int(self.off[lane])):
+            for site in sched.events_at(int(local[lane])):
                 if self._inject_site(lane, site):
                     self.faults_injected[lane] += 1
 
@@ -477,21 +509,9 @@ class BatchedLaneEngine:
     # ------------------------------------------------------------------
     # one vectorised cycle
     # ------------------------------------------------------------------
-    def _step(self, cycle: int, local: np.ndarray) -> None:
-        """One cycle for every active lane — mirrors ``NoCSimulator._step``.
-
-        ``local`` is every lane's own clock (``cycle - off``): packets
-        enter the NIC queues and are stamped against it, so lanes
-        installed mid-run warm up and drain on their own clocks.
-        """
-        if self._any_schedules:
-            self._inject_lane_faults(cycle)
-        self._xb_phase(cycle)
-        self._sa_phase(cycle)
-        self._va_phase()
-        self._rc_phase()
-        self._dispatch(cycle, local)
-        self._nic_step(local)
+    def _count(self, counter: int, lane: np.ndarray) -> None:
+        """Bump a ``RouterStats`` counter once per entry of ``lane``."""
+        self.rstats[:, counter] += np.bincount(lane, minlength=self.L)
 
     @staticmethod
     def _rr_pick(
@@ -518,77 +538,71 @@ class BatchedLaneEngine:
         np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
         return np.flatnonzero(first), np.cumsum(first) - 1
 
-    def _xb_phase(self, cycle: int) -> None:
+    def _xb_phase(self, cycle: int, local: np.ndarray) -> None:
         """Traverse last cycle's SA winners — mirrors ``BaseRouter.xb_phase``."""
-        if not self.xq_valid.any():
+        port = np.flatnonzero(self.xq_valid_)
+        if port.size == 0:
             return
-        lx, rx, px = np.nonzero(self.xq_valid)
-        self.xq_valid[lx, rx, px] = False
-        keep = self._act[lx]
+        self.xq_valid_[port] = False
+        lane = port // self.RP
+        keep = self._act[lane]
         if not keep.all():
-            lx, rx, px = lx[keep], rx[keep], px[keep]
-            if lx.size == 0:
+            port, lane = port[keep], lane[keep]
+            if port.size == 0:
                 return
-        vx = self.xq_slot[lx, rx, px]
-        dest = self.xq_dest[lx, rx, px]
-        ovc = self.outvc[lx, rx, px, vx]
-        h = self.b_head[lx, rx, px, vx]
-        fpid = self.b_pid[lx, rx, px, vx, h]
-        fdest = self.b_dest[lx, rx, px, vx, h]
-        fhops = self.b_hops[lx, rx, px, vx, h] + 1
-        ffl = self.b_flags[lx, rx, px, vx, h]
-        self.b_head[lx, rx, px, vx] = (h + 1) % self.D
-        cnt = self.b_cnt[lx, rx, px, vx] - 1
-        self.b_cnt[lx, rx, px, vx] = cnt
-        self.rstats[:, _I_TRAV] += np.bincount(lx, minlength=self.L)
-        wire = self.pwire[lx, rx, px, vx]
+        P, V, D = self.P, self.V, self.D
+        vc = port * V + self.xq_slot_[port]
+        dest = self.xq_dest_[port]
+        pin = port % P
+        oport = port - pin + dest  # output port id, same router
+        ovc = self.outvc_[vc]
+        h = self.b_head_[vc]
+        cell = vc * D + h
+        fpid = self.b_pid_[cell]
+        fdest = self.b_dest_[cell]
+        fhops = self.b_hops_[cell] + 1
+        ffl = self.b_flags_[cell]
+        self.b_head_[vc] = (h + 1) % D
+        cnt = self.b_cnt_[vc] - 1
+        self.b_cnt_[vc] = cnt
+        self._count(_I_TRAV, lane)
+        wire = self.pwire_[vc]
 
         tail = (ffl & _F_TAIL) != 0
         if tail.any():
-            lt, rt, pt, vt = lx[tail], rx[tail], px[tail], vx[tail]
+            tv = vc[tail]
             # release the downstream VC, then finish the packet: the slot
             # restarts on the next queued head or falls idle
-            self.alloc[lt, rt, dest[tail], ovc[tail]] = -1
-            self.route[lt, rt, pt, vt] = -1
-            self.outvc[lt, rt, pt, vt] = -1
-            self.excl[lt, rt, pt, vt] = 0
+            self.alloc_[oport[tail] * V + ovc[tail]] = -1
+            self.route_[tv] = -1
+            self.outvc_[tv] = -1
+            self.excl_[tv] = 0
             has_next = cnt[tail] > 0
-            hn = self.b_head[lt, rt, pt, vt]
-            npid = self.b_pid[lt, rt, pt, vt, hn]
-            self.st[lt, rt, pt, vt] = np.where(
-                has_next, _ROUTING, _IDLE
-            ).astype(np.int8)
-            self.vpid[lt, rt, pt, vt] = np.where(has_next, npid, -1)
+            npid = self.b_pid_[tv * D + self.b_head_[tv]]
+            self.st_[tv] = np.where(has_next, _ROUTING, _IDLE).astype(np.int8)
+            self.vpid_[tv] = np.where(has_next, npid, -1)
 
         wf = (cycle + self.link_lat) % self.span
         wc = (cycle + self.cred_lat) % self.span
-        local = dest == PORT_LOCAL
-        if local.any():
+        eject = dest == PORT_LOCAL
+        if eject.any():
             self._ring_eject[wf] = (
-                lx[local], rx[local], ovc[local],
-                fpid[local], ffl[local], fhops[local],
+                lane[eject], oport[eject], ovc[eject],
+                fpid[eject], ffl[eject], fhops[eject],
             )
-        rem = ~local
+        rem = ~eject
         if rem.any():
             self._ring_flit[wf] = (
-                lx[rem],
-                self.link_dst[rx[rem], dest[rem]],
-                self.link_dport[rx[rem], dest[rem]],
-                ovc[rem],
+                lane[rem], self.down_port[oport[rem]], ovc[rem],
                 fpid[rem], fdest[rem], fhops[rem], ffl[rem],
             )
         # credit return toward whoever feeds this input port
-        pl = px == PORT_LOCAL
-        if pl.any():
-            self._ring_nic_credit[wc] = (lx[pl], rx[pl], wire[pl])
-        pr = ~pl
+        nic = pin == PORT_LOCAL
+        if nic.any():
+            self._ring_nic_credit[wc] = (lane[nic], port[nic], wire[nic])
+        pr = ~nic
         if pr.any():
-            self._ring_credit[wc] = (
-                lx[pr],
-                self.up_node[rx[pr], px[pr]],
-                self.up_port[rx[pr], px[pr]],
-                wire[pr],
-            )
+            self._ring_credit[wc] = (lane[pr], self.up_out_port[port[pr]], wire[pr])
 
     def _swap_slots(self, lane: int, r: int, p: int, a: int, b: int) -> None:
         """Exchange the VC *objects* at physical slots a and b (ft_sa swap).
@@ -611,126 +625,107 @@ class BatchedLaneEngine:
         self.wphys[lane, r, p, self.pwire[ia]] = a
         self.wphys[lane, r, p, self.pwire[ib]] = b
 
-    def _sa_phase(self, cycle: int) -> None:
+    def _sa_phase(self, cycle: int, local: np.ndarray) -> None:
         """Switch allocation — mirrors ``SAUnit.allocate`` (+ ft_sa bypass)."""
         mask = (self.st == _ACTIVE) & (self.b_cnt > 0)
         mask &= self._act[:, None, None, None]
-        if not mask.any():
+        vc = np.flatnonzero(mask)
+        if vc.size == 0:
             return
-        lc, rc_, pc, sc = np.nonzero(mask)
-        rt = self.route[lc, rc_, pc, sc]
-        ov = self.outvc[lc, rc_, pc, sc]
-        ok = (self.cred[lc, rc_, rt, ov] > 0) & self.plan_ok[lc, rc_, rt]
+        P, V = self.P, self.V
+        port = vc // V
+        rt = self.route_[vc]
+        ov = self.outvc_[vc]
+        oport = port - port % P + rt
+        ok = (self.cred_[oport * V + ov] > 0) & self.plan_ok_[oport]
         if not ok.all():
-            lc, rc_, pc, sc = lc[ok], rc_[ok], pc[ok], sc[ok]
-            rt, ov = rt[ok], ov[ok]
-            if lc.size == 0:
+            vc, port, rt, ov, oport = vc[ok], port[ok], rt[ok], ov[ok], oport[ok]
+            if vc.size == 0:
                 return
-        # stage 1: one winner per input port.  nonzero's C-order already
-        # sorts the candidates by (lane, router, port).
-        key = (lc * self.R + rc_) * self.P + pc
-        starts, seg = self._segments(key)
-        gl, gr, gp = lc[starts], rc_[starts], pc[starts]
-        win = self._rr_pick(sc, self.sa1_prio[gl, gr, gp], starts, seg, self.V)
-        if self._have_sa1:
-            fa = self.f_sa1[gl, gr, gp]
-            if fa.any():
-                healthy = ~fa
-                win &= healthy[seg]
-                if not self.protected:
-                    self.rstats[:, _I_SA_BLOCK] += np.bincount(
-                        gl[fa], minlength=self.L
-                    )
-                else:
-                    # bypass path: grant the rotation default, or transfer
-                    # the first candidate into an idle default slot (the
-                    # rotation runs on each lane's local clock)
-                    bounds = np.append(starts, lc.size)
-                    for g in np.flatnonzero(fa):
-                        l0, r0, p0 = int(gl[g]), int(gr[g]), int(gp[g])
-                        default = (
-                            (cycle - self.off[l0]) // self.rot
-                        ) % self.V
-                        if self.f_sa1b[l0, r0, p0]:
-                            self.rstats[l0, _I_SA_BLOCK] += 1
-                            continue
-                        elems = range(int(bounds[g]), int(bounds[g + 1]))
-                        cand = [int(sc[i]) for i in elems]
-                        if default in cand:
-                            self.rstats[l0, _I_SA_BYPASS] += 1
-                            win[int(bounds[g]) + cand.index(default)] = True
-                        elif (
-                            self.st[l0, r0, p0, default] == _IDLE
-                            and self.b_cnt[l0, r0, p0, default] == 0
-                        ):
-                            self._swap_slots(l0, r0, p0, cand[0], default)
-                            self.rstats[l0, _I_VC_XFER] += 1
-                # advance only the healthy ports' arbiters (one winner each)
-                hw = win & healthy[seg]
-                self.sa1_prio[gl[healthy], gr[healthy], gp[healthy]] = (
-                    sc[hw] + 1
-                ) % self.V
+        # stage 1: one winner per input port.  flatnonzero's C order
+        # already sorts the candidates by port id.
+        sc = vc - port * V
+        starts, seg = self._segments(port)
+        gport = port[starts]
+        win = self._rr_pick(sc, self.sa1_prio_[gport], starts, seg, V)
+        fa = self.f_sa1_[gport] if self._have_sa1 else None
+        if fa is not None and fa.any():
+            healthy = ~fa
+            win &= healthy[seg]
+            if not self.protected:
+                self._count(_I_SA_BLOCK, gport[fa] // self.RP)
             else:
-                self.sa1_prio[gl, gr, gp] = (sc[win] + 1) % self.V
+                # bypass path: grant the rotation default, or transfer
+                # the first candidate into an idle default slot (the
+                # rotation runs on each lane's local clock)
+                bounds = np.append(starts, vc.size)
+                for g in np.flatnonzero(fa):
+                    l0, r0, p0 = np.unravel_index(gport[g], self.f_sa1.shape)
+                    default = (int(local[l0]) // self.rot) % V
+                    if self.f_sa1b[l0, r0, p0]:
+                        self.rstats[l0, _I_SA_BLOCK] += 1
+                        continue
+                    elems = range(int(bounds[g]), int(bounds[g + 1]))
+                    cand = [int(sc[i]) for i in elems]
+                    if default in cand:
+                        self.rstats[l0, _I_SA_BYPASS] += 1
+                        win[int(bounds[g]) + cand.index(default)] = True
+                    elif (
+                        self.st[l0, r0, p0, default] == _IDLE
+                        and self.b_cnt[l0, r0, p0, default] == 0
+                    ):
+                        self._swap_slots(l0, r0, p0, cand[0], default)
+                        self.rstats[l0, _I_VC_XFER] += 1
+            # advance only the healthy ports' arbiters (one winner each)
+            self.sa1_prio_[gport[healthy]] = (sc[win & healthy[seg]] + 1) % V
         else:
-            self.sa1_prio[gl, gr, gp] = (sc[win] + 1) % self.V
+            self.sa1_prio_[gport] = (sc[win] + 1) % V
 
-        wl, wr, wp, ws = lc[win], rc_[win], pc[win], sc[win]
-        if wl.size == 0:
+        wvc = vc[win]
+        if wvc.size == 0:
             return
-        wrt, wov = rt[win], ov[win]
+        wport, wrt, wov, woport = port[win], rt[win], ov[win], oport[win]
         # stage 2: winners compete per *arbiter* port (secondary paths
         # borrow the neighbouring output's arbiter)
-        arb = self.plan_arb[wl, wr, wrt]
-        key2 = (wl * self.R + wr) * self.P + arb
+        key2 = woport - wrt + self.plan_arb_[woport]
         order = np.argsort(key2, kind="stable")
-        starts2, seg2 = self._segments(key2[order])
-        g2l = wl[order][starts2]
-        g2r = wr[order][starts2]
-        g2a = arb[order][starts2]
-        win2 = self._rr_pick(
-            wp[order], self.sa2_prio[g2l, g2r, g2a], starts2, seg2, self.P
-        )
-        live = ~self.f_sa2[g2l, g2r, g2a]
+        key2 = key2[order]
+        starts2, seg2 = self._segments(key2)
+        arb = key2[starts2]
+        wpin = (wport % P)[order]
+        win2 = self._rr_pick(wpin, self.sa2_prio_[arb], starts2, seg2, P)
+        live = ~self.f_sa2_[arb]
         if not live.all():
             win2 &= live[seg2]  # faulty stage-2 arbiter: silent skip
-        self.sa2_prio[g2l[live], g2r[live], g2a[live]] = (
-            wp[order][win2] + 1
-        ) % self.P
+            arb = arb[live]
+        self.sa2_prio_[arb] = (wpin[win2] + 1) % P
 
         gi = order[win2]
-        Gl, Gr, Gp, Gs = wl[gi], wr[gi], wp[gi], ws[gi]
-        Grt, Gov = wrt[gi], wov[gi]
-        self.cred[Gl, Gr, Grt, Gov] -= 1
-        self.rstats[:, _I_SA_GRANT] += np.bincount(Gl, minlength=self.L)
-        sec = self.plan_sec[Gl, Gr, Grt]
+        gvc, gport, goport = wvc[gi], wport[gi], woport[gi]
+        self.cred_[goport * V + wov[gi]] -= 1
+        glane = gport // self.RP
+        self._count(_I_SA_GRANT, glane)
+        sec = self.plan_sec_[goport]
         if sec.any():
-            self.rstats[:, _I_SEC] += np.bincount(Gl[sec], minlength=self.L)
-        self.xq_valid[Gl, Gr, Gp] = True
-        self.xq_slot[Gl, Gr, Gp] = Gs
-        self.xq_dest[Gl, Gr, Gp] = Grt
+            self._count(_I_SEC, glane[sec])
+        self.xq_valid_[gport] = True
+        self.xq_slot_[gport] = gvc - gport * V
+        self.xq_dest_[gport] = wrt[gi]
 
-    def _borrow_arbiters(
-        self,
-        lw: np.ndarray,
-        rw: np.ndarray,
-        pw: np.ndarray,
-        sw: np.ndarray,
-        fa: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _borrow_arbiters(self, vc: np.ndarray, fa: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Protected stage-1 arbiter borrowing (scalar; faults are rare).
 
         Mirrors ``ArbiterSharingVAUnit._stage1_arbiters``: a VC whose own
         arbiter set is faulty scans sibling slots in order for a healthy,
         unlent lender that is IDLE or ACTIVE this cycle.  Returns the
-        keep-mask and per-requester owner slot (the priority row used).
+        keep-mask and per-requester owner VC id (the priority rows used).
         """
-        keep = np.ones(lw.shape, dtype=bool)
-        owner = sw.copy()
+        keep = np.ones(vc.shape, dtype=bool)
+        owner = vc.copy()
         borrowed: set = set()
         prev_key = None
         for i in np.flatnonzero(fa):
-            l0, r0, p0, s0 = int(lw[i]), int(rw[i]), int(pw[i]), int(sw[i])
+            l0, r0, p0, s0 = np.unravel_index(vc[i], self.st.shape)
             k = (l0, r0, p0)
             if k != prev_key:
                 borrowed = set()
@@ -749,140 +744,121 @@ class BatchedLaneEngine:
                 keep[i] = False
             else:
                 borrowed.add(lender)
-                owner[i] = lender
+                owner[i] += lender - s0
         return keep, owner
 
-    def _va_phase(self) -> None:
+    def _va_phase(self, cycle: int, local: np.ndarray) -> None:
         """VC allocation — mirrors ``VAUnit.allocate`` (+ ft_va borrowing)."""
         mask = (self.st == _WAITING_VA) & self._act[:, None, None, None]
-        if not mask.any():
+        vc = np.flatnonzero(mask)
+        if vc.size == 0:
             return
-        lw, rw, pw, sw = np.nonzero(mask)
-        owner = sw
+        P, V, RPV = self.P, self.V, self.RPV
+        owner = vc  # whose stage-1 arbiter set each requester uses
+        borrowed = False
         if self._have_va1:
-            fa = self.f_va1[lw, rw, pw, sw]
+            fa = self.f_va1_[vc]
             if fa.any():
                 if self.protected:
-                    keep, owner = self._borrow_arbiters(lw, rw, pw, sw, fa)
+                    keep, owner = self._borrow_arbiters(vc, fa)
+                    borrowed = True
                 else:
-                    self.rstats[:, _I_VA_BLOCK] += np.bincount(
-                        lw[fa], minlength=self.L
-                    )
+                    self._count(_I_VA_BLOCK, vc[fa] // RPV)
                     keep = ~fa
-                lw, rw, pw, sw = lw[keep], rw[keep], pw[keep], sw[keep]
-                owner = owner[keep]
-                if lw.size == 0:
+                vc, owner = vc[keep], owner[keep]
+                if vc.size == 0:
                     return
-        rt = self.route[lw, rw, pw, sw]
+        port = vc // V
+        rt = self.route_[vc]
+        oport = port - port % P + rt
         # free downstream VCs of the requester's vnet (the *wire id* of the
         # slot object decides the vnet, not the physical position)
-        lo = (self.pwire[lw, rw, pw, sw] // self.VV) * self.VV
-        da = np.arange(self.V)
+        lo = (self.pwire_[vc] // self.VV) * self.VV
+        da = self._vcs
         free = (da >= lo[:, None]) & (da < (lo + self.VV)[:, None])
-        free &= self.alloc[lw, rw, rt, :] < 0
+        free &= self.alloc.reshape(-1, V)[oport] < 0
         if self._have_va2 and self.protected:
-            ex = self.excl[lw, rw, pw, sw]
+            ex = self.excl_[vc]
             if ex.any():
                 free &= ((ex[:, None] >> da) & 1) == 0
         any_free = free.any(axis=1)
         if not any_free.all():
-            nf = ~any_free
-            self.rstats[:, _I_VA_NOFREE] += np.bincount(
-                lw[nf], minlength=self.L
-            )
-            lw, rw, pw, sw = lw[any_free], rw[any_free], pw[any_free], sw[any_free]
-            owner, rt, free = owner[any_free], rt[any_free], free[any_free]
-            if lw.size == 0:
+            self._count(_I_VA_NOFREE, vc[~any_free] // RPV)
+            vc, owner, oport = vc[any_free], owner[any_free], oport[any_free]
+            rt, free = rt[any_free], free[any_free]
+            if vc.size == 0:
                 return
         # stage 1 pick: the owner slot's per-output round-robin row
-        prio = self.va1_prio[lw, rw, pw, owner, rt]
-        dist = np.where(free, (da - prio[:, None]) % self.V, self.V)
+        row = owner * P + rt
+        prio = self.va1_prio_[row]
+        dist = np.where(free, (da - prio[:, None]) % V, V)
         choice = np.argmin(dist, axis=1)
-        self.va1_prio[lw, rw, pw, owner, rt] = (choice + 1) % self.V
+        self.va1_prio_[row] = (choice + 1) % V
 
-        # stage 2: proposals grouped per (output port, downstream VC)
-        flat = pw * self.V + sw
-        key = ((lw * self.R + rw) * self.P + rt) * self.V + choice
-        order = np.argsort(key, kind="stable")
-        starts, seg = self._segments(key[order])
-        g_l = lw[order][starts]
-        g_r = rw[order][starts]
-        g_rt = rt[order][starts]
-        g_ch = choice[order][starts]
-        live = np.ones(starts.shape, dtype=bool)
+        # stage 2: proposals grouped per output VC (output port, downstream VC)
+        out = oport * V + choice
+        order = np.argsort(out, kind="stable")
+        arb = out[order]
+        starts, seg = self._segments(arb)
+        arb = arb[starts]
+        req = (vc % self.PV)[order]  # requester index within its router
+        win = self._rr_pick(req, self.va2_prio_[arb], starts, seg, self.PV)
         if self._have_va2:
-            faulty_g = self.f_va2[g_l, g_r, g_rt, g_ch]
-            if faulty_g.any():
-                live = ~faulty_g
-                fe = faulty_g[seg]
-                self.rstats[:, _I_VA2_RETRY] += np.bincount(
-                    lw[order][fe], minlength=self.L
-                )
+            faulty = self.f_va2_[arb]
+            if faulty.any():
+                lost = faulty[seg]
+                retry = vc[order][lost]
+                self._count(_I_VA2_RETRY, retry // RPV)
                 if self.protected:
                     # record the exclusion so the retry picks elsewhere
-                    self.excl[
-                        lw[order][fe], rw[order][fe],
-                        pw[order][fe], sw[order][fe],
-                    ] |= np.int64(1) << choice[order][fe]
-                    self._have_excl = True
-        win = self._rr_pick(
-            flat[order], self.va2_prio[g_l, g_r, g_rt, g_ch], starts, seg, self.PV
-        )
-        win &= live[seg]
-        self.va2_prio[g_l[live], g_r[live], g_rt[live], g_ch[live]] = (
-            flat[order][win] + 1
-        ) % self.PV
+                    self.excl_[retry] |= np.int64(1) << choice[order][lost]
+                win &= ~lost
+                arb = arb[~faulty]
+        self.va2_prio_[arb] = (req[win] + 1) % self.PV
 
         gi = order[win]
-        Wl, Wr, Wp, Ws = lw[gi], rw[gi], pw[gi], sw[gi]
-        Wrt, Wch = rt[gi], choice[gi]
-        self.outvc[Wl, Wr, Wp, Ws] = Wch
-        self.st[Wl, Wr, Wp, Ws] = _ACTIVE
-        self.excl[Wl, Wr, Wp, Ws] = 0
-        self.alloc[Wl, Wr, Wrt, Wch] = self.vpid[Wl, Wr, Wp, Ws]
-        self.rstats[:, _I_VA_GRANT] += np.bincount(Wl, minlength=self.L)
-        bm = owner[gi] != Ws
-        if bm.any():
-            self.rstats[:, _I_VA_BORROWED] += np.bincount(
-                Wl[bm], minlength=self.L
-            )
+        gvc = vc[gi]
+        self.outvc_[gvc] = choice[gi]
+        self.st_[gvc] = _ACTIVE
+        self.excl_[gvc] = 0
+        self.alloc_[out[gi]] = self.vpid_[gvc]
+        self._count(_I_VA_GRANT, gvc // RPV)
+        if borrowed:
+            bm = owner[gi] != gvc
+            if bm.any():
+                self._count(_I_VA_BORROWED, gvc[bm] // RPV)
 
-    def _rc_phase(self) -> None:
+    def _rc_phase(self, cycle: int, local: np.ndarray) -> None:
         """Route computation — mirrors ``RCUnit``/``DuplicatedRCUnit``."""
         mask = (self.st == _ROUTING) & self._act[:, None, None, None]
-        if not mask.any():
+        vc = np.flatnonzero(mask)
+        if vc.size == 0:
             return
-        li, ri, pi, si = np.nonzero(mask)
+        P, R, RPV = self.P, self.R, self.RPV
+        port = vc // self.V
         if self._have_rc:
-            f1 = self.f_rc1[li, ri, pi]
+            f1 = self.f_rc1_[port]
             if self.protected:
-                blocked = f1 & self.f_rc2[li, ri, pi]
+                blocked = f1 & self.f_rc2_[port]
                 dup = f1 & ~blocked
                 if dup.any():
-                    self.rstats[:, _I_RC_DUP] += np.bincount(
-                        li[dup], minlength=self.L
-                    )
+                    self._count(_I_RC_DUP, vc[dup] // RPV)
             else:
                 blocked = f1
             if blocked.any():
-                self.rstats[:, _I_RC_BLOCK] += np.bincount(
-                    li[blocked], minlength=self.L
-                )
+                self._count(_I_RC_BLOCK, vc[blocked] // RPV)
                 keep = ~blocked
-                li, ri, pi, si = li[keep], ri[keep], pi[keep], si[keep]
-                if li.size == 0:
+                vc, port = vc[keep], port[keep]
+                if vc.size == 0:
                     return
-        h = self.b_head[li, ri, pi, si]
-        out = self.rtab[ri, self.b_dest[li, ri, pi, si, h]]
-        pok = self.plan_ok[li, ri, out]
+        dest = self.b_dest_[vc * self.D + self.b_head_[vc]]
+        out = self.rtab[port // P % R * R + dest]
+        pok = self.plan_ok_[port - port % P + out]
         if not pok.all():
-            bad = ~pok
-            self.rstats[:, _I_UNREACH] += np.bincount(
-                li[bad], minlength=self.L
-            )
-            li, ri, pi, si, out = li[pok], ri[pok], pi[pok], si[pok], out[pok]
-        self.route[li, ri, pi, si] = out
-        self.st[li, ri, pi, si] = _WAITING_VA
+            self._count(_I_UNREACH, vc[~pok] // RPV)
+            vc, out = vc[pok], out[pok]
+        self.route_[vc] = out
+        self.st_[vc] = _WAITING_VA
 
     # ------------------------------------------------------------------
     # event delivery and the NIC boundary
@@ -895,17 +871,18 @@ class BatchedLaneEngine:
     def _dispatch(self, cycle: int, local: np.ndarray) -> None:
         """Deliver this slot's events — mirrors ``EventScheduler.dispatch``."""
         s = cycle % self.span
+        V = self.V
         ev = self._ring_flit[s]
         self._ring_flit[s] = None
         if ev is not None:
-            l, node, port, w, pid, dst, hops, flags = self._live(ev)
+            l, port, w, pid, dst, hops, flags = self._live(ev)
             if l.size:
-                self._buffer_write(l, node, port, w, pid, dst, hops, flags)
+                self._buffer_write(l, port, w, pid, dst, hops, flags)
                 self.last_progress[l] = cycle
         ev = self._ring_eject[s]
         self._ring_eject[s] = None
         if ev is not None:
-            l, node, w, pid, flags, hops = self._live(ev)
+            l, oport, w, pid, flags, hops = self._live(ev)
             if l.size:
                 # the NIC sinks the flit at once: credit back, and a tail
                 # completes its packet's table row
@@ -914,40 +891,36 @@ class BatchedLaneEngine:
                 self.flits_ejected += count
                 self.last_progress[l] = cycle
                 self._ring_out_credit[(cycle + self.cred_lat) % self.span] = (
-                    l, node, w,
+                    l, oport, w,
                 )
                 tail = (flags & _F_TAIL) != 0
-                tl, rows = l[tail], pid[tail]
-                self.t_ej[tl, rows] = local[tl]
-                self.t_hops[tl, rows] = hops[tail]
-        ev = self._ring_credit[s]
-        self._ring_credit[s] = None
-        if ev is not None:
-            l, node, port, w = self._live(ev)
-            self.cred[l, node, port, w] += 1
+                tl = l[tail]
+                rows = tl * self.cap + pid[tail]
+                self.t_ej_[rows] = local[tl]
+                self.t_hops_[rows] = hops[tail]
+        for ring in (self._ring_credit, self._ring_out_credit):
+            ev = ring[s]
+            ring[s] = None
+            if ev is not None:
+                l, oport, w = self._live(ev)
+                self.cred_[oport * V + w] += 1
         ev = self._ring_nic_credit[s]
         self._ring_nic_credit[s] = None
         if ev is not None:
-            l, node, w = self._live(ev)
-            self.nic_cred[l, node, w // self.VV] += 1
-        ev = self._ring_out_credit[s]
-        self._ring_out_credit[s] = None
-        if ev is not None:
-            l, node, w = self._live(ev)
-            self.cred[l, node, PORT_LOCAL, w] += 1
+            l, port, w = self._live(ev)
+            self.nic_cred_[port // self.P * self.NV + w // self.VV] += 1
 
     def _buffer_write(
         self,
         l: np.ndarray,
-        node: np.ndarray,
-        port: "np.ndarray | int",
+        port: np.ndarray,
         w: np.ndarray,
         pid: np.ndarray,
         dest: np.ndarray,
         hops: "np.ndarray | int",
         flags: np.ndarray,
     ) -> np.ndarray:
-        """Append one flit per distinct (lane, node, port, wire VC) target.
+        """Append one flit per distinct (input port id, wire VC) target.
 
         Mirrors ``BaseRouter.receive_flit``: an idle slot starts routing
         its new head.  Serves link deliveries and NIC injections alike
@@ -955,28 +928,28 @@ class BatchedLaneEngine:
         so a plain fancy-index scatter is exact).  Returns the flits
         written per lane.
         """
-        phys = self.wphys[l, node, port, w]
-        cnt = self.b_cnt[l, node, port, phys]
-        pos = (self.b_head[l, node, port, phys] + cnt) % self.D
-        self.b_pid[l, node, port, phys, pos] = pid
-        self.b_dest[l, node, port, phys, pos] = dest
-        self.b_hops[l, node, port, phys, pos] = hops
-        self.b_flags[l, node, port, phys, pos] = flags
-        self.b_cnt[l, node, port, phys] = cnt + 1
+        first = port * self.V
+        vc = first + self.wphys_[first + w]
+        cnt = self.b_cnt_[vc]
+        cell = vc * self.D + (self.b_head_[vc] + cnt) % self.D
+        self.b_pid_[cell] = pid
+        self.b_dest_[cell] = dest
+        self.b_hops_[cell] = hops
+        self.b_flags_[cell] = flags
+        self.b_cnt_[vc] = cnt + 1
         written = np.bincount(l, minlength=self.L)
         self.rstats[:, _I_BUFW] += written
-        idle = self.st[l, node, port, phys] == _IDLE
+        idle = self.st_[vc] == _IDLE
         if idle.any():
-            il, ino, iph = l[idle], node[idle], phys[idle]
-            ipo = port if isinstance(port, int) else port[idle]
-            self.st[il, ino, ipo, iph] = _ROUTING
-            self.route[il, ino, ipo, iph] = -1
-            self.outvc[il, ino, ipo, iph] = -1
-            self.excl[il, ino, ipo, iph] = 0
-            self.vpid[il, ino, ipo, iph] = pid[idle]
+            iv = vc[idle]
+            self.st_[iv] = _ROUTING
+            self.route_[iv] = -1
+            self.outvc_[iv] = -1
+            self.excl_[iv] = 0
+            self.vpid_[iv] = pid[idle]
         return written
 
-    def _nic_step(self, local: np.ndarray) -> None:
+    def _nic_step(self, cycle: int, local: np.ndarray) -> None:
         """Inject up to one flit per NIC — mirrors ``NetworkInterface.step``.
 
         A vnet can inject when its queue head has entered the queue and
@@ -989,36 +962,67 @@ class BatchedLaneEngine:
         """
         can = self.q_due <= local[:, None, None]
         can &= self.nic_cred > 0
-        l, r = np.nonzero(can.any(axis=2))
-        if l.size == 0:
+        node = np.flatnonzero(can.any(axis=2))
+        if node.size == 0:
             return
         NV = self.NV
-        rr = self.nic_rr[l, r]
+        rr = self.nic_rr_[node]
         # first vnet that can inject, scanning from the round-robin pointer
-        order = (rr[:, None] + self._vnets) % NV
-        v = (rr + can[l[:, None], r[:, None], order].argmax(axis=1)) % NV
-        row = self.q_row[l, r, v]
-        flit = self.q_flit[l, r, v]
+        q0 = node * NV
+        scan = q0[:, None] + (rr[:, None] + self._vnets) % NV
+        v = (rr + can.reshape(-1)[scan].argmax(axis=1)) % NV
+        q = q0 + v
+        l = node // self.R
+        row = self.q_row_[q]
+        trow = l * self.cap + row
+        flit = self.q_flit_[q]
         head = flit == 0
-        tail = flit == self.t_size[l, row] - 1
-        self.nic_cred[l, r, v] -= 1
-        self.nic_rr[l, r] = (v + 1) % NV
-        hl = l[head]
-        self.t_inj[hl, row[head]] = local[hl]
+        tail = flit == self.t_size_[trow] - 1
+        self.nic_cred_[q] -= 1
+        self.nic_rr_[node] = (v + 1) % NV
+        self.t_inj_[trow[head]] = local[l[head]]
         # a tail moves the cursor on: the next packet of the run, if any
-        self.q_flit[l, r, v] = np.where(tail, 0, flit + 1)
-        tl, tr, tv, trow = l[tail], r[tail], v[tail], row[tail]
-        self.q_row[tl, tr, tv] = trow + 1
-        self.q_due[tl, tr, tv] = self.t_next[tl, trow]
-        self.lane_left -= np.bincount(tl, minlength=self.L)
+        self.q_flit_[q] = np.where(tail, 0, flit + 1)
+        tq, tt = q[tail], trow[tail]
+        self.q_row_[tq] = row[tail] + 1
+        self.q_due_[tq] = self.t_next_[tt]
+        self.lane_left -= np.bincount(l[tail], minlength=self.L)
         self.fin += self._buffer_write(
-            l, r, PORT_LOCAL, v * self.VV, row, self.t_dest[l, row], 0,
-            head * _F_HEAD + tail * _F_TAIL,
+            l, node * self.P + PORT_LOCAL, v * self.VV, row, self.t_dest_[trow],
+            0, head * _F_HEAD + tail * _F_TAIL,
         )
 
     # ------------------------------------------------------------------
     # run loop: shared cycle counter, independent lane retirement
     # ------------------------------------------------------------------
+    #: the cycle as one ordered stage table — the reference stepper's
+    #: phase order, named as the object engine's profiler names them;
+    #: every kernel takes ``(cycle, local)``
+    _STAGES = tuple(zip(STAGE_NAMES, (
+        _inject_lane_faults, _xb_phase, _sa_phase, _va_phase, _rc_phase,
+        _dispatch, _nic_step,
+    )))
+
+    def _step(self, cycle: int, local: np.ndarray) -> None:
+        """One cycle for every active lane — mirrors ``NoCSimulator._step``.
+
+        ``local`` is every lane's own clock (``cycle - off``): packets
+        enter the NIC queues and are stamped against it, so lanes
+        installed mid-run warm up and drain on their own clocks.  Sampled
+        cycles time each kernel (seven ``perf_counter`` pairs every 16th
+        cycle: under 0.01 % of a step, so there is no switch).
+        """
+        prof = self.profiler
+        if not prof.should_sample(cycle):
+            for _, kernel in self._STAGES:
+                kernel(self, cycle, local)
+            return
+        for name, kernel in self._STAGES:
+            t = perf_counter()
+            kernel(self, cycle, local)
+            prof.record(name, perf_counter() - t)
+        prof.cycle_done()
+
     def run(self) -> List[SimulationResult]:
         """Run every point to completion; results in point order.
 
@@ -1071,8 +1075,21 @@ class BatchedLaneEngine:
             return 1.0
         return self.active_lane_cycles / self.total_lane_cycles
 
+    @property
+    def stage_profile(self) -> dict:
+        """Where the host time went: ``StageProfiler.snapshot()`` of the
+        seven kernels (sampled: scale ``time_s`` by ``sample_every`` to
+        compare with a run) plus ``install_s`` / ``retire_s``, the
+        seconds of every lane install and retirement."""
+        return {
+            **self.profiler.snapshot(),
+            "install_s": self.install_s,
+            "retire_s": self.retire_s,
+        }
+
     def _retire(self, lane: int, cycle: int, blocked: bool, drained: bool) -> None:
         """Reduce one finished lane's table to its result, refill its slot."""
+        t0 = perf_counter()
         local = cycle - int(self.off[lane])
         self._act[lane] = False
         self.q_due[lane] = _NEVER  # nothing left to inject from this slot
@@ -1109,17 +1126,28 @@ class BatchedLaneEngine:
             router_stats=RouterStats(*self.rstats[lane].tolist()),
             faults_injected=self.faults_injected[lane],
         )
+        self.retire_s += perf_counter() - t0
         if self._pending:
             spec = self._pending.popleft()
             self.lanes[lane] = spec
             self._install_lane(lane, spec, cycle)
 
     def _bind_tables(self, tables: np.ndarray) -> None:
-        """Name the columns of the ``(column, lane, row)`` table block."""
+        """Name the columns of the ``(column, lane, row)`` table block.
+
+        Called again whenever the block grows: the flat column views and
+        ``cap`` (rows per lane, the stride of a ``lane * cap + row`` id)
+        must never outlive the block they were taken from.
+        """
         (
             self.t_cycle, self.t_creation, self.t_src, self.t_dest, self.t_vnet,
             self.t_size, self.t_next, self.t_inj, self.t_ej, self.t_hops,
         ) = self._tables = tables
+        self.cap = tables.shape[2]
+        (
+            _, _, _, self.t_dest_, _, self.t_size_, self.t_next_,
+            self.t_inj_, self.t_ej_, self.t_hops_,
+        ) = tables.reshape(len(tables), -1)  # (column, lane * cap + row)
 
     def _install_lane(self, lane: int, spec: LaneSpec, cycle: int) -> None:
         """Start a point in a lane slot, on a local clock of 0 at ``cycle``.
@@ -1131,16 +1159,17 @@ class BatchedLaneEngine:
         power-on ``reset()``.  The point's traffic source is compiled to
         the lane's packet table for its whole inject window.
         """
+        t0 = perf_counter()
         for arr, value in self._power_on:
             arr[lane] = value
         self._purge_lane_events(lane)
 
         table = compile_table(spec.traffic, self._inject_until, self.config)
         n = len(table)
-        if n > self._tables.shape[2]:
+        if n > self.cap:
             # some headroom: points of one sweep differ by tens of per cent
             grown = np.zeros((len(self._tables), self.L, n + n // 4), dtype=np.int32)
-            grown[:, :, : self._tables.shape[2]] = self._tables
+            grown[:, :, : self.cap] = self._tables
             self._bind_tables(grown)
         # rows sorted by (src, vnet), yield order within: every NIC
         # source queue is one contiguous run
@@ -1171,9 +1200,11 @@ class BatchedLaneEngine:
         self.off[lane] = cycle
         self.lane_point[lane] = self._next_point
         self._next_point += 1
-        if spec.fault_schedule is not None:
-            self._any_schedules = True
+        self._sched_lanes = [
+            i for i, s in enumerate(self.lanes) if s.fault_schedule is not None
+        ]
         self._act[lane] = True
+        self.install_s += perf_counter() - t0
 
     def _purge_lane_events(self, lane: int) -> None:
         """Drop a retired lane's stale in-flight events from every ring.

@@ -76,13 +76,14 @@ def _lane_key(res):
     )
 
 
-def _event_reference(net, sim_cfg, spec, factory, routing_kind="xy"):
+def _event_reference(net, sim_cfg, spec, factory, routing_kind="xy", **sim_kwargs):
     reset_packet_ids()
     sim = NoCSimulator(
         net, sim_cfg, spec.traffic,
         router_factory=factory,
         fault_schedule=spec.fault_schedule,
         routing_kind=routing_kind,
+        **sim_kwargs,
     )
     return sim.run()
 
@@ -730,3 +731,299 @@ class TestLaneChunkResume:
         assert report.points == 4
         # point-accurate resume accounting: one chunk = two points
         assert report.resumed == 2
+
+
+# ----------------------------------------------------------------------
+# failure outside the tolerated fault set: the fault branches of the lane
+# kernels that the tolerated-fault scenarios above never reach
+# ----------------------------------------------------------------------
+_ENV_NET = _net(4, 4, 4, 2)
+_ENV_SIM = SimulationConfig(
+    warmup_cycles=50, measure_cycles=250, drain_cycles=1500, seed=5,
+    watchdog_cycles=400,
+)
+_ENV_RATES = (0.05, 0.15, 0.3)
+
+
+def _sites(*entries):
+    """``(cycle, router, unit name, port[, vc])`` -> explicit schedule items."""
+    from repro.faults import FaultSite, FaultUnit
+
+    return [
+        (cycle, FaultSite(router, FaultUnit[unit], *where))
+        for cycle, router, unit, *where in entries
+    ]
+
+
+#: name -> (router kind, explicit schedule, ends blocked); routers 5 and 10
+#: are interior nodes of the 4x4 mesh, so every port of theirs carries traffic
+_ENVELOPE = {
+    "baseline-va1": ("baseline", _sites((60, 5, "VA1_ARBITER_SET", 0, 0)), True),
+    "baseline-sa1": ("baseline", _sites((60, 5, "SA1_ARBITER", 0)), True),
+    "baseline-xb-mux": ("baseline", _sites((60, 5, "XB_MUX", 2)), True),
+    "baseline-sa2": ("baseline", _sites((60, 5, "SA2_ARBITER", 2)), True),
+    "baseline-va2": ("baseline", _sites((60, 5, "VA2_ARBITER", 2, 1)), False),
+    "protected-va1-whole-port": (
+        "protected",
+        _sites(
+            *((60, 5, "VA1_ARBITER_SET", 0, v) for v in range(4)),
+            *((60, 10, "VA1_ARBITER_SET", 4, v) for v in range(3)),
+        ),
+        True,
+    ),
+    "protected-sa1-then-bypass": (
+        "protected",
+        _sites((60, 5, "SA1_ARBITER", 0), (160, 5, "SA1_BYPASS", 0)),
+        True,
+    ),
+    "protected-xb-mux-then-secondary": (
+        "protected",
+        _sites(
+            (60, 5, "XB_MUX", 2), (160, 5, "XB_SECONDARY", 2),
+            (60, 10, "XB_MUX", 0), (60, 10, "XB_MUX", 1),
+        ),
+        True,
+    ),
+    "protected-rc-both": (
+        "protected",
+        _sites((60, 5, "RC_PRIMARY", 0), (160, 5, "RC_DUPLICATE", 0)),
+        True,
+    ),
+    "protected-sa2-neighbours": (
+        "protected",
+        _sites((60, 5, "SA2_ARBITER", 1), (160, 5, "SA2_ARBITER", 0)),
+        True,
+    ),
+}
+
+#: every ``RouterStats`` counter only a fault can move
+_FAULT_COUNTERS = (
+    "va_borrowed_grants", "va_stage2_fault_retries", "va_blocked_cycles",
+    "va_borrow_wait_cycles", "sa_blocked_cycles", "sa_bypass_grants",
+    "vc_transfers", "secondary_path_grants", "rc_blocked_cycles",
+    "rc_duplicate_computations", "unreachable_output_cycles",
+)
+
+
+def _envelope_specs(name):
+    from repro.faults import ExplicitFaultSchedule
+
+    _, schedule, _ = _ENVELOPE[name]
+    return [
+        LaneSpec(
+            SyntheticTraffic(
+                _ENV_NET, injection_rate=rate, mix=COHERENCE_MIX, rng=900 + i
+            ),
+            ExplicitFaultSchedule(schedule),
+        )
+        for i, rate in enumerate(_ENV_RATES)
+    ]
+
+
+@pytest.fixture(scope="module")
+def envelope_lanes():
+    """Lane results of every outside-the-envelope scenario, run once."""
+    return {
+        name: run_lanes(
+            _ENV_NET, _ENV_SIM, _envelope_specs(name),
+            router_factory=_factory(_ENV_NET, kind),
+        )
+        for name, (kind, _, _) in _ENVELOPE.items()
+    }
+
+
+class TestFailureOutsideTheEnvelope:
+    """Faults the router cannot tolerate: a baseline router losing any
+    allocator or crossbar unit, a protected router losing a unit *and* its
+    correction circuit.  The lane kernels must fail exactly as the
+    reference stepper does — same blocked counters, same watchdog cycle."""
+
+    @pytest.mark.parametrize("name", list(_ENVELOPE))
+    def test_lanes_equal_reference_stepper(self, name, envelope_lanes):
+        kind, _, ends_blocked = _ENVELOPE[name]
+        factory = _factory(_ENV_NET, kind)
+        lanes = envelope_lanes[name]
+        for i, spec in enumerate(_envelope_specs(name)):
+            ref = _event_reference(
+                _ENV_NET, _ENV_SIM, spec, factory, use_reference_stepper=True
+            )
+            assert _lane_key(lanes[i]) == _lane_key(ref), f"{name} lane {i}"
+        assert any(lane.blocked for lane in lanes) == ends_blocked
+
+    def test_every_fault_counter_is_reached(self, envelope_lanes):
+        """A fault branch of a lane kernel that no scenario here drives is
+        a branch nothing compares with the reference."""
+        import dataclasses
+
+        total = dict.fromkeys(_FAULT_COUNTERS, 0)
+        for lanes in envelope_lanes.values():
+            for lane in lanes:
+                stats = dataclasses.asdict(lane.router_stats)
+                for counter in _FAULT_COUNTERS:
+                    total[counter] += stats[counter]
+        assert [c for c, n in total.items() if n == 0] == []
+
+
+# ----------------------------------------------------------------------
+# flat addressing: one allocation and two views, wiring tables, id dtypes
+# ----------------------------------------------------------------------
+def _flat_views(engine):
+    """name -> (flat view, n-d array) for every ``name_`` / ``name`` pair."""
+    return {
+        name: (flat, getattr(engine, name[:-1]))
+        for name, flat in vars(engine).items()
+        if name.endswith("_") and isinstance(flat, np.ndarray)
+    }
+
+
+class _IntpIndexed(np.ndarray):
+    """An array view that refuses any integer index array but ``np.intp``."""
+
+    @staticmethod
+    def _check(index):
+        for part in index if isinstance(index, tuple) else (index,):
+            if isinstance(part, np.ndarray) and part.dtype not in (bool, np.intp):
+                raise TypeError(f"{part.dtype} index array")
+
+    def __getitem__(self, index):
+        self._check(index)
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        self._check(index)
+        super().__setitem__(index, value)
+
+
+class TestFlatAddressing:
+    def _engine(self, net, specs, width, kind="protected", cfg=None):
+        from repro.network.batched import BatchedLaneEngine
+
+        return BatchedLaneEngine(
+            net, cfg or _sim_cfg(measure=150), specs[:width],
+            router_factory=_factory(net, kind), pending=specs[width:],
+        )
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            _net(3, 5, 2, 1), _net(4, 4, 4, 2), _net(8, 8, 4, 2),
+            NetworkConfig(width=4, height=4, topology="torus"),
+        ],
+        ids=["mesh3x5", "mesh4x4", "mesh8x8", "torus4x4"],
+    )
+    def test_wiring_tables_decode_to_the_topology(self, net):
+        from repro.network.topology import Topology
+        from repro.traffic.generator import NullTraffic
+
+        engine = self._engine(net, [LaneSpec(NullTraffic()) for _ in range(3)], 3)
+        topo = Topology(net)
+        R, P = net.num_nodes, net.router.num_ports
+        upstream = {
+            (node, port): link
+            for node, row in enumerate(topo.upstream_link)
+            for port, link in enumerate(row)
+            if link is not None
+        }
+        assert upstream and all(port != 0 for _, port in upstream)
+        for table, links in (
+            (engine.down_port, topo.links), (engine.up_out_port, upstream),
+        ):
+            assert table.dtype == np.intp and table.shape == (3 * R * P,)
+            for lane in range(3):
+                for node in range(R):
+                    for port in range(P):
+                        got = int(table[(lane * R + node) * P + port])
+                        if (node, port) in links:
+                            far, far_port = links[(node, port)]
+                            assert got == (lane * R + far) * P + far_port
+                        else:  # a mesh edge, or the local port
+                            assert got == engine.no_link
+        off_mesh = np.array([engine.no_link])
+        for arr, _ in engine._power_on:
+            with pytest.raises(IndexError):
+                arr.reshape(-1)[off_mesh]
+
+    def test_growing_tables_under_refill_equal_reference(self, monkeypatch):
+        """Every pending point needs a larger table block than the one
+        installed, so the block is re-bound while the other slot is
+        mid-flight: a stale ``cap`` or column view would scatter its
+        injections and ejections into the wrong rows."""
+        from repro.network.batched import BatchedLaneEngine
+
+        net = _net(4, 4, 4, 2)
+        cfg = _sim_cfg(measure=200)
+
+        def specs():
+            return [
+                LaneSpec(
+                    SyntheticTraffic(
+                        net, injection_rate=0.03 * 1.6**i, mix=COHERENCE_MIX,
+                        rng=700 + i,
+                    )
+                )
+                for i in range(6)
+            ]
+
+        grown_mid_flight = []
+        bind = BatchedLaneEngine._bind_tables
+
+        def spy(engine, tables):
+            if tables.shape[2]:
+                grown_mid_flight.append(int(np.count_nonzero(engine.fin)))
+            bind(engine, tables)
+
+        monkeypatch.setattr(BatchedLaneEngine, "_bind_tables", spy)
+        engine = self._engine(net, specs(), 2, cfg=cfg)
+        lanes = engine.run()
+        assert len(grown_mid_flight) >= 4 and max(grown_mid_flight) >= 1
+        for i, spec in enumerate(specs()):
+            ref = _event_reference(
+                net, cfg, spec, _factory(net, "protected"),
+                use_reference_stepper=True,
+            )
+            assert _lane_key(lanes[i]) == _lane_key(ref), f"point {i}"
+        # the views were re-bound with the block: still one copy of each
+        for name, (flat, nd) in _flat_views(engine).items():
+            assert flat.shape == (nd.size,) and np.shares_memory(flat, nd), name
+
+    def test_every_flat_view_shares_its_nd_arrays_memory(self):
+        net = _net(3, 3, 2, 2)
+        engine = self._engine(
+            net, [LaneSpec(SyntheticTraffic(net, 0.1, mix=COHERENCE_MIX, rng=1))], 1
+        )
+        engine.run()  # the table block is empty until a lane is installed
+        views = _flat_views(engine)
+        # every array the kernels address, fault masks and tables included
+        assert {"st_", "b_pid_", "cred_", "va1_prio_", "f_va2_", "plan_ok_",
+                "xq_valid_", "q_row_", "nic_rr_", "t_ej_"} <= set(views)
+        for name, (flat, nd) in views.items():
+            assert flat.shape == (nd.size,) and np.shares_memory(flat, nd), name
+        engine.st_[7] = 3
+        assert engine.st.reshape(-1)[7] == 3
+
+    @pytest.mark.parametrize("name", ["protected-va1-whole-port", "baseline-va2"])
+    def test_every_index_array_is_intp(self, name, envelope_lanes):
+        """State values (``route``, ``outvc``, ``xq_slot`` ...) are int32;
+        an id built from them alone would be int32 too and wrap on a
+        large fleet.  Every gather and scatter of a faulted run goes
+        through views that check their index arrays."""
+        kind = _ENVELOPE[name][0]
+        engine = self._engine(_ENV_NET, _envelope_specs(name), 2, kind, _ENV_SIM)
+        checked = 0
+        for attr, value in list(vars(engine).items()):
+            flat = attr.endswith("_") or attr in ("down_port", "up_out_port", "rtab")
+            if flat and isinstance(value, np.ndarray):
+                setattr(engine, attr, value.view(_IntpIndexed))
+                checked += 1
+        assert checked > 40
+        bind = engine._bind_tables
+
+        def rebind(tables):
+            bind(tables)
+            for attr in ("t_dest_", "t_size_", "t_next_", "t_inj_", "t_ej_", "t_hops_"):
+                setattr(engine, attr, getattr(engine, attr).view(_IntpIndexed))
+
+        engine._bind_tables = rebind
+        lanes = engine.run()
+        for got, want in zip(lanes, envelope_lanes[name]):
+            assert _lane_key(got) == _lane_key(want)
