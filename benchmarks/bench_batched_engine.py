@@ -274,14 +274,19 @@ def test_fig7_suite_lane_speedup(benchmark):
     # the suite runs real app surrogates (lower injection, deep drains)
     # on a 4x4 quick mesh — smaller win than the 64-lane 8x8 case, but
     # batching must still pay for itself
-    assert speedup >= 1.5, (
-        f"suite speedup {speedup:.2f}x < 1.5x.  History of this floor: "
+    assert speedup >= 2.0, (
+        f"suite speedup {speedup:.2f}x < 2.0x.  History of this floor: "
         "1.5x against the ungated object engine; 1.25x once stage-occupancy "
         "gating (ISSUE 13) and packet tables (ISSUE 14) sped both sides up "
         "and five runs read 1.38-1.79x (median 1.56x).  Flat-index lane "
-        "kernels (ISSUE 17) moved only the lane side: five runs here read "
-        "2.27, 2.42, 1.86, 2.30, 2.13x (median 2.27x), so the floor goes "
-        "back to 1.5x, outside that spread.  Below it the lane path no "
-        "longer pays for its triage and fallback plumbing on the real "
-        "fig7 suite."
+        "kernels (ISSUE 17) moved only the lane side: five runs read "
+        "2.27, 2.42, 1.86, 2.30, 2.13x (median 2.27x) and the floor went "
+        "back to 1.5x.  One draw per traffic stream, one-word flits and the "
+        "array SA bypass (ISSUE 18) again moved only the lanes: five runs "
+        "here read 2.76, 2.61, 3.12, 2.83, 2.97x (median 2.83x; lanes "
+        "1.90-2.43 s, object engine 5.83-6.35 s), so the floor is raised to "
+        "2.0x — below that spread by about a quarter of its slowest run, "
+        "the margin the 1.5x floor kept.  Below it the suite's pairs are "
+        "being drawn twice again, or the lane path no longer pays for its "
+        "triage and fallback plumbing on the real fig7 suite."
     )

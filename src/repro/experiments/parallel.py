@@ -642,7 +642,11 @@ class LanePoint:
     a single :class:`repro.network.batched.BatchedLaneEngine` instead of
     one fabric per point.  Factories are called inside the worker (fresh
     RNG streams per attempt, so retries stay bit-identical) and must be
-    module-level picklables, same as ``SweepTask.fn``.
+    module-level picklables, same as ``SweepTask.fn``.  Factories are
+    pure: equal arguments build equal streams, so the points of a chunk
+    whose ``(make_traffic, traffic_args)`` are equal — a fault-free and
+    a faulty run under identical traffic — are handed one source, drawn
+    once.
     """
 
     config: NetworkConfig
@@ -723,14 +727,28 @@ def _lane_batched_chunk(
     ``width`` caps the concurrent lane slots: the first ``width`` points
     start immediately and the rest stream into slots freed by retiring
     lanes (lane refill), so arbitrarily long chunks run at a fixed array
-    width without going sparse.
+    width without going sparse.  Points with equal traffic factory and
+    arguments share one source object — one stream, which the engine
+    draws once (unhashable arguments: a stream of its own).
     """
     from ..network.batched import BatchedLaneEngine, LaneSpec
+
+    sources: dict[tuple, Any] = {}
+
+    def traffic(p: LanePoint) -> Any:
+        key = (p.make_traffic, p.traffic_args)
+        try:
+            hash(key)
+        except TypeError:
+            return p.make_traffic(*p.traffic_args)
+        if key not in sources:
+            sources[key] = p.make_traffic(*p.traffic_args)
+        return sources[key]
 
     first = points[0]
     lanes = [
         LaneSpec(
-            p.make_traffic(*p.traffic_args),
+            traffic(p),
             p.make_schedule(*p.schedule_args)
             if p.make_schedule is not None
             else None,

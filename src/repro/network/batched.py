@@ -21,11 +21,12 @@ priority state, the same credit/event timing: a calendar ring of
 link and credit latencies land on the same cycle they would serially.
 Each lane's traffic source and fault schedule are the *same Python
 objects* a serial run would use — the source drawn ahead into a table
-with the per-cycle call sequence, the schedule polled once per cycle —
-so RNG streams and fault arrival order are identical by construction.  Finished lanes
-decode back into ordinary :class:`NetworkStats`/:class:`RouterStats`
-objects; ``tests/test_golden_determinism.py`` pins them byte-identical
-to the event engine per lane.
+with the per-cycle call sequence, the schedule polled on the cycles its
+``next_cycle()`` names — so RNG streams and fault arrival order are
+identical by construction.  Finished lanes decode back into ordinary
+:class:`NetworkStats`/:class:`RouterStats` objects;
+``tests/test_golden_determinism.py`` pins them byte-identical to the
+event engine per lane.
 
 Lane refill
 -----------
@@ -35,8 +36,10 @@ rotation, latency timestamps, inject/drain windows) is computed against
 ``cycle - off[lane]``.  When a lane retires, its result is decoded
 immediately and the next pending structurally-identical point is
 installed in the freed slot — the array form of a router's power-on
-``reset()``: every per-lane array slice returns to its power-on value
-and stale in-flight calendar events are purged.  A
+``reset()``: every per-lane array slice returns to its power-on value.
+A retiring lane is cleared *at retirement* (every VC idle, the XB queue
+empty, nothing due at its NICs, its in-flight calendar events purged),
+so a dead slot holds no requester and no kernel filters by liveness.  A
 1000-point sweep therefore holds dense ``(lanes, ...)`` arrays at the
 configured width for its whole duration; :attr:`lane_occupancy` reports
 the achieved density.
@@ -71,6 +74,14 @@ distinct (router, arbiter) pair — see the allocator docstrings), so a
 masked segment-argmin implements the rotating-priority grant for every
 group at once.
 
+A flit is one ``int64`` word — flag bits 0-1, hop count above them (a
+traversal is ``+ _HOP``), destination node, packet-table row on top — so
+a buffer read or write is one gather or scatter, and a calendar event
+carries the *id it lands on*, not coordinates: a link flit is ``(wire-VC
+id at the downstream input port, word)``, an ejection ``(output-VC id,
+word)``, a credit the ``cred_`` index and a NIC credit the ``nic_cred_``
+index.  Delivery is one indexed add; the lane is ``id // ids-per-lane``.
+
 The NIC boundary is arrays too.  Traffic is open-loop, so when a lane is
 installed its source is compiled (:func:`repro.traffic.generator.compile_table`)
 into a *packet table* — columns for queue-entry and creation cycle, src,
@@ -83,8 +94,11 @@ NIC credits, active injections and the vnet round-robin are ``(L, R, ...)``
 arrays stepped in one loop-free pass (the first vnet that can inject,
 scanning from the round-robin pointer, is one ``argmax``); ejection
 writes table columns; and a lane's :class:`NetworkStats` is reduced from
-its table once, at retirement.  The one scalar remnant is fault-site
-injection.
+its table once, at retirement.  A source held by several lanes (the
+fault-free and faulty run of one application, every count of a fault
+sweep) is one stream: it is compiled once and every holder gets the
+table.  The scalar remnants are fault-site injection and
+``_borrow_arbiters``.
 
 Use :func:`supports` to check a configuration before constructing the
 engine; unsupported configurations (adaptive routing, tracing, per-flit
@@ -121,11 +135,18 @@ from .topology import Topology
 # VC pipeline states (must match repro.router.vc.VCState integer values)
 _IDLE, _ROUTING, _WAITING_VA, _ACTIVE = 0, 1, 2, 3
 
-# flit flag bits stored in the buffer arrays
+# the flit word: flags in bits 0-1, then hops (low, so a traversal is one
+# add), the destination node, and the packet-table row in the top bits
 _F_HEAD = 1
 _F_TAIL = 2
+_HOP_SHIFT, _DEST_SHIFT, _PID_SHIFT = 2, 16, 32
+_HOP = 1 << _HOP_SHIFT
+_HOP_MASK = (1 << (_DEST_SHIFT - _HOP_SHIFT)) - 1
+_DEST_MASK = (1 << (_PID_SHIFT - _DEST_SHIFT)) - 1
+_MAX_ROWS = 1 << (63 - _PID_SHIFT)
 
-#: queue-entry cycle of an exhausted NIC source queue (never due)
+#: queue-entry cycle of an exhausted NIC source queue, fault cycle of a
+#: slot with nothing left to poll (never due)
 _NEVER = np.iinfo(np.int32).max
 
 #: RouterStats field -> column index in the per-lane counter matrix
@@ -157,10 +178,12 @@ _SUPPORTED_KINDS = ("baseline", "protected")
 class LaneSpec:
     """One sweep point to run as a lane of the batched engine.
 
-    The traffic source and fault schedule are per-lane, single-use,
-    stateful objects — construct them exactly as a serial run would
-    (same seeds from the same ``SeedSequence.spawn``) and the lane's
-    RNG stream is identical to its serial run by construction.
+    The fault schedule is a per-lane, single-use, stateful object, and
+    so is the traffic source unless several specs hold the *same* one:
+    that is one stream, drawn once, and every holder runs it in full.
+    Construct both exactly as a serial run would (same seeds from the
+    same ``SeedSequence.spawn``) and the lane's RNG stream is identical
+    to its serial run by construction.
     """
 
     traffic: TrafficSource
@@ -234,6 +257,13 @@ class BatchedLaneEngine:
             raise ValueError(f"batched engine cannot run this config: {reason}")
         if not lanes:
             raise ValueError("need at least one lane")
+        # a minimal route crosses at most this many routers, ejection included
+        longest = config.width + config.height - 1
+        if config.num_nodes - 1 > _DEST_MASK or longest > _HOP_MASK:
+            raise ValueError(
+                f"a {config.width}x{config.height} fabric does not fit the flit "
+                f"word ({_DEST_MASK + 1} nodes, {_HOP_MASK} hops)"
+            )
         self.config = config
         self.sim_config = sim_config
         self.lanes = list(lanes)
@@ -286,16 +316,13 @@ class BatchedLaneEngine:
         self.vpid, self.vpid_ = state(shape4, -1, np.int64)
         self.excl, self.excl_ = state(shape4, 0, np.int64)  # va_excluded bitmask
         # wire-id indirection: ``pwire[..., s]`` is the wire id of the VC
-        # object in physical slot s; ``wphys`` is the inverse permutation
+        # object in physical slot s; ``wdelta`` is the inverse permutation
+        # as an offset: wire w of a port sits in slot ``w + wdelta[..., w]``
         self.pwire, self.pwire_ = state(shape4, np.arange(V), np.int32)
-        self.wphys, self.wphys_ = state(shape4, np.arange(V), np.int32)
+        self.wdelta, self.wdelta_ = state(shape4, 0, np.int32)
 
-        # flit buffers: ring per VC over per-flit integer fields
-        shape5 = (R, P, V, D)
-        self.b_pid, self.b_pid_ = state(shape5, -1, np.int64)
-        self.b_dest, self.b_dest_ = state(shape5, -1, np.int32)
-        self.b_hops, self.b_hops_ = state(shape5, 0, np.int32)
-        self.b_flags, self.b_flags_ = state(shape5, 0, np.int8)
+        # flit buffers: a ring of flit words per VC
+        self.b_flit, self.b_flit_ = state((R, P, V, D), 0, np.int64)
         self.b_head, self.b_head_ = state(shape4, 0, np.int32)
         self.b_cnt, self.b_cnt_ = state(shape4, 0, np.int32)
 
@@ -316,12 +343,12 @@ class BatchedLaneEngine:
         self.f_va1, self.f_va1_ = state(shape4, False, bool)
         self.f_va2, self.f_va2_ = state(shape4, False, bool)
         self.f_sa1, self.f_sa1_ = state(shape3, False, bool)
-        self.f_sa1b, _ = state(shape3, False, bool)
+        self.f_sa1b, self.f_sa1b_ = state(shape3, False, bool)
         self.f_sa2, self.f_sa2_ = state(shape3, False, bool)
         self.f_xbm, _ = state(shape3, False, bool)
         self.f_xbs, _ = state(shape3, False, bool)
-        # fast-path flags: phases skip fault branches entirely until the
-        # first fault of that kind lands anywhere in the fleet
+        # fast-path flags: phases skip fault branches entirely while no
+        # installed lane has a fault of that kind (recounted at install)
         self._have_rc = self._have_va1 = self._have_va2 = self._have_sa1 = False
 
         # crossbar path plans per (lane, router, dest), fault-dependent
@@ -337,10 +364,12 @@ class BatchedLaneEngine:
         # calendar events in flight, one ring per event kind indexed by
         # ``cycle % span``: flits/ejections are written ``link_latency``
         # slots ahead, credits ``credit_latency`` slots ahead.  Each slot
-        # is a tuple of parallel 1-D arrays ``(lane, port id, wire VC,
-        # ...)`` or None — within one span window every (slot, kind) pair
-        # is written by at most one cycle and each phase writes its kind
-        # at most once per cycle, so no same-slot merge is ever needed.
+        # is a tuple of parallel 1-D arrays, the target ids first — ``(wire
+        # VC id at the input port, word)``, ``(output VC id, word)``,
+        # ``(cred_ index,)``, ``(nic_cred_ index,)`` — or None: within one
+        # span window every (slot, kind) pair is written by at most one
+        # cycle and each phase writes its kind at most once per cycle, so
+        # no same-slot merge is ever needed.
         span = self.span
         _Ring = List[Optional[Tuple[np.ndarray, ...]]]
         self._ring_flit: _Ring = [None] * span
@@ -348,9 +377,11 @@ class BatchedLaneEngine:
         self._ring_credit: _Ring = [None] * span
         self._ring_nic_credit: _Ring = [None] * span
         self._ring_out_credit: _Ring = [None] * span
+        #: (ring, target ids per lane): what ``id // n`` decodes a lane from
         self._rings = (
-            self._ring_flit, self._ring_eject, self._ring_credit,
-            self._ring_nic_credit, self._ring_out_credit,
+            (self._ring_flit, self.RPV), (self._ring_eject, self.RPV),
+            (self._ring_credit, self.RPV), (self._ring_out_credit, self.RPV),
+            (self._ring_nic_credit, R * self.NV),
         )
 
         # --- the NIC boundary: packet tables and array NIC state --------
@@ -375,9 +406,13 @@ class BatchedLaneEngine:
         self.nic_rr, self.nic_rr_ = state((R,), 0, np.intp)
         self._vnets = np.arange(self.NV)
         self._vcs = np.arange(V)
+        #: wire id -> which downstream VCs share its vnet, as a (V, V) mask
+        self._same_vnet = self._vcs // self.VV == self._vcs[:, None] // self.VV
 
         # --- per-lane counters and clocks ------------------------------
         self.rstats, _ = state((len(_RS_IDX),), 0, np.int64)
+        #: one bound 1-D view per ``RouterStats`` column (see ``_count``)
+        self._counter = [self.rstats[:, c] for c in range(len(_RS_IDX))]
         self.fin, _ = state((), 0, np.int64)  # flits in network
         self.flits_ejected, _ = state((), 0, np.int64)
         #: packets of the lane's table whose tail has not entered the
@@ -412,6 +447,12 @@ class BatchedLaneEngine:
         # a retiring lane's slot is refilled from ``pending`` and its
         # result decoded immediately, keyed by sweep point index
         self._pending: deque = deque(pending or ())
+        #: ``id(source)`` -> [specs still to install, the source (so the id
+        #: stays its own), its sorted table once compiled]: lanes holding
+        #: one source share one draw, dropped with the last install
+        self._streams: Dict[int, list] = {}
+        for spec in (*self.lanes, *self._pending):
+            self._streams.setdefault(id(spec.traffic), [0, spec.traffic, None])[0] += 1
         self.off = np.zeros(L, dtype=np.int64)
         self.lane_point = [0] * L
         self._next_point = 0
@@ -422,8 +463,9 @@ class BatchedLaneEngine:
         self.active_lane_cycles = 0
         self.total_lane_cycles = 0
 
-        #: lane slots whose occupant has a fault schedule to poll
-        self._sched_lanes: List[int] = []
+        #: local cycle of each slot's next scheduled fault (``_NEVER``: no
+        #: schedule, exhausted, or retired)
+        self._fault_due = np.full(L, _NEVER, dtype=np.int64)
         self._fault_arrays = {
             FaultUnit.RC_PRIMARY: self.f_rc1,
             FaultUnit.RC_DUPLICATE: self.f_rc2,
@@ -446,13 +488,18 @@ class BatchedLaneEngine:
     # fault injection and crossbar path plans
     # ------------------------------------------------------------------
     def _inject_lane_faults(self, cycle: int, local: np.ndarray) -> None:
-        for lane in self._sched_lanes:
-            if not self._act[lane]:
-                continue
-            sched = self.lanes[lane].fault_schedule
+        """Poll the schedules with an event due — ``next_cycle()`` is what
+        the object engine's skip-ahead trusts, too."""
+        for lane in np.flatnonzero(self._fault_due <= local).tolist():
+            sched = cast(FaultSchedule, self.lanes[lane].fault_schedule)
             for site in sched.events_at(int(local[lane])):
                 if self._inject_site(lane, site):
                     self.faults_injected[lane] += 1
+            self._arm_faults(lane, sched)
+
+    def _arm_faults(self, lane: int, sched: Optional[FaultSchedule]) -> None:
+        nxt = sched.next_cycle() if sched is not None else None
+        self._fault_due[lane] = _NEVER if nxt is None else nxt
 
     def _inject_site(self, lane: int, site) -> bool:
         """Mirror ``BaseRouter.inject_fault``: idempotent, plans refreshed."""
@@ -511,7 +558,7 @@ class BatchedLaneEngine:
     # ------------------------------------------------------------------
     def _count(self, counter: int, lane: np.ndarray) -> None:
         """Bump a ``RouterStats`` counter once per entry of ``lane``."""
-        self.rstats[:, counter] += np.bincount(lane, minlength=self.L)
+        self._counter[counter] += np.bincount(lane, minlength=self.L)
 
     @staticmethod
     def _rr_pick(
@@ -544,92 +591,79 @@ class BatchedLaneEngine:
         if port.size == 0:
             return
         self.xq_valid_[port] = False
-        lane = port // self.RP
-        keep = self._act[lane]
-        if not keep.all():
-            port, lane = port[keep], lane[keep]
-            if port.size == 0:
-                return
         P, V, D = self.P, self.V, self.D
         vc = port * V + self.xq_slot_[port]
         dest = self.xq_dest_[port]
         pin = port % P
         oport = port - pin + dest  # output port id, same router
         ovc = self.outvc_[vc]
+        out = oport * V + ovc  # output VC id
         h = self.b_head_[vc]
-        cell = vc * D + h
-        fpid = self.b_pid_[cell]
-        fdest = self.b_dest_[cell]
-        fhops = self.b_hops_[cell] + 1
-        ffl = self.b_flags_[cell]
+        word = self.b_flit_[vc * D + h] + _HOP
         self.b_head_[vc] = (h + 1) % D
         cnt = self.b_cnt_[vc] - 1
         self.b_cnt_[vc] = cnt
-        self._count(_I_TRAV, lane)
+        self._count(_I_TRAV, port // self.RP)
         wire = self.pwire_[vc]
 
-        tail = (ffl & _F_TAIL) != 0
+        tail = (word & _F_TAIL) != 0
         if tail.any():
             tv = vc[tail]
             # release the downstream VC, then finish the packet: the slot
             # restarts on the next queued head or falls idle
-            self.alloc_[oport[tail] * V + ovc[tail]] = -1
+            self.alloc_[out[tail]] = -1
             self.route_[tv] = -1
             self.outvc_[tv] = -1
             self.excl_[tv] = 0
             has_next = cnt[tail] > 0
-            npid = self.b_pid_[tv * D + self.b_head_[tv]]
-            self.st_[tv] = np.where(has_next, _ROUTING, _IDLE).astype(np.int8)
+            npid = self.b_flit_[tv * D + self.b_head_[tv]] >> _PID_SHIFT
+            self.st_[tv] = np.where(has_next, _ROUTING, _IDLE)
             self.vpid_[tv] = np.where(has_next, npid, -1)
 
         wf = (cycle + self.link_lat) % self.span
         wc = (cycle + self.cred_lat) % self.span
         eject = dest == PORT_LOCAL
         if eject.any():
-            self._ring_eject[wf] = (
-                lane[eject], oport[eject], ovc[eject],
-                fpid[eject], ffl[eject], fhops[eject],
-            )
+            self._ring_eject[wf] = (out[eject], word[eject])
         rem = ~eject
         if rem.any():
             self._ring_flit[wf] = (
-                lane[rem], self.down_port[oport[rem]], ovc[rem],
-                fpid[rem], fdest[rem], fhops[rem], ffl[rem],
+                self.down_port[oport[rem]] * V + ovc[rem], word[rem],
             )
         # credit return toward whoever feeds this input port
         nic = pin == PORT_LOCAL
         if nic.any():
-            self._ring_nic_credit[wc] = (lane[nic], port[nic], wire[nic])
+            self._ring_nic_credit[wc] = (
+                port[nic] // P * self.NV + wire[nic] // self.VV,
+            )
         pr = ~nic
         if pr.any():
-            self._ring_credit[wc] = (lane[pr], self.up_out_port[port[pr]], wire[pr])
+            self._ring_credit[wc] = (self.up_out_port[port[pr]] * V + wire[pr],)
 
-    def _swap_slots(self, lane: int, r: int, p: int, a: int, b: int) -> None:
-        """Exchange the VC *objects* at physical slots a and b (ft_sa swap).
+    def _swap_slots(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Exchange the VC *objects* at slot ids a[i] and b[i] (ft_sa swap).
 
         Everything that belongs to the slot object moves — pipeline state,
         buffer contents, the wire id (``pwire``) — while position-keyed
-        state (arbiters, their priorities, fault flags) stays put.
+        state (arbiters, their priorities, fault flags) stays put.  Each
+        pair shares a port and no port appears twice, so a fancy-index
+        swap through a temporary is exact.
         """
-        ia = (lane, r, p, a)
-        ib = (lane, r, p, b)
         for arr in (
-            self.st, self.route, self.outvc, self.vpid, self.excl,
-            self.b_head, self.b_cnt, self.pwire,
+            self.st_, self.route_, self.outvc_, self.vpid_, self.excl_,
+            self.b_head_, self.b_cnt_, self.pwire_,
+            self.b_flit_.reshape(-1, self.D),
         ):
-            arr[ia], arr[ib] = arr[ib], arr[ia]
-        for arr in (self.b_pid, self.b_dest, self.b_hops, self.b_flags):
-            tmp = arr[ia].copy()
-            arr[ia] = arr[ib]
-            arr[ib] = tmp
-        self.wphys[lane, r, p, self.pwire[ia]] = a
-        self.wphys[lane, r, p, self.pwire[ib]] = b
+            tmp = arr[a]
+            arr[a] = arr[b]
+            arr[b] = tmp
+        for slot in (a, b):
+            wire = slot - slot % self.V + self.pwire_[slot]
+            self.wdelta_[wire] = slot - wire
 
     def _sa_phase(self, cycle: int, local: np.ndarray) -> None:
         """Switch allocation — mirrors ``SAUnit.allocate`` (+ ft_sa bypass)."""
-        mask = (self.st == _ACTIVE) & (self.b_cnt > 0)
-        mask &= self._act[:, None, None, None]
-        vc = np.flatnonzero(mask)
+        vc = np.flatnonzero((self.st_ == _ACTIVE) & (self.b_cnt_ > 0))
         if vc.size == 0:
             return
         P, V = self.P, self.V
@@ -652,30 +686,28 @@ class BatchedLaneEngine:
         if fa is not None and fa.any():
             healthy = ~fa
             win &= healthy[seg]
-            if not self.protected:
-                self._count(_I_SA_BLOCK, gport[fa] // self.RP)
-            else:
-                # bypass path: grant the rotation default, or transfer
-                # the first candidate into an idle default slot (the
-                # rotation runs on each lane's local clock)
-                bounds = np.append(starts, vc.size)
-                for g in np.flatnonzero(fa):
-                    l0, r0, p0 = np.unravel_index(gport[g], self.f_sa1.shape)
-                    default = (int(local[l0]) // self.rot) % V
-                    if self.f_sa1b[l0, r0, p0]:
-                        self.rstats[l0, _I_SA_BLOCK] += 1
-                        continue
-                    elems = range(int(bounds[g]), int(bounds[g + 1]))
-                    cand = [int(sc[i]) for i in elems]
-                    if default in cand:
-                        self.rstats[l0, _I_SA_BYPASS] += 1
-                        win[int(bounds[g]) + cand.index(default)] = True
-                    elif (
-                        self.st[l0, r0, p0, default] == _IDLE
-                        and self.b_cnt[l0, r0, p0, default] == 0
-                    ):
-                        self._swap_slots(l0, r0, p0, cand[0], default)
-                        self.rstats[l0, _I_VC_XFER] += 1
+            glane = gport // self.RP
+            dead = fa & self.f_sa1b_[gport] if self.protected else fa
+            if dead.any():
+                self._count(_I_SA_BLOCK, glane[dead])
+            if self.protected:
+                # bypass path: grant the rotation default (it runs on each
+                # lane's local clock; -1 on every other group, so only a
+                # bypassed port can hit), or transfer the first candidate
+                # into an idle, empty default slot
+                default = np.where(fa & ~dead, local[glane] // self.rot % V, -1)
+                hit = sc == default[seg]
+                win |= hit
+                granted = np.zeros(gport.shape, dtype=bool)
+                granted[seg[hit]] = True
+                self._count(_I_SA_BYPASS, glane[granted])
+                move = np.flatnonzero((default >= 0) & ~granted)
+                to = gport[move] * V + default[move]
+                free = (self.st_[to] == _IDLE) & (self.b_cnt_[to] == 0)
+                if free.any():
+                    move = move[free]
+                    self._swap_slots(vc[starts[move]], to[free])
+                    self._count(_I_VC_XFER, glane[move])
             # advance only the healthy ports' arbiters (one winner each)
             self.sa1_prio_[gport[healthy]] = (sc[win & healthy[seg]] + 1) % V
         else:
@@ -749,8 +781,7 @@ class BatchedLaneEngine:
 
     def _va_phase(self, cycle: int, local: np.ndarray) -> None:
         """VC allocation — mirrors ``VAUnit.allocate`` (+ ft_va borrowing)."""
-        mask = (self.st == _WAITING_VA) & self._act[:, None, None, None]
-        vc = np.flatnonzero(mask)
+        vc = np.flatnonzero(self.st_ == _WAITING_VA)
         if vc.size == 0:
             return
         P, V, RPV = self.P, self.V, self.RPV
@@ -773,9 +804,8 @@ class BatchedLaneEngine:
         oport = port - port % P + rt
         # free downstream VCs of the requester's vnet (the *wire id* of the
         # slot object decides the vnet, not the physical position)
-        lo = (self.pwire_[vc] // self.VV) * self.VV
         da = self._vcs
-        free = (da >= lo[:, None]) & (da < (lo + self.VV)[:, None])
+        free = self._same_vnet[self.pwire_[vc]]
         free &= self.alloc.reshape(-1, V)[oport] < 0
         if self._have_va2 and self.protected:
             ex = self.excl_[vc]
@@ -830,8 +860,7 @@ class BatchedLaneEngine:
 
     def _rc_phase(self, cycle: int, local: np.ndarray) -> None:
         """Route computation — mirrors ``RCUnit``/``DuplicatedRCUnit``."""
-        mask = (self.st == _ROUTING) & self._act[:, None, None, None]
-        vc = np.flatnonzero(mask)
+        vc = np.flatnonzero(self.st_ == _ROUTING)
         if vc.size == 0:
             return
         P, R, RPV = self.P, self.R, self.RPV
@@ -851,7 +880,7 @@ class BatchedLaneEngine:
                 vc, port = vc[keep], port[keep]
                 if vc.size == 0:
                     return
-        dest = self.b_dest_[vc * self.D + self.b_head_[vc]]
+        dest = self.b_flit_[vc * self.D + self.b_head_[vc]] >> _DEST_SHIFT & _DEST_MASK
         out = self.rtab[port // P % R * R + dest]
         pok = self.plan_ok_[port - port % P + out]
         if not pok.all():
@@ -863,64 +892,43 @@ class BatchedLaneEngine:
     # ------------------------------------------------------------------
     # event delivery and the NIC boundary
     # ------------------------------------------------------------------
-    def _live(self, ev: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, ...]:
-        """An event's entries whose lane is still active."""
-        keep = self._act[ev[0]]
-        return ev if keep.all() else tuple(a[keep] for a in ev)
-
     def _dispatch(self, cycle: int, local: np.ndarray) -> None:
         """Deliver this slot's events — mirrors ``EventScheduler.dispatch``."""
         s = cycle % self.span
-        V = self.V
         ev = self._ring_flit[s]
-        self._ring_flit[s] = None
         if ev is not None:
-            l, port, w, pid, dst, hops, flags = self._live(ev)
-            if l.size:
-                self._buffer_write(l, port, w, pid, dst, hops, flags)
-                self.last_progress[l] = cycle
+            self._ring_flit[s] = None
+            # the per-lane count is the mask: a lane it is non-zero for moved
+            np.putmask(self.last_progress, self._buffer_write(*ev), cycle)
         ev = self._ring_eject[s]
-        self._ring_eject[s] = None
         if ev is not None:
-            l, oport, w, pid, flags, hops = self._live(ev)
-            if l.size:
-                # the NIC sinks the flit at once: credit back, and a tail
-                # completes its packet's table row
-                count = np.bincount(l, minlength=self.L)
-                self.fin -= count
-                self.flits_ejected += count
-                self.last_progress[l] = cycle
-                self._ring_out_credit[(cycle + self.cred_lat) % self.span] = (
-                    l, oport, w,
-                )
-                tail = (flags & _F_TAIL) != 0
-                tl = l[tail]
-                rows = tl * self.cap + pid[tail]
-                self.t_ej_[rows] = local[tl]
-                self.t_hops_[rows] = hops[tail]
+            self._ring_eject[s] = None
+            out, word = ev
+            # the NIC sinks the flit at once: credit back, and a tail
+            # completes its packet's table row
+            lane = out // self.RPV
+            count = np.bincount(lane, minlength=self.L)
+            self.fin -= count
+            self.flits_ejected += count
+            np.putmask(self.last_progress, count, cycle)
+            self._ring_out_credit[(cycle + self.cred_lat) % self.span] = (out,)
+            tail = (word & _F_TAIL) != 0
+            tl, word = lane[tail], word[tail]
+            rows = tl * self.cap + (word >> _PID_SHIFT)
+            self.t_ej_[rows] = local[tl]
+            self.t_hops_[rows] = word >> _HOP_SHIFT & _HOP_MASK
         for ring in (self._ring_credit, self._ring_out_credit):
             ev = ring[s]
-            ring[s] = None
             if ev is not None:
-                l, oport, w = self._live(ev)
-                self.cred_[oport * V + w] += 1
+                ring[s] = None
+                self.cred_[ev[0]] += 1
         ev = self._ring_nic_credit[s]
-        self._ring_nic_credit[s] = None
         if ev is not None:
-            l, port, w = self._live(ev)
-            self.nic_cred_[port // self.P * self.NV + w // self.VV] += 1
+            self._ring_nic_credit[s] = None
+            self.nic_cred_[ev[0]] += 1
 
-    def _buffer_write(
-        self,
-        l: np.ndarray,
-        port: np.ndarray,
-        w: np.ndarray,
-        pid: np.ndarray,
-        dest: np.ndarray,
-        hops: "np.ndarray | int",
-        flags: np.ndarray,
-    ) -> np.ndarray:
-        """Append one flit per distinct (input port id, wire VC) target.
+    def _buffer_write(self, tgt: np.ndarray, word: np.ndarray) -> np.ndarray:
+        """Append one flit word per distinct wire-VC id ``port * V + wire``.
 
         Mirrors ``BaseRouter.receive_flit``: an idle slot starts routing
         its new head.  Serves link deliveries and NIC injections alike
@@ -928,17 +936,12 @@ class BatchedLaneEngine:
         so a plain fancy-index scatter is exact).  Returns the flits
         written per lane.
         """
-        first = port * self.V
-        vc = first + self.wphys_[first + w]
+        vc = tgt + self.wdelta_[tgt]
         cnt = self.b_cnt_[vc]
-        cell = vc * self.D + (self.b_head_[vc] + cnt) % self.D
-        self.b_pid_[cell] = pid
-        self.b_dest_[cell] = dest
-        self.b_hops_[cell] = hops
-        self.b_flags_[cell] = flags
+        self.b_flit_[vc * self.D + (self.b_head_[vc] + cnt) % self.D] = word
         self.b_cnt_[vc] = cnt + 1
-        written = np.bincount(l, minlength=self.L)
-        self.rstats[:, _I_BUFW] += written
+        written = np.bincount(tgt // self.RPV, minlength=self.L)
+        self._counter[_I_BUFW] += written
         idle = self.st_[vc] == _IDLE
         if idle.any():
             iv = vc[idle]
@@ -946,7 +949,7 @@ class BatchedLaneEngine:
             self.route_[iv] = -1
             self.outvc_[iv] = -1
             self.excl_[iv] = 0
-            self.vpid_[iv] = pid[idle]
+            self.vpid_[iv] = word[idle] >> _PID_SHIFT
         return written
 
     def _nic_step(self, cycle: int, local: np.ndarray) -> None:
@@ -987,9 +990,11 @@ class BatchedLaneEngine:
         self.q_row_[tq] = row[tail] + 1
         self.q_due_[tq] = self.t_next_[tt]
         self.lane_left -= np.bincount(l[tail], minlength=self.L)
+        # the table is int32: widen the destination before it is shifted
+        word = (row << _PID_SHIFT) + (self.t_dest_[trow].astype(np.int64) << _DEST_SHIFT)
+        word += head * _F_HEAD + tail * _F_TAIL
         self.fin += self._buffer_write(
-            l, node * self.P + PORT_LOCAL, v * self.VV, row, self.t_dest_[trow],
-            0, head * _F_HEAD + tail * _F_TAIL,
+            (node * self.P + PORT_LOCAL) * self.V + v * self.VV, word
         )
 
     # ------------------------------------------------------------------
@@ -1091,8 +1096,15 @@ class BatchedLaneEngine:
         """Reduce one finished lane's table to its result, refill its slot."""
         t0 = perf_counter()
         local = cycle - int(self.off[lane])
+        # clear the slot now — no requester, nothing queued for the XB,
+        # nothing due at a NIC or from the schedule, nothing in flight —
+        # so that no kernel has to ask whether a lane is live
         self._act[lane] = False
-        self.q_due[lane] = _NEVER  # nothing left to inject from this slot
+        self.st[lane] = _IDLE
+        self.xq_valid[lane] = False
+        self.q_due[lane] = _NEVER
+        self._fault_due[lane] = _NEVER
+        self._purge_lane_events(lane)
         n = int(self.t_n[lane])
         stats = NetworkStats(keep_samples=self.keep_samples)
         sc = self.sim_config
@@ -1144,6 +1156,8 @@ class BatchedLaneEngine:
             self.t_size, self.t_next, self.t_inj, self.t_ej, self.t_hops,
         ) = self._tables = tables
         self.cap = tables.shape[2]
+        if self.cap > _MAX_ROWS:
+            raise ValueError(f"{self.cap} table rows do not fit the flit word")
         (
             _, _, _, self.t_dest_, _, self.t_size_, self.t_next_,
             self.t_inj_, self.t_ej_, self.t_hops_,
@@ -1152,47 +1166,47 @@ class BatchedLaneEngine:
     def _install_lane(self, lane: int, spec: LaneSpec, cycle: int) -> None:
         """Start a point in a lane slot, on a local clock of 0 at ``cycle``.
 
-        Every per-lane array slice returns to its power-on value and the
-        old occupant's stale in-flight events are purged from the
-        calendar rings, so a refilled lane is bit-identical to the same
-        point run in a fresh fabric — the array form of a router's
-        power-on ``reset()``.  The point's traffic source is compiled to
-        the lane's packet table for its whole inject window.
+        Every per-lane array slice returns to its power-on value (the
+        old occupant's in-flight events went at its retirement), so a
+        refilled lane is bit-identical to the same point run in a fresh
+        fabric — the array form of a router's power-on ``reset()``.  The
+        point's traffic source is compiled to the lane's packet table
+        for its whole inject window, once per source.
         """
         t0 = perf_counter()
         for arr, value in self._power_on:
             arr[lane] = value
-        self._purge_lane_events(lane)
+        # the fault branches are skipped again once no lane needs them
+        self._have_rc = bool(self.f_rc1.any() or self.f_rc2.any())
+        self._have_va1 = bool(self.f_va1.any())
+        self._have_va2 = bool(self.f_va2.any())
+        self._have_sa1 = bool(self.f_sa1.any() or self.f_sa1b.any())
 
-        table = compile_table(spec.traffic, self._inject_until, self.config)
-        n = len(table)
+        stream = self._streams[id(spec.traffic)]
+        stream[0] -= 1
+        if stream[2] is None:
+            stream[2] = self._sorted_table(spec.traffic)
+        if stream[0] == 0:
+            del self._streams[id(spec.traffic)]
+        columns, run = stream[2]
+        n = columns.shape[1]
         if n > self.cap:
             # some headroom: points of one sweep differ by tens of per cent
             grown = np.zeros((len(self._tables), self.L, n + n // 4), dtype=np.int32)
             grown[:, :, : self.cap] = self._tables
             self._bind_tables(grown)
-        # rows sorted by (src, vnet), yield order within: every NIC
-        # source queue is one contiguous run
-        queue = table.src * self.NV + table.vnet
-        order = np.argsort(queue, kind="stable")
-        for column, values in (
-            (self.t_cycle, table.cycle), (self.t_creation, table.creation),
-            (self.t_src, table.src), (self.t_dest, table.dest),
-            (self.t_vnet, table.vnet), (self.t_size, table.size),
-        ):
-            column[lane, :n] = values[order]
+        # cycle, creation, src, dest, vnet, size; then in ``t_next`` the
+        # queue entry cycle of each row's successor (none after a run's last)
+        self._tables[:6, lane, :n] = columns
         self.t_inj[lane, :n] = -1
         self.t_ej[lane, :n] = -1
         self.t_n[lane] = n
-        # per (node, vnet) run: its first row, and in ``t_next`` the queue
-        # entry cycle of each row's successor (none after the last)
-        run = np.bincount(queue, minlength=self.R * self.NV)
         last = np.cumsum(run) - 1
         head = last - run + 1
-        self.t_next[lane, :n][:-1] = self.t_cycle[lane, 1:n]
+        self.t_next[lane, :n][:-1] = columns[0, 1:]
         self.t_next[lane, last[run > 0]] = _NEVER
         self.q_row[lane] = head.reshape(self.R, self.NV)
-        self.q_due[lane].flat[run > 0] = self.t_cycle[lane, head[run > 0]]
+        self.q_due[lane].flat[run > 0] = columns[0, head[run > 0]]
 
         self.lane_left[lane] = n
         self.last_progress[lane] = cycle
@@ -1200,27 +1214,39 @@ class BatchedLaneEngine:
         self.off[lane] = cycle
         self.lane_point[lane] = self._next_point
         self._next_point += 1
-        self._sched_lanes = [
-            i for i, s in enumerate(self.lanes) if s.fault_schedule is not None
-        ]
+        self._arm_faults(lane, spec.fault_schedule)
         self._act[lane] = True
         self.install_s += perf_counter() - t0
 
+    def _sorted_table(self, source: TrafficSource) -> Tuple[np.ndarray, np.ndarray]:
+        """A source's inject window as table columns, and rows per queue.
+
+        Rows are sorted by (src, vnet), yield order within: every NIC
+        source queue is one contiguous run.
+        """
+        table = compile_table(source, self._inject_until, self.config)
+        queue = table.src * self.NV + table.vnet
+        order = np.argsort(queue, kind="stable")
+        columns = np.array(
+            [table.cycle, table.creation, table.src, table.dest, table.vnet, table.size],
+            dtype=np.int32,
+        )[:, order]
+        return columns, np.bincount(queue, minlength=self.R * self.NV)
+
     def _purge_lane_events(self, lane: int) -> None:
-        """Drop a retired lane's stale in-flight events from every ring.
+        """Drop a retiring lane's in-flight events from every ring.
 
         A watchdog-blocked lane retires with flits still on the wire;
-        without the purge, ``_dispatch``'s activity filter would deliver
-        them into the slot's next occupant.
+        without the purge they would be delivered into the dead slot, or
+        into its next occupant.
         """
-        for ring in self._rings:
+        for ring, per_lane in self._rings:
             for i, ev in enumerate(ring):
                 if ev is None:
                     continue
-                keep = ev[0] != lane
-                ring[i] = (
-                    tuple(a[keep] for a in ev) if keep.any() else None
-                )
+                keep = ev[0] // per_lane != lane
+                if not keep.all():
+                    ring[i] = tuple(a[keep] for a in ev) if keep.any() else None
 
 
 def run_lanes(

@@ -994,7 +994,7 @@ class TestFlatAddressing:
         engine.run()  # the table block is empty until a lane is installed
         views = _flat_views(engine)
         # every array the kernels address, fault masks and tables included
-        assert {"st_", "b_pid_", "cred_", "va1_prio_", "f_va2_", "plan_ok_",
+        assert {"st_", "b_flit_", "cred_", "va1_prio_", "f_va2_", "plan_ok_",
                 "xq_valid_", "q_row_", "nic_rr_", "t_ej_"} <= set(views)
         for name, (flat, nd) in views.items():
             assert flat.shape == (nd.size,) and np.shares_memory(flat, nd), name
@@ -1027,3 +1027,436 @@ class TestFlatAddressing:
         lanes = engine.run()
         for got, want in zip(lanes, envelope_lanes[name]):
             assert _lane_key(got) == _lane_key(want)
+
+
+# ----------------------------------------------------------------------
+# one draw per traffic stream: lanes holding one source share its table
+# ----------------------------------------------------------------------
+def _list_traffic(net, params):
+    """A traffic factory whose argument is unhashable (module-level)."""
+    rate, seed = params
+    return SyntheticTraffic(net, injection_rate=rate, mix=COHERENCE_MIX, rng=seed)
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The sources the lane engine compiles, one entry per call."""
+    from repro.network import batched
+
+    sources = []
+    compile_table = batched.compile_table
+
+    def counting(source, until, config):
+        sources.append(source)
+        return compile_table(source, until, config)
+
+    monkeypatch.setattr(batched, "compile_table", counting)
+    return sources
+
+
+def _assert_chunk_equals_run_point(points):
+    outcome = parallel._lane_batched_chunk(tuple(points), parallel.DEFAULT_LANE_WIDTH)
+    assert len(outcome.value) == len(points)
+    for i, (lane, point) in enumerate(zip(outcome.value, points)):
+        assert _lane_key(lane) == _lane_key(run_point(point).value), f"point {i}"
+
+
+def _assert_equal_reference_stepper(lanes, specs, net, cfg, kind="protected"):
+    """Each lane result against ``_step_reference`` on a fresh copy of its spec."""
+    for i, spec in enumerate(specs):
+        ref = _event_reference(
+            net, cfg, spec, _factory(net, kind), use_reference_stepper=True
+        )
+        assert _lane_key(lanes[i]) == _lane_key(ref), f"point {i}"
+
+
+class TestOneDrawPerStream:
+    def _latency_cfg(self):
+        from dataclasses import replace
+
+        from repro.experiments.latency import QUICK_CONFIG
+
+        return replace(
+            QUICK_CONFIG, warmup_cycles=100, measure_cycles=150, drain_cycles=250
+        )
+
+    def test_suite_pairs_share_one_table(self, compiled):
+        """Fault-free and faulty run of an application: identical traffic."""
+        from repro.experiments.latency import suite_points
+
+        points = suite_points("splash2", self._latency_cfg())
+        assert len(points) == 16
+        _assert_chunk_equals_run_point(points)
+        assert len(compiled) == 8
+
+    def test_fault_sweep_is_one_stream(self, compiled, monkeypatch):
+        from repro.experiments import fault_sweep
+
+        seen = {}
+        run_lane_sweep = parallel.run_lane_sweep
+
+        def spy(points, jobs=None):
+            seen["points"] = list(points)
+            seen["values"], report = run_lane_sweep(points, jobs=jobs)
+            return seen["values"], report
+
+        monkeypatch.setattr(parallel, "run_lane_sweep", spy)
+        fault_sweep.run(
+            fault_sweep.FaultSweepConfig(
+                fault_counts=(0, 2, 4, 8, 16), latency=self._latency_cfg()
+            ),
+            jobs=1,
+        )
+        assert len(seen["points"]) == 5 and len(compiled) == 1
+        for lane, point in zip(seen["values"], seen["points"]):
+            assert _lane_key(lane) == _lane_key(run_point(point).value), point.label
+
+    def test_distinct_streams_compile_one_each(self, compiled, monkeypatch):
+        """The ledger's ``lane_sweep_8x8`` smoke points: nothing to share."""
+        import importlib
+        from pathlib import Path
+
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "benchmarks" / "ledger")
+        )
+        workloads = importlib.import_module("workloads")
+        points = workloads.LaneSweep8x8(20140519, True, "", None).points[True]
+        _assert_chunk_equals_run_point(points)
+        assert len(compiled) == len(points) == 8
+        assert len({id(source) for source in compiled}) == 8
+
+    def test_holders_installed_cycles_apart(self):
+        """Width 2 over ``A B A' C B' C'``: the second holder of a stream is
+        installed long after the first, with larger tables installed (and
+        the block re-bound) in between; the memo ends empty."""
+        from repro.faults import ExplicitFaultSchedule
+        from repro.network.batched import BatchedLaneEngine
+
+        net = _net(4, 4, 4, 2)
+        cfg = _sim_cfg(measure=200)
+        factory = _factory(net, "protected")
+        order = "ABACBC"
+        faults = _sites((60, 5, "SA1_ARBITER", 0), (70, 10, "RC_PRIMARY", 2))
+
+        def specs(shared):
+            sources = {}
+            out = []
+            for i, name in enumerate(order):
+                if not shared or name not in sources:
+                    sources[name] = SyntheticTraffic(
+                        net, injection_rate=0.03 * 2 ** (ord(name) - ord("A")),
+                        mix=COHERENCE_MIX, rng=600 + ord(name),
+                    )
+                second = name in order[:i]  # A', B', C' run with faults
+                out.append(
+                    LaneSpec(
+                        sources[name],
+                        ExplicitFaultSchedule(faults) if second else None,
+                    )
+                )
+            return out
+
+        lanes = specs(shared=True)
+        engine = BatchedLaneEngine(
+            net, cfg, lanes[:2], router_factory=factory, pending=lanes[2:]
+        )
+        assert sorted(n for n, _, _ in engine._streams.values()) == [2, 2, 2]
+        results = engine.run()
+        assert engine._streams == {}
+        _assert_equal_reference_stepper(results, specs(shared=False), net, cfg)
+        assert results[0].stats.packets_created == results[2].stats.packets_created > 0
+
+    def test_one_source_object_in_two_specs_is_drawn_once(self):
+        """Both holders get the full stream — a source with a table and a
+        source packed through ``generate()`` alike (drawn per lane, the
+        second holder would find its source exhausted)."""
+        from repro.router.flit import Packet
+        from repro.traffic.generator import TraceTraffic
+
+        net = _net(4, 4, 4, 2)
+        cfg = _sim_cfg(measure=150)
+        factory = _factory(net, "protected")
+
+        def trace():
+            rng = np.random.default_rng(3)
+            return TraceTraffic(
+                Packet(int(s), int((s + 1 + d) % 16), 1 + 4 * (c % 2), c % 2, int(c))
+                for c in range(180)
+                for s, d in [rng.integers(0, 15, 2)]
+            )
+
+        def synthetic():
+            return SyntheticTraffic(net, 0.1, mix=COHERENCE_MIX, rng=21)
+
+        for make in (trace, synthetic):
+            source = make()
+            lanes = run_lanes(
+                net, cfg, [LaneSpec(source), LaneSpec(source)], router_factory=factory
+            )
+            ref = _event_reference(net, cfg, LaneSpec(make()), factory)
+            assert ref.stats.packets_created > 100
+            for lane in lanes:
+                assert _lane_key(lane) == _lane_key(ref), make.__name__
+
+    def test_unhashable_traffic_args_run_unshared(self, compiled):
+        net = _net(4, 4, 4, 2)
+        points = [
+            LanePoint(
+                config=net,
+                sim_config=_sim_cfg(measure=100),
+                make_traffic=_list_traffic,
+                traffic_args=(net, [0.08, 33]),
+                router_kind="protected",
+            )
+            for _ in range(2)
+        ]
+        _assert_chunk_equals_run_point(points)
+        assert len(compiled) == 2 and compiled[0] is not compiled[1]
+
+
+# ----------------------------------------------------------------------
+# the kernels' fixed costs: flit word, id-only events, liveness by
+# clearing, array SA bypass, fault flags and fault polling
+# ----------------------------------------------------------------------
+class TestLaneKernels:
+    def _engine(self, net, specs, cfg=None, kind="protected", pending=()):
+        from repro.network.batched import BatchedLaneEngine
+
+        return BatchedLaneEngine(
+            net, cfg or _sim_cfg(), specs, router_factory=_factory(net, kind),
+            pending=pending,
+        )
+
+    @pytest.mark.parametrize(
+        "net, longest",
+        [
+            (_net(8, 8, 4, 2), 15),
+            (NetworkConfig(width=4, height=4, topology="torus"), 5),
+        ],
+        ids=["mesh8x8", "torus4x4"],
+    )
+    def test_flit_word_round_trips_at_its_limits(self, net, longest):
+        """The largest row id, the last node, the longest minimal path and
+        both flags survive buffer write, every pipeline stage and ejection."""
+        from repro.network import batched
+        from repro.traffic.generator import NullTraffic
+
+        engine = self._engine(net, [LaneSpec(NullTraffic()) for _ in range(2)])
+        R, P, V, D = engine.R, engine.P, engine.V, engine.D
+        cap = 37
+        engine._bind_tables(np.full((10, 2, cap), -1, dtype=np.int32))
+        lane, node, port, wire = 1, R - 1, 1, V - 1  # the last of each
+        word = (
+            (cap - 1) << batched._PID_SHIFT | node << batched._DEST_SHIFT
+            | (longest - 1) << batched._HOP_SHIFT
+            | batched._F_HEAD | batched._F_TAIL
+        )
+        vc = (((lane * R + node) * P + port) * V) + wire
+        written = engine._buffer_write(np.array([vc]), np.array([word]))
+        assert written.tolist() == [0, 1]
+        assert engine.b_flit_[vc * D] == word and engine.vpid_[vc] == cap - 1
+        local = np.array([100, 7])
+        for cycle, kernel in enumerate(
+            (engine._rc_phase, engine._va_phase, engine._sa_phase, engine._xb_phase)
+        ):
+            kernel(cycle, local)
+        assert engine.st_[vc] == batched._IDLE  # the tail left: RC read the
+        (out, sent), = (ev for ev in engine._ring_eject if ev is not None)
+        assert out // engine.RPV == lane  # destination, XB the tail flag
+        assert sent[0] == word + batched._HOP
+        engine._dispatch(3 + engine.link_lat, local)
+        assert engine.t_ej[lane, cap - 1] == 7
+        assert engine.t_hops[lane, cap - 1] == longest
+        assert np.count_nonzero(engine.t_ej >= 0) == 1
+
+    def test_fabric_too_large_for_the_word_is_refused(self):
+        from repro.traffic.generator import NullTraffic
+
+        for net in (
+            NetworkConfig(width=257, height=256),  # node ids need 17 bits
+            NetworkConfig(width=1, height=16500),  # a 16,500-hop path
+        ):
+            with pytest.raises(ValueError, match="flit word"):
+                self._engine(net, [LaneSpec(NullTraffic())])
+
+    def test_a_retired_slot_is_cleared_at_retirement(self):
+        """A short watchdog retires two lanes ``blocked`` mid-flight (flits
+        on the wire, SA winners queued for the XB) and nothing refills
+        their slots; the third lane runs on beside the dead slots."""
+        from repro.network.batched import _IDLE, _NEVER
+
+        net = NetworkConfig(
+            width=4, height=4, link_latency=3,
+            router=RouterConfig(num_vcs=4, num_vnets=2),
+        )
+        cfg = SimulationConfig(
+            warmup_cycles=50, measure_cycles=250, drain_cycles=500, seed=5,
+            watchdog_cycles=10,
+        )
+
+        def specs():
+            return [
+                LaneSpec(
+                    SyntheticTraffic(
+                        net, injection_rate=rate, mix=COHERENCE_MIX, rng=800 + i
+                    )
+                )
+                for i, rate in enumerate((0.02, 0.03, 0.05))
+            ]
+
+        engine = self._engine(net, specs(), cfg)
+        retire = engine._retire
+        seen = []
+
+        def in_flight(lane):
+            return [
+                int(np.count_nonzero(ev[0] // per_lane == lane))
+                for ring, per_lane in engine._rings
+                for ev in ring
+                if ev is not None
+            ]
+
+        def spy(lane, cycle, blocked, drained):
+            on_wire = sum(
+                int(np.count_nonzero(ev[0] // engine.RPV == lane))
+                for ev in engine._ring_flit
+                if ev is not None
+            )
+            seen.append((lane, blocked, on_wire, int(engine.xq_valid[lane].sum())))
+            retire(lane, cycle, blocked, drained)
+            assert (engine.st[lane] == _IDLE).all()
+            assert not engine.xq_valid[lane].any()
+            assert (engine.q_due[lane] == _NEVER).all()
+            assert sum(in_flight(lane)) == 0
+
+        engine._retire = spy
+        lanes = engine.run()
+        assert [lane.blocked for lane in lanes] == [True, True, False]
+        assert any(blocked and wire and queued for _, blocked, wire, queued in seen)
+        # nothing was delivered into a dead slot afterwards
+        assert (engine.st == _IDLE).all() and not engine.xq_valid.any()
+        for i, spec in enumerate(specs()):
+            ref = _event_reference(
+                net, cfg, spec, _factory(net, "protected"),
+                use_reference_stepper=True,
+            )
+            # a lane stopped before its first ejection has NaN averages
+            skip_summary = slice(0, 4) if lanes[i].blocked else slice(None)
+            assert _lane_key(lanes[i])[skip_summary] == _lane_key(ref)[skip_summary]
+            assert lanes[i].router_stats == ref.router_stats, f"lane {i}"
+        assert lanes[2].stats.packets_ejected > 50
+
+    def test_bypass_grant_transfer_and_block_in_one_cycle(self):
+        """Two bypassed ports of one router (the rotation default either
+        requests, or is idle and takes a transfer) beside a port of another
+        lane whose bypass is faulty too: all three outcomes in one SA pass."""
+        from repro.faults import ExplicitFaultSchedule
+        from repro.network import batched
+
+        net, cfg = _ENV_NET, _ENV_SIM
+        schedules = (
+            _sites((60, 5, "SA1_ARBITER", 3), (60, 5, "SA1_ARBITER", 4)),
+            _sites((60, 5, "SA1_ARBITER", 3), (60, 5, "SA1_BYPASS", 3)),
+        )
+
+        def specs():
+            return [
+                LaneSpec(
+                    SyntheticTraffic(
+                        net, injection_rate=0.3, mix=COHERENCE_MIX, rng=900 + i
+                    ),
+                    ExplicitFaultSchedule(schedule),
+                )
+                for i, schedule in enumerate(schedules)
+            ]
+
+        engine = self._engine(net, specs(), cfg)
+        columns = [batched._I_SA_BYPASS, batched._I_VC_XFER, batched._I_SA_BLOCK]
+        per_cycle = []
+
+        def sa(self, cycle, local):
+            before = self.rstats[:, columns].copy()
+            batched.BatchedLaneEngine._sa_phase(self, cycle, local)
+            moved = self.rstats[:, columns] - before
+            per_cycle.append((moved[0, 0], moved[0, 1], moved[1, 2]))
+
+        engine._STAGES = tuple(
+            (name, sa if name == "sa" else kernel) for name, kernel in engine._STAGES
+        )
+        lanes = engine.run()
+        assert any(all(row) for row in per_cycle)
+        stats = [lane.router_stats for lane in lanes]
+        assert stats[0].sa_bypass_grants and stats[0].vc_transfers
+        assert stats[1].sa_blocked_cycles and lanes[1].blocked
+        _assert_equal_reference_stepper(lanes, specs(), net, cfg)
+
+    def test_fault_flags_are_recounted_at_install(self):
+        """Width-1 refill, a faulted point then a fault-free one: the second
+        occupant runs on the fault-free fast paths again."""
+        from repro.faults import ExplicitFaultSchedule
+
+        net = _net(4, 4, 4, 2)
+        cfg = _sim_cfg(measure=150)
+        faults = _sites(
+            (40, 5, "RC_PRIMARY", 1), (40, 5, "VA1_ARBITER_SET", 2, 1),
+            (40, 6, "VA2_ARBITER", 3, 0), (40, 9, "SA1_ARBITER", 4),
+        )
+
+        def specs():
+            return [
+                LaneSpec(
+                    SyntheticTraffic(
+                        net, injection_rate=0.1, mix=COHERENCE_MIX, rng=70 + i
+                    ),
+                    ExplicitFaultSchedule(faults) if i == 0 else None,
+                )
+                for i in range(2)
+            ]
+
+        def flags(engine):
+            return [
+                engine._have_rc, engine._have_va1, engine._have_va2, engine._have_sa1
+            ]
+
+        first, second = specs()
+        engine = self._engine(net, [first], cfg, pending=[second])
+        install = engine._install_lane
+        before_install = []
+
+        def spy(lane, spec, cycle):
+            before_install.append(flags(engine))
+            install(lane, spec, cycle)
+
+        engine._install_lane = spy
+        lanes = engine.run()
+        assert before_install == [[False] * 4, [True] * 4]
+        assert flags(engine) == [False] * 4
+        assert lanes[0].faults_injected == 4
+        _assert_equal_reference_stepper(lanes, specs(), net, cfg)
+
+    def test_schedules_are_polled_only_when_an_event_is_due(self):
+        """``events_at`` is entered on the cycles ``next_cycle()`` names."""
+        from repro.faults import ExplicitFaultSchedule
+
+        polled = []
+
+        class Spy(ExplicitFaultSchedule):
+            def events_at(self, cycle):
+                polled.append(cycle)
+                return super().events_at(cycle)
+
+        net = _net(4, 4, 4, 2)
+        faults = _sites(
+            (40, 5, "RC_PRIMARY", 1), (40, 6, "VA2_ARBITER", 3, 0),
+            (90, 9, "SA1_ARBITER", 4),
+        )
+        lanes = run_lanes(
+            net, _sim_cfg(measure=150),
+            [
+                LaneSpec(SyntheticTraffic(net, 0.1, mix=COHERENCE_MIX, rng=70 + i), s)
+                for i, s in enumerate((Spy(faults), None))
+            ],
+            router_factory=_factory(net, "protected"),
+        )
+        assert polled == [40, 90]
+        assert [lane.faults_injected for lane in lanes] == [3, 0]
