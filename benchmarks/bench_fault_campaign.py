@@ -2,11 +2,11 @@
 
 The campaign runner (:mod:`repro.experiments.fault_campaign`) adds a
 temporal layer on top of a plain fault sweep: mid-run timeline
-injection/healing, a per-router :class:`RecoveryMonitor`, and the
+injection/healing, a :class:`RecoveryMonitor` per timeline, and the
 degradation-report fold.  That layer must stay cheap — this bench runs
-the same simulated work both ways on the per-point event engine (the
-engine timeline points always fall back to) and asserts the campaign's
-per-point overhead vs a plain static fault sweep stays within 25 %.
+the same simulated work both ways as lanes of the batched engine (no
+campaign point may fall back) and asserts the campaign's overhead vs a
+plain static fault sweep stays within 25 %.
 
 Set ``REPRO_BENCH_JSON=<path>`` to write the measurements as JSON (the
 CI ``benchmark-smoke`` job publishes them as the
@@ -19,7 +19,7 @@ import time
 from conftest import run_once, write_bench_json
 from repro.experiments.fault_campaign import CampaignConfig, run
 from repro.experiments.latency import LatencyConfig, suite_traffic
-from repro.experiments.parallel import LanePoint, map_sweep, run_point
+from repro.experiments.parallel import LanePoint, run_lane_sweep
 from repro.faults import RandomFaultSchedule, TimelineSpec
 
 TIMELINES = 4
@@ -79,8 +79,8 @@ def _plain_points():
 
 
 def _run_plain():
-    """Every plain point on the per-point event engine, one task each."""
-    return map_sweep(run_point, [(p,) for p in _plain_points()])
+    """The plain points as one lane chunk, like the campaign's."""
+    return run_lane_sweep(_plain_points(), jobs=None)
 
 
 def _timed(fn):
@@ -94,7 +94,8 @@ def test_campaign_overhead_vs_plain_fault_sweep(benchmark):
     # warm both paths once so neither pays first-import costs
     _run_plain()
 
-    (_, plain_s) = _timed(_run_plain)
+    ((_, plain_report), plain_s) = _timed(_run_plain)
+    assert plain_report.fallbacks == 0, plain_report.fallback_reasons
 
     box = {}
 
@@ -109,15 +110,12 @@ def test_campaign_overhead_vs_plain_fault_sweep(benchmark):
     row = res.extras["rows"][0]
     assert row["kind"] == "protected"
     assert row["events"] == TIMELINES * CAMPAIGN.timeline.events
-    assert all(
-        "mutates the fabric" in reason
-        for shard in res.extras["sweep"].shards
-        for reason in shard.fallback_reasons
-    )
+    sweep = res.extras["sweep"]
+    assert sweep.fallbacks == 0, sweep.fallback_reasons
 
     ratio = campaign_s / plain_s
     print(
-        f"\nfault campaign ({TIMELINES} timelines, event engine): "
+        f"\nfault campaign ({TIMELINES} timelines, lane engine): "
         f"plain {plain_s:.2f}s, campaign {campaign_s:.2f}s "
         f"-> {ratio:.2f}x overhead"
     )

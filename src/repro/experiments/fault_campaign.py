@@ -18,13 +18,17 @@ measures the temporal story the static experiments cannot see:
 * **post-fault saturation shift** — measured latency under the campaign
   vs the fault-free reference of the same traffic.
 
-Each timeline is one sweep point of the resilient runtime: checkpointed
-the moment it finishes, resumable after a kill, watchdogged.  Timelines
-mutate the fabric mid-run (heals / reconfiguration), which the batched
-lane engine cannot express — ``repro.network.batched.supports`` declines
-them via the factory's ``mutates_fabric`` marker and the sweep layer
-falls back to the per-point event engine, so the existing
-``run_lane_sweep`` reporting covers the campaign with zero new plumbing.
+Each timeline is one sweep point, and the points run as lanes of the
+batched engine: router kind is a per-lane mask there, so the baseline
+and protected replays of a campaign — references included — step in one
+engine, heal through its heal seam and are watched by the same
+:class:`repro.faults.recovery.RecoveryMonitor` the object engine uses.
+Kinds without an array model (``roco``) fall back to the per-point event
+engine and are reported as such by ``run_lane_sweep``.  Under the
+resilient runtime a lane chunk is one supervised task — checkpointed the
+moment it finishes, resumable after a kill, watchdogged — so checkpoint
+granularity is the chunk (a fallback point is a chunk of one), as for
+every other lane sweep.
 
 The **degradation-over-lifetime report** joins the FIT model back in:
 the per-router failure rate converts measured per-event recovery into
@@ -79,12 +83,6 @@ def campaign_schedule(net: NetworkConfig, spec: TimelineSpec):
     return make_schedule(spec, config=net.router, num_routers=net.num_nodes)
 
 
-#: timelines heal/reconfigure mid-run: the batched lane engine declines
-#: this factory (``repro.network.batched.supports``) and the sweep layer
-#: runs its points on the per-point event engine
-campaign_schedule.mutates_fabric = True  # type: ignore[attr-defined]
-
-
 def run(
     config: Optional[CampaignConfig] = None,
     *,
@@ -96,8 +94,8 @@ def run(
     """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
 
     ``out_dir``/``resume`` attach the resilient runtime: every finished
-    timeline is checkpointed and a killed campaign resumes bit-identical
-    at timeline granularity.
+    lane chunk (or fallback point) is checkpointed and a killed campaign
+    resumes bit-identical at that granularity.
     """
     config = config or CampaignConfig()
     cfg = config.latency

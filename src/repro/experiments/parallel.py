@@ -645,8 +645,11 @@ class LanePoint:
     module-level picklables, same as ``SweepTask.fn``.  Factories are
     pure: equal arguments build equal streams, so the points of a chunk
     whose ``(make_traffic, traffic_args)`` are equal — a fault-free and
-    a faulty run under identical traffic — are handed one source, drawn
-    once.
+    a faulty run under identical traffic, the baseline and protected
+    replay of one fault timeline — are handed one source, drawn once.
+    The schedule a factory returns may heal sites mid-run and ask for a
+    recovery log (:class:`repro.faults.timeline.FaultTimeline`): lanes
+    honour both, as :func:`run_point` does.
     """
 
     config: NetworkConfig
@@ -662,11 +665,18 @@ class LanePoint:
     label: str = ""
 
     def structural_key(self) -> tuple:
-        """Everything that must match for two points to share lanes."""
+        """Everything that must match for two points to share lanes.
+
+        Router kind is not part of it for the kinds the array model
+        serves: there it is a per-lane mask, so the baseline and
+        protected runs of one campaign step in one engine.
+        """
+        from ..network.batched import LANE_KINDS
+
         return (
             self.config,
             self.sim_config,
-            self.router_kind,
+            LANE_KINDS if self.router_kind in LANE_KINDS else self.router_kind,
             self.routing_kind,
         )
 
@@ -752,6 +762,7 @@ def _lane_batched_chunk(
             p.make_schedule(*p.schedule_args)
             if p.make_schedule is not None
             else None,
+            p.router_kind,
         )
         for p in points
     ]
@@ -760,7 +771,6 @@ def _lane_batched_chunk(
         first.config,
         first.sim_config,
         lanes[:w],
-        router_factory=_resolve_factory(first.router_kind, first.config),
         routing_kind=first.routing_kind,
         pending=lanes[w:],
     )
@@ -811,8 +821,9 @@ def run_lane_sweep(
     streaming in through lane refill.  Process parallelism and lane
     batching compose.
 
-    Groups the batched engine declines (adaptive routing, tracing
-    enabled, oversized VC space, ...) — and groups too small to batch —
+    Groups the batched engine declines (a router kind without an array
+    model, adaptive routing, tracing enabled, oversized VC space, ...) —
+    and groups too small to batch —
     fall back to one :func:`run_point` task per point, counted in
     ``ShardReport.fallbacks`` with the decline reason threaded into
     ``ShardReport.fallback_reasons``.
@@ -851,22 +862,10 @@ def run_lane_sweep(
     fallback: list[tuple[list[int], str]] = []
     for idxs in groups.values():
         rep = points[idxs[0]]
-        # the representative's schedule factory may be None (e.g. a
-        # fault-free reference point sharing the group): judge the
-        # group by its most demanding schedule factory
-        sched_factory = next(
-            (
-                points[j].make_schedule
-                for j in idxs
-                if getattr(points[j].make_schedule, "mutates_fabric", False)
-            ),
-            rep.make_schedule,
-        )
         reason = batched_supports(
             rep.config,
             _resolve_factory(rep.router_kind, rep.config),
             rep.routing_kind,
-            schedule_factory=sched_factory,
         )
         if reason is None and len(idxs) < _MIN_LANE_GROUP:
             reason = (
@@ -891,10 +890,8 @@ def run_lane_sweep(
         est = _horizon(rep) * len(idxs)
         n_chunks = max(1, min(len(idxs), round(est / budget)))
         for chunk in _chunk_evenly(idxs, n_chunks):
-            label = (
-                f"{rep.router_kind}/{rep.routing_kind} "
-                f"lanes {chunk[0]}-{chunk[-1]}"
-            )
+            kinds = "+".join(dict.fromkeys(points[j].router_kind for j in chunk))
+            label = f"{kinds}/{rep.routing_kind} lanes {chunk[0]}-{chunk[-1]}"
             _add(
                 _lane_batched_chunk,
                 (tuple(points[j] for j in chunk), DEFAULT_LANE_WIDTH),

@@ -52,6 +52,8 @@ class FaultSchedule(Protocol):
     Schedules that also *heal* sites mid-run (transient upsets, fault
     timelines) additionally set ``native_heals = True`` and implement
     ``heals_due(cycle)``; see :class:`repro.faults.timeline.FaultTimeline`.
+    Both engines read that flag (and ``wants_recovery_log``) off the
+    schedule object, so a schedule heals wherever it runs.
     """
 
     def events_at(self, cycle: int) -> Iterator[FaultSite]:

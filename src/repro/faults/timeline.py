@@ -8,13 +8,14 @@ flight during reconfiguration.
 
 A :class:`FaultTimeline` is a full :class:`repro.faults.schedule.FaultSchedule`
 plus the *native heal seam*: it sets ``native_heals = True`` and
-implements ``heals_due(cycle)``, and the simulator heals those sites
+implements ``heals_due(cycle)``, and both engines heal those sites
 in-loop (``next_cycle()`` reports the earliest pending **event of either
-kind**, so skip-ahead can never jump over a heal).  It also sets
-``wants_recovery_log = True`` so the simulator installs a
-:class:`repro.faults.recovery.RecoveryMonitor`, and ``mutates_fabric``
-so the batched lane engine declines it (heals need per-object router
-state) and the sweep layer falls back to the event engine per point.
+kind**, so neither the object engine's skip-ahead nor a lane's fault
+poll can jump over a heal).  It also sets ``wants_recovery_log = True``
+so the engine running it — a ``NoCSimulator``, or the batched lane
+engine for that lane — installs a
+:class:`repro.faults.recovery.RecoveryMonitor`.  Both flags are read off
+the schedule *object*, never off the factory that built it.
 
 Arrival times come from the paper's Section VII FIT inventories:
 :func:`fit_mean_interval_cycles` converts the per-router failure rate
@@ -68,13 +69,10 @@ class TimelineEvent:
 class FaultTimeline:
     """A sorted stream of timed fault events with native heals."""
 
-    #: the simulator heals ``heals_due`` sites in-loop
+    #: the engine heals ``heals_due`` sites in-loop
     native_heals: ClassVar[bool] = True
-    #: the simulator installs a RecoveryMonitor for this schedule
+    #: the engine installs a RecoveryMonitor for this schedule
     wants_recovery_log: ClassVar[bool] = True
-    #: the batched lane engine must decline: heals mutate per-object
-    #: router fault state mid-run, which the array model cannot express
-    mutates_fabric: ClassVar[bool] = True
 
     def __init__(self, events: Iterable[TimelineEvent]) -> None:
         items = sorted(events, key=lambda e: e.cycle)

@@ -6,9 +6,10 @@ materialises N such sweep points ("lanes") into one set of flat NumPy
 state arrays — VC state of shape ``(lanes, routers, ports, vcs)``, flit
 buffers with a depth axis alongside, credit/allocation arrays on the
 output side — and advances RC/VA/SA/XB for *all* lanes in one vectorised
-step.  Per-lane fault sets are boolean masks over the same axes; drained
-or blocked lanes retire independently and simply drop out of every
-phase's requester set.
+step.  Per-lane fault sets are boolean masks over the same axes, and so
+is the router kind (a baseline router is a protected one whose spares
+are absent: see "Faults, heals and recovery"); drained or blocked lanes
+retire independently and simply drop out of every phase's requester set.
 
 Bit-identical by construction
 -----------------------------
@@ -96,13 +97,35 @@ scanning from the round-robin pointer, is one ``argmax``); ejection
 writes table columns; and a lane's :class:`NetworkStats` is reduced from
 its table once, at retirement.  A source held by several lanes (the
 fault-free and faulty run of one application, every count of a fault
-sweep) is one stream: it is compiled once and every holder gets the
-table.  The scalar remnants are fault-site injection and
-``_borrow_arbiters``.
+sweep, the baseline and protected replay of one campaign timeline) is
+one stream: it is compiled once and every holder gets the table.  The
+scalar remnants are fault-site injection and healing, the recovery
+monitors and ``_borrow_arbiters``.
+
+Faults, heals and recovery
+--------------------------
+Router kind is a ``(lanes,)`` mask, ``protected``, set at install from
+the lane's spec, and the kernels have one body each: the mask takes the
+spare out of the fault algebra (RC ``blocked = f_rc1 & (f_rc2 | ~prot)``,
+SA ``dead = f_sa1 & (f_sa1b | ~prot)``, no secondary path in a baseline
+lane's plans, no lender for a baseline VC, exclusions recorded for
+protected retries only), so baseline and protected lanes of one sweep
+share an engine.  ``_set_site`` sets or clears one fault bit the way
+``BaseRouter.inject_fault`` / ``heal_fault`` do; a schedule with
+``native_heals`` (fault timelines, transients) heals before it injects on
+the cycles its ``next_cycle()`` names, exactly as
+``NoCSimulator._inject_faults`` does.  ``RouterStats`` counters are kept
+per ``(counter, lane, router)``, which is what lets a lane whose schedule
+``wants_recovery_log`` carry the object engine's own
+:class:`repro.faults.recovery.RecoveryMonitor`, fed :class:`_RouterView`
+objects: landings and heals are reported from the fault stage, open
+watches are polled after the last kernel on the lane's local clock, and
+the summary lands on ``SimulationResult.recovery`` at retirement.
 
 Use :func:`supports` to check a configuration before constructing the
 engine; unsupported configurations (adaptive routing, tracing, per-flit
-callbacks, ...) should fall back to the event engine per point —
+callbacks, router kinds without an array model, ...) should fall back to
+the event engine per point —
 :func:`repro.experiments.parallel.run_lane_sweep` does exactly that and records the
 reason string per fallback point.
 """
@@ -117,6 +140,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, cast
 import numpy as np
 
 from ..config import PORT_LOCAL, NetworkConfig, SimulationConfig
+from ..faults.recovery import RecoveryMonitor
 from ..faults.sites import FaultUnit
 from ..observability import maybe_create
 from ..observability.profiler import STAGE_NAMES, StageProfiler
@@ -171,7 +195,8 @@ _I_RC_BLOCK = _RS_IDX["rc_blocked_cycles"]
 _I_RC_DUP = _RS_IDX["rc_duplicate_computations"]
 _I_UNREACH = _RS_IDX["unreachable_output_cycles"]
 
-_SUPPORTED_KINDS = ("baseline", "protected")
+#: router kinds with an array model; which of them a lane is, is a mask
+LANE_KINDS = ("baseline", "protected")
 
 
 @dataclass
@@ -183,11 +208,15 @@ class LaneSpec:
     that is one stream, drawn once, and every holder runs it in full.
     Construct both exactly as a serial run would (same seeds from the
     same ``SeedSequence.spawn``) and the lane's RNG stream is identical
-    to its serial run by construction.
+    to its serial run by construction.  The engine reads ``native_heals``
+    and ``wants_recovery_log`` off the schedule, as ``NoCSimulator`` does.
     """
 
     traffic: TrafficSource
     fault_schedule: Optional[FaultSchedule] = None
+    #: ``"baseline"`` or ``"protected"``; ``None`` takes the kind of the
+    #: engine's ``router_factory``
+    router_kind: Optional[str] = None
 
 
 def supports(
@@ -197,28 +226,16 @@ def supports(
     *,
     on_eject: Optional[Callable] = None,
     observability: object = None,
-    schedule_factory: object = None,
 ) -> Optional[str]:
     """Why the batched engine cannot run this configuration, or ``None``.
 
     Returns a human-readable reason string for unsupported configs (the
     sweep layer records it and falls back to the event engine per point)
     and ``None`` when the configuration is fully supported.
-
-    ``schedule_factory`` is the sweep point's fault-schedule factory (or
-    the schedule class itself): factories marked ``mutates_fabric`` —
-    online fault timelines that heal and re-inject sites mid-run —
-    decline here, because the lane arrays bake fault flags in at lane
-    start and have no mid-run heal seam.
     """
     kind = getattr(router_factory, "router_kind", "baseline")
-    if kind not in _SUPPORTED_KINDS:
+    if kind not in LANE_KINDS:
         return f"router kind {kind!r} not supported (no array model)"
-    if getattr(schedule_factory, "mutates_fabric", False):
-        return (
-            "fault schedule mutates the fabric mid-run "
-            "(online timeline heals/reconfigures; no lane heal seam)"
-        )
     if make_routing(config, routing_kind).adaptive:
         return f"adaptive routing {routing_kind!r} (route depends on run-time state)"
     if observability is not None or maybe_create() is not None:
@@ -236,9 +253,10 @@ def supports(
 class BatchedLaneEngine:
     """N structurally identical fabrics stepped as flat NumPy state.
 
-    All lanes share one ``NetworkConfig``, ``SimulationConfig``, router
-    kind and routing kind (the *structural key*); they differ only in
-    their per-lane traffic sources and fault schedules.
+    All lanes share one ``NetworkConfig``, ``SimulationConfig`` and
+    routing kind (the *structural key*); they differ in their per-lane
+    traffic sources, fault schedules and router kinds (``router_factory``
+    names the kind of a lane whose spec leaves it open).
     """
 
     def __init__(
@@ -268,9 +286,8 @@ class BatchedLaneEngine:
         self.sim_config = sim_config
         self.lanes = list(lanes)
         self.keep_samples = keep_samples
-        self.protected = (
-            getattr(router_factory, "router_kind", "baseline") == "protected"
-        )
+        #: the kind of a lane whose spec names none
+        self._default_kind = getattr(router_factory, "router_kind", "baseline")
 
         rc = config.router
         self.L = L = len(self.lanes)
@@ -348,8 +365,11 @@ class BatchedLaneEngine:
         self.f_xbm, _ = state(shape3, False, bool)
         self.f_xbs, _ = state(shape3, False, bool)
         # fast-path flags: phases skip fault branches entirely while no
-        # installed lane has a fault of that kind (recounted at install)
+        # installed lane has a fault of that kind (recounted at install
+        # and whenever a site is injected or healed)
         self._have_rc = self._have_va1 = self._have_va2 = self._have_sa1 = False
+        #: router kind as a lane mask (see "Faults, heals and recovery")
+        self.protected = np.zeros(L, dtype=bool)
 
         # crossbar path plans per (lane, router, dest), fault-dependent
         self.plan_ok, self.plan_ok_ = state(shape3, True, bool)
@@ -409,10 +429,16 @@ class BatchedLaneEngine:
         #: wire id -> which downstream VCs share its vnet, as a (V, V) mask
         self._same_vnet = self._vcs // self.VV == self._vcs[:, None] // self.VV
 
-        # --- per-lane counters and clocks ------------------------------
-        self.rstats, _ = state((len(_RS_IDX),), 0, np.int64)
-        #: one bound 1-D view per ``RouterStats`` column (see ``_count``)
-        self._counter = [self.rstats[:, c] for c in range(len(_RS_IDX))]
+        # --- counters and per-lane clocks ------------------------------
+        #: ``RouterStats`` counters per ``(counter, lane, router)``: the
+        #: recovery monitor watches single routers, a lane's result is the
+        #: sum over its routers
+        self.rstats = np.zeros((len(_RS_IDX), L, R), dtype=np.int64)
+        #: one bound 1-D view per counter, indexed by node id (see ``_count``)
+        self._counter = [row.reshape(-1) for row in self.rstats]
+        # nothing watches buffer writes: they stay one bump per lane, kept
+        # in the cell of the lane's router 0 (see ``_buffer_write``)
+        self._counter[_I_BUFW] = self.rstats[_I_BUFW, :, 0]
         self.fin, _ = state((), 0, np.int64)  # flits in network
         self.flits_ejected, _ = state((), 0, np.int64)
         #: packets of the lane's table whose tail has not entered the
@@ -452,6 +478,9 @@ class BatchedLaneEngine:
         #: one source share one draw, dropped with the last install
         self._streams: Dict[int, list] = {}
         for spec in (*self.lanes, *self._pending):
+            kind = spec.router_kind or self._default_kind
+            if kind not in LANE_KINDS:
+                raise ValueError(f"lane router kind {kind!r} has no array model")
             self._streams.setdefault(id(spec.traffic), [0, spec.traffic, None])[0] += 1
         self.off = np.zeros(L, dtype=np.int64)
         self.lane_point = [0] * L
@@ -463,9 +492,13 @@ class BatchedLaneEngine:
         self.active_lane_cycles = 0
         self.total_lane_cycles = 0
 
-        #: local cycle of each slot's next scheduled fault (``_NEVER``: no
-        #: schedule, exhausted, or retired)
+        #: local cycle of each slot's next scheduled fault or heal
+        #: (``_NEVER``: no schedule, exhausted, or retired)
         self._fault_due = np.full(L, _NEVER, dtype=np.int64)
+        #: lane -> the recovery monitor of a lane whose schedule
+        #: ``wants_recovery_log`` (the object engine's own class, fed
+        #: ``_RouterView``s)
+        self._monitors: Dict[int, RecoveryMonitor] = {}
         self._fault_arrays = {
             FaultUnit.RC_PRIMARY: self.f_rc1,
             FaultUnit.RC_DUPLICATE: self.f_rc2,
@@ -480,49 +513,66 @@ class BatchedLaneEngine:
 
         #: wall time per kernel, sampled every 16th global cycle
         self.profiler = StageProfiler()
-        #: seconds spent installing / retiring lanes (every call timed)
+        #: seconds spent installing / retiring lanes and polling recovery
+        #: monitors (every call timed)
         self.install_s = 0.0
         self.retire_s = 0.0
+        self.poll_s = 0.0
 
     # ------------------------------------------------------------------
     # fault injection and crossbar path plans
     # ------------------------------------------------------------------
     def _inject_lane_faults(self, cycle: int, local: np.ndarray) -> None:
         """Poll the schedules with an event due — ``next_cycle()`` is what
-        the object engine's skip-ahead trusts, too."""
+        the object engine's skip-ahead trusts, too.
+
+        Mirrors ``NoCSimulator._inject_faults``: a schedule with
+        ``native_heals`` heals before it injects, and landings and heals
+        are reported to the lane's recovery monitor here, before this
+        cycle's kernels run.
+        """
         for lane in np.flatnonzero(self._fault_due <= local).tolist():
             sched = cast(FaultSchedule, self.lanes[lane].fault_schedule)
-            for site in sched.events_at(int(local[lane])):
-                if self._inject_site(lane, site):
+            now = int(local[lane])
+            mon = self._monitors.get(lane)
+            if getattr(sched, "native_heals", False):
+                for site in sched.heals_due(now):  # type: ignore[attr-defined]
+                    if self._set_site(lane, site, False) and mon is not None:
+                        mon.fault_healed(_RouterView(self, lane, site.router), site, now)
+            for site in sched.events_at(now):
+                if self._set_site(lane, site, True):
                     self.faults_injected[lane] += 1
+                    if mon is not None:
+                        mon.fault_landed(_RouterView(self, lane, site.router), site, now)
             self._arm_faults(lane, sched)
 
     def _arm_faults(self, lane: int, sched: Optional[FaultSchedule]) -> None:
         nxt = sched.next_cycle() if sched is not None else None
         self._fault_due[lane] = _NEVER if nxt is None else nxt
 
-    def _inject_site(self, lane: int, site) -> bool:
-        """Mirror ``BaseRouter.inject_fault``: idempotent, plans refreshed."""
+    def _set_site(self, lane: int, site, faulty: bool) -> bool:
+        """Mirror ``BaseRouter.inject_fault`` / ``heal_fault``: idempotent,
+        the skip flags recounted and the path plans refreshed."""
         arr = self._fault_arrays[site.unit]
         if site.vc >= 0:
             idx = (lane, site.router, site.port, site.vc)
         else:
             idx = (lane, site.router, site.port)
-        if arr[idx]:
+        if arr[idx] == faulty:
             return False
-        arr[idx] = True
-        unit = site.unit
-        if unit in (FaultUnit.RC_PRIMARY, FaultUnit.RC_DUPLICATE):
-            self._have_rc = True
-        elif unit is FaultUnit.VA1_ARBITER_SET:
-            self._have_va1 = True
-        elif unit is FaultUnit.VA2_ARBITER:
-            self._have_va2 = True
-        elif unit in (FaultUnit.SA1_ARBITER, FaultUnit.SA1_BYPASS):
-            self._have_sa1 = True
-        if unit in (FaultUnit.XB_MUX, FaultUnit.XB_SECONDARY, FaultUnit.SA2_ARBITER):
+        arr[idx] = faulty
+        self._recount_faults()
+        if site.unit in (FaultUnit.XB_MUX, FaultUnit.XB_SECONDARY, FaultUnit.SA2_ARBITER):
             self._recompute_plans(lane, site.router)
         return True
+
+    def _recount_faults(self) -> None:
+        """The fault branches are skipped while no lane needs them; a VA2
+        exclusion outlives its fault's heal, as ``va_excluded`` does."""
+        self._have_rc = bool(self.f_rc1.any() or self.f_rc2.any())
+        self._have_va1 = bool(self.f_va1.any())
+        self._have_va2 = bool(self.f_va2.any() or self.excl.any())
+        self._have_sa1 = bool(self.f_sa1.any() or self.f_sa1b.any())
 
     def _recompute_plans(self, lane: int, r: int) -> None:
         """Rebuild the per-dest path plans of one (lane, router).
@@ -539,7 +589,7 @@ class BatchedLaneEngine:
                 self.plan_sec[lane, r, k] = False
                 continue
             ok = False
-            if self.protected:
+            if self.protected[lane]:
                 src = 1 if k == 0 else k - 1
                 if (
                     not self.f_xbs[lane, r, k]
@@ -556,9 +606,9 @@ class BatchedLaneEngine:
     # ------------------------------------------------------------------
     # one vectorised cycle
     # ------------------------------------------------------------------
-    def _count(self, counter: int, lane: np.ndarray) -> None:
-        """Bump a ``RouterStats`` counter once per entry of ``lane``."""
-        self._counter[counter] += np.bincount(lane, minlength=self.L)
+    def _count(self, counter: int, node: np.ndarray) -> None:
+        """Bump a ``RouterStats`` counter once per entry of ``node``."""
+        self._counter[counter] += np.bincount(node, minlength=self.L * self.R)
 
     @staticmethod
     def _rr_pick(
@@ -603,7 +653,7 @@ class BatchedLaneEngine:
         self.b_head_[vc] = (h + 1) % D
         cnt = self.b_cnt_[vc] - 1
         self.b_cnt_[vc] = cnt
-        self._count(_I_TRAV, port // self.RP)
+        self._count(_I_TRAV, port // P)
         wire = self.pwire_[vc]
 
         tail = (word & _F_TAIL) != 0
@@ -686,28 +736,29 @@ class BatchedLaneEngine:
         if fa is not None and fa.any():
             healthy = ~fa
             win &= healthy[seg]
-            glane = gport // self.RP
-            dead = fa & self.f_sa1b_[gport] if self.protected else fa
+            gnode = gport // P
+            glane = gnode // self.R
+            # a baseline port has no bypass: it is dead with its arbiter
+            dead = fa & (self.f_sa1b_[gport] | ~self.protected[glane])
             if dead.any():
-                self._count(_I_SA_BLOCK, glane[dead])
-            if self.protected:
-                # bypass path: grant the rotation default (it runs on each
-                # lane's local clock; -1 on every other group, so only a
-                # bypassed port can hit), or transfer the first candidate
-                # into an idle, empty default slot
-                default = np.where(fa & ~dead, local[glane] // self.rot % V, -1)
-                hit = sc == default[seg]
-                win |= hit
-                granted = np.zeros(gport.shape, dtype=bool)
-                granted[seg[hit]] = True
-                self._count(_I_SA_BYPASS, glane[granted])
-                move = np.flatnonzero((default >= 0) & ~granted)
-                to = gport[move] * V + default[move]
-                free = (self.st_[to] == _IDLE) & (self.b_cnt_[to] == 0)
-                if free.any():
-                    move = move[free]
-                    self._swap_slots(vc[starts[move]], to[free])
-                    self._count(_I_VC_XFER, glane[move])
+                self._count(_I_SA_BLOCK, gnode[dead])
+            # bypass path: grant the rotation default (it runs on each
+            # lane's local clock; -1 on every other group, so only a
+            # bypassed port can hit), or transfer the first candidate
+            # into an idle, empty default slot
+            default = np.where(fa & ~dead, local[glane] // self.rot % V, -1)
+            hit = sc == default[seg]
+            win |= hit
+            granted = np.zeros(gport.shape, dtype=bool)
+            granted[seg[hit]] = True
+            self._count(_I_SA_BYPASS, gnode[granted])
+            move = np.flatnonzero((default >= 0) & ~granted)
+            to = gport[move] * V + default[move]
+            free = (self.st_[to] == _IDLE) & (self.b_cnt_[to] == 0)
+            if free.any():
+                move = move[free]
+                self._swap_slots(vc[starts[move]], to[free])
+                self._count(_I_VC_XFER, gnode[move])
             # advance only the healthy ports' arbiters (one winner each)
             self.sa1_prio_[gport[healthy]] = (sc[win & healthy[seg]] + 1) % V
         else:
@@ -735,28 +786,31 @@ class BatchedLaneEngine:
         gi = order[win2]
         gvc, gport, goport = wvc[gi], wport[gi], woport[gi]
         self.cred_[goport * V + wov[gi]] -= 1
-        glane = gport // self.RP
-        self._count(_I_SA_GRANT, glane)
+        gnode = gport // P
+        self._count(_I_SA_GRANT, gnode)
         sec = self.plan_sec_[goport]
         if sec.any():
-            self._count(_I_SEC, glane[sec])
+            self._count(_I_SEC, gnode[sec])
         self.xq_valid_[gport] = True
         self.xq_slot_[gport] = gvc - gport * V
         self.xq_dest_[gport] = wrt[gi]
 
     def _borrow_arbiters(self, vc: np.ndarray, fa: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Protected stage-1 arbiter borrowing (scalar; faults are rare).
+        """Stage-1 arbiter borrowing (scalar; faults are rare).
 
         Mirrors ``ArbiterSharingVAUnit._stage1_arbiters``: a VC whose own
         arbiter set is faulty scans sibling slots in order for a healthy,
-        unlent lender that is IDLE or ACTIVE this cycle.  Returns the
-        keep-mask and per-requester owner VC id (the priority rows used).
+        unlent lender that is IDLE or ACTIVE this cycle; in a baseline
+        router nobody lends and the VC is blocked.  Returns the keep-mask
+        and per-requester owner VC id (the priority rows used).
         """
-        keep = np.ones(vc.shape, dtype=bool)
+        keep = ~fa | self.protected[vc // self.RPV]
+        if not keep.all():
+            self._count(_I_VA_BLOCK, vc[~keep] // self.PV)
         owner = vc.copy()
         borrowed: set = set()
         prev_key = None
-        for i in np.flatnonzero(fa):
+        for i in np.flatnonzero(fa & keep):
             l0, r0, p0, s0 = np.unravel_index(vc[i], self.st.shape)
             k = (l0, r0, p0)
             if k != prev_key:
@@ -771,8 +825,8 @@ class BatchedLaneEngine:
                     lender = ls
                     break
             if lender < 0:
-                self.rstats[l0, _I_VA_BORROW_WAIT] += 1
-                self.rstats[l0, _I_VA_BLOCK] += 1
+                self.rstats[_I_VA_BORROW_WAIT, l0, r0] += 1
+                self.rstats[_I_VA_BLOCK, l0, r0] += 1
                 keep[i] = False
             else:
                 borrowed.add(lender)
@@ -784,18 +838,14 @@ class BatchedLaneEngine:
         vc = np.flatnonzero(self.st_ == _WAITING_VA)
         if vc.size == 0:
             return
-        P, V, RPV = self.P, self.V, self.RPV
+        P, V, PV = self.P, self.V, self.PV
         owner = vc  # whose stage-1 arbiter set each requester uses
         borrowed = False
         if self._have_va1:
             fa = self.f_va1_[vc]
             if fa.any():
-                if self.protected:
-                    keep, owner = self._borrow_arbiters(vc, fa)
-                    borrowed = True
-                else:
-                    self._count(_I_VA_BLOCK, vc[fa] // RPV)
-                    keep = ~fa
+                keep, owner = self._borrow_arbiters(vc, fa)
+                borrowed = True
                 vc, owner = vc[keep], owner[keep]
                 if vc.size == 0:
                     return
@@ -807,13 +857,13 @@ class BatchedLaneEngine:
         da = self._vcs
         free = self._same_vnet[self.pwire_[vc]]
         free &= self.alloc.reshape(-1, V)[oport] < 0
-        if self._have_va2 and self.protected:
+        if self._have_va2:
             ex = self.excl_[vc]
             if ex.any():
                 free &= ((ex[:, None] >> da) & 1) == 0
         any_free = free.any(axis=1)
         if not any_free.all():
-            self._count(_I_VA_NOFREE, vc[~any_free] // RPV)
+            self._count(_I_VA_NOFREE, vc[~any_free] // PV)
             vc, owner, oport = vc[any_free], owner[any_free], oport[any_free]
             rt, free = rt[any_free], free[any_free]
             if vc.size == 0:
@@ -838,10 +888,11 @@ class BatchedLaneEngine:
             if faulty.any():
                 lost = faulty[seg]
                 retry = vc[order][lost]
-                self._count(_I_VA2_RETRY, retry // RPV)
-                if self.protected:
-                    # record the exclusion so the retry picks elsewhere
-                    self.excl_[retry] |= np.int64(1) << choice[order][lost]
+                self._count(_I_VA2_RETRY, retry // PV)
+                # a protected router records the exclusion, so that the
+                # retry picks elsewhere
+                prot = self.protected[retry // self.RPV]
+                self.excl_[retry[prot]] |= np.int64(1) << choice[order][lost][prot]
                 win &= ~lost
                 arb = arb[~faulty]
         self.va2_prio_[arb] = (req[win] + 1) % self.PV
@@ -852,30 +903,28 @@ class BatchedLaneEngine:
         self.st_[gvc] = _ACTIVE
         self.excl_[gvc] = 0
         self.alloc_[out[gi]] = self.vpid_[gvc]
-        self._count(_I_VA_GRANT, gvc // RPV)
+        self._count(_I_VA_GRANT, gvc // PV)
         if borrowed:
             bm = owner[gi] != gvc
             if bm.any():
-                self._count(_I_VA_BORROWED, gvc[bm] // RPV)
+                self._count(_I_VA_BORROWED, gvc[bm] // PV)
 
     def _rc_phase(self, cycle: int, local: np.ndarray) -> None:
         """Route computation — mirrors ``RCUnit``/``DuplicatedRCUnit``."""
         vc = np.flatnonzero(self.st_ == _ROUTING)
         if vc.size == 0:
             return
-        P, R, RPV = self.P, self.R, self.RPV
+        P, R = self.P, self.R
         port = vc // self.V
         if self._have_rc:
             f1 = self.f_rc1_[port]
-            if self.protected:
-                blocked = f1 & self.f_rc2_[port]
-                dup = f1 & ~blocked
-                if dup.any():
-                    self._count(_I_RC_DUP, vc[dup] // RPV)
-            else:
-                blocked = f1
+            # a baseline port has no duplicate unit to fall back on
+            blocked = f1 & (self.f_rc2_[port] | ~self.protected[port // self.RP])
+            dup = f1 & ~blocked
+            if dup.any():
+                self._count(_I_RC_DUP, port[dup] // P)
             if blocked.any():
-                self._count(_I_RC_BLOCK, vc[blocked] // RPV)
+                self._count(_I_RC_BLOCK, port[blocked] // P)
                 keep = ~blocked
                 vc, port = vc[keep], port[keep]
                 if vc.size == 0:
@@ -884,7 +933,7 @@ class BatchedLaneEngine:
         out = self.rtab[port // P % R * R + dest]
         pok = self.plan_ok_[port - port % P + out]
         if not pok.all():
-            self._count(_I_UNREACH, vc[~pok] // RPV)
+            self._count(_I_UNREACH, port[~pok] // P)
             vc, out = vc[pok], out[pok]
         self.route_[vc] = out
         self.st_[vc] = _WAITING_VA
@@ -1015,18 +1064,26 @@ class BatchedLaneEngine:
         enter the NIC queues and are stamped against it, so lanes
         installed mid-run warm up and drain on their own clocks.  Sampled
         cycles time each kernel (seven ``perf_counter`` pairs every 16th
-        cycle: under 0.01 % of a step, so there is no switch).
+        cycle: under 0.01 % of a step, so there is no switch).  Recovery
+        watches are polled after the last kernel, as the object engine
+        polls at end of cycle, so same-cycle mechanism activity counts.
         """
         prof = self.profiler
-        if not prof.should_sample(cycle):
+        if prof.should_sample(cycle):
+            for name, kernel in self._STAGES:
+                t = perf_counter()
+                kernel(self, cycle, local)
+                prof.record(name, perf_counter() - t)
+            prof.cycle_done()
+        else:
             for _, kernel in self._STAGES:
                 kernel(self, cycle, local)
-            return
-        for name, kernel in self._STAGES:
+        if self._monitors:
             t = perf_counter()
-            kernel(self, cycle, local)
-            prof.record(name, perf_counter() - t)
-        prof.cycle_done()
+            for lane, mon in self._monitors.items():
+                if mon.open_watches:
+                    mon.poll(int(local[lane]))
+            self.poll_s += perf_counter() - t
 
     def run(self) -> List[SimulationResult]:
         """Run every point to completion; results in point order.
@@ -1084,12 +1141,13 @@ class BatchedLaneEngine:
     def stage_profile(self) -> dict:
         """Where the host time went: ``StageProfiler.snapshot()`` of the
         seven kernels (sampled: scale ``time_s`` by ``sample_every`` to
-        compare with a run) plus ``install_s`` / ``retire_s``, the
-        seconds of every lane install and retirement."""
+        compare with a run) plus ``install_s`` / ``retire_s`` / ``poll_s``,
+        the seconds of every lane install, retirement and recovery poll."""
         return {
             **self.profiler.snapshot(),
             "install_s": self.install_s,
             "retire_s": self.retire_s,
+            "poll_s": self.poll_s,
         }
 
     def _retire(self, lane: int, cycle: int, blocked: bool, drained: bool) -> None:
@@ -1130,13 +1188,17 @@ class BatchedLaneEngine:
                 self.t_creation, self.t_inj, self.t_ej, self.t_hops,
             )
         ])
+        mon = self._monitors.pop(lane, None)
+        if mon is not None:
+            mon.finalize(local, stats)
         self._results[self.lane_point[lane]] = SimulationResult(
             stats=stats,
             cycles=local,
             blocked=blocked,
             drained=drained,
-            router_stats=RouterStats(*self.rstats[lane].tolist()),
+            router_stats=RouterStats(*self.rstats[:, lane].sum(axis=1).tolist()),
             faults_injected=self.faults_injected[lane],
+            recovery=None if mon is None else mon.summary(),
         )
         self.retire_s += perf_counter() - t0
         if self._pending:
@@ -1176,11 +1238,11 @@ class BatchedLaneEngine:
         t0 = perf_counter()
         for arr, value in self._power_on:
             arr[lane] = value
-        # the fault branches are skipped again once no lane needs them
-        self._have_rc = bool(self.f_rc1.any() or self.f_rc2.any())
-        self._have_va1 = bool(self.f_va1.any())
-        self._have_va2 = bool(self.f_va2.any())
-        self._have_sa1 = bool(self.f_sa1.any() or self.f_sa1b.any())
+        self.rstats[:, lane] = 0
+        self._recount_faults()
+        self.protected[lane] = (spec.router_kind or self._default_kind) == "protected"
+        if getattr(spec.fault_schedule, "wants_recovery_log", False):
+            self._monitors[lane] = RecoveryMonitor()
 
         stream = self._streams[id(spec.traffic)]
         stream[0] -= 1
@@ -1247,6 +1309,28 @@ class BatchedLaneEngine:
                 keep = ev[0] // per_lane != lane
                 if not keep.all():
                     ring[i] = tuple(a[keep] for a in ev) if keep.any() else None
+
+
+class _RouterView:
+    """One ``(lane, router)`` as ``RecoveryMonitor`` reads a router:
+    ``stats.<counter>`` is its column of the counter matrix,
+    ``buffered_flits()`` its buffer occupancy — views of the live arrays,
+    so a poll sees what the kernels counted this cycle (``buffer_writes``
+    excepted: it is kept per lane, see ``rstats``)."""
+
+    def __init__(self, engine: BatchedLaneEngine, lane: int, router: int) -> None:
+        self._counts = engine.rstats[:, lane, router]
+        self._occupancy = engine.b_cnt[lane, router]
+
+    stats = property(lambda self: self)  # not stored: a view is freed by refcount
+
+    def __getattr__(self, counter: str) -> int:
+        if counter not in _RS_IDX or counter == "buffer_writes":
+            raise AttributeError(counter)
+        return int(self._counts[_RS_IDX[counter]])
+
+    def buffered_flits(self) -> int:
+        return int(self._occupancy.sum())
 
 
 def run_lanes(

@@ -1375,10 +1375,12 @@ class TestLaneKernels:
         per_cycle = []
 
         def sa(self, cycle, local):
-            before = self.rstats[:, columns].copy()
+            # rstats is (counter, lane, router): all three ports sit on
+            # router 5, so its cells are the ones that move
+            before = self.rstats[columns, :, 5].copy()
             batched.BatchedLaneEngine._sa_phase(self, cycle, local)
-            moved = self.rstats[:, columns] - before
-            per_cycle.append((moved[0, 0], moved[0, 1], moved[1, 2]))
+            moved = self.rstats[columns, :, 5] - before  # (counter, lane)
+            per_cycle.append((moved[0, 0], moved[1, 0], moved[2, 1]))
 
         engine._STAGES = tuple(
             (name, sa if name == "sa" else kernel) for name, kernel in engine._STAGES
@@ -1460,3 +1462,288 @@ class TestLaneKernels:
         )
         assert polled == [40, 90]
         assert [lane.faults_injected for lane in lanes] == [3, 0]
+
+
+# ----------------------------------------------------------------------
+# the heal seam, the recovery monitor over the lane arrays, kind as a mask
+# ----------------------------------------------------------------------
+def _recovery_key(res):
+    """``_lane_key`` plus the whole recovery dict, NaN-safe."""
+    import json
+
+    return json.dumps((_lane_key(res), res.recovery), sort_keys=True, default=str)
+
+
+def _unmarked_transients(net, seed):
+    """A plain module-level factory: nothing on it says its schedule heals."""
+    from repro.faults import TransientSpec, make_schedule
+
+    return make_schedule(
+        TransientSpec(rate_per_cycle=0.05, cycles=300, duration=40, seed=seed),
+        config=net.router, num_routers=net.num_nodes,
+    )
+
+
+class TestHealSeam:
+    def test_a_healing_schedule_behind_a_plain_factory_heals_on_lanes(self):
+        """The lanes read ``native_heals`` off the schedule object: three
+        transient points equal ``run_point`` field for field."""
+        net = _net(4, 4, 4, 2)
+        points = [
+            LanePoint(
+                config=net, sim_config=_sim_cfg(measure=300),
+                make_traffic=_make_traffic, traffic_args=(net, 0.08, 40 + i),
+                make_schedule=_unmarked_transients, schedule_args=(net, 7 + i),
+                router_kind="protected",
+            )
+            for i in range(3)
+        ]
+        lanes, report = run_lane_sweep(points, jobs=1)
+        assert report.fallbacks == 0
+        for i, (lane, point) in enumerate(zip(lanes, points)):
+            ref = run_point(point).value
+            assert lane.faults_injected == ref.faults_injected > 0
+            assert _lane_key(lane) == _lane_key(ref), f"point {i}"
+            assert lane.recovery is None  # transients keep no recovery log
+
+    def _edge_timeline(self):
+        """Every merge rule of ``FaultTimeline``, on interior routers."""
+        from repro.faults import FaultSite, FaultUnit
+        from repro.faults.timeline import FaultTimeline, TimelineEvent
+
+        rc = FaultSite(5, FaultUnit.RC_PRIMARY, 1)
+        sa = FaultSite(5, FaultUnit.SA1_ARBITER, 3)
+        va = FaultSite(6, FaultUnit.VA1_ARBITER_SET, 2, 1)
+        mux = FaultSite(9, FaultUnit.XB_MUX, 2)
+        return FaultTimeline([
+            # healed at 100, then claimed for good: injected twice
+            TimelineEvent(60, rc, transient=True, duration=40),
+            TimelineEvent(150, rc),
+            # overlapping transients merge: one landing, one heal at 140
+            TimelineEvent(60, sa, transient=True, duration=50),
+            TimelineEvent(90, sa, transient=True, duration=50),
+            # a permanent claims the site before its heal at 170: never healed
+            TimelineEvent(70, va, transient=True, duration=100),
+            TimelineEvent(120, va),
+            # a crossbar mux out for 60 cycles: plans fall back and return
+            TimelineEvent(80, mux, transient=True, duration=60),
+        ])
+
+    def test_seam_edges_equal_the_reference_stepper(self):
+        from repro.network import batched
+
+        net, cfg = _ENV_NET, _sim_cfg(measure=250)
+        kinds = ("protected", "baseline")
+
+        def traffic():
+            return SyntheticTraffic(net, 0.15, mix=COHERENCE_MIX, rng=31)
+
+        stream = traffic()  # one source, held by both lanes
+        engine = batched.BatchedLaneEngine(
+            net, cfg, [LaneSpec(stream, self._edge_timeline(), kind) for kind in kinds]
+        )
+        plans = {}
+
+        def faults(self, cycle, local):
+            batched.BatchedLaneEngine._inject_lane_faults(self, cycle, local)
+            plans[cycle] = [  # (ok, arbiter, secondary) of router 9's output 2
+                (bool(self.plan_ok[lane, 9, 2]), int(self.plan_arb[lane, 9, 2]),
+                 bool(self.plan_sec[lane, 9, 2]))
+                for lane in range(2)
+            ]
+
+        engine._STAGES = (("faults", faults),) + engine._STAGES[1:]
+        lanes = engine.run()
+        healthy = (True, 2, False)
+        assert plans[79] == [healthy, healthy]
+        # the protected lane takes output 1's secondary path, the baseline
+        # lane loses the output
+        assert plans[80] == plans[139] == [(True, 1, True), (False, 2, False)]
+        assert plans[140] == [healthy, healthy]
+        assert not engine.f_xbm.any() and not engine.f_sa1.any()
+        assert engine.f_rc1[:, 5, 1].all() and engine.f_va1[:, 6, 2, 1].all()
+        for lane, kind in zip(lanes, kinds):
+            assert lane.faults_injected == 5
+            assert lane.recovery["events"] == 5 and lane.recovery["healed"] == 3
+            healed = [r["healed_at"] for r in lane.recovery["records"]]
+            assert sorted(h for h in healed if h is not None) == [100, 140, 140]
+            ref = _event_reference(
+                net, cfg, LaneSpec(traffic(), self._edge_timeline()),
+                _factory(net, kind), use_reference_stepper=True,
+            )
+            assert _recovery_key(lane) == _recovery_key(ref), kind
+
+    def test_skip_flags_fall_after_the_last_heal(self):
+        from repro.faults import FaultSite, FaultUnit
+        from repro.faults.transient import TransientFault, TransientFaultSchedule
+        from repro.network.batched import BatchedLaneEngine
+
+        net, cfg = _net(4, 4, 4, 2), _sim_cfg(measure=150)
+        sites = (
+            FaultSite(5, FaultUnit.RC_PRIMARY, 1),
+            FaultSite(5, FaultUnit.VA1_ARBITER_SET, 2, 1),
+            FaultSite(6, FaultUnit.VA2_ARBITER, 3, 0),
+            FaultSite(9, FaultUnit.SA1_ARBITER, 4),
+        )
+
+        def spec():
+            return LaneSpec(
+                SyntheticTraffic(net, 0.1, mix=COHERENCE_MIX, rng=70),
+                TransientFaultSchedule(
+                    TransientFault(40 + 10 * i, site, duration=50)
+                    for i, site in enumerate(sites)
+                ),
+                "protected",
+            )
+
+        engine = BatchedLaneEngine(net, cfg, [spec()])
+        set_site = engine._set_site
+        flags = []
+
+        def spy(lane, site, faulty):
+            changed = set_site(lane, site, faulty)
+            flags.append([
+                engine._have_rc, engine._have_va1, engine._have_va2, engine._have_sa1
+            ])
+            return changed
+
+        engine._set_site = spy
+        lanes = engine.run()
+        assert flags[3] == [True] * 4  # four landings, then four heals
+        assert flags[4:] == [
+            [False, True, True, True], [False, False, True, True],
+            [False, False, False, True], [False] * 4,
+        ]
+        _assert_equal_reference_stepper(lanes, [spec()], net, cfg)
+
+    @pytest.mark.parametrize("beside_a_va2_fault", [False, True])
+    def test_an_exclusion_outlives_the_heal_of_its_va2_fault(self, beside_a_va2_fault):
+        """``heal_fault`` leaves ``va_excluded`` to the VC's next grant: a
+        requester that recorded an exclusion keeps avoiding the healed
+        downstream VC, whether or not a co-resident lane still holds a VA2
+        fault (which alone would keep the engine's skip flag up)."""
+        from repro.faults import ExplicitFaultSchedule, FaultSite, FaultUnit
+        from repro.faults.timeline import FaultTimeline, TimelineEvent
+        from repro.network.batched import BatchedLaneEngine
+
+        net, cfg = _ENV_NET, _sim_cfg(measure=250)
+
+        def spec(kind="protected"):
+            # one of each vnet's two downstream VCs, on every mesh-facing
+            # output of the four interior routers, out from 80 to 120
+            return LaneSpec(
+                SyntheticTraffic(net, 0.3, mix=COHERENCE_MIX, rng=31),
+                FaultTimeline([
+                    TimelineEvent(
+                        80, FaultSite(r, FaultUnit.VA2_ARBITER, port, vc),
+                        transient=True, duration=40,
+                    )
+                    for r in (5, 6, 9, 10) for port in range(1, 5) for vc in (0, 2)
+                ]),
+                kind,
+            )
+
+        specs = [spec()]
+        if beside_a_va2_fault:
+            specs.append(LaneSpec(
+                SyntheticTraffic(net, 0.05, mix=COHERENCE_MIX, rng=32),
+                ExplicitFaultSchedule(_sites((10, 5, "VA2_ARBITER", 2, 1))),
+                "protected",
+            ))
+        engine = BatchedLaneEngine(net, cfg, specs)
+        set_site = engine._set_site
+        held = []  # exclusions lane 0 holds as each of its sites heals
+
+        def spy(lane, site, faulty):
+            changed = set_site(lane, site, faulty)
+            if lane == 0 and not faulty:
+                held.append(int(np.count_nonzero(engine.excl[0])))
+                assert engine._have_va2
+            return changed
+
+        engine._set_site = spy
+        lanes = engine.run()
+        assert len(held) == 32 and held[-1] > 0  # the window is hit
+        assert lanes[0].recovery["healed"] == 32
+        ref = _event_reference(
+            net, cfg, spec(None), _factory(net, "protected"), use_reference_stepper=True
+        )
+        assert _recovery_key(lanes[0]) == _recovery_key(ref)
+
+    def test_a_baseline_lane_beside_a_protected_one_has_no_spares(self):
+        """One engine, one traffic stream, the same four permanent faults:
+        the protected lane corrects each, the baseline lane only blocks."""
+        from repro.faults import ExplicitFaultSchedule
+
+        net, cfg = _ENV_NET, _ENV_SIM
+        faults = _sites(
+            (60, 5, "RC_PRIMARY", 1), (60, 5, "VA1_ARBITER_SET", 2, 1),
+            (60, 5, "SA1_ARBITER", 3), (60, 5, "XB_MUX", 4),
+        )
+        kinds = ("baseline", "protected")
+
+        def traffic():
+            return SyntheticTraffic(net, 0.15, mix=COHERENCE_MIX, rng=902)
+
+        # the engine's own kind is the other one for each lane in turn
+        for default in kinds:
+            stream = traffic()  # one source, held by both lanes
+            lanes = run_lanes(
+                net, cfg,
+                [LaneSpec(stream, ExplicitFaultSchedule(faults), kind) for kind in kinds],
+                router_factory=_factory(net, default),
+            )
+            base, prot = (lane.router_stats for lane in lanes)
+            for mechanism in (
+                "rc_duplicate_computations", "va_borrowed_grants",
+                "sa_bypass_grants", "secondary_path_grants",
+            ):
+                assert getattr(base, mechanism) == 0, mechanism
+                assert getattr(prot, mechanism) > 0, mechanism
+            for symptom in (
+                "rc_blocked_cycles", "va_blocked_cycles", "sa_blocked_cycles",
+                "unreachable_output_cycles",
+            ):
+                assert getattr(base, symptom) > 0, symptom
+            assert base.va_borrow_wait_cycles == 0
+            assert lanes[0].blocked and not lanes[1].blocked
+            for lane, kind in zip(lanes, kinds):
+                ref = _event_reference(
+                    net, cfg, LaneSpec(traffic(), ExplicitFaultSchedule(faults)),
+                    _factory(net, kind), use_reference_stepper=True,
+                )
+                assert _lane_key(lane) == _lane_key(ref), kind
+
+    def test_a_router_view_reads_watched_counters_only(self):
+        """``buffer_writes`` is a per-lane total kept in router 0's cell:
+        the view refuses it, no watch names it, and a dropped view is
+        freed by refcount (no ``stats`` self-reference)."""
+        import gc
+        import weakref
+
+        from repro.faults import FaultUnit
+        from repro.faults.recovery import watch_counters
+        from repro.network.batched import BatchedLaneEngine, _RouterView
+        from repro.traffic.generator import NullTraffic
+
+        engine = BatchedLaneEngine(_ENV_NET, _ENV_SIM, [LaneSpec(NullTraffic(), None)])
+        view = _RouterView(engine, 0, 0)
+        assert view.stats is view and view.buffered_flits() == 0
+        for unit in FaultUnit:
+            for counter in watch_counters(unit):
+                assert getattr(view.stats, counter) == 0
+        with pytest.raises(AttributeError):
+            view.buffer_writes
+        gc.disable()
+        try:
+            gone = weakref.ref(view)
+            del view
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_a_lane_kind_without_an_array_model_is_refused(self):
+        from repro.traffic.generator import NullTraffic
+
+        with pytest.raises(ValueError, match="roco"):
+            run_lanes(_ENV_NET, _ENV_SIM, [LaneSpec(NullTraffic(), None, "roco")])

@@ -1,12 +1,14 @@
 """Online fault-injection campaigns (:mod:`repro.experiments.fault_campaign`).
 
-Covers the tentpole contract: timelines as resilient sweep points
-(checkpointed, resumable — truncated-checkpoint and SIGKILL flavours),
-recovery metrics measured per router kind, the batched-engine decline
-for fabric-mutating schedules, and the degradation-over-lifetime report
-joining the FIT model with measured recovery.
+Covers the tentpole contract: timelines as lanes of the batched engine
+under the resilient runtime (checkpointed and resumable at chunk
+granularity — truncated-checkpoint and SIGKILL flavours), recovery
+metrics measured per router kind, the per-point fallback for kinds with
+no array model, and the degradation-over-lifetime report joining the FIT
+model with measured recovery.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -17,11 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import NetworkConfig, RouterConfig, SimulationConfig
+from repro.config import NetworkConfig, RouterConfig, SimulationConfig, replace
 from repro.core.protected_router import protected_router_factory
-from repro.experiments import fault_campaign
+from repro.experiments import fault_campaign, parallel
 from repro.experiments.fault_campaign import CampaignConfig
 from repro.experiments.latency import LatencyConfig
+from repro.experiments.parallel import run_point
 from repro.faults import TimelineSpec, make_schedule
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import reset_packet_ids
@@ -60,17 +63,18 @@ class TestCampaignRun:
             assert row["exposed_flits"] >= 0
 
     def test_timeline_points_fall_back_to_event_engine(self, result):
-        sweep = result.extras["sweep"]
-        reasons = {
-            reason
-            for shard in sweep.shards
-            for reason in shard.fallback_reasons
-        }
-        assert any("mutates the fabric" in r for r in reasons)
-        # 2 kinds x (1 reference + 2 timelines): every point fell back
-        # (references are singleton structural groups below the lane
-        # batching threshold)
-        assert sum(s.fallbacks for s in sweep.shards) == 6
+        """Only where the router kind has no array model: baseline and
+        protected timelines, references included, run as lanes."""
+        assert result.extras["sweep"].fallbacks == 0
+        with_roco = _run(
+            replace(QUICK_CAMPAIGN, router_kinds=("baseline", "protected", "roco"))
+        )
+        sweep = with_roco.extras["sweep"]
+        # roco's reference + 2 timelines, and nothing else
+        assert sweep.fallbacks == 3
+        assert len(sweep.fallback_reasons) == 1
+        assert "router kind 'roco'" in sweep.fallback_reasons[0]
+        assert with_roco.extras["rows"][:2] == result.extras["rows"]
 
     def test_degradation_report_joins_fit_model(self, result):
         deg = result.extras["degradation"]
@@ -96,6 +100,101 @@ class TestCampaignRun:
     def test_serial_equals_parallel(self, result):
         parallel = _run(jobs=2)
         assert parallel.extras["rows"] == result.extras["rows"]
+
+
+MIXED_CAMPAIGN = CampaignConfig(
+    timelines=3,
+    router_kinds=("baseline", "protected"),
+    timeline=TimelineSpec(events=5, mean_interval=100.0, transient_fraction=0.5),
+    # a drain too short for a wedged baseline mesh: flits are left stranded
+    latency=LatencyConfig(
+        width=4, height=4,
+        warmup_cycles=150, measure_cycles=450, drain_cycles=300, seed=7,
+    ),
+    app="ocean",
+)
+
+
+def _point_key(res):
+    """Every field the ledger reads back, plus the whole recovery dict
+    (records, ``healed_at``, ``stranded_flits``); NaN-safe."""
+    return json.dumps(
+        (
+            res.cycles, res.drained, res.blocked, res.faults_injected,
+            res.stats.summary(), dataclasses.asdict(res.router_stats),
+            res.recovery,
+        ),
+        sort_keys=True, default=str,
+    )
+
+
+class TestCampaignLanes:
+    """A campaign's points as lanes: 2 kinds x (reference + 3 timelines),
+    half of the events transient, all eight in one engine."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self):
+        """``(points, lane results)`` of the one lane sweep behind a run."""
+        calls = []
+        run_lane_sweep = parallel.run_lane_sweep
+
+        def hook(points, **kwargs):
+            points = list(points)
+            results, report = run_lane_sweep(points, **kwargs)
+            calls.append((points, results, report))
+            return results, report
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "run_lane_sweep", hook)
+            _run(MIXED_CAMPAIGN)
+        (points, results, report), = calls
+        assert report.fallbacks == 0
+        return points, results
+
+    def test_every_lane_equals_both_object_steppers(self, campaign):
+        records = []
+        for point, lane in zip(*campaign):
+            assert _point_key(lane) == _point_key(run_point(point).value), point.label
+            reference = NoCSimulator(
+                point.config, point.sim_config,
+                point.make_traffic(*point.traffic_args),
+                router_factory=parallel._resolve_factory(point.router_kind, point.config),
+                fault_schedule=(
+                    point.make_schedule(*point.schedule_args)
+                    if point.make_schedule else None
+                ),
+                use_reference_stepper=True,
+            ).run()
+            assert _point_key(lane) == _point_key(reference), point.label
+            if point.make_schedule is None:
+                assert lane.recovery is None
+            else:
+                records += lane.recovery["records"]
+        # the scenario reaches the heal seam and both ends of a watch
+        assert any(r["healed_at"] is not None for r in records)
+        assert any(r["recovered_at"] is not None for r in records)
+        assert any(r["stranded_flits"] for r in records)
+
+    def test_width_and_kind_grouping_invariance(self, campaign):
+        """One mixed engine, one engine per kind, and width 1 — where a
+        monitored lane is installed into the slot a monitored lane left."""
+        points, mixed = campaign
+        expected = [_point_key(lane) for lane in mixed]
+
+        def chunk(idxs, width):
+            out = parallel._lane_batched_chunk(tuple(points[i] for i in idxs), width)
+            return dict(zip(idxs, map(_point_key, out.value)))
+
+        per_kind = {}
+        for kind in MIXED_CAMPAIGN.router_kinds:
+            per_kind.update(chunk(
+                [i for i, p in enumerate(points) if p.router_kind == kind],
+                parallel.DEFAULT_LANE_WIDTH,
+            ))
+        serial = chunk(range(len(points)), 1)
+        for i, key in enumerate(expected):
+            assert per_kind[i] == key, points[i].label
+            assert serial[i] == key, points[i].label
 
 
 class TestCampaignConfigValidation:
@@ -160,23 +259,28 @@ class TestRecoveryDeterminism:
 
 
 class TestCampaignResumeGolden:
-    """Resume splices checkpointed timelines bit-identically."""
+    """Resume splices checkpointed lane chunks bit-identically."""
 
     def test_truncated_checkpoint_resume_matches(self, tmp_path):
-        full = _run(out_dir=tmp_path / "run")
+        # a record is a lane chunk: the 2 kinds x (1 reference + 2
+        # timelines) are one chunk at one job, two chunks of three at two
+        full = _run(jobs=2, out_dir=tmp_path / "run")
         jsonl = tmp_path / "run" / "sweep-000.jsonl"
         lines = jsonl.read_text().splitlines()
-        assert len(lines) == 6  # 2 kinds x (1 reference + 2 timelines)
-        jsonl.write_text("\n".join(lines[:3]) + "\n")
+        assert len(lines) == 2
+        jsonl.write_text(lines[0] + "\n")
 
-        resumed = _run(resume=tmp_path / "run")
+        resumed = _run(jobs=2, resume=tmp_path / "run")
         assert resumed.rows == full.rows
         assert resumed.extras["rows"] == full.extras["rows"]
-        assert resumed.extras["sweep"].resumed == 3
+        assert resumed.extras["sweep"].resumed == 3  # counted in points
 
 
 #: subprocess driver: SIGKILL the whole process group mid-campaign, then
-#: resume from the same run directory (timeline-granularity checkpoints)
+#: resume from the same run directory.  One job, so the order is fixed:
+#: the protected reference and timelines run as one lane chunk and
+#: checkpoint as one record, then roco's three points (no array model)
+#: follow one by one on the event engine — the kill lands among those
 _DRIVER = """\
 import json, sys
 
@@ -187,8 +291,8 @@ from repro.faults import TimelineSpec
 mode, run_dir, out_json, measure = sys.argv[1:5]
 
 config = CampaignConfig(
-    timelines=3,
-    router_kinds=("protected",),
+    timelines=2,
+    router_kinds=("protected", "roco"),
     timeline=TimelineSpec(events=3, mean_interval=150.0),
     latency=LatencyConfig(
         width=4, height=4, warmup_cycles=200,
@@ -197,7 +301,7 @@ config = CampaignConfig(
     app="lu",
 )
 kw = {"resume": run_dir} if mode == "resume" else {"out_dir": run_dir}
-res = run(config, jobs=2, **kw)
+res = run(config, jobs=1, **kw)
 with open(out_json, "w") as fp:
     json.dump(
         {
@@ -230,8 +334,9 @@ class TestKillMidCampaign:
 
         # one measure window everywhere: the resilient runtime pins the
         # resumed configuration to the checkpointed one, and the window
-        # is long enough (~2 s per point) that the kill lands mid-run
-        measure = 12_000
+        # is long enough (~1 s per roco point) that the kill lands while
+        # they run, after the lane chunk's record
+        measure = 6_000
         ref_json = tmp_path / "ref.json"
         proc = _spawn(script, "run", tmp_path / "ref-run", ref_json, measure)
         assert proc.wait(timeout=300) == 0
@@ -249,7 +354,7 @@ class TestKillMidCampaign:
                 pytest.fail("driver exited before it could be killed")
             time.sleep(0.02)
         else:
-            pytest.fail("no checkpointed timeline appeared within 120s")
+            pytest.fail("no checkpointed lane chunk appeared within 120s")
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
         assert not kill_json.exists()
@@ -259,4 +364,5 @@ class TestKillMidCampaign:
         assert proc.wait(timeout=300) == 0
         resumed = json.loads(resume_json.read_text())
         assert resumed["rows"] == reference["rows"]
-        assert 1 <= resumed["resumed"] <= 4
+        # the chunk's three points, and the roco points that beat the kill
+        assert 3 <= resumed["resumed"] < 6

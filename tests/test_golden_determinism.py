@@ -259,6 +259,42 @@ class TestBatchedLaneGolden:
             ).run()
             self._assert_lane_matches(batched, ref)
 
+    def test_timeline_lanes_bit_identical(self):
+        """A fault timeline (half its events transient) x {baseline,
+        protected} as lanes of one engine: heals and the recovery log
+        equal the event engine's, record for record."""
+        from repro.faults.timeline import random_timeline
+        from repro.network.batched import LaneSpec, run_lanes
+
+        net, sim_cfg = self._scenario()
+
+        def timeline():
+            return random_timeline(
+                net.router, net.num_nodes, events=10, mean_interval=40.0,
+                transient_fraction=0.5, transient_duration=48, rng=11,
+                first_event_at=50,
+            )
+
+        kinds = {
+            "baseline": baseline_router_factory(net),
+            "protected": protected_router_factory(net),
+        }
+        reset_packet_ids()
+        lanes = run_lanes(
+            net, sim_cfg,
+            [LaneSpec(self._traffic(net), timeline(), kind) for kind in kinds],
+        )
+        for batched, factory in zip(lanes, kinds.values()):
+            reset_packet_ids()
+            ref = NoCSimulator(
+                net, sim_cfg, self._traffic(net),
+                router_factory=factory, fault_schedule=timeline(),
+            ).run()
+            self._assert_lane_matches(batched, ref)
+            assert batched.recovery == ref.recovery
+            assert batched.recovery["events"] == 10
+            assert batched.recovery["healed"] > 0
+
     def test_multicycle_latency_lanes_bit_identical(self):
         """Same golden with 2-cycle links and 3-cycle credit return.
 
