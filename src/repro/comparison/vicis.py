@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 
@@ -123,6 +122,8 @@ def best_port_swap(
     a full crossbar in Vicis); maximum bipartite matching keeps the
     formulation general for partial swap networks.
     """
+    import networkx as nx  # here, not at import: see network/topology.py
+
     g = nx.Graph()
     dirs = [("d", d) for d in required_directions]
     ports = [("p", p) for p in healthy_ports]

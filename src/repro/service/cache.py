@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
@@ -66,6 +66,9 @@ class CacheEntry:
     ``compute`` non-semantic provenance (wall time, sweep shape) that is
     deliberately excluded from ``sha256``'s coverage — it describes the
     one computation that produced the entry, not the answer itself.
+    ``digest`` is ``payload_digest(result)`` when whoever built the entry
+    has already computed it (a validated read has, to check the file);
+    :meth:`to_json` hashes the payload itself only when it is ``None``.
     """
 
     fingerprint: str
@@ -73,6 +76,7 @@ class CacheEntry:
     request: Any
     result: Dict[str, Any]
     compute: Dict[str, Any]
+    digest: Optional[str] = field(default=None, compare=False)
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -82,7 +86,7 @@ class CacheEntry:
             "request": self.request,
             "result": self.result,
             "compute": self.compute,
-            "sha256": payload_digest(self.result),
+            "sha256": self.digest or payload_digest(self.result),
         }
 
 
@@ -161,9 +165,7 @@ class ResultCache:
         path = self.path_for(fingerprint)
         try:
             raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
+        except OSError:  # FileNotFoundError included: a plain miss
             return None
         try:
             entry = self._validate(fingerprint, raw)
@@ -211,6 +213,7 @@ class ResultCache:
             request=data.get("request"),
             result=result,
             compute=dict(data.get("compute") or {}),
+            digest=digest,
         )
 
     # ------------------------------------------------------------------

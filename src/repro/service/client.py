@@ -2,9 +2,14 @@
 
 Used by the load test (``benchmarks/bench_sweep_service.py``), the CI
 ``service`` job, and anything else that wants protected-router numbers
-without running a simulator: open a connection per request (the server
-is ``Connection: close``), speak minimal HTTP/1.1, decode either a
-``Content-Length`` JSON body or a chunked NDJSON stream.
+without running a simulator: speak minimal HTTP/1.1, decode either a
+``Content-Length`` JSON body or a chunked NDJSON stream.  Connections
+persist: a client keeps those its replies left open and sends its next
+request on one (concurrent requests take one each).  A kept connection
+the server has dropped since (restart, idle timeout) is replaced and the
+request sent once more — safe, every endpoint being a read or the
+content-addressed, idempotent ``/v1/sweeps``.  Connections belong to the
+event loop that opened them: a new ``asyncio.run`` starts from none.
 
 >>> client = ServiceClient("127.0.0.1", 8733)
 >>> reply = await client.sweep("fault_sweep", {"fault_counts": [0, 8]})
@@ -37,6 +42,9 @@ class ServiceClient:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: connections of ``_loop`` a complete keep-alive reply left open
+        self._idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
 
     # ------------------------------------------------------------------
     # raw HTTP
@@ -54,48 +62,49 @@ class ServiceClient:
         ``on_line`` as it arrives and the *last* line is returned as the
         body — the server's final line is the result (or error) event.
         """
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            payload = b"" if body is None else json.dumps(body).encode()
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Content-Type: application/json\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: close\r\n\r\n"
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            # streams of a finished loop cannot even be closed on it;
+            # dropped, their sockets close when they are collected
+            self._loop, self._idle = loop, []
+        payload = b"" if body is None else json.dumps(body).encode()
+        message = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {self.host}:{self.port}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n\r\n"
+        ).encode() + payload
+        reused = bool(self._idle)
+        while True:
+            reader, writer = (
+                self._idle.pop()
+                if reused
+                else await asyncio.open_connection(self.host, self.port)
             )
-            writer.write(head.encode() + payload)
-            await writer.drain()
-
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split(None, 2)
-            status = int(parts[1]) if len(parts) >= 2 else 0
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-
-            if headers.get("transfer-encoding", "").lower() == "chunked":
-                last: Any = None
-                for raw in await _read_chunked_lines(reader):
-                    decoded = json.loads(raw)
-                    last = decoded
-                    if on_line is not None:
-                        on_line(decoded)
-                return status, last
-            length = int(headers.get("content-length", "0") or "0")
-            raw_body = await reader.readexactly(length) if length else b""
-            decoded = json.loads(raw_body) if raw_body.strip() else None
-            return status, decoded
-        finally:
+            keep = False
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                try:
+                    writer.write(message)
+                    await writer.drain()
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except (ConnectionError, asyncio.IncompleteReadError) as exc:
+                    if not reused:
+                        raise ConnectionResetError(
+                            "server closed the connection before replying"
+                        ) from exc
+                    reused = False  # dropped while idle: once more, afresh
+                    continue
+                status, decoded, keep = await _read_reply(head, reader, on_line)
+                return status, decoded
+            finally:
+                if keep:
+                    self._idle.append((reader, writer))
+                else:
+                    try:
+                        writer.close()
+                        await writer.wait_closed()
+                    except (ConnectionError, OSError):
+                        pass
 
     # ------------------------------------------------------------------
     # API surface
@@ -183,6 +192,33 @@ class ServiceClient:
         if status != 200:
             raise ServiceError(status, last)
         return last
+
+
+async def _read_reply(
+    head: bytes,
+    reader: asyncio.StreamReader,
+    on_line: Optional[Callable[[dict], None]],
+) -> Tuple[int, Any, bool]:
+    """The reply behind ``head``: ``(status, JSON, connection stays open)``."""
+    status_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+    parts = status_line.split(None, 2)
+    status = int(parts[1]) if len(parts) >= 2 else 0
+    headers: Dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        last: Any = None
+        for raw in await _read_chunked_lines(reader):
+            last = json.loads(raw)
+            if on_line is not None:
+                on_line(last)
+        return status, last, False  # the server ends a stream's connection
+    length = int(headers.get("content-length", "0") or "0")
+    raw_body = await reader.readexactly(length) if length else b""
+    decoded = json.loads(raw_body) if raw_body.strip() else None
+    return status, decoded, headers.get("connection", "").lower() != "close"
 
 
 async def _read_chunked_lines(reader: asyncio.StreamReader) -> List[bytes]:

@@ -30,6 +30,7 @@ recomputation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import types
 import typing
@@ -79,12 +80,21 @@ def _unwrap_optional(tp: Any) -> Any:
     return tp
 
 
-def _field_types(cls: type) -> Dict[str, Any]:
-    """Resolved (PEP 563-safe) field name -> type map of a dataclass."""
+@functools.cache
+def _field_types(cls: type) -> Mapping[str, Any]:
+    """Field name -> resolved (PEP 563-safe, ``Optional`` unwrapped) type.
+
+    Memoised per config class (``get_type_hints`` compiles every string
+    annotation again on each call); the map is shared — never mutate it.
+    """
     try:
-        return typing.get_type_hints(cls)
+        hints = typing.get_type_hints(cls)
     except Exception:  # pragma: no cover — unresolvable forward ref
-        return {f.name: f.type for f in dataclasses.fields(cls)}
+        hints = {f.name: f.type for f in dataclasses.fields(cls)}
+    return {
+        f.name: _unwrap_optional(hints.get(f.name, Any))
+        for f in dataclasses.fields(cls)
+    }
 
 
 def build_config(name: str, data: Optional[Mapping[str, Any]]) -> Any:
@@ -112,19 +122,17 @@ def _build(cls: type, data: Mapping[str, Any], where: str) -> Any:
             f"{where}: expected an object for {cls.__name__}, "
             f"got {type(data).__name__}"
         )
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    types = _field_types(cls)
+    unknown = set(data) - set(types)
     if unknown:
         raise RequestError(
             f"{where}: unknown {cls.__name__} field(s) {sorted(unknown)}; "
-            f"valid fields: {sorted(fields)}"
+            f"valid fields: {sorted(types)}"
         )
-    types = _field_types(cls)
-    kwargs: Dict[str, Any] = {}
-    for key, raw in data.items():
-        kwargs[key] = _coerce(
-            raw, _unwrap_optional(types.get(key, Any)), f"{where}.{key}"
-        )
+    kwargs: Dict[str, Any] = {
+        key: _coerce(raw, types[key], f"{where}.{key}")
+        for key, raw in data.items()
+    }
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -23,7 +23,8 @@ hit/join/miss decision is atomic on the event loop.
 
 Counters (``service.requests``, ``service.cache_hits``,
 ``service.cache_misses``, ``service.dedup_joined``,
-``service.computations``, ``service.cache_poisoned``, …) live in an
+``service.computations``, ``service.cache_poisoned``,
+``service.connections``, …) live in an
 observability :class:`~repro.observability.metrics.MetricsRegistry`
 exposed at ``GET /v1/stats``.
 """
@@ -53,11 +54,13 @@ from .results import render_result
 __all__ = ["SweepService"]
 
 _MAX_BODY = 4 << 20  # a config JSON has no business being larger
+_IDLE_TIMEOUT_S = 30.0  # how long a connection may sit between requests
 _EOF = object()
 
 
-class _ComputeError(RuntimeError):
-    """A computation failed; carries the HTTP payload for subscribers."""
+class _HttpError(RuntimeError):
+    """An error reply to send: a failed computation's, to every
+    subscriber, or a malformed request head's."""
 
     def __init__(self, status: int, payload: Dict[str, Any]) -> None:
         super().__init__(payload.get("error", "computation failed"))
@@ -110,6 +113,10 @@ class SweepService:
         self._fallback_reasons: Dict[str, int] = {}
         self._slots = asyncio.Semaphore(max(1, max_concurrent))
         self._server: Optional[asyncio.base_events.Server] = None
+        #: open connection -> does it outlive the reply being written
+        #: (its request allowed that, and no reply has ended it since)
+        self._keep_alive: Dict[asyncio.StreamWriter, bool] = {}
+        self._handlers: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -125,13 +132,28 @@ class SweepService:
         return self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled (``start()`` is already accepting).
+
+        Not ``Server.serve_forever()``: cancelled, it waits (from 3.12)
+        for every connection before :meth:`close` could drop the idle ones.
+        """
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
+        """Stop accepting, drop every connection, wait for its handler.
+
+        An idle one would hold ``wait_closed()`` for ``_IDLE_TIMEOUT_S``
+        (from 3.12) or have its handler cancelled with a traceback when
+        the loop ends (to 3.11).  A request in flight sees a clean EOF;
+        its computation still finishes and is cached.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in list(self._keep_alive):
+                writer.close()
+            if self._handlers:
+                await asyncio.wait(self._handlers)
             await self._server.wait_closed()
 
     # ------------------------------------------------------------------
@@ -140,20 +162,37 @@ class SweepService:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection: requests in order until either side closes."""
+        self.registry.inc("service.connections")
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+        self._keep_alive[writer] = True
         try:
-            request = await self._read_request(reader)
-            if request is not None:
-                method, path, body = request
+            while self._keep_alive[writer]:
+                try:
+                    request = await self._read_request(reader, writer)
+                except _HttpError as exc:
+                    # the stream cannot be resynchronised: never reused
+                    self._keep_alive[writer] = False
+                    await self._respond(writer, exc.status, exc.payload)
+                    break
+                if request is None:
+                    break
+                method, path, body, keep_alive = request
+                self._keep_alive[writer] = keep_alive
                 await self._route(writer, method, path, body)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; any shared computation keeps running
         except Exception:  # pragma: no cover — defensive
             traceback.print_exc()
+            self._keep_alive[writer] = False
             try:
                 await self._respond(writer, 500, {"error": "internal error"})
             except ConnectionError:
                 pass
         finally:
+            del self._keep_alive[writer]
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -161,30 +200,46 @@ class SweepService:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes]]:
-        line = await reader.readline()
-        if not line:
-            return None
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """The next ``(method, target, body, keep_alive)`` off the stream.
+
+        ``None`` when the peer closed, or sat idle for ``_IDLE_TIMEOUT_S``,
+        instead of sending one.
+        """
+        idle = asyncio.get_running_loop().call_later(
+            _IDLE_TIMEOUT_S, writer.close
+        )
         try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            return None
-        length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    length = 0
-        if length > _MAX_BODY:
-            raise ConnectionError("request body too large")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, body
+            try:
+                head = await reader.readuntil(b"\r\n\r\n")
+            except asyncio.IncompleteReadError:
+                return None
+            except asyncio.LimitOverrunError:
+                raise _HttpError(431, {"error": "head too large"}) from None
+            request_line, *lines = head[:-4].decode("latin-1").split("\r\n")
+            try:
+                method, target, version = request_line.split()
+            except ValueError:
+                raise _HttpError(400, {"error": "bad request line"}) from None
+            headers: Dict[str, str] = {}
+            for line in lines:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            declared = headers.get("content-length", "0")
+            if not (declared.isascii() and declared.isdigit()):
+                raise _HttpError(400, {"error": f"bad Content-Length {declared!r}"})
+            length = int(declared)
+            if length > _MAX_BODY:
+                raise _HttpError(413, {"error": f"body over {_MAX_BODY} bytes"})
+            body = await reader.readexactly(length)
+        finally:
+            idle.cancel()
+        keep_alive = (
+            version.upper() == "HTTP/1.1"
+            and headers.get("connection", "").lower() != "close"
+        )
+        return method.upper(), target, body, keep_alive
 
     async def _respond(
         self,
@@ -193,15 +248,17 @@ class SweepService:
         payload: Dict[str, Any],
     ) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        connection = "keep-alive" if self._keep_alive.get(writer) else "close"
         writer.write(
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n".encode() + body
+            f"Connection: {connection}\r\n\r\n".encode() + body
         )
         await writer.drain()
 
     async def _start_stream(self, writer: asyncio.StreamWriter) -> None:
+        self._keep_alive[writer] = False  # a chunked reply ends its connection
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -365,7 +422,7 @@ class SweepService:
     ) -> None:
         try:
             entry_json = await asyncio.shield(flight.task)
-        except _ComputeError as exc:
+        except _HttpError as exc:
             await self._respond(writer, exc.status, exc.payload)
             return
         await self._answer(writer, False, entry_json, cached=False)
@@ -399,7 +456,7 @@ class SweepService:
                     writer,
                     {"event": "result", "cached": False, **entry_json},
                 )
-            except _ComputeError as exc:
+            except _HttpError as exc:
                 await self._send_event(
                     writer,
                     {"event": "error", "status": exc.status, **exc.payload},
@@ -475,7 +532,7 @@ class SweepService:
                     result = await asyncio.to_thread(work)
                 except PartialSweepError as exc:
                     self.registry.inc("service.partial_failures")
-                    raise _ComputeError(
+                    raise _HttpError(
                         503,
                         {
                             "error": "partial sweep: retries exhausted on "
@@ -487,7 +544,7 @@ class SweepService:
                     ) from exc
                 except Exception as exc:
                     self.registry.inc("service.failures")
-                    raise _ComputeError(
+                    raise _HttpError(
                         500,
                         {
                             "error": f"{type(exc).__name__}: {exc}",
@@ -527,6 +584,8 @@ _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

@@ -10,11 +10,23 @@ Three groups:
   poisoned-entry eviction;
 * **server end-to-end** — an in-process asyncio server driven by the
   stdlib client: cold compute, warm hit, in-flight dedup, streaming,
-  poisoning recovery, and error paths.
+  poisoning recovery, and error paths;
+* **connections** — persistence and when either side ends it, the
+  client's retry on a connection dropped while idle, malformed request
+  heads, and shutdown, driven by the client and by raw sockets.
 """
 
 import asyncio
+import dataclasses
+import gc
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+import typing
 
 import pytest
 
@@ -29,7 +41,9 @@ from repro.service import (
     effective_config,
     request_fingerprint,
 )
-from repro.service.cache import make_entry
+from repro.service import cache as cache_module
+from repro.service import fingerprint as fingerprint_module
+from repro.service.cache import make_entry, payload_digest
 from repro.service.fingerprint import RequestError, canonical
 
 #: a deliberately tiny fault sweep: two points, sub-second each
@@ -132,6 +146,39 @@ class TestFingerprint:
         with pytest.raises(RequestError):
             build_config("fault_sweep", {"latency": {"widht": 4}})
 
+    def test_bad_shapes_rejected_on_every_request(self):
+        """The per-class type memo must not turn the second bad request
+        into anything but the first one's RequestError."""
+        for _ in range(2):
+            with pytest.raises(RequestError, match="expected an object"):
+                build_config("fault_sweep", {"latency": 5})
+            with pytest.raises(RequestError, match="expected a list"):
+                build_config("fault_sweep", {"fault_counts": 3})
+            with pytest.raises(RequestError, match="widht"):
+                build_config("fault_sweep", {"latency": {"widht": 4}})
+
+    def test_field_types_resolved_once_per_class(self, monkeypatch):
+        """``get_type_hints`` compiles every string annotation anew on
+        each call; a config class's hints are resolved once."""
+
+        @dataclasses.dataclass(frozen=True)
+        class Probe:
+            n: "int" = 0
+            maybe: "typing.Optional[float]" = None
+
+        resolved = []
+        real = typing.get_type_hints
+
+        def spy(cls, *args, **kwargs):
+            resolved.append(cls)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(typing, "get_type_hints", spy)
+        first = fingerprint_module._field_types(Probe)
+        assert fingerprint_module._field_types(Probe) == first
+        assert resolved == [Probe]
+        assert dict(first) == {"n": int, "maybe": float}  # Optional unwrapped
+
     def test_canonical_tags_the_config_class(self):
         """Structurally identical configs of different types must not
         collide (table1 and table2 both take a RouterGeometry — the
@@ -196,6 +243,34 @@ class TestResultCache:
         path.write_text(json.dumps(data))
         assert cache.get(entry.fingerprint) is None
         assert cache.poisoned == 1
+
+    def test_hit_hashes_its_payload_once(self, tmp_path, monkeypatch):
+        """A validated read hands the digest it verified to the entry:
+        serialising the hit does not hash the payload a second time, and
+        says exactly what the file records."""
+        cache = ResultCache(tmp_path)
+        entry = self._entry()
+        path = cache.put(entry)
+        recorded = json.loads(path.read_bytes())["sha256"]
+        hashed = []
+
+        def spy(result):
+            hashed.append(result)
+            return payload_digest(result)
+
+        monkeypatch.setattr(cache_module, "payload_digest", spy)
+        got = cache.get(entry.fingerprint)
+        assert got.to_json()["sha256"] == recorded == payload_digest(got.result)
+        assert len(hashed) == 1
+        # ... and every read still hashes: one flipped byte of the result
+        # is a miss, counted and unlinked
+        raw = path.read_bytes()
+        at = raw.index(b'"label": "x"') + len(b'"label": "')
+        path.write_bytes(raw[:at] + b"y" + raw[at + 1:])
+        assert cache.get(entry.fingerprint) is None
+        assert len(hashed) == 2
+        assert cache.poisoned == 1
+        assert not path.exists()
 
     def test_misfiled_entry_detected(self, tmp_path):
         """An entry served under the wrong fingerprint is poison too."""
@@ -360,6 +435,9 @@ class TestServer:
                 assert counters["service.dedup_joined"] == n - 1
                 assert counters["service.cache_misses"] == n
                 assert stats["inflight"] == 0  # drained afterwards
+                # concurrent requests on one client take a connection
+                # each; the stats call after them reuses one
+                assert counters["service.connections"] == n
             finally:
                 await service.close()
         asyncio.run(run())
@@ -428,6 +506,252 @@ class TestServer:
                 assert catalog["fault_sweep"]["config"] == "FaultSweepConfig"
             finally:
                 await service.close()
+        asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# connections: persistence, malformed heads, shutdown
+# ----------------------------------------------------------------------
+@pytest.fixture
+def quiet(capfd, caplog):
+    """Fail a test that leaves a traceback behind: on stderr (the
+    server's catch-all) or in the asyncio logger (a handler task the loop
+    had to cancel, an exception nobody retrieved)."""
+    yield
+    assert capfd.readouterr().err == ""
+    assert [
+        r.getMessage() for r in caplog.get_records("call") if r.name == "asyncio"
+    ] == []
+
+
+async def _raw(port, data):
+    """Send ``data`` on a fresh socket; everything the server answers
+    until it closes the connection (a hang here fails the test)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), timeout=10)
+    finally:
+        writer.close()
+
+
+def _replies(raw):
+    """Split a byte stream of Content-Length replies into (status, head, body)."""
+    out = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+        out.append((int(head.split()[1]), head, rest[:length]))
+        raw = rest[length:]
+    return out
+
+
+_GET = b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+
+
+class TestConnections:
+    def test_sequential_requests_share_one_connection(self):
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                cold = await client.sweep("fault_sweep", TINY)
+                before = (await client.stats())["counters"]
+                for _ in range(50):
+                    warm = await client.sweep("fault_sweep", TINY)
+                    assert warm["cached"] and warm["sha256"] == cold["sha256"]
+                after = (await client.stats())["counters"]
+                assert after["service.requests"] - before["service.requests"] == 50
+                assert after["service.connections"] == 1
+                # reuse is of the socket only: every hit reads its file,
+                # so one removed behind the server's back is a miss
+                service.cache.path_for(cold["fingerprint"]).unlink()
+                again = await client.sweep("fault_sweep", TINY)
+                assert again["cached"] is False
+                assert again["sha256"] == cold["sha256"]
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            _GET + b"Connection: close\r\n\r\n",
+            _GET.replace(b"HTTP/1.1", b"HTTP/1.0") + b"\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_requests_that_end_the_connection(self, request_head):
+        async def run():
+            service, _client = await _start_service_tmp()
+            try:
+                # _raw returns at EOF: the server closed after one reply
+                [(status, head, body)] = _replies(
+                    await _raw(service.port, request_head)
+                )
+                assert status == 200 and json.loads(body) == {"ok": True}
+                assert b"Connection: close" in head
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_pipelined_requests_answered_in_order(self):
+        async def run():
+            service, _client = await _start_service_tmp()
+            try:
+                raw = await _raw(
+                    service.port,
+                    _GET + b"\r\n"
+                    + b"GET /nowhere HTTP/1.1\r\nConnection: close\r\n\r\n",
+                )
+                first, second = _replies(raw)
+                assert first[0] == 200 and b"keep-alive" in first[1]
+                assert second[0] == 404 and b"Connection: close" in second[1]
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_stream_ends_its_connection_and_the_client_carries_on(self):
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                assert await client.health()
+                streamed = await client.sweep("fault_sweep", TINY, stream=True)
+                assert streamed["points_streamed"] == 2
+                warm = await client.sweep("fault_sweep", TINY)
+                assert warm["cached"] and warm["sha256"] == streamed["sha256"]
+                counters = (await client.stats())["counters"]
+                # health + stream on the first, the rest on a second
+                assert counters["service.connections"] == 2
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_stale_connection_is_retried_once(self, tmp_path):
+        async def run():
+            service = SweepService(str(tmp_path))
+            port = await service.start()
+            client = ServiceClient("127.0.0.1", port)
+            cold = await client.sweep("fault_sweep", TINY)
+            await service.close()
+            # same address, same cache directory, a new server: the
+            # client's kept connection is dead and it must not matter
+            service = SweepService(str(tmp_path))
+            await service.start(port=port)
+            try:
+                warm = await client.sweep("fault_sweep", TINY)
+                assert warm["cached"] and warm["sha256"] == cold["sha256"]
+            finally:
+                await service.close()
+            # nobody listening: an error, not a retry loop
+            with pytest.raises(OSError):
+                await asyncio.wait_for(client.sweep("fault_sweep", TINY), 10)
+            assert await client.health() is False
+        asyncio.run(run())
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_one_client_across_event_loops(self, tmp_path):
+        """The ledger's shape: a server process, one client object, a new
+        ``asyncio.run`` per pass.  Connections of a finished loop are
+        dropped, not reused, and their descriptors do not pile up."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0",
+             "--cache-dir", str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
+            client = ServiceClient("127.0.0.1", port)
+            gc.collect()
+            start = len(os.listdir("/proc/self/fd"))
+            for _ in range(3):
+                async def two():
+                    return await client.health() and await client.health()
+                assert asyncio.run(two())
+                gc.collect()
+                # at most the connection the client still holds
+                assert len(os.listdir("/proc/self/fd")) <= start + 1
+            stats = asyncio.run(client.stats())
+            # one connection per loop, reused inside it (the ready probe
+            # of ``python -m repro.service`` itself makes none)
+            assert stats["counters"]["service.connections"] == 4
+            # Ctrl-C with that last connection still open and idle: the
+            # server drops it and exits at once, cleanly
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+            assert proc.stderr.read() == ""
+            del client
+            gc.collect()
+            assert len(os.listdir("/proc/self/fd")) == start
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
+
+    @pytest.mark.parametrize(
+        "request_head, status",
+        [
+            (_GET + b"Content-Length: abc\r\n\r\n{}", 400),
+            (_GET + b"Content-Length: -5\r\n\r\n", 400),
+            (_GET + b"Content-Length: \xb2\r\n\r\n", 400),
+            (b"nonsense\r\n\r\n", 400),
+            (_GET + b"Content-Length: 99999999\r\n\r\n", 413),
+            (_GET + b"X-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        ],
+        ids=["length-abc", "length-negative", "length-superscript",
+             "request-line", "body-too-large", "head-too-large"],
+    )
+    def test_malformed_head_is_a_typed_refusal(self, quiet, request_head, status):
+        """A 4xx, ``Connection: close`` and the close itself — never a
+        traceback, a 500, a silent drop, or a stream read on from the
+        middle of a body."""
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                [(got, head, body)] = _replies(
+                    await _raw(service.port, request_head)
+                )
+                assert got == status
+                assert b"Connection: close" in head
+                assert "error" in json.loads(body)
+                assert await client.health()  # and the server carries on
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_close_with_an_idle_connection(self, quiet):
+        async def run():
+            service, client = await _start_service_tmp()
+            assert await client.health()  # leaves one connection open, idle
+            assert len(service._keep_alive) == 1
+            t0 = time.perf_counter()
+            await service.close()
+            assert time.perf_counter() - t0 < 1.0
+            assert not service._keep_alive and not service._handlers
+        asyncio.run(run())
+
+    def test_close_with_a_request_in_flight(self, quiet):
+        """Its reply or a clean connection error, never a hang; the
+        computation is finished and stored either way."""
+        async def run():
+            service, client = await _start_service_tmp()
+            request = asyncio.ensure_future(client.sweep("fault_sweep", TINY))
+            while not service._inflight:
+                await asyncio.sleep(0.01)
+            await asyncio.wait_for(service.close(), timeout=60)
+            try:
+                reply = await asyncio.wait_for(request, timeout=10)
+                assert reply["result"]["rows"]
+            except ConnectionError:
+                pass
+            assert len(service.cache) == 1
         asyncio.run(run())
 
 

@@ -1,5 +1,10 @@
 """Tests for mesh/torus wiring tables."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
@@ -95,3 +100,22 @@ class TestGraphView:
     def test_graph_edge_count_matches(self):
         topo = Topology(NetworkConfig(width=3, height=3))
         assert topo.graph().number_of_edges() == topo.num_links
+
+    def test_networkx_stays_off_the_import_path(self):
+        """Only ``graph()`` / ``is_connected()`` (and vicis's port swap)
+        need networkx; no simulation, sweep or service process pays its
+        import (0.15 s, 14 MB) unless it calls them."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys\n"
+            "import repro.experiments, repro.network.batched\n"
+            "import repro.service.server\n"
+            "assert 'networkx' not in sys.modules\n"
+            "from repro.config import NetworkConfig\n"
+            "from repro.network.topology import Topology\n"
+            "assert Topology(NetworkConfig(width=3, height=3)).is_connected()\n"
+            "assert 'networkx' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
