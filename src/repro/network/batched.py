@@ -62,26 +62,39 @@ a packet-table row ``lane * cap + row``.  Each state array is allocated
 once and seen two ways: n-d (``self.st``) by the scalar fault paths, lane
 install and retirement, and as a 1-D ``reshape(-1)`` view of the same
 memory (``self.st_``, the trailing underscore) by the seven per-cycle
-kernels, which take one ``np.flatnonzero(mask)`` per phase (C order: the
+kernels, which take one ``mask.nonzero()[0]`` per phase (C order: the
 order the serial loops visit requesters in) and one index array per
-gather or scatter.  The wiring is two per-lane id tables, ``down_port``
-(output port id -> the input port id its link feeds) and ``up_out_port``
-(input port id -> the output port id feeding it), so a hop or a credit
-return is one gather; a port without a link holds an id past the end of
-every state array, so a flit routed off the mesh raises ``IndexError``
-at its next gather instead of wrapping onto another router.  Within one
-cycle all same-stage arbiters are independent (each grant touches a
-distinct (router, arbiter) pair — see the allocator docstrings), so a
-masked segment-argmin implements the rotating-priority grant for every
-group at once.
+gather or scatter.  A narrow step is bound by its call count, not its
+data — a gather of a few dozen ids costs a fifth of a ``//`` on them, a
+NumPy function a multiple of the method it wraps — so the divisions of
+the algebra above are static tables (``port_of``, ``node_of``,
+``port0_of`` ...), probes are ``.nonzero()[0]`` / ``count_nonzero`` / an
+index array's ``.size``, and one index array is reused where several
+arrays need the same cut.  The wiring is tables as well: ``down_port``
+(output port id -> the input port id its link feeds) and ``credit_to``
+(wire-VC id at an input port -> where its credit returns), so a hop or
+a credit return is one gather; a port without a link holds an id past
+the end of every state array, so a flit routed off the mesh raises
+``IndexError`` at its next gather instead of wrapping onto another
+router.  Within one cycle all same-stage arbiters are independent (each
+grant touches a distinct (router, arbiter) pair — see the allocator
+docstrings), so one sort by (arbiter, rotating-priority distance) puts
+every arbiter's grant first in its run (``_rr_grant``).
 
 A flit is one ``int64`` word — flag bits 0-1, hop count above them (a
 traversal is ``+ _HOP``), destination node, packet-table row on top — so
 a buffer read or write is one gather or scatter, and a calendar event
 carries the *id it lands on*, not coordinates: a link flit is ``(wire-VC
 id at the downstream input port, word)``, an ejection ``(output-VC id,
-word)``, a credit the ``cred_`` index and a NIC credit the ``nic_cred_``
-index.  Delivery is one indexed add; the lane is ``id // ids-per-lane``.
+word)``, a credit its index into ``credits`` — router credits (``cred``)
+and the NICs' (``nic_cred``) are two views of that one buffer, so a
+credit is delivered by one indexed add whoever it is owed to.  Four
+rings hold them (flits, ejections, the XB's credits, the ejections'),
+and the SA -> XB queue is a ring of one slot: the grants' id arrays as
+SA computed them.  ``RouterStats`` counters are *queued*: a kernel
+appends the node ids it counted, and one ``bincount`` per counter runs
+where somebody reads (``counts``) — a lane's retirement, a recovery
+monitor — or when ``_COUNT_QUEUE`` ids are waiting.
 
 The NIC boundary is arrays too.  Traffic is open-loop, so when a lane is
 installed its source is compiled (:func:`repro.traffic.generator.compile_table`)
@@ -93,7 +106,7 @@ yield order, so each NIC source queue is a cursor into a contiguous run
 (FIFO order is yield order, "queued" is ``entry cycle <= local cycle``);
 NIC credits, active injections and the vnet round-robin are ``(L, R, ...)``
 arrays stepped in one loop-free pass (the first vnet that can inject,
-scanning from the round-robin pointer, is one ``argmax``); ejection
+scanning from the round-robin pointer, is a round-robin grant); ejection
 writes table columns; and a lane's :class:`NetworkStats` is reduced from
 its table once, at retirement.  A source held by several lanes (the
 fault-free and faulty run of one application, every count of a fault
@@ -114,7 +127,7 @@ share an engine.  ``_set_site`` sets or clears one fault bit the way
 ``BaseRouter.inject_fault`` / ``heal_fault`` do; a schedule with
 ``native_heals`` (fault timelines, transients) heals before it injects on
 the cycles its ``next_cycle()`` names, exactly as
-``NoCSimulator._inject_faults`` does.  ``RouterStats`` counters are kept
+``NoCSimulator._inject_faults`` does.  ``RouterStats`` counters are binned
 per ``(counter, lane, router)``, which is what lets a lane whose schedule
 ``wants_recovery_log`` carry the object engine's own
 :class:`repro.faults.recovery.RecoveryMonitor`, fed :class:`_RouterView`
@@ -123,8 +136,8 @@ watches are polled after the last kernel on the lane's local clock, and
 the summary lands on ``SimulationResult.recovery`` at retirement.
 
 Use :func:`supports` to check a configuration before constructing the
-engine; unsupported configurations (adaptive routing, tracing, per-flit
-callbacks, router kinds without an array model, ...) should fall back to
+engine; unsupported configurations (adaptive routing, tracing, router
+kinds without an array model, ...) should fall back to
 the event engine per point —
 :func:`repro.experiments.parallel.run_lane_sweep` does exactly that and records the
 reason string per fallback point.
@@ -135,7 +148,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, cast
+from typing import Dict, Iterable, List, Optional, Tuple, cast
 
 import numpy as np
 
@@ -198,6 +211,11 @@ _I_UNREACH = _RS_IDX["unreachable_output_cycles"]
 #: router kinds with an array model; which of them a lane is, is a mask
 LANE_KINDS = ("baseline", "protected")
 
+#: most node ids ``_count`` keeps queued before they are binned, an array
+#: weighing 16 more for its header: what the counter queue can add to an
+#: engine's memory (128 kB of ids), whatever its width
+_COUNT_QUEUE = 1 << 14
+
 
 @dataclass
 class LaneSpec:
@@ -224,7 +242,6 @@ def supports(
     router_factory: Optional[RouterFactory] = None,
     routing_kind: str = "xy",
     *,
-    on_eject: Optional[Callable] = None,
     observability: object = None,
 ) -> Optional[str]:
     """Why the batched engine cannot run this configuration, or ``None``.
@@ -240,8 +257,6 @@ def supports(
         return f"adaptive routing {routing_kind!r} (route depends on run-time state)"
     if observability is not None or maybe_create() is not None:
         return "observability enabled (tracing/metrics need per-object hooks)"
-    if on_eject is not None:
-        return "on_eject hook set (per-flit callback needs flit objects)"
     V, P = config.router.num_vcs, config.router.num_ports
     if P * V > 62:
         return "num_ports * num_vcs > 62 (stage-2 requester bitmask width)"
@@ -318,9 +333,11 @@ class BatchedLaneEngine:
         #: through ``state`` below, restored slot by slot in ``_install_lane``
         self._power_on: List[Tuple[np.ndarray, object]] = []
 
-        def state(shape: tuple, value: object, dtype: type) -> Tuple[np.ndarray, np.ndarray]:
-            """One allocation, two views: ``(lane, ...)`` and flat."""
-            arr = np.empty((L, *shape), dtype=dtype)
+        def state(
+            shape: tuple, value: object, dtype: type, buf: Optional[np.ndarray] = None
+        ) -> Tuple[np.ndarray, np.ndarray]:
+            """One allocation (or ``buf``), two views: ``(lane, ...)`` and flat."""
+            arr = np.empty((L, *shape), dtype) if buf is None else buf.reshape(L, *shape)
             arr[...] = value
             self._power_on.append((arr, value))
             return arr, arr.reshape(-1)
@@ -343,15 +360,24 @@ class BatchedLaneEngine:
         self.b_head, self.b_head_ = state(shape4, 0, np.int32)
         self.b_cnt, self.b_cnt_ = state(shape4, 0, np.int32)
 
-        # output side: credits and downstream-VC ownership
-        self.cred, self.cred_ = state(shape4, D, np.int32)
+        # output side: credits and downstream-VC ownership.  Router and NIC
+        # credits (one per vnet: see the NIC boundary below) are two views
+        # of one buffer, so a credit return is one id into ``credits``
+        # whoever it is owed to (``credit_to``)
+        shape_q = (R, self.NV)
+        self.credits = np.empty(L * (self.RPV + R * self.NV), dtype=np.int32)
+        self.cred, self.cred_ = state(shape4, D, np.int32, self.credits[: L * self.RPV])
+        self.nic_cred, self.nic_cred_ = state(
+            shape_q, D, np.int32, self.credits[L * self.RPV :]
+        )
         self.alloc, self.alloc_ = state(shape4, -1, np.int64)
+        self.alloc_rows = self.alloc.reshape(-1, V)  # one row per output port
 
         # round-robin arbiter priority pointers
         shape3 = (R, P)
-        self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, np.int32)
+        self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, np.int8)  # most elements: kept narrow
         self.va2_prio, self.va2_prio_ = state(shape4, 0, np.int32)
-        self.sa1_prio, self.sa1_prio_ = state(shape3, 0, np.int32)
+        self.sa1_prio, self.sa1_prio_ = state(shape3, 0, np.int8)
         self.sa2_prio, self.sa2_prio_ = state(shape3, 0, np.int32)
 
         # fault masks, one per protectable unit kind
@@ -376,32 +402,28 @@ class BatchedLaneEngine:
         self.plan_arb, self.plan_arb_ = state(shape3, np.arange(P), np.int32)
         self.plan_sec, self.plan_sec_ = state(shape3, False, bool)
 
-        # XB queue: at most one SA grant per input port per cycle
-        self.xq_valid, self.xq_valid_ = state(shape3, False, bool)
-        self.xq_slot, self.xq_slot_ = state(shape3, 0, np.int32)
-        self.xq_dest, self.xq_dest_ = state(shape3, 0, np.int32)
-
         # calendar events in flight, one ring per event kind indexed by
         # ``cycle % span``: flits/ejections are written ``link_latency``
         # slots ahead, credits ``credit_latency`` slots ahead.  Each slot
         # is a tuple of parallel 1-D arrays, the target ids first — ``(wire
         # VC id at the input port, word)``, ``(output VC id, word)``,
-        # ``(cred_ index,)``, ``(nic_cred_ index,)`` — or None: within one
-        # span window every (slot, kind) pair is written by at most one
-        # cycle and each phase writes its kind at most once per cycle, so
-        # no same-slot merge is ever needed.
+        # ``(credits index,)`` from the XB and from an ejection — or None:
+        # within one span window every (slot, kind) pair is written by at
+        # most one cycle and each phase writes its kind at most once per
+        # cycle, so no same-slot merge is ever needed.
         span = self.span
         _Ring = List[Optional[Tuple[np.ndarray, ...]]]
         self._ring_flit: _Ring = [None] * span
         self._ring_eject: _Ring = [None] * span
         self._ring_credit: _Ring = [None] * span
-        self._ring_nic_credit: _Ring = [None] * span
         self._ring_out_credit: _Ring = [None] * span
-        #: (ring, target ids per lane): what ``id // n`` decodes a lane from
+        #: the XB queue, a ring of one slot: this cycle's SA grants (at most
+        #: one per input port) as ``(VC id, input port id, output port id,
+        #: output VC id, route)``, traversed by the next cycle's XB phase
+        self._xq: _Ring = [None]
         self._rings = (
-            (self._ring_flit, self.RPV), (self._ring_eject, self.RPV),
-            (self._ring_credit, self.RPV), (self._ring_out_credit, self.RPV),
-            (self._ring_nic_credit, R * self.NV),
+            self._ring_flit, self._ring_eject, self._ring_credit,
+            self._ring_out_credit, self._xq,
         )
 
         # --- the NIC boundary: packet tables and array NIC state --------
@@ -417,14 +439,11 @@ class BatchedLaneEngine:
         # wire VC on the tail, so the packet always gets the vnet's first
         # VC and "mid-injection, VC owned" is just ``q_flit > 0``; credits
         # are kept for that one VC per vnet.
-        shape_q = (R, self.NV)
         self.q_row, self.q_row_ = state(shape_q, 0, np.intp)
         self.q_due, self.q_due_ = state(shape_q, _NEVER, np.int32)
         self.q_flit, self.q_flit_ = state(shape_q, 0, np.int32)
-        self.nic_cred, self.nic_cred_ = state(shape_q, D, np.int32)
         # vnet round-robin pointer
         self.nic_rr, self.nic_rr_ = state((R,), 0, np.intp)
-        self._vnets = np.arange(self.NV)
         self._vcs = np.arange(V)
         #: wire id -> which downstream VCs share its vnet, as a (V, V) mask
         self._same_vnet = self._vcs // self.VV == self._vcs[:, None] // self.VV
@@ -434,8 +453,12 @@ class BatchedLaneEngine:
         #: recovery monitor watches single routers, a lane's result is the
         #: sum over its routers
         self.rstats = np.zeros((len(_RS_IDX), L, R), dtype=np.int64)
-        #: one bound 1-D view per counter, indexed by node id (see ``_count``)
+        #: one bound 1-D view per counter, indexed by node id
         self._counter = [row.reshape(-1) for row in self.rstats]
+        #: node-id arrays ``_count`` queued per counter, not yet binned into
+        #: ``rstats``, and their weight in ids since the last ``counts()``
+        self._queue: List[List[np.ndarray]] = [[] for _ in _RS_IDX]
+        self._queued = 0
         # nothing watches buffer writes: they stay one bump per lane, kept
         # in the cell of the lane's router 0 (see ``_buffer_write``)
         self._counter[_I_BUFW] = self.rstats[_I_BUFW, :, 0]
@@ -451,7 +474,7 @@ class BatchedLaneEngine:
         # --- static wiring, as per-lane tables over port ids ------------
         #: the id of a missing link: past the end of every state array, so
         #: following it raises ``IndexError`` in the next gather
-        self.no_link = max(arr.size for arr, _ in self._power_on)
+        self.no_link = max(self.credits.size, *(arr.size for arr, _ in self._power_on))
         topo = Topology(config)
         lane0 = np.arange(L) * self.RP
 
@@ -465,8 +488,32 @@ class BatchedLaneEngine:
 
         #: output port id -> the input port id its link feeds
         self.down_port = wiring(topo.out_link)
-        #: input port id -> the output port id feeding it (credit return)
-        self.up_out_port = wiring(topo.upstream_link)
+        #: wire-VC id at an input port -> the ``credits`` index its credit
+        #: returns to: the output VC feeding the port, or behind a local
+        #: port the NIC queue of the wire's vnet
+        nodes = np.arange(L * R)
+        up_out_port = wiring(topo.upstream_link)
+        credit_to = up_out_port[:, None] * V + self._vcs
+        credit_to[up_out_port == self.no_link] = self.no_link
+        credit_to[nodes * P + PORT_LOCAL] = (
+            self.cred_.size + nodes[:, None] * self.NV + self._vcs // self.VV
+        )
+        self.credit_to = credit_to.reshape(-1)
+        # the id algebra of the docstring as tables: a gather of a few
+        # dozen ids costs a fraction of a ``//`` or ``%`` on them
+        ports = np.arange(L * self.RP)
+        self.port_of = np.arange(L * self.RPV) // V  #: VC id -> port id
+        self.node_of = ports // P  #: port id -> node id
+        self.port0_of = ports - ports % P  #: port id -> its router's port 0
+        self.vc0_of = ports * V  #: port id -> the VC id of its slot 0
+        self.rtab0_of = ports // P % R * R  #: port id -> its router's ``rtab`` row
+        self.lane_of = nodes // R  #: node id -> lane
+        self.local_vc0_of = (nodes * P + PORT_LOCAL) * V  #: node id -> its NIC's VC 0
+        # round-robin successors, in the priority arrays' dtype
+        self._next_v = ((self._vcs + 1) % V).astype(np.int8)
+        self._next_p = ((np.arange(P) + 1) % P).astype(np.int32)
+        self._next_pv = ((np.arange(self.PV) + 1) % self.PV).astype(np.int32)
+        self._next_vnet = (np.arange(self.NV) + 1) % self.NV
 
         # --- lane refill / streaming point queue -----------------------
         # lanes run on local clocks: local cycle = global - off[lane];
@@ -495,6 +542,8 @@ class BatchedLaneEngine:
         #: local cycle of each slot's next scheduled fault or heal
         #: (``_NEVER``: no schedule, exhausted, or retired)
         self._fault_due = np.full(L, _NEVER, dtype=np.int64)
+        #: the global cycle of the earliest of them: nothing to poll before
+        self._fault_at = 0
         #: lane -> the recovery monitor of a lane whose schedule
         #: ``wants_recovery_log`` (the object engine's own class, fed
         #: ``_RouterView``s)
@@ -531,7 +580,9 @@ class BatchedLaneEngine:
         are reported to the lane's recovery monitor here, before this
         cycle's kernels run.
         """
-        for lane in np.flatnonzero(self._fault_due <= local).tolist():
+        if cycle < self._fault_at:
+            return
+        for lane in (self._fault_due <= local).nonzero()[0].tolist():
             sched = cast(FaultSchedule, self.lanes[lane].fault_schedule)
             now = int(local[lane])
             mon = self._monitors.get(lane)
@@ -549,6 +600,7 @@ class BatchedLaneEngine:
     def _arm_faults(self, lane: int, sched: Optional[FaultSchedule]) -> None:
         nxt = sched.next_cycle() if sched is not None else None
         self._fault_due[lane] = _NEVER if nxt is None else nxt
+        self._fault_at = int((self._fault_due + self.off).min())
 
     def _set_site(self, lane: int, site, faulty: bool) -> bool:
         """Mirror ``BaseRouter.inject_fault`` / ``heal_fault``: idempotent,
@@ -607,88 +659,96 @@ class BatchedLaneEngine:
     # one vectorised cycle
     # ------------------------------------------------------------------
     def _count(self, counter: int, node: np.ndarray) -> None:
-        """Bump a ``RouterStats`` counter once per entry of ``node``."""
-        self._counter[counter] += np.bincount(node, minlength=self.L * self.R)
+        """Bump a ``RouterStats`` counter once per entry of ``node`` — by
+        queueing the ids: they are binned when somebody reads (``counts``)."""
+        if self._queued + node.size + 16 > _COUNT_QUEUE:
+            self.counts()
+        self._queue[counter].append(node)
+        self._queued += node.size + 16
+
+    def _bin(self, counter: int) -> None:
+        """Add one counter's queued bumps to its row of ``rstats``."""
+        queue = self._queue[counter]
+        if queue:
+            ids = queue[0] if len(queue) == 1 else np.concatenate(queue)
+            self._counter[counter] += np.bincount(ids, minlength=self.L * self.R)
+            queue.clear()
+
+    def counts(self) -> np.ndarray:
+        """``rstats`` with every queued bump binned in: what a lane's
+        retirement and install go through, and any reader of all counters
+        (a recovery monitor reads its few through ``_RouterView``)."""
+        if self._queued:
+            for counter in range(len(self._queue)):
+                self._bin(counter)
+            self._queued = 0
+        return self.rstats
 
     @staticmethod
-    def _rr_pick(
-        f: np.ndarray,
-        prio_per_group: np.ndarray,
-        starts: np.ndarray,
-        seg: np.ndarray,
-        size: int,
-    ) -> np.ndarray:
-        """Per segment, mark the element minimising ``(f - prio) % size``.
-
-        ``f`` values are distinct within a segment, so exactly one element
-        per segment is marked — the grant a ``RoundRobinArbiter`` makes.
-        """
-        dist = (f - prio_per_group[seg]) % size
-        best = np.minimum.reduceat(dist, starts)
-        return dist == best[seg]
-
-    @staticmethod
-    def _segments(sorted_key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(segment starts, per-element segment id) of a sorted key array."""
+    def _first(sorted_key: np.ndarray) -> np.ndarray:
+        """Mask of the first element of each run of equal keys."""
         first = np.empty(sorted_key.shape, dtype=bool)
         first[0] = True
         np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-        return np.flatnonzero(first), np.cumsum(first) - 1
+        return first
+
+    def _rr_grant(self, key: np.ndarray, f: np.ndarray, prio: np.ndarray, size: int) -> np.ndarray:
+        """Per distinct ``key`` (an arbiter), the index of the requester
+        minimising ``(f - prio) % size`` — the grant a ``RoundRobinArbiter``
+        makes; ``prio`` is each requester's own arbiter's pointer.
+
+        ``f`` is distinct within a key, so one sort by (key, distance)
+        puts every winner first in its run.  Winners come in key order.
+        """
+        order = (key * size + (f - prio) % size).argsort()
+        return order[self._first(key[order])]
 
     def _xb_phase(self, cycle: int, local: np.ndarray) -> None:
         """Traverse last cycle's SA winners — mirrors ``BaseRouter.xb_phase``."""
-        port = np.flatnonzero(self.xq_valid_)
-        if port.size == 0:
+        grants = self._xq[0]
+        if grants is None:
             return
-        self.xq_valid_[port] = False
-        P, V, D = self.P, self.V, self.D
-        vc = port * V + self.xq_slot_[port]
-        dest = self.xq_dest_[port]
-        pin = port % P
-        oport = port - pin + dest  # output port id, same router
+        self._xq[0] = None
+        vc, port, oport, out, dest = grants
+        D = self.D
         ovc = self.outvc_[vc]
-        out = oport * V + ovc  # output VC id
         h = self.b_head_[vc]
         word = self.b_flit_[vc * D + h] + _HOP
         self.b_head_[vc] = (h + 1) % D
         cnt = self.b_cnt_[vc] - 1
         self.b_cnt_[vc] = cnt
-        self._count(_I_TRAV, port // P)
-        wire = self.pwire_[vc]
+        self._count(_I_TRAV, self.node_of[port])
 
-        tail = (word & _F_TAIL) != 0
-        if tail.any():
+        tail = (word & _F_TAIL).nonzero()[0]
+        if tail.size:
             tv = vc[tail]
             # release the downstream VC, then finish the packet: the slot
-            # restarts on the next queued head or falls idle
+            # falls idle, or restarts on a head already queued behind
             self.alloc_[out[tail]] = -1
             self.route_[tv] = -1
             self.outvc_[tv] = -1
             self.excl_[tv] = 0
-            has_next = cnt[tail] > 0
-            npid = self.b_flit_[tv * D + self.b_head_[tv]] >> _PID_SHIFT
-            self.st_[tv] = np.where(has_next, _ROUTING, _IDLE)
-            self.vpid_[tv] = np.where(has_next, npid, -1)
+            self.st_[tv] = _IDLE
+            self.vpid_[tv] = -1
+            more = cnt[tail].nonzero()[0]
+            if more.size:
+                tv = tv[more]
+                self.st_[tv] = _ROUTING
+                self.vpid_[tv] = self.b_flit_[tv * D + self.b_head_[tv]] >> _PID_SHIFT
 
-        wf = (cycle + self.link_lat) % self.span
-        wc = (cycle + self.cred_lat) % self.span
-        eject = dest == PORT_LOCAL
-        if eject.any():
-            self._ring_eject[wf] = (out[eject], word[eject])
-        rem = ~eject
-        if rem.any():
-            self._ring_flit[wf] = (
-                self.down_port[oport[rem]] * V + ovc[rem], word[rem],
-            )
         # credit return toward whoever feeds this input port
-        nic = pin == PORT_LOCAL
-        if nic.any():
-            self._ring_nic_credit[wc] = (
-                port[nic] // P * self.NV + wire[nic] // self.VV,
-            )
-        pr = ~nic
-        if pr.any():
-            self._ring_credit[wc] = (self.up_out_port[port[pr]] * V + wire[pr],)
+        self._ring_credit[(cycle + self.cred_lat) % self.span] = (
+            self.credit_to[self.vc0_of[port] + self.pwire_[vc]],
+        )
+        wf = (cycle + self.link_lat) % self.span
+        eject = (dest == PORT_LOCAL).nonzero()[0]
+        if eject.size:
+            self._ring_eject[wf] = (out[eject], word[eject])
+            if eject.size == dest.size:
+                return
+            rem = (dest != PORT_LOCAL).nonzero()[0]
+            oport, ovc, word = oport[rem], ovc[rem], word[rem]
+        self._ring_flit[wf] = (self.vc0_of[self.down_port[oport]] + ovc, word)
 
     def _swap_slots(self, a: np.ndarray, b: np.ndarray) -> None:
         """Exchange the VC *objects* at slot ids a[i] and b[i] (ft_sa swap).
@@ -713,87 +773,75 @@ class BatchedLaneEngine:
 
     def _sa_phase(self, cycle: int, local: np.ndarray) -> None:
         """Switch allocation — mirrors ``SAUnit.allocate`` (+ ft_sa bypass)."""
-        vc = np.flatnonzero((self.st_ == _ACTIVE) & (self.b_cnt_ > 0))
+        vc = ((self.st_ == _ACTIVE) & (self.b_cnt_ > 0)).nonzero()[0]
         if vc.size == 0:
             return
-        P, V = self.P, self.V
-        port = vc // V
+        V = self.V
+        port = self.port_of[vc]
         rt = self.route_[vc]
-        ov = self.outvc_[vc]
-        oport = port - port % P + rt
-        ok = (self.cred_[oport * V + ov] > 0) & self.plan_ok_[oport]
-        if not ok.all():
-            vc, port, rt, ov, oport = vc[ok], port[ok], rt[ok], ov[ok], oport[ok]
-            if vc.size == 0:
-                return
-        # stage 1: one winner per input port.  flatnonzero's C order
-        # already sorts the candidates by port id.
-        sc = vc - port * V
-        starts, seg = self._segments(port)
-        gport = port[starts]
-        win = self._rr_pick(sc, self.sa1_prio_[gport], starts, seg, V)
-        fa = self.f_sa1_[gport] if self._have_sa1 else None
-        if fa is not None and fa.any():
-            healthy = ~fa
-            win &= healthy[seg]
-            gnode = gport // P
-            glane = gnode // self.R
-            # a baseline port has no bypass: it is dead with its arbiter
-            dead = fa & (self.f_sa1b_[gport] | ~self.protected[glane])
-            if dead.any():
-                self._count(_I_SA_BLOCK, gnode[dead])
-            # bypass path: grant the rotation default (it runs on each
-            # lane's local clock; -1 on every other group, so only a
-            # bypassed port can hit), or transfer the first candidate
-            # into an idle, empty default slot
-            default = np.where(fa & ~dead, local[glane] // self.rot % V, -1)
-            hit = sc == default[seg]
-            win |= hit
-            granted = np.zeros(gport.shape, dtype=bool)
-            granted[seg[hit]] = True
-            self._count(_I_SA_BYPASS, gnode[granted])
-            move = np.flatnonzero((default >= 0) & ~granted)
-            to = gport[move] * V + default[move]
-            free = (self.st_[to] == _IDLE) & (self.b_cnt_[to] == 0)
-            if free.any():
-                move = move[free]
-                self._swap_slots(vc[starts[move]], to[free])
-                self._count(_I_VC_XFER, gnode[move])
-            # advance only the healthy ports' arbiters (one winner each)
-            self.sa1_prio_[gport[healthy]] = (sc[win & healthy[seg]] + 1) % V
-        else:
-            self.sa1_prio_[gport] = (sc[win] + 1) % V
-
-        wvc = vc[win]
-        if wvc.size == 0:
+        oport = self.port0_of[port] + rt
+        out = self.vc0_of[oport] + self.outvc_[vc]  # output VC id
+        # one index keeps the candidates with a credit and a path; what a
+        # winner needs of the rest is picked through it
+        keep = ((self.cred_[out] > 0) & self.plan_ok_[oport]).nonzero()[0]
+        if keep.size == 0:
             return
-        wport, wrt, wov, woport = port[win], rt[win], ov[win], oport[win]
+        vc, port = vc[keep], port[keep]
+        # stage 1: one winner per input port (nonzero's C order left the
+        # candidates sorted by port id)
+        sc = vc - self.vc0_of[port]
+        win = self._rr_grant(port, sc, self.sa1_prio_[port], V)
+        fa = self.f_sa1_[port] if self._have_sa1 else None
+        if fa is not None and np.count_nonzero(fa):
+            node = self.node_of[port]
+            lane = self.lane_of[node]
+            # a baseline port has no bypass: it is dead with its arbiter
+            dead = fa & (self.f_sa1b_[port] | ~self.protected[lane])
+            # bypass path: grant the rotation default (it runs on each
+            # lane's local clock; -1 at every other port, so only a
+            # bypassed port can hit), or transfer the port's first
+            # candidate into an idle, empty default slot
+            default = np.where(fa & ~dead, local[lane] // self.rot % V, -1)
+            hit = sc == default
+            starts = self._first(port).nonzero()[0]
+            self._count(_I_SA_BLOCK, node[starts[dead[starts]]])
+            move = starts[(default[starts] >= 0) & ~np.logical_or.reduceat(hit, starts)]
+            to = vc[move] - sc[move] + default[move]
+            free = ((self.st_[to] == _IDLE) & (self.b_cnt_[to] == 0)).nonzero()[0]
+            if free.size:
+                move = move[free]
+                self._swap_slots(vc[move], to[free])
+                self._count(_I_VC_XFER, node[move])
+            hit = hit.nonzero()[0]
+            self._count(_I_SA_BYPASS, node[hit])
+            win = win[~fa[win]]  # only the healthy ports' arbiters granted
+            self.sa1_prio_[port[win]] = self._next_v[sc[win]]
+            win = np.concatenate((win, hit))
+            if win.size == 0:
+                return
+        else:
+            self.sa1_prio_[port[win]] = self._next_v[sc[win]]
+
+        keep = keep[win]
+        wport, wrt, woport = port[win], rt[keep], oport[keep]
         # stage 2: winners compete per *arbiter* port (secondary paths
         # borrow the neighbouring output's arbiter)
-        key2 = woport - wrt + self.plan_arb_[woport]
-        order = np.argsort(key2, kind="stable")
-        key2 = key2[order]
-        starts2, seg2 = self._segments(key2)
-        arb = key2[starts2]
-        wpin = (wport % P)[order]
-        win2 = self._rr_pick(wpin, self.sa2_prio_[arb], starts2, seg2, P)
-        live = ~self.f_sa2_[arb]
-        if not live.all():
-            win2 &= live[seg2]  # faulty stage-2 arbiter: silent skip
-            arb = arb[live]
-        self.sa2_prio_[arb] = (wpin[win2] + 1) % P
+        port0 = woport - wrt
+        arb = port0 + self.plan_arb_[woport]
+        wpin = wport - port0
+        gi = self._rr_grant(arb, wpin, self.sa2_prio_[arb], self.P)
+        # (always a healthy one: the plans never name a faulty arbiter)
+        self.sa2_prio_[arb[gi]] = self._next_p[wpin[gi]]
 
-        gi = order[win2]
-        gvc, gport, goport = wvc[gi], wport[gi], woport[gi]
-        self.cred_[goport * V + wov[gi]] -= 1
-        gnode = gport // P
+        gport, gout = wport[gi], out[keep[gi]]
+        self.cred_[gout] -= 1
+        gnode = self.node_of[gport]
         self._count(_I_SA_GRANT, gnode)
-        sec = self.plan_sec_[goport]
-        if sec.any():
+        goport = woport[gi]
+        sec = self.plan_sec_[goport].nonzero()[0]
+        if sec.size:
             self._count(_I_SEC, gnode[sec])
-        self.xq_valid_[gport] = True
-        self.xq_slot_[gport] = gvc - gport * V
-        self.xq_dest_[gport] = wrt[gi]
+        self._xq[0] = (vc[win[gi]], gport, goport, gout, wrt[gi])
 
     def _borrow_arbiters(self, vc: np.ndarray, fa: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Stage-1 arbiter borrowing (scalar; faults are rare).
@@ -810,7 +858,7 @@ class BatchedLaneEngine:
         owner = vc.copy()
         borrowed: set = set()
         prev_key = None
-        for i in np.flatnonzero(fa & keep):
+        for i in (fa & keep).nonzero()[0]:
             l0, r0, p0, s0 = np.unravel_index(vc[i], self.st.shape)
             k = (l0, r0, p0)
             if k != prev_key:
@@ -835,106 +883,100 @@ class BatchedLaneEngine:
 
     def _va_phase(self, cycle: int, local: np.ndarray) -> None:
         """VC allocation — mirrors ``VAUnit.allocate`` (+ ft_va borrowing)."""
-        vc = np.flatnonzero(self.st_ == _WAITING_VA)
+        vc = (self.st_ == _WAITING_VA).nonzero()[0]
         if vc.size == 0:
             return
-        P, V, PV = self.P, self.V, self.PV
+        V, PV = self.V, self.PV
         owner = vc  # whose stage-1 arbiter set each requester uses
         borrowed = False
         if self._have_va1:
             fa = self.f_va1_[vc]
-            if fa.any():
+            if np.count_nonzero(fa):
                 keep, owner = self._borrow_arbiters(vc, fa)
                 borrowed = True
                 vc, owner = vc[keep], owner[keep]
                 if vc.size == 0:
                     return
-        port = vc // V
+        port = self.port_of[vc]
         rt = self.route_[vc]
-        oport = port - port % P + rt
+        oport = self.port0_of[port] + rt
         # free downstream VCs of the requester's vnet (the *wire id* of the
         # slot object decides the vnet, not the physical position)
         da = self._vcs
         free = self._same_vnet[self.pwire_[vc]]
-        free &= self.alloc.reshape(-1, V)[oport] < 0
+        free &= self.alloc_rows[oport] < 0
         if self._have_va2:
             ex = self.excl_[vc]
-            if ex.any():
+            if np.count_nonzero(ex):
                 free &= ((ex[:, None] >> da) & 1) == 0
         any_free = free.any(axis=1)
-        if not any_free.all():
-            self._count(_I_VA_NOFREE, vc[~any_free] // PV)
-            vc, owner, oport = vc[any_free], owner[any_free], oport[any_free]
-            rt, free = rt[any_free], free[any_free]
-            if vc.size == 0:
+        keep = any_free.nonzero()[0]
+        if keep.size < vc.size:
+            self._count(_I_VA_NOFREE, self.node_of[port[~any_free]])
+            if keep.size == 0:
                 return
+            vc, owner, oport = vc[keep], owner[keep], oport[keep]
+            rt, free = rt[keep], free[keep]
         # stage 1 pick: the owner slot's per-output round-robin row
-        row = owner * P + rt
+        row = owner * self.P + rt
         prio = self.va1_prio_[row]
-        dist = np.where(free, (da - prio[:, None]) % V, V)
-        choice = np.argmin(dist, axis=1)
-        self.va1_prio_[row] = (choice + 1) % V
+        choice = np.where(free, (da - prio[:, None]) % V, V).argmin(axis=1)
+        self.va1_prio_[row] = self._next_v[choice]
 
-        # stage 2: proposals grouped per output VC (output port, downstream VC)
-        out = oport * V + choice
-        order = np.argsort(out, kind="stable")
-        arb = out[order]
-        starts, seg = self._segments(arb)
-        arb = arb[starts]
-        req = (vc % self.PV)[order]  # requester index within its router
-        win = self._rr_pick(req, self.va2_prio_[arb], starts, seg, self.PV)
+        # stage 2: proposals compete per output VC (output port, downstream VC)
+        out = self.vc0_of[oport] + choice
+        req = vc % PV  # requester index within its router
+        win = self._rr_grant(out, req, self.va2_prio_[out], PV)
         if self._have_va2:
-            faulty = self.f_va2_[arb]
-            if faulty.any():
-                lost = faulty[seg]
-                retry = vc[order][lost]
-                self._count(_I_VA2_RETRY, retry // PV)
+            lost = self.f_va2_[out]
+            if np.count_nonzero(lost):
+                retry = vc[lost]
+                self._count(_I_VA2_RETRY, self.node_of[self.port_of[retry]])
                 # a protected router records the exclusion, so that the
                 # retry picks elsewhere
                 prot = self.protected[retry // self.RPV]
-                self.excl_[retry[prot]] |= np.int64(1) << choice[order][lost][prot]
-                win &= ~lost
-                arb = arb[~faulty]
-        self.va2_prio_[arb] = (req[win] + 1) % self.PV
+                self.excl_[retry[prot]] |= np.int64(1) << choice[lost][prot]
+                win = win[~lost[win]]
+        out = out[win]
+        self.va2_prio_[out] = self._next_pv[req[win]]
 
-        gi = order[win]
-        gvc = vc[gi]
-        self.outvc_[gvc] = choice[gi]
+        gvc = vc[win]
+        self.outvc_[gvc] = choice[win]
         self.st_[gvc] = _ACTIVE
         self.excl_[gvc] = 0
-        self.alloc_[out[gi]] = self.vpid_[gvc]
-        self._count(_I_VA_GRANT, gvc // PV)
+        self.alloc_[out] = self.vpid_[gvc]
+        self._count(_I_VA_GRANT, self.node_of[self.port_of[gvc]])
         if borrowed:
-            bm = owner[gi] != gvc
-            if bm.any():
-                self._count(_I_VA_BORROWED, gvc[bm] // PV)
+            bm = (owner[win] != gvc).nonzero()[0]
+            if bm.size:
+                self._count(_I_VA_BORROWED, self.node_of[self.port_of[gvc[bm]]])
 
     def _rc_phase(self, cycle: int, local: np.ndarray) -> None:
         """Route computation — mirrors ``RCUnit``/``DuplicatedRCUnit``."""
-        vc = np.flatnonzero(self.st_ == _ROUTING)
+        vc = (self.st_ == _ROUTING).nonzero()[0]
         if vc.size == 0:
             return
-        P, R = self.P, self.R
-        port = vc // self.V
+        port = self.port_of[vc]
         if self._have_rc:
             f1 = self.f_rc1_[port]
-            # a baseline port has no duplicate unit to fall back on
-            blocked = f1 & (self.f_rc2_[port] | ~self.protected[port // self.RP])
-            dup = f1 & ~blocked
-            if dup.any():
-                self._count(_I_RC_DUP, port[dup] // P)
-            if blocked.any():
-                self._count(_I_RC_BLOCK, port[blocked] // P)
-                keep = ~blocked
-                vc, port = vc[keep], port[keep]
-                if vc.size == 0:
-                    return
+            if np.count_nonzero(f1):
+                # a baseline port has no duplicate unit to fall back on
+                node = self.node_of[port]
+                blocked = f1 & (self.f_rc2_[port] | ~self.protected[self.lane_of[node]])
+                self._count(_I_RC_DUP, node[f1 & ~blocked])
+                keep = (~blocked).nonzero()[0]
+                if keep.size < vc.size:
+                    self._count(_I_RC_BLOCK, node[blocked])
+                    if keep.size == 0:
+                        return
+                    vc, port = vc[keep], port[keep]
         dest = self.b_flit_[vc * self.D + self.b_head_[vc]] >> _DEST_SHIFT & _DEST_MASK
-        out = self.rtab[port // P % R * R + dest]
-        pok = self.plan_ok_[port - port % P + out]
-        if not pok.all():
-            self._count(_I_UNREACH, port[~pok] // P)
-            vc, out = vc[pok], out[pok]
+        out = self.rtab[self.rtab0_of[port] + dest]
+        pok = self.plan_ok_[self.port0_of[port] + out]
+        keep = pok.nonzero()[0]
+        if keep.size < vc.size:
+            self._count(_I_UNREACH, self.node_of[port[~pok]])
+            vc, out = vc[keep], out[keep]
         self.route_[vc] = out
         self.st_[vc] = _WAITING_VA
 
@@ -961,20 +1003,17 @@ class BatchedLaneEngine:
             self.flits_ejected += count
             np.putmask(self.last_progress, count, cycle)
             self._ring_out_credit[(cycle + self.cred_lat) % self.span] = (out,)
-            tail = (word & _F_TAIL) != 0
-            tl, word = lane[tail], word[tail]
-            rows = tl * self.cap + (word >> _PID_SHIFT)
-            self.t_ej_[rows] = local[tl]
-            self.t_hops_[rows] = word >> _HOP_SHIFT & _HOP_MASK
+            tail = (word & _F_TAIL).nonzero()[0]
+            if tail.size:
+                tl, word = lane[tail], word[tail]
+                rows = tl * self.cap + (word >> _PID_SHIFT)
+                self.t_ej_[rows] = local[tl]
+                self.t_hops_[rows] = word >> _HOP_SHIFT & _HOP_MASK
         for ring in (self._ring_credit, self._ring_out_credit):
             ev = ring[s]
             if ev is not None:
                 ring[s] = None
-                self.cred_[ev[0]] += 1
-        ev = self._ring_nic_credit[s]
-        if ev is not None:
-            self._ring_nic_credit[s] = None
-            self.nic_cred_[ev[0]] += 1
+                self.credits[ev[0]] += 1
 
     def _buffer_write(self, tgt: np.ndarray, word: np.ndarray) -> np.ndarray:
         """Append one flit word per distinct wire-VC id ``port * V + wire``.
@@ -991,8 +1030,8 @@ class BatchedLaneEngine:
         self.b_cnt_[vc] = cnt + 1
         written = np.bincount(tgt // self.RPV, minlength=self.L)
         self._counter[_I_BUFW] += written
-        idle = self.st_[vc] == _IDLE
-        if idle.any():
+        idle = (self.st_[vc] == _IDLE).nonzero()[0]
+        if idle.size:
             iv = vc[idle]
             self.st_[iv] = _ROUTING
             self.route_[iv] = -1
@@ -1014,37 +1053,38 @@ class BatchedLaneEngine:
         """
         can = self.q_due <= local[:, None, None]
         can &= self.nic_cred > 0
-        node = np.flatnonzero(can.any(axis=2))
-        if node.size == 0:
+        q = can.reshape(-1).nonzero()[0]
+        if q.size == 0:
             return
-        NV = self.NV
-        rr = self.nic_rr_[node]
-        # first vnet that can inject, scanning from the round-robin pointer
-        q0 = node * NV
-        scan = q0[:, None] + (rr[:, None] + self._vnets) % NV
-        v = (rr + can.reshape(-1)[scan].argmax(axis=1)) % NV
-        q = q0 + v
-        l = node // self.R
+        # the first vnet that can inject, scanning from the NIC's
+        # round-robin pointer: a round-robin arbiter's grant
+        node, v = np.divmod(q, self.NV)
+        win = self._rr_grant(node, v, self.nic_rr_[node], self.NV)
+        q, node, v = q[win], node[win], v[win]
+        l = self.lane_of[node]
         row = self.q_row_[q]
         trow = l * self.cap + row
         flit = self.q_flit_[q]
         head = flit == 0
-        tail = flit == self.t_size_[trow] - 1
+        flit += 1
+        tail = flit == self.t_size_[trow]
         self.nic_cred_[q] -= 1
-        self.nic_rr_[node] = (v + 1) % NV
-        self.t_inj_[trow[head]] = local[l[head]]
+        self.nic_rr_[node] = self._next_vnet[v]
+        hd = head.nonzero()[0]
+        self.t_inj_[trow[hd]] = local[l[hd]]
         # a tail moves the cursor on: the next packet of the run, if any
-        self.q_flit_[q] = np.where(tail, 0, flit + 1)
-        tq, tt = q[tail], trow[tail]
-        self.q_row_[tq] = row[tail] + 1
-        self.q_due_[tq] = self.t_next_[tt]
-        self.lane_left -= np.bincount(l[tail], minlength=self.L)
-        # the table is int32: widen the destination before it is shifted
-        word = (row << _PID_SHIFT) + (self.t_dest_[trow].astype(np.int64) << _DEST_SHIFT)
+        tl = tail.nonzero()[0]
+        if tl.size:
+            flit[tl] = 0
+            tq, tt = q[tl], trow[tl]
+            self.q_row_[tq] = row[tl] + 1
+            self.q_due_[tq] = self.t_next_[tt]
+            self.lane_left -= np.bincount(l[tl], minlength=self.L)
+        self.q_flit_[q] = flit
+        # the row id is int64: adding the table's int32 destination widens it
+        word = ((row << _PID_SHIFT - _DEST_SHIFT) + self.t_dest_[trow]) << _DEST_SHIFT
         word += head * _F_HEAD + tail * _F_TAIL
-        self.fin += self._buffer_write(
-            (node * self.P + PORT_LOCAL) * self.V + v * self.VV, word
-        )
+        self.fin += self._buffer_write(self.local_vc0_of[node] + v * self.VV, word)
 
     # ------------------------------------------------------------------
     # run loop: shared cycle counter, independent lane retirement
@@ -1115,9 +1155,9 @@ class BatchedLaneEngine:
                 blocked = check & stalled & (self.fin > 0)
                 over = check & ~blocked & (local >= inject_until)
                 drained = over & (self.fin == 0) & (self.lane_left == 0)
-                for lane in np.flatnonzero(
+                for lane in (
                     blocked | drained | (over & (local >= horizon))
-                ).tolist():
+                ).nonzero()[0].tolist():
                     self._retire(
                         lane, cycle, bool(blocked[lane]), bool(drained[lane])
                     )
@@ -1159,9 +1199,8 @@ class BatchedLaneEngine:
         # so that no kernel has to ask whether a lane is live
         self._act[lane] = False
         self.st[lane] = _IDLE
-        self.xq_valid[lane] = False
         self.q_due[lane] = _NEVER
-        self._fault_due[lane] = _NEVER
+        self._arm_faults(lane, None)
         self._purge_lane_events(lane)
         n = int(self.t_n[lane])
         stats = NetworkStats(keep_samples=self.keep_samples)
@@ -1177,7 +1216,7 @@ class BatchedLaneEngine:
         )
         stats.packets_injected = int(np.count_nonzero(self.t_inj[lane, :n] >= 0))
         ej = self.t_ej[lane, :n]
-        done = np.flatnonzero(ej >= 0)
+        done = (ej >= 0).nonzero()[0]
         # ejection order: by cycle, then by node (a node sinks one flit
         # per cycle and the XB phase visits routers in node order)
         dest = self.t_dest[lane, :n]
@@ -1196,7 +1235,7 @@ class BatchedLaneEngine:
             cycles=local,
             blocked=blocked,
             drained=drained,
-            router_stats=RouterStats(*self.rstats[:, lane].sum(axis=1).tolist()),
+            router_stats=RouterStats(*self.counts()[:, lane].sum(axis=1).tolist()),
             faults_injected=self.faults_injected[lane],
             recovery=None if mon is None else mon.summary(),
         )
@@ -1238,7 +1277,7 @@ class BatchedLaneEngine:
         t0 = perf_counter()
         for arr, value in self._power_on:
             arr[lane] = value
-        self.rstats[:, lane] = 0
+        self.counts()[:, lane] = 0
         self._recount_faults()
         self.protected[lane] = (spec.router_kind or self._default_kind) == "protected"
         if getattr(spec.fault_schedule, "wants_recovery_log", False):
@@ -1302,13 +1341,19 @@ class BatchedLaneEngine:
         without the purge they would be delivered into the dead slot, or
         into its next occupant.
         """
-        for ring, per_lane in self._rings:
+        for ring in self._rings:
             for i, ev in enumerate(ring):
                 if ev is None:
                     continue
-                keep = ev[0] // per_lane != lane
-                if not keep.all():
-                    ring[i] = tuple(a[keep] for a in ev) if keep.any() else None
+                keep = (self._lane_of_id(ev[0]) != lane).nonzero()[0]
+                if keep.size < ev[0].size:
+                    ring[i] = tuple(a[keep] for a in ev) if keep.size else None
+
+    def _lane_of_id(self, ids: np.ndarray) -> np.ndarray:
+        """The lane of VC ids and ``credits`` indices alike: past the VC
+        ids (the router credits) come ``R * NV`` NIC credits per lane."""
+        vcs = self.cred_.size
+        return np.where(ids < vcs, ids // self.RPV, (ids - vcs) // (self.R * self.NV))
 
 
 class _RouterView:
@@ -1319,18 +1364,23 @@ class _RouterView:
     excepted: it is kept per lane, see ``rstats``)."""
 
     def __init__(self, engine: BatchedLaneEngine, lane: int, router: int) -> None:
+        self._engine = engine
         self._counts = engine.rstats[:, lane, router]
         self._occupancy = engine.b_cnt[lane, router]
 
     stats = property(lambda self: self)  # not stored: a view is freed by refcount
 
-    def __getattr__(self, counter: str) -> int:
-        if counter not in _RS_IDX or counter == "buffer_writes":
-            raise AttributeError(counter)
-        return int(self._counts[_RS_IDX[counter]])
+    def _read(self, counter: int) -> int:
+        self._engine._bin(counter)  # what this cycle queued for it, too
+        return int(self._counts[counter])
 
     def buffered_flits(self) -> int:
         return int(self._occupancy.sum())
+
+
+for _name, _i in _RS_IDX.items():
+    if _name != "buffer_writes":
+        setattr(_RouterView, _name, property(lambda self, i=_i: self._read(i)))
 
 
 def run_lanes(

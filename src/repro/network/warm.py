@@ -11,7 +11,7 @@ it took accumulate in a module-level counter that
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 from ..config import NetworkConfig, SimulationConfig
 from ..observability import Observability
@@ -34,7 +34,6 @@ def acquire(
     fault_schedule: Optional[FaultSchedule] = None,
     routing_kind: str = "xy",
     keep_samples: bool = False,
-    on_eject: Optional[Callable] = None,
     observability: Optional[Observability] = None,
 ) -> NoCSimulator:
     """A freshly built simulator; construction time accrues to ``setup_s``."""
@@ -42,7 +41,7 @@ def acquire(
     t0 = perf_counter()
     sim = NoCSimulator(
         config, sim_config, traffic, router_factory, fault_schedule,
-        routing_kind, keep_samples, on_eject, observability,
+        routing_kind, keep_samples, observability=observability,
     )
     _setup_seconds += perf_counter() - t0
     return sim

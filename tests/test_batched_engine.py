@@ -925,19 +925,34 @@ class TestFlatAddressing:
             if link is not None
         }
         assert upstream and all(port != 0 for _, port in upstream)
-        for table, links in (
-            (engine.down_port, topo.links), (engine.up_out_port, upstream),
-        ):
-            assert table.dtype == np.intp and table.shape == (3 * R * P,)
-            for lane in range(3):
-                for node in range(R):
-                    for port in range(P):
-                        got = int(table[(lane * R + node) * P + port])
-                        if (node, port) in links:
-                            far, far_port = links[(node, port)]
-                            assert got == (lane * R + far) * P + far_port
-                        else:  # a mesh edge, or the local port
+        V, NV = net.router.num_vcs, net.router.num_vnets
+        assert engine.down_port.dtype == engine.credit_to.dtype == np.intp
+        assert engine.down_port.shape == (3 * R * P,)
+        assert engine.credit_to.shape == (3 * R * P * V,)
+        for lane in range(3):
+            for node in range(R):
+                for port in range(P):
+                    here = (lane * R + node) * P + port
+                    got = int(engine.down_port[here])
+                    if (node, port) in topo.links:
+                        far, far_port = topo.links[(node, port)]
+                        assert got == (lane * R + far) * P + far_port
+                    else:  # a mesh edge, or the local port
+                        assert got == engine.no_link
+                    # a credit returns to the output VC feeding this input
+                    # port, or to the NIC queue of the wire's vnet
+                    for wire in range(V):
+                        got = int(engine.credit_to[here * V + wire])
+                        if port == 0:
+                            queue = (lane * R + node) * NV + wire // (V // NV)
+                            assert got == engine.cred_.size + queue
+                        elif (node, port) in upstream:
+                            far, far_port = upstream[(node, port)]
+                            assert got == ((lane * R + far) * P + far_port) * V + wire
+                        else:
                             assert got == engine.no_link
+        with pytest.raises(IndexError):
+            engine.credits[np.array([engine.no_link])]
         off_mesh = np.array([engine.no_link])
         for arr, _ in engine._power_on:
             with pytest.raises(IndexError):
@@ -995,27 +1010,39 @@ class TestFlatAddressing:
         views = _flat_views(engine)
         # every array the kernels address, fault masks and tables included
         assert {"st_", "b_flit_", "cred_", "va1_prio_", "f_va2_", "plan_ok_",
-                "xq_valid_", "q_row_", "nic_rr_", "t_ej_"} <= set(views)
+                "nic_cred_", "q_row_", "nic_rr_", "t_ej_"} <= set(views)
         for name, (flat, nd) in views.items():
             assert flat.shape == (nd.size,) and np.shares_memory(flat, nd), name
+        # router and NIC credits: back to back in one buffer, one id space
+        credits = engine.credits
+        assert credits.size == engine.cred_.size + engine.nic_cred_.size
+        assert np.shares_memory(credits[: engine.cred_.size], engine.cred)
+        assert np.shares_memory(credits[engine.cred_.size :], engine.nic_cred)
+        engine.credits[engine.cred_.size + 3] = 9
+        assert engine.nic_cred.reshape(-1)[3] == 9
         engine.st_[7] = 3
         assert engine.st.reshape(-1)[7] == 3
 
     @pytest.mark.parametrize("name", ["protected-va1-whole-port", "baseline-va2"])
     def test_every_index_array_is_intp(self, name, envelope_lanes):
-        """State values (``route``, ``outvc``, ``xq_slot`` ...) are int32;
+        """State values (``route``, ``outvc``, ``b_head`` ...) are int32;
         an id built from them alone would be int32 too and wrap on a
-        large fleet.  Every gather and scatter of a faulted run goes
-        through views that check their index arrays."""
+        large fleet.  Every gather and scatter of a faulted run — state
+        arrays, the shared credit buffer and the static id tables alike —
+        goes through views that check their index arrays."""
         kind = _ENVELOPE[name][0]
         engine = self._engine(_ENV_NET, _envelope_specs(name), 2, kind, _ENV_SIM)
         checked = 0
         for attr, value in list(vars(engine).items()):
-            flat = attr.endswith("_") or attr in ("down_port", "up_out_port", "rtab")
+            flat = attr.endswith("_") or attr.endswith("_of") or attr in (
+                "down_port", "credit_to", "credits", "rtab",
+            )
             if flat and isinstance(value, np.ndarray):
+                if attr.endswith("_of") or attr in ("down_port", "credit_to"):
+                    assert value.dtype == np.intp, attr  # a table of ids
                 setattr(engine, attr, value.view(_IntpIndexed))
                 checked += 1
-        assert checked > 40
+        assert checked > 45
         bind = engine._bind_tables
 
         def rebind(tables):
@@ -1308,10 +1335,10 @@ class TestLaneKernels:
         retire = engine._retire
         seen = []
 
-        def in_flight(lane):
+        def in_flight(lane):  # the XB queue is one of the rings
             return [
-                int(np.count_nonzero(ev[0] // per_lane == lane))
-                for ring, per_lane in engine._rings
+                int(np.count_nonzero(engine._lane_of_id(ev[0]) == lane))
+                for ring in engine._rings
                 for ev in ring
                 if ev is not None
             ]
@@ -1322,10 +1349,11 @@ class TestLaneKernels:
                 for ev in engine._ring_flit
                 if ev is not None
             )
-            seen.append((lane, blocked, on_wire, int(engine.xq_valid[lane].sum())))
+            queued = engine._xq[0]
+            queued = 0 if queued is None else np.count_nonzero(queued[0] // engine.RPV == lane)
+            seen.append((lane, blocked, on_wire, queued))
             retire(lane, cycle, blocked, drained)
             assert (engine.st[lane] == _IDLE).all()
-            assert not engine.xq_valid[lane].any()
             assert (engine.q_due[lane] == _NEVER).all()
             assert sum(in_flight(lane)) == 0
 
@@ -1334,7 +1362,7 @@ class TestLaneKernels:
         assert [lane.blocked for lane in lanes] == [True, True, False]
         assert any(blocked and wire and queued for _, blocked, wire, queued in seen)
         # nothing was delivered into a dead slot afterwards
-        assert (engine.st == _IDLE).all() and not engine.xq_valid.any()
+        assert (engine.st == _IDLE).all() and engine._xq == [None]
         for i, spec in enumerate(specs()):
             ref = _event_reference(
                 net, cfg, spec, _factory(net, "protected"),
@@ -1345,6 +1373,129 @@ class TestLaneKernels:
             assert _lane_key(lanes[i])[skip_summary] == _lane_key(ref)[skip_summary]
             assert lanes[i].router_stats == ref.router_stats, f"lane {i}"
         assert lanes[2].stats.packets_ejected > 50
+
+    def test_a_blocked_lane_retires_with_both_kinds_of_credit_in_flight(self):
+        """Credits outlive the watchdog (``credit_latency`` 16, watchdog 8):
+        a wedged baseline lane retires with router *and* NIC credits on
+        the wire, next to a live lane, and its slot is refilled — a credit
+        that survived the purge would land in the next occupant."""
+        from repro.faults import ExplicitFaultSchedule
+
+        net = NetworkConfig(
+            width=4, height=4, credit_latency=16,
+            router=RouterConfig(num_vcs=4, num_vnets=2),
+        )
+        cfg = SimulationConfig(
+            warmup_cycles=50, measure_cycles=250, drain_cycles=500, seed=5,
+            watchdog_cycles=8,
+        )
+        kinds = ("baseline", "protected", "baseline", "baseline", "protected")
+        wedge = _sites(
+            *((60, router, "SA1_ARBITER", port) for router in (5, 10) for port in range(5))
+        )
+
+        def specs():
+            return [
+                LaneSpec(
+                    SyntheticTraffic(
+                        net, injection_rate=0.1 + 0.05 * i, mix=COHERENCE_MIX,
+                        rng=800 + i,
+                    ),
+                    ExplicitFaultSchedule(wedge) if kind == "baseline" else None,
+                    kind,
+                )
+                for i, kind in enumerate(kinds)
+            ]
+
+        lanes = specs()
+        engine = self._engine(net, lanes[:2], cfg, pending=lanes[2:])
+        purge = engine._purge_lane_events
+        seen = []
+
+        def credits_of(lane):
+            ids = np.concatenate([
+                ev[0][engine._lane_of_id(ev[0]) == lane]
+                for ring in (engine._ring_credit, engine._ring_out_credit)
+                for ev in ring
+                if ev is not None
+            ] or [np.zeros(0, dtype=np.intp)])
+            router = int(np.count_nonzero(ids < engine.cred_.size))
+            return router, ids.size - router
+
+        def spy(lane):
+            point, live_beside = engine.lane_point[lane], bool(engine._act[1 - lane])
+            seen.append((point, live_beside, *credits_of(lane)))
+            purge(lane)
+            assert credits_of(lane) == (0, 0)
+
+        engine._purge_lane_events = spy
+        results = engine.run()
+        assert [r.blocked for r in results] == [k == "baseline" for k in kinds]
+        assert any(
+            results[point].blocked and beside and router and nic
+            for point, beside, router, nic in seen
+        )
+        for i, (spec, kind) in enumerate(zip(specs(), kinds)):
+            ref = _event_reference(
+                net, cfg, spec, _factory(net, kind), use_reference_stepper=True
+            )
+            assert _lane_key(results[i]) == _lane_key(ref), f"point {i}"
+
+    def test_the_counter_queue_is_bounded_and_polls_read_through_it(self, monkeypatch):
+        """With a bound of 150 ids (an array weighs 16 more) the queue is
+        binned hundreds of times mid-run and never holds more; the recovery
+        monitors' polls still see the cycle's own bumps (detection cycles
+        equal the reference's)."""
+        from repro.faults import FaultSite, FaultUnit
+        from repro.faults.timeline import FaultTimeline, TimelineEvent
+        from repro.network import batched
+
+        monkeypatch.setattr(batched, "_COUNT_QUEUE", 150)
+        net, cfg = _ENV_NET, _sim_cfg(measure=250)
+        kinds = ("protected", "baseline")
+
+        def timeline():
+            return FaultTimeline([
+                TimelineEvent(60, FaultSite(5, FaultUnit.RC_PRIMARY, 1)),
+                TimelineEvent(70, FaultSite(6, FaultUnit.SA1_ARBITER, 3)),
+                TimelineEvent(80, FaultSite(9, FaultUnit.VA1_ARBITER_SET, 2, 1)),
+            ])
+
+        def traffic():
+            return SyntheticTraffic(net, 0.15, mix=COHERENCE_MIX, rng=31)
+
+        stream = traffic()
+        engine = batched.BatchedLaneEngine(
+            net, cfg, [LaneSpec(stream, timeline(), kind) for kind in kinds]
+        )
+        step = engine._step
+        held, polled_through = [], []
+
+        def spy(cycle, local):
+            step(cycle, local)
+            held.append(sum(ids.size + 16 for queue in engine._queue for ids in queue))
+            assert held[-1] <= engine._queued <= 150  # a poll's reads bin early
+
+        view_read = batched._RouterView._read
+
+        def reading(view, counter):
+            polled_through.append(bool(engine._queue[counter]))
+            return view_read(view, counter)
+
+        monkeypatch.setattr(batched._RouterView, "_read", reading)
+        engine._step = spy
+        lanes = engine.run()
+        assert max(held) > 75 and any(polled_through)
+        assert engine._queued == 0  # the last retirement read everything
+        counted = sum(sum(vars(lane.router_stats).values()) for lane in lanes)
+        assert counted > 100 * 150
+        for lane, kind in zip(lanes, kinds):
+            assert lane.recovery["detected"] >= 2
+            ref = _event_reference(
+                net, cfg, LaneSpec(traffic(), timeline()), _factory(net, kind),
+                use_reference_stepper=True,
+            )
+            assert _recovery_key(lane) == _recovery_key(ref), kind
 
     def test_bypass_grant_transfer_and_block_in_one_cycle(self):
         """Two bypassed ports of one router (the rotation default either
@@ -1375,11 +1526,12 @@ class TestLaneKernels:
         per_cycle = []
 
         def sa(self, cycle, local):
-            # rstats is (counter, lane, router): all three ports sit on
-            # router 5, so its cells are the ones that move
-            before = self.rstats[columns, :, 5].copy()
+            # counts() is (counter, lane, router) with the queued bumps
+            # binned in: all three ports sit on router 5, so its cells are
+            # the ones that move
+            before = self.counts()[columns, :, 5].copy()
             batched.BatchedLaneEngine._sa_phase(self, cycle, local)
-            moved = self.rstats[columns, :, 5] - before  # (counter, lane)
+            moved = self.counts()[columns, :, 5] - before  # (counter, lane)
             per_cycle.append((moved[0, 0], moved[1, 0], moved[2, 1]))
 
         engine._STAGES = tuple(
@@ -1723,7 +1875,7 @@ class TestHealSeam:
 
         from repro.faults import FaultUnit
         from repro.faults.recovery import watch_counters
-        from repro.network.batched import BatchedLaneEngine, _RouterView
+        from repro.network.batched import _RS_IDX, BatchedLaneEngine, _RouterView
         from repro.traffic.generator import NullTraffic
 
         engine = BatchedLaneEngine(_ENV_NET, _ENV_SIM, [LaneSpec(NullTraffic(), None)])
@@ -1734,6 +1886,13 @@ class TestHealSeam:
                 assert getattr(view.stats, counter) == 0
         with pytest.raises(AttributeError):
             view.buffer_writes
+        # a read bins what is queued for that counter, and only that
+        for counter in ("flits_traversed", "sa_grants"):
+            engine._count(_RS_IDX[counter], np.array([0, 0, 3]))
+        assert view.flits_traversed == 2
+        assert not engine._queue[_RS_IDX["flits_traversed"]]
+        assert len(engine._queue[_RS_IDX["sa_grants"]]) == 1
+        assert engine.counts()[_RS_IDX["sa_grants"], 0, 3] == 1 and engine._queued == 0
         gc.disable()
         try:
             gone = weakref.ref(view)
