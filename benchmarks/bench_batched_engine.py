@@ -93,7 +93,9 @@ def _event_results():
             router_factory=FACTORY,
             fault_schedule=spec.fault_schedule,
         )
-        out.append(sim.run())
+        # the object engine's own loop: most of these loads are above the
+        # break-even where ``run()`` would ride a width-1 lane itself
+        out.append(sim._run_stepped())
     return out
 
 

@@ -84,6 +84,11 @@ class RouterConfig:
             raise ValueError("a router needs at least 2 ports")
         if self.num_vcs < 1:
             raise ValueError("need at least one virtual channel")
+        if self.num_vcs > 31 or self.num_ports * self.num_vcs > 62:
+            raise ValueError(
+                "the allocators' request bitmasks hold at most 31 VCs per "
+                "port and 62 per router (num_ports * num_vcs)"
+            )
         if self.buffer_depth < 1:
             raise ValueError("VC buffers need at least one flit slot")
         if self.num_vnets < 1:

@@ -699,13 +699,13 @@ def _resolve_factory(kind: str, config: NetworkConfig):
 
 
 def run_point(point: LanePoint, reason: str = "") -> PointOutcome:
-    """Run one :class:`LanePoint` on the per-point event engine.
+    """Run one :class:`LanePoint` as a single ``NoCSimulator.run()``.
 
     The lower layer of :func:`run_lane_sweep`: what a group the batched
     engine declines falls back to, one task per point (``reason`` then
     carries the ``supports()`` decline string, so shard reports surface
     *why*), and what tests and benches ``map_sweep`` directly when they
-    want the per-point answer.
+    want the per-point answer (``run()`` picks the engine by load).
     """
     schedule = (
         point.make_schedule(*point.schedule_args)
@@ -822,8 +822,7 @@ def run_lane_sweep(
     batching compose.
 
     Groups the batched engine declines (a router kind without an array
-    model, adaptive routing, tracing enabled, oversized VC space, ...) —
-    and groups too small to batch —
+    model, observability enabled) — and groups too small to batch —
     fall back to one :func:`run_point` task per point, counted in
     ``ShardReport.fallbacks`` with the decline reason threaded into
     ``ShardReport.fallback_reasons``.

@@ -135,12 +135,16 @@ objects: landings and heals are reported from the fault stage, open
 watches are polled after the last kernel on the lane's local clock, and
 the summary lands on ``SimulationResult.recovery`` at retirement.
 
+Routing is a table, ``rtab``; an adaptive function (``west_first``) adds
+``rtab2``, its second candidate, which the RC kernel takes on a strictly
+greater ``RCUnit.select_route`` key — ``(has a crossbar plan, not
+secondary, the output port's credit sum)`` as one integer (``_route_key``).
+
 Use :func:`supports` to check a configuration before constructing the
-engine; unsupported configurations (adaptive routing, tracing, router
-kinds without an array model, ...) should fall back to
-the event engine per point —
-:func:`repro.experiments.parallel.run_lane_sweep` does exactly that and records the
-reason string per fallback point.
+engine; what it declines (observability, router kinds without an array
+model) :func:`repro.experiments.parallel.run_lane_sweep` runs on the object
+engine per point, recording the reason string.  A ``NoCSimulator.run()``
+above the break-even load is a width-1 engine of this class.
 """
 
 from __future__ import annotations
@@ -248,20 +252,15 @@ def supports(
 
     Returns a human-readable reason string for unsupported configs (the
     sweep layer records it and falls back to the event engine per point)
-    and ``None`` when the configuration is fully supported.
+    and ``None`` when the configuration is fully supported: the router
+    kind and observability decide, nothing in ``config`` or the routing.
     """
-    kind = getattr(router_factory, "router_kind", "baseline")
+    # no factory is the baseline default; one that names no kind is somebody's own
+    kind = "baseline" if router_factory is None else getattr(router_factory, "router_kind", None)
     if kind not in LANE_KINDS:
         return f"router kind {kind!r} not supported (no array model)"
-    if make_routing(config, routing_kind).adaptive:
-        return f"adaptive routing {routing_kind!r} (route depends on run-time state)"
     if observability is not None or maybe_create() is not None:
         return "observability enabled (tracing/metrics need per-object hooks)"
-    V, P = config.router.num_vcs, config.router.num_ports
-    if P * V > 62:
-        return "num_ports * num_vcs > 62 (stage-2 requester bitmask width)"
-    if V > 31:
-        return "num_vcs > 31 (va_excluded bitmask width)"
     return None
 
 
@@ -326,8 +325,18 @@ class BatchedLaneEngine:
             sim_config.warmup_cycles + sim_config.measure_cycles
         )
         routing = make_routing(config, routing_kind)
-        #: output port of ``(node, dest)`` at ``node * R + dest``
-        self.rtab = np.array(routing.route_table(), dtype=np.int32).reshape(-1)
+        #: an adaptive function's second candidate (-1: none), as ``rtab``
+        self.rtab2: Optional[np.ndarray] = None
+        if routing.adaptive:
+            cands = [routing.candidate_ports(n, d) for n in range(R) for d in range(R)]
+            if max(map(len, cands)) > 2:
+                raise ValueError(f"routing {routing_kind!r} offers more than two candidates")
+            table: list = [c[0] for c in cands]
+            self.rtab2 = np.array([c[1] if len(c) > 1 else -1 for c in cands], dtype=np.int32)
+        else:
+            table = routing.route_table()
+        #: (first-choice) output port of ``(node, dest)`` at ``node * R + dest``
+        self.rtab = np.array(table, dtype=np.int32).reshape(-1)
 
         #: (array, power-on value) of every per-lane state array: allocated
         #: through ``state`` below, restored slot by slot in ``_install_lane``
@@ -372,6 +381,7 @@ class BatchedLaneEngine:
         )
         self.alloc, self.alloc_ = state(shape4, -1, np.int64)
         self.alloc_rows = self.alloc.reshape(-1, V)  # one row per output port
+        self.cred_rows = self.cred.reshape(-1, V)  # likewise
 
         # round-robin arbiter priority pointers
         shape3 = (R, P)
@@ -951,6 +961,13 @@ class BatchedLaneEngine:
             if bm.size:
                 self._count(_I_VA_BORROWED, self.node_of[self.port_of[gvc[bm]]])
 
+    def _route_key(self, oport: np.ndarray) -> np.ndarray:
+        """A candidate output port's ``(not secondary, credits)`` key as one
+        integer, 0 for a port without a crossbar plan (never selected)."""
+        credits = self.cred_rows[oport].sum(axis=1)
+        primary = ~self.plan_sec_[oport] * (self.V * self.D + 1)  # > any credit sum
+        return self.plan_ok_[oport] * (1 + credits + primary)
+
     def _rc_phase(self, cycle: int, local: np.ndarray) -> None:
         """Route computation — mirrors ``RCUnit``/``DuplicatedRCUnit``."""
         vc = (self.st_ == _ROUTING).nonzero()[0]
@@ -971,8 +988,19 @@ class BatchedLaneEngine:
                         return
                     vc, port = vc[keep], port[keep]
         dest = self.b_flit_[vc * self.D + self.b_head_[vc]] >> _DEST_SHIFT & _DEST_MASK
-        out = self.rtab[self.rtab0_of[port] + dest]
-        pok = self.plan_ok_[self.port0_of[port] + out]
+        at = self.rtab0_of[port] + dest
+        out = self.rtab[at]
+        port0 = self.port0_of[port]
+        if self.rtab2 is not None:
+            # ``RCUnit.select_route``: the second candidate wins on a
+            # strictly greater key only, so ties and no path at all stay first
+            alt = self.rtab2[at]
+            two = (alt >= 0).nonzero()[0]
+            if two.size:
+                alt, p0 = alt[two], port0[two]
+                swap = (self._route_key(p0 + alt) > self._route_key(p0 + out[two])).nonzero()[0]
+                out[two[swap]] = alt[swap]
+        pok = self.plan_ok_[port0 + out]
         keep = pok.nonzero()[0]
         if keep.size < vc.size:
             self._count(_I_UNREACH, self.node_of[port[~pok]])

@@ -26,7 +26,7 @@ ring, and results are bit-identical to the full-scan reference stepper
 test).  Bulk randomness (traffic generation, fault schedules) is
 vectorised with NumPy in the traffic/fault modules.
 
-On top of the active sets, :meth:`NoCSimulator.run` is *event-driven*:
+On top of the active sets, :meth:`NoCSimulator._run_stepped` is *event-driven*:
 when the fabric is provably idle (no active routers or NICs, no link or
 credit events in flight) the loop asks every wake source for its next
 due cycle — the traffic generator's :meth:`next_injection` lookahead,
@@ -70,7 +70,9 @@ class TrafficSource(Protocol):
     exactly as per-cycle ``generate`` calls would), or ``None`` when the
     window is quiet.  The event-driven loop uses it to skip idle
     stretches; sources without it simply disable skipping during the
-    injection window.
+    injection window.  A source that declares its ``offered_load`` (flits
+    per cycle over the whole fabric) lets :meth:`NoCSimulator.run` hand a
+    dense run to a lane of the array engine; others are always stepped.
     """
 
     def generate(self, cycle: int) -> Iterable[Packet]:
@@ -88,6 +90,11 @@ class TrafficSource(Protocol):
 
 
 RouterFactory = Callable[[int, RoutingFunction], BaseRouter]
+
+#: offered load, in flits per cycle over the whole fabric, from which a
+#: width-1 lane finishes a run sooner than the active-set loop, whose cost
+#: follows activity, not cycles (``docs/performance.md``, "One run, one lane")
+LANE_BREAK_EVEN = 4.0
 
 
 def baseline_router_factory(config: NetworkConfig) -> RouterFactory:
@@ -328,7 +335,8 @@ class NoCSimulator:
         self.traffic = traffic
         self.topology = Topology(config)
         self.routing = make_routing(config, routing_kind)
-        factory = router_factory or baseline_router_factory(config)
+        self.routing_kind = routing_kind
+        self.router_factory = factory = router_factory or baseline_router_factory(config)
         self.routers: list[BaseRouter] = [
             factory(node, self.routing) for node in range(config.num_nodes)
         ]
@@ -632,6 +640,38 @@ class NoCSimulator:
         return target
 
     def run(self) -> SimulationResult:
+        """One run, on the engine that finishes it sooner.
+
+        A fresh run on an untouched fabric that nothing watches from outside
+        the event system and whose traffic source declares an ``offered_load`` of
+        :data:`LANE_BREAK_EVEN` or more rides a width-1 lane of
+        :class:`repro.network.batched.BatchedLaneEngine` on its own traffic
+        and schedule objects — bit-identical, the lane engine mirrors
+        ``_step_reference`` — and every other one is :meth:`_run_stepped`.
+        """
+        from .batched import BatchedLaneEngine, LaneSpec, supports
+
+        load = getattr(self.traffic, "offered_load", None)
+        if (
+            load is None or load < LANE_BREAK_EVEN
+            or self.cycle or self.use_reference_stepper
+            or self.on_eject is not None or "_step" in self.__dict__
+            or supports(self.config, self.router_factory, observability=self.obs) is not None
+            # a fabric touched by hand (a queued packet, a fault) is not a lane's power-on one
+            or self._active_routers or self._active_nics
+            or any(r.faults.any_faults for r in self.routers)
+        ):
+            return self._run_stepped()
+        lane = LaneSpec(self.traffic, self.fault_schedule)
+        res = BatchedLaneEngine(
+            self.config, self.sim_config, [lane], self.router_factory, self.routing_kind,
+            keep_samples=self.stats.keep_samples,
+        ).run()[0]
+        self.stats, self.cycle = res.stats, res.cycles
+        self.blocked, self.faults_injected = res.blocked, res.faults_injected
+        return res
+
+    def _run_stepped(self) -> SimulationResult:
         """Warmup + measurement + drain, with watchdog protection.
 
         The loop is event-driven (``docs/performance.md``): whenever the

@@ -32,7 +32,9 @@ from .traffic.patterns import available_patterns, make_pattern
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.tools",
-        description="Run one NoC simulation and print the report.",
+        description="Run one NoC simulation and print the report.  The engine follows "
+        "the load: from 4 flits/cycle over the whole fabric (--rate x nodes) the run is "
+        "one lane of the array engine, below that the event loop; same report either way.",
     )
     p.add_argument("--width", type=int, default=8, help="mesh width")
     p.add_argument("--height", type=int, default=8, help="mesh height")

@@ -242,6 +242,11 @@ class SyntheticTraffic:
         self._rows: list[tuple[int, int, int, int, int]] = []
         self._pos = 0
 
+    @property
+    def offered_load(self) -> float:
+        """Declared load, in flits per cycle over the whole fabric."""
+        return self.injection_rate * len(self._nodes)
+
     # ------------------------------------------------------------------
     def _draw(self, until: int) -> PacketTable:
         """Draw cycles ``[self._drawn, until)``: the only RNG consumer.

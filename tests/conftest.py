@@ -72,6 +72,19 @@ def make_sim(
     )
 
 
+def stepped_point(point):
+    """``run_point`` held to the object engine's own loop.
+
+    A differential test's oracle must not ride the lane engine it checks:
+    above the break-even load ``NoCSimulator.run`` would.
+    """
+    from repro.experiments.parallel import run_point
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NoCSimulator, "run", NoCSimulator._run_stepped)
+        return run_point(point).value
+
+
 # ----------------------------------------------------------------------
 # the naive per-cycle traffic reference
 # ----------------------------------------------------------------------

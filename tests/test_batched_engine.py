@@ -18,6 +18,7 @@ contract two ways:
 import numpy as np
 import pytest
 
+from conftest import stepped_point
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.experiments import parallel
@@ -85,7 +86,9 @@ def _event_reference(net, sim_cfg, spec, factory, routing_kind="xy", **sim_kwarg
         routing_kind=routing_kind,
         **sim_kwargs,
     )
-    return sim.run()
+    # the object engine's own loop, whatever the load: ``run()`` would ride
+    # a lane above the break-even, and an oracle must stay independent
+    return sim._run_stepped()
 
 
 def _assert_lanes_match(net, sim_cfg, make_specs, kind, routing_kind="xy"):
@@ -343,7 +346,7 @@ class TestKeepSamples:
             ref = NoCSimulator(
                 net, cfg, spec.traffic, router_factory=factory,
                 keep_samples=True,
-            ).run()
+            )._run_stepped()
             got = sorted(sample_key(s) for s in batched[lane].stats.samples)
             want = sorted(sample_key(s) for s in ref.stats.samples)
             assert got, f"lane {lane} kept no samples"
@@ -483,10 +486,19 @@ class TestSupportsGate:
         net = _net(4, 4, 4, 2)
         assert supports(net, protected_router_factory(net), "xy") is None
 
-    def test_adaptive_routing_declined(self):
+    def test_adaptive_routing_supported(self):
+        """``west_first`` has an array RC: no routing kind is declined."""
         net = _net(4, 4, 2, 1)
-        reason = supports(net, baseline_router_factory(net), "west_first")
-        assert reason is not None and "adaptive" in reason
+        assert supports(net, baseline_router_factory(net), "west_first") is None
+
+    def test_unmarked_factory_declined(self):
+        """A factory that names no ``router_kind`` is somebody's own router,
+        not the baseline default (which is what *no* factory means)."""
+        net = _net(4, 4, 2, 1)
+        factory = baseline_router_factory(net)
+        reason = supports(net, lambda node, routing: factory(node, routing), "xy")
+        assert reason is not None and "router kind" in reason
+        assert supports(net, None, "xy") is None
 
     def test_nonunit_latency_supported(self):
         """Multi-cycle link/credit latency batches via the delay rings."""
@@ -495,12 +507,14 @@ class TestSupportsGate:
         )
         assert supports(net, baseline_router_factory(net), "xy") is None
 
-    def test_oversized_vc_space_declined(self):
-        net = NetworkConfig(
-            width=3, height=3, router=RouterConfig(num_vcs=16)
-        )
-        reason = supports(net, None, "xy")
-        assert reason is not None and "num_ports * num_vcs" in reason
+    def test_oversized_vc_space_is_a_config_error(self):
+        """What does not fit the allocators' bitmasks is no configuration at
+        all, rather than a reason to keep a second engine."""
+        for router in (dict(num_vcs=16), dict(num_ports=2, num_vcs=32)):
+            with pytest.raises(ValueError, match="bitmasks"):
+                RouterConfig(**router)
+        assert RouterConfig(num_ports=2, num_vcs=31).num_vcs == 31
+        assert RouterConfig(num_ports=5, num_vcs=12).num_vcs == 12
 
 
 # ----------------------------------------------------------------------
@@ -523,11 +537,14 @@ def _lane_points(net, sim_cfg, routing_kinds, rate=0.05, seed=3):
 
 class TestRunLaneSweep:
     def test_unsupported_points_fall_back_per_point(self):
+        from dataclasses import replace
+
         net = _net(4, 4, 4, 2)
+        # ``roco`` has no array model; ``west_first`` lanes batch like ``xy``
         points = _lane_points(
-            net, _sim_cfg(measure=150),
-            ("xy", "west_first", "xy", "west_first"),
+            net, _sim_cfg(measure=150), ("xy", "west_first") * 3
         )
+        points[2:4] = [replace(p, router_kind="roco") for p in points[2:4]]
         batched_values, batched_report = run_lane_sweep(points)
         # the lower layer called directly: nothing declined, no fallbacks
         event_values, event_report = map_sweep(
@@ -539,7 +556,9 @@ class TestRunLaneSweep:
         assert event_report.fallbacks == 0
         assert "event-engine fallbacks" in batched_report.format()
         # the *why* is threaded through to the report, not just a count
-        assert any("adaptive" in r for r in batched_report.fallback_reasons)
+        assert batched_report.fallback_reasons == (
+            "router kind 'roco' not supported (no array model)",
+        )
         assert "fallback reasons:" in batched_report.format()
         assert event_report.fallback_reasons == ()
         for i, (b, e) in enumerate(zip(batched_values, event_values)):
@@ -1085,7 +1104,7 @@ def _assert_chunk_equals_run_point(points):
     outcome = parallel._lane_batched_chunk(tuple(points), parallel.DEFAULT_LANE_WIDTH)
     assert len(outcome.value) == len(points)
     for i, (lane, point) in enumerate(zip(outcome.value, points)):
-        assert _lane_key(lane) == _lane_key(run_point(point).value), f"point {i}"
+        assert _lane_key(lane) == _lane_key(stepped_point(point)), f"point {i}"
 
 
 def _assert_equal_reference_stepper(lanes, specs, net, cfg, kind="protected"):
@@ -1136,7 +1155,7 @@ class TestOneDrawPerStream:
         )
         assert len(seen["points"]) == 5 and len(compiled) == 1
         for lane, point in zip(seen["values"], seen["points"]):
-            assert _lane_key(lane) == _lane_key(run_point(point).value), point.label
+            assert _lane_key(lane) == _lane_key(stepped_point(point)), point.label
 
     def test_distinct_streams_compile_one_each(self, compiled, monkeypatch):
         """The ledger's ``lane_sweep_8x8`` smoke points: nothing to share."""
@@ -1653,7 +1672,7 @@ class TestHealSeam:
         lanes, report = run_lane_sweep(points, jobs=1)
         assert report.fallbacks == 0
         for i, (lane, point) in enumerate(zip(lanes, points)):
-            ref = run_point(point).value
+            ref = stepped_point(point)
             assert lane.faults_injected == ref.faults_injected > 0
             assert _lane_key(lane) == _lane_key(ref), f"point {i}"
             assert lane.recovery is None  # transients keep no recovery log

@@ -19,12 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import stepped_point
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig, replace
 from repro.core.protected_router import protected_router_factory
 from repro.experiments import fault_campaign, parallel
 from repro.experiments.fault_campaign import CampaignConfig
 from repro.experiments.latency import LatencyConfig
-from repro.experiments.parallel import run_point
 from repro.faults import TimelineSpec, make_schedule
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import reset_packet_ids
@@ -154,7 +154,7 @@ class TestCampaignLanes:
     def test_every_lane_equals_both_object_steppers(self, campaign):
         records = []
         for point, lane in zip(*campaign):
-            assert _point_key(lane) == _point_key(run_point(point).value), point.label
+            assert _point_key(lane) == _point_key(stepped_point(point)), point.label
             reference = NoCSimulator(
                 point.config, point.sim_config,
                 point.make_traffic(*point.traffic_args),

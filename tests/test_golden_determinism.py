@@ -88,7 +88,7 @@ def _run_once(
         observability=obs,
         use_reference_stepper=(engine == "reference"),
     )
-    result = sim.run()
+    result = sim._run_stepped()
     return sim, result
 
 
@@ -160,7 +160,7 @@ class TestGoldenDeterminism:
                 routing_kind="west_first",
                 use_reference_stepper=(engine == "reference"),
             )
-            return sim.run()
+            return sim._run_stepped()
 
         ref = run("reference")
         for engine in ("event", "stepper"):
@@ -181,7 +181,8 @@ class TestBatchedLaneGolden:
     why), so unlike ``_run_once`` these references run observability-free
     — the comparison covers every output the engines share: cycle
     counts, drain status, the full stats summary, and the aggregated
-    router counters.
+    router counters.  The references call ``_run_stepped()``: at this
+    load ``run()`` would ride a lane itself.
     """
 
     def _scenario(self):
@@ -223,7 +224,7 @@ class TestBatchedLaneGolden:
             ref.router_stats
         )
 
-    def test_batched_lanes_bit_identical(self):
+    def test_batched_lanes_bit_identical(self, routing="xy"):
         from repro.network.batched import LaneSpec, run_lanes
 
         net, sim_cfg = self._scenario()
@@ -238,10 +239,13 @@ class TestBatchedLaneGolden:
                 LaneSpec(self._traffic(net), self._schedule(net)),
             ],
             router_factory=protected_router_factory(net),
+            routing_kind=routing,
         )
         # baseline group: one fault-free lane
         reset_packet_ids()
-        baseline = run_lanes(net, sim_cfg, [LaneSpec(self._traffic(net))])
+        baseline = run_lanes(
+            net, sim_cfg, [LaneSpec(self._traffic(net))], routing_kind=routing
+        )
 
         flavours = [
             (protected[0], protected_router_factory(net), None),
@@ -256,10 +260,19 @@ class TestBatchedLaneGolden:
                 self._traffic(net),
                 router_factory=factory,
                 fault_schedule=schedule(net) if schedule else None,
-            ).run()
+                routing_kind=routing,
+            )._run_stepped()
             self._assert_lane_matches(batched, ref)
 
-    def test_timeline_lanes_bit_identical(self):
+    def test_west_first_lanes_bit_identical(self):
+        """The same three rows under adaptive routing: the array RC's
+        candidate selection against ``RCUnit.select_route``."""
+        self.test_batched_lanes_bit_identical("west_first")
+
+    def test_west_first_timeline_lanes_bit_identical(self):
+        self.test_timeline_lanes_bit_identical("west_first")
+
+    def test_timeline_lanes_bit_identical(self, routing="xy"):
         """A fault timeline (half its events transient) x {baseline,
         protected} as lanes of one engine: heals and the recovery log
         equal the event engine's, record for record."""
@@ -283,13 +296,15 @@ class TestBatchedLaneGolden:
         lanes = run_lanes(
             net, sim_cfg,
             [LaneSpec(self._traffic(net), timeline(), kind) for kind in kinds],
+            routing_kind=routing,
         )
         for batched, factory in zip(lanes, kinds.values()):
             reset_packet_ids()
             ref = NoCSimulator(
                 net, sim_cfg, self._traffic(net),
                 router_factory=factory, fault_schedule=timeline(),
-            ).run()
+                routing_kind=routing,
+            )._run_stepped()
             self._assert_lane_matches(batched, ref)
             assert batched.recovery == ref.recovery
             assert batched.recovery["events"] == 10
@@ -324,7 +339,7 @@ class TestBatchedLaneGolden:
                 self._traffic(net),
                 router_factory=protected_router_factory(net),
                 fault_schedule=schedule(net) if schedule else None,
-            ).run()
+            )._run_stepped()
             self._assert_lane_matches(batched[lane], ref)
 
     def test_keep_samples_lanes_bit_identical(self):
@@ -348,7 +363,7 @@ class TestBatchedLaneGolden:
             self._traffic(net),
             router_factory=protected_router_factory(net),
             keep_samples=True,
-        ).run()
+        )._run_stepped()
         self._assert_lane_matches(batched[0], ref)
 
         def key(s):
@@ -404,7 +419,7 @@ class TestBatchedLaneGolden:
                 spec.traffic,
                 router_factory=protected_router_factory(net),
                 fault_schedule=spec.fault_schedule,
-            ).run()
+            )._run_stepped()
             self._assert_lane_matches(batched[lane], ref)
 
 
