@@ -56,6 +56,10 @@ from typing import (
 )
 
 import numpy as np
+# NumPy loads its random package on first use: a worker forked from a parent
+# that never drew a number would import it (14 modules) again after each
+# fork, and this module is the one every such parent has imported
+import numpy.random  # noqa: F401
 
 from ..config import NetworkConfig, SimulationConfig
 from ..network import warm

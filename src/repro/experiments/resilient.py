@@ -32,8 +32,11 @@ supervisor.  It is not a second executor:
 :func:`supervise` is its worker-process mode, so a dead worker costs its
 one point (never a hang) whether or not a runtime is active.  What a
 runtime adds is the *policy* — retries, the watchdog, the store, a
-progress hook and the partial-success error; with none active each point
-gets a single attempt (:data:`NO_RETRY`) and nothing is stored.
+progress hook and the partial-success error — and a *lifetime*: the
+worker processes belong to the :class:`SweepRuntime`, so the second sweep
+of a runtime reuses the first one's.  With none active each point gets a
+single attempt (:data:`NO_RETRY`), nothing is stored and the workers end
+with the sweep.
 
 Activation is context-based so the experiment modules need no plumbing:
 :func:`sweep_runtime` installs the runtime for the current call stack and
@@ -52,6 +55,7 @@ import json
 import multiprocessing as mp
 import os
 import pickle
+import stat
 import threading
 import time
 from contextlib import contextmanager
@@ -309,25 +313,116 @@ class CheckpointStore:
 # ----------------------------------------------------------------------
 # runtime context
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
 class SweepRuntime:
-    """The resilience configuration one :func:`sweep_runtime` installs.
+    """One resilience configuration and the worker processes forked under it.
 
-    ``progress`` is an optional per-point completion hook: the resilient
-    executor calls it with a small dict (``sweep`` sequence number,
-    point ``index``/``label``, ``attempts``, ``resumed``) the moment each
-    point finishes.  It runs on the supervisor thread, so it must be
-    cheap and thread-safe — :mod:`repro.service` uses it to stream
-    completed points to HTTP clients while the sweep is still running.
+    ``store`` and ``retry`` are fixed for the runtime's life.  The
+    supervised workers are the runtime's too: a sweep *borrows* slots
+    (:meth:`borrow` forks only when no idle worker is alive) and
+    :meth:`release` takes back every slot that is idle and alive, so the
+    next sweep of the same runtime — the protected Monte-Carlo after the
+    baseline one, or a server's next request — starts on a process that
+    has already imported, drawn and stepped.  :meth:`close` stops the
+    idle workers and closes the store; no worker outlives it.
+
+    Per-sweep state (the sweep counter, a progress hook) belongs to an
+    activation, not to the runtime: :meth:`activate` installs the runtime
+    on the calling thread, so one runtime can serve several threads.
     """
 
-    store: Optional[CheckpointStore] = None
-    retry: RetryPolicy = RetryPolicy()
-    progress: Optional[Callable[[Dict[str, Any]], None]] = None
+    def __init__(
+        self,
+        store: Optional[CheckpointStore] = None,
+        retry: Optional[RetryPolicy] = None,
+    ) -> None:
+        self.store = store
+        self.retry = retry or RetryPolicy()
+        #: worker processes forked so far (first starts and replacements)
+        self.spawned = 0
+        self._lock = threading.Lock()
+        self._idle: List[_Worker] = []
+        self._closed = False
+
+    @property
+    def idle(self) -> int:
+        """Workers waiting for the next sweep."""
+        return len(self._idle)
+
+    @contextmanager
+    def activate(
+        self, progress: Optional[Callable[[Dict[str, Any]], None]] = None
+    ) -> Iterator[SweepRuntime]:
+        """Install this runtime for sweeps the calling thread runs inside
+        the block.
+
+        ``progress`` is an optional per-point completion hook: it is
+        called with a small dict (``sweep`` sequence number, point
+        ``index``/``label``, ``attempts``, ``resumed``) the moment each
+        point finishes.  It runs on the supervisor thread, so it must be
+        cheap and thread-safe — :mod:`repro.service` uses it to stream
+        completed points to HTTP clients while the sweep is still running.
+        """
+        _set_active(_ActiveRun(self, progress))
+        try:
+            yield self
+        finally:
+            _set_active(None)
+
+    def start(self, worker: _Worker) -> None:
+        """Fork ``worker``'s process: a new slot's, or a lost one's successor."""
+        worker.spawn()
+        with self._lock:
+            self.spawned += 1
+
+    def borrow(self, n: int) -> List[_Worker]:
+        """``n`` live, idle workers numbered ``0..n-1``: kept ones first,
+        forked ones for the rest."""
+        with self._lock:
+            kept, self._idle = self._idle[-n:], self._idle[:-n]
+        workers = []
+        for w in kept:
+            if w.proc.is_alive():
+                workers.append(w)
+            else:  # died while idle (e.g. OOM-killed between sweeps)
+                w.discard()
+        ctx = _pool_context()
+        while len(workers) < n:
+            workers.append(_Worker(len(workers), ctx))
+            self.start(workers[-1])
+        for slot, w in enumerate(workers):
+            w.slot = slot
+        return workers
+
+    def release(self, workers: Sequence[_Worker]) -> None:
+        """Take back the slots that are idle and alive; end the rest.
+
+        A slot still busy (an interrupt), dead, or returned after
+        :meth:`close` is never kept.
+        """
+        with self._lock:
+            keep = [] if self._closed else [
+                w for w in workers if not w.busy and w.proc.is_alive()
+            ]
+            self._idle.extend(keep)
+        for w in workers:
+            if w.busy:
+                w.discard()
+            elif w not in keep:
+                w.shutdown()
+
+    def close(self) -> None:
+        """Stop every idle worker and close the store."""
+        with self._lock:
+            idle, self._idle, self._closed = self._idle, [], True
+        for w in idle:
+            w.shutdown()
+        if self.store is not None:
+            self.store.close()
 
 
 class _ActiveRun:
-    """Mutable per-activation state: the runtime plus a sweep counter.
+    """Mutable per-activation state: the runtime, this activation's
+    progress hook and a sweep counter.
 
     Experiments may run several sweeps in sequence (e.g. baseline then
     protected Monte Carlo); the counter assigns each its own checkpoint
@@ -335,17 +430,22 @@ class _ActiveRun:
     deterministic, so sequence numbers line up across runs and resumes.
     """
 
-    __slots__ = ("runtime", "next_seq")
+    __slots__ = ("runtime", "progress", "next_seq")
 
-    def __init__(self, runtime: SweepRuntime) -> None:
+    def __init__(
+        self,
+        runtime: SweepRuntime,
+        progress: Optional[Callable[[Dict[str, Any]], None]],
+    ) -> None:
         self.runtime = runtime
+        self.progress = progress
         self.next_seq = 0
 
 
 #: per-thread activation: the sweep-as-a-service server computes several
-#: experiments concurrently, each on its own thread with its own runtime
-#: (progress hook, checkpoint store); a module-global here would leak one
-#: request's runtime into another's sweeps
+#: experiments concurrently, each on its own thread with its own
+#: activation (progress hook, sweep counter) and tests run runtimes side
+#: by side; a module-global here would leak one into another's sweeps
 _tls = threading.local()
 
 
@@ -422,11 +522,15 @@ def sweep_runtime(
     ``out_dir`` starts a fresh one.  With neither, the block is a no-op
     unless a retry policy (here or via :func:`configure`) or a
     ``progress`` hook is given, in which case sweeps run supervised
-    without durability.  Activation is **per thread** — concurrent
-    threads (e.g. the results server computing several cache misses at
-    once) each get their own runtime.  Nested activations on the same
-    thread are no-ops: the outermost runtime wins, so an experiment
-    entry point wrapping its body does not disturb a caller's runtime.
+    without durability.  The block owns its runtime: worker processes
+    forked by one of its sweeps serve the later ones and are stopped on
+    exit — none outlives the block.  Activation is **per thread** —
+    concurrent threads each get their own runtime (a caller that wants
+    one runtime across threads, like the results server, builds a
+    :class:`SweepRuntime` and activates it on each).  Nested activations
+    on the same thread are no-ops: the outermost runtime wins, so an
+    experiment entry point wrapping its body does not disturb a caller's
+    runtime.
     """
     active = _get_active()
     if active is not None:  # outermost activation wins
@@ -446,14 +550,12 @@ def sweep_runtime(
     ):
         yield None
         return
-    run = _ActiveRun(SweepRuntime(store=store, retry=policy, progress=progress))
-    _set_active(run)
+    runtime = SweepRuntime(store=store, retry=policy)
     try:
-        yield run.runtime
+        with runtime.activate(progress):
+            yield runtime
     finally:
-        _set_active(None)
-        if store is not None:
-            store.close()
+        runtime.close()
 
 
 def _claim_sequence() -> int:
@@ -472,6 +574,7 @@ def _worker_main(conn: connection.Connection) -> None:  # pragma: no cover — c
 
     Runs until the supervisor sends ``None`` or the pipe closes.
     """
+    _drop_inherited_sockets(conn.fileno())
     while True:
         try:
             msg = conn.recv()
@@ -483,6 +586,31 @@ def _worker_main(conn: connection.Connection) -> None:  # pragma: no cover — c
             conn.send(_run_pickled(*msg))
         except (BrokenPipeError, OSError):
             return
+
+
+def _drop_inherited_sockets(keep: int) -> None:  # pragma: no cover — child
+    """Let go of every socket a forked worker inherited, except its pipe.
+
+    A fork duplicates the parent's descriptors: the supervisor's end of
+    every worker's pipe (while a copy is open no worker sees EOF, so none
+    would notice a SIGKILLed parent) and, under :mod:`repro.service`, the
+    listening socket and every client connection (one the server closes
+    would stay open to its client).  Each is replaced by ``/dev/null``
+    rather than closed, so an inherited Python object closing "its"
+    descriptor later cannot hit a reused one.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/dev/fd")]
+    except OSError:  # a platform without it: nothing to enumerate them by
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in fds:
+        try:
+            if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+        except OSError:  # the descriptor listdir itself had open
+            pass
+    os.close(null)
 
 
 def _run_pickled(index: int, payload: bytes) -> Tuple[TaskRow, bytes]:
@@ -506,14 +634,16 @@ def _pool_context() -> mp.context.BaseContext:
 
 
 class _Worker:
-    """One supervised worker slot (process + pipe + in-flight task)."""
+    """One supervised worker slot (process + pipe + in-flight task).
+
+    Created unstarted; :meth:`SweepRuntime.start` forks its process.
+    """
 
     __slots__ = ("slot", "ctx", "proc", "conn", "index", "started")
 
     def __init__(self, slot: int, ctx: mp.context.BaseContext) -> None:
         self.slot = slot
         self.ctx = ctx
-        self.spawn()
 
     def spawn(self) -> None:
         parent, child = self.ctx.Pipe(duplex=True)
@@ -537,7 +667,7 @@ class _Worker:
         self.started = time.monotonic()
 
     def discard(self) -> None:
-        """Tear the slot down (crashed, hung, or sweep over)."""
+        """Tear the slot down at once (crashed, hung, or interrupted)."""
         try:
             self.conn.close()
         except OSError:  # pragma: no cover — already gone
@@ -547,13 +677,18 @@ class _Worker:
         self.proc.join(timeout=5.0)
 
     def shutdown(self) -> None:
-        """Polite end-of-sweep stop (lets the worker exit its loop)."""
+        """Polite stop of an idle worker: ask it to leave its loop, give
+        it :data:`_STOP_GRACE_S` to exit on its own, then tear down."""
         try:
             self.conn.send(None)
         except (BrokenPipeError, OSError):
             pass
+        connection.wait([self.proc.sentinel], timeout=_STOP_GRACE_S)
         self.discard()
 
+
+#: how long :meth:`_Worker.shutdown` waits for a worker to exit by itself
+_STOP_GRACE_S = 0.1
 
 #: supervisor poll interval: health checks and backoff wakeups (seconds)
 _POLL_S = 0.05
@@ -562,23 +697,26 @@ _POLL_S = 0.05
 class _Supervisor:
     """Run a list of tasks across replaceable workers with retries.
 
-    The supervisor owns all scheduling state: a ready queue of
-    ``(not_before, index)`` entries, the busy map implied by the worker
-    slots, and the outcome rows — ``rows`` holds each task's last word
-    (its success, or the attempt that used up its retries), ``retried``
-    every failed attempt that was re-queued.  One loop iteration =
-    dispatch what is due, wait briefly for results, then health-check
-    every busy worker (crash and watchdog detection).
+    The workers are borrowed from the runtime for the length of
+    :meth:`run` and handed back on the way out.  The supervisor owns all
+    scheduling state: a ready queue of ``(not_before, index)`` entries,
+    the busy map implied by the worker slots, and the outcome rows —
+    ``rows`` holds each task's last word (its success, or the attempt
+    that used up its retries), ``retried`` every failed attempt that was
+    re-queued.  One loop iteration = dispatch what is due, wait briefly
+    for results, then health-check every busy worker (crash and watchdog
+    detection).
     """
 
     def __init__(
         self,
         tasks: Sequence[SweepTask],
         n_workers: int,
-        policy: RetryPolicy,
+        runtime: SweepRuntime,
         on_success: Callable[[TaskRow, bytes], None],
     ) -> None:
-        self.policy = policy
+        self.runtime = runtime
+        self.policy = runtime.retry
         self.on_success = on_success
         self.payloads: Dict[int, bytes] = {}
         self.rows: Dict[int, TaskRow] = {}
@@ -597,11 +735,7 @@ class _Supervisor:
         self.ready: List[Tuple[float, int]] = [  # (not_before, index)
             (0.0, index) for index in self.payloads
         ]
-        ctx = _pool_context()
-        self.workers = [
-            _Worker(slot, ctx)
-            for slot in range(min(n_workers, max(1, len(self.ready))))
-        ]
+        self.workers = runtime.borrow(min(n_workers, max(1, len(self.ready))))
 
     # ------------------------------------------------------------------
     @property
@@ -615,8 +749,7 @@ class _Supervisor:
                 self._collect(timeout=self._poll_timeout())
                 self._health_check()
         finally:
-            for w in self.workers:
-                w.shutdown()
+            self.runtime.release(self.workers)
 
     # ------------------------------------------------------------------
     def _poll_timeout(self) -> float:
@@ -713,7 +846,7 @@ class _Supervisor:
             timed_out=timed_out,
         )
         w.discard()
-        w.spawn()
+        self.runtime.start(w)
         self._attempt_failed(row)
 
     def _attempt_failed(self, row: TaskRow) -> None:
@@ -739,12 +872,14 @@ def supervise(
     from the checkpoint, fresh, or the attempt that exhausted its
     retries; absent only for tasks an interrupt left unattempted — the
     failed attempts that were re-queued, and the worker-slot count.
-    Under the active runtime its policy, store and progress hook apply;
-    with none active every point gets one attempt and nothing is stored.
+    Under the active runtime its policy, store and workers and the
+    activation's progress hook apply; with none active every point gets
+    one attempt, nothing is stored and the workers end with the sweep.
     """
     active = _get_active()
     runtime = active.runtime if active else SweepRuntime(retry=NO_RETRY)
-    store, progress = runtime.store, runtime.progress
+    store = runtime.store
+    progress = active.progress if active else None
     seq = _claim_sequence() if active else 0
     labels = {t.index: t.label for t in tasks}
 
@@ -772,7 +907,7 @@ def supervise(
     todo = [t for t in tasks if t.index not in rows]
     if not todo:
         return rows, [], 0
-    sup = _Supervisor(todo, min(n_jobs, len(todo)), runtime.retry, _on_success)
+    sup = _Supervisor(todo, min(n_jobs, len(todo)), runtime, _on_success)
     try:
         sup.run()
     except KeyboardInterrupt:
@@ -781,5 +916,8 @@ def supervise(
         # skipped instead of vanishing; with no runtime it propagates
         if active is None:
             raise
+    finally:
+        if active is None:  # the temporary runtime ends with its sweep
+            runtime.close()
     rows.update(sup.rows)
     return rows, sup.retried, len(sup.workers)

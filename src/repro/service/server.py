@@ -11,9 +11,10 @@ an in-flight table, and a metrics registry.  The request path for
    to the existing computation instead of starting a second one (N
    concurrent identical requests run the sweep exactly once);
 4. **miss** — start the computation on a worker thread, inside the
-   resilient sweep runtime (supervised worker processes, retries,
-   watchdogs — :mod:`repro.experiments.resilient`), store the entry,
-   then answer everyone subscribed.
+   server's one resilient sweep runtime (supervised worker processes
+   that outlive the request, retries, watchdogs —
+   :mod:`repro.experiments.resilient`), store the entry, then answer
+   everyone subscribed.
 
 Clients that set ``"stream": true`` get a chunked NDJSON response:
 completed sweep points as they finish (via the resilient runtime's
@@ -24,7 +25,7 @@ hit/join/miss decision is atomic on the event loop.
 Counters (``service.requests``, ``service.cache_hits``,
 ``service.cache_misses``, ``service.dedup_joined``,
 ``service.computations``, ``service.cache_poisoned``,
-``service.connections``, …) live in an
+``service.connections``, ``service.workers_spawned``, …) live in an
 observability :class:`~repro.observability.metrics.MetricsRegistry`
 exposed at ``GET /v1/stats``.
 """
@@ -39,7 +40,7 @@ import traceback
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..experiments.parallel import PartialSweepError
-from ..experiments.resilient import RetryPolicy, sweep_runtime
+from ..experiments.resilient import RetryPolicy, SweepRuntime
 from ..experiments.runner import EXPERIMENTS
 from ..observability.metrics import MetricsRegistry
 from .cache import ResultCache, make_entry
@@ -103,9 +104,11 @@ class SweepService:
             cache_dir, max_bytes=cache_max_bytes, max_entries=cache_max_entries
         )
         self.jobs = jobs
-        self.retry = retry or RetryPolicy(max_attempts=2)
         self.quick_default = quick_default
         self.registry = MetricsRegistry()
+        #: one runtime until :meth:`close`: the worker processes one cold
+        #: request forks serve the next
+        self.runtime = SweepRuntime(retry=retry or RetryPolicy(max_attempts=2))
         self._inflight: Dict[str, _InFlight] = {}
         #: deduplicated ``supports()`` decline strings from every lane
         #: sweep computed so far — /v1/stats surfaces them so an
@@ -146,7 +149,8 @@ class SweepService:
         An idle one would hold ``wait_closed()`` for ``_IDLE_TIMEOUT_S``
         (from 3.12) or have its handler cancelled with a traceback when
         the loop ends (to 3.11).  A request in flight sees a clean EOF;
-        its computation still finishes and is cached.
+        its computation still finishes and is cached.  Then the runtime's
+        idle workers are stopped (one still computing ends with its sweep).
         """
         if self._server is not None:
             self._server.close()
@@ -155,6 +159,7 @@ class SweepService:
             if self._handlers:
                 await asyncio.wait(self._handlers)
             await self._server.wait_closed()
+            self.runtime.close()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -309,7 +314,14 @@ class SweepService:
     def _stats(self) -> Dict[str, Any]:
         snap = self.registry.snapshot()
         return {
-            "counters": snap["counters"],
+            "counters": {
+                **snap["counters"],
+                "service.workers_spawned": self.runtime.spawned,
+            },
+            "gauges": {
+                **snap["gauges"],
+                "service.workers_idle": self.runtime.idle,
+            },
             "inflight": len(self._inflight),
             "cache_entries": len(self.cache),
             "cache_poisoned": self.cache.poisoned,
@@ -520,7 +532,7 @@ class SweepService:
             loop.call_soon_threadsafe(self._publish, fingerprint, event)
 
         def work() -> Any:
-            with sweep_runtime(retry=self.retry, progress=progress):
+            with self.runtime.activate(progress):
                 return EXPERIMENTS[name].module.run(
                     config, jobs=jobs, seed=residual_seed
                 )

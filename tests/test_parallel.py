@@ -437,3 +437,48 @@ def test_dead_worker_or_interrupt_never_hangs_a_plain_sweep(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+_IMPORT_DRIVER = """\
+import sys
+
+import repro.experiments.parallel as parallel
+
+assert "numpy.random" in sys.modules
+before = {name for name in sys.modules if name.startswith("numpy")}
+
+
+def draw(x):
+    import numpy as np
+
+    value = np.random.default_rng(x).random()
+    return value, sorted(n for n in sys.modules if n.startswith("numpy"))
+
+
+values, _ = parallel.run_sweep(
+    [parallel.SweepTask(index=i, fn=draw, args=(i,)) for i in range(2)], jobs=2
+)
+for _, loaded in values:
+    assert set(loaded) <= before, sorted(set(loaded) - before)
+print("ok")
+"""
+
+
+def test_a_forked_worker_imports_no_numpy_module(tmp_path):
+    """NumPy loads ``numpy.random`` on first use; ``parallel`` imports it so
+    a worker forked from a parent that never drew a number starts with it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = tmp_path / "driver.py"
+    script.write_text(_IMPORT_DRIVER)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=env, timeout=60,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

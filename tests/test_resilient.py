@@ -8,7 +8,9 @@ bit-identical to an uninterrupted run.
 """
 
 import json
+import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -25,7 +27,9 @@ from repro.experiments.parallel import (
     SweepTask,
     run_sweep,
 )
+from repro.experiments import resilient
 from repro.experiments.resilient import (
+    NO_RETRY,
     CheckpointStore,
     ResumeError,
     RetryPolicy,
@@ -35,8 +39,6 @@ from repro.experiments.resilient import (
 
 @pytest.fixture(autouse=True)
 def _reset_resilient():
-    from repro.experiments import resilient
-
     resilient.reset()
     yield
     resilient.reset()
@@ -56,13 +58,25 @@ def _crash_once(x, marker_dir):
     """SIGKILL our own worker on the first attempt, succeed on retry."""
     marker = Path(marker_dir) / f"attempted-{x}"
     if not marker.exists():
-        marker.write_text("1")
+        marker.write_text(str(os.getpid()))
         os.kill(os.getpid(), signal.SIGKILL)
     return x * x
 
 
-def _hang(x):
+def _hang(x, marker_dir=None):
+    if marker_dir is not None:
+        (Path(marker_dir) / f"hung-{x}").write_text(str(os.getpid()))
     time.sleep(3600)
+
+
+def _pid(x):
+    return os.getpid()
+
+
+def _draw(x, seed):
+    import numpy as np
+
+    return np.random.default_rng(seed).random(3).tolist()
 
 
 def _nap(x):
@@ -148,6 +162,129 @@ class TestRetryAndContainment:
         assert exc.values == [0, None, 4]
         assert exc.report.timeouts == 2  # both attempts timed out
         assert "timed out" in exc.report.failed[0].error
+
+
+class TestWorkerLifetime:
+    """Workers belong to the runtime: reused by its later sweeps, gone
+    with it, and never reused after being busy, dead or lost."""
+
+    def test_sweeps_of_one_runtime_share_a_worker(self):
+        with sweep_runtime(retry=NO_RETRY) as runtime:
+            first, _ = run_sweep(_tasks(_pid, 3), jobs=1)
+            second, _ = run_sweep(_tasks(_pid, 3), jobs=1)
+            assert runtime.spawned == 1 and runtime.idle == 1
+        assert len(set(first + second)) == 1
+        assert not multiprocessing.active_children()
+        third, _ = run_sweep(_tasks(_pid, 2), jobs=2)  # no runtime: its own
+        assert not set(third) & set(first)
+        assert not multiprocessing.active_children()
+
+    def test_worker_killed_while_idle_is_replaced_on_borrow(self):
+        with sweep_runtime(retry=NO_RETRY) as runtime:
+            (pid,), _ = run_sweep(_tasks(_pid, 1), jobs=1)
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while any(p.pid == pid for p in multiprocessing.active_children()):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            (replacement,), report = run_sweep(_tasks(_pid, 1), jobs=1)
+            assert replacement != pid and report.retries == 0
+            assert runtime.spawned == 2 and runtime.idle == 1
+
+    def test_lost_slots_are_never_kept(self, tmp_path):
+        tasks = _tasks(_crash_once, 2, marker_dir=str(tmp_path))
+        tasks.append(SweepTask(
+            index=2, fn=_hang, args=(2,), label="hang",
+            kwargs={"marker_dir": str(tmp_path)},
+        ))
+        policy = RetryPolicy(max_attempts=2, backoff_s=0.01, timeout_s=0.5)
+        with sweep_runtime(retry=policy) as runtime:
+            with pytest.raises(PartialSweepError) as exc_info:
+                run_sweep(tasks, jobs=2)
+            assert exc_info.value.values == [0, 1, None]
+            lost = {int(f.read_text()) for f in tmp_path.iterdir()}
+            assert len(lost) >= 2  # the crashed workers and the hung one(s)
+            kept = {w.proc.pid for w in runtime._idle}
+            assert len(kept) == 2 and not kept & lost
+            assert all(w.proc.is_alive() for w in runtime._idle)
+            pids, report = run_sweep(_tasks(_pid, 4), jobs=2)
+            assert set(pids) <= kept and report.retries == 0
+
+    def test_interrupt_keeps_no_busy_worker(self, monkeypatch):
+        collect = resilient._Supervisor._collect
+
+        def interrupted(self, timeout):
+            if all(w.busy for w in self.workers):
+                raise KeyboardInterrupt
+            collect(self, timeout)
+
+        with sweep_runtime(retry=NO_RETRY) as runtime:
+            run_sweep(_tasks(_pid, 2), jobs=2)
+            assert runtime.idle == 2
+            monkeypatch.setattr(resilient._Supervisor, "_collect", interrupted)
+            with pytest.raises(PartialSweepError) as exc_info:
+                run_sweep(_tasks(_hang, 4), jobs=2)
+            assert exc_info.value.report.skipped == (0, 1, 2, 3)
+            assert runtime.idle == 0
+            assert not multiprocessing.active_children()
+
+    def test_release_after_close_keeps_nothing(self):
+        runtime = resilient.SweepRuntime()
+        workers = runtime.borrow(1)
+        runtime.close()
+        runtime.release(workers)  # a sweep that outlived its server's close()
+        assert runtime.idle == 0 and not multiprocessing.active_children()
+
+    def test_shutdown_lets_the_worker_exit_by_itself(self):
+        runtime = resilient.SweepRuntime()
+        (worker,) = runtime.borrow(1)
+        runtime.release([worker])
+        runtime.close()
+        assert worker.proc.exitcode == 0  # left its loop; -9 would be a kill
+
+    def test_resume_is_identical_on_fresh_and_reused_workers(self, tmp_path):
+        """Two sweeps per run: uninterrupted, the second rides the first's
+        workers; resumed with the first complete it forks its own; resumed
+        with both cut it rides the first's again."""
+        first = [
+            SweepTask(index=i, fn=_draw, args=(i, 100 + i), label=f"a{i}")
+            for i in range(4)
+        ]
+        second = [
+            SweepTask(index=i, fn=_draw, args=(i, 200 + i), label=f"b{i}")
+            for i in range(4)
+        ]
+
+        def run(**kw):
+            with sweep_runtime(**kw) as runtime:
+                values = run_sweep(first, jobs=2)[0] + run_sweep(second, jobs=2)[0]
+                return values, runtime.spawned
+
+        def checkpointed(run_dir):
+            return {
+                (path.name, rec["index"]): rec["value"]
+                for path in sorted(Path(run_dir).glob("sweep-*.jsonl"))
+                for rec in map(json.loads, path.read_text().splitlines())
+            }
+
+        def cut(name, keep_first, keep_second):
+            shutil.copytree(tmp_path / "ref", tmp_path / name)
+            for seq, keep in enumerate((keep_first, keep_second)):
+                path = tmp_path / name / f"sweep-{seq:03d}.jsonl"
+                path.write_text("".join(path.read_text().splitlines(True)[:keep]))
+            return tmp_path / name
+
+        reference, spawned = run(out_dir=tmp_path / "ref")
+        assert spawned == 2
+        fresh, spawned = run(resume=cut("fresh", 4, 1))
+        assert spawned == 2  # nothing left of the first sweep to fork for
+        reused, spawned = run(resume=cut("reused", 1, 1))
+        assert spawned == 2
+        assert fresh == reference and reused == reference
+        golden = checkpointed(tmp_path / "ref")
+        assert len(golden) == 8
+        assert checkpointed(tmp_path / "fresh") == golden
+        assert checkpointed(tmp_path / "reused") == golden
 
 
 class TestCheckpointStore:

@@ -20,11 +20,13 @@ import asyncio
 import dataclasses
 import gc
 import json
+import multiprocessing
 import os
 import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import typing
 
@@ -63,6 +65,29 @@ TINY = {
 def _fp(name, config=None, seed=None, quick=False):
     cfg, residual = effective_config(name, config, quick=quick, seed=seed)
     return request_fingerprint(name, cfg, seed=residual)
+
+
+def _src_env():
+    """The environment of a subprocess that imports this checkout's ``repro``."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def test_importing_the_client_loads_no_simulator():
+    """``repro.service`` resolves its exports on first touch, so the
+    stdlib-only client is stdlib-only to import as well."""
+    code = (
+        "import sys; from repro.service.client import ServiceClient; "
+        "import repro.service as s; assert s.ServiceClient is ServiceClient; "
+        "bad = [m for m in sys.modules if m.split('.')[0] == 'numpy' "
+        "or m.startswith('repro.experiments')]; assert not bad, bad; "
+        "assert s.SweepService and 'numpy' in sys.modules"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), timeout=60,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -656,13 +681,10 @@ class TestConnections:
         """The ledger's shape: a server process, one client object, a new
         ``asyncio.run`` per pass.  Connections of a finished loop are
         dropped, not reused, and their descriptors do not pile up."""
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.service", "--port", "0",
              "--cache-dir", str(tmp_path)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:
             port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
@@ -753,6 +775,125 @@ class TestConnections:
                 pass
             assert len(service.cache) == 1
         asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# the server's one runtime and its worker processes
+# ----------------------------------------------------------------------
+def _proc_stat(pid):
+    """``(state, ppid)`` of a process, or ``None`` once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fp:
+            state, ppid = fp.read().rpartition(")")[2].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _running(pid):
+    return (_proc_stat(pid) or "Z")[0] != "Z"  # a zombie only awaits its reaper
+
+
+def _children_of(pid):
+    return [
+        int(entry) for entry in os.listdir("/proc")
+        if entry.isdigit() and _running(entry) and _proc_stat(entry)[1] == pid
+    ]
+
+
+class TestWorkers:
+    def test_cold_requests_share_one_worker(self):
+        async def run():
+            service, client = await _start_service_tmp(jobs=1)
+            try:
+                for seed in range(4):
+                    reply = await client.sweep("fault_sweep", TINY, seed=seed)
+                    assert reply["cached"] is False
+                stats = await client.stats()
+                assert stats["counters"]["service.computations"] == 4
+                assert stats["counters"]["service.workers_spawned"] == 1
+                assert stats["gauges"]["service.workers_idle"] == 1
+            finally:
+                await service.close()
+            assert not multiprocessing.active_children()
+        asyncio.run(run())
+
+    def test_concurrent_computations_never_share_a_slot(self, monkeypatch):
+        from repro.experiments.resilient import SweepRuntime
+
+        held = []
+        both_hold = threading.Barrier(2, timeout=30)
+        borrow = SweepRuntime.borrow
+
+        def borrow_then_meet(self, n):
+            workers = borrow(self, n)
+            held.append({w.proc.pid for w in workers})
+            both_hold.wait()
+            return workers
+
+        async def run():
+            service, client = await _start_service_tmp(jobs=1, max_concurrent=2)
+            try:
+                await client.sweep("fault_sweep", TINY)  # leaves one idle worker
+                monkeypatch.setattr(SweepRuntime, "borrow", borrow_then_meet)
+                await asyncio.gather(
+                    client.sweep("fault_sweep", TINY, seed=1),
+                    client.sweep("fault_sweep", TINY, seed=2),
+                )
+                assert len(held) == 2 and held[0].isdisjoint(held[1])
+                stats = await client.stats()
+                assert stats["counters"]["service.workers_spawned"] == 2
+                assert stats["gauges"]["service.workers_idle"] == 2
+            finally:
+                await service.close()
+            assert not multiprocessing.active_children()
+        asyncio.run(run())
+
+    def test_a_worker_holds_no_connection_open(self):
+        """A forked worker inherits the socket of the request that caused
+        it; it must let go, or the server's close never reaches the client."""
+        body = json.dumps({"experiment": "fault_sweep", "config": TINY}).encode()
+        head = (
+            b"POST /v1/sweeps HTTP/1.1\r\nConnection: close\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+        )
+
+        async def run():
+            service, _client = await _start_service_tmp()
+            try:
+                # _raw returns at EOF, with the worker still alive and idle
+                [(status, _, reply)] = _replies(await _raw(service.port, head + body))
+                assert status == 200 and json.loads(reply)["cached"] is False
+                assert service.runtime.idle == 1
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_sigkilled_server_leaves_no_worker(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0",
+             "--cache-dir", str(tmp_path), "--jobs", "2"],
+            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            port = int(re.search(r":(\d+) ", proc.stdout.readline()).group(1))
+            client = ServiceClient("127.0.0.1", port)
+            reply = asyncio.run(client.sweep("fault_sweep", TINY))
+            assert reply["cached"] is False
+            workers = _children_of(proc.pid)
+            assert len(workers) == 2
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 2.0
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "a worker outlived its server"
+                time.sleep(0.02)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 # ----------------------------------------------------------------------
