@@ -16,33 +16,14 @@ The per-cycle side is the same simulator fed the same traffic with its
 steps every cycle.  Both cases also re-assert bit-identity between the
 two loop flavours — a speedup from diverging behaviour would be a bug,
 not a win.
-
-Set ``REPRO_BENCH_JSON=<path>`` to write the per-case wall times and
-speedups as JSON (the CI job uploads it as the
-``BENCH_event_engine.json`` artifact).
 """
 
-import json
-import os
 import time
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import Packet, reset_packet_ids
 from repro.traffic.generator import SyntheticTraffic, TraceTraffic
-
-
-def _write_json(payload: dict) -> None:
-    path = os.environ.get("REPRO_BENCH_JSON", "")
-    if not path:
-        return
-    existing = {}
-    if os.path.exists(path):
-        with open(path) as fp:
-            existing = json.load(fp)
-    existing.update(payload)
-    with open(path, "w") as fp:
-        json.dump(existing, fp, indent=2, sort_keys=True)
 
 
 class _NoLookahead:
@@ -112,7 +93,7 @@ def _best_of(sim_factory, skip_ahead: bool, rounds: int = 3):
     return best, result
 
 
-def _compare(name: str, sim_factory, benchmark):
+def _compare(sim_factory, benchmark):
     per_cycle_s, per_cycle = _best_of(sim_factory, skip_ahead=False)
     samples = []
 
@@ -134,25 +115,17 @@ def _compare(name: str, sim_factory, benchmark):
     assert event.drained == per_cycle.drained
     assert event.stats.summary() == per_cycle.stats.summary()
 
-    speedup = per_cycle_s / event_s if event_s > 0 else float("inf")
-    _write_json(
-        {
-            f"{name}_event_s": round(event_s, 4),
-            f"{name}_per_cycle_s": round(per_cycle_s, 4),
-            f"{name}_speedup": round(speedup, 2),
-        }
-    )
-    return speedup
+    return per_cycle_s / event_s if event_s > 0 else float("inf")
 
 
 def test_drain_heavy_speedup(benchmark):
-    speedup = _compare("drain_heavy", _drain_heavy_sim, benchmark)
+    speedup = _compare(_drain_heavy_sim, benchmark)
     # acceptance floor: the idle tail must be skipped, not stepped
     assert speedup >= 2.0, f"drain-heavy speedup {speedup:.2f}x < 2x"
 
 
 def test_low_injection_speedup(benchmark):
-    speedup = _compare("low_injection", _low_injection_sim, benchmark)
+    speedup = _compare(_low_injection_sim, benchmark)
     # sparse loads still step every busy cycle; the win is smaller but
     # must not regress below parity by more than measurement noise
     assert speedup >= 1.1, f"low-injection speedup {speedup:.2f}x"

@@ -7,16 +7,11 @@ degradation-report fold.  That layer must stay cheap — this bench runs
 the same simulated work both ways as lanes of the batched engine (no
 campaign point may fall back) and asserts the campaign's overhead vs a
 plain static fault sweep stays within 25 %.
-
-Set ``REPRO_BENCH_JSON=<path>`` to write the measurements as JSON (the
-CI ``benchmark-smoke`` job publishes them as the
-``BENCH_fault_campaign.json`` artifact and gates them with
-``compare_bench.py``).
 """
 
 import time
 
-from conftest import run_once, write_bench_json
+from conftest import run_once
 from repro.experiments.fault_campaign import CampaignConfig, run
 from repro.experiments.latency import LatencyConfig, suite_traffic
 from repro.experiments.parallel import LanePoint, run_lane_sweep
@@ -119,7 +114,6 @@ def test_campaign_overhead_vs_plain_fault_sweep(benchmark):
         f"plain {plain_s:.2f}s, campaign {campaign_s:.2f}s "
         f"-> {ratio:.2f}x overhead"
     )
-    write_bench_json({"fault_campaign_overhead_x": round(ratio, 2)})
     # the acceptance budget: online machinery costs <= 25% over a plain
     # fault sweep of the same simulated work (plus a small absolute
     # allowance so sub-second runs don't gate on scheduler noise)

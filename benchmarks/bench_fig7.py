@@ -5,19 +5,13 @@ paper-scale 8x8 run (the shape assertions then tighten to the paper's
 +10 % headline band).
 """
 
-import time
-
-import pytest
-
-from conftest import full_scale, run_once, write_bench_json
+from conftest import full_scale, run_once
 from repro.experiments import fig7
 from repro.experiments.latency import overall_overhead
 
 
 def test_fig7_regeneration(benchmark, latency_config):
-    t0 = time.perf_counter()
     result = run_once(benchmark, fig7.run, latency_config)
-    elapsed = time.perf_counter() - t0
     print()
     print(result.format())
     apps = result.extras["results"]
@@ -38,10 +32,3 @@ def test_fig7_regeneration(benchmark, latency_config):
     by_name = {a.app: a for a in apps}
     heavy = (by_name["ocean"].overhead + by_name["radix"].overhead) / 2
     assert heavy >= by_name["water-nsq"].overhead - 0.02
-    write_bench_json(
-        {
-            "fig7_regen_s": round(elapsed, 4),
-            "fig7_apps": len(apps),
-            "fig7_overall_overhead_x": round(overall, 4),
-        }
-    )

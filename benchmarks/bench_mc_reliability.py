@@ -13,13 +13,8 @@ it is at it:
 * ``_fabric_trial_chunk`` — union-find disconnection kernel vs per-kill
   `networkx` strong-connectivity scans,
 * ``monte_carlo_mttf`` — batched exponential draws vs one draw per call.
-
-Set ``REPRO_BENCH_JSON=<path>`` to write the measured speedups as JSON
-(the CI job uploads it as the ``BENCH_mc_reliability.json`` artifact).
 """
 
-import json
-import os
 import time
 
 import numpy as np
@@ -36,19 +31,6 @@ from repro.reliability.network_level import (
 from repro.reliability.spf_simulation import simulated_faults_to_failure
 
 
-def _write_json(payload: dict) -> None:
-    path = os.environ.get("REPRO_BENCH_JSON", "")
-    if not path:
-        return
-    existing = {}
-    if os.path.exists(path):
-        with open(path) as fp:
-            existing = json.load(fp)
-    existing.update(payload)
-    with open(path, "w") as fp:
-        json.dump(existing, fp, indent=2, sort_keys=True)
-
-
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
@@ -61,7 +43,6 @@ def _report(name: str, ref_s: float, fast_s: float) -> float:
         f"\n{name}: reference {ref_s:.3f}s, fast {fast_s:.3f}s "
         f"-> {speedup:.1f}x"
     )
-    _write_json({f"{name}_speedup_x": round(speedup, 2)})
     return speedup
 
 

@@ -14,14 +14,10 @@ Two gates, both run by the CI ``benchmark-smoke`` job:
 * **Enabled mode stays usable.**  Full tracing + metrics + profiling on
   the same workload must finish within a sane multiple of the disabled
   run, and the tracer's throughput (events emitted per wall second) is
-  reported for trend tracking.
-
-Set ``REPRO_BENCH_JSON=<path>`` to write the measurements as JSON (the
-CI job uploads it as the ``BENCH_observability.json`` artifact).
+  printed.  What profiling or metrics alone cost a run is the ledger's
+  ``observability.{profile,metrics}_on_overhead_x``.
 """
 
-import json
-import os
 import time
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
@@ -61,19 +57,6 @@ def _run(observability=None):
     return time.perf_counter() - t0, result
 
 
-def _write_json(payload: dict) -> None:
-    path = os.environ.get("REPRO_BENCH_JSON", "")
-    if not path:
-        return
-    existing = {}
-    if os.path.exists(path):
-        with open(path) as fp:
-            existing = json.load(fp)
-    existing.update(payload)
-    with open(path, "w") as fp:
-        json.dump(existing, fp, indent=2, sort_keys=True)
-
-
 def test_disabled_path_overhead_within_budget():
     _run()  # warm caches / JIT-free but import+allocator warmup matters
     baseline, candidate = [], []
@@ -85,14 +68,6 @@ def test_disabled_path_overhead_within_budget():
         f"\ndisabled-path A/A: baseline {min(baseline):.3f}s, "
         f"candidate {min(candidate):.3f}s -> ratio {ratio:.3f} "
         f"(budget {1 + DISABLED_OVERHEAD_BUDGET:.2f})"
-    )
-    _write_json(
-        {
-            "disabled_baseline_s": min(baseline),
-            "disabled_candidate_s": min(candidate),
-            "disabled_ratio": ratio,
-            "disabled_budget": 1 + DISABLED_OVERHEAD_BUDGET,
-        }
     )
     assert ratio <= 1 + DISABLED_OVERHEAD_BUDGET, (
         f"disabled observability path exceeded the {DISABLED_OVERHEAD_BUDGET:.0%} "
@@ -118,15 +93,8 @@ def test_enabled_mode_throughput():
         f"{disabled_s:.3f}s disabled -> {overhead:.2f}x, "
         f"{emitted:,} events ({events_per_sec:,.0f} events/s)"
     )
-    _write_json(
-        {
-            "enabled_s": enabled_s,
-            "enabled_overhead_x": overhead,
-            "trace_events_emitted": emitted,
-            "trace_events_per_sec": events_per_sec,
-        }
-    )
-    assert emitted > 0
+    # a seeded run: the tracer emits exactly this many events
+    assert emitted == 29_672
     assert overhead <= ENABLED_OVERHEAD_CEILING, (
         f"fully enabled observability cost {overhead:.2f}x "
         f"(ceiling {ENABLED_OVERHEAD_CEILING}x)"

@@ -14,8 +14,8 @@ way CI and humans do:
 * **streaming** — a streamed request delivers every sweep point as an
   NDJSON event before the final result.
 
-Set ``REPRO_BENCH_JSON=<path>`` to write the measurements as JSON (the
-CI ``service`` job publishes them as ``BENCH_sweep_service.json``).
+What a cold and a warm request take is measured by the ledger's
+``service_mix`` workload (``cold_req_p50_ms`` / ``warm_req_p50_ms``).
 """
 
 import asyncio
@@ -45,19 +45,6 @@ CONFIG = {
 }
 
 N_CLIENTS = 5
-
-
-def _write_json(payload: dict) -> None:
-    path = os.environ.get("REPRO_BENCH_JSON", "")
-    if not path:
-        return
-    existing = {}
-    if os.path.exists(path):
-        with open(path) as fp:
-            existing = json.load(fp)
-    existing.update(payload)
-    with open(path, "w") as fp:
-        json.dump(existing, fp, indent=2, sort_keys=True)
 
 
 @pytest.fixture
@@ -127,14 +114,6 @@ def test_warm_cache_hit_speedup(service, benchmark):
         f"\nsweep service: cold {cold_s:.3f}s, warm {warm_s * 1e3:.1f}ms "
         f"-> {speedup:.0f}x"
     )
-    _write_json({
-        "service_cold_s": round(cold_s, 4),
-        "service_warm_s": round(warm_s, 5),
-        # informational: cold / warm of single-shot timings swings 3x run
-        # to run and falls whenever a cold request gets cheaper, so it is
-        # not a gated ``*_speedup_x`` key; the floor below is the gate
-        "service_cold_over_warm_x": round(speedup, 1),
-    })
     assert speedup >= 10.0, (
         f"warm cache hit only {speedup:.1f}x faster than cold compute"
     )
@@ -173,11 +152,6 @@ def test_concurrent_identical_requests_compute_once(service, benchmark):
         f"\n{N_CLIENTS} concurrent identical requests in {box['s']:.3f}s: "
         f"{computations} computation(s), {joined} joined in flight"
     )
-    _write_json({
-        "service_dedup_clients": N_CLIENTS,
-        "service_dedup_computations": computations,
-        "service_dedup_joined": joined,
-    })
     assert computations == 1, (
         f"dedup failed: {computations} computations for "
         f"{N_CLIENTS} identical requests"
@@ -212,4 +186,3 @@ def test_streaming_delivers_points(service, benchmark):
     streamed_points = sum(e.get("points", 1) for e in points)
     assert reply["points_streamed"] == streamed_points == 4
     assert reply["result"]["rows"]
-    _write_json({"service_streamed_points": streamed_points})

@@ -2,14 +2,15 @@
 
 Every paper table/figure has a `bench_*.py` here that (a) times the
 regeneration under pytest-benchmark and (b) asserts the reproduced shape
-(who wins, by roughly what factor) against the paper's numbers.
+(who wins, by roughly what factor) against the paper's numbers.  The
+engineering benches keep behaviour asserts and floors only; speeds are
+measured and compared by the ledger (``benchmarks/ledger/README.md``).
 
 The simulation-heavy figure benches default to the reduced QUICK
 configuration; set ``REPRO_BENCH_FULL=1`` to run them at the paper's 8x8
 scale (minutes instead of seconds).
 """
 
-import json
 import os
 
 import pytest
@@ -19,25 +20,6 @@ from repro.experiments.latency import LatencyConfig, QUICK_CONFIG
 
 def full_scale() -> bool:
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
-
-
-def write_bench_json(payload: dict) -> None:
-    """Merge measurements into the JSON file named by ``REPRO_BENCH_JSON``.
-
-    The CI benchmark job uploads these files as ``BENCH_*.json``
-    artifacts and gates them against committed baselines with
-    ``compare_bench.py``.  No-op when the env var is unset.
-    """
-    path = os.environ.get("REPRO_BENCH_JSON", "")
-    if not path:
-        return
-    existing = {}
-    if os.path.exists(path):
-        with open(path) as fp:
-            existing = json.load(fp)
-    existing.update(payload)
-    with open(path, "w") as fp:
-        json.dump(existing, fp, indent=2, sort_keys=True)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ stays cheap while ``repro.NoCSimulator``, ``repro.run_sweep``,
 
 from .config import NetworkConfig, RouterConfig, SimulationConfig
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 #: lazily resolved facade: exported name -> (module, attribute)
 _LAZY = {
@@ -56,7 +56,6 @@ _LAZY = {
     # unified fault-schedule API + online campaigns (docs/campaigns.md)
     "FaultSchedule": ("repro.faults", "FaultSchedule"),
     "FaultTimeline": ("repro.faults", "FaultTimeline"),
-    "make_schedule": ("repro.faults", "make_schedule"),
     "CampaignConfig": ("repro.experiments.fault_campaign", "CampaignConfig"),
     "run_fault_campaign": ("repro.experiments.fault_campaign", "run"),
     # observability
@@ -91,7 +90,6 @@ __all__ = [
     "SweepError",
     "SweepReport",
     "SweepTask",
-    "make_schedule",
     "run_experiment",
     "run_fault_campaign",
     "run_sweep",

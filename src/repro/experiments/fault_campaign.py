@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..config import NetworkConfig, replace
-from ..faults.schedule import TimelineSpec, make_schedule
-from ..faults.timeline import CYCLES_PER_HOUR_1GHZ
+from ..faults.schedule import TimelineSpec
+from ..faults.timeline import CYCLES_PER_HOUR_1GHZ, random_timeline
 from .latency import QUICK_CONFIG, LatencyConfig, suite_traffic
 from .report import ExperimentResult
 from .resilient import sweep_runtime
@@ -80,7 +80,18 @@ class CampaignConfig:
 
 def campaign_schedule(net: NetworkConfig, spec: TimelineSpec):
     """Build one campaign timeline (module-level, picklable factory)."""
-    return make_schedule(spec, config=net.router, num_routers=net.num_nodes)
+    return random_timeline(
+        net.router,
+        net.num_nodes,
+        events=spec.events,
+        mean_interval=spec.mean_interval,
+        transient_fraction=spec.transient_fraction,
+        transient_duration=spec.transient_duration,
+        rng=spec.seed,
+        protected=spec.protected,
+        avoid_failure=spec.avoid_failure,
+        first_event_at=spec.first_event_at,
+    )
 
 
 def run(

@@ -156,19 +156,13 @@ class SweepError(RuntimeError):
 class ShardReport:
     """Progress/timing of one worker shard.
 
-    ``wall_time`` splits into ``setup_s`` — network construction,
-    harvested from :mod:`repro.network.warm` — and ``run_s``, everything
-    else (dominated by the cycle loops).
+    ``wall_time`` is the summed duration of the shard's completed tasks.
     """
 
     shard: int
     points: int
     wall_time: float
     cycles: int
-    #: seconds spent building simulators inside this shard
-    setup_s: float = 0.0
-    #: seconds spent on everything else (cycle loops, reductions)
-    run_s: float = 0.0
     #: attempts re-queued by the resilient runtime (crash/hang/exception)
     retries: int = 0
     #: watchdog expiries that killed and replaced this worker slot
@@ -186,8 +180,7 @@ class ShardReport:
         name = "resumed" if self.shard < 0 else f"shard {self.shard}"
         line = (
             f"{name}: {self.points} points, "
-            f"{self.cycles:,} cycles, {self.wall_time:.2f}s "
-            f"(setup {self.setup_s:.2f}s, run {self.run_s:.2f}s)"
+            f"{self.cycles:,} cycles, {self.wall_time:.2f}s"
         )
         extras = [
             f"{n} {what}"
@@ -253,28 +246,11 @@ class SweepReport:
             sorted({r for s in self.shards for r in s.fallback_reasons})
         )
 
-    @property
-    def worker_time(self) -> float:
-        """Summed in-worker wall time (serial-equivalent work)."""
-        return sum(s.wall_time for s in self.shards)
-
-    @property
-    def setup_time(self) -> float:
-        """Summed network construction time across shards."""
-        return sum(s.setup_s for s in self.shards)
-
-    @property
-    def run_time(self) -> float:
-        """Summed non-setup worker time across shards."""
-        return sum(s.run_s for s in self.shards)
-
     def format(self) -> str:
         head = (
             f"sweep: {self.points} points on {self.jobs} worker(s) "
             f"in {self.wall_time:.2f}s "
-            f"(worker time {self.worker_time:.2f}s = "
-            f"setup {self.setup_time:.2f}s + run {self.run_time:.2f}s, "
-            f"{self.cycles:,} cycles simulated)"
+            f"({self.cycles:,} cycles simulated)"
         )
         notes = [
             f"{n} {what}"
@@ -416,7 +392,7 @@ class TaskRow:
     fallback_reasons: Tuple[str, ...] = ()
     #: sweep points behind this row (a lane chunk covers several)
     points: int = 1
-    setup_s: float = 0.0
+    #: seconds the task function took
     run_s: float = 0.0
     error: str = ""
     traceback: str = ""
@@ -446,17 +422,14 @@ def run_task(task: SweepTask) -> TaskRow:
 
     The single place a task function is called: inline sweeps call it
     directly, supervised workers call it between unpickling the task and
-    pickling the value.  Setup time is what :mod:`repro.network.warm`
-    accrued while the task ran; everything else is ``run_s``.
+    pickling the value.
     """
-    warm.drain_setup_seconds()  # discard time accrued before this task
     t0 = time.perf_counter()
     try:
         out = task.fn(*task.args, **task.kwargs)
     except Exception as exc:
         return TaskRow.failed(task.index, exc)
-    wall = time.perf_counter() - t0
-    setup = warm.drain_setup_seconds()
+    run_s = time.perf_counter() - t0
     if not isinstance(out, PointOutcome):
         cycles = getattr(out, "cycles", 0)
         out = PointOutcome(out, cycles if isinstance(cycles, int) else 0)
@@ -467,8 +440,7 @@ def run_task(task: SweepTask) -> TaskRow:
         fallbacks=int(out.fallbacks),
         fallback_reasons=tuple(out.fallback_reasons),
         points=int(out.points),
-        setup_s=setup,
-        run_s=max(0.0, wall - setup),
+        run_s=run_s,
     )
 
 
@@ -479,15 +451,11 @@ def _shard_report(
     done = [r for r in final if r.slot == slot and r.ok]
     lost = [r for r in retried if r.slot == slot]
     dead = [r for r in final if r.slot == slot and not r.ok]
-    setup_s = sum(r.setup_s for r in done)
-    run_s = sum(r.run_s for r in done)
     return ShardReport(
         shard=slot,
         points=sum(r.points for r in done),
-        wall_time=setup_s + run_s,
+        wall_time=sum(r.run_s for r in done),
         cycles=sum(r.cycles for r in done),
-        setup_s=setup_s,
-        run_s=run_s,
         retries=len(lost),
         timeouts=sum(r.timed_out for r in lost + dead),
         checkpointed=len(done) if durable and slot >= 0 else 0,

@@ -181,7 +181,8 @@ class CheckpointStore:
     cycle/timing accounting, and the base64-pickled return value — enough
     to splice the point back into a resumed sweep bit-identically.  Lines
     are flushed as they are appended, and a truncated final line (the
-    signature of a SIGKILL mid-write) is ignored on reload.
+    signature of a SIGKILL mid-write) is ignored on reload and ended
+    there, so the records a resume appends stay one to a line.
     """
 
     def __init__(self, path: str | os.PathLike, resume: bool = False) -> None:
@@ -253,6 +254,7 @@ class CheckpointStore:
         done: Dict[int, TaskRow] = {}
         if not path.exists():
             return done
+        raw = b"\n"
         with open(path, "rb") as fp:
             for raw in fp:
                 try:
@@ -268,7 +270,6 @@ class CheckpointStore:
                     index=index,
                     value=value,
                     cycles=int(rec.get("cycles", 0)),
-                    setup_s=float(rec.get("setup_s", 0.0)),
                     run_s=float(rec.get("run_s", 0.0)),
                     attempts=int(rec.get("attempts", 1)),
                     fallbacks=int(rec.get("fallbacks", 0)),
@@ -276,6 +277,11 @@ class CheckpointStore:
                     points=int(rec.get("points", 1)),
                     slot=-1,
                 )
+        if not raw.endswith(b"\n"):
+            # end the torn line: the first record this resume appends must
+            # start a line of its own to be readable at the next resume
+            with open(path, "ab") as fp:
+                fp.write(b"\n")
         return done
 
     def append(
@@ -297,7 +303,6 @@ class CheckpointStore:
             "fallbacks": row.fallbacks,
             "fallback_reasons": list(row.fallback_reasons),
             "points": row.points,
-            "setup_s": round(row.setup_s, 6),
             "run_s": round(row.run_s, 6),
             "value": base64.b64encode(value_bytes).decode("ascii"),
         }

@@ -23,14 +23,6 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, cast
 import numpy as np
 
 from ..config import RouterConfig
-from .schedule import (
-    NullSpec,
-    RandomSpec,
-    ScheduledSpec,
-    _require_geometry,
-    register_schedule,
-    site_from_tuple,
-)
 from .sites import FaultSite, network_sites
 
 
@@ -165,52 +157,6 @@ class NullFaultSchedule:
 
     def next_cycle(self) -> Optional[int]:
         return None
-
-
-# ----------------------------------------------------------------------
-# spec builders (make_schedule registry)
-# ----------------------------------------------------------------------
-@register_schedule("scheduled", ScheduledSpec)
-def _build_scheduled(
-    spec: ScheduledSpec,
-    *,
-    config: Optional[RouterConfig] = None,
-    num_routers: Optional[int] = None,
-) -> ExplicitFaultSchedule:
-    return ExplicitFaultSchedule(
-        (c, site_from_tuple(row)) for c, *row in spec.events
-    )
-
-
-@register_schedule("random", RandomSpec)
-def _build_random(
-    spec: RandomSpec,
-    *,
-    config: Optional[RouterConfig] = None,
-    num_routers: Optional[int] = None,
-) -> RandomFaultSchedule:
-    config, num_routers = _require_geometry("random", config, num_routers)
-    return RandomFaultSchedule(
-        config,
-        num_routers,
-        spec.mean_interval,
-        spec.num_faults,
-        rng=spec.seed,
-        protected=spec.protected,
-        first_fault_at=spec.first_fault_at,
-        include_va2=spec.include_va2,
-        avoid_failure=spec.avoid_failure,
-    )
-
-
-@register_schedule("none", NullSpec)
-def _build_null(
-    spec: NullSpec,
-    *,
-    config: Optional[RouterConfig] = None,
-    num_routers: Optional[int] = None,
-) -> NullFaultSchedule:
-    return NullFaultSchedule()
 
 
 def spawn_lane_injectors(

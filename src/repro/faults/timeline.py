@@ -31,11 +31,6 @@ from typing import ClassVar, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..config import RouterConfig
-from .schedule import (
-    TimelineSpec,
-    _require_geometry,
-    register_schedule,
-)
 from .sites import FaultSite, network_sites
 
 #: cycles per simulated hour at the canonical 1 GHz clock
@@ -241,26 +236,4 @@ def random_timeline(
             int(c), site, transient=bool(t), duration=transient_duration
         )
         for c, site, t in zip(cycles, picked, kinds)
-    )
-
-
-@register_schedule("timeline", TimelineSpec)
-def _build_timeline(
-    spec: TimelineSpec,
-    *,
-    config: Optional[RouterConfig] = None,
-    num_routers: Optional[int] = None,
-) -> FaultTimeline:
-    config, num_routers = _require_geometry("timeline", config, num_routers)
-    return random_timeline(
-        config,
-        num_routers,
-        events=spec.events,
-        mean_interval=spec.mean_interval,
-        transient_fraction=spec.transient_fraction,
-        transient_duration=spec.transient_duration,
-        rng=spec.seed,
-        protected=spec.protected,
-        avoid_failure=spec.avoid_failure,
-        first_event_at=spec.first_event_at,
     )

@@ -16,12 +16,11 @@ paper's headline reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Optional
+from typing import ClassVar, Iterable
 
 import numpy as np
 
 from ..config import RouterConfig
-from .schedule import TransientSpec, _require_geometry, register_schedule
 from .sites import FaultSite, network_sites
 from .timeline import FaultTimeline, TimelineEvent
 
@@ -90,24 +89,3 @@ def random_transients(
         site = pool[int(rng.integers(len(pool)))]
         out.append(TransientFault(int(cycle), site, duration))
     return out
-
-
-@register_schedule("transient", TransientSpec)
-def _build_transient(
-    spec: TransientSpec,
-    *,
-    config: Optional[RouterConfig] = None,
-    num_routers: Optional[int] = None,
-) -> TransientFaultSchedule:
-    config, num_routers = _require_geometry("transient", config, num_routers)
-    return TransientFaultSchedule(
-        random_transients(
-            config,
-            num_routers,
-            spec.rate_per_cycle,
-            spec.cycles,
-            duration=spec.duration,
-            rng=spec.seed,
-            protected=spec.protected,
-        )
-    )

@@ -64,8 +64,6 @@ def sweep_summary(report: Any) -> Optional[Dict[str, Any]]:
         "timeouts": report.timeouts,
         "cycles": report.cycles,
         "wall_s": round(report.wall_time, 6),
-        "setup_s": round(report.setup_time, 6),
-        "run_s": round(report.run_time, 6),
         # lane-sweep diagnosability: points the batched engine declined
         # (re-run per point on the event engine) and *why* — mirrored
         # into the service's /v1/stats payload

@@ -462,17 +462,16 @@ class SweepService:
                 if item is _EOF:
                     break
                 await self._send_event(writer, {"event": "point", **item})
+            # a stream's last line is always ``result`` or ``error``
             try:
                 entry_json = await asyncio.shield(flight.task)
-                await self._send_event(
-                    writer,
-                    {"event": "result", "cached": False, **entry_json},
-                )
+                last = {"event": "result", "cached": False, **entry_json}
             except _HttpError as exc:
-                await self._send_event(
-                    writer,
-                    {"event": "error", "status": exc.status, **exc.payload},
-                )
+                last = {"event": "error", "status": exc.status, **exc.payload}
+            except Exception:
+                traceback.print_exc()
+                last = {"event": "error", "status": 500, "error": "internal error"}
+            await self._send_event(writer, last)
             await self._end_stream(writer)
         finally:
             flight.subscribers.discard(queue)
@@ -581,7 +580,12 @@ class SweepService:
                     fingerprint, name, config, payload, compute
                 )
                 before = self.cache.evicted
-                self.cache.put(entry)
+                try:
+                    self.cache.put(entry)
+                except OSError:
+                    # full or read-only directory: the result is computed,
+                    # serve it uncached
+                    self.registry.inc("service.cache_put_failures")
                 swept = self.cache.evicted - before
                 if swept:
                     self.registry.inc("service.cache_evicted", swept)

@@ -122,15 +122,13 @@ class TestTransientFault:
         assert res.router_stats.sa_bypass_grants > 0  # absorbed meanwhile
 
     def test_spec_built_schedule_ends_with_zero_faulty_routers(self):
-        """``make_schedule(TransientSpec)`` as ``fault_schedule=`` heals
+        """A drawn ``TransientFaultSchedule`` as ``fault_schedule=`` heals
         natively: every injected site is healthy again at end of run."""
-        from repro.faults import TransientSpec, make_schedule
-
         net = make_network_config(3, 3)
-        sched = make_schedule(
-            TransientSpec(rate_per_cycle=0.02, cycles=300, duration=20, seed=4),
-            config=net.router,
-            num_routers=net.num_nodes,
+        sched = TransientFaultSchedule(
+            random_transients(
+                net.router, net.num_nodes, 0.02, 300, duration=20, rng=4
+            )
         )
         sim = make_sim(
             net, protected=True, injection_rate=0.05, measure=600,

@@ -23,9 +23,9 @@ from conftest import stepped_point
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig, replace
 from repro.core.protected_router import protected_router_factory
 from repro.experiments import fault_campaign, parallel
-from repro.experiments.fault_campaign import CampaignConfig
+from repro.experiments.fault_campaign import CampaignConfig, campaign_schedule
 from repro.experiments.latency import LatencyConfig
-from repro.faults import TimelineSpec, make_schedule
+from repro.faults import TimelineSpec
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import reset_packet_ids
 from repro.traffic.generator import SyntheticTraffic
@@ -213,9 +213,7 @@ class TestRecoveryDeterminism:
     def _one(self):
         net = NetworkConfig(width=4, height=4)
         spec = TimelineSpec(events=3, mean_interval=120.0, seed=17)
-        schedule = make_schedule(
-            spec, config=net.router, num_routers=net.num_nodes
-        )
+        schedule = campaign_schedule(net, spec)
         reset_packet_ids()
         sim = NoCSimulator(
             net,

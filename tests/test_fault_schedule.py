@@ -1,9 +1,8 @@
 """The unified ``FaultSchedule`` API (:mod:`repro.faults.schedule`).
 
 Pins the api-redesign contract: the runtime-checkable protocol, the
-frozen spec dataclasses and their ``make_schedule`` registry, the JSON
-side-door used by the service, and the simulator's rejection of
-non-protocol objects.
+frozen ``TimelineSpec`` and its JSON round trip through the service, and
+the simulator's rejection of non-protocol objects.
 """
 
 import dataclasses
@@ -13,24 +12,21 @@ import pytest
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.faults import (
+    ExplicitFaultSchedule,
     FaultSchedule,
     FaultSite,
     FaultTimeline,
     FaultUnit,
-    NullSpec,
-    RandomSpec,
-    ScheduledSpec,
+    NullFaultSchedule,
+    RandomFaultSchedule,
     TimelineSpec,
     TransientFaultSchedule,
-    TransientSpec,
-    make_schedule,
-    schedule_spec,
+    random_timeline,
+    random_transients,
     site_from_tuple,
     site_token,
     site_tuple,
-    spec_name,
 )
-from repro.faults.schedule import SCHEDULE_SPECS
 
 CFG = RouterConfig()
 SITE = FaultSite(3, FaultUnit.RC_PRIMARY, 0)
@@ -38,19 +34,11 @@ SITE = FaultSite(3, FaultUnit.RC_PRIMARY, 0)
 
 def _one_of_each():
     return [
-        make_schedule(ScheduledSpec(events=((10, 3, "rc_primary", 0, -1),))),
-        make_schedule(RandomSpec(num_faults=2, seed=5), config=CFG, num_routers=9),
-        make_schedule(NullSpec()),
-        make_schedule(
-            TransientSpec(rate_per_cycle=0.01, cycles=100, seed=3),
-            config=CFG,
-            num_routers=9,
-        ),
-        make_schedule(
-            TimelineSpec(events=3, mean_interval=100.0, seed=2),
-            config=CFG,
-            num_routers=9,
-        ),
+        ExplicitFaultSchedule([(10, SITE)]),
+        RandomFaultSchedule(CFG, 9, 1000.0, 2, rng=5),
+        NullFaultSchedule(),
+        TransientFaultSchedule(random_transients(CFG, 9, 0.01, 100, rng=3)),
+        random_timeline(CFG, 9, events=3, mean_interval=100.0, rng=2),
     ]
 
 
@@ -100,13 +88,6 @@ class TestProtocol:
         )
         assert sim.run().faults_injected == 0
 
-    def test_registry_names(self):
-        assert set(SCHEDULE_SPECS) == {
-            "scheduled", "random", "none", "transient", "timeline",
-        }
-        assert spec_name(RandomSpec()) == "random"
-        assert spec_name(object()) is None
-
 
 def _plan_digest(tokens) -> str:
     """16-hex digest over an ordered ``cycle@site[~duration]`` token
@@ -141,10 +122,6 @@ class TestSharedSitePool:
     def test_fingerprints_unchanged_by_pool_sharing(self):
         """Digests recorded on the commit that still rebuilt the pool for
         every schedule (``enumerate_sites`` per router, per schedule)."""
-        from repro.faults.injector import RandomFaultSchedule
-        from repro.faults.timeline import random_timeline
-        from repro.faults.transient import random_transients
-
         cfg, n = self.NET.router, self.NET.num_nodes
         assert _explicit_digest(RandomFaultSchedule(
             cfg, n, 40.0, 32, rng=11, avoid_failure=True
@@ -182,28 +159,8 @@ class TestSharedSitePool:
 
 
 class TestJSONSideDoor:
-    def test_schedule_spec_coerces_lists(self):
-        spec = schedule_spec(
-            "scheduled", {"events": [[10, 3, "rc_primary", 0, -1]]}
-        )
-        assert spec == ScheduledSpec(events=((10, 3, "rc_primary", 0, -1),))
-        sched = make_schedule(spec)
-        assert list(sched.events_at(10)) == [SITE]
-
-    def test_unknown_name_and_field_raise(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            schedule_spec("cosmic_rays")
-        with pytest.raises(TypeError):
-            schedule_spec("random", {"num_fault": 3})
-
     def test_site_tuple_round_trip(self):
         assert site_from_tuple(site_tuple(SITE)) == SITE
-
-    def test_geometry_required_for_drawing_specs(self):
-        with pytest.raises(ValueError, match="config"):
-            make_schedule(RandomSpec(num_faults=1))
-        with pytest.raises(TypeError, match="not a registered"):
-            make_schedule(object())
 
 
 class TestServiceRoundTrip:
@@ -257,13 +214,7 @@ class TestServiceRoundTrip:
 
 class TestSpecFreezing:
     def test_specs_are_frozen_and_hashable(self):
-        for spec in (
-            ScheduledSpec(events=((1, 0, "rc_primary", 0, -1),)),
-            RandomSpec(),
-            NullSpec(),
-            TransientSpec(),
-            TimelineSpec(),
-        ):
-            hash(spec)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                spec.name = "other"
+        spec = TimelineSpec()
+        hash(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.seed = 1

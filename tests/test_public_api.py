@@ -113,29 +113,28 @@ class TestFacade:
     def test_fault_schedule_facade_resolves_to_canonical_objects(self):
         import repro
         from repro.experiments import fault_campaign
-        from repro.faults import FaultSchedule, FaultTimeline, make_schedule
+        from repro.faults import FaultSchedule, FaultTimeline
 
         assert repro.FaultSchedule is FaultSchedule
         assert repro.FaultTimeline is FaultTimeline
-        assert repro.make_schedule is make_schedule
         assert repro.CampaignConfig is fault_campaign.CampaignConfig
         assert repro.run_fault_campaign is fault_campaign.run
 
     def test_fault_schedule_api_signatures(self):
         """Pin the unified FaultSchedule surface (api redesign contract)."""
-        import inspect
+        import repro
+        import repro.faults
+        from repro.faults import FaultSchedule
 
-        from repro.faults import FaultSchedule, make_schedule
-
-        sig = inspect.signature(make_schedule)
-        assert list(sig.parameters) == ["spec", "config", "num_routers"]
-        for kw in ("config", "num_routers"):
-            assert (
-                sig.parameters[kw].kind is inspect.Parameter.KEYWORD_ONLY
-            )
         for method in ("events_at", "next_cycle"):
             assert hasattr(FaultSchedule, method)
         assert not hasattr(FaultSchedule, "fingerprint")  # removed in 2.1
+        # removed in 2.2 with the spec registry: schedules are built by
+        # calling their class or drawing function
+        for gone in ("make_schedule", "schedule_spec", "register_schedule"):
+            assert not hasattr(repro.faults, gone)
+        with pytest.raises(AttributeError, match="no attribute 'make_schedule'"):
+            repro.make_schedule
 
     def test_legacy_keywords_are_gone(self):
         """2.0: per-module keywords raise like any misspelled keyword."""

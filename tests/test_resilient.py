@@ -7,9 +7,11 @@ a sweep SIGKILLed mid-run resumes from its checkpoint directory
 bit-identical to an uninterrupted run.
 """
 
+import base64
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -25,6 +27,7 @@ from repro.experiments.parallel import (
     PartialSweepReport,
     PointFailure,
     SweepTask,
+    TaskRow,
     run_sweep,
 )
 from repro.experiments import resilient
@@ -327,6 +330,78 @@ class TestCheckpointStore:
         assert values == [0, 1, 4, 9]
         assert report.resumed == 3  # torn point re-executed
         assert report.checkpointed == 1
+
+    @staticmethod
+    def _value(i):
+        return {"point": i, "pad": "x" * (5 + i)}
+
+    def _append(self, store, i):
+        value = self._value(i)
+        store.append(
+            0, TaskRow(index=i, value=value, cycles=10 * i), f"p{i}",
+            pickle.dumps(value),
+        )
+
+    def _reload(self, run_dir):
+        """Sweep 0's rows as a resume of ``run_dir`` loads them."""
+        store = CheckpointStore(run_dir, resume=True)
+        rows = store.open_sweep(0, "fp", 5)
+        store.close()
+        return rows
+
+    def _three_records(self, run_dir):
+        """Points 0-2 of a five-point sweep, checkpointed; the JSONL file."""
+        store = CheckpointStore(run_dir)
+        store.open_sweep(0, "fp", 5)
+        for i in range(3):
+            self._append(store, i)
+        store.close()
+        return run_dir / "sweep-000.jsonl"
+
+    def test_truncation_at_every_byte_offset(self, tmp_path):
+        """Whatever byte a SIGKILL cut the file at, the reload never
+        raises, never yields a wrong value, and every record whose JSON
+        is whole loads."""
+        file = self._three_records(tmp_path)
+        whole = file.read_bytes()
+        newlines = [i for i, b in enumerate(whole) if b == 0x0A]
+        assert len(newlines) == 3 and whole.endswith(b"\n")
+        for cut in range(len(whole) + 1):
+            file.write_bytes(whole[:cut])
+            rows = self._reload(tmp_path)
+            complete = sum(cut >= nl for nl in newlines)
+            assert sorted(rows) == list(range(complete)), cut
+            for i, row in rows.items():
+                assert row.value == self._value(i), cut
+                assert (row.cycles, row.slot) == (10 * i, -1), cut
+
+    def test_first_append_after_a_torn_tail_is_readable(self, tmp_path):
+        file = self._three_records(tmp_path)
+        file.write_bytes(file.read_bytes()[:-10])  # SIGKILL mid-write
+        store = CheckpointStore(tmp_path, resume=True)
+        assert sorted(store.open_sweep(0, "fp", 5)) == [0, 1]
+        self._append(store, 2)
+        self._append(store, 3)
+        store.close()
+        rows = self._reload(tmp_path)
+        assert sorted(rows) == [0, 1, 2, 3]
+        assert all(row.value == self._value(i) for i, row in rows.items())
+
+    def test_a_checkpoint_line_with_setup_s_still_loads(self, tmp_path):
+        """Runs checkpointed before 2.2 carry a ``setup_s`` per record."""
+        file = self._three_records(tmp_path)
+        old = {
+            "index": 3, "label": "p3", "attempts": 2, "cycles": 30,
+            "fallbacks": 0, "fallback_reasons": [], "points": 1,
+            "setup_s": 0.25, "run_s": 1.5,
+            "value": base64.b64encode(pickle.dumps(self._value(3))).decode(),
+        }
+        with open(file, "a") as fp:
+            fp.write(json.dumps(old, sort_keys=True) + "\n")
+        rows = self._reload(tmp_path)
+        assert sorted(rows) == [0, 1, 2, 3]
+        assert rows[3].value == self._value(3)
+        assert (rows[3].attempts, rows[3].cycles, rows[3].run_s) == (2, 30, 1.5)
 
 
 #: driver executed as a subprocess so the kill test can SIGKILL the whole

@@ -505,6 +505,58 @@ class TestServer:
                 await service.close()
         asyncio.run(run())
 
+    @pytest.mark.parametrize("stream", [False, True], ids=["plain", "streamed"])
+    def test_a_cache_that_cannot_be_written_still_answers(
+        self, monkeypatch, stream
+    ):
+        """Full or read-only cache directory: the computed result is
+        served uncached and the failure counted; a streamed reply still
+        ends on its ``result`` line."""
+        import errno
+
+        def full(entry):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def run():
+            service, client = await _start_service_tmp()
+            monkeypatch.setattr(service.cache, "put", full)
+            try:
+                reply = await client.sweep("fault_sweep", TINY, stream=stream)
+                assert reply["cached"] is False
+                assert reply["result"]["rows"]
+                if stream:
+                    assert reply["event"] == "result"
+                again = await client.sweep("fault_sweep", TINY, stream=stream)
+                assert again["cached"] is False  # nothing was stored
+                assert again["sha256"] == reply["sha256"]
+                stats = await client.stats()
+                assert stats["counters"]["service.cache_put_failures"] == 2
+                assert stats["cache_entries"] == 0
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_a_stream_never_ends_on_its_accepted_line(self, monkeypatch, capfd):
+        """Whatever the computation dies of after its points, the last
+        line of a streamed reply is ``error`` (or ``result``)."""
+        from repro.service import server
+
+        def broken(result):
+            raise RuntimeError("rendering failed")
+
+        monkeypatch.setattr(server, "render_result", broken)
+
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                with pytest.raises(ServiceError) as err:
+                    await client.sweep("fault_sweep", TINY, stream=True)
+                assert err.value.status == 500
+            finally:
+                await service.close()
+        asyncio.run(run())
+        assert "rendering failed" in capfd.readouterr().err
+
     def test_error_paths(self):
         async def run():
             service, client = await _start_service_tmp()
