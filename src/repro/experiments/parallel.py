@@ -101,15 +101,6 @@ class PointOutcome:
 
     value: Any
     cycles: int = 0
-    #: event-engine fallbacks behind this point (lane-sweep accounting:
-    #: a point the batched engine could not take is re-run per-point on
-    #: the event engine and flagged here so shard reports surface it)
-    fallbacks: int = 0
-    #: *why* the batched engine declined (``supports()`` reason strings,
-    #: deduplicated upward into ``ShardReport``/``SweepReport`` and the
-    #: service ``/v1/stats`` payload, so a silently-slow sweep is
-    #: diagnosable instead of just countable)
-    fallback_reasons: Tuple[str, ...] = ()
     #: how many sweep points this outcome covers — 1 for ordinary tasks,
     #: the lane count for a batched chunk.  Progress streams and
     #: checkpoint records carry it so per-point accounting survives
@@ -169,12 +160,6 @@ class ShardReport:
     timeouts: int = 0
     #: points durably checkpointed to the run directory by this slot
     checkpointed: int = 0
-    #: points this shard ran on the per-point event engine because the
-    #: batched lane engine declined their configuration (see
-    #: :func:`repro.network.batched.supports`)
-    fallbacks: int = 0
-    #: deduplicated ``supports()`` reason strings behind ``fallbacks``
-    fallback_reasons: Tuple[str, ...] = ()
 
     def format(self) -> str:
         name = "resumed" if self.shard < 0 else f"shard {self.shard}"
@@ -188,7 +173,6 @@ class ShardReport:
                 (self.retries, "retries"),
                 (self.timeouts, "timeouts"),
                 (self.checkpointed, "checkpointed"),
-                (self.fallbacks, "event-engine fallbacks"),
             )
             if n
         ]
@@ -212,6 +196,12 @@ class SweepReport:
     observability: Optional[dict] = None
     #: points spliced in from a checkpointed run directory (``--resume``)
     resumed: int = 0
+    #: points a lane sweep's triage sent to :func:`run_point` because the
+    #: batched engine declined their configuration
+    #: (:func:`repro.network.batched.supports`)
+    fallbacks: int = 0
+    #: the distinct decline strings behind ``fallbacks``, sorted
+    fallback_reasons: Tuple[str, ...] = ()
 
     @property
     def cycles(self) -> int:
@@ -233,19 +223,6 @@ class SweepReport:
         """Points durably written to the run directory this run."""
         return sum(s.checkpointed for s in self.shards)
 
-    @property
-    def fallbacks(self) -> int:
-        """Points re-run on the event engine by a lane sweep."""
-        return sum(s.fallbacks for s in self.shards)
-
-    @property
-    def fallback_reasons(self) -> Tuple[str, ...]:
-        """Deduplicated fallback reason strings, in an order no sharding
-        changes."""
-        return tuple(
-            sorted({r for s in self.shards for r in s.fallback_reasons})
-        )
-
     def format(self) -> str:
         head = (
             f"sweep: {self.points} points on {self.jobs} worker(s) "
@@ -264,10 +241,9 @@ class SweepReport:
             if n
         ]
         lines = [head + (f" [{', '.join(notes)}]" if notes else "")]
-        reasons = self.fallback_reasons
-        if reasons:
+        if self.fallback_reasons:
             lines.append(
-                "  fallback reasons: " + "; ".join(reasons)
+                "  fallback reasons: " + "; ".join(self.fallback_reasons)
             )
         if self.jobs > 1:
             lines.extend("  " + s.format() for s in self.shards)
@@ -311,9 +287,10 @@ class PartialSweepError(SweepError):
     """The sweep completed degraded: retries exhausted on some points.
 
     Unlike a plain :class:`SweepError`, everything completable *was*
-    completed (and checkpointed when durable): ``values`` holds the
-    per-point results in task-index order with ``None`` holes at the
-    failed/skipped indices, and ``report`` is the
+    completed (and checkpointed when durable): ``values`` holds one
+    result per point — a task of :func:`run_sweep`, a lane point of
+    :func:`run_lane_sweep` — with ``None`` holes at the failed/skipped
+    indices, and ``report`` is the
     :class:`PartialSweepReport`.  ``python -m repro.experiments`` maps
     this to exit code 3 so callers can distinguish "usable partial
     result" from "nothing trustworthy".
@@ -388,8 +365,6 @@ class TaskRow:
     index: int
     value: Any = None
     cycles: int = 0
-    fallbacks: int = 0
-    fallback_reasons: Tuple[str, ...] = ()
     #: sweep points behind this row (a lane chunk covers several)
     points: int = 1
     #: seconds the task function took
@@ -437,8 +412,6 @@ def run_task(task: SweepTask) -> TaskRow:
         index=task.index,
         value=out.value,
         cycles=int(out.cycles),
-        fallbacks=int(out.fallbacks),
-        fallback_reasons=tuple(out.fallback_reasons),
         points=int(out.points),
         run_s=run_s,
     )
@@ -459,10 +432,6 @@ def _shard_report(
         retries=len(lost),
         timeouts=sum(r.timed_out for r in lost + dead),
         checkpointed=len(done) if durable and slot >= 0 else 0,
-        fallbacks=sum(r.fallbacks for r in done),
-        fallback_reasons=tuple(
-            dict.fromkeys(x for r in done for x in r.fallback_reasons)
-        ),
     )
 
 
@@ -670,14 +639,13 @@ def _resolve_factory(kind: str, config: NetworkConfig):
     raise ValueError(f"unknown router_kind {kind!r}")
 
 
-def run_point(point: LanePoint, reason: str = "") -> PointOutcome:
+def run_point(point: LanePoint) -> PointOutcome:
     """Run one :class:`LanePoint` as a single ``NoCSimulator.run()``.
 
-    The lower layer of :func:`run_lane_sweep`: what a group the batched
-    engine declines falls back to, one task per point (``reason`` then
-    carries the ``supports()`` decline string, so shard reports surface
-    *why*), and what tests and benches ``map_sweep`` directly when they
-    want the per-point answer (``run()`` picks the engine by load).
+    The lower layer of :func:`run_lane_sweep`, one task per point for the
+    points its triage keeps out of lane chunks, and what tests and benches
+    ``map_sweep`` directly when they want the per-point answer (``run()``
+    picks the engine by load).
     """
     schedule = (
         point.make_schedule(*point.schedule_args)
@@ -693,12 +661,7 @@ def run_point(point: LanePoint, reason: str = "") -> PointOutcome:
         routing_kind=point.routing_kind,
     )
     res = sim.run()
-    return PointOutcome(
-        res,
-        cycles=res.cycles,
-        fallbacks=int(bool(reason)),
-        fallback_reasons=(reason,) if reason else (),
-    )
+    return PointOutcome(res, cycles=res.cycles)
 
 
 def _lane_batched_chunk(
@@ -771,8 +734,9 @@ def _chunk_evenly(indices: Sequence[int], n_chunks: int) -> list[list[int]]:
 #: how many points a chunk carries
 DEFAULT_LANE_WIDTH = 32
 
-#: smallest structurally-identical group worth standing up the batched
-#: engine for; singletons run faster on the plain event engine
+#: smallest structurally-identical group stepped as a lane chunk; a
+#: smaller one goes to :func:`run_point`, whose ``run()`` picks the engine
+#: from the point's declared load
 _MIN_LANE_GROUP = 2
 
 
@@ -793,19 +757,24 @@ def run_lane_sweep(
     streaming in through lane refill.  Process parallelism and lane
     batching compose.
 
-    Groups the batched engine declines (a router kind without an array
-    model, observability enabled) — and groups too small to batch —
-    fall back to one :func:`run_point` task per point, counted in
-    ``ShardReport.fallbacks`` with the decline reason threaded into
-    ``ShardReport.fallback_reasons``.
+    Every other point is a :func:`run_point` task of its own.  The
+    triage that decides this is the one record of why: points of a
+    group ``supports()`` declines (a router kind without an array model,
+    observability enabled) are the report's ``fallbacks``, their decline
+    strings its ``fallback_reasons``.  A supported group smaller than
+    :data:`_MIN_LANE_GROUP` is not a fallback — ``run()`` may still step
+    it as a lane.
 
     Execution funnels through :func:`run_sweep`, so a resilient runtime
     (checkpointing, retries, watchdog) applies at chunk granularity:
     resilient sweeps shard *groups of lanes*, exactly like the parallel
-    path.  Results are bit-identical across ``jobs`` values, across slot
-    widths, and to :func:`run_point` on every point — the batched engine
-    is pinned lane-for-lane against the event engine by the golden
-    differential tests.
+    path.  This function maps tasks back to points, for results and
+    failures alike: a :class:`SweepError` or :class:`PartialSweepError`
+    names the points a failed chunk lost, and the partial report counts,
+    completes and skips points.  Results are bit-identical across
+    ``jobs`` values, across slot widths, and to :func:`run_point` on
+    every point — the batched engine is pinned lane-for-lane against the
+    event engine by the golden differential tests.
     """
     from ..network.batched import supports as batched_supports
 
@@ -813,24 +782,14 @@ def run_lane_sweep(
     if not points:
         return [], SweepReport(jobs=0, points=0, wall_time=0.0, shards=())
 
-    tasks: list[SweepTask] = []
-    placements: list[tuple[bool, list[int]]] = []  # (is_chunk, indices)
-
-    def _add(fn, args, label: str, is_chunk: bool, idxs: list[int]) -> None:
-        tasks.append(
-            SweepTask(index=len(tasks), fn=fn, args=args, label=label)
-        )
-        placements.append((is_chunk, idxs))
-
     n_jobs = resolve_jobs(jobs)
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(points):
         groups.setdefault(p.structural_key(), []).append(i)
 
-    # triage: batchable groups vs per-point fallbacks (with the decline
-    # reason recorded for the report / service stats)
     batchable: list[tuple[list[int], LanePoint]] = []
-    fallback: list[tuple[list[int], str]] = []
+    singles: list[int] = []
+    fallbacks, reasons = 0, set[str]()
     for idxs in groups.values():
         rep = points[idxs[0]]
         reason = batched_supports(
@@ -838,15 +797,27 @@ def run_lane_sweep(
             _resolve_factory(rep.router_kind, rep.config),
             rep.routing_kind,
         )
-        if reason is None and len(idxs) < _MIN_LANE_GROUP:
-            reason = (
-                f"group of {len(idxs)} structurally-identical point(s)"
-                " (below the lane batching threshold)"
-            )
-        if reason is None:
-            batchable.append((idxs, rep))
+        if reason is not None:
+            fallbacks += len(idxs)
+            reasons.add(reason)
+        if reason is not None or len(idxs) < _MIN_LANE_GROUP:
+            singles += idxs
         else:
-            fallback.append((idxs, reason))
+            batchable.append((idxs, rep))
+    triage = dict(
+        points=len(points),
+        fallbacks=fallbacks,
+        fallback_reasons=tuple(sorted(reasons)),
+    )
+
+    tasks: list[SweepTask] = []
+    spans: list[list[int]] = []  # task index -> the point indices it runs
+
+    def _add(fn, args, label: str, idxs: list[int]) -> None:
+        tasks.append(
+            SweepTask(index=len(tasks), fn=fn, args=args, label=label)
+        )
+        spans.append(idxs)
 
     # chunk counts balanced by estimated simulated cycles — the horizon
     # is uniform within a group because sim_config is part of the
@@ -867,26 +838,44 @@ def run_lane_sweep(
                 _lane_batched_chunk,
                 (tuple(points[j] for j in chunk), DEFAULT_LANE_WIDTH),
                 label,
-                True,
                 chunk,
             )
-    for idxs, reason in fallback:
-        for j in idxs:
-            _add(
-                run_point,
-                (points[j], reason),
-                points[j].label or f"lane {j} (fallback: {reason})",
-                False,
-                [j],
-            )
+    for j in singles:
+        _add(run_point, (points[j],), points[j].label or f"lane {j}", [j])
 
-    values_raw, report = run_sweep(tasks, jobs=jobs)
+    def per_point(values: Sequence[Any]) -> list[Any]:
+        out: list[Any] = [None] * len(points)
+        for task, value in zip(tasks, values):
+            if value is not None:  # a lost task leaves its points None
+                results = [value] if task.fn is run_point else value
+                for j, res in zip(spans[task.index], results):
+                    out[j] = res
+        return out
 
-    out: list[Any] = [None] * len(points)
-    for value, (is_chunk, idxs) in zip(values_raw, placements):
-        if is_chunk:
-            for j, res in zip(idxs, value):
-                out[j] = res
-        else:
-            out[idxs[0]] = value
-    return out, replace(report, points=len(points))
+    def in_points(task_ids: Iterable[int]) -> Tuple[int, ...]:
+        return tuple(sorted(j for t in task_ids for j in spans[t]))
+
+    def lost(failures: Iterable[PointFailure]) -> Tuple[PointFailure, ...]:
+        return tuple(sorted(
+            (
+                PointFailure(j, points[j].label, f.error, f.traceback)
+                for f in failures
+                for j in spans[f.index]
+            ),
+            key=lambda f: f.index,
+        ))
+
+    try:
+        values, report = run_sweep(tasks, jobs=jobs)
+    except PartialSweepError as exc:
+        partial = replace(
+            exc.report,
+            completed=in_points(exc.report.completed),
+            failed=lost(exc.report.failed),
+            skipped=in_points(exc.report.skipped),
+            **triage,
+        )
+        raise PartialSweepError(partial, per_point(exc.values)) from None
+    except SweepError as exc:
+        raise SweepError(lost(exc.failures)) from None
+    return per_point(values), replace(report, **triage)

@@ -43,9 +43,10 @@ Activation is context-based so the experiment modules need no plumbing:
 :func:`~repro.experiments.parallel.run_sweep` consults it.  The unified
 ``run(config, *, jobs=None, seed=None, out_dir=None, resume=None)``
 experiment entry points (see :mod:`repro.experiments.runner`) wrap their
-bodies in it, which is how ``--out-dir`` / ``--resume`` / ``--retries`` /
-``--task-timeout`` on ``python -m repro.experiments`` reach every nested
-sweep.  See ``docs/resilience.md``.
+bodies in it; ``python -m repro.experiments`` wraps each experiment in
+one built from ``--out-dir`` / ``--resume`` / ``--retries`` /
+``--task-timeout``, and since the outermost activation wins, that one
+reaches every nested sweep.  See ``docs/resilience.md``.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ __all__ = [
     "SweepRuntime",
     "active_runtime",
     "atomic_write_json",
-    "configure",
-    "reset",
     "sweep_runtime",
 ]
 
@@ -272,8 +271,6 @@ class CheckpointStore:
                     cycles=int(rec.get("cycles", 0)),
                     run_s=float(rec.get("run_s", 0.0)),
                     attempts=int(rec.get("attempts", 1)),
-                    fallbacks=int(rec.get("fallbacks", 0)),
-                    fallback_reasons=tuple(rec.get("fallback_reasons", [])),
                     points=int(rec.get("points", 1)),
                     slot=-1,
                 )
@@ -300,8 +297,6 @@ class CheckpointStore:
             "label": label,
             "attempts": row.attempts,
             "cycles": row.cycles,
-            "fallbacks": row.fallbacks,
-            "fallback_reasons": list(row.fallback_reasons),
             "points": row.points,
             "run_s": round(row.run_s, 6),
             "value": base64.b64encode(value_bytes).decode("ascii"),
@@ -462,51 +457,6 @@ def _set_active(run: Optional[_ActiveRun]) -> None:
     _tls.active = run
 
 
-#: process default retry policy; ``configure`` (CLI --retries/--task-timeout)
-#: replaces it and makes every later ``sweep_runtime()`` install a runtime
-_default_policy: RetryPolicy = RetryPolicy()
-_force_resilient: bool = False
-
-
-def configure(
-    *,
-    max_attempts: Optional[int] = None,
-    backoff_s: Optional[float] = None,
-    backoff_factor: Optional[float] = None,
-    max_backoff_s: Optional[float] = None,
-    timeout_s: Optional[float] = None,
-) -> RetryPolicy:
-    """Set the process-default :class:`RetryPolicy` and force resilient mode.
-
-    Mirrors :func:`repro.observability.configure`: the CLI calls this for
-    ``--retries`` / ``--task-timeout`` so retry behaviour reaches sweeps
-    nested arbitrarily deep in an experiment.  Returns the new default.
-    """
-    global _default_policy, _force_resilient
-    changes = {
-        k: v
-        for k, v in {
-            "max_attempts": max_attempts,
-            "backoff_s": backoff_s,
-            "backoff_factor": backoff_factor,
-            "max_backoff_s": max_backoff_s,
-            "timeout_s": timeout_s,
-        }.items()
-        if v is not None
-    }
-    _default_policy = replace(_default_policy, **changes)
-    _force_resilient = True
-    return _default_policy
-
-
-def reset() -> None:
-    """Restore the inactive default (test isolation helper)."""
-    global _default_policy, _force_resilient
-    _default_policy = RetryPolicy()
-    _force_resilient = False
-    _set_active(None)
-
-
 def active_runtime() -> Optional[SweepRuntime]:
     """The installed runtime of the current thread, or ``None``."""
     active = _get_active()
@@ -518,24 +468,25 @@ def sweep_runtime(
     out_dir: Optional[str | os.PathLike] = None,
     resume: Optional[str | os.PathLike] = None,
     retry: Optional[RetryPolicy] = None,
-    progress: Optional[Callable[[Dict[str, Any]], None]] = None,
 ) -> Iterator[Optional[SweepRuntime]]:
     """Install the resilient runtime for sweeps run inside the block.
 
     ``resume`` names an existing run directory (missing points only are
     re-executed; checkpointing continues into the same directory);
     ``out_dir`` starts a fresh one.  With neither, the block is a no-op
-    unless a retry policy (here or via :func:`configure`) or a
-    ``progress`` hook is given, in which case sweeps run supervised
-    without durability.  The block owns its runtime: worker processes
-    forked by one of its sweeps serve the later ones and are stopped on
-    exit — none outlives the block.  Activation is **per thread** —
-    concurrent threads each get their own runtime (a caller that wants
-    one runtime across threads, like the results server, builds a
-    :class:`SweepRuntime` and activates it on each).  Nested activations
-    on the same thread are no-ops: the outermost runtime wins, so an
-    experiment entry point wrapping its body does not disturb a caller's
-    runtime.
+    unless ``retry`` is given, in which case sweeps run supervised
+    without durability; with a directory and no ``retry`` the policy is
+    :class:`RetryPolicy`'s default.  The block owns its runtime: worker
+    processes forked by one of its sweeps serve the later ones and are
+    stopped on exit — none outlives the block.  Activation is **per
+    thread** — concurrent threads each get their own runtime (a caller
+    that wants one runtime across threads, or a progress hook, like the
+    results server, builds a :class:`SweepRuntime` and activates it on
+    each).  Nested activations on the same thread are no-ops: the
+    outermost runtime wins, so an experiment entry point wrapping its
+    body does not disturb a caller's runtime — which is how
+    ``python -m repro.experiments`` hands its ``--retries`` /
+    ``--task-timeout`` policy to every nested sweep.
     """
     active = _get_active()
     if active is not None:  # outermost activation wins
@@ -546,18 +497,12 @@ def sweep_runtime(
         store = CheckpointStore(resume, resume=True)
     elif out_dir is not None:
         store = CheckpointStore(out_dir, resume=False)
-    policy = retry if retry is not None else _default_policy
-    if (
-        store is None
-        and retry is None
-        and progress is None
-        and not _force_resilient
-    ):
+    if store is None and retry is None:
         yield None
         return
-    runtime = SweepRuntime(store=store, retry=policy)
+    runtime = SweepRuntime(store=store, retry=retry)
     try:
-        with runtime.activate(progress):
+        with runtime.activate():
             yield runtime
     finally:
         runtime.close()

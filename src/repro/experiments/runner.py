@@ -357,9 +357,12 @@ def main(argv: list[str] | None = None) -> int:
         or args.out_dir is not None
         or args.resume is not None
     )
+    # the runtime every experiment runs under: the outermost activation
+    # wins, so the experiment's own sweep_runtime() does nothing
+    retry = None
     if resilient_flags:
         retries = args.retries if args.retries is not None else 2
-        resilient.configure(
+        retry = resilient.RetryPolicy(
             max_attempts=retries + 1, timeout_s=args.task_timeout
         )
 
@@ -368,55 +371,49 @@ def main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
     partials: list[str] = []
     collected: list = []  # (label, export) pairs across experiments
-    try:
-        for name in names:
-            t0 = time.time()
-            exp_out, exp_resume = _experiment_dirs(
-                name, many, args.out_dir, args.resume
-            )
-            try:
-                result = run_experiment(
-                    name,
-                    quick=args.quick,
-                    jobs=args.jobs,
-                    seed=args.seed,
-                    out_dir=exp_out,
-                    resume=exp_resume,
-                )
-            except PartialSweepError as exc:
-                partials.append(name)
-                print(f"experiment {name} PARTIAL:", file=sys.stderr)
-                print(exc.report.format(), file=sys.stderr)
-                continue
-            except Exception as exc:
-                failures.append(name)
-                print(f"experiment {name} FAILED: {exc}", file=sys.stderr)
-                continue
-            sweep_report = result.extras.get("sweep")
-            merged = getattr(sweep_report, "observability", None)
-            if merged is not None:
-                result.extras["metrics"] = merged.get("metrics")
-                collected.extend(
-                    (f"{name}:{label}" if label else name, {"trace": snap})
-                    for label, snap in merged.get("traces") or []
-                )
-                if merged.get("metrics"):
-                    collected.append((name, {"metrics": merged["metrics"]}))
-                if merged.get("profile"):
-                    collected.append((name, {"profile": merged["profile"]}))
-            print(result.format())
-            chart = result.extras.get("chart")
-            if chart:
-                print()
-                print(chart)
-            if sweep_report is not None and (
-                args.jobs is not None or resilient_flags
+    for name in names:
+        t0 = time.time()
+        exp_out, exp_resume = _experiment_dirs(
+            name, many, args.out_dir, args.resume
+        )
+        try:
+            with resilient.sweep_runtime(
+                out_dir=exp_out, resume=exp_resume, retry=retry
             ):
-                print(f"  {sweep_report.format()}")
-            print(f"  [{time.time() - t0:.1f}s]\n")
-    finally:
-        if resilient_flags:
-            resilient.reset()
+                result = run_experiment(
+                    name, quick=args.quick, jobs=args.jobs, seed=args.seed
+                )
+        except PartialSweepError as exc:
+            partials.append(name)
+            print(f"experiment {name} PARTIAL:", file=sys.stderr)
+            print(exc.report.format(), file=sys.stderr)
+            continue
+        except Exception as exc:
+            failures.append(name)
+            print(f"experiment {name} FAILED: {exc}", file=sys.stderr)
+            continue
+        sweep_report = result.extras.get("sweep")
+        merged = getattr(sweep_report, "observability", None)
+        if merged is not None:
+            result.extras["metrics"] = merged.get("metrics")
+            collected.extend(
+                (f"{name}:{label}" if label else name, {"trace": snap})
+                for label, snap in merged.get("traces") or []
+            )
+            if merged.get("metrics"):
+                collected.append((name, {"metrics": merged["metrics"]}))
+            if merged.get("profile"):
+                collected.append((name, {"profile": merged["profile"]}))
+        print(result.format())
+        chart = result.extras.get("chart")
+        if chart:
+            print()
+            print(chart)
+        if sweep_report is not None and (
+            args.jobs is not None or resilient_flags
+        ):
+            print(f"  {sweep_report.format()}")
+        print(f"  [{time.time() - t0:.1f}s]\n")
 
     if obs_changes:
         merged_all = merge_exports(collected) or {

@@ -376,11 +376,18 @@ class SweepService:
             seed = req.get("seed")
             if seed is not None and not isinstance(seed, int):
                 raise RequestError("'seed' must be an integer")
+            # checked before fingerprinting: ``jobs`` is not part of the
+            # key, so a bad value must not reach a computation others join
+            jobs = req.get("jobs", self.jobs)
+            if jobs is not None and (type(jobs) is not int or jobs < 0):
+                raise RequestError("'jobs' must be a non-negative integer or null")
+            stream = req.get("stream", False)
+            quick = req.get("quick", self.quick_default)
+            for key, flag in (("stream", stream), ("quick", quick)):
+                if not isinstance(flag, bool):
+                    raise RequestError(f"'{key}' must be true or false")
             config, residual_seed = effective_config(
-                name,
-                req.get("config"),
-                quick=bool(req.get("quick", self.quick_default)),
-                seed=seed,
+                name, req.get("config"), quick=quick, seed=seed
             )
             fingerprint = request_fingerprint(
                 name, config, seed=residual_seed
@@ -393,8 +400,6 @@ class SweepService:
             self.registry.inc("service.bad_requests")
             await self._respond(writer, 400, {"error": f"bad JSON: {exc}"})
             return
-        stream = bool(req.get("stream", False))
-        jobs = req.get("jobs", self.jobs)
 
         # hit / join / miss — no await between the checks, so the
         # decision is atomic on the event loop and a fingerprint can

@@ -15,6 +15,8 @@ contract two ways:
   recorded in the report) and chunking invariance across ``jobs``.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -621,8 +623,9 @@ class TestRunLaneSweep:
             assert a.stats.summary() == b.stats.summary(), f"point {i}"
             assert a.cycles == b.cycles
 
-    def test_small_groups_fall_back_with_reason(self):
-        """Singleton structural groups skip the batched engine."""
+    def test_small_groups_run_per_point_without_a_decline(self):
+        """A supported singleton group is no fallback: it goes to
+        ``run_point``, whose ``run()`` picks the engine by load."""
         net_a = _net(3, 3, 2, 2)
         net_b = _net(4, 3, 2, 2)
         points = [
@@ -637,11 +640,8 @@ class TestRunLaneSweep:
             for i, net in enumerate((net_a, net_b))
         ]
         values, report = run_lane_sweep(points)
-        assert report.fallbacks == 2
-        assert any(
-            "below the lane batching threshold" in r
-            for r in report.fallback_reasons
-        )
+        assert (report.fallbacks, report.fallback_reasons) == (0, ())
+        assert "fallback" not in report.format()
         event_values, _ = map_sweep(run_point, [(p,) for p in points])
         for a, b in zip(values, event_values):
             assert a.stats.summary() == b.stats.summary()
@@ -653,7 +653,8 @@ class TestRunLaneSweep:
 
     def test_every_fallback_point_builds_and_times_its_own_simulator(self):
         """Nine structurally distinct points (a ``design_space`` grid): no
-        two can share anything, so each falls back to a task of its own."""
+        two can share anything, so each is a ``run_point`` task of its own
+        — and, every group being supported, none is a fallback."""
         nets = [
             NetworkConfig(
                 width=3, height=3,
@@ -674,7 +675,7 @@ class TestRunLaneSweep:
         ]
         assert len({p.structural_key() for p in points}) == 9
         values, report = run_lane_sweep(points, jobs=1)
-        assert report.fallbacks == 9
+        assert report.fallbacks == 0
         assert len(values) == 9
         assert all(v.stats.packets_ejected > 0 for v in values)
 
@@ -737,6 +738,153 @@ class TestLaneChunkResume:
         assert report.points == 4
         # point-accurate resume accounting: one chunk = two points
         assert report.resumed == 2
+
+
+def _flaky_traffic(net, rate, seed, marker):
+    """``_make_traffic`` unless ``marker`` exists: a cause to fix, then resume."""
+    if os.path.exists(marker):
+        raise RuntimeError(f"traffic source unavailable ({marker})")
+    return _make_traffic(net, rate, seed)
+
+
+def _summaries(values):
+    return [v.stats.summary() for v in values]
+
+
+class TestLaneSweepInPoints:
+    """``run_lane_sweep`` is the one place that knows tasks from points:
+    the triage records the declines once, and a failed chunk is reported
+    as the points it lost."""
+
+    def _points(self, marker):
+        """Three good points, then two of another structural group (another
+        seed: a chunk of their own) whose traffic factory raises."""
+        net = _net(3, 3, 2, 2)
+        good = [
+            LanePoint(
+                config=net,
+                sim_config=_sim_cfg(measure=100),
+                make_traffic=_make_traffic,
+                traffic_args=(net, 0.05, 40 + i),
+                router_kind="protected",
+                label=f"good{i}",
+            )
+            for i in range(3)
+        ]
+        flaky = [
+            LanePoint(
+                config=net,
+                sim_config=_sim_cfg(measure=100, seed=6),
+                make_traffic=_flaky_traffic,
+                traffic_args=(net, 0.05, 43 + i, str(marker)),
+                router_kind="protected",
+                label=f"flaky{i}",
+            )
+            for i in range(2)
+        ]
+        return good + flaky
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_partial_failure_names_the_points_it_lost(self, jobs, tmp_path):
+        from repro.experiments.parallel import PartialSweepError
+        from repro.experiments.resilient import RetryPolicy, sweep_runtime
+
+        marker = tmp_path / "broken"
+        marker.touch()
+        points = self._points(marker)
+        run_dir = tmp_path / "run"
+        with sweep_runtime(out_dir=run_dir, retry=RetryPolicy(max_attempts=1)):
+            with pytest.raises(PartialSweepError) as err:
+                run_lane_sweep(points, jobs=jobs)
+        report, values = err.value.report, err.value.values
+        assert report.points == 5
+        assert report.completed == (0, 1, 2) and report.skipped == ()
+        assert [(f.index, f.label) for f in report.failed] == [
+            (3, "flaky0"), (4, "flaky1"),
+        ]
+        for f in report.failed:
+            assert "traffic source unavailable" in f.error
+            assert "RuntimeError" in f.traceback
+        assert len(values) == 5 and values[3:] == [None, None]
+        good, _ = map_sweep(run_point, [(p,) for p in points[:3]])
+        assert _summaries(values[:3]) == _summaries(good)
+        text = report.format()
+        assert text.startswith(
+            "partial sweep: 3/5 points completed, 2 failed, 0 skipped"
+        )
+        assert "FAILED point 4 (flaky1)" in text and "sweep: 5 points" in text
+        assert report.checkpointed == 1  # tasks: the good chunk's record
+
+        # the cause fixed, a resume runs only the two lost points
+        marker.unlink()
+        with sweep_runtime(resume=run_dir):
+            resumed, report = run_lane_sweep(points, jobs=jobs)
+        assert report.resumed == 3 and report.checkpointed == 1
+        direct, _ = map_sweep(run_point, [(p,) for p in points])
+        assert _summaries(resumed) == _summaries(direct)
+
+    def test_a_hard_failure_names_the_points_it_lost(self, tmp_path):
+        from repro.experiments.parallel import SweepError
+
+        marker = tmp_path / "broken"
+        marker.touch()
+        with pytest.raises(SweepError) as err:
+            run_lane_sweep(self._points(marker), jobs=2)
+        assert [(f.index, f.label) for f in err.value.failures] == [
+            (3, "flaky0"), (4, "flaky1"),
+        ]
+
+    def _declining_points(self):
+        """Two ``roco`` points (no array model) and a lane group of two."""
+        from dataclasses import replace
+
+        net = _net(4, 4, 4, 2)
+        points = _lane_points(net, _sim_cfg(measure=100), ("xy",) * 4)
+        points[:2] = [replace(p, router_kind="roco") for p in points[:2]]
+        return points
+
+    def test_every_decline_is_counted_once_at_triage(self):
+        """With metrics on, ``supports()`` declines the lane group too:
+        each declined point is one fallback and each reason is listed
+        once, on the sweep and never per shard."""
+        from repro import observability
+
+        observability.configure(metrics=True)
+        try:
+            values, report = run_lane_sweep(self._declining_points(), jobs=2)
+        finally:
+            observability.reset()
+        assert all(v is not None for v in values)
+        assert report.fallbacks == 4
+        assert report.fallback_reasons == (
+            "observability enabled (tracing/metrics need per-object hooks)",
+            "router kind 'roco' not supported (no array model)",
+        )
+        lines = report.format().splitlines()
+        assert "[4 event-engine fallbacks]" in lines[0]
+        assert sum("fallback" in line for line in lines) == 2
+
+    def test_a_resumed_sweep_reports_the_same_declines(self, tmp_path):
+        from repro.experiments.resilient import sweep_runtime
+
+        points = self._declining_points()
+        with sweep_runtime(out_dir=tmp_path):
+            full, whole = run_lane_sweep(points, jobs=1)
+        jsonl = tmp_path / "sweep-000.jsonl"
+        records = jsonl.read_text().splitlines()
+        # one record per task: the lane chunk and each roco point
+        assert len(records) == 3
+        # keep only the first roco point's record, as if killed after it
+        jsonl.write_text(
+            "".join(r + "\n" for r in records if '"p0:xy"' in r)
+        )
+        with sweep_runtime(resume=tmp_path):
+            again, resumed = run_lane_sweep(points, jobs=1)
+        assert resumed.resumed == 1 and resumed.checkpointed == 2
+        assert (resumed.fallbacks, resumed.fallback_reasons) == (
+            whole.fallbacks, whole.fallback_reasons,
+        ) == (2, ("router kind 'roco' not supported (no array model)",))
+        assert _summaries(again) == _summaries(full)
 
 
 # ----------------------------------------------------------------------

@@ -40,13 +40,6 @@ from repro.experiments.resilient import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _reset_resilient():
-    resilient.reset()
-    yield
-    resilient.reset()
-
-
 # ---------------------------------------------------------------------
 # worker task functions (module level: pickled into worker processes)
 def _square(x):
@@ -403,6 +396,24 @@ class TestCheckpointStore:
         assert rows[3].value == self._value(3)
         assert (rows[3].attempts, rows[3].cycles, rows[3].run_s) == (2, 30, 1.5)
 
+    def test_a_checkpoint_line_with_fallback_keys_still_loads(self, tmp_path):
+        """Runs checkpointed before 2.3 carry a task's ``fallbacks`` and
+        ``fallback_reasons``; a lane sweep's triage reports them now."""
+        file = self._three_records(tmp_path)
+        old = {
+            "index": 3, "label": "p3", "attempts": 1, "cycles": 30,
+            "fallbacks": 1, "fallback_reasons": ["router kind 'roco'"],
+            "points": 1, "run_s": 0.5,
+            "value": base64.b64encode(pickle.dumps(self._value(3))).decode(),
+        }
+        with open(file, "a") as fp:
+            fp.write(json.dumps(old, sort_keys=True) + "\n")
+        rows = self._reload(tmp_path)
+        assert sorted(rows) == [0, 1, 2, 3]
+        assert rows[3] == TaskRow(
+            index=3, value=self._value(3), cycles=30, run_s=0.5, slot=-1
+        )
+
 
 #: driver executed as a subprocess so the kill test can SIGKILL the whole
 #: process group; task fns resolve as __main__.* in every invocation, so
@@ -588,11 +599,30 @@ class TestCLI:
                 "--resume", str(tmp_path / "b"),
             ])
 
-    def test_retries_flag_configures_and_resets(self):
-        from repro.experiments import resilient
+    def test_retries_flag_reaches_the_experiment_and_leaves_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        """The CLI's policy is the outermost runtime, so the experiment's
+        own ``sweep_runtime`` (and every sweep inside it) runs under it;
+        the experiment is called with no directories of its own."""
+        seen = []
+        real = table1.run
 
-        assert runner.main(["table1", "--retries", "4"]) == 0
-        # reset() ran: the next sweep_runtime() with no args is a no-op
+        def probe(config=None, **kw):
+            seen.append((resilient.active_runtime().retry, kw))
+            with sweep_runtime(out_dir=tmp_path / "inner") as inner:
+                assert inner is resilient.active_runtime()
+            return real(config, **kw)
+
+        monkeypatch.setattr(table1, "run", probe)
+        assert runner.main(
+            ["table1", "--retries", "4", "--task-timeout", "9"]
+        ) == 0
+        (policy, kw), = seen
+        assert policy == RetryPolicy(max_attempts=5, timeout_s=9.0)
+        assert kw["out_dir"] is None and kw["resume"] is None
+        assert not (tmp_path / "inner").exists()
+        # nothing outlives the run: the next sweep_runtime() is a no-op
         assert resilient.active_runtime() is None
         with sweep_runtime() as rt:
             assert rt is None

@@ -557,6 +557,39 @@ class TestServer:
         asyncio.run(run())
         assert "rendering failed" in capfd.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"jobs": "two"}, {"jobs": -1}, {"jobs": True}, {"jobs": 1.5},
+            {"stream": "yes"}, {"stream": 1}, {"stream": None},
+            {"quick": "false"}, {"quick": 0},
+        ],
+        ids=lambda f: "-".join(f"{k}={v!r}" for k, v in f.items()),
+    )
+    def test_a_bad_request_field_is_refused_before_it_joins(self, field):
+        """A bad non-semantic field is a 400 of its own: checked before
+        fingerprinting, it never fails the valid request it would have
+        joined."""
+
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                bad = {"experiment": "fault_sweep", "config": TINY, **field}
+                (status, body), good = await asyncio.gather(
+                    client._request("POST", "/v1/sweeps", bad),
+                    client.sweep("fault_sweep", TINY, jobs=0),
+                )
+                assert status == 400, body
+                assert next(iter(field)) in body["error"]
+                assert good["cached"] is False and good["result"]["rows"]
+                counters = (await client.stats())["counters"]
+                assert counters["service.bad_requests"] == 1
+                assert counters["service.computations"] == 1
+                assert "service.failures" not in counters
+            finally:
+                await service.close()
+        asyncio.run(run())
+
     def test_error_paths(self):
         async def run():
             service, client = await _start_service_tmp()
@@ -985,12 +1018,16 @@ class TestThreadLocalRuntime:
 
     def test_progress_hook_fires_per_point(self):
         from repro.experiments import fault_sweep
-        from repro.experiments.resilient import sweep_runtime
+        from repro.experiments.resilient import SweepRuntime
 
         events = []
         cfg, _ = effective_config("fault_sweep", TINY)
-        with sweep_runtime(progress=events.append):
-            fault_sweep.run(cfg, jobs=2)
+        runtime = SweepRuntime()
+        try:
+            with runtime.activate(events.append):
+                fault_sweep.run(cfg, jobs=2)
+        finally:
+            runtime.close()
         # jobs=2 splits the 2-point lane group into one chunk per worker
         assert {e["label"] for e in events} == {
             "protected/xy lanes 0-0", "protected/xy lanes 1-1"
