@@ -10,7 +10,7 @@ def test_spf_sweep_regeneration(benchmark):
     result = benchmark(spf_sweep.run)
     print()
     print(result.format())
-    sweep = result.extras["sweep"]
+    sweep = result.extras["spf"]
     # paper: SPF 7 at 2 VCs, 11.4 at 4 VCs, larger beyond
     assert sweep[2].spf == pytest.approx(7.0, abs=0.6)
     assert sweep[4].spf == pytest.approx(11.4, abs=0.5)

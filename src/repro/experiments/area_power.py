@@ -11,7 +11,7 @@ from typing import Optional
 from ..reliability.stages import RouterGeometry
 from ..synthesis.area import analyze_area
 from ..synthesis.power import analyze_power
-from .report import ExperimentResult
+from .report import ExperimentResult, experiment
 
 PAPER = {
     "area_correction": 0.28,
@@ -21,22 +21,8 @@ PAPER = {
 }
 
 
-def run(
-    config: Optional[RouterGeometry] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
-    The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
-    ``resume`` are accepted for API uniformity and ignored.
-    """
-    del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = config or RouterGeometry()
+def body(geom: RouterGeometry, jobs: Optional[int]) -> ExperimentResult:
+    """Closed-form: nothing to seed or shard."""
     area = analyze_area(geom)
     power = analyze_power(geom)
     res = ExperimentResult(
@@ -68,3 +54,6 @@ def run(
     res.extras["area"] = area
     res.extras["power"] = power
     return res
+
+
+run = experiment(RouterGeometry, __name__)

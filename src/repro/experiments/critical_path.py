@@ -10,27 +10,13 @@ from typing import Optional
 
 from ..reliability.stages import RouterGeometry
 from ..synthesis.timing import analyze_critical_path
-from .report import ExperimentResult
+from .report import ExperimentResult, experiment
 
 PAPER_OVERHEADS = {"RC": 0.0, "VA": 0.20, "SA": 0.10, "XB": 0.25}
 
 
-def run(
-    config: Optional[RouterGeometry] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
-    The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
-    ``resume`` are accepted for API uniformity and ignored.
-    """
-    del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = config or RouterGeometry()
+def body(geom: RouterGeometry, jobs: Optional[int]) -> ExperimentResult:
+    """Closed-form: nothing to seed or shard."""
     rep = analyze_critical_path(geom)
     res = ExperimentResult(
         "critical_path", "Critical-path impact per stage (Section VI-B)"
@@ -63,3 +49,6 @@ def run(
     )
     res.extras["report"] = rep
     return res
+
+
+run = experiment(RouterGeometry, __name__)

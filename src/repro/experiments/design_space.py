@@ -15,15 +15,16 @@ performance and cost columns complete the designer's picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
+from ..network.simulator import SimulationResult
 from ..reliability.spf import analyze_spf
 from ..reliability.stages import RouterGeometry
 from ..synthesis.area import area_overhead
 from ..traffic.generator import SyntheticTraffic
-from .report import ExperimentResult, override_seed
-from .resilient import sweep_runtime
+from .parallel import LanePoint
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,10 @@ class DesignSpaceConfig:
     seed: int = 1
     measure: int = 2000
 
+    def __post_init__(self) -> None:
+        if not self.vc_counts or not self.buffer_depths:
+            raise ValueError("vc_counts and buffer_depths must not be empty")
+
 
 def _grid_traffic(
     net: NetworkConfig, rate: float, seed: int
@@ -44,71 +49,56 @@ def _grid_traffic(
     return SyntheticTraffic(net, injection_rate=rate, rng=seed)
 
 
-def run(
-    config: Optional[DesignSpaceConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
+def points(config: DesignSpaceConfig) -> list[LanePoint]:
+    """One simulation per (VC count, buffer depth), in grid order.
 
-    ``config`` is a :class:`DesignSpaceConfig`; ``out_dir``/``resume``
-    attach the resilient sweep runtime.
+    The points are structurally distinct, so the lane sweep runs each as a
+    ``run_point`` task, whose ``run()`` picks the engine by load; the SPF
+    and area columns of the report stay analytic.
     """
-    config = override_seed(config or DesignSpaceConfig(), seed)
-    with sweep_runtime(out_dir=out_dir, resume=resume):
-        return _run_experiment(config, jobs)
+    sim_config = SimulationConfig(
+        warmup_cycles=400, measure_cycles=config.measure, drain_cycles=4000,
+        seed=config.seed,
+    )
+    out = []
+    for v in config.vc_counts:
+        for d in config.buffer_depths:
+            net = NetworkConfig(
+                width=4, height=4,
+                router=RouterConfig(num_vcs=v, buffer_depth=d),
+            )
+            out.append(
+                LanePoint(
+                    config=net,
+                    sim_config=sim_config,
+                    make_traffic=_grid_traffic,
+                    traffic_args=(net, config.rate, config.seed),
+                    router_kind="protected",
+                    label=f"{v}vc-{d}deep",
+                )
+            )
+    return out
 
 
-def _run_experiment(
-    config: DesignSpaceConfig, jobs: Optional[int]
+def report(
+    config: DesignSpaceConfig, results: Sequence[SimulationResult]
 ) -> ExperimentResult:
-    from .parallel import LanePoint, run_lane_sweep
-
     vc_counts = list(config.vc_counts)
     buffer_depths = list(config.buffer_depths)
-    rate, seed, measure = config.rate, config.seed, config.measure
     res = ExperimentResult(
         "design_space",
         "VC/buffer provisioning: latency x SPF x area (extension)",
     )
-    # the simulation grid is the expensive part: one point per (VC
-    # count, buffer depth), structurally distinct, so the lane sweep
-    # runs each on the per-point event engine and reports why; the
-    # SPF/area columns stay analytic
     grid = [(v, d) for v in vc_counts for d in buffer_depths]
-    sim_config = SimulationConfig(
-        warmup_cycles=400, measure_cycles=measure, drain_cycles=4000,
-        seed=seed,
-    )
-    points = []
-    for v, d in grid:
-        net = NetworkConfig(
-            width=4, height=4,
-            router=RouterConfig(num_vcs=v, buffer_depth=d),
-        )
-        points.append(
-            LanePoint(
-                config=net,
-                sim_config=sim_config,
-                make_traffic=_grid_traffic,
-                traffic_args=(net, rate, seed),
-                router_kind="protected",
-                label=f"{v}vc-{d}deep",
-            )
-        )
-    values, sweep_report = run_lane_sweep(points, jobs=jobs)
-    lat_by_point = dict(zip(grid, (r.avg_network_latency for r in values)))
-    points = {}
+    lat_by_point = dict(zip(grid, (r.avg_network_latency for r in results)))
+    grid_rows = {}
     for v in vc_counts:
         geom = RouterGeometry(num_vcs=v)
         ovh = area_overhead(geom)
         spf = analyze_spf(ovh, RouterConfig(num_vcs=v)).spf
         for d in buffer_depths:
             lat = lat_by_point[(v, d)]
-            points[(v, d)] = (lat, spf, ovh)
+            grid_rows[(v, d)] = (lat, spf, ovh)
             res.add(
                 f"latency @ {v} VCs, depth {d}", round(lat, 2), None,
                 unit="cycles",
@@ -122,21 +112,23 @@ def _run_experiment(
     res.add(
         "deeper buffers never hurt latency",
         all(
-            points[(v, dmax)][0] <= points[(v, dmin)][0] + 0.5
+            grid_rows[(v, dmax)][0] <= grid_rows[(v, dmin)][0] + 0.5
             for v in vc_counts
         ),
         True,
     )
     res.add(
         "more VCs raise SPF",
-        points[(vmax, dmin)][1] > points[(vmin, dmin)][1],
+        grid_rows[(vmax, dmin)][1] > grid_rows[(vmin, dmin)][1],
         True,
     )
     res.add(
         "bigger routers dilute the correction-area overhead",
-        points[(vmax, dmin)][2] < points[(vmin, dmin)][2],
+        grid_rows[(vmax, dmin)][2] < grid_rows[(vmin, dmin)][2],
         True,
     )
-    res.extras["points"] = points
-    res.extras["sweep"] = sweep_report
+    res.extras["points"] = grid_rows
     return res
+
+
+run = experiment(DesignSpaceConfig, __name__)

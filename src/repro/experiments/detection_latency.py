@@ -31,7 +31,7 @@ from ..faults.detection import NetworkDetector
 from ..faults.injector import RandomFaultSchedule
 from ..network.simulator import NoCSimulator
 from ..traffic.generator import SyntheticTraffic
-from .report import ExperimentResult, override_seed
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,8 @@ class DetectionLatencyConfig:
     seed: int = 1
 
 
-def run(
-    config: Optional[DetectionLatencyConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`DetectionLatencyConfig`.  The experiment
-    instruments a single simulation, so ``jobs``/``out_dir``/``resume``
-    are accepted for API uniformity and ignored.
-    """
-    del jobs, out_dir, resume  # one instrumented simulation: nothing to shard
-    config = override_seed(config or DetectionLatencyConfig(), seed)
-    return _run_experiment(config)
-
-
-def _run_experiment(config: DetectionLatencyConfig) -> ExperimentResult:
+def body(config: DetectionLatencyConfig, jobs: Optional[int]) -> ExperimentResult:
+    """One instrumented simulation: nothing to shard."""
     width, height = config.width, config.height
     num_faults = config.num_faults
     injection_rate = config.injection_rate
@@ -156,3 +138,6 @@ def _run_experiment(config: DetectionLatencyConfig) -> ExperimentResult:
     res.extras["events"] = events
     res.extras["detector"] = detector
     return res
+
+
+run = experiment(DetectionLatencyConfig, __name__)

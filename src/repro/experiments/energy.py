@@ -11,12 +11,14 @@ cheaper than the latency overhead, because only fault-adjacent flits pay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
+from ..network.simulator import SimulationResult
 from ..synthesis.energy import EnergyModel, energy_of_run
 from ..traffic.apps import app_profile
-from .latency import QUICK_CONFIG, LatencyConfig, run_app
-from .report import ExperimentResult, override_seed
+from .latency import QUICK_CONFIG, LatencyConfig, app_points, tolerated
+from .parallel import LanePoint
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -24,39 +26,24 @@ class EnergyConfig:
     """Unified-API config of the per-flit energy experiment."""
 
     app: str = "ocean"
-    latency: Optional[LatencyConfig] = None
+    latency: LatencyConfig = QUICK_CONFIG
     model: Optional[EnergyModel] = None
 
-
-def run(
-    config: Optional[EnergyConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is an :class:`EnergyConfig`.  The experiment is a
-    fault-free/faulty pair of serial simulations, so
-    ``jobs``/``out_dir``/``resume`` are accepted for API uniformity and
-    ignored.
-    """
-    del jobs, out_dir, resume  # two serial runs: nothing to shard
-    config = config or EnergyConfig()
-    return _run_experiment(config, seed)
+    def __post_init__(self) -> None:
+        app_profile(self.app)  # unknown application: ValueError
 
 
-def _run_experiment(
-    config: EnergyConfig, seed: Optional[int]
+def points(config: EnergyConfig) -> list[LanePoint]:
+    """The application's fault-free and faulty run: a two-lane sweep."""
+    return app_points(config.latency, app_profile(config.app))
+
+
+def report(
+    config: EnergyConfig, results: Sequence[SimulationResult]
 ) -> ExperimentResult:
     app = config.app
-    cfg = override_seed(config.latency or QUICK_CONFIG, seed)
+    ff, fy = (tolerated(r, app) for r in results)
     model = config.model or EnergyModel()
-    profile = app_profile(app)
-    ff = run_app(profile, cfg, faulty=False)
-    fy = run_app(profile, cfg, faulty=True)
     e_ff = energy_of_run(ff, model)
     e_fy = energy_of_run(fy, model)
 
@@ -85,3 +72,6 @@ def _run_experiment(
     res.extras["fault_free"] = e_ff
     res.extras["faulty"] = e_fy
     return res
+
+
+run = experiment(EnergyConfig, __name__)

@@ -23,12 +23,12 @@ batched engine: router kind is a per-lane mask there, so the baseline
 and protected replays of a campaign — references included — step in one
 engine, heal through its heal seam and are watched by the same
 :class:`repro.faults.recovery.RecoveryMonitor` the object engine uses.
-Kinds without an array model (``roco``) fall back to the per-point event
-engine and are reported as such by ``run_lane_sweep``.  Under the
-resilient runtime a lane chunk is one supervised task — checkpointed the
-moment it finishes, resumable after a kill, watchdogged — so checkpoint
-granularity is the chunk (a fallback point is a chunk of one), as for
-every other lane sweep.
+``roco``, the one kind without an array model, runs on the object engine
+one point at a time, and the lane sweep's report counts those points as
+its ``fallbacks``.  Under the resilient runtime a lane chunk is one
+supervised task — checkpointed the moment it finishes, resumable after a
+kill, watchdogged — so checkpoint granularity is the chunk (a ``roco``
+point is a chunk of one), as for every other lane sweep.
 
 The **degradation-over-lifetime report** joins the FIT model back in:
 the per-router failure rate converts measured per-event recovery into
@@ -39,14 +39,16 @@ with analytic BulletProof and Vicis rows for the comparison designs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from ..config import NetworkConfig, replace
 from ..faults.schedule import TimelineSpec
 from ..faults.timeline import CYCLES_PER_HOUR_1GHZ, random_timeline
+from ..network.simulator import SimulationResult
+from ..traffic.apps import app_profile
 from .latency import QUICK_CONFIG, LatencyConfig, suite_traffic
-from .report import ExperimentResult
-from .resilient import sweep_runtime
+from .parallel import LanePoint
+from .report import ExperimentResult, experiment
 
 #: hours in a (non-leap) year, for the lifetime join
 HOURS_PER_YEAR = 8760.0
@@ -72,10 +74,21 @@ class CampaignConfig:
     router_kinds: tuple[str, ...] = DEFAULT_ROUTER_KINDS
     timeline: TimelineSpec = TimelineSpec()
     app: str = "ocean"
-    latency: Optional[LatencyConfig] = None
+    latency: LatencyConfig = QUICK_CONFIG
     #: simulated-hours join: cycles per wall-clock hour of the modelled
     #: silicon (1 GHz by default); only the lifetime report uses it
     cycles_per_hour: float = CYCLES_PER_HOUR_1GHZ
+
+    def __post_init__(self) -> None:
+        if self.timelines < 1:
+            raise ValueError("timelines must be >= 1")
+        if not self.router_kinds or not set(self.router_kinds) <= set(
+            DEFAULT_ROUTER_KINDS
+        ):
+            raise ValueError(
+                f"router_kinds must be one or more of {DEFAULT_ROUTER_KINDS}"
+            )
+        app_profile(self.app)  # unknown application: ValueError
 
 
 def campaign_schedule(net: NetworkConfig, spec: TimelineSpec):
@@ -94,85 +107,50 @@ def campaign_schedule(net: NetworkConfig, spec: TimelineSpec):
     )
 
 
-def run(
-    config: Optional[CampaignConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``out_dir``/``resume`` attach the resilient runtime: every finished
-    lane chunk (or fallback point) is checkpointed and a killed campaign
-    resumes bit-identical at that granularity.
-    """
-    config = config or CampaignConfig()
-    cfg = config.latency
-    if seed is not None:
-        cfg = replace(cfg or QUICK_CONFIG, seed=seed)
-    with sweep_runtime(out_dir=out_dir, resume=resume):
-        return _run_experiment(config, cfg, jobs)
-
-
-def _run_experiment(
-    config: CampaignConfig,
-    cfg: LatencyConfig | None,
-    jobs: Optional[int],
-) -> ExperimentResult:
-    from .parallel import LanePoint, run_lane_sweep
-
-    if config.timelines < 1:
-        raise ValueError("timelines must be >= 1")
-    if not config.router_kinds:
-        raise ValueError("router_kinds must not be empty")
-    cfg = cfg or QUICK_CONFIG
-    net = cfg.network()
-    sim_config = cfg.simulation()
-    specs = [
-        replace(config.timeline, seed=config.timeline.seed + cfg.seed + t)
-        for t in range(config.timelines)
+def _placement(config: CampaignConfig) -> list[tuple[str, Optional[int]]]:
+    """``(router kind, timeline or None for the reference)`` per point."""
+    return [
+        (kind, t)
+        for kind in config.router_kinds
+        for t in (None, *range(config.timelines))
     ]
 
-    # one fault-free reference plus every timeline, per router kind; the
-    # same seeds everywhere so kinds differ only in recovery behaviour
-    points: list[LanePoint] = []
-    placement: list[tuple[str, Optional[int]]] = []
-    for kind in config.router_kinds:
-        points.append(
+
+def points(config: CampaignConfig) -> list[LanePoint]:
+    """One fault-free reference plus every timeline, per router kind.
+
+    The same seeds everywhere, so kinds differ only in recovery behaviour.
+    """
+    cfg = config.latency
+    net = cfg.network()
+    sim_config = cfg.simulation()
+    out = []
+    for kind, t in _placement(config):
+        spec = None if t is None else replace(
+            config.timeline, seed=config.timeline.seed + cfg.seed + t
+        )
+        out.append(
             LanePoint(
                 config=net,
                 sim_config=sim_config,
                 make_traffic=suite_traffic,
-                traffic_args=(net, config.app, cfg.seed, cfg.rate_scale),
-                make_schedule=None,
-                schedule_args=(),
+                traffic_args=(net, config.app, cfg.seed + (t or 0), cfg.rate_scale),
+                make_schedule=None if spec is None else campaign_schedule,
+                schedule_args=() if spec is None else (net, spec),
                 router_kind=kind,
-                label=f"{kind}/fault-free",
+                label=f"{kind}/{'fault-free' if t is None else f'timeline-{t}'}",
             )
         )
-        placement.append((kind, None))
-        for t, spec in enumerate(specs):
-            points.append(
-                LanePoint(
-                    config=net,
-                    sim_config=sim_config,
-                    make_traffic=suite_traffic,
-                    traffic_args=(
-                        net, config.app, cfg.seed + t, cfg.rate_scale
-                    ),
-                    make_schedule=campaign_schedule,
-                    schedule_args=(net, spec),
-                    router_kind=kind,
-                    label=f"{kind}/timeline-{t}",
-                )
-            )
-            placement.append((kind, t))
-    results, sweep_report = run_lane_sweep(points, jobs=jobs)
+    return out
 
+
+def report(
+    config: CampaignConfig, results: Sequence[SimulationResult]
+) -> ExperimentResult:
+    cfg = config.latency
+    net = cfg.network()
     per_kind = {k: _KindAccumulator(k) for k in config.router_kinds}
-    for (kind, t), result in zip(placement, results):
+    for (kind, t), result in zip(_placement(config), results):
         acc = per_kind[kind]
         if t is None:
             acc.take_reference(result)
@@ -240,7 +218,6 @@ def _run_experiment(
         "cycles_per_hour": config.cycles_per_hour,
         "timelines": config.timelines,
     }
-    res.extras["sweep"] = sweep_report
     from .charts import curve
 
     years = [float(y) for y in range(1, 11)]
@@ -406,3 +383,6 @@ def _analytic_rows(net: NetworkConfig, seed: int) -> list[dict]:
             }
         )
     return rows
+
+
+run = experiment(CampaignConfig, __name__)

@@ -10,70 +10,54 @@ sharing starts interacting with congestion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
+from ..network.simulator import SimulationResult
 from ..traffic.apps import app_profile
-from .latency import QUICK_CONFIG, LatencyConfig, suite_schedule, suite_traffic
-from .report import ExperimentResult
-from .resilient import sweep_runtime
+from .latency import QUICK_CONFIG, LatencyConfig, suite_schedule, suite_traffic, tolerated
+from .parallel import LanePoint
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
 class FaultSweepConfig:
-    """Unified-API config of the fault-count sweep."""
+    """Unified-API config of the fault-count sweep.
 
-    fault_counts: Optional[tuple[int, ...]] = None
-    app: str = "ocean"
-    latency: Optional[LatencyConfig] = None
-
-
-def run(
-    config: Optional[FaultSweepConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`FaultSweepConfig`; ``out_dir``/``resume``
-    attach the resilient runtime.
+    A zero-fault baseline runs first whether or not ``fault_counts``
+    names it.
     """
-    config = config or FaultSweepConfig()
+
+    fault_counts: tuple[int, ...] = (0, 8, 16, 32, 64)
+    app: str = "ocean"
+    latency: LatencyConfig = QUICK_CONFIG
+
+    def __post_init__(self) -> None:
+        if not self.fault_counts or any(n < 0 for n in self.fault_counts):
+            raise ValueError("fault_counts must be one or more counts >= 0")
+        app_profile(self.app)  # unknown application: ValueError
+
+
+def _counts(config: FaultSweepConfig) -> list[int]:
+    counts = list(config.fault_counts)
+    return counts if counts[0] == 0 else [0] + counts
+
+
+def points(config: FaultSweepConfig) -> list[LanePoint]:
+    """One independent, fully seeded simulation per fault count.
+
+    Every point shares the structural key, so the lane engine steps the
+    whole sweep as lanes.
+    """
     cfg = config.latency
-    if seed is not None:
-        cfg = replace(cfg or QUICK_CONFIG, seed=seed)
-    with sweep_runtime(out_dir=out_dir, resume=resume):
-        return _run_experiment(config.fault_counts, config.app, cfg, jobs)
-
-
-def _run_experiment(
-    fault_counts: Optional[Sequence[int]],
-    app: str,
-    cfg: LatencyConfig | None,
-    jobs: Optional[int],
-) -> ExperimentResult:
-    from .parallel import LanePoint, run_lane_sweep
-
-    fault_counts = list(fault_counts or (0, 8, 16, 32, 64))
-    if fault_counts[0] != 0:
-        fault_counts = [0] + fault_counts
-    cfg = cfg or QUICK_CONFIG
-    profile = app_profile(app)
     net = cfg.network()
     sim_config = cfg.simulation()
-
-    # one independent, fully seeded simulation per fault count — every
-    # point shares the structural key, so the batched engine steps the
-    # whole sweep as lanes; results reassemble in index order either way
-    points = [
+    return [
         LanePoint(
             config=net,
             sim_config=sim_config,
             make_traffic=suite_traffic,
-            traffic_args=(net, profile.name, cfg.seed, cfg.rate_scale),
+            traffic_args=(net, config.app, cfg.seed, cfg.rate_scale),
             make_schedule=suite_schedule if n > 0 else None,
             schedule_args=(
                 (net, cfg.warmup_cycles, max(n, 1), cfg.seed)
@@ -81,25 +65,21 @@ def _run_experiment(
                 else ()
             ),
             router_kind="protected",
-            label=f"{app}@{n}faults",
+            label=f"{config.app}@{n}faults",
         )
-        for n in fault_counts
+        for n in _counts(config)
     ]
-    results, sweep_report = run_lane_sweep(points, jobs=jobs)
 
-    base_latency = None
-    rows: list[tuple[int, float]] = []
-    for n, result in zip(fault_counts, results):
-        if result.blocked:
-            raise RuntimeError(
-                f"{app}@{n}faults: network blocked — fault schedule "
-                "should have been tolerable"
-            )
-        lat = result.avg_network_latency
-        if n == 0:
-            base_latency = lat
-        rows.append((n, lat))
-    assert base_latency is not None
+
+def report(
+    config: FaultSweepConfig, results: Sequence[SimulationResult]
+) -> ExperimentResult:
+    app = config.app
+    rows = [
+        (n, tolerated(result, f"{app}@{n}faults").avg_network_latency)
+        for n, result in zip(_counts(config), results)
+    ]
+    base_latency = rows[0][1]
 
     res = ExperimentResult(
         "fault_sweep",
@@ -126,7 +106,6 @@ def _run_experiment(
         True,
     )
     res.extras["rows"] = rows
-    res.extras["sweep"] = sweep_report
     from .charts import curve
 
     res.extras["chart"] = curve(
@@ -136,3 +115,6 @@ def _run_experiment(
         y_label="latency",
     )
     return res
+
+
+run = experiment(FaultSweepConfig, __name__)

@@ -6,35 +6,32 @@ applications ... in the presence of multiple faults."
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Sequence
 
-from .latency import LatencyConfig, SuiteRunConfig, coerce_suite_config, suite_experiment
-from .report import ExperimentResult
-from .resilient import sweep_runtime
+from ..network.simulator import SimulationResult
+from .latency import SuiteRunConfig, suite_points, suite_report
+from .parallel import LanePoint
+from .report import ExperimentResult, experiment
 
 PAPER_OVERALL_OVERHEAD = 0.13
 
 
-def run(
-    config: "LatencyConfig | SuiteRunConfig | None" = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
+def points(config: SuiteRunConfig) -> list[LanePoint]:
+    return suite_points("parsec", config.latency, config.apps)
 
-    See :func:`repro.experiments.fig7.run`; this is the PARSEC suite.
-    """
-    cfg = coerce_suite_config(config, seed)
-    with sweep_runtime(out_dir=out_dir, resume=resume):
-        return suite_experiment(
-            "fig8",
-            "PARSEC latency, fault-free vs faulty (Figure 8)",
-            "parsec",
-            PAPER_OVERALL_OVERHEAD,
-            cfg=cfg.latency,
-            apps=cfg.apps,
-            jobs=jobs,
-        )
+
+def report(
+    config: SuiteRunConfig, results: Sequence[SimulationResult]
+) -> ExperimentResult:
+    return suite_report(
+        "fig8",
+        "PARSEC latency, fault-free vs faulty (Figure 8)",
+        "parsec",
+        PAPER_OVERALL_OVERHEAD,
+        config,
+        results,
+    )
+
+
+#: as :data:`repro.experiments.fig7.run`, on the PARSEC suite
+run = experiment(SuiteRunConfig, __name__)

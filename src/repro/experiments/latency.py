@@ -14,15 +14,15 @@ a failed router measures availability, not latency (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
 from ..faults.injector import RandomFaultSchedule
 from ..network.simulator import SimulationResult
-from ..traffic.apps import AppProfile, make_app_traffic, suite_profiles
-from .parallel import LanePoint, SweepReport, run_point
-from .report import ExperimentResult, override_seed
+from ..traffic.apps import AppProfile, app_profile, make_app_traffic, suite_profiles
+from .parallel import LanePoint, run_point
+from .report import ExperimentResult
 
 
 @dataclass(frozen=True)
@@ -78,30 +78,19 @@ QUICK_CONFIG = LatencyConfig(
 class SuiteRunConfig:
     """Unified-API config of the fig7/fig8 suite experiments.
 
-    ``latency`` is the per-run knob set (``None`` → paper-scale
-    :class:`LatencyConfig`); ``apps`` optionally restricts the suite to
-    the named applications.
+    ``latency`` is the per-run knob set (paper scale by default); ``apps``
+    optionally restricts the suite to the named applications.
     """
 
-    latency: Optional[LatencyConfig] = None
+    latency: LatencyConfig = LatencyConfig()
     apps: Optional[tuple[str, ...]] = None
 
-
-def coerce_suite_config(
-    config: "LatencyConfig | SuiteRunConfig | None",
-    seed: Optional[int],
-) -> SuiteRunConfig:
-    """Normalise a fig7/fig8 ``run()`` config (bare latency or suite)."""
-    if config is None:
-        config = SuiteRunConfig()
-    elif isinstance(config, LatencyConfig):
-        config = SuiteRunConfig(latency=config)
-    if seed is not None:
-        config = replace(
-            config,
-            latency=override_seed(config.latency or LatencyConfig(), seed),
-        )
-    return config
+    def __post_init__(self) -> None:
+        if self.apps is not None:
+            if not self.apps:
+                raise ValueError("apps must name at least one application")
+            for app in self.apps:
+                app_profile(app)  # unknown application: ValueError
 
 
 @dataclass
@@ -155,9 +144,10 @@ def _suite_point(
 ) -> LanePoint:
     """One (application, fault-state) simulation of the suite.
 
-    The single description both paths run — :func:`suite_points` as
-    lanes, :func:`run_app` alone — which is what keeps them bit-identical.
-    ``net`` / ``sim_config`` are ``cfg``'s, built once per suite.
+    The single description every path runs — :func:`suite_points` and
+    the ``energy`` experiment as lanes, :func:`run_app` alone — which is
+    what keeps them bit-identical.  ``net`` / ``sim_config`` are ``cfg``'s,
+    built once per sweep.
     """
     return LanePoint(
         config=net,
@@ -175,18 +165,28 @@ def _suite_point(
     )
 
 
+def app_points(cfg: LatencyConfig, app: AppProfile) -> list[LanePoint]:
+    """One application's fault-free and faulty points, in that order."""
+    net, sim_config = cfg.network(), cfg.simulation()
+    return [_suite_point(cfg, net, sim_config, app, f) for f in (False, True)]
+
+
+def tolerated(result: SimulationResult, label: str) -> SimulationResult:
+    """``result``, unless a fault schedule drawn to be tolerable blocked it."""
+    if result.blocked:
+        raise RuntimeError(
+            f"{label}: network blocked — fault schedule should have been "
+            "tolerable"
+        )
+    return result
+
+
 def run_app(
     profile: AppProfile, cfg: LatencyConfig, faulty: bool
 ) -> SimulationResult:
     """One simulation of one application, with or without faults."""
     point = _suite_point(cfg, cfg.network(), cfg.simulation(), profile, faulty)
-    result = run_point(point).value
-    if result.blocked:
-        raise RuntimeError(
-            f"{profile.name}: network blocked — fault schedule should have "
-            "been tolerable"
-        )
-    return result
+    return tolerated(run_point(point).value, profile.name)
 
 
 def run_app_pair(
@@ -202,17 +202,6 @@ def run_app_pair(
         fault_free_result=ff,
         faulty_result=fy,
     )
-
-
-def run_suite(
-    suite: str,
-    cfg: LatencyConfig | None = None,
-    apps: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-) -> list[AppLatency]:
-    """All applications of a suite (optionally a named subset)."""
-    results, _ = run_suite_sharded(suite, cfg, apps=apps, jobs=jobs)
-    return results
 
 
 def _suite_profiles(
@@ -233,7 +222,13 @@ def suite_points(
     cfg: LatencyConfig,
     apps: Optional[Sequence[str]] = None,
 ) -> list[LanePoint]:
-    """The suite's sweep points: (fault-free, faulty) per application."""
+    """The suite's sweep points: (fault-free, faulty) per application.
+
+    Every point shares one structural key (same mesh, protected router,
+    XY routing — only traffic and fault schedules differ), so the whole
+    suite steps as lanes of one
+    :class:`repro.network.batched.BatchedLaneEngine` per chunk.
+    """
     net = cfg.network()
     sim_config = cfg.simulation()
     return [
@@ -243,51 +238,6 @@ def suite_points(
     ]
 
 
-def run_suite_sharded(
-    suite: str,
-    cfg: LatencyConfig | None = None,
-    apps: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-) -> tuple[list[AppLatency], SweepReport]:
-    """Suite sweep through the lane engine: one point per (application,
-    fault-state) pair, reassembled into per-app results.
-
-    Every point shares one structural key (same 8x8 mesh, protected
-    router, XY routing — only traffic and fault schedules differ), so
-    the whole suite steps as lanes of a single
-    :class:`repro.network.batched.BatchedLaneEngine` per chunk,
-    refilling retired lanes from the remaining points.  Each point's
-    simulation is fully seeded by its own config (traffic and fault
-    seeds derive from ``cfg.seed``), so any ``jobs`` value is
-    bit-identical to running every point through
-    :func:`repro.experiments.parallel.run_point`.
-    """
-    # looked up per call: the ledger's tracer patches the module attribute
-    from .parallel import run_lane_sweep
-
-    cfg = cfg or LatencyConfig()
-    values, report = run_lane_sweep(suite_points(suite, cfg, apps), jobs=jobs)
-    results = []
-    for i, p in enumerate(_suite_profiles(suite, apps)):
-        ff, fy = values[2 * i], values[2 * i + 1]
-        for res in (ff, fy):
-            if res.blocked:
-                raise RuntimeError(
-                    f"{p.name}: network blocked — fault schedule should "
-                    "have been tolerable"
-                )
-        results.append(
-            AppLatency(
-                app=p.name,
-                fault_free=ff.avg_network_latency,
-                faulty=fy.avg_network_latency,
-                fault_free_result=ff,
-                faulty_result=fy,
-            )
-        )
-    return results, report
-
-
 def overall_overhead(results: Sequence[AppLatency]) -> float:
     """Suite-level latency increase: mean of per-app overheads."""
     if not results:
@@ -295,18 +245,27 @@ def overall_overhead(results: Sequence[AppLatency]) -> float:
     return sum(r.overhead for r in results) / len(results)
 
 
-def suite_experiment(
+def suite_report(
     experiment: str,
     title: str,
     suite: str,
     paper_overall_overhead: float,
-    cfg: LatencyConfig | None = None,
-    apps: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
+    config: SuiteRunConfig,
+    values: Sequence[SimulationResult],
 ) -> ExperimentResult:
-    """Shared Figure 7/8 driver producing an :class:`ExperimentResult`."""
-    cfg = cfg or LatencyConfig()
-    results, sweep_report = run_suite_sharded(suite, cfg, apps=apps, jobs=jobs)
+    """The Figure 7/8 result from the values of :func:`suite_points`."""
+    results = [
+        AppLatency(
+            app=p.name,
+            fault_free=tolerated(ff, p.name).avg_network_latency,
+            faulty=tolerated(fy, p.name).avg_network_latency,
+            fault_free_result=ff,
+            faulty_result=fy,
+        )
+        for p, ff, fy in zip(
+            _suite_profiles(suite, config.apps), values[0::2], values[1::2]
+        )
+    ]
     res = ExperimentResult(experiment, title)
     for r in results:
         res.add(
@@ -326,8 +285,7 @@ def suite_experiment(
         "stated headline",
     )
     res.extras["results"] = results
-    res.extras["config"] = cfg
-    res.extras["sweep"] = sweep_report
+    res.extras["config"] = config.latency
     from .charts import latency_figure
 
     res.extras["chart"] = latency_figure(results, title)

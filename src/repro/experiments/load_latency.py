@@ -13,13 +13,14 @@ experiment pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
 from ..faults.injector import RandomFaultSchedule
+from ..network.simulator import SimulationResult
 from ..traffic.generator import SyntheticTraffic
-from .report import ExperimentResult, override_seed
-from .resilient import sweep_runtime
+from .parallel import LanePoint
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,10 @@ class LoadLatencyConfig:
     num_faults: int = 48
     seed: int = 1
     measure: int = 3000
+
+    def __post_init__(self) -> None:
+        if not self.rates:
+            raise ValueError("need at least one rate")
 
 
 @dataclass(frozen=True)
@@ -60,123 +65,59 @@ def _make_schedule(net: NetworkConfig, faults: int, seed: int) -> RandomFaultSch
     )
 
 
-def sweep(
-    rates: Sequence[float],
-    width: int = 4,
-    height: int = 4,
-    num_faults: int = 48,
-    seed: int = 1,
-    measure: int = 3000,
-    jobs: Optional[int] = None,
-) -> list[LoadPoint]:
-    """Measure the fault-free and faulty curves over ``rates``.
+def points(config: LoadLatencyConfig) -> list[LanePoint]:
+    """Two points per rate, fault-free then faulty, each independently seeded.
 
     Traffic is the coherence mix (1-flit control + 5-flit data on two
     virtual networks) — multi-flit packets are what make secondary-path
-    mux sharing and bypass serialisation visible.
+    mux sharing and bypass serialisation visible.  All points share one
+    structural key, so the whole sweep steps as lanes.
     """
-    points, _ = sweep_sharded(
-        rates, width=width, height=height, num_faults=num_faults,
-        seed=seed, measure=measure, jobs=jobs,
-    )
-    return points
-
-
-def sweep_sharded(
-    rates: Sequence[float],
-    width: int = 4,
-    height: int = 4,
-    num_faults: int = 48,
-    seed: int = 1,
-    measure: int = 3000,
-    jobs: Optional[int] = None,
-) -> tuple[list[LoadPoint], "SweepReport"]:
-    """The sweep through the lane engine: 2 points per rate (fault-free,
-    faulty), each an independent seeded simulation.
-
-    All points share one structural key (same mesh, protected router,
-    XY routing), so the whole sweep steps as lanes of a single
-    :class:`repro.network.batched.BatchedLaneEngine` per worker —
-    bit-identical to one ``NoCSimulator`` per point.
-    """
-    from .parallel import LanePoint, run_lane_sweep
-
-    if not rates:
-        raise ValueError("need at least one rate")
     net = NetworkConfig(
-        width=width, height=height,
+        width=config.width, height=config.height,
         router=RouterConfig(num_vcs=4, num_vnets=2),
     )
     sim_config = SimulationConfig(
         warmup_cycles=500,
-        measure_cycles=measure,
-        drain_cycles=max(4000, measure),
-        seed=seed,
+        measure_cycles=config.measure,
+        drain_cycles=max(4000, config.measure),
+        seed=config.seed,
         watchdog_cycles=20_000,
     )
-    points = []
-    for rate in rates:
-        for faults in (0, num_faults):
-            points.append(
-                LanePoint(
-                    config=net,
-                    sim_config=sim_config,
-                    make_traffic=_make_traffic,
-                    traffic_args=(net, rate, seed),
-                    make_schedule=_make_schedule if faults else None,
-                    schedule_args=(net, faults, seed) if faults else (),
-                    router_kind="protected",
-                    label=f"rate={rate:.2f}:{'faulty' if faults else 'ff'}",
-                )
-            )
-    values, report = run_lane_sweep(points, jobs=jobs)
+    seed = config.seed
+    return [
+        LanePoint(
+            config=net,
+            sim_config=sim_config,
+            make_traffic=_make_traffic,
+            traffic_args=(net, rate, seed),
+            make_schedule=_make_schedule if faults else None,
+            schedule_args=(net, faults, seed) if faults else (),
+            router_kind="protected",
+            label=f"rate={rate:.2f}:{'faulty' if faults else 'ff'}",
+        )
+        for rate in config.rates
+        for faults in (0, config.num_faults)
+    ]
+
+
+def report(
+    config: LoadLatencyConfig, results: Sequence[SimulationResult]
+) -> ExperimentResult:
+    rates = list(config.rates)
     curve_points = [
         LoadPoint(
             rate,
-            values[2 * i].avg_network_latency,
-            values[2 * i + 1].avg_network_latency,
+            results[2 * i].avg_network_latency,
+            results[2 * i + 1].avg_network_latency,
         )
         for i, rate in enumerate(rates)
     ]
-    return curve_points, report
-
-
-def run(
-    config: Optional[LoadLatencyConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`LoadLatencyConfig`; ``out_dir``/``resume``
-    attach the resilient sweep runtime.
-    """
-    config = override_seed(config or LoadLatencyConfig(), seed)
-    with sweep_runtime(out_dir=out_dir, resume=resume):
-        return _run_experiment(config, jobs)
-
-
-def _run_experiment(
-    config: LoadLatencyConfig, jobs: Optional[int]
-) -> ExperimentResult:
-    rates = list(config.rates)
-    points, sweep_report = sweep_sharded(
-        rates,
-        width=config.width,
-        height=config.height,
-        num_faults=config.num_faults,
-        seed=config.seed,
-        measure=config.measure,
-        jobs=jobs,
-    )
     res = ExperimentResult(
         "load_latency",
         "load-latency curves, fault-free vs faulty (extension)",
     )
-    for p in points:
+    for p in curve_points:
         res.add(
             f"latency @ {p.injection_rate:.2f} flits/node/cycle (fault-free)",
             round(p.fault_free_latency, 2),
@@ -189,7 +130,7 @@ def _run_experiment(
             None,
             unit="cycles",
         )
-    overheads = [p.overhead for p in points]
+    overheads = [p.overhead for p in curve_points]
     res.add("overhead at lowest load", round(overheads[0], 3), None)
     res.add("overhead at highest load", round(overheads[-1], 3), None)
     res.add(
@@ -198,14 +139,16 @@ def _run_experiment(
         True,
         note="the contention-driven mechanism behind Figures 7/8",
     )
-    res.extras["points"] = points
-    res.extras["sweep"] = sweep_report
+    res.extras["points"] = curve_points
     from .charts import curve
 
     res.extras["chart"] = (
         "fault-free:\n"
-        + curve(rates, [p.fault_free_latency for p in points])
+        + curve(rates, [p.fault_free_latency for p in curve_points])
         + "\nfaulty:\n"
-        + curve(rates, [p.faulty_latency for p in points])
+        + curve(rates, [p.faulty_latency for p in curve_points])
     )
     return res
+
+
+run = experiment(LoadLatencyConfig, __name__)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..reliability.mttf import analyze_mttf, monte_carlo_mttf
 from ..reliability.stages import RouterGeometry
-from .report import ExperimentResult, override_seed
+from .report import ExperimentResult, experiment
 
 PAPER_MTTF_BASELINE = 354_358.0
 PAPER_MTTF_PROTECTED = 2_190_696.0
@@ -29,30 +29,8 @@ class MTTFConfig:
     seed: int = 1
 
 
-def run(
-    config: "MTTFConfig | RouterGeometry | None" = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is an :class:`MTTFConfig` (a bare
-    :class:`~repro.reliability.stages.RouterGeometry` is accepted for
-    compatibility).  The analysis is closed-form plus a vectorised Monte
-    Carlo, so ``jobs``/``out_dir``/``resume`` are accepted for API
-    uniformity and ignored.
-    """
-    del jobs, out_dir, resume  # no sweep: nothing to parallelise/checkpoint
-    if isinstance(config, RouterGeometry):
-        config = MTTFConfig(geom=config)
-    config = override_seed(config or MTTFConfig(), seed)
-    return _run_experiment(config)
-
-
-def _run_experiment(config: MTTFConfig) -> ExperimentResult:
+def body(config: MTTFConfig, jobs: Optional[int]) -> ExperimentResult:
+    """Closed form plus one vectorised Monte Carlo: nothing to shard."""
     geom = config.geom or RouterGeometry()
     mc_samples, seed = config.mc_samples, config.seed
     rep = analyze_mttf(geom)
@@ -96,3 +74,6 @@ def _run_experiment(config: MTTFConfig) -> ExperimentResult:
     )
     res.extras["report"] = rep
     return res
+
+
+run = experiment(MTTFConfig, __name__)

@@ -20,7 +20,7 @@ from ..reliability.stages import (
     correction_stages,
     total_fit,
 )
-from .report import ExperimentResult
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -32,26 +32,8 @@ class MTTFSensitivityConfig:
     geom: Optional[RouterGeometry] = None
 
 
-def run(
-    config: Optional[MTTFSensitivityConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is an :class:`MTTFSensitivityConfig`.  The sweep is
-    closed-form, so ``jobs``/``seed``/ ``out_dir``/``resume`` are
-    accepted for API uniformity and ignored.
-    """
-    del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    config = config or MTTFSensitivityConfig()
-    return _run_experiment(config)
-
-
-def _run_experiment(config: MTTFSensitivityConfig) -> ExperimentResult:
+def body(config: MTTFSensitivityConfig, jobs: Optional[int]) -> ExperimentResult:
+    """Closed-form: nothing to seed or shard."""
     temps_k: Sequence[float] = list(config.temps_k)
     vdds: Sequence[float] = list(config.vdds)
     geom = config.geom or RouterGeometry()
@@ -102,3 +84,6 @@ def _run_experiment(config: MTTFSensitivityConfig) -> ExperimentResult:
     res.add("improvement ratio", round(ratios[0], 2), 6.0)
     res.extras["ratios"] = ratios
     return res
+
+
+run = experiment(MTTFSensitivityConfig, __name__)

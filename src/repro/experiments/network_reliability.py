@@ -16,8 +16,7 @@ from typing import Optional
 
 from ..config import NetworkConfig
 from ..reliability.network_level import analyze_network_reliability
-from .report import ExperimentResult, override_seed
-from .resilient import sweep_runtime
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -30,25 +29,7 @@ class NetworkReliabilityConfig:
     seed: int = 1
 
 
-def run(
-    config: Optional[NetworkReliabilityConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`NetworkReliabilityConfig`.
-    ``out_dir``/``resume`` attach the resilient sweep runtime.
-    """
-    config = override_seed(config or NetworkReliabilityConfig(), seed)
-    with sweep_runtime(out_dir=out_dir, resume=resume):
-        return _run_experiment(config, jobs)
-
-
-def _run_experiment(
+def body(
     config: NetworkReliabilityConfig, jobs: Optional[int]
 ) -> ExperimentResult:
     trials, width, height = config.trials, config.width, config.height
@@ -88,3 +69,6 @@ def _run_experiment(
     res.extras["protected"] = prot
     res.extras["sweep"] = prot.sweep
     return res
+
+
+run = experiment(NetworkReliabilityConfig, __name__)

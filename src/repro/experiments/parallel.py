@@ -196,9 +196,9 @@ class SweepReport:
     observability: Optional[dict] = None
     #: points spliced in from a checkpointed run directory (``--resume``)
     resumed: int = 0
-    #: points a lane sweep's triage sent to :func:`run_point` because the
-    #: batched engine declined their configuration
-    #: (:func:`repro.network.batched.supports`)
+    #: points a lane sweep's triage sent to :func:`run_point`, to run on
+    #: the object engine, because the batched engine declined their
+    #: configuration (:func:`repro.network.batched.supports`)
     fallbacks: int = 0
     #: the distinct decline strings behind ``fallbacks``, sorted
     fallback_reasons: Tuple[str, ...] = ()
@@ -236,7 +236,7 @@ class SweepReport:
                 (self.retries, "retries"),
                 (self.timeouts, "timeouts"),
                 (self.checkpointed, "checkpointed"),
-                (self.fallbacks, "event-engine fallbacks"),
+                (self.fallbacks, "object-engine fallbacks"),
             )
             if n
         ]
@@ -760,10 +760,11 @@ def run_lane_sweep(
     Every other point is a :func:`run_point` task of its own.  The
     triage that decides this is the one record of why: points of a
     group ``supports()`` declines (a router kind without an array model,
-    observability enabled) are the report's ``fallbacks``, their decline
-    strings its ``fallback_reasons``.  A supported group smaller than
-    :data:`_MIN_LANE_GROUP` is not a fallback — ``run()`` may still step
-    it as a lane.
+    observability enabled) run on the object engine and are the report's
+    ``fallbacks``, their decline strings its ``fallback_reasons``.  A
+    supported group smaller than :data:`_MIN_LANE_GROUP` is not a
+    fallback — its ``run()`` picks the engine by load and may still step
+    it as a width-1 lane.
 
     Execution funnels through :func:`run_sweep`, so a resilient runtime
     (checkpointing, retries, watchdog) applies at chunk granularity:
@@ -774,7 +775,7 @@ def run_lane_sweep(
     completes and skips points.  Results are bit-identical across
     ``jobs`` values, across slot widths, and to :func:`run_point` on
     every point — the batched engine is pinned lane-for-lane against the
-    event engine by the golden differential tests.
+    object engine by the golden differential tests.
     """
     from ..network.batched import supports as batched_supports
 

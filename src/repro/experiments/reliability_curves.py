@@ -25,7 +25,7 @@ from ..reliability.stages import (
     correction_stages,
     total_fit,
 )
-from .report import ExperimentResult
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -56,26 +56,8 @@ def mission_time(fit_curve, horizon: np.ndarray, target: float) -> float:
     return float(t0 + (r0 - target) * (t1 - t0) / (r0 - r1))
 
 
-def run(
-    config: Optional[ReliabilityCurvesConfig] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`ReliabilityCurvesConfig`.  The curves are
-    closed-form, so ``jobs``/``seed``/ ``out_dir``/``resume`` are
-    accepted for API uniformity and ignored.
-    """
-    del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    config = config or ReliabilityCurvesConfig()
-    return _run_experiment(config)
-
-
-def _run_experiment(config: ReliabilityCurvesConfig) -> ExperimentResult:
+def body(config: ReliabilityCurvesConfig, jobs: Optional[int]) -> ExperimentResult:
+    """Closed-form: nothing to seed or shard."""
     geom = config.geom or RouterGeometry()
     horizon_hours, points = config.horizon_hours, config.points
     targets = config.targets
@@ -114,3 +96,6 @@ def _run_experiment(config: ReliabilityCurvesConfig) -> ExperimentResult:
     res.extras["baseline"] = r_base
     res.extras["protected"] = r_prot
     return res
+
+
+run = experiment(ReliabilityCurvesConfig, __name__)

@@ -1,32 +1,91 @@
-"""Shared experiment-result container and paper-vs-measured formatting.
+"""The experiment contract, the result container and paper-vs-measured rows.
 
-Also home to the ``seed=`` override (:func:`override_seed`) of the
-unified experiment entry points (``docs/resilience.md#unified-run-api``)
-— the one module all experiment modules already import.
+Every experiment module is a frozen config dataclass plus either a
+``body(config, jobs)`` or, for a sweep, ``points(config)`` and
+``report(config, results)``; its unified ``run()`` is built here by
+:func:`experiment`, and :func:`resolve_config` is the one place a
+request's config and ``seed=`` become the computation
+(``docs/resilience.md#the-unified-experiment-api``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional
+import sys
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional
+
+from . import parallel
+from .resilient import sweep_runtime
 
 
-def override_seed(config: Any, seed: Optional[int]) -> Any:
-    """Apply the unified API's ``seed=`` override to a config object.
+def resolve_config(
+    config_type: type, config: Any = None, seed: Optional[int] = None
+) -> tuple[Any, Optional[int]]:
+    """The config a ``run(config, seed=seed)`` call computes with.
 
-    Returns ``config`` with its ``seed`` field replaced when the config
-    is a dataclass that has one and ``seed`` is not None; otherwise the
-    config unchanged (analytic experiments have no randomness to seed).
+    ``None`` is ``config_type()``; a bare config of the nested ``latency``
+    field (``fig7.run(LatencyConfig(...))``) stands for ``config_type``
+    holding it.  ``seed`` goes into the config's ``seed`` field, else into
+    ``latency.seed``, else it is returned as the residual seed: nothing
+    computes with it, the service still fingerprints it.  Every ``run()``
+    and :func:`repro.service.fingerprint.effective_config` call this, so a
+    request and its computation cannot disagree.
     """
-    if seed is None or config is None:
-        return config
-    if dataclasses.is_dataclass(config) and any(
-        f.name == "seed" for f in dataclasses.fields(config)
-    ):
-        return dataclasses.replace(config, seed=seed)
-    return config
+    if config is None:
+        config = config_type()
+    elif not isinstance(config, config_type):
+        nested = getattr(config_type(), "latency", None)
+        if nested is None or not isinstance(config, type(nested)):
+            raise TypeError(
+                f"expected a {config_type.__name__}, got {type(config).__name__}"
+            )
+        config = config_type(latency=config)
+    if seed is None:
+        return config, None
+    if hasattr(config, "seed"):
+        return replace(config, seed=seed), None
+    if hasattr(config, "latency"):
+        return replace(config, latency=replace(config.latency, seed=seed)), None
+    return config, seed
+
+
+def experiment(config_type: type, module: str) -> Callable[..., ExperimentResult]:
+    """Build the unified ``run()`` of experiment module ``module``.
+
+    ``run(config=None, *, jobs=None, seed=None, out_dir=None, resume=None)``
+    resolves ``config`` and ``seed`` with :func:`resolve_config` and
+    computes inside :func:`~repro.experiments.resilient.sweep_runtime`
+    (``out_dir`` / ``resume``: checkpointed, resumable).  A sweep module
+    defines ``points(config) -> list[LanePoint]`` and ``report(config,
+    results)``: ``run()`` makes the one
+    :func:`~repro.experiments.parallel.run_lane_sweep` call between them and
+    files its report as ``extras["sweep"]``.  Any other module defines
+    ``body(config, jobs)``.  These functions, like ``run_lane_sweep``, are
+    looked up when ``run()`` is called, so a test or the ledger can wrap
+    any of them.
+    """
+
+    def run(
+        config: Any = None,
+        *,
+        jobs: Optional[int] = None,
+        seed: Optional[int] = None,
+        out_dir: Optional[str] = None,
+        resume: Optional[str] = None,
+    ) -> ExperimentResult:
+        config, _ = resolve_config(config_type, config, seed)
+        mod = sys.modules[module]
+        with sweep_runtime(out_dir=out_dir, resume=resume):
+            if hasattr(mod, "body"):
+                return mod.body(config, jobs)
+            results, sweep = parallel.run_lane_sweep(mod.points(config), jobs=jobs)
+            res = mod.report(config, results)
+            res.extras["sweep"] = sweep
+            return res
+
+    run.__module__, run.__qualname__ = module, "run"
+    return run
 
 
 @dataclass

@@ -23,6 +23,7 @@ Every experiment module exposes the same unified entry point::
 
     run(config=None, *, jobs=None, seed=None, out_dir=None, resume=None)
 
+built from its config class by :func:`repro.experiments.report.experiment`,
 and the registry below records how to build each module's quick/default
 config object.
 
@@ -90,9 +91,10 @@ class ExperimentEntry:
     its CLI config recipes.
 
     ``config_type`` is the frozen dataclass the module's unified ``run()``
-    takes (what :mod:`repro.service.fingerprint` builds JSON requests
-    into); ``quick_config``/``default_config`` build the instance the CLI
-    passes, both defaulting to ``None`` (the module's own defaults).
+    resolves every request into (and what :mod:`repro.service.fingerprint`
+    builds JSON requests into); ``quick_config``/``default_config`` build
+    the instance the CLI passes, both defaulting to ``None`` (the config
+    class's own defaults).
     """
 
     module: Any
@@ -125,10 +127,10 @@ EXPERIMENTS: dict[str, ExperimentEntry] = {
     "area_power": ExperimentEntry(area_power, RouterGeometry),
     "critical_path": ExperimentEntry(critical_path, RouterGeometry),
     "fig7": ExperimentEntry(
-        fig7, SuiteRunConfig, quick_config=lambda: QUICK_CONFIG
+        fig7, SuiteRunConfig, quick_config=lambda: SuiteRunConfig(QUICK_CONFIG)
     ),
     "fig8": ExperimentEntry(
-        fig8, SuiteRunConfig, quick_config=lambda: QUICK_CONFIG
+        fig8, SuiteRunConfig, quick_config=lambda: SuiteRunConfig(QUICK_CONFIG)
     ),
     # extensions beyond the paper's artefacts
     "load_latency": ExperimentEntry(

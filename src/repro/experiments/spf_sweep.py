@@ -8,11 +8,11 @@ decreased to 2, the SPF value is 7."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..reliability.spf import spf_vs_vc_count
 from ..synthesis.area import area_overhead_vs_vcs
-from .report import ExperimentResult
+from .report import ExperimentResult, experiment
 
 PAPER_SPF = {2: 7.0, 4: 11.4}
 
@@ -24,30 +24,8 @@ class SPFSweepConfig:
     vc_counts: tuple[int, ...] = (2, 3, 4, 6, 8)
 
 
-def run(
-    config: "SPFSweepConfig | Sequence[int] | None" = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is an :class:`SPFSweepConfig` (a bare VC-count sequence
-    is accepted for compatibility).  The sweep is analytic, so
-    ``jobs``/``seed``/``out_dir``/``resume`` are accepted for API
-    uniformity and ignored.
-    """
-    del jobs, seed, out_dir, resume  # analytic: nothing to seed or shard
-    if config is None:
-        config = SPFSweepConfig()
-    elif not isinstance(config, SPFSweepConfig):
-        config = SPFSweepConfig(vc_counts=tuple(config))
-    return _run_experiment(config)
-
-
-def _run_experiment(config: SPFSweepConfig) -> ExperimentResult:
+def body(config: SPFSweepConfig, jobs: Optional[int]) -> ExperimentResult:
+    """Analytic: nothing to seed or shard."""
     vc_counts = list(config.vc_counts)
     overheads = area_overhead_vs_vcs(vc_counts)
     sweep = spf_vs_vc_count(overheads)
@@ -74,6 +52,11 @@ def _run_experiment(config: SPFSweepConfig) -> ExperimentResult:
                 all(sweep[v].spf > sweep[4].spf for v in above),
                 True,
             )
-    res.extras["sweep"] = sweep
+    # ``extras["sweep"]`` is a SweepReport wherever it appears (the CLI
+    # prints it after a ``--jobs`` run)
+    res.extras["spf"] = sweep
     res.extras["overheads"] = overheads
     return res
+
+
+run = experiment(SPFSweepConfig, __name__)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..reliability.stages import RouterGeometry, baseline_stages, total_fit
-from .report import ExperimentResult
+from .report import ExperimentResult, experiment
 
 #: Values as printed in the paper's Table I.
 PAPER_TABLE1 = {"RC": 117.0, "VA": 1478.0, "SA": 203.0, "XB": 1024.0}
@@ -30,22 +30,8 @@ PAPER_COMPONENT_FITS = {
 }
 
 
-def run(
-    config: Optional[RouterGeometry] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
-    The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
-    ``resume`` are accepted for API uniformity and ignored.
-    """
-    del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = config or RouterGeometry()
+def body(geom: RouterGeometry, jobs: Optional[int]) -> ExperimentResult:
+    """Closed-form: nothing to seed or shard."""
     stages = baseline_stages(geom)
     res = ExperimentResult(
         "table1", "FIT values of baseline pipeline stages (per 1e9 h)"
@@ -75,3 +61,6 @@ def run(
     res.add("FIT(total pipeline)", round(total_fit(stages), 1), PAPER_TOTAL)
     res.extras["stages"] = stages
     return res
+
+
+run = experiment(RouterGeometry, __name__)

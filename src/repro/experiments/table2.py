@@ -5,29 +5,15 @@ from __future__ import annotations
 from typing import Optional
 
 from ..reliability.stages import RouterGeometry, correction_stages, total_fit
-from .report import ExperimentResult
+from .report import ExperimentResult, experiment
 
 #: Values as printed in the paper's Table II.
 PAPER_TABLE2 = {"RC": 117.0, "VA": 60.0, "SA": 53.0, "XB": 416.0}
 PAPER_TOTAL = 646.0
 
 
-def run(
-    config: Optional[RouterGeometry] = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`~repro.reliability.stages.RouterGeometry`.
-    The analysis is closed-form, so ``jobs``/``seed``/``out_dir``/
-    ``resume`` are accepted for API uniformity and ignored.
-    """
-    del jobs, seed, out_dir, resume  # closed-form: nothing to seed or shard
-    geom = config or RouterGeometry()
+def body(geom: RouterGeometry, jobs: Optional[int]) -> ExperimentResult:
+    """Closed-form: nothing to seed or shard."""
     stages = correction_stages(geom)
     res = ExperimentResult(
         "table2", "FIT rates of the correction circuitry (per 1e9 h)"
@@ -37,3 +23,6 @@ def run(
     res.add("FIT(total correction)", round(total_fit(stages), 1), PAPER_TOTAL)
     res.extras["stages"] = stages
     return res
+
+
+run = experiment(RouterGeometry, __name__)

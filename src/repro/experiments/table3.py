@@ -14,8 +14,7 @@ from typing import Optional
 from ..comparison.spf_table import build_spf_table, proposed_router_wins
 from ..config import RouterConfig
 from ..reliability.spf import monte_carlo_faults_to_failure
-from .report import ExperimentResult, override_seed
-from .resilient import sweep_runtime
+from .report import ExperimentResult, experiment
 
 
 @dataclass(frozen=True)
@@ -34,28 +33,7 @@ PAPER_ROWS = {
 }
 
 
-def run(
-    config: "Table3Config | RouterConfig | None" = None,
-    *,
-    jobs: Optional[int] = None,
-    seed: Optional[int] = None,
-    out_dir=None,
-    resume=None,
-) -> ExperimentResult:
-    """Unified entry point (``run(config, *, jobs, seed, out_dir, resume)``).
-
-    ``config`` is a :class:`Table3Config` (a bare
-    :class:`~repro.config.RouterConfig` is accepted for compatibility).
-    ``out_dir``/``resume`` attach the resilient runtime.
-    """
-    if isinstance(config, RouterConfig):
-        config = Table3Config(router=config)
-    config = override_seed(config or Table3Config(), seed)
-    with sweep_runtime(out_dir=out_dir, resume=resume):
-        return _run_experiment(config, jobs)
-
-
-def _run_experiment(config: Table3Config, jobs: Optional[int]) -> ExperimentResult:
+def body(config: Table3Config, jobs: Optional[int]) -> ExperimentResult:
     router = config.router or RouterConfig()
     mc_trials, seed = config.mc_trials, config.seed
     rows = build_spf_table(router)
@@ -101,3 +79,6 @@ def _run_experiment(config: Table3Config, jobs: Optional[int]) -> ExperimentResu
     res.extras["mc"] = mc
     res.extras["sweep"] = mc.sweep
     return res
+
+
+run = experiment(Table3Config, __name__)

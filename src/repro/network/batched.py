@@ -27,7 +27,7 @@ with the per-cycle call sequence, the schedule polled on the cycles its
 identical by construction.  Finished lanes decode back into ordinary
 :class:`NetworkStats`/:class:`RouterStats` objects;
 ``tests/test_golden_determinism.py`` pins them byte-identical to the
-event engine per lane.
+object engine per lane.
 
 Lane refill
 -----------
@@ -49,7 +49,7 @@ Vectorisation strategy
 ----------------------
 Phases operate on *compressed id arrays* rather than dense tensors — the
 work per cycle scales with the number of busy VCs across all lanes, the
-same property the event engine's active sets give a single fabric.
+same property the object engine's active sets give a single fabric.
 Every ``(lane, router, port, slot)`` has one flat id::
 
     vc   = ((lane * R + router) * P + port) * V + slot
@@ -141,9 +141,10 @@ greater ``RCUnit.select_route`` key — ``(has a crossbar plan, not
 secondary, the output port's credit sum)`` as one integer (``_route_key``).
 
 Use :func:`supports` to check a configuration before constructing the
-engine; what it declines (observability, router kinds without an array
-model) :func:`repro.experiments.parallel.run_lane_sweep` runs on the object
-engine per point, recording the reason string.  A ``NoCSimulator.run()``
+engine.  It declines two things, observability and router kinds without
+an array model (``roco``); :func:`repro.experiments.parallel.run_lane_sweep`
+runs those points on the object engine one at a time and counts them, with
+the reason strings, as its report's ``fallbacks``.  A ``NoCSimulator.run()``
 above the break-even load is a width-1 engine of this class.
 """
 
@@ -251,9 +252,10 @@ def supports(
     """Why the batched engine cannot run this configuration, or ``None``.
 
     Returns a human-readable reason string for unsupported configs (the
-    sweep layer records it and falls back to the event engine per point)
-    and ``None`` when the configuration is fully supported: the router
-    kind and observability decide, nothing in ``config`` or the routing.
+    lane sweep's triage records it and runs each such point on the object
+    engine) and ``None`` when the configuration is fully supported: the
+    router kind and observability decide, nothing in ``config`` or the
+    routing.
     """
     # no factory is the baseline default; one that names no kind is somebody's own
     kind = "baseline" if router_factory is None else getattr(router_factory, "router_kind", None)

@@ -9,7 +9,8 @@ properties the cache and the in-flight deduplicator rely on:
   re-serialized field by field in sorted-key order
   (:func:`canonical`), so spelling differences in the request — key
   order, lists vs tuples, an explicitly-spelled default vs an omitted
-  field vs ``config: null`` — all collapse to the same bytes.
+  field vs a ``null`` field vs ``config: null`` — all collapse to the
+  same bytes.
 * **Semantic-only.**  Execution knobs that are *bit-identity neutral*
   never reach the fingerprint: ``jobs`` (``tests/test_parallel.py``
   pins serial == parallel), ``stream``, retry policy, checkpoint
@@ -37,7 +38,7 @@ import typing
 from hashlib import sha256
 from typing import Any, Dict, Mapping, Optional
 
-from ..experiments.report import override_seed
+from ..experiments.report import resolve_config
 from ..experiments.runner import EXPERIMENTS
 
 __all__ = [
@@ -97,21 +98,22 @@ def _field_types(cls: type) -> Mapping[str, Any]:
     }
 
 
-def build_config(name: str, data: Optional[Mapping[str, Any]]) -> Any:
+def build_config(name: str, data: Any) -> Any:
     """Build experiment ``name``'s frozen config dataclass from JSON.
 
     ``data`` maps field names to values; nested dataclass fields accept
     nested dicts, tuple fields accept JSON lists.  ``None``/``{}`` mean
-    "the experiment's defaults".  Unknown experiments, unknown fields,
-    and uncoercible values raise :class:`RequestError` (the server maps
-    it to HTTP 400).
+    "the experiment's defaults", and a ``null`` field means that field's
+    default.  Unknown experiments, unknown fields, uncoercible values and
+    configs the experiment cannot compute (its ``__post_init__`` raises)
+    raise :class:`RequestError` (the server maps it to HTTP 400).
     """
     cls = CONFIG_TYPES.get(name)
     if cls is None:
         raise RequestError(
             f"unknown experiment {name!r}; available: {sorted(CONFIG_TYPES)}"
         )
-    if not data:
+    if data is None or (isinstance(data, Mapping) and not data):
         return None
     return _build(cls, data, where=name)
 
@@ -132,6 +134,7 @@ def _build(cls: type, data: Mapping[str, Any], where: str) -> Any:
     kwargs: Dict[str, Any] = {
         key: _coerce(raw, types[key], f"{where}.{key}")
         for key, raw in data.items()
+        if raw is not None
     }
     try:
         return cls(**kwargs)
@@ -140,8 +143,6 @@ def _build(cls: type, data: Mapping[str, Any], where: str) -> Any:
 
 
 def _coerce(value: Any, tp: Any, where: str) -> Any:
-    if value is None:
-        return None
     if dataclasses.is_dataclass(tp) and isinstance(tp, type):
         if isinstance(value, tp):
             return value
@@ -199,28 +200,26 @@ def effective_config(
     quick: bool = False,
     seed: Optional[int] = None,
 ) -> tuple[Any, Optional[int]]:
-    """Resolve a request to the exact config object ``run()`` will see.
+    """Resolve a request to the exact config object ``run()`` computes with.
 
     Applies the same defaulting the CLI does — ``quick`` selects the
-    registry's quick config, a missing config falls back to the config
-    class's own defaults — then folds ``seed`` into the config when it
-    has a ``seed`` field.  Returns ``(config, residual_seed)`` where
-    ``residual_seed`` is non-None only for configs without a seed field
-    (it is still passed to ``run(seed=...)`` and still fingerprinted).
+    registry's quick config for an empty request config — then
+    :func:`~repro.experiments.report.resolve_config`, the resolver every
+    ``run()`` applies: the config class's defaults for a missing config,
+    and ``seed`` folded into the config's ``seed`` field or else its
+    ``latency.seed``.  Returns ``(config, residual_seed)`` where
+    ``residual_seed`` is non-None only for configs with neither (it is
+    still passed to ``run(seed=...)`` and still fingerprinted).
 
     Resolving *before* fingerprinting is what makes ``config: null``,
     ``config: {}`` and an explicitly-spelled all-defaults config hash
     identically: they are the same computation.
     """
-    if isinstance(config, Mapping) or config is None:
+    if not dataclasses.is_dataclass(config):
         config = build_config(name, config)
     if config is None:
         config = EXPERIMENTS[name].cli_config(quick)
-    if config is None:
-        config = CONFIG_TYPES[name]()
-    folded = override_seed(config, seed)
-    residual_seed = seed if (seed is not None and folded is config) else None
-    return folded, residual_seed
+    return resolve_config(CONFIG_TYPES[name], config, seed)
 
 
 def request_fingerprint(

@@ -556,7 +556,7 @@ class TestRunLaneSweep:
         assert batched_report.points == len(points)
         assert batched_report.fallbacks == 2
         assert event_report.fallbacks == 0
-        assert "event-engine fallbacks" in batched_report.format()
+        assert "object-engine fallbacks" in batched_report.format()
         # the *why* is threaded through to the report, not just a count
         assert batched_report.fallback_reasons == (
             "router kind 'roco' not supported (no array model)",
@@ -861,7 +861,7 @@ class TestLaneSweepInPoints:
             "router kind 'roco' not supported (no array model)",
         )
         lines = report.format().splitlines()
-        assert "[4 event-engine fallbacks]" in lines[0]
+        assert "[4 object-engine fallbacks]" in lines[0]
         assert sum("fallback" in line for line in lines) == 2
 
     def test_a_resumed_sweep_reports_the_same_declines(self, tmp_path):

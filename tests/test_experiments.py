@@ -7,12 +7,12 @@ from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.latency import (
     LatencyConfig,
     QUICK_CONFIG,
+    SuiteRunConfig,
     overall_overhead,
     run_app_pair,
-    run_suite,
 )
 from repro.experiments.report import ExperimentResult, Row
-from repro.experiments import area_power, critical_path, mttf, spf_sweep, table1, table2, table3
+from repro.experiments import area_power, critical_path, fig7, mttf, spf_sweep, table1, table2, table3
 from repro.traffic.apps import app_profile
 
 
@@ -116,6 +116,14 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "correction" in out
 
+    def test_cli_jobs_on_an_experiment_without_a_sweep(self, capsys):
+        """``extras["sweep"]`` is a SweepReport or absent: ``--jobs``
+        prints it after every experiment of ``all``."""
+        from repro.experiments.runner import main
+
+        assert main(["spf_sweep", "--jobs", "2"]) == 0
+        assert "SPF monotonically increases" in capsys.readouterr().out
+
 
 class TestLatencyHarness:
     def test_quick_config_app_pair(self):
@@ -125,12 +133,14 @@ class TestLatencyHarness:
         assert r.fault_free_result.drained
 
     def test_run_suite_subset(self):
-        res = run_suite("splash2", QUICK_CONFIG, apps=["lu"])
+        res = fig7.run(SuiteRunConfig(QUICK_CONFIG, apps=("lu",))).extras["results"]
         assert len(res) == 1 and res[0].app == "lu"
 
     def test_run_suite_unknown_app(self):
         with pytest.raises(ValueError):
-            run_suite("splash2", QUICK_CONFIG, apps=["doom"])
+            SuiteRunConfig(QUICK_CONFIG, apps=("doom",))  # in no suite
+        with pytest.raises(ValueError, match="unknown apps for splash2"):
+            fig7.run(SuiteRunConfig(QUICK_CONFIG, apps=("canneal",)))
 
     def test_overall_overhead_requires_results(self):
         with pytest.raises(ValueError):

@@ -126,15 +126,15 @@ class TestMonteCarloDeterminism:
 
 class TestSimulationSweepDeterminism:
     def test_load_latency_bit_identical(self):
-        from repro.experiments.load_latency import sweep_sharded
+        from repro.experiments import load_latency
 
-        rates = (0.04, 0.10)
-        serial, _ = sweep_sharded(rates, measure=400, num_faults=8)
-        parallel, report = sweep_sharded(
-            rates, measure=400, num_faults=8, jobs=2
+        cfg = load_latency.LoadLatencyConfig(
+            rates=(0.04, 0.10), measure=400, num_faults=8
         )
-        assert serial == parallel
-        assert report.cycles > 0  # simulated cycles are accounted
+        serial = load_latency.run(cfg)
+        parallel = load_latency.run(cfg, jobs=2)
+        assert serial.extras["points"] == parallel.extras["points"]
+        assert parallel.extras["sweep"].cycles > 0  # simulated cycles are accounted
 
     def test_fault_sweep_bit_identical(self):
         from repro.experiments import fault_sweep

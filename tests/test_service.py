@@ -33,7 +33,7 @@ import typing
 import pytest
 
 from repro.experiments.fault_sweep import FaultSweepConfig
-from repro.experiments.latency import LatencyConfig
+from repro.experiments.latency import QUICK_CONFIG, LatencyConfig
 from repro.service import (
     ResultCache,
     ServiceClient,
@@ -118,6 +118,14 @@ class TestFingerprint:
             "seed": 1, "measure": 3000,
         }
         assert _fp("load_latency", spelled) == base
+        # a nested null is that field's default, as a top-level one is
+        base = _fp("fault_sweep")
+        assert _fp("fault_sweep", {}) == base
+        assert _fp("fault_sweep", {"latency": None, "fault_counts": None}) == base
+        quick = dataclasses.asdict(QUICK_CONFIG)
+        assert _fp("fault_sweep", {"latency": quick}) == base
+        # ``quick`` names the config a JSON body can spell, not another type
+        assert _fp("fig7", quick=True) == _fp("fig7", {"latency": quick})
 
     def test_non_semantic_request_fields_do_not_reach_the_key(self):
         """jobs/stream are transport/execution knobs: results are
@@ -590,6 +598,35 @@ class TestServer:
                 await service.close()
         asyncio.run(run())
 
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            ("fault_sweep", {"fault_counts": [-3]}),
+            ("fault_campaign", {"timelines": 0}),
+            ("load_latency", {"rates": []}),
+            ("design_space", {"vc_counts": []}),
+        ],
+        ids=["negative-fault-count", "no-timelines", "no-rates", "no-vc-counts"],
+    )
+    def test_a_config_the_experiment_cannot_compute_is_a_400(self, name, config):
+        """The config class rejects it before fingerprinting: nothing is
+        computed, cached or counted as a failure."""
+
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                status, body = await client._request(
+                    "POST", "/v1/sweeps", {"experiment": name, "config": config}
+                )
+                assert status == 400, body
+                counters = (await client.stats())["counters"]
+                assert counters.get("service.computations", 0) == 0
+                assert counters["service.bad_requests"] == 1
+                assert len(service.cache) == 0
+            finally:
+                await service.close()
+        asyncio.run(run())
+
     def test_error_paths(self):
         async def run():
             service, client = await _start_service_tmp()
@@ -921,9 +958,10 @@ class TestWorkers:
             try:
                 await client.sweep("fault_sweep", TINY)  # leaves one idle worker
                 monkeypatch.setattr(SweepRuntime, "borrow", borrow_then_meet)
+                # not seed=1: TINY's own seed, so the same computation (a hit)
                 await asyncio.gather(
-                    client.sweep("fault_sweep", TINY, seed=1),
                     client.sweep("fault_sweep", TINY, seed=2),
+                    client.sweep("fault_sweep", TINY, seed=3),
                 )
                 assert len(held) == 2 and held[0].isdisjoint(held[1])
                 stats = await client.stats()
