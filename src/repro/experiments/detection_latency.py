@@ -16,21 +16,26 @@ Two regimes matter:
   path) are *latent spares*: invisible until their primary also fails —
   the classic latent-fault detection problem, reported here as the
   fraction of unobservable injections.
+
+The run is one protected sweep point whose fault schedule asks for a
+recovery log, so the engine watches every landed fault with the same
+:class:`repro.faults.recovery.RecoveryMonitor` ``fault_campaign`` reads,
+and the rows are read off its records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
-from ..core.protected_router import protected_router_factory
-from ..faults.detection import NetworkDetector
 from ..faults.injector import RandomFaultSchedule
-from ..network.simulator import NoCSimulator
+from ..faults.timeline import FaultTimeline, TimelineEvent
+from ..network.simulator import SimulationResult
 from ..traffic.generator import SyntheticTraffic
+from .parallel import LanePoint
 from .report import ExperimentResult, experiment
 
 
@@ -45,73 +50,75 @@ class DetectionLatencyConfig:
     measure_cycles: int = 4000
     seed: int = 1
 
+    def __post_init__(self) -> None:
+        if self.num_faults < 1:
+            raise ValueError("num_faults must be >= 1")
+        if self.measure_cycles < 1:
+            raise ValueError("measure_cycles must be >= 1")
 
-def body(config: DetectionLatencyConfig, jobs: Optional[int]) -> ExperimentResult:
-    """One instrumented simulation: nothing to shard."""
-    width, height = config.width, config.height
-    num_faults = config.num_faults
-    injection_rate = config.injection_rate
-    measure_cycles = config.measure_cycles
-    seed = config.seed
-    net = NetworkConfig(
-        width=width, height=height, router=RouterConfig(num_vcs=4)
-    )
-    injector = RandomFaultSchedule(
+
+def detection_traffic(net: NetworkConfig, config: DetectionLatencyConfig) -> SyntheticTraffic:
+    """The point's uniform single-flit traffic (module-level factory)."""
+    return SyntheticTraffic(net, injection_rate=config.injection_rate, rng=config.seed)
+
+
+def detection_schedule(net: NetworkConfig, config: DetectionLatencyConfig) -> FaultTimeline:
+    """Tolerable faults at uniform gaps over the measurement window, as a
+    timeline: the engine installs a recovery monitor for it."""
+    draw = RandomFaultSchedule(
         net.router,
         net.num_nodes,
-        mean_interval=measure_cycles / (2 * num_faults),
-        num_faults=num_faults,
-        rng=seed + 31,
+        mean_interval=config.measure_cycles / (2 * config.num_faults),
+        num_faults=config.num_faults,
+        rng=config.seed + 31,
         first_fault_at=10,
         avoid_failure=True,
     )
-    sim = NoCSimulator(
-        net,
-        SimulationConfig(
-            warmup_cycles=0,
-            measure_cycles=measure_cycles,
-            drain_cycles=4000,
-            seed=seed,
-        ),
-        SyntheticTraffic(net, injection_rate=injection_rate, rng=seed),
-        router_factory=protected_router_factory(net),
-        fault_schedule=injector,
+    return FaultTimeline(TimelineEvent(c, s) for c, s in draw.planned)
+
+
+def points(config: DetectionLatencyConfig) -> list[LanePoint]:
+    """One protected run: nothing to shard, but it streams and resumes."""
+    net = NetworkConfig(
+        width=config.width, height=config.height, router=RouterConfig(num_vcs=4)
     )
-    detector = NetworkDetector(sim.routers)
+    sim_config = SimulationConfig(
+        warmup_cycles=0,
+        measure_cycles=config.measure_cycles,
+        drain_cycles=4000,
+        seed=config.seed,
+    )
+    return [
+        LanePoint(
+            config=net,
+            sim_config=sim_config,
+            make_traffic=detection_traffic,
+            traffic_args=(net, config),
+            make_schedule=detection_schedule,
+            schedule_args=(net, config),
+            router_kind="protected",
+            label="detection",
+        )
+    ]
 
-    # wrap the step to register watches as faults land and poll the
-    # detectors each cycle
-    planned = dict()
-    for cycle, site in injector.planned:
-        planned.setdefault(cycle, []).append(site)
-    original = sim._step
-    unobservable = 0
 
-    def stepped(cycle: int, inject_traffic: bool) -> None:
-        original(cycle, inject_traffic)
-        for c in list(planned):
-            if c <= cycle:
-                for site in planned.pop(c):
-                    nonlocal_unobs = detector.watch(site, cycle)
-                    if not nonlocal_unobs:
-                        nonlocal_count[0] += 1
-        detector.poll(cycle)
-
-    nonlocal_count = [0]
-    sim._step = stepped
-    result = sim.run()
-    unobservable = nonlocal_count[0]
-
-    events = detector.events
-    latencies = np.array([e.detection_latency for e in events], dtype=float)
+def report(
+    config: DetectionLatencyConfig, results: Sequence[SimulationResult]
+) -> ExperimentResult:
+    (result,) = results
+    records = result.recovery["records"]
+    events = [r for r in records if r["detected_at"] is not None]
+    latencies = np.array(
+        [r["detected_at"] - r["landed_at"] for r in events], dtype=float
+    )
     res = ExperimentResult(
         "detection_latency",
         "online fault observability under live traffic (extension)",
     )
-    res.add("faults injected", result.faults_injected, num_faults)
+    res.add("faults injected", result.faults_injected, config.num_faults)
     res.add(
         "latent-spare injections (unobservable)",
-        unobservable,
+        sum(r["latent"] for r in records),
         None,
         note="duplicate-RC / bypass / secondary-path sites stay invisible "
         "until their primary also fails",
@@ -119,7 +126,7 @@ def body(config: DetectionLatencyConfig, jobs: Optional[int]) -> ExperimentResul
     res.add("observable faults detected", len(events), None)
     res.add(
         "still-latent at end of run",
-        detector.pending,
+        sum(not r["latent"] and r["detected_at"] is None for r in records),
         None,
         note="faulty components no traffic happened to exercise",
     )
@@ -136,7 +143,6 @@ def body(config: DetectionLatencyConfig, jobs: Optional[int]) -> ExperimentResul
         True,
     )
     res.extras["events"] = events
-    res.extras["detector"] = detector
     return res
 
 

@@ -8,8 +8,8 @@ Section VII FIT model's arrival process — against live traffic, and
 measures the temporal story the static experiments cannot see:
 
 * **detection latency** — fault landing to the first watched counter
-  moving (mechanism counters on the protected router, blocked-pipeline
-  symptoms elsewhere);
+  moving (the unit's mechanism counter, which only the protected router
+  moves, or one of its blocked-pipeline symptom counters);
 * **time-to-recover** — landing to the first flit demonstrably served
   by the reconfigured datapath;
 * **in-flight exposure** — flits buffered in the hit router at landing
@@ -43,7 +43,7 @@ from typing import Any, Optional, Sequence
 
 from ..config import NetworkConfig, replace
 from ..faults.schedule import TimelineSpec
-from ..faults.timeline import CYCLES_PER_HOUR_1GHZ, random_timeline
+from ..faults.timeline import CYCLES_PER_HOUR_1GHZ, random_timeline, router_fit
 from ..network.simulator import SimulationResult
 from ..traffic.apps import app_profile
 from .latency import QUICK_CONFIG, LatencyConfig, suite_traffic
@@ -282,7 +282,7 @@ class _KindAccumulator:
 
     def row(self, net: NetworkConfig, cycles_per_hour: float) -> dict:
         """One degradation-report row: measured recovery + FIT join."""
-        fit = _fit_per_router(net, protected=self.kind == "protected")
+        fit = router_fit(net.router, net.num_nodes, self.kind == "protected")
         rate_per_hour = net.num_nodes * fit / 1e9
         mtbf_hours = 1.0 / rate_per_hour
         events_per_year = HOURS_PER_YEAR / mtbf_hours
@@ -335,31 +335,11 @@ class _KindAccumulator:
         }
 
 
-def _fit_per_router(net: NetworkConfig, *, protected: bool) -> float:
-    """Per-router SOFR from the Section VII stage inventories."""
-    from ..reliability.stages import (
-        RouterGeometry,
-        baseline_stages,
-        correction_stages,
-        total_fit,
-    )
-
-    geom = RouterGeometry.from_mesh(
-        net.num_nodes,
-        num_ports=net.router.num_ports,
-        num_vcs=net.router.num_vcs,
-    )
-    fit = total_fit(baseline_stages(geom))
-    if protected:
-        fit += total_fit(correction_stages(geom))
-    return fit
-
-
 def _analytic_rows(net: NetworkConfig, seed: int) -> list[dict]:
     """Model rows for the comparison designs (no live simulation)."""
     from ..comparison import BulletProofModel, VicisModel
 
-    fit = _fit_per_router(net, protected=False)
+    fit = router_fit(net.router, net.num_nodes, protected=False)
     mtbf_hours = 1e9 / (net.num_nodes * fit)
     rows = []
     for name, model in (

@@ -4,11 +4,10 @@ The unified schedule API lives in :mod:`repro.faults.schedule`
 (:class:`FaultSchedule` protocol, :class:`TimelineSpec`);
 :mod:`repro.faults.timeline` adds
 arrival-time-stamped online fault timelines and
-:mod:`repro.faults.recovery` the per-router recovery accounting used by
-``repro.experiments.fault_campaign``.
+:mod:`repro.faults.recovery` the per-router detection and recovery
+accounting used by ``fault_campaign`` and ``detection_latency``.
 """
 
-from .detection import DetectionEvent, NetworkDetector, OnlineDetector
 from .injector import (
     ExplicitFaultSchedule,
     NullFaultSchedule,
@@ -37,15 +36,12 @@ from .transient import (
 )
 
 __all__ = [
-    "DetectionEvent",
     "ExplicitFaultSchedule",
     "FaultSchedule",
     "FaultSite",
     "FaultTimeline",
     "FaultUnit",
-    "NetworkDetector",
     "NullFaultSchedule",
-    "OnlineDetector",
     "RandomFaultSchedule",
     "RecoveryMonitor",
     "RecoveryRecord",

@@ -1,12 +1,16 @@
-"""Per-router recovery accounting for online fault campaigns.
+"""Per-router fault detection and recovery accounting.
 
-When a fault lands mid-traffic the interesting story is temporal:
+The paper assumes an existing detector (NoCAlert [18]) and charges +3 %
+area / +1 % power for it; this module is the one behavioural stand-in
+for that assumption, used by ``fault_campaign`` and ``detection_latency``
+alike.  When a fault lands mid-traffic the interesting story is temporal:
 
-* **detection latency** — land to the first externally visible symptom:
-  a protection-mechanism counter moving (duplicate RC computations,
-  borrowed VA grants, bypass/secondary-path grants — the same counters
-  :class:`repro.faults.detection.OnlineDetector` watches) or, for
-  routers without that mechanism, a blocked-pipeline symptom counter;
+* **detection latency** — land to the first watched counter moving.
+  Every router kind watches the same counters for a unit: its
+  protection-mechanism counter (duplicate RC computations, borrowed VA
+  grants, bypass/secondary-path grants), which only a protected router
+  ever moves, plus its blocked-pipeline symptom counters.  Faults in
+  correction circuitry have no counter and stay latent;
 * **time-to-recover** — land to the first flit traversing the router
   again, i.e. the reconfigured datapath demonstrably serving traffic;
 * **in-flight exposure** — flits buffered in the router at land time
@@ -28,20 +32,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from .detection import OnlineDetector
 from .schedule import site_token
 from .sites import FaultSite, FaultUnit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..router.router import BaseRouter
 
-#: mechanism counters (protected-router corrections; mirrors the
-#: OnlineDetector map) — the fastest observable
-_MECHANISM: Dict[FaultUnit, str] = dict(OnlineDetector._COUNTER)
+#: mechanism counters: the protected router's correction for the unit
+#: fires the first time the faulty component would have served traffic —
+#: the fastest observable
+_MECHANISM: Dict[FaultUnit, str] = {
+    FaultUnit.RC_PRIMARY: "rc_duplicate_computations",
+    FaultUnit.VA1_ARBITER_SET: "va_borrowed_grants",
+    FaultUnit.VA2_ARBITER: "va_stage2_fault_retries",
+    FaultUnit.SA1_ARBITER: "sa_bypass_grants",
+    FaultUnit.SA2_ARBITER: "secondary_path_grants",
+    FaultUnit.XB_MUX: "secondary_path_grants",
+}
 
-#: symptom counters: pipeline-blockage effects a fault produces on
-#: routers *without* a correction mechanism (baseline and comparison
-#: kinds) — slower, congestion-mediated observables
+#: symptom counters: pipeline-blockage effects of the fault — slower,
+#: congestion-mediated observables, and the only ones that move on a
+#: router without a correction mechanism (baseline and comparison kinds)
 _SYMPTOM: Dict[FaultUnit, Tuple[str, ...]] = {
     FaultUnit.RC_PRIMARY: ("rc_blocked_cycles",),
     FaultUnit.VA1_ARBITER_SET: ("va_blocked_cycles", "va_no_free_vc_cycles"),
@@ -55,9 +66,10 @@ _SYMPTOM: Dict[FaultUnit, Tuple[str, ...]] = {
 def watch_counters(unit: FaultUnit) -> Tuple[str, ...]:
     """Stats counters whose movement counts as detecting ``unit``.
 
-    Correction-circuitry units return ``()``: a fault there is latent
-    until a second fault exercises it (Section VIII), so the campaign
-    classifies it as undetectable rather than pretending a latency.
+    The mechanism counter first, then the symptom counters, for every
+    router kind.  Correction-circuitry units return ``()``: a fault there
+    is latent until a second fault exercises it (Section VIII), so it is
+    classified as undetectable rather than given a latency.
     """
     mech = _MECHANISM.get(unit)
     symptom = _SYMPTOM.get(unit, ())

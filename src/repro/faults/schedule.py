@@ -78,6 +78,23 @@ def site_from_tuple(row: Iterable[Any]) -> FaultSite:
     return FaultSite(int(router), FaultUnit(str(unit)), int(port), int(vc))
 
 
+def check_timeline(
+    events: int, mean_interval: float, transient_fraction: float,
+    transient_duration: int, first_event_at: int,
+) -> None:
+    """Reject timeline scalars no draw can honour (``ValueError``)."""
+    if events < 0:
+        raise ValueError("events must be >= 0")
+    if mean_interval <= 0:
+        raise ValueError("mean_interval must be positive")
+    if not 0 <= transient_fraction <= 1:
+        raise ValueError("transient_fraction must be a probability")
+    if transient_fraction > 0 and transient_duration < 1:
+        raise ValueError("transient_duration must be >= 1 cycle")
+    if first_event_at < 0:
+        raise ValueError("first_event_at must be >= 0")
+
+
 @dataclass(frozen=True)
 class TimelineSpec:
     """FIT-derived online fault timeline (permanent + transient events).
@@ -85,7 +102,9 @@ class TimelineSpec:
     Built by :func:`repro.faults.timeline.random_timeline`:
     exponential inter-arrival gaps with the given mean (cycles), each
     event transient with probability ``transient_fraction`` (healing
-    ``transient_duration`` cycles after landing).
+    ``transient_duration`` cycles after landing).  Checked on
+    construction, so a request carrying a bad spec is refused before it
+    computes.
     """
 
     events: int = 8
@@ -96,3 +115,9 @@ class TimelineSpec:
     protected: bool = True
     avoid_failure: bool = True
     first_event_at: int = 0
+
+    def __post_init__(self) -> None:
+        check_timeline(
+            self.events, self.mean_interval, self.transient_fraction,
+            self.transient_duration, self.first_event_at,
+        )

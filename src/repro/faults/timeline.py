@@ -31,6 +31,7 @@ from typing import ClassVar, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..config import RouterConfig
+from .schedule import check_timeline
 from .sites import FaultSite, network_sites
 
 #: cycles per simulated hour at the canonical 1 GHz clock
@@ -135,14 +136,23 @@ class FaultTimeline:
         """The full planned event list (copy; reporting/tests)."""
         return list(self._events)
 
-    @property
-    def remaining_events(self) -> int:
-        return len(self._events) - self._inject_i
-
 
 # ----------------------------------------------------------------------
 # FIT-derived arrival model
 # ----------------------------------------------------------------------
+def router_fit(config: RouterConfig, num_routers: int, protected: bool) -> float:
+    """Per-router failure rate (FIT): the sum of failure rates (SOFR) of
+    the Section VII stage inventories — baseline stages, plus the
+    correction circuitry for the protected router."""
+    from ..reliability.stages import RouterGeometry, baseline_stages, correction_stages, total_fit
+
+    geom = RouterGeometry.from_mesh(num_routers, num_ports=config.num_ports, num_vcs=config.num_vcs)
+    fit = total_fit(baseline_stages(geom))
+    if protected:
+        fit += total_fit(correction_stages(geom))
+    return fit
+
+
 def fit_mean_interval_cycles(
     config: RouterConfig,
     num_routers: int,
@@ -153,31 +163,18 @@ def fit_mean_interval_cycles(
 ) -> float:
     """Mean fault inter-arrival gap in cycles from the Section VII FIT model.
 
-    The network-level arrival rate is ``num_routers`` x the per-router
-    SOFR (baseline stages, plus the correction circuitry for the
-    protected router).  ``acceleration`` compresses simulated time the
+    The network-level arrival rate is ``num_routers`` x
+    :func:`router_fit`.  ``acceleration`` compresses simulated time the
     same way the paper's 10-million-cycle mean compresses its FIT-scale
     arrivals — a campaign picks it so a run's horizon sees the intended
     number of events, and the degradation report un-compresses when
     joining back to real hours.
     """
-    from ..reliability.stages import (
-        RouterGeometry,
-        baseline_stages,
-        correction_stages,
-        total_fit,
-    )
-
     if num_routers < 1:
         raise ValueError("num_routers must be >= 1")
     if acceleration <= 0 or cycles_per_hour <= 0:
         raise ValueError("acceleration and cycles_per_hour must be positive")
-    geom = RouterGeometry.from_mesh(
-        num_routers, num_ports=config.num_ports, num_vcs=config.num_vcs
-    )
-    fit = total_fit(baseline_stages(geom))
-    if protected:
-        fit += total_fit(correction_stages(geom))
+    fit = router_fit(config, num_routers, protected)
     # FIT = failures per 1e9 device-hours -> per-network failures/hour
     rate_per_hour = num_routers * fit / 1e9
     mean_hours = 1.0 / rate_per_hour
@@ -207,12 +204,9 @@ def random_timeline(
     tolerable were all events permanent (conservative for transients),
     reusing the Section VIII failure predicate.
     """
-    if events < 0:
-        raise ValueError("events must be >= 0")
-    if mean_interval <= 0:
-        raise ValueError("mean_interval must be positive")
-    if not 0 <= transient_fraction <= 1:
-        raise ValueError("transient_fraction must be a probability")
+    check_timeline(
+        events, mean_interval, transient_fraction, transient_duration, first_event_at
+    )
     gen = np.random.default_rng(rng)
     pool = network_sites(config, num_routers, protected, True)
     if events > len(pool):

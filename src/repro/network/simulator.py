@@ -655,7 +655,7 @@ class NoCSimulator:
         if (
             load is None or load < LANE_BREAK_EVEN
             or self.cycle or self.use_reference_stepper
-            or self.on_eject is not None or "_step" in self.__dict__
+            or self.on_eject is not None
             or supports(self.config, self.router_factory, observability=self.obs) is not None
             # a fabric touched by hand (a queued packet, a fault) is not a lane's power-on one
             or self._active_routers or self._active_nics
@@ -678,11 +678,10 @@ class NoCSimulator:
         fabric is provably idle it jumps ``cycle`` to the earliest future
         wake source instead of stepping through the gap.  Skipping
         engages whenever every wake source is known — the traffic
-        source implements the ``next_injection`` lookahead and the
-        stepper has not been wrapped by instrumentation that polls per
-        cycle — and never under the reference stepper; otherwise the
-        same active-set stepper runs every cycle.  Results are
-        bit-identical either way (pinned by the golden tests).
+        source implements the ``next_injection`` lookahead — and never
+        under the reference stepper; otherwise the same active-set
+        stepper runs every cycle.  Results are bit-identical either way
+        (pinned by the golden tests).
         """
         sc = self.sim_config
         self.stats.set_window(sc.warmup_cycles, sc.warmup_cycles + sc.measure_cycles)
@@ -693,13 +692,7 @@ class NoCSimulator:
         step = self._step_reference if reference else self._step
 
         lookahead = getattr(self.traffic, "next_injection", None)
-        can_skip = (
-            not reference
-            # a wrapped stepper (online detection) must be invoked every
-            # cycle — it polls outside the event system
-            and "_step" not in self.__dict__
-            and lookahead is not None
-        )
+        can_skip = not reference and lookahead is not None
 
         active_routers = self._active_routers
         active_nics = self._active_nics

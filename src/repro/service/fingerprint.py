@@ -236,7 +236,7 @@ def request_fingerprint(
             f"unknown experiment {name!r}; available: {sorted(CONFIG_TYPES)}"
         )
     payload = {
-        "v": 1,
+        "v": 2,
         "experiment": name,
         "config": canonical(config),
         "seed": seed,

@@ -1,10 +1,12 @@
-"""Tests for the online-detection layer and the transient-fault extension."""
+"""Tests for online fault detection (``RecoveryMonitor``) and the
+transient-fault extension."""
 
 import pytest
 
 from repro.config import PORT_EAST, PORT_WEST, RouterConfig
-from repro.faults.detection import NetworkDetector, OnlineDetector
+from repro.faults.recovery import RecoveryMonitor, watch_counters
 from repro.faults.sites import FaultSite, FaultUnit
+from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.faults.transient import (
     TransientFault,
     TransientFaultSchedule,
@@ -16,63 +18,91 @@ from conftest import SingleRouterHarness, make_network_config, make_sim
 
 
 class TestOnlineDetector:
-    def _harness_with_detector(self):
+    """Detection at one router: a fault lands, the monitor polls."""
+
+    def _landed(self, unit, port):
         h = SingleRouterHarness(protected=True)
-        return h, OnlineDetector(h.router)
+        mon = RecoveryMonitor()
+        site = FaultSite(4, unit, port)
+        h.router.inject_fault(site)
+        mon.fault_landed(h.router, site, 0)
+        return h, mon, mon.records[0]
 
     def test_rc_fault_detected_when_exercised(self):
-        h, det = self._harness_with_detector()
-        site = FaultSite(4, FaultUnit.RC_PRIMARY, PORT_WEST)
-        h.router.inject_fault(site)
-        assert det.watch(site, cycle=0)
-        assert det.poll(0) == []  # latent until traffic arrives
+        h, mon, rec = self._landed(FaultUnit.RC_PRIMARY, PORT_WEST)
+        mon.poll(0)
+        assert rec.detected_at is None  # latent until traffic arrives
         h.inject(PORT_WEST, 0, Packet(src=3, dest=5, size_flits=1))
         h.step(2)
-        events = det.poll(h.cycle)
-        assert len(events) == 1
-        assert events[0].detection_latency >= 1
-        assert det.pending == 0
+        mon.poll(h.cycle)
+        assert rec.detected_at == h.cycle
+        assert rec.detection_latency >= 1
 
     def test_latent_spare_faults_not_observable(self):
-        h, det = self._harness_with_detector()
-        site = FaultSite(4, FaultUnit.RC_DUPLICATE, PORT_WEST)
-        h.router.inject_fault(site)
-        assert not det.watch(site, cycle=0)
-        assert not det.observable(site)
+        h, mon, rec = self._landed(FaultUnit.RC_DUPLICATE, PORT_WEST)
+        assert rec.latent
+        h.inject(PORT_WEST, 0, Packet(src=3, dest=5, size_flits=1))
+        h.step(6)
+        mon.poll(h.cycle)
+        assert rec.detected_at is None
 
     def test_xb_fault_detected_via_secondary_path(self):
-        h, det = self._harness_with_detector()
-        site = FaultSite(4, FaultUnit.XB_MUX, PORT_EAST)
-        h.router.inject_fault(site)
-        det.watch(site, cycle=0)
+        h, mon, _ = self._landed(FaultUnit.XB_MUX, PORT_EAST)
         h.inject(PORT_WEST, 0, Packet(src=3, dest=5, size_flits=1))
         h.step(6)
-        assert det.poll(h.cycle)
-        assert det.mean_detection_latency() >= 1
+        mon.poll(h.cycle)
+        assert h.router.stats.secondary_path_grants > 0
+        assert mon.summary()["detected"] == 1
+        assert mon.summary()["mean_detection_latency"] >= 1
 
     def test_no_events_without_faults(self):
-        h, det = self._harness_with_detector()
+        h = SingleRouterHarness(protected=True)
+        mon = RecoveryMonitor()
         h.inject(PORT_WEST, 0, Packet(src=3, dest=5, size_flits=1))
         h.step(6)
-        assert det.poll(h.cycle) == []
-        assert det.mean_detection_latency() is None
+        mon.poll(h.cycle)
+        assert mon.summary()["events"] == 0
+        assert mon.summary()["mean_detection_latency"] is None
+
+
+def test_watch_counters_for_every_unit():
+    """Mechanism counter first, then symptoms, whatever the router kind;
+    correction circuitry has none and stays latent."""
+    assert {unit: watch_counters(unit) for unit in FaultUnit} == {
+        FaultUnit.RC_PRIMARY: ("rc_duplicate_computations", "rc_blocked_cycles"),
+        FaultUnit.RC_DUPLICATE: (),
+        FaultUnit.VA1_ARBITER_SET: (
+            "va_borrowed_grants", "va_blocked_cycles", "va_no_free_vc_cycles",
+        ),
+        FaultUnit.VA2_ARBITER: (
+            "va_stage2_fault_retries", "va_no_free_vc_cycles", "va_blocked_cycles",
+        ),
+        FaultUnit.SA1_ARBITER: ("sa_bypass_grants", "sa_blocked_cycles"),
+        FaultUnit.SA1_BYPASS: (),
+        FaultUnit.SA2_ARBITER: ("secondary_path_grants", "sa_blocked_cycles"),
+        FaultUnit.XB_MUX: (
+            "secondary_path_grants", "unreachable_output_cycles", "sa_blocked_cycles",
+        ),
+        FaultUnit.XB_SECONDARY: (),
+    }
 
 
 class TestNetworkDetector:
+    """Detection across a fabric, through a recovery-log schedule."""
+
     def test_fleetwide_detection(self):
         net = make_network_config(3, 3)
-        sim = make_sim(net, protected=True, injection_rate=0.1, measure=800)
-        det = NetworkDetector(sim.routers)
         site = FaultSite(4, FaultUnit.SA1_ARBITER, PORT_WEST)
-        sim.routers[4].inject_fault(site)
-        det.watch(site, 0)
+        sim = make_sim(
+            net, protected=True, injection_rate=0.1, measure=800,
+            fault_schedule=FaultTimeline([TimelineEvent(0, site)]),
+        )
         res = sim.run()
         assert not res.blocked
-        events = det.poll(res.cycles)
-        assert len(det.events) == 1
-        assert det.pending == 0
-        assert det.mean_detection_latency() > 0
-        del events
+        log = res.recovery
+        assert log["events"] == log["detected"] == 1
+        assert log["records"][0]["router"] == 4
+        assert log["mean_detection_latency"] > 0
 
 
 class TestTransientFault:

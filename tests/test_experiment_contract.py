@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import EXPERIMENTS, parallel
 from repro.experiments.design_space import DesignSpaceConfig
+from repro.experiments.detection_latency import DetectionLatencyConfig
 from repro.experiments.energy import EnergyConfig
 from repro.experiments.fault_campaign import CampaignConfig
 from repro.experiments.fault_sweep import FaultSweepConfig
@@ -39,6 +40,7 @@ TINY_SWEEPS = {
         app="lu",
     ),
     "energy": EnergyConfig(app="lu", latency=TINY_LATENCY),
+    "detection_latency": DetectionLatencyConfig(num_faults=4, measure_cycles=150),
 }
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import detection_latency, fault_sweep
+from repro.experiments import detection_latency, fault_sweep, run_experiment
 from repro.experiments.detection_latency import DetectionLatencyConfig
 from repro.experiments.fault_sweep import FaultSweepConfig
 from repro.experiments.latency import QUICK_CONFIG
@@ -46,6 +46,28 @@ class TestDetectionLatency:
             fast.row("observable faults detected").measured
             >= slow.row("observable faults detected").measured
         )
+
+    def test_a_fault_exercised_as_it_lands_is_detected_that_cycle(self):
+        """The watch baseline is read as the fault lands, before the
+        cycle's pipeline runs: a mechanism that fires in the landing cycle
+        dates the detection there (latency 0, not the next time it fires).
+        The counts are the same as when it was dated late."""
+        res = run_experiment("detection_latency", quick=True, seed=3)
+        (event,) = [
+            e for e in res.extras["events"]
+            if e["site"].startswith("4:sa1_arbiter:2:")
+        ]
+        assert event["detected_at"] == event["landed_at"]
+        counts = [
+            res.row(label).measured
+            for label in (
+                "faults injected",
+                "latent-spare injections (unobservable)",
+                "observable faults detected",
+                "still-latent at end of run",
+            )
+        ]
+        assert counts == [24, 6, 16, 2]
 
 
 class TestFaultSweep:

@@ -156,18 +156,6 @@ class TestDeclines:
         self._assert_stepped(engines, sim, _sim(use_reference_stepper=True))
         assert seen
 
-    def test_a_wrapped_step(self, engines):
-        sim = _sim()
-        stepped, original = [], sim._step
-
-        def wrapper(cycle, inject_traffic):
-            stepped.append(cycle)
-            original(cycle, inject_traffic)
-
-        sim._step = wrapper
-        self._assert_stepped(engines, sim, _sim(use_reference_stepper=True))
-        assert stepped[:3] == [0, 1, 2]
-
     def test_a_simulator_that_has_run_before(self, engines):
         sim = _sim()
         first = sim.run()

@@ -19,6 +19,7 @@ Three groups:
 import asyncio
 import dataclasses
 import gc
+import hashlib
 import json
 import multiprocessing
 import os
@@ -513,6 +514,34 @@ class TestServer:
                 await service.close()
         asyncio.run(run())
 
+    def test_an_entry_under_the_v1_key_is_never_served(self):
+        """2.5 changed ``detection_latency``'s result for an unchanged
+        config, so the key scheme moved to v2: what a v1 server filed for
+        the same request is unreachable, and the request computes."""
+        config = {"num_faults": 4, "measure_cycles": 150}
+        cfg, residual = effective_config("detection_latency", config)
+        v1 = json.dumps(
+            {"v": 1, "experiment": "detection_latency",
+             "config": canonical(cfg), "seed": residual},
+            sort_keys=True, separators=(",", ":"),
+        )
+        old = hashlib.sha256(v1.encode()).hexdigest()
+
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                service.cache.put(make_entry(
+                    old, "detection_latency", cfg,
+                    {"experiment": "detection_latency", "rows": []}, {},
+                ))
+                reply = await client.sweep("detection_latency", config)
+                assert reply["cached"] is False and reply["fingerprint"] != old
+                counters = (await client.stats())["counters"]
+                assert counters["service.computations"] == 1
+            finally:
+                await service.close()
+        asyncio.run(run())
+
     @pytest.mark.parametrize("stream", [False, True], ids=["plain", "streamed"])
     def test_a_cache_that_cannot_be_written_still_answers(
         self, monkeypatch, stream
@@ -605,8 +634,30 @@ class TestServer:
             ("fault_campaign", {"timelines": 0}),
             ("load_latency", {"rates": []}),
             ("design_space", {"vc_counts": []}),
+            # fault specs that used to fail only inside the draw, after
+            # taking a compute slot
+            *(
+                (
+                    "fault_campaign",
+                    {"timelines": 1, "router_kinds": ["baseline"], "timeline": spec},
+                )
+                for spec in (
+                    {"mean_interval": 0},
+                    {"events": -1},
+                    {"transient_fraction": 1.5},
+                    {"first_event_at": -5},
+                    {"transient_duration": 0, "transient_fraction": 1},
+                )
+            ),
+            ("detection_latency", {"num_faults": 0}),
+            ("detection_latency", {"measure_cycles": 0}),
         ],
-        ids=["negative-fault-count", "no-timelines", "no-rates", "no-vc-counts"],
+        ids=[
+            "negative-fault-count", "no-timelines", "no-rates", "no-vc-counts",
+            "no-mean-interval", "negative-events", "fraction-above-one",
+            "negative-first-event", "zero-transient-duration", "no-faults",
+            "no-cycles",
+        ],
     )
     def test_a_config_the_experiment_cannot_compute_is_a_400(self, name, config):
         """The config class rejects it before fingerprinting: nothing is
