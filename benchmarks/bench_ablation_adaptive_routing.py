@@ -22,8 +22,8 @@ import pytest
 from conftest import run_once
 from repro.config import NetworkConfig, PORT_EAST, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
+from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import Packet
 from repro.traffic.generator import SyntheticTraffic, TraceTraffic
@@ -32,8 +32,8 @@ NET = NetworkConfig(width=4, height=4, router=RouterConfig(num_vcs=4))
 VICTIM = NET.node_id(1, 1)
 
 DEAD_OUTPUT = [
-    (0, FaultSite(VICTIM, FaultUnit.XB_MUX, PORT_EAST)),
-    (0, FaultSite(VICTIM, FaultUnit.XB_SECONDARY, PORT_EAST)),
+    TimelineEvent(0, FaultSite(VICTIM, FaultUnit.XB_MUX, PORT_EAST)),
+    TimelineEvent(0, FaultSite(VICTIM, FaultUnit.XB_SECONDARY, PORT_EAST)),
 ]
 
 
@@ -49,7 +49,7 @@ def diagonal_flows():
 
 def run(routing_kind: str, kill_output: bool, traffic=None):
     schedule = (
-        ExplicitFaultSchedule(list(DEAD_OUTPUT)) if kill_output else None
+        FaultTimeline(DEAD_OUTPUT) if kill_output else None
     )
     if traffic is None:
         traffic = SyntheticTraffic(NET, injection_rate=0.08, rng=13)

@@ -24,8 +24,8 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.protected_router import protected_router_factory
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
+from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.network.simulator import NoCSimulator
 from repro.traffic.generator import SyntheticTraffic
 
@@ -39,8 +39,8 @@ def run_policy(rotation_period: int):
     # SA1 fault on the west port of a column-1 router: all eastbound
     # traffic through it is forced onto the bypass path
     victim = net.node_id(1, 1)
-    schedule = ExplicitFaultSchedule(
-        [(0, FaultSite(victim, FaultUnit.SA1_ARBITER, PORT_WEST))]
+    schedule = FaultTimeline(
+        [TimelineEvent(0, FaultSite(victim, FaultUnit.SA1_ARBITER, PORT_WEST))]
     )
     sim = NoCSimulator(
         net,

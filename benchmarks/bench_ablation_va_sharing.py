@@ -16,8 +16,8 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.protected_router import protected_router_factory
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
+from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.traffic.generator import SyntheticTraffic
 
@@ -27,9 +27,9 @@ def run_router(protected: bool):
     victim = net.node_id(1, 1)
     # fault every VC's arbiter set except one: sharing carries the port
     # through; without sharing (baseline) the port wedges
-    schedule = ExplicitFaultSchedule(
+    schedule = FaultTimeline(
         [
-            (0, FaultSite(victim, FaultUnit.VA1_ARBITER_SET, PORT_WEST, v))
+            TimelineEvent(0, FaultSite(victim, FaultUnit.VA1_ARBITER_SET, PORT_WEST, v))
             for v in range(3)
         ]
     )

@@ -18,8 +18,8 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.protected_router import protected_router_factory
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
+from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.traffic.generator import SyntheticTraffic
 
@@ -29,8 +29,8 @@ def run_router(protected: bool, faulty: bool):
     victim = net.node_id(1, 1)
     schedule = None
     if faulty:
-        schedule = ExplicitFaultSchedule(
-            [(0, FaultSite(victim, FaultUnit.XB_MUX, PORT_EAST))]
+        schedule = FaultTimeline(
+            [TimelineEvent(0, FaultSite(victim, FaultUnit.XB_MUX, PORT_EAST))]
         )
     factory = (
         protected_router_factory(net) if protected else baseline_router_factory(net)

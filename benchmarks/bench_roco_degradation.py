@@ -20,8 +20,8 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.protected_router import protected_router_factory
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
+from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.network.simulator import NoCSimulator
 from repro.traffic.generator import SyntheticTraffic
 
@@ -31,9 +31,9 @@ VICTIM = NET.node_id(1, 1)
 #: three row-side faults: enough to kill RoCo's row module (tolerance 2),
 #: all individually tolerated by the proposed router
 ROW_BARRAGE = [
-    (0, FaultSite(VICTIM, FaultUnit.SA1_ARBITER, PORT_EAST)),
-    (0, FaultSite(VICTIM, FaultUnit.VA1_ARBITER_SET, PORT_WEST, 0)),
-    (0, FaultSite(VICTIM, FaultUnit.XB_MUX, PORT_EAST)),
+    TimelineEvent(0, FaultSite(VICTIM, FaultUnit.SA1_ARBITER, PORT_EAST)),
+    TimelineEvent(0, FaultSite(VICTIM, FaultUnit.VA1_ARBITER_SET, PORT_WEST, 0)),
+    TimelineEvent(0, FaultSite(VICTIM, FaultUnit.XB_MUX, PORT_EAST)),
 ]
 
 
@@ -44,7 +44,7 @@ def run(factory):
                          drain_cycles=2500, seed=17, watchdog_cycles=1000),
         SyntheticTraffic(NET, injection_rate=0.08, rng=17),
         router_factory=factory,
-        fault_schedule=ExplicitFaultSchedule(list(ROW_BARRAGE)),
+        fault_schedule=FaultTimeline(ROW_BARRAGE),
     )
     return sim.run()
 

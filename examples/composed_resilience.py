@@ -22,7 +22,7 @@ Run:  python examples/composed_resilience.py
 from repro.comparison.ecc_sim import run_ecc_study
 from repro.config import NetworkConfig, PORT_EAST, RouterConfig, SimulationConfig
 from repro.core import protected_router_factory
-from repro.faults import FaultSite, FaultUnit, ExplicitFaultSchedule
+from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
 from repro.network import NoCSimulator
 from repro.traffic import SyntheticTraffic
 
@@ -31,10 +31,10 @@ def layer1_pipeline_ft() -> None:
     print("=== layer 1: the paper's in-router fault tolerance ===")
     net = NetworkConfig(width=4, height=4, router=RouterConfig(num_vcs=4))
     victim = net.node_id(1, 1)
-    faults = ExplicitFaultSchedule([
-        (0, FaultSite(victim, FaultUnit.RC_PRIMARY, 4)),
-        (0, FaultSite(victim, FaultUnit.SA1_ARBITER, 4)),
-        (0, FaultSite(victim, FaultUnit.XB_MUX, PORT_EAST)),
+    faults = FaultTimeline([
+        TimelineEvent(0, FaultSite(victim, FaultUnit.RC_PRIMARY, 4)),
+        TimelineEvent(0, FaultSite(victim, FaultUnit.SA1_ARBITER, 4)),
+        TimelineEvent(0, FaultSite(victim, FaultUnit.XB_MUX, PORT_EAST)),
     ])
     sim = NoCSimulator(
         net,
@@ -70,8 +70,8 @@ def layer3_adaptive_routing() -> None:
     net = NetworkConfig(width=4, height=4, router=RouterConfig(num_vcs=4))
     victim = net.node_id(1, 1)
     dead_output = [
-        (0, FaultSite(victim, FaultUnit.XB_MUX, PORT_EAST)),
-        (0, FaultSite(victim, FaultUnit.XB_SECONDARY, PORT_EAST)),
+        TimelineEvent(0, FaultSite(victim, FaultUnit.XB_MUX, PORT_EAST)),
+        TimelineEvent(0, FaultSite(victim, FaultUnit.XB_SECONDARY, PORT_EAST)),
     ]
 
     def flows():
@@ -89,7 +89,7 @@ def layer3_adaptive_routing() -> None:
                              watchdog_cycles=900),
             TraceTraffic(flows()),
             router_factory=protected_router_factory(net),
-            fault_schedule=ExplicitFaultSchedule(list(dead_output)),
+            fault_schedule=FaultTimeline(dead_output),
             routing_kind=kind,
         )
         res = sim.run()

@@ -16,7 +16,7 @@ Run:  python examples/fault_tolerant_noc.py
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core import protected_router_factory
-from repro.faults import FaultSite, FaultUnit, ExplicitFaultSchedule
+from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
 from repro.network import NoCSimulator, baseline_router_factory
 from repro.traffic import SyntheticTraffic
 
@@ -26,14 +26,14 @@ NETWORK = NetworkConfig(
 CENTRAL_ROUTER = NETWORK.node_id(1, 1)
 
 #: a fault in the SA stage-1 arbiter of the central router's west port
-SINGLE_FAULT = [(100, FaultSite(CENTRAL_ROUTER, FaultUnit.SA1_ARBITER, 4))]
+SINGLE_FAULT = [TimelineEvent(100, FaultSite(CENTRAL_ROUTER, FaultUnit.SA1_ARBITER, 4))]
 
 #: one tolerated fault in every pipeline stage of the central router
 MULTI_FAULT = [
-    (100, FaultSite(CENTRAL_ROUTER, FaultUnit.RC_PRIMARY, 4)),
-    (150, FaultSite(CENTRAL_ROUTER, FaultUnit.VA1_ARBITER_SET, 4, 0)),
-    (200, FaultSite(CENTRAL_ROUTER, FaultUnit.SA1_ARBITER, 2)),
-    (250, FaultSite(CENTRAL_ROUTER, FaultUnit.XB_MUX, 2)),
+    TimelineEvent(100, FaultSite(CENTRAL_ROUTER, FaultUnit.RC_PRIMARY, 4)),
+    TimelineEvent(150, FaultSite(CENTRAL_ROUTER, FaultUnit.VA1_ARBITER_SET, 4, 0)),
+    TimelineEvent(200, FaultSite(CENTRAL_ROUTER, FaultUnit.SA1_ARBITER, 2)),
+    TimelineEvent(250, FaultSite(CENTRAL_ROUTER, FaultUnit.XB_MUX, 2)),
 ]
 
 
@@ -56,7 +56,7 @@ def run(protected: bool, faults, label: str):
         sim_config,
         traffic,
         router_factory=factory,
-        fault_schedule=ExplicitFaultSchedule(faults) if faults else None,
+        fault_schedule=FaultTimeline(faults) if faults else None,
     )
     result = sim.run()
     status = "BLOCKED (watchdog)" if result.blocked else (

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..config import NetworkConfig, RouterConfig, SimulationConfig
 from ..faults.injector import RandomFaultSchedule
-from ..faults.timeline import FaultTimeline, TimelineEvent
+from ..faults.timeline import FaultTimeline
 from ..network.simulator import SimulationResult
 from ..traffic.generator import SyntheticTraffic
 from .parallel import LanePoint
@@ -63,9 +63,9 @@ def detection_traffic(net: NetworkConfig, config: DetectionLatencyConfig) -> Syn
 
 
 def detection_schedule(net: NetworkConfig, config: DetectionLatencyConfig) -> FaultTimeline:
-    """Tolerable faults at uniform gaps over the measurement window, as a
-    timeline: the engine installs a recovery monitor for it."""
-    draw = RandomFaultSchedule(
+    """Tolerable faults at uniform gaps over the measurement window, with
+    a recovery log: the engine installs a recovery monitor for it."""
+    schedule = RandomFaultSchedule(
         net.router,
         net.num_nodes,
         mean_interval=config.measure_cycles / (2 * config.num_faults),
@@ -74,7 +74,8 @@ def detection_schedule(net: NetworkConfig, config: DetectionLatencyConfig) -> Fa
         first_fault_at=10,
         avoid_failure=True,
     )
-    return FaultTimeline(TimelineEvent(c, s) for c, s in draw.planned)
+    schedule.recovery_log = True
+    return schedule
 
 
 def points(config: DetectionLatencyConfig) -> list[LanePoint]:

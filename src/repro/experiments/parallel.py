@@ -568,6 +568,33 @@ def map_sweep(
     return run_sweep(tasks, jobs=jobs)
 
 
+def run_trials(
+    fn: Callable[..., np.ndarray],
+    args: Callable[[List[np.random.SeedSequence]], tuple],
+    trials: int,
+    rng: np.random.SeedSequence | np.random.Generator | int | None,
+    jobs: Optional[int] = None,
+) -> tuple[np.ndarray, SweepReport]:
+    """A Monte-Carlo campaign of ``trials`` self-seeded trials, as one sweep.
+
+    ``fn(*args(seeds))`` runs one chunk of trials and returns one row per
+    trial; the rows come back concatenated in trial order.  Each trial
+    draws from its own child seed (:func:`spawn_seeds`), so chunking
+    cannot change results: a few chunks per worker amortise per-chunk
+    setup while keeping the pool busy.
+    """
+    seeds = spawn_seeds(rng, trials)
+    n_jobs = min(resolve_jobs(jobs), trials)
+    n_chunks = 1 if n_jobs == 1 else min(trials, n_jobs * 4)
+    bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
+    tasks = [
+        SweepTask(index=i, fn=fn, args=args(seeds[a:b]), label=f"trials[{a}:{b}]")
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    chunks, report = run_sweep(tasks, jobs=jobs)
+    return np.concatenate(chunks), report
+
+
 # ----------------------------------------------------------------------
 # lane sweeps: batched-engine execution of structurally identical points
 # ----------------------------------------------------------------------

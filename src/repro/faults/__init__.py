@@ -1,19 +1,15 @@
-"""Fault model: sites, schedules, timelines, detection, recovery.
+"""Fault model: sites, the one schedule class, recovery.
 
-The unified schedule API lives in :mod:`repro.faults.schedule`
-(:class:`FaultSchedule` protocol, :class:`TimelineSpec`);
-:mod:`repro.faults.timeline` adds
-arrival-time-stamped online fault timelines and
-:mod:`repro.faults.recovery` the per-router detection and recovery
-accounting used by ``fault_campaign`` and ``detection_latency``.
+The schedule protocol and the timeline spec live in
+:mod:`repro.faults.schedule` (:class:`FaultSchedule`,
+:class:`TimelineSpec`); :mod:`repro.faults.timeline` holds the one class
+that implements it, :class:`FaultTimeline` (permanent and transient
+events), and the draws that build one; :mod:`repro.faults.recovery` the
+per-router detection and recovery accounting used by ``fault_campaign``
+and ``detection_latency``.
 """
 
-from .injector import (
-    ExplicitFaultSchedule,
-    NullFaultSchedule,
-    RandomFaultSchedule,
-    spawn_lane_injectors,
-)
+from .injector import RandomFaultSchedule
 from .recovery import RecoveryMonitor, RecoveryRecord
 from .schedule import (
     FaultSchedule,
@@ -28,28 +24,20 @@ from .timeline import (
     TimelineEvent,
     fit_mean_interval_cycles,
     random_timeline,
-)
-from .transient import (
-    TransientFault,
-    TransientFaultSchedule,
     random_transients,
 )
 
 __all__ = [
-    "ExplicitFaultSchedule",
     "FaultSchedule",
     "FaultSite",
     "FaultTimeline",
     "FaultUnit",
-    "NullFaultSchedule",
     "RandomFaultSchedule",
     "RecoveryMonitor",
     "RecoveryRecord",
     "RouterFaultState",
     "TimelineEvent",
     "TimelineSpec",
-    "TransientFault",
-    "TransientFaultSchedule",
     "enumerate_sites",
     "fit_mean_interval_cycles",
     "random_timeline",
@@ -57,5 +45,4 @@ __all__ = [
     "site_from_tuple",
     "site_token",
     "site_tuple",
-    "spawn_lane_injectors",
 ]

@@ -22,15 +22,14 @@ every router (the :class:`repro.router.router.BaseRouter` hook); the
 simulator reports land/heal events into it and polls open watches once
 per stepped cycle.  Polling only reads counters, which are frozen while
 a fabric is idle, so the event-driven skip-ahead stays enabled and
-bit-identical.  At end of run the monitor folds its aggregates into
-:class:`repro.network.stats.NetworkStats` and exports a picklable
-summary on ``SimulationResult.recovery``.
+bit-identical.  At end of run the monitor exports a picklable summary on
+``SimulationResult.recovery``, the one record of a run's faults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .schedule import site_token
 from .sites import FaultSite, FaultUnit
@@ -132,7 +131,6 @@ class RecoveryMonitor:
     """Collects :class:`RecoveryRecord` streams for one simulation run."""
 
     records: List[RecoveryRecord] = field(default_factory=list)
-    heals_applied: int = 0
     _open: List[_Watch] = field(default_factory=list)
     #: simulator fast-path gate: poll only while a watch is open
     open_watches: int = 0
@@ -160,7 +158,6 @@ class RecoveryMonitor:
         self.open_watches = len(self._open)
 
     def fault_healed(self, router: "BaseRouter", site: FaultSite, cycle: int) -> None:
-        self.heals_applied += 1
         for rec in reversed(self.records):
             if rec.site == site and rec.healed_at is None:
                 rec.healed_at = cycle
@@ -190,31 +187,13 @@ class RecoveryMonitor:
         self.open_watches = len(still_open)
 
     # -- end of run ------------------------------------------------------
-    def finalize(self, cycle: int, stats: Optional[Any] = None) -> None:
-        """Record stranded flits for unresolved watches; fold aggregates.
-
-        ``stats`` is the run's :class:`~repro.network.stats.NetworkStats`;
-        when given, the campaign counters are accumulated onto it so the
-        observability layer harvests them like any other network counter.
-        """
+    def finalize(self) -> None:
+        """Record stranded flits for the watches still open at end of run."""
         for w in self._open:
             if w.record.recovered_at is None:
                 w.record.stranded_flits = w.router.buffered_flits()
         self._open = []
         self.open_watches = 0
-        if stats is not None:
-            for rec in self.records:
-                stats.fault_events += 1
-                if rec.healed_at is not None:
-                    stats.faults_healed += 1
-                if rec.detected_at is not None:
-                    stats.faults_detected += 1
-                    stats.detection_latency_sum += rec.detected_at - rec.landed_at
-                if rec.recovered_at is not None:
-                    stats.faults_recovered += 1
-                    stats.recovery_latency_sum += rec.recovered_at - rec.landed_at
-                stats.exposed_flits += rec.exposed_flits
-                stats.stranded_flits += rec.stranded_flits
 
     def summary(self) -> dict:
         """Picklable per-run recovery summary (``SimulationResult.recovery``)."""

@@ -3,17 +3,19 @@
 One explicit contract for everything that injects faults:
 
 * :class:`FaultSchedule` — a runtime-checkable :class:`typing.Protocol`
-  with the two methods every schedule implements (the simulator calls
+  with the three methods a schedule implements (the simulator calls
   them directly and rejects objects missing one):
-  ``events_at(cycle)`` (the consuming event iterator) and
-  ``next_cycle()`` (the event-engine wake lookahead).
+  ``events_at(cycle)`` and ``heals_due(cycle)`` (the consuming landing
+  and heal iterators) and ``next_cycle()`` (the only cycles an engine
+  polls).
 * :class:`TimelineSpec` — the frozen, JSON-shaped description of a fault
   timeline a ``CampaignConfig`` holds.  Scalars only, so it round-trips
   through the service's ``build_config``/``canonical`` machinery
   unchanged and cache-keys soundly.
 
-A live schedule is built by calling its class or drawing function
-(``RandomFaultSchedule``, ``random_timeline``, ...) directly.
+:class:`repro.faults.timeline.FaultTimeline` is the one implementation;
+a live schedule is one listed by hand or drawn (``RandomFaultSchedule``,
+``random_timeline``, ``random_transients``).
 """
 
 from __future__ import annotations
@@ -34,24 +36,24 @@ from .sites import FaultSite, FaultUnit
 
 @runtime_checkable
 class FaultSchedule(Protocol):
-    """Anything that injects faults into a running simulation.
+    """Anything that injects (and heals) faults in a running simulation.
 
-    ``events_at(cycle)`` yields the :class:`FaultSite` events due at (or
-    before) ``cycle`` and consumes them — the simulator calls it once
-    per stepped cycle.  ``next_cycle()`` returns the cycle of the
-    earliest not-yet-delivered event (or ``None`` when exhausted); the
-    event-driven engine turns it into a calendar wake so skip-ahead
-    never jumps over a fault arrival.
-
-    Schedules that also *heal* sites mid-run (transient upsets, fault
-    timelines) additionally set ``native_heals = True`` and implement
-    ``heals_due(cycle)``; see :class:`repro.faults.timeline.FaultTimeline`.
-    Both engines read that flag (and ``wants_recovery_log``) off the
-    schedule object, so a schedule heals wherever it runs.
+    ``next_cycle()`` returns the cycle of the earliest not-yet-delivered
+    event, landing or heal (``None`` when exhausted).  Both engines poll
+    a schedule only on the cycles it names — and the object engine's
+    skip-ahead never jumps past one — so on those cycles they first heal
+    the sites ``heals_due(cycle)`` yields and then inject the ones
+    ``events_at(cycle)`` yields, each consuming what it yields.  A
+    schedule may also set ``recovery_log = True`` to have the engine
+    keep a :class:`repro.faults.recovery.RecoveryMonitor` for the run.
     """
 
     def events_at(self, cycle: int) -> Iterator[FaultSite]:
-        """Consume and yield the fault sites due at ``cycle``."""
+        """Consume and yield the fault sites that land at ``cycle``."""
+        ...
+
+    def heals_due(self, cycle: int) -> Iterator[FaultSite]:
+        """Consume and yield the fault sites that heal at ``cycle``."""
         ...
 
     def next_cycle(self) -> Optional[int]:
@@ -60,7 +62,7 @@ class FaultSchedule(Protocol):
 
 
 # ----------------------------------------------------------------------
-# site-token helpers shared by the schedule classes and the recovery log
+# site-token helpers shared by the schedules and the recovery log
 # ----------------------------------------------------------------------
 def site_token(site: FaultSite) -> str:
     """Canonical string form of a :class:`FaultSite`."""

@@ -1,32 +1,33 @@
-"""Arrival-time-stamped fault timelines drawn from the FIT/MTTF models.
+"""The fault schedule: timed fault events, drawn or listed by hand.
 
-The paper evaluates reliability with faults fixed before cycle 0; a
-*timeline* instead delivers permanent and transient fault events at
-FIT-derived arrival times **while traffic is live**, so a run measures
-the temporal story: detection latency, time-to-recover, packets in
-flight during reconfiguration.
+The paper's fault model is one idea — a site fails at a cycle (Sections
+VIII-IX) — and the transient extension lets it heal later.  A
+:class:`FaultTimeline` is that idea as the one class that implements the
+:class:`repro.faults.schedule.FaultSchedule` protocol:
+``TimelineEvent(cycle, site)`` is a permanent fault and
+``TimelineEvent(cycle, site, transient=True, duration=d)`` one that
+heals ``d`` cycles after landing.  Both engines heal the ``heals_due``
+sites and then inject the ``events_at`` ones, on the cycles
+``next_cycle()`` names (the earliest pending event of either kind, so
+neither the object engine's skip-ahead nor a lane's fault poll can jump
+over a heal).  ``recovery_log=True`` makes the engine running it — a
+``NoCSimulator``, or the batched lane engine for that lane — install a
+:class:`repro.faults.recovery.RecoveryMonitor`, whose summary lands on
+``SimulationResult.recovery``.
 
-A :class:`FaultTimeline` is a full :class:`repro.faults.schedule.FaultSchedule`
-plus the *native heal seam*: it sets ``native_heals = True`` and
-implements ``heals_due(cycle)``, and both engines heal those sites
-in-loop (``next_cycle()`` reports the earliest pending **event of either
-kind**, so neither the object engine's skip-ahead nor a lane's fault
-poll can jump over a heal).  It also sets ``wants_recovery_log = True``
-so the engine running it — a ``NoCSimulator``, or the batched lane
-engine for that lane — installs a
-:class:`repro.faults.recovery.RecoveryMonitor`.  Both flags are read off
-the schedule *object*, never off the factory that built it.
-
-Arrival times come from the paper's Section VII FIT inventories:
-:func:`fit_mean_interval_cycles` converts the per-router failure rate
-into a mean inter-arrival gap in cycles, compressed by an acceleration
-factor exactly like the paper compresses its 10-million-cycle means.
+Drawn timelines: :func:`random_timeline` (Poisson arrivals at a mean
+taken from the Section VII FIT inventories via
+:func:`fit_mean_interval_cycles`, compressed by an acceleration factor
+exactly like the paper compresses its 10-million-cycle means),
+:func:`random_transients` (per-cycle upsets), and
+:class:`repro.faults.injector.RandomFaultSchedule` (the paper's uniform
+inter-fault gaps).  All of them pick sites through :func:`draw_sites`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,33 +64,30 @@ class TimelineEvent:
 
 
 class FaultTimeline:
-    """A sorted stream of timed fault events with native heals."""
+    """A sorted stream of timed fault landings and transient heals."""
 
-    #: the engine heals ``heals_due`` sites in-loop
-    native_heals: ClassVar[bool] = True
-    #: the engine installs a RecoveryMonitor for this schedule
-    wants_recovery_log: ClassVar[bool] = True
-
-    def __init__(self, events: Iterable[TimelineEvent]) -> None:
+    def __init__(
+        self, events: Iterable[TimelineEvent], *, recovery_log: bool = False
+    ) -> None:
         items = sorted(events, key=lambda e: e.cycle)
         self._events: List[TimelineEvent] = items
         self._inject_i = 0
+        #: the engine running this schedule installs a RecoveryMonitor
+        self.recovery_log = recovery_log
         # Merge overlapping transients per site (boolean fault state:
         # heal at the latest heal cycle) and drop heals for sites that a
         # permanent event claims before the heal would land.
         permanent: dict[tuple, int] = {}
         for e in items:
             if not e.transient:
-                key = (e.site.router, e.site.unit, e.site.port, e.site.vc)
-                permanent.setdefault(key, e.cycle)
+                permanent.setdefault(_key(e.site), e.cycle)
         heals: dict[tuple, int] = {}
         sites: dict[tuple, FaultSite] = {}
         for e in items:
-            if not e.transient:
-                continue
-            key = (e.site.router, e.site.unit, e.site.port, e.site.vc)
             heal_at = e.heal_cycle
-            assert heal_at is not None
+            if heal_at is None:
+                continue
+            key = _key(e.site)
             if key in permanent and permanent[key] <= heal_at:
                 continue
             heals[key] = max(heals.get(key, 0), heal_at)
@@ -100,8 +98,8 @@ class FaultTimeline:
         self._heal_i = 0
         self._site_by_key = sites
 
-    # -- FaultSchedule protocol ------------------------------------------
     def events_at(self, cycle: int) -> Iterator[FaultSite]:
+        """Consume and yield the sites that land at (or before) ``cycle``."""
         while (
             self._inject_i < len(self._events)
             and self._events[self._inject_i].cycle <= cycle
@@ -109,13 +107,16 @@ class FaultTimeline:
             yield self._events[self._inject_i].site
             self._inject_i += 1
 
-    def next_cycle(self) -> Optional[int]:
-        """Earliest pending event of *either* kind (inject or heal).
+    def heals_due(self, cycle: int) -> Iterator[FaultSite]:
+        """Consume and yield the sites that heal at (or before) ``cycle``."""
+        while self._heal_i < len(self._heals) and self._heals[self._heal_i][0] <= cycle:
+            _, key = self._heals[self._heal_i]
+            yield self._site_by_key[key]
+            self._heal_i += 1
 
-        Folding heals in is what makes the native seam safe under the
-        event-driven loop: the wake armed from this value steps the
-        exact heal cycle even when the fabric is idle.
-        """
+    def next_cycle(self) -> Optional[int]:
+        """Earliest pending event of *either* kind (landing or heal), or
+        ``None`` when exhausted: the only cycles an engine polls."""
         nxt: Optional[int] = None
         if self._inject_i < len(self._events):
             nxt = self._events[self._inject_i].cycle
@@ -124,22 +125,64 @@ class FaultTimeline:
             nxt = heal if nxt is None else min(nxt, heal)
         return nxt
 
-    # -- native heal seam ------------------------------------------------
-    def heals_due(self, cycle: int) -> Iterator[FaultSite]:
-        while self._heal_i < len(self._heals) and self._heals[self._heal_i][0] <= cycle:
-            _, key = self._heals[self._heal_i]
-            yield self._site_by_key[key]
-            self._heal_i += 1
-
     @property
     def events(self) -> List[TimelineEvent]:
         """The full planned event list (copy; reporting/tests)."""
         return list(self._events)
 
 
+def _key(site: FaultSite) -> tuple:
+    return (site.router, site.unit, site.port, site.vc)
+
+
 # ----------------------------------------------------------------------
-# FIT-derived arrival model
+# drawing timelines
 # ----------------------------------------------------------------------
+def draw_sites(
+    config: RouterConfig,
+    num_routers: int,
+    count: int,
+    gen: np.random.Generator,
+    *,
+    protected: bool = True,
+    include_va2: bool = True,
+    avoid_failure: bool = False,
+) -> List[FaultSite]:
+    """``count`` distinct sites in one random order over the network.
+
+    ``avoid_failure=True`` draws greedily, skipping any site that would
+    bring its router to its Section VIII failure condition, so every
+    protected router *tolerates* the set.
+    """
+    pool = network_sites(config, num_routers, protected, include_va2)
+    if count > len(pool):
+        raise ValueError(f"cannot place {count} distinct faults over {len(pool)} sites")
+    order = gen.permutation(len(pool))
+    if not avoid_failure:
+        return [pool[int(i)] for i in order[:count]]
+    from ..core.failure import protected_router_failed
+    from .sites import RouterFaultState
+
+    states = [RouterFaultState(config) for _ in range(num_routers)]
+    picked: List[FaultSite] = []
+    for i in order:
+        if len(picked) == count:
+            break
+        site = pool[int(i)]
+        st = states[site.router]
+        st.inject(site)
+        if protected_router_failed(st, exact=True):
+            st.heal(site)
+            continue
+        picked.append(site)
+    if len(picked) < count:
+        raise ValueError(
+            f"could only place {len(picked)} of {count} faults "
+            "without failing a router; lower num_faults"
+        )
+    return picked
+
+
 def router_fit(config: RouterConfig, num_routers: int, protected: bool) -> float:
     """Per-router failure rate (FIT): the sum of failure rates (SOFR) of
     the Section VII stage inventories — baseline stages, plus the
@@ -194,7 +237,7 @@ def random_timeline(
     avoid_failure: bool = True,
     first_event_at: int = 0,
 ) -> FaultTimeline:
-    """Draw one seeded fault timeline.
+    """Draw one seeded fault timeline, with a recovery log.
 
     Inter-arrival gaps are exponential with the given mean (a Poisson
     arrival process — the constant-rate limit of the FIT model that
@@ -208,26 +251,44 @@ def random_timeline(
         events, mean_interval, transient_fraction, transient_duration, first_event_at
     )
     gen = np.random.default_rng(rng)
-    pool = network_sites(config, num_routers, protected, True)
-    if events > len(pool):
-        raise ValueError(
-            f"cannot place {events} distinct events over {len(pool)} sites"
-        )
-    order = gen.permutation(len(pool))
-    if avoid_failure:
-        from .injector import RandomFaultSchedule
-
-        picked = RandomFaultSchedule._pick_tolerable(
-            config, num_routers, pool, order, events
-        )
-    else:
-        picked = [pool[int(i)] for i in order[:events]]
+    picked = draw_sites(
+        config, num_routers, events, gen, protected=protected, avoid_failure=avoid_failure
+    )
     gaps = gen.exponential(mean_interval, size=events)
     cycles = first_event_at + np.cumsum(gaps).astype(np.int64)
     kinds = gen.random(events) < transient_fraction
     return FaultTimeline(
-        TimelineEvent(
-            int(c), site, transient=bool(t), duration=transient_duration
-        )
-        for c, site, t in zip(cycles, picked, kinds)
+        (
+            TimelineEvent(int(c), site, transient=bool(t), duration=transient_duration)
+            for c, site, t in zip(cycles, picked, kinds)
+        ),
+        recovery_log=True,
     )
+
+
+def random_transients(
+    config: RouterConfig,
+    num_routers: int,
+    rate_per_cycle: float,
+    cycles: int,
+    duration: int = 1,
+    rng: np.random.Generator | int | None = None,
+    protected: bool = True,
+) -> List[TimelineEvent]:
+    """Poisson-ish transient upsets: each cycle, with probability
+    ``rate_per_cycle``, one uniformly-chosen site is upset for
+    ``duration`` cycles (sites may repeat; overlapping upsets of one
+    site merge in the :class:`FaultTimeline` built from them)."""
+    if not 0 <= rate_per_cycle <= 1:
+        raise ValueError("rate must be a per-cycle probability")
+    if cycles < 1:
+        raise ValueError("cycles must be >= 1")
+    gen = np.random.default_rng(rng)
+    pool = network_sites(config, num_routers, protected, True)
+    hits = gen.random(cycles) < rate_per_cycle
+    return [
+        TimelineEvent(
+            int(cycle), pool[int(gen.integers(len(pool)))], transient=True, duration=duration
+        )
+        for cycle in np.flatnonzero(hits)
+    ]

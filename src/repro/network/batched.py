@@ -124,12 +124,11 @@ SA ``dead = f_sa1 & (f_sa1b | ~prot)``, no secondary path in a baseline
 lane's plans, no lender for a baseline VC, exclusions recorded for
 protected retries only), so baseline and protected lanes of one sweep
 share an engine.  ``_set_site`` sets or clears one fault bit the way
-``BaseRouter.inject_fault`` / ``heal_fault`` do; a schedule with
-``native_heals`` (fault timelines, transients) heals before it injects on
-the cycles its ``next_cycle()`` names, exactly as
+``BaseRouter.inject_fault`` / ``heal_fault`` do; a lane's schedule heals
+and then injects on the cycles its ``next_cycle()`` names, exactly as
 ``NoCSimulator._inject_faults`` does.  ``RouterStats`` counters are binned
 per ``(counter, lane, router)``, which is what lets a lane whose schedule
-``wants_recovery_log`` carry the object engine's own
+keeps a ``recovery_log`` carry the object engine's own
 :class:`repro.faults.recovery.RecoveryMonitor`, fed :class:`_RouterView`
 objects: landings and heals are reported from the fault stage, open
 watches are polled after the last kernel on the lane's local clock, and
@@ -231,8 +230,8 @@ class LaneSpec:
     that is one stream, drawn once, and every holder runs it in full.
     Construct both exactly as a serial run would (same seeds from the
     same ``SeedSequence.spawn``) and the lane's RNG stream is identical
-    to its serial run by construction.  The engine reads ``native_heals``
-    and ``wants_recovery_log`` off the schedule, as ``NoCSimulator`` does.
+    to its serial run by construction.  The engine reads ``recovery_log``
+    off the schedule, as ``NoCSimulator`` does.
     """
 
     traffic: TrafficSource
@@ -556,8 +555,8 @@ class BatchedLaneEngine:
         self._fault_due = np.full(L, _NEVER, dtype=np.int64)
         #: the global cycle of the earliest of them: nothing to poll before
         self._fault_at = 0
-        #: lane -> the recovery monitor of a lane whose schedule
-        #: ``wants_recovery_log`` (the object engine's own class, fed
+        #: lane -> the recovery monitor of a lane whose schedule keeps a
+        #: ``recovery_log`` (the object engine's own class, fed
         #: ``_RouterView``s)
         self._monitors: Dict[int, RecoveryMonitor] = {}
         self._fault_arrays = {
@@ -587,10 +586,9 @@ class BatchedLaneEngine:
         """Poll the schedules with an event due — ``next_cycle()`` is what
         the object engine's skip-ahead trusts, too.
 
-        Mirrors ``NoCSimulator._inject_faults``: a schedule with
-        ``native_heals`` heals before it injects, and landings and heals
-        are reported to the lane's recovery monitor here, before this
-        cycle's kernels run.
+        Mirrors ``NoCSimulator._inject_faults``: a schedule heals before
+        it injects, and landings and heals are reported to the lane's
+        recovery monitor here, before this cycle's kernels run.
         """
         if cycle < self._fault_at:
             return
@@ -598,10 +596,9 @@ class BatchedLaneEngine:
             sched = cast(FaultSchedule, self.lanes[lane].fault_schedule)
             now = int(local[lane])
             mon = self._monitors.get(lane)
-            if getattr(sched, "native_heals", False):
-                for site in sched.heals_due(now):  # type: ignore[attr-defined]
-                    if self._set_site(lane, site, False) and mon is not None:
-                        mon.fault_healed(_RouterView(self, lane, site.router), site, now)
+            for site in sched.heals_due(now):
+                if self._set_site(lane, site, False) and mon is not None:
+                    mon.fault_healed(_RouterView(self, lane, site.router), site, now)
             for site in sched.events_at(now):
                 if self._set_site(lane, site, True):
                     self.faults_injected[lane] += 1
@@ -1259,7 +1256,7 @@ class BatchedLaneEngine:
         ])
         mon = self._monitors.pop(lane, None)
         if mon is not None:
-            mon.finalize(local, stats)
+            mon.finalize()
         self._results[self.lane_point[lane]] = SimulationResult(
             stats=stats,
             cycles=local,
@@ -1310,7 +1307,7 @@ class BatchedLaneEngine:
         self.counts()[:, lane] = 0
         self._recount_faults()
         self.protected[lane] = (spec.router_kind or self._default_kind) == "protected"
-        if getattr(spec.fault_schedule, "wants_recovery_log", False):
+        if getattr(spec.fault_schedule, "recovery_log", False):
             self._monitors[lane] = RecoveryMonitor()
 
         stream = self._streams[id(spec.traffic)]

@@ -49,7 +49,12 @@ from typing import Callable, Iterable, Optional, Protocol
 from ..config import NetworkConfig, PORT_LOCAL, SimulationConfig
 from ..faults.recovery import RecoveryMonitor
 from ..faults.schedule import FaultSchedule
-from ..observability import EventTracer, Observability, maybe_create
+from ..observability import (
+    OCCUPANCY_SAMPLE_EVERY,
+    EventTracer,
+    Observability,
+    maybe_create,
+)
 from ..router.flit import Packet
 from ..router.router import BaseRouter, BaselineRouter, RouterStats
 from ..router.routing import RoutingFunction, make_routing
@@ -81,11 +86,9 @@ class TrafficSource(Protocol):
 
 
 # The ``FaultSchedule`` protocol lives in :mod:`repro.faults.schedule`
-# (``events_at``/``next_cycle``, both mandatory) and is re-imported above
-# for the simulator's call sites.  Schedules
-# with ``native_heals = True`` additionally expose ``heals_due(cycle)`` and
-# are healed in-loop (see :class:`repro.faults.timeline.FaultTimeline`);
-# ``wants_recovery_log = True`` makes the simulator install a
+# (``events_at`` / ``next_cycle`` / ``heals_due``, all mandatory) and is
+# re-imported above for the simulator's call sites; a schedule's
+# ``recovery_log = True`` makes the simulator install a
 # :class:`repro.faults.recovery.RecoveryMonitor` for the run.
 
 
@@ -324,7 +327,7 @@ class NoCSimulator:
         use_reference_stepper: bool = False,
     ) -> None:
         if fault_schedule is not None:
-            for method in ("events_at", "next_cycle"):
+            for method in ("events_at", "next_cycle", "heals_due"):
                 if not callable(getattr(fault_schedule, method, None)):
                     raise TypeError(
                         f"fault_schedule {type(fault_schedule).__name__!r} "
@@ -349,6 +352,8 @@ class NoCSimulator:
         ]
         self.scheduler = EventScheduler(self)
         self.fault_schedule = fault_schedule
+        #: the cycle ``_step`` next polls the schedule on (its ``next_cycle()``)
+        self._fault_due = fault_schedule.next_cycle() if fault_schedule is not None else None
         #: observability hook: called as ``on_eject(flit, cycle)`` for every
         #: flit consumed at a destination NIC (used e.g. by the ECC
         #: datapath study to decode payload codewords)
@@ -369,7 +374,7 @@ class NoCSimulator:
         self.flits_in_network = 0
         self.faults_injected = 0
         #: per-router recovery accounting; installed only when the fault
-        #: schedule asks for it (``wants_recovery_log``), so every other
+        #: schedule asks for it (``recovery_log``), so every other
         #: run pays a single ``is not None`` check per cycle
         self.recovery_monitor: Optional[RecoveryMonitor] = (
             self._install_recovery(fault_schedule)
@@ -409,7 +414,7 @@ class NoCSimulator:
         fault landing (or healing) reaches it through the per-router
         hook without the hot path growing a second dispatch site.
         """
-        if not getattr(fault_schedule, "wants_recovery_log", False):
+        if not getattr(fault_schedule, "recovery_log", False):
             return None
         monitor = RecoveryMonitor()
         for r in self.routers:
@@ -418,30 +423,27 @@ class NoCSimulator:
 
     # ------------------------------------------------------------------
     def _inject_faults(self, cycle: int) -> None:
-        """Inject faults due this cycle, waking every router that was hit.
+        """Heal, then inject, the faults due this cycle, waking every
+        router that was hit.
 
-        Routing the injection through the router's ``on_wake`` hook keeps
+        Routing the change through the router's ``on_wake`` hook keeps
         the active-set and event-driven loops honest: a fault landing on
         a fully idle router re-enters it into the schedule the same cycle
         (it is pruned again after its no-op phases if it stays idle), so
         fault-state changes are never deferred until a flit happens to
-        arrive.  (The skip-ahead loop never jumps over an arrival:
-        :meth:`_skip_idle` clamps to ``next_cycle()``.)
+        arrive.  (The skip-ahead loop never jumps over an event:
+        :meth:`_skip_idle` clamps to ``next_cycle()``, which covers heals.)
         """
         schedule = self.fault_schedule
         if schedule is None:
             return
-        if getattr(schedule, "native_heals", False):
-            # native heal seam (transients, fault timelines): heals
-            # apply before injections; ``next_cycle()`` covers heal
-            # cycles too, so skip-ahead never jumps over one
-            for site in schedule.heals_due(cycle):
-                router = self.routers[site.router]
-                if router.heal_fault(site):
-                    router.wake()
-                    probe = router.recovery
-                    if probe is not None:
-                        probe.fault_healed(router, site, cycle)
+        for site in schedule.heals_due(cycle):
+            router = self.routers[site.router]
+            if router.heal_fault(site):
+                router.wake()
+                probe = router.recovery
+                if probe is not None:
+                    probe.fault_healed(router, site, cycle)
         for site in schedule.events_at(cycle):
             router = self.routers[site.router]
             if router.inject_fault(site):
@@ -450,6 +452,7 @@ class NoCSimulator:
                 probe = router.recovery
                 if probe is not None:
                     probe.fault_landed(router, site, cycle)
+        self._fault_due = schedule.next_cycle()
 
     def _step(self, cycle: int, inject_traffic: bool) -> None:
         """One cycle of the active-set loop (optionally profiled).
@@ -473,7 +476,11 @@ class NoCSimulator:
         sched = self.scheduler
         sched.cycle = cycle
         t = perf_counter() if prof is not None else 0.0
-        if self.fault_schedule is not None:
+        # the schedule is polled only on the cycles its ``next_cycle()``
+        # names, as the lane engine does; ``_step_reference`` polls every
+        # cycle, so the golden tests check the gate
+        due = self._fault_due
+        if due is not None and due <= cycle:
             self._inject_faults(cycle)
         if prof is not None:
             now = perf_counter()
@@ -633,7 +640,7 @@ class NoCSimulator:
             return cycle
         obs = self.obs
         if obs is not None and obs.metrics is not None:
-            every = obs.config.occupancy_sample_every
+            every = OCCUPANCY_SAMPLE_EVERY
             first = cycle + (-cycle) % every
             for c in range(first, target, every):
                 obs.on_cycle(self, c)
@@ -739,10 +746,7 @@ class NoCSimulator:
         recovery_export = None
         mon = self.recovery_monitor
         if mon is not None:
-            # fold campaign counters into NetworkStats *before* the
-            # observability harvest so metrics see them like any other
-            # network counter
-            mon.finalize(cycle, self.stats)
+            mon.finalize()
             recovery_export = mon.summary()
         obs_export = None
         if self.obs is not None:

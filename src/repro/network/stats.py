@@ -77,21 +77,6 @@ class NetworkStats:
         self._vnet_acc: dict[int, list[int]] = {}
         self.measure_start: Optional[int] = None
         self.measure_end: Optional[int] = None
-        # -- online fault campaign counters (RecoveryMonitor.finalize) --
-        #: timeline fault events that landed during the run
-        self.fault_events = 0
-        #: events whose watched counter moved (first visible symptom)
-        self.faults_detected = 0
-        #: events after which the router demonstrably served traffic
-        self.faults_recovered = 0
-        #: transient events healed by the native heal seam
-        self.faults_healed = 0
-        self.detection_latency_sum = 0
-        self.recovery_latency_sum = 0
-        #: flits buffered in the hit router at land time (at-risk traffic)
-        self.exposed_flits = 0
-        #: flits still stuck in never-recovered routers at end of run
-        self.stranded_flits = 0
 
     # ------------------------------------------------------------------
     def set_window(self, start: int, end: int) -> None:
@@ -216,34 +201,9 @@ class NetworkStats:
         """Bucketed network-latency distribution (see ``LATENCY_EDGES``)."""
         return self.latency_hist.snapshot()
 
-    @property
-    def mean_detection_latency(self) -> float:
-        if self.faults_detected == 0:
-            return float("nan")
-        return self.detection_latency_sum / self.faults_detected
-
-    @property
-    def mean_time_to_recover(self) -> float:
-        if self.faults_recovered == 0:
-            return float("nan")
-        return self.recovery_latency_sum / self.faults_recovered
-
-    def recovery_summary(self) -> dict:
-        """Campaign counters as a plain dict (empty-safe)."""
-        return {
-            "fault_events": self.fault_events,
-            "faults_detected": self.faults_detected,
-            "faults_recovered": self.faults_recovered,
-            "faults_healed": self.faults_healed,
-            "mean_detection_latency": self.mean_detection_latency,
-            "mean_time_to_recover": self.mean_time_to_recover,
-            "exposed_flits": self.exposed_flits,
-            "stranded_flits": self.stranded_flits,
-        }
-
     def summary(self) -> dict:
         """Plain-dict summary used by the experiment reports."""
-        out = {
+        return {
             "packets_created": self.packets_created,
             "packets_injected": self.packets_injected,
             "packets_ejected": self.packets_ejected,
@@ -254,8 +214,3 @@ class NetworkStats:
             "max_network_latency": self.max_network_latency,
             "latency_histogram": self.latency_histogram(),
         }
-        if self.fault_events:
-            # only online campaigns populate these; keep fault-free
-            # summaries byte-stable for the pinned reports
-            out["recovery"] = self.recovery_summary()
-        return out

@@ -40,7 +40,7 @@ from .events import (
     EventTracer,
 )
 from .metrics import DEFAULT_EDGES, Histogram, MetricsRegistry, merge_snapshots
-from .profiler import DEFAULT_SAMPLE_EVERY, StageProfiler, merge_profiles
+from .profiler import StageProfiler, merge_profiles
 
 __all__ = [
     "DEFAULT_EDGES",
@@ -78,8 +78,6 @@ class ObservabilityConfig:
     metrics: bool = False
     profile: bool = False
     trace_capacity: int = DEFAULT_CAPACITY
-    occupancy_sample_every: int = OCCUPANCY_SAMPLE_EVERY
-    profile_sample_every: int = DEFAULT_SAMPLE_EVERY
 
     @property
     def enabled(self) -> bool:
@@ -176,7 +174,7 @@ class Observability:
             MetricsRegistry() if cfg.metrics else None
         )
         self.profiler: Optional[StageProfiler] = (
-            StageProfiler(cfg.profile_sample_every) if cfg.profile else None
+            StageProfiler() if cfg.profile else None
         )
 
     # ------------------------------------------------------------------
@@ -186,12 +184,12 @@ class Observability:
         """Periodic in-run sampling (called once per simulated cycle).
 
         Samples per-router buffered-flit occupancy and per-stage VC-state
-        counts every ``occupancy_sample_every`` cycles.  Sampling depends
+        counts every :data:`OCCUPANCY_SAMPLE_EVERY` cycles.  Sampling depends
         only on the simulation state, so it is deterministic and merges
         bit-identically across shardings.
         """
         m = self.metrics
-        if m is None or cycle % self.config.occupancy_sample_every:
+        if m is None or cycle % OCCUPANCY_SAMPLE_EVERY:
             return
         from ..router.vc import VCState
 

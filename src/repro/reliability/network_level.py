@@ -240,34 +240,18 @@ def analyze_network_reliability(
     (0 = all cores); per-trial ``SeedSequence.spawn`` seeding keeps the
     result bit-identical for any ``jobs`` value.
     """
-    from ..experiments.parallel import (
-        SweepTask,
-        resolve_jobs,
-        run_sweep,
-        spawn_seeds,
-    )
+    from ..experiments.parallel import run_trials
 
-    network = network or NetworkConfig()
-    n = network.num_nodes
+    net = network or NetworkConfig()
+    n = net.num_nodes
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    seeds = spawn_seeds(rng, trials)
-    n_jobs = min(resolve_jobs(jobs), trials)
-    n_chunks = 1 if n_jobs == 1 else min(trials, n_jobs * 4)
-    bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
-    tasks = [
-        SweepTask(
-            index=i,
-            fn=_fabric_trial_chunk,
-            args=(network, model, seeds[a:b], k, geom),
-            label=f"trials[{a}:{b}]",
-        )
-        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-    chunks, report = run_sweep(tasks, jobs=jobs)
-    rows = np.concatenate(chunks)
+    rows, report = run_trials(
+        _fabric_trial_chunk, lambda seeds: (net, model, seeds, k, geom),
+        trials, rng, jobs,
+    )
     return NetworkReliabilityReport(
         model=model,
         num_routers=n,

@@ -190,33 +190,15 @@ def monte_carlo_faults_to_failure(
     is bit-identical for any ``jobs`` value.
     """
     # imported lazily: repro.experiments imports this module at startup
-    from ..experiments.parallel import (
-        SweepTask,
-        resolve_jobs,
-        run_sweep,
-        spawn_seeds,
-    )
+    from ..experiments.parallel import run_trials
 
     if trials < 1:
         raise ValueError("need at least one trial")
-    config = config or RouterConfig()
-    seeds = spawn_seeds(rng, trials)
-    n_jobs = min(resolve_jobs(jobs), trials)
-    # a few chunks per worker amortises site enumeration while keeping
-    # the pool busy; chunking cannot change results (per-trial seeding)
-    n_chunks = 1 if n_jobs == 1 else min(trials, n_jobs * 4)
-    bounds = np.linspace(0, trials, n_chunks + 1).astype(int)
-    tasks = [
-        SweepTask(
-            index=k,
-            fn=_mc_trial_chunk,
-            args=(config, seeds[a:b], exact, include_va2),
-            label=f"trials[{a}:{b}]",
-        )
-        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
-    ]
-    chunks, report = run_sweep(tasks, jobs=jobs)
-    counts = np.concatenate(chunks)
+    cfg = config or RouterConfig()
+    counts, report = run_trials(
+        _mc_trial_chunk, lambda seeds: (cfg, seeds, exact, include_va2),
+        trials, rng, jobs,
+    )
     return MonteCarloSPF(
         mean=float(counts.mean()),
         std=float(counts.std()),

@@ -96,7 +96,6 @@ class SweepService:
         jobs: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         max_concurrent: int = 1,
-        quick_default: bool = False,
         cache_max_bytes: Optional[int] = None,
         cache_max_entries: Optional[int] = None,
     ) -> None:
@@ -104,7 +103,6 @@ class SweepService:
             cache_dir, max_bytes=cache_max_bytes, max_entries=cache_max_entries
         )
         self.jobs = jobs
-        self.quick_default = quick_default
         self.registry = MetricsRegistry()
         #: one runtime until :meth:`close`: the worker processes one cold
         #: request forks serve the next
@@ -382,7 +380,7 @@ class SweepService:
             if jobs is not None and (type(jobs) is not int or jobs < 0):
                 raise RequestError("'jobs' must be a non-negative integer or null")
             stream = req.get("stream", False)
-            quick = req.get("quick", self.quick_default)
+            quick = req.get("quick", False)
             for key, flag in (("stream", stream), ("quick", quick)):
                 if not isinstance(flag, bool):
                     raise RequestError(f"'{key}' must be true or false")

@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import ProtectedRouter, protected_router_factory
+from repro.faults import FaultTimeline, RandomFaultSchedule, TimelineEvent
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import Packet, reset_packet_ids
 from repro.router.router import BaselineRouter
@@ -70,6 +71,28 @@ def make_sim(
         net, sim_cfg, traffic, router_factory=factory,
         fault_schedule=fault_schedule, **sim_kwargs,
     )
+
+
+def permanent_faults(pairs) -> FaultTimeline:
+    """A timeline of permanent faults from ``(cycle, site)`` pairs."""
+    return FaultTimeline(TimelineEvent(cycle, site) for cycle, site in pairs)
+
+
+def lane_schedules(net: NetworkConfig, lanes: int, seed: int, **kwargs) -> list:
+    """One ``RandomFaultSchedule`` per lane of a batched sweep.
+
+    Each is drawn from its own ``SeedSequence.spawn`` child — the sweep's
+    point seeding — so lane ``i``'s schedule depends only on the root
+    seed and ``i``, never on how lanes are grouped into engines.
+    """
+    from repro.experiments.parallel import spawn_seeds
+
+    return [
+        RandomFaultSchedule(
+            net.router, net.num_nodes, rng=np.random.default_rng(child), **kwargs
+        )
+        for child in spawn_seeds(seed, lanes)
+    ]
 
 
 def stepped_point(point):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SingleRouterHarness
+from conftest import SingleRouterHarness, permanent_faults
 from repro.config import (
     PORT_EAST,
     PORT_SOUTH,
@@ -26,7 +26,7 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.experiments.parallel import _resolve_factory
-from repro.faults.injector import ExplicitFaultSchedule, RandomFaultSchedule
+from repro.faults.injector import RandomFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.network import batched
 from repro.network.batched import BatchedLaneEngine, LaneSpec, run_lanes
@@ -130,7 +130,7 @@ def _diagonal_flows(every=3):
 def _directed(faults, kinds=("protected",), routing="west_first", every=3):
     def specs():
         return [
-            LaneSpec(_diagonal_flows(every), ExplicitFaultSchedule(list(faults)), kind)
+            LaneSpec(_diagonal_flows(every), permanent_faults(faults), kind)
             for kind in kinds
         ]
 

@@ -12,11 +12,10 @@ from repro.config import (
     PORT_SOUTH,
     PORT_WEST,
 )
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.router.routing import WestFirstRouting, XYRouting, _neighbour, make_routing
 
-from conftest import make_network_config, make_sim
+from conftest import make_network_config, make_sim, permanent_faults
 
 
 @pytest.fixture
@@ -137,10 +136,10 @@ class TestAdaptiveSimulation:
         net = make_network_config(4, 4)
         victim = net.node_id(1, 1)
         # kill the east output entirely: normal mux + secondary circuitry
-        faults = ExplicitFaultSchedule([
+        faults = [
             (0, FaultSite(victim, FaultUnit.XB_MUX, PORT_EAST)),
             (0, FaultSite(victim, FaultUnit.XB_SECONDARY, PORT_EAST)),
-        ])
+        ]
         from repro.router.flit import Packet
         from repro.traffic.generator import TraceTraffic
 
@@ -155,7 +154,7 @@ class TestAdaptiveSimulation:
             sim = make_sim(
                 net, protected=True, traffic=TraceTraffic(list(pkts)),
                 warmup=0, measure=400, drain=3000, watchdog=1000,
-                fault_schedule=ExplicitFaultSchedule(list(faults.planned)),
+                fault_schedule=permanent_faults(faults),
                 routing_kind=kind,
             )
             return sim.run()

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import stepped_point
+from conftest import lane_schedules, stepped_point
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.experiments import parallel
@@ -31,7 +31,6 @@ from repro.experiments.parallel import (
     run_lane_sweep,
     run_point,
 )
-from repro.faults.injector import spawn_lane_injectors
 from repro.network.batched import LaneSpec, run_lanes, supports
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import reset_packet_ids
@@ -134,9 +133,9 @@ class TestBatchedDifferential:
         net = _net(4, 4, 4, 2)
 
         def specs():
-            schedules = spawn_lane_injectors(
-                net.router, net.num_nodes, 3, mean_interval=30.0,
-                num_faults=8, rng=77, first_fault_at=40, avoid_failure=True,
+            schedules = lane_schedules(
+                net, 3, 77, mean_interval=30.0,
+                num_faults=8, first_fault_at=40, avoid_failure=True,
             )
             return [
                 LaneSpec(
@@ -218,11 +217,11 @@ class TestBatchedDifferential:
             def specs():
                 schedules = [None] * lanes
                 if faulted:
-                    injectors = spawn_lane_injectors(
-                        net.router, net.num_nodes, lanes,
+                    injectors = lane_schedules(
+                        net, lanes, seed_base + 1,
                         mean_interval=25.0,
                         num_faults=int(min(6, net.num_nodes)),
-                        rng=seed_base + 1, first_fault_at=30,
+                        first_fault_at=30,
                         avoid_failure=True,
                     )
                     # every other lane carries faults
@@ -291,9 +290,9 @@ class TestMultiCycleLatency:
         net = self._net_lat(3, 2)
 
         def specs():
-            schedules = spawn_lane_injectors(
-                net.router, net.num_nodes, 3, mean_interval=30.0,
-                num_faults=6, rng=88, first_fault_at=40,
+            schedules = lane_schedules(
+                net, 3, 88, mean_interval=30.0,
+                num_faults=6, first_fault_at=40,
                 avoid_failure=True,
             )
             return [
@@ -361,9 +360,9 @@ class TestKeepSamples:
 # ----------------------------------------------------------------------
 class TestLaneRefill:
     def _specs(self, net, n, seed0=200):
-        schedules = spawn_lane_injectors(
-            net.router, net.num_nodes, n, mean_interval=30.0,
-            num_faults=6, rng=123, first_fault_at=40, avoid_failure=True,
+        schedules = lane_schedules(
+            net, n, 123, mean_interval=30.0,
+            num_faults=6, first_fault_at=40, avoid_failure=True,
         )
         return [
             LaneSpec(
@@ -435,18 +434,18 @@ class TestSeamFaultsGoldenUnderRefill:
     and a fresh event-engine run of the same point."""
 
     def _specs(self, net, cfg, n):
-        from repro.faults import ExplicitFaultSchedule, FaultSite, FaultUnit
+        from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
 
         boundary = cfg.warmup_cycles  # first measured cycle
         in_drain = cfg.warmup_cycles + cfg.measure_cycles + 10
         specs = []
         for i in range(n):
-            schedule = ExplicitFaultSchedule(
+            schedule = FaultTimeline(
                 [
-                    (boundary, FaultSite(i % net.num_nodes,
-                                         FaultUnit.RC_PRIMARY, 0)),
-                    (in_drain, FaultSite((i + 5) % net.num_nodes,
-                                         FaultUnit.XB_MUX, 1)),
+                    TimelineEvent(boundary, FaultSite(i % net.num_nodes,
+                                                      FaultUnit.RC_PRIMARY, 0)),
+                    TimelineEvent(in_drain, FaultSite((i + 5) % net.num_nodes,
+                                                      FaultUnit.XB_MUX, 1)),
                 ]
             )
             specs.append(
@@ -900,16 +899,16 @@ _ENV_RATES = (0.05, 0.15, 0.3)
 
 
 def _sites(*entries):
-    """``(cycle, router, unit name, port[, vc])`` -> explicit schedule items."""
-    from repro.faults import FaultSite, FaultUnit
+    """``(cycle, router, unit name, port[, vc])`` -> permanent timeline events."""
+    from repro.faults import FaultSite, FaultUnit, TimelineEvent
 
     return [
-        (cycle, FaultSite(router, FaultUnit[unit], *where))
+        TimelineEvent(cycle, FaultSite(router, FaultUnit[unit], *where))
         for cycle, router, unit, *where in entries
     ]
 
 
-#: name -> (router kind, explicit schedule, ends blocked); routers 5 and 10
+#: name -> (router kind, fault events, ends blocked); routers 5 and 10
 #: are interior nodes of the 4x4 mesh, so every port of theirs carries traffic
 _ENVELOPE = {
     "baseline-va1": ("baseline", _sites((60, 5, "VA1_ARBITER_SET", 0, 0)), True),
@@ -960,7 +959,7 @@ _FAULT_COUNTERS = (
 
 
 def _envelope_specs(name):
-    from repro.faults import ExplicitFaultSchedule
+    from repro.faults import FaultTimeline
 
     _, schedule, _ = _ENVELOPE[name]
     return [
@@ -968,7 +967,7 @@ def _envelope_specs(name):
             SyntheticTraffic(
                 _ENV_NET, injection_rate=rate, mix=COHERENCE_MIX, rng=900 + i
             ),
-            ExplicitFaultSchedule(schedule),
+            FaultTimeline(schedule),
         )
         for i, rate in enumerate(_ENV_RATES)
     ]
@@ -1310,7 +1309,7 @@ class TestOneDrawPerStream:
         """Width 2 over ``A B A' C B' C'``: the second holder of a stream is
         installed long after the first, with larger tables installed (and
         the block re-bound) in between; the memo ends empty."""
-        from repro.faults import ExplicitFaultSchedule
+        from repro.faults import FaultTimeline
         from repro.network.batched import BatchedLaneEngine
 
         net = _net(4, 4, 4, 2)
@@ -1332,7 +1331,7 @@ class TestOneDrawPerStream:
                 out.append(
                     LaneSpec(
                         sources[name],
-                        ExplicitFaultSchedule(faults) if second else None,
+                        FaultTimeline(faults) if second else None,
                     )
                 )
             return out
@@ -1533,7 +1532,7 @@ class TestLaneKernels:
         a wedged baseline lane retires with router *and* NIC credits on
         the wire, next to a live lane, and its slot is refilled — a credit
         that survived the purge would land in the next occupant."""
-        from repro.faults import ExplicitFaultSchedule
+        from repro.faults import FaultTimeline
 
         net = NetworkConfig(
             width=4, height=4, credit_latency=16,
@@ -1555,7 +1554,7 @@ class TestLaneKernels:
                         net, injection_rate=0.1 + 0.05 * i, mix=COHERENCE_MIX,
                         rng=800 + i,
                     ),
-                    ExplicitFaultSchedule(wedge) if kind == "baseline" else None,
+                    FaultTimeline(wedge) if kind == "baseline" else None,
                     kind,
                 )
                 for i, kind in enumerate(kinds)
@@ -1613,7 +1612,7 @@ class TestLaneKernels:
                 TimelineEvent(60, FaultSite(5, FaultUnit.RC_PRIMARY, 1)),
                 TimelineEvent(70, FaultSite(6, FaultUnit.SA1_ARBITER, 3)),
                 TimelineEvent(80, FaultSite(9, FaultUnit.VA1_ARBITER_SET, 2, 1)),
-            ])
+            ], recovery_log=True)
 
         def traffic():
             return SyntheticTraffic(net, 0.15, mix=COHERENCE_MIX, rng=31)
@@ -1655,7 +1654,7 @@ class TestLaneKernels:
         """Two bypassed ports of one router (the rotation default either
         requests, or is idle and takes a transfer) beside a port of another
         lane whose bypass is faulty too: all three outcomes in one SA pass."""
-        from repro.faults import ExplicitFaultSchedule
+        from repro.faults import FaultTimeline
         from repro.network import batched
 
         net, cfg = _ENV_NET, _ENV_SIM
@@ -1670,7 +1669,7 @@ class TestLaneKernels:
                     SyntheticTraffic(
                         net, injection_rate=0.3, mix=COHERENCE_MIX, rng=900 + i
                     ),
-                    ExplicitFaultSchedule(schedule),
+                    FaultTimeline(schedule),
                 )
                 for i, schedule in enumerate(schedules)
             ]
@@ -1701,7 +1700,7 @@ class TestLaneKernels:
     def test_fault_flags_are_recounted_at_install(self):
         """Width-1 refill, a faulted point then a fault-free one: the second
         occupant runs on the fault-free fast paths again."""
-        from repro.faults import ExplicitFaultSchedule
+        from repro.faults import FaultTimeline
 
         net = _net(4, 4, 4, 2)
         cfg = _sim_cfg(measure=150)
@@ -1716,7 +1715,7 @@ class TestLaneKernels:
                     SyntheticTraffic(
                         net, injection_rate=0.1, mix=COHERENCE_MIX, rng=70 + i
                     ),
-                    ExplicitFaultSchedule(faults) if i == 0 else None,
+                    FaultTimeline(faults) if i == 0 else None,
                 )
                 for i in range(2)
             ]
@@ -1742,30 +1741,34 @@ class TestLaneKernels:
         assert lanes[0].faults_injected == 4
         _assert_equal_reference_stepper(lanes, specs(), net, cfg)
 
-    def test_schedules_are_polled_only_when_an_event_is_due(self):
-        """``events_at`` is entered on the cycles ``next_cycle()`` names."""
-        from repro.faults import ExplicitFaultSchedule
+    @pytest.mark.parametrize("engine", ["lanes", "object"])
+    def test_schedules_are_polled_only_when_an_event_is_due(self, engine):
+        """``events_at`` is entered on the cycles ``next_cycle()`` names, by
+        the lane engine and the object engine's ``_step`` alike (only
+        ``_step_reference`` polls every cycle)."""
+        from repro.faults import FaultTimeline
 
         polled = []
 
-        class Spy(ExplicitFaultSchedule):
+        class Spy(FaultTimeline):
             def events_at(self, cycle):
                 polled.append(cycle)
                 return super().events_at(cycle)
 
-        net = _net(4, 4, 4, 2)
+        net, cfg = _net(4, 4, 4, 2), _sim_cfg(measure=150)
+        factory = _factory(net, "protected")
         faults = _sites(
             (40, 5, "RC_PRIMARY", 1), (40, 6, "VA2_ARBITER", 3, 0),
             (90, 9, "SA1_ARBITER", 4),
         )
-        lanes = run_lanes(
-            net, _sim_cfg(measure=150),
-            [
-                LaneSpec(SyntheticTraffic(net, 0.1, mix=COHERENCE_MIX, rng=70 + i), s)
-                for i, s in enumerate((Spy(faults), None))
-            ],
-            router_factory=_factory(net, "protected"),
-        )
+        specs = [
+            LaneSpec(SyntheticTraffic(net, 0.1, mix=COHERENCE_MIX, rng=70 + i), s)
+            for i, s in enumerate((Spy(faults), None))
+        ]
+        if engine == "lanes":
+            lanes = run_lanes(net, cfg, specs, router_factory=factory)
+        else:
+            lanes = [_event_reference(net, cfg, spec, factory) for spec in specs]
         assert polled == [40, 90]
         assert [lane.faults_injected for lane in lanes] == [3, 0]
 
@@ -1782,9 +1785,9 @@ def _recovery_key(res):
 
 def _unmarked_transients(net, seed):
     """A plain module-level factory: nothing on it says its schedule heals."""
-    from repro.faults import TransientFaultSchedule, random_transients
+    from repro.faults import FaultTimeline, random_transients
 
-    return TransientFaultSchedule(
+    return FaultTimeline(
         random_transients(
             net.router, net.num_nodes, 0.05, 300, duration=40, rng=seed
         )
@@ -1793,7 +1796,7 @@ def _unmarked_transients(net, seed):
 
 class TestHealSeam:
     def test_a_healing_schedule_behind_a_plain_factory_heals_on_lanes(self):
-        """The lanes read ``native_heals`` off the schedule object: three
+        """The lanes heal whatever schedule a factory returns: three
         transient points equal ``run_point`` field for field."""
         net = _net(4, 4, 4, 2)
         points = [
@@ -1811,7 +1814,7 @@ class TestHealSeam:
             ref = stepped_point(point)
             assert lane.faults_injected == ref.faults_injected > 0
             assert _lane_key(lane) == _lane_key(ref), f"point {i}"
-            assert lane.recovery is None  # transients keep no recovery log
+            assert lane.recovery is None  # the timeline asks for no recovery log
 
     def _edge_timeline(self):
         """Every merge rule of ``FaultTimeline``, on interior routers."""
@@ -1834,7 +1837,7 @@ class TestHealSeam:
             TimelineEvent(120, va),
             # a crossbar mux out for 60 cycles: plans fall back and return
             TimelineEvent(80, mux, transient=True, duration=60),
-        ])
+        ], recovery_log=True)
 
     def test_seam_edges_equal_the_reference_stepper(self):
         from repro.network import batched
@@ -1881,8 +1884,7 @@ class TestHealSeam:
             assert _recovery_key(lane) == _recovery_key(ref), kind
 
     def test_skip_flags_fall_after_the_last_heal(self):
-        from repro.faults import FaultSite, FaultUnit
-        from repro.faults.transient import TransientFault, TransientFaultSchedule
+        from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
         from repro.network.batched import BatchedLaneEngine
 
         net, cfg = _net(4, 4, 4, 2), _sim_cfg(measure=150)
@@ -1896,8 +1898,8 @@ class TestHealSeam:
         def spec():
             return LaneSpec(
                 SyntheticTraffic(net, 0.1, mix=COHERENCE_MIX, rng=70),
-                TransientFaultSchedule(
-                    TransientFault(40 + 10 * i, site, duration=50)
+                FaultTimeline(
+                    TimelineEvent(40 + 10 * i, site, transient=True, duration=50)
                     for i, site in enumerate(sites)
                 ),
                 "protected",
@@ -1929,8 +1931,7 @@ class TestHealSeam:
         requester that recorded an exclusion keeps avoiding the healed
         downstream VC, whether or not a co-resident lane still holds a VA2
         fault (which alone would keep the engine's skip flag up)."""
-        from repro.faults import ExplicitFaultSchedule, FaultSite, FaultUnit
-        from repro.faults.timeline import FaultTimeline, TimelineEvent
+        from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
         from repro.network.batched import BatchedLaneEngine
 
         net, cfg = _ENV_NET, _sim_cfg(measure=250)
@@ -1946,7 +1947,7 @@ class TestHealSeam:
                         transient=True, duration=40,
                     )
                     for r in (5, 6, 9, 10) for port in range(1, 5) for vc in (0, 2)
-                ]),
+                ], recovery_log=True),
                 kind,
             )
 
@@ -1954,7 +1955,7 @@ class TestHealSeam:
         if beside_a_va2_fault:
             specs.append(LaneSpec(
                 SyntheticTraffic(net, 0.05, mix=COHERENCE_MIX, rng=32),
-                ExplicitFaultSchedule(_sites((10, 5, "VA2_ARBITER", 2, 1))),
+                FaultTimeline(_sites((10, 5, "VA2_ARBITER", 2, 1))),
                 "protected",
             ))
         engine = BatchedLaneEngine(net, cfg, specs)
@@ -1980,7 +1981,7 @@ class TestHealSeam:
     def test_a_baseline_lane_beside_a_protected_one_has_no_spares(self):
         """One engine, one traffic stream, the same four permanent faults:
         the protected lane corrects each, the baseline lane only blocks."""
-        from repro.faults import ExplicitFaultSchedule
+        from repro.faults import FaultTimeline
 
         net, cfg = _ENV_NET, _ENV_SIM
         faults = _sites(
@@ -1997,7 +1998,7 @@ class TestHealSeam:
             stream = traffic()  # one source, held by both lanes
             lanes = run_lanes(
                 net, cfg,
-                [LaneSpec(stream, ExplicitFaultSchedule(faults), kind) for kind in kinds],
+                [LaneSpec(stream, FaultTimeline(faults), kind) for kind in kinds],
                 router_factory=_factory(net, default),
             )
             base, prot = (lane.router_stats for lane in lanes)
@@ -2016,7 +2017,7 @@ class TestHealSeam:
             assert lanes[0].blocked and not lanes[1].blocked
             for lane, kind in zip(lanes, kinds):
                 ref = _event_reference(
-                    net, cfg, LaneSpec(traffic(), ExplicitFaultSchedule(faults)),
+                    net, cfg, LaneSpec(traffic(), FaultTimeline(faults)),
                     _factory(net, kind), use_reference_stepper=True,
                 )
                 assert _lane_key(lane) == _lane_key(ref), kind

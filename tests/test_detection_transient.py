@@ -6,12 +6,7 @@ import pytest
 from repro.config import PORT_EAST, PORT_WEST, RouterConfig
 from repro.faults.recovery import RecoveryMonitor, watch_counters
 from repro.faults.sites import FaultSite, FaultUnit
-from repro.faults.timeline import FaultTimeline, TimelineEvent
-from repro.faults.transient import (
-    TransientFault,
-    TransientFaultSchedule,
-    random_transients,
-)
+from repro.faults.timeline import FaultTimeline, TimelineEvent, random_transients
 from repro.router.flit import Packet
 
 from conftest import SingleRouterHarness, make_network_config, make_sim
@@ -95,7 +90,7 @@ class TestNetworkDetector:
         site = FaultSite(4, FaultUnit.SA1_ARBITER, PORT_WEST)
         sim = make_sim(
             net, protected=True, injection_rate=0.1, measure=800,
-            fault_schedule=FaultTimeline([TimelineEvent(0, site)]),
+            fault_schedule=FaultTimeline([TimelineEvent(0, site)], recovery_log=True),
         )
         res = sim.run()
         assert not res.blocked
@@ -109,18 +104,19 @@ class TestTransientFault:
     def test_validation(self):
         site = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
         with pytest.raises(ValueError):
-            TransientFault(0, site, duration=0)
+            TimelineEvent(0, site, transient=True, duration=0)
         with pytest.raises(ValueError):
-            TransientFault(-1, site)
+            TimelineEvent(-1, site, transient=True)
 
     def test_heal_cycle(self):
         site = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
-        t = TransientFault(10, site, duration=5)
+        t = TimelineEvent(10, site, transient=True, duration=5)
         assert t.heal_cycle == 15
+        assert TimelineEvent(10, site).heal_cycle is None  # permanent
 
     def test_injector_schedules_inject_and_heal(self):
         site = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
-        inj = TransientFaultSchedule([TransientFault(5, site, duration=3)])
+        inj = FaultTimeline([TimelineEvent(5, site, transient=True, duration=3)])
         assert list(inj.events_at(4)) == []
         assert list(inj.events_at(5)) == [site]
         assert list(inj.heals_due(7)) == []
@@ -128,9 +124,10 @@ class TestTransientFault:
 
     def test_overlapping_transients_merge(self):
         site = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
-        inj = TransientFaultSchedule(
-            [TransientFault(5, site, 3), TransientFault(6, site, 10)]
-        )
+        inj = FaultTimeline([
+            TimelineEvent(5, site, transient=True, duration=3),
+            TimelineEvent(6, site, transient=True, duration=10),
+        ])
         # heals once, at the later heal time (16)
         assert list(inj.heals_due(15)) == []
         assert list(inj.heals_due(16)) == [site]
@@ -140,7 +137,7 @@ class TestTransientFault:
         and the router ends fault-free."""
         net = make_network_config(3, 3)
         site = FaultSite(4, FaultUnit.SA1_ARBITER, PORT_WEST)
-        inj = TransientFaultSchedule([TransientFault(100, site, duration=200)])
+        inj = FaultTimeline([TimelineEvent(100, site, transient=True, duration=200)])
         sim = make_sim(
             net, protected=True, injection_rate=0.08, measure=1200,
             fault_schedule=inj,
@@ -152,10 +149,10 @@ class TestTransientFault:
         assert res.router_stats.sa_bypass_grants > 0  # absorbed meanwhile
 
     def test_spec_built_schedule_ends_with_zero_faulty_routers(self):
-        """A drawn ``TransientFaultSchedule`` as ``fault_schedule=`` heals
+        """A timeline of drawn transients as ``fault_schedule=`` heals
         natively: every injected site is healthy again at end of run."""
         net = make_network_config(3, 3)
-        sched = TransientFaultSchedule(
+        sched = FaultTimeline(
             random_transients(
                 net.router, net.num_nodes, 0.02, 300, duration=20, rng=4
             )
@@ -171,7 +168,7 @@ class TestTransientFault:
     def test_random_transients_deterministic(self):
         a = random_transients(RouterConfig(), 4, 0.01, 1000, rng=3)
         b = random_transients(RouterConfig(), 4, 0.01, 1000, rng=3)
-        assert [(t.cycle, t.site) for t in a] == [(t.cycle, t.site) for t in b]
+        assert a == b and all(t.transient for t in a)
         assert len(a) == pytest.approx(10, abs=8)
 
     def test_random_transients_validation(self):
@@ -186,7 +183,7 @@ class TestTransientFault:
             net.router, net.num_nodes, rate_per_cycle=0.02, cycles=800,
             duration=30, rng=7,
         )
-        inj = TransientFaultSchedule(transients)
+        inj = FaultTimeline(transients)
         sim = make_sim(
             net, protected=True, injection_rate=0.06, measure=800,
             drain=6000, fault_schedule=inj, watchdog=5000,

@@ -11,7 +11,7 @@ import pytest
 
 from repro.faults.injector import RandomFaultSchedule
 
-from conftest import make_network_config, make_sim
+from conftest import make_network_config, make_sim, permanent_faults
 
 
 def run_pair(**kwargs):
@@ -84,11 +84,10 @@ class TestGoldenValues:
         assert analyze_spf(0.31).spf == pytest.approx(15 / 1.31)
 
     def test_golden_fault_mechanism_counters(self):
-        from repro.faults.injector import ExplicitFaultSchedule
         from repro.faults.sites import FaultSite, FaultUnit
 
         net = make_network_config(4, 4)
-        faults = ExplicitFaultSchedule([
+        faults = permanent_faults([
             (0, FaultSite(5, FaultUnit.SA1_ARBITER, 4)),
             (0, FaultSite(5, FaultUnit.XB_MUX, 2)),
         ])

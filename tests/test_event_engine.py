@@ -28,9 +28,8 @@ import math
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from conftest import NoLookahead
-from repro.faults.injector import ExplicitFaultSchedule
+from repro.faults import FaultTimeline, TimelineEvent
 from repro.faults.sites import FaultSite, FaultUnit
-from repro.faults.transient import TransientFault, TransientFaultSchedule
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import Packet, reset_packet_ids
 from repro.traffic.generator import NullTraffic, SyntheticTraffic, TraceTraffic
@@ -114,7 +113,7 @@ class TestFaultWakeInIdleStretch:
             ),
             NullTraffic(),
             router_factory=protected_router_factory(net),
-            fault_schedule=ExplicitFaultSchedule([(300, _site(5))]),
+            fault_schedule=FaultTimeline([TimelineEvent(300, _site(5))]),
         )
         result = sim.run()
         sim.check_invariants()
@@ -130,14 +129,15 @@ class TestFaultWakeInIdleStretch:
     def test_fault_wake_is_load_bearing(self, monkeypatch):
         """Blinding the schedule's ``next_cycle`` makes the event engine
         jump straight over the fault — proving the wake (not catch-up
-        luck) is what keeps the test above honest."""
-        monkeypatch.setattr(
-            ExplicitFaultSchedule, "next_cycle", lambda self: None
-        )
-        _, broken = self._run("event")
-        assert broken.faults_injected == 0
-        _, stepper = self._run("stepper")
-        assert stepper.faults_injected == 1
+        luck) is what keeps the test above honest.  The active-set stepper
+        polls only on the cycles ``next_cycle()`` names, so it misses the
+        fault too; the reference stepper, which polls every cycle, does not."""
+        monkeypatch.setattr(FaultTimeline, "next_cycle", lambda self: None)
+        for engine in ("event", "stepper"):
+            _, broken = self._run(engine)
+            assert broken.faults_injected == 0, engine
+        _, reference = self._run("reference")
+        assert reference.faults_injected == 1
 
 
 class TestFaultIntoIdleRouterMidDrain:
@@ -167,7 +167,7 @@ class TestFaultIntoIdleRouterMidDrain:
                 if protected
                 else baseline_router_factory(net)
             ),
-            fault_schedule=ExplicitFaultSchedule([(8, _site(4))]),
+            fault_schedule=FaultTimeline([TimelineEvent(8, _site(4))]),
         )
         result = sim.run()
         sim.check_invariants()
@@ -252,8 +252,8 @@ class TestFaultScheduleEdges:
             ),
             SyntheticTraffic(net, injection_rate=0.05, rng=7),
             router_factory=protected_router_factory(net),
-            fault_schedule=ExplicitFaultSchedule(
-                [(c, _site(3 + i)) for i, c in enumerate(fault_cycles)]
+            fault_schedule=FaultTimeline(
+                TimelineEvent(c, _site(3 + i)) for i, c in enumerate(fault_cycles)
             ),
             observability=obs,
         )
@@ -306,7 +306,7 @@ class TestTransientHealEdges:
     #: west input of router 2: on the XY path of the 0 -> 15 burst
     SITE = FaultSite(2, FaultUnit.SA1_ARBITER, 4)
 
-    def _run(self, engine: str, transient: TransientFault, **sim_cfg):
+    def _run(self, engine: str, transient: TimelineEvent, **sim_cfg):
         from repro.observability import Observability, ObservabilityConfig
 
         reset_packet_ids()
@@ -317,14 +317,14 @@ class TestTransientHealEdges:
             SimulationConfig(seed=3, drain_cycles=500, **sim_cfg),
             TraceTraffic(_burst(net)),
             router_factory=protected_router_factory(net),
-            fault_schedule=TransientFaultSchedule([transient]),
+            fault_schedule=FaultTimeline([transient]),
             observability=Observability(ObservabilityConfig(trace=True)),
         )
         result = sim.run()
         sim.check_invariants()
         return sim, result
 
-    def _pin(self, transient: TransientFault, **sim_cfg):
+    def _pin(self, transient: TimelineEvent, **sim_cfg):
         results = {}
         for engine in ENGINES:
             sim, results[engine] = self._run(engine, transient, **sim_cfg)
@@ -343,7 +343,7 @@ class TestTransientHealEdges:
         # lands in a fabric that has been idle since, and nothing else
         # is scheduled before the injection window closes at 400
         ref = self._pin(
-            TransientFault(2, self.SITE, duration=298),
+            TimelineEvent(2, self.SITE, transient=True, duration=298),
             warmup_cycles=0,
             measure_cycles=400,
         )
@@ -354,7 +354,7 @@ class TestTransientHealEdges:
         # inject_until == 1: the fault lands on the burst's XY path at
         # cycle 3 and heals at 20, with flits still in flight both times
         ref = self._pin(
-            TransientFault(3, self.SITE, duration=17),
+            TimelineEvent(3, self.SITE, transient=True, duration=17),
             warmup_cycles=0,
             measure_cycles=1,
         )

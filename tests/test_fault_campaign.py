@@ -234,12 +234,6 @@ class TestRecoveryDeterminism:
         assert a.recovery["events"] == 3
         assert a.stats.summary() == b.stats.summary()
 
-    def test_recovery_counters_reach_network_stats(self):
-        res = self._one()
-        assert res.stats.fault_events == 3
-        summary = res.stats.summary()
-        assert summary["recovery"]["fault_events"] == 3
-
     def test_fault_free_summary_untouched(self):
         net = NetworkConfig(width=3, height=3)
         reset_packet_ids()

@@ -12,15 +12,13 @@ import pytest
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.faults import (
-    ExplicitFaultSchedule,
     FaultSchedule,
     FaultSite,
     FaultTimeline,
     FaultUnit,
-    NullFaultSchedule,
     RandomFaultSchedule,
+    TimelineEvent,
     TimelineSpec,
-    TransientFaultSchedule,
     random_timeline,
     random_transients,
     site_from_tuple,
@@ -33,11 +31,12 @@ SITE = FaultSite(3, FaultUnit.RC_PRIMARY, 0)
 
 
 def _one_of_each():
+    """Every way to build a schedule: by hand, empty, and each draw."""
     return [
-        ExplicitFaultSchedule([(10, SITE)]),
+        FaultTimeline([TimelineEvent(10, SITE)]),
+        FaultTimeline(()),
         RandomFaultSchedule(CFG, 9, 1000.0, 2, rng=5),
-        NullFaultSchedule(),
-        TransientFaultSchedule(random_transients(CFG, 9, 0.01, 100, rng=3)),
+        FaultTimeline(random_transients(CFG, 9, 0.01, 100, rng=3)),
         random_timeline(CFG, 9, events=3, mean_interval=100.0, rng=2),
     ]
 
@@ -46,10 +45,15 @@ class TestProtocol:
     def test_every_schedule_satisfies_the_protocol(self):
         for sched in _one_of_each():
             assert isinstance(sched, FaultSchedule), type(sched).__name__
+            assert isinstance(sched, FaultTimeline)
+        # the draws keep the recovery-log choice of the classes they replaced
+        assert [s.recovery_log for s in _one_of_each()] == [
+            False, False, False, False, True,
+        ]
 
     def test_simulator_rejects_non_protocol_schedule(self):
-        """The two methods are mandatory: a duck-typed object missing
-        one is refused at construction, naming the method."""
+        """The methods are mandatory: a duck-typed object missing one is
+        refused at construction, naming the method."""
         from repro.network.simulator import NoCSimulator
         from repro.traffic.generator import NullTraffic
 
@@ -64,28 +68,32 @@ class TestProtocol:
                 fault_schedule=EventsOnly(),
             )
 
-    def test_two_methods_are_the_whole_protocol(self):
-        """``events_at`` + ``next_cycle`` is all a schedule needs: the
-        simulator builds and runs with such an object, and the concrete
-        classes still satisfy the runtime-checkable protocol."""
+    def test_a_schedule_without_heals_due_is_refused(self):
+        """``heals_due`` is part of the protocol: both engines heal, then
+        inject, on every cycle they poll, so a schedule that cannot heal
+        is refused at construction, naming the method — and one with all
+        three methods builds and runs."""
         from repro.network.simulator import NoCSimulator
         from repro.traffic.generator import NullTraffic
 
-        class Minimal:
+        class NoHeals:
             def events_at(self, cycle):
                 return iter(())
 
             def next_cycle(self):
                 return None
 
+        class Minimal(NoHeals):
+            def heals_due(self, cycle):
+                return iter(())
+
+        net = NetworkConfig(width=2, height=2)
+        sim_cfg = SimulationConfig(warmup_cycles=2, measure_cycles=5, drain_cycles=5)
+        assert not isinstance(NoHeals(), FaultSchedule)
+        with pytest.raises(TypeError, match=r"missing heals_due\(\)"):
+            NoCSimulator(net, sim_cfg, NullTraffic(), fault_schedule=NoHeals())
         assert isinstance(Minimal(), FaultSchedule)
-        assert isinstance(FaultTimeline(()), FaultSchedule)
-        sim = NoCSimulator(
-            NetworkConfig(width=2, height=2),
-            SimulationConfig(warmup_cycles=2, measure_cycles=5, drain_cycles=5),
-            NullTraffic(),
-            fault_schedule=Minimal(),
-        )
+        sim = NoCSimulator(net, sim_cfg, NullTraffic(), fault_schedule=Minimal())
         assert sim.run().faults_injected == 0
 
 
@@ -96,10 +104,6 @@ def _plan_digest(tokens) -> str:
     for token in tokens:
         h.update(token.encode() + b"\n")
     return h.hexdigest()[:16]
-
-
-def _explicit_digest(schedule) -> str:
-    return _plan_digest(f"{c}@{site_token(s)}" for c, s in schedule.planned)
 
 
 def _timeline_digest(timeline) -> str:
@@ -123,28 +127,27 @@ class TestSharedSitePool:
         """Digests recorded on the commit that still rebuilt the pool for
         every schedule (``enumerate_sites`` per router, per schedule)."""
         cfg, n = self.NET.router, self.NET.num_nodes
-        assert _explicit_digest(RandomFaultSchedule(
+        assert _timeline_digest(RandomFaultSchedule(
             cfg, n, 40.0, 32, rng=11, avoid_failure=True
         )) == "4aa8811232334a11"
-        assert _explicit_digest(RandomFaultSchedule(
+        assert _timeline_digest(RandomFaultSchedule(
             cfg, n, 40.0, 12, rng=11, protected=False, include_va2=False
         )) == "56c77ce5bcfdd04b"
         assert _timeline_digest(random_timeline(
             cfg, n, events=8, mean_interval=100.0, rng=5
         )) == "e0ce67aa9a22e7ce"
-        assert _timeline_digest(TransientFaultSchedule(
+        assert _timeline_digest(FaultTimeline(
             random_transients(cfg, n, 0.05, 400, duration=3, rng=5)
         )) == "c394a4d011aaabd5"
 
     def test_pool_built_once_for_a_sweep_of_schedules(self):
-        from repro.faults.injector import spawn_lane_injectors
+        from conftest import lane_schedules
         from repro.faults.sites import enumerate_sites, network_sites
 
         network_sites.cache_clear()
         cfg, n = self.NET.router, self.NET.num_nodes
-        lanes = spawn_lane_injectors(
-            cfg, n, lanes=32, mean_interval=40.0, num_faults=8, rng=3,
-            avoid_failure=True,
+        lanes = lane_schedules(
+            self.NET, 32, 3, mean_interval=40.0, num_faults=8, avoid_failure=True,
         )
         assert network_sites.cache_info().misses == 1
         pool = network_sites(cfg, n, True, True)
@@ -153,9 +156,9 @@ class TestSharedSitePool:
         ]
         by_identity = {id(site) for site in pool}
         assert all(
-            id(site) in by_identity for lane in lanes for _, site in lane.planned
+            id(e.site) in by_identity for lane in lanes for e in lane.events
         )
-        assert len({_explicit_digest(lane) for lane in lanes}) == 32
+        assert len({_timeline_digest(lane) for lane in lanes}) == 32
 
 
 class TestJSONSideDoor:

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from repro.config import RouterConfig
-from repro.faults.injector import (
-    NullFaultSchedule,
-    RandomFaultSchedule,
-    ExplicitFaultSchedule,
-)
+from repro.faults.injector import RandomFaultSchedule
 from repro.faults.sites import (
     FaultSite,
     FaultUnit,
     RouterFaultState,
     enumerate_sites,
 )
+from repro.faults.timeline import FaultTimeline, TimelineEvent
 
 
 class TestFaultSite:
@@ -123,16 +120,17 @@ class TestScheduledInjector:
     def test_due_in_order(self):
         s1 = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
         s2 = FaultSite(0, FaultUnit.SA1_ARBITER, 1)
-        inj = ExplicitFaultSchedule([(10, s1), (5, s2)])
+        inj = FaultTimeline([TimelineEvent(10, s1), TimelineEvent(5, s2)])
+        assert inj.next_cycle() == 5
         assert list(inj.events_at(4)) == []
         assert list(inj.events_at(5)) == [s2]
         assert list(inj.events_at(100)) == [s1]
-        assert inj.remaining == 0
+        assert inj.next_cycle() is None
 
     def test_multiple_same_cycle(self):
         s1 = FaultSite(0, FaultUnit.SA1_ARBITER, 0)
         s2 = FaultSite(1, FaultUnit.SA1_ARBITER, 0)
-        inj = ExplicitFaultSchedule([(5, s1), (5, s2)])
+        inj = FaultTimeline([TimelineEvent(5, s1), TimelineEvent(5, s2)])
         assert len(list(inj.events_at(5))) == 2
 
 
@@ -141,20 +139,20 @@ class TestRandomInjector:
         cfg = RouterConfig()
         a = RandomFaultSchedule(cfg, 16, mean_interval=100, num_faults=5, rng=3)
         b = RandomFaultSchedule(cfg, 16, mean_interval=100, num_faults=5, rng=3)
-        assert a.planned == b.planned
+        assert a.events == b.events
 
     def test_sites_are_distinct(self):
         inj = RandomFaultSchedule(
             RouterConfig(), 4, mean_interval=50, num_faults=20, rng=1
         )
-        sites = [s for _, s in inj.planned]
+        sites = [e.site for e in inj.events]
         assert len(set(sites)) == 20
 
     def test_mean_interval_approximately_respected(self):
         inj = RandomFaultSchedule(
             RouterConfig(), 64, mean_interval=1000, num_faults=200, rng=2
         )
-        cycles = [c for c, _ in inj.planned]
+        cycles = [e.cycle for e in inj.events]
         gaps = np.diff([0] + cycles)
         assert 700 < gaps.mean() < 1300
 
@@ -163,7 +161,7 @@ class TestRandomInjector:
             RouterConfig(), 4, mean_interval=100, num_faults=3, rng=1,
             first_fault_at=42,
         )
-        assert inj.planned[0][0] == 42
+        assert inj.events[0].cycle == 42
 
     def test_too_many_faults_rejected(self):
         with pytest.raises(ValueError):
@@ -176,7 +174,7 @@ class TestRandomInjector:
             RouterConfig(), 2, mean_interval=10, num_faults=120, rng=0,
             protected=False,
         )
-        assert not any(s.unit.is_correction_circuitry for _, s in inj.planned)
+        assert not any(e.site.unit.is_correction_circuitry for e in inj.events)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -194,7 +192,7 @@ class TestRandomInjector:
             avoid_failure=True,
         )
         states = [RouterFaultState(cfg) for _ in range(4)]
-        for _, site in inj.planned:
+        for site in (e.site for e in inj.events):
             states[site.router].inject(site)
             assert not protected_router_failed(states[site.router], exact=True)
 
@@ -209,6 +207,9 @@ class TestRandomInjector:
 
 class TestNullInjector:
     def test_never_due(self):
-        inj = NullFaultSchedule()
+        """A fault-free schedule is an empty timeline."""
+        inj = FaultTimeline(())
+        assert inj.next_cycle() is None
         assert list(inj.events_at(0)) == []
         assert list(inj.events_at(10**9)) == []
+        assert list(inj.heals_due(10**9)) == []

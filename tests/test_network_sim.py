@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
-from repro.faults.injector import RandomFaultSchedule, ExplicitFaultSchedule
+from repro.faults.injector import RandomFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import Packet
@@ -14,7 +14,7 @@ from repro.traffic.generator import (
 )
 from repro.traffic.patterns import Transpose
 
-from conftest import make_network_config, make_sim
+from conftest import make_network_config, make_sim, permanent_faults
 
 
 class TestBasicDelivery:
@@ -178,7 +178,7 @@ class TestBaselineUnderFaults:
         the watchdog detects the stall."""
         net = make_network_config(4, 4)
         # SA arbiter of the west input port of a central router
-        inj = ExplicitFaultSchedule(
+        inj = permanent_faults(
             [(50, FaultSite(5, FaultUnit.SA1_ARBITER, 4))]
         )
         sim = make_sim(
@@ -190,7 +190,7 @@ class TestBaselineUnderFaults:
 
     def test_protected_survives_same_fault(self):
         net = make_network_config(4, 4)
-        inj = ExplicitFaultSchedule(
+        inj = permanent_faults(
             [(50, FaultSite(5, FaultUnit.SA1_ARBITER, 4))]
         )
         sim = make_sim(

@@ -24,11 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_packets
+from conftest import lane_schedules, reference_packets
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
-from repro.faults import ExplicitFaultSchedule, FaultSite, FaultUnit
-from repro.faults.injector import spawn_lane_injectors
+from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
 from repro.network.batched import LaneSpec, run_lanes
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import Packet
@@ -293,9 +292,9 @@ class TestLaneBoundaryEqualsReferenceStepper:
         from a fresh table, cursors and NIC arrays."""
 
         def specs():
-            schedules = spawn_lane_injectors(
-                NET.router, NET.num_nodes, 7, mean_interval=30.0,
-                num_faults=6, rng=123, first_fault_at=40, avoid_failure=True,
+            schedules = lane_schedules(
+                NET, 7, 123, mean_interval=30.0,
+                num_faults=6, first_fault_at=40, avoid_failure=True,
             )
             return [
                 LaneSpec(
@@ -338,8 +337,8 @@ class TestLaneBoundaryEqualsReferenceStepper:
         sim_cfg = _sim(measure=600, watchdog=70)
 
         def specs():
-            kill = ExplicitFaultSchedule(
-                (80, FaultSite(node, FaultUnit.RC_PRIMARY, port))
+            kill = FaultTimeline(
+                TimelineEvent(80, FaultSite(node, FaultUnit.RC_PRIMARY, port))
                 for node in range(net.num_nodes)
                 for port in range(net.router.num_ports)
             )

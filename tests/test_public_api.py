@@ -126,7 +126,7 @@ class TestFacade:
         import repro.faults
         from repro.faults import FaultSchedule
 
-        for method in ("events_at", "next_cycle"):
+        for method in ("events_at", "next_cycle", "heals_due"):
             assert hasattr(FaultSchedule, method)
         assert not hasattr(FaultSchedule, "fingerprint")  # removed in 2.1
         # removed in 2.2 with the spec registry: schedules are built by

@@ -4,19 +4,18 @@ event-scheduler internals, and per-vnet statistics."""
 import pytest
 
 from repro.config import NetworkConfig, PORT_WEST, RouterConfig, SimulationConfig
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import Packet
 from repro.traffic.generator import COHERENCE_MIX, SyntheticTraffic, TraceTraffic
 
-from conftest import make_network_config, make_sim
+from conftest import make_network_config, make_sim, permanent_faults
 
 
 class TestWatchdog:
     def test_watchdog_trips_on_wedged_baseline(self):
         net = make_network_config(3, 3)
-        inj = ExplicitFaultSchedule(
+        inj = permanent_faults(
             [(10, FaultSite(4, FaultUnit.SA1_ARBITER, PORT_WEST))]
         )
         sim = make_sim(
@@ -57,7 +56,7 @@ class TestDrain:
         """A wedged packet with a drain budget too small to notice via
         watchdog: drained=False, blocked may also flag."""
         net = make_network_config(3, 3)
-        inj = ExplicitFaultSchedule([
+        inj = permanent_faults([
             (0, FaultSite(4, FaultUnit.RC_PRIMARY, PORT_WEST)),
         ])
         pkt = Packet(src=3, dest=5, size_flits=1, creation_cycle=10)

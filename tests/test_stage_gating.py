@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.comparison.roco_router import roco_router_factory
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
-from repro.faults.injector import ExplicitFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.network.simulator import NoCSimulator, baseline_router_factory
@@ -67,7 +66,7 @@ def _build(kind: str, routing_kind: str, seed: int, events) -> NoCSimulator:
         SIM_CFG,
         SyntheticTraffic(NET, injection_rate=0.15, mix=COHERENCE_MIX, rng=seed),
         router_factory=FACTORIES[kind](NET),
-        fault_schedule=FaultTimeline(events),
+        fault_schedule=FaultTimeline(events, recovery_log=True),
         routing_kind=routing_kind,
     )
 
@@ -173,8 +172,8 @@ class TestFaultOnIdleRouter:
             SIM_CFG,
             NullTraffic(),
             router_factory=protected_router_factory(NET),
-            fault_schedule=ExplicitFaultSchedule(
-                [(5, _site(FaultUnit.SA1_ARBITER, 6, 1, -1))]
+            fault_schedule=FaultTimeline(
+                [TimelineEvent(5, _site(FaultUnit.SA1_ARBITER, 6, 1, -1))]
             ),
         )
         router = sim.routers[6]
