@@ -6,7 +6,16 @@ module-level degradation.  This bench makes the difference concrete in
 simulation: after the same row-side fault barrage, the proposed router
 keeps *all* traffic flowing (in-router redundancy), while the RoCo model
 retires its row module — column traffic survives, row traffic strands.
+It also pins 84 roco runs of a campaign to one digest: the object
+stepper against the reference one, the same literal whether a dead module
+was modelled as pipeline-unit overrides or, since 2.7, as RC and crossbar
+fault bits (about 40 s on a 2-core host, which is why it lives here and
+not in tier-1).
 """
+
+import hashlib
+import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -20,6 +29,10 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.core.protected_router import protected_router_factory
+from repro.experiments import fault_campaign
+from repro.experiments.fault_campaign import CampaignConfig
+from repro.experiments.report import resolve_config
+from repro.faults import TimelineSpec
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.faults.timeline import FaultTimeline, TimelineEvent
 from repro.network.simulator import NoCSimulator
@@ -69,3 +82,38 @@ def test_roco_degrades_proposed_tolerates(benchmark):
     assert proposed.stats.packets_ejected == proposed.stats.packets_created
     # RoCo's row module dies: row traffic through the victim strands
     assert roco.blocked or roco.stats.packets_ejected < roco.stats.packets_created
+
+
+def test_roco_campaign_digest():
+    """Seeds 1, 3, 7 x routings x (reference + 6 timelines) x both object
+    steppers, keyed by every field the ledger reads back plus the
+    recovery log."""
+    config = CampaignConfig(
+        router_kinds=("roco",), timelines=6,
+        timeline=TimelineSpec(events=8, mean_interval=300.0),
+    )
+    keys = []
+    for seed in (1, 3, 7):
+        cfg, _ = resolve_config(CampaignConfig, config, seed)
+        for routing in ("xy", "west_first"):
+            for point in fault_campaign.points(cfg):
+                point = replace(point, routing_kind=routing)
+                for reference in (False, True):
+                    res = NoCSimulator(
+                        point.config, point.sim_config,
+                        point.make_traffic(*point.traffic_args),
+                        router_factory=roco_router_factory(point.config),
+                        fault_schedule=(
+                            point.make_schedule(*point.schedule_args)
+                            if point.make_schedule else None
+                        ),
+                        routing_kind=routing,
+                        use_reference_stepper=reference,
+                    ).run()
+                    keys.append((
+                        res.cycles, res.blocked, res.drained, res.faults_injected,
+                        res.stats.summary(), asdict(res.router_stats), res.recovery,
+                    ))
+    blob = json.dumps(keys, sort_keys=True, default=str)
+    assert len(keys) == 84
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "1a9a88b661ecdf07"

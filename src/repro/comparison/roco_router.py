@@ -15,8 +15,10 @@ fashion with the fault-free component".
   has entry points in both);
 * each module absorbs a small number of faults (lookahead routing covers
   RC, VA arbiters can be shared with SA — the mechanisms the RoCo paper
-  describes), then *dies*: its input ports stop accepting routing and
-  its output ports become unreachable;
+  describes), so a landing sets no fault bit of its own; past that the
+  module *dies*, and a dead module is fault bits both engines already
+  read (:func:`dead_ports`): its input ports' ``rc_primary`` (routing
+  stops) and its output ports' ``xb_mux`` (the outputs are unreachable);
 * the router keeps forwarding through the surviving module — the
   degraded mode the comparison is about.  (Full turn-path modelling of
   the row->column internal queue is beyond this behavioural level and is
@@ -26,11 +28,11 @@ fashion with the fault-free component".
 With a dead row module, XY traffic needing east/west through the router
 strands while north/south traffic flows — visible in simulation — and
 west-first adaptive routing can detour part of the stranded traffic.
+A ``roco`` lane of :mod:`repro.network.batched` is a baseline lane that
+keeps the same two counters per router and sets the same bits.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..config import (
     NetworkConfig,
@@ -40,8 +42,7 @@ from ..config import (
     PORT_SOUTH,
     PORT_WEST,
 )
-from ..router.crossbar import Crossbar, PathPlan
-from ..router.router import BaseRouter, RCUnit
+from ..router.router import BaseRouter
 from ..router.routing import RoutingFunction
 
 ROW_PORTS = frozenset({PORT_EAST, PORT_WEST})
@@ -51,30 +52,20 @@ COL_PORTS = frozenset({PORT_NORTH, PORT_SOUTH})
 DEFAULT_MODULE_TOLERANCE = 2
 
 
-class RoCoCrossbar(Crossbar):
-    """Row/column split crossbar: outputs of a dead module are unreachable."""
-
-    def __init__(self, num_ports: int, faults, router: "RoCoRouter") -> None:
-        super().__init__(num_ports, faults)
-        self._router = router
-
-    def _compute_plan(self, dest: int) -> Optional[PathPlan]:
-        if self._router.module_of_port_failed(dest):
-            return None
-        return super()._compute_plan(dest)
+def charged_to_row(port: int, row_faults: int, col_faults: int) -> bool:
+    """Whether a fault at ``port`` is charged to the row module (else the
+    column one): a local one goes to the healthier module, a tie to row."""
+    return port in ROW_PORTS or (port not in COL_PORTS and row_faults <= col_faults)
 
 
-class _RoCoRCUnit(RCUnit):
-    """RC with RoCo's lookahead cover: a dead module blocks its inputs."""
-
-    def compute(self, in_port: int, flit):
-        router: RoCoRouter = self.router
-        if router.module_of_port_failed(in_port):
-            return None
-        # lookahead routing covers a plain RC-unit fault (RoCo's RC story),
-        # so rc_primary faults are absorbed by the module fault counter
-        # instead of blocking here
-        return self.select_route(flit)
+def dead_ports(row_faults: int, col_faults: int) -> frozenset[int]:
+    """The ports a router with these module fault counts has lost: a
+    module past :data:`DEFAULT_MODULE_TOLERANCE` takes its own ports, and
+    the local port goes once both modules are dead."""
+    row = row_faults > DEFAULT_MODULE_TOLERANCE
+    col = col_faults > DEFAULT_MODULE_TOLERANCE
+    dead = {PORT_LOCAL} if row and col else set()
+    return frozenset(dead | (ROW_PORTS if row else set()) | (COL_PORTS if col else set()))
 
 
 class RoCoRouter(BaseRouter):
@@ -82,39 +73,23 @@ class RoCoRouter(BaseRouter):
 
     kind = "roco"
 
-    def __init__(
-        self,
-        node: int,
-        config,
-        routing: RoutingFunction,
-        module_tolerance: int = DEFAULT_MODULE_TOLERANCE,
-    ) -> None:
+    def __init__(self, node: int, config, routing: RoutingFunction) -> None:
         if config.num_ports != 5:
             raise ValueError("the RoCo model is defined for 5-port mesh routers")
-        if module_tolerance < 0:
-            raise ValueError("module tolerance must be >= 0")
-        self.module_tolerance = module_tolerance
         self.row_faults = 0
         self.col_faults = 0
         super().__init__(node, config, routing)
-
-    # ------------------------------------------------------------------
-    def _make_crossbar(self) -> Crossbar:
-        return RoCoCrossbar(self.config.num_ports, self.faults, self)
-
-    def _make_rc_unit(self) -> RCUnit:
-        return _RoCoRCUnit(self)
 
     # ------------------------------------------------------------------
     # module bookkeeping
     # ------------------------------------------------------------------
     @property
     def row_failed(self) -> bool:
-        return self.row_faults > self.module_tolerance
+        return self.row_faults > DEFAULT_MODULE_TOLERANCE
 
     @property
     def col_failed(self) -> bool:
-        return self.col_faults > self.module_tolerance
+        return self.col_faults > DEFAULT_MODULE_TOLERANCE
 
     @property
     def failed(self) -> bool:
@@ -126,62 +101,53 @@ class RoCoRouter(BaseRouter):
         return self.row_failed != self.col_failed
 
     def module_of_port(self, port: int) -> str:
-        if port in ROW_PORTS:
-            return "row"
-        if port in COL_PORTS:
-            return "col"
-        # local: served by whichever module is healthier
-        return "row" if self.row_faults <= self.col_faults else "col"
-
-    def module_of_port_failed(self, port: int) -> bool:
-        if port == PORT_LOCAL:
-            return self.row_failed and self.col_failed
-        return self.row_failed if port in ROW_PORTS else self.col_failed
+        return "row" if charged_to_row(port, self.row_faults, self.col_faults) else "col"
 
     # ------------------------------------------------------------------
     # fault handling: every site is charged to its module
     # ------------------------------------------------------------------
     def inject_fault(self, site) -> bool:
-        changed = self.faults.inject(site)
-        if changed:
-            if self.module_of_port(site.port) == "row":
-                self.row_faults += 1
-            else:
-                self.col_faults += 1
-            # module state may have flipped: paths must be re-planned;
-            # the raw fault sets are cleared so intra-module mechanisms
-            # (which RoCo does not have) never mask the module model
-            self._neutralise_site_sets()
-            self.crossbar.notify_fault_change()
-        return changed
+        """Record the landing and charge it to its module: every landing
+        counts, a repeated site included."""
+        if self.module_of_port(site.port) == "row":
+            self.row_faults += 1
+        else:
+            self.col_faults += 1
+        self.faults.history.append(site)
+        self._set_dead_ports()
+        return True
 
-    def _neutralise_site_sets(self) -> None:
-        """RoCo has no per-site tolerance mechanisms of our protected
-        router; its behaviour is entirely the module counters.  Clearing
-        the per-site sets keeps the shared pipeline units fault-free so
-        only module death changes behaviour."""
-        history = self.faults.history[:]
-        self.faults.clear()
-        self.faults.history.extend(history)
+    def heal_fault(self, site) -> bool:
+        """A charge is never returned: a dead module stays dead."""
+        return False
 
     def fail_module(self, module: str) -> None:
         """Directly kill a module (tests/benches)."""
         if module == "row":
-            self.row_faults = self.module_tolerance + 1
+            self.row_faults = DEFAULT_MODULE_TOLERANCE + 1
         elif module == "col":
-            self.col_faults = self.module_tolerance + 1
+            self.col_faults = DEFAULT_MODULE_TOLERANCE + 1
         else:
             raise ValueError("module must be 'row' or 'col'")
+        self._set_dead_ports()
+
+    def _set_dead_ports(self) -> None:
+        """The module counters as fault bits: routing stops at a dead
+        port's input and its output is unreachable."""
+        dead = dead_ports(self.row_faults, self.col_faults)
+        for bits in (self.faults.rc_primary, self.faults.xb_mux):
+            bits.clear()
+            bits.update(dead)
         self.crossbar.notify_fault_change()
 
 
-def roco_router_factory(config: NetworkConfig, module_tolerance: int = DEFAULT_MODULE_TOLERANCE):
+def roco_router_factory(config: NetworkConfig):
     """Router factory for :class:`repro.network.NoCSimulator`."""
 
     def make(node: int, routing: RoutingFunction) -> RoCoRouter:
-        return RoCoRouter(node, config.router, routing, module_tolerance)
+        return RoCoRouter(node, config.router, routing)
 
-    # marker read by the lane engine (repro.network.batched.supports),
-    # which declines this kind: RoCo has no array model
+    # marker read by the lane engine (repro.network.batched): a roco lane
+    # is a baseline lane plus the two module counters per router
     make.router_kind = "roco"
     return make

@@ -19,16 +19,13 @@ measures the temporal story the static experiments cannot see:
   vs the fault-free reference of the same traffic.
 
 Each timeline is one sweep point, and the points run as lanes of the
-batched engine: router kind is a per-lane mask there, so the baseline
-and protected replays of a campaign — references included — step in one
-engine, heal through its heal seam and are watched by the same
-:class:`repro.faults.recovery.RecoveryMonitor` the object engine uses.
-``roco``, the one kind without an array model, runs on the object engine
-one point at a time, and the lane sweep's report counts those points as
-its ``fallbacks``.  Under the resilient runtime a lane chunk is one
-supervised task — checkpointed the moment it finishes, resumable after a
-kill, watchdogged — so checkpoint granularity is the chunk (a ``roco``
-point is a chunk of one), as for every other lane sweep.
+batched engine: router kind is a per-lane mask there, so the baseline,
+protected and ``roco`` replays of a campaign — references included —
+step in one engine, heal through its heal seam and are watched by the
+same :class:`repro.faults.recovery.RecoveryMonitor` the object engine
+uses.  Under the resilient runtime a lane chunk is one supervised task —
+checkpointed the moment it finishes, resumable after a kill, watchdogged
+— so checkpoint granularity is the chunk, as for every other lane sweep.
 
 The **degradation-over-lifetime report** joins the FIT model back in:
 the per-router failure rate converts measured per-event recovery into

@@ -633,20 +633,16 @@ class LanePoint:
     label: str = ""
 
     def structural_key(self) -> tuple:
-        """Everything that must match for two points to share lanes.
+        """What the lane engine reads off a group, so what two points must
+        share to be lanes of one engine.
 
-        Router kind is not part of it for the kinds the array model
-        serves: there it is a per-lane mask, so the baseline and
-        protected runs of one campaign step in one engine.
+        Router kind is not part of it: every kind :func:`_resolve_factory`
+        knows is a per-lane mask, so all runs of one campaign step in one
+        engine.  Nor is ``sim_config.seed``, which the engine never reads
+        (a point's streams come from its factories' arguments), so points
+        that differ only in it share lanes too.
         """
-        from ..network.batched import LANE_KINDS
-
-        return (
-            self.config,
-            self.sim_config,
-            LANE_KINDS if self.router_kind in LANE_KINDS else self.router_kind,
-            self.routing_kind,
-        )
+        return (self.config, replace(self.sim_config, seed=0), self.routing_kind)
 
 
 def _resolve_factory(kind: str, config: NetworkConfig):
@@ -785,13 +781,13 @@ def run_lane_sweep(
     batching compose.
 
     Every other point is a :func:`run_point` task of its own.  The
-    triage that decides this is the one record of why: points of a
-    group ``supports()`` declines (a router kind without an array model,
-    observability enabled) run on the object engine and are the report's
-    ``fallbacks``, their decline strings its ``fallback_reasons``.  A
-    supported group smaller than :data:`_MIN_LANE_GROUP` is not a
-    fallback — its ``run()`` picks the engine by load and may still step
-    it as a width-1 lane.
+    triage that decides this is the one record of why.  Every router
+    kind a point can name has an array model, so ``supports()`` declines
+    a group only while observability is enabled: its points run on the
+    object engine and are the report's ``fallbacks``, the decline string
+    its ``fallback_reasons``.  A supported group smaller than
+    :data:`_MIN_LANE_GROUP` is not a fallback — its ``run()`` picks the
+    engine by load and may still step it as a width-1 lane.
 
     Execution funnels through :func:`run_sweep`, so a resilient runtime
     (checkpointing, retries, watchdog) applies at chunk granularity:
@@ -820,11 +816,8 @@ def run_lane_sweep(
     fallbacks, reasons = 0, set[str]()
     for idxs in groups.values():
         rep = points[idxs[0]]
-        reason = batched_supports(
-            rep.config,
-            _resolve_factory(rep.router_kind, rep.config),
-            rep.routing_kind,
-        )
+        # every kind a point can name is a lane kind: only observability declines
+        reason = batched_supports(rep.config, routing_kind=rep.routing_kind)
         if reason is not None:
             fallbacks += len(idxs)
             reasons.add(reason)

@@ -244,7 +244,9 @@ class RouterFaultState:
 
     @property
     def any_faults(self) -> bool:
-        return bool(self.history)
+        """A landing recorded or a bit set: a RoCo router has either alone
+        (a module killed by hand, faults a live module absorbs)."""
+        return bool(self.history) or any(self._target_set(unit) for unit in FaultUnit)
 
     def clear(self) -> None:
         """Remove every fault (power-on reset)."""

@@ -117,16 +117,18 @@ monitors and ``_borrow_arbiters``.
 
 Faults, heals and recovery
 --------------------------
-Router kind is a ``(lanes,)`` mask, ``protected``, set at install from
-the lane's spec, and the kernels have one body each: the mask takes the
-spare out of the fault algebra (RC ``blocked = f_rc1 & (f_rc2 | ~prot)``,
-SA ``dead = f_sa1 & (f_sa1b | ~prot)``, no secondary path in a baseline
-lane's plans, no lender for a baseline VC, exclusions recorded for
-protected retries only), so baseline and protected lanes of one sweep
-share an engine.  ``_set_site`` sets or clears one fault bit the way
-``BaseRouter.inject_fault`` / ``heal_fault`` do; a lane's schedule heals
-and then injects on the cycles its ``next_cycle()`` names, exactly as
-``NoCSimulator._inject_faults`` does.  ``RouterStats`` counters are binned
+Router kind is two ``(lanes,)`` masks, ``protected`` and ``roco``, set at
+install from the lane's spec, and the kernels have one body each: the
+``protected`` mask takes the spare out of the fault algebra (RC
+``blocked = f_rc1 & (f_rc2 | ~prot)``, SA ``dead = f_sa1 & (f_sa1b |
+~prot)``, no secondary path in a baseline lane's plans, no lender for a
+baseline VC, exclusions recorded for protected retries only), so every
+kind of one sweep shares an engine.  ``_set_site`` sets or clears one
+fault bit the way ``BaseRouter.inject_fault`` / ``heal_fault`` do, and
+on a ``roco`` lane charges a landing to a ``modules`` counter, whose dead
+ports get ``f_rc1`` / ``f_xbm`` bits, as ``RoCoRouter`` does.  A lane's
+schedule heals and then injects on the cycles its ``next_cycle()`` names,
+exactly as ``NoCSimulator._inject_faults`` does.  ``RouterStats`` counters are binned
 per ``(counter, lane, router)``, which is what lets a lane whose schedule
 keeps a ``recovery_log`` carry the object engine's own
 :class:`repro.faults.recovery.RecoveryMonitor`, fed :class:`_RouterView`
@@ -140,11 +142,12 @@ greater ``RCUnit.select_route`` key — ``(has a crossbar plan, not
 secondary, the output port's credit sum)`` as one integer (``_route_key``).
 
 Use :func:`supports` to check a configuration before constructing the
-engine.  It declines two things, observability and router kinds without
-an array model (``roco``); :func:`repro.experiments.parallel.run_lane_sweep`
-runs those points on the object engine one at a time and counts them, with
-the reason strings, as its report's ``fallbacks``.  A ``NoCSimulator.run()``
-above the break-even load is a width-1 engine of this class.
+engine.  Every kind a sweep point names is one of :data:`LANE_KINDS`, so
+:func:`repro.experiments.parallel.run_lane_sweep` declines only while
+observability is on, runs those points on the object engine one at a
+time and counts them as its report's ``fallbacks``.  A
+``NoCSimulator.run()`` above the break-even load is a width-1 engine of
+this class.
 """
 
 from __future__ import annotations
@@ -156,6 +159,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, cast
 
 import numpy as np
 
+from ..comparison.roco_router import charged_to_row, dead_ports
 from ..config import PORT_LOCAL, NetworkConfig, SimulationConfig
 from ..faults.recovery import RecoveryMonitor
 from ..faults.sites import FaultUnit
@@ -213,7 +217,7 @@ _I_RC_DUP = _RS_IDX["rc_duplicate_computations"]
 _I_UNREACH = _RS_IDX["unreachable_output_cycles"]
 
 #: router kinds with an array model; which of them a lane is, is a mask
-LANE_KINDS = ("baseline", "protected")
+LANE_KINDS = ("baseline", "protected", "roco")
 
 #: most node ids ``_count`` keeps queued before they are binned, an array
 #: weighing 16 more for its header: what the counter queue can add to an
@@ -236,8 +240,8 @@ class LaneSpec:
 
     traffic: TrafficSource
     fault_schedule: Optional[FaultSchedule] = None
-    #: ``"baseline"`` or ``"protected"``; ``None`` takes the kind of the
-    #: engine's ``router_factory``
+    #: one of :data:`LANE_KINDS`; ``None`` takes the kind of the engine's
+    #: ``router_factory``
     router_kind: Optional[str] = None
 
 
@@ -252,9 +256,9 @@ def supports(
 
     Returns a human-readable reason string for unsupported configs (the
     lane sweep's triage records it and runs each such point on the object
-    engine) and ``None`` when the configuration is fully supported: the
-    router kind and observability decide, nothing in ``config`` or the
-    routing.
+    engine) and ``None`` when the configuration is fully supported:
+    observability and a factory naming no lane kind (somebody's own, or
+    ``comparison.ecc_sim``'s) decline, nothing in ``config`` or the routing.
     """
     # no factory is the baseline default; one that names no kind is somebody's own
     kind = "baseline" if router_factory is None else getattr(router_factory, "router_kind", None)
@@ -405,8 +409,11 @@ class BatchedLaneEngine:
         # installed lane has a fault of that kind (recounted at install
         # and whenever a site is injected or healed)
         self._have_rc = self._have_va1 = self._have_va2 = self._have_sa1 = False
-        #: router kind as a lane mask (see "Faults, heals and recovery")
+        #: router kind as lane masks (see "Faults, heals and recovery")
         self.protected = np.zeros(L, dtype=bool)
+        self.roco = np.zeros(L, dtype=bool)
+        #: a roco lane's ``RoCoRouter.row_faults`` / ``col_faults``
+        self.modules, _ = state((R, 2), 0, np.int64)
 
         # crossbar path plans per (lane, router, dest), fault-dependent
         self.plan_ok, self.plan_ok_ = state(shape3, True, bool)
@@ -614,6 +621,17 @@ class BatchedLaneEngine:
     def _set_site(self, lane: int, site, faulty: bool) -> bool:
         """Mirror ``BaseRouter.inject_fault`` / ``heal_fault``: idempotent,
         the skip flags recounted and the path plans refreshed."""
+        if self.roco[lane]:
+            # ``RoCoRouter``: a landing is charged to its module, whose
+            # counters are the dead ports' bits; a heal changes nothing
+            if faulty:
+                counts = self.modules[lane, site.router]
+                counts[0 if charged_to_row(site.port, *counts) else 1] += 1
+                dead = np.isin(np.arange(self.P), list(dead_ports(*counts)))
+                self.f_rc1[lane, site.router] = self.f_xbm[lane, site.router] = dead
+                self._recount_faults()
+                self._recompute_plans(lane, site.router)
+            return faulty
         arr = self._fault_arrays[site.unit]
         if site.vc >= 0:
             idx = (lane, site.router, site.port, site.vc)
@@ -1306,7 +1324,9 @@ class BatchedLaneEngine:
             arr[lane] = value
         self.counts()[:, lane] = 0
         self._recount_faults()
-        self.protected[lane] = (spec.router_kind or self._default_kind) == "protected"
+        kind = spec.router_kind or self._default_kind
+        self.protected[lane] = kind == "protected"
+        self.roco[lane] = kind == "roco"
         if getattr(spec.fault_schedule, "recovery_log", False):
             self._monitors[lane] = RecoveryMonitor()
 

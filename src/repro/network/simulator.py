@@ -664,7 +664,8 @@ class NoCSimulator:
             or self.cycle or self.use_reference_stepper
             or self.on_eject is not None
             or supports(self.config, self.router_factory, observability=self.obs) is not None
-            # a fabric touched by hand (a queued packet, a fault) is not a lane's power-on one
+            # a fabric touched by hand (a queued packet, a fault landed, a
+            # RoCo module killed) is not a lane's power-on one
             or self._active_routers or self._active_nics
             or any(r.faults.any_faults for r in self.routers)
         ):

@@ -538,33 +538,44 @@ def _lane_points(net, sim_cfg, routing_kinds, rate=0.05, seed=3):
 
 class TestRunLaneSweep:
     def test_unsupported_points_fall_back_per_point(self):
+        """``roco`` points are lanes like any other, so the decline is
+        provoked with metrics on, the one decline a lane sweep has left
+        (``roco`` was declined until it had an array model)."""
         from dataclasses import replace
 
+        from repro import observability
+
         net = _net(4, 4, 4, 2)
-        # ``roco`` has no array model; ``west_first`` lanes batch like ``xy``
+        # ``roco`` lanes batch like the others; ``west_first`` like ``xy``
         points = _lane_points(
             net, _sim_cfg(measure=150), ("xy", "west_first") * 3
         )
         points[2:4] = [replace(p, router_kind="roco") for p in points[2:4]]
-        batched_values, batched_report = run_lane_sweep(points)
-        # the lower layer called directly: nothing declined, no fallbacks
-        event_values, event_report = map_sweep(
-            run_point, [(p,) for p in points]
-        )
+        lane_values, lane_report = run_lane_sweep(points)
+        observability.configure(metrics=True)
+        try:
+            batched_values, batched_report = run_lane_sweep(points)
+            # the lower layer called directly: nothing declined, no fallbacks
+            event_values, event_report = map_sweep(
+                run_point, [(p,) for p in points]
+            )
+        finally:
+            observability.reset()
 
+        assert (lane_report.fallbacks, lane_report.fallback_reasons) == (0, ())
         assert batched_report.points == len(points)
-        assert batched_report.fallbacks == 2
+        assert batched_report.fallbacks == len(points)
         assert event_report.fallbacks == 0
         assert "object-engine fallbacks" in batched_report.format()
         # the *why* is threaded through to the report, not just a count
         assert batched_report.fallback_reasons == (
-            "router kind 'roco' not supported (no array model)",
+            "observability enabled (tracing/metrics need per-object hooks)",
         )
         assert "fallback reasons:" in batched_report.format()
         assert event_report.fallback_reasons == ()
-        for i, (b, e) in enumerate(zip(batched_values, event_values)):
-            assert b.stats.summary() == e.stats.summary(), f"point {i}"
-            assert b.cycles == e.cycles
+        for i, (b, e, lane) in enumerate(zip(batched_values, event_values, lane_values)):
+            assert b.stats.summary() == e.stats.summary() == lane.stats.summary(), f"point {i}"
+            assert b.cycles == e.cycles == lane.cycles
 
     def test_chunking_invariance_across_jobs(self):
         net = _net(4, 4, 4, 2)
@@ -621,6 +632,34 @@ class TestRunLaneSweep:
         for i, (a, b) in enumerate(zip(wide_values, narrow_values)):
             assert a.stats.summary() == b.stats.summary(), f"point {i}"
             assert a.cycles == b.cycles
+
+    def test_points_differing_only_in_the_simulation_seed_share_lanes(self, monkeypatch):
+        """The engine never reads ``sim_config.seed`` (a point's streams
+        come from its factories' arguments): a seed sweep is one group."""
+        net = _net(4, 4, 4, 2)
+        points = [
+            LanePoint(
+                config=net,
+                sim_config=_sim_cfg(measure=150, seed=seed),
+                make_traffic=_make_traffic,
+                traffic_args=(net, 0.05, seed),
+                router_kind="protected",
+                label=f"seed{seed}",
+            )
+            for seed in (5, 6)
+        ]
+        fns: list = []
+        run_sweep = parallel.run_sweep
+
+        def spy(tasks, **kw):
+            fns.extend(t.fn for t in tasks)
+            return run_sweep(tasks, **kw)
+
+        monkeypatch.setattr(parallel, "run_sweep", spy)
+        values, _ = run_lane_sweep(points)
+        assert fns == [parallel._lane_batched_chunk]
+        direct, _ = map_sweep(run_point, [(p,) for p in points])
+        assert list(map(_lane_key, values)) == list(map(_lane_key, direct))
 
     def test_small_groups_run_per_point_without_a_decline(self):
         """A supported singleton group is no fallback: it goes to
@@ -757,7 +796,8 @@ class TestLaneSweepInPoints:
 
     def _points(self, marker):
         """Three good points, then two of another structural group (another
-        seed: a chunk of their own) whose traffic factory raises."""
+        routing: a chunk of their own; another seed no longer splits a
+        group) whose traffic factory raises."""
         net = _net(3, 3, 2, 2)
         good = [
             LanePoint(
@@ -773,10 +813,11 @@ class TestLaneSweepInPoints:
         flaky = [
             LanePoint(
                 config=net,
-                sim_config=_sim_cfg(measure=100, seed=6),
+                sim_config=_sim_cfg(measure=100),
                 make_traffic=_flaky_traffic,
                 traffic_args=(net, 0.05, 43 + i, str(marker)),
                 router_kind="protected",
+                routing_kind="west_first",
                 label=f"flaky{i}",
             )
             for i in range(2)
@@ -833,8 +874,13 @@ class TestLaneSweepInPoints:
             (3, "flaky0"), (4, "flaky1"),
         ]
 
+    #: the one decline a lane sweep has left (``roco`` points were
+    #: declined too until they had an array model)
+    _OBSERVED = "observability enabled (tracing/metrics need per-object hooks)"
+
     def _declining_points(self):
-        """Two ``roco`` points (no array model) and a lane group of two."""
+        """Two ``roco`` and two protected points: one lane group, which
+        ``supports()`` declines while metrics are on."""
         from dataclasses import replace
 
         net = _net(4, 4, 4, 2)
@@ -843,9 +889,9 @@ class TestLaneSweepInPoints:
         return points
 
     def test_every_decline_is_counted_once_at_triage(self):
-        """With metrics on, ``supports()`` declines the lane group too:
-        each declined point is one fallback and each reason is listed
-        once, on the sweep and never per shard."""
+        """With metrics on, ``supports()`` declines the lane group: each
+        declined point is one fallback and the reason is listed once, on
+        the sweep and never per shard."""
         from repro import observability
 
         observability.configure(metrics=True)
@@ -855,34 +901,38 @@ class TestLaneSweepInPoints:
             observability.reset()
         assert all(v is not None for v in values)
         assert report.fallbacks == 4
-        assert report.fallback_reasons == (
-            "observability enabled (tracing/metrics need per-object hooks)",
-            "router kind 'roco' not supported (no array model)",
-        )
+        assert report.fallback_reasons == (self._OBSERVED,)
         lines = report.format().splitlines()
         assert "[4 object-engine fallbacks]" in lines[0]
         assert sum("fallback" in line for line in lines) == 2
 
     def test_a_resumed_sweep_reports_the_same_declines(self, tmp_path):
+        """Provoked with metrics on: the two roco points it used to
+        decline are lanes now."""
+        from repro import observability
         from repro.experiments.resilient import sweep_runtime
 
         points = self._declining_points()
-        with sweep_runtime(out_dir=tmp_path):
-            full, whole = run_lane_sweep(points, jobs=1)
-        jsonl = tmp_path / "sweep-000.jsonl"
-        records = jsonl.read_text().splitlines()
-        # one record per task: the lane chunk and each roco point
-        assert len(records) == 3
-        # keep only the first roco point's record, as if killed after it
-        jsonl.write_text(
-            "".join(r + "\n" for r in records if '"p0:xy"' in r)
-        )
-        with sweep_runtime(resume=tmp_path):
-            again, resumed = run_lane_sweep(points, jobs=1)
-        assert resumed.resumed == 1 and resumed.checkpointed == 2
+        observability.configure(metrics=True)
+        try:
+            with sweep_runtime(out_dir=tmp_path):
+                full, whole = run_lane_sweep(points, jobs=1)
+            jsonl = tmp_path / "sweep-000.jsonl"
+            records = jsonl.read_text().splitlines()
+            # one record per task: each declined point
+            assert len(records) == 4
+            # keep only the first point's record, as if killed after it
+            jsonl.write_text(
+                "".join(r + "\n" for r in records if '"p0:xy"' in r)
+            )
+            with sweep_runtime(resume=tmp_path):
+                again, resumed = run_lane_sweep(points, jobs=1)
+        finally:
+            observability.reset()
+        assert resumed.resumed == 1 and resumed.checkpointed == 3
         assert (resumed.fallbacks, resumed.fallback_reasons) == (
             whole.fallbacks, whole.fallback_reasons,
-        ) == (2, ("router kind 'roco' not supported (no array model)",))
+        ) == (4, (self._OBSERVED,))
         assert _summaries(again) == _summaries(full)
 
 
@@ -2058,7 +2108,8 @@ class TestHealSeam:
             gc.enable()
 
     def test_a_lane_kind_without_an_array_model_is_refused(self):
+        """A kind no lane models (``roco`` has one now)."""
         from repro.traffic.generator import NullTraffic
 
-        with pytest.raises(ValueError, match="roco"):
-            run_lanes(_ENV_NET, _ENV_SIM, [LaneSpec(NullTraffic(), None, "roco")])
+        with pytest.raises(ValueError, match="damq"):
+            run_lanes(_ENV_NET, _ENV_SIM, [LaneSpec(NullTraffic(), None, "damq")])

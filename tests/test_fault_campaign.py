@@ -3,9 +3,9 @@
 Covers the tentpole contract: timelines as lanes of the batched engine
 under the resilient runtime (checkpointed and resumable at chunk
 granularity — truncated-checkpoint and SIGKILL flavours), recovery
-metrics measured per router kind, the per-point fallback for kinds with
-no array model, and the degradation-over-lifetime report joining the FIT
-model with measured recovery.
+metrics measured per router kind, every kind's points as lanes, and the
+degradation-over-lifetime report joining the FIT model with measured
+recovery.
 """
 
 import dataclasses
@@ -62,19 +62,17 @@ class TestCampaignRun:
             assert 0.0 <= row["recovered_frac"] <= 1.0
             assert row["exposed_flits"] >= 0
 
-    def test_timeline_points_fall_back_to_event_engine(self, result):
-        """Only where the router kind has no array model: baseline and
-        protected timelines, references included, run as lanes."""
+    def test_roco_adds_no_fallbacks(self, result):
+        """Every kind runs as lanes, references included: roco's points,
+        declined until roco had an array model, fall back no more."""
         assert result.extras["sweep"].fallbacks == 0
         with_roco = _run(
             replace(QUICK_CAMPAIGN, router_kinds=("baseline", "protected", "roco"))
         )
         sweep = with_roco.extras["sweep"]
-        # roco's reference + 2 timelines, and nothing else
-        assert sweep.fallbacks == 3
-        assert len(sweep.fallback_reasons) == 1
-        assert "router kind 'roco'" in sweep.fallback_reasons[0]
+        assert (sweep.fallbacks, sweep.fallback_reasons) == (0, ())
         assert with_roco.extras["rows"][:2] == result.extras["rows"]
+        assert with_roco.extras["rows"][2]["kind"] == "roco"
 
     def test_degradation_report_joins_fit_model(self, result):
         deg = result.extras["degradation"]
@@ -104,7 +102,7 @@ class TestCampaignRun:
 
 MIXED_CAMPAIGN = CampaignConfig(
     timelines=3,
-    router_kinds=("baseline", "protected"),
+    router_kinds=("baseline", "protected", "roco"),
     timeline=TimelineSpec(events=5, mean_interval=100.0, transient_fraction=0.5),
     # a drain too short for a wedged baseline mesh: flits are left stranded
     latency=LatencyConfig(
@@ -129,8 +127,8 @@ def _point_key(res):
 
 
 class TestCampaignLanes:
-    """A campaign's points as lanes: 2 kinds x (reference + 3 timelines),
-    half of the events transient, all eight in one engine."""
+    """A campaign's points as lanes: 3 kinds x (reference + 3 timelines),
+    half of the events transient, all twelve in one engine."""
 
     @pytest.fixture(scope="class")
     def campaign(self):
@@ -269,31 +267,43 @@ class TestCampaignResumeGolden:
 
 
 #: subprocess driver: SIGKILL the whole process group mid-campaign, then
-#: resume from the same run directory.  One job, so the order is fixed:
-#: the protected reference and timelines run as one lane chunk and
-#: checkpoint as one record, then roco's three points (no array model)
-#: follow one by one on the event engine — the kill lands among those
+#: resume from the same run directory.  Two jobs, so the campaign is two
+#: lane chunks of three points, two checkpoint records: the protected
+#: reference and timelines, then roco's.  In ``kill`` mode the roco chunk
+#: never finishes, so the kill always lands between the two records; the
+#: chunk function is wrapped in every mode, so the sweep's fingerprint
+#: (which names it) is the same for the killed and the resumed run
 _DRIVER = """\
-import json, sys
+import json, sys, threading
 
+from repro.experiments import parallel
 from repro.experiments.fault_campaign import CampaignConfig, run
 from repro.experiments.latency import LatencyConfig
 from repro.faults import TimelineSpec
 
-mode, run_dir, out_json, measure = sys.argv[1:5]
+mode, run_dir, out_json = sys.argv[1:4]
+lane_chunk = parallel._lane_batched_chunk
 
+
+def held_chunk(points, width):
+    if mode == "kill" and any(p.router_kind == "roco" for p in points):
+        threading.Event().wait()
+    return lane_chunk(points, width)
+
+
+parallel._lane_batched_chunk = held_chunk
 config = CampaignConfig(
     timelines=2,
     router_kinds=("protected", "roco"),
     timeline=TimelineSpec(events=3, mean_interval=150.0),
     latency=LatencyConfig(
         width=4, height=4, warmup_cycles=200,
-        measure_cycles=int(measure), drain_cycles=2000, seed=5,
+        measure_cycles=800, drain_cycles=2000, seed=5,
     ),
     app="lu",
 )
 kw = {"resume": run_dir} if mode == "resume" else {"out_dir": run_dir}
-res = run(config, jobs=1, **kw)
+res = run(config, jobs=2, **kw)
 with open(out_json, "w") as fp:
     json.dump(
         {
@@ -305,13 +315,12 @@ with open(out_json, "w") as fp:
 """
 
 
-def _spawn(script, mode, run_dir, out_json, measure):
+def _spawn(script, mode, run_dir, out_json):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
-        [sys.executable, str(script), mode, str(run_dir), str(out_json),
-         str(measure)],
+        [sys.executable, str(script), mode, str(run_dir), str(out_json)],
         env=env,
         start_new_session=True,
         stdout=subprocess.DEVNULL,
@@ -321,26 +330,23 @@ def _spawn(script, mode, run_dir, out_json, measure):
 
 class TestKillMidCampaign:
     def test_sigkill_resume_bit_identical(self, tmp_path):
+        """The kill window used to be roco's one-at-a-time points; roco
+        points are lanes now, so the window is the held second chunk."""
         script = tmp_path / "driver.py"
         script.write_text(_DRIVER)
 
-        # one measure window everywhere: the resilient runtime pins the
-        # resumed configuration to the checkpointed one, and the window
-        # is long enough (~1 s per roco point) that the kill lands while
-        # they run, after the lane chunk's record
-        measure = 6_000
         ref_json = tmp_path / "ref.json"
-        proc = _spawn(script, "run", tmp_path / "ref-run", ref_json, measure)
+        proc = _spawn(script, "run", tmp_path / "ref-run", ref_json)
         assert proc.wait(timeout=300) == 0
         reference = json.loads(ref_json.read_text())
 
         run_dir = tmp_path / "killed-run"
         kill_json = tmp_path / "kill.json"
-        proc = _spawn(script, "run", run_dir, kill_json, measure)
+        proc = _spawn(script, "kill", run_dir, kill_json)
         jsonl = run_dir / "sweep-000.jsonl"
         deadline = time.time() + 120
         while time.time() < deadline:
-            if jsonl.exists() and len(jsonl.read_text().splitlines()) >= 1:
+            if jsonl.exists() and jsonl.read_text().endswith("\n"):
                 break
             if proc.poll() is not None:
                 pytest.fail("driver exited before it could be killed")
@@ -350,11 +356,11 @@ class TestKillMidCampaign:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
         assert not kill_json.exists()
+        assert len(jsonl.read_text().splitlines()) == 1  # the protected chunk
 
         resume_json = tmp_path / "resume.json"
-        proc = _spawn(script, "resume", run_dir, resume_json, measure)
+        proc = _spawn(script, "resume", run_dir, resume_json)
         assert proc.wait(timeout=300) == 0
         resumed = json.loads(resume_json.read_text())
         assert resumed["rows"] == reference["rows"]
-        # the chunk's three points, and the roco points that beat the kill
-        assert 3 <= resumed["resumed"] < 6
+        assert resumed["resumed"] == 3  # the protected chunk's three points

@@ -1,24 +1,30 @@
 """Tests for the behavioural RoCo router (graceful degradation model)."""
 
+import numpy as np
 import pytest
 
+from repro.comparison.roco import RowColumnState
 from repro.comparison.roco_router import (
     DEFAULT_MODULE_TOLERANCE,
+    ROW_PORTS,
     RoCoRouter,
     roco_router_factory,
 )
 from repro.config import (
     NetworkConfig,
     PORT_EAST,
+    PORT_LOCAL,
     PORT_NORTH,
     PORT_SOUTH,
     PORT_WEST,
     RouterConfig,
+    SimulationConfig,
 )
 from repro.faults.sites import FaultSite, FaultUnit
-from repro.router.flit import Packet
+from repro.network.batched import BatchedLaneEngine, LaneSpec
+from repro.router.flit import Flit, FlitType, Packet
 from repro.router.routing import XYRouting
-from repro.traffic.generator import TraceTraffic
+from repro.traffic.generator import NullTraffic, TraceTraffic
 
 from conftest import make_network_config, make_sim
 
@@ -168,3 +174,102 @@ class TestDegradedBehaviour:
             counts.append(n)
         mc = RoCoModel().monte_carlo_faults_to_failure(trials=2000, rng=4)
         assert np.mean(counts) == pytest.approx(mc, rel=0.25)
+
+
+# ----------------------------------------------------------------------
+# the RoCo rule, three ways: the object router, a roco lane, and the
+# analytic two-module state
+# ----------------------------------------------------------------------
+_ROUTER = 5  # interior to a 4x4 mesh: every port has a link
+_N, _E, _S, _W, _L = PORT_NORTH, PORT_EAST, PORT_SOUTH, PORT_WEST, PORT_LOCAL
+
+
+def _at(unit, port, vc=-1):
+    return FaultSite(_ROUTER, FaultUnit[unit], port, vc)
+
+
+_ROW3 = [("land", _at("SA1_ARBITER", _E)), ("land", _at("XB_MUX", _W)),
+         ("land", _at("VA1_ARBITER_SET", _E, 1))]
+_COL3 = [("land", _at("RC_PRIMARY", _N)), ("land", _at("SA2_ARBITER", _S)),
+         ("land", _at("VA2_ARBITER", _N, 2))]
+
+#: (site sequence, (row_faults, col_faults), dead ports, failed, degraded)
+RULE = {
+    "row-port faults": (_ROW3[:2], (2, 0), set(), False, False),
+    "column-port faults": (_COL3[:2], (0, 2), set(), False, False),
+    "a local fault goes to the healthier module": (
+        [_ROW3[0], ("land", _at("SA1_ARBITER", _L))], (1, 1), set(), False, False,
+    ),
+    "a local fault on a tie goes to row": (
+        [("land", _at("XB_MUX", _L))], (1, 0), set(), False, False,
+    ),
+    "a module dies at tolerance + 1": (_ROW3, (3, 0), {_E, _W}, False, True),
+    "a dead module's local faults go to the other": (
+        _ROW3 + [("land", _at("RC_PRIMARY", _L))], (3, 1), {_E, _W}, False, True,
+    ),
+    "both modules dead take the local port": (
+        _ROW3 + _COL3, (3, 3), {_N, _E, _S, _W, _L}, True, False,
+    ),
+    "a duplicate landing is counted twice": (
+        [_ROW3[0]] * 3, (3, 0), {_E, _W}, False, True,
+    ),
+    "a heal changes nothing": (
+        _COL3 + [("heal", _COL3[0][1]), ("heal", _at("SA1_ARBITER", _N))],
+        (0, 3), {_N, _S}, False, True,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    return NetworkConfig(width=4, height=4)
+
+
+@pytest.mark.parametrize("name", list(RULE))
+class TestRoCoRule:
+    def test_the_object_router(self, name, mesh):
+        steps, counts, dead, failed, degraded = RULE[name]
+        r = RoCoRouter(_ROUTER, mesh.router, XYRouting(mesh))
+        for action, site in steps:
+            assert (r.inject_fault(site) if action == "land" else r.heal_fault(site)) is (
+                action == "land"
+            )
+        assert (r.row_faults, r.col_faults) == counts
+        assert (r.failed, r.degraded) == (failed, degraded)
+        head = Flit(FlitType.HEAD_TAIL, 0, src=_ROUTER, dest=0)
+        for port in range(5):
+            assert (r.crossbar.plan_path(port) is None) == (port in dead), port
+            assert (r.rc_unit.compute(port, head) is None) == (port in dead), port
+        assert len(r.faults.history) == sum(a == "land" for a, _ in steps)
+
+    def test_a_roco_lane(self, name, mesh):
+        steps, counts, dead, _, _ = RULE[name]
+        lane = LaneSpec(NullTraffic(), None, "roco")
+        engine = BatchedLaneEngine(mesh, SimulationConfig(), [lane])
+        engine._install_lane(0, lane, 0)  # what ``run()`` does first
+        for action, site in steps:
+            assert engine._set_site(0, site, action == "land") is (action == "land")
+        assert tuple(engine.modules[0, _ROUTER]) == counts
+        mask = np.isin(np.arange(5), list(dead))
+        assert not engine.protected[0]  # so an ``f_rc1`` bit blocks RC
+        assert (engine.f_rc1[0, _ROUTER] == mask).all()
+        assert (engine.f_xbm[0, _ROUTER] == mask).all()
+        assert (engine.plan_ok[0, _ROUTER] == ~mask).all()
+        for unit in (engine.f_rc2, engine.f_va1, engine.f_va2, engine.f_sa1, engine.f_sa2):
+            assert not unit.any()
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, row in RULE.items() if all(site.port != _L for _, site in row[0])]
+)
+def test_the_two_module_state(name):
+    """Rows without a local site: which module those charge depends on
+    the counts so far, which ``RowColumnState`` leaves to its caller."""
+    steps, counts, _, failed, degraded = RULE[name]
+    state = RowColumnState(per_half_tolerance=DEFAULT_MODULE_TOLERANCE)
+    for action, site in steps:
+        if action == "land":
+            (state.hit_row if site.port in ROW_PORTS else state.hit_col)()
+    assert (state.row_faults, state.col_faults) == counts
+    assert (state.failed, state.degraded) == (failed, degraded)
+

@@ -117,6 +117,28 @@ class TestRides:
         assert res.recovery["events"] == 10 and res.recovery["healed"] > 0
         assert _digest(res) == _digest(ref)
 
+    @pytest.mark.parametrize("routing", ["xy", "west_first"])
+    def test_a_roco_fabric_rides(self, engines, routing):
+        """Modules absorb faults and die mid-run: on the lane, a landing is
+        charged to the module counters, which set the dead ports' bits."""
+        def timeline():
+            return random_timeline(
+                MESH_4X4.router, MESH_4X4.num_nodes, events=40, mean_interval=5.0,
+                transient_fraction=0.5, transient_duration=30, rng=4,
+                first_event_at=40,
+            )
+
+        def run(**kwargs):
+            return _sim(
+                MESH_4X4, 0.3, routing, timeline(),
+                router_factory=roco_router_factory(MESH_4X4), **kwargs,
+            ).run()
+
+        res, ref = run(), run(use_reference_stepper=True)
+        assert engines == [(1, routing)]
+        assert _digest(res) == _digest(ref)
+        assert res.faults_injected == 40 and res.router_stats.rc_blocked_cycles > 0
+
     def test_the_break_even_is_a_load_over_the_whole_fabric(self, engines):
         """Flits per cycle, not per node: 0.25 on 16 nodes is 0.0625 on 64."""
         assert LANE_BREAK_EVEN == 4.0
@@ -196,7 +218,27 @@ class TestDeclines:
         assert engines == []
 
     def test_a_router_kind_without_an_array_model(self, engines):
-        _sim(router_factory=roco_router_factory(MESH_8X8)).run()
+        """``roco`` is a lane kind now: what declines is a factory that
+        names no lane kind, or names one nothing models."""
         make = protected_router_factory(MESH_8X8)
         _sim(router_factory=lambda node, routing: make(node, routing)).run()
+
+        def damq(node, routing):
+            return make(node, routing)
+
+        damq.router_kind = "damq"  # type: ignore[attr-defined]
+        _sim(router_factory=damq).run()
         assert engines == []
+
+    def test_a_roco_module_killed_by_hand(self, engines):
+        """``fail_module`` lands nothing in the fault history, but its
+        fault bits keep the run off a lane, whose module counters start
+        at zero."""
+        def killed(**kwargs):
+            sim = _sim(MESH_4X4, 0.3, router_factory=roco_router_factory(MESH_4X4), **kwargs)
+            sim.routers[5].fail_module("row")
+            return sim
+
+        sim = killed()
+        self._assert_stepped(engines, sim, killed(use_reference_stepper=True))
+        assert sim.aggregate_router_stats().rc_blocked_cycles > 0
