@@ -22,7 +22,7 @@ priority state, the same credit/event timing: a calendar ring of
 link and credit latencies land on the same cycle they would serially.
 Each lane's traffic source and fault schedule are the *same Python
 objects* a serial run would use — the source drawn ahead into a table
-with the per-cycle call sequence, the schedule polled on the cycles its
+exactly as per-cycle calls draw it, the schedule polled on the cycles its
 ``next_cycle()`` names — so RNG streams and fault arrival order are
 identical by construction.  Finished lanes decode back into ordinary
 :class:`NetworkStats`/:class:`RouterStats` objects;

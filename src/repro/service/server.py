@@ -59,6 +59,12 @@ _IDLE_TIMEOUT_S = 30.0  # how long a connection may sit between requests
 _EOF = object()
 
 
+def _refuse_constant(name: str) -> Any:
+    """``json.loads`` hook for ``NaN`` / ``Infinity`` / ``-Infinity``: no
+    config field takes a non-finite number, so the request is a 400."""
+    raise RequestError(f"{name} is not a number a request may carry")
+
+
 class _HttpError(RuntimeError):
     """An error reply to send: a failed computation's, to every
     subscriber, or a malformed request head's."""
@@ -365,7 +371,7 @@ class SweepService:
     ) -> None:
         self.registry.inc("service.requests")
         try:
-            req = json.loads(body.decode() or "{}")
+            req = json.loads(body.decode() or "{}", parse_constant=_refuse_constant)
             if not isinstance(req, dict):
                 raise RequestError("request body must be a JSON object")
             name = req.get("experiment")

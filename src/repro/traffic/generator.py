@@ -3,17 +3,24 @@
 Traffic here is open-loop — what a source emits never depends on fabric
 state — so packets are *drawn ahead* of whoever reads them, into a
 :class:`PacketTable` of column arrays, instead of one ``Packet`` object
-per call.  :meth:`SyntheticTraffic._draw` is the one routine that calls
-the NumPy ``Generator``, and it issues exactly the per-cycle call
-sequence a naive implementation would (ON/OFF flip row, start row,
-pattern draws, class draw — pinned against such a reference in
-``tests/test_packet_table.py``), so how far ahead a reader asks never
-shows in the stream.  Quiet stretches are scanned in bulk: a
-``(cycles, n_nodes)`` block is drawn in one call — ``Generator.random``
-fills C-order arrays row-major from the same bitstream as successive
-per-cycle calls — and a cycle that does start packets rewinds the bit
-generator and re-draws exactly the rows up to it, leaving the stream
-where per-cycle code would be before that cycle's destination draws.
+per call.  :meth:`SyntheticTraffic._draw` is the one routine that reads
+the source's PCG64 stream, and it reads it as raw 64-bit words
+(``bit_generator.random_raw``), parsed exactly as the naive per-cycle
+``Generator`` calls would consume them — ON/OFF flip row, start row,
+pattern draws, class draw, pinned against such a reference in
+``tests/test_packet_table.py`` — so neither how far ahead a reader asks
+nor where a block of words ends shows in the stream.  The parse replays
+three NumPy behaviours:
+
+* ``Generator.random()`` is ``(word >> 11) * 2**-53``, so "below ``p``"
+  is an integer compare on the word (:func:`_word_threshold`);
+* ``Generator.integers(0, m)`` is 32-bit Lemire: a draw ``x`` yields
+  ``x * m >> 32`` and is rejected while ``x * m mod 2**32 < (2**32 - m)
+  mod m``; a 32-bit draw takes the low half of a fresh word and PCG64
+  holds the high half (``has_uint32`` / ``uinteger``) for the next one,
+  across calls and across ``random()`` calls; ``integers(0, 1)`` draws
+  nothing;
+* ``Generator.choice(k, p=...)`` is ``cdf.searchsorted(u, side="right")``.
 
 Three readers share the table: ``generate(cycle)`` (the object engine,
 one cycle at a time), ``next_injection()`` (its skip-ahead lookahead — a
@@ -30,6 +37,7 @@ a whole injection window at once).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional, Sequence
@@ -38,22 +46,49 @@ import numpy as np
 
 from ..config import NetworkConfig
 from ..router.flit import Packet
-from .patterns import TrafficPattern, UniformRandom
+from .patterns import Hotspot, TrafficPattern, UniformRandom, _PermutationPattern
 from .trace import bucket_by_cycle
 
-#: a stretch this many cycles quiet is scanned in bulk from then on (one
-#: RNG call for as many cycles as the streak is long, so blocks double);
-#: shorter streaks mostly end in a rewind, dearer than the calls it saves
-_BULK_AFTER_QUIET = 8
-
-#: longest bulk scan, in cycles per RNG call
-_MAX_SCAN_CYCLES = 1024
-
 #: how far ``generate`` draws past the cycle it was asked for: amortises
-#: the per-block bookkeeping, wastes little past the injection window, and
+#: a draw's fixed cost (the generator state read and written back, one
+#: gather) over many cycles, wastes little past the injection window, and
 #: is odd so that block draws never fall in step with the stage profiler,
 #: which times every 16th cycle and would book a whole block on each
-_READ_AHEAD_CYCLES = 17
+_READ_AHEAD_CYCLES = 65
+
+#: raw words per read; a draw gathers and drops what it consumed every
+#: block, so it holds about two blocks (128 KiB) at most, however long the
+#: window
+_BLOCK_WORDS = 1 << 13
+
+_MASK32 = 0xFFFFFFFF
+
+#: ends every list of hit positions, past any position a draw reaches
+_END = 1 << 62
+
+# a destination's 32-bit draw is named by its slot, ``2 * word + half``
+# (half 0 the low 32 bits, 1 the high; ``word`` counted from the first
+# word held); besides those:
+#: the half the generator held when the draw began (or at the last flush)
+_HELD = -1
+#: no draw: the destination is the pattern's table entry, a hotspot pick,
+#: or the one other node of a 2-node mesh (``integers(0, 1)`` draws nothing)
+_FIXED = -2
+
+
+def _word_threshold(p: float) -> int:
+    """``word < _word_threshold(p)`` iff ``Generator.random()`` made of
+    ``word`` is ``< p``: the double is ``(word >> 11) * 2**-53``, exact,
+    so the test is ``word >> 11 < ceil(p * 2**53)``; ``2**64`` for p = 1."""
+    return math.ceil(p * 2.0**53) << 11
+
+
+def _hits(words: np.ndarray, threshold: int, offset: int) -> list[int]:
+    """Positions (plus ``offset``) of the words below ``threshold``."""
+    if threshold >= 1 << 64:
+        return list(range(offset, offset + len(words)))
+    hits = (words < threshold).nonzero()[0]
+    return (hits + offset).tolist() if len(hits) else []
 
 
 @dataclass(frozen=True)
@@ -173,6 +208,10 @@ class SyntheticTraffic:
     application traffic — SPLASH-2/PARSEC — is bursty; the app surrogates
     in :mod:`repro.traffic.apps` build on this).
 
+    ``rng`` seeds (or is) a PCG64 ``Generator``, and ``pattern`` is a
+    :class:`UniformRandom`, a :class:`Hotspot` or a permutation pattern:
+    those are the streams and shapes :meth:`_draw` parses.
+
     The source's clock starts at cycle 0 and readers move forward only:
     a cycle already read, or skipped over, yields nothing.
     """
@@ -187,8 +226,10 @@ class SyntheticTraffic:
         burstiness: float = 0.0,
         nodes: Optional[Sequence[int]] = None,
     ) -> None:
-        if injection_rate < 0:
-            raise ValueError("injection rate must be >= 0")
+        if not math.isfinite(injection_rate) or injection_rate < 0:
+            raise ValueError(
+                f"injection rate must be a finite number >= 0, not {injection_rate}"
+            )
         if not mix:
             raise ValueError("need at least one packet class")
         if not 0.0 <= burstiness < 1.0:
@@ -199,6 +240,27 @@ class SyntheticTraffic:
         self.mix = tuple(mix)
         self.rng = np.random.default_rng(rng)
         self.burstiness = burstiness
+        if not isinstance(self.rng.bit_generator, np.random.PCG64):
+            raise ValueError(
+                "traffic is parsed from a PCG64 stream, not "
+                f"{type(self.rng.bit_generator).__name__}"
+            )
+        num_nodes = config.num_nodes
+        if nodes is None:
+            self._nodes = np.arange(num_nodes)
+        else:
+            self._nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+            if not len(self._nodes):
+                raise ValueError("nodes must name at least one node")
+            bad = (self._nodes < 0) | (self._nodes >= num_nodes)
+            if bad.any():
+                raise ValueError(
+                    f"node {self._nodes[bad][0]} outside the {num_nodes}-node mesh"
+                )
+            if len(np.unique(self._nodes)) < len(self._nodes):
+                raise ValueError("nodes must not repeat a node")
+        if num_nodes < 2 and injection_rate > 0:
+            raise ValueError("traffic needs at least two nodes")
 
         weights = np.array([c.weight for c in self.mix], dtype=float)
         class_prob = weights / weights.sum()
@@ -213,15 +275,11 @@ class SyntheticTraffic:
                 f"1 packet/node/cycle for mean length {mean_len}"
             )
         # the class draw is ``Generator.choice(len(mix), size=k, p=...)``
-        # spelled out (its CDF, searched with k uniforms), minus the
-        # per-call validation of ``p``
+        # spelled out: its CDF, searched with k uniforms
         self._class_cdf = class_prob.cumsum()
         self._class_cdf /= self._class_cdf[-1]
         self._class_size = np.array([c.size_flits for c in self.mix])
         self._class_vnet = np.array([c.vnet for c in self.mix])
-        self._nodes = np.asarray(
-            nodes if nodes is not None else np.arange(config.num_nodes)
-        )
         # ON/OFF process: mean burst length grows with burstiness; duty
         # cycle 50 %, so the ON-state rate is doubled to keep the average
         self._p_exit = (1.0 - burstiness) * 0.1
@@ -229,15 +287,51 @@ class SyntheticTraffic:
             min(2.0 * self.packet_rate, 1.0) if burstiness > 0.0
             else self.packet_rate
         )
-        #: per-node ON flags; a bursty source's are its stream's first draw
-        self._on: Optional[np.ndarray] = (
-            None if burstiness > 0.0 else np.ones(len(self._nodes), dtype=bool)
+        #: per-node ON flags as a bitmask (bit i: ``nodes[i]``); every node
+        #: of a smooth source is ON, a bursty source's flags are its
+        #: stream's first draw
+        self._on: Optional[int] = None if burstiness > 0.0 else -1
+
+        # ---- what the parse reads of the pattern ----
+        p = self.pattern
+        #: permutation patterns: destination per node; the others: None
+        self._table: Optional[np.ndarray] = None
+        #: per node of ``nodes``: its table entry is itself (redrawn)
+        self._selfed: list[bool] = []
+        #: Hotspot: (hotspot nodes, word threshold of ``fraction``)
+        self._hot: Optional[tuple[list[int], int]] = None
+        if isinstance(p, Hotspot):
+            self._hot = (list(p.hotspots), _word_threshold(p.fraction))
+        elif isinstance(p, _PermutationPattern):
+            self._table = p.table
+            self._selfed = (p.table[self._nodes] == self._nodes).tolist()
+        elif not isinstance(p, UniformRandom):
+            raise ValueError(
+                f"pattern {type(p).__name__} is none of UniformRandom, Hotspot "
+                "or a permutation: the draw has no parse for it"
+            )
+        if num_nodes == 2:
+            # ``integers(0, 1)`` draws nothing: a uniform destination (or
+            # a redrawn self-target) is the other node, read off a table
+            other = np.array([1, 0])
+            t = self._table
+            self._table = other if t is None else np.where(t == [0, 1], other, t)
+            self._selfed = [False] * len(self._nodes)
+        self._node_ids: list[int] = self._nodes.tolist()
+        self._start_word = _word_threshold(self._start_prob)
+        self._flip_word = _word_threshold(self._p_exit)
+        # raw words to read per cycle left: a quiet cycle's rows plus about
+        # twice what its packets draw on average, so that one read mostly
+        # covers a window and a sparse window reads no word it does not use
+        n = len(self._nodes)
+        per_packet = 3.0 if self._hot else 1.5
+        self._words_per_cycle = (2 if burstiness > 0.0 else 1) * n + (
+            2.0 * n * self.packet_rate * per_packet
         )
+
         # ---- the table: drawn ahead by _draw, consumed by the readers ----
         #: cycles below this are drawn
         self._drawn = 0
-        #: length of the quiet streak ending at ``_drawn`` (see _draw)
-        self._quiet = 0
         #: drawn, unread packets as (cycle, src, dest, vnet, size) rows
         self._rows: list[tuple[int, int, int, int, int]] = []
         self._pos = 0
@@ -251,94 +345,308 @@ class SyntheticTraffic:
     def _draw(self, until: int) -> PacketTable:
         """Draw cycles ``[self._drawn, until)``: the only RNG consumer.
 
-        Per cycle, in stream order: the ON/OFF flip row (bursty only), the
-        start row, and — when any node starts — the pattern's destination
-        draws and one uniform per packet for its class.  After
-        ``_BULK_AFTER_QUIET`` quiet cycles in a row the next stretch (as
-        long as the streak so far) is drawn as one block; a block with a
-        start in it is rewound to the saved state and re-drawn up to that
-        cycle (row-major fill makes the redraw bit-identical), so the
-        stream is always exactly where per-cycle draws would leave it and
-        block boundaries — including ``until`` — never show in the packets.
+        Per cycle, in stream order, the naive source draws the ON/OFF flip
+        row (bursty only), the start row, and — when any node starts —
+        the pattern's destinations and one uniform per packet for its
+        class.  Here the stream is read as raw words in blocks: one
+        vectorised pass per block lists the words that pass the start test
+        (and the flip and hotspot tests), and a scalar loop walks those
+        hits.  A quiet
+        cycle consumes a fixed number of words, so a quiet stretch is a
+        jump to the next hit; a busy cycle turns its starts into
+        consumption counts (destination slots, hotspot tests and picks,
+        self-target redraws, class uniforms), and every value is gathered
+        in one vectorised pass per block.  Destination draws are taken as
+        accepted and checked at the gather; a Lemire rejection (about one
+        draw in 10**8) re-parses from the last gather with every draw
+        checked as it is made.  At the end the generator is left exactly
+        where the per-cycle calls leave it, held half included: words
+        read past the window are rewound.
         """
-        rng = self.rng
-        random = rng.random
-        bit_generator = rng.bit_generator
-        destinations = self.pattern.destinations
-        class_cdf = self._class_cdf
-        nodes = self._nodes
-        n = len(nodes)
-        bursty = self.burstiness > 0.0
-        rows_per_cycle = 2 if bursty else 1
-        start_prob = self._start_prob
-        p_exit = self._p_exit
-        on = self._on
-        if on is None:
-            on = random(n) < 0.5
-        quiet = self._quiet
-        hit_cycles: list[int] = []
-        sources: list[np.ndarray] = []
-        dests: list[np.ndarray] = []
-        classes: list[np.ndarray] = []
-
         c = self._drawn
-        while c < until:
-            if quiet < _BULK_AFTER_QUIET or until - c == 1:
-                if bursty:
-                    on = on ^ (random(n) < p_exit)
-                    starts = (random(n) < start_prob) & on
-                else:
-                    starts = random(n) < start_prob
-            else:
-                span = min(quiet, _MAX_SCAN_CYCLES, until - c)
-                state = bit_generator.state
-                block = random((span * rows_per_cycle, n))
-                if bursty:
-                    ons = np.logical_xor.accumulate(block[0::2] < p_exit, axis=0)
-                    ons ^= on
-                    grid = (block[1::2] < start_prob) & ons
-                else:
-                    grid = block < start_prob
-                busy = grid.any(axis=1)
-                first = int(busy.argmax())
-                if busy[first]:
-                    bit_generator.state = state
-                    random(((first + 1) * rows_per_cycle, n))
-                else:
-                    first = span - 1
-                starts = grid[first]
-                if bursty:
-                    on = ons[first]
-                c += first
-                quiet += first
-            started = starts.nonzero()[0]
-            if len(started):
-                src = nodes[started]
-                hit_cycles.append(c)
-                sources.append(src)
-                dests.append(destinations(src, rng))
-                classes.append(class_cdf.searchsorted(random(len(src)), side="right"))
-                quiet = 0
-            else:
-                quiet += 1
-            c += 1
-
-        self._on = on
-        self._quiet = quiet
-        self._drawn = max(until, self._drawn)
-        if not hit_cycles:
+        if until <= c:
             empty = np.empty(0, dtype=np.int64)
             return PacketTable(empty, empty, empty, empty, empty, empty)
-        cycle = np.repeat(hit_cycles, [len(s) for s in sources])
-        cls = np.concatenate(classes)
-        return PacketTable(
-            cycle,
-            np.concatenate(sources),
-            np.concatenate(dests),
-            self._class_vnet[cls],
-            self._class_size[cls],
-            cycle,
-        )
+        bit_generator = self.rng.bit_generator
+        nodes, node_ids = self._nodes, self._node_ids
+        n = len(node_ids)
+        bursty = self.burstiness > 0.0
+        on = self._on
+        if on is None:
+            on = sum(1 << int(i) for i in np.flatnonzero(self.rng.random(n) < 0.5))
+        stride = 2 * n if bursty else n  # words of a quiet cycle
+        start_row = stride - n  # where its start row begins
+        start_word, flip_word = self._start_word, self._flip_word
+        table, selfed = self._table, self._selfed
+        hot = self._hot
+        hot_nodes, hot_word = hot if hot else ([], 0)
+        n_hot = len(hot_nodes)
+        hot_reject = (1 << 32) % n_hot if n_hot else 0
+        m = self.config.num_nodes - 1  # a uniform draw picks among the others
+        reject = (1 << 32) % m if m else 0
+        classes = len(self.mix) > 1
+        per_cycle = self._words_per_cycle
+
+        begin = bit_generator.state
+        h = begin["has_uint32"]  # the generator holds a 32-bit half ...
+        held = begin["uinteger"]  # ... this one, or last did
+        bslot = _HELD  # slot of the last half held
+        words = np.empty(0, dtype=np.uint64)  # stream words [base, nread)
+        base = nread = 0
+        pos = 0  # next unconsumed word
+        # positions of the words that pass a test, each list ending in _END
+        starts = [_END]  # the start test
+        flips = [_END]  # the ON/OFF flip test (bursty)
+        hots = [_END]  # the hotspot test (Hotspot)
+        si = fi = hi = 0
+        tests = [(starts, start_word)]
+        if bursty:
+            tests.append((flips, flip_word))
+        if hot:
+            tests.append((hots, hot_word))
+        # what busy cycles drew since the last gather — per cycle its number
+        # and packet count; per packet its node's offset, its destination
+        # slot, a fixed destination (a hotspot pick) and its class uniform's
+        # word — and the gathered column chunks
+        cyc: list[int] = []
+        count: list[int] = []
+        offs: list[int] = []
+        dslot: list[int] = []
+        fix_i: list[int] = []
+        fix_v: list[int] = []
+        cpos: list[int] = []
+        chunks: list[tuple[np.ndarray, ...]] = []
+        snap = (c, pos, h, held, on)
+        exact = False  # check every destination draw as it is made
+
+        def read(q: int) -> None:
+            """Read words so that ``[base, q)`` is there, sized to about
+            the rest of the window, bounded by a block."""
+            nonlocal words, nread
+            want = pos + int((until - c) * per_cycle)
+            size = max(q - nread, min(want - nread, _BLOCK_WORDS))
+            new = bit_generator.random_raw(size)
+            for hits, threshold in tests:
+                hits[-1:] = _hits(new, threshold, nread)
+                hits.append(_END)
+            words = np.concatenate((words, new)) if len(words) else new
+            nread += size
+
+        def value(slot: int) -> int:
+            if slot == _HELD:
+                return held
+            return (int(words[slot >> 1]) >> (32 * (slot & 1))) & _MASK32
+
+        def draw32(span: int, threshold: int) -> tuple[int, int]:
+            """One accepted ``integers(0, span)`` draw (Lemire threshold
+            ``threshold``): its slot and its value."""
+            nonlocal pos, h, bslot
+            while True:
+                if h:
+                    h = 0
+                    s = bslot
+                else:
+                    if pos >= nread:
+                        read(pos + 1)
+                    s = 2 * (pos - base)
+                    h, bslot = 1, s + 1
+                    pos += 1
+                x = value(s) * span
+                if x & _MASK32 >= threshold:
+                    return s, x >> 32
+
+        def uniform(d: int) -> list[int]:
+            """The slots of ``integers(0, m, size=d)``, taken as accepted."""
+            nonlocal pos, h, bslot
+            if m == 1:
+                return [_FIXED] * d
+            if exact:
+                return [draw32(m, reject)[0] for _ in range(d)]
+            slots = []
+            if h and d:
+                slots.append(bslot)
+                h = 0
+                d -= 1
+            if d:
+                first = 2 * (pos - base)
+                slots.extend(range(first, first + d))
+                pos += (d + 1) >> 1
+                # the last word's high half: held if d is odd, else taken
+                h, bslot = d & 1, first + ((d - 1) | 1)
+                if pos > nread:
+                    read(pos)
+            return slots
+
+        def gather() -> bool:
+            """Turn the recorded draws into columns; False on a rejection."""
+            if not cyc:
+                return True
+            src = nodes[offs]
+            slots = np.array(dslot, dtype=np.int64)
+            dest = table[src] if table is not None else np.empty(len(src), np.int64)
+            drawn = (slots != _FIXED).nonzero()[0]
+            s = slots[drawn]
+            # as little-endian uint32s, word i is halves 2i (low) and 2i + 1
+            halves = words.astype("<u8", copy=False).view("<u4")
+            x = halves[np.maximum(s, 0)].astype(np.uint64)
+            x[s == _HELD] = held
+            x *= np.uint64(m)
+            if reject and ((x & np.uint64(_MASK32)) < reject).any():
+                return False
+            u = (x >> np.uint64(32)).astype(np.int64)
+            dest[drawn] = u + (u >= src[drawn])
+            if fix_i:
+                dest[fix_i] = fix_v
+            if classes:
+                w = words[cpos] >> np.uint64(11)
+                cls = self._class_cdf.searchsorted(w * 2.0**-53, side="right")
+                vnet, size = self._class_vnet[cls], self._class_size[cls]
+            else:
+                vnet = np.full(len(src), self.mix[0].vnet)
+                size = np.full(len(src), self.mix[0].size_flits)
+            cycle = np.repeat(np.array(cyc, dtype=np.int64), count)
+            chunks.append((cycle, src, dest, vnet, size))
+            forget()
+            return True
+
+        def forget() -> None:
+            for record in (cyc, count, offs, dslot, fix_i, fix_v, cpos):
+                record.clear()
+
+        def restart() -> None:
+            """Re-parse from the last flush, checking each draw as it is made."""
+            nonlocal c, pos, h, held, on, bslot, exact, si, fi, hi
+            c, pos, h, held, on = snap
+            bslot, exact = _HELD, True
+            si, fi, hi = (bisect_left(hits, pos) for hits in (starts, flips, hots))
+            forget()
+
+        def flush() -> None:
+            """Gather, then hold only the words not yet consumed."""
+            nonlocal held, bslot, words, base, si, fi, hi, snap, exact
+            if not gather():
+                restart()
+                return
+            if bslot != _HELD:
+                held, bslot = value(bslot), _HELD
+            words, base = words[pos - base:], pos
+            for hits in (starts, flips, hots):
+                del hits[: bisect_left(hits, pos)]
+            si = fi = hi = 0
+            snap = (c, pos, h, held, on)
+            exact = False
+
+        while True:
+            while c < until:
+                if pos - base >= _BLOCK_WORDS:
+                    flush()
+                    continue
+                s = starts[si]
+                while s < pos:
+                    si += 1
+                    s = starts[si]
+                # the next start row with a hit in it, or as far as is read
+                row = -1
+                if s >= nread:  # no start hit in [pos, nread): all quiet
+                    j = min((nread - pos) // stride, until - c)
+                    limit = pos + j * stride
+                else:
+                    j, off = divmod(s - pos, stride)
+                    if c + j >= until:
+                        j = until - c
+                        limit = pos + j * stride
+                    elif off < start_row:  # a hit in a flip row is no start
+                        si += 1
+                        continue
+                    else:
+                        row = limit = s - off + start_row
+                        if row + n > nread:
+                            read(row + n)
+                            continue
+                if bursty:  # the flip rows before ``limit``, aligned at pos
+                    f = flips[fi]
+                    while f < limit:
+                        fi += 1
+                        f -= pos
+                        if f >= 0 and f % stride < n:
+                            on ^= 1 << f % stride
+                        f = flips[fi]
+                c += j
+                if row < 0:  # quiet up to ``limit``
+                    pos = limit
+                    if c < until:
+                        read(pos + stride)
+                    continue
+                started = []
+                end = row + n
+                while s < end:
+                    if on >> (s - row) & 1:
+                        started.append(s - row)
+                    si += 1
+                    s = starts[si]
+                pos = end
+                if not started:
+                    c += 1
+                    continue
+                # a busy cycle: the destination draws, then the classes
+                k = len(started)
+                cyc.append(c)
+                count.append(k)
+                offs.extend(started)
+                if hot:
+                    slots = uniform(k)
+                    first = pos
+                    pos += k
+                    if pos > nread:
+                        read(pos)
+                    hi = bisect_left(hots, first, hi)
+                    picked = []
+                    while hots[hi] < first + k:
+                        picked.append(hots[hi] - first)
+                        hi += 1
+                    redraw = []
+                    for j in picked:
+                        pick = hot_nodes[draw32(n_hot, hot_reject)[1] if n_hot > 1 else 0]
+                        if pick == node_ids[started[j]]:
+                            redraw.append(j)
+                        else:
+                            slots[j] = _FIXED
+                            fix_i.append(len(dslot) + j)
+                            fix_v.append(pick)
+                    for j, slot in zip(redraw, uniform(len(redraw))):
+                        slots[j] = slot
+                    dslot.extend(slots)
+                elif table is not None:
+                    for o in started:
+                        dslot.append(uniform(1)[0] if selfed[o] else _FIXED)
+                else:
+                    dslot.extend(uniform(k))
+                if classes:
+                    cpos.extend(range(pos - base, pos - base + k))
+                pos += k
+                if pos > nread:
+                    read(pos)
+                c += 1
+            if gather():
+                break
+            restart()
+
+        rewound = nread > pos
+        if rewound:  # read past the window: step back (PCG64's period is 2**128)
+            bit_generator.advance(pos - nread)
+        last = value(bslot)
+        # advance() drops the held half: put it back, as any change to it
+        if rewound or (h, last) != (begin["has_uint32"], begin["uinteger"]):
+            state = dict(bit_generator.state)
+            state["has_uint32"], state["uinteger"] = h, last
+            bit_generator.state = state
+        self._on = on
+        self._drawn = until
+        if not chunks:
+            empty = np.empty(0, dtype=np.int64)
+            return PacketTable(empty, empty, empty, empty, empty, empty)
+        cols = chunks[0] if len(chunks) == 1 else [np.concatenate(c) for c in zip(*chunks)]
+        return PacketTable(*cols, cols[0])
 
     def _extend(self, until: int) -> None:
         """Draw through ``until`` and append the rows behind the cursor."""
@@ -347,7 +655,8 @@ class SyntheticTraffic:
             t.cycle.tolist(), t.src.tolist(), t.dest.tolist(),
             t.vnet.tolist(), t.size.tolist(),
         )
-        self._rows = self._rows[self._pos:] + list(fresh)
+        self._rows = self._rows[self._pos:]
+        self._rows += fresh
         self._pos = 0
 
     def packet_table(self, until: int) -> PacketTable:
@@ -372,7 +681,7 @@ class SyntheticTraffic:
         """Earliest cycle in ``[cycle, horizon)`` that starts a packet.
 
         Lookahead for the event-driven engine: a peek at the next unread
-        table row, drawing further ahead (in growing steps, never past
+        table row, drawing further ahead (in doubling steps, never past
         ``horizon``) while the table holds none.  Returns ``None`` when
         the whole window is quiet.
         """
@@ -389,7 +698,7 @@ class SyntheticTraffic:
             if self._drawn >= horizon:
                 return None
             self._extend(min(horizon, max(cycle, self._drawn) + step))
-            step = min(2 * step, _MAX_SCAN_CYCLES)
+            step *= 2
 
     def generate(self, cycle: int) -> list[Packet]:
         """Packets created at ``cycle`` (TrafficSource protocol)."""

@@ -9,6 +9,7 @@ row-major node numbering.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -17,39 +18,23 @@ from ..config import NetworkConfig
 
 
 class TrafficPattern:
-    """Interface: draw destination nodes for given source nodes."""
+    """A spatial destination distribution, as the traffic draw reads it.
+
+    ``SyntheticTraffic`` parses three shapes: :class:`UniformRandom` (no
+    parameters), :class:`Hotspot` (``hotspots`` and ``fraction``) and the
+    permutations (a destination ``table``).
+    """
 
     name = "abstract"
 
     def __init__(self, config: NetworkConfig) -> None:
         self.config = config
 
-    def destinations(
-        self, sources: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Destination node for each source in ``sources`` (vectorised)."""
-        raise NotImplementedError
-
-
-def _uniform_other(
-    n: int, sources: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """For each source, a uniformly drawn node that is not the source."""
-    dests = rng.integers(0, n - 1, size=len(sources))
-    dests += dests >= sources  # shift so a node never targets itself
-    return dests
-
 
 class UniformRandom(TrafficPattern):
     """Every other node is an equally likely destination."""
 
     name = "uniform_random"
-
-    def destinations(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = self.config.num_nodes
-        if n < 2:
-            raise ValueError("uniform traffic needs at least two nodes")
-        return _uniform_other(n, sources, rng)
 
 
 class _PermutationPattern(TrafficPattern):
@@ -59,15 +44,10 @@ class _PermutationPattern(TrafficPattern):
     def _permute(self, sources: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def destinations(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        dests = self._permute(np.asarray(sources))
-        selfed = dests == sources
-        if np.any(selfed):
-            dests = dests.copy()
-            dests[selfed] = _uniform_other(
-                self.config.num_nodes, sources[selfed], rng
-            )
-        return dests
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Destination of every node (a node mapped to itself is redrawn)."""
+        return np.asarray(self._permute(np.arange(self.config.num_nodes)))
 
 
 class Transpose(_PermutationPattern):
@@ -174,24 +154,6 @@ class Hotspot(TrafficPattern):
             if not 0 <= hs < config.num_nodes:
                 raise ValueError(f"hotspot {hs} outside the mesh")
         self.fraction = fraction
-        self._hot = np.array(self.hotspots)
-
-    def destinations(self, sources: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = self.config.num_nodes
-        dests = _uniform_other(n, sources, rng)
-        hot = (rng.random(len(sources)) < self.fraction).nonzero()[0]
-        if len(hot):
-            # ``rng.choice(self.hotspots, size=k)`` spelled out: the same
-            # bounded-integer draw, minus its per-call list conversion
-            picks = self._hot[rng.integers(0, len(self._hot), size=len(hot))]
-            dests[hot] = picks
-            # a hotspot node may have drawn itself; redirect those
-            # uniformly (only hot entries can self-target)
-            src_hot = sources[hot]
-            selfed = (picks == src_hot).nonzero()[0]
-            if len(selfed):
-                dests[hot[selfed]] = _uniform_other(n, src_hot[selfed], rng)
-        return dests
 
 
 _PATTERNS = {

@@ -133,16 +133,21 @@ def _ref_destinations(pattern, sources, rng):
     return dests
 
 
-def reference_packets(net, rate, pattern, mix, seed, burstiness, nodes, horizon):
+def reference_packets(
+    net, rate, pattern, mix, seed, burstiness, nodes, horizon, rng=None
+):
     """``(cycle, src, dest, vnet, size)`` rows of a naive per-cycle source.
 
     What ``SyntheticTraffic`` must draw, written out with the plain NumPy
     calls one cycle at a time (``rng.choice`` for hotspots and packet
-    classes, ``np.where`` shifts).  The production code spells ``choice``
-    out by its definition, so a NumPy release that changes ``choice``
-    fails against this instead of silently forking every seeded result.
+    classes, ``np.where`` shifts).  The production code parses the raw
+    words these calls consume, so a NumPy release that changes any of
+    them fails against this instead of silently forking every seeded
+    result.  ``rng`` (default: seeded from ``seed``) is drawn from in
+    place, so a caller can hold it against the source's afterwards.
     """
-    rng = np.random.default_rng(seed)
+    if rng is None:
+        rng = np.random.default_rng(seed)
     weights = np.array([c.weight for c in mix], dtype=float)
     class_prob = weights / weights.sum()
     mean_len = float(sum(c.size_flits * p for c, p in zip(mix, class_prob)))

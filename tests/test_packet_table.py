@@ -6,11 +6,12 @@ Two contracts are pinned here.
   table ahead of every reader with one routine; what it draws must equal
   the naive per-cycle source the test suite writes out with the plain
   NumPy calls (``conftest.reference_packets``: ``rng.choice`` for
-  hotspots and packet classes) — the production code spells ``choice``
-  out by its definition, so a NumPy release that changes ``choice``
-  fails here instead of silently forking every seeded result.  No reader — ``generate``,
-  ``next_injection``, ``packet_table`` in any interleaving — may change
-  the packets.
+  hotspots and packet classes) — the production code parses the raw
+  PCG64 words those calls consume, so a NumPy release that changes any
+  of them fails here instead of silently forking every seeded result —
+  and must leave the generator where they leave it, held 32-bit half
+  included.  No reader — ``generate``, ``next_injection``,
+  ``packet_table`` in any interleaving — may change the packets.
 * **The lane boundary is the object NIC.**  Lanes inject from and eject
   into table columns; with ``keep_samples=True`` every lane must equal
   the full-scan reference stepper on ``summary()``, the router counters
@@ -40,7 +41,16 @@ from repro.traffic.generator import (
     TraceTraffic,
     compile_table,
 )
-from repro.traffic.patterns import available_patterns, make_pattern
+from repro.traffic import generator
+from repro.traffic.patterns import (
+    BitComplement,
+    Hotspot,
+    Neighbor,
+    Tornado,
+    UniformRandom,
+    available_patterns,
+    make_pattern,
+)
 
 NET = NetworkConfig(width=4, height=4, router=RouterConfig(num_vcs=4, num_vnets=2))
 THREE_CLASS_MIX = (
@@ -77,7 +87,7 @@ SOURCES = st.fixed_dictionaries({
     "nodes": st.none() | st.lists(
         st.integers(0, NET.num_nodes - 1), min_size=1, max_size=8, unique=True
     ),
-    # packets per node per cycle: silent, sparse (bulk scans), busy, saturated
+    # packets per node per cycle: silent, sparse (quiet jumps), busy, saturated
     "packet_rate": st.sampled_from([0.0, 0.002, 0.02, 0.3, 1.0]),
     "seed": st.integers(0, 2**32 - 1),
 })
@@ -97,6 +107,14 @@ def _make(spec):
     return source, kwargs
 
 
+def _assert_same_stream(rng, ref):
+    """``rng`` sits where ``ref`` does: no word read past the draw, and
+    the held 32-bit half (which ``random()`` never sees) the same."""
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+    assert rng.integers(0, 7) == ref.integers(0, 7)
+
+
 class TestDrawEqualsPerCycleReference:
     HORIZON = 160
 
@@ -104,8 +122,10 @@ class TestDrawEqualsPerCycleReference:
     @settings(max_examples=120, deadline=None)
     def test_table_equals_naive_reference(self, spec):
         source, ref = _make(spec)
-        want = reference_packets(NET, horizon=self.HORIZON, **ref)
+        ref_rng = np.random.default_rng(spec["seed"])
+        want = reference_packets(NET, horizon=self.HORIZON, rng=ref_rng, **ref)
         assert _table_rows(compile_table(source, self.HORIZON, NET)) == want
+        _assert_same_stream(source.rng, ref_rng)
         source, _ = _make(spec)
         got = [r for c in range(self.HORIZON) for r in _rows(source.generate(c))]
         assert got == want
@@ -145,6 +165,10 @@ class TestDrawEqualsPerCycleReference:
                 got += _rows(packets)
                 cycle = hit + 1
         assert got == want
+        # the readers drew ahead to ``_drawn``; the stream sits there
+        ref_rng = np.random.default_rng(spec["seed"])
+        reference_packets(NET, horizon=source._drawn, rng=ref_rng, **ref)
+        _assert_same_stream(source.rng, ref_rng)
 
     def test_draw_never_reads_past_what_was_asked(self):
         """After a table through cycle H the stream sits exactly where
@@ -166,6 +190,93 @@ class TestDrawEqualsPerCycleReference:
                         ref.integers(0, n - 1, size=k)
                         ref.random(k)
                 assert source.rng.random() == ref.random(), (burstiness, rate)
+                assert source.rng.integers(0, 7) == ref.integers(0, 7)
+
+
+def _planted(seed, has_uint32, uinteger):
+    """A generator seeded ``seed`` that holds (or not) a 32-bit half."""
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    rng.bit_generator.state = state
+    return rng
+
+
+class TestParseCorners:
+    """What the random specs above rarely or never reach: a half held
+    before the draw, a Lemire rejection, ranges that draw nothing, and
+    block flushes inside one window."""
+
+    HORIZON = 200
+
+    def _check(self, net, pattern, rate, *, held=None, seed=5, mix=COHERENCE_MIX,
+               burstiness=0.0, nodes=None, horizon=HORIZON):
+        source = SyntheticTraffic(
+            net, rate, pattern=pattern, mix=mix, rng=seed,
+            burstiness=burstiness, nodes=nodes,
+        )
+        ref_rng = np.random.default_rng(seed)
+        if held is not None:
+            source.rng = _planted(seed, *held)
+            ref_rng = _planted(seed, *held)
+        want = reference_packets(
+            net, rate, pattern, mix, seed, burstiness, nodes, horizon, rng=ref_rng
+        )
+        assert want, "a corner case that draws no packet checks nothing"
+        assert _table_rows(compile_table(source, horizon, net)) == want
+        _assert_same_stream(source.rng, ref_rng)
+
+    @pytest.mark.parametrize("pattern", available_patterns())
+    @pytest.mark.parametrize("uinteger", [0x9E3779B9, 0])
+    def test_a_half_held_before_the_draw(self, pattern, uinteger):
+        """The first 32-bit draw takes the held half, not a fresh word;
+        ``uinteger = 0`` is also a rejection wherever ``m`` is no power of
+        two (15 for uniform destinations on 4x4)."""
+        self._check(NET, make_pattern(pattern, NET), 0.3, held=(1, uinteger))
+
+    def test_the_planted_half_is_a_rejection(self):
+        rng = _planted(5, 1, 0)
+        rng.integers(0, NET.num_nodes - 1)
+        # a rejected held half: the accepted draw took a fresh word and
+        # holds its high half; an accepted one would have held nothing
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("burstiness", [0.0, 0.5])
+    def test_a_rejection_with_flushes_inside_the_window(self, monkeypatch, burstiness):
+        """Blocks of 40 words: the draw gathers and drops words many times
+        per window, and the planted rejection re-parses from the start
+        with every draw checked."""
+        monkeypatch.setattr(generator, "_BLOCK_WORDS", 40)
+        for pattern in (UniformRandom(NET), Hotspot(NET, fraction=0.4), Tornado(NET)):
+            self._check(NET, pattern, 0.4, held=(1, 0), burstiness=burstiness)
+            self._check(NET, pattern, 0.4, burstiness=burstiness, nodes=[9, 2, 14])
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["uniform", "neighbor", "tornado", "bit_complement", "hotspot_one", "hotspot_both"],
+    )
+    def test_a_two_node_mesh_draws_no_destination(self, pattern):
+        """``integers(0, 1)`` draws nothing: a uniform destination (and a
+        redrawn self-target: tornado maps both nodes to themselves) is the
+        other node, with no word consumed."""
+        net = NetworkConfig(width=2, height=1, router=RouterConfig(num_vcs=4, num_vnets=2))
+        make = {
+            "uniform": lambda: UniformRandom(net),
+            "neighbor": lambda: Neighbor(net),
+            "tornado": lambda: Tornado(net),
+            "bit_complement": lambda: BitComplement(net),
+            "hotspot_one": lambda: Hotspot(net, hotspots=[0], fraction=0.5),
+            "hotspot_both": lambda: Hotspot(net, hotspots=[0, 1], fraction=0.5),
+        }[pattern]
+        self._check(net, make(), 0.5, held=(1, 0))
+        self._check(net, make(), 0.5, burstiness=0.4)
+
+    def test_a_one_node_hotspot_draws_no_pick(self):
+        """``choice`` of one hotspot is ``integers(0, 1)``: no draw, and a
+        packet from the hotspot itself redraws uniformly."""
+        pattern = Hotspot(NET, hotspots=[5], fraction=0.6)
+        self._check(NET, pattern, 0.4)
+        self._check(NET, pattern, 0.4, nodes=[5, 6], held=(1, 7))
 
 
 class TestCompileTable:
@@ -233,9 +344,8 @@ class TestCompileTable:
         sim_cfg = SimulationConfig(warmup_cycles=5, measure_cycles=5, drain_cycles=50)
         with pytest.raises(ValueError, match="vnet 7 out of range"):
             run_lanes(NET, sim_cfg, [LaneSpec(self._yields(vnet=7))])
-        synthetic = SyntheticTraffic(NET, 0.1, rng=1, nodes=[3, 99])
         with pytest.raises(ValueError, match="sourced at 99"):
-            run_lanes(NET, sim_cfg, [LaneSpec(synthetic)])
+            run_lanes(NET, sim_cfg, [LaneSpec(self._yields(src=99))])
 
 
 # ----------------------------------------------------------------------

@@ -678,6 +678,35 @@ class TestServer:
                 await service.close()
         asyncio.run(run())
 
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            ("load_latency", {"rates": [float("nan")]}),
+            ("load_latency", {"rates": [float("inf")]}),
+            ("detection_latency", {"injection_rate": float("-inf")}),
+        ],
+        ids=["nan-rate", "infinite-rate", "minus-infinity-injection-rate"],
+    )
+    def test_a_non_finite_number_is_refused_at_parse(self, name, config):
+        """JSON's ``NaN`` / ``Infinity`` constants are a 400 before
+        fingerprinting: a NaN rate used to run and report a NaN latency."""
+
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                status, body = await client._request(
+                    "POST", "/v1/sweeps", {"experiment": name, "config": config}
+                )
+                assert status == 400, body
+                assert "not a number" in body["error"]
+                counters = (await client.stats())["counters"]
+                assert counters.get("service.computations", 0) == 0
+                assert counters["service.bad_requests"] == 1
+                assert len(service.cache) == 0
+            finally:
+                await service.close()
+        asyncio.run(run())
+
     def test_error_paths(self):
         async def run():
             service, client = await _start_service_tmp()

@@ -32,6 +32,7 @@ from repro.traffic.patterns import (
     Hotspot,
     Neighbor,
     Tornado,
+    TrafficPattern,
     Transpose,
     UniformRandom,
     available_patterns,
@@ -51,28 +52,30 @@ def net():
     return NetworkConfig(width=4, height=4)
 
 
-def rng():
-    return np.random.default_rng(7)
+def _drawn(net, pattern, rate=0.5, seed=7, horizon=400, nodes=None):
+    """A source's (src, dest) columns over ``horizon`` cycles."""
+    t = compile_table(
+        SyntheticTraffic(net, rate, pattern=pattern, rng=seed, nodes=nodes),
+        horizon, net,
+    )
+    return t.src, t.dest
 
 
 class TestPatterns:
     def test_uniform_never_self(self, net):
-        p = UniformRandom(net)
-        src = np.repeat(np.arange(16), 50)
-        dst = p.destinations(src, rng())
+        src, dst = _drawn(net, UniformRandom(net))
+        assert len(src) > 1000
         assert np.all(dst != src)
         assert np.all((0 <= dst) & (dst < 16))
 
     def test_uniform_covers_all_destinations(self, net):
-        p = UniformRandom(net)
-        src = np.zeros(2000, dtype=int)
-        dst = p.destinations(src, rng())
-        assert set(dst) == set(range(1, 16))
+        src, dst = _drawn(net, UniformRandom(net), nodes=[0], rate=1.0, horizon=2000)
+        assert set(src.tolist()) == {0}
+        assert set(dst.tolist()) == set(range(1, 16))
 
     def test_transpose(self, net):
-        p = Transpose(net)
         # (1,0)=1 -> (0,1)=4
-        assert p.destinations(np.array([1]), rng())[0] == 4
+        assert Transpose(net).table[1] == 4
 
     def test_transpose_requires_square(self):
         with pytest.raises(ValueError):
@@ -80,8 +83,8 @@ class TestPatterns:
 
     def test_bit_complement(self, net):
         p = BitComplement(net)
-        assert p.destinations(np.array([0]), rng())[0] == 15
-        assert p.destinations(np.array([3]), rng())[0] == 12
+        assert p.table[0] == 15
+        assert p.table[3] == 12
 
     def test_bit_reverse_power_of_two_only(self):
         with pytest.raises(ValueError):
@@ -90,22 +93,21 @@ class TestPatterns:
     def test_bit_reverse_mapping(self, net):
         p = BitReverse(net)
         # 16 nodes, 4 bits: 1 (0001) -> 8 (1000)
-        assert p.destinations(np.array([1]), rng())[0] == 8
+        assert p.table[1] == 8
 
     def test_tornado_half_width(self, net):
         p = Tornado(net)
         # (0,0) -> (x + ceil(4/2)-1) mod 4 = (0+1)%4 = 1
-        assert p.destinations(np.array([0]), rng())[0] == 1
+        assert p.table[0] == 1
 
     def test_neighbor(self, net):
         p = Neighbor(net)
-        assert p.destinations(np.array([0]), rng())[0] == 1
-        assert p.destinations(np.array([3]), rng())[0] == 0  # wraps row
+        assert p.table[0] == 1
+        assert p.table[3] == 0  # wraps row
 
     def test_hotspot_bias(self, net):
         p = Hotspot(net, hotspots=[5], fraction=0.5)
-        src = np.ones(4000, dtype=int) * 2
-        dst = p.destinations(src, rng())
+        src, dst = _drawn(net, p, nodes=[2], rate=1.0, horizon=4000)
         frac5 = np.mean(dst == 5)
         assert 0.4 < frac5 < 0.6
         assert np.all(dst != src)
@@ -134,9 +136,9 @@ class TestPatterns:
     def test_patterns_never_self_target(self, name):
         net = NetworkConfig(width=4, height=4)
         pat = make_pattern(name, net)
-        src = np.arange(16)
         for seed in range(3):
-            dst = pat.destinations(src, np.random.default_rng(seed))
+            src, dst = _drawn(net, pat, rate=1.0, seed=seed, horizon=20)
+            assert len(src) == 16 * 20
             assert np.all(dst != src)
 
 
@@ -185,6 +187,37 @@ class TestSyntheticTraffic:
         with pytest.raises(ValueError):
             SyntheticTraffic(net, injection_rate=0.1, mix=())
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_rate(self, net, rate):
+        """A NaN rate used to be accepted and run: 0 packets created and
+        a NaN average latency."""
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticTraffic(net, injection_rate=rate, rng=1)
+
+    @pytest.mark.parametrize(
+        "nodes, match",
+        [([], "at least one node"), ([3, 3], "repeat"), ([99], "node 99 outside")],
+        ids=["empty", "duplicate", "outside-the-mesh"],
+    )
+    def test_rejects_bad_nodes(self, net, nodes, match):
+        """Empty drew nothing, a repeat silently doubled a node's rate, and
+        a node outside the mesh failed only when a packet reached a NIC."""
+        with pytest.raises(ValueError, match=match):
+            SyntheticTraffic(net, injection_rate=0.1, rng=1, nodes=nodes)
+
+    def test_rejects_a_stream_it_cannot_parse(self, net):
+        with pytest.raises(ValueError, match="PCG64"):
+            SyntheticTraffic(
+                net, 0.1, rng=np.random.Generator(np.random.MT19937(1))
+            )
+
+    def test_rejects_a_pattern_it_cannot_parse(self, net):
+        class Custom(TrafficPattern):
+            name = "custom"
+
+        with pytest.raises(ValueError, match="no parse"):
+            SyntheticTraffic(net, 0.1, pattern=Custom(net), rng=1)
+
     def test_packet_class_validation(self):
         with pytest.raises(ValueError):
             PacketClass(size_flits=0)
@@ -193,25 +226,6 @@ class TestSyntheticTraffic:
 
     def test_null_traffic(self):
         assert list(NullTraffic().generate(0)) == []
-
-
-class _LoggingRng:
-    """Stands in for a source's ``Generator``: logs every ``random`` shape."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.bit_generator = rng.bit_generator
-        self.shapes = []
-
-    def random(self, size=None):
-        self.shapes.append(size)
-        return self._rng.random(size)
-
-    def integers(self, *args, **kwargs):
-        return self._rng.integers(*args, **kwargs)
-
-    def bulk_calls(self):
-        return [s for s in self.shapes if isinstance(s, tuple)]
 
 
 def _reference(net, rate, horizon, mix=SINGLE_FLIT_MIX, seed=0, burstiness=0.0):
@@ -230,9 +244,10 @@ def _row(p):
 
 
 class TestChunkedDraws:
-    """Bulk scans of quiet stretches must be invisible in the packet
-    stream: same packets, same destinations, same classes as the naive
-    per-cycle source (``conftest.reference_packets``) from the same seed."""
+    """Reading the stream in blocks of raw words, and jumping quiet
+    stretches, must be invisible in the packet stream: same packets, same
+    destinations, same classes as the naive per-cycle source
+    (``conftest.reference_packets``) from the same seed."""
 
     def test_chunked_identical_to_per_cycle(self, net):
         for rate in (0.0, 0.01, 0.05, 0.2):
@@ -250,34 +265,31 @@ class TestChunkedDraws:
                     want = _reference(net, rate, 1500, mix, 11, burst)
                     assert got == want, (rate, burst, len(mix))
 
-    def test_chunk_grows_on_silence_and_resets_on_start(self, net):
+    def test_silent_and_sparse_streams_equal_the_reference(self, net):
         silent = SyntheticTraffic(net, injection_rate=0.0, rng=1)
-        silent.rng = log = _LoggingRng(silent.rng)
         for c in range(10_000):
             assert not silent.generate(c)
-        # doubling blocks up to the table's read-ahead, not 10k calls
-        assert len(log.shapes) < 10_000 // 8
         assert len(compile_table(silent, 20_000, net)) == 0
-        assert max(rows for rows, _ in log.bulk_calls()) >= 1024
 
         busy = SyntheticTraffic(net, injection_rate=0.02, rng=1)
-        busy.rng = log = _LoggingRng(busy.rng)
-        assert len(compile_table(busy, 4000, net)) > 100
-        assert log.bulk_calls()  # quiet gaps were scanned in bulk ...
-        # ... and every packet start dropped back to per-cycle draws: a
-        # block only ever follows a per-cycle row or another block, never
-        # a start's class draw (one uniform per packet)
-        n = net.num_nodes
-        for before, shape in zip(log.shapes, log.shapes[1:]):
-            if isinstance(shape, tuple):
-                assert before == n or isinstance(before, tuple)
+        table = compile_table(busy, 4000, net)
+        assert len(table) > 100
+        want = _reference(net, 0.02, 4000, seed=1)
+        got = {}
+        for c, *row in zip(*(col.tolist() for col in (
+            table.cycle, table.src, table.dest, table.vnet, table.size
+        ))):
+            got.setdefault(c, []).append(tuple(row))
+        assert got == want
 
-    def test_saturated_stream_never_chunks(self, net):
+    def test_saturated_stream_equals_the_reference(self, net):
         t = SyntheticTraffic(net, injection_rate=1.0, rng=2)
-        t.rng = log = _LoggingRng(t.rng)
+        got = {}
         for c in range(50):
-            assert len(t.generate(c)) == net.num_nodes
-        assert not log.bulk_calls()
+            pkts = t.generate(c)
+            assert len(pkts) == net.num_nodes
+            got[c] = [_row(p) for p in pkts]
+        assert got == _reference(net, 1.0, 50, seed=2)
 
 
 class TestNextInjectionLookahead:
