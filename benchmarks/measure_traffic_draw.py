@@ -119,8 +119,8 @@ def main() -> None:
             for side in (args.against, SRC)
         )
         print(
-            f"| {name} | {before[0]:.2f} → {after[0]:.2f} | {before[0] / after[0]:.1f} "
-            f"| {before[1]:.2f} → {after[1]:.2f} | {before[1] / after[1]:.1f} |",
+            f"| {name} | {before[0]:.2f} → {after[0]:.2f} | {before[0] / after[0]:.2f} "
+            f"| {before[1]:.2f} → {after[1]:.2f} | {before[1] / after[1]:.2f} |",
             flush=True,
         )
 

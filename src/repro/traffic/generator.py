@@ -5,10 +5,11 @@ state — so packets are *drawn ahead* of whoever reads them, into a
 :class:`PacketTable` of column arrays, instead of one ``Packet`` object
 per call.  :meth:`SyntheticTraffic._draw` is the one routine that reads
 the source's PCG64 stream, and it reads it as raw 64-bit words
-(``bit_generator.random_raw``), parsed exactly as the naive per-cycle
-``Generator`` calls would consume them — ON/OFF flip row, start row,
-pattern draws, class draw, pinned against such a reference in
-``tests/test_packet_table.py`` — so neither how far ahead a reader asks
+(``bit_generator.random_raw``); :func:`_parse`, a pure function of those
+words, consumes them exactly as the naive per-cycle ``Generator`` calls
+would — ON/OFF flip row, start row, pattern draws, class draw, pinned
+against such a reference in ``tests/test_packet_table.py`` and
+``tests/test_traffic_parse.py`` — so neither how far ahead a reader asks
 nor where a block of words ends shows in the stream.  The parse replays
 three NumPy behaviours:
 
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,24 +57,25 @@ from .trace import bucket_by_cycle
 #: which times every 16th cycle and would book a whole block on each
 _READ_AHEAD_CYCLES = 65
 
-#: raw words per read; a draw gathers and drops what it consumed every
-#: block, so it holds about two blocks (128 KiB) at most, however long the
-#: window
+#: raw words per read; each read is parsed and dropped before the next,
+#: so a draw holds about one block (64 KiB), however long the window
 _BLOCK_WORDS = 1 << 13
 
 _MASK32 = 0xFFFFFFFF
 
-#: ends every list of hit positions, past any position a draw reaches
+#: ends every list of positions, past any position a parse reaches
 _END = 1 << 62
 
 # a destination's 32-bit draw is named by its slot, ``2 * word + half``
-# (half 0 the low 32 bits, 1 the high; ``word`` counted from the first
-# word held); besides those:
-#: the half the generator held when the draw began (or at the last flush)
+# (half 0 the low 32 bits, 1 the high, of a word of the parsed array);
+# besides those:
+#: the half the generator held when the parse began
 _HELD = -1
-#: no draw: the destination is the pattern's table entry, a hotspot pick,
-#: or the one other node of a 2-node mesh (``integers(0, 1)`` draws nothing)
+#: no draw: the destination is the pattern's table entry, or the one other
+#: node of a 2-node mesh (``integers(0, 1)`` draws nothing)
 _FIXED = -2
+#: this and below: no draw, the destination is the hotspot ``_PICK - slot``
+_PICK = -3
 
 
 def _word_threshold(p: float) -> int:
@@ -83,12 +85,263 @@ def _word_threshold(p: float) -> int:
     return math.ceil(p * 2.0**53) << 11
 
 
-def _hits(words: np.ndarray, threshold: int, offset: int) -> list[int]:
-    """Positions (plus ``offset``) of the words below ``threshold``."""
+def _hits(words: np.ndarray, threshold: int) -> list[int]:
+    """Positions of the words below ``threshold``, then ``_END``."""
     if threshold >= 1 << 64:
-        return list(range(offset, offset + len(words)))
-    hits = (words < threshold).nonzero()[0]
-    return (hits + offset).tolist() if len(hits) else []
+        return [*range(len(words)), _END]
+    return [*(words < threshold).nonzero()[0].tolist(), _END]
+
+
+class _Constants(NamedTuple):
+    """What the parse reads of a source, fixed at its construction."""
+
+    #: the nodes that inject; bit i of the ON mask is ``node_ids[i]``
+    nodes: np.ndarray
+    node_ids: list[int]
+    bursty: bool
+    #: word thresholds of the start and the ON/OFF flip probabilities
+    start_word: int
+    flip_word: int
+    #: a uniform destination is one of the ``m`` other nodes
+    m: int
+    #: permutation patterns (and any pattern on a 2-node mesh): the
+    #: destination per node; per node of ``nodes``, whether it is itself
+    table: Optional[np.ndarray]
+    selfed: list[bool]
+    #: Hotspot: its hotspots and the word threshold of its fraction
+    hot_nodes: list[int]
+    hot_word: int
+    #: ``Generator.choice``'s CDF over the classes, and their columns
+    class_cdf: np.ndarray
+    class_vnet: np.ndarray
+    class_size: np.ndarray
+
+
+class _State(NamedTuple):
+    """Where a parse stands: the next cycle, the generator's held half
+    (``has_uint32`` / ``uinteger``) and the ON mask (-1: every node)."""
+
+    cycle: int
+    has_uint32: int
+    uinteger: int
+    on: int
+
+
+class _Short(Exception):
+    """A cycle draws past the end of the words at hand."""
+
+
+_Columns = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _parse(
+    words: np.ndarray, state: _State, until: int, const: _Constants
+) -> tuple[Optional[_Columns], int, _State]:
+    """Parse the cycles ``[state.cycle, until)`` that ``words`` holds whole.
+
+    ``words`` are the next raw words of the stream, and ``state`` is
+    where the stream and the source stood before them.  Returns the
+    ``(cycle, src, dest, vnet, size)`` columns of the packets parsed
+    (None: no packet), how many words were consumed, and the state
+    after them.  The parse stops at ``until`` or before the first cycle
+    that would draw past the end of ``words``.
+
+    Per cycle, in stream order, the naive source draws the ON/OFF flip
+    row (bursty only), the start row, and — when any node starts — the
+    pattern's destinations and one uniform per packet for its class.
+    One vectorised pass lists the words that pass the start test (and
+    the flip and hotspot tests), and a scalar loop walks those hits: a
+    quiet stretch is a jump to the next hit, and a busy cycle turns its
+    starts into consumption counts (destination slots, hotspot tests
+    and picks, self-target redraws, class uniforms).  Every Lemire draw
+    is checked before its slot is handed out — at most ``m`` in 2**32 is
+    rejected — and every value is gathered in one vectorised pass.
+    """
+    c, h, held, on = state
+    nodes, node_ids, bursty = const.nodes, const.node_ids, const.bursty
+    n = len(node_ids)
+    stride = 2 * n if bursty else n  # words of a quiet cycle
+    start_row = stride - n  # where its start row begins
+    table, selfed, m = const.table, const.selfed, const.m
+    reject = (1 << 32) % m if m else 0
+    hot_nodes, n_hot = const.hot_nodes, len(const.hot_nodes)
+    hot_reject = (1 << 32) % n_hot if n_hot else 0
+    classes = len(const.class_cdf) > 1
+    end = len(words)
+    end2 = 2 * end
+    # as little-endian uint32s, word i is the halves (slots) 2i and 2i + 1
+    halves = words.astype("<u8", copy=False).view("<u4")
+    starts = _hits(words, const.start_word)
+    flips = _hits(words, const.flip_word) if bursty else [_END]
+    hots = _hits(words, const.hot_word) if n_hot else [_END]
+    # the slots Lemire rejects for ``m``, listed by the first destination
+    # draw (no 32-bit draw precedes it): the held half the parse began
+    # with, then every half from its first fresh one on; only those a
+    # draw hands out are read
+    rejects: Optional[list[int]] = None if reject else [_END]
+    pos = 0  # next unconsumed word
+    bslot = _HELD  # slot of the last half held
+    si = fi = hi = ri = 0
+    on0 = on  # the ON mask before the cycle being parsed
+    # per busy cycle its number and packet count; per packet its node's
+    # offset, its destination slot and its class uniform's word
+    cyc: list[int] = []
+    count: list[int] = []
+    offs: list[int] = []
+    dslot: list[int] = []
+    cpos: list[int] = []
+
+    def draw32(span: int, threshold: int) -> tuple[int, int]:
+        """One accepted ``integers(0, span)`` draw (Lemire threshold
+        ``threshold``), checked as it is made: its slot and its value."""
+        nonlocal pos, h, bslot
+        while True:
+            if h:
+                h, s = 0, bslot
+            else:
+                if pos == end:
+                    raise _Short
+                s = 2 * pos
+                h, bslot = 1, s + 1
+                pos += 1
+            x = (held if s == _HELD else int(halves[s])) * span
+            if x & _MASK32 >= threshold:
+                return s, x >> 32
+
+    def uniform(d: int) -> list[int]:
+        """The slots of ``integers(0, m, size=d)`` (``d >= 1``), each
+        checked before it is handed out."""
+        nonlocal pos, h, bslot, rejects, ri
+        if m == 1:
+            return [_FIXED] * d
+        first = 2 * pos  # the first fresh half
+        top = first + d - h  # one past the last half handed out
+        if top > end2:
+            raise _Short
+        if rejects is None:  # x * m mod 2**32 below 2**32 mod m: rejected
+            bad = (halves[first:] * np.uint32(m) < reject).nonzero()[0]
+            rejects = [*(bad + first).tolist(), _END]
+            if h and held * m & _MASK32 < reject:
+                rejects.insert(0, _HELD)
+        while rejects[ri] < top:
+            if rejects[ri] >= (bslot if h else first):  # a slot handed out
+                return [draw32(m, reject)[0] for _ in range(d)]
+            ri += 1
+        slots = [bslot] if h else []
+        if top > first:
+            slots += range(first, top)
+            # the last word's high half: held if top is odd, else taken
+            pos, bslot = (top + 1) >> 1, (top - 1) | 1
+        h = top & 1
+        return slots
+
+    while c < until:
+        s = starts[si]
+        while s < pos:
+            si += 1
+            s = starts[si]
+        if s < end:
+            j, off = divmod(s - pos, stride)
+            if off < start_row:  # a hit in a flip row is no start
+                si += 1
+                continue
+            if c + j > until:
+                j = until - c
+        else:  # no start hit in [pos, end): quiet through the words at hand
+            j = min((end - pos) // stride, until - c)
+            if not j:
+                break
+        if not j and pos + stride > end:
+            break
+        # the flip rows up to the next busy cycle's start row, or its own
+        limit = pos + j * stride if j else pos + start_row
+        if bursty:
+            on0 = on
+            f = flips[fi]
+            while f < limit:
+                fi += 1
+                f -= pos
+                if f >= 0 and f % stride < n:
+                    on ^= 1 << f % stride
+                f = flips[fi]
+        if j:
+            c += j
+            pos = limit
+            continue
+        started: list[int] = []
+        row, pos = limit, limit + n
+        while s < pos:
+            if on >> (s - row) & 1:
+                started.append(s - row)
+            si += 1
+            s = starts[si]
+        if not started:
+            c += 1
+            continue
+        # a busy cycle: the destination draws, then the classes; it is
+        # recorded once it is parsed whole
+        k = len(started)
+        h0, bslot0 = h, bslot
+        try:
+            if n_hot:
+                slots = uniform(k)
+                first = pos
+                pos += k
+                if pos > end:
+                    raise _Short
+                hi = bisect_left(hots, first, hi)
+                redraw: list[int] = []
+                while hots[hi] < first + k:
+                    j = hots[hi] - first
+                    hi += 1
+                    pick = hot_nodes[draw32(n_hot, hot_reject)[1] if n_hot > 1 else 0]
+                    if pick == node_ids[started[j]]:
+                        redraw.append(j)
+                    else:
+                        slots[j] = _PICK - pick
+                if redraw:
+                    for j, redrawn in zip(redraw, uniform(len(redraw))):
+                        slots[j] = redrawn
+            elif table is not None:
+                slots = [uniform(1)[0] if selfed[o] else _FIXED for o in started]
+            else:
+                slots = uniform(k)
+            if pos + k > end:
+                raise _Short
+        except _Short:
+            pos, h, bslot, on = row - start_row, h0, bslot0, on0
+            break
+        cyc.append(c)
+        count.append(k)
+        offs += started
+        dslot += slots
+        if classes:
+            cpos += range(pos, pos + k)
+        pos += k
+        c += 1
+
+    cols: Optional[_Columns] = None
+    if cyc:
+        src = nodes[offs]
+        dest = table[src] if table is not None else np.empty(len(src), np.int64)
+        slot = np.array(dslot, dtype=np.int64)
+        picked = slot <= _PICK
+        dest[picked] = _PICK - slot[picked]
+        drawn = (slot >= _HELD).nonzero()[0]
+        slot = slot[drawn]
+        x = halves[np.maximum(slot, 0)].astype(np.uint64)
+        x[slot == _HELD] = held
+        u = (x * np.uint64(m) >> np.uint64(32)).astype(np.int64)
+        dest[drawn] = u + (u >= src[drawn])
+        cls = np.zeros(len(src), np.intp)
+        if classes:
+            w = words[cpos] >> np.uint64(11)
+            cls = const.class_cdf.searchsorted(w * 2.0**-53, side="right")
+        vnet, size = const.class_vnet[cls], const.class_size[cls]
+        cols = (np.repeat(np.array(cyc, dtype=np.int64), count), src, dest, vnet, size)
+    if bslot != _HELD:
+        held = int(halves[bslot])
+    return cols, pos, _State(c, h, held, on)
 
 
 @dataclass(frozen=True)
@@ -210,7 +463,7 @@ class SyntheticTraffic:
 
     ``rng`` seeds (or is) a PCG64 ``Generator``, and ``pattern`` is a
     :class:`UniformRandom`, a :class:`Hotspot` or a permutation pattern:
-    those are the streams and shapes :meth:`_draw` parses.
+    those are the streams and shapes :func:`_parse` reads.
 
     The source's clock starts at cycle 0 and readers move forward only:
     a cycle already read, or skipped over, yields nothing.
@@ -274,37 +527,28 @@ class SyntheticTraffic:
                 f"injection rate {injection_rate} flits/node/cycle exceeds "
                 f"1 packet/node/cycle for mean length {mean_len}"
             )
-        # the class draw is ``Generator.choice(len(mix), size=k, p=...)``
-        # spelled out: its CDF, searched with k uniforms
-        self._class_cdf = class_prob.cumsum()
-        self._class_cdf /= self._class_cdf[-1]
-        self._class_size = np.array([c.size_flits for c in self.mix])
-        self._class_vnet = np.array([c.vnet for c in self.mix])
         # ON/OFF process: mean burst length grows with burstiness; duty
         # cycle 50 %, so the ON-state rate is doubled to keep the average
-        self._p_exit = (1.0 - burstiness) * 0.1
+        bursty = burstiness > 0.0
         self._start_prob = (
-            min(2.0 * self.packet_rate, 1.0) if burstiness > 0.0
-            else self.packet_rate
+            min(2.0 * self.packet_rate, 1.0) if bursty else self.packet_rate
         )
         #: per-node ON flags as a bitmask (bit i: ``nodes[i]``); every node
         #: of a smooth source is ON, a bursty source's flags are its
         #: stream's first draw
-        self._on: Optional[int] = None if burstiness > 0.0 else -1
+        self._on: Optional[int] = None if bursty else -1
 
         # ---- what the parse reads of the pattern ----
         p = self.pattern
-        #: permutation patterns: destination per node; the others: None
-        self._table: Optional[np.ndarray] = None
-        #: per node of ``nodes``: its table entry is itself (redrawn)
-        self._selfed: list[bool] = []
-        #: Hotspot: (hotspot nodes, word threshold of ``fraction``)
-        self._hot: Optional[tuple[list[int], int]] = None
+        table: Optional[np.ndarray] = None
+        selfed: list[bool] = []
+        hot_nodes: list[int] = []
+        hot_word = 0
         if isinstance(p, Hotspot):
-            self._hot = (list(p.hotspots), _word_threshold(p.fraction))
+            hot_nodes, hot_word = list(p.hotspots), _word_threshold(p.fraction)
         elif isinstance(p, _PermutationPattern):
-            self._table = p.table
-            self._selfed = (p.table[self._nodes] == self._nodes).tolist()
+            table = p.table
+            selfed = (table[self._nodes] == self._nodes).tolist()
         elif not isinstance(p, UniformRandom):
             raise ValueError(
                 f"pattern {type(p).__name__} is none of UniformRandom, Hotspot "
@@ -314,18 +558,27 @@ class SyntheticTraffic:
             # ``integers(0, 1)`` draws nothing: a uniform destination (or
             # a redrawn self-target) is the other node, read off a table
             other = np.array([1, 0])
-            t = self._table
-            self._table = other if t is None else np.where(t == [0, 1], other, t)
-            self._selfed = [False] * len(self._nodes)
-        self._node_ids: list[int] = self._nodes.tolist()
-        self._start_word = _word_threshold(self._start_prob)
-        self._flip_word = _word_threshold(self._p_exit)
+            table = other if table is None else np.where(table == [0, 1], other, table)
+            selfed = [False] * len(self._nodes)
+        # the class draw is ``Generator.choice(len(mix), size=k, p=...)``
+        # spelled out: its CDF, searched with k uniforms
+        class_cdf = class_prob.cumsum()
+        class_cdf /= class_cdf[-1]
+        self._const = _Constants(
+            nodes=self._nodes, node_ids=self._nodes.tolist(), bursty=bursty,
+            start_word=_word_threshold(self._start_prob),
+            flip_word=_word_threshold((1.0 - burstiness) * 0.1),
+            m=num_nodes - 1, table=table, selfed=selfed,
+            hot_nodes=hot_nodes, hot_word=hot_word, class_cdf=class_cdf,
+            class_vnet=np.array([c.vnet for c in self.mix]),
+            class_size=np.array([c.size_flits for c in self.mix]),
+        )
         # raw words to read per cycle left: a quiet cycle's rows plus about
         # twice what its packets draw on average, so that one read mostly
         # covers a window and a sparse window reads no word it does not use
         n = len(self._nodes)
-        per_packet = 3.0 if self._hot else 1.5
-        self._words_per_cycle = (2 if burstiness > 0.0 else 1) * n + (
+        per_packet = 3.0 if hot_nodes else 1.5
+        self._words_per_cycle = (2 if bursty else 1) * n + (
             2.0 * n * self.packet_rate * per_packet
         )
 
@@ -345,308 +598,53 @@ class SyntheticTraffic:
     def _draw(self, until: int) -> PacketTable:
         """Draw cycles ``[self._drawn, until)``: the only RNG consumer.
 
-        Per cycle, in stream order, the naive source draws the ON/OFF flip
-        row (bursty only), the start row, and — when any node starts —
-        the pattern's destinations and one uniform per packet for its
-        class.  Here the stream is read as raw words in blocks: one
-        vectorised pass per block lists the words that pass the start test
-        (and the flip and hotspot tests), and a scalar loop walks those
-        hits.  A quiet
-        cycle consumes a fixed number of words, so a quiet stretch is a
-        jump to the next hit; a busy cycle turns its starts into
-        consumption counts (destination slots, hotspot tests and picks,
-        self-target redraws, class uniforms), and every value is gathered
-        in one vectorised pass per block.  Destination draws are taken as
-        accepted and checked at the gather; a Lemire rejection (about one
-        draw in 10**8) re-parses from the last gather with every draw
-        checked as it is made.  At the end the generator is left exactly
-        where the per-cycle calls leave it, held half included: words
-        read past the window are rewound.
+        The stream is read as raw words and parsed by :func:`_parse` after
+        the words the last parse left.  A read is sized to about the rest
+        of the window, bounded by a block, and at least as long as what was
+        left, so that a cycle longer than a block still fits.  Every 32-bit
+        destination draw is checked for a Lemire rejection (at most ``m``
+        in 2**32 draws) before its slot is handed out, so one pass is the
+        whole parse.  At the end the generator is left exactly where the
+        per-cycle calls leave it, held half included: words read past the
+        window are rewound.
         """
         c = self._drawn
-        if until <= c:
-            empty = np.empty(0, dtype=np.int64)
-            return PacketTable(empty, empty, empty, empty, empty, empty)
-        bit_generator = self.rng.bit_generator
-        nodes, node_ids = self._nodes, self._node_ids
-        n = len(node_ids)
-        bursty = self.burstiness > 0.0
-        on = self._on
-        if on is None:
-            on = sum(1 << int(i) for i in np.flatnonzero(self.rng.random(n) < 0.5))
-        stride = 2 * n if bursty else n  # words of a quiet cycle
-        start_row = stride - n  # where its start row begins
-        start_word, flip_word = self._start_word, self._flip_word
-        table, selfed = self._table, self._selfed
-        hot = self._hot
-        hot_nodes, hot_word = hot if hot else ([], 0)
-        n_hot = len(hot_nodes)
-        hot_reject = (1 << 32) % n_hot if n_hot else 0
-        m = self.config.num_nodes - 1  # a uniform draw picks among the others
-        reject = (1 << 32) % m if m else 0
-        classes = len(self.mix) > 1
-        per_cycle = self._words_per_cycle
-
-        begin = bit_generator.state
-        h = begin["has_uint32"]  # the generator holds a 32-bit half ...
-        held = begin["uinteger"]  # ... this one, or last did
-        bslot = _HELD  # slot of the last half held
-        words = np.empty(0, dtype=np.uint64)  # stream words [base, nread)
-        base = nread = 0
-        pos = 0  # next unconsumed word
-        # positions of the words that pass a test, each list ending in _END
-        starts = [_END]  # the start test
-        flips = [_END]  # the ON/OFF flip test (bursty)
-        hots = [_END]  # the hotspot test (Hotspot)
-        si = fi = hi = 0
-        tests = [(starts, start_word)]
-        if bursty:
-            tests.append((flips, flip_word))
-        if hot:
-            tests.append((hots, hot_word))
-        # what busy cycles drew since the last gather — per cycle its number
-        # and packet count; per packet its node's offset, its destination
-        # slot, a fixed destination (a hotspot pick) and its class uniform's
-        # word — and the gathered column chunks
-        cyc: list[int] = []
-        count: list[int] = []
-        offs: list[int] = []
-        dslot: list[int] = []
-        fix_i: list[int] = []
-        fix_v: list[int] = []
-        cpos: list[int] = []
-        chunks: list[tuple[np.ndarray, ...]] = []
-        snap = (c, pos, h, held, on)
-        exact = False  # check every destination draw as it is made
-
-        def read(q: int) -> None:
-            """Read words so that ``[base, q)`` is there, sized to about
-            the rest of the window, bounded by a block."""
-            nonlocal words, nread
-            want = pos + int((until - c) * per_cycle)
-            size = max(q - nread, min(want - nread, _BLOCK_WORDS))
-            new = bit_generator.random_raw(size)
-            for hits, threshold in tests:
-                hits[-1:] = _hits(new, threshold, nread)
-                hits.append(_END)
-            words = np.concatenate((words, new)) if len(words) else new
-            nread += size
-
-        def value(slot: int) -> int:
-            if slot == _HELD:
-                return held
-            return (int(words[slot >> 1]) >> (32 * (slot & 1))) & _MASK32
-
-        def draw32(span: int, threshold: int) -> tuple[int, int]:
-            """One accepted ``integers(0, span)`` draw (Lemire threshold
-            ``threshold``): its slot and its value."""
-            nonlocal pos, h, bslot
-            while True:
-                if h:
-                    h = 0
-                    s = bslot
-                else:
-                    if pos >= nread:
-                        read(pos + 1)
-                    s = 2 * (pos - base)
-                    h, bslot = 1, s + 1
-                    pos += 1
-                x = value(s) * span
-                if x & _MASK32 >= threshold:
-                    return s, x >> 32
-
-        def uniform(d: int) -> list[int]:
-            """The slots of ``integers(0, m, size=d)``, taken as accepted."""
-            nonlocal pos, h, bslot
-            if m == 1:
-                return [_FIXED] * d
-            if exact:
-                return [draw32(m, reject)[0] for _ in range(d)]
-            slots = []
-            if h and d:
-                slots.append(bslot)
-                h = 0
-                d -= 1
-            if d:
-                first = 2 * (pos - base)
-                slots.extend(range(first, first + d))
-                pos += (d + 1) >> 1
-                # the last word's high half: held if d is odd, else taken
-                h, bslot = d & 1, first + ((d - 1) | 1)
-                if pos > nread:
-                    read(pos)
-            return slots
-
-        def gather() -> bool:
-            """Turn the recorded draws into columns; False on a rejection."""
-            if not cyc:
-                return True
-            src = nodes[offs]
-            slots = np.array(dslot, dtype=np.int64)
-            dest = table[src] if table is not None else np.empty(len(src), np.int64)
-            drawn = (slots != _FIXED).nonzero()[0]
-            s = slots[drawn]
-            # as little-endian uint32s, word i is halves 2i (low) and 2i + 1
-            halves = words.astype("<u8", copy=False).view("<u4")
-            x = halves[np.maximum(s, 0)].astype(np.uint64)
-            x[s == _HELD] = held
-            x *= np.uint64(m)
-            if reject and ((x & np.uint64(_MASK32)) < reject).any():
-                return False
-            u = (x >> np.uint64(32)).astype(np.int64)
-            dest[drawn] = u + (u >= src[drawn])
-            if fix_i:
-                dest[fix_i] = fix_v
-            if classes:
-                w = words[cpos] >> np.uint64(11)
-                cls = self._class_cdf.searchsorted(w * 2.0**-53, side="right")
-                vnet, size = self._class_vnet[cls], self._class_size[cls]
-            else:
-                vnet = np.full(len(src), self.mix[0].vnet)
-                size = np.full(len(src), self.mix[0].size_flits)
-            cycle = np.repeat(np.array(cyc, dtype=np.int64), count)
-            chunks.append((cycle, src, dest, vnet, size))
-            forget()
-            return True
-
-        def forget() -> None:
-            for record in (cyc, count, offs, dslot, fix_i, fix_v, cpos):
-                record.clear()
-
-        def restart() -> None:
-            """Re-parse from the last flush, checking each draw as it is made."""
-            nonlocal c, pos, h, held, on, bslot, exact, si, fi, hi
-            c, pos, h, held, on = snap
-            bslot, exact = _HELD, True
-            si, fi, hi = (bisect_left(hits, pos) for hits in (starts, flips, hots))
-            forget()
-
-        def flush() -> None:
-            """Gather, then hold only the words not yet consumed."""
-            nonlocal held, bslot, words, base, si, fi, hi, snap, exact
-            if not gather():
-                restart()
-                return
-            if bslot != _HELD:
-                held, bslot = value(bslot), _HELD
-            words, base = words[pos - base:], pos
-            for hits in (starts, flips, hots):
-                del hits[: bisect_left(hits, pos)]
-            si = fi = hi = 0
-            snap = (c, pos, h, held, on)
-            exact = False
-
-        while True:
-            while c < until:
-                if pos - base >= _BLOCK_WORDS:
-                    flush()
-                    continue
-                s = starts[si]
-                while s < pos:
-                    si += 1
-                    s = starts[si]
-                # the next start row with a hit in it, or as far as is read
-                row = -1
-                if s >= nread:  # no start hit in [pos, nread): all quiet
-                    j = min((nread - pos) // stride, until - c)
-                    limit = pos + j * stride
-                else:
-                    j, off = divmod(s - pos, stride)
-                    if c + j >= until:
-                        j = until - c
-                        limit = pos + j * stride
-                    elif off < start_row:  # a hit in a flip row is no start
-                        si += 1
-                        continue
-                    else:
-                        row = limit = s - off + start_row
-                        if row + n > nread:
-                            read(row + n)
-                            continue
-                if bursty:  # the flip rows before ``limit``, aligned at pos
-                    f = flips[fi]
-                    while f < limit:
-                        fi += 1
-                        f -= pos
-                        if f >= 0 and f % stride < n:
-                            on ^= 1 << f % stride
-                        f = flips[fi]
-                c += j
-                if row < 0:  # quiet up to ``limit``
-                    pos = limit
-                    if c < until:
-                        read(pos + stride)
-                    continue
-                started = []
-                end = row + n
-                while s < end:
-                    if on >> (s - row) & 1:
-                        started.append(s - row)
-                    si += 1
-                    s = starts[si]
-                pos = end
-                if not started:
-                    c += 1
-                    continue
-                # a busy cycle: the destination draws, then the classes
-                k = len(started)
-                cyc.append(c)
-                count.append(k)
-                offs.extend(started)
-                if hot:
-                    slots = uniform(k)
-                    first = pos
-                    pos += k
-                    if pos > nread:
-                        read(pos)
-                    hi = bisect_left(hots, first, hi)
-                    picked = []
-                    while hots[hi] < first + k:
-                        picked.append(hots[hi] - first)
-                        hi += 1
-                    redraw = []
-                    for j in picked:
-                        pick = hot_nodes[draw32(n_hot, hot_reject)[1] if n_hot > 1 else 0]
-                        if pick == node_ids[started[j]]:
-                            redraw.append(j)
-                        else:
-                            slots[j] = _FIXED
-                            fix_i.append(len(dslot) + j)
-                            fix_v.append(pick)
-                    for j, slot in zip(redraw, uniform(len(redraw))):
-                        slots[j] = slot
-                    dslot.extend(slots)
-                elif table is not None:
-                    for o in started:
-                        dslot.append(uniform(1)[0] if selfed[o] else _FIXED)
-                else:
-                    dslot.extend(uniform(k))
-                if classes:
-                    cpos.extend(range(pos - base, pos - base + k))
-                pos += k
-                if pos > nread:
-                    read(pos)
-                c += 1
-            if gather():
-                break
-            restart()
-
-        rewound = nread > pos
-        if rewound:  # read past the window: step back (PCG64's period is 2**128)
-            bit_generator.advance(pos - nread)
-        last = value(bslot)
-        # advance() drops the held half: put it back, as any change to it
-        if rewound or (h, last) != (begin["has_uint32"], begin["uinteger"]):
-            state = dict(bit_generator.state)
-            state["has_uint32"], state["uinteger"] = h, last
-            bit_generator.state = state
-        self._on = on
-        self._drawn = until
+        chunks: list[_Columns] = []
+        if c < until:
+            const = self._const
+            bit_generator = self.rng.bit_generator
+            on = self._on
+            if on is None:
+                first = self.rng.random(len(const.node_ids)) < 0.5
+                on = sum(1 << int(i) for i in np.flatnonzero(first))
+            begin = bit_generator.state
+            state = _State(c, begin["has_uint32"], begin["uinteger"], on)
+            words = np.empty(0, dtype=np.uint64)
+            while state.cycle < until:
+                have = len(words)
+                want = int((until - state.cycle) * self._words_per_cycle)
+                new = bit_generator.random_raw(max(min(want, _BLOCK_WORDS) - have, have))
+                words = np.concatenate((words, new)) if have else new
+                cols, used, state = _parse(words, state, until, const)
+                if cols:
+                    chunks.append(cols)
+                words = words[used:]
+            # read past the window: step back (PCG64's period is 2**128)
+            if len(words):
+                bit_generator.advance(-len(words))
+            # advance() drops the held half: put it back, as any change to it
+            held = state.has_uint32, state.uinteger
+            if len(words) or held != (begin["has_uint32"], begin["uinteger"]):
+                end = dict(bit_generator.state)
+                end["has_uint32"], end["uinteger"] = held
+                bit_generator.state = end
+            self._on = state.on
+            self._drawn = until
         if not chunks:
             empty = np.empty(0, dtype=np.int64)
             return PacketTable(empty, empty, empty, empty, empty, empty)
-        cols = chunks[0] if len(chunks) == 1 else [np.concatenate(c) for c in zip(*chunks)]
-        return PacketTable(*cols, cols[0])
+        joined = chunks[0] if len(chunks) == 1 else [np.concatenate(c) for c in zip(*chunks)]
+        return PacketTable(*joined, joined[0])
 
     def _extend(self, until: int) -> None:
         """Draw through ``until`` and append the rows behind the cursor."""

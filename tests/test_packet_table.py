@@ -205,7 +205,7 @@ def _planted(seed, has_uint32, uinteger):
 class TestParseCorners:
     """What the random specs above rarely or never reach: a half held
     before the draw, a Lemire rejection, ranges that draw nothing, and
-    block flushes inside one window."""
+    one window parsed in many pieces."""
 
     HORIZON = 200
 
@@ -243,13 +243,29 @@ class TestParseCorners:
 
     @pytest.mark.parametrize("burstiness", [0.0, 0.5])
     def test_a_rejection_with_flushes_inside_the_window(self, monkeypatch, burstiness):
-        """Blocks of 40 words: the draw gathers and drops words many times
-        per window, and the planted rejection re-parses from the start
-        with every draw checked."""
+        """Blocks of 40 words: one window is parsed in many pieces, a busy
+        cycle cut by a piece's end waits whole for the next, and the
+        planted rejection is caught before the first slot is handed out."""
         monkeypatch.setattr(generator, "_BLOCK_WORDS", 40)
-        for pattern in (UniformRandom(NET), Hotspot(NET, fraction=0.4), Tornado(NET)):
+        for pattern in (UniformRandom(NET), Hotspot(NET, fraction=1.0), Tornado(NET)):
             self._check(NET, pattern, 0.4, held=(1, 0), burstiness=burstiness)
             self._check(NET, pattern, 0.4, burstiness=burstiness, nodes=[9, 2, 14])
+
+    @pytest.mark.parametrize("case", ["every node", "cold nodes", "40-word blocks"])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_a_rejection_in_a_slot_a_hot_pick_overwrites(self, monkeypatch, case, seed):
+        """Every packet is hot-picked, so its first destination draw is
+        overwritten — by the pick, or by a redraw when it picks its own
+        node — and the planted rejection sits in such a slot: NumPy
+        still consumed it, so the parse must still see it.  From nodes
+        that are no hotspot no pick is ever redrawn."""
+        pattern = Hotspot(NET, fraction=1.0)
+        nodes = None
+        if case == "cold nodes":
+            nodes = [i for i in range(NET.num_nodes) if i not in pattern.hotspots]
+        elif case == "40-word blocks":
+            monkeypatch.setattr(generator, "_BLOCK_WORDS", 40)
+        self._check(NET, pattern, 0.3, held=(1, 0), seed=seed, nodes=nodes)
 
     @pytest.mark.parametrize(
         "pattern",
