@@ -147,7 +147,4 @@ def roco_router_factory(config: NetworkConfig):
     def make(node: int, routing: RoutingFunction) -> RoCoRouter:
         return RoCoRouter(node, config.router, routing)
 
-    # marker read by the lane engine (repro.network.batched): a roco lane
-    # is a baseline lane plus the two module counters per router
-    make.router_kind = "roco"
     return make

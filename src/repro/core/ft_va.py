@@ -40,11 +40,6 @@ class ArbiterSharingVAUnit(VAUnit):
         #: lenders whose R2/VF/ID fields must be cleared at end of cycle
         self._pending_clear: list[VirtualChannel] = []
 
-    def reset(self) -> None:
-        super().reset()
-        self._lent.clear()
-        self._pending_clear.clear()
-
     def allocate(self, cycle: int):
         self._lent.clear()
         grants = super().allocate(cycle)

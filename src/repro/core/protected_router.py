@@ -67,6 +67,4 @@ def protected_router_factory(config: NetworkConfig):
     def make(node: int, routing: RoutingFunction) -> ProtectedRouter:
         return ProtectedRouter(node, config.router, routing)
 
-    # marker read by the lane engine (repro.network.batched.supports)
-    make.router_kind = "protected"  # type: ignore[attr-defined]
     return make

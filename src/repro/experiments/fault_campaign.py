@@ -41,6 +41,7 @@ from typing import Any, Optional, Sequence
 from ..config import NetworkConfig, replace
 from ..faults.schedule import TimelineSpec
 from ..faults.timeline import CYCLES_PER_HOUR_1GHZ, random_timeline, router_fit
+from ..network.batched import LANE_KINDS
 from ..network.simulator import SimulationResult
 from ..traffic.apps import app_profile
 from .latency import QUICK_CONFIG, LatencyConfig, suite_traffic
@@ -49,10 +50,6 @@ from .report import ExperimentResult, experiment
 
 #: hours in a (non-leap) year, for the lifetime join
 HOURS_PER_YEAR = 8760.0
-
-#: router kinds the campaign simulates live (the analytic comparison
-#: designs — BulletProof, Vicis — join the report as model rows)
-DEFAULT_ROUTER_KINDS = ("baseline", "protected", "roco")
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,9 @@ class CampaignConfig:
     """
 
     timelines: int = 12
-    router_kinds: tuple[str, ...] = DEFAULT_ROUTER_KINDS
+    #: kinds simulated live, every lane kind by default (the analytic
+    #: comparison designs — BulletProof, Vicis — join the report as rows)
+    router_kinds: tuple[str, ...] = LANE_KINDS
     timeline: TimelineSpec = TimelineSpec()
     app: str = "ocean"
     latency: LatencyConfig = QUICK_CONFIG
@@ -79,12 +78,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.timelines < 1:
             raise ValueError("timelines must be >= 1")
-        if not self.router_kinds or not set(self.router_kinds) <= set(
-            DEFAULT_ROUTER_KINDS
-        ):
-            raise ValueError(
-                f"router_kinds must be one or more of {DEFAULT_ROUTER_KINDS}"
-            )
+        if not self.router_kinds or not set(self.router_kinds) <= set(LANE_KINDS):
+            raise ValueError(f"router_kinds must be one or more of {LANE_KINDS}")
         app_profile(self.app)  # unknown application: ValueError
 
 

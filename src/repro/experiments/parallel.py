@@ -636,30 +636,12 @@ class LanePoint:
         """What the lane engine reads off a group, so what two points must
         share to be lanes of one engine.
 
-        Router kind is not part of it: every kind :func:`_resolve_factory`
-        knows is a per-lane mask, so all runs of one campaign step in one
-        engine.  Nor is ``sim_config.seed``, which the engine never reads
+        Router kind is not part of it: every lane kind is a per-lane mask,
+        so all runs of one campaign step in one engine.  Nor is ``sim_config.seed``, which the engine never reads
         (a point's streams come from its factories' arguments), so points
         that differ only in it share lanes too.
         """
         return (self.config, replace(self.sim_config, seed=0), self.routing_kind)
-
-
-def _resolve_factory(kind: str, config: NetworkConfig):
-    """Router factory registry (kept as strings so LanePoints pickle)."""
-    if kind == "baseline":
-        from ..network.simulator import baseline_router_factory
-
-        return baseline_router_factory(config)
-    if kind == "protected":
-        from ..core.protected_router import protected_router_factory
-
-        return protected_router_factory(config)
-    if kind == "roco":
-        from ..comparison.roco_router import roco_router_factory
-
-        return roco_router_factory(config)
-    raise ValueError(f"unknown router_kind {kind!r}")
 
 
 def run_point(point: LanePoint) -> PointOutcome:
@@ -670,6 +652,8 @@ def run_point(point: LanePoint) -> PointOutcome:
     ``map_sweep`` directly when they want the per-point answer (``run()``
     picks the engine by load).
     """
+    from ..network.batched import router_factory
+
     schedule = (
         point.make_schedule(*point.schedule_args)
         if point.make_schedule is not None
@@ -679,7 +663,7 @@ def run_point(point: LanePoint) -> PointOutcome:
         point.config,
         point.sim_config,
         point.make_traffic(*point.traffic_args),
-        router_factory=_resolve_factory(point.router_kind, point.config),
+        router_factory=router_factory(point.router_kind, point.config),
         fault_schedule=schedule,
         routing_kind=point.routing_kind,
     )
@@ -813,22 +797,18 @@ def run_lane_sweep(
 
     batchable: list[tuple[list[int], LanePoint]] = []
     singles: list[int] = []
-    fallbacks, reasons = 0, set[str]()
+    # every kind a point can name is a lane kind: only observability
+    # declines, and it declines every group
+    reason = batched_supports()
     for idxs in groups.values():
-        rep = points[idxs[0]]
-        # every kind a point can name is a lane kind: only observability declines
-        reason = batched_supports(rep.config, routing_kind=rep.routing_kind)
-        if reason is not None:
-            fallbacks += len(idxs)
-            reasons.add(reason)
         if reason is not None or len(idxs) < _MIN_LANE_GROUP:
             singles += idxs
         else:
-            batchable.append((idxs, rep))
+            batchable.append((idxs, points[idxs[0]]))
     triage = dict(
         points=len(points),
-        fallbacks=fallbacks,
-        fallback_reasons=tuple(sorted(reasons)),
+        fallbacks=0 if reason is None else len(points),
+        fallback_reasons=() if reason is None else (reason,),
     )
 
     tasks: list[SweepTask] = []

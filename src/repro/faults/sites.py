@@ -248,12 +248,6 @@ class RouterFaultState:
         (a module killed by hand, faults a live module absorbs)."""
         return bool(self.history) or any(self._target_set(unit) for unit in FaultUnit)
 
-    def clear(self) -> None:
-        """Remove every fault (power-on reset)."""
-        for unit in FaultUnit:
-            self._target_set(unit).clear()
-        self.history.clear()
-
     def sites(self) -> list[FaultSite]:
         """Injection history as a list (copy)."""
         return list(self.history)

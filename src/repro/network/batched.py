@@ -36,8 +36,8 @@ all cycle-dependent state (traffic generation, fault arrival, bypass
 rotation, latency timestamps, inject/drain windows) is computed against
 ``cycle - off[lane]``.  When a lane retires, its result is decoded
 immediately and the next pending structurally-identical point is
-installed in the freed slot — the array form of a router's power-on
-``reset()``: every per-lane array slice returns to its power-on value.
+installed in the freed slot — the array form of a freshly built fabric:
+every per-lane array slice returns to its power-on value.
 A retiring lane is cleared *at retirement* (every VC idle, the XB queue
 empty, nothing due at its NICs, its in-flight calendar events purged),
 so a dead slot holds no requester and no kernel filters by liveness.  A
@@ -141,13 +141,16 @@ Routing is a table, ``rtab``; an adaptive function (``west_first``) adds
 greater ``RCUnit.select_route`` key — ``(has a crossbar plan, not
 secondary, the output port's credit sum)`` as one integer (``_route_key``).
 
-Use :func:`supports` to check a configuration before constructing the
-engine.  Every kind a sweep point names is one of :data:`LANE_KINDS`, so
-:func:`repro.experiments.parallel.run_lane_sweep` declines only while
-observability is on, runs those points on the object engine one at a
-time and counts them as its report's ``fallbacks``.  A
-``NoCSimulator.run()`` above the break-even load is a width-1 engine of
-this class.
+A router's kind is its class.  :data:`LANE_ROUTERS` maps each lane kind
+to the one router class it models, and :func:`lane_kind` reads the kind
+off the routers a fabric is built from: a ``NoCSimulator.run()`` above the
+break-even load is a width-1 engine of this class only when every router
+is exactly one registered class (a subclass, such as
+``comparison.ecc_sim``'s, is stepped), and :func:`router_factory` builds
+the class a sweep point's kind names.  :func:`supports` declines only
+while observability is on: :func:`repro.experiments.parallel.run_lane_sweep`
+then runs those points on the object engine one at a time and counts them
+as its report's ``fallbacks``.
 """
 
 from __future__ import annotations
@@ -155,18 +158,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple, cast
+from typing import Dict, Iterable, List, Optional, Tuple, Type, cast
 
 import numpy as np
 
-from ..comparison.roco_router import charged_to_row, dead_ports
+from ..comparison.roco_router import RoCoRouter, charged_to_row, dead_ports
 from ..config import PORT_LOCAL, NetworkConfig, SimulationConfig
+from ..core.protected_router import ProtectedRouter
 from ..faults.recovery import RecoveryMonitor
 from ..faults.sites import FaultUnit
 from ..observability import maybe_create
 from ..observability.profiler import STAGE_NAMES, StageProfiler
-from ..router.router import RouterStats
-from ..router.routing import make_routing
+from ..router.router import BaseRouter, BaselineRouter, RouterStats
+from ..router.routing import RoutingFunction, make_routing
 from ..traffic.generator import compile_table
 from .simulator import (
     FaultSchedule,
@@ -216,8 +220,11 @@ _I_RC_BLOCK = _RS_IDX["rc_blocked_cycles"]
 _I_RC_DUP = _RS_IDX["rc_duplicate_computations"]
 _I_UNREACH = _RS_IDX["unreachable_output_cycles"]
 
-#: router kinds with an array model; which of them a lane is, is a mask
-LANE_KINDS = ("baseline", "protected", "roco")
+#: lane kind -> the router class it models; which of them a lane is, is a mask
+LANE_ROUTERS: Dict[str, Type[BaseRouter]] = {
+    cls.kind: cls for cls in (BaselineRouter, ProtectedRouter, RoCoRouter)
+}
+LANE_KINDS = tuple(LANE_ROUTERS)
 
 #: most node ids ``_count`` keeps queued before they are binned, an array
 #: weighing 16 more for its header: what the counter queue can add to an
@@ -240,30 +247,42 @@ class LaneSpec:
 
     traffic: TrafficSource
     fault_schedule: Optional[FaultSchedule] = None
-    #: one of :data:`LANE_KINDS`; ``None`` takes the kind of the engine's
-    #: ``router_factory``
+    #: one of :data:`LANE_KINDS`; ``None`` takes the engine's ``router_kind``
     router_kind: Optional[str] = None
 
 
-def supports(
-    config: NetworkConfig,
-    router_factory: Optional[RouterFactory] = None,
-    routing_kind: str = "xy",
-    *,
-    observability: object = None,
-) -> Optional[str]:
-    """Why the batched engine cannot run this configuration, or ``None``.
+def lane_kind(routers: Iterable[BaseRouter]) -> Optional[str]:
+    """The lane kind of a fabric built from ``routers``, or ``None``.
 
-    Returns a human-readable reason string for unsupported configs (the
-    lane sweep's triage records it and runs each such point on the object
-    engine) and ``None`` when the configuration is fully supported:
-    observability and a factory naming no lane kind (somebody's own, or
-    ``comparison.ecc_sim``'s) decline, nothing in ``config`` or the routing.
+    Every router must be exactly one class of :data:`LANE_ROUTERS`: a
+    subclass is somebody's own router, whatever it inherits.
     """
-    # no factory is the baseline default; one that names no kind is somebody's own
-    kind = "baseline" if router_factory is None else getattr(router_factory, "router_kind", None)
-    if kind not in LANE_KINDS:
-        return f"router kind {kind!r} not supported (no array model)"
+    classes = {type(r) for r in routers}
+    if len(classes) != 1:
+        return None
+    (cls,) = classes
+    return cls.kind if LANE_ROUTERS.get(cls.kind) is cls else None
+
+
+def router_factory(kind: str, config: NetworkConfig) -> RouterFactory:
+    """A factory building the router class of lane kind ``kind``."""
+    if kind not in LANE_ROUTERS:
+        raise ValueError(f"unknown router kind {kind!r}")
+    cls = LANE_ROUTERS[kind]
+
+    def make(node: int, routing: RoutingFunction) -> BaseRouter:
+        return cls(node, config.router, routing)
+
+    return make
+
+
+def supports(*, observability: object = None) -> Optional[str]:
+    """Why the batched engine cannot run now, or ``None``.
+
+    The one decline is observability (tracing and metrics need the object
+    engine's per-object hooks); the lane sweep's triage records the reason
+    and runs such points on the object engine.
+    """
     if observability is not None or maybe_create() is not None:
         return "observability enabled (tracing/metrics need per-object hooks)"
     return None
@@ -274,8 +293,8 @@ class BatchedLaneEngine:
 
     All lanes share one ``NetworkConfig``, ``SimulationConfig`` and
     routing kind (the *structural key*); they differ in their per-lane
-    traffic sources, fault schedules and router kinds (``router_factory``
-    names the kind of a lane whose spec leaves it open).
+    traffic sources, fault schedules and router kinds (``router_kind`` is
+    the kind of a lane whose spec leaves it open).
     """
 
     def __init__(
@@ -283,13 +302,13 @@ class BatchedLaneEngine:
         config: NetworkConfig,
         sim_config: SimulationConfig,
         lanes: List[LaneSpec],
-        router_factory: Optional[RouterFactory] = None,
+        router_kind: str = "baseline",
         routing_kind: str = "xy",
         *,
         keep_samples: bool = False,
         pending: Optional[Iterable[LaneSpec]] = None,
     ) -> None:
-        reason = supports(config, router_factory, routing_kind)
+        reason = supports()
         if reason is not None:
             raise ValueError(f"batched engine cannot run this config: {reason}")
         if not lanes:
@@ -306,7 +325,7 @@ class BatchedLaneEngine:
         self.lanes = list(lanes)
         self.keep_samples = keep_samples
         #: the kind of a lane whose spec names none
-        self._default_kind = getattr(router_factory, "router_kind", "baseline")
+        self.router_kind = router_kind
 
         rc = config.router
         self.L = L = len(self.lanes)
@@ -543,7 +562,7 @@ class BatchedLaneEngine:
         #: one source share one draw, dropped with the last install
         self._streams: Dict[int, list] = {}
         for spec in (*self.lanes, *self._pending):
-            kind = spec.router_kind or self._default_kind
+            kind = spec.router_kind or self.router_kind
             if kind not in LANE_KINDS:
                 raise ValueError(f"lane router kind {kind!r} has no array model")
             self._streams.setdefault(id(spec.traffic), [0, spec.traffic, None])[0] += 1
@@ -1315,16 +1334,15 @@ class BatchedLaneEngine:
         Every per-lane array slice returns to its power-on value (the
         old occupant's in-flight events went at its retirement), so a
         refilled lane is bit-identical to the same point run in a fresh
-        fabric — the array form of a router's power-on ``reset()``.  The
-        point's traffic source is compiled to the lane's packet table
-        for its whole inject window, once per source.
+        fabric.  The point's traffic source is compiled to the lane's
+        packet table for its whole inject window, once per source.
         """
         t0 = perf_counter()
         for arr, value in self._power_on:
             arr[lane] = value
         self.counts()[:, lane] = 0
         self._recount_faults()
-        kind = spec.router_kind or self._default_kind
+        kind = spec.router_kind or self.router_kind
         self.protected[lane] = kind == "protected"
         self.roco[lane] = kind == "roco"
         if getattr(spec.fault_schedule, "recovery_log", False):
@@ -1442,11 +1460,22 @@ def run_lanes(
 ) -> List[SimulationResult]:
     """Run a group of lanes through the batched engine (convenience).
 
-    ``width`` caps the number of concurrent lane slots; the rest of the
-    points stream in through lane refill as slots free up.
+    A lane whose spec names no kind takes the kind of the routers
+    ``router_factory`` builds (:func:`lane_kind`; no factory: baseline);
+    a factory of routers no lane models is a ``ValueError``.  ``width``
+    caps the number of concurrent lane slots; the rest of the points
+    stream in through lane refill as slots free up.
     """
+    kind: Optional[str] = "baseline"
+    if router_factory is not None:
+        routing = make_routing(config, routing_kind)
+        routers = [router_factory(node, routing) for node in range(config.num_nodes)]
+        kind = lane_kind(routers)
+        if kind is None:
+            names = ", ".join(sorted({type(r).__name__ for r in routers}))
+            raise ValueError(f"no lane kind models a fabric of {names}")
     w = len(lanes) if width is None else max(1, min(width, len(lanes)))
     return BatchedLaneEngine(
-        config, sim_config, lanes[:w], router_factory, routing_kind,
+        config, sim_config, lanes[:w], kind, routing_kind,
         keep_samples=keep_samples, pending=lanes[w:],
     ).run()

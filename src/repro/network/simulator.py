@@ -106,9 +106,6 @@ def baseline_router_factory(config: NetworkConfig) -> RouterFactory:
     def make(node: int, routing: RoutingFunction) -> BaseRouter:
         return BaselineRouter(node, config.router, routing)
 
-    # marker read by the lane engine (repro.network.batched.supports) to
-    # pick the array model for this router flavour
-    make.router_kind = "baseline"  # type: ignore[attr-defined]
     return make
 
 
@@ -339,7 +336,7 @@ class NoCSimulator:
         self.topology = Topology(config)
         self.routing = make_routing(config, routing_kind)
         self.routing_kind = routing_kind
-        self.router_factory = factory = router_factory or baseline_router_factory(config)
+        factory = router_factory or baseline_router_factory(config)
         self.routers: list[BaseRouter] = [
             factory(node, self.routing) for node in range(config.num_nodes)
         ]
@@ -649,21 +646,25 @@ class NoCSimulator:
     def run(self) -> SimulationResult:
         """One run, on the engine that finishes it sooner.
 
-        A fresh run on an untouched fabric that nothing watches from outside
-        the event system and whose traffic source declares an ``offered_load`` of
-        :data:`LANE_BREAK_EVEN` or more rides a width-1 lane of
-        :class:`repro.network.batched.BatchedLaneEngine` on its own traffic
-        and schedule objects — bit-identical, the lane engine mirrors
-        ``_step_reference`` — and every other one is :meth:`_run_stepped`.
+        A fresh run on an untouched fabric of one lane kind's routers
+        (:func:`repro.network.batched.lane_kind`) that nothing watches from
+        outside the event system and whose traffic source declares an
+        ``offered_load`` of :data:`LANE_BREAK_EVEN` or more rides a width-1
+        lane of :class:`repro.network.batched.BatchedLaneEngine` on its own
+        traffic and schedule objects — bit-identical, the lane engine
+        mirrors ``_step_reference`` — and every other one is
+        :meth:`_run_stepped`.
         """
-        from .batched import BatchedLaneEngine, LaneSpec, supports
+        from .batched import BatchedLaneEngine, LaneSpec, lane_kind, supports
 
         load = getattr(self.traffic, "offered_load", None)
+        kind = lane_kind(self.routers)
         if (
             load is None or load < LANE_BREAK_EVEN
+            or kind is None
             or self.cycle or self.use_reference_stepper
             or self.on_eject is not None
-            or supports(self.config, self.router_factory, observability=self.obs) is not None
+            or supports(observability=self.obs) is not None
             # a fabric touched by hand (a queued packet, a fault landed, a
             # RoCo module killed) is not a lane's power-on one
             or self._active_routers or self._active_nics
@@ -672,7 +673,7 @@ class NoCSimulator:
             return self._run_stepped()
         lane = LaneSpec(self.traffic, self.fault_schedule)
         res = BatchedLaneEngine(
-            self.config, self.sim_config, [lane], self.router_factory, self.routing_kind,
+            self.config, self.sim_config, [lane], kind, self.routing_kind,
             keep_samples=self.stats.keep_samples,
         ).run()[0]
         self.stats, self.cycle = res.stats, res.cycles

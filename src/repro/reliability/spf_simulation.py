@@ -156,10 +156,9 @@ def _trial_counts(
 
     Three amortisations:
 
-    * the routing function, probe-flow list and the router object are
-      built once — trials restore pristine state through the router's
-      ``reset()`` (pinned equivalent to a fresh router per trial by the
-      fast == reference case in ``tests/test_spf_simulation.py``);
+    * the routing function and probe-flow list are built once; the
+      router is built afresh whenever a probe needs fewer faults than it
+      holds (a build costs a tenth of one probe sweep);
     * each trial draws the same single ``rng.permutation`` as the
       reference, so the consumed random stream is unchanged;
     * the failure count is found by bisection over the fault-prefix
@@ -171,14 +170,15 @@ def _trial_counts(
     """
     routing = XYRouting(net)
     flows = _probe_flows(net)
-    router = ProtectedRouter(_PROBE_NODE, config, routing)
     n_sites = len(sites)
     counts = np.empty(trials, dtype=np.int64)
+    router: ProtectedRouter  # the trial's, rebuilt to drop faults
 
     def fails(order: np.ndarray, m: int, injected: int) -> tuple[bool, int]:
         """Probe the prefix ``order[:m]``; router holds ``injected`` faults."""
+        nonlocal router
         if m < injected:
-            router.reset()
+            router = ProtectedRouter(_PROBE_NODE, config, routing)
             injected = 0
         for i in order[injected:m]:
             router.inject_fault(sites[int(i)])
@@ -189,7 +189,7 @@ def _trial_counts(
 
     for t in range(trials):
         reset_packet_ids()
-        router.reset()
+        router = ProtectedRouter(_PROBE_NODE, config, routing)
         order = rng.permutation(n_sites)
         failed, injected = fails(order, n_sites, 0)
         if not failed:

@@ -77,16 +77,6 @@ class VAUnit:
         self._vnet_of_vc = [cfg.vnet_of_vc(d) for d in range(V)]
         self._vnet_vcs = [list(cfg.vcs_of_vnet(vn)) for vn in range(cfg.num_vnets)]
 
-    def reset(self) -> None:
-        """Restore every arbiter's priority state to power-on defaults."""
-        for per_slot in self.stage1:
-            for per_out in per_slot:
-                for arb in per_out:
-                    arb.reset()
-        for per_vc in self.stage2:
-            for arb in per_vc:
-                arb.reset()
-
     # -- hooks the protected router overrides --------------------------------
     def _stage1_arbiters(self, port: int, slot: int):
         """Arbiter set used by the VC in (port, slot), or ``None`` if blocked.
@@ -214,13 +204,6 @@ class SAUnit:
         self.stage1 = [RoundRobinArbiter(V) for _ in range(P)]
         #: stage 2: [output/arb port] -> pi:1 arbiter over input ports
         self.stage2 = [RoundRobinArbiter(P) for _ in range(P)]
-
-    def reset(self) -> None:
-        """Restore every arbiter's priority state to power-on defaults."""
-        for arb in self.stage1:
-            arb.reset()
-        for arb in self.stage2:
-            arb.reset()
 
     # -- hooks the protected router overrides --------------------------------
     def _stage1_winner(self, port: int, candidates: list[int], cycle: int) -> Optional[int]:

@@ -35,10 +35,6 @@ class Arbiter:
     def grant(self, requests: Iterable[int]) -> Optional[int]:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Restore priority state to power-on defaults (not the fault flag)."""
-        raise NotImplementedError
-
 
 class RoundRobinArbiter(Arbiter):
     """Rotating-priority arbiter.
@@ -52,9 +48,6 @@ class RoundRobinArbiter(Arbiter):
 
     def __init__(self, size: int) -> None:
         super().__init__(size)
-        self._priority = 0
-
-    def reset(self) -> None:
         self._priority = 0
 
     @property

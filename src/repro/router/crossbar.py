@@ -78,15 +78,6 @@ class Crossbar:
         """Invalidate cached plans after a fault injection or heal."""
         self._plan_cache = [_UNCACHED] * self.num_ports
 
-    def reset(self) -> None:
-        """Warm reset: drop cached plans and the cache-miss diagnostic.
-
-        The crossbar holds the router's :class:`RouterFaultState` *by
-        reference* — the router clears that in place before calling here.
-        """
-        self.notify_fault_change()
-        self.plans_computed = 0
-
     def plan_path(self, dest: int) -> Optional[PathPlan]:
         """Plan for reaching ``dest``, or ``None`` if unreachable."""
         if not 0 <= dest < self.num_ports:

@@ -86,25 +86,13 @@ class InputPort:
         )
 
     # ------------------------------------------------------------------
-    # in-place reset (driven by ``BaseRouter.clear_dynamic_state`` / ``reset``)
+    # in-place reset (driven by ``BaseRouter.clear_dynamic_state``)
     # ------------------------------------------------------------------
     def clear(self) -> None:
         """Empty every VC and idle the port; slot swaps are kept."""
         for vc in self.slots:
             vc.reset()
         self.nonidle = 0
-
-    def undo_swaps(self) -> None:
-        """Restore the power-on slot order.
-
-        Sorting the VC objects back by wire id and restoring the identity
-        wire map makes a cleared port bit-identical to a freshly built one
-        (slot iteration order matters to the allocators' arbiter streams).
-        """
-        self.slots.sort(key=lambda vc: vc.index)
-        for wire in range(self.num_vcs):
-            self._wire_to_phys[wire] = wire
-        self.swaps = 0
 
     # ------------------------------------------------------------------
     # diagnostics

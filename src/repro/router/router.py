@@ -116,7 +116,7 @@ class RCUnit:
 
 @dataclass
 class RouterStats:
-    """Per-router event counters (reset with the measurement window)."""
+    """Per-router event counters."""
 
     flits_traversed: int = 0
     buffer_writes: int = 0
@@ -134,10 +134,6 @@ class RouterStats:
     rc_blocked_cycles: int = 0
     rc_duplicate_computations: int = 0
     unreachable_output_cycles: int = 0
-
-    def reset(self) -> None:
-        for f in self.__dataclass_fields__:
-            setattr(self, f, 0)
 
 
 class BaseRouter:
@@ -244,30 +240,6 @@ class BaseRouter:
                 self.va_unit.stage2[p][s].faulty = (p, s) in self.faults.va2
             self.sa_unit.stage1[p].faulty = p in self.faults.sa1
             self.sa_unit.stage2[p].faulty = p in self.faults.sa2
-
-    # ----------------------------------------------------------------------
-    # in-place reset (per-trial reuse in ``reliability.spf_simulation``)
-    # ----------------------------------------------------------------------
-    def reset(self) -> None:
-        """Restore power-on state without rebuilding any objects.
-
-        Clears faults (in place — the crossbar and FT units hold the
-        :class:`RouterFaultState` by reference), empties every VC, refills
-        credits, rewinds arbiter priorities, and zeroes the statistics, so
-        the router is bit-identical to a freshly constructed one.  Static
-        wiring (``out_ports[*].connected``, ``route_row``, ``on_wake``) is
-        deliberately preserved.
-        """
-        self.faults.clear()
-        self._apply_fault_flags()
-        self.crossbar.reset()
-        self.clear_dynamic_state()
-        for ip in self.in_ports:
-            ip.undo_swaps()
-        self.va_unit.reset()
-        self.sa_unit.reset()
-        self.stats.reset()
-        self.recovery = None
 
     def clear_dynamic_state(self) -> None:
         """Drop everything in flight: buffers, credits, allocation, XB queue.

@@ -143,24 +143,31 @@ def _build(cls: type, data: Mapping[str, Any], where: str) -> Any:
 
 
 def _coerce(value: Any, tp: Any, where: str) -> Any:
+    """``value`` as a field of declared type ``tp``, or :class:`RequestError`.
+
+    An ``int`` takes a non-bool int, a ``float`` an int or a float (stored
+    as a float, so ``1`` and ``1.0`` are one config and one fingerprint),
+    ``str`` and ``bool`` exactly their type, a tuple a list of its element
+    type, and a nested config an object.
+    """
     if dataclasses.is_dataclass(tp) and isinstance(tp, type):
         if isinstance(value, tp):
             return value
         return _build(tp, value, where)
-    if typing.get_origin(tp) is tuple or tp is tuple:
-        if isinstance(value, (list, tuple)):
-            return tuple(value)
-        raise RequestError(
-            f"{where}: expected a list, got {type(value).__name__}"
-        )
-    if isinstance(value, list):
-        # untyped/Any sequence fields: JSON has no tuples, configs do
-        return tuple(value)
-    if isinstance(value, _SCALARS) or isinstance(value, Mapping):
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise RequestError(f"{where}: expected a list, got {type(value).__name__}")
+        item, _ = typing.get_args(tp)  # every tuple field is ``tuple[X, ...]``
+        return tuple(_coerce(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if type(value) is tp:
         return value
-    raise RequestError(
-        f"{where}: unsupported value {value!r}"
-    )
+    if tp is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:  # beyond any float
+            pass
+    name = getattr(tp, "__name__", repr(tp))
+    raise RequestError(f"{where}: expected {name}, got {type(value).__name__} {value!r:.60}")
 
 
 def canonical(obj: Any) -> Any:

@@ -378,7 +378,7 @@ class SweepService:
             if not isinstance(name, str):
                 raise RequestError("missing 'experiment' (string)")
             seed = req.get("seed")
-            if seed is not None and not isinstance(seed, int):
+            if seed is not None and type(seed) is not int:
                 raise RequestError("'seed' must be an integer")
             # checked before fingerprinting: ``jobs`` is not part of the
             # key, so a bad value must not reach a computation others join

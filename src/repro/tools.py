@@ -21,9 +21,9 @@ import time
 from typing import Optional
 
 from .config import NetworkConfig, RouterConfig, SimulationConfig
-from .core.protected_router import protected_router_factory
 from .faults.injector import RandomFaultSchedule
-from .network.simulator import NoCSimulator, baseline_router_factory
+from .network.batched import router_factory
+from .network.simulator import NoCSimulator
 from .traffic.apps import make_app_traffic
 from .traffic.generator import COHERENCE_MIX, SINGLE_FLIT_MIX, SyntheticTraffic
 from .traffic.patterns import available_patterns, make_pattern
@@ -133,16 +133,11 @@ def run(args: argparse.Namespace):
             first_fault_at=0,
             avoid_failure=not args.allow_fatal_faults,
         )
-    factory = (
-        protected_router_factory(net)
-        if args.router == "protected"
-        else baseline_router_factory(net)
-    )
     sim = NoCSimulator(
         net,
         sim_cfg,
         traffic,
-        router_factory=factory,
+        router_factory=router_factory(args.router, net),
         fault_schedule=schedule,
         routing_kind=args.routing,
     )

@@ -25,11 +25,10 @@ from repro.config import (
     RouterConfig,
     SimulationConfig,
 )
-from repro.experiments.parallel import _resolve_factory
 from repro.faults.injector import RandomFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.network import batched
-from repro.network.batched import BatchedLaneEngine, LaneSpec, run_lanes
+from repro.network.batched import BatchedLaneEngine, LaneSpec, router_factory, run_lanes
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import Flit, FlitType, Packet
 from repro.router.routing import WestFirstRouting
@@ -55,7 +54,7 @@ def _assert_lanes_equal_reference(net, cfg, make_specs, routing="west_first"):
     for i, (lane, spec) in enumerate(zip(lanes, make_specs())):
         ref = NoCSimulator(
             net, cfg, spec.traffic,
-            router_factory=_resolve_factory(spec.router_kind, net),
+            router_factory=router_factory(spec.router_kind, net),
             fault_schedule=spec.fault_schedule,
             routing_kind=routing,
             use_reference_stepper=True,

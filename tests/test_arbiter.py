@@ -46,12 +46,6 @@ class TestRoundRobin:
         with pytest.raises(ValueError):
             arb.grant([-1])
 
-    def test_reset(self):
-        arb = RoundRobinArbiter(4)
-        arb.grant([2])
-        arb.reset()
-        assert arb.priority == 0
-
     def test_rejects_empty_arbiter(self):
         with pytest.raises(ValueError):
             RoundRobinArbiter(0)

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import lane_schedules, stepped_point
+from repro.comparison.ecc_sim import DatapathFaultyRouter
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.experiments import parallel
@@ -31,12 +32,20 @@ from repro.experiments.parallel import (
     run_lane_sweep,
     run_point,
 )
-from repro.network.batched import LaneSpec, run_lanes, supports
+from repro.network.batched import (
+    LANE_KINDS,
+    LANE_ROUTERS,
+    BatchedLaneEngine,
+    LaneSpec,
+    router_factory,
+    run_lanes,
+)
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import reset_packet_ids
 from repro.traffic.generator import (
     COHERENCE_MIX,
     SINGLE_FLIT_MIX,
+    NullTraffic,
     SyntheticTraffic,
 )
 
@@ -99,7 +108,6 @@ def _assert_lanes_match(net, sim_cfg, make_specs, kind, routing_kind="xy"):
     identically seeded traffic/schedule objects.
     """
     factory = _factory(net, kind)
-    assert supports(net, factory, routing_kind) is None
     reset_packet_ids()
     batched = run_lanes(
         net, sim_cfg, make_specs(), router_factory=factory,
@@ -415,7 +423,7 @@ class TestLaneRefill:
         lanes = self._specs(net, 16)
         engine = BatchedLaneEngine(
             net, cfg, lanes[:4],
-            router_factory=protected_router_factory(net),
+            router_kind="protected",
             pending=lanes[4:],
         )
         results = engine.run()
@@ -480,33 +488,28 @@ class TestSeamFaultsGoldenUnderRefill:
 
 
 # ----------------------------------------------------------------------
-# supports() gate
+# the router kind rule
 # ----------------------------------------------------------------------
 class TestSupportsGate:
-    def test_supported_config_returns_none(self):
-        net = _net(4, 4, 4, 2)
-        assert supports(net, protected_router_factory(net), "xy") is None
-
-    def test_adaptive_routing_supported(self):
-        """``west_first`` has an array RC: no routing kind is declined."""
+    def test_an_unknown_kind_is_refused(self):
+        """A kind string names a registered router class or nothing runs."""
         net = _net(4, 4, 2, 1)
-        assert supports(net, baseline_router_factory(net), "west_first") is None
+        with pytest.raises(ValueError, match="damq"):
+            router_factory("damq", net)
+        with pytest.raises(ValueError, match="damq"):
+            BatchedLaneEngine(net, _sim_cfg(), [LaneSpec(NullTraffic())], "damq")
+        assert LANE_KINDS == tuple(LANE_ROUTERS) == ("baseline", "protected", "roco")
 
-    def test_unmarked_factory_declined(self):
-        """A factory that names no ``router_kind`` is somebody's own router,
-        not the baseline default (which is what *no* factory means)."""
+    def test_a_subclass_factory_is_refused_by_name(self):
+        """``run_lanes`` reads the kind off the routers a factory builds: a
+        subclass of a lane class is somebody's own router, and the error
+        names it."""
         net = _net(4, 4, 2, 1)
-        factory = baseline_router_factory(net)
-        reason = supports(net, lambda node, routing: factory(node, routing), "xy")
-        assert reason is not None and "router kind" in reason
-        assert supports(net, None, "xy") is None
+        def datapath(node, routing):
+            return DatapathFaultyRouter(node, net.router, routing)
 
-    def test_nonunit_latency_supported(self):
-        """Multi-cycle link/credit latency batches via the delay rings."""
-        net = NetworkConfig(
-            width=3, height=3, link_latency=2, credit_latency=3
-        )
-        assert supports(net, baseline_router_factory(net), "xy") is None
+        with pytest.raises(ValueError, match="DatapathFaultyRouter"):
+            run_lanes(net, _sim_cfg(), [LaneSpec(NullTraffic())], router_factory=datapath)
 
     def test_oversized_vc_space_is_a_config_error(self):
         """What does not fit the allocators' bitmasks is no configuration at
@@ -1103,7 +1106,7 @@ class TestFlatAddressing:
 
         return BatchedLaneEngine(
             net, cfg or _sim_cfg(measure=150), specs[:width],
-            router_factory=_factory(net, kind), pending=specs[width:],
+            router_kind=kind, pending=specs[width:],
         )
 
     @pytest.mark.parametrize(
@@ -1388,7 +1391,7 @@ class TestOneDrawPerStream:
 
         lanes = specs(shared=True)
         engine = BatchedLaneEngine(
-            net, cfg, lanes[:2], router_factory=factory, pending=lanes[2:]
+            net, cfg, lanes[:2], router_kind="protected", pending=lanes[2:]
         )
         assert sorted(n for n, _, _ in engine._streams.values()) == [2, 2, 2]
         results = engine.run()
@@ -1453,7 +1456,7 @@ class TestLaneKernels:
         from repro.network.batched import BatchedLaneEngine
 
         return BatchedLaneEngine(
-            net, cfg or _sim_cfg(), specs, router_factory=_factory(net, kind),
+            net, cfg or _sim_cfg(), specs, router_kind=kind,
             pending=pending,
         )
 

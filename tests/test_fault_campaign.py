@@ -26,6 +26,7 @@ from repro.experiments import fault_campaign, parallel
 from repro.experiments.fault_campaign import CampaignConfig, campaign_schedule
 from repro.experiments.latency import LatencyConfig
 from repro.faults import TimelineSpec
+from repro.network.batched import router_factory
 from repro.network.simulator import NoCSimulator
 from repro.router.flit import reset_packet_ids
 from repro.traffic.generator import SyntheticTraffic
@@ -156,7 +157,7 @@ class TestCampaignLanes:
             reference = NoCSimulator(
                 point.config, point.sim_config,
                 point.make_traffic(*point.traffic_args),
-                router_factory=parallel._resolve_factory(point.router_kind, point.config),
+                router_factory=router_factory(point.router_kind, point.config),
                 fault_schedule=(
                     point.make_schedule(*point.schedule_args)
                     if point.make_schedule else None

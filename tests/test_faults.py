@@ -91,14 +91,6 @@ class TestRouterFaultState:
         assert fs.num_faults == 0
         assert not fs.heal(site)
 
-    def test_clear(self):
-        fs = RouterFaultState(RouterConfig())
-        for s in list(enumerate_sites(RouterConfig()))[:10]:
-            fs.inject(s)
-        fs.clear()
-        assert fs.num_faults == 0
-        assert not fs.any_faults
-
     def test_out_of_range_port_rejected(self):
         fs = RouterFaultState(RouterConfig())
         with pytest.raises(ValueError):

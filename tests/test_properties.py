@@ -5,22 +5,29 @@ scenarios through end-to-end simulations, checking the global invariants:
 
 * flit conservation (everything injected is buffered, in flight, or
   ejected — and after a drain, fully ejected),
-* no misrouting (the destination NIC asserts on wrong deliveries),
+* no misrouting (every delivered packet crossed exactly the routers of
+  its route in ``route_table()``),
 * credit sanity (counters never exceed buffer depth — asserted inside
   the router), wire/physical VC indirection stays a permutation,
 * protected routers never deadlock under *tolerable* fault sets,
 * fault-free protected == baseline latency (mechanism inertness).
+
+Every end-of-run property runs on both :data:`ENGINES`, each example
+twice: through ``NoCSimulator._run_stepped()``, and as a width-1 lane
+through ``run_lanes(router_factory=...)``.  The mid-run invariants are
+the object engine's own.
 """
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import NetworkConfig, RouterConfig, SimulationConfig
+from repro.config import PORT_LOCAL, NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.faults.injector import RandomFaultSchedule
+from repro.network.batched import LaneSpec, run_lanes
 from repro.network.simulator import NoCSimulator, baseline_router_factory
+from repro.network.topology import Topology
+from repro.router.routing import make_routing
 from repro.traffic.generator import SyntheticTraffic
 
 SETTINGS = dict(
@@ -48,6 +55,16 @@ def network_configs(draw):
     )
 
 
+def _sim_config(seed, measure=800, warmup=100, drain=6000):
+    return SimulationConfig(
+        warmup_cycles=warmup,
+        measure_cycles=measure,
+        drain_cycles=drain,
+        seed=seed,
+        watchdog_cycles=4000,
+    )
+
+
 def build_sim(net, seed, rate, protected=False, fault_schedule=None,
               measure=800):
     factory = (
@@ -55,31 +72,58 @@ def build_sim(net, seed, rate, protected=False, fault_schedule=None,
     )
     return NoCSimulator(
         net,
-        SimulationConfig(
-            warmup_cycles=100,
-            measure_cycles=measure,
-            drain_cycles=6000,
-            seed=seed,
-            watchdog_cycles=4000,
-        ),
+        _sim_config(seed, measure),
         SyntheticTraffic(net, injection_rate=rate, rng=seed),
         router_factory=factory,
         fault_schedule=fault_schedule,
     )
 
 
+def stepped(sim):
+    """The object engine's own loop; the fabric is left to inspect."""
+    return sim._run_stepped(), sim
+
+
+def laned(sim):
+    """The same run as a width-1 lane of the kind of the fabric's routers;
+    the fabric itself never runs, so there is nothing to inspect."""
+    (res,) = run_lanes(
+        sim.config, sim.sim_config, [LaneSpec(sim.traffic, sim.fault_schedule)],
+        router_factory=lambda node, routing: sim.routers[node],
+        keep_samples=sim.stats.keep_samples,
+    )
+    return res, None
+
+
+#: the two ways an end-of-run property is checked
+ENGINES = (stepped, laned)
+
+
+def route_length(net, src, dest):
+    """Routers a packet from ``src`` to ``dest`` crosses under XY routing,
+    walked through ``route_table()``."""
+    table = make_routing(net, "xy").route_table()
+    topology = Topology(net)
+    node, length = src, 1
+    while (port := table[node][dest]) != PORT_LOCAL:
+        node, _ = topology.neighbour(node, port)
+        length += 1
+    return length
+
+
 class TestConservationProperties:
     @given(network_configs(), st.integers(0, 1000), st.floats(0.01, 0.12))
     @settings(**SETTINGS)
     def test_all_packets_delivered_and_conserved(self, net, seed, rate):
-        sim = build_sim(net, seed, rate)
-        res = sim.run()
-        assert not res.blocked
-        assert res.drained
-        assert res.stats.packets_ejected == res.stats.packets_created
-        assert res.stats.flits_ejected == res.stats.flits_injected
-        assert sim.flits_in_network == 0
-        sim.check_invariants()
+        for engine in ENGINES:
+            res, sim = engine(build_sim(net, seed, rate))
+            assert not res.blocked, engine.__name__
+            assert res.drained, engine.__name__
+            assert res.stats.packets_ejected == res.stats.packets_created, engine.__name__
+            assert res.stats.flits_ejected == res.stats.flits_injected, engine.__name__
+            if sim is not None:
+                assert sim.flits_in_network == 0
+                sim.check_invariants()
 
     @given(network_configs(), st.integers(0, 1000))
     @settings(**SETTINGS)
@@ -96,16 +140,18 @@ class TestConservationProperties:
     @settings(**SETTINGS)
     def test_protected_equals_baseline_fault_free(self, net, seed, rate):
         """The FT machinery is inert without faults: identical results."""
-        r1 = build_sim(net, seed, rate, protected=False).run()
-        r2 = build_sim(net, seed, rate, protected=True).run()
-        assert r1.stats.packets_ejected == r2.stats.packets_ejected
-        assert r1.avg_network_latency == r2.avg_network_latency
-        assert r2.router_stats.sa_bypass_grants == 0
-        assert r2.router_stats.secondary_path_grants == 0
-        assert r2.router_stats.va_borrowed_grants == 0
+        for engine in ENGINES:
+            r1, _ = engine(build_sim(net, seed, rate, protected=False))
+            r2, _ = engine(build_sim(net, seed, rate, protected=True))
+            assert r1.stats.packets_ejected == r2.stats.packets_ejected, engine.__name__
+            assert r1.avg_network_latency == r2.avg_network_latency, engine.__name__
+            assert r2.router_stats.sa_bypass_grants == 0
+            assert r2.router_stats.secondary_path_grants == 0
+            assert r2.router_stats.va_borrowed_grants == 0
 
 
 class TestFaultToleranceProperties:
+
     @given(
         st.integers(0, 300),
         st.integers(1, 20),
@@ -113,48 +159,52 @@ class TestFaultToleranceProperties:
     @settings(**SETTINGS)
     def test_tolerable_faults_never_wedge_protected_network(self, seed, nfaults):
         net = NetworkConfig(width=3, height=3, router=RouterConfig())
-        inj = RandomFaultSchedule(
-            net.router,
-            net.num_nodes,
-            mean_interval=20,
-            num_faults=nfaults,
-            rng=seed,
-            first_fault_at=0,
-            avoid_failure=True,
-        )
-        sim = build_sim(net, seed, 0.06, protected=True, fault_schedule=inj)
-        res = sim.run()
-        assert not res.blocked
-        assert res.stats.packets_ejected == res.stats.packets_created
-        for router in sim.routers:
-            assert not router.failed
-            router.check_invariants()
+        for engine in ENGINES:
+            inj = RandomFaultSchedule(
+                net.router,
+                net.num_nodes,
+                mean_interval=20,
+                num_faults=nfaults,
+                rng=seed,
+                first_fault_at=0,
+                avoid_failure=True,
+            )
+            res, sim = engine(
+                build_sim(net, seed, 0.06, protected=True, fault_schedule=inj)
+            )
+            assert not res.blocked, engine.__name__
+            assert res.stats.packets_ejected == res.stats.packets_created, engine.__name__
+            assert res.faults_injected == nfaults, engine.__name__
+            if sim is not None:
+                for router in sim.routers:
+                    assert not router.failed
+                    router.check_invariants()
 
     @given(st.integers(0, 300))
     @settings(**SETTINGS)
     def test_faults_never_cause_misroute(self, seed):
-        """Every ejected flit reached its true destination (the NIC asserts
-        internally; this test also cross-checks the samples)."""
+        """Every delivered packet crossed exactly the routers of its XY
+        route: no mechanism of the protected router changes the port a
+        flit leaves by."""
         net = NetworkConfig(width=3, height=3, router=RouterConfig())
-        inj = RandomFaultSchedule(
-            net.router, net.num_nodes, mean_interval=15, num_faults=12,
-            rng=seed, first_fault_at=0, avoid_failure=True,
-        )
-        sim = NoCSimulator(
-            net,
-            SimulationConfig(warmup_cycles=50, measure_cycles=600,
-                             drain_cycles=5000, seed=seed,
-                             watchdog_cycles=4000),
-            SyntheticTraffic(net, injection_rate=0.06, rng=seed),
-            router_factory=protected_router_factory(net),
-            fault_schedule=inj,
-            keep_samples=True,
-        )
-        res = sim.run()
-        for s in res.stats.samples:
-            assert s.src != s.dest
-            assert 0 <= s.dest < net.num_nodes
-            assert s.network_latency >= 5  # at least one router + link
+        for engine in ENGINES:
+            inj = RandomFaultSchedule(
+                net.router, net.num_nodes, mean_interval=15, num_faults=12,
+                rng=seed, first_fault_at=0, avoid_failure=True,
+            )
+            res, _ = engine(NoCSimulator(
+                net,
+                _sim_config(seed, measure=600, warmup=50, drain=5000),
+                SyntheticTraffic(net, injection_rate=0.06, rng=seed),
+                router_factory=protected_router_factory(net),
+                fault_schedule=inj,
+                keep_samples=True,
+            ))
+            assert res.stats.samples, engine.__name__
+            for s in res.stats.samples:
+                assert s.src != s.dest
+                assert s.hops == route_length(net, s.src, s.dest), (engine.__name__, s)
+                assert s.network_latency >= 5  # at least one router + link
 
     @given(st.integers(0, 200), st.floats(0.02, 0.1))
     @settings(**SETTINGS)

@@ -14,6 +14,7 @@ from dataclasses import asdict
 import pytest
 
 from conftest import NoLookahead
+from repro.comparison.ecc_sim import DatapathFaultyRouter
 from repro.comparison.roco_router import roco_router_factory
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
@@ -24,6 +25,7 @@ from repro.network import batched
 from repro.network.simulator import LANE_BREAK_EVEN, NoCSimulator
 from repro.observability import Observability, ObservabilityConfig
 from repro.router.flit import Packet
+from repro.router.router import BaselineRouter
 from repro.traffic.generator import COHERENCE_MIX, SyntheticTraffic
 
 MESH_8X8 = NetworkConfig(width=8, height=8, router=RouterConfig(num_vcs=4, num_vnets=2))
@@ -66,11 +68,11 @@ def engines(monkeypatch):
     built = []
 
     class Spy(batched.BatchedLaneEngine):
-        def __init__(self, config, sim_config, lanes, router_factory=None,
+        def __init__(self, config, sim_config, lanes, router_kind="baseline",
                      routing_kind="xy", **kwargs):
             built.append((len(lanes), routing_kind))
             super().__init__(
-                config, sim_config, lanes, router_factory, routing_kind, **kwargs
+                config, sim_config, lanes, router_kind, routing_kind, **kwargs
             )
 
     monkeypatch.setattr(batched, "BatchedLaneEngine", Spy)
@@ -138,6 +140,41 @@ class TestRides:
         assert engines == [(1, routing)]
         assert _digest(res) == _digest(ref)
         assert res.faults_injected == 40 and res.router_stats.rc_blocked_cycles > 0
+
+    def test_a_wrapped_factory_rides(self, engines):
+        """The kind is read off the routers, not the factory: a plain
+        wrapper around a registered class rides that class's lane."""
+        make = protected_router_factory(MESH_8X8)
+
+        def wrapped(node, routing):
+            return make(node, routing)
+
+        res = _sim(schedule=_faults(), router_factory=wrapped).run()
+        assert engines == [(1, "xy")]
+        ref = _sim(schedule=_faults(), router_factory=wrapped)._run_stepped()
+        assert _digest(res) == _digest(ref)
+        assert res.router_stats.va_borrowed_grants > 0
+
+    def test_a_mislabelled_factory_rides_what_it_builds(self, engines):
+        """A factory carrying another kind's name builds baselines, and a
+        baseline lane is what runs them."""
+        def mislabelled(node, routing):
+            return BaselineRouter(node, MESH_8X8.router, routing)
+
+        mislabelled.router_kind = "protected"  # type: ignore[attr-defined]
+
+        def faults():
+            return RandomFaultSchedule(
+                MESH_8X8.router, MESH_8X8.num_nodes, mean_interval=20, num_faults=16,
+                rng=11, first_fault_at=30, avoid_failure=True,
+            )
+
+        res = _sim(schedule=faults(), router_factory=mislabelled).run()
+        assert engines == [(1, "xy")]
+        ref = _sim(schedule=faults(), router_factory=mislabelled)._run_stepped()
+        assert _digest(res) == _digest(ref)
+        assert res.router_stats.rc_duplicate_computations == 0
+        assert res.router_stats.va_borrowed_grants == 0
 
     def test_the_break_even_is_a_load_over_the_whole_fabric(self, engines):
         """Flits per cycle, not per node: 0.25 on 16 nodes is 0.0625 on 64."""
@@ -218,17 +255,17 @@ class TestDeclines:
         assert engines == []
 
     def test_a_router_kind_without_an_array_model(self, engines):
-        """``roco`` is a lane kind now: what declines is a factory that
-        names no lane kind, or names one nothing models."""
-        make = protected_router_factory(MESH_8X8)
-        _sim(router_factory=lambda node, routing: make(node, routing)).run()
+        """A subclass of a lane class is somebody's own router, whatever it
+        inherits: ``ecc_sim``'s datapath-faulty router is stepped."""
+        def datapath(**kwargs):
+            return _sim(
+                router_factory=lambda node, routing: DatapathFaultyRouter(
+                    node, MESH_8X8.router, routing
+                ),
+                **kwargs,
+            )
 
-        def damq(node, routing):
-            return make(node, routing)
-
-        damq.router_kind = "damq"  # type: ignore[attr-defined]
-        _sim(router_factory=damq).run()
-        assert engines == []
+        self._assert_stepped(engines, datapath(), datapath(use_reference_stepper=True))
 
     def test_a_roco_module_killed_by_hand(self, engines):
         """``fail_module`` lands nothing in the fault history, but its

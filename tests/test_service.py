@@ -32,6 +32,8 @@ import time
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.fault_sweep import FaultSweepConfig
 from repro.experiments.latency import QUICK_CONFIG, LatencyConfig
@@ -47,7 +49,7 @@ from repro.service import (
 from repro.service import cache as cache_module
 from repro.service import fingerprint as fingerprint_module
 from repro.service.cache import make_entry, payload_digest
-from repro.service.fingerprint import RequestError, canonical
+from repro.service.fingerprint import CONFIG_TYPES, RequestError, canonical
 
 #: a deliberately tiny fault sweep: two points, sub-second each
 TINY = {
@@ -61,6 +63,49 @@ TINY = {
         "num_faults": 8,
     },
 }
+
+
+#: every JSON value, NaN and the infinities aside (refused at parse)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _field_paths():
+    """(experiment, path) for every field of every registered config, one
+    nested config deep."""
+    paths = []
+    for name, cls in sorted(CONFIG_TYPES.items()):
+        for key, tp in fingerprint_module._field_types(cls).items():
+            paths.append((name, (key,)))
+            if dataclasses.is_dataclass(tp):
+                paths += [(name, (key, sub)) for sub in fingerprint_module._field_types(tp)]
+    return paths
+
+
+def _respell(value):
+    """An ``==`` value of another JSON type where there is one: ``true`` ->
+    ``1``, ``1`` -> ``1.0``, ``1.0`` -> ``1``."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int) and float(value) == value:
+        return float(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, list):
+        return [_respell(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _respell(v) for k, v in value.items()}
+    return value
+
+
+def _nest(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
 
 
 def _fp(name, config=None, seed=None, quick=False):
@@ -190,6 +235,61 @@ class TestFingerprint:
                 build_config("fault_sweep", {"fault_counts": 3})
             with pytest.raises(RequestError, match="widht"):
                 build_config("fault_sweep", {"latency": {"widht": 4}})
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            ("fault_sweep", {"latency": {"width": "8"}}),
+            ("fault_sweep", {"latency": {"width": 8.0}}),
+            ("fault_sweep", {"latency": {"num_faults": True}}),
+            ("fault_sweep", {"latency": {"rate_scale": "1"}}),
+            ("fault_sweep", {"fault_counts": [0, True]}),
+            ("fault_sweep", {"fault_counts": [0, 2.5]}),
+            ("fault_sweep", {"app": 3}),
+            ("mttf", {"mc_samples": "x"}),
+            ("load_latency", {"rates": ["0.1"]}),
+            ("fault_campaign", {"router_kinds": [1]}),
+            ("fault_campaign", {"timeline": {"protected": 1}}),
+            ("fault_campaign", {"timeline": {"avoid_failure": "yes"}}),
+            ("spf_sweep", {"vc_counts": [{"n": 2}]}),
+        ],
+        ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+    )
+    def test_a_field_takes_its_declared_type(self, name, config):
+        """An int field takes a non-bool int, a float field an int or a
+        float, a str or bool field exactly that, a tuple its element type:
+        anything else is a RequestError, not a failure inside the run."""
+        with pytest.raises(RequestError, match="expected"):
+            effective_config(name, config)
+
+    def test_equal_configs_share_one_fingerprint(self):
+        """``1`` and ``1.0`` in a float field are one config, stored as a
+        float, and so one key."""
+        one, _ = effective_config("fault_sweep", {"latency": {"rate_scale": 1}})
+        assert one.latency.rate_scale == 1.0 and type(one.latency.rate_scale) is float
+        assert _fp("fault_sweep", {"latency": {"rate_scale": 1}}) == _fp(
+            "fault_sweep", {"latency": {"rate_scale": 1.0}}
+        )
+        assert _fp("load_latency", {"rates": [1, 0.5]}) == _fp(
+            "load_latency", {"rates": [1.0, 0.5]}
+        )
+
+    @given(st.sampled_from(_field_paths()), JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_any_json_value_in_any_field(self, field, value):
+        """Every field of every registered config, given any JSON value:
+        the config is built or refused with a RequestError, and two ``==``
+        spellings of it share one fingerprint."""
+        name, path = field
+        built = []
+        for spelling in (value, _respell(value)):
+            try:
+                config, seed = effective_config(name, _nest(path, spelling))
+            except RequestError:
+                continue
+            built.append((config, request_fingerprint(name, config, seed=seed)))
+        if len(built) == 2 and built[0][0] == built[1][0]:
+            assert built[0][1] == built[1][1], (name, path, value)
 
     def test_field_types_resolved_once_per_class(self, monkeypatch):
         """``get_type_hints`` compiles every string annotation anew on
@@ -600,6 +700,7 @@ class TestServer:
             {"jobs": "two"}, {"jobs": -1}, {"jobs": True}, {"jobs": 1.5},
             {"stream": "yes"}, {"stream": 1}, {"stream": None},
             {"quick": "false"}, {"quick": 0},
+            {"seed": True}, {"seed": "1"},
         ],
         ids=lambda f: "-".join(f"{k}={v!r}" for k, v in f.items()),
     )
@@ -651,12 +752,15 @@ class TestServer:
             ),
             ("detection_latency", {"num_faults": 0}),
             ("detection_latency", {"measure_cycles": 0}),
+            # wrongly typed fields, which used to fail only inside the run
+            ("fault_sweep", {"latency": {"width": "8"}}),
+            ("mttf", {"mc_samples": "x"}),
         ],
         ids=[
             "negative-fault-count", "no-timelines", "no-rates", "no-vc-counts",
             "no-mean-interval", "negative-events", "fraction-above-one",
             "negative-first-event", "zero-transient-duration", "no-faults",
-            "no-cycles",
+            "no-cycles", "string-width", "string-mc-samples",
         ],
     )
     def test_a_config_the_experiment_cannot_compute_is_a_400(self, name, config):

@@ -15,8 +15,8 @@ gated stepper to the reference:
   ``python -O``, where the library's own asserts are stripped);
 * a fault landing on a fully idle router wakes it, runs no phase, and is
   pruned the same cycle;
-* counters are zero after ``BaseRouter.reset()`` on routers abandoned
-  mid-packet.
+* counters are zero after ``BaseRouter.clear_dynamic_state()`` on
+  routers abandoned mid-packet.
 """
 
 import dataclasses
@@ -209,11 +209,12 @@ class TestCountersClearOnReset:
         assert all(held), f"no VC in some stage: (nonidle, rc, va, sa)={held}"
 
     def test_reset_zeroes_counters(self):
-        """``BaseRouter.reset()`` (what ``spf_simulation`` reuses a router
-        through) leaves no stage counter behind a VC it emptied."""
+        """``BaseRouter.clear_dynamic_state()`` (what ``functional_failure``
+        clears a router with between probe flows) leaves no stage counter
+        behind a VC it emptied."""
         sim = NoCSimulator(NET, SIM_CFG, self._traffic())
         self._abandon_mid_packet(sim)
         for r in sim.routers:
-            r.reset()
+            r.clear_dynamic_state()
             r.check_invariants()
         assert set(self._counters(sim)) == {(0, 0, 0, 0)}
