@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .draws import bulk_draws
+
 
 class NMRUnit:
     """N-modular redundancy with a majority voter.
@@ -144,11 +146,13 @@ class BulletProofModel:
         spares = self.site_spares()
         k = len(spares)
         counts = np.empty(trials, dtype=np.int64)
+        # a trial ends on a site's (spares + 1)-th hit
+        site = bulk_draws(lambda n: rng.integers(k, size=n), min(spares) + 1)
         for t in range(trials):
             hits = [0] * k
             n = 0
             while True:
-                i = int(rng.integers(k))
+                i = site(trials - t)
                 hits[i] += 1
                 n += 1
                 if hits[i] > spares[i]:

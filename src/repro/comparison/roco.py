@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .draws import bulk_draws
+
 
 @dataclass
 class RowColumnState:
@@ -86,15 +88,13 @@ class RoCoModel:
     ) -> float:
         """Faults land on row/column halves uniformly until both die."""
         rng = np.random.default_rng(rng)
+        tol = per_half_tolerance
         counts = np.empty(trials, dtype=np.int64)
+        # a trial kills both halves: 2 (tol + 1) draws or more
+        half = bulk_draws(lambda n: rng.integers(2, size=n), 2 * (tol + 1))
         for t in range(trials):
-            state = RowColumnState(per_half_tolerance=per_half_tolerance)
-            n = 0
-            while not state.failed:
-                n += 1
-                if rng.integers(2) == 0:
-                    state.hit_row()
-                else:
-                    state.hit_col()
-            counts[t] = n
+            hits = [0, 0]  # row, column: ``RowColumnState.failed`` once both pass tol
+            while hits[0] <= tol or hits[1] <= tol:
+                hits[half(trials - t)] += 1
+            counts[t] = hits[0] + hits[1]
         return float(counts.mean())

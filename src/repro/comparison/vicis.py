@@ -22,6 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .draws import bulk_draws, lemire_below
+
 
 class HammingSECDED:
     """Hamming single-error-correcting, double-error-detecting code.
@@ -176,9 +178,11 @@ class VicisModel:
         """Coarse behavioural MC: faults land on {datapath, crossbar,
         ports}; ECC absorbs single datapath faults per lane, the bypass
         bus absorbs crossbar faults, port swapping survives until too few
-        healthy ports remain."""
+        healthy ports remain.  Its ``integers(3)`` and ``integers(num_ports)``
+        draws are NumPy's 32-bit Lemire draws off bulk halves, one or more a trial."""
         rng = np.random.default_rng(rng)
         counts = np.empty(trials, dtype=np.int64)
+        half = bulk_draws(lambda n: rng.integers(1 << 32, size=n, dtype=np.uint32), 1)
         for t in range(trials):
             datapath_hits = 0
             crossbar_hits = 0
@@ -186,7 +190,7 @@ class VicisModel:
             n = 0
             while True:
                 n += 1
-                kind = rng.integers(3)
+                kind = lemire_below(half, 3, trials - t)
                 if kind == 0:
                     datapath_hits += 1
                     if datapath_hits > ecc_tolerance:
@@ -196,7 +200,7 @@ class VicisModel:
                     if crossbar_hits > 1:  # bypass bus is a single spare path
                         break
                 else:
-                    dead_ports.add(int(rng.integers(num_ports)))
+                    dead_ports.add(lemire_below(half, num_ports, trials - t))
                     if len(dead_ports) > num_ports - 2:
                         break
             counts[t] = n

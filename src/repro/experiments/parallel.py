@@ -766,12 +766,12 @@ def run_lane_sweep(
 
     Every other point is a :func:`run_point` task of its own.  The
     triage that decides this is the one record of why.  Every router
-    kind a point can name has an array model, so ``supports()`` declines
-    a group only while observability is enabled: its points run on the
-    object engine and are the report's ``fallbacks``, the decline string
-    its ``fallback_reasons``.  A supported group smaller than
-    :data:`_MIN_LANE_GROUP` is not a fallback — its ``run()`` picks the
-    engine by load and may still step it as a width-1 lane.
+    kind a point can name has an array model, so ``supports()`` declines a
+    group only with observability on or past ``_MAX_VCS`` VCs: its points
+    run on the object engine and are the report's ``fallbacks``, the
+    decline strings its ``fallback_reasons``.  A supported group smaller
+    than :data:`_MIN_LANE_GROUP` is not a fallback — its ``run()`` picks
+    the engine by load and may still step it as a width-1 lane.
 
     Execution funnels through :func:`run_sweep`, so a resilient runtime
     (checkpointing, retries, watchdog) applies at chunk granularity:
@@ -797,19 +797,19 @@ def run_lane_sweep(
 
     batchable: list[tuple[list[int], LanePoint]] = []
     singles: list[int] = []
-    # every kind a point can name is a lane kind: only observability
-    # declines, and it declines every group
-    reason = batched_supports()
-    for idxs in groups.values():
+    # every kind a point can name is a lane kind: observability declines
+    # every group, a VC count past the engine's tables its own group
+    declined: dict[str, int] = {}  # reason -> points
+    for key, idxs in groups.items():
+        reason = batched_supports(key[0])
+        if reason is not None:
+            declined[reason] = declined.get(reason, 0) + len(idxs)
         if reason is not None or len(idxs) < _MIN_LANE_GROUP:
             singles += idxs
         else:
             batchable.append((idxs, points[idxs[0]]))
-    triage = dict(
-        points=len(points),
-        fallbacks=0 if reason is None else len(points),
-        fallback_reasons=() if reason is None else (reason,),
-    )
+    fallbacks, reasons = sum(declined.values()), tuple(sorted(declined))
+    triage = dict(points=len(points), fallbacks=fallbacks, fallback_reasons=reasons)
 
     tasks: list[SweepTask] = []
     spans: list[list[int]] = []  # task index -> the point indices it runs

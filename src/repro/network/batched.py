@@ -78,12 +78,14 @@ the end of every state array, so a flit routed off the mesh raises
 ``IndexError`` at its next gather instead of wrapping onto another
 router.  Within one cycle all same-stage arbiters are independent (each
 grant touches a distinct (router, arbiter) pair — see the allocator
-docstrings), so one sort by (arbiter, rotating-priority distance) puts
-every arbiter's grant first in its run (``_rr_grant``).
+docstrings), so one scatter-min into a scratch cell per arbiter finds
+every grant without a sort (``_rr_grant``), and VA stage 1 reads its pick
+off a table of (pointer, free-VC bits of the output port: ``vfree``).
 
 A flit is one ``int64`` word — flag bits 0-1, hop count above them (a
 traversal is ``+ _HOP``), destination node, packet-table row on top — so
-a buffer read or write is one gather or scatter, and a calendar event
+a buffer read or write is one gather or scatter (one a cycle: link and
+NIC flits land on distinct ports), and a calendar event
 carries the *id it lands on*, not coordinates: a link flit is ``(wire-VC
 id at the downstream input port, word)``, an ejection ``(output-VC id,
 word)``, a credit its index into ``credits`` — router credits (``cred``)
@@ -112,8 +114,8 @@ its table once, at retirement.  A source held by several lanes (the
 fault-free and faulty run of one application, every count of a fault
 sweep, the baseline and protected replay of one campaign timeline) is
 one stream: it is compiled once and every holder gets the table.  The
-scalar remnants are fault-site injection and healing, the recovery
-monitors and ``_borrow_arbiters``.
+scalar remnants are fault-site injection and healing and the recovery
+monitors.
 
 Faults, heals and recovery
 --------------------------
@@ -198,6 +200,12 @@ _MAX_ROWS = 1 << (63 - _PID_SHIFT)
 #: slot with nothing left to poll (never due)
 _NEVER = np.iinfo(np.int32).max
 
+#: a ``_rr_grant`` scratch cell between uses: above any round-robin distance
+_FAR = np.iinfo(np.int8).max
+
+#: the most VCs per port a lane models: VA stage 1 keeps its pointer p as ``uint16(p << V)``
+_MAX_VCS = 12
+
 #: RouterStats field -> column index in the per-lane counter matrix
 _RS_IDX: Dict[str, int] = {
     name: i for i, name in enumerate(RouterStats.__dataclass_fields__)
@@ -276,15 +284,15 @@ def router_factory(kind: str, config: NetworkConfig) -> RouterFactory:
     return make
 
 
-def supports(*, observability: object = None) -> Optional[str]:
-    """Why the batched engine cannot run now, or ``None``.
-
-    The one decline is observability (tracing and metrics need the object
-    engine's per-object hooks); the lane sweep's triage records the reason
-    and runs such points on the object engine.
-    """
+def supports(config: Optional[NetworkConfig] = None, *, observability: object = None) -> Optional[str]:
+    """Why the batched engine cannot run ``config`` now, or ``None``: observability
+    on (tracing and metrics need the object engine's per-object hooks), or more than
+    :data:`_MAX_VCS` VCs per port.  The lane sweep's triage records the reason and
+    runs such points on the object engine."""
     if observability is not None or maybe_create() is not None:
         return "observability enabled (tracing/metrics need per-object hooks)"
+    if config is not None and config.router.num_vcs > _MAX_VCS:
+        return f"more than {_MAX_VCS} VCs per port (the VA stage-1 pick tables)"
     return None
 
 
@@ -308,7 +316,7 @@ class BatchedLaneEngine:
         keep_samples: bool = False,
         pending: Optional[Iterable[LaneSpec]] = None,
     ) -> None:
-        reason = supports()
+        reason = supports(config)
         if reason is not None:
             raise ValueError(f"batched engine cannot run this config: {reason}")
         if not lanes:
@@ -380,7 +388,6 @@ class BatchedLaneEngine:
         self.st, self.st_ = state(shape4, _IDLE, np.int8)  # VCState
         self.route, self.route_ = state(shape4, -1, np.int32)
         self.outvc, self.outvc_ = state(shape4, -1, np.int32)
-        self.vpid, self.vpid_ = state(shape4, -1, np.int64)
         self.excl, self.excl_ = state(shape4, 0, np.int64)  # va_excluded bitmask
         # wire-id indirection: ``pwire[..., s]`` is the wire id of the VC
         # object in physical slot s; ``wdelta`` is the inverse permutation
@@ -403,13 +410,13 @@ class BatchedLaneEngine:
         self.nic_cred, self.nic_cred_ = state(
             shape_q, D, np.int32, self.credits[L * self.RPV :]
         )
-        self.alloc, self.alloc_ = state(shape4, -1, np.int64)
-        self.alloc_rows = self.alloc.reshape(-1, V)  # one row per output port
-        self.cred_rows = self.cred.reshape(-1, V)  # likewise
-
-        # round-robin arbiter priority pointers
+        self.cred_rows = self.cred.reshape(-1, V)  # one row per output port
         shape3 = (R, P)
-        self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, np.int8)  # most elements: kept narrow
+        #: per output port, bit w set while downstream VC w is unallocated
+        self.vfree, self.vfree_ = state(shape3, (1 << V) - 1, np.int64)
+        # round-robin arbiter priority pointers; VA stage 1's holds a pointer
+        # p as its row in the pick table, ``p << V`` (V <= ``_MAX_VCS``)
+        self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, np.uint16)
         self.va2_prio, self.va2_prio_ = state(shape4, 0, np.int32)
         self.sa1_prio, self.sa1_prio_ = state(shape3, 0, np.int8)
         self.sa2_prio, self.sa2_prio_ = state(shape3, 0, np.int32)
@@ -458,6 +465,8 @@ class BatchedLaneEngine:
         #: one per input port) as ``(VC id, input port id, output port id,
         #: output VC id, route)``, traversed by the next cycle's XB phase
         self._xq: _Ring = [None]
+        #: this cycle's link deliveries, written with the NIC's (``_nic_step``)
+        self._arrived: Optional[Tuple[np.ndarray, ...]] = None
         self._rings = (
             self._ring_flit, self._ring_eject, self._ring_credit,
             self._ring_out_credit, self._xq,
@@ -470,20 +479,29 @@ class BatchedLaneEngine:
         self._bind_tables(np.zeros((10, L, 0), dtype=np.int32))
         self.t_n = np.zeros(L, dtype=np.int64)  # rows in use, per lane
         # A NIC source queue is a cursor into its (node, vnet) run of the
-        # table: the head packet's row, the cycle it entered the queue
-        # (``_NEVER`` once the run is exhausted) and the index of its
-        # next flit.  A vnet injects one packet at a time and frees its
-        # wire VC on the tail, so the packet always gets the vnet's first
-        # VC and "mid-injection, VC owned" is just ``q_flit > 0``; credits
-        # are kept for that one VC per vnet.
+        # table: the head packet's row, the global cycle it entered the
+        # queue (``_NEVER`` or later once the run is exhausted) and the
+        # index of its next flit.  A vnet injects one packet at a time and
+        # frees its wire VC on the tail, so the packet always gets the
+        # vnet's first VC and "mid-injection, VC owned" is just ``q_flit >
+        # 0``; credits are kept for that one VC per vnet.
         self.q_row, self.q_row_ = state(shape_q, 0, np.intp)
-        self.q_due, self.q_due_ = state(shape_q, _NEVER, np.int32)
+        self.q_due, self.q_due_ = state(shape_q, _NEVER, np.int64)  # global cycle
         self.q_flit, self.q_flit_ = state(shape_q, 0, np.int32)
         # vnet round-robin pointer
         self.nic_rr, self.nic_rr_ = state((R,), 0, np.intp)
         self._vcs = np.arange(V)
-        #: wire id -> which downstream VCs share its vnet, as a (V, V) mask
-        self._same_vnet = self._vcs // self.VV == self._vcs[:, None] // self.VV
+        #: downstream VC -> its bit in ``vfree`` and ``excl``
+        self._bit = np.int64(1) << self._vcs
+        #: wire id -> the bits of the downstream VCs of its vnet
+        self._vnet_bits = ((1 << self.VV) - 1) << self._vcs // self.VV * self.VV
+        # the pick table: at ``(p << V) + free bits``, the free VC w a
+        # round-robin arbiter with pointer p grants, least (w - p) % V; and
+        # at ``bits * V + k`` the (k+1)-th set bit of ``bits`` (V: none)
+        dist = (self._vcs - self._vcs[:, None]) % V
+        has = np.arange(1 << V)[:, None] >> self._vcs & 1
+        self._first_free = np.where(has, dist[:, None], V).argmin(axis=2).reshape(-1)
+        self._kth = (has.cumsum(axis=1)[:, None] <= self._vcs[:, None]).sum(axis=2).reshape(-1)
 
         # --- counters and per-lane clocks ------------------------------
         #: ``RouterStats`` counters per ``(counter, lane, router)``: the
@@ -546,11 +564,26 @@ class BatchedLaneEngine:
         self.rtab0_of = ports // P % R * R  #: port id -> its router's ``rtab`` row
         self.lane_of = nodes // R  #: node id -> lane
         self.local_vc0_of = (nodes * P + PORT_LOCAL) * V  #: node id -> its NIC's VC 0
-        # round-robin successors, in the priority arrays' dtype
+        queues = np.arange(L * R * self.NV)
+        self.q_node_of = queues // self.NV  #: NIC queue id -> node id
+        self.q_vnet_of = queues % self.NV  #: NIC queue id -> vnet
+        # round-robin successors, in the priority arrays' dtype, and
+        # distances from a pointer: ``wrap[f - p]`` is ``(f - p) % size``
         self._next_v = ((self._vcs + 1) % V).astype(np.int8)
+        self._next_va1 = (self._next_v.astype(np.uint16) << V).astype(np.uint16)
         self._next_p = ((np.arange(P) + 1) % P).astype(np.int32)
         self._next_pv = ((np.arange(self.PV) + 1) % self.PV).astype(np.int32)
         self._next_vnet = (np.arange(self.NV) + 1) % self.NV
+        self._mod_d = (np.arange(2 * self.D) % self.D).astype(np.int32)
+        self._wrap = {n: np.tile(np.arange(n, dtype=np.int8), 2) for n in (V, P, self.PV, self.NV)}
+        #: scratch of ``_rr_grant``: one cell per VC id, ``_FAR`` between uses
+        self._least = np.full(L * self.RPV, _FAR, dtype=np.int8)
+        #: flits left behind a tail -> the slot's state
+        self._after_tail = np.array([_IDLE] + [_ROUTING] * self.D, dtype=np.int8)
+        #: VC state -> may lend its VA stage-1 arbiter set (IDLE or ACTIVE)
+        self._lends = np.array([True, False, False, True])
+        self.st_rows = self.st.reshape(-1, V)  # one row per port
+        self.f_va1_rows = self.f_va1.reshape(-1, V)
 
         # --- lane refill / streaming point queue -----------------------
         # lanes run on local clocks: local cycle = global - off[lane];
@@ -730,24 +763,17 @@ class BatchedLaneEngine:
             self._queued = 0
         return self.rstats
 
-    @staticmethod
-    def _first(sorted_key: np.ndarray) -> np.ndarray:
-        """Mask of the first element of each run of equal keys."""
-        first = np.empty(sorted_key.shape, dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-        return first
-
-    def _rr_grant(self, key: np.ndarray, f: np.ndarray, prio: np.ndarray, size: int) -> np.ndarray:
-        """Per distinct ``key`` (an arbiter), the index of the requester
-        minimising ``(f - prio) % size`` — the grant a ``RoundRobinArbiter``
-        makes; ``prio`` is each requester's own arbiter's pointer.
-
-        ``f`` is distinct within a key, so one sort by (key, distance)
-        puts every winner first in its run.  Winners come in key order.
-        """
-        order = (key * size + (f - prio) % size).argsort()
-        return order[self._first(key[order])]
+    def _rr_grant(self, key: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        """Per distinct ``key`` (an arbiter), the index of the requester at
+        the least round-robin distance ``dist`` from its arbiter's pointer —
+        a ``RoundRobinArbiter``'s grant.  ``dist`` is distinct within a key:
+        the least is scattered into a scratch cell per key and read back,
+        no sort.  Winners come in the requesters' order."""
+        least = self._least
+        np.minimum.at(least, key, dist)
+        win = (dist == least[key]).nonzero()[0]
+        least[key] = _FAR
+        return win
 
     def _xb_phase(self, cycle: int, local: np.ndarray) -> None:
         """Traverse last cycle's SA winners — mirrors ``BaseRouter.xb_phase``."""
@@ -760,27 +786,18 @@ class BatchedLaneEngine:
         ovc = self.outvc_[vc]
         h = self.b_head_[vc]
         word = self.b_flit_[vc * D + h] + _HOP
-        self.b_head_[vc] = (h + 1) % D
+        self.b_head_[vc] = self._mod_d[h + 1]
         cnt = self.b_cnt_[vc] - 1
         self.b_cnt_[vc] = cnt
         self._count(_I_TRAV, self.node_of[port])
 
         tail = (word & _F_TAIL).nonzero()[0]
         if tail.size:
-            tv = vc[tail]
             # release the downstream VC, then finish the packet: the slot
-            # falls idle, or restarts on a head already queued behind
-            self.alloc_[out[tail]] = -1
-            self.route_[tv] = -1
-            self.outvc_[tv] = -1
-            self.excl_[tv] = 0
-            self.st_[tv] = _IDLE
-            self.vpid_[tv] = -1
-            more = cnt[tail].nonzero()[0]
-            if more.size:
-                tv = tv[more]
-                self.st_[tv] = _ROUTING
-                self.vpid_[tv] = self.b_flit_[tv * D + self.b_head_[tv]] >> _PID_SHIFT
+            # falls idle, or restarts routing on a head already queued
+            # behind (RC, VA and the grant rewrite the rest of its fields)
+            self.vfree_[oport[tail]] |= self._bit[ovc[tail]]
+            self.st_[vc[tail]] = self._after_tail[cnt[tail]]
 
         # credit return toward whoever feeds this input port
         self._ring_credit[(cycle + self.cred_lat) % self.span] = (
@@ -796,25 +813,28 @@ class BatchedLaneEngine:
             oport, ovc, word = oport[rem], ovc[rem], word[rem]
         self._ring_flit[wf] = (self.vc0_of[self.down_port[oport]] + ovc, word)
 
-    def _swap_slots(self, a: np.ndarray, b: np.ndarray) -> None:
-        """Exchange the VC *objects* at slot ids a[i] and b[i] (ft_sa swap).
-
-        Everything that belongs to the slot object moves — pipeline state,
-        buffer contents, the wire id (``pwire``) — while position-keyed
-        state (arbiters, their priorities, fault flags) stays put.  Each
-        pair shares a port and no port appears twice, so a fancy-index
-        swap through a temporary is exact.
-        """
+    def _move_slots(self, src: np.ndarray, to: np.ndarray) -> None:
+        """Swap the active VC *objects* at slot ids src[i] with the idle,
+        empty ones at to[i] (the ft_sa transfer): pipeline state, buffer and
+        wire id (``pwire``) move, position-keyed state (arbiters, their
+        priorities, fault flags) stays.  An idle, empty object has only its
+        wire id to carry (RC, VA and the grant rewrite the rest before it is
+        read; exclusions are 0 outside VA).  Each pair shares a port and no
+        port appears twice, so fancy-index copies are exact."""
         for arr in (
-            self.st_, self.route_, self.outvc_, self.vpid_, self.excl_,
-            self.b_head_, self.b_cnt_, self.pwire_,
+            self.route_, self.outvc_, self.b_head_, self.b_cnt_,
             self.b_flit_.reshape(-1, self.D),
         ):
-            tmp = arr[a]
-            arr[a] = arr[b]
-            arr[b] = tmp
-        for slot in (a, b):
-            wire = slot - slot % self.V + self.pwire_[slot]
+            arr[to] = arr[src]
+        self.st_[to] = _ACTIVE
+        self.st_[src] = _IDLE
+        self.b_cnt_[src] = 0
+        wire = self.pwire_[src]
+        self.pwire_[src] = self.pwire_[to]
+        self.pwire_[to] = wire
+        base = self.vc0_of[self.port_of[src]]  # the pair's port
+        for slot in (src, to):
+            wire = base + self.pwire_[slot]
             self.wdelta_[wire] = slot - wire
 
     def _sa_phase(self, cycle: int, local: np.ndarray) -> None:
@@ -833,10 +853,9 @@ class BatchedLaneEngine:
         if keep.size == 0:
             return
         vc, port = vc[keep], port[keep]
-        # stage 1: one winner per input port (nonzero's C order left the
-        # candidates sorted by port id)
+        # stage 1: one winner per input port
         sc = vc - self.vc0_of[port]
-        win = self._rr_grant(port, sc, self.sa1_prio_[port], V)
+        win = self._rr_grant(port, self._wrap[V][sc - self.sa1_prio_[port]])
         fa = self.f_sa1_[port] if self._have_sa1 else None
         if fa is not None and np.count_nonzero(fa):
             node = self.node_of[port]
@@ -844,21 +863,21 @@ class BatchedLaneEngine:
             # a baseline port has no bypass: it is dead with its arbiter
             dead = fa & (self.f_sa1b_[port] | ~self.protected[lane])
             # bypass path: grant the rotation default (it runs on each
-            # lane's local clock; -1 at every other port, so only a
-            # bypassed port can hit), or transfer the port's first
-            # candidate into an idle, empty default slot
-            default = np.where(fa & ~dead, local[lane] // self.rot % V, -1)
-            hit = sc == default
-            starts = self._first(port).nonzero()[0]
+            # lane's local clock), or transfer the port's first
+            # candidate into the default slot if that is idle and empty
+            # (a default slot that requests is neither)
+            bypass = fa & ~dead
+            default = local[lane] // self.rot % V
+            hit = ((sc == default) & bypass).nonzero()[0]
+            starts = port.searchsorted(port[win])  # each port's first candidate
             self._count(_I_SA_BLOCK, node[starts[dead[starts]]])
-            move = starts[(default[starts] >= 0) & ~np.logical_or.reduceat(hit, starts)]
+            move = starts[bypass[starts].nonzero()[0]]
             to = vc[move] - sc[move] + default[move]
             free = ((self.st_[to] == _IDLE) & (self.b_cnt_[to] == 0)).nonzero()[0]
             if free.size:
                 move = move[free]
-                self._swap_slots(vc[move], to[free])
+                self._move_slots(vc[move], to[free])
                 self._count(_I_VC_XFER, node[move])
-            hit = hit.nonzero()[0]
             self._count(_I_SA_BYPASS, node[hit])
             win = win[~fa[win]]  # only the healthy ports' arbiters granted
             self.sa1_prio_[port[win]] = self._next_v[sc[win]]
@@ -875,7 +894,7 @@ class BatchedLaneEngine:
         port0 = woport - wrt
         arb = port0 + self.plan_arb_[woport]
         wpin = wport - port0
-        gi = self._rr_grant(arb, wpin, self.sa2_prio_[arb], self.P)
+        gi = self._rr_grant(arb, self._wrap[self.P][wpin - self.sa2_prio_[arb]])
         # (always a healthy one: the plans never name a faulty arbiter)
         self.sa2_prio_[arb[gi]] = self._next_p[wpin[gi]]
 
@@ -890,41 +909,32 @@ class BatchedLaneEngine:
         self._xq[0] = (vc[win[gi]], gport, goport, gout, wrt[gi])
 
     def _borrow_arbiters(self, vc: np.ndarray, fa: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Stage-1 arbiter borrowing (scalar; faults are rare).
+        """Stage-1 arbiter borrowing — mirrors ``ArbiterSharingVAUnit._stage1_arbiters``.
 
-        Mirrors ``ArbiterSharingVAUnit._stage1_arbiters``: a VC whose own
-        arbiter set is faulty scans sibling slots in order for a healthy,
-        unlent lender that is IDLE or ACTIVE this cycle; in a baseline
-        router nobody lends and the VC is blocked.  Returns the keep-mask
-        and per-requester owner VC id (the priority rows used).
-        """
+        A VC whose own arbiter set is faulty borrows the first sibling slot
+        with a healthy set, IDLE or ACTIVE this cycle, not lent yet; nobody
+        lends in a baseline router.  A port's borrowers (its faulty waiting
+        slots) scan in slot order, so the k-th takes the port's k-th lender,
+        or waits.  Returns the keep-mask and per-requester owner VC id (the
+        priority rows used)."""
         keep = ~fa | self.protected[vc // self.RPV]
         if not keep.all():
             self._count(_I_VA_BLOCK, vc[~keep] // self.PV)
         owner = vc.copy()
-        borrowed: set = set()
-        prev_key = None
-        for i in (fa & keep).nonzero()[0]:
-            l0, r0, p0, s0 = np.unravel_index(vc[i], self.st.shape)
-            k = (l0, r0, p0)
-            if k != prev_key:
-                borrowed = set()
-                prev_key = k
-            lender = -1
-            for ls in range(self.V):
-                if ls == s0 or ls in borrowed or self.f_va1[l0, r0, p0, ls]:
-                    continue
-                state = self.st[l0, r0, p0, ls]
-                if state == _IDLE or state == _ACTIVE:
-                    lender = ls
-                    break
-            if lender < 0:
-                self.rstats[_I_VA_BORROW_WAIT, l0, r0] += 1
-                self.rstats[_I_VA_BLOCK, l0, r0] += 1
-                keep[i] = False
-            else:
-                borrowed.add(lender)
-                owner[i] += lender - s0
+        b = (fa & keep).nonzero()[0]
+        bv = vc[b]
+        port = self.port_of[bv]  # sorted: k is the borrower's rank in its port
+        k = np.arange(b.size) - port.searchsorted(port)
+        lends = self._lends[self.st_rows[port]] & ~self.f_va1_rows[port]
+        lender = self._kth[(lends @ self._bit) * self.V + k]
+        slot = bv - self.vc0_of[port]
+        wait = (lender == self.V).nonzero()[0]
+        if wait.size:
+            node = self.node_of[port[wait]]
+            self._count(_I_VA_BORROW_WAIT, node)
+            self._count(_I_VA_BLOCK, node)
+            keep[b[wait]] = False
+        owner[b] += lender - slot
         return keep, owner
 
     def _va_phase(self, cycle: int, local: np.ndarray) -> None:
@@ -932,7 +942,6 @@ class BatchedLaneEngine:
         vc = (self.st_ == _WAITING_VA).nonzero()[0]
         if vc.size == 0:
             return
-        V, PV = self.V, self.PV
         owner = vc  # whose stage-1 arbiter set each requester uses
         borrowed = False
         if self._have_va1:
@@ -946,33 +955,29 @@ class BatchedLaneEngine:
         port = self.port_of[vc]
         rt = self.route_[vc]
         oport = self.port0_of[port] + rt
-        # free downstream VCs of the requester's vnet (the *wire id* of the
-        # slot object decides the vnet, not the physical position)
-        da = self._vcs
-        free = self._same_vnet[self.pwire_[vc]]
-        free &= self.alloc_rows[oport] < 0
+        # the free downstream VCs of the requester's vnet, as bits (the
+        # *wire id* of the slot object decides the vnet, not its position)
+        free = self.vfree_[oport] & self._vnet_bits[self.pwire_[vc]]
         if self._have_va2:
             ex = self.excl_[vc]
             if np.count_nonzero(ex):
-                free &= ((ex[:, None] >> da) & 1) == 0
-        any_free = free.any(axis=1)
-        keep = any_free.nonzero()[0]
+                free &= ~ex
+        keep = free.nonzero()[0]
         if keep.size < vc.size:
-            self._count(_I_VA_NOFREE, self.node_of[port[~any_free]])
+            self._count(_I_VA_NOFREE, self.node_of[port[free == 0]])
             if keep.size == 0:
                 return
             vc, owner, oport = vc[keep], owner[keep], oport[keep]
             rt, free = rt[keep], free[keep]
         # stage 1 pick: the owner slot's per-output round-robin row
         row = owner * self.P + rt
-        prio = self.va1_prio_[row]
-        choice = np.where(free, (da - prio[:, None]) % V, V).argmin(axis=1)
-        self.va1_prio_[row] = self._next_v[choice]
+        choice = self._first_free[self.va1_prio_[row] + free]
+        self.va1_prio_[row] = self._next_va1[choice]
 
         # stage 2: proposals compete per output VC (output port, downstream VC)
         out = self.vc0_of[oport] + choice
-        req = vc % PV  # requester index within its router
-        win = self._rr_grant(out, req, self.va2_prio_[out], PV)
+        req = vc % self.PV  # requester index within its router
+        win = self._rr_grant(out, self._wrap[self.PV][req - self.va2_prio_[out]])
         if self._have_va2:
             lost = self.f_va2_[out]
             if np.count_nonzero(lost):
@@ -981,16 +986,18 @@ class BatchedLaneEngine:
                 # a protected router records the exclusion, so that the
                 # retry picks elsewhere
                 prot = self.protected[retry // self.RPV]
-                self.excl_[retry[prot]] |= np.int64(1) << choice[lost][prot]
+                self.excl_[retry[prot]] |= self._bit[choice[lost][prot]]
                 win = win[~lost[win]]
-        out = out[win]
-        self.va2_prio_[out] = self._next_pv[req[win]]
+        self.va2_prio_[out[win]] = self._next_pv[req[win]]
 
         gvc = vc[win]
-        self.outvc_[gvc] = choice[win]
+        gchoice = choice[win]
+        self.outvc_[gvc] = gchoice
         self.st_[gvc] = _ACTIVE
         self.excl_[gvc] = 0
-        self.alloc_[out] = self.vpid_[gvc]
+        # the grants take their downstream VCs' bits (set, and distinct
+        # within a port: a subtraction clears them, several of one port too)
+        np.subtract.at(self.vfree_, oport[win], self._bit[gchoice])
         self._count(_I_VA_GRANT, self.node_of[self.port_of[gvc]])
         if borrowed:
             bm = (owner[win] != gvc).nonzero()[0]
@@ -1050,11 +1057,10 @@ class BatchedLaneEngine:
     def _dispatch(self, cycle: int, local: np.ndarray) -> None:
         """Deliver this slot's events — mirrors ``EventScheduler.dispatch``."""
         s = cycle % self.span
-        ev = self._ring_flit[s]
+        ev = self._arrived = self._ring_flit[s]  # written with the NIC's flits
         if ev is not None:
             self._ring_flit[s] = None
-            # the per-lane count is the mask: a lane it is non-zero for moved
-            np.putmask(self.last_progress, self._buffer_write(*ev), cycle)
+            self.last_progress[ev[0] // self.RPV] = cycle  # a lane that moved
         ev = self._ring_eject[s]
         if ev is not None:
             self._ring_eject[s] = None
@@ -1083,25 +1089,20 @@ class BatchedLaneEngine:
         """Append one flit word per distinct wire-VC id ``port * V + wire``.
 
         Mirrors ``BaseRouter.receive_flit``: an idle slot starts routing
-        its new head.  Serves link deliveries and NIC injections alike
-        (one flit per link, one per NIC per cycle: targets never repeat,
-        so a plain fancy-index scatter is exact).  Returns the flits
-        written per lane.
+        its new head (RC, VA and the grant write the rest of its fields).
+        One call a cycle writes the link deliveries and the NIC injections
+        together (one flit per link, one per NIC: targets never repeat, so
+        a plain fancy-index scatter is exact).  Returns the flits written
+        per lane.
         """
         vc = tgt + self.wdelta_[tgt]
         cnt = self.b_cnt_[vc]
-        self.b_flit_[vc * self.D + (self.b_head_[vc] + cnt) % self.D] = word
+        self.b_flit_[vc * self.D + self._mod_d[self.b_head_[vc] + cnt]] = word
         self.b_cnt_[vc] = cnt + 1
         written = np.bincount(tgt // self.RPV, minlength=self.L)
         self._counter[_I_BUFW] += written
-        idle = (self.st_[vc] == _IDLE).nonzero()[0]
-        if idle.size:
-            iv = vc[idle]
-            self.st_[iv] = _ROUTING
-            self.route_[iv] = -1
-            self.outvc_[iv] = -1
-            self.excl_[iv] = 0
-            self.vpid_[iv] = word[idle] >> _PID_SHIFT
+        # every state but idle is above routing
+        self.st_[vc] = np.maximum(self.st_[vc], _ROUTING)
         return written
 
     def _nic_step(self, cycle: int, local: np.ndarray) -> None:
@@ -1113,17 +1114,22 @@ class BatchedLaneEngine:
         flit wide) and moves its pointer past it.  The object NIC's
         packet *start* (VC allocation) has no effect of its own — the VC
         is always free, the head flit is what gets counted — so a packet
-        simply starts with its head flit.
+        simply starts with its head flit.  The flits go into the buffers
+        with this cycle's link deliveries, in one ``_buffer_write``.
         """
-        can = self.q_due <= local[:, None, None]
+        arrived, self._arrived = self._arrived, None
+        can = self.q_due <= cycle
         can &= self.nic_cred > 0
         q = can.reshape(-1).nonzero()[0]
         if q.size == 0:
+            if arrived is not None:
+                self._buffer_write(*arrived)
             return
         # the first vnet that can inject, scanning from the NIC's
         # round-robin pointer: a round-robin arbiter's grant
-        node, v = np.divmod(q, self.NV)
-        win = self._rr_grant(node, v, self.nic_rr_[node], self.NV)
+        node = self.q_node_of[q]
+        v = self.q_vnet_of[q]
+        win = self._rr_grant(node, self._wrap[self.NV][v - self.nic_rr_[node]])
         q, node, v = q[win], node[win], v[win]
         l = self.lane_of[node]
         row = self.q_row_[q]
@@ -1142,13 +1148,17 @@ class BatchedLaneEngine:
             flit[tl] = 0
             tq, tt = q[tl], trow[tl]
             self.q_row_[tq] = row[tl] + 1
-            self.q_due_[tq] = self.t_next_[tt]
+            self.q_due_[tq] = self.t_next_[tt] + self.off[l[tl]]
             self.lane_left -= np.bincount(l[tl], minlength=self.L)
         self.q_flit_[q] = flit
         # the row id is int64: adding the table's int32 destination widens it
         word = ((row << _PID_SHIFT - _DEST_SHIFT) + self.t_dest_[trow]) << _DEST_SHIFT
         word += head * _F_HEAD + tail * _F_TAIL
-        self.fin += self._buffer_write(self.local_vc0_of[node] + v * self.VV, word)
+        self.fin += np.bincount(l, minlength=self.L)
+        tgt = self.local_vc0_of[node] + v * self.VV
+        if arrived is not None:
+            tgt, word = np.concatenate((arrived[0], tgt)), np.concatenate((arrived[1], word))
+        self._buffer_write(tgt, word)
 
     # ------------------------------------------------------------------
     # run loop: shared cycle counter, independent lane retirement
@@ -1206,29 +1216,35 @@ class BatchedLaneEngine:
         for lane, spec in enumerate(self.lanes):
             self._install_lane(lane, spec, 0)
         act = self._act
-        cycle = 0
+        cycle = check_at = live = 0
         while True:
+            local = cycle - self.off
             # retirement as array predicates, in serial check order:
             # watchdog first (it is evaluated before the loop predicates
             # in ``NoCSimulator.run``), then the drain predicate /
-            # deadline; only lanes that do retire drop to Python
-            local = cycle - self.off
-            stalled = cycle - self.last_progress > wd
-            check = (stalled | (local >= inject_until)) & act
-            if check.any():
-                blocked = check & stalled & (self.fin > 0)
-                over = check & ~blocked & (local >= inject_until)
-                drained = over & (self.fin == 0) & (self.lane_left == 0)
-                for lane in (
-                    blocked | drained | (over & (local >= horizon))
-                ).nonzero()[0].tolist():
-                    self._retire(
-                        lane, cycle, bool(blocked[lane]), bool(drained[lane])
-                    )
-                if not act.any():
-                    break
-                local = cycle - self.off
-            self.active_lane_cycles += int(np.count_nonzero(act))
+            # deadline; only lanes that do retire drop to Python.  None can
+            # before its inject window ends or its watchdog could trip
+            if cycle >= check_at:
+                stalled = cycle - self.last_progress > wd
+                check = (stalled | (local >= inject_until)) & act
+                if check.any():
+                    blocked = check & stalled & (self.fin > 0)
+                    over = check & ~blocked & (local >= inject_until)
+                    drained = over & (self.fin == 0) & (self.lane_left == 0)
+                    for lane in (
+                        blocked | drained | (over & (local >= horizon))
+                    ).nonzero()[0].tolist():
+                        self._retire(
+                            lane, cycle, bool(blocked[lane]), bool(drained[lane])
+                        )
+                    if not act.any():
+                        break
+                    local = cycle - self.off
+                live = int(np.count_nonzero(act))
+                check_at = int(np.minimum(
+                    self.off + inject_until, self.last_progress + (wd + 1)
+                )[act].min())
+            self.active_lane_cycles += live
             self.total_lane_cycles += self.L
             self._step(cycle, local)
             cycle += 1
@@ -1372,7 +1388,7 @@ class BatchedLaneEngine:
         self.t_next[lane, :n][:-1] = columns[0, 1:]
         self.t_next[lane, last[run > 0]] = _NEVER
         self.q_row[lane] = head.reshape(self.R, self.NV)
-        self.q_due[lane].flat[run > 0] = columns[0, head[run > 0]]
+        self.q_due[lane].flat[run > 0] = columns[0, head[run > 0]] + cycle
 
         self.lane_left[lane] = n
         self.last_progress[lane] = cycle

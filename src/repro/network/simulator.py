@@ -647,12 +647,12 @@ class NoCSimulator:
         """One run, on the engine that finishes it sooner.
 
         A fresh run on an untouched fabric of one lane kind's routers
-        (:func:`repro.network.batched.lane_kind`) that nothing watches from
-        outside the event system and whose traffic source declares an
-        ``offered_load`` of :data:`LANE_BREAK_EVEN` or more rides a width-1
-        lane of :class:`repro.network.batched.BatchedLaneEngine` on its own
-        traffic and schedule objects — bit-identical, the lane engine
-        mirrors ``_step_reference`` — and every other one is
+        (:func:`repro.network.batched.lane_kind`) that ``supports()`` and
+        nothing outside the event system watches, and whose traffic source
+        declares an ``offered_load`` of :data:`LANE_BREAK_EVEN` or more,
+        rides a width-1 lane of :class:`repro.network.batched.BatchedLaneEngine`
+        on its own traffic and schedule objects — bit-identical, the lane
+        engine mirrors ``_step_reference`` — and every other one is
         :meth:`_run_stepped`.
         """
         from .batched import BatchedLaneEngine, LaneSpec, lane_kind, supports
@@ -664,7 +664,7 @@ class NoCSimulator:
             or kind is None
             or self.cycle or self.use_reference_stepper
             or self.on_eject is not None
-            or supports(observability=self.obs) is not None
+            or supports(self.config, observability=self.obs) is not None
             # a fabric touched by hand (a queued packet, a fault landed, a
             # RoCo module killed) is not a lane's power-on one
             or self._active_routers or self._active_nics

@@ -16,6 +16,7 @@ contract two ways:
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from repro.network.batched import (
     LaneSpec,
     router_factory,
     run_lanes,
+    supports,
 )
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import reset_packet_ids
@@ -277,6 +279,31 @@ class TestMultiCycleLatency:
             ]
 
         _assert_lanes_match(net, _sim_cfg(), specs, "protected")
+
+    @pytest.mark.parametrize("kind", ["baseline", "protected"])
+    def test_link_latency_two_with_faults(self, kind):
+        """Link deliveries and NIC injections share one buffer write a
+        cycle; at link latency 2 a delivery left its router two cycles
+        back, while faults land on every pipeline stage."""
+        net = self._net_lat(2, 1)
+
+        def specs():
+            schedules = lane_schedules(
+                net, 3, 91, mean_interval=25.0, num_faults=8,
+                first_fault_at=30, avoid_failure=True,
+            )
+            return [
+                LaneSpec(
+                    SyntheticTraffic(
+                        net, injection_rate=0.08, mix=COHERENCE_MIX,
+                        rng=430 + i,
+                    ),
+                    schedules[i],
+                )
+                for i in range(3)
+            ]
+
+        _assert_lanes_match(net, _sim_cfg(), specs, kind)
 
     def test_credit_latency_three(self):
         net = self._net_lat(1, 3)
@@ -520,6 +547,34 @@ class TestSupportsGate:
         assert RouterConfig(num_ports=2, num_vcs=31).num_vcs == 31
         assert RouterConfig(num_ports=5, num_vcs=12).num_vcs == 12
 
+    def test_more_vcs_than_the_pick_tables_hold_fall_back(self):
+        """Past ``_MAX_VCS`` VCs VA stage 1's pointer no longer fits its
+        ``uint16`` row: the engine refuses, a lane sweep's group falls back
+        with the reason, and its points are the object engine's."""
+        net = NetworkConfig(
+            width=1, height=4, router=RouterConfig(num_ports=4, num_vcs=15, num_vnets=3)
+        )
+        assert supports(net) is not None and supports(_net(4, 4, 12, 2)) is None
+        with pytest.raises(ValueError, match="VCs per port"):
+            BatchedLaneEngine(net, _sim_cfg(), [LaneSpec(NullTraffic())])
+        points = _lane_points(net, _sim_cfg(measure=100), ("xy",) * 3)
+        values, report = run_lane_sweep(points)
+        assert report.fallbacks == 3
+        assert report.fallback_reasons == (supports(net),)
+        ref, _ = map_sweep(run_point, [(p,) for p in points])
+        assert [_lane_key(v) for v in values] == [_lane_key(r) for r in ref]
+
+    def test_the_drain_budget_is_a_bound_not_an_allocation(self):
+        """A lane retires once it drains: building and running an engine
+        with an astronomical ``drain_cycles`` costs what a small one does."""
+        net = _net(4, 4, 4, 2)
+        small = _sim_cfg(measure=100)
+        a, b = (
+            BatchedLaneEngine(net, cfg, [LaneSpec(_make_traffic(net, 0.1, 3))]).run()[0]
+            for cfg in (small, replace(small, drain_cycles=10**15))
+        )
+        assert a.drained and _lane_key(a) == _lane_key(b)
+
 
 # ----------------------------------------------------------------------
 # sweep layer: grouping, fallback, chunk invariance
@@ -544,8 +599,6 @@ class TestRunLaneSweep:
         """``roco`` points are lanes like any other, so the decline is
         provoked with metrics on, the one decline a lane sweep has left
         (``roco`` was declined until it had an array model)."""
-        from dataclasses import replace
-
         from repro import observability
 
         net = _net(4, 4, 4, 2)
@@ -884,8 +937,6 @@ class TestLaneSweepInPoints:
     def _declining_points(self):
         """Two ``roco`` and two protected points: one lane group, which
         ``supports()`` declines while metrics are on."""
-        from dataclasses import replace
-
         net = _net(4, 4, 4, 2)
         points = _lane_points(net, _sim_cfg(measure=100), ("xy",) * 4)
         points[:2] = [replace(p, router_kind="roco") for p in points[:2]]
@@ -1305,8 +1356,6 @@ def _assert_equal_reference_stepper(lanes, specs, net, cfg, kind="protected"):
 
 class TestOneDrawPerStream:
     def _latency_cfg(self):
-        from dataclasses import replace
-
         from repro.experiments.latency import QUICK_CONFIG
 
         return replace(
@@ -1487,7 +1536,7 @@ class TestLaneKernels:
         vc = (((lane * R + node) * P + port) * V) + wire
         written = engine._buffer_write(np.array([vc]), np.array([word]))
         assert written.tolist() == [0, 1]
-        assert engine.b_flit_[vc * D] == word and engine.vpid_[vc] == cap - 1
+        assert engine.b_flit_[vc * D] == word and engine.st_[vc] == batched._ROUTING
         local = np.array([100, 7])
         for cycle, kernel in enumerate(
             (engine._rc_phase, engine._va_phase, engine._sa_phase, engine._xb_phase)

@@ -267,6 +267,21 @@ class TestDeclines:
 
         self._assert_stepped(engines, datapath(), datapath(use_reference_stepper=True))
 
+    def test_more_vcs_than_the_lane_tables_hold(self, engines):
+        """VA stage 1 keeps a pointer as ``p << V`` in a ``uint16``: a
+        4-port column of 15 VCs is a valid router, and it is stepped."""
+        net = NetworkConfig(
+            width=1, height=4, router=RouterConfig(num_ports=4, num_vcs=15, num_vnets=3)
+        )
+        assert batched.supports(net) is not None
+
+        def wide(**kwargs):
+            traffic = SyntheticTraffic(net, injection_rate=1.0, mix=COHERENCE_MIX, rng=9)
+            return _sim(net, traffic=traffic, router_factory=protected_router_factory(net),
+                        **kwargs)
+
+        self._assert_stepped(engines, wide(), wide(use_reference_stepper=True))
+
     def test_a_roco_module_killed_by_hand(self, engines):
         """``fail_module`` lands nothing in the fault history, but its
         fault bits keep the run off a lane, whose module counters start
