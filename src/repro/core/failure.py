@@ -14,10 +14,10 @@ perform its function at some port:
 
 These predicates drive the SPF Monte-Carlo (:mod:`repro.reliability.spf`)
 and the simulator's ``router_failed`` diagnostics.  The *paper-accounting*
-mode mirrors Section VIII exactly (VA stage-2 faults are not counted —
-the paper's SPF analysis considers stage-1 sharing only, and XB faults are
-capped per the paper's conservative max-2 statement is handled in the SPF
-module, not here).  The *exact* mode additionally fails when every
+mode mirrors Section VIII exactly: VA stage-2 faults are not counted,
+because the paper's SPF analysis considers stage-1 sharing only.  The
+paper's conservative cap of two tolerated XB faults is applied in the SPF
+module, not here.  The *exact* mode additionally fails when every
 downstream-VC arbiter of some (output port, vnet) pair is dead, which
 blocks all VA to that port.
 """
@@ -25,7 +25,7 @@ blocks all VA to that port.
 from __future__ import annotations
 
 from ..faults.sites import RouterFaultState
-from .ft_crossbar import reachable_outputs_exact
+from ..router.crossbar import carrier_port
 
 
 def rc_port_failed(faults: RouterFaultState, port: int) -> bool:
@@ -46,14 +46,14 @@ def sa_port_failed(faults: RouterFaultState, port: int) -> bool:
 
 def xb_output_failed(faults: RouterFaultState, out_port: int) -> bool:
     """Neither the normal nor the secondary path reaches ``out_port``."""
-    P = faults.config.num_ports
-    reach = reachable_outputs_exact(
-        P,
-        mux_faults=frozenset(faults.xb_mux),
-        secondary_faults=frozenset(faults.xb_secondary),
-        sa2_faults=frozenset(faults.sa2),
-    )
-    return not reach[out_port]
+    return carrier_port(
+        out_port,
+        faults.config.num_ports,
+        faults.xb_mux,
+        faults.xb_secondary,
+        faults.sa2,
+        spare=True,
+    ) is None
 
 
 def va2_output_failed(faults: RouterFaultState, out_port: int) -> bool:

@@ -23,23 +23,19 @@ the {M2, M4}-tolerable / M1-M3-M5-fatal behaviour.
 
 A faulty SA stage-2 arbiter is tolerated by the same path (Section V-C2):
 flits redirected to arbitrate for the secondary-source port reach the
-original output through that port's mux and the demux network.
+original output through that port's mux and the demux network.  The
+paper's ``SP``/``FSP`` fields are the path plan's ``arb_port`` and
+``secondary``; no VC stores them.
+
+:func:`~repro.router.crossbar.secondary_source` and the path rule,
+:func:`~repro.router.crossbar.carrier_port`, live beside the baseline
+crossbar so that this module, the failure predicates and the lane engine
+all read the one rule.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..router.crossbar import Crossbar, PathPlan
-
-
-def secondary_source(dest: int, num_ports: int) -> int:
-    """Mux that provides the secondary path to output ``dest`` (0-based)."""
-    if num_ports < 2:
-        raise ValueError("secondary paths need at least 2 output ports")
-    if not 0 <= dest < num_ports:
-        raise ValueError(f"output {dest} out of range")
-    return 1 if dest == 0 else dest - 1
+from ..router.crossbar import Crossbar, carrier_port, secondary_source
 
 
 def demux_fanouts(num_ports: int) -> dict[int, int]:
@@ -57,23 +53,7 @@ def demux_fanouts(num_ports: int) -> dict[int, int]:
 class SecondaryPathCrossbar(Crossbar):
     """Crossbar with the Figure 6 correction circuitry."""
 
-    def _compute_plan(self, dest: int) -> Optional[PathPlan]:
-        if not (0 <= dest < self.num_ports):
-            raise ValueError(f"output port {dest} out of range")
-        self.plans_computed += 1
-        faults = self.faults
-        normal_ok = dest not in faults.xb_mux and dest not in faults.sa2
-        if normal_ok:
-            return PathPlan(arb_port=dest, mux=dest, dest=dest, secondary=False)
-        src = secondary_source(dest, self.num_ports)
-        secondary_ok = (
-            dest not in faults.xb_secondary  # demux / P-mux circuitry
-            and src not in faults.xb_mux
-            and src not in faults.sa2
-        )
-        if secondary_ok:
-            return PathPlan(arb_port=src, mux=src, dest=dest, secondary=True)
-        return None
+    spare = True
 
 
 def reachable_outputs_exact(
@@ -89,17 +69,11 @@ def reachable_outputs_exact(
     reachable iff its normal path (mux k + arbiter k) or its secondary
     path (demux/P-mux k + mux src + arbiter src) is fully healthy.
     """
-    out = []
-    for k in range(num_ports):
-        normal = k not in mux_faults and k not in sa2_faults
-        src = secondary_source(k, num_ports)
-        secondary = (
-            k not in secondary_faults
-            and src not in mux_faults
-            and src not in sa2_faults
-        )
-        out.append(normal or secondary)
-    return out
+    return [
+        carrier_port(k, num_ports, mux_faults, secondary_faults, sa2_faults, True)
+        is not None
+        for k in range(num_ports)
+    ]
 
 
 def max_tolerable_mux_faults(num_ports: int) -> int:

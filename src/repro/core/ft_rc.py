@@ -30,8 +30,3 @@ class DuplicatedRCUnit(RCUnit):
             return self.select_route(flit)
         # both units dead: routing computation impossible at this port
         return None
-
-    def port_failed(self, in_port: int) -> bool:
-        """Section VIII-A: primary + duplicate both faulty."""
-        faults = self.router.faults
-        return in_port in faults.rc_primary and in_port in faults.rc_duplicate

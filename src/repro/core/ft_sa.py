@@ -16,11 +16,12 @@ by the input port's slot swap — see
 :class:`repro.router.input_port.InputPort`.
 
 **Stage 2** is protected by the crossbar's secondary path: requests whose
-output-port arbiter (or mux) is faulty are steered — via the ``SP``/``FSP``
-fields computed from the path plan — to arbitrate for the secondary-source
-port instead (Section V-C2).  That logic lives in the shared allocator +
-:class:`repro.core.ft_crossbar.SecondaryPathCrossbar`; no override is
-needed here beyond trusting the plan.
+output-port arbiter (or mux) is faulty are steered to arbitrate for the
+secondary-source port instead (Section V-C2).  The path plan's
+``arb_port`` plays the paper's ``SP`` field and its ``secondary`` flag the
+``FSP`` flag; the shared allocator reads the plan of
+:class:`repro.core.ft_crossbar.SecondaryPathCrossbar`, so no override is
+needed here.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@
 ``po`` ``v:1`` arbiters.  When a VC's set is faulty, the VC *borrows* the
 set of another VC of the same input port: it scans the ``G`` fields of its
 siblings and picks the first whose arbiters are idle this cycle — i.e. a
-VC that is idle or in switch-allocation (ACTIVE) state.  The borrow
-protocol uses the Figure 4 fields: the borrower writes its RC result into
-the lender's ``R2`` field, its identity into ``ID``, and raises ``VF``;
-after a successful allocation the VA unit uses ``ID`` to update the
-*borrower's* state and clears the lender's fields.
+VC that is idle or in switch-allocation (ACTIVE) state.  In hardware the
+borrow request travels through the lender's Figure 4 ``R2``/``VF``/``ID``
+fields.  The model gets the same effect without storing them: the unit's
+per-cycle lent set marks a set as used, the borrower arbitrates with the
+lender's arbiters directly and is itself granted, and nothing is left to
+clear afterwards.
 
 Two timing scenarios (Section V-B1):
 
@@ -35,21 +36,12 @@ class ArbiterSharingVAUnit(VAUnit):
 
     def __init__(self, router) -> None:
         super().__init__(router)
-        #: (port, slot) arbiter sets already lent out this cycle
+        #: (port, slot) arbiter sets already used or lent out this cycle
         self._lent: set[tuple[int, int]] = set()
-        #: lenders whose R2/VF/ID fields must be cleared at end of cycle
-        self._pending_clear: list[VirtualChannel] = []
 
-    def allocate(self, cycle: int):
+    def allocate(self, cycle: int) -> None:
         self._lent.clear()
-        grants = super().allocate(cycle)
-        # "Once the arbiters ... have successfully allocated ... the VA unit
-        # resets the R2, ID and VF fields" — we clear unconditionally at the
-        # end of the cycle; an unsuccessful borrower re-raises VF next cycle.
-        for lender in self._pending_clear:
-            lender.clear_borrow_request()
-        self._pending_clear.clear()
-        return grants
+        super().allocate(cycle)
 
     def _stage1_arbiters(self, port: int, slot: int):
         faults = self.router.faults
@@ -61,7 +53,6 @@ class ArbiterSharingVAUnit(VAUnit):
 
         # Borrower path: scan sibling VCs of the same input port.
         in_port = self.router.in_ports[port]
-        borrower = in_port.slots[slot]
         for lender_slot, lender in enumerate(in_port.slots):
             if lender_slot == slot:
                 continue
@@ -71,10 +62,6 @@ class ArbiterSharingVAUnit(VAUnit):
                 continue  # already used/lent this cycle
             if lender.state in (VCState.IDLE, VCState.ACTIVE):
                 # Scenario 1: arbiters idle -> borrow in the same cycle.
-                lender.r2 = borrower.route
-                lender.vf = True
-                lender.borrower_id = slot
-                self._pending_clear.append(lender)
                 self._lent.add((port, lender_slot))
                 return lender_slot, self.stage1[port][lender_slot]
         # Scenario 2 (or no healthy sibling set at all): wait this cycle.
@@ -86,12 +73,3 @@ class ArbiterSharingVAUnit(VAUnit):
         if vc.va_excluded is None:
             vc.va_excluded = set()
         vc.va_excluded.add(dvc)
-        vc.va_retry += 1
-
-    # ------------------------------------------------------------------
-    def port_failed(self, port: int) -> bool:
-        """Section VIII-B: all ``v`` arbiter sets of the port faulty."""
-        faults = self.router.faults
-        return all(
-            (port, s) in faults.va1 for s in range(self.router.config.num_vcs)
-        )

@@ -10,7 +10,7 @@ RC         duplicate RC unit per input port                 :mod:`.ft_rc`
 VA stage 1 arbiter sharing between VCs of a port            :mod:`.ft_va`
 VA stage 2 retry with a different downstream VC             :mod:`.ft_va`
 SA stage 1 bypass path + rotating default winner + transfer :mod:`.ft_sa`
-SA stage 2 secondary-path redirect (SP/FSP)                 :mod:`.ft_crossbar`
+SA stage 2 secondary-path redirect (the path plan)          :mod:`.ft_crossbar`
 XB         two physical paths per output port               :mod:`.ft_crossbar`
 ========== =============================================== ================
 

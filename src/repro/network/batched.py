@@ -171,6 +171,7 @@ from ..faults.recovery import RecoveryMonitor
 from ..faults.sites import FaultUnit
 from ..observability import maybe_create
 from ..observability.profiler import STAGE_NAMES, StageProfiler
+from ..router.crossbar import carrier_port
 from ..router.router import BaseRouter, BaselineRouter, RouterStats
 from ..router.routing import RoutingFunction, make_routing
 from ..traffic.generator import compile_table
@@ -706,33 +707,19 @@ class BatchedLaneEngine:
         self._have_sa1 = bool(self.f_sa1.any() or self.f_sa1b.any())
 
     def _recompute_plans(self, lane: int, r: int) -> None:
-        """Rebuild the per-dest path plans of one (lane, router).
-
-        Matches ``Crossbar.plan_path``/``SecondaryPathCrossbar.plan_path``:
-        the normal path needs a healthy output mux and stage-2 arbiter; the
-        protected router falls back to the neighbouring output's secondary
-        path (input ``dest-1``, or 1 for output 0) when available.
-        """
+        """Rebuild the per-dest path plans of one (lane, router) by
+        ``carrier_port``, the rule ``Crossbar.plan_path`` reads too."""
+        mux, sec, sa2 = (
+            set(a[lane, r].nonzero()[0].tolist())
+            for a in (self.f_xbm, self.f_xbs, self.f_sa2)
+        )
+        spare = bool(self.protected[lane])
         for k in range(self.P):
-            if not self.f_xbm[lane, r, k] and not self.f_sa2[lane, r, k]:
-                self.plan_ok[lane, r, k] = True
-                self.plan_arb[lane, r, k] = k
-                self.plan_sec[lane, r, k] = False
-                continue
-            ok = False
-            if self.protected[lane]:
-                src = 1 if k == 0 else k - 1
-                if (
-                    not self.f_xbs[lane, r, k]
-                    and not self.f_xbm[lane, r, src]
-                    and not self.f_sa2[lane, r, src]
-                ):
-                    self.plan_ok[lane, r, k] = True
-                    self.plan_arb[lane, r, k] = src
-                    self.plan_sec[lane, r, k] = True
-                    ok = True
-            if not ok:
-                self.plan_ok[lane, r, k] = False
+            port = carrier_port(k, self.P, mux, sec, sa2, spare)
+            self.plan_ok[lane, r, k] = port is not None
+            if port is not None:
+                self.plan_arb[lane, r, k] = port
+                self.plan_sec[lane, r, k] = port != k
 
     # ------------------------------------------------------------------
     # one vectorised cycle

@@ -73,11 +73,13 @@ class NetworkInterface:
         ]
         #: NIC-side credit count per wire VC of the router's local input port
         self.credits = [config.buffer_depth] * V
-        #: wire VC ownership (packet id) for in-progress injections
-        self.allocated: list[Optional[int]] = [None] * V
         #: active injection per vnet (at most one packet per vnet in flight
         #: from the source queue; queued packets follow on)
         self.active: list[Optional[_ActiveInjection]] = [None] * config.num_vnets
+        #: the wire VC each vnet injects on: a vnet has at most one packet
+        #: mid-injection and frees its VC on the tail, so its first VC is
+        #: always free when the next packet starts
+        self._vnet_vc = [config.vcs_of_vnet(vn)[0] for vn in range(config.num_vnets)]
         self._vnet_rr = 0
         self._n_vnets = config.num_vnets
         #: packets waiting in source queues or mid-injection; counted up in
@@ -116,16 +118,13 @@ class NetworkInterface:
         return self._queued
 
     def _try_start(self, vnet: int, cycle: int) -> None:
-        """NIC-side VC allocation: bind the next queued packet to a free VC."""
+        """NIC-side VC allocation: bind the next queued packet to its vnet's VC."""
         queue = self.source_queues[vnet]
-        if not queue:
-            return
-        for d in self.config.vcs_of_vnet(vnet):
-            if self.allocated[d] is None:
-                packet = queue.popleft()
-                self.allocated[d] = packet.packet_id
-                self.active[vnet] = _ActiveInjection(list(packet.flits()), d)
-                return
+        if queue:
+            packet = queue.popleft()
+            self.active[vnet] = _ActiveInjection(
+                list(packet.flits()), self._vnet_vc[vnet]
+            )
 
     def step(self, cycle: int) -> int:
         """Inject up to one flit this cycle, round-robin across vnets.
@@ -175,7 +174,6 @@ class NetworkInterface:
                 stats.packets_injected += 1
             if flit.is_tail:
                 # reallocation on tail: the wire VC may host the next packet
-                self.allocated[d] = None
                 active[vnet] = None
                 self._queued -= 1
             self._vnet_rr = (vnet + 1) % n_vnets
@@ -200,7 +198,6 @@ class NetworkInterface:
                 f"flit for node {flit.dest} ejected at node {self.node}: "
                 "misroute"
             )
-        flit.ejection_cycle = cycle
         self.stats.flits_ejected += 1
         # consuming the flit frees the NIC-side buffer slot -> credit back
         sched.return_nic_credit(self.node, wire_vc)

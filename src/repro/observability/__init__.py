@@ -229,14 +229,6 @@ class Observability:
                 value = getattr(stats, name)
                 if value:
                     m.inc(f"router.{name}", value, router=node)
-            plans = getattr(router.crossbar, "plans_computed", 0)
-            if plans:
-                m.inc("crossbar.plans_computed", plans, router=node)
-            swaps = sum(
-                getattr(p, "swaps", 0) for p in router.in_ports
-            )
-            if swaps:
-                m.inc("input_port.slot_swaps", swaps, router=node)
         ns = sim.stats
         m.inc("network.packets_created", ns.packets_created)
         m.inc("network.packets_injected", ns.packets_injected)

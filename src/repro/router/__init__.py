@@ -4,8 +4,8 @@ Flits, virtual channels, arbiters, separable VA/SA allocators, the
 baseline crossbar, XY routing, and the 4-stage pipeline driver.
 """
 
-from .allocator import SAGrant, SAUnit, VAGrant, VAUnit
-from .arbiter import Arbiter, RoundRobinArbiter
+from .allocator import SAGrant, SAUnit, VAUnit
+from .arbiter import RoundRobinArbiter
 from .crossbar import Crossbar, PathPlan
 from .flit import Flit, FlitType, Packet, reset_packet_ids
 from .input_port import InputPort
@@ -21,7 +21,6 @@ from .routing import (
 from .vc import VCState, VirtualChannel
 
 __all__ = [
-    "Arbiter",
     "BaseRouter",
     "BaselineRouter",
     "Crossbar",
@@ -38,7 +37,6 @@ __all__ = [
     "RoutingFunction",
     "SAGrant",
     "SAUnit",
-    "VAGrant",
     "VAUnit",
     "VCState",
     "VirtualChannel",

@@ -14,10 +14,12 @@ output ports and ``v`` VCs per port:
 * **SA stage 2** — one ``pi:1`` arbiter per output port resolves
   competition for that port's crossbar mux.  (5 ``5:1`` arbiters.)
 
-Both units implement the *baseline* (unprotected) behaviour: a faulty
-arbiter simply never grants, which blocks the affected flits exactly as the
-paper describes.  The protected router's units
-(:mod:`repro.core.ft_va`, :mod:`repro.core.ft_sa`) subclass these and
+Both units implement the *baseline* (unprotected) behaviour: each checks
+the router's fault sets before asking an arbiter, and a faulty arbiter is
+never asked, which blocks the affected flits exactly as the paper
+describes.  Switch allocation asks only the SA stage-2 arbiter its path
+plan names, and a plan never names a faulty one.  The protected router's
+units (:mod:`repro.core.ft_va`, :mod:`repro.core.ft_sa`) subclass these and
 override the hook methods marked below.
 """
 
@@ -32,18 +34,6 @@ from .vc import VCState, VirtualChannel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .router import BaseRouter
-
-
-@dataclass(slots=True)
-class VAGrant:
-    """Outcome of one successful VC allocation (diagnostics/tests)."""
-
-    in_port: int
-    in_slot: int
-    out_port: int
-    out_vc: int
-    packet_id: int
-    borrowed_from: Optional[int] = None
 
 
 @dataclass(slots=True)
@@ -96,7 +86,7 @@ class VAUnit:
         (+1 cycle, Section V-B3) picks a different downstream VC."""
 
     # ------------------------------------------------------------------------
-    def allocate(self, cycle: int) -> list[VAGrant]:
+    def allocate(self, cycle: int) -> None:
         """Run both VA stages for every VC in ``WAITING_VA`` state."""
         router = self.router
         stats = router.stats
@@ -130,9 +120,6 @@ class VAUnit:
                     stats.va_no_free_vc_cycles += 1
                     continue
                 choice = arb_row[r].grant(free)
-                if choice is None:  # arbiter itself faulty
-                    stats.va_blocked_cycles += 1
-                    continue
                 flat = p * V + s
                 borrowed = owner_slot if owner_slot != s else None
                 proposals.setdefault((r, choice), []).append(
@@ -140,7 +127,6 @@ class VAUnit:
                 )
 
         # ---- stage 2: resolve conflicts per downstream VC ----
-        grants: list[VAGrant] = []
         tracer = router.tracer
         faults_va2 = router.faults.va2
         for (r, dvc), reqs in proposals.items():
@@ -158,10 +144,7 @@ class VAUnit:
                             packet=vc.packet_id,
                         )
                 continue
-            arb = self.stage2[r][dvc]
-            winner = arb.grant([flat for flat, *_ in reqs])
-            if winner is None:
-                continue
+            winner = self.stage2[r][dvc].grant([flat for flat, *_ in reqs])
             for flat, vc, p, s, borrowed in reqs:
                 if flat != winner:
                     continue
@@ -186,11 +169,7 @@ class VAUnit:
                         packet=vc.packet_id,
                         borrowed=borrowed,
                     )
-                grants.append(
-                    VAGrant(p, s, r, dvc, vc.packet_id, borrowed_from=borrowed)
-                )
                 break
-        return grants
 
 
 class SAUnit:
@@ -217,15 +196,6 @@ class SAUnit:
             self.router.stats.sa_blocked_cycles += 1
             return None
         return self.stage1[port].grant(candidates)
-
-    def _stage2_arbiter_ok(self, arb_port: int) -> bool:
-        """Baseline: a faulty stage-2 arbiter grants nothing.
-
-        (With path plans, requests are never steered to a faulty arbiter —
-        ``plan_path`` already returns None/secondary — so this is a
-        defensive double-check.)
-        """
-        return arb_port not in self.router.faults.sa2
 
     def allocate(self, cycle: int) -> list[SAGrant]:
         """Run both SA stages; returns winners that cross the XB next cycle."""
@@ -269,11 +239,7 @@ class SAUnit:
         tracer = router.tracer
         stats = router.stats
         for arb_port, reqs in by_arb.items():
-            if not self._stage2_arbiter_ok(arb_port):
-                continue
             winner_port = self.stage2[arb_port].grant([p for p, _, _ in reqs])
-            if winner_port is None:
-                continue
             for p, vc, plan in reqs:
                 if p != winner_port:
                     continue

@@ -9,10 +9,12 @@ bypass-path discussion (Section V-C1) relies on, and because it is the
 arbiter the lane engine's array kernels reproduce.
 
 The interface is ``grant(requests) -> winner | None`` where ``requests``
-is an iterable of requester indices, plus a ``faulty`` flag that
-models a permanent fault (a faulty arbiter never grants — Section V describes
-exactly this failure semantics: the associated flit "would not be allocated
-... resulting in the flit being blocked").
+is an iterable of requester indices.  An arbiter carries no fault flag:
+the allocators consult the router's
+:class:`repro.faults.sites.RouterFaultState` before asking an arbiter, so
+a faulty arbiter is simply never asked and its flit blocks (Section V:
+the flit "would not be allocated ... resulting in the flit being
+blocked").
 """
 
 from __future__ import annotations
@@ -20,23 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 
-class Arbiter:
-    """Interface shared by all arbiter implementations."""
-
-    __slots__ = ("size", "faulty")
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("arbiter needs at least one requester")
-        self.size = size
-        #: permanent-fault flag; a faulty arbiter never grants
-        self.faulty = False
-
-    def grant(self, requests: Iterable[int]) -> Optional[int]:
-        raise NotImplementedError
-
-
-class RoundRobinArbiter(Arbiter):
+class RoundRobinArbiter:
     """Rotating-priority arbiter.
 
     Priority starts at requester 0; after a grant to requester *i*,
@@ -44,10 +30,12 @@ class RoundRobinArbiter(Arbiter):
     O(#requests) using modular distance, not O(size).
     """
 
-    __slots__ = ("_priority",)
+    __slots__ = ("size", "_priority")
 
     def __init__(self, size: int) -> None:
-        super().__init__(size)
+        if size < 1:
+            raise ValueError("arbiter needs at least one requester")
+        self.size = size
         self._priority = 0
 
     @property
@@ -58,11 +46,9 @@ class RoundRobinArbiter(Arbiter):
     def grant(self, requests: Iterable[int]) -> Optional[int]:
         """Pick the requester closest (cyclically) to the priority pointer.
 
-        Returns ``None`` when there are no requests or the arbiter is
-        faulty.  On a grant the priority pointer advances past the winner.
+        Returns ``None`` when there are no requests.  On a grant the
+        priority pointer advances past the winner.
         """
-        if self.faulty:
-            return None
         best = None
         best_dist = self.size
         prio = self._priority

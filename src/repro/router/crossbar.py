@@ -10,25 +10,65 @@ logical output port ``k``, :meth:`Crossbar.plan_path` answers which SA
 stage-2 arbiter must be won and which physical mux will carry the flit, or
 ``None`` when the output is unreachable.  The baseline plan is trivial
 (arbiter ``k``, mux ``k``); the protected router's
-:class:`repro.core.ft_crossbar.SecondaryPathCrossbar` overrides it with the
-demux/mux secondary paths of paper Figure 6.
+:class:`repro.core.ft_crossbar.SecondaryPathCrossbar` adds the demux/mux
+secondary paths of paper Figure 6.
 
 A faulty SA stage-2 arbiter also makes its output port unreachable in the
 baseline ("the input VCs cannot arbitrate for the arbiter's associated
 output port thus making the output port unreachable", Section V-C2), so the
-plan accounts for both fault sites.
+plan accounts for both fault sites.  :func:`carrier_port` states that rule
+once, for both crossbars, the failure predicates and the lane engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 from ..faults.sites import RouterFaultState
 
 #: cache sentinel — ``None`` is a valid plan result ("unreachable"), so an
 #: unset cache entry needs a distinct marker
 _UNCACHED: object = object()
+
+
+def secondary_source(dest: int, num_ports: int) -> int:
+    """Mux that provides the secondary path to output ``dest`` (0-based).
+
+    ``secondary(k) = k - 1`` for ``k >= 1`` and ``secondary(0) = 1``; see
+    :mod:`repro.core.ft_crossbar` for how this map follows from the paper.
+    """
+    if num_ports < 2:
+        raise ValueError("secondary paths need at least 2 output ports")
+    if not 0 <= dest < num_ports:
+        raise ValueError(f"output {dest} out of range")
+    return 1 if dest == 0 else dest - 1
+
+
+def carrier_port(
+    dest: int,
+    num_ports: int,
+    xb_mux: Collection[int],
+    xb_secondary: Collection[int],
+    sa2: Collection[int],
+    spare: bool,
+) -> Optional[int]:
+    """The port whose SA stage-2 arbiter and mux carry a flit to ``dest``.
+
+    The normal path (``dest`` itself) needs a healthy mux and arbiter
+    ``dest``.  Otherwise a router with the Figure 6 ``spare`` circuitry
+    uses the secondary path: healthy demux / output mux at ``dest`` plus a
+    healthy mux and arbiter at :func:`secondary_source`.  ``None`` when
+    neither path is whole.
+    """
+    if dest not in xb_mux and dest not in sa2:
+        return dest
+    if not spare or dest in xb_secondary:
+        return None
+    src = secondary_source(dest, num_ports)
+    if src in xb_mux or src in sa2:
+        return None
+    return src
 
 
 @dataclass(frozen=True)
@@ -66,13 +106,14 @@ class Crossbar:
     the fault state changes (``notify_fault_change``).
     """
 
+    #: whether the Figure 6 secondary paths exist (``carrier_port``'s
+    #: ``spare``)
+    spare = False
+
     def __init__(self, num_ports: int, faults: RouterFaultState) -> None:
         self.num_ports = num_ports
         self.faults = faults
         self._plan_cache: list[object] = [_UNCACHED] * num_ports
-        #: cold-path diagnostic: plans actually computed (cache misses);
-        #: harvested by the observability metrics registry after a run
-        self.plans_computed = 0
 
     def notify_fault_change(self) -> None:
         """Invalidate cached plans after a fault injection or heal."""
@@ -84,22 +125,10 @@ class Crossbar:
             raise ValueError(f"output port {dest} out of range")
         plan = self._plan_cache[dest]
         if plan is _UNCACHED:
-            plan = self._compute_plan(dest)
+            f = self.faults
+            port = carrier_port(
+                dest, self.num_ports, f.xb_mux, f.xb_secondary, f.sa2, self.spare
+            )
+            plan = None if port is None else PathPlan(port, port, dest, port != dest)
             self._plan_cache[dest] = plan
         return plan  # type: ignore[return-value]
-
-    def _compute_plan(self, dest: int) -> Optional[PathPlan]:
-        if not (0 <= dest < self.num_ports):
-            raise ValueError(f"output port {dest} out of range")
-        self.plans_computed += 1
-        if dest in self.faults.xb_mux or dest in self.faults.sa2:
-            return None
-        return PathPlan(arb_port=dest, mux=dest, dest=dest, secondary=False)
-
-    def reachable(self, dest: int) -> bool:
-        """True when some path (normal or secondary) reaches ``dest``."""
-        return self.plan_path(dest) is not None
-
-    def reachable_outputs(self) -> list[int]:
-        """All currently reachable output ports (diagnostics/tests)."""
-        return [p for p in range(self.num_ports) if self.reachable(p)]

@@ -27,16 +27,6 @@ class FlitType(enum.IntEnum):
     TAIL = 2
     HEAD_TAIL = 3
 
-    @property
-    def is_head(self) -> bool:
-        """True for the flit that allocates router resources (RC/VA)."""
-        return self in (FlitType.HEAD, FlitType.HEAD_TAIL)
-
-    @property
-    def is_tail(self) -> bool:
-        """True for the flit that frees router resources."""
-        return self in (FlitType.TAIL, FlitType.HEAD_TAIL)
-
 
 _packet_ids = itertools.count()
 
@@ -67,7 +57,6 @@ class Flit:
         "payload",
         "creation_cycle",
         "injection_cycle",
-        "ejection_cycle",
         "hops",
     )
 
@@ -99,24 +88,8 @@ class Flit:
         self.creation_cycle = creation_cycle
         #: cycle the flit entered the network (left the NIC source queue)
         self.injection_cycle: int = -1
-        #: cycle the flit was consumed by the destination NIC
-        self.ejection_cycle: int = -1
         #: number of routers traversed so far
         self.hops: int = 0
-
-    @property
-    def network_latency(self) -> int:
-        """Cycles from injection to ejection (valid after ejection)."""
-        if self.ejection_cycle < 0 or self.injection_cycle < 0:
-            raise ValueError("flit has not completed its journey")
-        return self.ejection_cycle - self.injection_cycle
-
-    @property
-    def total_latency(self) -> int:
-        """Cycles from packet creation (incl. source queueing) to ejection."""
-        if self.ejection_cycle < 0:
-            raise ValueError("flit has not completed its journey")
-        return self.ejection_cycle - self.creation_cycle
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

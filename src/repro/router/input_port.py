@@ -27,7 +27,7 @@ from .vc import VCState, VirtualChannel
 class InputPort:
     """VC array of one input port with wire→physical indirection."""
 
-    __slots__ = ("port", "num_vcs", "slots", "nonidle", "_wire_to_phys", "swaps")
+    __slots__ = ("port", "num_vcs", "slots", "nonidle", "_wire_to_phys")
 
     def __init__(self, port: int, num_vcs: int, buffer_depth: int) -> None:
         self.port = port
@@ -42,9 +42,6 @@ class InputPort:
         #: within the port, so they never change this count.
         self.nonidle = 0
         self._wire_to_phys: List[int] = list(range(num_vcs))
-        #: cold-path diagnostic: slot swaps performed (FT VC transfers);
-        #: harvested by the observability metrics registry after a run
-        self.swaps = 0
 
     # ------------------------------------------------------------------
     # lookups
@@ -76,7 +73,6 @@ class InputPort:
         """
         if slot_a == slot_b:
             return
-        self.swaps += 1
         vcs = self.slots
         va, vb = vcs[slot_a], vcs[slot_b]
         vcs[slot_a], vcs[slot_b] = vb, va

@@ -56,10 +56,6 @@ class OutputPort:
         alloc = self.allocated
         return [d for d in vnet_vcs if alloc[d] is None]
 
-    @property
-    def total_credits(self) -> int:
-        return sum(self.credits)
-
 
 class RCUnit:
     """Baseline routing-computation unit: one (unprotected) unit per port.
@@ -214,32 +210,14 @@ class BaseRouter:
         """Inject a permanent fault and refresh cached path plans."""
         changed = self.faults.inject(site)
         if changed:
-            self._apply_fault_flags()
             self.crossbar.notify_fault_change()
         return changed
 
     def heal_fault(self, site) -> bool:
         changed = self.faults.heal(site)
         if changed:
-            self._apply_fault_flags()
             self.crossbar.notify_fault_change()
         return changed
-
-    def _apply_fault_flags(self) -> None:
-        """Mirror the fault sets onto the arbiter objects' ``faulty`` flags.
-
-        The allocators consult :attr:`faults` directly; syncing the flags
-        keeps standalone arbiter uses (and tests poking at units) honest.
-        """
-        cfg = self.config
-        for p in range(cfg.num_ports):
-            for s in range(cfg.num_vcs):
-                fa = (p, s) in self.faults.va1
-                for arb in self.va_unit.stage1[p][s]:
-                    arb.faulty = fa
-                self.va_unit.stage2[p][s].faulty = (p, s) in self.faults.va2
-            self.sa_unit.stage1[p].faulty = p in self.faults.sa1
-            self.sa_unit.stage2[p].faulty = p in self.faults.sa2
 
     def clear_dynamic_state(self) -> None:
         """Drop everything in flight: buffers, credits, allocation, XB queue.
@@ -364,17 +342,12 @@ class BaseRouter:
                 if out is None:
                     stats.rc_blocked_cycles += 1
                     continue
-                plan = crossbar.plan_path(out)
-                if plan is None:
+                if crossbar.plan_path(out) is None:
                     # output unreachable through any path: the packet is
                     # stuck; the watchdog / failure predicate reports it.
                     stats.unreachable_output_cycles += 1
                     continue
                 vc.route = out
-                # Section V-D: RC updates the SP/FSP fields when the
-                # regular path to the computed output port is unusable.
-                vc.sp = plan.arb_port if plan.secondary else None
-                vc.fsp = plan.secondary
                 vc.state = VCState.WAITING_VA
                 self._in_rc -= 1
                 self._in_va += 1

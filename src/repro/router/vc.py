@@ -9,16 +9,13 @@ Paper Section II-C (Figure 3d): each VC is associated with state fields
 * ``C`` — credit count (tracked on the *output* side, see
   :class:`repro.router.router.OutputPort`).
 
-Section V-B2 (Figure 4) adds the fault-tolerance fields used by the
-protected router:
-
-* ``R2`` — RC result a *borrowing* VC deposits with the lender,
-* ``VF`` — flag: this VC's arbiters are being used by another VC,
-* ``ID`` — which VC deposited the borrow request,
-* ``SP`` — secondary-path output port to arbitrate for in SA,
-* ``FSP`` — flag: the secondary path must be used.
-
-The baseline router simply leaves the FT fields at their reset values.
+Section V-B2 (Figure 4) adds the fault-tolerance fields ``R2``/``VF``/
+``ID`` (a borrow request deposited with the lender VC) and ``SP``/``FSP``
+(the secondary-path port and flag).  The model gets their effect without
+storing them: the VA unit's per-cycle lent set carries the borrow, and
+the crossbar's path plan names the SA stage-2 arbiter of the secondary
+path (DESIGN.md section 1).  The one fault-tolerance field a VC keeps is
+``va_excluded``, the downstream VCs a VA stage-2 retry must avoid.
 """
 
 from __future__ import annotations
@@ -40,9 +37,6 @@ class VCState(enum.IntEnum):
     WAITING_VA = 2
     #: allocated; flits compete in switch allocation
     ACTIVE = 3
-    #: (protected router only) flits being moved to another VC of the same
-    #: input port to work around a faulty SA-stage-1 bypass target
-    TRANSFER = 4
 
 
 class VirtualChannel:
@@ -64,16 +58,7 @@ class VirtualChannel:
         "route",
         "out_vc",
         "packet_id",
-        # --- protected-router (Figure 4) fields ---
-        "r2",
-        "vf",
-        "borrower_id",
-        "sp",
-        "fsp",
-        # --- bookkeeping ---
-        "va_retry",
         "va_excluded",
-        "stalled_since",
     )
 
     def __init__(self, port: int, index: int, capacity: int) -> None:
@@ -90,20 +75,9 @@ class VirtualChannel:
         self.out_vc: Optional[int] = None
         #: id of the packet currently owning this VC's pipeline state
         self.packet_id: Optional[int] = None
-        # Figure 4 fields (used by the protected router's VA unit)
-        self.r2: Optional[int] = None
-        self.vf: bool = False
-        self.borrower_id: Optional[int] = None
-        # Figure 4 fields (used by SA/XB secondary path)
-        self.sp: Optional[int] = None
-        self.fsp: bool = False
-        #: VA retries consumed by stage-2 faults (statistics)
-        self.va_retry: int = 0
         #: downstream VCs excluded after a stage-2 arbiter fault was hit
         #: (Section V-B3 recompute-with-another-VC, protected router only)
         self.va_excluded: Optional[set] = None
-        #: cycle at which the current packet last made progress (watchdog)
-        self.stalled_since: int = -1
 
     # ------------------------------------------------------------------
     # buffer operations
@@ -157,9 +131,6 @@ class VirtualChannel:
         self.state = VCState.ROUTING
         self.route = None
         self.out_vc = None
-        self.sp = None
-        self.fsp = False
-        self.va_retry = 0
         self.va_excluded = None
         self.packet_id = head.packet_id
 
@@ -167,9 +138,6 @@ class VirtualChannel:
         """Tail left: free resources; start the next queued packet if any."""
         self.route = None
         self.out_vc = None
-        self.sp = None
-        self.fsp = False
-        self.va_retry = 0
         self.va_excluded = None
         self.packet_id = None
         if self.buffer:
@@ -197,23 +165,7 @@ class VirtualChannel:
         self.route = None
         self.out_vc = None
         self.packet_id = None
-        self.r2 = None
-        self.vf = False
-        self.borrower_id = None
-        self.sp = None
-        self.fsp = False
-        self.va_retry = 0
         self.va_excluded = None
-        self.stalled_since = -1
-
-    # ------------------------------------------------------------------
-    # FT helpers
-    # ------------------------------------------------------------------
-    def clear_borrow_request(self) -> None:
-        """Reset the R2/VF/ID fields after a borrowed allocation completes."""
-        self.r2 = None
-        self.vf = False
-        self.borrower_id = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

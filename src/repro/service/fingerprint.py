@@ -175,10 +175,13 @@ def canonical(obj: Any) -> Any:
 
     Dataclasses become ``{"__config__": ClassName, **fields}`` dicts (the
     class tag keeps two structurally-identical but differently-typed
-    configs apart), tuples become lists.  Raises :class:`RequestError`
+    configs apart), tuples become lists, and ``-0.0`` becomes ``0.0`` (the
+    two are ``==``, so one config).  Raises :class:`RequestError`
     on anything that cannot be represented — an unhashable config must
     not silently collide.
     """
+    if type(obj) is float and obj == 0.0:
+        return 0.0
     if obj is None or isinstance(obj, _SCALARS):
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

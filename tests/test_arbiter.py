@@ -29,11 +29,6 @@ class TestRoundRobin:
         arb.grant([0])  # priority now 1
         assert arb.grant([0, 3]) == 3  # 3 is cyclically closer to 1
 
-    def test_faulty_never_grants(self):
-        arb = RoundRobinArbiter(4)
-        arb.faulty = True
-        assert arb.grant([0, 1, 2, 3]) is None
-
     def test_priority_frozen_without_grant(self):
         arb = RoundRobinArbiter(4)
         arb.grant([])

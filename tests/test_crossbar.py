@@ -20,10 +20,14 @@ def faults5():
     return RouterFaultState(RouterConfig())
 
 
+def reachable(xb):
+    return [p for p in range(xb.num_ports) if xb.plan_path(p) is not None]
+
+
 class TestBaselineCrossbar:
     def test_all_reachable_when_healthy(self):
         xb = Crossbar(5, faults5())
-        assert xb.reachable_outputs() == [0, 1, 2, 3, 4]
+        assert reachable(xb) == [0, 1, 2, 3, 4]
 
     def test_normal_plan(self):
         xb = Crossbar(5, faults5())
@@ -37,7 +41,7 @@ class TestBaselineCrossbar:
         f.inject(FaultSite(0, FaultUnit.XB_MUX, 2))
         xb.notify_fault_change()
         assert xb.plan_path(2) is None
-        assert xb.reachable_outputs() == [0, 1, 3, 4]
+        assert reachable(xb) == [0, 1, 3, 4]
 
     def test_sa2_fault_kills_output(self):
         f = faults5()

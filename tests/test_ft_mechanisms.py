@@ -81,15 +81,22 @@ class TestVAArbiterSharing:
         assert h.router.stats.va_borrowed_grants >= 1
 
     def test_borrow_fields_used_and_cleared(self, h):
-        h.router.inject_fault(FaultSite(4, FaultUnit.VA1_ARBITER_SET, PORT_WEST, 0))
+        """A borrow is granted in its VA cycle and holds nothing after it:
+        the lender's set lends again to the next borrower the next cycle."""
+        for v in (0, 2):
+            h.router.inject_fault(
+                FaultSite(4, FaultUnit.VA1_ARBITER_SET, PORT_WEST, v)
+            )
         h.inject(PORT_WEST, 0, Packet(src=3, dest=5, size_flits=1))
-        h.step(1)  # RC done; VA happens next step
-        h.step(1)
-        # after the allocation cycle the lender's fields are cleared
-        for vc in h.router.in_ports[PORT_WEST]:
-            assert vc.vf is False
-            assert vc.r2 is None
-            assert vc.borrower_id is None
+        h.step(1)  # RC of VC0
+        h.inject(PORT_WEST, 2, Packet(src=3, dest=5, size_flits=1))
+        h.step(1)  # VA of VC0 on VC1's set; RC of VC2
+        assert h.router.stats.va_borrowed_grants == 1
+        assert h.router.in_ports[PORT_WEST].by_wire(0).state == VCState.ACTIVE
+        h.step(1)  # VA of VC2, again on VC1's set
+        assert h.router.stats.va_borrowed_grants == 2
+        assert h.router.stats.va_borrow_wait_cycles == 0
+        assert h.router.in_ports[PORT_WEST].by_wire(2).state == VCState.ACTIVE
 
     def test_all_sets_faulty_blocks_port(self, h):
         for v in range(4):
@@ -194,12 +201,17 @@ class TestXBSecondaryPath:
         assert all(d[1] == PORT_EAST for d in h.sched.delivered)
 
     def test_sp_fsp_fields_set(self, h):
+        """The plan plays the paper's SP/FSP fields: a routed head bids
+        for the secondary-source arbiter through the secondary path."""
         h.router.inject_fault(FaultSite(4, FaultUnit.XB_MUX, PORT_EAST))
         h.inject(PORT_WEST, 0, Packet(src=3, dest=5, size_flits=1))
         h.step(1)  # RC
         vc = h.router.in_ports[PORT_WEST].by_wire(0)
-        assert vc.fsp is True
-        assert vc.sp == PORT_EAST - 1  # secondary source port
+        assert vc.route == PORT_EAST
+        plan = h.router.crossbar.plan_path(PORT_EAST)
+        assert plan.secondary is True
+        assert plan.arb_port == plan.mux == PORT_EAST - 1  # secondary source
+        assert plan.dest == PORT_EAST
 
     def test_secondary_contends_with_host_port_traffic(self, h):
         """Traffic redirected through mux j competes with native traffic to

@@ -55,9 +55,9 @@ class TestInjection:
         nic, _, _ = make_nic()
         nic.enqueue(Packet(src=4, dest=1, size_flits=2))
         nic.step(0)
-        assert nic.allocated[0] is not None
+        assert nic.active[0] is not None and nic.active[0].wire_vc == 0
         nic.step(1)  # tail leaves the NIC
-        assert nic.allocated[0] is None
+        assert nic.active[0] is None
 
     def test_credit_limits_injection(self):
         nic, router, stats = make_nic()

@@ -10,6 +10,8 @@ scenarios through end-to-end simulations, checking the global invariants:
 * credit sanity (counters never exceed buffer depth — asserted inside
   the router), wire/physical VC indirection stays a permutation,
 * protected routers never deadlock under *tolerable* fault sets,
+* a fault set outside the tolerated set blocks its flow and the run
+  reports it, at the watchdog,
 * fault-free protected == baseline latency (mechanism inertness).
 
 Every end-of-run property runs on both :data:`ENGINES`, each example
@@ -18,17 +20,28 @@ through ``run_lanes(router_factory=...)``.  The mid-run invariants are
 the object engine's own.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import PORT_LOCAL, NetworkConfig, RouterConfig, SimulationConfig
+from repro.config import (
+    PORT_EAST,
+    PORT_LOCAL,
+    PORT_WEST,
+    NetworkConfig,
+    RouterConfig,
+    SimulationConfig,
+)
+from repro.core.ft_crossbar import secondary_source
 from repro.core.protected_router import protected_router_factory
+from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
 from repro.faults.injector import RandomFaultSchedule
 from repro.network.batched import LaneSpec, run_lanes
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.network.topology import Topology
 from repro.router.routing import make_routing
-from repro.traffic.generator import SyntheticTraffic
+from repro.router.flit import Packet
+from repro.traffic.generator import SyntheticTraffic, TraceTraffic
 
 SETTINGS = dict(
     max_examples=12,
@@ -218,3 +231,53 @@ class TestFaultToleranceProperties:
         faulty = build_sim(net, seed, rate, protected=True,
                            fault_schedule=inj).run()
         assert faulty.avg_network_latency >= base.avg_network_latency - 0.5
+
+
+class TestReportedFailure:
+    """Router 5 sits on the flow 4 -> 7 (east along a 4x4 mesh's second
+    row).  Each fatal set there blocks the flow at cycle 0; the run must
+    end at the watchdog with ``blocked=True``, long before the drain
+    deadline, and both engines must report the same run."""
+
+    FATAL = {
+        # both RC units of the input port
+        "rc": [
+            (FaultUnit.RC_PRIMARY, PORT_WEST), (FaultUnit.RC_DUPLICATE, PORT_WEST),
+        ],
+        # the SA1 arbiter and bypass of the input port
+        "sa1": [
+            (FaultUnit.SA1_ARBITER, PORT_WEST), (FaultUnit.SA1_BYPASS, PORT_WEST),
+        ],
+        # the output mux and its secondary source
+        "xb": [
+            (FaultUnit.XB_MUX, PORT_EAST),
+            (FaultUnit.XB_MUX, secondary_source(PORT_EAST, 5)),
+        ],
+    }
+
+    @pytest.mark.parametrize("fatal", sorted(FATAL))
+    def test_fatal_set_is_blocked_and_reported(self, fatal):
+        net = NetworkConfig(width=4, height=4)
+        cfg = SimulationConfig(
+            warmup_cycles=0, measure_cycles=60, drain_cycles=2000, watchdog_cycles=50
+        )
+        runs = []
+        for engine in ENGINES:
+            sim = NoCSimulator(
+                net, cfg,
+                TraceTraffic([Packet(src=4, dest=7, size_flits=3, creation_cycle=0)]),
+                router_factory=protected_router_factory(net),
+                fault_schedule=FaultTimeline(
+                    TimelineEvent(0, FaultSite(5, unit, port))
+                    for unit, port in self.FATAL[fatal]
+                ),
+            )
+            res, _ = engine(sim)
+            assert res.blocked and not res.drained, engine.__name__
+            assert res.cycles < cfg.measure_cycles + cfg.watchdog_cycles, engine.__name__
+            runs.append((
+                res.cycles, res.router_stats, res.stats.packets_created,
+                res.stats.packets_injected, res.stats.packets_ejected,
+            ))
+        assert runs[0] == runs[1]
+        assert runs[0][2:] == (1, 1, 0)

@@ -273,6 +273,9 @@ class TestFingerprint:
         assert _fp("load_latency", {"rates": [1, 0.5]}) == _fp(
             "load_latency", {"rates": [1.0, 0.5]}
         )
+        assert _fp("detection_latency", {"injection_rate": -0.0}) == _fp(
+            "detection_latency", {"injection_rate": 0}
+        )
 
     @given(st.sampled_from(_field_paths()), JSON_VALUES)
     @settings(max_examples=400, deadline=None)

@@ -80,14 +80,14 @@ class TestDrain:
     def test_drain_deadline_checks_nic_queues(self):
         """Regression: at the drain deadline a run must not report
         drained=True while packets still wait in NIC source queues, even
-        with zero flits in flight.  All wire VCs of NIC 0 are pinned to
-        a phantom packet so its queued packet can never start injecting."""
+        with zero flits in flight.  NIC 0 holds no credit on any wire VC,
+        so its queued packet can never inject a flit."""
         net = make_network_config(3, 3)
         pkt = Packet(src=0, dest=1, size_flits=1, creation_cycle=0)
         sim = make_sim(net, traffic=TraceTraffic([pkt]), warmup=0,
                        measure=5, drain=30)
         nic = sim.nics[0]
-        nic.allocated = [-1] * len(nic.allocated)
+        nic.credits = [0] * len(nic.credits)
         res = sim.run()
         assert nic.queued_packets == 1
         assert not res.drained

@@ -96,25 +96,6 @@ class TestStateMachine:
 
 
 class TestFTFields:
-    def test_borrow_fields_reset(self):
-        vc = VirtualChannel(0, 0, 4)
-        vc.r2 = 3
-        vc.vf = True
-        vc.borrower_id = 2
-        vc.clear_borrow_request()
-        assert vc.r2 is None and not vc.vf and vc.borrower_id is None
-
-    def test_new_packet_clears_sp_fsp(self):
-        vc = VirtualChannel(0, 0, 4)
-        for f in flits_of(n=1):
-            vc.enqueue(f)
-        vc.sp = 2
-        vc.fsp = True
-        vc.state = VCState.ACTIVE
-        vc.dequeue()
-        vc.enqueue(flits_of(n=1, dest=2)[0])
-        assert vc.sp is None and vc.fsp is False
-
     def test_va_excluded_cleared_between_packets(self):
         vc = VirtualChannel(0, 0, 4)
         vc.enqueue(flits_of(n=1)[0])
