@@ -19,7 +19,8 @@ import time
 
 import numpy as np
 
-from repro.config import NetworkConfig
+from repro.config import NetworkConfig, RouterConfig
+from repro.faults.sites import enumerate_sites
 from repro.reliability.mttf import (
     monte_carlo_mttf,
     monte_carlo_mttf_reference,
@@ -28,7 +29,11 @@ from repro.reliability.network_level import (
     _fabric_trial_chunk,
     _fabric_trial_chunk_reference,
 )
-from repro.reliability.spf_simulation import simulated_faults_to_failure
+from repro.reliability.spf_simulation import (
+    _PROBE_NODE,
+    _trial_counts_reference,
+    simulated_faults_to_failure,
+)
 
 
 def _timed(fn):
@@ -60,12 +65,15 @@ def test_spf_campaign_speedup(benchmark):
     fast_res = benchmark.pedantic(
         fast, rounds=1, iterations=1, warmup_rounds=1
     )
-    ref_res, ref_s = _timed(
-        lambda: simulated_faults_to_failure(
-            trials=trials, rng=rng, reference=True
+    config = RouterConfig()
+    net = NetworkConfig(width=3, height=3, router=config)
+    sites = list(enumerate_sites(config, router=_PROBE_NODE, include_va2=False))
+    ref_counts, ref_s = _timed(
+        lambda: _trial_counts_reference(
+            config, net, sites, trials, np.random.default_rng(rng), max_cycles=60
         )
     )
-    assert np.array_equal(fast_res.samples, ref_res.samples)
+    assert np.array_equal(fast_res.samples, ref_counts)
     speedup = _report("spf_campaign", ref_s, box["s"])
     assert speedup >= 1.5, f"expected >= 1.5x, got {speedup:.2f}x"
 

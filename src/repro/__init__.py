@@ -5,7 +5,7 @@ Public API tour
 ---------------
 * :mod:`repro.router` — the generic 4-stage VC router substrate.
 * :mod:`repro.core` — the paper's contribution: the protected router.
-* :mod:`repro.network` — the cycle-accurate mesh/torus simulator.
+* :mod:`repro.network` — the cycle-accurate mesh simulator.
 * :mod:`repro.faults` — permanent-fault sites and injection schedules.
 * :mod:`repro.reliability` — FORC/FIT/SOFR/MTTF/SPF analysis.
 * :mod:`repro.synthesis` — 45 nm gate-level area/power/timing proxy.
@@ -27,7 +27,7 @@ stays cheap while ``repro.NoCSimulator``, ``repro.run_sweep``,
 
 from .config import NetworkConfig, RouterConfig, SimulationConfig
 
-__version__ = "2.9.0"
+__version__ = "2.10.0"
 
 #: lazily resolved facade: exported name -> (module, attribute)
 _LAZY = {

@@ -118,7 +118,7 @@ class RouterConfig:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Parameters of the mesh/torus fabric.
+    """Parameters of the mesh fabric.
 
     The paper's latency study uses an 8x8 mesh (64 cores) with one router
     per core and XY dimension-order routing.
@@ -126,7 +126,6 @@ class NetworkConfig:
 
     width: int = 8
     height: int = 8
-    topology: str = "mesh"  # "mesh" or "torus"
     link_latency: int = 1
     credit_latency: int = 1
     router: RouterConfig = field(default_factory=RouterConfig)
@@ -134,8 +133,14 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be positive")
-        if self.topology not in ("mesh", "torus"):
-            raise ValueError(f"unknown topology {self.topology!r}")
+        # a router's ports are local, north, east, south, west: the mesh
+        # needs the highest one any of its links leaves by
+        needed = PORT_WEST if self.width > 1 else PORT_SOUTH if self.height > 1 else PORT_LOCAL
+        if self.router.num_ports <= needed:
+            raise ValueError(
+                f"a {self.width}x{self.height} mesh links routers through "
+                f"the {PORT_NAMES[needed]} port: need num_ports >= {needed + 1}"
+            )
         if self.link_latency < 1:
             raise ValueError("link latency must be >= 1 cycle")
         if self.credit_latency < 1:

@@ -531,26 +531,18 @@ class BatchedLaneEngine:
         #: the id of a missing link: past the end of every state array, so
         #: following it raises ``IndexError`` in the next gather
         self.no_link = max(self.credits.size, *(arr.size for arr, _ in self._power_on))
-        topo = Topology(config)
-        lane0 = np.arange(L) * self.RP
-
-        def wiring(dense: list) -> np.ndarray:
-            ids = np.full((L, R, P), self.no_link, dtype=np.intp)
-            for node, row in enumerate(dense):
-                for port, link in enumerate(row):
-                    if link is not None:
-                        ids[:, node, port] = lane0 + link[0] * P + link[1]
-            return ids.reshape(-1)
-
+        down_port = np.full((L, R, P), self.no_link, dtype=np.intp)
+        for (node, port), (far, far_port) in Topology(config).links.items():
+            down_port[:, node, port] = np.arange(L) * self.RP + far * P + far_port
         #: output port id -> the input port id its link feeds
-        self.down_port = wiring(topo.out_link)
+        self.down_port = down_port.reshape(-1)
         #: wire-VC id at an input port -> the ``credits`` index its credit
-        #: returns to: the output VC feeding the port, or behind a local
-        #: port the NIC queue of the wire's vnet
+        #: returns to: the output VC feeding the port (a mesh link has its
+        #: reverse twin, so that output port is ``down_port`` of the input
+        #: port's id), or behind a local port the NIC queue of the wire's vnet
         nodes = np.arange(L * R)
-        up_out_port = wiring(topo.upstream_link)
-        credit_to = up_out_port[:, None] * V + self._vcs
-        credit_to[up_out_port == self.no_link] = self.no_link
+        credit_to = self.down_port[:, None] * V + self._vcs
+        credit_to[self.down_port == self.no_link] = self.no_link
         credit_to[nodes * P + PORT_LOCAL] = (
             self.cred_.size + nodes[:, None] * self.NV + self._vcs // self.VV
         )

@@ -42,6 +42,7 @@ idle).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Optional, Protocol
@@ -179,7 +180,6 @@ class EventScheduler:
         ]
         # dense wiring views (plain list indexing on the per-flit path)
         self._out_link = sim.topology.out_link
-        self._upstream = sim.topology.upstream_link
         #: flits in flight (pending EV_FLIT + EV_EJECT events), maintained
         #: so ``pending_flits`` is O(1) for the per-cycle drain predicate
         self._in_flight = 0
@@ -226,7 +226,8 @@ class EventScheduler:
         if in_port == PORT_LOCAL:
             slot[EV_NIC_CREDIT].append((node, wire_vc))
             return
-        up = self._upstream[node][in_port]
+        # a mesh link's reverse twin: out_link names the feeding output too
+        up = self._out_link[node][in_port]
         if up is None:
             raise AssertionError(
                 f"credit from unconnected port {in_port} of router {node}"
@@ -340,8 +341,6 @@ class NoCSimulator:
         self.routers: list[BaseRouter] = [
             factory(node, self.routing) for node in range(config.num_nodes)
         ]
-        for (node, port), _ in self.topology.links.items():
-            self.routers[node].out_ports[port].connected = True
         self.stats = NetworkStats(keep_samples=keep_samples)
         self.nics = [
             NetworkInterface(n, self.routers[n], config.router, self.stats)
@@ -806,3 +805,24 @@ class NoCSimulator:
             f"NICs with queued packets {sorted(queued)}"
         )
         self.scheduler.check_invariants()
+        # credit conservation: per (node, output port or None for the NIC,
+        # VC), the credits plus the flits buffered in the downstream VC or on
+        # the link toward it, the credits flying back and the XB grants
+        # queued for it sum to the buffer depth
+        feeder: dict = {far: near for near, far in self.topology.links.items()}
+        feeder.update({(n, PORT_LOCAL): (n, None) for n in range(self.config.num_nodes)})
+        held: Counter = Counter()
+        for r, nic in zip(self.routers, self.nics):
+            for port, credits in [*enumerate(op.credits for op in r.out_ports), (None, nic.credits)]:
+                held.update({(r.node, port, vc): c for vc, c in enumerate(credits)})
+            held.update((r.node, g.plan.dest, g.vc.out_vc) for g in r.pending_grants())
+            held.update({(*feeder[r.node, ip.port], vc.index): vc.occupancy
+                         for ip in r.in_ports for vc in ip.slots if vc.occupancy})
+        for flits, ejects, returns, nic_returns, out_returns in self.scheduler._ring:
+            held.update((*feeder[n, p], vc) for n, p, vc, _ in flits)
+            held.update((n, PORT_LOCAL, vc) for n, vc, *_ in ejects + out_returns)
+            held.update(returns)
+            held.update((n, None, vc) for n, vc in nic_returns)
+        depth = self.config.router.buffer_depth
+        off = {key: n for key, n in held.items() if n != depth}
+        assert not off, f"credits + what they owe != buffer depth {depth}: {off}"

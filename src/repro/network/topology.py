@@ -1,13 +1,14 @@
-"""Topology construction: 2D mesh and torus wiring.
+"""Topology construction: 2D mesh wiring.
 
 Produces the static wiring tables the simulator uses every cycle:
 ``links[(node, out_port)] -> (neighbour, neighbour_in_port)``.  The local
 port of every router connects to that node's network interface.
 
-Besides the ``links`` dict, dense per-node arrays (:attr:`Topology.out_link`
-and :attr:`Topology.upstream_link`) expose the same wiring as plain list
-indexing for the event scheduler's per-flit hot path — no tuple-key hashing
-per link traversal.
+Besides the ``links`` dict, a dense per-node array (:attr:`Topology.out_link`)
+exposes the same wiring as plain list indexing for the event scheduler's
+per-flit hot path — no tuple-key hashing per link traversal.  Every mesh
+link has its reverse twin, so ``out_link[node][p]`` also names the output
+port feeding input port ``p`` of ``node``: the credit path's wiring.
 
 A `networkx` view of the fabric is exposed for structural analysis (path
 diversity, connectivity under failed routers — used by tests and by the
@@ -42,55 +43,25 @@ class Topology:
         self.out_link: list[list[Optional[Tuple[int, int]]]] = [
             [None] * num_ports for _ in range(config.num_nodes)
         ]
-        #: dense view: ``upstream_link[node][in_port]`` ==
-        #: :meth:`upstream`\ ``(node, in_port)``, or ``None``
-        self.upstream_link: list[list[Optional[Tuple[int, int]]]] = [
-            [None] * num_ports for _ in range(config.num_nodes)
-        ]
         self._build()
 
     def _build(self) -> None:
         cfg = self.config
-        wrap = cfg.topology == "torus"
         for node in range(cfg.num_nodes):
             x, y = cfg.coords(node)
             for port, (dx, dy) in PORT_DELTAS.items():
                 nx_, ny_ = x + dx, y + dy
-                if wrap:
-                    nx_ %= cfg.width
-                    ny_ %= cfg.height
-                elif not (0 <= nx_ < cfg.width and 0 <= ny_ < cfg.height):
+                if not (0 <= nx_ < cfg.width and 0 <= ny_ < cfg.height):
                     continue
-                # A 1-wide dimension on a torus would self-loop; treat as edge.
-                neighbour = cfg.node_id(nx_, ny_)
-                if neighbour == node:
-                    continue
-                self.links[(node, port)] = (neighbour, OPPOSITE_PORT[port])
-                self.out_link[node][port] = (neighbour, OPPOSITE_PORT[port])
-                # the link arriving on our input port `port` is fed by the
-                # neighbour in that direction, through its opposite output
-                self.upstream_link[node][port] = (neighbour, OPPOSITE_PORT[port])
+                link = (cfg.node_id(nx_, ny_), OPPOSITE_PORT[port])
+                self.links[(node, port)] = link
+                self.out_link[node][port] = link
 
     def neighbour(self, node: int, out_port: int) -> Optional[Tuple[int, int]]:
         """(dst_node, dst_in_port) reached through ``out_port``, if wired."""
         if out_port == PORT_LOCAL:
             raise ValueError("the local port connects to the NIC, not a router")
         return self.links.get((node, out_port))
-
-    def upstream(self, node: int, in_port: int) -> Optional[Tuple[int, int]]:
-        """(src_node, src_out_port) feeding ``(node, in_port)``, if wired.
-
-        In a mesh/torus every link is bidirectional and symmetric, so the
-        upstream of input port *p* is the neighbour in direction *p* and
-        its opposite output port.
-        """
-        if in_port == PORT_LOCAL:
-            raise ValueError("the local input port is fed by the NIC")
-        link = self.links.get((node, in_port))
-        if link is None:
-            return None
-        neighbour, _ = link
-        return neighbour, OPPOSITE_PORT[in_port]
 
     def graph(self) -> nx.DiGraph:
         """Directed multigraph-free view: one edge per unidirectional link."""

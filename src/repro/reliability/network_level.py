@@ -116,19 +116,12 @@ def _fabric_trial_chunk_reference(
     return out
 
 
-def _links_symmetric(topo: Topology) -> bool:
-    """True when every unidirectional link has its reverse twin.
-
-    Mesh/torus wiring always does; symmetry makes strong connectivity of
-    the healthy sub-fabric equal to plain undirected connectivity, which
-    the union-find kernel relies on.
-    """
-    links = topo.links
-    return all(links.get((b, q)) == (a, p) for (a, p), (b, q) in links.items())
-
-
 def _undirected_neighbors(topo: Topology) -> list[list[int]]:
-    """Adjacency lists of the undirected fabric graph."""
+    """Adjacency lists of the undirected fabric graph.
+
+    Every mesh link has its reverse twin, so strong connectivity of the
+    healthy sub-fabric is plain undirected connectivity (union-find).
+    """
     n = topo.config.num_nodes
     neigh: list[set[int]] = [set() for _ in range(n)]
     for (a, _), (b, _) in topo.links.items():
@@ -200,10 +193,7 @@ def _fabric_trial_chunk(
     faster than its per-kill `networkx` rebuilds.
     """
     n = network.num_nodes
-    topo = Topology(network)
-    if not _links_symmetric(topo):  # exotic topology: keep the oracle
-        return _fabric_trial_chunk_reference(network, model, seeds, k, geom)
-    neighbors = _undirected_neighbors(topo)
+    neighbors = _undirected_neighbors(Topology(network))
     trials = len(seeds)
     lifetimes = np.empty((trials, n))
     for t, seed in enumerate(seeds):

@@ -121,7 +121,7 @@ def spf_vs_vc_count(
     """
     out = {}
     for vcs, ovh in sorted(overheads.items()):
-        cfg = RouterConfig(num_vcs=vcs)
+        cfg = RouterConfig(num_ports=num_ports, num_vcs=vcs)
         out[vcs] = analyze_spf(ovh, cfg, exact_xb=exact_xb)
     return out
 

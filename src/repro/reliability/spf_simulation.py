@@ -34,7 +34,6 @@ class _CollectingScheduler:
     """Minimal scheduler for driving a lone router."""
 
     def __init__(self) -> None:
-        self.cycle = 0
         self.delivered: list[tuple[int, int]] = []  # (out_port, out_vc)
 
     def deliver_flit(self, src_node, out_port, out_vc, flit) -> None:
@@ -97,7 +96,6 @@ def _flow_delivers(
     for flit in pkt.flits():
         router.receive_flit(in_port, 0, flit, 0)
     for cycle in range(max_cycles):
-        sched.cycle = cycle
         router.xb_phase(sched, cycle)
         router.sa_phase(cycle)
         router.va_phase(cycle)
@@ -213,15 +211,14 @@ def simulated_faults_to_failure(
     rng: np.random.Generator | int | None = None,
     include_va2: bool = False,
     max_cycles: int = 60,
-    reference: bool = False,
 ) -> SimulatedSPF:
     """Monte-Carlo: inject random faults into a live router until a probe
     flow stops delivering.
 
     Much slower than the predicate-based MC (every step runs real probe
     traffic), so trial counts are modest; it exists to validate, not to
-    replace, the analytical accounting.  ``reference=True`` selects the
-    scalar oracle loop (same results, used by the golden-equality tests
+    replace, the analytical accounting.  :func:`_trial_counts_reference`
+    is its scalar oracle (same counts, used by the golden-equality tests
     and the reliability benchmark).
     """
     if trials < 1:
@@ -233,8 +230,7 @@ def simulated_faults_to_failure(
         enumerate_sites(config, router=_PROBE_NODE, protected=True,
                         include_va2=include_va2)
     )
-    runner = _trial_counts_reference if reference else _trial_counts
-    counts = runner(config, net, sites, trials, rng, max_cycles)
+    counts = _trial_counts(config, net, sites, trials, rng, max_cycles)
     return SimulatedSPF(
         mean=float(counts.mean()),
         std=float(counts.std()),

@@ -11,7 +11,6 @@ from .flit import Flit, FlitType, Packet, reset_packet_ids
 from .input_port import InputPort
 from .router import BaseRouter, BaselineRouter, OutputPort, RCUnit, RouterStats
 from .routing import (
-    LookaheadXYRouting,
     RoutingFunction,
     WestFirstRouting,
     XYRouting,
@@ -27,7 +26,6 @@ __all__ = [
     "Flit",
     "FlitType",
     "InputPort",
-    "LookaheadXYRouting",
     "OutputPort",
     "Packet",
     "PathPlan",

@@ -41,15 +41,13 @@ class OutputPort:
     reallocation-on-tail policy).
     """
 
-    __slots__ = ("port", "num_vcs", "credits", "allocated", "connected")
+    __slots__ = ("port", "num_vcs", "credits", "allocated")
 
     def __init__(self, port: int, num_vcs: int, buffer_depth: int) -> None:
         self.port = port
         self.num_vcs = num_vcs
         self.credits = [buffer_depth] * num_vcs
         self.allocated: list[Optional[int]] = [None] * num_vcs
-        #: False on mesh edges where no link exists
-        self.connected = False
 
     def free_vcs(self, vnet_vcs: Iterable[int]) -> list[int]:
         """Downstream VCs of the given vnet not owned by any packet."""

@@ -9,6 +9,8 @@ comparators (one per dimension), which is exactly how the reliability model
 
 XY routing on a mesh is deadlock-free: packets fully resolve the X dimension
 before turning into Y, which breaks all cyclic channel dependencies.
+``tests/test_deadlock_freedom.py`` checks that, for every routing here, on
+the channel dependency graph of ``candidate_ports``.
 """
 
 from __future__ import annotations
@@ -74,25 +76,9 @@ class RoutingFunction:
         deterministic choice)."""
         return [self.output_port(node, dest)]
 
-    def hop_count(self, src: int, dest: int) -> int:
-        """Number of router-to-router hops on the computed path."""
-        hops = 0
-        # Walk the route; bounded by network diameter so this terminates.
-        cur = src
-        limit = self.network.num_nodes + 2
-        while cur != dest:
-            port = self.output_port(cur, dest)
-            if port == PORT_LOCAL:
-                break
-            cur = _neighbour(self.network, cur, port)
-            hops += 1
-            if hops > limit:  # pragma: no cover - defensive
-                raise RuntimeError("routing function does not converge")
-        return hops
-
 
 def _neighbour(net: NetworkConfig, node: int, port: int) -> int:
-    """Node reached by leaving ``node`` through ``port`` (with torus wrap)."""
+    """Node reached by leaving ``node`` through ``port``."""
     x, y = net.coords(node)
     if port == PORT_NORTH:
         y -= 1
@@ -104,21 +90,13 @@ def _neighbour(net: NetworkConfig, node: int, port: int) -> int:
         x -= 1
     else:
         raise ValueError(f"port {port} has no neighbour")
-    if net.topology == "torus":
-        x %= net.width
-        y %= net.height
     if not (0 <= x < net.width and 0 <= y < net.height):
         raise ValueError(f"route walked off the mesh at ({x},{y})")
     return net.node_id(x, y)
 
 
 class XYRouting(RoutingFunction):
-    """Dimension-order routing: resolve X first, then Y.
-
-    On a torus the shorter wrap direction is taken in each dimension
-    (still dimension-ordered, hence deadlock-free with 2 VCs per dimension
-    in general; our default experiments use the mesh where 1 VC suffices).
-    """
+    """Dimension-order routing: resolve X first, then Y."""
 
     def output_port(self, node: int, dest: int) -> int:
         net = self.network
@@ -131,19 +109,9 @@ class XYRouting(RoutingFunction):
         return self._y_port(y, dy_)
 
     def _x_port(self, x: int, dx_: int) -> int:
-        net = self.network
-        if net.topology == "torus":
-            right = (dx_ - x) % net.width
-            left = (x - dx_) % net.width
-            return PORT_EAST if right <= left else PORT_WEST
         return PORT_EAST if dx_ > x else PORT_WEST
 
     def _y_port(self, y: int, dy_: int) -> int:
-        net = self.network
-        if net.topology == "torus":
-            down = (dy_ - y) % net.height
-            up = (y - dy_) % net.height
-            return PORT_SOUTH if down <= up else PORT_NORTH
         return PORT_SOUTH if dy_ > y else PORT_NORTH
 
 
@@ -166,27 +134,8 @@ class YXRouting(XYRouting):
         return self._x_port(x, dx_)
 
 
-class LookaheadXYRouting(XYRouting):
-    """One-hop lookahead XY routing.
-
-    RoCo (Section III) achieves RC-stage fault tolerance via lookahead
-    routing: the *upstream* router computes the output port the flit will
-    need at the *next* router, so a faulty local RC unit can be skipped.
-    ``output_port`` keeps the XY semantics; :meth:`next_hop_port` exposes
-    the lookahead computation used by the RoCo model.
-    """
-
-    def next_hop_port(self, node: int, dest: int) -> int:
-        """Output port the packet will request at the next router."""
-        first = self.output_port(node, dest)
-        if first == PORT_LOCAL:
-            return PORT_LOCAL
-        nxt = _neighbour(self.network, node, first)
-        return self.output_port(nxt, dest)
-
-
 class WestFirstRouting(RoutingFunction):
-    """West-first turn-model adaptive routing (mesh only).
+    """West-first turn-model adaptive routing.
 
     Extension beyond the paper (which uses XY): if the destination lies
     to the west, the packet must travel fully west first (no turns into
@@ -198,11 +147,6 @@ class WestFirstRouting(RoutingFunction):
     """
 
     adaptive = True
-
-    def __init__(self, network: NetworkConfig) -> None:
-        super().__init__(network)
-        if network.topology != "mesh":
-            raise ValueError("west-first turn model requires a mesh")
 
     def candidate_ports(self, node: int, dest: int) -> list[int]:
         net = self.network
@@ -232,8 +176,6 @@ def make_routing(network: NetworkConfig, kind: str = "xy") -> RoutingFunction:
         return XYRouting(network)
     if kind == "yx":
         return YXRouting(network)
-    if kind == "lookahead_xy":
-        return LookaheadXYRouting(network)
     if kind == "west_first":
         return WestFirstRouting(network)
     raise ValueError(f"unknown routing kind {kind!r}")

@@ -42,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vnets", type=int, default=1, help="virtual networks")
     p.add_argument("--buffer-depth", type=int, default=4, help="flits per VC")
     p.add_argument(
-        "--topology", choices=["mesh", "torus"], default="mesh"
-    )
-    p.add_argument(
         "--router",
         choices=["protected", "baseline"],
         default="protected",
@@ -97,7 +94,6 @@ def run(args: argparse.Namespace):
     net = NetworkConfig(
         width=args.width,
         height=args.height,
-        topology=args.topology,
         router=RouterConfig(
             num_vcs=args.vcs,
             num_vnets=args.vnets,
@@ -151,7 +147,7 @@ def report(net, sim_cfg, result, elapsed) -> str:
     stats = result.stats
     rs = result.router_stats
     lines = [
-        f"fabric                : {net.width}x{net.height} {net.topology}, "
+        f"fabric                : {net.width}x{net.height} mesh, "
         f"{net.router.num_vcs} VCs, {net.router.num_vnets} vnet(s)",
         f"cycles simulated      : {result.cycles} "
         f"({result.cycles / max(elapsed, 1e-9):,.0f} cycles/s)",

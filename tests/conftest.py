@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import NetworkConfig, RouterConfig, SimulationConfig
+from repro.config import PORT_LOCAL, NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import ProtectedRouter, protected_router_factory
 from repro.faults import FaultTimeline, RandomFaultSchedule, TimelineEvent
 from repro.network.simulator import NoCSimulator, baseline_router_factory
+from repro.network.topology import Topology
 from repro.router.flit import Packet, reset_packet_ids
 from repro.router.router import BaselineRouter
 from repro.router.routing import XYRouting
@@ -41,6 +42,18 @@ def make_network_config(width=4, height=4, **router_kwargs) -> NetworkConfig:
     return NetworkConfig(
         width=width, height=height, router=RouterConfig(**router_kwargs)
     )
+
+
+def hop_count(routing, src: int, dest: int) -> int:
+    """Router-to-router hops of ``routing``'s first-choice route, walked
+    over the mesh's links."""
+    topology = Topology(routing.network)
+    node, hops = src, 0
+    while (port := routing.output_port(node, dest)) != PORT_LOCAL:
+        node, _ = topology.neighbour(node, port)
+        hops += 1
+        assert hops <= routing.network.num_nodes, "the route does not converge"
+    return hops
 
 
 def make_sim(

@@ -73,7 +73,7 @@ class TestNetworkConfig:
         net = NetworkConfig()
         assert (net.width, net.height) == (8, 8)
         assert net.num_nodes == 64
-        assert net.topology == "mesh"
+        assert "topology" not in {f.name for f in dataclasses.fields(net)}
 
     def test_node_coords_roundtrip(self):
         net = NetworkConfig(width=5, height=3)
@@ -87,9 +87,17 @@ class TestNetworkConfig:
         assert net.node_id(3, 0) == 3
         assert net.node_id(0, 1) == 4
 
-    def test_rejects_bad_topology(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(topology="hypercube")
+    def test_rejects_a_router_without_the_ports_the_mesh_links(self):
+        """The mesh wires every port a neighbour sits behind: a 4-port
+        router has no west port, so only a 1-wide column can use it."""
+        for width, height in ((4, 4), (4, 1)):
+            with pytest.raises(ValueError, match="west port"):
+                NetworkConfig(width=width, height=height, router=RouterConfig(num_ports=4))
+        with pytest.raises(ValueError, match="south port"):
+            NetworkConfig(width=1, height=4, router=RouterConfig(num_ports=3))
+        column = NetworkConfig(width=1, height=4, router=RouterConfig(num_ports=4))
+        assert column.num_nodes == 4
+        assert NetworkConfig(width=1, height=1, router=RouterConfig(num_ports=2)).num_nodes == 1
 
     def test_rejects_out_of_range_coords(self):
         net = NetworkConfig(width=2, height=2)

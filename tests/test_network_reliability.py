@@ -7,12 +7,10 @@ from repro.config import NetworkConfig
 from repro.reliability.network_level import (
     _fabric_trial_chunk,
     _fabric_trial_chunk_reference,
-    _links_symmetric,
     analyze_network_reliability,
     protection_gain,
     sample_router_lifetimes,
 )
-from repro.network.topology import Topology
 
 
 class TestLifetimeSampling:
@@ -96,16 +94,7 @@ class TestVectorizedTrialKernel:
     def test_mesh_protected(self):
         self._assert_chunks_equal(NetworkConfig(width=4, height=4), "protected")
 
-    def test_torus(self):
-        net = NetworkConfig(width=4, height=4, topology="torus")
-        self._assert_chunks_equal(net, "protected")
-
     def test_rectangular_mesh(self):
         self._assert_chunks_equal(
             NetworkConfig(width=5, height=3), "baseline", trials=20
         )
-
-    def test_mesh_links_are_symmetric(self):
-        for kind in ("mesh", "torus"):
-            topo = Topology(NetworkConfig(width=4, height=3, topology=kind))
-            assert _links_symmetric(topo)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.faults.injector import RandomFaultSchedule
 from repro.faults.sites import FaultSite, FaultUnit
 from repro.network.simulator import NoCSimulator
@@ -211,14 +210,6 @@ class TestWatchdogAndEdges:
         res = sim.run()
         assert res.drained
         assert res.stats.packets_created == 0
-
-    def test_torus_topology_runs(self):
-        net = NetworkConfig(width=4, height=4, topology="torus",
-                            router=RouterConfig())
-        sim = make_sim(net, injection_rate=0.05, measure=800)
-        res = sim.run()
-        assert res.drained
-        assert res.stats.packets_ejected == res.stats.packets_created
 
     def test_rectangular_mesh_runs(self):
         net = make_network_config(6, 2)

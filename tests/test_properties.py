@@ -7,9 +7,15 @@ scenarios through end-to-end simulations, checking the global invariants:
   ejected — and after a drain, fully ejected),
 * no misrouting (every delivered packet crossed exactly the routers of
   its route in ``route_table()``),
-* credit sanity (counters never exceed buffer depth — asserted inside
-  the router), wire/physical VC indirection stays a permutation,
-* protected routers never deadlock under *tolerable* fault sets,
+* credit conservation (an output VC's credits, the flits buffered in or
+  flying toward its downstream VC, the credits flying back and the XB
+  grants queued for it always sum to the buffer depth; a NIC's likewise),
+  wire/physical VC indirection stays a permutation,
+* per-VC in-order delivery (a packet's flits eject head first, in index
+  order, tail last, on one VC; a lane's per-flow streams equal the
+  object engine's),
+* protected routers never deadlock under *tolerable* fault sets, under
+  every routing function,
 * a fault set outside the tolerated set blocks its flow and the run
   reports it, at the watchdog,
 * fault-free protected == baseline latency (mechanism inertness).
@@ -17,9 +23,14 @@ scenarios through end-to-end simulations, checking the global invariants:
 Every end-of-run property runs on both :data:`ENGINES`, each example
 twice: through ``NoCSimulator._run_stepped()``, and as a width-1 lane
 through ``run_lanes(router_factory=...)``.  The mid-run invariants are
-the object engine's own.
+``NoCSimulator.check_invariants()`` on the object engine and, for
+credits, :func:`assert_lane_credits` after every lane step.
 """
 
+import itertools
+from collections import defaultdict
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,12 +47,17 @@ from repro.core.ft_crossbar import secondary_source
 from repro.core.protected_router import protected_router_factory
 from repro.faults import FaultSite, FaultTimeline, FaultUnit, TimelineEvent
 from repro.faults.injector import RandomFaultSchedule
-from repro.network.batched import LaneSpec, run_lanes
+from repro.network.batched import BatchedLaneEngine, LaneSpec, run_lanes
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.network.topology import Topology
 from repro.router.routing import make_routing
 from repro.router.flit import Packet
-from repro.traffic.generator import SyntheticTraffic, TraceTraffic
+from repro.traffic.generator import (
+    SINGLE_FLIT_MIX,
+    PacketClass,
+    SyntheticTraffic,
+    TraceTraffic,
+)
 
 SETTINGS = dict(
     max_examples=12,
@@ -59,7 +75,6 @@ def network_configs(draw):
     return NetworkConfig(
         width=width,
         height=height,
-        topology=draw(st.sampled_from(["mesh", "torus"])),
         router=RouterConfig(
             num_vcs=num_vnets * vcs_per_vnet * draw(st.integers(1, 2)),
             num_vnets=num_vnets,
@@ -79,17 +94,62 @@ def _sim_config(seed, measure=800, warmup=100, drain=6000):
 
 
 def build_sim(net, seed, rate, protected=False, fault_schedule=None,
-              measure=800):
+              measure=800, mix=SINGLE_FLIT_MIX, **kwargs):
     factory = (
         protected_router_factory(net) if protected else baseline_router_factory(net)
     )
     return NoCSimulator(
         net,
         _sim_config(seed, measure),
-        SyntheticTraffic(net, injection_rate=rate, rng=seed),
+        SyntheticTraffic(net, injection_rate=rate, mix=mix, rng=seed),
         router_factory=factory,
         fault_schedule=fault_schedule,
+        **kwargs,
     )
+
+
+def multi_flit_mix(net):
+    """Single-flit and 4-flit packets on every vnet of ``net``."""
+    return tuple(
+        PacketClass(size_flits=size, vnet=vnet, weight=1.0)
+        for vnet in range(net.router.num_vnets)
+        for size in (1, 4)
+    )
+
+
+def random_faults(net, seed, nfaults, mean_interval=20):
+    """A tolerable random fault schedule (``None`` for no faults)."""
+    if nfaults == 0:
+        return None
+    return RandomFaultSchedule(
+        net.router, net.num_nodes, mean_interval=mean_interval,
+        num_faults=nfaults, rng=seed, first_fault_at=0, avoid_failure=True,
+    )
+
+
+def assert_lane_credits(engine):
+    """Credit conservation over every installed lane of ``engine``: each
+    ``credits`` counter plus what it owes — flits buffered in its VC (by
+    wire id) or on the link toward it, credits flying back, XB grants
+    queued for it — is the buffer depth."""
+    e = engine
+    held = np.zeros(e.credits.size, dtype=np.int64)
+    slot = e.b_cnt_.nonzero()[0]
+    wire = e.vc0_of[e.port_of[slot]] + e.pwire_[slot]
+    np.add.at(held, e.credit_to[wire], e.b_cnt_[slot])
+    for ev in e._ring_flit:
+        if ev is not None:
+            np.add.at(held, e.credit_to[ev[0]], 1)
+    for ring in (e._ring_eject, e._ring_credit, e._ring_out_credit):
+        for ev in ring:
+            if ev is not None:
+                np.add.at(held, ev[0], 1)
+    if e._xq[0] is not None:
+        np.add.at(held, e._xq[0][3], 1)  # the grants' output VC ids
+    total = e.credits + held
+    act = e._act
+    assert (total[: e.cred_.size].reshape(e.L, -1)[act] == e.D).all()
+    assert (total[e.cred_.size :].reshape(e.L, -1)[act] == e.D).all()
 
 
 def stepped(sim):
@@ -103,6 +163,7 @@ def laned(sim):
     (res,) = run_lanes(
         sim.config, sim.sim_config, [LaneSpec(sim.traffic, sim.fault_schedule)],
         router_factory=lambda node, routing: sim.routers[node],
+        routing_kind=sim.routing_kind,
         keep_samples=sim.stats.keep_samples,
     )
     return res, None
@@ -149,6 +210,65 @@ class TestConservationProperties:
             if cycle % 50 == 17:
                 sim.check_invariants()
 
+    def test_a_lost_credit_is_caught(self):
+        """The credit sum is a real check: one credit short on a busy
+        fabric's output VC, or on a NIC, fails it."""
+        net = NetworkConfig(width=3, height=3)
+        for counters in (lambda sim: sim.routers[4].out_ports[PORT_EAST].credits,
+                         lambda sim: sim.nics[4].credits):
+            sim = build_sim(net, 3, 0.3)
+            for cycle in range(40):
+                sim._step(cycle, inject_traffic=True)
+            sim.check_invariants()
+            counters(sim)[0] -= 1
+            with pytest.raises(AssertionError, match=r"buffer depth 4: \{\(4, (2|None), 0\): 3\}"):
+                sim.check_invariants()
+
+    def test_a_lost_lane_credit_is_caught(self):
+        """:func:`assert_lane_credits` fails on a lane one credit short."""
+        net = NetworkConfig(width=3, height=3)
+        sim = build_sim(net, 3, 0.3)
+        engine = BatchedLaneEngine(net, sim.sim_config, [LaneSpec(sim.traffic)])
+        step = engine._step
+
+        class Paused(Exception):
+            pass
+
+        def until_40(cycle, local):
+            step(cycle, local)
+            if cycle == 40:
+                raise Paused
+
+        engine._step = until_40
+        with pytest.raises(Paused):
+            engine.run()
+        assert_lane_credits(engine)
+        for counters in (engine.cred[0, 4, PORT_EAST], engine.nic_cred[0, 4]):
+            counters[0] -= 1
+            with pytest.raises(AssertionError):
+                assert_lane_credits(engine)
+            counters[0] += 1
+
+    @given(network_configs(), st.integers(0, 1000), st.integers(0, 10))
+    @settings(**SETTINGS)
+    def test_mid_run_credits_on_lanes(self, net, seed, nfaults):
+        """Credit conservation after every step of a (faulted) lane."""
+        sim = build_sim(net, seed, 0.08, protected=True, mix=multi_flit_mix(net))
+        engine = BatchedLaneEngine(
+            net, sim.sim_config,
+            [LaneSpec(sim.traffic, random_faults(net, seed, nfaults))],
+            router_kind="protected",
+        )
+        step = engine._step
+
+        def checked(cycle, local):
+            step(cycle, local)
+            assert_lane_credits(engine)
+
+        engine._step = checked
+        (res,) = engine.run()
+        assert res.drained and not res.blocked
+
     @given(network_configs(), st.integers(0, 500), st.floats(0.01, 0.1))
     @settings(**SETTINGS)
     def test_protected_equals_baseline_fault_free(self, net, seed, rate):
@@ -171,23 +291,19 @@ class TestFaultToleranceProperties:
     )
     @settings(**SETTINGS)
     def test_tolerable_faults_never_wedge_protected_network(self, seed, nfaults):
+        """Under every routing function, on both engines: the simulation
+        side of ``tests/test_deadlock_freedom.py``."""
         net = NetworkConfig(width=3, height=3, router=RouterConfig())
-        for engine in ENGINES:
-            inj = RandomFaultSchedule(
-                net.router,
-                net.num_nodes,
-                mean_interval=20,
-                num_faults=nfaults,
-                rng=seed,
-                first_fault_at=0,
-                avoid_failure=True,
-            )
-            res, sim = engine(
-                build_sim(net, seed, 0.06, protected=True, fault_schedule=inj)
-            )
-            assert not res.blocked, engine.__name__
-            assert res.stats.packets_ejected == res.stats.packets_created, engine.__name__
-            assert res.faults_injected == nfaults, engine.__name__
+        for routing, engine in itertools.product(("xy", "yx", "west_first"), ENGINES):
+            res, sim = engine(build_sim(
+                net, seed, 0.06, protected=True,
+                fault_schedule=random_faults(net, seed, nfaults),
+                routing_kind=routing,
+            ))
+            where = (routing, engine.__name__)
+            assert not res.blocked, where
+            assert res.stats.packets_ejected == res.stats.packets_created, where
+            assert res.faults_injected == nfaults, where
             if sim is not None:
                 for router in sim.routers:
                     assert not router.failed
@@ -231,6 +347,58 @@ class TestFaultToleranceProperties:
         faulty = build_sim(net, seed, rate, protected=True,
                            fault_schedule=inj).run()
         assert faulty.avg_network_latency >= base.avg_network_latency - 0.5
+
+
+class TestInOrderDelivery:
+    @given(network_configs(), st.integers(0, 1000), st.integers(0, 10))
+    @settings(**SETTINGS)
+    def test_flits_eject_in_order_on_one_vc(self, net, seed, nfaults):
+        """Object engine: each packet's flits reach its NIC head first, in
+        index order, tail last, all on one VC, faults or not.  The
+        ``on_eject`` hook carries no VC, so the NIC's ``eject`` is wrapped."""
+        sim = build_sim(
+            net, seed, 0.08, protected=True, mix=multi_flit_mix(net),
+            fault_schedule=random_faults(net, seed, nfaults),
+        )
+        seen = {}  # packet id -> (its VC, the flit index due next, its length)
+
+        def watch(eject):
+            def checked(flit, vc, cycle, sched):
+                due = seen.get(flit.packet_id, (vc, 0, flit.packet_len))
+                assert due == (vc, flit.flit_index, flit.packet_len), (flit, vc)
+                assert flit.is_head == (flit.flit_index == 0)
+                assert flit.is_tail == (flit.flit_index == flit.packet_len - 1)
+                seen[flit.packet_id] = (vc, flit.flit_index + 1, flit.packet_len)
+                eject(flit, vc, cycle, sched)
+            return checked
+
+        for nic in sim.nics:
+            nic.eject = watch(nic.eject)
+        res = sim._run_stepped()
+        assert res.drained and not res.blocked
+        assert len(seen) == res.stats.packets_created
+        assert all(due == length for _, due, length in seen.values())
+
+    @given(network_configs(), st.integers(0, 1000), st.integers(0, 10))
+    @settings(**SETTINGS)
+    def test_lane_flows_eject_as_the_object_engine_does(self, net, seed, nfaults):
+        """A lane keeps no per-flit record: its ``keep_samples`` stream of
+        each (src, dest, vnet) flow, in ejection order (not sorted), must
+        be the object engine's."""
+        streams = []
+        for engine in ENGINES:
+            res, _ = engine(build_sim(
+                net, seed, 0.08, protected=True, mix=multi_flit_mix(net),
+                fault_schedule=random_faults(net, seed, nfaults), keep_samples=True,
+            ))
+            flows = defaultdict(list)
+            for s in res.stats.samples:
+                flows[s.src, s.dest, s.vnet].append((
+                    s.size_flits, s.creation_cycle, s.injection_cycle,
+                    s.ejection_cycle, s.hops,
+                ))
+            streams.append(dict(flows))
+        assert streams[0] and streams[0] == streams[1]
 
 
 class TestReportedFailure:

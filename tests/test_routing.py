@@ -1,4 +1,4 @@
-"""Tests for XY/YX/lookahead routing functions."""
+"""Tests for the XY/YX routing functions and the routing factory."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +13,14 @@ from repro.config import (
     PORT_WEST,
 )
 from repro.router.routing import (
-    LookaheadXYRouting,
+    WestFirstRouting,
     XYRouting,
     YXRouting,
     _neighbour,
     make_routing,
 )
+
+from conftest import hop_count
 
 
 @pytest.fixture
@@ -50,7 +52,7 @@ class TestXY:
         r = XYRouting(net)
         src = net.node_id(1, 2)
         dst = net.node_id(6, 7)
-        assert r.hop_count(src, dst) == 5 + 5
+        assert hop_count(r, src, dst) == 5 + 5
 
     @given(st.integers(0, 63), st.integers(0, 63))
     @settings(max_examples=100, deadline=None)
@@ -94,54 +96,19 @@ class TestYX:
         net = NetworkConfig(width=8, height=8)
         if src == dst:
             return
-        assert XYRouting(net).hop_count(src, dst) == YXRouting(net).hop_count(
-            src, dst
-        )
-
-
-class TestTorus:
-    def test_wraparound_shorter(self):
-        net = NetworkConfig(width=8, height=8, topology="torus")
-        r = XYRouting(net)
-        # (0,0) -> (7,0): wrap west is 1 hop, east is 7
-        assert r.output_port(0, 7) == PORT_WEST
-        assert r.hop_count(0, 7) == 1
-
-    def test_torus_hop_count_at_most_mesh(self):
-        mesh = NetworkConfig(width=6, height=6)
-        torus = NetworkConfig(width=6, height=6, topology="torus")
-        rm, rt = XYRouting(mesh), XYRouting(torus)
-        for src in range(0, 36, 5):
-            for dst in range(0, 36, 7):
-                if src == dst:
-                    continue
-                assert rt.hop_count(src, dst) <= rm.hop_count(src, dst)
-
-
-class TestLookahead:
-    def test_next_hop_port(self, net):
-        r = LookaheadXYRouting(net)
-        # from (0,0) to (2,0): current port EAST, at (1,0) port is EAST again
-        assert r.next_hop_port(0, 2) == PORT_EAST
-        # from (1,0) to (2,2): at (2,0) X is resolved -> SOUTH
-        assert r.next_hop_port(1, net.node_id(2, 2)) == PORT_SOUTH
-
-    def test_next_hop_local(self, net):
-        r = LookaheadXYRouting(net)
-        assert r.next_hop_port(5, 5) == PORT_LOCAL
-        # one hop away: next router is the destination
-        assert r.next_hop_port(0, 1) == PORT_LOCAL
+        assert hop_count(XYRouting(net), src, dst) == hop_count(YXRouting(net), src, dst)
 
 
 class TestFactory:
     def test_kinds(self, net):
         assert isinstance(make_routing(net, "xy"), XYRouting)
         assert isinstance(make_routing(net, "yx"), YXRouting)
-        assert isinstance(make_routing(net, "lookahead_xy"), LookaheadXYRouting)
+        assert isinstance(make_routing(net, "west_first"), WestFirstRouting)
 
     def test_unknown(self, net):
-        with pytest.raises(ValueError):
-            make_routing(net, "adaptive")
+        for kind in ("adaptive", "lookahead_xy"):
+            with pytest.raises(ValueError):
+                make_routing(net, kind)
 
 
 class TestNeighbour:

@@ -75,6 +75,14 @@ class TestSPFSweep:
         assert sweep[2].spf == pytest.approx(7.0, abs=0.3)
         assert sweep[4].spf == pytest.approx(11.45, abs=0.1)
 
+    def test_port_count_reaches_the_analysis(self):
+        """``num_ports`` is the router each VC count is analysed on: a
+        4-port router has a fifth fewer RC, VA and SA sites to tolerate."""
+        for ports, tolerated in ((4, 22), (5, 27)):
+            (result,) = spf_vs_vc_count({4: 0.31}, num_ports=ports).values()
+            assert result == analyze_spf(0.31, RouterConfig(num_ports=ports))
+            assert result.max_tolerated == tolerated
+
 
 class TestMonteCarloSPF:
     def test_bounds_respected(self):

@@ -10,10 +10,21 @@ from repro.core.protected_router import ProtectedRouter
 from repro.faults.sites import FaultSite, FaultUnit, enumerate_sites
 from repro.reliability.spf import monte_carlo_faults_to_failure
 from repro.reliability.spf_simulation import (
+    _PROBE_NODE,
+    _trial_counts_reference,
     functional_failure,
     simulated_faults_to_failure,
 )
 from repro.router.routing import XYRouting
+
+
+def reference_counts(trials, seed, config=RouterConfig()):
+    """The scalar oracle's counts over the campaign's site pool and stream."""
+    net = NetworkConfig(width=3, height=3, router=config)
+    sites = list(enumerate_sites(config, router=_PROBE_NODE, include_va2=False))
+    return _trial_counts_reference(
+        config, net, sites, trials, np.random.default_rng(seed), max_cycles=60
+    )
 
 
 def make_router():
@@ -117,13 +128,9 @@ class TestSimulatedCampaign:
         """The bisection + warm-router campaign returns the exact sample
         vector of the inject-one-probe-every-step oracle (same rng
         stream, monotone failure in the fault prefix)."""
-        import numpy as np
-
         for seed in (2, 3, 9, 11):
             fast = simulated_faults_to_failure(trials=6, rng=seed)
-            ref = simulated_faults_to_failure(
-                trials=6, rng=seed, reference=True
-            )
-            assert np.array_equal(fast.samples, ref.samples)
-            assert fast.mean == ref.mean
-            assert fast.std == ref.std
+            ref = reference_counts(6, seed)
+            assert np.array_equal(fast.samples, ref)
+            assert fast.mean == ref.mean()
+            assert fast.std == ref.std()

@@ -1,4 +1,4 @@
-"""Tests for mesh/torus wiring tables."""
+"""Tests for mesh wiring tables."""
 
 import os
 import subprocess
@@ -40,18 +40,24 @@ class TestMesh:
             back = topo.links[(dst, OPPOSITE_PORT[port])]
             assert back == (node, OPPOSITE_PORT[dst_port])
 
-    def test_upstream_inverse_of_neighbour(self):
-        topo = Topology(NetworkConfig(width=4, height=4))
+    def test_out_link_is_the_link_dict(self):
+        """The dense table holds the links and nothing else; a mesh link's
+        reverse twin makes ``out_link`` the credit path's wiring too."""
+        topo = Topology(NetworkConfig(width=4, height=3))
+        dense = {
+            (node, port): link
+            for node, row in enumerate(topo.out_link)
+            for port, link in enumerate(row)
+            if link is not None
+        }
+        assert dense == topo.links
         for (node, port), (dst, dst_port) in topo.links.items():
-            up = topo.upstream(dst, dst_port)
-            assert up == (node, port)
+            assert topo.out_link[dst][dst_port] == (node, port)
 
     def test_local_port_queries_raise(self):
         topo = Topology(NetworkConfig(width=4, height=4))
         with pytest.raises(ValueError):
             topo.neighbour(0, PORT_LOCAL)
-        with pytest.raises(ValueError):
-            topo.upstream(0, PORT_LOCAL)
 
     def test_neighbour_geometry(self):
         net = NetworkConfig(width=4, height=4)
@@ -67,21 +73,6 @@ class TestMesh:
         )
 
 
-class TestTorus:
-    def test_every_port_wired(self):
-        topo = Topology(NetworkConfig(width=4, height=4, topology="torus"))
-        # 4 directions * 16 nodes
-        assert topo.num_links == 64
-
-    def test_wraparound_links(self):
-        net = NetworkConfig(width=4, height=4, topology="torus")
-        topo = Topology(net)
-        # west from (0,0) wraps to (3,0)
-        assert topo.neighbour(0, PORT_WEST) == (net.node_id(3, 0), PORT_EAST)
-        # north from (0,0) wraps to (0,3)
-        assert topo.neighbour(0, PORT_NORTH) == (net.node_id(0, 3), PORT_SOUTH)
-
-
 class TestGraphView:
     def test_mesh_is_strongly_connected(self):
         topo = Topology(NetworkConfig(width=4, height=4))
@@ -92,10 +83,6 @@ class TestGraphView:
         topo = Topology(NetworkConfig(width=4, height=1))
         assert topo.is_connected()
         assert not topo.is_connected(frozenset({1}))
-
-    def test_torus_survives_single_router_loss(self):
-        topo = Topology(NetworkConfig(width=4, height=4, topology="torus"))
-        assert topo.is_connected(frozenset({5}))
 
     def test_graph_edge_count_matches(self):
         topo = Topology(NetworkConfig(width=3, height=3))
