@@ -17,7 +17,13 @@ entry, and adds what a cache needs on top:
   request it answers plus a SHA-256 digest of its result payload; a read
   recomputes both and treats any mismatch (bit rot, truncation, manual
   tampering, a hash-scheme change) as a **miss**: the poisoned entry is
-  deleted and the experiment recomputed, never served;
+  deleted and the experiment recomputed, never served.  Validation is a
+  pure function of the bytes read, so its verdict is memoised on them:
+  every read still reads the file, and bytes equal to the ones last
+  validated under that fingerprint return that validated entry, while
+  any other bytes (a rewrite, a tamper, a delete) are validated in full.
+  The memo is per cache object and holds at most ``_MEMO_ENTRIES``
+  entries and ``_MEMO_BYTES`` bytes of entry files;
 * **exact determinism as the correctness argument** — same fingerprint
   ⇒ bit-identical result (PRs 1–6), so serving a validated entry is
   indistinguishable from recomputing it;
@@ -33,21 +39,86 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Hashable, Iterator, Optional, Tuple
 
 from ..experiments.resilient import atomic_write_json
 from .fingerprint import canonical_json
 
-__all__ = ["CacheEntry", "PoisonedEntryError", "ResultCache", "payload_digest"]
+__all__ = [
+    "BadFingerprintError",
+    "BoundedMemo",
+    "CacheEntry",
+    "PoisonedEntryError",
+    "ResultCache",
+    "payload_digest",
+]
 
 _ENTRY_VERSION = 1
+_FINGERPRINT = re.compile(r"[0-9a-f]{64}")
+
+#: bound of each cache's validated-entry memo: entries, and bytes of the
+#: entry files it holds
+_MEMO_ENTRIES = 128
+_MEMO_BYTES = 4 << 20
 
 
 class PoisonedEntryError(RuntimeError):
     """A stored entry failed validation (corrupt, truncated, or forged)."""
+
+
+class BadFingerprintError(ValueError):
+    """A name that is not a fingerprint (64 lowercase hex chars) and so
+    names no entry: refused before it reaches a path."""
+
+
+class BoundedMemo:
+    """A least-recently-used map bounded by a count and by a byte total.
+
+    :meth:`put` names the bytes each value holds; a value over the whole
+    byte budget is not kept.  Only exact keys hit: what a memo maps is a
+    pure function of its key, so a hit is the value a fresh derivation
+    would produce.
+    """
+
+    def __init__(self, max_items: int, max_bytes: int) -> None:
+        self.max_items = max_items
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._items: OrderedDict[Hashable, Tuple[Any, int]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._items
+
+    def get(self, key: Hashable) -> Any:
+        """The value stored under ``key`` (now the most recent), or ``None``."""
+        item = self._items.get(key)
+        if item is None:
+            return None
+        self._items.move_to_end(key)
+        return item[0]
+
+    def put(self, key: Hashable, value: Any, nbytes: int) -> None:
+        self.pop(key)
+        if nbytes > self.max_bytes:
+            return
+        self._items[key] = (value, nbytes)
+        self.nbytes += nbytes
+        while len(self._items) > self.max_items or self.nbytes > self.max_bytes:
+            _, (_, dropped) = self._items.popitem(last=False)
+            self.nbytes -= dropped
+
+    def pop(self, key: Hashable) -> None:
+        item = self._items.pop(key, None)
+        if item is not None:
+            self.nbytes -= item[1]
 
 
 def payload_digest(result: Any) -> str:
@@ -125,9 +196,16 @@ class ResultCache:
         self.max_entries = max_entries
         self.poisoned = 0
         self.evicted = 0
+        #: fingerprint -> (entry file bytes, the entry they validated to)
+        self._validated = BoundedMemo(_MEMO_ENTRIES, _MEMO_BYTES)
 
     # ------------------------------------------------------------------
     def path_for(self, fingerprint: str) -> Path:
+        """Where ``fingerprint``'s entry lives; :class:`BadFingerprintError`
+        for anything but 64 lowercase hex chars, so no name a client sends
+        can reach a path outside ``entries/``."""
+        if not _FINGERPRINT.fullmatch(fingerprint):
+            raise BadFingerprintError(f"not a fingerprint: {fingerprint!r:.80}")
         return self.entries_dir / fingerprint[:2] / f"{fingerprint}.json"
 
     def __contains__(self, fingerprint: str) -> bool:
@@ -145,6 +223,7 @@ class ResultCache:
         evicted, even when it alone exceeds ``max_bytes``.
         """
         path = self.path_for(entry.fingerprint)
+        self._validated.pop(entry.fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_json(path, entry.to_json(), sort_keys=True, indent=1)
         if self.max_bytes is not None or self.max_entries is not None:
@@ -161,21 +240,33 @@ class ResultCache:
         bytes the computation wrote — serving them would break the
         "cache hit == recomputation" contract, so the entry is deleted
         and the caller recomputes.
+
+        The file is read on every call.  Bytes equal to the ones last
+        validated under ``fingerprint`` return that validation's entry (the
+        verdict is a function of the fingerprint and the bytes alone); any
+        other bytes are validated in full.
         """
         path = self.path_for(fingerprint)
         try:
             raw = path.read_bytes()
         except OSError:  # FileNotFoundError included: a plain miss
+            self._validated.pop(fingerprint)
             return None
-        try:
-            entry = self._validate(fingerprint, raw)
-        except PoisonedEntryError:
-            self.poisoned += 1
+        memo = self._validated.get(fingerprint)
+        if memo is not None and memo[0] == raw:
+            entry = memo[1]
+        else:
             try:
-                path.unlink()
-            except OSError:  # pragma: no cover — already evicted
-                pass
-            return None
+                entry = self._validate(fingerprint, raw)
+            except PoisonedEntryError:
+                self._validated.pop(fingerprint)
+                self.poisoned += 1
+                try:
+                    path.unlink()
+                except OSError:  # pragma: no cover — already evicted
+                    pass
+                return None
+            self._validated.put(fingerprint, (raw, entry), len(raw))
         try:
             os.utime(path)  # refresh LRU recency (best-effort)
         except OSError:  # pragma: no cover — raced with eviction
@@ -261,9 +352,11 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def fingerprints(self) -> Iterator[str]:
-        """All stored fingerprints (unvalidated — validation is on read)."""
+        """All stored fingerprints (unvalidated — validation is on read);
+        a file whose name is not a fingerprint is not an entry."""
         for path in sorted(self.entries_dir.glob("??/*.json")):
-            yield path.stem
+            if _FINGERPRINT.fullmatch(path.stem):
+                yield path.stem
 
     def index(self) -> Dict[str, str]:
         """fingerprint -> experiment-name map of every *valid* entry."""

@@ -5,8 +5,10 @@ an in-flight table, and a metrics registry.  The request path for
 ``POST /v1/sweeps``:
 
 1. canonicalize the JSON body into the experiment's frozen config
-   dataclass and fingerprint it (:mod:`repro.service.fingerprint`);
-2. **hit** — a validated cache entry exists: serve it (no simulation);
+   dataclass and fingerprint it (:mod:`repro.service.fingerprint`),
+   memoised on the body's exact bytes;
+2. **hit** — a validated cache entry exists: serve it (no simulation),
+   its reply serialised once per validated entry;
 3. **join** — the same fingerprint is already being computed: subscribe
    to the existing computation instead of starting a second one (N
    concurrent identical requests run the sweep exactly once);
@@ -37,13 +39,19 @@ import dataclasses
 import json
 import time
 import traceback
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Set, Tuple
 
 from ..experiments.parallel import PartialSweepError
 from ..experiments.resilient import RetryPolicy, SweepRuntime
 from ..experiments.runner import EXPERIMENTS
 from ..observability.metrics import MetricsRegistry
-from .cache import ResultCache, make_entry
+from .cache import (
+    BadFingerprintError,
+    BoundedMemo,
+    CacheEntry,
+    ResultCache,
+    make_entry,
+)
 from .fingerprint import (
     CONFIG_TYPES,
     RequestError,
@@ -58,11 +66,69 @@ _MAX_BODY = 4 << 20  # a config JSON has no business being larger
 _IDLE_TIMEOUT_S = 30.0  # how long a connection may sit between requests
 _EOF = object()
 
+#: bounds of the per-service memos: parsed request bodies (count, body
+#: bytes) and serialised hit replies (count, reply bytes)
+_REQUEST_MEMO_ENTRIES = 256
+_REQUEST_MEMO_BYTES = 1 << 20
+_REPLY_MEMO_ENTRIES = 128
+_REPLY_MEMO_BYTES = 4 << 20
+
 
 def _refuse_constant(name: str) -> Any:
     """``json.loads`` hook for ``NaN`` / ``Infinity`` / ``-Infinity``: no
     config field takes a non-finite number, so the request is a 400."""
     raise RequestError(f"{name} is not a number a request may carry")
+
+
+def _json_body(payload: Dict[str, Any]) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+class _Request(NamedTuple):
+    """What a ``POST /v1/sweeps`` body asks for, resolved and fingerprinted."""
+
+    name: str
+    jobs: Optional[int]
+    stream: bool
+    config: Any
+    residual_seed: Optional[int]
+    fingerprint: str
+
+
+def _parse_request(body: bytes, default_jobs: Optional[int]) -> _Request:
+    """Resolve a request body, or raise :class:`RequestError` / ``ValueError``.
+
+    A pure function of its arguments: :meth:`SweepService._parse`
+    memoises it on them.
+    """
+    try:
+        req = json.loads(body.decode() or "{}", parse_constant=_refuse_constant)
+    except RecursionError:
+        raise RequestError("request body nests too deeply") from None
+    if not isinstance(req, dict):
+        raise RequestError("request body must be a JSON object")
+    name = req.get("experiment")
+    if not isinstance(name, str):
+        raise RequestError("missing 'experiment' (string)")
+    seed = req.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        # a negative seed fingerprints, then fails the computation
+        raise RequestError("'seed' must be a non-negative integer")
+    # checked before fingerprinting: ``jobs`` is not part of the key, so a
+    # bad value must not reach a computation others join
+    jobs = req.get("jobs", default_jobs)
+    if jobs is not None and (type(jobs) is not int or jobs < 0):
+        raise RequestError("'jobs' must be a non-negative integer or null")
+    stream = req.get("stream", False)
+    quick = req.get("quick", False)
+    for key, flag in (("stream", stream), ("quick", quick)):
+        if not isinstance(flag, bool):
+            raise RequestError(f"'{key}' must be true or false")
+    config, residual_seed = effective_config(
+        name, req.get("config"), quick=quick, seed=seed
+    )
+    fingerprint = request_fingerprint(name, config, seed=residual_seed)
+    return _Request(name, jobs, stream, config, residual_seed, fingerprint)
 
 
 class _HttpError(RuntimeError):
@@ -124,6 +190,10 @@ class SweepService:
         #: (its request allowed that, and no reply has ended it since)
         self._keep_alive: Dict[asyncio.StreamWriter, bool] = {}
         self._handlers: Set[asyncio.Task] = set()
+        #: (body bytes, default jobs) -> the :class:`_Request` they parse to
+        self._requests = BoundedMemo(_REQUEST_MEMO_ENTRIES, _REQUEST_MEMO_BYTES)
+        #: fingerprint -> (validated entry, its plain hit reply)
+        self._replies = BoundedMemo(_REPLY_MEMO_ENTRIES, _REPLY_MEMO_BYTES)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -256,7 +326,11 @@ class SweepService:
         status: int,
         payload: Dict[str, Any],
     ) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        await self._send(writer, status, _json_body(payload))
+
+    async def _send(
+        self, writer: asyncio.StreamWriter, status: int, body: bytes
+    ) -> None:
         connection = "keep-alive" if self._keep_alive.get(writer) else "close"
         writer.write(
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
@@ -353,48 +427,48 @@ class SweepService:
     async def _get_result(
         self, writer: asyncio.StreamWriter, fingerprint: str
     ) -> None:
-        entry = self.cache.get(fingerprint)
+        try:
+            entry = self.cache.get(fingerprint)
+        except BadFingerprintError:
+            entry = None
         if entry is None:
             await self._respond(
                 writer, 404, {"error": f"no result for {fingerprint!r}"}
             )
         else:
-            await self._respond(
-                writer, 200, {"cached": True, **entry.to_json()}
-            )
+            await self._send(writer, 200, self._hit_reply(entry))
+
+    def _hit_reply(self, entry: CacheEntry) -> bytes:
+        """The plain reply to a hit on ``entry``, serialised once per
+        validated entry object: the cache hands out a new object whenever
+        the bytes it validates change."""
+        memo = self._replies.get(entry.fingerprint)
+        if memo is not None and memo[0] is entry:
+            return memo[1]
+        body = _json_body({"cached": True, **entry.to_json()})
+        self._replies.put(entry.fingerprint, (entry, body), len(body))
+        return body
 
     # ------------------------------------------------------------------
     # the sweep endpoint
     # ------------------------------------------------------------------
+    def _parse(self, body: bytes) -> _Request:
+        """:func:`_parse_request` of ``body``, memoised on its exact bytes;
+        a body that raises is never stored."""
+        key = (body, self.jobs)
+        request = self._requests.get(key)
+        if request is None:
+            request = _parse_request(body, self.jobs)
+            self._requests.put(key, request, len(body))
+        return request
+
     async def _post_sweep(
         self, writer: asyncio.StreamWriter, body: bytes
     ) -> None:
         self.registry.inc("service.requests")
         try:
-            req = json.loads(body.decode() or "{}", parse_constant=_refuse_constant)
-            if not isinstance(req, dict):
-                raise RequestError("request body must be a JSON object")
-            name = req.get("experiment")
-            if not isinstance(name, str):
-                raise RequestError("missing 'experiment' (string)")
-            seed = req.get("seed")
-            if seed is not None and type(seed) is not int:
-                raise RequestError("'seed' must be an integer")
-            # checked before fingerprinting: ``jobs`` is not part of the
-            # key, so a bad value must not reach a computation others join
-            jobs = req.get("jobs", self.jobs)
-            if jobs is not None and (type(jobs) is not int or jobs < 0):
-                raise RequestError("'jobs' must be a non-negative integer or null")
-            stream = req.get("stream", False)
-            quick = req.get("quick", False)
-            for key, flag in (("stream", stream), ("quick", quick)):
-                if not isinstance(flag, bool):
-                    raise RequestError(f"'{key}' must be true or false")
-            config, residual_seed = effective_config(
-                name, req.get("config"), quick=quick, seed=seed
-            )
-            fingerprint = request_fingerprint(
-                name, config, seed=residual_seed
+            name, jobs, stream, config, residual_seed, fingerprint = (
+                self._parse(body)
             )
         except RequestError as exc:
             self.registry.inc("service.bad_requests")
@@ -411,7 +485,10 @@ class SweepService:
         entry = self.cache.get(fingerprint)
         if entry is not None:
             self.registry.inc("service.cache_hits")
-            await self._answer(writer, stream, entry.to_json(), cached=True)
+            if stream:
+                await self._stream_hit(writer, entry.to_json())
+            else:
+                await self._send(writer, 200, self._hit_reply(entry))
             return
         self.registry.inc("service.cache_misses")
         flight = self._inflight.get(fingerprint)
@@ -446,7 +523,7 @@ class SweepService:
         except _HttpError as exc:
             await self._respond(writer, exc.status, exc.payload)
             return
-        await self._answer(writer, False, entry_json, cached=False)
+        await self._respond(writer, 200, {"cached": False, **entry_json})
 
     async def _stream_answer(
         self,
@@ -485,30 +562,22 @@ class SweepService:
         finally:
             flight.subscribers.discard(queue)
 
-    async def _answer(
-        self,
-        writer: asyncio.StreamWriter,
-        stream: bool,
-        entry_json: Dict[str, Any],
-        *,
-        cached: bool,
+    async def _stream_hit(
+        self, writer: asyncio.StreamWriter, entry_json: Dict[str, Any]
     ) -> None:
-        if stream:
-            await self._start_stream(writer)
-            await self._send_event(
-                writer,
-                {
-                    "event": "accepted",
-                    "fingerprint": entry_json["fingerprint"],
-                    "cached": cached,
-                },
-            )
-            await self._send_event(
-                writer, {"event": "result", "cached": cached, **entry_json}
-            )
-            await self._end_stream(writer)
-        else:
-            await self._respond(writer, 200, {"cached": cached, **entry_json})
+        await self._start_stream(writer)
+        await self._send_event(
+            writer,
+            {
+                "event": "accepted",
+                "fingerprint": entry_json["fingerprint"],
+                "cached": True,
+            },
+        )
+        await self._send_event(
+            writer, {"event": "result", "cached": True, **entry_json}
+        )
+        await self._end_stream(writer)
 
     # ------------------------------------------------------------------
     # computation

@@ -48,7 +48,8 @@ from repro.service import (
 )
 from repro.service import cache as cache_module
 from repro.service import fingerprint as fingerprint_module
-from repro.service.cache import make_entry, payload_digest
+from repro.service import server as server_module
+from repro.service.cache import BadFingerprintError, make_entry, payload_digest
 from repro.service.fingerprint import CONFIG_TYPES, RequestError, canonical
 
 #: a deliberately tiny fault sweep: two points, sub-second each
@@ -399,8 +400,12 @@ class TestResultCache:
         got = cache.get(entry.fingerprint)
         assert got.to_json()["sha256"] == recorded == payload_digest(got.result)
         assert len(hashed) == 1
-        # ... and every read still hashes: one flipped byte of the result
-        # is a miss, counted and unlinked
+        # a second read of unchanged bytes hashes nothing: the verdict on
+        # those exact bytes is already known
+        assert cache.get(entry.fingerprint) is got
+        assert len(hashed) == 1
+        # ... and every read of bytes not yet validated hashes: one
+        # flipped byte of the result is a miss, counted and unlinked
         raw = path.read_bytes()
         at = raw.index(b'"label": "x"') + len(b'"label": "')
         path.write_bytes(raw[:at] + b"y" + raw[at + 1:])
@@ -488,6 +493,107 @@ class TestResultCache:
         with pytest.raises(ValueError):
             ResultCache(tmp_path, max_entries=0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["..name", "ab\x00cd", "AB" * 32, "ab" * 31 + "a", "ab" * 32 + "a", "../" + "a" * 61],
+        ids=["dotted", "nul", "upper-case", "63-chars", "65-chars", "parent-dir"],
+    )
+    def test_only_a_fingerprint_names_a_path(self, tmp_path, name):
+        """A name that is not 64 lowercase hex chars reaches no path: not
+        a read, a write, an existence check or an unlink."""
+        cache = ResultCache(tmp_path)
+        with pytest.raises(BadFingerprintError):
+            cache.get(name)
+        with pytest.raises(BadFingerprintError):
+            cache.put(self._entry(name))
+        with pytest.raises(BadFingerprintError):
+            name in cache  # noqa: B015
+        assert cache.poisoned == 0 and len(cache) == 0
+
+    def test_a_foreign_file_is_not_an_entry(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put(self._entry())
+        (cache.entries_dir / "ab" / "notes.json").write_text("{}")
+        assert list(cache.fingerprints()) == [self._entry().fingerprint]
+        assert cache.index() == {self._entry().fingerprint: "fault_sweep"}
+
+    # two caches on one directory stand in for two servers sharing it
+    def test_an_entry_the_other_cache_evicts_is_a_miss(self, tmp_path):
+        ours, theirs = ResultCache(tmp_path), ResultCache(tmp_path, max_entries=1)
+        ours.put(self._entry(self._fp(0)))
+        assert ours.get(self._fp(0)) is not None  # validated and memoised
+        self._pin_mtime(ours, self._fp(0), 0)
+        theirs.put(self._entry(self._fp(1)))
+        assert theirs.evicted == 1
+        assert ours.get(self._fp(0)) is None
+        assert ours.poisoned == 0  # a miss, not poison
+        assert self._fp(0) not in ours._validated
+
+    def test_an_entry_the_other_cache_rewrites_serves_its_new_bytes(self, tmp_path):
+        ours, theirs = ResultCache(tmp_path), ResultCache(tmp_path)
+        first = self._entry()
+        ours.put(first)
+        assert ours.get(first.fingerprint).compute == {"wall_s": 1.0}
+        rewritten = dataclasses.replace(
+            first, result={"experiment": "fault_sweep", "rows": [{"label": "z"}]},
+            compute={"wall_s": 2.0},
+        )
+        theirs.put(rewritten)
+        got = ours.get(first.fingerprint)
+        assert got.compute == {"wall_s": 2.0}
+        assert got.result == rewritten.result
+        assert got.to_json()["sha256"] == payload_digest(rewritten.result)
+        assert ours.poisoned == 0
+
+    def test_a_same_size_tamper_under_its_old_mtime_is_poison(self, tmp_path):
+        """The memo compares bytes, not size or mtime: a byte flipped in
+        place, with the file's times put back, is caught on the next hit."""
+        cache = ResultCache(tmp_path)
+        entry = self._entry()
+        path = cache.put(entry)
+        assert cache.get(entry.fingerprint) is not None
+        before = path.stat()
+        raw = path.read_bytes()
+        at = raw.index(b'"label": "x"') + len(b'"label": "')
+        path.write_bytes(raw[:at] + b"y" + raw[at + 1:])
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert cache.get(entry.fingerprint) is None
+        assert cache.poisoned == 1
+        assert not path.exists()
+
+    def test_a_put_drops_the_memo(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        entry = self._entry()
+        cache.put(entry)
+        got = cache.get(entry.fingerprint)
+        assert entry.fingerprint in cache._validated
+        cache.put(entry)
+        assert entry.fingerprint not in cache._validated
+        again = cache.get(entry.fingerprint)
+        assert again is not got and again == got
+
+    def test_the_memo_sits_at_its_bound(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for i in range(1000):
+            fp = f"{i:064x}"
+            cache.put(self._entry(fp))
+            assert cache.get(fp) is not None
+        assert len(cache._validated) == cache_module._MEMO_ENTRIES
+        assert 0 < cache._validated.nbytes <= cache_module._MEMO_BYTES
+        # the most recent entries are the ones kept
+        assert f"{999:064x}" in cache._validated
+        assert f"{0:064x}" not in cache._validated
+
+    def test_the_memo_keeps_no_file_over_its_byte_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "_MEMO_BYTES", 10)
+        cache = ResultCache(tmp_path)
+        entry = self._entry()
+        cache.put(entry)
+        assert cache.get(entry.fingerprint) is not None
+        assert len(cache._validated) == 0 and cache._validated.nbytes == 0
+
 
 # ----------------------------------------------------------------------
 # server end-to-end
@@ -499,6 +605,31 @@ async def _start_service_tmp(**kwargs):
     service = SweepService(tmp, **kwargs)
     port = await service.start()
     return service, ServiceClient("127.0.0.1", port)
+
+
+def _seed_hit(service, config=TINY, **request):
+    """File a stand-in entry for ``fault_sweep`` on ``config`` (nothing is
+    simulated); its fingerprint, and the raw body of a request it answers."""
+    cfg, residual = effective_config("fault_sweep", config)
+    fp = request_fingerprint("fault_sweep", cfg, seed=residual)
+    service.cache.put(make_entry(
+        fp, "fault_sweep", cfg,
+        {"experiment": "fault_sweep", "rows": [{"label": "x", "latency": 0.1}]},
+        {"wall_s": 0.5},
+    ))
+    return fp, json.dumps({"experiment": "fault_sweep", "config": config, **request}).encode()
+
+
+def _post(body):
+    """A one-shot ``POST /v1/sweeps`` of raw ``body``."""
+    return (
+        b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: %d\r\n"
+        b"Connection: close\r\n\r\n" % len(body)
+    ) + body
+
+
+def _get_result(fp):
+    return b"GET /v1/results/%s HTTP/1.1\r\nConnection: close\r\n\r\n" % fp
 
 
 class TestServer:
@@ -703,7 +834,7 @@ class TestServer:
             {"jobs": "two"}, {"jobs": -1}, {"jobs": True}, {"jobs": 1.5},
             {"stream": "yes"}, {"stream": 1}, {"stream": None},
             {"quick": "false"}, {"quick": 0},
-            {"seed": True}, {"seed": "1"},
+            {"seed": True}, {"seed": "1"}, {"seed": -1},
         ],
         ids=lambda f: "-".join(f"{k}={v!r}" for k, v in f.items()),
     )
@@ -813,6 +944,70 @@ class TestServer:
             finally:
                 await service.close()
         asyncio.run(run())
+
+    def test_a_hit_answers_its_entry_serialised(self):
+        """A hit's reply bytes, ``POST`` or ``GET``, first or repeat, are
+        the serialisation of the entry on disk; an entry another writer
+        replaced serves its new bytes at once."""
+
+        async def run():
+            service, _client = await _start_service_tmp()
+            try:
+                fp, body = _seed_hit(service)
+                path = service.cache.path_for(fp)
+
+                async def check(compute):
+                    expected = json.dumps(
+                        {"cached": True, **json.loads(path.read_bytes())}, sort_keys=True
+                    ) + "\n"
+                    for request in (_post(body), _get_result(fp.encode())):
+                        [(status, _, reply)] = _replies(await _raw(service.port, request))
+                        assert status == 200
+                        assert reply == expected.encode()
+                        assert json.loads(reply)["compute"] == compute
+
+                await check({"wall_s": 0.5})
+                await check({"wall_s": 0.5})  # from the memos
+                other = ResultCache(service.cache.root)
+                other.put(dataclasses.replace(other.get(fp), compute={"wall_s": 9.0}))
+                await check({"wall_s": 9.0})
+                # a streamed hit carries the same entry, event by event
+                streamed = await _client.sweep("fault_sweep", TINY, stream=True)
+                assert streamed["event"] == "result" and streamed["cached"] is True
+                assert streamed["compute"] == {"wall_s": 9.0}
+                assert streamed["sha256"] == json.loads(path.read_bytes())["sha256"]
+                counters = (await _client.stats())["counters"]
+                assert counters["service.cache_hits"] == 4
+                assert "service.computations" not in counters
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_the_request_and_reply_memos_sit_at_their_bounds(self, tmp_path):
+        service = SweepService(str(tmp_path))
+        try:
+            for seed in range(1000):
+                body = json.dumps(
+                    {"experiment": "fault_sweep", "config": TINY, "seed": seed}
+                ).encode()
+                request = service._parse(body)
+                assert request.fingerprint == _fp("fault_sweep", TINY, seed=seed)
+                assert service._parse(body) is request
+                entry = make_entry(
+                    request.fingerprint, "fault_sweep", request.config,
+                    {"experiment": "fault_sweep", "rows": [], "seed": seed}, {},
+                )
+                reply = service._hit_reply(entry)
+                assert service._hit_reply(entry) is reply
+            assert len(service._requests) == server_module._REQUEST_MEMO_ENTRIES
+            assert len(service._replies) == server_module._REPLY_MEMO_ENTRIES
+            assert service._requests.nbytes <= server_module._REQUEST_MEMO_BYTES
+            assert service._replies.nbytes <= server_module._REPLY_MEMO_BYTES
+            # an equal entry that is another validation is serialised again
+            assert service._hit_reply(dataclasses.replace(entry)) == reply
+            assert service._hit_reply(entry) is not reply
+        finally:
+            service.runtime.close()
 
     def test_error_paths(self):
         async def run():
@@ -1057,6 +1252,94 @@ class TestConnections:
                 await service.close()
         asyncio.run(run())
 
+    def test_a_nul_in_a_result_target_is_a_404(self, quiet):
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                [(status, head, body)] = _replies(
+                    await _raw(service.port, _get_result(b"ab\x00cd"))
+                )
+                assert status == 404 and "error" in json.loads(body)
+                assert await client.health()
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_a_dotted_result_target_touches_no_file(self, quiet):
+        """``..name`` used to name ``<cache root>/..name.json``: read,
+        found poisoned and unlinked, outside ``entries/``."""
+        async def run():
+            service, client = await _start_service_tmp()
+            outside = service.cache.root / "..name.json"
+            outside.write_text("not an entry")
+            try:
+                [(status, head, body)] = _replies(
+                    await _raw(service.port, _get_result(b"..name"))
+                )
+                assert status == 404 and "error" in json.loads(body)
+                assert outside.read_text() == "not an entry"
+                assert (await client.stats())["cache_poisoned"] == 0
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_a_partial_body_then_a_close(self, quiet):
+        """A body shorter than its ``Content-Length``, then the peer goes:
+        no reply, no count, no traceback, and the server carries on."""
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                _fp, body = _seed_hit(service)
+                head = b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (
+                    len(body) + 100
+                )
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(head + body)
+                writer.write_eof()  # the close, seen from the server
+                assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+                writer.close()
+                counters = (await client.stats())["counters"]
+                assert "service.requests" not in counters
+                reply = await client.sweep("fault_sweep", TINY)
+                assert reply["cached"] is True
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_a_slow_body(self, quiet, monkeypatch):
+        """A body dripped in well inside ``_IDLE_TIMEOUT_S`` is answered as
+        if it came at once; one that outlasts it is dropped unanswered.
+        The server carries on after both."""
+        monkeypatch.setattr(server_module, "_IDLE_TIMEOUT_S", 1.0)
+
+        async def drip(port, data, pause):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                for at in range(0, len(data), 16):
+                    writer.write(data[at:at + 16])
+                    await writer.drain()
+                    await asyncio.sleep(pause)
+                return await asyncio.wait_for(reader.read(), timeout=10)
+            except ConnectionError:
+                return b""
+            finally:
+                writer.close()
+
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                fp, body = _seed_hit(service)
+                data = _post(body)
+                assert len(data) // 16 * 0.01 < 0.5  # well inside the timeout
+                [(status, _, reply)] = _replies(await drip(service.port, data, 0.01))
+                assert status == 200 and json.loads(reply)["fingerprint"] == fp
+                slow = 1.5 / (len(data) // 16)  # the whole drip takes 1.5 s
+                assert await drip(service.port, data, slow) == b""
+                assert (await client.sweep("fault_sweep", TINY))["cached"] is True
+            finally:
+                await service.close()
+        asyncio.run(run())
+
     def test_close_with_an_idle_connection(self, quiet):
         async def run():
             service, client = await _start_service_tmp()
@@ -1084,6 +1367,142 @@ class TestConnections:
                 pass
             assert len(service.cache) == 1
         asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# request bodies, fuzzed
+# ----------------------------------------------------------------------
+#: every field name of every registered config, one nested config deep
+_FIELD_NAMES = sorted({key for _, path in _field_paths() for key in path})
+_REQUEST_KEYS = ("experiment", "config", "seed", "jobs", "stream", "quick")
+
+
+def _dumps(obj, indent):
+    return json.dumps(obj, indent=indent, allow_nan=True).encode()
+
+
+#: bodies that hit the entry ``_seed_hit`` files: the request in any key
+#: order and layout, with non-semantic fields and unknown top-level keys
+_HIT_BODIES = st.builds(
+    lambda extra, fields, order, indent: _dumps(
+        dict(order.sample(
+            [("experiment", "fault_sweep"), ("config", TINY), *fields.items(), *extra.items()],
+            2 + len(fields) + len(extra),
+        )),
+        indent,
+    ),
+    st.dictionaries(st.text(max_size=6).map("x-".__add__), JSON_VALUES, max_size=3),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "jobs": st.none() | st.integers(0, 64),
+            "quick": st.booleans(),
+            "stream": st.just(False),
+        },
+    ),
+    st.randoms(use_true_random=False),
+    st.sampled_from([None, 0, 2]),
+)
+
+#: bodies that must be refused, each for a reason of its own
+_BAD_BODIES = st.one_of(
+    # a field no config has, at any depth under any path of field names
+    st.builds(
+        lambda name, path, key, value: _dumps(
+            {"experiment": name, "config": _nest(path, {"zz_" + key: value})}, None
+        ),
+        st.sampled_from(sorted(CONFIG_TYPES)),
+        st.lists(st.sampled_from(_FIELD_NAMES) | st.text(max_size=6), max_size=4),
+        st.text(max_size=6),
+        JSON_VALUES,
+    ),
+    # any JSON value with no ``experiment``: top level or not an object
+    JSON_VALUES.map(lambda v: _dumps(v, None)),
+    # an experiment nobody registered
+    st.text(max_size=12).filter(lambda t: t not in CONFIG_TYPES).map(
+        lambda t: _dumps({"experiment": t}, None)
+    ),
+    # a request field of the wrong type
+    st.builds(
+        lambda key, value: _dumps(
+            {"experiment": "fault_sweep", "config": TINY, key: value}, None
+        ),
+        st.sampled_from(["seed", "jobs", "stream", "quick"]),
+        st.text(max_size=4) | st.lists(st.integers(), max_size=2) | st.integers(max_value=-1),
+    ),
+    # NaN or an infinity anywhere, even in a key the server ignores
+    st.builds(
+        lambda value, constant: _dumps(
+            {"experiment": "fault_sweep", "config": TINY, "x-": [value, constant]}, None
+        ),
+        JSON_VALUES,
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    ),
+    # nested deeper than any parser recursion limit, or not
+    st.builds(
+        lambda depth, open_: open_ * depth,
+        st.integers(1, 200_000),
+        st.sampled_from([b"[", b'{"a":']),
+    ),
+    # a hit's body cut short, or with a byte that is not UTF-8
+    st.builds(lambda body, at: body[:at], _HIT_BODIES, st.integers(0, 10**6)),
+    st.builds(
+        lambda body, at, byte: body[:at] + byte + body[at:],
+        _HIT_BODIES,
+        st.integers(0, 10**6),
+        st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]),
+    ),
+)
+
+
+class TestRequestBodies:
+    @settings(max_examples=150, deadline=None)
+    @given(body=_HIT_BODIES | _BAD_BODIES)
+    def test_any_body_is_answered_once_and_for_all(self, body):
+        """Sent twice, a body gets the same status and the same reply
+        bytes; the status is a 200 (a hit: nothing here computes) or a
+        4xx with a JSON ``error``, never a 500; and the body memo holds
+        the body exactly when it parsed."""
+
+        async def run():
+            service, _client = await _start_service_tmp()
+            try:
+                fp, _ = _seed_hit(service)
+                first = await _raw(service.port, _post(body))
+                second = await _raw(service.port, _post(body))
+                counters = (await _client.stats())["counters"]
+                return fp, first, second, counters, (body, None) in service._requests
+            finally:
+                await service.close()
+
+        fp, first, second, counters, memoised = asyncio.run(run())
+        assert first == second
+        [(status, _, reply)] = _replies(first)
+        reply = json.loads(reply)
+        assert counters["service.requests"] == 2
+        if status == 200:
+            assert reply["cached"] is True and reply["fingerprint"] == fp
+            assert memoised
+        else:
+            assert 400 <= status < 500 and isinstance(reply["error"], str)
+            assert counters["service.bad_requests"] == 2
+            assert not memoised
+
+    def test_only_a_body_that_parses_is_memoised(self, tmp_path):
+        hit = json.dumps({"x-a": [1], "config": TINY, "experiment": "fault_sweep"}).encode()
+        deep = b"[" * 100_000
+        service = SweepService(str(tmp_path))
+        try:
+            assert service._parse(hit).fingerprint == _fp("fault_sweep", TINY)
+            with pytest.raises(RequestError, match="nests too deeply"):
+                service._parse(deep)
+            with pytest.raises(ValueError):
+                service._parse(hit[:-1])
+            with pytest.raises(ValueError):
+                service._parse(b"\xff" + hit)
+            assert list(service._requests._items) == [(hit, None)]
+        finally:
+            service.runtime.close()
 
 
 # ----------------------------------------------------------------------
