@@ -1,39 +1,34 @@
-"""Engineering benchmark: vectorized reliability Monte-Carlo kernels.
+"""Engineering benchmark: the reliability Monte-Carlos' fast paths.
 
-PR "amortize per-run costs" rewrote the trial loops of the reliability
-Monte-Carlos as batched NumPy / bisection fast paths, keeping the
-original scalar loops as references.  This benchmark times each fast
-path against its retained oracle, asserts the >= 1.5x speedup the
-rework promises, and — because the fast paths are pinned bit-identical,
+The two sampled reliability campaigns that remain run as bisection /
+union-find fast paths; their scalar loops live in ``tests/oracles.py``.
+This benchmark times each fast path against its oracle, asserts a
+>= 1.5x speedup, and — because the fast paths are pinned bit-identical,
 not statistically close — asserts exact equality of the results while
 it is at it:
 
 * ``simulated_faults_to_failure`` — warm-router + prefix-bisection
   campaign vs fresh-router probe-every-injection loop,
 * ``_fabric_trial_chunk`` — union-find disconnection kernel vs per-kill
-  `networkx` strong-connectivity scans,
-* ``monte_carlo_mttf`` — batched exponential draws vs one draw per call.
+  `networkx` strong-connectivity scans.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.config import NetworkConfig, RouterConfig
 from repro.faults.sites import enumerate_sites
-from repro.reliability.mttf import (
-    monte_carlo_mttf,
-    monte_carlo_mttf_reference,
-)
-from repro.reliability.network_level import (
-    _fabric_trial_chunk,
-    _fabric_trial_chunk_reference,
-)
+from repro.reliability.network_level import _fabric_trial_chunk
 from repro.reliability.spf_simulation import (
     _PROBE_NODE,
-    _trial_counts_reference,
     simulated_faults_to_failure,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import fabric_trial_chunk_reference, trial_counts_reference  # noqa: E402
 
 
 def _timed(fn):
@@ -69,7 +64,7 @@ def test_spf_campaign_speedup(benchmark):
     net = NetworkConfig(width=3, height=3, router=config)
     sites = list(enumerate_sites(config, router=_PROBE_NODE, include_va2=False))
     ref_counts, ref_s = _timed(
-        lambda: _trial_counts_reference(
+        lambda: trial_counts_reference(
             config, net, sites, trials, np.random.default_rng(rng), max_cycles=60
         )
     )
@@ -94,32 +89,8 @@ def test_fabric_disconnection_speedup(benchmark):
         fast, rounds=1, iterations=1, warmup_rounds=1
     )
     ref_rows, ref_s = _timed(
-        lambda: _fabric_trial_chunk_reference(net, "protected", seeds, 4, None)
+        lambda: fabric_trial_chunk_reference(net, "protected", seeds, 4, None)
     )
     assert np.array_equal(fast_rows, ref_rows)
     speedup = _report("fabric_disconnection", ref_s, box["s"])
-    assert speedup >= 1.5, f"expected >= 1.5x, got {speedup:.2f}x"
-
-
-def test_mttf_sampling_speedup(benchmark):
-    samples, rng = 100_000, 42
-    box = {}
-
-    def fast():
-        out, s = _timed(
-            lambda: monte_carlo_mttf(2822.0, 646.0, samples=samples, rng=rng)
-        )
-        box["s"] = s
-        return out
-
-    fast_mttf = benchmark.pedantic(
-        fast, rounds=1, iterations=1, warmup_rounds=1
-    )
-    ref_mttf, ref_s = _timed(
-        lambda: monte_carlo_mttf_reference(
-            2822.0, 646.0, samples=samples, rng=rng
-        )
-    )
-    assert fast_mttf == ref_mttf  # identical stream, bit-equal mean
-    speedup = _report("mttf_sampling", ref_s, box["s"])
     assert speedup >= 1.5, f"expected >= 1.5x, got {speedup:.2f}x"

@@ -6,7 +6,7 @@ from repro.experiments import table3
 
 
 def test_table3_regeneration(benchmark):
-    result = benchmark(table3.run, table3.Table3Config(mc_trials=300))
+    result = benchmark(table3.run)
     print()
     print(result.format())
     # the published comparison rows
@@ -18,5 +18,6 @@ def test_table3_regeneration(benchmark):
         11.4, abs=0.5
     )
     assert result.row("proposed router has highest SPF").measured is True
-    # min-faults sanity from the Monte-Carlo
-    assert result.row("proposed: MC min faults").measured == 2
+    # the exact faults-to-failure law's support
+    assert result.row("proposed: exact min faults").measured == 2
+    assert result.row("proposed: exact max faults").measured == 34

@@ -4,12 +4,10 @@
 Walks the paper's Section VII/VIII analysis with the library's public API
 and then goes beyond it: MTTF sensitivity to operating temperature and
 voltage (the FORC/TDDB model makes these first-class), the SPF-vs-VC
-trade-off, and a Monte-Carlo faults-to-failure distribution.
+trade-off, and the exact faults-to-failure distribution.
 
 Run:  python examples/reliability_analysis.py
 """
-
-import numpy as np
 
 from repro.config import RouterConfig
 from repro.reliability import (
@@ -19,7 +17,7 @@ from repro.reliability import (
     baseline_stages,
     calibrated_parameters,
     correction_stages,
-    monte_carlo_faults_to_failure,
+    faults_to_failure,
     spf_vs_vc_count,
     total_fit,
 )
@@ -78,20 +76,20 @@ def main() -> None:
     for vcs, r in sweep.items():
         print(f"  {vcs} VCs: SPF {r.spf:5.1f} (area overhead {r.area_overhead:.0%})")
 
-    # --- Monte-Carlo faults-to-failure ---
-    mc = monte_carlo_faults_to_failure(trials=2000, rng=1)
+    # --- exact faults-to-failure distribution ---
+    law = faults_to_failure()
     print(
-        f"\nMonte-Carlo faults-to-failure: mean {mc.mean:.1f} "
-        f"(min {mc.minimum}, median {mc.percentile(50):.0f}, max {mc.maximum})"
+        f"\nFaults to failure under random placement: mean {law.mean:.3f} "
+        f"(min {law.minimum}, max {law.maximum})"
     )
     print(
         "  (the paper's '15' averages the analytic min 2 and max 28; "
         "random placement is harsher)"
     )
-    hist, edges = np.histogram(mc.samples, bins=range(2, 30, 3))
-    for h, lo, hi in zip(hist, edges, edges[1:]):
-        print(f"  {lo:2d}-{hi - 1:2d} faults: {'#' * int(40 * h / hist.max())}")
-
+    peak = float(max(law.pmf))
+    for k in range(law.minimum, law.maximum + 1):
+        p = float(law.pmf[k])
+        print(f"  P(T = {k:2d}) = {p:.2e} {'#' * round(40 * p / peak)}")
 
 if __name__ == "__main__":
     main()

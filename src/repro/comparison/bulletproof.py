@@ -17,18 +17,18 @@ and component-level sparing.  This module provides:
   **mean of 3.15 faults to cause failure**, hence SPF 3.15/1.52 = 2.07.
 
 The model decomposes the switch into spared component groups and derives
-min/mean/max faults-to-failure both analytically and by Monte-Carlo draw,
-calibrated to the published design point.
+min/mean/max faults-to-failure exactly, calibrated to the published
+design point.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 
-import numpy as np
-
-from .draws import bulk_draws
+from ..reliability.spf import poly_times
 
 
 class NMRUnit:
@@ -106,8 +106,8 @@ class BulletProofModel:
     by a single component-level spare — approximates the published
     (3.15 faults, 52 % area) design point: min 2 faults (a unit and its
     spare), max 1 + sum(spares) = 6, and
-    :meth:`monte_carlo_faults_to_failure` lands near the published mean
-    from their fault-injection campaign.
+    :meth:`mean_faults_to_failure` lands near the published mean from
+    their fault-injection campaign.
     """
 
     area_overhead: float = 0.52
@@ -136,29 +136,21 @@ class BulletProofModel:
         """Every instance loaded to its spare limit, plus one more."""
         return sum(s for s in self.site_spares()) + 1
 
-    def monte_carlo_faults_to_failure(
-        self,
-        trials: int = 5000,
-        rng: np.random.Generator | int | None = None,
-    ) -> float:
-        """Random faults land uniformly on instances until one fails."""
-        rng = np.random.default_rng(rng)
+    def mean_faults_to_failure(self) -> float:
+        """Mean faults to failure when each fault lands on a uniformly
+        random instance until one exceeds its spares.
+
+        After m faults every instance i holds at most s_i hits with
+        probability m! / k^m [x^m] prod_i sum_{j <= s_i} x^j / j! (the
+        exponential generating function of the hit counts); the mean is
+        the sum of these survival probabilities over m.
+        """
         spares = self.site_spares()
+        egf = [Fraction(1)]
+        for s in spares:
+            egf = poly_times(egf, [Fraction(1, factorial(j)) for j in range(s + 1)])
         k = len(spares)
-        counts = np.empty(trials, dtype=np.int64)
-        # a trial ends on a site's (spares + 1)-th hit
-        site = bulk_draws(lambda n: rng.integers(k, size=n), min(spares) + 1)
-        for t in range(trials):
-            hits = [0] * k
-            n = 0
-            while True:
-                i = site(trials - t)
-                hits[i] += 1
-                n += 1
-                if hits[i] > spares[i]:
-                    break
-            counts[t] = n
-        return float(counts.mean())
+        return float(sum(c * factorial(m) / k**m for m, c in enumerate(egf)))
 
     def spf(self, mean_faults: float | None = None) -> float:
         mean = (

@@ -20,11 +20,8 @@ row/column degradation model used by tests and the extended analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
-
-import numpy as np
-
-from .draws import bulk_draws
 
 
 @dataclass
@@ -80,21 +77,20 @@ class RoCoModel:
             raise ValueError("overhead must be >= 0")
         return self.published_mean_faults / (1.0 + assumed_overhead)
 
-    def monte_carlo_faults_to_failure(
-        self,
-        trials: int = 5000,
-        rng: np.random.Generator | int | None = None,
-        per_half_tolerance: int = 2,
-    ) -> float:
-        """Faults land on row/column halves uniformly until both die."""
-        rng = np.random.default_rng(rng)
-        tol = per_half_tolerance
-        counts = np.empty(trials, dtype=np.int64)
-        # a trial kills both halves: 2 (tol + 1) draws or more
-        half = bulk_draws(lambda n: rng.integers(2, size=n), 2 * (tol + 1))
-        for t in range(trials):
-            hits = [0, 0]  # row, column: ``RowColumnState.failed`` once both pass tol
-            while hits[0] <= tol or hits[1] <= tol:
-                hits[half(trials - t)] += 1
-            counts[t] = hits[0] + hits[1]
-        return float(counts.mean())
+    def mean_faults_to_failure(self, per_half_tolerance: int = 2) -> float:
+        """Mean faults to failure when each fault lands on the row or the
+        column half with probability 1/2, until both halves are dead.
+
+        A Markov chain on the two hit counters, each capped at
+        ``per_half_tolerance + 1`` (dead).  A fault on a dead half changes
+        nothing, so from a state with ``m`` live moves the mean is
+        (2 + sum of the next states' means) / m.
+        """
+        dead = per_half_tolerance + 1
+        mean = {(dead, dead): Fraction(0)}
+        for r in range(dead, -1, -1):
+            for c in range(dead, -1, -1):
+                if (r, c) != (dead, dead):
+                    live = [m for m in ((r + 1, c), (r, c + 1)) if max(m) <= dead]
+                    mean[r, c] = sum((mean[m] for m in live), Fraction(2)) / len(live)
+        return float(mean[0, 0])

@@ -18,11 +18,8 @@ model for the Table III comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
-
-from .draws import bulk_draws, lemire_below
 
 
 class HammingSECDED:
@@ -168,40 +165,27 @@ class VicisModel:
         )
         return mean / (1.0 + self.area_overhead)
 
-    def monte_carlo_faults_to_failure(
-        self,
-        trials: int = 5000,
-        rng: np.random.Generator | int | None = None,
-        num_ports: int = 5,
-        ecc_tolerance: int = 6,
+    def mean_faults_to_failure(
+        self, num_ports: int = 5, ecc_tolerance: int = 6
     ) -> float:
-        """Coarse behavioural MC: faults land on {datapath, crossbar,
-        ports}; ECC absorbs single datapath faults per lane, the bypass
-        bus absorbs crossbar faults, port swapping survives until too few
-        healthy ports remain.  Its ``integers(3)`` and ``integers(num_ports)``
-        draws are NumPy's 32-bit Lemire draws off bulk halves, one or more a trial."""
-        rng = np.random.default_rng(rng)
-        counts = np.empty(trials, dtype=np.int64)
-        half = bulk_draws(lambda n: rng.integers(1 << 32, size=n, dtype=np.uint32), 1)
-        for t in range(trials):
-            datapath_hits = 0
-            crossbar_hits = 0
-            dead_ports: set[int] = set()
-            n = 0
-            while True:
-                n += 1
-                kind = lemire_below(half, 3, trials - t)
-                if kind == 0:
-                    datapath_hits += 1
-                    if datapath_hits > ecc_tolerance:
-                        break
-                elif kind == 1:
-                    crossbar_hits += 1
-                    if crossbar_hits > 1:  # bypass bus is a single spare path
-                        break
-                else:
-                    dead_ports.add(lemire_below(half, num_ports, trials - t))
-                    if len(dead_ports) > num_ports - 2:
-                        break
-            counts[t] = n
-        return float(counts.mean())
+        """Mean faults to failure of a coarse behavioural model: each fault
+        lands on the datapath, the crossbar or a uniformly random port,
+        one third each; ECC absorbs ``ecc_tolerance`` datapath faults, the
+        bypass bus one crossbar fault, and port swapping survives until
+        fewer than two healthy ports remain.
+
+        A Markov chain on (datapath hits, crossbar hits, dead ports); a
+        fault on an already dead port is a self-loop.
+        """
+        third = Fraction(1, 3)
+        mean: dict[tuple[int, int, int], Fraction] = {}
+        for d in range(ecc_tolerance, -1, -1):
+            for x in (1, 0):
+                for j in range(max(num_ports - 2, 0), -1, -1):
+                    rest = 1 + third * (
+                        mean.get((d + 1, x, j), 0)
+                        + mean.get((d, x + 1, j), 0)
+                        + Fraction(num_ports - j, num_ports) * mean.get((d, x, j + 1), 0)
+                    )
+                    mean[d, x, j] = rest / (1 - third * Fraction(j, num_ports))
+        return float(mean[0, 0, 0])

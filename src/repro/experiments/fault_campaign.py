@@ -152,7 +152,7 @@ def report(
     rows = [
         acc.row(net, config.cycles_per_hour) for acc in per_kind.values()
     ]
-    analytic = _analytic_rows(net, cfg.seed)
+    analytic = _analytic_rows(net)
 
     res = ExperimentResult(
         "fault_campaign",
@@ -327,7 +327,7 @@ class _KindAccumulator:
         }
 
 
-def _analytic_rows(net: NetworkConfig, seed: int) -> list[dict]:
+def _analytic_rows(net: NetworkConfig) -> list[dict]:
     """Model rows for the comparison designs (no live simulation)."""
     from ..comparison import BulletProofModel, VicisModel
 
@@ -338,9 +338,7 @@ def _analytic_rows(net: NetworkConfig, seed: int) -> list[dict]:
         ("bulletproof", BulletProofModel()),
         ("vicis", VicisModel()),
     ):
-        mean_faults = float(
-            model.monte_carlo_faults_to_failure(trials=2000, rng=seed)
-        )
+        mean_faults = model.mean_faults_to_failure()
         rows.append(
             {
                 "kind": name,

@@ -1,9 +1,8 @@
 """Experiment ``mttf`` — paper Section VII, Equations 4-7.
 
 Baseline MTTF ~354,358 h; protected MTTF ~2,190,696 h (paper Eq. 5);
-improvement ~6x.  Also reports the textbook E[max] formula and a
-Monte-Carlo cross-check (see :mod:`repro.reliability.mttf` for why the
-two differ).
+improvement ~6x.  Also reports the textbook E[max] formula (see
+:mod:`repro.reliability.mttf` for why the two differ).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..reliability.mttf import analyze_mttf, monte_carlo_mttf
+from ..reliability.mttf import analyze_mttf
 from ..reliability.stages import RouterGeometry
 from .report import ExperimentResult, experiment
 
@@ -25,14 +24,11 @@ class MTTFConfig:
     """Unified-API config of the MTTF analysis."""
 
     geom: Optional[RouterGeometry] = None
-    mc_samples: int = 100_000
-    seed: int = 1
 
 
 def body(config: MTTFConfig, jobs: Optional[int]) -> ExperimentResult:
-    """Closed form plus one vectorised Monte Carlo: nothing to shard."""
+    """Closed forms only: nothing to seed or shard."""
     geom = config.geom or RouterGeometry()
-    mc_samples, seed = config.mc_samples, config.seed
     rep = analyze_mttf(geom)
     res = ExperimentResult("mttf", "MTTF analysis (Equations 4-7)")
     res.add("baseline pipeline FIT", round(rep.baseline_fit, 1), 2822.0)
@@ -52,9 +48,6 @@ def body(config: MTTFConfig, jobs: Optional[int]) -> ExperimentResult:
         round(rep.improvement, 2),
         PAPER_IMPROVEMENT,
     )
-    mc = monte_carlo_mttf(
-        rep.baseline_fit, rep.correction_fit, samples=mc_samples, rng=seed
-    )
     res.add(
         "MTTF protected (exact E[max] formula)",
         round(rep.mttf_protected_exact_hours),
@@ -62,10 +55,6 @@ def body(config: MTTFConfig, jobs: Optional[int]) -> ExperimentResult:
         unit="h",
         note="textbook expected-max of two exponentials: "
         "1/l1 + 1/l2 - 1/(l1+l2); the paper's Eq. 5 uses '+'",
-    )
-    res.add(
-        "MTTF protected (Monte-Carlo E[max])", round(mc), None, unit="h",
-        note=f"{mc_samples} sampled lifetimes; validates the exact formula",
     )
     res.add(
         "reliability improvement (exact)",

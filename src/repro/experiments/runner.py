@@ -113,16 +113,8 @@ class ExperimentEntry:
 EXPERIMENTS: dict[str, ExperimentEntry] = {
     "table1": ExperimentEntry(table1, RouterGeometry),
     "table2": ExperimentEntry(table2, RouterGeometry),
-    "mttf": ExperimentEntry(
-        mttf,
-        mttf.MTTFConfig,
-        quick_config=lambda: mttf.MTTFConfig(mc_samples=20_000),
-    ),
-    "table3": ExperimentEntry(
-        table3,
-        table3.Table3Config,
-        quick_config=lambda: table3.Table3Config(mc_trials=200),
-    ),
+    "mttf": ExperimentEntry(mttf, mttf.MTTFConfig),
+    "table3": ExperimentEntry(table3, table3.Table3Config),
     "spf_sweep": ExperimentEntry(spf_sweep, spf_sweep.SPFSweepConfig),
     "area_power": ExperimentEntry(area_power, RouterGeometry),
     "critical_path": ExperimentEntry(critical_path, RouterGeometry),

@@ -1,9 +1,9 @@
 """Experiment ``table3`` — paper Table III: SPF comparison.
 
 BulletProof 2.07 @ 52 %, Vicis 6.55 @ 42 %, RoCo < 5.5, proposed 11.4 @
-31 %.  Also reports the Monte-Carlo faults-to-failure distribution of the
-proposed router (the paper uses the min/max average convention; the MC
-mean under uniformly random fault placement is lower — both shown).
+31 %.  Also reports the exact faults-to-failure law of the proposed router
+under uniformly random fault placement (the paper uses the min/max average
+convention; the exact mean is lower — both shown).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..comparison.spf_table import build_spf_table, proposed_router_wins
 from ..config import RouterConfig
-from ..reliability.spf import monte_carlo_faults_to_failure
+from ..reliability.spf import faults_to_failure
 from .report import ExperimentResult, experiment
 
 
@@ -22,8 +22,7 @@ class Table3Config:
     """Unified-API config of the Table III reproduction."""
 
     router: Optional[RouterConfig] = None
-    mc_trials: int = 1000
-    seed: int = 1
+
 
 PAPER_ROWS = {
     "BulletProof": (0.52, 3.15, 2.07),
@@ -35,7 +34,6 @@ PAPER_ROWS = {
 
 def body(config: Table3Config, jobs: Optional[int]) -> ExperimentResult:
     router = config.router or RouterConfig()
-    mc_trials, seed = config.mc_trials, config.seed
     rows = build_spf_table(router)
     res = ExperimentResult("table3", "SPF comparison (Table III)")
     for row in rows:
@@ -64,20 +62,23 @@ def body(config: Table3Config, jobs: Optional[int]) -> ExperimentResult:
         proposed_router_wins(rows),
         True,
     )
-    mc = monte_carlo_faults_to_failure(
-        router, trials=mc_trials, rng=seed, jobs=jobs
-    )
+    exact = faults_to_failure(router)
     res.add(
-        "proposed: MC mean faults to failure",
-        round(mc.mean, 2),
+        "proposed: exact mean faults to failure",
+        round(exact.mean, 2),
         None,
         note="uniformly random fault placement; the paper's 15 is the "
         "average of min (2) and max (28)",
     )
-    res.add("proposed: MC min faults", mc.minimum, 2)
+    res.add("proposed: exact min faults", exact.minimum, 2)
+    res.add(
+        "proposed: exact max faults",
+        exact.maximum,
+        28,
+        note="the paper caps XB at 2 and counts no SA2 or correction faults",
+    )
     res.extras["rows"] = rows
-    res.extras["mc"] = mc
-    res.extras["sweep"] = mc.sweep
+    res.extras["faults_to_failure"] = exact
     return res
 
 

@@ -15,8 +15,7 @@
   plus sign is what produces its headline 2,190,696 h / ~6x numbers, so
   :func:`mttf_two_component_paper` reproduces it exactly, while
   :func:`mttf_two_component_exact` provides the textbook formula
-  (1,614,009 h, ~4.6x) and :func:`monte_carlo_mttf` validates the exact
-  formula by sampling.  EXPERIMENTS.md discusses the discrepancy.
+  (1,614,009 h, ~4.6x).  EXPERIMENTS.md discusses the discrepancy.
 """
 
 from __future__ import annotations
@@ -93,50 +92,6 @@ def analyze_mttf(geom: RouterGeometry | None = None, **fit_kwargs) -> MTTFReport
         improvement=prot / base,
         improvement_exact=prot_exact / base,
     )
-
-
-def monte_carlo_mttf(
-    fit1: float,
-    fit2: float,
-    samples: int = 200_000,
-    rng: np.random.Generator | int | None = None,
-) -> float:
-    """Sampled E[max(T1, T2)] in hours (validates the exact formula).
-
-    Lifetimes are exponential with rates ``fit/1e9`` per hour; the system
-    (paper's model) survives until *both* the pipeline and the correction
-    circuitry have failed.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(rng)
-    t1 = rng.exponential(HOURS_PER_BILLION / fit1, size=samples)
-    t2 = rng.exponential(HOURS_PER_BILLION / fit2, size=samples)
-    return float(np.maximum(t1, t2).mean())
-
-
-def monte_carlo_mttf_reference(
-    fit1: float,
-    fit2: float,
-    samples: int = 200_000,
-    rng: np.random.Generator | int | None = None,
-) -> float:
-    """Scalar oracle for :func:`monte_carlo_mttf`: one draw per call.
-
-    ``Generator.exponential`` fills batched requests element by element
-    from the same bitstream, so the scalar loop consumes the identical
-    stream and the two paths return bit-equal means (pinned by
-    ``tests/test_reliability.py``); the batched version only amortises
-    the per-call overhead away.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(rng)
-    s1 = HOURS_PER_BILLION / fit1
-    s2 = HOURS_PER_BILLION / fit2
-    t1 = np.array([rng.exponential(s1) for _ in range(samples)])
-    t2 = np.array([rng.exponential(s2) for _ in range(samples)])
-    return float(np.maximum(t1, t2).mean())
 
 
 def reliability_curve(

@@ -8,12 +8,11 @@ cores can no longer all reach each other.
 This module Monte-Carlo-samples router lifetimes from the per-router FIT
 rates (baseline: first pipeline fault kills a router; protected: the
 two-component parallel model of paper Eq. 5) and combines them with the
-topology's connectivity analysis (`networkx` strongly-connected check
-after removing dead routers, matching XY-routed meshes where a dead
-router forwards nothing).
+topology's connectivity (the healthy routers must stay connected,
+matching XY-routed meshes where a dead router forwards nothing).
 
 Vectorised with NumPy: all router lifetimes for all trials are drawn in
-one call; only the connectivity scan walks per-trial.
+one call; only the union-find connectivity pass walks per-trial.
 """
 
 from __future__ import annotations
@@ -81,39 +80,6 @@ class NetworkReliabilityReport:
             (f"mean time to {self.k}-th router failure (h)", self.mean_kth_failure),
             ("mean time to mesh disconnection (h)", self.mean_disconnection),
         ]
-
-
-def _fabric_trial_chunk_reference(
-    network: NetworkConfig,
-    model: RouterModel,
-    seeds: list[np.random.SeedSequence],
-    k: int,
-    geom: Optional[RouterGeometry],
-) -> np.ndarray:
-    """Scalar oracle for :func:`_fabric_trial_chunk`: per-trial Python
-    loop with a full `networkx` connectivity check after every kill.
-
-    Kept as the reference the vectorized kernel is pinned against
-    (``tests/test_network_reliability.py``); also the fallback for
-    topologies whose link wiring is not symmetric.
-    """
-    n = network.num_nodes
-    topo = Topology(network)
-    out = np.empty((len(seeds), 3))
-    for t, seed in enumerate(seeds):
-        lifetimes = sample_router_lifetimes(n, 1, model, geom, seed)[0]
-        order = np.sort(lifetimes)
-        # kill routers in lifetime order until connectivity breaks
-        killed: set[int] = set()
-        ordering = np.argsort(lifetimes)
-        disconnection = lifetimes[ordering[-1]]  # all dead fallback
-        for idx in ordering:
-            killed.add(int(idx))
-            if not topo.is_connected(frozenset(killed)):
-                disconnection = lifetimes[int(idx)]
-                break
-        out[t] = (order[0], order[k - 1], disconnection)
-    return out
 
 
 def _undirected_neighbors(topo: Topology) -> list[list[int]]:
@@ -188,9 +154,8 @@ def _fabric_trial_chunk(
     the outcome is independent of how trials are chunked across workers.
     Lifetime draws keep the per-seed streams of the reference; the
     first/k-th columns come from one batched sort and disconnection from
-    a union-find pass per trial — bit-identical to
-    :func:`_fabric_trial_chunk_reference` (golden test) and ~10-100x
-    faster than its per-kill `networkx` rebuilds.
+    a union-find pass per trial — bit-identical to the per-kill
+    `networkx` oracle in ``tests/oracles.py`` and ~10-100x faster.
     """
     n = network.num_nodes
     neighbors = _undirected_neighbors(Topology(network))

@@ -20,21 +20,24 @@ For the paper's 5x5, 4-VC router: max tolerated = 5 + 15 + 5 + 2 = 27,
 max to failure = 28, min to failure = 2, mean = 15, and with the 31 % area
 overhead SPF = 15 / 1.31 = 11.4 (Table III).
 
-:func:`monte_carlo_faults_to_failure` cross-checks the analytical mean by
-injecting faults in random order into the Section VIII failure predicates
-until the router fails.
+:func:`faults_to_failure` gives the exact law of the faults a uniformly
+random fault order lands before the Section VIII predicates fail: mean
+9.286 for that router, support 2 .. 34.  The paper's 28 caps XB at 2
+tolerated faults and counts neither SA2 nor correction-circuitry faults;
+the predicate tolerates 33 sites at most, 8 of them in the XB ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from ..config import RouterConfig
-from ..core.failure import protected_router_failed
+from ..core.failure import FailureComponent, failure_components
 from ..core.ft_crossbar import max_tolerable_mux_faults
-from ..faults.sites import RouterFaultState, enumerate_sites
+from ..faults.sites import FaultSite, RouterFaultState, enumerate_sites
 
 
 @dataclass(frozen=True)
@@ -127,83 +130,90 @@ def spf_vs_vc_count(
 
 
 @dataclass(frozen=True)
-class MonteCarloSPF:
-    """Empirical faults-to-failure distribution."""
+class FaultsToFailure:
+    """Exact law of T, the number of faults a uniformly random fault order
+    lands on the router up to and including the one that fails it."""
 
+    #: ``tolerable[k]``: how many k-fault sets the router survives (N_k)
+    tolerable: tuple[int, ...]
+    #: ``pmf[k]`` = P(T = k), k = 0 .. number of sites; sums to exactly 1
+    pmf: tuple[Fraction, ...]
     mean: float
-    std: float
     minimum: int
     maximum: int
-    samples: np.ndarray
-    #: shard/timing breakdown when run through the parallel sweep engine
-    sweep: object = None
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self.samples, q))
 
 
-def _mc_trial_chunk(
-    config: RouterConfig,
-    seeds: list[np.random.SeedSequence],
-    exact: bool,
-    include_va2: bool,
-) -> np.ndarray:
-    """One worker chunk of the faults-to-failure campaign.
+def _tolerable_by_size(
+    component: FailureComponent, pool: frozenset[FaultSite], config: RouterConfig
+) -> list[int]:
+    """``counts[k]``: the k-subsets of the component's pool sites it survives.
 
-    Each trial draws its permutation from its own spawned child seed, so
-    the counts depend only on the root seed and the trial index — never
-    on how trials are chunked across workers.
+    Walks the subsets through the component's own ``failed``.  Faults only
+    remove capability, so once a subset fails every superset does too and
+    the walk stops there.
     """
-    sites = list(
-        enumerate_sites(config, protected=True, include_va2=include_va2)
-    )
-    counts = np.empty(len(seeds), dtype=np.int64)
-    for t, seed in enumerate(seeds):
-        order = np.random.default_rng(seed).permutation(len(sites))
-        state = RouterFaultState(config)
-        n = 0
-        for i in order:
-            state.inject(sites[int(i)])
-            n += 1
-            if protected_router_failed(state, exact=exact):
-                break
-        counts[t] = n
+    sites = [s for s in component.sites if s in pool]
+    counts = [0] * (len(sites) + 1)
+    state = RouterFaultState(config)
+
+    def walk(i: int, k: int) -> None:
+        if i == len(sites):
+            counts[k] += 1
+            return
+        walk(i + 1, k)
+        state.inject(sites[i])
+        if not component.failed(state):
+            walk(i + 1, k + 1)
+        state.heal(sites[i])
+
+    walk(0, 0)
     return counts
 
 
-def monte_carlo_faults_to_failure(
+def poly_times(a: list, b: list) -> list:
+    """Coefficients of the product of two polynomials (ints or Fractions)."""
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=32)
+def faults_to_failure(
     config: RouterConfig | None = None,
-    trials: int = 2000,
-    rng: np.random.Generator | int | None = None,
     exact: bool = False,
     include_va2: bool = False,
-    jobs: int | None = None,
-) -> MonteCarloSPF:
-    """Inject faults in random order until the Section VIII predicates fail.
+) -> FaultsToFailure:
+    """Faults to failure under a uniformly random order, counted exactly.
 
-    ``include_va2`` matches the paper's SPF accounting when False (the
-    paper's Section VIII analysis covers RC/VA1/SA1/XB sites); set it True
-    together with ``exact=True`` for the extended model.
-
-    ``jobs`` shards the trials across worker processes (0 = all cores).
-    Trials are seeded per-trial via ``SeedSequence.spawn``, so the result
-    is bit-identical for any ``jobs`` value.
+    The sites are those of :func:`enumerate_sites` (``include_va2=False``
+    is the paper's Section VIII pool), the failure rule is
+    :func:`~repro.core.failure.protected_router_failed` with ``exact``.  The predicate is an OR
+    over components that share no site, so the tolerable k-sets number
+    N_k = [x^k] of the product of the components' polynomials (a site no
+    rule reads contributes 1 + x).  The first k faults of a random order
+    are a uniform k-set, so P(T > k) = N_k / C(n, k).  Cached per
+    argument tuple.
     """
-    # imported lazily: repro.experiments imports this module at startup
-    from ..experiments.parallel import run_trials
-
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    cfg = config or RouterConfig()
-    counts, report = run_trials(
-        _mc_trial_chunk, lambda seeds: (cfg, seeds, exact, include_va2),
-        trials, rng, jobs,
-    )
-    return MonteCarloSPF(
-        mean=float(counts.mean()),
-        std=float(counts.std()),
-        minimum=int(counts.min()),
-        maximum=int(counts.max()),
-        samples=counts,
-        sweep=report,
+    config = config or RouterConfig()
+    pool = frozenset(enumerate_sites(config, include_va2=include_va2))
+    n = len(pool)
+    tolerable = [1]
+    covered = 0
+    for component in failure_components(config, exact):
+        counts = _tolerable_by_size(component, pool, config)
+        covered += len(counts) - 1
+        tolerable = poly_times(tolerable, counts)
+    tolerable = poly_times(tolerable, [comb(n - covered, k) for k in range(n - covered + 1)])
+    # survival S_k = P(T > k); T stops at n if every site is tolerable
+    survival = [Fraction(tolerable[k], comb(n, k)) for k in range(n)] + [Fraction(0)]
+    pmf = (Fraction(0),) + tuple(survival[k - 1] - survival[k] for k in range(1, n + 1))
+    support = [k for k, p in enumerate(pmf) if p]
+    return FaultsToFailure(
+        tolerable=tuple(tolerable),
+        pmf=pmf,
+        mean=float(sum(survival)),
+        minimum=support[0],
+        maximum=support[-1],
     )

@@ -12,8 +12,8 @@ mesh needs can no longer deliver flits.
 This is a behavioural cross-check of the Section VIII predicates: the
 two must agree (a predicate-failed router must fail functionally, and
 vice versa), which :func:`functional_failure` lets tests assert, and the
-Monte-Carlo mean here should track the predicate-based Monte-Carlo in
-:mod:`repro.reliability.spf`.
+Monte-Carlo mean here should track the exact mean of
+:func:`repro.reliability.spf.faults_to_failure`.
 """
 
 from __future__ import annotations
@@ -116,32 +116,6 @@ class SimulatedSPF:
     samples: np.ndarray
 
 
-def _trial_counts_reference(
-    config: RouterConfig,
-    net: NetworkConfig,
-    sites: list[FaultSite],
-    trials: int,
-    rng: np.random.Generator,
-    max_cycles: int,
-) -> np.ndarray:
-    """Scalar oracle: fresh router per trial, one full probe sweep after
-    *every* injection.  Kept as the reference :func:`_trial_counts` is
-    pinned against (``tests/test_spf_simulation.py``)."""
-    counts = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        reset_packet_ids()
-        router = ProtectedRouter(_PROBE_NODE, config, XYRouting(net))
-        order = rng.permutation(len(sites))
-        n = 0
-        for i in order:
-            router.inject_fault(sites[int(i)])
-            n += 1
-            if functional_failure(router, net, max_cycles=max_cycles):
-                break
-        counts[t] = n
-    return counts
-
-
 def _trial_counts(
     config: RouterConfig,
     net: NetworkConfig,
@@ -150,7 +124,8 @@ def _trial_counts(
     rng: np.random.Generator,
     max_cycles: int,
 ) -> np.ndarray:
-    """Fast campaign loop, bit-identical to :func:`_trial_counts_reference`.
+    """Fast campaign loop, bit-identical to the scalar oracle in
+    ``tests/oracles.py`` (fresh router, a probe after every injection).
 
     Three amortisations:
 
@@ -215,11 +190,9 @@ def simulated_faults_to_failure(
     """Monte-Carlo: inject random faults into a live router until a probe
     flow stops delivering.
 
-    Much slower than the predicate-based MC (every step runs real probe
-    traffic), so trial counts are modest; it exists to validate, not to
-    replace, the analytical accounting.  :func:`_trial_counts_reference`
-    is its scalar oracle (same counts, used by the golden-equality tests
-    and the reliability benchmark).
+    Every step runs real probe traffic, so trial counts are modest; it
+    exists to validate, not to replace, the exact count of
+    :func:`repro.reliability.spf.faults_to_failure`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

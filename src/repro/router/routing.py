@@ -77,24 +77,6 @@ class RoutingFunction:
         return [self.output_port(node, dest)]
 
 
-def _neighbour(net: NetworkConfig, node: int, port: int) -> int:
-    """Node reached by leaving ``node`` through ``port``."""
-    x, y = net.coords(node)
-    if port == PORT_NORTH:
-        y -= 1
-    elif port == PORT_SOUTH:
-        y += 1
-    elif port == PORT_EAST:
-        x += 1
-    elif port == PORT_WEST:
-        x -= 1
-    else:
-        raise ValueError(f"port {port} has no neighbour")
-    if not (0 <= x < net.width and 0 <= y < net.height):
-        raise ValueError(f"route walked off the mesh at ({x},{y})")
-    return net.node_id(x, y)
-
-
 class XYRouting(RoutingFunction):
     """Dimension-order routing: resolve X first, then Y."""
 

@@ -13,9 +13,10 @@ from repro.config import (
     PORT_WEST,
 )
 from repro.faults.sites import FaultSite, FaultUnit
-from repro.router.routing import WestFirstRouting, XYRouting, _neighbour, make_routing
+from repro.router.routing import WestFirstRouting, XYRouting, make_routing
 
 from conftest import hop_count, make_network_config, make_sim, permanent_faults
+from oracles import neighbour
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ class TestWestFirstTurnModel:
             return abs(ax - bx) + abs(ay - by)
 
         for port in r.candidate_ports(src, dst):
-            nxt = _neighbour(net, src, port)
+            nxt = neighbour(net, src, port)
             assert manhattan(nxt, dst) == manhattan(src, dst) - 1
 
     @given(st.integers(0, 63), st.integers(0, 63))
@@ -88,7 +89,7 @@ class TestWestFirstTurnModel:
             port = cands[-1]  # stress the least-preferred choice
             if port != PORT_WEST:
                 moved_non_west = True
-            cur = _neighbour(net, cur, port)
+            cur = neighbour(net, cur, port)
         assert cur == dst
 
     @given(st.integers(0, 63), st.integers(0, 63))

@@ -58,7 +58,7 @@ class TestBulletProofModel:
 
     def test_mc_mean_between_bounds(self):
         m = BulletProofModel()
-        mean = m.monte_carlo_faults_to_failure(trials=2000, rng=1)
+        mean = m.mean_faults_to_failure()
         assert m.min_faults_to_failure() <= mean <= m.max_faults_to_failure()
         # close to the published fault-injection result
         assert mean == pytest.approx(3.15, abs=0.6)
@@ -128,7 +128,7 @@ class TestVicisModel:
         assert VicisModel().published_spf == pytest.approx(6.55, abs=0.01)
 
     def test_mc_mean_positive(self):
-        mean = VicisModel().monte_carlo_faults_to_failure(trials=1000, rng=2)
+        mean = VicisModel().mean_faults_to_failure()
         assert mean > 2
 
 
@@ -149,7 +149,7 @@ class TestRoCo:
         assert m.spf(0.2) < 5.5
 
     def test_mc_mean(self):
-        mean = RoCoModel().monte_carlo_faults_to_failure(trials=2000, rng=3)
+        mean = RoCoModel().mean_faults_to_failure()
         # row/col each tolerate 2: min 6? no - failure when both exceed:
         # min faults = 2*(tol+1) = 6 only if alternating... bounded sanity:
         assert 4 <= mean <= 12

@@ -50,15 +50,27 @@ class TestAnalyticExperiments:
         assert res.max_relative_error() < 1e-9
 
     def test_mttf_headline(self):
-        res = mttf.run(mttf.MTTFConfig(mc_samples=20_000))
+        res = mttf.run()
         assert res.row("MTTF protected (paper Eq.5)").relative_error() < 0.01
         assert res.row("reliability improvement (paper)").measured == pytest.approx(
             6.18, abs=0.05
         )
 
     def test_table3_ordering(self):
-        res = table3.run(table3.Table3Config(mc_trials=100))
+        res = table3.run()
         assert res.row("proposed router has highest SPF").measured is True
+        assert res.row("proposed: exact mean faults to failure").measured == 9.29
+        assert res.row("proposed: exact max faults").measured == 34
+
+    def test_table3_one_mean_whatever_the_flags(self, capsys):
+        from repro.experiments.runner import main
+
+        means = set()
+        for flags in ([], ["--quick"], ["--seed", "5"], ["--jobs", "2"]):
+            assert main(["table3", *flags]) == 0
+            out = capsys.readouterr().out
+            means |= {ln for ln in out.splitlines() if "exact mean" in ln}
+        assert len(means) == 1
 
     def test_spf_sweep_shape(self):
         res = spf_sweep.run()

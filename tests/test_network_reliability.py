@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import fabric_trial_chunk_reference
 from repro.config import NetworkConfig
 from repro.reliability.network_level import (
     _fabric_trial_chunk,
-    _fabric_trial_chunk_reference,
     analyze_network_reliability,
     protection_gain,
     sample_router_lifetimes,
@@ -85,7 +85,7 @@ class TestVectorizedTrialKernel:
     def _assert_chunks_equal(self, net, model, trials=30, k=3, root=42):
         seeds = np.random.SeedSequence(root).spawn(trials)
         fast = _fabric_trial_chunk(net, model, seeds, k, None)
-        ref = _fabric_trial_chunk_reference(net, model, seeds, k, None)
+        ref = fabric_trial_chunk_reference(net, model, seeds, k, None)
         assert np.array_equal(fast, ref)
 
     def test_mesh_baseline(self):

@@ -103,15 +103,6 @@ class TestSpawnSeeds:
 
 
 class TestMonteCarloDeterminism:
-    def test_spf_mc_bit_identical(self):
-        from repro.reliability.spf import monte_carlo_faults_to_failure
-
-        serial = monte_carlo_faults_to_failure(trials=60, rng=11)
-        sharded = monte_carlo_faults_to_failure(trials=60, rng=11, jobs=3)
-        assert np.array_equal(serial.samples, sharded.samples)
-        assert serial.mean == sharded.mean
-        assert sharded.sweep.jobs == 3
-
     def test_network_reliability_bit_identical(self):
         from repro.config import NetworkConfig
         from repro.reliability.network_level import analyze_network_reliability
@@ -156,7 +147,7 @@ class TestRunnerJobsFlag:
     def test_cli_accepts_jobs(self, capsys):
         from repro.experiments.runner import main
 
-        assert main(["table3", "--quick", "--jobs", "2"]) == 0
+        assert main(["network_reliability", "--quick", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "sweep:" in out  # shard report surfaced
 
@@ -169,7 +160,7 @@ class TestRunnerJobsFlag:
     def test_registry_passes_jobs_through(self):
         from repro.experiments import run_experiment
 
-        res = run_experiment("table3", quick=True, jobs=2)
+        res = run_experiment("network_reliability", quick=True, jobs=2)
         assert res.extras["sweep"].jobs == 2
 
 

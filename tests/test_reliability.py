@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import assert_within_standard_errors, max_lifetime_samples
 from repro.reliability.components import (
     Component,
     arbiter,
@@ -25,7 +26,6 @@ from repro.reliability.forc import (
 )
 from repro.reliability.mttf import (
     analyze_mttf,
-    monte_carlo_mttf,
     mttf_from_fit,
     mttf_two_component_exact,
     mttf_two_component_paper,
@@ -201,20 +201,8 @@ class TestMTTF:
 
     def test_monte_carlo_validates_exact_formula(self):
         exact = mttf_two_component_exact(2822.0, 646.0)
-        mc = monte_carlo_mttf(2822.0, 646.0, samples=200_000, rng=42)
-        assert mc == pytest.approx(exact, rel=0.02)
-
-    def test_monte_carlo_batched_equals_scalar_reference(self):
-        """The batched sampler consumes the identical RNG stream as the
-        one-draw-per-call oracle — bit-equal means, not approximately."""
-        from repro.reliability.mttf import monte_carlo_mttf_reference
-
-        for seed in (7, 42, 1234):
-            fast = monte_carlo_mttf(2822.0, 646.0, samples=4000, rng=seed)
-            ref = monte_carlo_mttf_reference(
-                2822.0, 646.0, samples=4000, rng=seed
-            )
-            assert fast == ref
+        samples = max_lifetime_samples(2822.0, 646.0, samples=200_000, rng=42)
+        assert_within_standard_errors(exact, samples)
 
     def test_analyze_mttf_end_to_end(self):
         rep = analyze_mttf()

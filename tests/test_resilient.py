@@ -630,7 +630,7 @@ class TestCLI:
     def test_out_dir_checkpoints_experiment(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         rc = runner.main([
-            "table3", "--quick", "--jobs", "2", "--out-dir", str(run_dir),
+            "network_reliability", "--quick", "--jobs", "2", "--out-dir", str(run_dir),
         ])
         assert rc == 0
         assert (run_dir / "manifest.json").exists()
@@ -638,7 +638,7 @@ class TestCLI:
         assert "checkpointed" in out
 
         rc = runner.main([
-            "table3", "--quick", "--jobs", "2", "--resume", str(run_dir),
+            "network_reliability", "--quick", "--jobs", "2", "--resume", str(run_dir),
         ])
         assert rc == 0
         out = capsys.readouterr().out

@@ -149,8 +149,8 @@ class TestDegradedBehaviour:
 
     def test_monte_carlo_matches_roco_model(self):
         """Injecting random pipeline faults into the RoCo router until
-        failure tracks the RoCoModel's published-style MC (same two-module
-        law, faults split ~evenly)."""
+        failure tracks the RoCoModel's exact mean (same two-module law,
+        faults split ~evenly)."""
         import numpy as np
 
         from repro.comparison.roco import RoCoModel
@@ -172,8 +172,8 @@ class TestDegradedBehaviour:
                 if r.failed:
                     break
             counts.append(n)
-        mc = RoCoModel().monte_carlo_faults_to_failure(trials=2000, rng=4)
-        assert np.mean(counts) == pytest.approx(mc, rel=0.25)
+        exact = RoCoModel().mean_faults_to_failure()
+        assert np.mean(counts) == pytest.approx(exact, rel=0.25)
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,11 @@ from repro.router.routing import (
     WestFirstRouting,
     XYRouting,
     YXRouting,
-    _neighbour,
     make_routing,
 )
 
 from conftest import hop_count
+from oracles import neighbour
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ class TestXY:
             port = r.output_port(cur, dst)
             if port == PORT_LOCAL:
                 break
-            cur = _neighbour(net, cur, port)
+            cur = neighbour(net, cur, port)
         assert cur == dst
 
     @given(st.integers(0, 63), st.integers(0, 63))
@@ -82,7 +82,7 @@ class TestXY:
                 moved_y = True
             else:
                 assert not moved_y, "illegal Y->X turn"
-            cur = _neighbour(net, cur, port)
+            cur = neighbour(net, cur, port)
 
 
 class TestYX:
@@ -115,9 +115,9 @@ class TestNeighbour:
     def test_mesh_edge_raises(self):
         net = NetworkConfig(width=4, height=4)
         with pytest.raises(ValueError):
-            _neighbour(net, 0, PORT_NORTH)
+            neighbour(net, 0, PORT_NORTH)
 
     def test_local_port_raises(self):
         net = NetworkConfig(width=4, height=4)
         with pytest.raises(ValueError):
-            _neighbour(net, 0, PORT_LOCAL)
+            neighbour(net, 0, PORT_LOCAL)

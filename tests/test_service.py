@@ -247,7 +247,7 @@ class TestFingerprint:
             ("fault_sweep", {"fault_counts": [0, True]}),
             ("fault_sweep", {"fault_counts": [0, 2.5]}),
             ("fault_sweep", {"app": 3}),
-            ("mttf", {"mc_samples": "x"}),
+            ("network_reliability", {"trials": "x"}),
             ("load_latency", {"rates": ["0.1"]}),
             ("fault_campaign", {"router_kinds": [1]}),
             ("fault_campaign", {"timeline": {"protected": 1}}),
@@ -888,13 +888,15 @@ class TestServer:
             ("detection_latency", {"measure_cycles": 0}),
             # wrongly typed fields, which used to fail only inside the run
             ("fault_sweep", {"latency": {"width": "8"}}),
-            ("mttf", {"mc_samples": "x"}),
+            ("network_reliability", {"trials": "x"}),
+            # a field the config does not declare
+            ("table3", {"mc_trials": 200}),
         ],
         ids=[
             "negative-fault-count", "no-timelines", "no-rates", "no-vc-counts",
             "no-mean-interval", "negative-events", "fraction-above-one",
             "negative-first-event", "zero-transient-duration", "no-faults",
-            "no-cycles", "string-width", "string-mc-samples",
+            "no-cycles", "string-width", "string-trials", "removed-field",
         ],
     )
     def test_a_config_the_experiment_cannot_compute_is_a_400(self, name, config):
@@ -908,6 +910,7 @@ class TestServer:
                     "POST", "/v1/sweeps", {"experiment": name, "config": config}
                 )
                 assert status == 400, body
+                assert isinstance(body["error"], str)
                 counters = (await client.stats())["counters"]
                 assert counters.get("service.computations", 0) == 0
                 assert counters["service.bad_requests"] == 1

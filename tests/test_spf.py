@@ -1,11 +1,19 @@
 """Tests for the SPF analysis (paper Section VIII)."""
 
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+import numpy as np
 import pytest
 
+from oracles import assert_within_standard_errors, faults_to_failure_samples
 from repro.config import RouterConfig
+from repro.core.failure import failure_components, protected_router_failed
+from repro.faults.sites import RouterFaultState, enumerate_sites
 from repro.reliability.spf import (
     analyze_spf,
-    monte_carlo_faults_to_failure,
+    faults_to_failure,
     spf_vs_vc_count,
     stage_fault_bounds,
 )
@@ -85,32 +93,108 @@ class TestSPFSweep:
 
 
 class TestMonteCarloSPF:
+    """The exact faults-to-failure law against the sampled one."""
+
     def test_bounds_respected(self):
-        mc = monte_carlo_faults_to_failure(trials=300, rng=5)
-        # analytic extremes: failure needs >=2 faults and happens by 28
-        assert mc.minimum >= 2
-        assert mc.maximum <= 28
-        assert 2 <= mc.mean <= 28
+        """T runs from 2 (a fatal pair) to 34: the largest tolerated set
+        holds 33 sites, 8 of them in the XB ring (SA2 and muxes 0, 2, 4,
+        secondaries 1 and 3) beside RC 5, VA1 15 and SA1 5."""
+        d = faults_to_failure()
+        assert (d.minimum, d.maximum) == (2, 34)
+        assert all(p == 0 for k, p in enumerate(d.pmf) if not 2 <= k <= 34)
+        # two faults fail the router as one of 5 RC pairs, 5 SA pairs or
+        # 26 ring pairs (an output's mux or SA2 with its secondary path's
+        # demux, mux or SA2; outputs 0 and 1 back each other up: 5 x 6 - 4)
+        assert d.pmf[2] == Fraction(5 + 5 + 26, comb(55, 2))
+        # the 33-site sets: one unit of each RC and SA pair, three of four
+        # VA1 sets per port, and the one 8-site ring set
+        assert d.tolerable[33] == 2**5 * 2**5 * 4**5 and d.tolerable[34] == 0
+        assert d.pmf[34] == Fraction(d.tolerable[33], comb(55, 33))
+        assert float(sum(d.pmf[29:])) == pytest.approx(1.46e-5, rel=0.01)
 
     def test_deterministic_with_seed(self):
-        a = monte_carlo_faults_to_failure(trials=100, rng=3)
-        b = monte_carlo_faults_to_failure(trials=100, rng=3)
-        assert a.mean == b.mean
+        a = faults_to_failure_samples(trials=100, rng=3)
+        b = faults_to_failure_samples(trials=100, rng=3)
+        assert np.array_equal(a, b)
 
     def test_more_vcs_tolerate_more(self):
-        small = monte_carlo_faults_to_failure(
-            RouterConfig(num_vcs=2), trials=300, rng=1
-        )
-        big = monte_carlo_faults_to_failure(
-            RouterConfig(num_vcs=8), trials=300, rng=1
-        )
+        small = faults_to_failure(RouterConfig(num_vcs=2))
+        big = faults_to_failure(RouterConfig(num_vcs=8))
         assert big.mean > small.mean
 
     def test_percentiles(self):
-        mc = monte_carlo_faults_to_failure(trials=300, rng=5)
-        assert mc.percentile(0) == mc.minimum
-        assert mc.percentile(100) == mc.maximum
+        """The support ends where the CDF leaves 0 and reaches 1."""
+        d = faults_to_failure()
+        cdf = np.cumsum([float(p) for p in d.pmf])
+        assert cdf[d.minimum - 1] == 0 < cdf[d.minimum]
+        assert cdf[d.maximum - 1] < 1
+        assert sum(d.pmf[: d.maximum + 1]) == 1
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            monte_carlo_faults_to_failure(trials=0)
+            faults_to_failure_samples(trials=0)
+
+
+#: (config, exact/include_va2) -> the exact mean, to its printed digits
+EXACT_MEANS = [
+    (RouterConfig(), False, 9.286083949966017),
+    (RouterConfig(), True, 12.539352789302463),
+    (RouterConfig(num_vcs=2), False, 7.024238734),
+    (RouterConfig(num_vcs=8), False, 12.668730886),
+    (RouterConfig(num_ports=4), False, 8.442868630),
+]
+_IDS = ["paper", "exact", "2vc", "8vc", "4port"]
+
+
+class TestExactFaultsToFailure:
+    @pytest.mark.parametrize("config, exact, mean", EXACT_MEANS, ids=_IDS)
+    def test_means_to_their_printed_digits(self, config, exact, mean):
+        d = faults_to_failure(config, exact=exact, include_va2=exact)
+        digits = len(repr(mean).split(".")[1])
+        assert round(d.mean, digits) == mean
+        assert sum(d.pmf) == 1
+        assert d.mean == pytest.approx(float(sum(k * p for k, p in enumerate(d.pmf))))
+
+    @pytest.mark.parametrize(
+        "exact, upto, counts",
+        [(False, 3, (1, 55, 1449, 24404)), (True, 2, (1, 75, 2739))],
+        ids=["paper", "exact"],
+    )
+    def test_tolerable_sets_equal_a_brute_force_count(self, exact, upto, counts):
+        """N_k by the component product equals a direct count of
+        ``protected_router_failed`` over every k-subset of the sites."""
+        config = RouterConfig()
+        sites = list(enumerate_sites(config, include_va2=exact))
+        brute = []
+        for k in range(upto + 1):
+            alive = 0
+            for subset in combinations(sites, k):
+                state = RouterFaultState(config)
+                for site in subset:
+                    state.inject(site)
+                alive += not protected_router_failed(state, exact=exact)
+            brute.append(alive)
+        d = faults_to_failure(config, exact=exact, include_va2=exact)
+        assert tuple(brute) == counts == d.tolerable[: upto + 1]
+
+    @pytest.mark.parametrize("config, exact, mean", EXACT_MEANS, ids=_IDS)
+    def test_oracle_within_three_standard_errors(self, config, exact, mean):
+        samples = faults_to_failure_samples(
+            config, trials=4000, rng=1, exact=exact, include_va2=exact
+        )
+        assert_within_standard_errors(mean, samples)
+
+    def test_components_share_no_site_and_cover_the_pool(self):
+        for exact in (False, True):
+            config = RouterConfig(num_vnets=2)
+            sites = [s for c in failure_components(config, exact) for s in c.sites]
+            assert len(sites) == len(set(sites))
+            assert set(sites) == set(enumerate_sites(config, include_va2=exact))
+
+    def test_va2_sites_without_the_rule_never_fail_the_router(self):
+        """In paper accounting VA2 sites are in the pool but no component
+        reads them: each multiplies N by (1 + x)."""
+        d = faults_to_failure(include_va2=True)
+        assert len(d.pmf) == 75 + 1
+        assert d.tolerable[1] == 75
+        assert d.mean > faults_to_failure().mean

@@ -8,10 +8,10 @@ from repro.config import NetworkConfig, RouterConfig
 from repro.core.failure import protected_router_failed
 from repro.core.protected_router import ProtectedRouter
 from repro.faults.sites import FaultSite, FaultUnit, enumerate_sites
-from repro.reliability.spf import monte_carlo_faults_to_failure
+from oracles import trial_counts_reference
+from repro.reliability.spf import faults_to_failure
 from repro.reliability.spf_simulation import (
     _PROBE_NODE,
-    _trial_counts_reference,
     functional_failure,
     simulated_faults_to_failure,
 )
@@ -22,7 +22,7 @@ def reference_counts(trials, seed, config=RouterConfig()):
     """The scalar oracle's counts over the campaign's site pool and stream."""
     net = NetworkConfig(width=3, height=3, router=config)
     sites = list(enumerate_sites(config, router=_PROBE_NODE, include_va2=False))
-    return _trial_counts_reference(
+    return trial_counts_reference(
         config, net, sites, trials, np.random.default_rng(seed), max_cycles=60
     )
 
@@ -112,13 +112,11 @@ class TestSimulatedCampaign:
         assert a.mean == b.mean
 
     def test_tracks_predicate_monte_carlo(self):
-        """The behavioural and analytical MC means agree closely (same
-        failure law, same site pool)."""
+        """The behavioural campaign's mean tracks the predicate's exact
+        mean (same failure law, same site pool)."""
         sim = simulated_faults_to_failure(trials=40, rng=3)
-        analytic = monte_carlo_faults_to_failure(
-            RouterConfig(), trials=400, rng=3, include_va2=False
-        )
-        assert sim.mean == pytest.approx(analytic.mean, rel=0.2)
+        exact = faults_to_failure(RouterConfig(), include_va2=False)
+        assert sim.mean == pytest.approx(exact.mean, rel=0.2)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
