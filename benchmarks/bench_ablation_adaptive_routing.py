@@ -17,9 +17,6 @@ comparison uses diagonal (detourable) flows — the honest statement of
 what minimal adaptive routing buys.
 """
 
-import pytest
-
-from conftest import run_once
 from repro.config import NetworkConfig, PORT_EAST, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.faults.sites import FaultSite, FaultUnit
@@ -67,16 +64,13 @@ def run(routing_kind: str, kill_output: bool, traffic=None):
     return sim.run()
 
 
-def test_adaptive_routing_ablation(benchmark):
-    def measure():
-        return (
-            run("xy", kill_output=False),
-            run("west_first", kill_output=False),
-            run("xy", True, TraceTraffic(diagonal_flows())),
-            run("west_first", True, TraceTraffic(diagonal_flows())),
-        )
-
-    xy_clean, wf_clean, xy_dead, wf_dead = run_once(benchmark, measure)
+def test_adaptive_routing_ablation():
+    xy_clean, wf_clean, xy_dead, wf_dead = (
+        run("xy", kill_output=False),
+        run("west_first", kill_output=False),
+        run("xy", True, TraceTraffic(diagonal_flows())),
+        run("west_first", True, TraceTraffic(diagonal_flows())),
+    )
     print(
         f"\nfault-free: xy={xy_clean.avg_network_latency:.2f} "
         f"west_first={wf_clean.avg_network_latency:.2f}"

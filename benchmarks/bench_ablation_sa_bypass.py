@@ -14,9 +14,6 @@ can only happen when the default empties — so worst-case (max) latency
 degrades; rotation bounds it.
 """
 
-import pytest
-
-from conftest import run_once
 from repro.config import (
     NetworkConfig,
     PORT_WEST,
@@ -59,13 +56,9 @@ def run_policy(rotation_period: int):
     return sim.run()
 
 
-def test_rotating_vs_static_default_winner(benchmark):
-    def measure():
-        rotating = run_policy(rotation_period=8)
-        static = run_policy(rotation_period=10**9)
-        return rotating, static
-
-    rotating, static = run_once(benchmark, measure)
+def test_rotating_vs_static_default_winner():
+    rotating = run_policy(rotation_period=8)
+    static = run_policy(rotation_period=10**9)
     print(
         f"\nrotating: avg={rotating.avg_network_latency:.2f} "
         f"max={rotating.stats.max_network_latency}"

@@ -6,9 +6,6 @@ input port backs up, and the network wedges.  With sharing, the same
 fault costs at most occasional +1-cycle waits.
 """
 
-import pytest
-
-from conftest import run_once
 from repro.config import (
     NetworkConfig,
     PORT_WEST,
@@ -52,11 +49,8 @@ def run_router(protected: bool):
     return sim.run()
 
 
-def test_sharing_vs_unprotected(benchmark):
-    def measure():
-        return run_router(True), run_router(False)
-
-    with_sharing, without = run_once(benchmark, measure)
+def test_sharing_vs_unprotected():
+    with_sharing, without = run_router(True), run_router(False)
     print(
         f"\nsharing: lat={with_sharing.avg_network_latency:.2f} "
         f"blocked={with_sharing.blocked}"

@@ -8,9 +8,6 @@ bandwidth cost: eastbound traffic through the faulty router's shared mux
 slows, but completes.
 """
 
-import pytest
-
-from conftest import run_once
 from repro.config import (
     NetworkConfig,
     PORT_EAST,
@@ -51,15 +48,12 @@ def run_router(protected: bool, faulty: bool):
     return sim.run()
 
 
-def test_secondary_path_vs_retirement(benchmark):
-    def measure():
-        return (
-            run_router(True, faulty=False),
-            run_router(True, faulty=True),
-            run_router(False, faulty=True),
-        )
-
-    clean, protected, retired = run_once(benchmark, measure)
+def test_secondary_path_vs_retirement():
+    clean, protected, retired = (
+        run_router(True, faulty=False),
+        run_router(True, faulty=True),
+        run_router(False, faulty=True),
+    )
     print(
         f"\nfault-free: {clean.avg_network_latency:.2f}"
         f"  secondary-path: {protected.avg_network_latency:.2f}"

@@ -2,13 +2,11 @@
 
 import pytest
 
-from conftest import run_once
 from repro.experiments import design_space, mttf_sensitivity
 
 
-def test_design_space(benchmark):
-    result = run_once(
-        benchmark, design_space.run,
+def test_design_space():
+    result = design_space.run(
         design_space.DesignSpaceConfig(
             vc_counts=(2, 4, 8), buffer_depths=(2, 4), measure=1200
         ),
@@ -23,8 +21,8 @@ def test_design_space(benchmark):
     assert result.row("more VCs raise SPF").measured is True
 
 
-def test_mttf_sensitivity(benchmark):
-    result = benchmark(mttf_sensitivity.run)
+def test_mttf_sensitivity():
+    result = mttf_sensitivity.run()
     print()
     print(result.format())
     assert result.row(

@@ -1,15 +1,11 @@
 """Bench (extensions): detection latency + latency-vs-fault-count sweep."""
 
-import pytest
-
-from conftest import run_once
 from repro.experiments import detection_latency, fault_sweep
 from repro.experiments.latency import QUICK_CONFIG
 
 
-def test_detection_latency(benchmark):
-    result = run_once(
-        benchmark, detection_latency.run,
+def test_detection_latency():
+    result = detection_latency.run(
         detection_latency.DetectionLatencyConfig(
             measure_cycles=2000, num_faults=20
         ),
@@ -26,9 +22,8 @@ def test_detection_latency(benchmark):
     assert result.row("every observed detection after injection").measured is True
 
 
-def test_fault_sweep(benchmark):
-    result = run_once(
-        benchmark, fault_sweep.run,
+def test_fault_sweep():
+    result = fault_sweep.run(
         fault_sweep.FaultSweepConfig(
             fault_counts=(0, 8, 16, 32), app="ocean", latency=QUICK_CONFIG
         ),

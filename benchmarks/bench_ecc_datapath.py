@@ -1,16 +1,11 @@
 """Bench (extension): ECC datapath study — Vicis's mechanism composed
 with the protected router on the live fabric."""
 
-import pytest
-
-from conftest import run_once
 from repro.comparison.ecc_sim import run_ecc_study
 
 
-def test_ecc_datapath_protection(benchmark):
-    result = run_once(
-        benchmark,
-        run_ecc_study,
+def test_ecc_datapath_protection():
+    result = run_ecc_study(
         faulty_ports_per_router=0.3,
         measure_cycles=2000,
         seed=1,

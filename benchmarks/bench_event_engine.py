@@ -93,21 +93,10 @@ def _best_of(sim_factory, skip_ahead: bool, rounds: int = 3):
     return best, result
 
 
-def _compare(sim_factory, benchmark):
+def _compare(sim_factory):
     per_cycle_s, per_cycle = _best_of(sim_factory, skip_ahead=False)
-    samples = []
-
-    def timed():
-        sim = sim_factory(True)
-        t0 = time.perf_counter()
-        res = sim._run_stepped()
-        samples.append(time.perf_counter() - t0)
-        return res
-
-    event = benchmark.pedantic(
-        timed, rounds=3, iterations=1, warmup_rounds=1
-    )
-    event_s = min(samples)
+    _best_of(sim_factory, skip_ahead=True, rounds=1)  # warm-up
+    event_s, event = _best_of(sim_factory, skip_ahead=True)
 
     # a speedup earned by divergence would be a bug: both loop flavours
     # must produce the same run, bit for bit
@@ -118,14 +107,14 @@ def _compare(sim_factory, benchmark):
     return per_cycle_s / event_s if event_s > 0 else float("inf")
 
 
-def test_drain_heavy_speedup(benchmark):
-    speedup = _compare(_drain_heavy_sim, benchmark)
+def test_drain_heavy_speedup():
+    speedup = _compare(_drain_heavy_sim)
     # acceptance floor: the idle tail must be skipped, not stepped
     assert speedup >= 2.0, f"drain-heavy speedup {speedup:.2f}x < 2x"
 
 
-def test_low_injection_speedup(benchmark):
-    speedup = _compare(_low_injection_sim, benchmark)
+def test_low_injection_speedup():
+    speedup = _compare(_low_injection_sim)
     # sparse loads still step every busy cycle; the win is smaller but
     # must not regress below parity by more than measurement noise
     assert speedup >= 1.1, f"low-injection speedup {speedup:.2f}x"

@@ -11,7 +11,6 @@ plain static fault sweep stays within 25 %.
 
 import time
 
-from conftest import run_once
 from repro.experiments.fault_campaign import CampaignConfig, run
 from repro.experiments.latency import LatencyConfig, suite_traffic
 from repro.experiments.parallel import LanePoint, run_lane_sweep
@@ -84,7 +83,7 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def test_campaign_overhead_vs_plain_fault_sweep(benchmark):
+def test_campaign_overhead_vs_plain_fault_sweep():
     """Timelines + recovery monitoring vs a static sweep, same points."""
     # warm both paths once so neither pays first-import costs
     _run_plain()
@@ -92,14 +91,7 @@ def test_campaign_overhead_vs_plain_fault_sweep(benchmark):
     ((_, plain_report), plain_s) = _timed(_run_plain)
     assert plain_report.fallbacks == 0, plain_report.fallback_reasons
 
-    box = {}
-
-    def campaign():
-        out, box["s"] = _timed(lambda: run(CAMPAIGN, jobs=None))
-        return out
-
-    res = run_once(benchmark, campaign)
-    campaign_s = box["s"]
+    res, campaign_s = _timed(lambda: run(CAMPAIGN, jobs=None))
 
     # the campaign did its job: temporal events measured end to end
     row = res.extras["rows"][0]

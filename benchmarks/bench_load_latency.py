@@ -5,16 +5,11 @@ cost little at low load and increasingly more toward saturation (the
 faulty curve's knee shifts left).
 """
 
-import pytest
-
-from conftest import run_once
 from repro.experiments import load_latency
 
 
-def test_load_latency_curves(benchmark):
-    result = run_once(
-        benchmark,
-        load_latency.run,
+def test_load_latency_curves():
+    result = load_latency.run(
         load_latency.LoadLatencyConfig(
             rates=(0.03, 0.09, 0.15), measure=2500, num_faults=24
         ),

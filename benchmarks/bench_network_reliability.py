@@ -1,14 +1,10 @@
 """Bench (extension): fabric-level MTTF, baseline vs protected routers."""
 
-import pytest
-
-from conftest import run_once
 from repro.experiments import network_reliability
 
 
-def test_network_reliability(benchmark):
-    result = run_once(
-        benchmark, network_reliability.run,
+def test_network_reliability():
+    result = network_reliability.run(
         network_reliability.NetworkReliabilityConfig(trials=120),
     )
     print()

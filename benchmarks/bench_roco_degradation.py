@@ -17,9 +17,6 @@ import hashlib
 import json
 from dataclasses import asdict, replace
 
-import pytest
-
-from conftest import run_once
 from repro.comparison.roco_router import roco_router_factory
 from repro.config import (
     NetworkConfig,
@@ -62,14 +59,11 @@ def run(factory):
     return sim.run()
 
 
-def test_roco_degrades_proposed_tolerates(benchmark):
-    def measure():
-        return (
-            run(protected_router_factory(NET)),
-            run(roco_router_factory(NET)),
-        )
-
-    proposed, roco = run_once(benchmark, measure)
+def test_roco_degrades_proposed_tolerates():
+    proposed, roco = (
+        run(protected_router_factory(NET)),
+        run(roco_router_factory(NET)),
+    )
     print(
         f"\nproposed: delivered {proposed.stats.packets_ejected}/"
         f"{proposed.stats.packets_created} "

@@ -9,19 +9,14 @@ predicates and what a live router actually survives.
 
 import pytest
 
-from conftest import run_once
 from repro.config import RouterConfig
 from repro.reliability.spf import faults_to_failure
 from repro.reliability.spf_simulation import simulated_faults_to_failure
 
 
-def test_simulated_vs_analytic_faults_to_failure(benchmark):
-    def measure():
-        sim = simulated_faults_to_failure(trials=40, rng=3)
-        exact = faults_to_failure(RouterConfig(), include_va2=False)
-        return sim, exact
-
-    sim, exact = run_once(benchmark, measure)
+def test_simulated_vs_analytic_faults_to_failure():
+    sim = simulated_faults_to_failure(trials=40, rng=3)
+    exact = faults_to_failure(RouterConfig(), include_va2=False)
     print(
         f"\nsimulated: mean={sim.mean:.2f} [{sim.minimum}, {sim.maximum}]"
         f"  exact: mean={exact.mean:.2f} [{exact.minimum}, {exact.maximum}]"

@@ -81,7 +81,7 @@ def service(tmp_path):
             proc.wait(timeout=10)
 
 
-def test_warm_cache_hit_speedup(service, benchmark):
+def test_warm_cache_hit_speedup(service):
     """An identical repeat request must be served >=10x faster."""
     from repro.service import ServiceClient
 
@@ -95,15 +95,7 @@ def test_warm_cache_hit_speedup(service, benchmark):
     cold, cold_s = asyncio.run(timed_sweep())
     assert cold["cached"] is False
 
-    box = {}
-
-    def warm_once():
-        reply, box["s"] = asyncio.run(timed_sweep())
-        return reply
-
-    warm = benchmark.pedantic(warm_once, rounds=1, iterations=1,
-                              warmup_rounds=0)
-    warm_s = box["s"]
+    warm, warm_s = asyncio.run(timed_sweep())
 
     assert warm["cached"] is True
     assert warm["result"] == cold["result"]
@@ -119,7 +111,7 @@ def test_warm_cache_hit_speedup(service, benchmark):
     )
 
 
-def test_concurrent_identical_requests_compute_once(service, benchmark):
+def test_concurrent_identical_requests_compute_once(service):
     """N concurrent cold clients -> exactly 1 computation, N answers."""
     from repro.service import ServiceClient
 
@@ -132,16 +124,9 @@ def test_concurrent_identical_requests_compute_once(service, benchmark):
             *[client.sweep("fault_sweep", config) for _ in range(N_CLIENTS)]
         )
 
-    box = {}
-
-    def measured():
-        t0 = time.perf_counter()
-        replies = asyncio.run(stampede())
-        box["s"] = time.perf_counter() - t0
-        return replies
-
-    replies = benchmark.pedantic(measured, rounds=1, iterations=1,
-                                 warmup_rounds=0)
+    t0 = time.perf_counter()
+    replies = asyncio.run(stampede())
+    elapsed = time.perf_counter() - t0
 
     assert len({r["sha256"] for r in replies}) == 1, "answers diverged"
     stats = asyncio.run(client.stats())
@@ -149,7 +134,7 @@ def test_concurrent_identical_requests_compute_once(service, benchmark):
     computations = counters["service.computations"]
     joined = counters["service.dedup_joined"]
     print(
-        f"\n{N_CLIENTS} concurrent identical requests in {box['s']:.3f}s: "
+        f"\n{N_CLIENTS} concurrent identical requests in {elapsed:.3f}s: "
         f"{computations} computation(s), {joined} joined in flight"
     )
     assert computations == 1, (
@@ -159,7 +144,7 @@ def test_concurrent_identical_requests_compute_once(service, benchmark):
     assert joined == N_CLIENTS - 1
 
 
-def test_streaming_delivers_points(service, benchmark):
+def test_streaming_delivers_points(service):
     """A streamed request reports every sweep point before the result.
 
     One ``point`` event per completed *task*: a batched lane chunk covers
@@ -179,10 +164,7 @@ def test_streaming_delivers_points(service, benchmark):
             "fault_sweep", config, stream=True, on_point=points.append
         )
 
-    reply = benchmark.pedantic(
-        lambda: asyncio.run(streamed()), rounds=1, iterations=1,
-        warmup_rounds=0,
-    )
+    reply = asyncio.run(streamed())
     streamed_points = sum(e.get("points", 1) for e in points)
     assert reply["points_streamed"] == streamed_points == 4
     assert reply["result"]["rows"]

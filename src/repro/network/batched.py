@@ -149,10 +149,11 @@ off the routers a fabric is built from: a ``NoCSimulator.run()`` above the
 break-even load is a width-1 engine of this class only when every router
 is exactly one registered class (a subclass, such as
 ``comparison.ecc_sim``'s, is stepped), and :func:`router_factory` builds
-the class a sweep point's kind names.  :func:`supports` declines only
-while observability is on: :func:`repro.experiments.parallel.run_lane_sweep`
-then runs those points on the object engine one at a time and counts them
-as its report's ``fallbacks``.
+the class a sweep point's kind names.  :func:`supports` declines while
+observability is on and past :data:`_MAX_VCS` VCs per port:
+:func:`repro.experiments.parallel.run_lane_sweep` then runs those points
+on the object engine one at a time and counts them as its report's
+``fallbacks``.
 """
 
 from __future__ import annotations

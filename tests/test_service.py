@@ -1343,6 +1343,36 @@ class TestConnections:
                 await service.close()
         asyncio.run(run())
 
+    def test_an_oversized_body_streamed_slowly(self, quiet):
+        """A head that declares one byte over ``_MAX_BODY``, then the body
+        trickled in: the 413 comes off the head, before the trickle ends,
+        the connection closes, and nothing is computed."""
+        chunks, pause = 40, 0.05  # the whole trickle takes 2 s
+
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                             % (server_module._MAX_BODY + 1) + b"{" * 16)
+                replied = asyncio.ensure_future(asyncio.wait_for(reader.read(), timeout=10))
+                sent = 1
+                while sent < chunks and not replied.done():
+                    await asyncio.sleep(pause)
+                    if not replied.done():
+                        writer.write(b"{" * 16)
+                        sent += 1
+                assert sent < chunks  # answered while the body was still coming
+                [(status, head, body)] = _replies(await replied)  # then closed
+                writer.close()
+                assert status == 413 and b"Connection: close" in head
+                assert "error" in json.loads(body)
+                counters = (await client.stats())["counters"]
+                assert "service.computations" not in counters
+            finally:
+                await service.close()
+        asyncio.run(run())
+
     def test_close_with_an_idle_connection(self, quiet):
         async def run():
             service, client = await _start_service_tmp()
