@@ -6,8 +6,10 @@ on a call budget") and the CI ``ledger`` job's summary.  Two tables:
 * per chunk — the two ``fig_suite_4x4`` suites (16 and 18 lanes x 16
   routers), ``lane_sweep_8x8``'s 64 points at width 32 and one
   ``campaign_4x4`` campaign — every kernel's µs per step, the seconds of
-  lane installs, retirements and recovery polls, and the step loop
-  (``run() - install_s - retire_s`` over the steps).  Every kernel call
+  lane installs, retirements and recovery polls, the step loop
+  (``run() - install_s - retire_s`` over the steps) and the cycles the
+  engine fast-forwarded over (``skipped``; a step is a cycle that ran, so
+  the skipped ones are not in any per-step figure).  Every kernel call
   is timed, through the engine's ``_STAGES`` table, not the profiler's
   1-in-16 sample;
 * one ``single_run_8x8`` run: the width-1 lane ``NoCSimulator.run()``
@@ -51,7 +53,7 @@ from workloads import (  # noqa: E402
 SEED = 20140519
 #: what the table reports besides the kernels, in row order: ``nic`` writes
 #: the link's deliveries with its own flits, so the two are summed too
-EXTRA = ("link + nic", "install_s", "retire_s", "poll_s", "step loop", "run() s")
+EXTRA = ("link + nic", "install_s", "retire_s", "poll_s", "step loop", "run() s", "skipped")
 
 
 def instrument(cls):
@@ -78,6 +80,12 @@ def instrument(cls):
             return results
 
     return Timed
+
+
+def steps_run(engine):
+    """Global cycles the engine stepped: the ones it fast-forwarded over
+    ran no kernel (an engine from before the fast-forward has none)."""
+    return engine.total_lane_cycles // engine.L - getattr(engine, "skipped_cycles", 0)
 
 
 def load_engine(src):
@@ -125,7 +133,7 @@ def measure_chunk(module, engine_cls, points):
     finally:
         module.compile_table = compile_table
     engine = engine_cls.runs.pop()
-    steps = engine.total_lane_cycles // engine.L
+    steps = steps_run(engine)
     row = {name: engine.kernel_s[name] / steps * 1e6 for name, _ in engine._STAGES}
     row.update({
         "link + nic": row["link"] + row["nic"],
@@ -134,6 +142,7 @@ def measure_chunk(module, engine_cls, points):
         "poll_s": engine.poll_s,
         "step loop": (engine.run_s - engine.install_s - engine.retire_s) / steps * 1e6,
         "run() s": engine.run_s,
+        "skipped": getattr(engine, "skipped_cycles", 0),
     })
     shape = f"{engine.L} x {engine.R}"
     return row, f"{len(compiled)} / {len(points)}", shape, digest_of(read_out(results))
@@ -151,7 +160,7 @@ def measure_single(engine_cls, point):
     assert digest_of(read_out([rode])) == digest_of(read_out([stepped]))
     loop_s = engine.run_s - engine.install_s - engine.retire_s
     return (
-        loop_s / engine.total_lane_cycles * 1e6,
+        loop_s / steps_run(engine) * 1e6,
         engine.run_s / rode.cycles * 1e6,
         stepped_s / stepped.cycles * 1e6,
         digest_of(read_out([rode])),
@@ -159,6 +168,8 @@ def measure_single(engine_cls, point):
 
 
 def fmt(value):
+    if isinstance(value, int):
+        return f"{value:,}"
     return f"{value:.3f}" if value < 10 else f"{value:,.1f}"
 
 
@@ -170,7 +181,7 @@ def one_side(args):
         rows.append((f"{name}, {shape}", row, tables))
     kernels = [name for name, _ in batched.BatchedLaneEngine._STAGES]
     print("### Lane-engine kernels, µs per step (every call timed); install, retire"
-          " and poll seconds; the step loop\n")
+          " and poll seconds; the step loop; cycles fast-forwarded over\n")
     print("| chunk | " + " | ".join(kernels + list(EXTRA)) + " | tables / lanes |")
     print("|---|" + "---|" * (len(kernels) + len(EXTRA) + 1))
     for name, row, tables in rows:

@@ -152,7 +152,10 @@ def draw_sites(
 
     ``avoid_failure=True`` draws greedily, skipping any site that would
     bring its router to its Section VIII failure condition, so every
-    protected router *tolerates* the set.
+    protected router *tolerates* the set.  Its router tolerated the set
+    before the draw and the predicate's components share no site, so only
+    the component holding the drawn site can fail: that one rule is
+    checked, and a site of no component is always kept.
     """
     pool = network_sites(config, num_routers, protected, include_va2)
     if count > len(pool):
@@ -160,20 +163,27 @@ def draw_sites(
     order = gen.permutation(len(pool))
     if not avoid_failure:
         return [pool[int(i)] for i in order[:count]]
-    from ..core.failure import protected_router_failed
+    from ..core.failure import failure_components
     from .sites import RouterFaultState
 
+    rule = {
+        (s.unit, s.port, s.vc): c.failed
+        for c in failure_components(config, exact=True)
+        for s in c.sites
+    }
     states = [RouterFaultState(config) for _ in range(num_routers)]
     picked: List[FaultSite] = []
     for i in order:
         if len(picked) == count:
             break
         site = pool[int(i)]
-        st = states[site.router]
-        st.inject(site)
-        if protected_router_failed(st, exact=True):
-            st.heal(site)
-            continue
+        failed = rule.get((site.unit, site.port, site.vc))
+        if failed is not None:
+            st = states[site.router]
+            st.inject(site)
+            if failed(st):
+                st.heal(site)
+                continue
         picked.append(site)
     if len(picked) < count:
         raise ValueError(

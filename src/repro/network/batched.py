@@ -154,6 +154,28 @@ observability is on and past :data:`_MAX_VCS` VCs per port:
 :func:`repro.experiments.parallel.run_lane_sweep` then runs those points
 on the object engine one at a time and counts them as its report's
 ``fallbacks``.
+
+Frozen stretches
+----------------
+A baseline router fails on its first pipeline fault, so a fault campaign
+holds lanes that block and then idle to their watchdog or drain horizon.
+Once *every* lane is frozen, a step repeats itself until something outside
+the state moves, and :meth:`BatchedLaneEngine.run` jumps over those
+cycles, the lane analogue of the object engine's skip-ahead.  Each kernel
+sets ``_wrote`` where it writes state (everything but the ``RouterStats``
+counters); ``_quiet()`` adds that no ring holds an event.  Three write
+sites need care: VA stage 1 rewrites a converged pointer every cycle while
+its requester loses stage 2 to a faulty arbiter (compared, not assumed),
+an SA candidate at a protected bypass port is never quiet (the rotation
+default moves with the lane's clock), and a protected VA2 retry records
+an exclusion.  After two quiet steps with no retirement between them,
+``_fast_forward`` jumps to the next wake (a fault landing or heal, a NIC
+queue entry that finds a credit, a lane's inject window or drain horizon
+ending, a watchdog deadline) and adds the second step's counter
+increments once per skipped cycle.  A recovery monitor needs nothing: a
+watched counter that ticks while frozen resolves its watch on the first
+quiet step, and no flit traverses.  ``skipped_cycles`` counts the jumps'
+cycles.
 """
 
 from __future__ import annotations
@@ -631,6 +653,10 @@ class BatchedLaneEngine:
         self.install_s = 0.0
         self.retire_s = 0.0
         self.poll_s = 0.0
+        #: set by a kernel at each state write (see "Frozen stretches")
+        self._wrote = False
+        #: global cycles jumped over by ``_fast_forward``, never stepped
+        self.skipped_cycles = 0
 
     # ------------------------------------------------------------------
     # fault injection and crossbar path plans
@@ -645,6 +671,7 @@ class BatchedLaneEngine:
         """
         if cycle < self._fault_at:
             return
+        self._wrote = True
         for lane in (self._fault_due <= local).nonzero()[0].tolist():
             sched = cast(FaultSchedule, self.lanes[lane].fault_schedule)
             now = int(local[lane])
@@ -761,6 +788,7 @@ class BatchedLaneEngine:
         if grants is None:
             return
         self._xq[0] = None
+        self._wrote = True
         vc, port, oport, out, dest = grants
         D = self.D
         ovc = self.outvc_[vc]
@@ -847,6 +875,8 @@ class BatchedLaneEngine:
             # candidate into the default slot if that is idle and empty
             # (a default slot that requests is neither)
             bypass = fa & ~dead
+            if np.count_nonzero(bypass):
+                self._wrote = True  # the rotation default moves with the clock
             default = local[lane] // self.rot % V
             hit = ((sc == default) & bypass).nonzero()[0]
             starts = port.searchsorted(port[win])  # each port's first candidate
@@ -878,6 +908,7 @@ class BatchedLaneEngine:
         # (always a healthy one: the plans never name a faulty arbiter)
         self.sa2_prio_[arb[gi]] = self._next_p[wpin[gi]]
 
+        self._wrote = True
         gport, gout = wport[gi], out[keep[gi]]
         self.cred_[gout] -= 1
         gnode = self.node_of[gport]
@@ -951,8 +982,10 @@ class BatchedLaneEngine:
             rt, free = rt[keep], free[keep]
         # stage 1 pick: the owner slot's per-output round-robin row
         row = owner * self.P + rt
-        choice = self._first_free[self.va1_prio_[row] + free]
-        self.va1_prio_[row] = self._next_va1[choice]
+        ptr = self.va1_prio_[row]
+        choice = self._first_free[ptr + free]
+        nxt = self._next_va1[choice]
+        self.va1_prio_[row] = nxt
 
         # stage 2: proposals compete per output VC (output port, downstream VC)
         out = self.vc0_of[oport] + choice
@@ -966,8 +999,17 @@ class BatchedLaneEngine:
                 # a protected router records the exclusion, so that the
                 # retry picks elsewhere
                 prot = self.protected[retry // self.RPV]
-                self.excl_[retry[prot]] |= self._bit[choice[lost][prot]]
+                if np.count_nonzero(prot):
+                    self._wrote = True
+                    self.excl_[retry[prot]] |= self._bit[choice[lost][prot]]
                 win = win[~lost[win]]
+                if win.size == 0:
+                    # no grant: the stage-1 pointers are the only write,
+                    # and a converged one rewrites its own value
+                    if not np.array_equal(ptr, nxt):
+                        self._wrote = True
+                    return
+        self._wrote = True
         self.va2_prio_[out[win]] = self._next_pv[req[win]]
 
         gvc = vc[win]
@@ -1027,7 +1069,10 @@ class BatchedLaneEngine:
         keep = pok.nonzero()[0]
         if keep.size < vc.size:
             self._count(_I_UNREACH, self.node_of[port[~pok]])
+            if keep.size == 0:
+                return
             vc, out = vc[keep], out[keep]
+        self._wrote = True
         self.route_[vc] = out
         self.st_[vc] = _WAITING_VA
 
@@ -1039,10 +1084,12 @@ class BatchedLaneEngine:
         s = cycle % self.span
         ev = self._arrived = self._ring_flit[s]  # written with the NIC's flits
         if ev is not None:
+            self._wrote = True
             self._ring_flit[s] = None
             self.last_progress[ev[0] // self.RPV] = cycle  # a lane that moved
         ev = self._ring_eject[s]
         if ev is not None:
+            self._wrote = True
             self._ring_eject[s] = None
             out, word = ev
             # the NIC sinks the flit at once: credit back, and a tail
@@ -1062,6 +1109,7 @@ class BatchedLaneEngine:
         for ring in (self._ring_credit, self._ring_out_credit):
             ev = ring[s]
             if ev is not None:
+                self._wrote = True
                 ring[s] = None
                 self.credits[ev[0]] += 1
 
@@ -1105,6 +1153,7 @@ class BatchedLaneEngine:
             if arrived is not None:
                 self._buffer_write(*arrived)
             return
+        self._wrote = True
         # the first vnet that can inject, scanning from the NIC's
         # round-robin pointer: a round-robin arbiter's grant
         node = self.q_node_of[q]
@@ -1162,6 +1211,7 @@ class BatchedLaneEngine:
         watches are polled after the last kernel, as the object engine
         polls at end of cycle, so same-cycle mechanism activity counts.
         """
+        self._wrote = False
         prof = self.profiler
         if prof.should_sample(cycle):
             for name, kernel in self._STAGES:
@@ -1197,6 +1247,8 @@ class BatchedLaneEngine:
             self._install_lane(lane, spec, 0)
         act = self._act
         cycle = check_at = live = 0
+        #: ``counts()`` after a quiet step, while the next may repeat it
+        armed: Optional[np.ndarray] = None
         while True:
             local = cycle - self.off
             # retirement as array predicates, in serial check order:
@@ -1211,14 +1263,15 @@ class BatchedLaneEngine:
                     blocked = check & stalled & (self.fin > 0)
                     over = check & ~blocked & (local >= inject_until)
                     drained = over & (self.fin == 0) & (self.lane_left == 0)
-                    for lane in (
-                        blocked | drained | (over & (local >= horizon))
-                    ).nonzero()[0].tolist():
+                    retiring = (blocked | drained | (over & (local >= horizon))).nonzero()[0]
+                    for lane in retiring.tolist():
                         self._retire(
                             lane, cycle, bool(blocked[lane]), bool(drained[lane])
                         )
                     if not act.any():
                         break
+                    if retiring.size:
+                        armed = None
                     local = cycle - self.off
                 live = int(np.count_nonzero(act))
                 check_at = int(np.minimum(
@@ -1228,7 +1281,57 @@ class BatchedLaneEngine:
             self.total_lane_cycles += self.L
             self._step(cycle, local)
             cycle += 1
+            if not self._quiet():
+                armed = None
+            elif armed is None:
+                armed = self.counts().copy()
+            else:
+                cycle = self._fast_forward(cycle, armed, live)
+                armed = None
         return cast(List[SimulationResult], list(self._results))
+
+    def _quiet(self) -> bool:
+        """The step just run wrote no state and left no event in flight:
+        every state array is as it was before it."""
+        return not self._wrote and all(ev is None for ring in self._rings for ev in ring)
+
+    def _fast_forward(self, cycle: int, before: np.ndarray, live: int) -> int:
+        """Jump from ``cycle`` to the next wake after two quiet steps.
+
+        The step before ``cycle`` changed no state, and neither did the one
+        before it, with no retirement between them: every step until
+        something outside the state moves repeats it exactly.  Those are a
+        fault landing or heal, a NIC queue entry that finds a credit, a
+        lane's inject window or drain horizon ending, and a watchdog
+        deadline.  The skipped steps add what the last one counted
+        (``counts()`` now less ``before``, taken after the first quiet
+        step) and their lane-cycles; a recovery monitor polled over them
+        would see counters move only where it already resolved its watch.
+        Returns the cycle to step next.
+        """
+        sc = self.sim_config
+        until = self._inject_until
+        # the retirement check's deadlines still ahead (one already passed
+        # is decided by the frozen state alone)
+        ends = np.stack((
+            self.off + until,
+            self.off + (until + sc.drain_cycles),
+            self.last_progress + (sc.watchdog_cycles + 1),
+        ))[:, self._act]
+        wake = min(
+            self._fault_at,
+            int(ends.min(initial=_NEVER, where=ends >= cycle)),
+            int(self.q_due.min(initial=_NEVER, where=self.nic_cred > 0)),
+        )
+        skip = wake - cycle
+        if skip <= 0:
+            return cycle
+        rstats = self.counts()
+        rstats += (rstats - before) * skip
+        self.active_lane_cycles += live * skip
+        self.total_lane_cycles += self.L * skip
+        self.skipped_cycles += skip
+        return wake
 
     @property
     def lane_occupancy(self) -> float:
@@ -1242,12 +1345,14 @@ class BatchedLaneEngine:
         """Where the host time went: ``StageProfiler.snapshot()`` of the
         seven kernels (sampled: scale ``time_s`` by ``sample_every`` to
         compare with a run) plus ``install_s`` / ``retire_s`` / ``poll_s``,
-        the seconds of every lane install, retirement and recovery poll."""
+        the seconds of every lane install, retirement and recovery poll,
+        and ``skipped_cycles``, the global cycles fast-forwarded over."""
         return {
             **self.profiler.snapshot(),
             "install_s": self.install_s,
             "retire_s": self.retire_s,
             "poll_s": self.poll_s,
+            "skipped_cycles": self.skipped_cycles,
         }
 
     def _retire(self, lane: int, cycle: int, blocked: bool, drained: bool) -> None:

@@ -11,6 +11,8 @@ in ``repro`` is checked against.
   return bit for bit what ``spf_simulation._trial_counts`` and
   ``network_level._fabric_trial_chunk`` return faster.
 * :func:`neighbour` walks a route hop by hop.
+* :func:`draw_sites_reference` is ``draw_sites(avoid_failure=True)`` with
+  the whole Section VIII predicate checked after every drawn site.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.config import (
 )
 from repro.core.failure import protected_router_failed
 from repro.core.protected_router import ProtectedRouter
-from repro.faults.sites import RouterFaultState, enumerate_sites
+from repro.faults.sites import RouterFaultState, enumerate_sites, network_sites
 from repro.network.topology import Topology
 from repro.reliability.mttf import HOURS_PER_BILLION
 from repro.reliability.network_level import sample_router_lifetimes
@@ -193,3 +195,23 @@ def neighbour(net: NetworkConfig, node: int, port: int) -> int:
     if not (0 <= x < net.width and 0 <= y < net.height):
         raise ValueError(f"route walked off the mesh at ({x},{y})")
     return net.node_id(x, y)
+
+
+def draw_sites_reference(config, num_routers, count, gen, *, protected=True, include_va2=True):
+    """The greedy tolerated draw over the whole predicate: every site of a
+    random order of the pool is injected and kept unless its router then
+    fails.  Returns what it placed, fewer than ``count`` if it ran out."""
+    pool = network_sites(config, num_routers, protected, include_va2)
+    states = [RouterFaultState(config) for _ in range(num_routers)]
+    picked: list = []
+    for i in gen.permutation(len(pool)):
+        if len(picked) == count:
+            break
+        site = pool[int(i)]
+        st = states[site.router]
+        st.inject(site)
+        if protected_router_failed(st, exact=True):
+            st.heal(site)
+            continue
+        picked.append(site)
+    return picked

@@ -161,6 +161,47 @@ class TestSharedSitePool:
         assert len({_timeline_digest(lane) for lane in lanes}) == 32
 
 
+class TestToleratedDraw:
+    """``draw_sites(avoid_failure=True)`` checks only the failure component
+    that holds the drawn site; the greedy loop over the whole predicate in
+    ``tests/oracles.py`` must draw the same sites in the same order."""
+
+    CONFIGS = {
+        "4vc": RouterConfig(),
+        "2vc": RouterConfig(num_vcs=2),
+        "3vc": RouterConfig(num_vcs=3),
+        "4vc-2vnet": RouterConfig(num_vcs=4, num_vnets=2),
+        "8vc-2vnet": RouterConfig(num_vcs=8, num_vnets=2),
+        "6vc-3vnet": RouterConfig(num_vcs=6, num_vnets=3),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("protected", [True, False])
+    def test_equal_to_the_whole_predicate(self, name, protected):
+        import numpy as np
+
+        from oracles import draw_sites_reference
+        from repro.faults.timeline import draw_sites
+
+        config = self.CONFIGS[name]
+        for routers in (1, 4, 16):
+            for count in (1, 8, 32):
+                for seed in range(8):
+                    ref = draw_sites_reference(
+                        config, routers, count, np.random.default_rng(seed),
+                        protected=protected,
+                    )
+                    gen = np.random.default_rng(seed)
+                    if len(ref) < count:
+                        with pytest.raises(ValueError):
+                            draw_sites(config, routers, count, gen, protected=protected,
+                                       avoid_failure=True)
+                        continue
+                    assert draw_sites(
+                        config, routers, count, gen, protected=protected, avoid_failure=True
+                    ) == ref, (routers, count, seed)
+
+
 class TestJSONSideDoor:
     def test_site_tuple_round_trip(self):
         assert site_from_tuple(site_tuple(SITE)) == SITE
