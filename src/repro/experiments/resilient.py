@@ -18,13 +18,16 @@ sweeps in :mod:`repro.experiments.parallel`:
   completed / failed / skipped points (the CLI maps it to a distinct
   exit code, 3, vs 1 for a hard failure);
 * **checkpoint / resume** — with a run directory attached
-  (:class:`CheckpointStore`), each completed point is appended to an
-  append-only JSONL file the moment it finishes, so a sweep killed
-  mid-run (SIGKILL, preemption, power loss) resumes with ``--resume
-  RUN_DIR`` re-executing only the missing points.  Because every point
-  is seeded up front via ``SeedSequence.spawn`` and results are merged
-  in task-index order, a resumed run is bit-identical to an
-  uninterrupted one (pinned by ``tests/test_resilient.py``).
+  (:class:`CheckpointStore`), each completed task (a point, or a lane
+  sweep's chunk of points) is appended to an append-only JSONL file the
+  moment it finishes, filed under the sweep's :func:`sweep_key` — a hash
+  of the bytes its workers execute — so a sweep killed mid-run
+  (SIGKILL, preemption, power loss) resumes with ``--resume RUN_DIR``
+  re-executing only the missing tasks, and a sweep that differs in
+  anything it runs finds no records to splice.  Because every point is
+  seeded up front via ``SeedSequence.spawn`` and results are merged in
+  task-index order, a resumed run is bit-identical to an uninterrupted
+  one (pinned by ``tests/test_resilient.py``).
 
 This module holds the durable store, the runtime context and the
 supervisor.  It is not a second executor:
@@ -66,6 +69,7 @@ from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .. import __version__
 from .parallel import SweepTask, TaskRow, run_task
 
 __all__ = [
@@ -99,6 +103,12 @@ def atomic_write_json(path: str | os.PathLike, obj: Any, **dump_kwargs: Any) -> 
 # ----------------------------------------------------------------------
 # retry policy
 # ----------------------------------------------------------------------
+#: the backoff before a point's second attempt; each later one doubles it,
+#: up to :data:`BACKOFF_CAP_S` (seconds)
+BACKOFF_S = 0.25
+BACKOFF_CAP_S = 30.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How hard to try before a point is declared failed.
@@ -106,23 +116,18 @@ class RetryPolicy:
     ``max_attempts`` counts the first execution too (1 = no retries).
     A crash, hang (``timeout_s`` exceeded), or in-task exception each
     consume one attempt; consecutive attempts of the same point are
-    separated by ``backoff_s * backoff_factor**(attempt-1)`` seconds,
-    capped at ``max_backoff_s``.  ``timeout_s=None`` disables the
-    watchdog.  Retrying is sound because every point is a pure function
-    of its spawned seed: a retried point returns bit-identical results.
+    separated by :meth:`delay`, the one fixed schedule (0.25 s doubling,
+    capped at 30 s).  ``timeout_s=None`` disables the watchdog.  Retrying
+    is sound because every point is a pure function of its spawned seed:
+    a retried point returns bit-identical results.
     """
 
     max_attempts: int = 3
-    backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 30.0
     timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be non-negative and non-shrinking")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
 
@@ -130,7 +135,7 @@ class RetryPolicy:
         """Backoff before retrying after failed attempt number ``attempt``."""
         if attempt < 1:
             raise ValueError("attempts are numbered from 1")
-        return min(self.max_backoff_s, self.backoff_s * self.backoff_factor ** (attempt - 1))
+        return min(BACKOFF_CAP_S, BACKOFF_S * 2 ** (attempt - 1))
 
 
 #: one attempt per point, no watchdog: what supervised sweeps run under
@@ -142,27 +147,29 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 # durable run directory
 # ----------------------------------------------------------------------
 class ResumeError(RuntimeError):
-    """The run directory does not match the sweep being (re-)executed."""
+    """The run directory cannot take the run: it already holds one and
+    this is not a resume, or its manifest is of an unsupported version."""
 
 
 MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 1
+_MANIFEST_VERSION = 2
 
 
-def sweep_fingerprint(tasks: Sequence[Any]) -> str:
-    """Identity of a sweep for resume validation.
+def sweep_key(payloads: Sequence[bytes]) -> str:
+    """Name of a sweep in a run directory: what its workers execute.
 
-    Hashes the task count plus each point's ``(index, label, fn)``
-    triple.  Arguments are deliberately *not* hashed (their pickles are
-    not stable across interpreter invocations under ``PYTHONHASHSEED``);
-    labels conventionally encode the swept parameters, which is the
-    discriminating power resume validation needs.
+    SHA-256 over the release (``repro.__version__``) and each task's
+    pickle in index order, so a sweep that differs in anything a worker
+    runs — seed, scale, config, chunking (``--jobs`` re-chunks a lane
+    sweep) or release — has another key and finds no records of the
+    first.  An unpicklable task counts as an empty pickle: it never
+    reaches a worker, so it never has a record.
     """
-    ident = [
-        (t.index, t.label, f"{t.fn.__module__}.{t.fn.__qualname__}")
-        for t in tasks
-    ]
-    return sha256(json.dumps(ident, sort_keys=True).encode()).hexdigest()[:16]
+    digest = sha256(__version__.encode())
+    for payload in payloads:
+        digest.update(len(payload).to_bytes(8, "little"))
+        digest.update(payload)
+    return digest.hexdigest()
 
 
 class CheckpointStore:
@@ -171,14 +178,18 @@ class CheckpointStore:
     Layout::
 
         RUN_DIR/
-          manifest.json    {"version": 1, "sweeps": {"0": {"points": N,
-                            "fingerprint": "...", "file": "sweep-000.jsonl"}}}
-          sweep-000.jsonl  one JSON line per completed point
-          sweep-001.jsonl  (experiments may run several sweeps in sequence)
+          manifest.json      {"version": 2, "sweeps": {KEY: {"points": N,
+                              "file": "sweep-KEY.jsonl"}}}
+          sweep-KEY.jsonl    one JSON line per completed task
 
-    Each JSONL line carries the point's index, label, attempt count,
+    ``KEY`` is :func:`sweep_key`: a sweep's records are found by the bytes
+    it runs, never by its position among the sweeps of a run, so any
+    number of experiments and sweeps share one directory and a resume
+    under other flags finds nothing to splice and runs in full.
+
+    Each JSONL line carries the task's index, label, attempt count,
     cycle/timing accounting, and the base64-pickled return value — enough
-    to splice the point back into a resumed sweep bit-identically.  Lines
+    to splice the task back into a resumed sweep bit-identically.  Lines
     are flushed as they are appended, and a truncated final line (the
     signature of a SIGKILL mid-write) is ignored on reload and ended
     there, so the records a resume appends stay one to a line.
@@ -205,7 +216,7 @@ class CheckpointStore:
             self.path.mkdir(parents=True, exist_ok=True)
             self._manifest = {"version": _MANIFEST_VERSION, "sweeps": {}}
             self._write_manifest()
-        self._files: Dict[int, Any] = {}
+        self._files: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def _write_manifest(self) -> None:
@@ -213,43 +224,23 @@ class CheckpointStore:
             self.path / MANIFEST_NAME, self._manifest, sort_keys=True, indent=1
         )
 
-    def _sweep_file(self, seq: int) -> Path:
-        return self.path / f"sweep-{seq:03d}.jsonl"
+    def _sweep_file(self, key: str) -> Path:
+        return self.path / f"sweep-{key}.jsonl"
 
     # ------------------------------------------------------------------
-    def open_sweep(
-        self, seq: int, fingerprint: str, points: int
-    ) -> Dict[int, TaskRow]:
-        """Register sweep ``seq`` and return its already-completed rows.
+    def open_sweep(self, key: str, points: int) -> Dict[int, TaskRow]:
+        """Register sweep ``key`` of ``points`` tasks; return the rows
+        already recorded under it (none on its first run)."""
+        if key in self._manifest["sweeps"]:
+            return self._load(key, points)
+        self._manifest["sweeps"][key] = {
+            "points": points, "file": self._sweep_file(key).name,
+        }
+        self._write_manifest()
+        return {}
 
-        On a fresh run the sweep is recorded in the manifest and the
-        returned dict is empty.  On resume the manifest entry must match
-        the fingerprint and point count, else :class:`ResumeError` —
-        resuming a *different* sweep from a stale directory would merge
-        unrelated results.
-        """
-        key = str(seq)
-        entry = self._manifest["sweeps"].get(key)
-        if entry is None:
-            self._manifest["sweeps"][key] = {
-                "points": points,
-                "fingerprint": fingerprint,
-                "file": self._sweep_file(seq).name,
-            }
-            self._write_manifest()
-            return {}
-        if entry["fingerprint"] != fingerprint or entry["points"] != points:
-            raise ResumeError(
-                f"sweep {seq} in {self.path} was recorded with "
-                f"{entry['points']} point(s) / fingerprint "
-                f"{entry['fingerprint']}; the sweep being resumed has "
-                f"{points} point(s) / fingerprint {fingerprint} — the run "
-                "directory belongs to a different configuration"
-            )
-        return self._load(seq, points)
-
-    def _load(self, seq: int, points: int) -> Dict[int, TaskRow]:
-        path = self._sweep_file(seq)
+    def _load(self, key: str, points: int) -> Dict[int, TaskRow]:
+        path = self._sweep_file(key)
         done: Dict[int, TaskRow] = {}
         if not path.exists():
             return done
@@ -259,21 +250,23 @@ class CheckpointStore:
                 try:
                     rec = json.loads(raw)
                     value = pickle.loads(base64.b64decode(rec["value"]))
-                except (ValueError, KeyError, EOFError, pickle.UnpicklingError):
+                    row = TaskRow(
+                        index=int(rec["index"]),
+                        value=value,
+                        cycles=int(rec["cycles"]),
+                        run_s=float(rec["run_s"]),
+                        attempts=int(rec["attempts"]),
+                        points=int(rec["points"]),
+                        slot=-1,
+                    )
+                except (
+                    ValueError, TypeError, KeyError, EOFError,
+                    pickle.UnpicklingError,
+                ):
                     # truncated / torn final line from an interrupted run
                     continue
-                index = int(rec["index"])
-                if not 0 <= index < points:
-                    continue
-                done[index] = TaskRow(
-                    index=index,
-                    value=value,
-                    cycles=int(rec.get("cycles", 0)),
-                    run_s=float(rec.get("run_s", 0.0)),
-                    attempts=int(rec.get("attempts", 1)),
-                    points=int(rec.get("points", 1)),
-                    slot=-1,
-                )
+                if 0 <= row.index < points:
+                    done[row.index] = row
         if not raw.endswith(b"\n"):
             # end the torn line: the first record this resume appends must
             # start a line of its own to be readable at the next resume
@@ -282,16 +275,15 @@ class CheckpointStore:
         return done
 
     def append(
-        self, seq: int, row: TaskRow, label: str, value_bytes: bytes
+        self, key: str, row: TaskRow, label: str, value_bytes: bytes
     ) -> None:
-        """Durably record one completed point (append + flush).
-
-        ``value_bytes`` is ``row.value`` as the worker pickled it.
+        """Durably record one completed task of sweep ``key`` (append +
+        flush).  ``value_bytes`` is ``row.value`` as the worker pickled it.
         """
-        fp = self._files.get(seq)
+        fp = self._files.get(key)
         if fp is None:
-            fp = open(self._sweep_file(seq), "a")
-            self._files[seq] = fp
+            fp = open(self._sweep_file(key), "a")
+            self._files[key] = fp
         rec = {
             "index": row.index,
             "label": label,
@@ -325,9 +317,9 @@ class SweepRuntime:
     has already imported, drawn and stepped.  :meth:`close` stops the
     idle workers and closes the store; no worker outlives it.
 
-    Per-sweep state (the sweep counter, a progress hook) belongs to an
-    activation, not to the runtime: :meth:`activate` installs the runtime
-    on the calling thread, so one runtime can serve several threads.
+    A progress hook belongs to an activation, not to the runtime:
+    :meth:`activate` installs the runtime on the calling thread, so one
+    runtime can serve several threads.
     """
 
     def __init__(
@@ -356,7 +348,7 @@ class SweepRuntime:
         the block.
 
         ``progress`` is an optional per-point completion hook: it is
-        called with a small dict (``sweep`` sequence number, point
+        called with a small dict (the ``sweep`` key, point
         ``index``/``label``, ``attempts``, ``resumed``) the moment each
         point finishes.  It runs on the supervisor thread, so it must be
         cheap and thread-safe — :mod:`repro.service` uses it to stream
@@ -421,16 +413,9 @@ class SweepRuntime:
 
 
 class _ActiveRun:
-    """Mutable per-activation state: the runtime, this activation's
-    progress hook and a sweep counter.
+    """One activation: the runtime and this activation's progress hook."""
 
-    Experiments may run several sweeps in sequence (e.g. baseline then
-    protected Monte Carlo); the counter assigns each its own checkpoint
-    file.  The execution order of sweeps inside an experiment is
-    deterministic, so sequence numbers line up across runs and resumes.
-    """
-
-    __slots__ = ("runtime", "progress", "next_seq")
+    __slots__ = ("runtime", "progress")
 
     def __init__(
         self,
@@ -439,13 +424,12 @@ class _ActiveRun:
     ) -> None:
         self.runtime = runtime
         self.progress = progress
-        self.next_seq = 0
 
 
 #: per-thread activation: the sweep-as-a-service server computes several
 #: experiments concurrently, each on its own thread with its own
-#: activation (progress hook, sweep counter) and tests run runtimes side
-#: by side; a module-global here would leak one into another's sweeps
+#: activation (progress hook) and tests run runtimes side by side; a
+#: module-global here would leak one into another's sweeps
 _tls = threading.local()
 
 
@@ -506,14 +490,6 @@ def sweep_runtime(
             yield runtime
     finally:
         runtime.close()
-
-
-def _claim_sequence() -> int:
-    active = _get_active()
-    assert active is not None
-    seq = active.next_seq
-    active.next_seq += 1
-    return seq
 
 
 # ----------------------------------------------------------------------
@@ -660,7 +636,7 @@ class _Supervisor:
 
     def __init__(
         self,
-        tasks: Sequence[SweepTask],
+        payloads: Dict[int, bytes],
         n_workers: int,
         runtime: SweepRuntime,
         on_success: Callable[[TaskRow, bytes], None],
@@ -668,24 +644,14 @@ class _Supervisor:
         self.runtime = runtime
         self.policy = runtime.retry
         self.on_success = on_success
-        self.payloads: Dict[int, bytes] = {}
+        self.payloads = payloads
         self.rows: Dict[int, TaskRow] = {}
         self.retried: List[TaskRow] = []
-        self.attempts: Dict[int, int] = {t.index: 0 for t in tasks}
-        for t in tasks:
-            try:
-                self.payloads[t.index] = pickle.dumps(t)
-            except Exception as exc:
-                # an unpicklable task cannot reach a worker; retrying
-                # cannot help either — fail the point immediately
-                self.rows[t.index] = TaskRow(
-                    index=t.index,
-                    error=f"unpicklable task: {type(exc).__name__}: {exc}",
-                )
+        self.attempts: Dict[int, int] = dict.fromkeys(payloads, 0)
         self.ready: List[Tuple[float, int]] = [  # (not_before, index)
-            (0.0, index) for index in self.payloads
+            (0.0, index) for index in payloads
         ]
-        self.workers = runtime.borrow(min(n_workers, max(1, len(self.ready))))
+        self.workers = runtime.borrow(min(n_workers, len(self.ready)))
 
     # ------------------------------------------------------------------
     @property
@@ -812,6 +778,25 @@ class _Supervisor:
 # ----------------------------------------------------------------------
 # the supervised mode of run_sweep
 # ----------------------------------------------------------------------
+def _pickle(
+    tasks: Sequence[SweepTask],
+) -> Tuple[Dict[int, bytes], Dict[int, TaskRow]]:
+    """Each task as the bytes a worker receives, or, for one that cannot
+    be pickled, its failed row: it cannot reach a worker, and retrying
+    cannot help either."""
+    payloads: Dict[int, bytes] = {}
+    unpicklable: Dict[int, TaskRow] = {}
+    for t in tasks:
+        try:
+            payloads[t.index] = pickle.dumps(t)
+        except Exception as exc:
+            unpicklable[t.index] = TaskRow(
+                index=t.index,
+                error=f"unpicklable task: {type(exc).__name__}: {exc}",
+            )
+    return payloads, unpicklable
+
+
 def supervise(
     tasks: Sequence[SweepTask], n_jobs: int
 ) -> Tuple[Dict[int, TaskRow], List[TaskRow], int]:
@@ -825,18 +810,22 @@ def supervise(
     Under the active runtime its policy, store and workers and the
     activation's progress hook apply; with none active every point gets
     one attempt, nothing is stored and the workers end with the sweep.
+    Each task is pickled once: those bytes go to the workers and, in
+    index order, name the sweep (:func:`sweep_key`) in the store and in
+    progress events.
     """
     active = _get_active()
     runtime = active.runtime if active else SweepRuntime(retry=NO_RETRY)
     store = runtime.store
     progress = active.progress if active else None
-    seq = _claim_sequence() if active else 0
+    payloads, rows = _pickle(tasks)
+    key = sweep_key([payloads.get(i, b"") for i in range(len(tasks))])
     labels = {t.index: t.label for t in tasks}
 
     def _report(row: TaskRow) -> None:
         if progress is not None:
             progress({
-                "sweep": seq,
+                "sweep": key,
                 "index": row.index,
                 "label": labels[row.index],
                 "attempts": row.attempts,
@@ -846,18 +835,18 @@ def supervise(
 
     def _on_success(row: TaskRow, value_bytes: bytes) -> None:
         if store is not None:
-            store.append(seq, row, labels[row.index], value_bytes)
+            store.append(key, row, labels[row.index], value_bytes)
         _report(row)
 
-    rows: Dict[int, TaskRow] = {}
     if store is not None:
-        rows = store.open_sweep(seq, sweep_fingerprint(tasks), len(tasks))
-    for index in sorted(rows):
-        _report(rows[index])
-    todo = [t for t in tasks if t.index not in rows]
+        resumed = store.open_sweep(key, len(tasks))
+        for index in sorted(resumed):
+            _report(resumed[index])
+        rows.update(resumed)
+    todo = {i: p for i, p in payloads.items() if i not in rows}
     if not todo:
         return rows, [], 0
-    sup = _Supervisor(todo, min(n_jobs, len(todo)), runtime, _on_success)
+    sup = _Supervisor(todo, n_jobs, runtime, _on_success)
     try:
         sup.run()
     except KeyboardInterrupt:

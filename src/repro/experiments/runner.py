@@ -8,15 +8,18 @@ load/fault/design sweeps) across N worker processes via
 run (``--jobs 0`` uses every core).
 
 Resilience (:mod:`repro.experiments.resilient`, see ``docs/resilience.md``):
-``--out-dir RUN_DIR`` checkpoints every completed sweep point to a durable
-run directory the moment it finishes; ``--resume RUN_DIR`` continues a
-killed run, re-executing only the missing points (bit-identical to an
-uninterrupted run); ``--retries N`` retries crashed/hung points with
+``--out-dir RUN_DIR`` checkpoints every completed sweep task (a point, or
+a lane sweep's chunk of points) to a durable run directory the moment it
+finishes, filed under a hash of the bytes the sweep runs; ``--resume
+RUN_DIR`` continues a killed run, re-executing only the missing tasks
+(bit-identical to an uninterrupted run) — under other flags (seed,
+``--quick``, ``--jobs``) or another release nothing matches and the run
+is computed in full; ``--retries N`` retries crashed/hung points with
 exponential backoff; ``--task-timeout S`` arms a per-point watchdog that
-kills and replaces stuck workers.  With ``all``, each experiment
-checkpoints into its own ``RUN_DIR/<name>/`` subdirectory.  Exit codes:
-0 all good, 1 hard failure, 3 partial success (some points completed and
-were checkpointed; some exhausted their retries — rerun with ``--resume``
+kills and replaces stuck workers.  One runtime and one run directory
+serve every experiment of the run, ``all`` included.  Exit codes: 0 all
+good, 1 hard failure, 3 partial success (some points completed and were
+checkpointed; some exhausted their retries — rerun with ``--resume``
 after fixing the cause).
 
 Every experiment module exposes the same unified entry point::
@@ -44,9 +47,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -210,23 +213,6 @@ def run_experiment(
     )
 
 
-def _experiment_dirs(
-    name: str, many: bool, out_dir: Optional[str], resume: Optional[str]
-) -> tuple[Optional[str], Optional[str]]:
-    """Resolve the (out_dir, resume) pair for one experiment of a run.
-
-    With ``all``, each experiment checkpoints into its own subdirectory
-    of the run directory.  On ``--resume``, a subdirectory that was never
-    started simply begins fresh (an empty directory resumes to "nothing
-    done yet").
-    """
-    if resume is not None:
-        return None, os.path.join(resume, name) if many else resume
-    if out_dir is not None:
-        return (os.path.join(out_dir, name) if many else out_dir), None
-    return None, None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -262,17 +248,18 @@ def main(argv: list[str] | None = None) -> int:
         "--out-dir",
         metavar="RUN_DIR",
         default=None,
-        help="checkpoint every completed sweep point into RUN_DIR "
-        "(durable, append-only; see docs/resilience.md); with 'all', "
-        "each experiment uses RUN_DIR/<name>/",
+        help="checkpoint every completed sweep task into RUN_DIR "
+        "(durable, append-only, filed by what the sweep runs; 'all' "
+        "shares one RUN_DIR; see docs/resilience.md)",
     )
     parser.add_argument(
         "--resume",
         metavar="RUN_DIR",
         default=None,
-        help="continue a killed run from its RUN_DIR: completed points "
+        help="continue a killed run from its RUN_DIR: completed tasks "
         "are reloaded from the checkpoint, only the missing ones are "
-        "re-executed (bit-identical to an uninterrupted run)",
+        "re-executed (bit-identical to an uninterrupted run); a sweep "
+        "under other flags finds none and runs in full",
     )
     parser.add_argument(
         "--retries",
@@ -360,54 +347,55 @@ def main(argv: list[str] | None = None) -> int:
             max_attempts=retries + 1, timeout_s=args.task_timeout
         )
 
-    many = args.experiment == "all"
-    names = sorted(EXPERIMENTS) if many else [args.experiment]
+    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     failures: list[str] = []
     partials: list[str] = []
     collected: list = []  # (label, export) pairs across experiments
-    for name in names:
-        t0 = time.time()
-        exp_out, exp_resume = _experiment_dirs(
-            name, many, args.out_dir, args.resume
-        )
+    with ExitStack() as stack:
         try:
-            with resilient.sweep_runtime(
-                out_dir=exp_out, resume=exp_resume, retry=retry
-            ):
+            stack.enter_context(resilient.sweep_runtime(
+                out_dir=args.out_dir, resume=args.resume, retry=retry
+            ))
+        except resilient.ResumeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        for name in names:
+            t0 = time.time()
+            try:
                 result = run_experiment(
                     name, quick=args.quick, jobs=args.jobs, seed=args.seed
                 )
-        except PartialSweepError as exc:
-            partials.append(name)
-            print(f"experiment {name} PARTIAL:", file=sys.stderr)
-            print(exc.report.format(), file=sys.stderr)
-            continue
-        except Exception as exc:
-            failures.append(name)
-            print(f"experiment {name} FAILED: {exc}", file=sys.stderr)
-            continue
-        sweep_report = result.extras.get("sweep")
-        merged = getattr(sweep_report, "observability", None)
-        if merged is not None:
-            result.extras["metrics"] = merged.get("metrics")
-            collected.extend(
-                (f"{name}:{label}" if label else name, {"trace": snap})
-                for label, snap in merged.get("traces") or []
-            )
-            if merged.get("metrics"):
-                collected.append((name, {"metrics": merged["metrics"]}))
-            if merged.get("profile"):
-                collected.append((name, {"profile": merged["profile"]}))
-        print(result.format())
-        chart = result.extras.get("chart")
-        if chart:
-            print()
-            print(chart)
-        if sweep_report is not None and (
-            args.jobs is not None or resilient_flags
-        ):
-            print(f"  {sweep_report.format()}")
-        print(f"  [{time.time() - t0:.1f}s]\n")
+            except PartialSweepError as exc:
+                partials.append(name)
+                print(f"experiment {name} PARTIAL:", file=sys.stderr)
+                print(exc.report.format(), file=sys.stderr)
+                continue
+            except Exception as exc:
+                failures.append(name)
+                print(f"experiment {name} FAILED: {exc}", file=sys.stderr)
+                continue
+            sweep_report = result.extras.get("sweep")
+            merged = getattr(sweep_report, "observability", None)
+            if merged is not None:
+                result.extras["metrics"] = merged.get("metrics")
+                collected.extend(
+                    (f"{name}:{label}" if label else name, {"trace": snap})
+                    for label, snap in merged.get("traces") or []
+                )
+                if merged.get("metrics"):
+                    collected.append((name, {"metrics": merged["metrics"]}))
+                if merged.get("profile"):
+                    collected.append((name, {"profile": merged["profile"]}))
+            print(result.format())
+            chart = result.extras.get("chart")
+            if chart:
+                print()
+                print(chart)
+            if sweep_report is not None and (
+                args.jobs is not None or resilient_flags
+            ):
+                print(f"  {sweep_report.format()}")
+            print(f"  [{time.time() - t0:.1f}s]\n")
 
     if obs_changes:
         merged_all = merge_exports(collected) or {

@@ -18,8 +18,9 @@ properties the cache and the in-flight deduplicator rely on:
   identically and share one cache entry (:data:`NON_SEMANTIC_KEYS`).
 * **Complete.**  Every semantic field of the config dataclass is
   hashed, including nested dataclasses (``FaultSweepConfig.latency``,
-  ``MTTFConfig.geom``, …) and the ``seed`` override — any change that
-  could change the simulated result changes the fingerprint.
+  ``MTTFConfig.geom``, …), the ``seed`` override and the release
+  (``repro.__version__``) — any change that could change the simulated
+  result changes the fingerprint.
 
 Determinism makes this sound: PRs 1–6 pinned every experiment to be a
 pure function of its config (serial == parallel == resumed == event
@@ -38,6 +39,7 @@ import typing
 from hashlib import sha256
 from typing import Any, Dict, Mapping, Optional
 
+from .. import __version__
 from ..experiments.report import resolve_config
 from ..experiments.runner import EXPERIMENTS
 
@@ -240,13 +242,16 @@ def request_fingerprint(
     ``config`` must already be the *effective* config object (see
     :func:`effective_config`); ``seed`` is the residual seed for configs
     that have no seed field.  Same fingerprint ⇒ bit-identical result.
+    The release (``repro.__version__``) is hashed too: a result is a
+    function of the code that computed it, so a server of another release
+    never serves this one's entries.
     """
     if name not in CONFIG_TYPES:
         raise RequestError(
             f"unknown experiment {name!r}; available: {sorted(CONFIG_TYPES)}"
         )
     payload = {
-        "v": 2,
+        "release": __version__,
         "experiment": name,
         "config": canonical(config),
         "seed": seed,

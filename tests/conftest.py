@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,16 @@ def hop_count(routing, src: int, dest: int) -> int:
         hops += 1
         assert hops <= routing.network.num_nodes, "the route does not converge"
     return hops
+
+
+def sweep_files(run_dir) -> list:
+    """The checkpoint files of the sweeps ``run_dir`` holds, found through
+    its manifest (none before the run has registered a sweep)."""
+    manifest = Path(run_dir) / "manifest.json"
+    if not manifest.exists():
+        return []
+    sweeps = json.loads(manifest.read_text())["sweeps"]
+    return [Path(run_dir) / entry["file"] for entry in sweeps.values()]
 
 
 def make_sim(

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import lane_schedules, stepped_point
+from conftest import lane_schedules, stepped_point, sweep_files
 from repro.comparison.ecc_sim import DatapathFaultyRouter
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
@@ -806,7 +806,7 @@ class TestLaneChunkResume:
 
     def test_truncated_chunk_checkpoint_resume_matches(self, tmp_path):
         full = self._run(tmp_path, out_dir=tmp_path / "run")
-        jsonl = tmp_path / "run" / "sweep-000.jsonl"
+        (jsonl,) = sweep_files(tmp_path / "run")
         lines = jsonl.read_text().splitlines()
         # 4 points, one structural group, jobs=2 -> two 2-lane chunks,
         # each one durable record
@@ -961,7 +961,7 @@ class TestLaneSweepInPoints:
         try:
             with sweep_runtime(out_dir=tmp_path):
                 full, whole = run_lane_sweep(points, jobs=1)
-            jsonl = tmp_path / "sweep-000.jsonl"
+            (jsonl,) = sweep_files(tmp_path)
             records = jsonl.read_text().splitlines()
             # one record per task: each declined point
             assert len(records) == 4

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import stepped_point
+from conftest import stepped_point, sweep_files
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig, replace
 from repro.core.protected_router import protected_router_factory
 from repro.experiments import fault_campaign, parallel
@@ -256,7 +256,7 @@ class TestCampaignResumeGolden:
         # a record is a lane chunk: the 2 kinds x (1 reference + 2
         # timelines) are one chunk at one job, two chunks of three at two
         full = _run(jobs=2, out_dir=tmp_path / "run")
-        jsonl = tmp_path / "run" / "sweep-000.jsonl"
+        (jsonl,) = sweep_files(tmp_path / "run")
         lines = jsonl.read_text().splitlines()
         assert len(lines) == 2
         jsonl.write_text(lines[0] + "\n")
@@ -272,8 +272,8 @@ class TestCampaignResumeGolden:
 #: lane chunks of three points, two checkpoint records: the protected
 #: reference and timelines, then roco's.  In ``kill`` mode the roco chunk
 #: never finishes, so the kill always lands between the two records; the
-#: chunk function is wrapped in every mode, so the sweep's fingerprint
-#: (which names it) is the same for the killed and the resumed run
+#: chunk function is wrapped in every mode, so the killed and the resumed
+#: run pickle the same tasks and share one sweep key
 _DRIVER = """\
 import json, sys, threading
 
@@ -344,10 +344,11 @@ class TestKillMidCampaign:
         run_dir = tmp_path / "killed-run"
         kill_json = tmp_path / "kill.json"
         proc = _spawn(script, "kill", run_dir, kill_json)
-        jsonl = run_dir / "sweep-000.jsonl"
         deadline = time.time() + 120
         while time.time() < deadline:
-            if jsonl.exists() and jsonl.read_text().endswith("\n"):
+            files = sweep_files(run_dir)
+            if files and files[0].exists() and files[0].read_text().endswith("\n"):
+                (jsonl,) = files
                 break
             if proc.poll() is not None:
                 pytest.fail("driver exited before it could be killed")

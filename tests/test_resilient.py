@@ -17,11 +17,14 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner, table1
+from conftest import sweep_files
+from repro.experiments import fig7, runner, table1
+from repro.experiments.latency import LatencyConfig
 from repro.experiments.parallel import (
     PartialSweepError,
     PartialSweepReport,
@@ -80,29 +83,34 @@ def _nap(x):
     return x
 
 
-def _tasks(fn, n, **kwargs):
+def _tasks(fn, n, offset=0, **kwargs):
     return [
-        SweepTask(index=i, fn=fn, args=(i,), kwargs=kwargs, label=f"p{i}")
+        SweepTask(
+            index=i, fn=fn, args=(i + offset,), kwargs=kwargs, label=f"p{i}"
+        )
         for i in range(n)
     ]
 
 
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retries 10 ms apart instead of the 0.25 s schedule."""
+    monkeypatch.setattr(resilient, "BACKOFF_S", 0.01)
+
+
 class TestRetryPolicy:
     def test_exponential_backoff_with_cap(self):
-        p = RetryPolicy(
-            max_attempts=5, backoff_s=0.5, backoff_factor=2.0,
-            max_backoff_s=1.5,
-        )
-        assert p.delay(1) == 0.5
-        assert p.delay(2) == 1.0
-        assert p.delay(3) == 1.5  # capped
-        assert p.delay(4) == 1.5
+        """One fixed schedule: 0.25 s, doubling, capped at 30 s."""
+        p = RetryPolicy(max_attempts=10)
+        assert [p.delay(n) for n in range(1, 10)] == [
+            0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0,
+        ]
+        with pytest.raises(ValueError):
+            p.delay(0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(timeout_s=0.0)
 
@@ -113,17 +121,19 @@ class TestRetryAndContainment:
         assert values == [0, 1, 4, 9]
         assert report.resumed == 0 and report.retries == 0
 
-    def test_crashed_worker_is_replaced_and_point_retried(self, tmp_path):
+    def test_crashed_worker_is_replaced_and_point_retried(
+        self, tmp_path, fast_backoff
+    ):
         tasks = _tasks(_crash_once, 4, marker_dir=str(tmp_path))
-        with sweep_runtime(retry=RetryPolicy(max_attempts=3, backoff_s=0.01)):
+        with sweep_runtime(retry=RetryPolicy(max_attempts=3)):
             values, report = run_sweep(tasks, jobs=2)
         assert values == [0, 1, 4, 9]
         assert report.retries >= 1  # every point crashed its worker once
 
-    def test_always_failing_point_degrades_to_partial(self):
+    def test_always_failing_point_degrades_to_partial(self, fast_backoff):
         tasks = _tasks(_square, 4)
         tasks[2] = SweepTask(index=2, fn=_boom, args=(2,), label="p2")
-        with sweep_runtime(retry=RetryPolicy(max_attempts=2, backoff_s=0.01)):
+        with sweep_runtime(retry=RetryPolicy(max_attempts=2)):
             with pytest.raises(PartialSweepError) as exc_info:
                 run_sweep(tasks, jobs=2)
         exc = exc_info.value
@@ -147,10 +157,10 @@ class TestRetryAndContainment:
         assert wall >= 0.8
         assert cpu < 0.2 * wall, f"parent burned {cpu:.2f}s CPU in {wall:.2f}s"
 
-    def test_hung_point_hits_watchdog(self):
+    def test_hung_point_hits_watchdog(self, fast_backoff):
         tasks = _tasks(_square, 3)
         tasks[1] = SweepTask(index=1, fn=_hang, args=(1,), label="hang")
-        policy = RetryPolicy(max_attempts=2, backoff_s=0.01, timeout_s=0.3)
+        policy = RetryPolicy(max_attempts=2, timeout_s=0.3)
         with sweep_runtime(retry=policy):
             with pytest.raises(PartialSweepError) as exc_info:
                 run_sweep(tasks, jobs=2)
@@ -187,13 +197,13 @@ class TestWorkerLifetime:
             assert replacement != pid and report.retries == 0
             assert runtime.spawned == 2 and runtime.idle == 1
 
-    def test_lost_slots_are_never_kept(self, tmp_path):
+    def test_lost_slots_are_never_kept(self, tmp_path, fast_backoff):
         tasks = _tasks(_crash_once, 2, marker_dir=str(tmp_path))
         tasks.append(SweepTask(
             index=2, fn=_hang, args=(2,), label="hang",
             kwargs={"marker_dir": str(tmp_path)},
         ))
-        policy = RetryPolicy(max_attempts=2, backoff_s=0.01, timeout_s=0.5)
+        policy = RetryPolicy(max_attempts=2, timeout_s=0.5)
         with sweep_runtime(retry=policy) as runtime:
             with pytest.raises(PartialSweepError) as exc_info:
                 run_sweep(tasks, jobs=2)
@@ -265,8 +275,8 @@ class TestWorkerLifetime:
 
         def cut(name, keep_first, keep_second):
             shutil.copytree(tmp_path / "ref", tmp_path / name)
-            for seq, keep in enumerate((keep_first, keep_second)):
-                path = tmp_path / name / f"sweep-{seq:03d}.jsonl"
+            for tasks, keep in ((first, keep_first), (second, keep_second)):
+                path = _sweep_file(tmp_path / name, tasks)
                 path.write_text("".join(path.read_text().splitlines(True)[:keep]))
             return tmp_path / name
 
@@ -283,6 +293,14 @@ class TestWorkerLifetime:
         assert checkpointed(tmp_path / "reused") == golden
 
 
+def _sweep_file(run_dir, tasks):
+    """``tasks``' checkpoint file in ``run_dir``: the manifest entry of
+    the key their pickles name."""
+    key = resilient.sweep_key([pickle.dumps(t) for t in tasks])
+    manifest = json.loads((Path(run_dir) / "manifest.json").read_text())
+    return Path(run_dir) / manifest["sweeps"][key]["file"]
+
+
 class TestCheckpointStore:
     def test_refuses_existing_run_without_resume(self, tmp_path):
         CheckpointStore(tmp_path, resume=False).close()
@@ -296,8 +314,8 @@ class TestCheckpointStore:
             values, report = run_sweep(_tasks(_square, 5), jobs=2)
         assert values == [0, 1, 4, 9, 16]
         assert report.checkpointed == 5
-        lines = (tmp_path / "sweep-000.jsonl").read_text().splitlines()
-        assert len(lines) == 5
+        (jsonl,) = sweep_files(tmp_path)
+        assert len(jsonl.read_text().splitlines()) == 5
 
         with sweep_runtime(resume=tmp_path):
             values2, report2 = run_sweep(_tasks(_square, 5), jobs=2)
@@ -305,17 +323,58 @@ class TestCheckpointStore:
         assert report2.resumed == 5
         assert report2.checkpointed == 0
 
-    def test_resume_with_different_sweep_is_rejected(self, tmp_path):
+    def test_a_resume_of_another_sweep_splices_nothing(self, tmp_path):
+        """Equal point count and labels, other arguments: the resume
+        finds no record of its own, runs in full, and leaves the first
+        sweep's records where a resume of that one still finds them."""
+        with sweep_runtime(out_dir=tmp_path):
+            run_sweep(_tasks(_square, 4), jobs=1)
+        with sweep_runtime(resume=tmp_path):
+            values, report = run_sweep(_tasks(_square, 4, offset=10), jobs=1)
+        assert values == [100, 121, 144, 169]
+        assert (report.resumed, report.checkpointed) == (0, 4)
+        files = sweep_files(tmp_path)
+        assert [len(f.read_text().splitlines()) for f in files] == [4, 4]
+        with sweep_runtime(resume=tmp_path):
+            values, report = run_sweep(_tasks(_square, 4), jobs=1)
+        assert values == [0, 1, 4, 9] and report.resumed == 4
+
+    def test_two_sweeps_of_one_run_keep_their_records(self, tmp_path):
+        """No sweep numbering: a resume that runs the sweeps in the
+        other order finds each one's records all the same."""
         with sweep_runtime(out_dir=tmp_path):
             run_sweep(_tasks(_square, 3), jobs=1)
+            run_sweep(_tasks(_square, 3, offset=5), jobs=1)
         with sweep_runtime(resume=tmp_path):
-            with pytest.raises(ResumeError, match="different configuration"):
-                run_sweep(_tasks(_square, 4), jobs=1)  # point count differs
+            shifted, late = run_sweep(_tasks(_square, 3, offset=5), jobs=1)
+            plain, early = run_sweep(_tasks(_square, 3), jobs=1)
+        assert (plain, shifted) == ([0, 1, 4], [25, 36, 49])
+        assert (early.resumed, late.resumed) == (3, 3)
+        assert early.checkpointed == late.checkpointed == 0
+
+    def test_a_store_of_another_release_resumes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(resilient, "__version__", "0.0.1")
+            with sweep_runtime(out_dir=tmp_path):
+                run_sweep(_tasks(_square, 3), jobs=1)
+        with sweep_runtime(resume=tmp_path):
+            values, report = run_sweep(_tasks(_square, 3), jobs=1)
+        assert values == [0, 1, 4]
+        assert (report.resumed, report.checkpointed) == (0, 3)
+
+    def test_a_version_1_directory_is_refused(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"version": 1, "sweeps": {}})
+        )
+        with pytest.raises(ResumeError, match="unsupported manifest version"):
+            CheckpointStore(tmp_path, resume=True)
 
     def test_torn_final_line_is_ignored(self, tmp_path):
         with sweep_runtime(out_dir=tmp_path):
             run_sweep(_tasks(_square, 4), jobs=1)
-        path = tmp_path / "sweep-000.jsonl"
+        (path,) = sweep_files(tmp_path)
         text = path.read_text()
         path.write_text(text[: len(text) - 10])  # SIGKILL mid-write
         with sweep_runtime(resume=tmp_path):
@@ -331,25 +390,26 @@ class TestCheckpointStore:
     def _append(self, store, i):
         value = self._value(i)
         store.append(
-            0, TaskRow(index=i, value=value, cycles=10 * i), f"p{i}",
+            "k", TaskRow(index=i, value=value, cycles=10 * i), f"p{i}",
             pickle.dumps(value),
         )
 
     def _reload(self, run_dir):
-        """Sweep 0's rows as a resume of ``run_dir`` loads them."""
+        """Sweep ``k``'s rows as a resume of ``run_dir`` loads them."""
         store = CheckpointStore(run_dir, resume=True)
-        rows = store.open_sweep(0, "fp", 5)
+        rows = store.open_sweep("k", 5)
         store.close()
         return rows
 
     def _three_records(self, run_dir):
         """Points 0-2 of a five-point sweep, checkpointed; the JSONL file."""
         store = CheckpointStore(run_dir)
-        store.open_sweep(0, "fp", 5)
+        store.open_sweep("k", 5)
         for i in range(3):
             self._append(store, i)
         store.close()
-        return run_dir / "sweep-000.jsonl"
+        (path,) = sweep_files(run_dir)
+        return path
 
     def test_truncation_at_every_byte_offset(self, tmp_path):
         """Whatever byte a SIGKILL cut the file at, the reload never
@@ -372,7 +432,7 @@ class TestCheckpointStore:
         file = self._three_records(tmp_path)
         file.write_bytes(file.read_bytes()[:-10])  # SIGKILL mid-write
         store = CheckpointStore(tmp_path, resume=True)
-        assert sorted(store.open_sweep(0, "fp", 5)) == [0, 1]
+        assert sorted(store.open_sweep("k", 5)) == [0, 1]
         self._append(store, 2)
         self._append(store, 3)
         store.close()
@@ -380,44 +440,58 @@ class TestCheckpointStore:
         assert sorted(rows) == [0, 1, 2, 3]
         assert all(row.value == self._value(i) for i, row in rows.items())
 
-    def test_a_checkpoint_line_with_setup_s_still_loads(self, tmp_path):
-        """Runs checkpointed before 2.2 carry a ``setup_s`` per record."""
-        file = self._three_records(tmp_path)
-        old = {
+    def _add_record(self, file, drop=(), **changes):
+        rec = {
             "index": 3, "label": "p3", "attempts": 2, "cycles": 30,
-            "fallbacks": 0, "fallback_reasons": [], "points": 1,
-            "setup_s": 0.25, "run_s": 1.5,
+            "points": 1, "run_s": 1.5,
             "value": base64.b64encode(pickle.dumps(self._value(3))).decode(),
         }
+        rec.update(changes)
+        for key in drop:
+            del rec[key]
         with open(file, "a") as fp:
-            fp.write(json.dumps(old, sort_keys=True) + "\n")
+            fp.write(json.dumps(rec, sort_keys=True) + "\n")
+
+    def test_a_checkpoint_line_with_setup_s_still_loads(self, tmp_path):
+        """A record may carry a key the store no longer writes (``setup_s``,
+        written before 2.2): the key is ignored, the record loads."""
+        file = self._three_records(tmp_path)
+        self._add_record(file, setup_s=0.25)
         rows = self._reload(tmp_path)
         assert sorted(rows) == [0, 1, 2, 3]
-        assert rows[3].value == self._value(3)
-        assert (rows[3].attempts, rows[3].cycles, rows[3].run_s) == (2, 30, 1.5)
+        assert rows[3] == TaskRow(
+            index=3, value=self._value(3), cycles=30, run_s=1.5,
+            attempts=2, slot=-1,
+        )
 
     def test_a_checkpoint_line_with_fallback_keys_still_loads(self, tmp_path):
-        """Runs checkpointed before 2.3 carry a task's ``fallbacks`` and
-        ``fallback_reasons``; a lane sweep's triage reports them now."""
+        """Records written before 2.3 carry a task's ``fallbacks`` and
+        ``fallback_reasons``; a lane sweep's triage reports them now, and
+        the store ignores both keys."""
         file = self._three_records(tmp_path)
-        old = {
-            "index": 3, "label": "p3", "attempts": 1, "cycles": 30,
-            "fallbacks": 1, "fallback_reasons": ["router kind 'roco'"],
-            "points": 1, "run_s": 0.5,
-            "value": base64.b64encode(pickle.dumps(self._value(3))).decode(),
-        }
-        with open(file, "a") as fp:
-            fp.write(json.dumps(old, sort_keys=True) + "\n")
+        self._add_record(
+            file, attempts=1, run_s=0.5, fallbacks=1,
+            fallback_reasons=["router kind 'roco'"],
+        )
         rows = self._reload(tmp_path)
         assert sorted(rows) == [0, 1, 2, 3]
         assert rows[3] == TaskRow(
             index=3, value=self._value(3), cycles=30, run_s=0.5, slot=-1
         )
 
+    @pytest.mark.parametrize(
+        "field", ["index", "value", "cycles", "run_s", "attempts", "points"]
+    )
+    def test_a_record_missing_a_field_is_rerun(self, tmp_path, field):
+        """A record is whole or it is not one: no default fills a gap."""
+        file = self._three_records(tmp_path)
+        self._add_record(file, drop=(field,))
+        assert sorted(self._reload(tmp_path)) == [0, 1, 2]
+
 
 #: driver executed as a subprocess so the kill test can SIGKILL the whole
 #: process group; task fns resolve as __main__.* in every invocation, so
-#: the checkpoint fingerprints line up between the killed and resumed run.
+#: the killed and the resumed run pickle the same tasks: one sweep key.
 _DRIVER = """\
 import json, sys, time
 
@@ -487,10 +561,10 @@ class TestKillMidSweepGolden:
         run_dir = tmp_path / "killed-run"
         kill_json = tmp_path / "kill.json"
         proc = _spawn_driver(script, "run", run_dir, kill_json, 0.5, tmp_path)
-        jsonl = run_dir / "sweep-000.jsonl"
         deadline = time.time() + 60
         while time.time() < deadline:
-            if jsonl.exists() and len(jsonl.read_text().splitlines()) >= 1:
+            files = sweep_files(run_dir)
+            if files and files[0].exists() and files[0].read_text().splitlines():
                 break
             if proc.poll() is not None:
                 pytest.fail("driver exited before it could be killed")
@@ -550,7 +624,7 @@ class TestSimulationResumeGolden:
     def test_truncated_checkpoint_resume_matches(self, tmp_path):
         full, _ = _point_sweep_quick(out_dir=tmp_path / "run")
         # drop the last checkpointed point: simulates dying mid-sweep
-        jsonl = tmp_path / "run" / "sweep-000.jsonl"
+        (jsonl,) = sweep_files(tmp_path / "run")
         lines = jsonl.read_text().splitlines()
         assert len(lines) == 2  # one point per fault count (0, 8)
         jsonl.write_text(lines[0] + "\n")
@@ -561,6 +635,38 @@ class TestSimulationResumeGolden:
             r.stats.summary() for r in full
         ]
         assert report.resumed == 1
+
+
+#: Figure 7 at a size a test affords: 16 points, one lane chunk per job
+_TINY_FIG7 = LatencyConfig(
+    width=4, height=4, warmup_cycles=100, measure_cycles=400,
+    drain_cycles=800, num_faults=16,
+)
+
+
+def _fig7(config, seed, **kw):
+    res = fig7.run(config, seed=seed, **kw)
+    return res.rows, res.extras["sweep"].resumed
+
+
+class TestNoSplice:
+    """A resume under other flags runs in full.  A lane chunk's label
+    names its kind and lanes, not its seed or mesh: only what the chunk
+    runs tells two such runs apart."""
+
+    def test_a_resume_under_another_seed_runs_in_full(self, tmp_path):
+        first, _ = _fig7(_TINY_FIG7, 1, out_dir=tmp_path)
+        rows, resumed = _fig7(_TINY_FIG7, 2, resume=tmp_path)
+        fresh, _ = _fig7(_TINY_FIG7, 2)
+        assert resumed == 0 and rows == fresh and rows != first
+        assert len(sweep_files(tmp_path)) == 2
+
+    def test_a_resume_of_another_mesh_runs_in_full(self, tmp_path):
+        narrow = replace(_TINY_FIG7, width=3)
+        _fig7(_TINY_FIG7, 1, out_dir=tmp_path)
+        rows, resumed = _fig7(narrow, 1, resume=tmp_path)
+        fresh, _ = _fig7(narrow, 1)
+        assert resumed == 0 and rows == fresh
 
 
 class TestCLI:
@@ -626,6 +732,31 @@ class TestCLI:
         assert resilient.active_runtime() is None
         with sweep_runtime() as rt:
             assert rt is None
+
+    def test_an_existing_run_is_refused_without_resume(self, tmp_path, capsys):
+        assert runner.main(["table1", "--out-dir", str(tmp_path)]) == 0
+        assert runner.main(["table1", "--out-dir", str(tmp_path)]) == 1
+        assert "already holds a run" in capsys.readouterr().err
+
+    def test_all_checkpoints_into_one_directory(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """One runtime and one directory for every experiment of ``all``:
+        their sweeps sit side by side, and a resume finds each."""
+        monkeypatch.setattr(runner, "EXPERIMENTS", {
+            name: runner.EXPERIMENTS[name]
+            for name in ("fault_sweep", "network_reliability")
+        })
+        assert runner.main(["all", "--quick", "--out-dir", str(tmp_path)]) == 0
+        assert not [p for p in tmp_path.iterdir() if p.is_dir()]
+        files = sweep_files(tmp_path)
+        assert len(files) >= 2 and all(f.exists() for f in files)
+        capsys.readouterr()
+        assert runner.main(["all", "--quick", "--resume", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "checkpointed]" not in out
+        assert out.count("resumed from checkpoint") == 2
+        assert len(sweep_files(tmp_path)) == len(files)
 
     def test_out_dir_checkpoints_experiment(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

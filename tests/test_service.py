@@ -748,10 +748,12 @@ class TestServer:
                 await service.close()
         asyncio.run(run())
 
-    def test_an_entry_under_the_v1_key_is_never_served(self):
+    def test_an_entry_under_the_v1_key_is_never_served(self, monkeypatch):
         """2.5 changed ``detection_latency``'s result for an unchanged
-        config, so the key scheme moved to v2: what a v1 server filed for
-        the same request is unreachable, and the request computes."""
+        config and moved the key scheme to v1 -> v2 by hand; since 2.12 the
+        key names the release instead.  What a v1 server or a server of
+        another release filed for the same request is unreachable, and
+        the request computes."""
         config = {"num_faults": 4, "measure_cycles": 150}
         cfg, residual = effective_config("detection_latency", config)
         v1 = json.dumps(
@@ -759,17 +761,25 @@ class TestServer:
              "config": canonical(cfg), "seed": residual},
             sort_keys=True, separators=(",", ":"),
         )
-        old = hashlib.sha256(v1.encode()).hexdigest()
+        with monkeypatch.context() as patch:
+            patch.setattr(fingerprint_module, "__version__", "2.11.0")
+            other_release = request_fingerprint(
+                "detection_latency", cfg, seed=residual
+            )
+        old = {hashlib.sha256(v1.encode()).hexdigest(), other_release}
+        assert len(old) == 2
 
         async def run():
             service, client = await _start_service_tmp()
             try:
-                service.cache.put(make_entry(
-                    old, "detection_latency", cfg,
-                    {"experiment": "detection_latency", "rows": []}, {},
-                ))
+                for fp in old:
+                    service.cache.put(make_entry(
+                        fp, "detection_latency", cfg,
+                        {"experiment": "detection_latency", "rows": []}, {},
+                    ))
                 reply = await client.sweep("detection_latency", config)
-                assert reply["cached"] is False and reply["fingerprint"] != old
+                assert reply["cached"] is False
+                assert reply["fingerprint"] not in old
                 counters = (await client.stats())["counters"]
                 assert counters["service.computations"] == 1
             finally:
