@@ -512,44 +512,56 @@ def _assemble(
         _shard_report(slot, final, retried, durable)
         for slot in (*range(slots), *([-1] if resumed else []))
     )
-    # fold per-point observability snapshots in task-index order — the
-    # order is independent of sharding, so `--jobs N` merges identically
-    exports = [
-        (labels[i], getattr(v, "observability", None))
-        for i, v in enumerate(values)
-    ]
-    observability = merge_exports(exports)
-    # surface runtime counters through the metrics registry when it is on
-    if runtime is not None and global_config().metrics:
-        reg = MetricsRegistry()
-        reg.inc("resilient.points_completed", sum(r.ok for r in final))
-        reg.inc("resilient.points_resumed", resumed)
-        reg.inc("resilient.points_failed", len(failures))
-        reg.inc("resilient.points_skipped", len(skipped))
-        reg.inc("resilient.retries", sum(s.retries for s in shards))
-        reg.inc("resilient.timeouts", sum(s.timeouts for s in shards))
-        reg.inc("resilient.checkpointed", sum(s.checkpointed for s in shards))
-        observability = merge_exports(
-            (exports if observability else [])
-            + [("resilient-runtime", {"metrics": reg.snapshot()})]
-        )
     fields: dict[str, Any] = dict(
         jobs=slots,
         points=len(tasks),
         wall_time=wall,
         shards=shards,
-        observability=observability,
         resumed=resumed,
     )
-    if failures or skipped:
-        report = PartialSweepReport(
+    report = (
+        PartialSweepReport(
             completed=tuple(r.index for r in final if r.ok),
             failed=failures,
             skipped=skipped,
             **fields,
         )
+        if failures or skipped
+        else SweepReport(**fields)
+    )
+    # fold per-point observability snapshots in task-index order — the
+    # order is independent of sharding, so `--jobs N` merges identically
+    report = replace(report, observability=_fold(
+        [(labels[i], getattr(v, "observability", None)) for i, v in enumerate(values)],
+        report,
+        runtime,
+    ))
+    if isinstance(report, PartialSweepReport):
         raise PartialSweepError(report, values)
-    return values, SweepReport(**fields)
+    return values, report
+
+
+def _fold(
+    exports: "list[tuple[str, Any]]",
+    report: SweepReport,
+    runtime: "Optional[SweepRuntime]",
+) -> Optional[dict]:
+    """Merge per-point observability exports in the order given; with a
+    runtime and metrics on, the runtime's counters (read off ``report``,
+    a report of tasks) join them."""
+    if runtime is not None and global_config().metrics:
+        failed = len(getattr(report, "failed", ()))
+        skipped = len(getattr(report, "skipped", ()))
+        reg = MetricsRegistry()
+        reg.inc("resilient.points_completed", report.points - failed - skipped)
+        reg.inc("resilient.points_resumed", report.resumed)
+        reg.inc("resilient.points_failed", failed)
+        reg.inc("resilient.points_skipped", skipped)
+        reg.inc("resilient.retries", report.retries)
+        reg.inc("resilient.timeouts", report.timeouts)
+        reg.inc("resilient.checkpointed", report.checkpointed)
+        exports = [*exports, ("resilient-runtime", {"metrics": reg.snapshot()})]
+    return merge_exports(exports)
 
 
 def map_sweep(
@@ -767,11 +779,13 @@ def run_lane_sweep(
     Every other point is a :func:`run_point` task of its own.  The
     triage that decides this is the one record of why.  Every router
     kind a point can name has an array model, so ``supports()`` declines a
-    group only with observability on or past ``_MAX_VCS`` VCs: its points
+    group only with tracing on or past ``_MAX_VCS`` VCs: its points
     run on the object engine and are the report's ``fallbacks``, the
     decline strings its ``fallback_reasons``.  A supported group smaller
     than :data:`_MIN_LANE_GROUP` is not a fallback — its ``run()`` picks
-    the engine by load and may still step it as a width-1 lane.
+    the engine by load and may still step it as a width-1 lane.  Metrics
+    and profiles ride the lanes; the report's ``observability`` folds
+    the points' exports in point order, whichever task ran them.
 
     Execution funnels through :func:`run_sweep`, so a resilient runtime
     (checkpointing, retries, watchdog) applies at chunk granularity:
@@ -785,6 +799,7 @@ def run_lane_sweep(
     object engine by the golden differential tests.
     """
     from ..network.batched import supports as batched_supports
+    from .resilient import active_runtime
 
     points = list(points)
     if not points:
@@ -797,8 +812,8 @@ def run_lane_sweep(
 
     batchable: list[tuple[list[int], LanePoint]] = []
     singles: list[int] = []
-    # every kind a point can name is a lane kind: observability declines
-    # every group, a VC count past the engine's tables its own group
+    # every kind a point can name is a lane kind: tracing declines every
+    # group, a VC count past the engine's tables its own group
     declined: dict[str, int] = {}  # reason -> points
     for key, idxs in groups.items():
         reason = batched_supports(key[0])
@@ -841,8 +856,9 @@ def run_lane_sweep(
                 label,
                 chunk,
             )
+    labels = [p.label or f"lane {j}" for j, p in enumerate(points)]
     for j in singles:
-        _add(run_point, (points[j],), points[j].label or f"lane {j}", [j])
+        _add(run_point, (points[j],), labels[j], [j])
 
     def per_point(values: Sequence[Any]) -> list[Any]:
         out: list[Any] = [None] * len(points)
@@ -852,6 +868,14 @@ def run_lane_sweep(
                 for j, res in zip(spans[task.index], results):
                     out[j] = res
         return out
+
+    def with_points(report: SweepReport, results: List[Any], **changes: Any) -> Any:
+        exports = [
+            (label, getattr(res, "observability", None))
+            for label, res in zip(labels, results)
+        ]
+        observability = _fold(exports, report, active_runtime())
+        return replace(report, observability=observability, **changes, **triage)
 
     def in_points(task_ids: Iterable[int]) -> Tuple[int, ...]:
         return tuple(sorted(j for t in task_ids for j in spans[t]))
@@ -869,14 +893,16 @@ def run_lane_sweep(
     try:
         values, report = run_sweep(tasks, jobs=jobs)
     except PartialSweepError as exc:
-        partial = replace(
+        results = per_point(exc.values)
+        partial = with_points(
             exc.report,
+            results,
             completed=in_points(exc.report.completed),
             failed=lost(exc.report.failed),
             skipped=in_points(exc.report.skipped),
-            **triage,
         )
-        raise PartialSweepError(partial, per_point(exc.values)) from None
+        raise PartialSweepError(partial, results) from None
     except SweepError as exc:
         raise SweepError(lost(exc.failures)) from None
-    return per_point(values), replace(report, **triage)
+    results = per_point(values)
+    return results, with_points(report, results)

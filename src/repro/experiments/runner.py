@@ -31,12 +31,14 @@ and the registry below records how to build each module's quick/default
 config object.
 
 Observability (:mod:`repro.observability`, see ``docs/observability.md``):
-``--metrics-out metrics.json`` collects the per-router per-stage metrics
-registry (merged deterministically across shards and experiments) and the
+``--metrics-out metrics.json`` collects the per-router counters of every
+run (merged deterministically across shards and experiments) and the
 merged snapshot also lands in ``ExperimentResult.extras["metrics"]``;
+``--profile`` samples per-phase wall time inside each engine's loop.
 ``--trace-out trace.json`` records flit-lifecycle events and writes a
 Chrome ``trace_event`` file loadable in ``chrome://tracing`` / Perfetto;
-``--profile`` samples per-phase wall time inside the simulator loop.
+it needs the object engine, so the sweep line counts the lane points it
+moved there as "object-engine fallbacks".
 
 An experiment that raises — including inside a worker shard of a parallel
 sweep — makes the process exit non-zero; with ``all``, the remaining
@@ -303,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="sample per-phase wall time inside the simulator loop and "
+        help="sample per-phase wall time inside each engine's loop and "
         "print the breakdown",
     )
     args = parser.parse_args(argv)
@@ -392,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
                 print()
                 print(chart)
             if sweep_report is not None and (
-                args.jobs is not None or resilient_flags
+                args.jobs is not None or resilient_flags or sweep_report.fallbacks
             ):
                 print(f"  {sweep_report.format()}")
             print(f"  [{time.time() - t0:.1f}s]\n")

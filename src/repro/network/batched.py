@@ -150,10 +150,12 @@ break-even load is a width-1 engine of this class only when every router
 is exactly one registered class (a subclass, such as
 ``comparison.ecc_sim``'s, is stepped), and :func:`router_factory` builds
 the class a sweep point's kind names.  :func:`supports` declines while
-observability is on and past :data:`_MAX_VCS` VCs per port:
+tracing is on and past :data:`_MAX_VCS` VCs per port:
 :func:`repro.experiments.parallel.run_lane_sweep` then runs those points
 on the object engine one at a time and counts them as its report's
-``fallbacks``.
+``fallbacks``.  Metrics ride the lanes: a retiring lane's slice of the
+counter matrix goes through the object engine's export,
+:func:`repro.observability.harvest`.
 
 Frozen stretches
 ----------------
@@ -192,7 +194,7 @@ from ..config import PORT_LOCAL, NetworkConfig, SimulationConfig
 from ..core.protected_router import ProtectedRouter
 from ..faults.recovery import RecoveryMonitor
 from ..faults.sites import FaultUnit
-from ..observability import maybe_create
+from ..observability import MetricsRegistry, Observability, global_config, harvest
 from ..observability.profiler import STAGE_NAMES, StageProfiler
 from ..router.crossbar import carrier_port
 from ..router.router import BaseRouter, BaselineRouter, RouterStats
@@ -308,13 +310,17 @@ def router_factory(kind: str, config: NetworkConfig) -> RouterFactory:
     return make
 
 
-def supports(config: Optional[NetworkConfig] = None, *, observability: object = None) -> Optional[str]:
-    """Why the batched engine cannot run ``config`` now, or ``None``: observability
-    on (tracing and metrics need the object engine's per-object hooks), or more than
-    :data:`_MAX_VCS` VCs per port.  The lane sweep's triage records the reason and
-    runs such points on the object engine."""
-    if observability is not None or maybe_create() is not None:
-        return "observability enabled (tracing/metrics need per-object hooks)"
+#: why no lane runs while a tracer is on
+_TRACE_DECLINE = "tracing enabled (per-stage flit events need the object engine)"
+
+
+def supports(config: Optional[NetworkConfig] = None) -> Optional[str]:
+    """Why the batched engine cannot run ``config`` now, or ``None``: tracing
+    on (per-stage flit events need the object engine's per-object hooks), or
+    more than :data:`_MAX_VCS` VCs per port.  The lane sweep's triage records
+    the reason and runs such points on the object engine."""
+    if global_config().trace:
+        return _TRACE_DECLINE
     if config is not None and config.router.num_vcs > _MAX_VCS:
         return f"more than {_MAX_VCS} VCs per port (the VA stage-1 pick tables)"
     return None
@@ -327,6 +333,9 @@ class BatchedLaneEngine:
     routing kind (the *structural key*); they differ in their per-lane
     traffic sources, fault schedules and router kinds (``router_kind`` is
     the kind of a lane whose spec leaves it open).
+
+    ``observability`` (default: the process-wide configuration) adds to
+    each result its metrics, and to the first the engine's stage profile.
     """
 
     def __init__(
@@ -339,8 +348,11 @@ class BatchedLaneEngine:
         *,
         keep_samples: bool = False,
         pending: Optional[Iterable[LaneSpec]] = None,
+        observability: Optional[Observability] = None,
     ) -> None:
         reason = supports(config)
+        if observability is not None and observability.tracer is not None:
+            reason = _TRACE_DECLINE
         if reason is not None:
             raise ValueError(f"batched engine cannot run this config: {reason}")
         if not lanes:
@@ -646,8 +658,14 @@ class BatchedLaneEngine:
             FaultUnit.XB_SECONDARY: self.f_xbs,
         }
 
-        #: wall time per kernel, sampled every 16th global cycle
-        self.profiler = StageProfiler()
+        cfg = global_config() if observability is None else observability.config
+        #: harvest each retiring lane's metrics onto its result
+        self._metrics = cfg.metrics
+        #: wall time per kernel, sampled every 16th global cycle; a profile
+        #: asked for rides on the first point's export
+        given = observability.profiler if observability is not None else None
+        self.profiler = given if given is not None else StageProfiler()
+        self._profile = cfg.profile
         #: seconds spent installing / retiring lanes and polling recovery
         #: monitors (every call timed)
         self.install_s = 0.0
@@ -1288,7 +1306,11 @@ class BatchedLaneEngine:
             else:
                 cycle = self._fast_forward(cycle, armed, live)
                 armed = None
-        return cast(List[SimulationResult], list(self._results))
+        results = cast(List[SimulationResult], list(self._results))
+        if self._profile:  # once per engine, so a merge counts it once
+            first = results[0].observability or {"metrics": None, "trace": None}
+            results[0].observability = {**first, "profile": self.profiler.snapshot()}
+        return results
 
     def _quiet(self) -> bool:
         """The step just run wrote no state and left no event in flight:
@@ -1395,13 +1417,20 @@ class BatchedLaneEngine:
         mon = self._monitors.pop(lane, None)
         if mon is not None:
             mon.finalize()
+        counts = self.counts()[:, lane]
+        export = None
+        if self._metrics:
+            metrics = MetricsRegistry()
+            harvest(metrics, counts, stats, local, self.faults_injected[lane])
+            export = {"metrics": metrics.snapshot(), "trace": None, "profile": None}
         self._results[self.lane_point[lane]] = SimulationResult(
             stats=stats,
             cycles=local,
             blocked=blocked,
             drained=drained,
-            router_stats=RouterStats(*self.counts()[:, lane].sum(axis=1).tolist()),
+            router_stats=RouterStats(*counts.sum(axis=1).tolist()),
             faults_injected=self.faults_injected[lane],
+            observability=export,
             recovery=None if mon is None else mon.summary(),
         )
         self.retire_s += perf_counter() - t0

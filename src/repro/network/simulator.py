@@ -35,27 +35,22 @@ boundary — and advances ``cycle`` straight to the earliest one.  Fully
 idle stretches (drain tails after a burst, low-injection loads,
 fault-isolated quiet periods) therefore cost zero work per cycle, and
 the skip is invisible in the results: every skipped cycle is a no-op in
-the reference stepper too, and metrics occupancy samples due inside the
-gap are still taken (sampling only reads state, which is frozen while
-idle).
+the reference stepper too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Optional, Protocol
+
+import numpy as np
 
 from ..config import NetworkConfig, PORT_LOCAL, SimulationConfig
 from ..faults.recovery import RecoveryMonitor
 from ..faults.schedule import FaultSchedule
-from ..observability import (
-    OCCUPANCY_SAMPLE_EVERY,
-    EventTracer,
-    Observability,
-    maybe_create,
-)
+from ..observability import EventTracer, Observability, harvest, maybe_create
 from ..router.flit import Packet
 from ..router.router import BaseRouter, BaselineRouter, RouterStats
 from ..router.routing import RoutingFunction, make_routing
@@ -464,7 +459,6 @@ class NoCSimulator:
         obs = self.obs
         prof = None
         if obs is not None:
-            obs.on_cycle(self, cycle)
             p = obs.profiler
             if p is not None and p.should_sample(cycle):
                 prof = p
@@ -569,10 +563,6 @@ class NoCSimulator:
         component state after each cycle so the two steppers can even be
         interleaved.
         """
-        obs = self.obs
-        if obs is not None:
-            obs.on_cycle(self, cycle)
-
         sched = self.scheduler
         sched.cycle = cycle
         self._inject_faults(cycle)
@@ -621,8 +611,6 @@ class NoCSimulator:
         phase at ``horizon``.  The traffic lookahead consumes the quiet
         cycles' randomness exactly as per-cycle ``generate`` calls would,
         so the jump is bit-invisible.
-        Metrics occupancy samples due inside the gap are still taken:
-        sampling only reads component state, which is frozen while idle.
         """
         target = horizon
         nxt = lookahead(cycle, horizon)
@@ -632,27 +620,20 @@ class NoCSimulator:
             wake = self.fault_schedule.next_cycle()
             if wake is not None and wake < target:
                 target = wake
-        if target <= cycle:
-            return cycle
-        obs = self.obs
-        if obs is not None and obs.metrics is not None:
-            every = OCCUPANCY_SAMPLE_EVERY
-            first = cycle + (-cycle) % every
-            for c in range(first, target, every):
-                obs.on_cycle(self, c)
-        return target
+        return max(target, cycle)
 
     def run(self) -> SimulationResult:
         """One run, on the engine that finishes it sooner.
 
         A fresh run on an untouched fabric of one lane kind's routers
         (:func:`repro.network.batched.lane_kind`) that ``supports()`` and
-        nothing outside the event system watches, and whose traffic source
+        nothing outside the event system watches (a tracer is per-object
+        hooks; metrics and profiles are not), and whose traffic source
         declares an ``offered_load`` of :data:`LANE_BREAK_EVEN` or more,
         rides a width-1 lane of :class:`repro.network.batched.BatchedLaneEngine`
-        on its own traffic and schedule objects — bit-identical, the lane
-        engine mirrors ``_step_reference`` — and every other one is
-        :meth:`_run_stepped`.
+        on its own traffic, schedule and ``Observability`` objects —
+        bit-identical, the lane engine mirrors ``_step_reference`` — and
+        every other one is :meth:`_run_stepped`.
         """
         from .batched import BatchedLaneEngine, LaneSpec, lane_kind, supports
 
@@ -663,7 +644,8 @@ class NoCSimulator:
             or kind is None
             or self.cycle or self.use_reference_stepper
             or self.on_eject is not None
-            or supports(self.config, observability=self.obs) is not None
+            or (self.obs is not None and self.obs.tracer is not None)
+            or supports(self.config) is not None
             # a fabric touched by hand (a queued packet, a fault landed, a
             # RoCo module killed) is not a lane's power-on one
             or self._active_routers or self._active_nics
@@ -673,7 +655,7 @@ class NoCSimulator:
         lane = LaneSpec(self.traffic, self.fault_schedule)
         res = BatchedLaneEngine(
             self.config, self.sim_config, [lane], kind, self.routing_kind,
-            keep_samples=self.stats.keep_samples,
+            keep_samples=self.stats.keep_samples, observability=self.obs,
         ).run()[0]
         self.stats, self.cycle = res.stats, res.cycles
         self.blocked, self.faults_injected = res.blocked, res.faults_injected
@@ -751,7 +733,9 @@ class NoCSimulator:
             recovery_export = mon.summary()
         obs_export = None
         if self.obs is not None:
-            self.obs.finalize_run(self)
+            if self.obs.metrics is not None:
+                counts = np.array([astuple(r.stats) for r in self.routers]).T
+                harvest(self.obs.metrics, counts, self.stats, cycle, self.faults_injected)
             obs_export = self.obs.export()
         return SimulationResult(
             stats=self.stats,

@@ -7,9 +7,10 @@ Three cooperating subsystems, all off by default:
   storage and Chrome ``trace_event`` export
   (:mod:`~repro.observability.trace`) viewable in Perfetto;
 * :mod:`~repro.observability.metrics` — a counters/gauges/histograms
-  registry capturing per-router per-stage occupancy, stall causes,
-  VA/SA retries, and fault-path activations, merged deterministically
-  across parallel sweep shards;
+  registry holding a finished run's per-router stall causes, VA/SA
+  grants and retries and fault-path activations (:func:`harvest`, one
+  reduction over the counts every engine keeps), merged
+  deterministically across parallel sweep shards;
 * :mod:`~repro.observability.profiler` — sampled wall-time profiling of
   the simulator's per-cycle phases.
 
@@ -23,6 +24,8 @@ the *entire* overhead — pinned to <= 5 % by
 :class:`~repro.network.simulator.NoCSimulator`, or flip the process-wide
 default with :func:`configure` (the ``--metrics-out`` / ``--trace-out`` /
 ``--profile`` flags on ``python -m repro.experiments`` do the latter).
+Metrics and profiles run on either engine; a trace needs the object
+engine's per-object hooks, so it keeps a run off the lane engine.
 The global configuration is mirrored into the ``REPRO_OBSERVABILITY``
 environment variable so ``spawn``-started sweep workers inherit it.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .events import (
     DEFAULT_CAPACITY,
@@ -41,6 +44,11 @@ from .events import (
 )
 from .metrics import DEFAULT_EDGES, Histogram, MetricsRegistry, merge_snapshots
 from .profiler import StageProfiler, merge_profiles
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..network.stats import NetworkStats
 
 __all__ = [
     "DEFAULT_EDGES",
@@ -54,6 +62,7 @@ __all__ = [
     "StageProfiler",
     "configure",
     "global_config",
+    "harvest",
     "maybe_create",
     "merge_exports",
     "merge_snapshots",
@@ -62,13 +71,6 @@ __all__ = [
 
 ENV_VAR = "REPRO_OBSERVABILITY"
 ENV_CAPACITY_VAR = "REPRO_TRACE_CAPACITY"
-
-#: occupancy sampling stride (cycles) when metrics are enabled
-OCCUPANCY_SAMPLE_EVERY = 64
-
-#: bucket edges for buffered-flit occupancy histograms
-OCCUPANCY_EDGES = (0, 1, 2, 4, 8, 16, 32, 64, 128)
-
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
@@ -178,72 +180,6 @@ class Observability:
         )
 
     # ------------------------------------------------------------------
-    # simulator hooks
-    # ------------------------------------------------------------------
-    def on_cycle(self, sim, cycle: int) -> None:
-        """Periodic in-run sampling (called once per simulated cycle).
-
-        Samples per-router buffered-flit occupancy and per-stage VC-state
-        counts every :data:`OCCUPANCY_SAMPLE_EVERY` cycles.  Sampling depends
-        only on the simulation state, so it is deterministic and merges
-        bit-identically across shardings.
-        """
-        m = self.metrics
-        if m is None or cycle % OCCUPANCY_SAMPLE_EVERY:
-            return
-        from ..router.vc import VCState
-
-        for router in sim.routers:
-            node = router.node
-            occ = router.buffered_flits()
-            m.observe(
-                "router.occupancy_flits", occ, OCCUPANCY_EDGES, router=node
-            )
-            if not router.busy:
-                continue
-            for in_port in router.in_ports:
-                for vc in in_port.slots:
-                    state = vc.state
-                    if state != VCState.IDLE:
-                        m.inc(
-                            "router.stage_occupancy",
-                            1,
-                            router=node,
-                            stage=state.name.lower(),
-                        )
-
-    def finalize_run(self, sim) -> None:
-        """Harvest end-of-run counters from the fabric into the registry.
-
-        Reading the per-router :class:`~repro.router.router.RouterStats`
-        after the run costs nothing during simulation; only the sampled
-        occupancy above needs in-loop work.
-        """
-        m = self.metrics
-        if m is None:
-            return
-        for router in sim.routers:
-            node = router.node
-            stats = router.stats
-            for name in type(stats).__dataclass_fields__:
-                value = getattr(stats, name)
-                if value:
-                    m.inc(f"router.{name}", value, router=node)
-        ns = sim.stats
-        m.inc("network.packets_created", ns.packets_created)
-        m.inc("network.packets_injected", ns.packets_injected)
-        m.inc("network.packets_ejected", ns.packets_ejected)
-        m.inc("network.flits_injected", ns.flits_injected)
-        m.inc("network.flits_ejected", ns.flits_ejected)
-        m.inc("network.measured_packets", ns.measured_packets)
-        m.inc("sim.cycles", sim.cycle)
-        m.inc("sim.faults_injected", sim.faults_injected)
-        m.set_gauge("network.max_network_latency", ns.max_network_latency)
-        hist = getattr(ns, "latency_hist", None)
-        if hist is not None and hist.count:
-            m.adopt_histogram("network.latency_cycles", hist)
-
-    # ------------------------------------------------------------------
     def export(self) -> dict:
         """Picklable snapshot carried on ``SimulationResult.observability``."""
         return {
@@ -251,6 +187,46 @@ class Observability:
             "trace": self.tracer.snapshot() if self.tracer else None,
             "profile": self.profiler.snapshot() if self.profiler else None,
         }
+
+
+def harvest(
+    registry: MetricsRegistry,
+    counts: "np.ndarray",
+    stats: "NetworkStats",
+    cycles: int,
+    faults_injected: int,
+) -> None:
+    """Add one finished run's metrics to ``registry``: the one export both
+    engines call.
+
+    ``counts`` has one row per :class:`~repro.router.router.RouterStats`
+    field, in field order, and one column per router: the object engine
+    stacks its routers' ``stats``, the lane engine passes a lane's slice
+    of its counter matrix.  Every metric is a count both engines keep, so
+    a point's snapshot is the same whichever engine ran it.  Zero
+    counters are skipped.  ``buffer_writes`` is one total without a
+    router label, because the lane engine keeps it per lane.
+    """
+    from ..router.router import RouterStats
+
+    for name, row in zip(RouterStats.__dataclass_fields__, counts.tolist()):
+        if name == "buffer_writes":
+            if sum(row):
+                registry.inc("router.buffer_writes", sum(row))
+            continue
+        for node, value in enumerate(row):
+            if value:
+                registry.inc(f"router.{name}", value, router=node)
+    for name in (
+        "packets_created", "packets_injected", "packets_ejected",
+        "flits_injected", "flits_ejected", "measured_packets",
+    ):
+        registry.inc(f"network.{name}", getattr(stats, name))
+    registry.inc("sim.cycles", cycles)
+    registry.inc("sim.faults_injected", faults_injected)
+    registry.set_gauge("network.max_network_latency", stats.max_network_latency)
+    if stats.latency_hist.count:
+        registry.adopt_histogram("network.latency_cycles", stats.latency_hist)
 
 
 def merge_exports(

@@ -2,7 +2,7 @@
 
 The registry is the quantitative half of :mod:`repro.observability`: it
 captures *how often* things happened (stall causes, VA/SA retries,
-fault-path activations, per-stage occupancy) where the event tracer
+fault-path activations, packet latencies) where the event tracer
 captures *when*.  Three design rules keep it compatible with the
 deterministic parallel sweep engine (:mod:`repro.experiments.parallel`):
 
@@ -128,34 +128,12 @@ class MetricsRegistry:
         """Set the gauge ``name`` to ``value`` (merge keeps the max)."""
         self.gauges[metric_key(name, labels)] = float(value)
 
-    def histogram(
-        self,
-        name: str,
-        edges: Sequence[float] = DEFAULT_EDGES,
-        **labels: object,
-    ) -> Histogram:
-        """Get-or-create the histogram ``name``."""
-        key = metric_key(name, labels)
-        hist = self.histograms.get(key)
-        if hist is None:
-            hist = self.histograms[key] = Histogram(edges)
-        return hist
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        edges: Sequence[float] = DEFAULT_EDGES,
-        **labels: object,
-    ) -> None:
-        self.histogram(name, edges, **labels).observe(value)
-
     def adopt_histogram(
         self, name: str, hist: Histogram, **labels: object
     ) -> None:
-        """Copy an externally built histogram into the registry."""
-        own = self.histogram(name, hist.edges, **labels)
-        own.merge(hist)
+        """Fold an externally built histogram into the histogram ``name``."""
+        key = metric_key(name, labels)
+        self.histograms.setdefault(key, Histogram(hist.edges)).merge(hist)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

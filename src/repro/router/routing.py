@@ -31,7 +31,7 @@ class RoutingFunction:
     """Interface: map (current node, destination node) -> output port(s).
 
     Deterministic functions implement :meth:`output_port`.  Adaptive
-    functions additionally override :meth:`candidate_ports` to return all
+    functions override :meth:`candidate_ports` instead, to return all
     permitted productive directions; the RC unit then selects among them
     (by path health and downstream credit) at routing time.
     """
@@ -147,9 +147,6 @@ class WestFirstRouting(RoutingFunction):
         elif dy_ < y:
             cands.append(PORT_NORTH)
         return cands
-
-    def output_port(self, node: int, dest: int) -> int:
-        return self.candidate_ports(node, dest)[0]
 
 
 def make_routing(network: NetworkConfig, kind: str = "xy") -> RoutingFunction:

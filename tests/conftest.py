@@ -52,7 +52,7 @@ def hop_count(routing, src: int, dest: int) -> int:
     over the mesh's links."""
     topology = Topology(routing.network)
     node, hops = src, 0
-    while (port := routing.output_port(node, dest)) != PORT_LOCAL:
+    while (port := routing.candidate_ports(node, dest)[0]) != PORT_LOCAL:
         node, _ = topology.neighbour(node, port)
         hops += 1
         assert hops <= routing.network.num_nodes, "the route does not converge"

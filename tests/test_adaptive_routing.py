@@ -46,7 +46,6 @@ class TestWestFirstTurnModel:
     def test_local_delivery(self, net):
         r = WestFirstRouting(net)
         assert r.candidate_ports(5, 5) == [PORT_LOCAL]
-        assert r.output_port(5, 5) == PORT_LOCAL
 
     def test_factory(self, net):
         assert isinstance(make_routing(net, "west_first"), WestFirstRouting)

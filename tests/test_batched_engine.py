@@ -587,8 +587,8 @@ def _lane_points(net, sim_cfg, routing_kinds, rate=0.05, seed=3):
 class TestRunLaneSweep:
     def test_unsupported_points_fall_back_per_point(self):
         """``roco`` points are lanes like any other, so the decline is
-        provoked with metrics on, the one decline a lane sweep has left
-        (``roco`` was declined until it had an array model)."""
+        provoked with tracing on, the one observability decline a lane
+        sweep has left (metrics and profiles ride the lanes)."""
         from repro import observability
 
         net = _net(4, 4, 4, 2)
@@ -598,8 +598,9 @@ class TestRunLaneSweep:
         )
         points[2:4] = [replace(p, router_kind="roco") for p in points[2:4]]
         lane_values, lane_report = run_lane_sweep(points)
-        observability.configure(metrics=True)
+        observability.configure(trace=True)
         try:
+            traced = supports()
             batched_values, batched_report = run_lane_sweep(points)
             # the lower layer called directly: nothing declined, no fallbacks
             event_values, event_report = map_sweep(
@@ -614,9 +615,7 @@ class TestRunLaneSweep:
         assert event_report.fallbacks == 0
         assert "object-engine fallbacks" in batched_report.format()
         # the *why* is threaded through to the report, not just a count
-        assert batched_report.fallback_reasons == (
-            "observability enabled (tracing/metrics need per-object hooks)",
-        )
+        assert batched_report.fallback_reasons == (traced,)
         assert "fallback reasons:" in batched_report.format()
         assert event_report.fallback_reasons == ()
         for i, (b, e, lane) in enumerate(zip(batched_values, event_values, lane_values)):
@@ -920,44 +919,42 @@ class TestLaneSweepInPoints:
             (3, "flaky0"), (4, "flaky1"),
         ]
 
-    #: the one decline a lane sweep has left (``roco`` points were
-    #: declined too until they had an array model)
-    _OBSERVED = "observability enabled (tracing/metrics need per-object hooks)"
-
     def _declining_points(self):
         """Two ``roco`` and two protected points: one lane group, which
-        ``supports()`` declines while metrics are on."""
+        ``supports()`` declines while tracing is on."""
         net = _net(4, 4, 4, 2)
         points = _lane_points(net, _sim_cfg(measure=100), ("xy",) * 4)
         points[:2] = [replace(p, router_kind="roco") for p in points[:2]]
         return points
 
     def test_every_decline_is_counted_once_at_triage(self):
-        """With metrics on, ``supports()`` declines the lane group: each
+        """With tracing on, ``supports()`` declines the lane group: each
         declined point is one fallback and the reason is listed once, on
         the sweep and never per shard."""
         from repro import observability
 
-        observability.configure(metrics=True)
+        observability.configure(trace=True)
         try:
+            traced = supports()
             values, report = run_lane_sweep(self._declining_points(), jobs=2)
         finally:
             observability.reset()
         assert all(v is not None for v in values)
         assert report.fallbacks == 4
-        assert report.fallback_reasons == (self._OBSERVED,)
+        assert report.fallback_reasons == (traced,)
         lines = report.format().splitlines()
         assert "[4 object-engine fallbacks]" in lines[0]
         assert sum("fallback" in line for line in lines) == 2
 
     def test_a_resumed_sweep_reports_the_same_declines(self, tmp_path):
-        """Provoked with metrics on: the two roco points it used to
-        decline are lanes now."""
+        """Provoked with tracing on: the two roco points it used to
+        decline are lanes now, and so are metrics."""
         from repro import observability
         from repro.experiments.resilient import sweep_runtime
 
         points = self._declining_points()
-        observability.configure(metrics=True)
+        observability.configure(trace=True)
+        traced = supports()
         try:
             with sweep_runtime(out_dir=tmp_path):
                 full, whole = run_lane_sweep(points, jobs=1)
@@ -976,7 +973,7 @@ class TestLaneSweepInPoints:
         assert resumed.resumed == 1 and resumed.checkpointed == 3
         assert (resumed.fallbacks, resumed.fallback_reasons) == (
             whole.fallbacks, whole.fallback_reasons,
-        ) == (4, (self._OBSERVED,))
+        ) == (4, (traced,))
         assert _summaries(again) == _summaries(full)
 
 

@@ -20,7 +20,10 @@ steppers in lockstep (and re-derive the goldens in test_determinism.py).
 
 import dataclasses
 
+import pytest
 from conftest import NoLookahead
+
+import repro.observability as observability
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
 from repro.faults.injector import RandomFaultSchedule
@@ -177,13 +180,16 @@ class TestBatchedLaneGolden:
     fig7-style scenario the engine matrix above pins, against the event
     engine lane by lane.
 
-    The batched engine declines observability (``supports()`` reports
-    why), so unlike ``_run_once`` these references run observability-free
-    — the comparison covers every output the engines share: cycle
-    counts, drain status, the full stats summary, and the aggregated
-    router counters.  The references call ``_run_stepped()``: at this
-    load ``run()`` would ride a lane itself.
+    Both sides run with metrics on (the batched engine declines only a
+    tracer), so the comparison covers every output the engines share:
+    cycle counts, drain status, the full stats summary, the aggregated
+    router counters and the metrics export.  The references call
+    ``_run_stepped()``: at this load ``run()`` would ride a lane itself.
     """
+
+    @pytest.fixture(autouse=True)
+    def _metrics_on(self):
+        observability.configure(metrics=True)
 
     def _scenario(self):
         net = NetworkConfig(
@@ -223,6 +229,8 @@ class TestBatchedLaneGolden:
         assert dataclasses.asdict(batched.router_stats) == dataclasses.asdict(
             ref.router_stats
         )
+        assert batched.observability["metrics"]["counters"]
+        assert batched.observability == ref.observability
 
     def test_batched_lanes_bit_identical(self, routing="xy"):
         from repro.network.batched import LaneSpec, run_lanes
@@ -427,8 +435,7 @@ class TestProfiledGolden:
     """A profiled run must be bit-identical to an unprofiled one.
 
     The profiler used to live in a hand-copied ``_step_profiled`` fork of
-    ``_step``; the fork drifted (notably in where ``on_cycle`` sampling
-    happened relative to the pipeline phases).  The unified body keeps
+    ``_step``, and the fork drifted from it.  The unified body keeps
     profiling behind ``is None`` guards, so everything except the
     wall-clock profile section must match exactly."""
 

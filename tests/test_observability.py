@@ -9,7 +9,7 @@ import pytest
 from conftest import make_network_config, make_sim
 
 import repro.observability as observability
-from repro.config import replace
+from repro.config import SimulationConfig, replace
 from repro.core.protected_router import protected_router_factory
 from repro.experiments.latency import QUICK_CONFIG
 from repro.faults.injector import RandomFaultSchedule
@@ -17,6 +17,7 @@ from repro.network.simulator import NoCSimulator
 from repro.observability import (
     EVENT_SCHEMA,
     EventTracer,
+    Histogram,
     MetricsRegistry,
     Observability,
     ObservabilityConfig,
@@ -206,10 +207,11 @@ class TestMetricsRegistry:
         assert merged["gauges"]["peak"] == 11.0
 
     def test_histogram_merge_rejects_mismatched_edges(self):
-        a = MetricsRegistry()
-        a.observe("lat", 3, edges=(1, 2, 4))
-        b = MetricsRegistry()
-        b.observe("lat", 3, edges=(1, 2, 8))
+        a, b = MetricsRegistry(), MetricsRegistry()
+        for registry, edges in ((a, (1, 2, 4)), (b, (1, 2, 8))):
+            hist = Histogram(edges)
+            hist.observe(3)
+            registry.adopt_histogram("lat", hist)
         with pytest.raises(ValueError):
             merge_snapshots([a.snapshot(), b.snapshot()])
 
@@ -218,7 +220,9 @@ class TestMetricsRegistry:
         for k in range(4):
             m = MetricsRegistry()
             m.inc("n", k + 1, shard=0)
-            m.observe("h", k, edges=(0, 1, 2, 4))
+            hist = Histogram((0, 1, 2, 4))
+            hist.observe(k)
+            m.adopt_histogram("h", hist)
             snaps.append(m.snapshot())
         fwd = merge_snapshots(snaps)
         rev = merge_snapshots(list(reversed(snaps)))
@@ -249,11 +253,62 @@ class TestHarvestedMetrics:
                        "router.va_stage2_fault_retries",
                        "router.vc_transfers"}
         assert base_names & fault_paths
-        # sampled occupancy + adopted latency histogram
-        assert "network.latency_cycles" in snap["histograms"]
-        assert any(
-            k.startswith("router.occupancy_flits") for k in snap["histograms"]
+        # the adopted latency histogram is the only one: every other
+        # metric is a count the engines keep
+        assert list(snap["histograms"]) == ["network.latency_cycles"]
+
+
+class TestOneHarvest:
+    """Both engines export through ``harvest``, over counts both keep, so
+    a point's metrics do not depend on which engine ran it."""
+
+    @pytest.mark.parametrize("routing", ["xy", "west_first"])
+    def test_lane_sweep_metrics_equal_the_object_engines(self, routing):
+        from conftest import stepped_point
+        from repro.experiments.fault_campaign import campaign_schedule
+        from repro.experiments.load_latency import _make_schedule, _make_traffic
+        from repro.experiments.parallel import LanePoint, run_lane_sweep
+        from repro.faults import TimelineSpec
+
+        net = make_network_config(4, 4, num_vcs=4, num_vnets=2)
+        sim_cfg = SimulationConfig(
+            warmup_cycles=50, measure_cycles=300, drain_cycles=1500, seed=5,
+            watchdog_cycles=4000,
         )
+        healing = TimelineSpec(
+            events=8, mean_interval=30.0, transient_fraction=0.5,
+            transient_duration=40, seed=3, first_event_at=40,
+        )
+        runs = [
+            ("baseline", None, ()),
+            ("protected", _make_schedule, (net, 6, 7)),
+            ("roco", _make_schedule, (net, 6, 8)),
+            ("protected", campaign_schedule, (net, healing)),
+        ]
+        points = [
+            LanePoint(
+                net, sim_cfg, _make_traffic, (net, 0.1, 7 + i), make_schedule,
+                args, kind, routing, f"{kind}{i}",
+            )
+            for i, (kind, make_schedule, args) in enumerate(runs)
+        ]
+        observability.configure(metrics=True)
+        lanes, report = run_lane_sweep(points)
+        stepped = [stepped_point(p) for p in points]
+        assert report.fallbacks == 0
+        assert stepped[3].recovery["healed"] > 0
+        assert lanes[3].recovery == stepped[3].recovery
+
+        def dump(metrics):
+            return json.dumps(metrics, sort_keys=True)
+
+        assert dump(report.observability["metrics"]) == dump(merge_exports(
+            [(p.label, res.observability) for p, res in zip(points, stepped)]
+        )["metrics"])
+        for lane, ref in zip(lanes, stepped):
+            assert lane.observability == ref.observability
+        counters = report.observability["metrics"]["counters"]
+        assert any(k.startswith("router.va_borrowed_grants") for k in counters)
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +324,9 @@ class TestShardingDeterminism:
         )
         serial = fault_sweep.run(cfg, jobs=1)
         parallel = fault_sweep.run(cfg, jobs=4)
+        # metrics keep the sweep on lanes
+        assert serial.extras["sweep"].fallbacks == 0
+        assert parallel.extras["sweep"].fallbacks == 0
         m1 = serial.extras["sweep"].observability["metrics"]
         m4 = parallel.extras["sweep"].observability["metrics"]
         assert m1["counters"], "sweep collected no metrics"
@@ -358,6 +416,21 @@ class TestCLI:
         assert doc["traceEvents"]
         out = capsys.readouterr().out
         assert "observability summary" in out
+
+    def test_only_a_trace_leaves_the_lanes_and_says_so(self, tmp_path, capsys):
+        """Without ``--jobs`` the sweep line is printed only for a decline."""
+        from repro.experiments.runner import main
+
+        assert main([
+            "fault_sweep", "--quick", "--profile",
+            "--metrics-out", str(tmp_path / "metrics.json"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "profile (" in out and "fallback" not in out
+        observability.reset()
+        assert main(["fault_sweep", "--quick", "--trace-out", str(tmp_path / "t.json")]) == 0
+        out = capsys.readouterr().out
+        assert "[3 object-engine fallbacks]" in out and "tracing enabled" in out
 
     def test_trace_capacity_validation(self):
         from repro.experiments.runner import main

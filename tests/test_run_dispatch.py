@@ -176,6 +176,27 @@ class TestRides:
         assert res.router_stats.rc_duplicate_computations == 0
         assert res.router_stats.va_borrowed_grants == 0
 
+    @pytest.mark.parametrize("switch", ["metrics", "profile"])
+    def test_metrics_and_profiles_ride(self, engines, switch):
+        """Either rides the lane: the result carries the stepped run's
+        metrics snapshot, or the profile the run's own profiler took of the
+        lane's kernels."""
+        def run():
+            obs = Observability(ObservabilityConfig(**{switch: True}))
+            return _sim(schedule=_faults(), observability=obs), obs
+
+        sim, obs = run()
+        res = sim.run()
+        assert engines == [(1, "xy")]
+        ref = run()[0]._run_stepped()
+        assert _digest(res) == _digest(ref)
+        if switch == "metrics":
+            assert res.observability["metrics"]["counters"]
+            assert res.observability == ref.observability
+        else:
+            assert res.observability["profile"] == obs.profiler.snapshot()
+            assert res.observability["profile"]["samples"] > 0
+
     def test_the_break_even_is_a_load_over_the_whole_fabric(self, engines):
         """Flits per cycle, not per node: 0.25 on 16 nodes is 0.0625 on 64."""
         assert LANE_BREAK_EVEN == 4.0
@@ -204,10 +225,11 @@ class TestDeclines:
         ref = _sim(net, rate, use_reference_stepper=True)
         self._assert_stepped(engines, _sim(net, rate), ref)
 
-    def test_observability(self, engines):
-        obs = Observability(ObservabilityConfig(metrics=True))
+    def test_a_tracer(self, engines):
+        """Per-stage flit events are the object engine's per-object hooks."""
+        obs = Observability(ObservabilityConfig(trace=True))
         res = _sim(observability=obs).run()
-        assert engines == [] and res.observability is not None
+        assert engines == [] and res.observability["trace"]["emitted"] > 0
 
     def test_on_eject(self, engines):
         seen = []

@@ -594,6 +594,16 @@ class TestResultCache:
         assert cache.get(entry.fingerprint) is not None
         assert len(cache._validated) == 0 and cache._validated.nbytes == 0
 
+    def test_a_memo_hit_is_the_most_recent(self):
+        """Least recently used, not first in, is what a full memo drops."""
+        memo = cache_module.BoundedMemo(max_items=2, max_bytes=100)
+        memo.put("a", 1, 1)
+        memo.put("b", 2, 1)
+        assert memo.get("a") == 1
+        memo.put("c", 3, 1)
+        assert "b" not in memo
+        assert "a" in memo and "c" in memo
+
 
 # ----------------------------------------------------------------------
 # server end-to-end
