@@ -71,10 +71,11 @@ def instrument(cls):
         _STAGES = tuple((name, timed(name, k)) for name, k in cls._STAGES)
         runs: list = []
 
-        def run(self):
+        def run(self, on_result=None):
             self.kernel_s = defaultdict(float)
             t0 = perf_counter()
-            results = super().run()
+            # an engine from before the per-point hand-off takes no argument
+            results = super().run() if on_result is None else super().run(on_result)
             self.run_s = perf_counter() - t0
             Timed.runs.append(self)
             return results
@@ -129,7 +130,7 @@ def measure_chunk(module, engine_cls, points):
     try:
         results = parallel._lane_batched_chunk(
             tuple(points), parallel.DEFAULT_LANE_WIDTH
-        ).value
+        )
     finally:
         module.compile_table = compile_table
     engine = engine_cls.runs.pop()

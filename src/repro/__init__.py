@@ -27,7 +27,7 @@ stays cheap while ``repro.NoCSimulator``, ``repro.run_sweep``,
 
 from .config import NetworkConfig, RouterConfig, SimulationConfig
 
-__version__ = "2.12.0"
+__version__ = "2.13.0"
 
 #: lazily resolved facade: exported name -> (module, attribute)
 _LAZY = {

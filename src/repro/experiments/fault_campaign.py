@@ -23,9 +23,9 @@ batched engine: router kind is a per-lane mask there, so the baseline,
 protected and ``roco`` replays of a campaign — references included —
 step in one engine, heal through its heal seam and are watched by the
 same :class:`repro.faults.recovery.RecoveryMonitor` the object engine
-uses.  Under the resilient runtime a lane chunk is one supervised task —
-checkpointed the moment it finishes, resumable after a kill, watchdogged
-— so checkpoint granularity is the chunk, as for every other lane sweep.
+uses.  Under the resilient runtime a lane chunk is one supervised,
+watchdogged task that hands each timeline over as its lane retires, so
+checkpoint granularity is the timeline, as for every other lane sweep.
 
 The **degradation-over-lifetime report** joins the FIT model back in:
 the per-router failure rate converts measured per-event recovery into

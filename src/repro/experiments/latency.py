@@ -186,7 +186,7 @@ def run_app(
 ) -> SimulationResult:
     """One simulation of one application, with or without faults."""
     point = _suite_point(cfg, cfg.network(), cfg.simulation(), profile, faulty)
-    return tolerated(run_point(point).value, profile.name)
+    return tolerated(run_point(point), profile.name)
 
 
 def run_app_pair(

@@ -8,10 +8,11 @@ parallel* list of independent points.  This module runs such a list
 across worker processes while guaranteeing **bit-identical results to a
 serial run**:
 
-* Each point is a :class:`SweepTask`: a picklable module-level callable
-  plus its arguments, tagged with its position in the sweep.  Results
-  are always reassembled in task order, so reductions downstream see the
-  same operand order regardless of how the work was sharded.
+* Each point is run by a :class:`SweepTask`: a picklable module-level
+  callable plus its arguments, tagged with the point's position in the
+  sweep (a *batch*, a lane chunk, with several).  Results are always
+  reassembled in point order, so reductions downstream see the same
+  operand order regardless of how the work was sharded.
 * All randomness is derived *per point* via
   :func:`numpy.random.SeedSequence.spawn` (:func:`spawn_seeds`) **before**
   execution, never from a generator shared across points.  A point's
@@ -26,8 +27,8 @@ chooses itself.  A sweep asked for one job with no resilient runtime
 active runs **inline**: the tasks execute in this process, in order,
 never pickled.  Everything else runs **supervised**: worker processes
 under the supervisor in :mod:`repro.experiments.resilient`, which notices
-a crashed or hung worker, replaces it, and charges the loss to the one
-point it was running.  With a runtime active
+a crashed or hung worker, replaces it, and charges the loss to the
+points of its task that had not yet been handed over.  With a runtime active
 (:func:`repro.experiments.resilient.sweep_runtime` — installed by the
 unified ``run(..., out_dir=..., resume=...)`` experiment entry points and
 the ``--out-dir``/``--resume``/``--retries``/``--task-timeout`` CLI
@@ -37,10 +38,10 @@ and points that stay failed surface as :class:`PartialSweepError`
 single attempt and failures raise :class:`SweepError`.  See
 ``docs/resilience.md``.
 
-Both modes call one :func:`run_task` per point and hand its
-:class:`TaskRow` to one assembly step, which rebuilds values in task
-order, derives the per-slot :class:`ShardReport` list (points, wall
-time, simulated cycles — surfaced through
+Both modes call one :func:`run_task` per task, which hands over one
+:class:`TaskRow` per point, and give the rows to one assembly step, which
+rebuilds values in point order, derives the per-slot :class:`ShardReport`
+list (points, wall time, simulated cycles — surfaced through
 ``ExperimentResult.extras["sweep"]`` so the CLI can print a timing
 breakdown after every parallel run) and applies the error rule.
 """
@@ -74,11 +75,16 @@ if TYPE_CHECKING:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SweepTask:
-    """One independent sweep point.
+    """One unit of scheduling: a sweep point, or a batch of them.
 
     ``fn`` must be a module-level (picklable) callable; ``args`` and
-    ``kwargs`` must be picklable too.  ``index`` is the point's position
-    in the sweep — results are reassembled by it.
+    ``kwargs`` must be picklable too.  A plain task runs point ``index``
+    (named ``label``) and returns its value.  A *batch* lists each
+    point's ``(index, label)`` in ``points``, takes their items as its
+    first argument, and is called as ``fn(*args, emit=emit, **kwargs)``:
+    it calls ``emit(k, value)`` once per point (``k`` its position in
+    ``points``) as each value exists.  Its own ``index`` and ``label``
+    are in no record.
     """
 
     index: int
@@ -86,26 +92,24 @@ class SweepTask:
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
     label: str = ""
+    points: Tuple[Tuple[int, str], ...] = ()
 
+    def members(self) -> Tuple[Tuple[int, str], ...]:
+        """``(index, label)`` of every point the task runs."""
+        return self.points or ((self.index, self.label),)
 
-@dataclass(frozen=True)
-class PointOutcome:
-    """Optional rich return value of a task fn: payload + cycles simulated.
-
-    Task functions that run the cycle-accurate simulator should return
-    ``PointOutcome(value, cycles)`` (or any object exposing a ``cycles``
-    attribute, e.g. :class:`~repro.network.simulator.SimulationResult`)
-    so shard reports can account simulated cycles.  Plain return values
-    are passed through with ``cycles=0``.
-    """
-
-    value: Any
-    cycles: int = 0
-    #: how many sweep points this outcome covers — 1 for ordinary tasks,
-    #: the lane count for a batched chunk.  Progress streams and
-    #: checkpoint records carry it so per-point accounting survives
-    #: chunk-granularity execution.
-    points: int = 1
+    def narrow(self, keep: Sequence[int]) -> "SweepTask":
+        """The task on the points of ``keep`` alone: a batch's retry or
+        resume runs only its points without a record."""
+        at = [k for k, (i, _) in enumerate(self.points) if i in keep]
+        if len(at) == len(self.points):
+            return self
+        items, *rest = self.args
+        return replace(
+            self,
+            args=(tuple(items[k] for k in at), *rest),
+            points=tuple(self.points[k] for k in at),
+        )
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ class SweepError(RuntimeError):
 class ShardReport:
     """Progress/timing of one worker shard.
 
-    ``wall_time`` is the summed duration of the shard's completed tasks.
+    ``wall_time`` is the summed duration of the shard's completed points.
     """
 
     shard: int
@@ -288,8 +292,7 @@ class PartialSweepError(SweepError):
 
     Unlike a plain :class:`SweepError`, everything completable *was*
     completed (and checkpointed when durable): ``values`` holds one
-    result per point — a task of :func:`run_sweep`, a lane point of
-    :func:`run_lane_sweep` — with ``None`` holes at the failed/skipped
+    result per sweep point, with ``None`` holes at the failed/skipped
     indices, and ``report`` is the
     :class:`PartialSweepReport`.  ``python -m repro.experiments`` maps
     this to exit code 3 so callers can distinguish "usable partial
@@ -353,7 +356,7 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TaskRow:
-    """What one attempt at one task produced — the only result record.
+    """What one attempt produced for one point — the only result record.
 
     :func:`run_task` fills it wherever the task runs; the supervisor adds
     ``attempts`` / ``slot`` / ``timed_out``, the checkpoint store writes
@@ -365,13 +368,11 @@ class TaskRow:
     index: int
     value: Any = None
     cycles: int = 0
-    #: sweep points behind this row (a lane chunk covers several)
-    points: int = 1
-    #: seconds the task function took
+    #: seconds the task function took to produce this point's value
     run_s: float = 0.0
     error: str = ""
     traceback: str = ""
-    #: executions of this task so far, this one included
+    #: executions of this point's task so far, this one included
     attempts: int = 1
     #: worker slot that ran it; 0 inline, -1 spliced from a checkpoint
     slot: int = 0
@@ -392,29 +393,41 @@ class TaskRow:
         )
 
 
-def run_task(task: SweepTask) -> TaskRow:
-    """Run one task in this process; a raising task becomes a failed row.
+def run_task(
+    task: SweepTask, record: Callable[[TaskRow], Any]
+) -> Optional[TaskRow]:
+    """Run one task in this process, handing each point's row to
+    ``record`` the moment its value exists; returns the failed row of an
+    attempt that raised, else ``None``.
 
     The single place a task function is called: inline sweeps call it
-    directly, supervised workers call it between unpickling the task and
-    pickling the value.
+    directly, supervised workers between unpickling the task and
+    pickling each value.  A row's ``run_s`` is the time since the
+    previous hand-over, so a batch's rows sum to its run.
     """
-    t0 = time.perf_counter()
+    members = task.members()
+    since = time.perf_counter()
+
+    def emit(k: int, value: Any) -> None:
+        nonlocal since
+        now = time.perf_counter()
+        cycles = getattr(value, "cycles", 0)
+        record(TaskRow(
+            index=members[k][0],
+            value=value,
+            cycles=cycles if isinstance(cycles, int) else 0,
+            run_s=now - since,
+        ))
+        since = now
+
     try:
-        out = task.fn(*task.args, **task.kwargs)
+        if task.points:
+            task.fn(*task.args, emit=emit, **task.kwargs)
+        else:
+            emit(0, task.fn(*task.args, **task.kwargs))
     except Exception as exc:
         return TaskRow.failed(task.index, exc)
-    run_s = time.perf_counter() - t0
-    if not isinstance(out, PointOutcome):
-        cycles = getattr(out, "cycles", 0)
-        out = PointOutcome(out, cycles if isinstance(cycles, int) else 0)
-    return TaskRow(
-        index=task.index,
-        value=out.value,
-        cycles=int(out.cycles),
-        points=int(out.points),
-        run_s=run_s,
-    )
+    return None
 
 
 def _shard_report(
@@ -426,7 +439,7 @@ def _shard_report(
     dead = [r for r in final if r.slot == slot and not r.ok]
     return ShardReport(
         shard=slot,
-        points=sum(r.points for r in done),
+        points=len(done),
         wall_time=sum(r.run_s for r in done),
         cycles=sum(r.cycles for r in done),
         retries=len(lost),
@@ -439,8 +452,9 @@ def run_sweep(
     tasks: Iterable[SweepTask] | Sequence[SweepTask],
     jobs: Optional[int] = None,
 ) -> tuple[list[Any], SweepReport]:
-    """Execute all tasks; returns (values in task-index order, report).
+    """Execute all tasks; returns (values in point order, report).
 
+    The tasks' points must be exactly ``0..n-1``, each run by one task.
     Two execution modes, chosen from what is visible here: **inline**
     (no runtime active and one job: the tasks run in this process, in
     order, never pickled) and **supervised** (everything else: worker
@@ -456,23 +470,35 @@ def run_sweep(
     from . import resilient  # it imports this module at load time
 
     tasks = list(tasks)
-    if sorted(t.index for t in tasks) != list(range(len(tasks))):
-        raise ValueError("task indices must be exactly 0..len(tasks)-1")
+    labels = dict(p for t in tasks for p in t.members())
+    if sorted(i for t in tasks for i, _ in t.members()) != list(range(len(labels))):
+        raise ValueError("the tasks' points must be exactly 0..n-1, once each")
     runtime = resilient.active_runtime()
     n_jobs = min(resolve_jobs(jobs), len(tasks)) or 1
 
     t0 = time.perf_counter()
     retried: Sequence[TaskRow] = ()
     if runtime is None and n_jobs <= 1:
-        rows, slots = {t.index: run_task(t) for t in tasks}, 1
+        rows, slots = _run_inline(tasks), 1
     else:
         rows, retried, slots = resilient.supervise(tasks, n_jobs)
     wall = time.perf_counter() - t0
-    return _assemble(tasks, rows, retried, slots, wall, runtime)
+    return _assemble(labels, rows, retried, slots, wall, runtime)
+
+
+def _run_inline(tasks: Sequence[SweepTask]) -> "dict[int, TaskRow]":
+    """Every task in this process, in order: each point's row."""
+    rows: dict[int, TaskRow] = {}
+    for task in tasks:
+        failed = run_task(task, lambda row: rows.setdefault(row.index, row))
+        if failed is not None:
+            for i, _ in task.members():
+                rows.setdefault(i, replace(failed, index=i))
+    return rows
 
 
 def _assemble(
-    tasks: Sequence[SweepTask],
+    labels: "dict[int, str]",
     rows: "dict[int, TaskRow]",
     retried: Sequence[TaskRow],
     slots: int,
@@ -481,13 +507,13 @@ def _assemble(
 ) -> tuple[list[Any], SweepReport]:
     """Values, report and the error rule of a sweep, from its rows.
 
-    ``rows`` holds each task's last row (a success, spliced from the
+    ``rows`` holds each point's last row (a success, spliced from the
     checkpoint or fresh, or the attempt that exhausted its retries);
-    ``retried`` the failed attempts that were re-queued.
+    ``retried`` the failed attempts that were re-queued, one row per
+    point they cost.
     """
-    labels = {t.index: t.label for t in tasks}
     final = [rows[i] for i in sorted(rows)]
-    values: list[Any] = [None] * len(tasks)
+    values: list[Any] = [None] * len(labels)
     for row in final:
         values[row.index] = row.value
     failures = tuple(
@@ -502,11 +528,10 @@ def _assemble(
     )
     if failures and runtime is None:
         raise SweepError(failures)
-    # only an interrupted sweep under a runtime leaves a task without a row
-    skipped = tuple(i for i in range(len(tasks)) if i not in rows)
+    # only an interrupted sweep under a runtime leaves a point without a row
+    skipped = tuple(i for i in range(len(labels)) if i not in rows)
 
-    # point-accurate: a resumed lane chunk covers several points
-    resumed = sum(r.points for r in final if r.slot < 0)
+    resumed = sum(r.slot < 0 for r in final)
     durable = runtime is not None and runtime.store is not None
     shards = tuple(
         _shard_report(slot, final, retried, durable)
@@ -514,7 +539,7 @@ def _assemble(
     )
     fields: dict[str, Any] = dict(
         jobs=slots,
-        points=len(tasks),
+        points=len(labels),
         wall_time=wall,
         shards=shards,
         resumed=resumed,
@@ -529,8 +554,8 @@ def _assemble(
         if failures or skipped
         else SweepReport(**fields)
     )
-    # fold per-point observability snapshots in task-index order — the
-    # order is independent of sharding, so `--jobs N` merges identically
+    # fold per-point observability snapshots in point order — the order
+    # is independent of sharding, so `--jobs N` merges identically
     report = replace(report, observability=_fold(
         [(labels[i], getattr(v, "observability", None)) for i, v in enumerate(values)],
         report,
@@ -548,7 +573,7 @@ def _fold(
 ) -> Optional[dict]:
     """Merge per-point observability exports in the order given; with a
     runtime and metrics on, the runtime's counters (read off ``report``,
-    a report of tasks) join them."""
+    all in points) join them."""
     if runtime is not None and global_config().metrics:
         failed = len(getattr(report, "failed", ()))
         skipped = len(getattr(report, "skipped", ()))
@@ -656,7 +681,7 @@ class LanePoint:
         return (self.config, replace(self.sim_config, seed=0), self.routing_kind)
 
 
-def run_point(point: LanePoint) -> PointOutcome:
+def run_point(point: LanePoint) -> Any:
     """Run one :class:`LanePoint` as a single ``NoCSimulator.run()``.
 
     The lower layer of :func:`run_lane_sweep`, one task per point for the
@@ -679,14 +704,16 @@ def run_point(point: LanePoint) -> PointOutcome:
         fault_schedule=schedule,
         routing_kind=point.routing_kind,
     )
-    res = sim.run()
-    return PointOutcome(res, cycles=res.cycles)
+    return sim.run()
 
 
 def _lane_batched_chunk(
-    points: "tuple[LanePoint, ...]", width: int
-) -> PointOutcome:
-    """Run a chunk of structurally identical points as batched lanes.
+    points: "tuple[LanePoint, ...]",
+    width: int,
+    emit: Optional[Callable[[int, Any], None]] = None,
+) -> List[Any]:
+    """Run a chunk of structurally identical points as batched lanes;
+    results in point order, each also handed to ``emit`` as it retires.
 
     ``width`` caps the concurrent lane slots: the first ``width`` points
     start immediately and the rest stream into slots freed by retiring
@@ -728,12 +755,7 @@ def _lane_batched_chunk(
         routing_kind=first.routing_kind,
         pending=lanes[w:],
     )
-    results = engine.run()
-    return PointOutcome(
-        results,
-        cycles=sum(r.cycles for r in results),
-        points=len(results),
-    )
+    return engine.run(emit)
 
 
 def _chunk_evenly(indices: Sequence[int], n_chunks: int) -> list[list[int]]:
@@ -787,19 +809,13 @@ def run_lane_sweep(
     and profiles ride the lanes; the report's ``observability`` folds
     the points' exports in point order, whichever task ran them.
 
-    Execution funnels through :func:`run_sweep`, so a resilient runtime
-    (checkpointing, retries, watchdog) applies at chunk granularity:
-    resilient sweeps shard *groups of lanes*, exactly like the parallel
-    path.  This function maps tasks back to points, for results and
-    failures alike: a :class:`SweepError` or :class:`PartialSweepError`
-    names the points a failed chunk lost, and the partial report counts,
-    completes and skips points.  Results are bit-identical across
-    ``jobs`` values, across slot widths, and to :func:`run_point` on
-    every point — the batched engine is pinned lane-for-lane against the
-    object engine by the golden differential tests.
+    Execution funnels through :func:`run_sweep`, a chunk as a batch task
+    that hands each point over as its lane retires: results, failures
+    and counts are in points, and a retry or a resume reruns a chunk on
+    its unrecorded points alone.  Results are bit-identical across
+    ``jobs``, slot widths and :func:`run_point` (the golden tests).
     """
     from ..network.batched import supports as batched_supports
-    from .resilient import active_runtime
 
     points = list(points)
     if not points:
@@ -823,17 +839,12 @@ def run_lane_sweep(
             singles += idxs
         else:
             batchable.append((idxs, points[idxs[0]]))
-    fallbacks, reasons = sum(declined.values()), tuple(sorted(declined))
-    triage = dict(points=len(points), fallbacks=fallbacks, fallback_reasons=reasons)
+    triage = dict(
+        fallbacks=sum(declined.values()), fallback_reasons=tuple(sorted(declined))
+    )
 
+    labels = [p.label or f"lane {j}" for j, p in enumerate(points)]
     tasks: list[SweepTask] = []
-    spans: list[list[int]] = []  # task index -> the point indices it runs
-
-    def _add(fn, args, label: str, idxs: list[int]) -> None:
-        tasks.append(
-            SweepTask(index=len(tasks), fn=fn, args=args, label=label)
-        )
-        spans.append(idxs)
 
     # chunk counts balanced by estimated simulated cycles — the horizon
     # is uniform within a group because sim_config is part of the
@@ -849,60 +860,18 @@ def run_lane_sweep(
         n_chunks = max(1, min(len(idxs), round(est / budget)))
         for chunk in _chunk_evenly(idxs, n_chunks):
             kinds = "+".join(dict.fromkeys(points[j].router_kind for j in chunk))
-            label = f"{kinds}/{rep.routing_kind} lanes {chunk[0]}-{chunk[-1]}"
-            _add(
-                _lane_batched_chunk,
-                (tuple(points[j] for j in chunk), DEFAULT_LANE_WIDTH),
-                label,
-                chunk,
-            )
-    labels = [p.label or f"lane {j}" for j, p in enumerate(points)]
+            tasks.append(SweepTask(
+                index=chunk[0],
+                fn=_lane_batched_chunk,
+                args=(tuple(points[j] for j in chunk), DEFAULT_LANE_WIDTH),
+                label=f"{kinds}/{rep.routing_kind} lanes {chunk[0]}-{chunk[-1]}",
+                points=tuple((j, labels[j]) for j in chunk),
+            ))
     for j in singles:
-        _add(run_point, (points[j],), labels[j], [j])
-
-    def per_point(values: Sequence[Any]) -> list[Any]:
-        out: list[Any] = [None] * len(points)
-        for task, value in zip(tasks, values):
-            if value is not None:  # a lost task leaves its points None
-                results = [value] if task.fn is run_point else value
-                for j, res in zip(spans[task.index], results):
-                    out[j] = res
-        return out
-
-    def with_points(report: SweepReport, results: List[Any], **changes: Any) -> Any:
-        exports = [
-            (label, getattr(res, "observability", None))
-            for label, res in zip(labels, results)
-        ]
-        observability = _fold(exports, report, active_runtime())
-        return replace(report, observability=observability, **changes, **triage)
-
-    def in_points(task_ids: Iterable[int]) -> Tuple[int, ...]:
-        return tuple(sorted(j for t in task_ids for j in spans[t]))
-
-    def lost(failures: Iterable[PointFailure]) -> Tuple[PointFailure, ...]:
-        return tuple(sorted(
-            (
-                PointFailure(j, points[j].label, f.error, f.traceback)
-                for f in failures
-                for j in spans[f.index]
-            ),
-            key=lambda f: f.index,
-        ))
+        tasks.append(SweepTask(index=j, fn=run_point, args=(points[j],), label=labels[j]))
 
     try:
         values, report = run_sweep(tasks, jobs=jobs)
     except PartialSweepError as exc:
-        results = per_point(exc.values)
-        partial = with_points(
-            exc.report,
-            results,
-            completed=in_points(exc.report.completed),
-            failed=lost(exc.report.failed),
-            skipped=in_points(exc.report.skipped),
-        )
-        raise PartialSweepError(partial, results) from None
-    except SweepError as exc:
-        raise SweepError(lost(exc.failures)) from None
-    results = per_point(values)
-    return results, with_points(report, results)
+        raise PartialSweepError(replace(exc.report, **triage), exc.values) from None
+    return values, replace(report, **triage)

@@ -8,9 +8,10 @@ sweeps in :mod:`repro.experiments.parallel`:
 * **detect** — every point runs in a supervised worker process with a
   per-attempt wall-clock watchdog; a crashed (e.g. OOM-killed) or hung
   worker is noticed within one poll interval;
-* **contain** — the loss is confined to that one point: the worker is
-  killed and replaced, the point is retried with exponential backoff
-  (:class:`RetryPolicy`), and every *other* point keeps running;
+* **contain** — the loss is confined to the points the worker had not
+  yet handed over: the worker is killed and replaced, those points are
+  retried with exponential backoff (:class:`RetryPolicy`), and every
+  *other* point keeps running or stays recorded;
 * **degrade** — a point that exhausts its retries becomes a recorded
   failure, not an abort: the sweep completes everything completable and
   raises :class:`~repro.experiments.parallel.PartialSweepError` carrying
@@ -18,26 +19,26 @@ sweeps in :mod:`repro.experiments.parallel`:
   completed / failed / skipped points (the CLI maps it to a distinct
   exit code, 3, vs 1 for a hard failure);
 * **checkpoint / resume** — with a run directory attached
-  (:class:`CheckpointStore`), each completed task (a point, or a lane
-  sweep's chunk of points) is appended to an append-only JSONL file the
-  moment it finishes, filed under the sweep's :func:`sweep_key` — a hash
-  of the bytes its workers execute — so a sweep killed mid-run
+  (:class:`CheckpointStore`), each completed point (a lane chunk's as
+  its lane retires) is appended to an append-only JSONL file, filed
+  under the sweep's :func:`sweep_key` — a hash of the bytes its workers
+  execute — so a sweep killed mid-run
   (SIGKILL, preemption, power loss) resumes with ``--resume RUN_DIR``
-  re-executing only the missing tasks, and a sweep that differs in
+  re-executing only the missing points, and a sweep that differs in
   anything it runs finds no records to splice.  Because every point is
   seeded up front via ``SeedSequence.spawn`` and results are merged in
-  task-index order, a resumed run is bit-identical to an uninterrupted
-  one (pinned by ``tests/test_resilient.py``).
+  point order, a resumed run is bit-identical to an uninterrupted one
+  (pinned by ``tests/test_resilient.py``).
 
 This module holds the durable store, the runtime context and the
 supervisor.  It is not a second executor:
 :func:`~repro.experiments.parallel.run_sweep` is the only one, and
-:func:`supervise` is its worker-process mode, so a dead worker costs its
-one point (never a hang) whether or not a runtime is active.  What a
-runtime adds is the *policy* — retries, the watchdog, the store, a
-progress hook and the partial-success error — and a *lifetime*: the
-worker processes belong to the :class:`SweepRuntime`, so the second sweep
-of a runtime reuses the first one's.  With none active each point gets a
+:func:`supervise` is its worker-process mode, so a dead worker costs the
+points it was still running (never a hang) whether or not a runtime is
+active.  What a runtime adds is the *policy* — retries, the watchdog,
+the store, a progress hook and the partial-success error — and a
+*lifetime*: the worker processes belong to the :class:`SweepRuntime`,
+so the second sweep of a runtime reuses the first one's.  With none active each point gets a
 single attempt (:data:`NO_RETRY`), nothing is stored and the workers end
 with the sweep.
 
@@ -152,14 +153,14 @@ class ResumeError(RuntimeError):
 
 
 MANIFEST_NAME = "manifest.json"
-_MANIFEST_VERSION = 2
+_MANIFEST_VERSION = 3
 
 
 def sweep_key(payloads: Sequence[bytes]) -> str:
     """Name of a sweep in a run directory: what its workers execute.
 
     SHA-256 over the release (``repro.__version__``) and each task's
-    pickle in index order, so a sweep that differs in anything a worker
+    whole pickle in task order, so a sweep that differs in anything a worker
     runs — seed, scale, config, chunking (``--jobs`` re-chunks a lane
     sweep) or release — has another key and finds no records of the
     first.  An unpicklable task counts as an empty pickle: it never
@@ -178,18 +179,20 @@ class CheckpointStore:
     Layout::
 
         RUN_DIR/
-          manifest.json      {"version": 2, "sweeps": {KEY: {"points": N,
+          manifest.json      {"version": 3, "sweeps": {KEY: {"points": N,
                               "file": "sweep-KEY.jsonl"}}}
-          sweep-KEY.jsonl    one JSON line per completed task
+          sweep-KEY.jsonl    one JSON line per completed point
 
     ``KEY`` is :func:`sweep_key`: a sweep's records are found by the bytes
     it runs, never by its position among the sweeps of a run, so any
     number of experiments and sweeps share one directory and a resume
     under other flags finds nothing to splice and runs in full.
 
-    Each JSONL line carries the task's index, label, attempt count,
-    cycle/timing accounting, and the base64-pickled return value — enough
-    to splice the task back into a resumed sweep bit-identically.  Lines
+    Each JSONL line carries the point's index, label, attempt count,
+    cycle/timing accounting, and the base64-pickled value — enough to
+    splice the point back into a resumed sweep bit-identically.  A
+    directory of another manifest version (version 2 held one record per
+    lane chunk) is refused, never spliced.  Lines
     are flushed as they are appended, and a truncated final line (the
     signature of a SIGKILL mid-write) is ignored on reload and ended
     there, so the records a resume appends stay one to a line.
@@ -229,7 +232,7 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------
     def open_sweep(self, key: str, points: int) -> Dict[int, TaskRow]:
-        """Register sweep ``key`` of ``points`` tasks; return the rows
+        """Register sweep ``key`` of ``points`` points; return the rows
         already recorded under it (none on its first run)."""
         if key in self._manifest["sweeps"]:
             return self._load(key, points)
@@ -256,7 +259,6 @@ class CheckpointStore:
                         cycles=int(rec["cycles"]),
                         run_s=float(rec["run_s"]),
                         attempts=int(rec["attempts"]),
-                        points=int(rec["points"]),
                         slot=-1,
                     )
                 except (
@@ -277,7 +279,7 @@ class CheckpointStore:
     def append(
         self, key: str, row: TaskRow, label: str, value_bytes: bytes
     ) -> None:
-        """Durably record one completed task of sweep ``key`` (append +
+        """Durably record one completed point of sweep ``key`` (append +
         flush).  ``value_bytes`` is ``row.value`` as the worker pickled it.
         """
         fp = self._files.get(key)
@@ -289,7 +291,6 @@ class CheckpointStore:
             "label": label,
             "attempts": row.attempts,
             "cycles": row.cycles,
-            "points": row.points,
             "run_s": round(row.run_s, 6),
             "value": base64.b64encode(value_bytes).decode("ascii"),
         }
@@ -350,7 +351,7 @@ class SweepRuntime:
         ``progress`` is an optional per-point completion hook: it is
         called with a small dict (the ``sweep`` key, point
         ``index``/``label``, ``attempts``, ``resumed``) the moment each
-        point finishes.  It runs on the supervisor thread, so it must be
+        point is recorded, once per point, a lane chunk's included.  It runs on the supervisor thread, so it must be
         cheap and thread-safe — :mod:`repro.service` uses it to stream
         completed points to HTTP clients while the sweep is still running.
         """
@@ -496,7 +497,8 @@ def sweep_runtime(
 # supervised worker processes
 # ----------------------------------------------------------------------
 def _worker_main(conn: connection.Connection) -> None:  # pragma: no cover — child
-    """Worker loop: receive ``(index, payload)``, send ``(row, value_bytes)``.
+    """Worker loop: receive ``(payload, keep)``, send ``(row, value_bytes)``
+    per point, then the end of the task (``None``, or its failed row).
 
     Runs until the supervisor sends ``None`` or the pipe closes.
     """
@@ -509,7 +511,7 @@ def _worker_main(conn: connection.Connection) -> None:  # pragma: no cover — c
         if msg is None:
             return
         try:
-            conn.send(_run_pickled(*msg))
+            conn.send(_run_pickled(conn.send, *msg))
         except (BrokenPipeError, OSError):
             return
 
@@ -539,18 +541,23 @@ def _drop_inherited_sockets(keep: int) -> None:  # pragma: no cover — child
     os.close(null)
 
 
-def _run_pickled(index: int, payload: bytes) -> Tuple[TaskRow, bytes]:
-    """:func:`run_task` with unpickle / pickle around it; never raises.
+def _run_pickled(
+    send: Callable[[Tuple[TaskRow, bytes]], None], payload: bytes, keep: Sequence[int]
+) -> Optional[TaskRow]:
+    """:func:`run_task` on the points of ``keep``, unpickled, each point
+    sent as ``(row, value_bytes)``; returns a failed attempt's row.
 
-    The value crosses the pipe (and reaches the checkpoint) as its own
+    A value crosses the pipe (and reaches the checkpoint) as its own
     pickle, so a poisoned task or an unpicklable result is contained to
-    the offending point like an exception inside it.
+    the points still unsent, like an exception inside the task.
     """
     try:
-        row = run_task(pickle.loads(payload))
-        return replace(row, value=None), pickle.dumps(row.value)
+        task = pickle.loads(payload).narrow(keep)
+        return run_task(
+            task, lambda row: send((replace(row, value=None), pickle.dumps(row.value)))
+        )
     except Exception as exc:
-        return TaskRow.failed(index, exc), b""
+        return TaskRow.failed(-1, exc)
 
 
 def _pool_context() -> mp.context.BaseContext:
@@ -587,8 +594,8 @@ class _Worker:
     def busy(self) -> bool:
         return self.index is not None
 
-    def dispatch(self, index: int, payload: bytes) -> None:
-        self.conn.send((index, payload))
+    def dispatch(self, index: int, payload: bytes, keep: Sequence[int]) -> None:
+        self.conn.send((payload, tuple(keep)))
         self.index = index
         self.started = time.monotonic()
 
@@ -625,18 +632,19 @@ class _Supervisor:
 
     The workers are borrowed from the runtime for the length of
     :meth:`run` and handed back on the way out.  The supervisor owns all
-    scheduling state: a ready queue of ``(not_before, index)`` entries,
-    the busy map implied by the worker slots, and the outcome rows —
-    ``rows`` holds each task's last word (its success, or the attempt
-    that used up its retries), ``retried`` every failed attempt that was
-    re-queued.  One loop iteration = dispatch what is due, wait briefly
-    for results, then health-check every busy worker (crash and watchdog
-    detection).
+    scheduling state: a ready queue of ``(not_before, task)`` entries,
+    the busy map implied by the worker slots, each task's points without
+    a row (``remaining``, all a retry runs), and the outcome rows per
+    point — ``rows`` each point's last word, ``retried`` one row per
+    point a re-queued attempt cost.  One loop iteration = dispatch what
+    is due, wait briefly for results, then health-check every busy
+    worker (crash and watchdog detection).
     """
 
     def __init__(
         self,
         payloads: Dict[int, bytes],
+        remaining: Dict[int, List[int]],
         n_workers: int,
         runtime: SweepRuntime,
         on_success: Callable[[TaskRow, bytes], None],
@@ -645,11 +653,12 @@ class _Supervisor:
         self.policy = runtime.retry
         self.on_success = on_success
         self.payloads = payloads
+        self.remaining = remaining
         self.rows: Dict[int, TaskRow] = {}
         self.retried: List[TaskRow] = []
-        self.attempts: Dict[int, int] = dict.fromkeys(payloads, 0)
-        self.ready: List[Tuple[float, int]] = [  # (not_before, index)
-            (0.0, index) for index in payloads
+        self.attempts: Dict[int, int] = dict.fromkeys(remaining, 0)
+        self.ready: List[Tuple[float, int]] = [  # (not_before, task)
+            (0.0, task) for task in remaining
         ]
         self.workers = runtime.borrow(min(n_workers, len(self.ready)))
 
@@ -700,9 +709,9 @@ class _Supervisor:
             )
             if slot_i is None:
                 return
-            _, index = self.ready.pop(slot_i)
-            self.attempts[index] += 1
-            w.dispatch(index, self.payloads[index])
+            _, task = self.ready.pop(slot_i)
+            self.attempts[task] += 1
+            w.dispatch(task, self.payloads[task], self.remaining[task])
 
     def _collect(self, timeout: float) -> None:
         busy = {w.conn: w for w in self.workers if w.busy}
@@ -713,24 +722,35 @@ class _Supervisor:
         for conn in connection.wait(list(busy), timeout=timeout):
             w = busy[conn]
             try:
-                row, value_bytes = conn.recv()
+                while w.busy and conn.poll():
+                    self._receive(w, conn.recv())
             except (EOFError, OSError):
                 # a dead process is attributed by the health check; a
                 # live worker that closed its pipe is equally lost —
                 # replace it and charge the attempt here
-                if w.proc.is_alive():
+                if w.busy and w.proc.is_alive():
                     self._lost(w, "worker closed its result pipe")
-                continue
-            w.index = None
+
+    def _receive(self, w: _Worker, msg: Any) -> None:
+        """One message of ``w``'s task: a point's ``(row, value_bytes)``,
+        or the task's end (``None``, or the row of its failed attempt)."""
+        task = w.index
+        assert task is not None
+        if isinstance(msg, tuple):
+            row, value_bytes = msg
             row = replace(
-                row, attempts=self.attempts[row.index], slot=w.slot
+                row,
+                value=pickle.loads(value_bytes),
+                attempts=self.attempts[task],
+                slot=w.slot,
             )
-            if row.ok:
-                row = replace(row, value=pickle.loads(value_bytes))
-                self.rows[row.index] = row
-                self.on_success(row, value_bytes)
-            else:
-                self._attempt_failed(row)
+            self.remaining[task].remove(row.index)
+            self.rows[row.index] = row
+            self.on_success(row, value_bytes)
+            return
+        w.index = None
+        if msg is not None:
+            self._attempt_failed(task, replace(msg, slot=w.slot))
 
     def _health_check(self) -> None:
         now = time.monotonic()
@@ -752,27 +772,30 @@ class _Supervisor:
 
     def _lost(self, w: _Worker, error: str, timed_out: bool = False) -> None:
         """Kill a crashed/hung worker's remains, respawn the slot and
-        charge the attempt to the point it was running."""
-        assert w.index is not None
-        row = TaskRow(
-            index=w.index,
-            error=error,
-            attempts=self.attempts[w.index],
-            slot=w.slot,
-            timed_out=timed_out,
-        )
+        charge the attempt to the points its task had not handed over."""
+        task = w.index
+        assert task is not None
+        row = TaskRow(index=-1, error=error, slot=w.slot, timed_out=timed_out)
         w.discard()
         self.runtime.start(w)
-        self._attempt_failed(row)
+        self._attempt_failed(task, row)
 
-    def _attempt_failed(self, row: TaskRow) -> None:
-        if row.attempts < self.policy.max_attempts:
-            self.retried.append(row)
+    def _attempt_failed(self, task: int, row: TaskRow) -> None:
+        """Charge a failed attempt to ``task``'s points without a row:
+        re-queue the task on those alone, or record them as failed."""
+        attempts = self.attempts[task]
+        lost = [
+            replace(row, index=i, attempts=attempts) for i in self.remaining[task]
+        ]
+        if not lost:
+            return
+        if attempts < self.policy.max_attempts:
+            self.retried += lost
             self.ready.append(
-                (time.monotonic() + self.policy.delay(row.attempts), row.index)
+                (time.monotonic() + self.policy.delay(attempts), task)
             )
         else:
-            self.rows[row.index] = row
+            self.rows.update((r.index, r) for r in lost)
 
 
 # ----------------------------------------------------------------------
@@ -781,19 +804,20 @@ class _Supervisor:
 def _pickle(
     tasks: Sequence[SweepTask],
 ) -> Tuple[Dict[int, bytes], Dict[int, TaskRow]]:
-    """Each task as the bytes a worker receives, or, for one that cannot
-    be pickled, its failed row: it cannot reach a worker, and retrying
-    cannot help either."""
+    """Each task as the bytes a worker receives, by its position, or,
+    for one that cannot be pickled, the failed rows of its points: it
+    cannot reach a worker, and retrying cannot help either."""
     payloads: Dict[int, bytes] = {}
     unpicklable: Dict[int, TaskRow] = {}
-    for t in tasks:
+    for pos, t in enumerate(tasks):
         try:
-            payloads[t.index] = pickle.dumps(t)
+            payloads[pos] = pickle.dumps(t)
         except Exception as exc:
-            unpicklable[t.index] = TaskRow(
-                index=t.index,
-                error=f"unpicklable task: {type(exc).__name__}: {exc}",
-            )
+            for i, _ in t.members():
+                unpicklable[i] = TaskRow(
+                    index=i,
+                    error=f"unpicklable task: {type(exc).__name__}: {exc}",
+                )
     return payloads, unpicklable
 
 
@@ -803,24 +827,22 @@ def supervise(
     """Run ``tasks`` on supervised workers for
     :func:`~repro.experiments.parallel.run_sweep`.
 
-    Returns ``(rows, retried, slots)``: each task's last row — spliced
-    from the checkpoint, fresh, or the attempt that exhausted its
-    retries; absent only for tasks an interrupt left unattempted — the
-    failed attempts that were re-queued, and the worker-slot count.
-    Under the active runtime its policy, store and workers and the
-    activation's progress hook apply; with none active every point gets
-    one attempt, nothing is stored and the workers end with the sweep.
-    Each task is pickled once: those bytes go to the workers and, in
-    index order, name the sweep (:func:`sweep_key`) in the store and in
-    progress events.
+    Returns ``(rows, retried, slots)``: each point's last row (absent
+    only for points an interrupt left unrun), the failed attempts that
+    were re-queued, one row per point each cost, and the worker-slot
+    count.  The active runtime's policy, store, workers and progress
+    hook apply; with none active, one attempt each and no store.  Each
+    task is pickled once; in task order, those bytes name the sweep
+    (:func:`sweep_key`).  A task with recorded points runs on the others
+    alone.
     """
     active = _get_active()
     runtime = active.runtime if active else SweepRuntime(retry=NO_RETRY)
     store = runtime.store
     progress = active.progress if active else None
     payloads, rows = _pickle(tasks)
-    key = sweep_key([payloads.get(i, b"") for i in range(len(tasks))])
-    labels = {t.index: t.label for t in tasks}
+    key = sweep_key([payloads.get(pos, b"") for pos in range(len(tasks))])
+    labels = dict(p for t in tasks for p in t.members())
 
     def _report(row: TaskRow) -> None:
         if progress is not None:
@@ -829,7 +851,6 @@ def supervise(
                 "index": row.index,
                 "label": labels[row.index],
                 "attempts": row.attempts,
-                "points": row.points,
                 "resumed": row.slot < 0,
             })
 
@@ -839,20 +860,24 @@ def supervise(
         _report(row)
 
     if store is not None:
-        resumed = store.open_sweep(key, len(tasks))
+        resumed = store.open_sweep(key, len(labels))
         for index in sorted(resumed):
             _report(resumed[index])
         rows.update(resumed)
-    todo = {i: p for i, p in payloads.items() if i not in rows}
-    if not todo:
+    remaining = {
+        pos: todo
+        for pos in payloads
+        if (todo := [i for i, _ in tasks[pos].members() if i not in rows])
+    }
+    if not remaining:
         return rows, [], 0
-    sup = _Supervisor(todo, n_jobs, runtime, _on_success)
+    sup = _Supervisor(payloads, remaining, n_jobs, runtime, _on_success)
     try:
         sup.run()
     except KeyboardInterrupt:
         # graceful preemption under a runtime: everything checkpointed
-        # so far is durable, and the tasks without a row are reported as
-        # skipped instead of vanishing; with no runtime it propagates
+        # so far is durable, and the points without a row are reported
+        # as skipped instead of vanishing; with no runtime it propagates
         if active is None:
             raise
     finally:

@@ -8,14 +8,14 @@ load/fault/design sweeps) across N worker processes via
 run (``--jobs 0`` uses every core).
 
 Resilience (:mod:`repro.experiments.resilient`, see ``docs/resilience.md``):
-``--out-dir RUN_DIR`` checkpoints every completed sweep task (a point, or
-a lane sweep's chunk of points) to a durable run directory the moment it
+``--out-dir RUN_DIR`` checkpoints every completed sweep point (a lane
+chunk's as each lane retires) to a durable run directory the moment it
 finishes, filed under a hash of the bytes the sweep runs; ``--resume
-RUN_DIR`` continues a killed run, re-executing only the missing tasks
+RUN_DIR`` continues a killed run, re-executing only the missing points
 (bit-identical to an uninterrupted run) — under other flags (seed,
 ``--quick``, ``--jobs``) or another release nothing matches and the run
 is computed in full; ``--retries N`` retries crashed/hung points with
-exponential backoff; ``--task-timeout S`` arms a per-point watchdog that
+exponential backoff; ``--task-timeout S`` arms a per-task watchdog that
 kills and replaces stuck workers.  One runtime and one run directory
 serve every experiment of the run, ``all`` included.  Exit codes: 0 all
 good, 1 hard failure, 3 partial success (some points completed and were
@@ -250,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         "--out-dir",
         metavar="RUN_DIR",
         default=None,
-        help="checkpoint every completed sweep task into RUN_DIR "
+        help="checkpoint every completed sweep point into RUN_DIR "
         "(durable, append-only, filed by what the sweep runs; 'all' "
         "shares one RUN_DIR; see docs/resilience.md)",
     )
@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         "--resume",
         metavar="RUN_DIR",
         default=None,
-        help="continue a killed run from its RUN_DIR: completed tasks "
+        help="continue a killed run from its RUN_DIR: completed points "
         "are reloaded from the checkpoint, only the missing ones are "
         "re-executed (bit-identical to an uninterrupted run); a sweep "
         "under other flags finds none and runs in full",
@@ -277,8 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-point watchdog: a point running longer is killed, its "
-        "worker replaced, and the point retried per --retries",
+        help="per-task watchdog: a task running longer is killed, its "
+        "worker replaced, and its unrecorded points retried per --retries",
     )
     parser.add_argument(
         "--metrics-out",

@@ -185,7 +185,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple, Type, cast
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type, cast
 
 import numpy as np
 
@@ -335,7 +335,10 @@ class BatchedLaneEngine:
     the kind of a lane whose spec leaves it open).
 
     ``observability`` (default: the process-wide configuration) adds to
-    each result its metrics, and to the first the engine's stage profile.
+    each result its metrics, and to the last retired the engine's stage
+    profile (once, so a merge counts it once).  A handed
+    ``Observability`` is one run's: its registry takes the harvest, so
+    hand one only to a one-lane engine.
     """
 
     def __init__(
@@ -659,10 +662,12 @@ class BatchedLaneEngine:
         }
 
         cfg = global_config() if observability is None else observability.config
-        #: harvest each retiring lane's metrics onto its result
+        #: harvest each retiring lane's metrics onto its result, into the
+        #: handed run's own registry if there is one
         self._metrics = cfg.metrics
+        self._registry = observability.metrics if observability is not None else None
         #: wall time per kernel, sampled every 16th global cycle; a profile
-        #: asked for rides on the first point's export
+        #: asked for rides on the last point's export
         given = observability.profiler if observability is not None else None
         self.profiler = given if given is not None else StageProfiler()
         self._profile = cfg.profile
@@ -1247,7 +1252,9 @@ class BatchedLaneEngine:
                     mon.poll(int(local[lane]))
             self.poll_s += perf_counter() - t
 
-    def run(self) -> List[SimulationResult]:
+    def run(
+        self, on_result: Optional[Callable[[int, SimulationResult], None]] = None
+    ) -> List[SimulationResult]:
         """Run every point to completion; results in point order.
 
         Lanes share the global cycle counter but run on their own local
@@ -1255,8 +1262,10 @@ class BatchedLaneEngine:
         run would (watchdog trips freeze a lane mid-flight; the drain
         predicate — no flits in the network, no packets left to inject —
         retires it cleanly).  Freed slots are refilled from the pending
-        queue until the whole point stream has run.
+        queue until the whole point stream has run.  ``on_result(point,
+        result)`` is handed each result as its lane retires.
         """
+        self._on_result = on_result
         sc = self.sim_config
         wd = sc.watchdog_cycles
         inject_until = self._inject_until
@@ -1306,11 +1315,7 @@ class BatchedLaneEngine:
             else:
                 cycle = self._fast_forward(cycle, armed, live)
                 armed = None
-        results = cast(List[SimulationResult], list(self._results))
-        if self._profile:  # once per engine, so a merge counts it once
-            first = results[0].observability or {"metrics": None, "trace": None}
-            results[0].observability = {**first, "profile": self.profiler.snapshot()}
-        return results
+        return cast(List[SimulationResult], list(self._results))
 
     def _quiet(self) -> bool:
         """The step just run wrote no state and left no event in flight:
@@ -1378,7 +1383,8 @@ class BatchedLaneEngine:
         }
 
     def _retire(self, lane: int, cycle: int, blocked: bool, drained: bool) -> None:
-        """Reduce one finished lane's table to its result, refill its slot."""
+        """Reduce one finished lane's table to its result, refill its slot,
+        hand the result over."""
         t0 = perf_counter()
         local = cycle - int(self.off[lane])
         # clear the slot now — no requester, nothing queued for the XB,
@@ -1420,10 +1426,11 @@ class BatchedLaneEngine:
         counts = self.counts()[:, lane]
         export = None
         if self._metrics:
-            metrics = MetricsRegistry()
+            metrics = self._registry if self._registry is not None else MetricsRegistry()
             harvest(metrics, counts, stats, local, self.faults_injected[lane])
             export = {"metrics": metrics.snapshot(), "trace": None, "profile": None}
-        self._results[self.lane_point[lane]] = SimulationResult(
+        point = self.lane_point[lane]
+        result = self._results[point] = SimulationResult(
             stats=stats,
             cycles=local,
             blocked=blocked,
@@ -1438,6 +1445,13 @@ class BatchedLaneEngine:
             spec = self._pending.popleft()
             self.lanes[lane] = spec
             self._install_lane(lane, spec, cycle)
+        elif self._profile and not self._act.any():  # the engine's last point
+            result.observability = {
+                **(export or {"metrics": None, "trace": None}),
+                "profile": self.profiler.snapshot(),
+            }
+        if self._on_result is not None:
+            self._on_result(point, result)
 
     def _bind_tables(self, tables: np.ndarray) -> None:
         """Name the columns of the ``(column, lane, row)`` table block.

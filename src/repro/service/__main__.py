@@ -60,7 +60,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point watchdog for the resilient runtime",
+        help="per-task watchdog for the resilient runtime",
     )
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 0:

@@ -183,11 +183,7 @@ class ServiceClient:
                     (last or {}).get("status", status), last or {}
                 )
             last = dict(last)
-            # one event per sweep *task*; a batched lane chunk covers
-            # several points and says so in its "points" field
-            last["points_streamed"] = sum(
-                p.get("points", 1) for p in points
-            )
+            last["points_streamed"] = len(points)  # one event per point
             return last
         if status != 200:
             raise ServiceError(status, last)

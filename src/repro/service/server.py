@@ -584,10 +584,7 @@ class SweepService:
     # ------------------------------------------------------------------
     def _publish(self, fingerprint: str, item: Any) -> None:
         if item is not _EOF:
-            self.registry.inc(
-                "service.points_completed",
-                item.get("points", 1) if isinstance(item, dict) else 1,
-            )
+            self.registry.inc("service.points_completed")
         flight = self._inflight.get(fingerprint)
         if flight is None:
             return

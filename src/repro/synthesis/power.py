@@ -33,10 +33,6 @@ class PowerReport:
         return self.correction_static_nw + self.correction_dynamic_nw
 
     @property
-    def protected_nw(self) -> float:
-        return self.baseline_nw + self.correction_nw
-
-    @property
     def correction_overhead(self) -> float:
         """Correction circuitry only (paper: ~29 %)."""
         return self.correction_nw / self.baseline_nw

@@ -131,7 +131,7 @@ def stepped_point(point):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(NoCSimulator, "run", NoCSimulator._run_stepped)
-        return run_point(point).value
+        return run_point(point)
 
 
 # ----------------------------------------------------------------------

@@ -787,40 +787,94 @@ class TestRunLaneSweep:
 
 
 # ----------------------------------------------------------------------
-# streaming queue x resilient runtime: chunk-granular checkpoint/resume
+# streaming queue x resilient runtime: a lane chunk records per point
 # ----------------------------------------------------------------------
-class TestLaneChunkResume:
-    """A killed lane sweep resumes bit-identically from its chunk
-    records (the batched analogue of ``TestSimulationResumeGolden`` in
-    ``tests/test_resilient.py``, which pins the per-point event path)."""
+#: the chunk function a sweep's tasks name, before any test wraps it
+_LANE_CHUNK = parallel._lane_batched_chunk
 
-    def _run(self, tmp_path, **kw):
+#: ``(k, marker, log)`` of :func:`_chunk_failing_once`, set by the test
+#: before the workers fork
+_MID_CHUNK: tuple = ()
+
+
+def _chunk_failing_once(points, width, emit=None):
+    """The lane chunk, logging its lane count per attempt; the first
+    attempt raises once it has handed over ``k`` points."""
+    k, marker, log = _MID_CHUNK
+    with open(log, "a") as fp:
+        fp.write(f"{len(points)}\n")
+    handed = []
+
+    def counted(at, result):
+        emit(at, result)
+        handed.append(at)
+        if len(handed) == k and not os.path.exists(marker):
+            open(marker, "w").close()
+            raise RuntimeError("chunk lost mid-run")
+
+    return _LANE_CHUNK(points, width, counted)
+
+
+class TestLaneChunkResume:
+    """A lane chunk hands each point over as its lane retires: one
+    record per point, and a retry or a resume reruns only the points
+    without one, as a narrower chunk (the batched analogue of
+    ``TestSimulationResumeGolden`` in ``tests/test_resilient.py``)."""
+
+    def _run(self, tmp_path, jobs=2, **kw):
         from repro.experiments import fault_sweep
         from repro.experiments.latency import QUICK_CONFIG
 
         config = fault_sweep.FaultSweepConfig(
             fault_counts=(0, 8, 16, 32), latency=QUICK_CONFIG, app="lu"
         )
-        return fault_sweep.run(config, jobs=2, **kw)
+        return fault_sweep.run(config, jobs=jobs, **kw)
 
     def test_truncated_chunk_checkpoint_resume_matches(self, tmp_path):
+        import json
+
         full = self._run(tmp_path, out_dir=tmp_path / "run")
         (jsonl,) = sweep_files(tmp_path / "run")
         lines = jsonl.read_text().splitlines()
         # 4 points, one structural group, jobs=2 -> two 2-lane chunks,
-        # each one durable record
-        assert len(lines) == 2
-        records = [__import__("json").loads(line) for line in lines]
-        assert sorted(r["points"] for r in records) == [2, 2]
-        # drop the last record: simulates a SIGKILL mid-sweep
-        jsonl.write_text(lines[0] + "\n")
+        # one durable record per point
+        assert sorted(json.loads(line)["index"] for line in lines) == [0, 1, 2, 3]
+        # drop the last record: a SIGKILL inside one chunk
+        jsonl.write_text("".join(line + "\n" for line in lines[:3]))
 
         resumed = self._run(tmp_path, resume=tmp_path / "run")
         assert resumed.extras["rows"] == full.extras["rows"]
         report = resumed.extras["sweep"]
         assert report.points == 4
-        # point-accurate resume accounting: one chunk = two points
-        assert report.resumed == 2
+        assert (report.resumed, report.checkpointed) == (3, 1)
+
+    def test_a_failed_attempt_reruns_only_the_unrecorded_points(
+        self, tmp_path, monkeypatch
+    ):
+        """One chunk of four raises after handing over two points: its
+        retry builds an engine over the other two, and every value equals
+        an uninterrupted run's."""
+        from repro.experiments import resilient
+        from repro.experiments.resilient import RetryPolicy, sweep_runtime
+
+        clean = self._run(tmp_path, jobs=1)
+        log = tmp_path / "lanes"
+        monkeypatch.setattr(resilient, "BACKOFF_S", 0.01)
+        monkeypatch.setattr(parallel, "_lane_batched_chunk", _chunk_failing_once)
+        monkeypatch.setitem(
+            globals(), "_MID_CHUNK", (2, str(tmp_path / "failed"), str(log))
+        )
+        with sweep_runtime(
+            out_dir=tmp_path / "run", retry=RetryPolicy(max_attempts=2)
+        ):
+            retried = self._run(tmp_path, jobs=1)
+        assert log.read_text().split() == ["4", "2"]
+        assert retried.extras["rows"] == clean.extras["rows"]
+        report = retried.extras["sweep"]
+        # the failed attempt is charged to the two points it lost
+        assert (report.retries, report.checkpointed) == (2, 4)
+        (jsonl,) = sweep_files(tmp_path / "run")
+        assert len(jsonl.read_text().splitlines()) == 4
 
 
 def _flaky_traffic(net, rate, seed, marker):
@@ -835,9 +889,8 @@ def _summaries(values):
 
 
 class TestLaneSweepInPoints:
-    """``run_lane_sweep`` is the one place that knows tasks from points:
-    the triage records the declines once, and a failed chunk is reported
-    as the points it lost."""
+    """A lane sweep reports in points: the triage records the declines
+    once, and a failed chunk is reported as the points it lost."""
 
     def _points(self, marker):
         """Three good points, then two of another structural group (another
@@ -898,13 +951,13 @@ class TestLaneSweepInPoints:
             "partial sweep: 3/5 points completed, 2 failed, 0 skipped"
         )
         assert "FAILED point 4 (flaky1)" in text and "sweep: 5 points" in text
-        assert report.checkpointed == 1  # tasks: the good chunk's record
+        assert report.checkpointed == 3  # the good chunk's three points
 
         # the cause fixed, a resume runs only the two lost points
         marker.unlink()
         with sweep_runtime(resume=run_dir):
             resumed, report = run_lane_sweep(points, jobs=jobs)
-        assert report.resumed == 3 and report.checkpointed == 1
+        assert report.resumed == 3 and report.checkpointed == 2
         direct, _ = map_sweep(run_point, [(p,) for p in points])
         assert _summaries(resumed) == _summaries(direct)
 
@@ -1321,9 +1374,9 @@ def compiled(monkeypatch):
 
 
 def _assert_chunk_equals_run_point(points):
-    outcome = parallel._lane_batched_chunk(tuple(points), parallel.DEFAULT_LANE_WIDTH)
-    assert len(outcome.value) == len(points)
-    for i, (lane, point) in enumerate(zip(outcome.value, points)):
+    results = parallel._lane_batched_chunk(tuple(points), parallel.DEFAULT_LANE_WIDTH)
+    assert len(results) == len(points)
+    for i, (lane, point) in enumerate(zip(results, points)):
         assert _lane_key(lane) == _lane_key(stepped_point(point)), f"point {i}"
 
 

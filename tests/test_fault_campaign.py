@@ -182,7 +182,7 @@ class TestCampaignLanes:
 
         def chunk(idxs, width):
             out = parallel._lane_batched_chunk(tuple(points[i] for i in idxs), width)
-            return dict(zip(idxs, map(_point_key, out.value)))
+            return dict(zip(idxs, map(_point_key, out)))
 
         per_kind = {}
         for kind in MIXED_CAMPAIGN.router_kinds:
@@ -250,30 +250,31 @@ class TestRecoveryDeterminism:
 
 
 class TestCampaignResumeGolden:
-    """Resume splices checkpointed lane chunks bit-identically."""
+    """Resume splices checkpointed lane points bit-identically."""
 
     def test_truncated_checkpoint_resume_matches(self, tmp_path):
-        # a record is a lane chunk: the 2 kinds x (1 reference + 2
-        # timelines) are one chunk at one job, two chunks of three at two
+        # a record is a point: the 2 kinds x (1 reference + 2 timelines)
+        # are two chunks of three at two jobs, six records
         full = _run(jobs=2, out_dir=tmp_path / "run")
         (jsonl,) = sweep_files(tmp_path / "run")
         lines = jsonl.read_text().splitlines()
-        assert len(lines) == 2
-        jsonl.write_text(lines[0] + "\n")
+        assert len(lines) == 6
+        jsonl.write_text("".join(line + "\n" for line in lines[:4]))
 
         resumed = _run(jobs=2, resume=tmp_path / "run")
         assert resumed.rows == full.rows
         assert resumed.extras["rows"] == full.extras["rows"]
-        assert resumed.extras["sweep"].resumed == 3  # counted in points
+        assert resumed.extras["sweep"].resumed == 4
 
 
 #: subprocess driver: SIGKILL the whole process group mid-campaign, then
 #: resume from the same run directory.  Two jobs, so the campaign is two
-#: lane chunks of three points, two checkpoint records: the protected
+#: lane chunks of three points, six checkpoint records: the protected
 #: reference and timelines, then roco's.  In ``kill`` mode the roco chunk
-#: never finishes, so the kill always lands between the two records; the
-#: chunk function is wrapped in every mode, so the killed and the resumed
-#: run pickle the same tasks and share one sweep key
+#: holds once it has handed over its first point, so the kill always
+#: lands inside it, with four records.  The chunk function is wrapped in
+#: every mode, so the killed and the resumed run pickle the same tasks
+#: and share one sweep key; it logs the lanes of every chunk it builds
 _DRIVER = """\
 import json, sys, threading
 
@@ -286,10 +287,17 @@ mode, run_dir, out_json = sys.argv[1:4]
 lane_chunk = parallel._lane_batched_chunk
 
 
-def held_chunk(points, width):
-    if mode == "kill" and any(p.router_kind == "roco" for p in points):
-        threading.Event().wait()
-    return lane_chunk(points, width)
+def held_chunk(points, width, emit=None):
+    with open(out_json + ".lanes", "a") as fp:
+        fp.write(f"{len(points)}\\n")
+    held = mode == "kill" and any(p.router_kind == "roco" for p in points)
+
+    def hand_over(k, result):
+        emit(k, result)
+        if held:
+            threading.Event().wait()
+
+    return lane_chunk(points, width, hand_over)
 
 
 parallel._lane_batched_chunk = held_chunk
@@ -331,8 +339,8 @@ def _spawn(script, mode, run_dir, out_json):
 
 class TestKillMidCampaign:
     def test_sigkill_resume_bit_identical(self, tmp_path):
-        """The kill window used to be roco's one-at-a-time points; roco
-        points are lanes now, so the window is the held second chunk."""
+        """The kill lands inside the roco chunk, after its first point:
+        the resume runs its other two points alone."""
         script = tmp_path / "driver.py"
         script.write_text(_DRIVER)
 
@@ -347,22 +355,27 @@ class TestKillMidCampaign:
         deadline = time.time() + 120
         while time.time() < deadline:
             files = sweep_files(run_dir)
-            if files and files[0].exists() and files[0].read_text().endswith("\n"):
+            if files and files[0].exists() and files[0].read_text().count("\n") == 4:
                 (jsonl,) = files
                 break
             if proc.poll() is not None:
                 pytest.fail("driver exited before it could be killed")
             time.sleep(0.02)
         else:
-            pytest.fail("no checkpointed lane chunk appeared within 120s")
+            pytest.fail("the held chunk's first point was not recorded within 120s")
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30)
         assert not kill_json.exists()
-        assert len(jsonl.read_text().splitlines()) == 1  # the protected chunk
+        # the protected chunk's three points and the held chunk's first
+        labels = [json.loads(line)["label"] for line in jsonl.read_text().splitlines()]
+        assert sum("roco" in label for label in labels) == 1, labels
 
         resume_json = tmp_path / "resume.json"
         proc = _spawn(script, "resume", run_dir, resume_json)
         assert proc.wait(timeout=300) == 0
         resumed = json.loads(resume_json.read_text())
         assert resumed["rows"] == reference["rows"]
-        assert resumed["resumed"] == 3  # the protected chunk's three points
+        assert resumed["resumed"] == 4
+        # only the roco chunk's two unrecorded points ran, as two lanes
+        lanes = Path(str(resume_json) + ".lanes").read_text().split()
+        assert lanes == ["2"]

@@ -256,15 +256,15 @@ def _campaign_engine():
     engines = []
     run = BatchedLaneEngine.run
 
-    def keep(self):
+    def keep(self, on_result=None):
         engines.append(self)
-        return run(self)
+        return run(self, on_result)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(BatchedLaneEngine, "run", keep)
         results = parallel._lane_batched_chunk(
             tuple(fault_campaign.points(config)), parallel.DEFAULT_LANE_WIDTH
-        ).value
+        )
     (engine,) = engines
     return engine, results
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.observability import MetricsRegistry
 from repro.experiments.parallel import (
-    PointOutcome,
     SweepTask,
     map_sweep,
     resolve_jobs,
@@ -23,7 +22,7 @@ def _square(x):
 
 
 def _with_cycles(x):
-    return PointOutcome(x + 1, cycles=10 * x)
+    return _Ran(10 * x)
 
 
 def _boom(x):
@@ -46,9 +45,9 @@ class TestEngine:
         with pytest.raises(ValueError):
             run_sweep(tasks)
 
-    def test_point_outcome_unwrapped_and_cycles_accounted(self):
+    def test_cycles_of_a_value_are_accounted(self):
         values, report = map_sweep(_with_cycles, [(i,) for i in range(4)])
-        assert values == [1, 2, 3, 4]
+        assert values == [_Ran(0), _Ran(10), _Ran(20), _Ran(30)]
         assert report.cycles == 10 * (0 + 1 + 2 + 3)
 
     def test_shard_report_covers_all_points(self):
@@ -282,8 +281,10 @@ class _Instrumented:
     observability: dict
 
 
-def _chunk(n):
-    return PointOutcome(list(range(n)), cycles=10 * n, points=n)
+def _batch(items, emit):
+    """A batch task: hands its points over out of order, one by one."""
+    for k in reversed(range(len(items))):
+        emit(k, _Ran(items[k]))
 
 
 def _instrumented(hits):
@@ -293,7 +294,7 @@ def _instrumented(hits):
 
 
 _MIXED = [
-    (_square, (3,)), (_Ran, (11,)), (_chunk, (3,)), (_instrumented, (4,)),
+    (_square, (3,)), (_Ran, (11,)), (_batch, ((5, 10, 15),)), (_instrumented, (4,)),
 ]
 
 
@@ -310,6 +311,9 @@ def test_every_mode_assembles_the_same_sweep(jobs, durable, tmp_path):
         SweepTask(index=i, fn=fn, args=args, label=f"t{i}")
         for i, (fn, args) in enumerate(_MIXED)
     ]
+    # the batch runs points 2-4; the last task moves up to point 5
+    tasks[2] = dataclasses.replace(tasks[2], points=((2, "b2"), (3, "b3"), (4, "b4")))
+    tasks[3] = dataclasses.replace(tasks[3], index=5)
     observability.configure(metrics=True)  # turns the resilient.* counters on
     try:
         with resilient.sweep_runtime(out_dir=tmp_path if durable else None):
@@ -318,12 +322,12 @@ def test_every_mode_assembles_the_same_sweep(jobs, durable, tmp_path):
     finally:
         observability.reset()
 
-    assert values == [9, _Ran(11), [0, 1, 2], _instrumented(4)]
-    assert report.points == 4 and report.jobs == jobs
+    assert values == [9, _Ran(11), _Ran(5), _Ran(10), _Ran(15), _instrumented(4)]
+    assert report.points == 6 and report.jobs == jobs
     assert report.cycles == 11 + 30
-    # shards count the points behind each row: the lane chunk covers three
-    assert sum(s.points for s in report.shards) == 3 + 3
-    assert report.checkpointed == (4 if durable else 0)
+    # every point is a row of its own, the batch's three included
+    assert sum(s.points for s in report.shards) == 6
+    assert report.checkpointed == (6 if durable else 0)
     counters = report.observability["metrics"]["counters"]
     assert any(k.startswith("resilient.") for k in counters) == durable
     assert {

@@ -371,6 +371,19 @@ class TestCheckpointStore:
         with pytest.raises(ResumeError, match="unsupported manifest version"):
             CheckpointStore(tmp_path, resume=True)
 
+    def test_a_version_2_directory_of_chunk_records_is_refused(self, tmp_path):
+        """Version 2 kept one record per lane chunk, keyed by task: its
+        indices are not points, so a resume refuses it, never splices it."""
+        with sweep_runtime(out_dir=tmp_path):
+            run_sweep(_tasks(_square, 2), jobs=1)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            manifest.read_text().replace('"version": 3', '"version": 2')
+        )
+        with pytest.raises(ResumeError, match="unsupported manifest version"):
+            with sweep_runtime(resume=tmp_path):
+                pass
+
     def test_torn_final_line_is_ignored(self, tmp_path):
         with sweep_runtime(out_dir=tmp_path):
             run_sweep(_tasks(_square, 4), jobs=1)
@@ -443,7 +456,7 @@ class TestCheckpointStore:
     def _add_record(self, file, drop=(), **changes):
         rec = {
             "index": 3, "label": "p3", "attempts": 2, "cycles": 30,
-            "points": 1, "run_s": 1.5,
+            "run_s": 1.5,
             "value": base64.b64encode(pickle.dumps(self._value(3))).decode(),
         }
         rec.update(changes)
@@ -480,7 +493,7 @@ class TestCheckpointStore:
         )
 
     @pytest.mark.parametrize(
-        "field", ["index", "value", "cycles", "run_s", "attempts", "points"]
+        "field", ["index", "value", "cycles", "run_s", "attempts"]
     )
     def test_a_record_missing_a_field_is_rerun(self, tmp_path, field):
         """A record is whole or it is not one: no default fills a gap."""
@@ -667,6 +680,112 @@ class TestNoSplice:
         rows, resumed = _fig7(narrow, 1, resume=tmp_path)
         fresh, _ = _fig7(narrow, 1)
         assert resumed == 0 and rows == fresh
+
+
+#: driver for :class:`TestKillMidChunk`: Figure 7's 16 points at test
+#: size, one lane chunk at one job, under metrics.  In ``kill`` mode the
+#: chunk holds once it has handed over ``HELD_AFTER`` points; the chunk
+#: function is wrapped in every mode (one sweep key) and logs the lanes
+#: of every chunk it builds
+_CHUNK_DRIVER = """\
+import json, sys, threading
+
+from repro import observability
+from repro.experiments import fig7, parallel
+from repro.experiments.latency import LatencyConfig
+
+HELD_AFTER = 5
+mode, run_dir, out_json = sys.argv[1:4]
+lane_chunk = parallel._lane_batched_chunk
+
+
+def held_chunk(points, width, emit=None):
+    with open(out_json + ".lanes", "a") as fp:
+        fp.write(f"{len(points)}\\n")
+    handed = []
+
+    def hand_over(k, result):
+        emit(k, result)
+        handed.append(k)
+        if mode == "kill" and len(handed) == HELD_AFTER:
+            threading.Event().wait()
+
+    return lane_chunk(points, width, hand_over)
+
+
+parallel._lane_batched_chunk = held_chunk
+observability.configure(metrics=True)
+config = LatencyConfig(
+    width=4, height=4, warmup_cycles=100, measure_cycles=400,
+    drain_cycles=800, num_faults=16,
+)
+kw = {"resume": run_dir} if mode == "resume" else {"out_dir": run_dir}
+res = fig7.run(config, jobs=1, seed=1, **kw)
+report = res.extras["sweep"]
+counters = report.observability["metrics"]["counters"]
+with open(out_json, "w") as fp:
+    json.dump({
+        "rows": repr(res.rows),
+        "points": report.points,
+        "checkpointed": report.checkpointed,
+        "counters": {
+            k: v for k, v in counters.items() if k.startswith("resilient.")
+        },
+    }, fp)
+"""
+
+
+class TestKillMidChunk:
+    """A SIGKILL inside a lane chunk costs only the points it had not
+    handed over: the resume builds its engine over those alone, and the
+    runtime's counters add up in points."""
+
+    def test_sigkill_inside_a_chunk_reruns_only_its_unrecorded_points(self, tmp_path):
+        script = tmp_path / "driver.py"
+        script.write_text(_CHUNK_DRIVER)
+
+        def run(mode, run_dir, out_json):
+            proc = _spawn_driver(script, mode, run_dir, out_json, 0.0, tmp_path)
+            assert proc.wait(timeout=120) == 0
+            lanes = Path(f"{out_json}.lanes").read_text().split()
+            return json.loads(out_json.read_text()), lanes
+
+        reference, lanes = run("run", tmp_path / "ref-run", tmp_path / "ref.json")
+        assert lanes == ["16"]  # one chunk of every point
+        assert reference["points"] == 16
+        assert reference["checkpointed"] == 16
+        assert reference["counters"]["resilient.points_completed"] == 16
+        assert reference["counters"]["resilient.checkpointed"] == 16
+
+        run_dir, kill_json = tmp_path / "killed-run", tmp_path / "kill.json"
+        proc = _spawn_driver(script, "kill", run_dir, kill_json, 0.0, tmp_path)
+        deadline = time.time() + 60
+        while time.time() < deadline:
+            files = sweep_files(run_dir)
+            if files and files[0].exists() and files[0].read_text().count("\n") == 5:
+                (jsonl,) = files
+                break
+            if proc.poll() is not None:
+                pytest.fail("driver exited before it could be killed")
+            time.sleep(0.01)
+        else:
+            pytest.fail("the chunk's first five points were not recorded within 60s")
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        assert not kill_json.exists()
+        at_kill = len(jsonl.read_text().splitlines())
+        assert at_kill == 5
+
+        resumed, lanes = run("resume", run_dir, tmp_path / "resume.json")
+        assert lanes == ["11"]  # the chunk on its unrecorded points alone
+        assert resumed["rows"] == reference["rows"]
+        counters = resumed["counters"]
+        assert counters["resilient.points_resumed"] == at_kill
+        assert counters["resilient.points_completed"] + counters.get(
+            "resilient.points_failed", 0
+        ) + counters.get("resilient.points_skipped", 0) == resumed["points"] == 16
+        assert counters["resilient.checkpointed"] == resumed["checkpointed"] == 11
+        assert len(jsonl.read_text().splitlines()) == 16
 
 
 class TestCLI:

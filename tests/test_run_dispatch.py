@@ -188,11 +188,15 @@ class TestRides:
         sim, obs = run()
         res = sim.run()
         assert engines == [(1, "xy")]
-        ref = run()[0]._run_stepped()
+        ref_sim, ref_obs = run()
+        ref = ref_sim._run_stepped()
         assert _digest(res) == _digest(ref)
         if switch == "metrics":
             assert res.observability["metrics"]["counters"]
             assert res.observability == ref.observability
+            # the run's own registry holds the harvest on both engines
+            assert obs.metrics.snapshot() == ref_obs.metrics.snapshot()
+            assert obs.metrics.snapshot() == res.observability["metrics"]
         else:
             assert res.observability["profile"] == obs.profiler.snapshot()
             assert res.observability["profile"]["samples"] > 0

@@ -730,13 +730,32 @@ class TestServer:
                     on_point=points.append,
                 )
                 # the two fault counts share one structural key, so the
-                # lane sweep runs them as a single batched chunk: one
-                # streamed event covering both points
+                # lane sweep runs them as a single batched chunk, which
+                # hands each point over as its lane retires
                 assert reply["points_streamed"] == 2
-                assert len(points) == 1
-                assert points[0]["points"] == 2
-                assert points[0]["label"] == "protected/xy lanes 0-1"
+                assert sorted(p["index"] for p in points) == [0, 1]
+                assert all("points" not in p for p in points)
                 assert reply["result"]["rows"]
+            finally:
+                await service.close()
+        asyncio.run(run())
+
+    def test_a_lane_chunk_streams_one_event_per_point(self):
+        """Four fault counts run as one lane chunk: four progress events,
+        one per point, and the service counts four points."""
+        async def run():
+            service, client = await _start_service_tmp()
+            try:
+                events = []
+                reply = await client.sweep(
+                    "fault_sweep", {**TINY, "fault_counts": [0, 2, 4, 8]},
+                    jobs=1, stream=True, on_point=events.append,
+                )
+                assert reply["compute"]["sweep"]["points"] == 4
+                assert sorted(e["index"] for e in events) == [0, 1, 2, 3]
+                assert reply["points_streamed"] == 4
+                counters = (await client.stats())["counters"]
+                assert counters["service.points_completed"] == 4
             finally:
                 await service.close()
         asyncio.run(run())
@@ -1725,9 +1744,8 @@ class TestThreadLocalRuntime:
                 fault_sweep.run(cfg, jobs=2)
         finally:
             runtime.close()
-        # jobs=2 splits the 2-point lane group into one chunk per worker
-        assert {e["label"] for e in events} == {
-            "protected/xy lanes 0-0", "protected/xy lanes 1-1"
-        }
-        assert sum(e["points"] for e in events) == 2
+        # jobs=2 splits the 2-point lane group into one chunk per
+        # worker; either way an event names one point
+        assert sorted(e["index"] for e in events) == [0, 1]
+        assert {e["label"] for e in events} == {p.label for p in fault_sweep.points(cfg)}
         assert all(e["resumed"] is False for e in events)
