@@ -14,9 +14,10 @@ Public API tour
 * :mod:`repro.experiments` — regenerates every paper table and figure.
 * :mod:`repro.observability` — zero-cost metrics/tracing/profiling layer.
 
-The headline classes are re-exported here lazily, so ``import repro``
-stays cheap while ``repro.NoCSimulator``, ``repro.run_sweep``,
-``repro.sweep_runtime`` etc. resolve on first touch::
+Every package face resolves a name on first touch (:mod:`repro._lazy`):
+``import repro`` or ``import repro.network`` imports no submodule, and
+``repro.NoCSimulator``, ``repro.run_sweep``, ``repro.sweep_runtime`` etc.
+import only the module that defines them::
 
     import repro
 
@@ -25,45 +26,28 @@ stays cheap while ``repro.NoCSimulator``, ``repro.run_sweep``,
         ...
 """
 
+from ._lazy import lazy_face
 from .config import NetworkConfig, RouterConfig, SimulationConfig
 
 __version__ = "2.13.0"
 
-#: lazily resolved facade: exported name -> (module, attribute)
-_LAZY = {
-    # simulator surface
-    "NoCSimulator": ("repro.network", "NoCSimulator"),
-    "SimulationResult": ("repro.network", "SimulationResult"),
-    "ProtectedRouter": ("repro.core", "ProtectedRouter"),
-    "BaselineRouter": ("repro.router", "BaselineRouter"),
-    # sweep engine
-    "run_sweep": ("repro.experiments.parallel", "run_sweep"),
-    "map_sweep": ("repro.experiments.parallel", "map_sweep"),
-    "SweepTask": ("repro.experiments.parallel", "SweepTask"),
-    "SweepReport": ("repro.experiments.parallel", "SweepReport"),
-    "SweepError": ("repro.experiments.parallel", "SweepError"),
-    "PointFailure": ("repro.experiments.parallel", "PointFailure"),
-    # resilient runtime (docs/resilience.md)
-    "PartialSweepReport": ("repro.experiments.parallel", "PartialSweepReport"),
-    "PartialSweepError": ("repro.experiments.parallel", "PartialSweepError"),
-    "RetryPolicy": ("repro.experiments.resilient", "RetryPolicy"),
-    "CheckpointStore": ("repro.experiments.resilient", "CheckpointStore"),
-    "ResumeError": ("repro.experiments.resilient", "ResumeError"),
-    "sweep_runtime": ("repro.experiments.resilient", "sweep_runtime"),
-    # experiment harness
-    "run_experiment": ("repro.experiments", "run_experiment"),
-    "ExperimentResult": ("repro.experiments", "ExperimentResult"),
-    # unified fault-schedule API + online campaigns (docs/campaigns.md)
-    "FaultSchedule": ("repro.faults", "FaultSchedule"),
-    "FaultTimeline": ("repro.faults", "FaultTimeline"),
-    "CampaignConfig": ("repro.experiments.fault_campaign", "CampaignConfig"),
-    "run_fault_campaign": ("repro.experiments.fault_campaign", "run"),
-    # observability
-    "Observability": ("repro.observability", "Observability"),
-    "ObservabilityConfig": ("repro.observability", "ObservabilityConfig"),
-    "MetricsRegistry": ("repro.observability", "MetricsRegistry"),
-    "EventTracer": ("repro.observability", "EventTracer"),
-}
+#: the headline names, each imported from its defining module on first touch
+__getattr__, __dir__ = lazy_face(__name__, {
+    "network.simulator": "NoCSimulator SimulationResult",
+    "core.protected_router": "ProtectedRouter",
+    "router.router": "BaselineRouter",
+    # sweep engine and the resilient runtime (docs/resilience.md)
+    "experiments.parallel": "run_sweep map_sweep SweepTask SweepReport SweepError"
+    " PointFailure PartialSweepReport PartialSweepError",
+    "experiments.resilient": "RetryPolicy CheckpointStore ResumeError sweep_runtime",
+    # experiment harness; the unified fault schedule and online campaigns
+    "experiments.runner": "run_experiment",
+    "experiments.report": "ExperimentResult",
+    "faults.schedule": "FaultSchedule",
+    "faults.timeline": "FaultTimeline",
+    "experiments.fault_campaign": "CampaignConfig run_fault_campaign=run",
+    "observability": "Observability ObservabilityConfig MetricsRegistry EventTracer",
+})
 
 __all__ = [
     "BaselineRouter",
@@ -98,18 +82,3 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    import importlib
-
-    entry = _LAZY.get(name)
-    if entry is not None:
-        module, attr = entry
-        value = getattr(importlib.import_module(module), attr)
-        globals()[name] = value  # cache: __getattr__ runs once per name
-        return value
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

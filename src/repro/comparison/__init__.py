@@ -1,11 +1,15 @@
 """Comparison fault-tolerant routers: BulletProof, Vicis, RoCo."""
 
-from .bulletproof import BulletProofModel, NMRUnit, SparedComponent
-from .ecc_sim import DatapathFaultyRouter, ECCStudyResult, run_ecc_study
-from .roco import RoCoModel, RowColumnState
-from .roco_router import RoCoRouter, roco_router_factory
-from .spf_table import SPFRow, build_spf_table, proposed_router_wins
-from .vicis import HammingSECDED, VicisModel, best_port_swap
+from .._lazy import lazy_face
+
+__getattr__, __dir__ = lazy_face(__name__, {
+    "bulletproof": "BulletProofModel NMRUnit SparedComponent",
+    "ecc_sim": "DatapathFaultyRouter ECCStudyResult run_ecc_study",
+    "roco": "RoCoModel RowColumnState",
+    "roco_router": "RoCoRouter roco_router_factory",
+    "spf_table": "SPFRow build_spf_table proposed_router_wins",
+    "vicis": "HammingSECDED VicisModel best_port_swap",
+})
 
 __all__ = [
     "BulletProofModel",

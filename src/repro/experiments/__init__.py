@@ -34,8 +34,12 @@ Run from the command line::
     python -m repro.experiments all --quick
 """
 
-from .report import ExperimentResult, Row
-from .runner import EXPERIMENTS, ExperimentEntry, run_experiment
+from .._lazy import lazy_face
+
+__getattr__, __dir__ = lazy_face(__name__, {
+    "report": "ExperimentResult Row",
+    "runner": "EXPERIMENTS ExperimentEntry run_experiment",
+})
 
 __all__ = [
     "EXPERIMENTS",

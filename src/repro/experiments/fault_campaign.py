@@ -329,7 +329,8 @@ class _KindAccumulator:
 
 def _analytic_rows(net: NetworkConfig) -> list[dict]:
     """Model rows for the comparison designs (no live simulation)."""
-    from ..comparison import BulletProofModel, VicisModel
+    from ..comparison.bulletproof import BulletProofModel
+    from ..comparison.vicis import VicisModel
 
     fit = router_fit(net.router, net.num_nodes, protected=False)
     mtbf_hours = 1e9 / (net.num_nodes * fit)

@@ -63,7 +63,10 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ..config import NetworkConfig, SimulationConfig
-from ..network import warm
+# the lane engine loads with this module, on the importing thread: loaded
+# by a sweep's first call instead, a server would load it on a request
+# thread, whose malloc arena holds the pages (+2.4 MB peak on service_mix)
+from ..network import batched, warm
 from ..observability import MetricsRegistry, global_config, merge_exports
 
 if TYPE_CHECKING:
@@ -689,8 +692,6 @@ def run_point(point: LanePoint) -> Any:
     ``map_sweep`` directly when they want the per-point answer (``run()``
     picks the engine by load).
     """
-    from ..network.batched import router_factory
-
     schedule = (
         point.make_schedule(*point.schedule_args)
         if point.make_schedule is not None
@@ -700,7 +701,7 @@ def run_point(point: LanePoint) -> Any:
         point.config,
         point.sim_config,
         point.make_traffic(*point.traffic_args),
-        router_factory=router_factory(point.router_kind, point.config),
+        router_factory=batched.router_factory(point.router_kind, point.config),
         fault_schedule=schedule,
         routing_kind=point.routing_kind,
     )
@@ -722,8 +723,6 @@ def _lane_batched_chunk(
     arguments share one source object — one stream, which the engine
     draws once (unhashable arguments: a stream of its own).
     """
-    from ..network.batched import BatchedLaneEngine, LaneSpec
-
     sources: dict[tuple, Any] = {}
 
     def traffic(p: LanePoint) -> Any:
@@ -738,7 +737,7 @@ def _lane_batched_chunk(
 
     first = points[0]
     lanes = [
-        LaneSpec(
+        batched.LaneSpec(
             traffic(p),
             p.make_schedule(*p.schedule_args)
             if p.make_schedule is not None
@@ -748,7 +747,7 @@ def _lane_batched_chunk(
         for p in points
     ]
     w = min(width, len(lanes))
-    engine = BatchedLaneEngine(
+    engine = batched.BatchedLaneEngine(
         first.config,
         first.sim_config,
         lanes[:w],
@@ -815,8 +814,6 @@ def run_lane_sweep(
     its unrecorded points alone.  Results are bit-identical across
     ``jobs``, slot widths and :func:`run_point` (the golden tests).
     """
-    from ..network.batched import supports as batched_supports
-
     points = list(points)
     if not points:
         return [], SweepReport(jobs=0, points=0, wall_time=0.0, shards=())
@@ -832,7 +829,7 @@ def run_lane_sweep(
     # group, a VC count past the engine's tables its own group
     declined: dict[str, int] = {}  # reason -> points
     for key, idxs in groups.items():
-        reason = batched_supports(key[0])
+        reason = batched.supports(key[0])
         if reason is not None:
             declined[reason] = declined.get(reason, 0) + len(idxs)
         if reason is not None or len(idxs) < _MIN_LANE_GROUP:

@@ -26,8 +26,9 @@ Every experiment module exposes the same unified entry point::
 
     run(config=None, *, jobs=None, seed=None, out_dir=None, resume=None)
 
-built from its config class by :func:`repro.experiments.report.experiment`,
-and the registry below records how to build each module's quick/default
+built from its config class by :func:`repro.experiments.report.experiment`;
+the registry below names each module and its config class, imports them
+when an experiment is named, and records how to build its quick/default
 config object.
 
 Observability (:mod:`repro.observability`, see ``docs/observability.md``):
@@ -48,6 +49,7 @@ experiments still run and the failures are listed on stderr.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -59,134 +61,115 @@ from .. import observability
 from ..observability import merge_exports
 from ..observability.report import render_text
 from ..observability.trace import write_chrome_trace
-from ..reliability.stages import RouterGeometry
-from . import (
-    area_power,
-    critical_path,
-    design_space,
-    detection_latency,
-    energy,
-    fault_campaign,
-    fault_sweep,
-    fig7,
-    fig8,
-    load_latency,
-    mttf,
-    mttf_sensitivity,
-    network_reliability,
-    reliability_curves,
-    resilient,
-    spf_sweep,
-    table1,
-    table2,
-    table3,
-)
-from .latency import QUICK_CONFIG, LatencyConfig, SuiteRunConfig
+from . import resilient
 from .parallel import PartialSweepError
 from .report import ExperimentResult
 
 
-def _none() -> None:
+def _none(module: Any) -> None:
     return None
+
+
+def _quick_suite(module: Any) -> Any:
+    from .latency import QUICK_CONFIG
+
+    return module.SuiteRunConfig(QUICK_CONFIG)
 
 
 @dataclass(frozen=True)
 class ExperimentEntry:
-    """Registry entry: the experiment module, its config dataclass and
-    its CLI config recipes.
+    """Registry entry: the experiment module and its config dataclass, by
+    name, and its CLI config recipes.
 
-    ``config_type`` is the frozen dataclass the module's unified ``run()``
-    resolves every request into (and what :mod:`repro.service.fingerprint`
-    builds JSON requests into); ``quick_config``/``default_config`` build
-    the instance the CLI passes, both defaulting to ``None`` (the config
-    class's own defaults).
+    Listing the registry imports nothing: ``module`` imports
+    ``repro.experiments.<module_name>`` when the entry is used, and
+    ``config_type`` is that module's ``config_name``, the frozen dataclass
+    its unified ``run()`` resolves every request into (and what
+    :mod:`repro.service.fingerprint` builds JSON requests into).
+    ``quick_config``/``default_config`` build the instance the CLI passes
+    from the module, both defaulting to ``None`` (the config class's own
+    defaults).
     """
 
-    module: Any
-    config_type: type
-    quick_config: Callable[[], Any] = field(default=_none)
-    default_config: Callable[[], Any] = field(default=_none)
+    module_name: str
+    config_name: str
+    quick_config: Callable[[Any], Any] = field(default=_none)
+    default_config: Callable[[Any], Any] = field(default=_none)
+
+    @property
+    def module(self) -> Any:
+        return importlib.import_module(f"{__package__}.{self.module_name}")
+
+    @property
+    def config_type(self) -> type:
+        return getattr(self.module, self.config_name)
 
     def cli_config(self, quick: bool) -> Any:
         """The config the CLI runs with (``None``: the module's defaults)."""
-        return (self.quick_config if quick else self.default_config)()
+        return (self.quick_config if quick else self.default_config)(self.module)
 
 
 #: registry of all artefacts.  Experiments that are not sweep-shaped
 #: (single analytic computation) ignore ``jobs``; the analytic
 #: geometry-only ones take a RouterGeometry as their whole config.
 EXPERIMENTS: dict[str, ExperimentEntry] = {
-    "table1": ExperimentEntry(table1, RouterGeometry),
-    "table2": ExperimentEntry(table2, RouterGeometry),
-    "mttf": ExperimentEntry(mttf, mttf.MTTFConfig),
-    "table3": ExperimentEntry(table3, table3.Table3Config),
-    "spf_sweep": ExperimentEntry(spf_sweep, spf_sweep.SPFSweepConfig),
-    "area_power": ExperimentEntry(area_power, RouterGeometry),
-    "critical_path": ExperimentEntry(critical_path, RouterGeometry),
-    "fig7": ExperimentEntry(
-        fig7, SuiteRunConfig, quick_config=lambda: SuiteRunConfig(QUICK_CONFIG)
-    ),
-    "fig8": ExperimentEntry(
-        fig8, SuiteRunConfig, quick_config=lambda: SuiteRunConfig(QUICK_CONFIG)
-    ),
+    "table1": ExperimentEntry("table1", "RouterGeometry"),
+    "table2": ExperimentEntry("table2", "RouterGeometry"),
+    "mttf": ExperimentEntry("mttf", "MTTFConfig"),
+    "table3": ExperimentEntry("table3", "Table3Config"),
+    "spf_sweep": ExperimentEntry("spf_sweep", "SPFSweepConfig"),
+    "area_power": ExperimentEntry("area_power", "RouterGeometry"),
+    "critical_path": ExperimentEntry("critical_path", "RouterGeometry"),
+    "fig7": ExperimentEntry("fig7", "SuiteRunConfig", _quick_suite),
+    "fig8": ExperimentEntry("fig8", "SuiteRunConfig", _quick_suite),
     # extensions beyond the paper's artefacts
     "load_latency": ExperimentEntry(
-        load_latency,
-        load_latency.LoadLatencyConfig,
-        quick_config=lambda: load_latency.LoadLatencyConfig(
-            rates=(0.04, 0.12), measure=1500
-        ),
+        "load_latency",
+        "LoadLatencyConfig",
+        lambda m: m.LoadLatencyConfig(rates=(0.04, 0.12), measure=1500),
     ),
     "network_reliability": ExperimentEntry(
-        network_reliability,
-        network_reliability.NetworkReliabilityConfig,
-        quick_config=lambda: network_reliability.NetworkReliabilityConfig(
-            trials=60
-        ),
+        "network_reliability",
+        "NetworkReliabilityConfig",
+        lambda m: m.NetworkReliabilityConfig(trials=60),
     ),
     "reliability_curves": ExperimentEntry(
-        reliability_curves, reliability_curves.ReliabilityCurvesConfig
+        "reliability_curves", "ReliabilityCurvesConfig"
     ),
     "energy": ExperimentEntry(
-        energy,
-        energy.EnergyConfig,
-        quick_config=lambda: energy.EnergyConfig(latency=QUICK_CONFIG),
-        default_config=lambda: energy.EnergyConfig(latency=LatencyConfig()),
+        "energy",
+        "EnergyConfig",
+        lambda m: m.EnergyConfig(latency=m.QUICK_CONFIG),
+        lambda m: m.EnergyConfig(latency=m.LatencyConfig()),
     ),
     "detection_latency": ExperimentEntry(
-        detection_latency,
-        detection_latency.DetectionLatencyConfig,
-        quick_config=lambda: detection_latency.DetectionLatencyConfig(
-            measure_cycles=1500
-        ),
+        "detection_latency",
+        "DetectionLatencyConfig",
+        lambda m: m.DetectionLatencyConfig(measure_cycles=1500),
     ),
     "fault_sweep": ExperimentEntry(
-        fault_sweep,
-        fault_sweep.FaultSweepConfig,
-        quick_config=lambda: fault_sweep.FaultSweepConfig(
-            fault_counts=(0, 8, 24)
-        ),
+        "fault_sweep",
+        "FaultSweepConfig",
+        lambda m: m.FaultSweepConfig(fault_counts=(0, 8, 24)),
     ),
     "fault_campaign": ExperimentEntry(
-        fault_campaign,
-        fault_campaign.CampaignConfig,
-        quick_config=lambda: fault_campaign.CampaignConfig(
+        "fault_campaign",
+        "CampaignConfig",
+        lambda m: m.CampaignConfig(
             timelines=3,
             router_kinds=("baseline", "protected"),
-            timeline=fault_campaign.TimelineSpec(
-                events=4, mean_interval=600.0
-            ),
+            timeline=m.TimelineSpec(events=4, mean_interval=600.0),
         ),
     ),
     "design_space": ExperimentEntry(
-        design_space,
-        design_space.DesignSpaceConfig,
-        quick_config=lambda: design_space.DesignSpaceConfig(
+        "design_space",
+        "DesignSpaceConfig",
+        lambda m: m.DesignSpaceConfig(
             vc_counts=(2, 4), buffer_depths=(2, 4), measure=1000
         ),
     ),
     "mttf_sensitivity": ExperimentEntry(
-        mttf_sensitivity, mttf_sensitivity.MTTFSensitivityConfig
+        "mttf_sensitivity", "MTTFSensitivityConfig"
     ),
 }
 

@@ -9,23 +9,16 @@ per-router detection and recovery accounting used by ``fault_campaign``
 and ``detection_latency``.
 """
 
-from .injector import RandomFaultSchedule
-from .recovery import RecoveryMonitor, RecoveryRecord
-from .schedule import (
-    FaultSchedule,
-    TimelineSpec,
-    site_from_tuple,
-    site_token,
-    site_tuple,
-)
-from .sites import FaultSite, FaultUnit, RouterFaultState, enumerate_sites
-from .timeline import (
-    FaultTimeline,
-    TimelineEvent,
-    fit_mean_interval_cycles,
-    random_timeline,
-    random_transients,
-)
+from .._lazy import lazy_face
+
+__getattr__, __dir__ = lazy_face(__name__, {
+    "injector": "RandomFaultSchedule",
+    "recovery": "RecoveryMonitor RecoveryRecord",
+    "schedule": "FaultSchedule TimelineSpec site_from_tuple site_token site_tuple",
+    "sites": "FaultSite FaultUnit RouterFaultState enumerate_sites",
+    "timeline": "FaultTimeline TimelineEvent fit_mean_interval_cycles random_timeline"
+    " random_transients",
+})
 
 __all__ = [
     "FaultSchedule",

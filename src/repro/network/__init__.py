@@ -1,16 +1,14 @@
 """Cycle-accurate NoC fabric simulator (GEM5/GARNET substitute)."""
 
-from .batched import BatchedLaneEngine, LaneSpec, run_lanes
-from .batched import supports as batched_supports
-from .nic import NetworkInterface
-from .simulator import (
-    EventScheduler,
-    NoCSimulator,
-    SimulationResult,
-    baseline_router_factory,
-)
-from .stats import LatencySample, NetworkStats
-from .topology import Topology
+from .._lazy import lazy_face
+
+__getattr__, __dir__ = lazy_face(__name__, {
+    "batched": "BatchedLaneEngine LaneSpec run_lanes batched_supports=supports",
+    "nic": "NetworkInterface",
+    "simulator": "EventScheduler NoCSimulator SimulationResult baseline_router_factory",
+    "stats": "LatencySample NetworkStats",
+    "topology": "Topology",
+})
 
 __all__ = [
     "BatchedLaneEngine",

@@ -1,51 +1,20 @@
 """Reliability analysis: FORC/TDDB, FIT/SOFR, MTTF, and SPF (paper
 Sections VII and VIII)."""
 
-from .components import (
-    Component,
-    DFF_DUTY_CYCLE,
-    arbiter,
-    comparator,
-    demux,
-    dff,
-    mux,
-    register_file,
-)
-from .forc import (
-    DEFAULT_TDDB,
-    PAPER_FIT_PER_FET,
-    PAPER_TEMP_K,
-    PAPER_VDD,
-    TDDBParameters,
-    calibrated_parameters,
-    fit_per_fet,
-)
-from .mttf import (
-    MTTFReport,
-    analyze_mttf,
-    mttf_from_fit,
-    mttf_two_component_exact,
-    mttf_two_component_paper,
-    protected_reliability_curve,
-    reliability_curve,
-)
-from .spf import (
-    FaultsToFailure,
-    SPFResult,
-    StageFaultBounds,
-    analyze_spf,
-    faults_to_failure,
-    spf_vs_vc_count,
-    stage_fault_bounds,
-)
-from .stages import (
-    FLIT_WIDTH_BITS,
-    RouterGeometry,
-    StageInventory,
-    baseline_stages,
-    correction_stages,
-    total_fit,
-)
+from .._lazy import lazy_face
+
+__getattr__, __dir__ = lazy_face(__name__, {
+    "components": "Component DFF_DUTY_CYCLE arbiter comparator demux dff mux"
+    " register_file",
+    "forc": "DEFAULT_TDDB PAPER_FIT_PER_FET PAPER_TEMP_K PAPER_VDD TDDBParameters"
+    " calibrated_parameters fit_per_fet",
+    "mttf": "MTTFReport analyze_mttf mttf_from_fit mttf_two_component_exact"
+    " mttf_two_component_paper protected_reliability_curve reliability_curve",
+    "spf": "FaultsToFailure SPFResult StageFaultBounds analyze_spf faults_to_failure"
+    " spf_vs_vc_count stage_fault_bounds",
+    "stages": "FLIT_WIDTH_BITS RouterGeometry StageInventory baseline_stages"
+    " correction_stages total_fit",
+})
 
 __all__ = [
     "Component",

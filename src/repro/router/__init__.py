@@ -4,20 +4,18 @@ Flits, virtual channels, arbiters, separable VA/SA allocators, the
 baseline crossbar, XY routing, and the 4-stage pipeline driver.
 """
 
-from .allocator import SAGrant, SAUnit, VAUnit
-from .arbiter import RoundRobinArbiter
-from .crossbar import Crossbar, PathPlan
-from .flit import Flit, FlitType, Packet, reset_packet_ids
-from .input_port import InputPort
-from .router import BaseRouter, BaselineRouter, OutputPort, RCUnit, RouterStats
-from .routing import (
-    RoutingFunction,
-    WestFirstRouting,
-    XYRouting,
-    YXRouting,
-    make_routing,
-)
-from .vc import VCState, VirtualChannel
+from .._lazy import lazy_face
+
+__getattr__, __dir__ = lazy_face(__name__, {
+    "allocator": "SAGrant SAUnit VAUnit",
+    "arbiter": "RoundRobinArbiter",
+    "crossbar": "Crossbar PathPlan",
+    "flit": "Flit FlitType Packet reset_packet_ids",
+    "input_port": "InputPort",
+    "router": "BaseRouter BaselineRouter OutputPort RCUnit RouterStats",
+    "routing": "RoutingFunction WestFirstRouting XYRouting YXRouting make_routing",
+    "vc": "VCState VirtualChannel",
+})
 
 __all__ = [
     "BaseRouter",

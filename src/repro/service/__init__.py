@@ -22,30 +22,28 @@ Run it with ``python -m repro.service``; drive it with the stdlib-only
 async client in :mod:`repro.service.client`.  See ``docs/service.md``.
 """
 
-#: exported name -> submodule, resolved on first touch (PEP 562): importing
-#: the package, or :mod:`repro.service.client` through it, loads no simulator
-_LAZY = {
-    "CONFIG_TYPES": "fingerprint",
-    "CacheEntry": "cache",
-    "ResultCache": "cache",
-    "ServiceClient": "client",
-    "ServiceError": "client",
-    "SweepService": "server",
-    "build_config": "fingerprint",
-    "canonical": "fingerprint",
-    "effective_config": "fingerprint",
-    "request_fingerprint": "fingerprint",
-    "wait_ready": "client",
-}
+from .._lazy import lazy_face
 
-__all__ = sorted(_LAZY)
+#: resolved on first touch: importing the package, or
+#: :mod:`repro.service.client` through it, loads no simulator
+__getattr__, __dir__ = lazy_face(__name__, {
+    "cache": "CacheEntry ResultCache",
+    "client": "ServiceClient ServiceError wait_ready",
+    "fingerprint": "CONFIG_TYPES build_config canonical effective_config"
+    " request_fingerprint",
+    "server": "SweepService",
+})
 
-
-def __getattr__(name: str):
-    import importlib
-
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
+__all__ = [
+    "CONFIG_TYPES",
+    "CacheEntry",
+    "ResultCache",
+    "ServiceClient",
+    "ServiceError",
+    "SweepService",
+    "build_config",
+    "canonical",
+    "effective_config",
+    "request_fingerprint",
+    "wait_ready",
+]

@@ -37,7 +37,7 @@ import json
 import types
 import typing
 from hashlib import sha256
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterator, Mapping, Optional
 
 from .. import __version__
 from ..experiments.report import resolve_config
@@ -59,11 +59,25 @@ class RequestError(ValueError):
     """A request names an unknown experiment / malformed config."""
 
 
-#: experiment name -> its unified-API config dataclass, read off the
-#: experiment registry
-CONFIG_TYPES: Dict[str, type] = {
-    name: entry.config_type for name, entry in EXPERIMENTS.items()
-}
+class _ConfigTypes(Mapping[str, type]):
+    """Experiment name -> its unified-API config dataclass, read off the
+    experiment registry one name at a time: listing or testing names
+    imports no experiment, looking one up imports that one."""
+
+    def __getitem__(self, name: str) -> type:
+        return EXPERIMENTS[name].config_type
+
+    def __contains__(self, name: object) -> bool:
+        return name in EXPERIMENTS
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(EXPERIMENTS)
+
+    def __len__(self) -> int:
+        return len(EXPERIMENTS)
+
+
+CONFIG_TYPES: Mapping[str, type] = _ConfigTypes()
 
 #: request keys that never affect the computed result (and therefore
 #: never reach the fingerprint): parallelism is a pure wall-clock knob

@@ -1,41 +1,16 @@
 """Workloads: synthetic patterns, traffic processes, app surrogates."""
 
-from .apps import (
-    AppProfile,
-    PARSEC_PROFILES,
-    SPLASH2_PROFILES,
-    app_profile,
-    directory_home_nodes,
-    make_app_traffic,
-    suite_profiles,
-)
-from .trace import (
-    load_trace,
-    packet_to_record,
-    record_source,
-    record_to_packet,
-    save_trace,
-)
-from .generator import (
-    COHERENCE_MIX,
-    NullTraffic,
-    PacketClass,
-    SINGLE_FLIT_MIX,
-    SyntheticTraffic,
-    TraceTraffic,
-)
-from .patterns import (
-    BitComplement,
-    BitReverse,
-    Hotspot,
-    Neighbor,
-    Tornado,
-    TrafficPattern,
-    Transpose,
-    UniformRandom,
-    available_patterns,
-    make_pattern,
-)
+from .._lazy import lazy_face
+
+__getattr__, __dir__ = lazy_face(__name__, {
+    "apps": "AppProfile PARSEC_PROFILES SPLASH2_PROFILES app_profile"
+    " directory_home_nodes make_app_traffic suite_profiles",
+    "trace": "load_trace packet_to_record record_source record_to_packet save_trace",
+    "generator": "COHERENCE_MIX NullTraffic PacketClass SINGLE_FLIT_MIX"
+    " SyntheticTraffic TraceTraffic",
+    "patterns": "BitComplement BitReverse Hotspot Neighbor Tornado TrafficPattern"
+    " Transpose UniformRandom available_patterns make_pattern",
+})
 
 __all__ = [
     "AppProfile",
