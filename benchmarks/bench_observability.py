@@ -1,6 +1,6 @@
 """Engineering benchmark: the observability layer's overhead gates.
 
-Three gates, all run by the CI ``benchmark-smoke`` job.  The two time
+Four gates, all run by the CI ``benchmark-smoke`` job.  The three time
 gates are measured the way the ledger measures: alternating pairs, so
 that host drift lands on both sides of a pair, and the median of the
 per-pair ratios, which one slow run cannot move.
@@ -17,6 +17,9 @@ per-pair ratios, which one slow run cannot move.
   on stays on lanes (no object-engine fallbacks) and costs at most 15 %
   over the same sweep plain: the export is one reduction per retiring
   lane over counters the engine keeps anyway.
+* **A trace on lanes <= 15 %.**  The same sweep traced stays on lanes
+  too: a retiring lane builds its ``packet`` events in bulk from the
+  packet-table columns its ``NetworkStats`` is reduced from.
 * **Enabled mode stays usable.**  Full tracing + metrics + profiling on
   the same workload must finish within a sane multiple of the disabled
   run, and the tracer's throughput (events emitted per wall second) is
@@ -38,8 +41,9 @@ from repro.traffic.generator import SyntheticTraffic
 #: hard budget for the disabled path
 DISABLED_OVERHEAD_BUDGET = 0.05
 
-#: what metrics may add to a lane sweep
+#: what metrics, or a trace, may add to a lane sweep
 LANE_METRICS_BUDGET = 0.15
+LANE_TRACE_BUDGET = 0.15
 
 #: enabled mode may cost real time, but not explode: tracing + metrics +
 #: profiling together must stay under this multiple of the disabled run
@@ -116,34 +120,48 @@ def _lane_points():
     ]
 
 
-def test_metrics_on_lanes_within_budget():
+def _lane_sweep_gate(flag, budget):
+    """The median ratio of the 16-point lane sweep with ``flag`` on over the
+    same sweep plain, and the reports of the runs with it on; every run
+    must stay on lanes."""
     points = _lane_points()
     seen = []
 
-    def sweep(metrics):
-        if metrics:
-            observability.configure(metrics=True)
+    def sweep(on):
+        if on:
+            observability.configure(**{flag: True})
         try:
             t0 = time.perf_counter()
             values, report = run_lane_sweep(points)
             wall = time.perf_counter() - t0
         finally:
             observability.reset()
-        seen.append((metrics, report))
+        seen.append((on, report))
         return wall
 
     ratio = _median_pair_ratio(lambda: sweep(False), lambda: sweep(True))
-    on = [report for metrics, report in seen if metrics]
     print(
-        f"\nlane sweep of {len(points)} points, metrics on / off: median ratio "
-        f"of {_PAIRS} pairs {ratio:.3f} (budget {1 + LANE_METRICS_BUDGET:.2f})"
+        f"\nlane sweep of {len(points)} points, {flag} on / off: median ratio "
+        f"of {_PAIRS} pairs {ratio:.3f} (budget {1 + budget:.2f})"
     )
     assert all(r.fallbacks == 0 for _, r in seen)
-    assert all(r.observability["metrics"]["counters"] for r in on)
-    assert ratio <= 1 + LANE_METRICS_BUDGET, (
-        f"metrics cost a lane sweep {ratio:.3f}x "
-        f"(budget {1 + LANE_METRICS_BUDGET:.2f}x)"
+    assert ratio <= 1 + budget, (
+        f"{flag} cost a lane sweep {ratio:.3f}x (budget {1 + budget:.2f}x)"
     )
+    return [report for on, report in seen if on]
+
+
+def test_metrics_on_lanes_within_budget():
+    on = _lane_sweep_gate("metrics", LANE_METRICS_BUDGET)
+    assert all(r.observability["metrics"]["counters"] for r in on)
+
+
+def test_trace_on_lanes_within_budget():
+    on = _lane_sweep_gate("trace", LANE_TRACE_BUDGET)
+    for report in on:
+        traces = report.observability["traces"]
+        assert [label for label, _ in traces] == [f"p{i}" for i in range(16)]
+        assert all(t["emitted"] and t["events"] for _, t in traces)
 
 
 def test_enabled_mode_throughput():
@@ -164,8 +182,9 @@ def test_enabled_mode_throughput():
         f"{disabled_s:.3f}s disabled -> {overhead:.2f}x, "
         f"{emitted:,} events ({events_per_sec:,.0f} events/s)"
     )
-    # a seeded run: the tracer emits exactly this many events
-    assert emitted == 29_672
+    # a seeded run: the tracer emits exactly this many events, 29,672
+    # per-stage events and one ``packet`` event per delivered packet (1,532)
+    assert emitted == 29_672 + 1_532
     assert overhead <= ENABLED_OVERHEAD_CEILING, (
         f"fully enabled observability cost {overhead:.2f}x "
         f"(ceiling {ENABLED_OVERHEAD_CEILING}x)"

@@ -800,13 +800,13 @@ def run_lane_sweep(
     Every other point is a :func:`run_point` task of its own.  The
     triage that decides this is the one record of why.  Every router
     kind a point can name has an array model, so ``supports()`` declines a
-    group only with tracing on or past ``_MAX_VCS`` VCs: its points
-    run on the object engine and are the report's ``fallbacks``, the
-    decline strings its ``fallback_reasons``.  A supported group smaller
-    than :data:`_MIN_LANE_GROUP` is not a fallback — its ``run()`` picks
-    the engine by load and may still step it as a width-1 lane.  Metrics
-    and profiles ride the lanes; the report's ``observability`` folds
-    the points' exports in point order, whichever task ran them.
+    group only past ``_MAX_VCS`` VCs: its points run on the object engine
+    and are the report's ``fallbacks``, the decline strings its
+    ``fallback_reasons``.  A supported group smaller than
+    :data:`_MIN_LANE_GROUP` is not a fallback — its ``run()`` picks the
+    engine by load and may still step it as a width-1 lane.  Metrics,
+    profiles and traces ride the lanes; the report's ``observability``
+    folds the points' exports in point order, whichever task ran them.
 
     Execution funnels through :func:`run_sweep`, a chunk as a batch task
     that hands each point over as its lane retires: results, failures
@@ -825,8 +825,8 @@ def run_lane_sweep(
 
     batchable: list[tuple[list[int], LanePoint]] = []
     singles: list[int] = []
-    # every kind a point can name is a lane kind: tracing declines every
-    # group, a VC count past the engine's tables its own group
+    # every kind a point can name is a lane kind: only a VC count past
+    # the engine's tables declines a group
     declined: dict[str, int] = {}  # reason -> points
     for key, idxs in groups.items():
         reason = batched.supports(key[0])

@@ -36,10 +36,10 @@ Observability (:mod:`repro.observability`, see ``docs/observability.md``):
 run (merged deterministically across shards and experiments) and the
 merged snapshot also lands in ``ExperimentResult.extras["metrics"]``;
 ``--profile`` samples per-phase wall time inside each engine's loop.
-``--trace-out trace.json`` records flit-lifecycle events and writes a
-Chrome ``trace_event`` file loadable in ``chrome://tracing`` / Perfetto;
-it needs the object engine, so the sweep line counts the lane points it
-moved there as "object-engine fallbacks".
+``--trace-out trace.json`` writes a Chrome ``trace_event`` file loadable
+in ``chrome://tracing`` / Perfetto: one ``packet`` slice per delivered
+packet of every point, lane points included, and the per-stage flit
+events of the points the object engine steps.
 
 An experiment that raises — including inside a worker shard of a parallel
 sweep — makes the process exit non-zero; with ``all``, the remaining
@@ -274,8 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         metavar="FILE",
         default=None,
-        help="record flit-lifecycle events and write a Chrome trace_event "
-        "JSON file (load in chrome://tracing or ui.perfetto.dev)",
+        help="record one event per delivered packet (and the per-stage flit "
+        "events of stepped points) and write a Chrome trace_event JSON file "
+        "(load in chrome://tracing or ui.perfetto.dev)",
     )
     parser.add_argument(
         "--trace-capacity",

@@ -149,13 +149,14 @@ off the routers a fabric is built from: a ``NoCSimulator.run()`` above the
 break-even load is a width-1 engine of this class only when every router
 is exactly one registered class (a subclass, such as
 ``comparison.ecc_sim``'s, is stepped), and :func:`router_factory` builds
-the class a sweep point's kind names.  :func:`supports` declines while
-tracing is on and past :data:`_MAX_VCS` VCs per port:
-:func:`repro.experiments.parallel.run_lane_sweep` then runs those points
-on the object engine one at a time and counts them as its report's
-``fallbacks``.  Metrics ride the lanes: a retiring lane's slice of the
-counter matrix goes through the object engine's export,
-:func:`repro.observability.harvest`.
+the class a sweep point's kind names.  :func:`supports` declines past
+:data:`_MAX_VCS` VCs per port: :func:`repro.experiments.parallel.run_lane_sweep`
+then runs those points on the object engine one at a time and counts them
+as its report's ``fallbacks``.  Observability rides the lanes: a retiring
+lane's slice of the counter matrix goes through the object engine's
+export, :func:`repro.observability.harvest`, and a trace takes one
+``packet`` event per delivered packet, built from the columns the lane's
+``NetworkStats`` is reduced from.
 
 Frozen stretches
 ----------------
@@ -194,7 +195,8 @@ from ..config import PORT_LOCAL, NetworkConfig, SimulationConfig
 from ..core.protected_router import ProtectedRouter
 from ..faults.recovery import RecoveryMonitor
 from ..faults.sites import FaultUnit
-from ..observability import MetricsRegistry, Observability, global_config, harvest
+from ..observability import EventTracer, MetricsRegistry, Observability, global_config, harvest
+from ..observability.events import packet_events
 from ..observability.profiler import STAGE_NAMES, StageProfiler
 from ..router.crossbar import carrier_port
 from ..router.router import BaseRouter, BaselineRouter, RouterStats
@@ -310,18 +312,11 @@ def router_factory(kind: str, config: NetworkConfig) -> RouterFactory:
     return make
 
 
-#: why no lane runs while a tracer is on
-_TRACE_DECLINE = "tracing enabled (per-stage flit events need the object engine)"
-
-
-def supports(config: Optional[NetworkConfig] = None) -> Optional[str]:
-    """Why the batched engine cannot run ``config`` now, or ``None``: tracing
-    on (per-stage flit events need the object engine's per-object hooks), or
-    more than :data:`_MAX_VCS` VCs per port.  The lane sweep's triage records
-    the reason and runs such points on the object engine."""
-    if global_config().trace:
-        return _TRACE_DECLINE
-    if config is not None and config.router.num_vcs > _MAX_VCS:
+def supports(config: NetworkConfig) -> Optional[str]:
+    """Why the batched engine cannot run ``config``, or ``None``: more than
+    :data:`_MAX_VCS` VCs per port.  The lane sweep's triage records the
+    reason and runs such points on the object engine."""
+    if config.router.num_vcs > _MAX_VCS:
         return f"more than {_MAX_VCS} VCs per port (the VA stage-1 pick tables)"
     return None
 
@@ -335,9 +330,10 @@ class BatchedLaneEngine:
     the kind of a lane whose spec leaves it open).
 
     ``observability`` (default: the process-wide configuration) adds to
-    each result its metrics, and to the last retired the engine's stage
-    profile (once, so a merge counts it once).  A handed
-    ``Observability`` is one run's: its registry takes the harvest, so
+    each result its metrics and its trace (one ``packet`` event per
+    delivered packet), and to the last retired the engine's stage profile
+    (once, so a merge counts it once).  A handed ``Observability`` is one
+    run's: its registry takes the harvest and its tracer the events, so
     hand one only to a one-lane engine.
     """
 
@@ -354,8 +350,6 @@ class BatchedLaneEngine:
         observability: Optional[Observability] = None,
     ) -> None:
         reason = supports(config)
-        if observability is not None and observability.tracer is not None:
-            reason = _TRACE_DECLINE
         if reason is not None:
             raise ValueError(f"batched engine cannot run this config: {reason}")
         if not lanes:
@@ -662,10 +656,13 @@ class BatchedLaneEngine:
         }
 
         cfg = global_config() if observability is None else observability.config
-        #: harvest each retiring lane's metrics onto its result, into the
-        #: handed run's own registry if there is one
+        #: harvest each retiring lane's metrics and trace onto its result,
+        #: into the handed run's own registry and tracer if there are any
         self._metrics = cfg.metrics
         self._registry = observability.metrics if observability is not None else None
+        self._trace = cfg.trace
+        self._trace_capacity = cfg.trace_capacity
+        self._tracer = observability.tracer if observability is not None else None
         #: wall time per kernel, sampled every 16th global cycle; a profile
         #: asked for rides on the last point's export
         given = observability.profiler if observability is not None else None
@@ -1414,21 +1411,30 @@ class BatchedLaneEngine:
         # per cycle and the XB phase visits routers in node order)
         dest = self.t_dest[lane, :n]
         done = done[np.lexsort((dest[done], ej[done]))]
-        stats.record_packets([done] + [  # a sample's id is its table row
+        packets = [done] + [  # a sample's id is its table row
             column[lane, done] for column in (
                 self.t_src, self.t_dest, self.t_vnet, self.t_size,
                 self.t_creation, self.t_inj, self.t_ej, self.t_hops,
             )
-        ])
+        ]
+        stats.record_packets(packets)
         mon = self._monitors.pop(lane, None)
         if mon is not None:
             mon.finalize()
         counts = self.counts()[:, lane]
-        export = None
-        if self._metrics:
-            metrics = self._registry if self._registry is not None else MetricsRegistry()
-            harvest(metrics, counts, stats, local, self.faults_injected[lane])
-            export = {"metrics": metrics.snapshot(), "trace": None, "profile": None}
+        export: Optional[dict] = None
+        if self._metrics or self._trace:
+            export = {"metrics": None, "trace": None, "profile": None}
+            if self._metrics:
+                metrics = self._registry if self._registry is not None else MetricsRegistry()
+                harvest(metrics, counts, stats, local, self.faults_injected[lane])
+                export["metrics"] = metrics.snapshot()
+            if self._trace:
+                tracer = self._tracer if self._tracer is not None else EventTracer(
+                    self._trace_capacity
+                )
+                tracer.extend(packet_events(packets, tracer.capacity), len(done))
+                export["trace"] = tracer.snapshot()
         point = self.lane_point[lane]
         result = self._results[point] = SimulationResult(
             stats=stats,

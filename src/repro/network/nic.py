@@ -25,9 +25,11 @@ from skipping the cycle it lands on).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import astuple
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from ..config import PORT_LOCAL, RouterConfig
+from ..observability.events import packet_event
 from ..router.flit import Flit, Packet
 from .stats import LatencySample, NetworkStats
 
@@ -92,7 +94,7 @@ class NetworkInterface:
         #: partial ejections: packet id -> head flit info
         self._eject_heads: Dict[int, Flit] = {}
         #: flit-lifecycle tracer (:mod:`repro.observability`); ``None`` —
-        #: the default — makes both emission sites a single attribute check
+        #: the default — makes every emission site a single attribute check
         self.tracer: Optional["EventTracer"] = None
 
     # ------------------------------------------------------------------
@@ -217,16 +219,17 @@ class NetworkInterface:
             self._eject_heads[flit.packet_id] = flit
         if flit.is_tail:
             head = self._eject_heads.pop(flit.packet_id, flit)
-            self.stats.record_packet(
-                LatencySample(
-                    packet_id=flit.packet_id,
-                    src=flit.src,
-                    dest=flit.dest,
-                    vnet=flit.vnet,
-                    size_flits=flit.packet_len,
-                    creation_cycle=head.creation_cycle,
-                    injection_cycle=head.injection_cycle,
-                    ejection_cycle=cycle,
-                    hops=flit.hops,
-                )
+            sample = LatencySample(
+                packet_id=flit.packet_id,
+                src=flit.src,
+                dest=flit.dest,
+                vnet=flit.vnet,
+                size_flits=flit.packet_len,
+                creation_cycle=head.creation_cycle,
+                injection_cycle=head.injection_cycle,
+                ejection_cycle=cycle,
+                hops=flit.hops,
             )
+            self.stats.record_packet(sample)
+            if tracer is not None:  # the record a retiring lane emits too
+                tracer.extend([packet_event(*astuple(sample))], 1)

@@ -627,8 +627,9 @@ class NoCSimulator:
 
         A fresh run on an untouched fabric of one lane kind's routers
         (:func:`repro.network.batched.lane_kind`) that ``supports()`` and
-        nothing outside the event system watches (a tracer is per-object
-        hooks; metrics and profiles are not), and whose traffic source
+        nothing outside the event system watches (a tracer handed to a
+        simulator takes the per-stage events only its objects emit; metrics
+        and profiles watch nothing), and whose traffic source
         declares an ``offered_load`` of :data:`LANE_BREAK_EVEN` or more,
         rides a width-1 lane of :class:`repro.network.batched.BatchedLaneEngine`
         on its own traffic, schedule and ``Observability`` objects —

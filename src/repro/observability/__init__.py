@@ -3,9 +3,10 @@
 Three cooperating subsystems, all off by default:
 
 * :mod:`~repro.observability.events` — a flit-lifecycle event tracer
-  (inject → RC → VA → SA → XB → link → eject) with bounded ring-buffer
-  storage and Chrome ``trace_event`` export
-  (:mod:`~repro.observability.trace`) viewable in Perfetto;
+  (inject → RC → VA → SA → XB → link → eject, then the delivered
+  ``packet``) with bounded ring-buffer storage and Chrome
+  ``trace_event`` export (:mod:`~repro.observability.trace`) viewable in
+  Perfetto;
 * :mod:`~repro.observability.metrics` — a counters/gauges/histograms
   registry holding a finished run's per-router stall causes, VA/SA
   grants and retries and fault-path activations (:func:`harvest`, one
@@ -24,8 +25,9 @@ the *entire* overhead — pinned to <= 5 % by
 :class:`~repro.network.simulator.NoCSimulator`, or flip the process-wide
 default with :func:`configure` (the ``--metrics-out`` / ``--trace-out`` /
 ``--profile`` flags on ``python -m repro.experiments`` do the latter).
-Metrics and profiles run on either engine; a trace needs the object
-engine's per-object hooks, so it keeps a run off the lane engine.
+Metrics, profiles and traces run on either engine: a lane sweep's trace
+holds one ``packet`` event per delivered packet, and a simulator handed a
+tracer steps on the object engine, which adds the per-stage events.
 The global configuration is mirrored into the ``REPRO_OBSERVABILITY``
 environment variable so ``spawn``-started sweep workers inherit it.
 """
@@ -36,12 +38,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-from .events import (
-    DEFAULT_CAPACITY,
-    EVENT_KINDS,
-    EVENT_SCHEMA,
-    EventTracer,
-)
+from .events import DEFAULT_CAPACITY, EVENT_SCHEMA, EventTracer
 from .metrics import DEFAULT_EDGES, Histogram, MetricsRegistry, merge_snapshots
 from .profiler import StageProfiler, merge_profiles
 
@@ -52,7 +49,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_EDGES",
-    "EVENT_KINDS",
     "EVENT_SCHEMA",
     "EventTracer",
     "Histogram",
@@ -184,7 +180,8 @@ class Observability:
         """Picklable snapshot carried on ``SimulationResult.observability``."""
         return {
             "metrics": self.metrics.snapshot() if self.metrics else None,
-            "trace": self.tracer.snapshot() if self.tracer else None,
+            # an empty tracer is falsy (``__len__``), and still a trace
+            "trace": self.tracer.snapshot() if self.tracer is not None else None,
             "profile": self.profiler.snapshot() if self.profiler else None,
         }
 

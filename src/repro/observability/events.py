@@ -1,7 +1,8 @@
 """Flit-lifecycle event tracer with bounded ring-buffer storage.
 
 Every stage of a flit's life through the RC/VA/SA/XB pipeline emits one
-event when tracing is enabled:
+event on the object engine when tracing is enabled, and every delivered
+packet one ``packet`` event on either engine:
 
 ========== ===========================================================
 kind       emitted when
@@ -16,6 +17,8 @@ sa_bypass  the SA stage-1 bypass granted the rotating default winner
 xb         a flit traverses the crossbar (primary or secondary mux)
 link       a flit leaves a router onto an inter-router link
 eject      a flit is consumed by the destination NIC
+packet     a packet's tail is consumed: its record (node = destination,
+           cycle = ejection), the one kind both engines produce
 ========== ===========================================================
 
 The per-kind payload fields are pinned by :data:`EVENT_SCHEMA` (and a
@@ -25,15 +28,19 @@ tracing a long run is memory-bounded by construction.
 
 Emission sites live behind ``tracer is not None`` attribute checks in the
 router/NIC/simulator hot paths — with tracing disabled the only cost is
-that check.
+that check.  The lane engine keeps no per-stage state to emit from: a
+retiring lane builds its ``packet`` events in bulk from its packet table
+(:func:`packet_events`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
-__all__ = ["EVENT_KINDS", "EVENT_SCHEMA", "EventTracer", "TraceEvent"]
+import numpy as np
+
+__all__ = ["EVENT_SCHEMA", "EventTracer", "TraceEvent", "packet_event", "packet_events"]
 
 #: event kind -> sorted tuple of payload field names (the pinned schema)
 EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
@@ -46,9 +53,8 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "xb": ("flit", "in_port", "out_port", "out_vc", "packet", "secondary"),
     "link": ("flit", "out_port", "out_vc", "packet"),
     "eject": ("dest", "flit", "packet", "src", "vc"),
+    "packet": ("creation", "dest", "hops", "inject", "packet", "size", "src", "vnet"),
 }
-
-EVENT_KINDS: Tuple[str, ...] = tuple(sorted(EVENT_SCHEMA))
 
 #: one stored event: (cycle, kind, node, payload)
 TraceEvent = Tuple[int, str, int, dict]
@@ -74,6 +80,12 @@ class EventTracer:
         self.emitted += 1
         self._buf.append((cycle, kind, node, payload))
 
+    def extend(self, events: List[TraceEvent], emitted: int) -> None:
+        """Record the last ``len(events)`` of ``emitted`` events built in
+        bulk; the rest count as dropped, as if they fell off the ring."""
+        self.emitted += emitted
+        self._buf.extend(events)
+
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
@@ -96,9 +108,24 @@ class EventTracer:
             "events": self.events(),
         }
 
-    def clear(self) -> None:
-        self._buf.clear()
-        self.emitted = 0
+
+def packet_event(
+    pid: int, src: int, dest: int, vnet: int, size: int,
+    creation: int, inject: int, ejection: int, hops: int,
+) -> TraceEvent:
+    """One delivered packet's ``packet`` event, from its
+    :class:`~repro.network.stats.LatencySample` fields in field order."""
+    return (ejection, "packet", dest, {
+        "packet": pid, "src": src, "dest": dest, "vnet": vnet, "size": size,
+        "creation": creation, "inject": inject, "hops": hops,
+    })
+
+
+def packet_events(columns: Sequence[np.ndarray], keep: int) -> List[TraceEvent]:
+    """The ``packet`` events of the last ``keep`` rows of ``columns``, one
+    array per ``LatencySample`` field in field order and rows in ejection
+    order: a retiring lane's packets, built in one pass."""
+    return list(map(packet_event, *(c[-keep:].tolist() for c in columns)))
 
 
 def validate_event(event: TraceEvent) -> None:

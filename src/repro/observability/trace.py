@@ -4,8 +4,10 @@ Produces the JSON object format understood by ``chrome://tracing`` and
 Perfetto (https://ui.perfetto.dev): ``{"traceEvents": [...]}`` where each
 simulated router becomes one *process* and each pipeline stage one
 *thread* inside it, so a loaded trace shows per-router swim lanes with
-RC/VA/SA/XB/link/NIC activity over cycles.  Timestamps are simulation
-cycles interpreted as microseconds (1 cycle == 1 us).
+RC/VA/SA/XB/link/NIC activity over cycles.  A ``packet`` event is one
+slice from the packet's injection to its ejection on its source router's
+``packet`` row.  Timestamps are simulation cycles interpreted as
+microseconds (1 cycle == 1 us).
 
 Multiple simulations (e.g. the points of a ``fig7`` sweep) can share one
 file: each point's routers get their own pid block, labelled
@@ -32,6 +34,7 @@ STAGE_LANES: Dict[str, Tuple[int, str]] = {
     "sa_bypass": (3, "sa"),
     "xb": (4, "xb"),
     "link": (5, "link"),
+    "packet": (6, "packet"),
 }
 
 #: pid stride per sweep point: room for a 64x64 mesh per point
@@ -59,6 +62,10 @@ def chrome_trace(
     for point_idx, (label, events) in enumerate(points):
         base_pid = point_idx * _PID_STRIDE
         for cycle, kind, node, payload in events:
+            start, dur = cycle, 1
+            if kind == "packet":  # injection to ejection, on the source router
+                node, start = payload["src"], payload["inject"]
+                dur = cycle - start
             pid = base_pid + node
             tid, lane = STAGE_LANES.get(kind, (7, kind))
             if pid not in named_pids:
@@ -89,8 +96,8 @@ def chrome_trace(
                     "name": _event_name(kind, payload),
                     "cat": "flit",
                     "ph": "X",
-                    "ts": cycle,
-                    "dur": 1,
+                    "ts": start,
+                    "dur": dur,
                     "pid": pid,
                     "tid": tid,
                     "args": dict(payload),

@@ -504,6 +504,13 @@ class TestSeamFaultsGoldenUnderRefill:
             assert _lane_key(b) == _lane_key(r), f"point {i} diverged"
 
 
+#: 15 VCs per port, past ``_MAX_VCS``: the one configuration ``supports()``
+#: declines
+_WIDE_VC_NET = NetworkConfig(
+    width=1, height=4, router=RouterConfig(num_ports=4, num_vcs=15, num_vnets=3)
+)
+
+
 # ----------------------------------------------------------------------
 # the router kind rule
 # ----------------------------------------------------------------------
@@ -541,9 +548,7 @@ class TestSupportsGate:
         """Past ``_MAX_VCS`` VCs VA stage 1's pointer no longer fits its
         ``uint16`` row: the engine refuses, a lane sweep's group falls back
         with the reason, and its points are the object engine's."""
-        net = NetworkConfig(
-            width=1, height=4, router=RouterConfig(num_ports=4, num_vcs=15, num_vnets=3)
-        )
+        net = _WIDE_VC_NET
         assert supports(net) is not None and supports(_net(4, 4, 12, 2)) is None
         with pytest.raises(ValueError, match="VCs per port"):
             BatchedLaneEngine(net, _sim_cfg(), [LaneSpec(NullTraffic())])
@@ -586,41 +591,29 @@ def _lane_points(net, sim_cfg, routing_kinds, rate=0.05, seed=3):
 
 class TestRunLaneSweep:
     def test_unsupported_points_fall_back_per_point(self):
-        """``roco`` points are lanes like any other, so the decline is
-        provoked with tracing on, the one observability decline a lane
-        sweep has left (metrics and profiles ride the lanes)."""
-        from repro import observability
-
-        net = _net(4, 4, 4, 2)
-        # ``roco`` lanes batch like the others; ``west_first`` like ``xy``
+        """Every router kind and every observability mode is a lane like
+        any other, so the decline is provoked past ``_MAX_VCS`` VCs, the
+        one decline a lane sweep has left (a 1x4 mesh: RoCo needs 5 ports)."""
+        # ``baseline`` points group like the others; ``west_first`` like ``xy``
         points = _lane_points(
-            net, _sim_cfg(measure=150), ("xy", "west_first") * 3
+            _WIDE_VC_NET, _sim_cfg(measure=150), ("xy", "west_first") * 3
         )
-        points[2:4] = [replace(p, router_kind="roco") for p in points[2:4]]
-        lane_values, lane_report = run_lane_sweep(points)
-        observability.configure(trace=True)
-        try:
-            traced = supports()
-            batched_values, batched_report = run_lane_sweep(points)
-            # the lower layer called directly: nothing declined, no fallbacks
-            event_values, event_report = map_sweep(
-                run_point, [(p,) for p in points]
-            )
-        finally:
-            observability.reset()
+        points[2:4] = [replace(p, router_kind="baseline") for p in points[2:4]]
+        batched_values, batched_report = run_lane_sweep(points)
+        # the lower layer called directly: nothing declined, no fallbacks
+        event_values, event_report = map_sweep(run_point, [(p,) for p in points])
 
-        assert (lane_report.fallbacks, lane_report.fallback_reasons) == (0, ())
         assert batched_report.points == len(points)
         assert batched_report.fallbacks == len(points)
         assert event_report.fallbacks == 0
         assert "object-engine fallbacks" in batched_report.format()
         # the *why* is threaded through to the report, not just a count
-        assert batched_report.fallback_reasons == (traced,)
+        assert batched_report.fallback_reasons == (supports(_WIDE_VC_NET),)
         assert "fallback reasons:" in batched_report.format()
         assert event_report.fallback_reasons == ()
-        for i, (b, e, lane) in enumerate(zip(batched_values, event_values, lane_values)):
-            assert b.stats.summary() == e.stats.summary() == lane.stats.summary(), f"point {i}"
-            assert b.cycles == e.cycles == lane.cycles
+        for i, (b, e) in enumerate(zip(batched_values, event_values)):
+            assert b.stats.summary() == e.stats.summary(), f"point {i}"
+            assert b.stats.packets_ejected > 0 and b.cycles == e.cycles
 
     def test_chunking_invariance_across_jobs(self):
         net = _net(4, 4, 4, 2)
@@ -973,60 +966,44 @@ class TestLaneSweepInPoints:
         ]
 
     def _declining_points(self):
-        """Two ``roco`` and two protected points: one lane group, which
-        ``supports()`` declines while tracing is on."""
-        net = _net(4, 4, 4, 2)
-        points = _lane_points(net, _sim_cfg(measure=100), ("xy",) * 4)
-        points[:2] = [replace(p, router_kind="roco") for p in points[:2]]
+        """Two baseline and two protected points: one lane group, which
+        ``supports()`` declines past ``_MAX_VCS`` VCs."""
+        points = _lane_points(_WIDE_VC_NET, _sim_cfg(measure=100), ("xy",) * 4)
+        points[:2] = [replace(p, router_kind="baseline") for p in points[:2]]
         return points
 
     def test_every_decline_is_counted_once_at_triage(self):
-        """With tracing on, ``supports()`` declines the lane group: each
+        """Past ``_MAX_VCS`` VCs ``supports()`` declines the lane group: each
         declined point is one fallback and the reason is listed once, on
         the sweep and never per shard."""
-        from repro import observability
-
-        observability.configure(trace=True)
-        try:
-            traced = supports()
-            values, report = run_lane_sweep(self._declining_points(), jobs=2)
-        finally:
-            observability.reset()
+        values, report = run_lane_sweep(self._declining_points(), jobs=2)
         assert all(v is not None for v in values)
         assert report.fallbacks == 4
-        assert report.fallback_reasons == (traced,)
+        assert report.fallback_reasons == (supports(_WIDE_VC_NET),)
         lines = report.format().splitlines()
         assert "[4 object-engine fallbacks]" in lines[0]
         assert sum("fallback" in line for line in lines) == 2
 
     def test_a_resumed_sweep_reports_the_same_declines(self, tmp_path):
-        """Provoked with tracing on: the two roco points it used to
-        decline are lanes now, and so are metrics."""
-        from repro import observability
+        """Provoked past ``_MAX_VCS`` VCs: roco points, metrics and traces,
+        which it used to be provoked with, are all lanes now."""
         from repro.experiments.resilient import sweep_runtime
 
         points = self._declining_points()
-        observability.configure(trace=True)
-        traced = supports()
-        try:
-            with sweep_runtime(out_dir=tmp_path):
-                full, whole = run_lane_sweep(points, jobs=1)
-            (jsonl,) = sweep_files(tmp_path)
-            records = jsonl.read_text().splitlines()
-            # one record per task: each declined point
-            assert len(records) == 4
-            # keep only the first point's record, as if killed after it
-            jsonl.write_text(
-                "".join(r + "\n" for r in records if '"p0:xy"' in r)
-            )
-            with sweep_runtime(resume=tmp_path):
-                again, resumed = run_lane_sweep(points, jobs=1)
-        finally:
-            observability.reset()
+        with sweep_runtime(out_dir=tmp_path):
+            full, whole = run_lane_sweep(points, jobs=1)
+        (jsonl,) = sweep_files(tmp_path)
+        records = jsonl.read_text().splitlines()
+        # one record per task: each declined point
+        assert len(records) == 4
+        # keep only the first point's record, as if killed after it
+        jsonl.write_text("".join(r + "\n" for r in records if '"p0:xy"' in r))
+        with sweep_runtime(resume=tmp_path):
+            again, resumed = run_lane_sweep(points, jobs=1)
         assert resumed.resumed == 1 and resumed.checkpointed == 3
         assert (resumed.fallbacks, resumed.fallback_reasons) == (
             whole.fallbacks, whole.fallback_reasons,
-        ) == (4, (traced,))
+        ) == (4, (supports(_WIDE_VC_NET),))
         assert _summaries(again) == _summaries(full)
 
 

@@ -86,6 +86,9 @@ class TestEventSchema:
         "xb": ("flit", "in_port", "out_port", "out_vc", "packet", "secondary"),
         "link": ("flit", "out_port", "out_vc", "packet"),
         "eject": ("dest", "flit", "packet", "src", "vc"),
+        "packet": (
+            "creation", "dest", "hops", "inject", "packet", "size", "src", "vnet",
+        ),
     }
 
     def test_schema_is_pinned(self):
@@ -101,7 +104,7 @@ class TestEventSchema:
         kinds = {kind for _, kind, _, _ in events}
         # a full lifecycle must appear in any healthy run
         assert {"inject", "rc", "va_grant", "sa_grant", "xb", "link",
-                "eject"} <= kinds
+                "eject", "packet"} <= kinds
 
     def test_validate_event_rejects_bad_payloads(self):
         with pytest.raises(ValueError):
@@ -122,6 +125,16 @@ class TestTracerRing:
         assert [e[0] for e in tr.events()] == list(range(12, 20))
         snap = tr.snapshot()
         assert snap["capacity"] == 8 and snap["dropped"] == 12
+        # events built in bulk: those not built count as dropped
+        tr.extend([(30, "rc", 0, {})] * 3, emitted=5)
+        assert (tr.emitted, tr.dropped, len(tr)) == (25, 17, 8)
+        assert [e[0] for e in tr.events()] == [15, 16, 17, 18, 19, 30, 30, 30]
+
+    def test_an_empty_trace_is_exported(self):
+        """A run that delivers nothing exports an empty trace, as a lane
+        that retires with no packet does, not ``None``."""
+        obs = Observability(ObservabilityConfig(trace=True, trace_capacity=8))
+        assert obs.export()["trace"] == EventTracer(8).snapshot()
 
     def test_rejects_silly_capacity(self):
         with pytest.raises(ValueError):
@@ -140,10 +153,21 @@ class TestChromeExport:
         names = {e["args"]["name"] for e in metadata if e["name"] == "process_name"}
         assert any(n.startswith("ocean@8faults / router ") for n in names)
         for e in spans:
-            assert e["ts"] >= 0 and e["dur"] == 1
+            # a packet spans injection to ejection, a stage event one cycle
+            dur = 1 if e["name"] != "packet" else e["dur"]
+            assert e["ts"] >= 0 and e["dur"] == dur >= 1
             assert set(e) == {"name", "cat", "ph", "ts", "dur", "pid",
                               "tid", "args"}
-        assert "xb_primary" in {e["name"] for e in spans}
+        assert {"xb_primary", "packet"} <= {e["name"] for e in spans}
+
+    def test_a_packet_is_one_slice_on_its_source_router(self):
+        payload = {"packet": 9, "src": 2, "dest": 7, "vnet": 0, "size": 5,
+                   "creation": 10, "inject": 12, "hops": 4}
+        doc = chrome_trace([("a", [(40, "packet", 7, payload)])])
+        (span,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert (span["name"], span["ts"], span["dur"], span["pid"]) == (
+            "packet", 12, 28, 2,
+        )
         json.dumps(doc)  # must be serialisable as-is
 
     def test_points_get_disjoint_pid_ranges(self):
@@ -258,6 +282,38 @@ class TestHarvestedMetrics:
         assert list(snap["histograms"]) == ["network.latency_cycles"]
 
 
+def _one_record_points(routing):
+    """Baseline, protected and roco lanes on one 4x4 structural key, the
+    last under a healing ``FaultTimeline`` with a recovery log."""
+    from repro.experiments.fault_campaign import campaign_schedule
+    from repro.experiments.load_latency import _make_schedule, _make_traffic
+    from repro.experiments.parallel import LanePoint
+    from repro.faults import TimelineSpec
+
+    net = make_network_config(4, 4, num_vcs=4, num_vnets=2)
+    sim_cfg = SimulationConfig(
+        warmup_cycles=50, measure_cycles=300, drain_cycles=1500, seed=5,
+        watchdog_cycles=4000,
+    )
+    healing = TimelineSpec(
+        events=8, mean_interval=30.0, transient_fraction=0.5,
+        transient_duration=40, seed=3, first_event_at=40,
+    )
+    runs = [
+        ("baseline", None, ()),
+        ("protected", _make_schedule, (net, 6, 7)),
+        ("roco", _make_schedule, (net, 6, 8)),
+        ("protected", campaign_schedule, (net, healing)),
+    ]
+    return [
+        LanePoint(
+            net, sim_cfg, _make_traffic, (net, 0.1, 7 + i), make_schedule,
+            args, kind, routing, f"{kind}{i}",
+        )
+        for i, (kind, make_schedule, args) in enumerate(runs)
+    ]
+
+
 class TestOneHarvest:
     """Both engines export through ``harvest``, over counts both keep, so
     a point's metrics do not depend on which engine ran it."""
@@ -265,33 +321,9 @@ class TestOneHarvest:
     @pytest.mark.parametrize("routing", ["xy", "west_first"])
     def test_lane_sweep_metrics_equal_the_object_engines(self, routing):
         from conftest import stepped_point
-        from repro.experiments.fault_campaign import campaign_schedule
-        from repro.experiments.load_latency import _make_schedule, _make_traffic
-        from repro.experiments.parallel import LanePoint, run_lane_sweep
-        from repro.faults import TimelineSpec
+        from repro.experiments.parallel import run_lane_sweep
 
-        net = make_network_config(4, 4, num_vcs=4, num_vnets=2)
-        sim_cfg = SimulationConfig(
-            warmup_cycles=50, measure_cycles=300, drain_cycles=1500, seed=5,
-            watchdog_cycles=4000,
-        )
-        healing = TimelineSpec(
-            events=8, mean_interval=30.0, transient_fraction=0.5,
-            transient_duration=40, seed=3, first_event_at=40,
-        )
-        runs = [
-            ("baseline", None, ()),
-            ("protected", _make_schedule, (net, 6, 7)),
-            ("roco", _make_schedule, (net, 6, 8)),
-            ("protected", campaign_schedule, (net, healing)),
-        ]
-        points = [
-            LanePoint(
-                net, sim_cfg, _make_traffic, (net, 0.1, 7 + i), make_schedule,
-                args, kind, routing, f"{kind}{i}",
-            )
-            for i, (kind, make_schedule, args) in enumerate(runs)
-        ]
+        points = _one_record_points(routing)
         observability.configure(metrics=True)
         lanes, report = run_lane_sweep(points)
         stepped = [stepped_point(p) for p in points]
@@ -309,6 +341,110 @@ class TestOneHarvest:
             assert lane.observability == ref.observability
         counters = report.observability["metrics"]["counters"]
         assert any(k.startswith("router.va_borrowed_grants") for k in counters)
+
+
+class TestOneTrace:
+    """A delivered packet is one ``packet`` event on both engines, so a
+    traced lane sweep stays on lanes and its trace is the packet stream
+    the object engine emits, event for event and in the same order."""
+
+    @staticmethod
+    def _packets(trace):
+        """The ``packet`` events in stream order, without the packet id
+        (an allocation-order artefact of each engine)."""
+        return [
+            (cycle, node, {k: v for k, v in payload.items() if k != "packet"})
+            for cycle, kind, node, payload in trace["events"]
+            if kind == "packet"
+        ]
+
+    @pytest.mark.parametrize("routing", ["xy", "west_first"])
+    def test_lane_sweep_packets_equal_the_object_engines(self, routing):
+        from conftest import stepped_point
+        from repro.experiments.parallel import run_lane_sweep
+
+        points = _one_record_points(routing)
+        observability.configure(trace=True, trace_capacity=1_000_000)
+        lanes, report = run_lane_sweep(points)
+        stepped = [stepped_point(p) for p in points]
+        assert report.fallbacks == 0
+        assert stepped[3].recovery["healed"] > 0
+        assert [label for label, _ in report.observability["traces"]] == [
+            p.label for p in points
+        ]
+        for (label, trace), lane, ref in zip(
+            report.observability["traces"], lanes, stepped
+        ):
+            ref_trace = ref.observability["trace"]
+            assert ref_trace["dropped"] == 0, label
+            assert trace == lane.observability["trace"], label
+            # a lane's trace is its packet record and nothing else
+            assert {kind for _, kind, _, _ in trace["events"]} == {"packet"}, label
+            assert trace["emitted"] == len(trace["events"]) == lane.stats.packets_ejected
+            assert trace["dropped"] == 0, label
+            for event in trace["events"]:
+                validate_event(event)
+            assert self._packets(trace) == self._packets(ref_trace), label
+            # and it is the record the run's latency is reduced from
+            sc = points[0].sim_config
+            window = range(sc.warmup_cycles, sc.warmup_cycles + sc.measure_cycles)
+            latency = [
+                cycle - p["inject"] for cycle, _, p in self._packets(trace)
+                if p["creation"] in window
+            ]
+            assert sum(latency) / len(latency) == lane.stats.avg_network_latency
+
+    def test_a_packet_event_is_its_latency_sample(self):
+        from dataclasses import astuple
+
+        from repro.network.stats import LatencySample
+        from repro.observability.events import packet_event
+
+        sample = LatencySample(9, 2, 7, 1, 5, 10, 12, 40, 4)
+        assert packet_event(*astuple(sample)) == (40, "packet", 7, {
+            "packet": 9, "src": 2, "dest": 7, "vnet": 1, "size": 5,
+            "creation": 10, "inject": 12, "hops": 4,
+        })
+
+    def test_a_handed_tracer_takes_the_events(self):
+        """A one-lane engine handed an ``Observability`` puts its packet
+        events into that run's tracer, as a handed registry takes the
+        harvest."""
+        from repro.experiments.parallel import _lane_batched_chunk
+        from repro.network.batched import BatchedLaneEngine, LaneSpec
+
+        point = _one_record_points("xy")[1]
+        observability.configure(trace=True, trace_capacity=1_000_000)
+        (sweep,) = _lane_batched_chunk((point,), 1)
+        observability.reset()
+        obs = Observability(ObservabilityConfig(trace=True, trace_capacity=1_000_000))
+        lane = LaneSpec(
+            point.make_traffic(*point.traffic_args),
+            point.make_schedule(*point.schedule_args),
+            point.router_kind,
+        )
+        (result,) = BatchedLaneEngine(
+            point.config, point.sim_config, [lane], observability=obs
+        ).run()
+        assert obs.tracer.snapshot() == result.observability["trace"]
+        assert obs.tracer.events() == sweep.observability["trace"]["events"]
+        assert obs.tracer.emitted == result.stats.packets_ejected > 0
+
+    def test_the_ring_keeps_the_last_packets(self):
+        """Past ``trace_capacity`` a lane keeps the latest packets and counts
+        the rest as dropped, as the object engine's ring does."""
+        from repro.experiments.parallel import run_lane_sweep
+
+        points = _one_record_points("xy")[:2]
+        observability.configure(trace=True, trace_capacity=1_000_000)
+        full, _ = run_lane_sweep(points)
+        observability.configure(trace_capacity=50)
+        bounded, _ = run_lane_sweep(points)
+        for whole, ring in zip(full, bounded):
+            whole, ring = whole.observability["trace"], ring.observability["trace"]
+            assert ring["events"] == whole["events"][-50:]
+            assert ring["emitted"] == whole["emitted"]
+            assert ring["dropped"] == whole["emitted"] - 50 > 0
 
 
 # ----------------------------------------------------------------------
@@ -417,8 +553,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "observability summary" in out
 
-    def test_only_a_trace_leaves_the_lanes_and_says_so(self, tmp_path, capsys):
-        """Without ``--jobs`` the sweep line is printed only for a decline."""
+    def test_a_trace_stays_on_the_lanes(self, tmp_path, capsys):
+        """Without ``--jobs`` the sweep line is printed only for a decline,
+        and no observability flag declines: a trace holds one ``packet``
+        slice per delivered packet of each of the three points."""
         from repro.experiments.runner import main
 
         assert main([
@@ -428,9 +566,14 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "profile (" in out and "fallback" not in out
         observability.reset()
-        assert main(["fault_sweep", "--quick", "--trace-out", str(tmp_path / "t.json")]) == 0
+        trace_path = tmp_path / "t.json"
+        assert main(["fault_sweep", "--quick", "--trace-out", str(trace_path)]) == 0
         out = capsys.readouterr().out
-        assert "[3 object-engine fallbacks]" in out and "tracing enabled" in out
+        assert "fallback" not in out and "0 dropped" in out
+        spans = json.loads(trace_path.read_text())["traceEvents"]
+        packets = [e for e in spans if e["ph"] == "X" and e["name"] == "packet"]
+        assert {e["pid"] // 4096 for e in packets} == {0, 1, 2}
+        assert all(e["name"] == "packet" for e in spans if e["ph"] == "X")
 
     def test_trace_capacity_validation(self):
         from repro.experiments.runner import main

@@ -59,9 +59,29 @@ class TestFacade:
     """The lazy top-level facade (see repro/__init__.py)."""
 
     def test_all_is_exact(self):
+        """``__all__`` names each of the face's lazy names, the three eager
+        configs and ``__version__`` once, and nothing else.  The lazy names
+        are read in a fresh interpreter, before anything touches them."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
         import repro
 
-        assert sorted(repro.__all__) == repro.__all__ or True  # order free
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", "import json, repro; print(json.dumps("
+             "sorted(set(dir(repro)) - set(vars(repro)))))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        lazy = set(json.loads(done.stdout))
+        eager = {"NetworkConfig", "RouterConfig", "SimulationConfig", "__version__"}
+        assert len(repro.__all__) == len(set(repro.__all__))
+        assert set(repro.__all__) == lazy | eager
         # every name in __all__ resolves (lazily or eagerly)
         for symbol in repro.__all__:
             assert getattr(repro, symbol) is not None
