@@ -10,11 +10,13 @@ plain static fault sweep stays within 25 %.
 """
 
 import time
+from unittest import mock
 
 from repro.experiments.fault_campaign import CampaignConfig, run
 from repro.experiments.latency import LatencyConfig, suite_traffic
 from repro.experiments.parallel import LanePoint, run_lane_sweep
 from repro.faults import RandomFaultSchedule, TimelineSpec
+from repro.network.simulator import NoCSimulator
 
 TIMELINES = 4
 LATENCY = LatencyConfig(
@@ -88,17 +90,16 @@ def test_campaign_overhead_vs_plain_fault_sweep():
     # warm both paths once so neither pays first-import costs
     _run_plain()
 
-    ((_, plain_report), plain_s) = _timed(_run_plain)
-    assert plain_report.fallbacks == 0, plain_report.fallback_reasons
-
-    res, campaign_s = _timed(lambda: run(CAMPAIGN, jobs=None))
+    # every point of both runs is a lane
+    left = AssertionError("a point ran on the object engine's own loop")
+    with mock.patch.object(NoCSimulator, "_run_stepped", side_effect=left):
+        _, plain_s = _timed(_run_plain)
+        res, campaign_s = _timed(lambda: run(CAMPAIGN, jobs=None))
 
     # the campaign did its job: temporal events measured end to end
     row = res.extras["rows"][0]
     assert row["kind"] == "protected"
     assert row["events"] == TIMELINES * CAMPAIGN.timeline.events
-    sweep = res.extras["sweep"]
-    assert sweep.fallbacks == 0, sweep.fallback_reasons
 
     ratio = campaign_s / plain_s
     print(

@@ -29,7 +29,7 @@ import only the module that defines them::
 from ._lazy import lazy_face
 from .config import NetworkConfig, RouterConfig, SimulationConfig
 
-__version__ = "2.14.0"
+__version__ = "2.15.0"
 
 #: the headline names, each imported from its defining module on first touch
 __getattr__, __dir__ = lazy_face(__name__, {

@@ -203,11 +203,9 @@ class SweepReport:
     observability: Optional[dict] = None
     #: points spliced in from a checkpointed run directory (``--resume``)
     resumed: int = 0
-    #: points a lane sweep's triage sent to :func:`run_point`, to run on
-    #: the object engine, because the batched engine declined their
-    #: configuration (:func:`repro.network.batched.supports`)
+    #: always ``0`` and ``()``: the lane engine declines no configuration;
+    #: the ledger reads both until a ``benchmark`` PR retires its names
     fallbacks: int = 0
-    #: the distinct decline strings behind ``fallbacks``, sorted
     fallback_reasons: Tuple[str, ...] = ()
 
     @property
@@ -243,15 +241,10 @@ class SweepReport:
                 (self.retries, "retries"),
                 (self.timeouts, "timeouts"),
                 (self.checkpointed, "checkpointed"),
-                (self.fallbacks, "object-engine fallbacks"),
             )
             if n
         ]
         lines = [head + (f" [{', '.join(notes)}]" if notes else "")]
-        if self.fallback_reasons:
-            lines.append(
-                "  fallback reasons: " + "; ".join(self.fallback_reasons)
-            )
         if self.jobs > 1:
             lines.extend("  " + s.format() for s in self.shards)
         return "\n".join(lines)
@@ -687,8 +680,8 @@ class LanePoint:
 def run_point(point: LanePoint) -> Any:
     """Run one :class:`LanePoint` as a single ``NoCSimulator.run()``.
 
-    The lower layer of :func:`run_lane_sweep`, one task per point for the
-    points its triage keeps out of lane chunks, and what tests and benches
+    The lower layer of :func:`run_lane_sweep`, one task per point of a
+    group too small for a lane chunk, and what tests and benches
     ``map_sweep`` directly when they want the per-point answer (``run()``
     picks the engine by load).
     """
@@ -786,9 +779,9 @@ def run_lane_sweep(
 ) -> tuple[list[Any], SweepReport]:
     """Execute lane points; returns (SimulationResults in order, report).
 
-    Points are grouped by :meth:`LanePoint.structural_key`; each
-    *supported* group (see :func:`repro.network.batched.supports`) is
-    split into contiguous lane chunks — the chunk count is proportional
+    Points are grouped by :meth:`LanePoint.structural_key`; each group
+    of :data:`_MIN_LANE_GROUP` or more points is split into contiguous
+    lane chunks — the chunk count is proportional
     to the group's estimated simulated cycles (warmup + measure + drain
     per point), so one long-horizon group splits finer instead of
     straggling a whole shard — and every chunk becomes one task stepping
@@ -797,14 +790,10 @@ def run_lane_sweep(
     streaming in through lane refill.  Process parallelism and lane
     batching compose.
 
-    Every other point is a :func:`run_point` task of its own.  The
-    triage that decides this is the one record of why.  Every router
-    kind a point can name has an array model, so ``supports()`` declines a
-    group only past ``_MAX_VCS`` VCs: its points run on the object engine
-    and are the report's ``fallbacks``, the decline strings its
-    ``fallback_reasons``.  A supported group smaller than
-    :data:`_MIN_LANE_GROUP` is not a fallback — its ``run()`` picks the
-    engine by load and may still step it as a width-1 lane.  Metrics,
+    A point of a smaller group is a :func:`run_point` task of its own:
+    its ``run()`` picks the engine by load and may still step it as a
+    width-1 lane.  Every configuration a point can name is a lane, so no
+    point runs on the object engine for want of an array model.  Metrics,
     profiles and traces ride the lanes; the report's ``observability``
     folds the points' exports in point order, whichever task ran them.
 
@@ -825,20 +814,11 @@ def run_lane_sweep(
 
     batchable: list[tuple[list[int], LanePoint]] = []
     singles: list[int] = []
-    # every kind a point can name is a lane kind: only a VC count past
-    # the engine's tables declines a group
-    declined: dict[str, int] = {}  # reason -> points
-    for key, idxs in groups.items():
-        reason = batched.supports(key[0])
-        if reason is not None:
-            declined[reason] = declined.get(reason, 0) + len(idxs)
-        if reason is not None or len(idxs) < _MIN_LANE_GROUP:
+    for idxs in groups.values():
+        if len(idxs) < _MIN_LANE_GROUP:
             singles += idxs
         else:
             batchable.append((idxs, points[idxs[0]]))
-    triage = dict(
-        fallbacks=sum(declined.values()), fallback_reasons=tuple(sorted(declined))
-    )
 
     labels = [p.label or f"lane {j}" for j, p in enumerate(points)]
     tasks: list[SweepTask] = []
@@ -867,8 +847,4 @@ def run_lane_sweep(
     for j in singles:
         tasks.append(SweepTask(index=j, fn=run_point, args=(points[j],), label=labels[j]))
 
-    try:
-        values, report = run_sweep(tasks, jobs=jobs)
-    except PartialSweepError as exc:
-        raise PartialSweepError(replace(exc.report, **triage), exc.values) from None
-    return values, replace(report, **triage)
+    return run_sweep(tasks, jobs=jobs)

@@ -38,8 +38,7 @@ merged snapshot also lands in ``ExperimentResult.extras["metrics"]``;
 ``--profile`` samples per-phase wall time inside each engine's loop.
 ``--trace-out trace.json`` writes a Chrome ``trace_event`` file loadable
 in ``chrome://tracing`` / Perfetto: one ``packet`` slice per delivered
-packet of every point, lane points included, and the per-stage flit
-events of the points the object engine steps.
+packet of every point, whichever engine ran it.
 
 An experiment that raises — including inside a worker shard of a parallel
 sweep — makes the process exit non-zero; with ``all``, the remaining
@@ -274,9 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         "--trace-out",
         metavar="FILE",
         default=None,
-        help="record one event per delivered packet (and the per-stage flit "
-        "events of stepped points) and write a Chrome trace_event JSON file "
-        "(load in chrome://tracing or ui.perfetto.dev)",
+        help="record one event per delivered packet and write a Chrome "
+        "trace_event JSON file (load in chrome://tracing or ui.perfetto.dev)",
     )
     parser.add_argument(
         "--trace-capacity",
@@ -377,9 +375,7 @@ def main(argv: list[str] | None = None) -> int:
             if chart:
                 print()
                 print(chart)
-            if sweep_report is not None and (
-                args.jobs is not None or resilient_flags or sweep_report.fallbacks
-            ):
+            if sweep_report is not None and (args.jobs is not None or resilient_flags):
                 print(f"  {sweep_report.format()}")
             print(f"  [{time.time() - t0:.1f}s]\n")
 

@@ -3,7 +3,7 @@
 from .._lazy import lazy_face
 
 __getattr__, __dir__ = lazy_face(__name__, {
-    "batched": "BatchedLaneEngine LaneSpec run_lanes batched_supports=supports",
+    "batched": "BatchedLaneEngine LaneSpec run_lanes",
     "nic": "NetworkInterface",
     "simulator": "EventScheduler NoCSimulator SimulationResult baseline_router_factory",
     "stats": "LatencySample NetworkStats",
@@ -21,6 +21,5 @@ __all__ = [
     "SimulationResult",
     "Topology",
     "baseline_router_factory",
-    "batched_supports",
     "run_lanes",
 ]

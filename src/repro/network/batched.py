@@ -149,14 +149,13 @@ off the routers a fabric is built from: a ``NoCSimulator.run()`` above the
 break-even load is a width-1 engine of this class only when every router
 is exactly one registered class (a subclass, such as
 ``comparison.ecc_sim``'s, is stepped), and :func:`router_factory` builds
-the class a sweep point's kind names.  :func:`supports` declines past
-:data:`_MAX_VCS` VCs per port: :func:`repro.experiments.parallel.run_lane_sweep`
-then runs those points on the object engine one at a time and counts them
-as its report's ``fallbacks``.  Observability rides the lanes: a retiring
-lane's slice of the counter matrix goes through the object engine's
-export, :func:`repro.observability.harvest`, and a trace takes one
-``packet`` event per delivered packet, built from the columns the lane's
-``NetworkStats`` is reduced from.
+the class a sweep point's kind names.  Every router a mesh of two or
+more routers can have is a lane: such a router has at least 4 ports, so
+at most 15 VCs, which VA stage 1's pick tables hold.  Observability
+rides the lanes: a retiring lane's slice of the counter matrix goes
+through the object engine's export, :func:`repro.observability.harvest`,
+and a trace takes one ``packet`` event per delivered packet, built from
+the columns the lane's ``NetworkStats`` is reduced from.
 
 Frozen stretches
 ----------------
@@ -230,9 +229,6 @@ _NEVER = np.iinfo(np.int32).max
 
 #: a ``_rr_grant`` scratch cell between uses: above any round-robin distance
 _FAR = np.iinfo(np.int8).max
-
-#: the most VCs per port a lane models: VA stage 1 keeps its pointer p as ``uint16(p << V)``
-_MAX_VCS = 12
 
 #: RouterStats field -> column index in the per-lane counter matrix
 _RS_IDX: Dict[str, int] = {
@@ -312,15 +308,6 @@ def router_factory(kind: str, config: NetworkConfig) -> RouterFactory:
     return make
 
 
-def supports(config: NetworkConfig) -> Optional[str]:
-    """Why the batched engine cannot run ``config``, or ``None``: more than
-    :data:`_MAX_VCS` VCs per port.  The lane sweep's triage records the
-    reason and runs such points on the object engine."""
-    if config.router.num_vcs > _MAX_VCS:
-        return f"more than {_MAX_VCS} VCs per port (the VA stage-1 pick tables)"
-    return None
-
-
 class BatchedLaneEngine:
     """N structurally identical fabrics stepped as flat NumPy state.
 
@@ -349,9 +336,6 @@ class BatchedLaneEngine:
         pending: Optional[Iterable[LaneSpec]] = None,
         observability: Optional[Observability] = None,
     ) -> None:
-        reason = supports(config)
-        if reason is not None:
-            raise ValueError(f"batched engine cannot run this config: {reason}")
         if not lanes:
             raise ValueError("need at least one lane")
         # a minimal route crosses at most this many routers, ejection included
@@ -360,6 +344,11 @@ class BatchedLaneEngine:
             raise ValueError(
                 f"a {config.width}x{config.height} fabric does not fit the flit "
                 f"word ({_DEST_MASK + 1} nodes, {_HOP_MASK} hops)"
+            )
+        if config.router.num_vcs > 15:  # only a 1x1 fabric, which carries nothing
+            raise ValueError(
+                f"{config.router.num_vcs} VCs per port do not fit the VA stage-1 "
+                "pick tables (15 VCs, the most a router of a mesh has)"
             )
         self.config = config
         self.sim_config = sim_config
@@ -448,8 +437,10 @@ class BatchedLaneEngine:
         #: per output port, bit w set while downstream VC w is unallocated
         self.vfree, self.vfree_ = state(shape3, (1 << V) - 1, np.int64)
         # round-robin arbiter priority pointers; VA stage 1's holds a pointer
-        # p as its row in the pick table, ``p << V`` (V <= ``_MAX_VCS``)
-        self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, np.uint16)
+        # p as its row in the pick table, ``p << V``, in the least dtype
+        # that holds every row (uint8 up to 5 VCs, uint32 at 13-15)
+        va1 = np.min_scalar_type((V - 1) << V)
+        self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, va1)
         self.va2_prio, self.va2_prio_ = state(shape4, 0, np.int32)
         self.sa1_prio, self.sa1_prio_ = state(shape3, 0, np.int8)
         self.sa2_prio, self.sa2_prio_ = state(shape3, 0, np.int32)
@@ -528,13 +519,19 @@ class BatchedLaneEngine:
         self._bit = np.int64(1) << self._vcs
         #: wire id -> the bits of the downstream VCs of its vnet
         self._vnet_bits = ((1 << self.VV) - 1) << self._vcs // self.VV * self.VV
-        # the pick table: at ``(p << V) + free bits``, the free VC w a
-        # round-robin arbiter with pointer p grants, least (w - p) % V; and
-        # at ``bits * V + k`` the (k+1)-th set bit of ``bits`` (V: none)
-        dist = (self._vcs - self._vcs[:, None]) % V
-        has = np.arange(1 << V)[:, None] >> self._vcs & 1
-        self._first_free = np.where(has, dist[:, None], V).argmin(axis=2).reshape(-1)
-        self._kth = (has.cumsum(axis=1)[:, None] <= self._vcs[:, None]).sum(axis=2).reshape(-1)
+        # the pick tables: at ``bits * V + k`` the (k+1)-th set bit of
+        # ``bits`` (V: none); at ``(p << V) + free bits`` the free VC w a
+        # round-robin arbiter with pointer p grants, least (w - p) % V: p
+        # plus the first set bit of the free bits rotated right by p
+        bits = np.arange(1 << V)
+        has = bits[:, None] >> self._vcs & 1
+        kth = np.full((1 << V, V), V)
+        row, w = has.nonzero()
+        kth[row, has.cumsum(axis=1)[row, w] - 1] = w
+        self._kth = kth.reshape(-1)
+        p = self._vcs[:, None]
+        rotated = (bits >> p | bits << (V - p)) & ((1 << V) - 1)
+        self._first_free = ((p + kth[rotated, 0]) % V).reshape(-1)
 
         # --- counters and per-lane clocks ------------------------------
         #: ``RouterStats`` counters per ``(counter, lane, router)``: the
@@ -595,7 +592,7 @@ class BatchedLaneEngine:
         # round-robin successors, in the priority arrays' dtype, and
         # distances from a pointer: ``wrap[f - p]`` is ``(f - p) % size``
         self._next_v = ((self._vcs + 1) % V).astype(np.int8)
-        self._next_va1 = (self._next_v.astype(np.uint16) << V).astype(np.uint16)
+        self._next_va1 = self._next_v.astype(va1) << V
         self._next_p = ((np.arange(P) + 1) % P).astype(np.int32)
         self._next_pv = ((np.arange(self.PV) + 1) % self.PV).astype(np.int32)
         self._next_vnet = (np.arange(self.NV) + 1) % self.NV

@@ -96,6 +96,8 @@ class NetworkInterface:
         #: flit-lifecycle tracer (:mod:`repro.observability`); ``None`` —
         #: the default — makes every emission site a single attribute check
         self.tracer: Optional["EventTracer"] = None
+        #: the tracer that takes each delivered packet's ``packet`` record
+        self.packet_tracer: Optional["EventTracer"] = None
 
     # ------------------------------------------------------------------
     # injection side
@@ -231,5 +233,5 @@ class NetworkInterface:
                 hops=flit.hops,
             )
             self.stats.record_packet(sample)
-            if tracer is not None:  # the record a retiring lane emits too
-                tracer.extend([packet_event(*astuple(sample))], 1)
+            if self.packet_tracer is not None:  # the record a retiring lane emits too
+                self.packet_tracer.extend([packet_event(*astuple(sample))], 1)

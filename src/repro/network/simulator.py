@@ -355,13 +355,18 @@ class NoCSimulator:
         self.obs: Optional[Observability] = (
             observability if observability is not None else maybe_create()
         )
-        if self.obs is not None and self.obs.tracer is not None:
-            tracer = self.obs.tracer
-            for r in self.routers:
-                r.tracer = tracer
+        tracer = self.obs.tracer if self.obs is not None else None
+        if tracer is not None:
+            # every trace holds the ``packet`` record; the per-stage events,
+            # which only this engine's objects emit, go to a handed tracer
             for nic in self.nics:
-                nic.tracer = tracer
-            self.scheduler.tracer = tracer
+                nic.packet_tracer = tracer
+            if observability is not None:
+                for r in self.routers:
+                    r.tracer = tracer
+                for nic in self.nics:
+                    nic.tracer = tracer
+                self.scheduler.tracer = tracer
         self.flits_in_network = 0
         self.faults_injected = 0
         #: per-router recovery accounting; installed only when the fault
@@ -626,17 +631,17 @@ class NoCSimulator:
         """One run, on the engine that finishes it sooner.
 
         A fresh run on an untouched fabric of one lane kind's routers
-        (:func:`repro.network.batched.lane_kind`) that ``supports()`` and
-        nothing outside the event system watches (a tracer handed to a
-        simulator takes the per-stage events only its objects emit; metrics
-        and profiles watch nothing), and whose traffic source
+        (:func:`repro.network.batched.lane_kind`) that nothing outside the
+        event system watches (a tracer handed to a simulator takes the
+        per-stage events only its objects emit; metrics, profiles and a
+        process-wide trace watch nothing), and whose traffic source
         declares an ``offered_load`` of :data:`LANE_BREAK_EVEN` or more,
         rides a width-1 lane of :class:`repro.network.batched.BatchedLaneEngine`
         on its own traffic, schedule and ``Observability`` objects —
         bit-identical, the lane engine mirrors ``_step_reference`` — and
         every other one is :meth:`_run_stepped`.
         """
-        from .batched import BatchedLaneEngine, LaneSpec, lane_kind, supports
+        from .batched import BatchedLaneEngine, LaneSpec, lane_kind
 
         load = getattr(self.traffic, "offered_load", None)
         kind = lane_kind(self.routers)
@@ -645,8 +650,7 @@ class NoCSimulator:
             or kind is None
             or self.cycle or self.use_reference_stepper
             or self.on_eject is not None
-            or (self.obs is not None and self.obs.tracer is not None)
-            or supports(self.config) is not None
+            or self.scheduler.tracer is not None  # the per-stage hooks
             # a fabric touched by hand (a queued packet, a fault landed, a
             # RoCo module killed) is not a lane's power-on one
             or self._active_routers or self._active_nics

@@ -1,8 +1,9 @@
 """Flit-lifecycle event tracer with bounded ring-buffer storage.
 
 Every stage of a flit's life through the RC/VA/SA/XB pipeline emits one
-event on the object engine when tracing is enabled, and every delivered
-packet one ``packet`` event on either engine:
+event on the object engine when a simulator is handed a tracer, and
+every delivered packet one ``packet`` event on either engine under any
+trace:
 
 ========== ===========================================================
 kind       emitted when

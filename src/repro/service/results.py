@@ -64,11 +64,6 @@ def sweep_summary(report: Any) -> Optional[Dict[str, Any]]:
         "timeouts": report.timeouts,
         "cycles": report.cycles,
         "wall_s": round(report.wall_time, 6),
-        # lane-sweep diagnosability: points the batched engine declined
-        # (run one at a time on the object engine) and *why* — mirrored
-        # into the service's /v1/stats payload
-        "fallbacks": report.fallbacks,
-        "fallback_reasons": list(report.fallback_reasons),
     }
 
 

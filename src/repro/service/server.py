@@ -180,10 +180,6 @@ class SweepService:
         #: request forks serve the next
         self.runtime = SweepRuntime(retry=retry or RetryPolicy(max_attempts=2))
         self._inflight: Dict[str, _InFlight] = {}
-        #: deduplicated ``supports()`` decline strings from every lane
-        #: sweep computed so far — /v1/stats surfaces them so an
-        #: operator can see *why* a sweep ran on the slow path
-        self._fallback_reasons: Dict[str, int] = {}
         self._slots = asyncio.Semaphore(max(1, max_concurrent))
         self._server: Optional[asyncio.base_events.Server] = None
         #: open connection -> does it outlive the reply being written
@@ -404,10 +400,6 @@ class SweepService:
             "cache_entries": len(self.cache),
             "cache_poisoned": self.cache.poisoned,
             "cache_evicted": self.cache.evicted,
-            # reason → sweeps that reported it, across all computations
-            "lane_fallback_reasons": dict(
-                sorted(self._fallback_reasons.items())
-            ),
         }
 
     def _catalog(self) -> Dict[str, Any]:
@@ -640,14 +632,6 @@ class SweepService:
                     ) from exc
                 wall_s = time.perf_counter() - t0
                 payload, sweep = render_result(result)
-                if sweep is not None and sweep.get("fallbacks"):
-                    self.registry.inc(
-                        "service.lane_fallbacks", sweep["fallbacks"]
-                    )
-                    for reason in sweep.get("fallback_reasons", ()):
-                        self._fallback_reasons[reason] = (
-                            self._fallback_reasons.get(reason, 0) + 1
-                        )
                 compute = {"wall_s": round(wall_s, 6), "jobs": jobs}
                 if sweep is not None:
                     compute["sweep"] = sweep

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,6 +123,10 @@ def lane_schedules(net: NetworkConfig, lanes: int, seed: int, **kwargs) -> list:
     ]
 
 
+#: the object engine's own loop, kept for ``stepped_point`` under ``unstepped``
+_RUN_STEPPED = NoCSimulator._run_stepped
+
+
 def stepped_point(point):
     """``run_point`` held to the object engine's own loop.
 
@@ -130,8 +136,18 @@ def stepped_point(point):
     from repro.experiments.parallel import run_point
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(NoCSimulator, "run", NoCSimulator._run_stepped)
+        patch.setattr(NoCSimulator, "run", _RUN_STEPPED)
         return run_point(point)
+
+
+@contextmanager
+def unstepped():
+    """Fail every ``NoCSimulator._run_stepped`` call in the block, in this
+    process or in a worker forked inside it: a sweep that finishes under
+    it ran every point on lanes.  :func:`stepped_point` still steps."""
+    refuse = AssertionError("a point ran on the object engine's own loop")
+    with mock.patch.object(NoCSimulator, "_run_stepped", side_effect=refuse):
+        yield
 
 
 # ----------------------------------------------------------------------

@@ -10,18 +10,21 @@ contract two ways:
 * **differential matrix + fuzz** — fixed scenarios spanning mesh shape,
   VC/vnet count, router kind, routing kind, and fault schedules, plus
   seeded randomized draws of the same axes;
-* **sweep-layer seams** — ``run_lane_sweep`` grouping/fallback rules
-  (unsupported configurations fall back per point to ``run_point``,
-  recorded in the report) and chunking invariance across ``jobs``.
+* **sweep-layer seams** — ``run_lane_sweep`` grouping (a group of one
+  point is a ``run_point`` task; every configuration a mesh allows is a
+  lane) and chunking invariance across ``jobs``.
 """
 
+import functools
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import lane_schedules, stepped_point, sweep_files
+from conftest import lane_schedules, stepped_point, sweep_files, unstepped
 from repro.comparison.ecc_sim import DatapathFaultyRouter
 from repro.config import NetworkConfig, RouterConfig, SimulationConfig
 from repro.core.protected_router import protected_router_factory
@@ -40,7 +43,6 @@ from repro.network.batched import (
     LaneSpec,
     router_factory,
     run_lanes,
-    supports,
 )
 from repro.network.simulator import NoCSimulator, baseline_router_factory
 from repro.router.flit import reset_packet_ids
@@ -504,8 +506,8 @@ class TestSeamFaultsGoldenUnderRefill:
             assert _lane_key(b) == _lane_key(r), f"point {i} diverged"
 
 
-#: 15 VCs per port, past ``_MAX_VCS``: the one configuration ``supports()``
-#: declines
+#: 15 VCs per port, the most a router of a mesh has (it needs 4 ports, and
+#: a router holds at most 62 VCs)
 _WIDE_VC_NET = NetworkConfig(
     width=1, height=4, router=RouterConfig(num_ports=4, num_vcs=15, num_vnets=3)
 )
@@ -544,20 +546,35 @@ class TestSupportsGate:
         assert RouterConfig(num_ports=2, num_vcs=31).num_vcs == 31
         assert RouterConfig(num_ports=5, num_vcs=12).num_vcs == 12
 
-    def test_more_vcs_than_the_pick_tables_hold_fall_back(self):
-        """Past ``_MAX_VCS`` VCs VA stage 1's pointer no longer fits its
-        ``uint16`` row: the engine refuses, a lane sweep's group falls back
-        with the reason, and its points are the object engine's."""
+    def test_every_vc_count_a_mesh_allows_is_a_lane(self):
+        """A mesh router of 15 VCs is a lane equal to the reference stepper;
+        only a 1x1 fabric, which carries no packet, names more, and the
+        engine refuses it by the limit."""
         net = _WIDE_VC_NET
-        assert supports(net) is not None and supports(_net(4, 4, 12, 2)) is None
-        with pytest.raises(ValueError, match="VCs per port"):
-            BatchedLaneEngine(net, _sim_cfg(), [LaneSpec(NullTraffic())])
-        points = _lane_points(net, _sim_cfg(measure=100), ("xy",) * 3)
-        values, report = run_lane_sweep(points)
-        assert report.fallbacks == 3
-        assert report.fallback_reasons == (supports(net),)
-        ref, _ = map_sweep(run_point, [(p,) for p in points])
-        assert [_lane_key(v) for v in values] == [_lane_key(r) for r in ref]
+
+        def specs():
+            return [
+                LaneSpec(_make_traffic(net, rate, 3), _unmarked_transients(net, 7))
+                for rate in (0.05, 0.2)
+            ]
+
+        for kind in ("baseline", "protected"):
+            factory = _factory(net, kind)
+            lanes = run_lanes(net, _sim_cfg(measure=150), specs(), router_factory=factory)
+            refs = [
+                _event_reference(
+                    net, _sim_cfg(measure=150), spec, factory, use_reference_stepper=True
+                )
+                for spec in specs()
+            ]
+            assert [_lane_key(v) for v in lanes] == [_lane_key(r) for r in refs], kind
+            assert all(v.faults_injected > 0 for v in lanes)
+        for vcs in (16, 31):
+            alone = NetworkConfig(
+                width=1, height=1, router=RouterConfig(num_ports=2, num_vcs=vcs, num_vnets=1)
+            )
+            with pytest.raises(ValueError, match="15 VCs"):
+                BatchedLaneEngine(alone, _sim_cfg(), [LaneSpec(NullTraffic())])
 
     def test_the_drain_budget_is_a_bound_not_an_allocation(self):
         """A lane retires once it drains: building and running an engine
@@ -571,8 +588,46 @@ class TestSupportsGate:
         assert a.drained and _lane_key(a) == _lane_key(b)
 
 
+@functools.lru_cache(maxsize=None)
+def _pick_tables(vcs):
+    """``(_first_free, _kth)`` of an engine with ``vcs`` VCs per port."""
+    net = NetworkConfig(
+        width=1, height=2, router=RouterConfig(num_ports=4, num_vcs=vcs, num_vnets=1)
+    )
+    engine = BatchedLaneEngine(net, _sim_cfg(), [LaneSpec(NullTraffic())])
+    return engine._first_free.tolist(), engine._kth.tolist()
+
+
+def _assert_picks(vcs, bits):
+    """The round-robin pick of every pointer and the k-th set bits of
+    ``bits``, against a scan of the bits themselves."""
+    first_free, kth = _pick_tables(vcs)
+    free = [w for w in range(vcs) if bits >> w & 1]
+    for p in range(vcs):
+        want = min(free, key=lambda w: (w - p) % vcs)
+        assert first_free[(p << vcs) + bits] == want, (vcs, p, bits)
+    for k in range(vcs):
+        assert kth[bits * vcs + k] == (free[k] if k < len(free) else vcs), (vcs, bits, k)
+
+
+class TestPickTables:
+    """VA stage 1's tables, for every VC count a mesh router can have."""
+
+    def test_every_mask_up_to_ten_vcs(self):
+        for vcs in range(1, 11):
+            for bits in range(1, 1 << vcs):
+                _assert_picks(vcs, bits)
+
+    @given(st.integers(11, 15).flatmap(
+        lambda vcs: st.tuples(st.just(vcs), st.integers(1, (1 << vcs) - 1))
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_masks_up_to_fifteen_vcs(self, case):
+        _assert_picks(*case)
+
+
 # ----------------------------------------------------------------------
-# sweep layer: grouping, fallback, chunk invariance
+# sweep layer: grouping, chunk invariance
 # ----------------------------------------------------------------------
 def _lane_points(net, sim_cfg, routing_kinds, rate=0.05, seed=3):
     return [
@@ -590,30 +645,47 @@ def _lane_points(net, sim_cfg, routing_kinds, rate=0.05, seed=3):
 
 
 class TestRunLaneSweep:
-    def test_unsupported_points_fall_back_per_point(self):
-        """Every router kind and every observability mode is a lane like
-        any other, so the decline is provoked past ``_MAX_VCS`` VCs, the
-        one decline a lane sweep has left (a 1x4 mesh: RoCo needs 5 ports)."""
-        # ``baseline`` points group like the others; ``west_first`` like ``xy``
+    def test_fifteen_vc_points_run_as_lane_chunks(self, monkeypatch):
+        """A 1x4 column of 15-VC routers (RoCo needs 5 ports): baseline and
+        protected points, ``xy`` and ``west_first``, each clean and under a
+        healing ``FaultTimeline``, run as lane chunks and equal the
+        reference stepper point for point."""
         points = _lane_points(
-            _WIDE_VC_NET, _sim_cfg(measure=150), ("xy", "west_first") * 3
+            _WIDE_VC_NET, _sim_cfg(measure=150), ("xy", "west_first") * 4
         )
-        points[2:4] = [replace(p, router_kind="baseline") for p in points[2:4]]
-        batched_values, batched_report = run_lane_sweep(points)
-        # the lower layer called directly: nothing declined, no fallbacks
-        event_values, event_report = map_sweep(run_point, [(p,) for p in points])
+        points[4:] = [replace(p, router_kind="baseline") for p in points[4:]]
+        for i in (0, 1, 4, 5):
+            points[i] = replace(
+                points[i], make_schedule=_unmarked_transients,
+                schedule_args=(_WIDE_VC_NET, 7 + i),
+            )
+        chunks = []
+        lane_chunk = parallel._lane_batched_chunk
 
-        assert batched_report.points == len(points)
-        assert batched_report.fallbacks == len(points)
-        assert event_report.fallbacks == 0
-        assert "object-engine fallbacks" in batched_report.format()
-        # the *why* is threaded through to the report, not just a count
-        assert batched_report.fallback_reasons == (supports(_WIDE_VC_NET),)
-        assert "fallback reasons:" in batched_report.format()
-        assert event_report.fallback_reasons == ()
-        for i, (b, e) in enumerate(zip(batched_values, event_values)):
-            assert b.stats.summary() == e.stats.summary(), f"point {i}"
-            assert b.stats.packets_ejected > 0 and b.cycles == e.cycles
+        def spy(chunk, *args, **kwargs):
+            chunks.append(len(chunk))
+            return lane_chunk(chunk, *args, **kwargs)
+
+        def refuse(point):
+            raise AssertionError(f"{point.label} went to run_point")
+
+        monkeypatch.setattr(parallel, "_lane_batched_chunk", spy)
+        monkeypatch.setattr(parallel, "run_point", refuse)
+        with unstepped():
+            values, report = run_lane_sweep(points)
+        assert report.points == sum(chunks) == len(points) and len(chunks) == 2
+        for i, (p, value) in enumerate(zip(points, values)):
+            spec = LaneSpec(
+                p.make_traffic(*p.traffic_args),
+                p.make_schedule(*p.schedule_args) if p.make_schedule else None,
+            )
+            ref = _event_reference(
+                _WIDE_VC_NET, p.sim_config, spec, _factory(_WIDE_VC_NET, p.router_kind),
+                p.routing_kind, use_reference_stepper=True,
+            )
+            assert _lane_key(value) == _lane_key(ref), f"point {i}"
+            assert value.stats.packets_ejected > 0
+            assert (value.faults_injected > 0) == (p.make_schedule is not None)
 
     def test_chunking_invariance_across_jobs(self):
         net = _net(4, 4, 4, 2)
@@ -699,9 +771,9 @@ class TestRunLaneSweep:
         direct, _ = map_sweep(run_point, [(p,) for p in points])
         assert list(map(_lane_key, values)) == list(map(_lane_key, direct))
 
-    def test_small_groups_run_per_point_without_a_decline(self):
-        """A supported singleton group is no fallback: it goes to
-        ``run_point``, whose ``run()`` picks the engine by load."""
+    def test_small_groups_run_per_point_without_a_decline(self, monkeypatch):
+        """A group of one point goes to ``run_point``, whose ``run()`` picks
+        the engine by load."""
         net_a = _net(3, 3, 2, 2)
         net_b = _net(4, 3, 2, 2)
         points = [
@@ -715,9 +787,10 @@ class TestRunLaneSweep:
             )
             for i, net in enumerate((net_a, net_b))
         ]
+        ran = []
+        monkeypatch.setattr(parallel, "run_point", lambda p: ran.append(p) or run_point(p))
         values, report = run_lane_sweep(points)
-        assert (report.fallbacks, report.fallback_reasons) == (0, ())
-        assert "fallback" not in report.format()
+        assert ran == points and "fallback" not in report.format()
         event_values, _ = map_sweep(run_point, [(p,) for p in points])
         for a, b in zip(values, event_values):
             assert a.stats.summary() == b.stats.summary()
@@ -729,8 +802,7 @@ class TestRunLaneSweep:
 
     def test_every_fallback_point_builds_and_times_its_own_simulator(self):
         """Nine structurally distinct points (a ``design_space`` grid): no
-        two can share anything, so each is a ``run_point`` task of its own
-        — and, every group being supported, none is a fallback."""
+        two can share anything, so each is a ``run_point`` task of its own."""
         nets = [
             NetworkConfig(
                 width=3, height=3,
@@ -751,7 +823,6 @@ class TestRunLaneSweep:
         ]
         assert len({p.structural_key() for p in points}) == 9
         values, report = run_lane_sweep(points, jobs=1)
-        assert report.fallbacks == 0
         assert len(values) == 9
         assert all(v.stats.packets_ejected > 0 for v in values)
 
@@ -882,8 +953,8 @@ def _summaries(values):
 
 
 class TestLaneSweepInPoints:
-    """A lane sweep reports in points: the triage records the declines
-    once, and a failed chunk is reported as the points it lost."""
+    """A lane sweep reports in points: a failed chunk is reported as the
+    points it lost, and a resume reruns those alone."""
 
     def _points(self, marker):
         """Three good points, then two of another structural group (another
@@ -965,45 +1036,38 @@ class TestLaneSweepInPoints:
             (3, "flaky0"), (4, "flaky1"),
         ]
 
-    def _declining_points(self):
-        """Two baseline and two protected points: one lane group, which
-        ``supports()`` declines past ``_MAX_VCS`` VCs."""
+    def _wide_vc_points(self):
+        """Two baseline and two protected points of 15 VCs: one lane group."""
         points = _lane_points(_WIDE_VC_NET, _sim_cfg(measure=100), ("xy",) * 4)
         points[:2] = [replace(p, router_kind="baseline") for p in points[:2]]
         return points
 
-    def test_every_decline_is_counted_once_at_triage(self):
-        """Past ``_MAX_VCS`` VCs ``supports()`` declines the lane group: each
-        declined point is one fallback and the reason is listed once, on
-        the sweep and never per shard."""
-        values, report = run_lane_sweep(self._declining_points(), jobs=2)
-        assert all(v is not None for v in values)
-        assert report.fallbacks == 4
-        assert report.fallback_reasons == (supports(_WIDE_VC_NET),)
-        lines = report.format().splitlines()
-        assert "[4 object-engine fallbacks]" in lines[0]
-        assert sum("fallback" in line for line in lines) == 2
+    def test_a_wide_vc_sweep_is_the_same_on_two_workers(self):
+        """15 VCs are lanes on every worker: the sweep over two equals the
+        points stepped one by one, and its report names no fallback."""
+        points = self._wide_vc_points()
+        with unstepped():
+            values, report = run_lane_sweep(points, jobs=2)
+        assert report.points == 4 and "fallback" not in report.format()
+        assert _summaries(values) == _summaries(map(stepped_point, points))
 
-    def test_a_resumed_sweep_reports_the_same_declines(self, tmp_path):
-        """Provoked past ``_MAX_VCS`` VCs: roco points, metrics and traces,
-        which it used to be provoked with, are all lanes now."""
+    def test_a_resumed_wide_vc_sweep_reruns_lost_points(self, tmp_path):
+        """A lane chunk of 15-VC points records each point as it retires,
+        and a resume reruns the unrecorded ones on lanes."""
         from repro.experiments.resilient import sweep_runtime
 
-        points = self._declining_points()
-        with sweep_runtime(out_dir=tmp_path):
-            full, whole = run_lane_sweep(points, jobs=1)
-        (jsonl,) = sweep_files(tmp_path)
-        records = jsonl.read_text().splitlines()
-        # one record per task: each declined point
-        assert len(records) == 4
-        # keep only the first point's record, as if killed after it
-        jsonl.write_text("".join(r + "\n" for r in records if '"p0:xy"' in r))
-        with sweep_runtime(resume=tmp_path):
-            again, resumed = run_lane_sweep(points, jobs=1)
+        points = self._wide_vc_points()
+        with unstepped():
+            with sweep_runtime(out_dir=tmp_path):
+                full, _ = run_lane_sweep(points, jobs=1)
+            (jsonl,) = sweep_files(tmp_path)
+            records = jsonl.read_text().splitlines()
+            assert len(records) == 4  # one record per point
+            # keep only the first point's record, as if killed after it
+            jsonl.write_text("".join(r + "\n" for r in records if '"p0:xy"' in r))
+            with sweep_runtime(resume=tmp_path):
+                again, resumed = run_lane_sweep(points, jobs=1)
         assert resumed.resumed == 1 and resumed.checkpointed == 3
-        assert (resumed.fallbacks, resumed.fallback_reasons) == (
-            whole.fallbacks, whole.fallback_reasons,
-        ) == (4, (supports(_WIDE_VC_NET),))
         assert _summaries(again) == _summaries(full)
 
 
@@ -1919,8 +1983,8 @@ class TestHealSeam:
             )
             for i in range(3)
         ]
-        lanes, report = run_lane_sweep(points, jobs=1)
-        assert report.fallbacks == 0
+        with unstepped():
+            lanes, report = run_lane_sweep(points, jobs=1)
         for i, (lane, point) in enumerate(zip(lanes, points)):
             ref = stepped_point(point)
             assert lane.faults_injected == ref.faults_injected > 0

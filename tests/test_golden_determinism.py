@@ -180,8 +180,8 @@ class TestBatchedLaneGolden:
     fig7-style scenario the engine matrix above pins, against the event
     engine lane by lane.
 
-    Both sides run with metrics on (the batched engine declines only a
-    tracer), so the comparison covers every output the engines share:
+    Both sides run with metrics on, so the comparison covers every
+    output the engines share:
     cycle counts, drain status, the full stats summary, the aggregated
     router counters and the metrics export.  The references call
     ``_run_stepped()``: at this load ``run()`` would ride a lane itself.

@@ -6,7 +6,7 @@ profiler, the zero-cost-when-disabled guarantee, and the CLI flags."""
 import json
 
 import pytest
-from conftest import make_network_config, make_sim
+from conftest import make_network_config, make_sim, unstepped
 
 import repro.observability as observability
 from repro.config import SimulationConfig, replace
@@ -325,9 +325,9 @@ class TestOneHarvest:
 
         points = _one_record_points(routing)
         observability.configure(metrics=True)
-        lanes, report = run_lane_sweep(points)
+        with unstepped():
+            lanes, report = run_lane_sweep(points)
         stepped = [stepped_point(p) for p in points]
-        assert report.fallbacks == 0
         assert stepped[3].recovery["healed"] > 0
         assert lanes[3].recovery == stepped[3].recovery
 
@@ -365,9 +365,9 @@ class TestOneTrace:
 
         points = _one_record_points(routing)
         observability.configure(trace=True, trace_capacity=1_000_000)
-        lanes, report = run_lane_sweep(points)
+        with unstepped():
+            lanes, report = run_lane_sweep(points)
         stepped = [stepped_point(p) for p in points]
-        assert report.fallbacks == 0
         assert stepped[3].recovery["healed"] > 0
         assert [label for label, _ in report.observability["traces"]] == [
             p.label for p in points
@@ -446,6 +446,31 @@ class TestOneTrace:
             assert ring["emitted"] == whole["emitted"]
             assert ring["dropped"] == whole["emitted"] - 50 > 0
 
+    def test_a_stepped_point_of_a_traced_sweep_is_its_packet_record(self):
+        """A process-wide trace gives a point the object engine steps (a
+        group of one, below the break-even load) the record a lane point
+        has: its ``packet`` events and nothing else.  Only a tracer handed
+        to a simulator takes the per-stage events."""
+        from repro.experiments.parallel import run_lane_sweep
+
+        points = _one_record_points("xy")[:2] + _one_record_points("west_first")[:1]
+        observability.configure(trace=True, trace_capacity=1_000_000)
+        run_stepped, stepped = NoCSimulator._run_stepped, []
+
+        def spy(sim):
+            stepped.append(sim)
+            return run_stepped(sim)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(NoCSimulator, "_run_stepped", spy)
+            results, report = run_lane_sweep(points)
+        assert len(stepped) == 1  # the group of one
+        traces = report.observability["traces"]
+        assert [label for label, _ in traces] == [p.label for p in points]
+        for (label, trace), result in zip(traces, results):
+            assert {kind for _, kind, _, _ in trace["events"]} == {"packet"}, label
+            assert trace["emitted"] == len(trace["events"]) == result.stats.packets_ejected > 0
+
 
 # ----------------------------------------------------------------------
 # determinism across shardings (the headline guarantee)
@@ -458,11 +483,10 @@ class TestShardingDeterminism:
         cfg = fault_sweep.FaultSweepConfig(
             fault_counts=(0, 8), latency=_small_cfg()
         )
-        serial = fault_sweep.run(cfg, jobs=1)
-        parallel = fault_sweep.run(cfg, jobs=4)
-        # metrics keep the sweep on lanes
-        assert serial.extras["sweep"].fallbacks == 0
-        assert parallel.extras["sweep"].fallbacks == 0
+        # metrics keep the sweep on lanes, in the workers too
+        with unstepped():
+            serial = fault_sweep.run(cfg, jobs=1)
+            parallel = fault_sweep.run(cfg, jobs=4)
         m1 = serial.extras["sweep"].observability["metrics"]
         m4 = parallel.extras["sweep"].observability["metrics"]
         assert m1["counters"], "sweep collected no metrics"
@@ -554,9 +578,9 @@ class TestCLI:
         assert "observability summary" in out
 
     def test_a_trace_stays_on_the_lanes(self, tmp_path, capsys):
-        """Without ``--jobs`` the sweep line is printed only for a decline,
-        and no observability flag declines: a trace holds one ``packet``
-        slice per delivered packet of each of the three points."""
+        """No observability flag moves a point off the lanes or prints a
+        sweep line without ``--jobs``: a trace holds one ``packet`` slice
+        per delivered packet of each of the three points."""
         from repro.experiments.runner import main
 
         assert main([

@@ -479,8 +479,7 @@ class TestCheckpointStore:
 
     def test_a_checkpoint_line_with_fallback_keys_still_loads(self, tmp_path):
         """Records written before 2.3 carry a task's ``fallbacks`` and
-        ``fallback_reasons``; a lane sweep's triage reports them now, and
-        the store ignores both keys."""
+        ``fallback_reasons``; the store ignores both keys."""
         file = self._three_records(tmp_path)
         self._add_record(
             file, attempts=1, run_s=0.5, fallbacks=1,

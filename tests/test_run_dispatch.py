@@ -26,7 +26,7 @@ from repro.network.simulator import LANE_BREAK_EVEN, NoCSimulator
 from repro.observability import Observability, ObservabilityConfig
 from repro.router.flit import Packet
 from repro.router.router import BaselineRouter
-from repro.traffic.generator import COHERENCE_MIX, SyntheticTraffic
+from repro.traffic.generator import COHERENCE_MIX, NullTraffic, SyntheticTraffic
 
 MESH_8X8 = NetworkConfig(width=8, height=8, router=RouterConfig(num_vcs=4, num_vnets=2))
 MESH_4X4 = NetworkConfig(width=4, height=4, router=RouterConfig(num_vcs=4, num_vnets=2))
@@ -201,6 +201,43 @@ class TestRides:
             assert res.observability["profile"] == obs.profiler.snapshot()
             assert res.observability["profile"]["samples"] > 0
 
+    def test_fifteen_vcs_ride(self, engines):
+        """A 4-port column of 15 VCs, the most a mesh router has, rides a
+        width-1 lane with the reference stepper's digest."""
+        net = NetworkConfig(
+            width=1, height=4, router=RouterConfig(num_ports=4, num_vcs=15, num_vnets=3)
+        )
+
+        def wide(**kwargs):
+            traffic = SyntheticTraffic(net, injection_rate=1.0, mix=COHERENCE_MIX, rng=9)
+            return _sim(net, traffic=traffic, router_factory=protected_router_factory(net),
+                        **kwargs)
+
+        res = wide().run()
+        assert engines == [(1, "xy")]
+        assert _digest(res) == _digest(wide(use_reference_stepper=True).run())
+        assert res.stats.packets_ejected > 0
+
+    def test_a_process_wide_trace_rides(self, engines):
+        """A trace no one handed the simulator is its ``packet`` record,
+        which a lane keeps as the object engine does."""
+        import repro.observability as observability
+
+        observability.configure(trace=True, trace_capacity=1_000_000)
+        res = _sim(schedule=_faults()).run()
+        assert engines == [(1, "xy")]
+        ref = _sim(schedule=_faults())._run_stepped()
+        assert _digest(res) == _digest(ref)
+
+        def packets(result):
+            return [
+                (cycle, node, {k: v for k, v in payload.items() if k != "packet"})
+                for cycle, kind, node, payload in result.observability["trace"]["events"]
+            ]
+
+        assert packets(res) == packets(ref)
+        assert {kind for _, kind, _, _ in ref.observability["trace"]["events"]} == {"packet"}
+
     def test_the_break_even_is_a_load_over_the_whole_fabric(self, engines):
         """Flits per cycle, not per node: 0.25 on 16 nodes is 0.0625 on 64."""
         assert LANE_BREAK_EVEN == 4.0
@@ -294,19 +331,16 @@ class TestDeclines:
         self._assert_stepped(engines, datapath(), datapath(use_reference_stepper=True))
 
     def test_more_vcs_than_the_lane_tables_hold(self, engines):
-        """VA stage 1 keeps a pointer as ``p << V`` in a ``uint16``: a
-        4-port column of 15 VCs is a valid router, and it is stepped."""
+        """Only a 1x1 fabric names more than 15 VCs, and it carries no
+        packet: no source declares a load on it, so it is stepped, and a
+        lane engine refuses it by the limit."""
         net = NetworkConfig(
-            width=1, height=4, router=RouterConfig(num_ports=4, num_vcs=15, num_vnets=3)
+            width=1, height=1, router=RouterConfig(num_ports=2, num_vcs=31, num_vnets=1)
         )
-        assert batched.supports(net) is not None
-
-        def wide(**kwargs):
-            traffic = SyntheticTraffic(net, injection_rate=1.0, mix=COHERENCE_MIX, rng=9)
-            return _sim(net, traffic=traffic, router_factory=protected_router_factory(net),
-                        **kwargs)
-
-        self._assert_stepped(engines, wide(), wide(use_reference_stepper=True))
+        res = _sim(net, traffic=NullTraffic()).run()
+        assert engines == [] and res.stats.packets_ejected == 0
+        with pytest.raises(ValueError, match="15 VCs"):
+            batched.BatchedLaneEngine(net, SIM, [batched.LaneSpec(NullTraffic())])
 
     def test_a_roco_module_killed_by_hand(self, engines):
         """``fail_module`` lands nothing in the fault history, but its
