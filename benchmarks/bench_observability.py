@@ -1,9 +1,11 @@
 """Engineering benchmark: the observability layer's overhead gates.
 
 Four gates, all run by the CI ``benchmark-smoke`` job.  The three time
-gates are measured the way the ledger measures: alternating pairs, so
-that host drift lands on both sides of a pair, and the median of the
-per-pair ratios, which one slow run cannot move.
+gates are measured the way the ledger measures: pairs whose order
+alternates (ABBA: a bias toward whichever side runs second lands on
+half the ratios each way), each side timed over repeats totalling at
+least half a second, so that host drift lands on both sides of a pair,
+and the median of the per-pair ratios, which one slow run cannot move.
 
 * **Disabled path <= 5 %.**  With everything off, the instrumentation
   reduces to ``x is None`` attribute checks in the simulator, routers,
@@ -53,6 +55,9 @@ ENABLED_OVERHEAD_CEILING = 3.0
 #: alternating pairs per time gate
 _PAIRS = 10
 
+#: each side of a pair is timed over repeats totalling at least this long
+_SIDE_S = 0.5
+
 
 def _run(observability=None):
     net = NetworkConfig(width=4, height=4, router=RouterConfig())
@@ -76,14 +81,28 @@ def _run(observability=None):
     return time.perf_counter() - t0, result
 
 
+def _per_call(side):
+    """Seconds per call of ``side`` over repeats totalling ``_SIDE_S``."""
+    total = calls = 0
+    while total < _SIDE_S:
+        total += side()
+        calls += 1
+    return total / calls
+
+
 def _median_pair_ratio(baseline, candidate):
-    """Median of ``candidate() / baseline()`` over alternating pairs; each
-    callable returns the seconds it measured."""
+    """Median of ``candidate() / baseline()`` over pairs that alternate
+    which side runs first; each callable returns the seconds it measured."""
     baseline()  # import and allocator warmup
     ratios = []
-    for _ in range(_PAIRS):
-        base = baseline()
-        ratios.append(candidate() / base)
+    for i in range(_PAIRS):
+        if i % 2 == 0:
+            base = _per_call(baseline)
+            cand = _per_call(candidate)
+        else:
+            cand = _per_call(candidate)
+            base = _per_call(baseline)
+        ratios.append(cand / base)
     return statistics.median(ratios)
 
 

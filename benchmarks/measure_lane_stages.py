@@ -11,7 +11,11 @@ on a call budget") and the CI ``ledger`` job's summary.  Two tables:
   engine fast-forwarded over (``skipped``; a step is a cycle that ran, so
   the skipped ones are not in any per-step figure).  Every kernel call
   is timed, through the engine's ``_STAGES`` table, not the profiler's
-  1-in-16 sample;
+  1-in-16 sample.  Beside the times, from one more run of the chunk, the
+  step's exact counts (``tests/call_count.py``, the helper
+  ``tests/test_call_budget.py`` holds to a ceiling): calls made from
+  ``network/batched.py`` frames and array-operation opcodes executed in
+  them, per step — figures that do not move with the host's load;
 * one ``single_run_8x8`` run: the width-1 lane ``NoCSimulator.run()``
   rides against ``_run_stepped()``.
 
@@ -25,7 +29,8 @@ or, for a paired before/after table against another checkout's ``src``
 — its ``network/batched.py`` (that file only: the rest of the package is
 this tree's) loaded beside this one in one process, the two engines
 alternating on identical lanes, results asserted equal per pair; each
-side's median and the median of the paired ratios —
+side's median and the median of the paired ratios, and each side's
+counts per step with their delta —
 
     python benchmarks/measure_lane_stages.py --against ../other/src
 """
@@ -41,7 +46,10 @@ from unittest import mock
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 LEDGER = Path(__file__).resolve().parent / "ledger"
-sys.path[:0] = [str(SRC), str(LEDGER)]
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+sys.path[:0] = [str(SRC), str(LEDGER), str(TESTS)]
+
+from call_count import count_steps  # noqa: E402
 
 from repro.experiments import fault_campaign, parallel  # noqa: E402
 from repro.experiments.latency import suite_points  # noqa: E402
@@ -153,6 +161,17 @@ def measure_chunk(module, engine_cls, points):
     return row, f"{len(compiled)} / {len(points)}", shape, digest_of(read_out(results))
 
 
+def count_chunk(module, engine_cls, points):
+    """(calls, array ops) per step of one run of a chunk on ``engine_cls``,
+    ``module``'s engine, every step counted."""
+    batched.BatchedLaneEngine = engine_cls
+    counts = count_steps(
+        engine_cls, [module.__file__],
+        lambda: parallel._lane_batched_chunk(tuple(points), parallel.DEFAULT_LANE_WIDTH),
+    )
+    return counts.calls / counts.steps, counts.ops / counts.steps
+
+
 def measure_single(engine_cls, point):
     """(lane step loop µs/step, lane run() µs/cycle, stepped µs/cycle, digest)."""
     batched.BatchedLaneEngine = engine_cls
@@ -179,19 +198,22 @@ def fmt(value):
 
 
 def one_side(args):
-    engine_cls = instrument(batched.BatchedLaneEngine)
+    plain = batched.BatchedLaneEngine
+    engine_cls = instrument(plain)
     rows = []
     for name, points in chunks(args.smoke).items():
         row, tables, shape, _ = measure_chunk(batched, engine_cls, points)
-        rows.append((f"{name}, {shape}", row, tables))
+        rows.append((f"{name}, {shape}", row, tables, count_chunk(batched, plain, points)))
     kernels = [name for name, _ in batched.BatchedLaneEngine._STAGES]
     print("### Lane-engine kernels, µs per step (every call timed); install, retire"
-          " and poll seconds; the step loop; cycles fast-forwarded over\n")
-    print("| chunk | " + " | ".join(kernels + list(EXTRA)) + " | tables / lanes |")
-    print("|---|" + "---|" * (len(kernels) + len(EXTRA) + 1))
-    for name, row, tables in rows:
+          " and poll seconds; the step loop; cycles fast-forwarded over; calls and"
+          " array ops per step (counted)\n")
+    print("| chunk | " + " | ".join(kernels + list(EXTRA))
+          + " | tables / lanes | calls / step | array ops / step |")
+    print("|---|" + "---|" * (len(kernels) + len(EXTRA) + 3))
+    for name, row, tables, (calls, ops) in rows:
         print(f"| {name} | " + " | ".join(fmt(row[k]) for k in (*kernels, *EXTRA))
-              + f" | {tables} |")
+              + f" | {tables} | {calls:.1f} | {ops:.1f} |")
     print("\n### One run at 8x8: width-1 lane vs `_run_stepped()`\n")
     print("| routing | lane step loop µs / step | lane run() µs / cycle"
           " | _run_stepped() µs / cycle |")
@@ -217,13 +239,14 @@ def alternate(sides, pairs, measure, what):
 
 def paired(args):
     other = load_engine(args.against)
-    sides = {
-        "before": (other, instrument(other.BatchedLaneEngine)),
-        "after": (batched, instrument(batched.BatchedLaneEngine)),
-    }
+    plain = {"before": other.BatchedLaneEngine, "after": batched.BatchedLaneEngine}
+    sides = {side: (module, instrument(plain[side])) for side, module in (
+        ("before", other), ("after", batched),
+    )}
     kernels = [name for name, _ in batched.BatchedLaneEngine._STAGES]
     print(f"µs per step, {args.against} -> {SRC}: each side's median of "
-          f"{args.pairs} alternations and the median of the paired after / before ratios\n")
+          f"{args.pairs} alternations and the median of the paired after / before ratios;"
+          " the counted rows' last column is after - before\n")
     for name, points in chunks(args.smoke).items():
         shapes = set()
 
@@ -242,6 +265,10 @@ def paired(args):
                 a[k] / b[k] if b[k] else 1.0 for b, a in zip(runs["before"], runs["after"])
             )
             print(f"| {k} | {fmt(before)} | {fmt(after)} | {ratio:.2f} |")
+        counted = {side: count_chunk(sides[side][0], plain[side], points) for side in sides}
+        for i, what in enumerate(("calls / step", "array ops / step")):
+            before, after = (counted[side][i] for side in sides)
+            print(f"| {what} (counted) | {before:.1f} | {after:.1f} | {after - before:+.1f} |")
         print(flush=True)
     print("**One run at 8x8, width-1 lane step loop µs / step**\n")
     print("| routing | before | after | paired |")

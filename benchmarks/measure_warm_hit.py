@@ -95,13 +95,13 @@ def _lines(service, body):
     }
 
 
-def measure(calls):
-    """line -> median µs over ``calls`` timed calls, and the reply's digest."""
+def hit_entry():
+    """The request body of a hit and the cache entry it hits: the sweep is
+    computed once, here."""
     from repro.experiments import fault_sweep
     from repro.service.cache import make_entry
     from repro.service.fingerprint import effective_config, request_fingerprint
     from repro.service.results import render_result
-    from repro.service.server import SweepService
 
     body = json.dumps(
         {"experiment": EXPERIMENT, "stream": False, "config": CONFIG, "seed": SEED}
@@ -109,12 +109,18 @@ def measure(calls):
     config, residual = effective_config(EXPERIMENT, CONFIG, seed=SEED)
     fingerprint = request_fingerprint(EXPERIMENT, config, seed=residual)
     payload, _ = render_result(fault_sweep.run(config, jobs=1, seed=residual))
+    return body, make_entry(fingerprint, EXPERIMENT, config, payload, {"wall_s": 0.0, "jobs": 1})
+
+
+def measure(calls):
+    """line -> median µs over ``calls`` timed calls, and the reply's digest."""
+    from repro.service.server import SweepService
+
+    body, entry = hit_entry()
 
     async def go(root):
         service = SweepService(root, jobs=1)
-        service.cache.put(
-            make_entry(fingerprint, EXPERIMENT, config, payload, {"wall_s": 0.0, "jobs": 1})
-        )
+        service.cache.put(entry)
         sink = _Sink()
         await service._route(sink, "POST", "/v1/sweeps", body)
         reply = bytes(sink.data)

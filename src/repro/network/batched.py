@@ -57,46 +57,44 @@ Every ``(lane, router, port, slot)`` has one flat id::
 
 and the rest is the same algebra: output VC ``(node, o, w)`` is
 ``(node * P + o) * V + w``, a buffer cell ``vc * D + pos``, a ``va1_prio``
-row ``(port * V + owner) * P + route``, a NIC queue ``node * NV + vnet``,
+row ``(port * V + owner) * P + o``, a NIC queue ``node * NV + vnet``,
 a packet-table row ``lane * cap + row``.  Each state array is allocated
 once and seen two ways: n-d (``self.st``) by the scalar fault paths, lane
 install and retirement, and as a 1-D ``reshape(-1)`` view of the same
 memory (``self.st_``, the trailing underscore) by the seven per-cycle
 kernels, which take one ``mask.nonzero()[0]`` per phase (C order: the
 order the serial loops visit requesters in) and one index array per
-gather or scatter.  A narrow step is bound by its call count, not its
-data — a gather of a few dozen ids costs a fifth of a ``//`` on them, a
-NumPy function a multiple of the method it wraps — so the divisions of
-the algebra above are static tables (``port_of``, ``node_of``,
-``port0_of`` ...), probes are ``.nonzero()[0]`` / ``count_nonzero`` / an
-index array's ``.size``, and one index array is reused where several
-arrays need the same cut.  The wiring is tables as well: ``down_port``
-(output port id -> the input port id its link feeds) and ``credit_to``
-(wire-VC id at an input port -> where its credit returns), so a hop or
-a credit return is one gather; a port without a link holds an id past
-the end of every state array, so a flit routed off the mesh raises
-``IndexError`` at its next gather instead of wrapping onto another
-router.  Within one cycle all same-stage arbiters are independent (each
-grant touches a distinct (router, arbiter) pair — see the allocator
-docstrings), so one scatter-min into a scratch cell per arbiter finds
-every grant without a sort (``_rr_grant``), and VA stage 1 reads its pick
-off a table of (pointer, free-VC bits of the output port: ``vfree``).
+gather or scatter.  A narrow step is bound by its operation count, not
+its data — a gather of a few dozen ids costs a fifth of a ``//`` on
+them — so the divisions of the algebra are static tables (``port_of``,
+``node_of``, ``pidx_of`` ...), probes are ``.nonzero()[0]`` /
+``count_nonzero`` / an index array's ``.size``, integer operands are 0-d
+arrays (``_k``), index arrays are ``intp`` (NumPy converts any other
+dtype on every use), and ids stay absolute where a kernel would
+re-derive them: ``route`` is a packet's output port id, ``outvc`` its
+output VC id.  The wiring is tables too: ``down_vc`` (output port id ->
+the offset from its output VC ids to the wire-VC ids its link feeds) and
+``credit_to`` (wire-VC id at an input port -> where its credit returns);
+a port without a link leads past the end of every state array, so a
+flit routed off the mesh raises ``IndexError`` at its next gather.
+Same-stage arbiters are independent within a cycle, so one scatter-min
+into a scratch cell per arbiter finds every grant without a sort
+(``_rr_grant``), and VA stage 1 reads its pick off a table of (pointer,
+free-VC bits of the output port: ``vfree``).
 
 A flit is one ``int64`` word — flag bits 0-1, hop count above them (a
 traversal is ``+ _HOP``), destination node, packet-table row on top — so
-a buffer read or write is one gather or scatter (one a cycle: link and
-NIC flits land on distinct ports), and a calendar event
-carries the *id it lands on*, not coordinates: a link flit is ``(wire-VC
-id at the downstream input port, word)``, an ejection ``(output-VC id,
-word)``, a credit its index into ``credits`` — router credits (``cred``)
-and the NICs' (``nic_cred``) are two views of that one buffer, so a
-credit is delivered by one indexed add whoever it is owed to.  Four
-rings hold them (flits, ejections, the XB's credits, the ejections'),
-and the SA -> XB queue is a ring of one slot: the grants' id arrays as
-SA computed them.  ``RouterStats`` counters are *queued*: a kernel
-appends the node ids it counted, and one ``bincount`` per counter runs
-where somebody reads (``counts``) — a lane's retirement, a recovery
-monitor — or when ``_COUNT_QUEUE`` ids are waiting.
+a buffer read or write is one gather or scatter, and a calendar event
+carries the *id it lands on*: a link flit is ``(wire-VC id at the
+downstream input port, word)``, an ejection ``(output-VC id, word)``, a
+credit its index into ``credits``, where router and NIC credits are two
+views of one buffer.  Three rings hold them (a cycle's ejection credits
+join its XB's slot), and the SA -> XB queue is a ring of one slot: the
+grants' id arrays as SA computed them.  ``RouterStats`` counters are
+*queued*: a kernel appends the node ids it counted, and one ``bincount``
+per counter runs where somebody reads (``counts``) and every
+``_bin_every`` steps.  Buffer writes are counted by conservation: a
+lane's total is its traversals plus its buffered flits.
 
 The NIC boundary is arrays too.  Traffic is open-loop, so when a lane is
 installed its source is compiled (:func:`repro.traffic.generator.compile_table`)
@@ -161,23 +159,17 @@ Frozen stretches
 ----------------
 A baseline router fails on its first pipeline fault, so a fault campaign
 holds lanes that block and then idle to their watchdog or drain horizon.
-Once *every* lane is frozen, a step repeats itself until something outside
-the state moves, and :meth:`BatchedLaneEngine.run` jumps over those
-cycles, the lane analogue of the object engine's skip-ahead.  Each kernel
-sets ``_wrote`` where it writes state (everything but the ``RouterStats``
-counters); ``_quiet()`` adds that no ring holds an event.  Three write
-sites need care: VA stage 1 rewrites a converged pointer every cycle while
-its requester loses stage 2 to a faulty arbiter (compared, not assumed),
-an SA candidate at a protected bypass port is never quiet (the rotation
-default moves with the lane's clock), and a protected VA2 retry records
-an exclusion.  After two quiet steps with no retirement between them,
-``_fast_forward`` jumps to the next wake (a fault landing or heal, a NIC
-queue entry that finds a credit, a lane's inject window or drain horizon
-ending, a watchdog deadline) and adds the second step's counter
-increments once per skipped cycle.  A recovery monitor needs nothing: a
-watched counter that ticks while frozen resolves its watch on the first
-quiet step, and no flit traverses.  ``skipped_cycles`` counts the jumps'
-cycles.
+Once *every* lane is frozen — no kernel set ``_wrote`` at a state write
+for two steps and no ring holds an event (``_quiet``) — each step repeats
+the last until something outside the state moves, and ``_fast_forward``
+jumps to that wake (a fault landing or heal, a NIC queue entry that finds
+a credit, a lane's inject window or drain horizon ending, a watchdog
+deadline), adding the last step's counter increments once per skipped
+cycle (``skipped_cycles``).  Three write sites need care: VA stage 1
+rewrites a converged pointer every cycle while its requester loses stage
+2 to a faulty arbiter (compared, not assumed), an SA candidate at a
+protected bypass port is never quiet (the rotation default moves with
+the lane's clock), and a protected VA2 retry records an exclusion.
 """
 
 from __future__ import annotations
@@ -210,18 +202,29 @@ from .simulator import (
 from .stats import NetworkStats
 from .topology import Topology
 
+
+
+def _k(n: int, dtype: type = np.intp) -> np.ndarray:
+    """``n`` as a kernel operand: a 0-d array of the dtype it meets (which
+    changes no result's dtype), not a Python int, which NumPy converts on
+    every operation (0.7 µs of a 0.4 µs operation on a few dozen ids)."""
+    return np.array(n, dtype)
+
+
 # VC pipeline states (must match repro.router.vc.VCState integer values)
-_IDLE, _ROUTING, _WAITING_VA, _ACTIVE = 0, 1, 2, 3
+_IDLE, _ROUTING, _WAITING_VA, _ACTIVE = (_k(s, np.int8) for s in range(4))
+#: 0 and 1 for the int32 counts (buffered flits, credits, a NIC's flit index)
+_ZERO, _ONE = _k(0, np.int32), _k(1, np.int32)
 
 # the flit word: flags in bits 0-1, then hops (low, so a traversal is one
 # add), the destination node, and the packet-table row in the top bits
-_F_HEAD = 1
-_F_TAIL = 2
 _HOP_SHIFT, _DEST_SHIFT, _PID_SHIFT = 2, 16, 32
-_HOP = 1 << _HOP_SHIFT
 _HOP_MASK = (1 << (_DEST_SHIFT - _HOP_SHIFT)) - 1
 _DEST_MASK = (1 << (_PID_SHIFT - _DEST_SHIFT)) - 1
 _MAX_ROWS = 1 << (63 - _PID_SHIFT)
+_F_HEAD, _F_TAIL, _HOP, _ROW_SHIFT = _k(1), _k(2), _k(1 << _HOP_SHIFT), _k(_PID_SHIFT - _DEST_SHIFT)
+_HOP_SHIFT, _DEST_SHIFT, _PID_SHIFT, _HOP_MASK, _DEST_MASK = map(_k, (
+    _HOP_SHIFT, _DEST_SHIFT, _PID_SHIFT, _HOP_MASK, _DEST_MASK))
 
 #: queue-entry cycle of an exhausted NIC source queue, fault cycle of a
 #: slot with nothing left to poll (never due)
@@ -258,9 +261,9 @@ LANE_ROUTERS: Dict[str, Type[BaseRouter]] = {
 }
 LANE_KINDS = tuple(LANE_ROUTERS)
 
-#: most node ids ``_count`` keeps queued before they are binned, an array
-#: weighing 16 more for its header: what the counter queue can add to an
-#: engine's memory (128 kB of ids), whatever its width
+#: node ids the counter queue holds (128 kB; an array weighs 16 more): a
+#: step queues under one id per input port (0.45 at 4x4, 0.79 at 8x8 on the
+#: ledger's busiest steps), so it is binned every ``_COUNT_QUEUE // ports`` steps
 _COUNT_QUEUE = 1 << 14
 
 
@@ -368,7 +371,8 @@ class BatchedLaneEngine:
         self.PV = P * V
         self.RP = R * P  # port ids per lane
         self.RPV = R * P * V  # VC ids per lane
-        self.rot = rc.bypass_rotation_period
+        self.k_D, self.k_V, self.k_P, self.k_PV, self.k_RPV = map(_k, (D, V, P, self.PV, self.RPV))
+        self.k_rot = _k(rc.bypass_rotation_period)
         self.link_lat = config.link_latency
         self.cred_lat = config.credit_latency
         # calendar span — mirrors ``EventScheduler``: an event written at
@@ -408,18 +412,19 @@ class BatchedLaneEngine:
         # --- per-VC state, physical-slot indexed -----------------------
         shape4 = (R, P, V)
         self.st, self.st_ = state(shape4, _IDLE, np.int8)  # VCState
-        self.route, self.route_ = state(shape4, -1, np.int32)
-        self.outvc, self.outvc_ = state(shape4, -1, np.int32)
-        self.excl, self.excl_ = state(shape4, 0, np.int64)  # va_excluded bitmask
+        self.route, self.route_ = state(shape4, -1, np.intp)  # output port id
+        self.outvc, self.outvc_ = state(shape4, -1, np.intp)  # output VC id
+        self.excl, self.excl_ = state(shape4, 0, np.int16)  # va_excluded bitmask
         # wire-id indirection: ``pwire[..., s]`` is the wire id of the VC
         # object in physical slot s; ``wdelta`` is the inverse permutation
         # as an offset: wire w of a port sits in slot ``w + wdelta[..., w]``
-        self.pwire, self.pwire_ = state(shape4, np.arange(V), np.int32)
-        self.wdelta, self.wdelta_ = state(shape4, 0, np.int32)
+        self.pwire, self.pwire_ = state(shape4, np.arange(V), np.int8)
+        self.wdelta, self.wdelta_ = state(shape4, 0, np.int8)
 
         # flit buffers: a ring of flit words per VC
         self.b_flit, self.b_flit_ = state((R, P, V, D), 0, np.int64)
-        self.b_head, self.b_head_ = state(shape4, 0, np.int32)
+        self.b_rows = self.b_flit_.reshape(-1, D)  # one buffer per VC id
+        self.b_head, self.b_head_ = state(shape4, 0, np.intp)
         self.b_cnt, self.b_cnt_ = state(shape4, 0, np.int32)
 
         # output side: credits and downstream-VC ownership.  Router and NIC
@@ -441,7 +446,7 @@ class BatchedLaneEngine:
         # that holds every row (uint8 up to 5 VCs, uint32 at 13-15)
         va1 = np.min_scalar_type((V - 1) << V)
         self.va1_prio, self.va1_prio_ = state((R, P, V, P), 0, va1)
-        self.va2_prio, self.va2_prio_ = state(shape4, 0, np.int32)
+        self.va2_prio, self.va2_prio_ = state(shape4, 0, np.int8)
         self.sa1_prio, self.sa1_prio_ = state(shape3, 0, np.int8)
         self.sa2_prio, self.sa2_prio_ = state(shape3, 0, np.int32)
 
@@ -475,26 +480,21 @@ class BatchedLaneEngine:
         # slots ahead, credits ``credit_latency`` slots ahead.  Each slot
         # is a tuple of parallel 1-D arrays, the target ids first — ``(wire
         # VC id at the input port, word)``, ``(output VC id, word)``,
-        # ``(credits index,)`` from the XB and from an ejection — or None:
-        # within one span window every (slot, kind) pair is written by at
-        # most one cycle and each phase writes its kind at most once per
-        # cycle, so no same-slot merge is ever needed.
+        # ``(credits index,)`` — or None: within one span window every
+        # (slot, kind) pair is written by at most one cycle, and a cycle's
+        # ejection credits join its XB's credit slot (their ids are disjoint)
         span = self.span
         _Ring = List[Optional[Tuple[np.ndarray, ...]]]
         self._ring_flit: _Ring = [None] * span
         self._ring_eject: _Ring = [None] * span
         self._ring_credit: _Ring = [None] * span
-        self._ring_out_credit: _Ring = [None] * span
         #: the XB queue, a ring of one slot: this cycle's SA grants (at most
         #: one per input port) as ``(VC id, input port id, output port id,
-        #: output VC id, route)``, traversed by the next cycle's XB phase
+        #: output VC id)``, traversed by the next cycle's XB phase
         self._xq: _Ring = [None]
         #: this cycle's link deliveries, written with the NIC's (``_nic_step``)
         self._arrived: Optional[Tuple[np.ndarray, ...]] = None
-        self._rings = (
-            self._ring_flit, self._ring_eject, self._ring_credit,
-            self._ring_out_credit, self._xq,
-        )
+        self._rings = (self._ring_flit, self._ring_eject, self._ring_credit, self._xq)
 
         # --- the NIC boundary: packet tables and array NIC state --------
         # one table row per packet of a lane, sorted by (src, vnet) in
@@ -540,13 +540,12 @@ class BatchedLaneEngine:
         self.rstats = np.zeros((len(_RS_IDX), L, R), dtype=np.int64)
         #: one bound 1-D view per counter, indexed by node id
         self._counter = [row.reshape(-1) for row in self.rstats]
-        #: node-id arrays ``_count`` queued per counter, not yet binned into
-        #: ``rstats``, and their weight in ids since the last ``counts()``
+        #: node-id arrays the kernels queued per counter, not yet binned
+        #: into ``rstats``: ``_queued`` steps of them (buffer writes are
+        #: reduced at retirement instead)
         self._queue: List[List[np.ndarray]] = [[] for _ in _RS_IDX]
         self._queued = 0
-        # nothing watches buffer writes: they stay one bump per lane, kept
-        # in the cell of the lane's router 0 (see ``_buffer_write``)
-        self._counter[_I_BUFW] = self.rstats[_I_BUFW, :, 0]
+        self._bin_every = max(1, _COUNT_QUEUE // (L * self.RP))
         self.fin, _ = state((), 0, np.int64)  # flits in network
         self.flits_ejected, _ = state((), 0, np.int64)
         #: packets of the lane's table whose tail has not entered the
@@ -565,6 +564,9 @@ class BatchedLaneEngine:
             down_port[:, node, port] = np.arange(L) * self.RP + far * P + far_port
         #: output port id -> the input port id its link feeds
         self.down_port = down_port.reshape(-1)
+        ports = np.arange(L * self.RP)
+        #: output port id -> the offset from its output VC ids to the wire-VC ids it feeds
+        self.down_vc = (self.down_port - ports) * V
         #: wire-VC id at an input port -> the ``credits`` index its credit
         #: returns to: the output VC feeding the port (a mesh link has its
         #: reverse twin, so that output port is ``down_port`` of the input
@@ -578,30 +580,30 @@ class BatchedLaneEngine:
         self.credit_to = credit_to.reshape(-1)
         # the id algebra of the docstring as tables: a gather of a few
         # dozen ids costs a fraction of a ``//`` or ``%`` on them
-        ports = np.arange(L * self.RP)
         self.port_of = np.arange(L * self.RPV) // V  #: VC id -> port id
         self.node_of = ports // P  #: port id -> node id
-        self.port0_of = ports - ports % P  #: port id -> its router's port 0
+        self.pidx_of = ports % P  #: port id -> its index within its router
+        self.is_local = self.pidx_of == PORT_LOCAL  #: port id -> an ejection port
         self.vc0_of = ports * V  #: port id -> the VC id of its slot 0
         self.rtab0_of = ports // P % R * R  #: port id -> its router's ``rtab`` row
         self.lane_of = nodes // R  #: node id -> lane
-        self.local_vc0_of = (nodes * P + PORT_LOCAL) * V  #: node id -> its NIC's VC 0
         queues = np.arange(L * R * self.NV)
         self.q_node_of = queues // self.NV  #: NIC queue id -> node id
         self.q_vnet_of = queues % self.NV  #: NIC queue id -> vnet
+        #: NIC queue id -> the first wire-VC id of its vnet at the local port
+        self.q_vc_of = (self.q_node_of * P + PORT_LOCAL) * V + self.q_vnet_of * self.VV
         # round-robin successors, in the priority arrays' dtype, and
         # distances from a pointer: ``wrap[f - p]`` is ``(f - p) % size``
         self._next_v = ((self._vcs + 1) % V).astype(np.int8)
         self._next_va1 = self._next_v.astype(va1) << V
         self._next_p = ((np.arange(P) + 1) % P).astype(np.int32)
-        self._next_pv = ((np.arange(self.PV) + 1) % self.PV).astype(np.int32)
+        self._next_pv = ((np.arange(self.PV) + 1) % self.PV).astype(np.int8)
         self._next_vnet = (np.arange(self.NV) + 1) % self.NV
-        self._mod_d = (np.arange(2 * self.D) % self.D).astype(np.int32)
+        self._mod_d = np.arange(2 * self.D) % self.D
+        self._next_d = self._mod_d[1:]  # a buffer head -> the next
         self._wrap = {n: np.tile(np.arange(n, dtype=np.int8), 2) for n in (V, P, self.PV, self.NV)}
         #: scratch of ``_rr_grant``: one cell per VC id, ``_FAR`` between uses
         self._least = np.full(L * self.RPV, _FAR, dtype=np.int8)
-        #: flits left behind a tail -> the slot's state
-        self._after_tail = np.array([_IDLE] + [_ROUTING] * self.D, dtype=np.int8)
         #: VC state -> may lend its VA stage-1 arbiter set (IDLE or ACTIVE)
         self._lends = np.array([True, False, False, True])
         self.st_rows = self.st.reshape(-1, V)  # one row per port
@@ -761,14 +763,6 @@ class BatchedLaneEngine:
     # ------------------------------------------------------------------
     # one vectorised cycle
     # ------------------------------------------------------------------
-    def _count(self, counter: int, node: np.ndarray) -> None:
-        """Bump a ``RouterStats`` counter once per entry of ``node`` — by
-        queueing the ids: they are binned when somebody reads (``counts``)."""
-        if self._queued + node.size + 16 > _COUNT_QUEUE:
-            self.counts()
-        self._queue[counter].append(node)
-        self._queued += node.size + 16
-
     def _bin(self, counter: int) -> None:
         """Add one counter's queued bumps to its row of ``rstats``."""
         queue = self._queue[counter]
@@ -781,10 +775,10 @@ class BatchedLaneEngine:
         """``rstats`` with every queued bump binned in: what a lane's
         retirement and install go through, and any reader of all counters
         (a recovery monitor reads its few through ``_RouterView``)."""
-        if self._queued:
-            for counter in range(len(self._queue)):
+        for counter, queue in enumerate(self._queue):
+            if queue:
                 self._bin(counter)
-            self._queued = 0
+        self._queued = 0
         return self.rstats
 
     def _rr_grant(self, key: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -806,37 +800,36 @@ class BatchedLaneEngine:
             return
         self._xq[0] = None
         self._wrote = True
-        vc, port, oport, out, dest = grants
-        D = self.D
-        ovc = self.outvc_[vc]
+        vc, port, oport, out = grants
         h = self.b_head_[vc]
-        word = self.b_flit_[vc * D + h] + _HOP
-        self.b_head_[vc] = self._mod_d[h + 1]
-        cnt = self.b_cnt_[vc] - 1
+        word = self.b_flit_[vc * self.k_D + h] + _HOP
+        self.b_head_[vc] = self._next_d[h]
+        cnt = self.b_cnt_[vc] - _ONE
         self.b_cnt_[vc] = cnt
-        self._count(_I_TRAV, self.node_of[port])
+        self._queue[_I_TRAV].append(self.node_of[port])
 
         tail = (word & _F_TAIL).nonzero()[0]
         if tail.size:
             # release the downstream VC, then finish the packet: the slot
             # falls idle, or restarts routing on a head already queued
             # behind (RC, VA and the grant rewrite the rest of its fields)
-            self.vfree_[oport[tail]] |= self._bit[ovc[tail]]
-            self.st_[vc[tail]] = self._after_tail[cnt[tail]]
+            self.vfree_[oport[tail]] |= self._bit[out[tail] % self.k_V]
+            self.st_[vc[tail]] = cnt[tail] > _ZERO  # _ROUTING (1), else _IDLE (0)
 
         # credit return toward whoever feeds this input port
         self._ring_credit[(cycle + self.cred_lat) % self.span] = (
             self.credit_to[self.vc0_of[port] + self.pwire_[vc]],
         )
         wf = (cycle + self.link_lat) % self.span
-        eject = (dest == PORT_LOCAL).nonzero()[0]
+        to_nic = self.is_local[oport]
+        eject = to_nic.nonzero()[0]
         if eject.size:
             self._ring_eject[wf] = (out[eject], word[eject])
-            if eject.size == dest.size:
+            if eject.size == out.size:
                 return
-            rem = (dest != PORT_LOCAL).nonzero()[0]
-            oport, ovc, word = oport[rem], ovc[rem], word[rem]
-        self._ring_flit[wf] = (self.vc0_of[self.down_port[oport]] + ovc, word)
+            rem = (~to_nic).nonzero()[0]
+            oport, out, word = oport[rem], out[rem], word[rem]
+        self._ring_flit[wf] = (out + self.down_vc[oport], word)
 
     def _move_slots(self, src: np.ndarray, to: np.ndarray) -> None:
         """Swap the active VC *objects* at slot ids src[i] with the idle,
@@ -846,10 +839,7 @@ class BatchedLaneEngine:
         wire id to carry (RC, VA and the grant rewrite the rest before it is
         read; exclusions are 0 outside VA).  Each pair shares a port and no
         port appears twice, so fancy-index copies are exact."""
-        for arr in (
-            self.route_, self.outvc_, self.b_head_, self.b_cnt_,
-            self.b_flit_.reshape(-1, self.D),
-        ):
+        for arr in (self.route_, self.outvc_, self.b_head_, self.b_cnt_, self.b_rows):
             arr[to] = arr[src]
         self.st_[to] = _ACTIVE
         self.st_[src] = _IDLE
@@ -864,77 +854,82 @@ class BatchedLaneEngine:
 
     def _sa_phase(self, cycle: int, local: np.ndarray) -> None:
         """Switch allocation — mirrors ``SAUnit.allocate`` (+ ft_sa bypass)."""
-        vc = ((self.st_ == _ACTIVE) & (self.b_cnt_ > 0)).nonzero()[0]
+        vc = (self.st_ == _ACTIVE).nonzero()[0]
         if vc.size == 0:
             return
-        V = self.V
-        port = self.port_of[vc]
-        rt = self.route_[vc]
-        oport = self.port0_of[port] + rt
-        out = self.vc0_of[oport] + self.outvc_[vc]  # output VC id
-        # one index keeps the candidates with a credit and a path; what a
-        # winner needs of the rest is picked through it
-        keep = ((self.cred_[out] > 0) & self.plan_ok_[oport]).nonzero()[0]
+        V = self.k_V
+        oport = self.route_[vc]
+        out = self.outvc_[vc]
+        # one index keeps the candidates with a flit, a credit and a path;
+        # what a winner needs of the rest is picked through it
+        keep = (
+            (self.b_cnt_[vc] > _ZERO) & (self.cred_[out] > _ZERO) & self.plan_ok_[oport]
+        ).nonzero()[0]
         if keep.size == 0:
             return
-        vc, port = vc[keep], port[keep]
+        vc = vc[keep]
+        port = self.port_of[vc]
         # stage 1: one winner per input port
-        sc = vc - self.vc0_of[port]
-        win = self._rr_grant(port, self._wrap[V][sc - self.sa1_prio_[port]])
+        sc = vc % V
+        win = self._rr_grant(port, self._wrap[self.V][sc - self.sa1_prio_[port]])
         fa = self.f_sa1_[port] if self._have_sa1 else None
         if fa is not None and np.count_nonzero(fa):
-            node = self.node_of[port]
+            # the candidates at ports whose arbiter is faulty, alone
+            f = fa.nonzero()[0]
+            fvc, fport, fsc = vc[f], port[f], sc[f]
+            node = self.node_of[fport]
             lane = self.lane_of[node]
             # a baseline port has no bypass: it is dead with its arbiter
-            dead = fa & (self.f_sa1b_[port] | ~self.protected[lane])
+            dead = self.f_sa1b_[fport] | ~self.protected[lane]
             # bypass path: grant the rotation default (it runs on each
             # lane's local clock), or transfer the port's first
             # candidate into the default slot if that is idle and empty
             # (a default slot that requests is neither)
-            bypass = fa & ~dead
+            bypass = ~dead
             if np.count_nonzero(bypass):
                 self._wrote = True  # the rotation default moves with the clock
-            default = local[lane] // self.rot % V
-            hit = ((sc == default) & bypass).nonzero()[0]
-            starts = port.searchsorted(port[win])  # each port's first candidate
-            self._count(_I_SA_BLOCK, node[starts[dead[starts]]])
+            default = local[lane] // self.k_rot % V
+            hit = ((fsc == default) & bypass).nonzero()[0]
+            healthy = ~fa[win]
+            # each faulty port's first candidate (its stage-1 winner's port)
+            starts = fport.searchsorted(port[win[~healthy]])
+            self._queue[_I_SA_BLOCK].append(node[starts[dead[starts]]])
             move = starts[bypass[starts].nonzero()[0]]
-            to = vc[move] - sc[move] + default[move]
-            free = ((self.st_[to] == _IDLE) & (self.b_cnt_[to] == 0)).nonzero()[0]
+            to = fvc[move] - fsc[move] + default[move]
+            free = ((self.st_[to] == _IDLE) & (self.b_cnt_[to] == _ZERO)).nonzero()[0]
             if free.size:
                 move = move[free]
-                self._move_slots(vc[move], to[free])
-                self._count(_I_VC_XFER, node[move])
-            self._count(_I_SA_BYPASS, node[hit])
-            win = win[~fa[win]]  # only the healthy ports' arbiters granted
+                self._move_slots(fvc[move], to[free])
+                self._queue[_I_VC_XFER].append(node[move])
+            self._queue[_I_SA_BYPASS].append(node[hit])
+            win = win[healthy]  # only the healthy ports' arbiters granted
             self.sa1_prio_[port[win]] = self._next_v[sc[win]]
-            win = np.concatenate((win, hit))
+            win = np.concatenate((win, f[hit]))
             if win.size == 0:
                 return
         else:
             self.sa1_prio_[port[win]] = self._next_v[sc[win]]
 
         keep = keep[win]
-        wport, wrt, woport = port[win], rt[keep], oport[keep]
+        wport, woport = port[win], oport[keep]
         # stage 2: winners compete per *arbiter* port (secondary paths
         # borrow the neighbouring output's arbiter)
-        port0 = woport - wrt
-        arb = port0 + self.plan_arb_[woport]
-        wpin = wport - port0
+        wpin = self.pidx_of[wport]
+        arb = wport - wpin + self.plan_arb_[woport]
         gi = self._rr_grant(arb, self._wrap[self.P][wpin - self.sa2_prio_[arb]])
         # (always a healthy one: the plans never name a faulty arbiter)
         self.sa2_prio_[arb[gi]] = self._next_p[wpin[gi]]
 
         self._wrote = True
         gport, gout = wport[gi], out[keep[gi]]
-        self.cred_[gout] -= 1
+        self.cred_[gout] -= _ONE
         gnode = self.node_of[gport]
-        self._count(_I_SA_GRANT, gnode)
+        self._queue[_I_SA_GRANT].append(gnode)
         goport = woport[gi]
         sec = self.plan_sec_[goport].nonzero()[0]
         if sec.size:
-            self._count(_I_SEC, gnode[sec])
-        self._xq[0] = (vc[win[gi]], gport, goport, gout, wrt[gi])
+            self._queue[_I_SEC].append(gnode[sec])
+        self._xq[0] = (vc[win[gi]], gport, goport, gout)
 
     def _borrow_arbiters(self, vc: np.ndarray, fa: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Stage-1 arbiter borrowing — mirrors ``ArbiterSharingVAUnit._stage1_arbiters``.
@@ -945,22 +940,22 @@ class BatchedLaneEngine:
         slots) scan in slot order, so the k-th takes the port's k-th lender,
         or waits.  Returns the keep-mask and per-requester owner VC id (the
         priority rows used)."""
-        keep = ~fa | self.protected[vc // self.RPV]
+        keep = ~fa | self.protected[vc // self.k_RPV]
         if not keep.all():
-            self._count(_I_VA_BLOCK, vc[~keep] // self.PV)
+            self._queue[_I_VA_BLOCK].append(vc[~keep] // self.k_PV)
         owner = vc.copy()
         b = (fa & keep).nonzero()[0]
         bv = vc[b]
         port = self.port_of[bv]  # sorted: k is the borrower's rank in its port
         k = np.arange(b.size) - port.searchsorted(port)
         lends = self._lends[self.st_rows[port]] & ~self.f_va1_rows[port]
-        lender = self._kth[(lends @ self._bit) * self.V + k]
+        lender = self._kth[(lends @ self._bit) * self.k_V + k]
         slot = bv - self.vc0_of[port]
-        wait = (lender == self.V).nonzero()[0]
+        wait = (lender == self.k_V).nonzero()[0]
         if wait.size:
             node = self.node_of[port[wait]]
-            self._count(_I_VA_BORROW_WAIT, node)
-            self._count(_I_VA_BLOCK, node)
+            self._queue[_I_VA_BORROW_WAIT].append(node)
+            self._queue[_I_VA_BLOCK].append(node)
             keep[b[wait]] = False
         owner[b] += lender - slot
         return keep, owner
@@ -980,9 +975,7 @@ class BatchedLaneEngine:
                 vc, owner = vc[keep], owner[keep]
                 if vc.size == 0:
                     return
-        port = self.port_of[vc]
-        rt = self.route_[vc]
-        oport = self.port0_of[port] + rt
+        oport = self.route_[vc]
         # the free downstream VCs of the requester's vnet, as bits (the
         # *wire id* of the slot object decides the vnet, not its position)
         free = self.vfree_[oport] & self._vnet_bits[self.pwire_[vc]]
@@ -992,13 +985,12 @@ class BatchedLaneEngine:
                 free &= ~ex
         keep = free.nonzero()[0]
         if keep.size < vc.size:
-            self._count(_I_VA_NOFREE, self.node_of[port[free == 0]])
+            self._queue[_I_VA_NOFREE].append(self.node_of[oport[free == 0]])
             if keep.size == 0:
                 return
-            vc, owner, oport = vc[keep], owner[keep], oport[keep]
-            rt, free = rt[keep], free[keep]
+            vc, owner, oport, free = vc[keep], owner[keep], oport[keep], free[keep]
         # stage 1 pick: the owner slot's per-output round-robin row
-        row = owner * self.P + rt
+        row = owner * self.k_P + self.pidx_of[oport]
         ptr = self.va1_prio_[row]
         choice = self._first_free[ptr + free]
         nxt = self._next_va1[choice]
@@ -1006,16 +998,16 @@ class BatchedLaneEngine:
 
         # stage 2: proposals compete per output VC (output port, downstream VC)
         out = self.vc0_of[oport] + choice
-        req = vc % self.PV  # requester index within its router
+        req = vc % self.k_PV  # requester index within its router
         win = self._rr_grant(out, self._wrap[self.PV][req - self.va2_prio_[out]])
         if self._have_va2:
             lost = self.f_va2_[out]
             if np.count_nonzero(lost):
                 retry = vc[lost]
-                self._count(_I_VA2_RETRY, self.node_of[self.port_of[retry]])
+                self._queue[_I_VA2_RETRY].append(self.node_of[oport[lost]])
                 # a protected router records the exclusion, so that the
                 # retry picks elsewhere
-                prot = self.protected[retry // self.RPV]
+                prot = self.protected[retry // self.k_RPV]
                 if np.count_nonzero(prot):
                     self._wrote = True
                     self.excl_[retry[prot]] |= self._bit[choice[lost][prot]]
@@ -1027,21 +1019,21 @@ class BatchedLaneEngine:
                         self._wrote = True
                     return
         self._wrote = True
-        self.va2_prio_[out[win]] = self._next_pv[req[win]]
-
-        gvc = vc[win]
-        gchoice = choice[win]
-        self.outvc_[gvc] = gchoice
+        gvc, goport, gout = vc[win], oport[win], out[win]
+        self.va2_prio_[gout] = self._next_pv[req[win]]
+        self.outvc_[gvc] = gout
         self.st_[gvc] = _ACTIVE
-        self.excl_[gvc] = 0
+        if self._have_va2:  # no exclusion is recorded otherwise
+            self.excl_[gvc] = 0
         # the grants take their downstream VCs' bits (set, and distinct
         # within a port: a subtraction clears them, several of one port too)
-        np.subtract.at(self.vfree_, oport[win], self._bit[gchoice])
-        self._count(_I_VA_GRANT, self.node_of[self.port_of[gvc]])
+        np.subtract.at(self.vfree_, goport, self._bit[choice[win]])
+        gnode = self.node_of[goport]
+        self._queue[_I_VA_GRANT].append(gnode)
         if borrowed:
             bm = (owner[win] != gvc).nonzero()[0]
             if bm.size:
-                self._count(_I_VA_BORROWED, self.node_of[self.port_of[gvc[bm]]])
+                self._queue[_I_VA_BORROWED].append(gnode[bm])
 
     def _route_key(self, oport: np.ndarray) -> np.ndarray:
         """A candidate output port's ``(not secondary, credits)`` key as one
@@ -1062,30 +1054,30 @@ class BatchedLaneEngine:
                 # a baseline port has no duplicate unit to fall back on
                 node = self.node_of[port]
                 blocked = f1 & (self.f_rc2_[port] | ~self.protected[self.lane_of[node]])
-                self._count(_I_RC_DUP, node[f1 & ~blocked])
+                self._queue[_I_RC_DUP].append(node[f1 & ~blocked])
                 keep = (~blocked).nonzero()[0]
                 if keep.size < vc.size:
-                    self._count(_I_RC_BLOCK, node[blocked])
+                    self._queue[_I_RC_BLOCK].append(node[blocked])
                     if keep.size == 0:
                         return
                     vc, port = vc[keep], port[keep]
-        dest = self.b_flit_[vc * self.D + self.b_head_[vc]] >> _DEST_SHIFT & _DEST_MASK
+        dest = self.b_flit_[vc * self.k_D + self.b_head_[vc]] >> _DEST_SHIFT & _DEST_MASK
         at = self.rtab0_of[port] + dest
-        out = self.rtab[at]
-        port0 = self.port0_of[port]
+        port0 = port - self.pidx_of[port]
+        out = port0 + self.rtab[at]  # the output port id
         if self.rtab2 is not None:
             # ``RCUnit.select_route``: the second candidate wins on a
             # strictly greater key only, so ties and no path at all stay first
             alt = self.rtab2[at]
             two = (alt >= 0).nonzero()[0]
             if two.size:
-                alt, p0 = alt[two], port0[two]
-                swap = (self._route_key(p0 + alt) > self._route_key(p0 + out[two])).nonzero()[0]
+                alt = port0[two] + alt[two]
+                swap = (self._route_key(alt) > self._route_key(out[two])).nonzero()[0]
                 out[two[swap]] = alt[swap]
-        pok = self.plan_ok_[port0 + out]
+        pok = self.plan_ok_[out]
         keep = pok.nonzero()[0]
         if keep.size < vc.size:
-            self._count(_I_UNREACH, self.node_of[port[~pok]])
+            self._queue[_I_UNREACH].append(self.node_of[port[~pok]])
             if keep.size == 0:
                 return
             vc, out = vc[keep], out[keep]
@@ -1103,7 +1095,7 @@ class BatchedLaneEngine:
         if ev is not None:
             self._wrote = True
             self._ring_flit[s] = None
-            self.last_progress[ev[0] // self.RPV] = cycle  # a lane that moved
+            self.last_progress[ev[0] // self.k_RPV] = cycle  # a lane that moved
         ev = self._ring_eject[s]
         if ev is not None:
             self._wrote = True
@@ -1111,44 +1103,44 @@ class BatchedLaneEngine:
             out, word = ev
             # the NIC sinks the flit at once: credit back, and a tail
             # completes its packet's table row
-            lane = out // self.RPV
+            lane = out // self.k_RPV
             count = np.bincount(lane, minlength=self.L)
             self.fin -= count
             self.flits_ejected += count
-            np.putmask(self.last_progress, count, cycle)
-            self._ring_out_credit[(cycle + self.cred_lat) % self.span] = (out,)
+            self.last_progress[lane] = cycle
+            # credits back to the local output VCs, in the slot the XB's
+            # credits of this cycle went to
+            c = (cycle + self.cred_lat) % self.span
+            xb = self._ring_credit[c]
+            self._ring_credit[c] = (out,) if xb is None else (np.concatenate((xb[0], out)),)
             tail = (word & _F_TAIL).nonzero()[0]
             if tail.size:
                 tl, word = lane[tail], word[tail]
-                rows = tl * self.cap + (word >> _PID_SHIFT)
+                rows = tl * self.k_cap + (word >> _PID_SHIFT)
                 self.t_ej_[rows] = local[tl]
                 self.t_hops_[rows] = word >> _HOP_SHIFT & _HOP_MASK
-        for ring in (self._ring_credit, self._ring_out_credit):
-            ev = ring[s]
-            if ev is not None:
-                self._wrote = True
-                ring[s] = None
-                self.credits[ev[0]] += 1
+        ev = self._ring_credit[s]
+        if ev is not None:
+            self._wrote = True
+            self._ring_credit[s] = None
+            self.credits[ev[0]] += _ONE
 
-    def _buffer_write(self, tgt: np.ndarray, word: np.ndarray) -> np.ndarray:
+    def _buffer_write(self, tgt: np.ndarray, word: np.ndarray) -> None:
         """Append one flit word per distinct wire-VC id ``port * V + wire``.
 
         Mirrors ``BaseRouter.receive_flit``: an idle slot starts routing
         its new head (RC, VA and the grant write the rest of its fields).
         One call a cycle writes the link deliveries and the NIC injections
         together (one flit per link, one per NIC: targets never repeat, so
-        a plain fancy-index scatter is exact).  Returns the flits written
-        per lane.
+        a plain fancy-index scatter is exact).  Uncounted: ``_retire``
+        reduces a lane's writes by conservation.
         """
         vc = tgt + self.wdelta_[tgt]
         cnt = self.b_cnt_[vc]
-        self.b_flit_[vc * self.D + self._mod_d[self.b_head_[vc] + cnt]] = word
-        self.b_cnt_[vc] = cnt + 1
-        written = np.bincount(tgt // self.RPV, minlength=self.L)
-        self._counter[_I_BUFW] += written
+        self.b_flit_[vc * self.k_D + self._mod_d[self.b_head_[vc] + cnt]] = word
+        self.b_cnt_[vc] = cnt + _ONE
         # every state but idle is above routing
         self.st_[vc] = np.maximum(self.st_[vc], _ROUTING)
-        return written
 
     def _nic_step(self, cycle: int, local: np.ndarray) -> None:
         """Inject up to one flit per NIC — mirrors ``NetworkInterface.step``.
@@ -1163,9 +1155,9 @@ class BatchedLaneEngine:
         with this cycle's link deliveries, in one ``_buffer_write``.
         """
         arrived, self._arrived = self._arrived, None
-        can = self.q_due <= cycle
-        can &= self.nic_cred > 0
-        q = can.reshape(-1).nonzero()[0]
+        can = self.q_due_ <= cycle
+        can &= self.nic_cred_ > _ZERO
+        q = can.nonzero()[0]
         if q.size == 0:
             if arrived is not None:
                 self._buffer_write(*arrived)
@@ -1179,12 +1171,12 @@ class BatchedLaneEngine:
         q, node, v = q[win], node[win], v[win]
         l = self.lane_of[node]
         row = self.q_row_[q]
-        trow = l * self.cap + row
+        trow = l * self.k_cap + row
         flit = self.q_flit_[q]
-        head = flit == 0
-        flit += 1
+        head = flit == _ZERO
+        flit += _ONE
         tail = flit == self.t_size_[trow]
-        self.nic_cred_[q] -= 1
+        self.nic_cred_[q] -= _ONE
         self.nic_rr_[node] = self._next_vnet[v]
         hd = head.nonzero()[0]
         self.t_inj_[trow[hd]] = local[l[hd]]
@@ -1198,10 +1190,10 @@ class BatchedLaneEngine:
             self.lane_left -= np.bincount(l[tl], minlength=self.L)
         self.q_flit_[q] = flit
         # the row id is int64: adding the table's int32 destination widens it
-        word = ((row << _PID_SHIFT - _DEST_SHIFT) + self.t_dest_[trow]) << _DEST_SHIFT
+        word = ((row << _ROW_SHIFT) + self.t_dest_[trow]) << _DEST_SHIFT
         word += head * _F_HEAD + tail * _F_TAIL
         self.fin += np.bincount(l, minlength=self.L)
-        tgt = self.local_vc0_of[node] + v * self.VV
+        tgt = self.q_vc_of[q]
         if arrived is not None:
             tgt, word = np.concatenate((arrived[0], tgt)), np.concatenate((arrived[1], word))
         self._buffer_write(tgt, word)
@@ -1224,9 +1216,10 @@ class BatchedLaneEngine:
         enter the NIC queues and are stamped against it, so lanes
         installed mid-run warm up and drain on their own clocks.  Sampled
         cycles time each kernel (seven ``perf_counter`` pairs every 16th
-        cycle: under 0.01 % of a step, so there is no switch).  Recovery
-        watches are polled after the last kernel, as the object engine
-        polls at end of cycle, so same-cycle mechanism activity counts.
+        cycle: under 0.01 % of a step, so there is no switch), and every
+        ``_bin_every``-th step bins the counter queue.  Recovery watches
+        are polled after the last kernel, as the object engine polls at
+        end of cycle, so same-cycle mechanism activity counts.
         """
         self._wrote = False
         prof = self.profiler
@@ -1239,6 +1232,9 @@ class BatchedLaneEngine:
         else:
             for _, kernel in self._STAGES:
                 kernel(self, cycle, local)
+        self._queued += 1
+        if self._queued == self._bin_every:
+            self.counts()
         if self._monitors:
             t = perf_counter()
             for lane, mon in self._monitors.items():
@@ -1419,6 +1415,9 @@ class BatchedLaneEngine:
         if mon is not None:
             mon.finalize()
         counts = self.counts()[:, lane]
+        # every write is one traversal or a flit still buffered (a flit on
+        # a link has traversed and is not written yet)
+        counts[_I_BUFW, 0] = counts[_I_TRAV].sum() + self.b_cnt[lane].sum()
         export: Optional[dict] = None
         if self._metrics or self._trace:
             export = {"metrics": None, "trace": None, "profile": None}
@@ -1468,6 +1467,7 @@ class BatchedLaneEngine:
             self.t_size, self.t_next, self.t_inj, self.t_ej, self.t_hops,
         ) = self._tables = tables
         self.cap = tables.shape[2]
+        self.k_cap = _k(self.cap)
         if self.cap > _MAX_ROWS:
             raise ValueError(f"{self.cap} table rows do not fit the flit word")
         (
@@ -1573,7 +1573,7 @@ class _RouterView:
     ``stats.<counter>`` is its column of the counter matrix,
     ``buffered_flits()`` its buffer occupancy — views of the live arrays,
     so a poll sees what the kernels counted this cycle (``buffer_writes``
-    excepted: it is kept per lane, see ``rstats``)."""
+    excepted: a lane's total is reduced at its retirement)."""
 
     def __init__(self, engine: BatchedLaneEngine, lane: int, router: int) -> None:
         self._engine = engine

@@ -219,7 +219,8 @@ class TestRouteKey:
         routed = engine.st_[vc] == batched._WAITING_VA
         unreach = int(engine.counts()[batched._I_UNREACH].sum())
         assert unreach == (0 if routed else 1)
-        return out, int(engine.route_[vc]) if routed else None
+        # ``route_`` holds the output port id: its index within the router
+        return out, int(engine.pidx_of[engine.route_[vc]]) if routed else None
 
     def test_a_tie_goes_to_the_first_candidate(self):
         assert self._both() == (PORT_EAST, PORT_EAST)

@@ -1358,9 +1358,9 @@ class TestFlatAddressing:
 
     @pytest.mark.parametrize("name", ["protected-va1-whole-port", "baseline-va2"])
     def test_every_index_array_is_intp(self, name, envelope_lanes):
-        """State values (``route``, ``outvc``, ``b_head`` ...) are int32;
-        an id built from them alone would be int32 too and wrap on a
-        large fleet.  Every gather and scatter of a faulted run — state
+        """State values (``pwire``, ``cred``, ``va2_prio`` ...) are int8 or
+        int32; an id built from them alone would be too and wrap on a large
+        fleet.  Every gather and scatter of a faulted run — state
         arrays, the shared credit buffer and the static id tables alike —
         goes through views that check their index arrays."""
         kind = _ENVELOPE[name][0]
@@ -1368,10 +1368,10 @@ class TestFlatAddressing:
         checked = 0
         for attr, value in list(vars(engine).items()):
             flat = attr.endswith("_") or attr.endswith("_of") or attr in (
-                "down_port", "credit_to", "credits", "rtab",
+                "down_port", "down_vc", "is_local", "credit_to", "credits", "rtab",
             )
             if flat and isinstance(value, np.ndarray):
-                if attr.endswith("_of") or attr in ("down_port", "credit_to"):
+                if attr.endswith("_of") or attr in ("down_port", "down_vc", "credit_to"):
                     assert value.dtype == np.intp, attr  # a table of ids
                 setattr(engine, attr, value.view(_IntpIndexed))
                 checked += 1
@@ -1607,8 +1607,8 @@ class TestLaneKernels:
             | batched._F_HEAD | batched._F_TAIL
         )
         vc = (((lane * R + node) * P + port) * V) + wire
-        written = engine._buffer_write(np.array([vc]), np.array([word]))
-        assert written.tolist() == [0, 1]
+        engine._buffer_write(np.array([vc]), np.array([word]))
+        assert engine.b_cnt.sum(axis=(1, 2, 3)).tolist() == [0, 1]
         assert engine.b_flit_[vc * D] == word and engine.st_[vc] == batched._ROUTING
         local = np.array([100, 7])
         for cycle, kernel in enumerate(
@@ -1743,8 +1743,7 @@ class TestLaneKernels:
         def credits_of(lane):
             ids = np.concatenate([
                 ev[0][engine._lane_of_id(ev[0]) == lane]
-                for ring in (engine._ring_credit, engine._ring_out_credit)
-                for ev in ring
+                for ev in engine._ring_credit
                 if ev is not None
             ] or [np.zeros(0, dtype=np.intp)])
             router = int(np.count_nonzero(ids < engine.cred_.size))
@@ -1770,15 +1769,16 @@ class TestLaneKernels:
             assert _lane_key(results[i]) == _lane_key(ref), f"point {i}"
 
     def test_the_counter_queue_is_bounded_and_polls_read_through_it(self, monkeypatch):
-        """With a bound of 150 ids (an array weighs 16 more) the queue is
-        binned hundreds of times mid-run and never holds more; the recovery
-        monitors' polls still see the cycle's own bumps (detection cycles
-        equal the reference's)."""
+        """With a bound of 600 ids (an array weighs 16 more) over 160 input
+        ports the queue is binned every 3 steps, over a hundred times mid-run,
+        and never holds more than the bound; the recovery monitors' polls
+        still see the cycle's own bumps (detection cycles equal the
+        reference's)."""
         from repro.faults import FaultSite, FaultUnit
         from repro.faults.timeline import FaultTimeline, TimelineEvent
         from repro.network import batched
 
-        monkeypatch.setattr(batched, "_COUNT_QUEUE", 150)
+        monkeypatch.setattr(batched, "_COUNT_QUEUE", 600)
         net, cfg = _ENV_NET, _sim_cfg(measure=250)
         kinds = ("protected", "baseline")
 
@@ -1796,13 +1796,15 @@ class TestLaneKernels:
         engine = batched.BatchedLaneEngine(
             net, cfg, [LaneSpec(stream, timeline(), kind) for kind in kinds]
         )
+        assert engine.L * engine.RP == 160 and engine._bin_every == 3
         step = engine._step
-        held, polled_through = [], []
+        held, polled_through, bins = [], [], [0]
 
         def spy(cycle, local):
             step(cycle, local)
             held.append(sum(ids.size + 16 for queue in engine._queue for ids in queue))
-            assert held[-1] <= engine._queued <= 150  # a poll's reads bin early
+            assert held[-1] <= batched._COUNT_QUEUE and engine._queued < 3
+            bins[0] += engine._queued == 0
 
         view_read = batched._RouterView._read
 
@@ -1813,7 +1815,7 @@ class TestLaneKernels:
         monkeypatch.setattr(batched._RouterView, "_read", reading)
         engine._step = spy
         lanes = engine.run()
-        assert max(held) > 75 and any(polled_through)
+        assert max(held) > 150 and bins[0] > 100 and any(polled_through)
         assert engine._queued == 0  # the last retirement read everything
         counted = sum(sum(vars(lane.router_stats).values()) for lane in lanes)
         assert counted > 100 * 150
@@ -1870,6 +1872,94 @@ class TestLaneKernels:
         stats = [lane.router_stats for lane in lanes]
         assert stats[0].sa_bypass_grants and stats[0].vc_transfers
         assert stats[1].sa_blocked_cycles and lanes[1].blocked
+        _assert_equal_reference_stepper(lanes, specs(), net, cfg)
+
+    def _retire_one(self, net, cfg, spec, kind):
+        """Run one lane; returns its result and, taken as it retires, before
+        its events are purged: whether the XB queue and the flit ring hold
+        any of its ids, and the flits its buffers hold."""
+        engine = self._engine(net, [spec], cfg, kind)
+        purge = engine._purge_lane_events
+        seen = []
+
+        def spy(lane):
+            xq, flits = engine._xq[0], [ev for ev in engine._ring_flit if ev is not None]
+            seen.append((xq is not None and xq[0].size > 0, bool(flits),
+                         int(engine.b_cnt[lane].sum())))
+            purge(lane)
+
+        engine._purge_lane_events = spy
+        (result,) = engine.run()
+        return result, seen[0]
+
+    @pytest.mark.parametrize("retirement", ["drained", "horizon", "watchdog"])
+    def test_buffer_writes_are_traversals_plus_buffered_flits(self, retirement):
+        """A lane counts no buffer write as it happens: each write is
+        followed by one traversal or its flit is still buffered, so at
+        retirement ``buffer_writes`` is ``flits_traversed`` plus what the
+        buffers hold — a drained lane, one cut at its drain horizon with
+        grants in the XB queue, and one the watchdog stops with flits on
+        a link alike, each equal to ``_step_reference``."""
+        net, kind = _ENV_NET, "protected"
+        cfg = _sim_cfg(measure=200)
+        rate = 0.1
+        if retirement == "horizon":  # saturated, and no time to drain
+            cfg, rate = replace(cfg, drain_cycles=20), 0.6
+        elif retirement == "watchdog":  # a link outlasts the watchdog
+            net = replace(_ENV_NET, link_latency=16)
+            cfg = replace(cfg, watchdog_cycles=10)
+
+        def spec():
+            return LaneSpec(SyntheticTraffic(net, rate, mix=COHERENCE_MIX, rng=41))
+
+        result, (grants, on_link, buffered) = self._retire_one(net, cfg, spec(), kind)
+        assert (result.drained, result.blocked) == {
+            "drained": (True, False), "horizon": (False, False), "watchdog": (False, True),
+        }[retirement]
+        if retirement == "drained":
+            assert buffered == 0
+        elif retirement == "horizon":
+            assert grants and buffered
+        else:
+            assert on_link
+        stats = result.router_stats
+        assert stats.buffer_writes == stats.flits_traversed + buffered
+        ref = _event_reference(net, cfg, spec(), _factory(net, kind), use_reference_stepper=True)
+        assert stats.buffer_writes == ref.router_stats.buffer_writes
+        assert (result.cycles, result.blocked, stats) == (ref.cycles, ref.blocked, ref.router_stats)
+        if retirement != "watchdog":  # that one ejected nothing: its latencies are NaN
+            assert _lane_key(result) == _lane_key(ref)
+
+    def test_a_transfer_moves_the_absolute_ids_along(self):
+        """An SA1 bypass transfer (``_move_slots``) carries the packet's
+        output port id and output VC id to the new slot unchanged, both
+        still naming the slot's own router; the lane equals the reference."""
+        from repro.faults import FaultTimeline
+        from repro.network import batched
+
+        net, cfg = _ENV_NET, _ENV_SIM
+        faults = _sites((60, 5, "SA1_ARBITER", 3), (60, 6, "SA1_ARBITER", 1))
+
+        def specs():
+            return [LaneSpec(
+                SyntheticTraffic(net, 0.3, mix=COHERENCE_MIX, rng=77), FaultTimeline(faults)
+            )]
+
+        engine = self._engine(net, specs(), cfg)
+        moves = []
+
+        def move(self, src, to):
+            ids = self.route_[src].copy(), self.outvc_[src].copy()
+            batched.BatchedLaneEngine._move_slots(self, src, to)
+            route, outvc = self.route_[to], self.outvc_[to]
+            assert (route == ids[0]).all() and (outvc == ids[1]).all()
+            assert (self.node_of[route] == self.node_of[self.port_of[to]]).all()
+            assert (outvc // self.V == route).all()
+            moves.append(src.size)
+
+        engine._move_slots = functools.partial(move, engine)
+        lanes = engine.run()
+        assert sum(moves) > 10 and lanes[0].router_stats.vc_transfers == sum(moves)
         _assert_equal_reference_stepper(lanes, specs(), net, cfg)
 
     def test_fault_flags_are_recounted_at_install(self):
@@ -2219,7 +2309,7 @@ class TestHealSeam:
             view.buffer_writes
         # a read bins what is queued for that counter, and only that
         for counter in ("flits_traversed", "sa_grants"):
-            engine._count(_RS_IDX[counter], np.array([0, 0, 3]))
+            engine._queue[_RS_IDX[counter]].append(np.array([0, 0, 3]))
         assert view.flits_traversed == 2
         assert not engine._queue[_RS_IDX["flits_traversed"]]
         assert len(engine._queue[_RS_IDX["sa_grants"]]) == 1

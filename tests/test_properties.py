@@ -140,7 +140,7 @@ def assert_lane_credits(engine):
     for ev in e._ring_flit:
         if ev is not None:
             np.add.at(held, e.credit_to[ev[0]], 1)
-    for ring in (e._ring_eject, e._ring_credit, e._ring_out_credit):
+    for ring in (e._ring_eject, e._ring_credit):
         for ev in ring:
             if ev is not None:
                 np.add.at(held, ev[0], 1)
